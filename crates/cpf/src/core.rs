@@ -2,20 +2,21 @@
 //! `neutrino-messages`, per-procedure (or per-message) state replication,
 //! replica duties, and failure recovery.
 
-use crate::store::{Freshness, StateStore};
+use crate::store::{Freshness, StateStore, UeRecord};
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, UeId, UpfId};
 use neutrino_geo::RingStack;
 use neutrino_messages::control::{ControlMessage, Direction, Envelope, MessageKind};
 use neutrino_messages::ies::Tai;
-use neutrino_messages::procedures::ProcedureKind;
-use neutrino_messages::state::UeState;
+use neutrino_messages::procedures::{ProcedureKind, Step};
+use neutrino_messages::state::{BearerContext, UeState};
 use neutrino_messages::sysmsg::{
     MarkOutdated, Replay, S11Request, S11Response, SessionOp, StateSync, SyncAck, SyncPurpose,
     SysMsg,
 };
 use neutrino_messages::Wire;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
 
 /// When UE state is checkpointed to backups (§4.2.2, ablated in Fig. 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,12 +193,251 @@ struct Progress {
     migrated: bool,
 }
 
+/// A procedure ran off the end of its template.
+struct Finished {
+    /// It was a detach: the UE's record goes with it.
+    detached: bool,
+}
+
 /// The Control Plane Function state machine.
 pub struct CpfCore {
     config: CpfConfig,
     store: StateStore,
+    /// Procedures in flight. A UE with progress always has a store record:
+    /// progress starts only past the stale-state guard, and the record
+    /// leaves (detach) together with it.
     progress: BTreeMap<UeId, Progress>,
     metrics: CpfMetrics,
+}
+
+impl CpfConfig {
+    /// The backups this CPF checkpoints a UE's state to.
+    fn backups_for(&self, ue: UeId) -> Vec<CpfId> {
+        let mut backups = match (&self.ring, self.replication) {
+            (Some(ring), _) => ring.backups(ue),
+            (None, ReplicationMode::PerMessage) => self.peers.clone(),
+            _ => Vec::new(),
+        };
+        backups.retain(|b| *b != self.id);
+        backups
+    }
+
+    /// The migration target for a handover with CPF change: the first
+    /// level-2 backup (where a proactive replica would live), else a
+    /// sibling-region CPF, else a pool peer.
+    fn migration_target(&self, ue: UeId) -> Option<CpfId> {
+        self.backups_for(ue)
+            .first()
+            .copied()
+            .or_else(|| {
+                self.remote_peers
+                    .get(ue.raw() as usize % self.remote_peers.len().max(1))
+                    .copied()
+            })
+            .or_else(|| self.peers.iter().copied().find(|p| *p != self.id))
+    }
+
+    fn upf_for(&self, ue: UeId) -> UpfId {
+        let n = self.upfs.len().max(1);
+        *self
+            .upfs
+            .get(ue.raw() as usize % n)
+            .unwrap_or(&UpfId::new(0))
+    }
+}
+
+/// Sends `state` to every backup. The syncs share the store's own
+/// allocation: nothing is copied until the primary next mutates the state.
+fn checkpoint(
+    config: &CpfConfig,
+    metrics: &mut CpfMetrics,
+    state: &Arc<UeState>,
+    procedure: ProcedureId,
+    end_clock: ClockTick,
+    cta: CtaId,
+    out: &mut Vec<CpfOutput>,
+) {
+    for backup in config.backups_for(state.ue) {
+        metrics.syncs_sent += 1;
+        out.push(CpfOutput::ToCpf {
+            cpf: backup,
+            msg: SysMsg::StateSync(StateSync {
+                ue: state.ue,
+                primary: config.id,
+                cta,
+                state: Arc::clone(state),
+                procedure,
+                end_clock,
+                purpose: SyncPurpose::Checkpoint,
+            }),
+        });
+    }
+}
+
+/// Everything one message may touch for its UE, borrowed once: the store
+/// record and the progress entry (one map lookup each), the counters, and
+/// the one output list every step pushes into.
+struct Run<'a> {
+    config: &'a CpfConfig,
+    metrics: &'a mut CpfMetrics,
+    rec: &'a mut UeRecord,
+    progress: &'a mut Progress,
+    out: &'a mut Vec<CpfOutput>,
+}
+
+impl Run<'_> {
+    /// Asks the serving UPF for a session operation.
+    fn s11(&mut self, op: SessionOp) {
+        let state = &self.rec.state;
+        self.out.push(CpfOutput::ToUpf {
+            upf: state.serving_upf,
+            msg: SysMsg::S11(S11Request {
+                ue: state.ue,
+                cpf: self.config.id,
+                op,
+                session: state.session,
+            }),
+        });
+    }
+
+    /// Sends the handover state migration to `target`.
+    fn migration_sync(&mut self, target: CpfId) {
+        self.out.push(CpfOutput::ToCpf {
+            cpf: target,
+            msg: SysMsg::StateSync(StateSync {
+                ue: self.rec.state.ue,
+                primary: self.config.id,
+                cta: self.progress.cta,
+                state: Arc::clone(&self.rec.state),
+                procedure: self.progress.procedure,
+                end_clock: self.progress.last_ul_clock,
+                purpose: SyncPurpose::Migration,
+            }),
+        });
+    }
+
+    /// Builds the downlink message of template step `idx` and queues it.
+    fn downlink(&mut self, idx: usize) {
+        let progress = &*self.progress;
+        let steps = &progress.kind.template().steps;
+        debug_assert_eq!(steps[idx].direction, Direction::Downlink);
+        let ue = self.rec.state.ue;
+        let mut env = Envelope::downlink(
+            ue,
+            progress.procedure,
+            progress.kind,
+            build_downlink(steps[idx].kind, ue),
+        )
+        .from_bs(progress.bs);
+        env.via_cta = Some(progress.cta);
+        if idx + 1 == steps.len() {
+            env = env.ending_procedure();
+        }
+        self.out.push(CpfOutput::ToCta {
+            cta: progress.cta,
+            msg: SysMsg::Control(env),
+        });
+    }
+
+    /// Emits the downlink message at the cursor and advances it.
+    fn emit_downlink(&mut self, replaying: bool) {
+        if !replaying {
+            self.downlink(self.progress.next_step);
+        }
+        self.progress.next_step += 1;
+    }
+
+    /// Emits pending downlink steps until the procedure waits or finishes.
+    fn drive(&mut self, replaying: bool) -> Option<Finished> {
+        loop {
+            if self.progress.waiting.is_some() {
+                return None;
+            }
+            let steps = &self.progress.kind.template().steps;
+            let cursor = self.progress.next_step;
+            if cursor >= steps.len() {
+                return Some(self.complete());
+            }
+            let step = steps[cursor];
+            if step.direction == Direction::Uplink {
+                // Waiting for the UE/BS's next message.
+                return None;
+            }
+            // A downlink step. Migration first (handover with CPF change),
+            // then the UPF interaction, then the message itself.
+            if step.requires_state_migration && !self.progress.migrated && !replaying {
+                if let Some(target) = self.config.migration_target(self.rec.state.ue) {
+                    self.progress.waiting = Some(Waiting::Migration { step: cursor });
+                    self.metrics.migrations += 1;
+                    self.migration_sync(target);
+                    return None;
+                }
+                // Nowhere to migrate (single-CPF deployments): continue.
+            }
+            if step.upf_interaction && !replaying {
+                self.s11(session_op(self.progress.kind, step.kind));
+                if !self.config.parallel_upf {
+                    self.progress.waiting = Some(Waiting::Upf { step: cursor });
+                    return None;
+                }
+                // DPCM: fall through and emit the downlink immediately.
+            }
+            self.emit_downlink(replaying);
+        }
+    }
+
+    /// Finishes a procedure: bump the state version and checkpoint (§4.2.2).
+    fn complete(&mut self) -> Finished {
+        self.metrics.completed += 1;
+        let progress = &*self.progress;
+        if !self.rec.state.attached && progress.kind == ProcedureKind::Detach {
+            return Finished { detached: true };
+        }
+        Arc::make_mut(&mut self.rec.state).commit(progress.procedure, progress.last_ul_clock);
+        if self.config.replication == ReplicationMode::PerProcedure {
+            checkpoint(
+                self.config,
+                self.metrics,
+                &self.rec.state,
+                progress.procedure,
+                progress.last_ul_clock,
+                progress.cta,
+                self.out,
+            );
+        }
+        Finished { detached: false }
+    }
+
+    /// Lost-downlink recovery: the UE retransmitted an uplink we already
+    /// consumed (template step `matched_step` of its current procedure).
+    /// Re-issue whatever followed it — the in-flight S11, the in-flight
+    /// migration sync, or the downlink steps up to the cursor — rebuilt
+    /// deterministically, with no state mutation and no cursor movement.
+    fn nudge(&mut self, matched_step: usize) {
+        let kind = self.progress.kind;
+        let steps = &kind.template().steps;
+        match self.progress.waiting {
+            // Re-send the pending S11; session operations are idempotent at
+            // the UPF.
+            Some(Waiting::Upf { step }) => self.s11(session_op(kind, steps[step].kind)),
+            // Re-send the migration sync; adoption is version-gated at the
+            // target, so a duplicate is harmless and its ACK unblocks the
+            // handover.
+            Some(Waiting::Migration { .. }) => {
+                if let Some(target) = self.config.migration_target(self.rec.state.ue) {
+                    self.migration_sync(target);
+                }
+            }
+            // The downlink(s) between the matched step and the cursor were
+            // lost in flight: rebuild and re-send them.
+            None => {
+                let lost = (matched_step + 1)..self.progress.next_step.min(steps.len());
+                for idx in lost.filter(|&i| steps[i].direction == Direction::Downlink) {
+                    self.downlink(idx);
+                }
+            }
+        }
+    }
 }
 
 impl CpfCore {
@@ -228,52 +468,7 @@ impl CpfCore {
 
     /// The backups this CPF checkpoints a UE's state to.
     pub fn backups_for(&self, ue: UeId) -> Vec<CpfId> {
-        match (&self.config.ring, self.config.replication) {
-            (Some(ring), _) => ring
-                .backups(ue)
-                .into_iter()
-                .filter(|b| *b != self.config.id)
-                .collect(),
-            (None, ReplicationMode::PerMessage) => self
-                .config
-                .peers
-                .iter()
-                .copied()
-                .filter(|p| *p != self.config.id)
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// The migration target for a handover with CPF change: the first
-    /// level-2 backup (where a proactive replica would live), else a
-    /// sibling-region CPF, else a pool peer.
-    fn migration_target(&self, ue: UeId) -> Option<CpfId> {
-        self.backups_for(ue)
-            .first()
-            .copied()
-            .or_else(|| {
-                self.config
-                    .remote_peers
-                    .get(ue.raw() as usize % self.config.remote_peers.len().max(1))
-                    .copied()
-            })
-            .or_else(|| {
-                self.config
-                    .peers
-                    .iter()
-                    .copied()
-                    .find(|p| *p != self.config.id)
-            })
-    }
-
-    fn upf_for(&self, ue: UeId) -> UpfId {
-        let n = self.config.upfs.len().max(1);
-        *self
-            .config
-            .upfs
-            .get(ue.raw() as usize % n)
-            .unwrap_or(&UpfId::new(0))
+        self.config.backups_for(ue)
     }
 
     /// Handles any system message addressed to this CPF.
@@ -312,8 +507,10 @@ impl CpfCore {
 
     /// Processes one live uplink control message.
     pub fn on_control(&mut self, env: Envelope) -> Vec<CpfOutput> {
+        let mut out = Vec::new();
         self.metrics.processed += 1;
-        self.process(env, false)
+        self.process(env, false, &mut out);
+        out
     }
 
     /// Replays logged messages to reconstruct state (§4.2.5 scenario 2).
@@ -324,307 +521,149 @@ impl CpfCore {
         let mut out = Vec::new();
         for env in replay.messages {
             self.metrics.replayed += 1;
-            out.extend(self.process(env, true));
+            self.process(env, true, &mut out);
         }
         out
     }
 
-    fn process(&mut self, env: Envelope, replaying: bool) -> Vec<CpfOutput> {
+    /// Borrows everything a continuation of `ue`'s procedure needs.
+    fn run<'a>(&'a mut self, ue: UeId, out: &'a mut Vec<CpfOutput>) -> Option<Run<'a>> {
+        Some(Run {
+            config: &self.config,
+            metrics: &mut self.metrics,
+            rec: self.store.get_mut(ue)?,
+            progress: self.progress.get_mut(&ue)?,
+            out,
+        })
+    }
+
+    /// Drops what a finished procedure leaves behind.
+    fn retire(&mut self, ue: UeId, finished: Option<Finished>) {
+        if let Some(Finished { detached }) = finished {
+            self.progress.remove(&ue);
+            if detached {
+                self.store.remove(ue);
+            }
+        }
+    }
+
+    fn process(&mut self, env: Envelope, replaying: bool, out: &mut Vec<CpfOutput>) {
         let ue = env.ue;
         let cta = env.via_cta.unwrap_or(CtaId::new(0));
         let template = env.proc_kind.template();
-        let mut out = Vec::new();
+        let kind = env.msg.kind();
 
         let attach_start = matches!(
             env.proc_kind,
             ProcedureKind::InitialAttach | ProcedureKind::ReAttach
-        ) && env.msg.kind() == template.steps[0].kind;
+        ) && kind == template.steps[0].kind;
 
-        if attach_start {
+        let rec = if attach_start {
             // (Re-)attach creates fresh, consistent state (§4.2.1).
-            let mut state = UeState::new(ue, env.bs, self.upf_for(ue), Tai::sample(ue.raw()));
+            let mut state =
+                UeState::new(ue, env.bs, self.config.upf_for(ue), Tai::sample(ue.raw()));
             state.connected = true;
-            self.store.put(state);
-            self.progress.remove(&ue);
+            self.store.put(Arc::new(state))
         } else {
             // Stale-state guard (§4.2.4 step 3): a CPF with no state — or,
             // when consistency is enforced, outdated state — must not serve.
-            let has_state = self.store.get(ue).is_some();
-            let servable = self.store.servable(ue);
-            if !has_state || (self.config.enforce_consistency && !servable) {
-                if !replaying {
-                    self.metrics.re_attach_asked += 1;
-                    out.push(CpfOutput::ToCta {
-                        cta,
-                        msg: SysMsg::RelayReAttach { ue, bs: env.bs },
-                    });
+            match self.store.get_mut(ue) {
+                Some(rec)
+                    if !self.config.enforce_consistency || rec.freshness == Freshness::UpToDate =>
+                {
+                    rec
                 }
-                return out;
-            }
-        }
-
-        // Track progress; a different procedure id restarts tracking.
-        let restart = self
-            .progress
-            .get(&ue)
-            .map(|p| p.procedure != env.procedure)
-            .unwrap_or(true);
-        if restart {
-            self.progress.insert(
-                ue,
-                Progress {
-                    procedure: env.procedure,
-                    kind: env.proc_kind,
-                    next_step: 0,
-                    last_ul_clock: ClockTick::ZERO,
-                    cta,
-                    bs: env.bs,
-                    waiting: None,
-                    migrated: false,
-                },
-            );
-        }
-        {
-            let progress = self.progress.get_mut(&ue).expect("just ensured");
-            progress.cta = cta;
-            progress.bs = env.bs;
-            // Locate this uplink message in the template at/after the cursor.
-            let pos = template.steps[progress.next_step..]
-                .iter()
-                .position(|s| s.direction == Direction::Uplink && s.kind == env.msg.kind());
-            match pos {
-                Some(rel) => progress.next_step += rel + 1,
-                None => {
-                    // Not the message the cursor expects. If it duplicates an
-                    // uplink step we already consumed, the UE is
-                    // retransmitting because our follow-up got lost:
-                    // re-issue it (pending S11, migration sync, or the
-                    // downlink replies) without re-running state mutations.
-                    // Anything else is out-of-order noise.
-                    let matched = template.steps[..progress.next_step]
-                        .iter()
-                        .rposition(|s| s.direction == Direction::Uplink && s.kind == env.msg.kind());
-                    if let (Some(idx), false) = (matched, replaying) {
-                        self.metrics.dup_uplink_nudges += 1;
-                        out.extend(self.nudge(ue, idx));
-                    }
-                    return out;
-                }
-            }
-            progress.last_ul_clock = env.clock;
-            progress.waiting = None;
-        }
-        self.apply_message(ue, &env.msg);
-
-        // An uplink step may itself carry a UPF interaction (e.g. the
-        // modify-bearer after an ICS Response). It is fire-and-forget: the
-        // procedure does not block on it.
-        if !replaying {
-            let progress = self.progress.get(&ue).expect("present");
-            let consumed = template.steps[progress.next_step - 1];
-            if consumed.upf_interaction {
-                let op = session_op(env.proc_kind, consumed.kind);
-                let session = self.store.get(ue).and_then(|r| r.state.session);
-                let upf = self
-                    .store
-                    .get(ue)
-                    .map(|r| r.state.serving_upf)
-                    .unwrap_or_else(|| self.upf_for(ue));
-                out.push(CpfOutput::ToUpf {
-                    upf,
-                    msg: SysMsg::S11(S11Request {
-                        ue,
-                        cpf: self.config.id,
-                        op,
-                        session,
-                    }),
-                });
-            }
-        }
-
-        if self.config.replication == ReplicationMode::PerMessage && !replaying {
-            out.extend(self.checkpoint(ue, env.procedure, env.clock, cta));
-        }
-
-        out.extend(self.drive(ue, replaying));
-        out
-    }
-
-    /// Emits pending downlink steps until the procedure waits or finishes.
-    fn drive(&mut self, ue: UeId, replaying: bool) -> Vec<CpfOutput> {
-        let mut out = Vec::new();
-        loop {
-            let progress = match self.progress.get_mut(&ue) {
-                Some(p) => p,
-                None => return out,
-            };
-            if progress.waiting.is_some() {
-                return out;
-            }
-            let template = progress.kind.template();
-            if progress.next_step >= template.steps.len() {
-                out.extend(self.complete_procedure(ue));
-                return out;
-            }
-            let step = template.steps[progress.next_step];
-            if step.direction == Direction::Uplink {
-                // Waiting for the UE/BS's next message.
-                return out;
-            }
-            // A downlink step. Migration first (handover with CPF change),
-            // then the UPF interaction, then the message itself.
-            if step.requires_state_migration && !progress.migrated && !replaying {
-                let step_idx = progress.next_step;
-                progress.waiting = Some(Waiting::Migration { step: step_idx });
-                let (procedure, cta, clock) =
-                    (progress.procedure, progress.cta, progress.last_ul_clock);
-                if let Some(target) = self.migration_target(ue) {
-                    self.metrics.migrations += 1;
-                    let state = self
-                        .store
-                        .get(ue)
-                        .map(|r| r.state.clone())
-                        .expect("serving implies state");
-                    out.push(CpfOutput::ToCpf {
-                        cpf: target,
-                        msg: SysMsg::StateSync(StateSync {
-                            ue,
-                            primary: self.config.id,
+                _ => {
+                    if !replaying {
+                        self.metrics.re_attach_asked += 1;
+                        out.push(CpfOutput::ToCta {
                             cta,
-                            state,
-                            procedure,
-                            end_clock: clock,
-                            purpose: SyncPurpose::Migration,
-                        }),
-                    });
-                    return out;
+                            msg: SysMsg::RelayReAttach { ue, bs: env.bs },
+                        });
+                    }
+                    return;
                 }
-                // Nowhere to migrate (single-CPF deployments): continue.
-                let progress = self.progress.get_mut(&ue).expect("present");
-                progress.waiting = None;
             }
-            let progress = self.progress.get_mut(&ue).expect("present");
-            let step = template.steps[progress.next_step];
-            if step.upf_interaction && !replaying {
-                let parallel = self.config.parallel_upf;
-                if !parallel {
-                    progress.waiting = Some(Waiting::Upf {
-                        step: progress.next_step,
-                    });
-                }
-                let kind = progress.kind;
-                let op = session_op(kind, step.kind);
-                let session = self.store.get(ue).and_then(|r| r.state.session);
-                let upf = self
-                    .store
-                    .get(ue)
-                    .map(|r| r.state.serving_upf)
-                    .unwrap_or_else(|| self.upf_for(ue));
-                out.push(CpfOutput::ToUpf {
-                    upf,
-                    msg: SysMsg::S11(S11Request {
-                        ue,
-                        cpf: self.config.id,
-                        op,
-                        session,
-                    }),
-                });
-                if !parallel {
-                    return out;
-                }
-                // DPCM: fall through and emit the downlink immediately.
-            }
-            out.extend(self.emit_downlink(ue, replaying));
-        }
-    }
+        };
 
-    /// Emits the downlink message at the cursor and advances it.
-    fn emit_downlink(&mut self, ue: UeId, replaying: bool) -> Vec<CpfOutput> {
-        let progress = self.progress.get_mut(&ue).expect("present");
-        let template = progress.kind.template();
-        let step = template.steps[progress.next_step];
-        debug_assert_eq!(step.direction, Direction::Downlink);
-        let is_last = progress.next_step + 1 == template.steps.len();
-        let mut env = Envelope::downlink(
-            ue,
-            progress.procedure,
-            progress.kind,
-            build_downlink(step.kind, ue),
-        )
-        .from_bs(progress.bs);
-        env.via_cta = Some(progress.cta);
-        if is_last {
-            env = env.ending_procedure();
-        }
-        progress.next_step += 1;
-        let cta = progress.cta;
-        let mut out = Vec::new();
+        // Track progress; an attach start or a different procedure id
+        // restarts tracking.
+        let fresh = Progress {
+            procedure: env.procedure,
+            kind: env.proc_kind,
+            next_step: 0,
+            last_ul_clock: ClockTick::ZERO,
+            cta,
+            bs: env.bs,
+            waiting: None,
+            migrated: false,
+        };
+        let progress = match self.progress.entry(ue) {
+            Entry::Vacant(slot) => slot.insert(fresh),
+            Entry::Occupied(held) => {
+                let progress = held.into_mut();
+                if attach_start || progress.procedure != env.procedure {
+                    *progress = fresh;
+                } else {
+                    progress.cta = cta;
+                    progress.bs = env.bs;
+                }
+                progress
+            }
+        };
+        let mut run = Run {
+            config: &self.config,
+            metrics: &mut self.metrics,
+            rec,
+            progress,
+            out,
+        };
+
+        // Locate this uplink message in the template at/after the cursor.
+        let is_it = |s: &Step| s.direction == Direction::Uplink && s.kind == kind;
+        let cursor = run.progress.next_step;
+        let Some(rel) = template.steps[cursor..].iter().position(is_it) else {
+            // Not the message the cursor expects. If it duplicates an uplink
+            // step we already consumed, the UE is retransmitting because our
+            // follow-up got lost: re-issue it (pending S11, migration sync,
+            // or the downlink replies) without re-running state mutations.
+            // Anything else is out-of-order noise.
+            if let (Some(idx), false) =
+                (template.steps[..cursor].iter().rposition(is_it), replaying)
+            {
+                run.metrics.dup_uplink_nudges += 1;
+                run.nudge(idx);
+            }
+            return;
+        };
+        let consumed = template.steps[cursor + rel];
+        run.progress.next_step = cursor + rel + 1;
+        run.progress.last_ul_clock = env.clock;
+        run.progress.waiting = None;
+        apply_message(&mut run.rec.state, &env.msg);
+
         if !replaying {
-            out.push(CpfOutput::ToCta {
-                cta,
-                msg: SysMsg::Control(env),
-            });
-        }
-        out
-    }
-
-    /// Finishes a procedure: bump the state version and checkpoint (§4.2.2).
-    fn complete_procedure(&mut self, ue: UeId) -> Vec<CpfOutput> {
-        let progress = match self.progress.remove(&ue) {
-            Some(p) => p,
-            None => return Vec::new(),
-        };
-        self.metrics.completed += 1;
-        let mut out = Vec::new();
-        let mut detached = false;
-        if let Some(rec) = self.store.get_mut(ue) {
-            rec.state.commit(progress.procedure, progress.last_ul_clock);
-            detached = !rec.state.attached && progress.kind == ProcedureKind::Detach;
-        }
-        if detached {
-            self.store.remove(ue);
-            return out;
-        }
-        if self.config.replication == ReplicationMode::PerProcedure {
-            out.extend(self.checkpoint(
-                ue,
-                progress.procedure,
-                progress.last_ul_clock,
-                progress.cta,
-            ));
-        }
-        out
-    }
-
-    /// Sends the state checkpoint to every backup.
-    fn checkpoint(
-        &mut self,
-        ue: UeId,
-        procedure: ProcedureId,
-        end_clock: ClockTick,
-        cta: CtaId,
-    ) -> Vec<CpfOutput> {
-        let state = match self.store.get(ue) {
-            Some(rec) => rec.state.clone(),
-            None => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        for backup in self.backups_for(ue) {
-            self.metrics.syncs_sent += 1;
-            out.push(CpfOutput::ToCpf {
-                cpf: backup,
-                msg: SysMsg::StateSync(StateSync {
-                    ue,
-                    primary: self.config.id,
+            // An uplink step may itself carry a UPF interaction (e.g. the
+            // modify-bearer after an ICS Response). It is fire-and-forget:
+            // the procedure does not block on it.
+            if consumed.upf_interaction {
+                run.s11(session_op(env.proc_kind, consumed.kind));
+            }
+            if run.config.replication == ReplicationMode::PerMessage {
+                checkpoint(
+                    run.config,
+                    run.metrics,
+                    &run.rec.state,
+                    env.procedure,
+                    env.clock,
                     cta,
-                    state: state.clone(),
-                    procedure,
-                    end_clock,
-                    purpose: SyncPurpose::Checkpoint,
-                }),
-            });
+                    run.out,
+                );
+            }
         }
-        out
+
+        let finished = run.drive(replaying);
+        self.retire(ue, finished);
     }
 
     /// Replica duty: adopt a state checkpoint and ACK it (§4.2.3 steps 2–3),
@@ -637,21 +676,16 @@ impl CpfCore {
             self.metrics.syncs_ignored += 1;
         }
         match sync.purpose {
-            SyncPurpose::Checkpoint => {
-                if adopted {
-                    vec![CpfOutput::ToCta {
-                        cta: sync.cta,
-                        msg: SysMsg::SyncAck(SyncAck {
-                            ue: sync.ue,
-                            replica: self.config.id,
-                            procedure: sync.procedure,
-                            end_clock: sync.end_clock,
-                        }),
-                    }]
-                } else {
-                    Vec::new()
-                }
-            }
+            SyncPurpose::Checkpoint if adopted => vec![CpfOutput::ToCta {
+                cta: sync.cta,
+                msg: SysMsg::SyncAck(SyncAck {
+                    ue: sync.ue,
+                    replica: self.config.id,
+                    procedure: sync.procedure,
+                    end_clock: sync.end_clock,
+                }),
+            }],
+            SyncPurpose::Checkpoint => Vec::new(),
             SyncPurpose::Migration => vec![CpfOutput::ToCpf {
                 cpf: sync.primary,
                 msg: SysMsg::MigrationAck { ue: sync.ue },
@@ -661,14 +695,17 @@ impl CpfCore {
 
     /// Source-side continuation after the migration target confirmed.
     pub fn on_migration_ack(&mut self, ue: UeId) -> Vec<CpfOutput> {
-        if let Some(progress) = self.progress.get_mut(&ue) {
-            if matches!(progress.waiting, Some(Waiting::Migration { .. })) {
-                progress.waiting = None;
-                progress.migrated = true;
-                return self.drive(ue, false);
+        let mut out = Vec::new();
+        let finished = match self.run(ue, &mut out) {
+            Some(mut run) if matches!(run.progress.waiting, Some(Waiting::Migration { .. })) => {
+                run.progress.waiting = None;
+                run.progress.migrated = true;
+                run.drive(false)
             }
-        }
-        Vec::new()
+            _ => None,
+        };
+        self.retire(ue, finished);
+        out
     }
 
     /// CTA notice that this replica's copy is outdated (§4.2.4 steps 1a–1c):
@@ -693,7 +730,7 @@ impl CpfCore {
             .store
             .get(ue)
             .filter(|r| r.freshness == Freshness::UpToDate)
-            .map(|r| Box::new(r.state.clone()));
+            .map(|r| Arc::clone(&r.state));
         vec![CpfOutput::ToCpf {
             cpf: requester,
             msg: SysMsg::FetchStateResp { ue, state },
@@ -703,7 +740,7 @@ impl CpfCore {
     /// Adopts a fetched state (§4.2.4 step 1c: "marks UE's state
     /// up-to-date") — unless the local copy is already newer (a checkpoint
     /// may have raced the fetch).
-    pub fn on_fetch_resp(&mut self, ue: UeId, state: Option<Box<UeState>>) -> Vec<CpfOutput> {
+    pub fn on_fetch_resp(&mut self, ue: UeId, state: Option<Arc<UeState>>) -> Vec<CpfOutput> {
         if let Some(state) = state {
             debug_assert_eq!(state.ue, ue);
             let newer = self
@@ -712,7 +749,7 @@ impl CpfCore {
                 .map(|r| state.version >= r.state.version)
                 .unwrap_or(true);
             if newer {
-                self.store.put(*state);
+                self.store.put(state);
             }
         }
         Vec::new()
@@ -727,8 +764,8 @@ impl CpfCore {
     /// reports back so the CTA can replay its log instead of re-asking
     /// forever.
     pub fn on_resync(&mut self, ue: UeId, procedure: ProcedureId, cta: CtaId) -> Vec<CpfOutput> {
-        let version = match self.store.get(ue) {
-            Some(rec) if rec.state.version.procedure >= procedure => rec.state.version,
+        let rec = match self.store.get(ue) {
+            Some(rec) if rec.state.version.procedure >= procedure => rec,
             other => {
                 let have = other
                     .map(|r| r.state.version.procedure)
@@ -744,112 +781,41 @@ impl CpfCore {
             }
         };
         self.metrics.resyncs_answered += 1;
-        self.checkpoint(ue, version.procedure, version.clock, cta)
-    }
-
-    /// Lost-downlink recovery: the UE retransmitted an uplink we already
-    /// consumed (template step `matched_step` of its current procedure).
-    /// Re-issue whatever followed it — the in-flight S11, the in-flight
-    /// migration sync, or the downlink steps up to the cursor — rebuilt
-    /// deterministically, with no state mutation and no cursor movement.
-    fn nudge(&self, ue: UeId, matched_step: usize) -> Vec<CpfOutput> {
-        let progress = match self.progress.get(&ue) {
-            Some(p) => p,
-            None => return Vec::new(),
-        };
-        match progress.waiting {
-            Some(Waiting::Upf { step }) => {
-                // Re-send the pending S11; session operations are idempotent
-                // at the UPF.
-                let kind = progress.kind;
-                let op = session_op(kind, kind.template().steps[step].kind);
-                let session = self.store.get(ue).and_then(|r| r.state.session);
-                let upf = self
-                    .store
-                    .get(ue)
-                    .map(|r| r.state.serving_upf)
-                    .unwrap_or_else(|| self.upf_for(ue));
-                vec![CpfOutput::ToUpf {
-                    upf,
-                    msg: SysMsg::S11(S11Request {
-                        ue,
-                        cpf: self.config.id,
-                        op,
-                        session,
-                    }),
-                }]
-            }
-            Some(Waiting::Migration { .. }) => {
-                // Re-send the migration sync; adoption is version-gated at
-                // the target, so a duplicate is harmless and its ACK
-                // unblocks the handover.
-                let (procedure, cta, clock) =
-                    (progress.procedure, progress.cta, progress.last_ul_clock);
-                match (self.migration_target(ue), self.store.get(ue)) {
-                    (Some(target), Some(rec)) => vec![CpfOutput::ToCpf {
-                        cpf: target,
-                        msg: SysMsg::StateSync(StateSync {
-                            ue,
-                            primary: self.config.id,
-                            cta,
-                            state: rec.state.clone(),
-                            procedure,
-                            end_clock: clock,
-                            purpose: SyncPurpose::Migration,
-                        }),
-                    }],
-                    _ => Vec::new(),
-                }
-            }
-            None => {
-                // The downlink(s) between the matched step and the cursor
-                // were lost in flight: rebuild and re-send them.
-                let template = progress.kind.template();
-                let mut out = Vec::new();
-                for idx in (matched_step + 1)..progress.next_step.min(template.steps.len()) {
-                    let step = template.steps[idx];
-                    if step.direction != Direction::Downlink {
-                        continue;
-                    }
-                    let mut env = Envelope::downlink(
-                        ue,
-                        progress.procedure,
-                        progress.kind,
-                        build_downlink(step.kind, ue),
-                    )
-                    .from_bs(progress.bs);
-                    env.via_cta = Some(progress.cta);
-                    if idx + 1 == template.steps.len() {
-                        env = env.ending_procedure();
-                    }
-                    out.push(CpfOutput::ToCta {
-                        cta: progress.cta,
-                        msg: SysMsg::Control(env),
-                    });
-                }
-                out
-            }
-        }
+        let mut out = Vec::new();
+        let version = rec.state.version;
+        checkpoint(
+            &self.config,
+            &mut self.metrics,
+            &rec.state,
+            version.procedure,
+            version.clock,
+            cta,
+            &mut out,
+        );
+        out
     }
 
     /// Continues a procedure after its UPF round trip.
     pub fn on_s11_resp(&mut self, resp: S11Response) -> Vec<CpfOutput> {
+        let mut out = Vec::new();
         let ue = resp.ue;
         if resp.op == SessionOp::Create {
             if let Some(rec) = self.store.get_mut(ue) {
-                rec.state.session = resp.session;
-                rec.state.serving_upf = resp.upf;
+                let state = Arc::make_mut(&mut rec.state);
+                state.session = resp.session;
+                state.serving_upf = resp.upf;
             }
         }
-        if let Some(progress) = self.progress.get_mut(&ue) {
-            if matches!(progress.waiting, Some(Waiting::Upf { .. })) {
-                progress.waiting = None;
-                let mut out = self.emit_downlink(ue, false);
-                out.extend(self.drive(ue, false));
-                return out;
+        let finished = match self.run(ue, &mut out) {
+            Some(mut run) if matches!(run.progress.waiting, Some(Waiting::Upf { .. })) => {
+                run.progress.waiting = None;
+                run.emit_downlink(false);
+                run.drive(false)
             }
-        }
-        Vec::new()
+            _ => None,
+        };
+        self.retire(ue, finished);
+        out
     }
 
     /// Pages an idle UE that has downlink data waiting. Requires consistent
@@ -857,7 +823,7 @@ impl CpfCore {
     /// — without it the core cannot reach the UE (§3.1, Fig. 2).
     pub fn on_ddn(&mut self, ue: UeId) -> Vec<CpfOutput> {
         let rec = match self.store.get(ue) {
-            Some(r) if self.store.servable(ue) => r,
+            Some(r) if r.freshness == Freshness::UpToDate => r,
             _ => {
                 self.metrics.pages_failed += 1;
                 return Vec::new();
@@ -878,63 +844,64 @@ impl CpfCore {
             msg: SysMsg::Control(env),
         }]
     }
+}
 
-    /// State mutations per message kind.
-    fn apply_message(&mut self, ue: UeId, msg: &ControlMessage) {
-        let rec = match self.store.get_mut(ue) {
-            Some(r) => r,
-            None => return,
-        };
-        let state = &mut rec.state;
-        match msg {
-            ControlMessage::InitialUeMessage(_) | ControlMessage::AttachRequest(_) => {
-                state.connected = true;
+/// State mutations per message kind. Only the arms that change something
+/// take the write path: `make_mut` on a snapshot a checkpoint still shares
+/// copies it first.
+fn apply_message(state: &mut Arc<UeState>, msg: &ControlMessage) {
+    match msg {
+        ControlMessage::InitialUeMessage(_)
+        | ControlMessage::AttachRequest(_)
+        | ControlMessage::ServiceRequest(_) => {
+            Arc::make_mut(state).connected = true;
+        }
+        ControlMessage::AttachComplete(_) => {
+            let state = Arc::make_mut(state);
+            state.attached = true;
+            if state.bearers.is_empty() {
+                let ue = state.ue.raw();
+                state.bearers.push(BearerContext {
+                    erab_id: 5,
+                    qci: 9,
+                    teid_uplink: (ue & 0xFFFF_FFFF) as u32,
+                    teid_downlink: ((ue >> 4) & 0xFFFF_FFFF) as u32,
+                });
             }
-            ControlMessage::AttachComplete(_) => {
-                state.attached = true;
-                if state.bearers.is_empty() {
-                    state.bearers.push(neutrino_messages::state::BearerContext {
-                        erab_id: 5,
+        }
+        ControlMessage::InitialContextSetupResponse(r) => {
+            let state = Arc::make_mut(state);
+            for item in &r.erabs_setup {
+                if !state.bearers.iter().any(|b| b.erab_id == item.erab_id) {
+                    state.bearers.push(BearerContext {
+                        erab_id: item.erab_id,
                         qci: 9,
-                        teid_uplink: (ue.raw() & 0xFFFF_FFFF) as u32,
-                        teid_downlink: ((ue.raw() >> 4) & 0xFFFF_FFFF) as u32,
+                        teid_uplink: item.gtp_teid,
+                        teid_downlink: item.gtp_teid ^ 0xFFFF,
                     });
                 }
             }
-            ControlMessage::InitialContextSetupResponse(r) => {
-                for item in &r.erabs_setup {
-                    if !state.bearers.iter().any(|b| b.erab_id == item.erab_id) {
-                        state.bearers.push(neutrino_messages::state::BearerContext {
-                            erab_id: item.erab_id,
-                            qci: 9,
-                            teid_uplink: item.gtp_teid,
-                            teid_downlink: item.gtp_teid ^ 0xFFFF,
-                        });
-                    }
-                }
-                state.connected = true;
-            }
-            ControlMessage::ServiceRequest(_) => {
-                state.connected = true;
-            }
-            ControlMessage::TauRequest(r) => {
-                state.tai = r.old_tai;
-                if !state.tai_list.contains(&r.old_tai) {
-                    state.tai_list.push(r.old_tai);
-                }
-            }
-            ControlMessage::DetachRequest(_) => {
-                state.attached = false;
-                state.connected = false;
-            }
-            ControlMessage::HandoverNotify(n) => {
-                state.tai = n.tai;
-            }
-            ControlMessage::UeContextReleaseComplete(_) => {
-                state.connected = false;
-            }
-            _ => {}
+            state.connected = true;
         }
+        ControlMessage::TauRequest(r) => {
+            let state = Arc::make_mut(state);
+            state.tai = r.old_tai;
+            if !state.tai_list.contains(&r.old_tai) {
+                state.tai_list.push(r.old_tai);
+            }
+        }
+        ControlMessage::DetachRequest(_) => {
+            let state = Arc::make_mut(state);
+            state.attached = false;
+            state.connected = false;
+        }
+        ControlMessage::HandoverNotify(n) => {
+            Arc::make_mut(state).tai = n.tai;
+        }
+        ControlMessage::UeContextReleaseComplete(_) => {
+            Arc::make_mut(state).connected = false;
+        }
+        _ => {}
     }
 }
 
@@ -1083,6 +1050,58 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_is_shared_until_the_primary_next_mutates() {
+        let ue = UeId::new(7);
+        let mut primary = neutrino_cpf(0);
+        let syncs: Vec<StateSync> = run_attach(&mut primary, 7, 1, 10)
+            .into_iter()
+            .filter_map(|o| match o {
+                CpfOutput::ToCpf {
+                    msg: SysMsg::StateSync(s),
+                    ..
+                } => Some(s),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(syncs.len(), 2);
+        // No deep copy anywhere: both syncs, the primary's own record and
+        // (once adopted) the replicas' records are one allocation.
+        assert!(Arc::ptr_eq(&syncs[0].state, &syncs[1].state));
+        assert!(Arc::ptr_eq(
+            &syncs[0].state,
+            &primary.store().get(ue).unwrap().state
+        ));
+        let at_checkpoint = UeState::clone(&syncs[0].state);
+        let mut replicas = [neutrino_cpf(8), neutrino_cpf(9)];
+        for (replica, sync) in replicas.iter_mut().zip(&syncs) {
+            replica.on_state_sync(sync.clone());
+            assert!(Arc::ptr_eq(
+                &replica.store().get(ue).unwrap().state,
+                &sync.state
+            ));
+        }
+        // The primary moves on to the next procedure: it must write to a
+        // copy of its own, leaving the syncs still in flight and the
+        // replicas' adopted records at the checkpointed value.
+        primary.on_control(ul(
+            7,
+            2,
+            ProcedureKind::TrackingAreaUpdate,
+            MessageKind::TauRequest,
+            20,
+        ));
+        let now = &primary.store().get(ue).unwrap().state;
+        assert_eq!(now.version.procedure, ProcedureId::new(2));
+        assert_ne!(**now, at_checkpoint);
+        for sync in &syncs {
+            assert_eq!(*sync.state, at_checkpoint);
+        }
+        for replica in &replicas {
+            assert_eq!(*replica.store().get(ue).unwrap().state, at_checkpoint);
+        }
+    }
+
+    #[test]
     fn unknown_ue_is_asked_to_re_attach() {
         let mut cpf = neutrino_cpf(0);
         let outs = cpf.on_control(ul(
@@ -1161,7 +1180,7 @@ mod tests {
             procedure: ProcedureId::new(1),
             clock: ClockTick(10),
         };
-        replica.store.put(state.clone());
+        replica.store.put(Arc::new(state.clone()));
         // CTA marks it outdated at clock 20 and points at CPF 3.
         let outs = replica.on_mark_outdated(MarkOutdated {
             ue: UeId::new(7),
@@ -1179,7 +1198,7 @@ mod tests {
             ue: UeId::new(7),
             primary: CpfId::new(0),
             cta: CtaId::new(0),
-            state: stale,
+            state: Arc::new(stale),
             procedure: ProcedureId::new(2),
             end_clock: ClockTick(20),
             purpose: SyncPurpose::Checkpoint,
@@ -1191,7 +1210,7 @@ mod tests {
         let mut fresh = state;
         fresh.version.procedure = ProcedureId::new(2);
         fresh.version.clock = ClockTick(21);
-        replica.on_fetch_resp(UeId::new(7), Some(Box::new(fresh)));
+        replica.on_fetch_resp(UeId::new(7), Some(Arc::new(fresh)));
         assert!(replica.store().servable(UeId::new(7)));
     }
 

@@ -3,7 +3,8 @@
 use neutrino_common::clock::ClockTick;
 use neutrino_common::UeId;
 use neutrino_messages::state::UeState;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
 
 /// Whether a stored UE state may serve traffic (§4.2.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,8 +20,11 @@ pub enum Freshness {
 /// One UE's entry in a CPF's store.
 #[derive(Debug, Clone)]
 pub struct UeRecord {
-    /// The replicated state.
-    pub state: UeState,
+    /// The replicated state. Shared with the checkpoints sent from it and
+    /// the replica stores that adopted them: mutate only through
+    /// [`Arc::make_mut`], which copies if (and only if) someone else still
+    /// holds this version.
+    pub state: Arc<UeState>,
     /// Whether it may serve traffic.
     pub freshness: Freshness,
 }
@@ -63,22 +67,28 @@ impl StateStore {
         self.records.get_mut(&ue)
     }
 
-    /// Installs fresh state (attach, promotion, or accepted sync).
-    pub fn put(&mut self, state: UeState) {
-        self.records.insert(
-            state.ue,
-            UeRecord {
-                state,
-                freshness: Freshness::UpToDate,
-            },
-        );
+    /// Installs fresh state (attach, promotion, or accepted sync) and hands
+    /// back the record it now lives in.
+    pub fn put(&mut self, state: Arc<UeState>) -> &mut UeRecord {
+        let fresh = UeRecord {
+            state,
+            freshness: Freshness::UpToDate,
+        };
+        match self.records.entry(fresh.state.ue) {
+            Entry::Occupied(held) => {
+                let rec = held.into_mut();
+                *rec = fresh;
+                rec
+            }
+            Entry::Vacant(slot) => slot.insert(fresh),
+        }
     }
 
     /// Applies an incoming state sync: adopted unless the record was marked
     /// outdated at a clock at/after the sync's (stale checkpoint from a dead
     /// primary). Returns whether the sync was adopted.
-    pub fn apply_sync(&mut self, state: UeState, end_clock: ClockTick) -> bool {
-        if let Some(rec) = self.records.get_mut(&state.ue) {
+    pub fn apply_sync(&mut self, state: Arc<UeState>, end_clock: ClockTick) -> bool {
+        if let Some(rec) = self.records.get(&state.ue) {
             if let Freshness::Outdated(at) = rec.freshness {
                 if end_clock <= at {
                     return false; // §4.2.4: ignore outdated state
@@ -126,13 +136,13 @@ mod tests {
     use neutrino_messages::state::StateVersion;
     use neutrino_messages::Wire;
 
-    fn state(ue: u64, proc: u64, clock: u64) -> UeState {
+    fn state(ue: u64, proc: u64, clock: u64) -> Arc<UeState> {
         let mut s = UeState::new(UeId::new(ue), BsId::new(0), UpfId::new(0), Tai::sample(0));
         s.version = StateVersion {
             procedure: ProcedureId::new(proc),
             clock: ClockTick(clock),
         };
-        s
+        Arc::new(s)
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The CTA state machine.
 
 use crate::admission::{AdmissionControl, AdmissionDecision, AdmissionParams};
-use crate::log::MessageLog;
+use crate::log::{MessageLog, UeLog};
 use neutrino_codec::CodecKind;
 use neutrino_common::clock::ClockTick;
 use neutrino_common::time::{Duration, Instant};
@@ -156,15 +156,9 @@ pub struct CtaCore {
     config: CtaConfig,
     ring: RingStack,
     clock: neutrino_common::LogicalClock,
+    /// The message log; its per-UE records also carry the UE's routing
+    /// (sticky primary, cached backup set), so a message costs one lookup.
     log: MessageLog,
-    /// Sticky per-UE assignment: set from the ring on first contact, changed
-    /// by failover promotions and re-attaches. Stable assignment is what
-    /// lets a backup "become primary" (§4.1) instead of the ring silently
-    /// remapping the UE to a CPF with no state.
-    assigned: BTreeMap<UeId, CpfId>,
-    /// Backup sets are ring-deterministic but cached for stable expectation
-    /// sets even as the ring changes.
-    backups_cache: BTreeMap<UeId, Vec<CpfId>>,
     failed: BTreeSet<CpfId>,
     costs: &'static CostTable,
     metrics: CtaMetrics,
@@ -175,6 +169,63 @@ pub struct CtaCore {
     resync_chases: BTreeMap<CpfId, u32>,
     /// CPFs whose resync-chase breaker is open, and until when.
     resync_open_until: BTreeMap<CpfId, Instant>,
+    /// Scratch for the expected-ACK set of the UE at hand (reused so the
+    /// per-ACK path allocates nothing).
+    expected: Vec<CpfId>,
+}
+
+/// The primary CPF currently serving a UE (sticky; assigned from the
+/// level-1 ring on first contact).
+fn primary_of(log: &mut UeLog, ue: UeId, ring: &RingStack) -> Option<CpfId> {
+    if log.assigned.is_none() {
+        log.assigned = ring.primary(ue);
+    }
+    log.assigned
+}
+
+/// The backup set for a UE (cached on first use).
+fn backups_of<'a>(log: &'a mut UeLog, ue: UeId, ring: &RingStack) -> &'a [CpfId] {
+    log.backups.get_or_insert_with(|| ring.backups(ue))
+}
+
+/// Fills `expected` with the replicas whose ACKs the UE's checkpoints wait
+/// for: its live backups other than the primary.
+fn expected_acks(
+    log: &mut UeLog,
+    ue: UeId,
+    ring: &RingStack,
+    failed: &BTreeSet<CpfId>,
+    expected: &mut Vec<CpfId>,
+) {
+    let primary = primary_of(log, ue, ring);
+    expected.clear();
+    expected.extend(
+        backups_of(log, ue, ring)
+            .iter()
+            .filter(|b| Some(**b) != primary && !failed.contains(b)),
+    );
+}
+
+/// The UE's live backups that have ever held its state, with the procedure
+/// each is synced through — the failover candidates, in ring order.
+fn synced_backups<'a>(
+    log: &'a mut UeLog,
+    ue: UeId,
+    ring: &RingStack,
+    failed: &'a BTreeSet<CpfId>,
+) -> impl Iterator<Item = (CpfId, ProcedureId)> + 'a {
+    // Fill the cache first: the candidates are read next to the watermarks.
+    backups_of(log, ue, ring);
+    let log = &*log;
+    let backups = log.backups.as_deref().unwrap_or_default();
+    backups
+        .iter()
+        .filter(|b| !failed.contains(b))
+        .filter_map(|&b| {
+            let synced = log.synced_through(b);
+            // Never held this UE's state: ineligible.
+            (synced.raw() > 0).then_some((b, synced))
+        })
 }
 
 impl CtaCore {
@@ -186,14 +237,13 @@ impl CtaCore {
             ring,
             clock: neutrino_common::LogicalClock::new(),
             log: MessageLog::new(),
-            assigned: BTreeMap::new(),
-            backups_cache: BTreeMap::new(),
             failed: BTreeSet::new(),
             costs: CostTable::baked(),
             metrics: CtaMetrics::default(),
             admission,
             resync_chases: BTreeMap::new(),
             resync_open_until: BTreeMap::new(),
+            expected: Vec::new(),
         }
     }
 
@@ -231,11 +281,6 @@ impl CtaCore {
         self.admission.as_mut()
     }
 
-    /// The sticky UE → primary assignments (consistency auditing).
-    pub fn assignments(&self) -> &BTreeMap<UeId, CpfId> {
-        &self.assigned
-    }
-
     /// Whether `cpf` is known to have failed.
     pub fn is_failed(&self, cpf: CpfId) -> bool {
         self.failed.contains(&cpf)
@@ -254,38 +299,20 @@ impl CtaCore {
     /// The primary CPF currently serving a UE (sticky; assigned from the
     /// level-1 ring on first contact).
     pub fn primary_for(&mut self, ue: UeId) -> Option<CpfId> {
-        if let Some(p) = self.assigned.get(&ue) {
-            return Some(*p);
-        }
-        let p = self.ring.primary(ue)?;
-        self.assigned.insert(ue, p);
-        Some(p)
+        primary_of(&mut self.log.ue_mut(ue), ue, &self.ring)
     }
 
     /// The backup set for a UE (cached on first use).
     pub fn backups_for(&mut self, ue: UeId) -> Vec<CpfId> {
-        if let Some(b) = self.backups_cache.get(&ue) {
-            return b.clone();
-        }
-        let b = self.ring.backups(ue);
-        self.backups_cache.insert(ue, b.clone());
-        b
+        backups_of(&mut self.log.ue_mut(ue), ue, &self.ring).to_vec()
     }
 
-    fn expected_ack_set(&mut self, ue: UeId) -> Vec<CpfId> {
-        let primary = self.primary_for(ue);
-        let failed = self.failed.clone();
-        self.backups_for(ue)
-            .into_iter()
-            .filter(|b| Some(*b) != primary && !failed.contains(b))
-            .collect()
-    }
-
-    fn wire_bytes(&self, env: &Envelope) -> usize {
-        self.costs
-            .get(self.config.codec, env.msg.kind())
-            .map(|c| c.wire_bytes)
-            .unwrap_or(64)
+    /// Whether replicas will ever ACK this CTA's completed procedures. A
+    /// zero [`CtaConfig::resync_base`] is how a deployment without state
+    /// replication says "no": nothing is chased, and nothing is kept
+    /// waiting for an ACK timeout that would only count phantom failures.
+    fn expects_acks(&self) -> bool {
+        self.config.resync_base > Duration::ZERO
     }
 
     /// Handles any system message addressed to this CTA.
@@ -318,6 +345,8 @@ impl CtaCore {
     /// logical clock, log, and forward to the primary CPF — or run failure
     /// recovery when the primary is down.
     pub fn on_uplink(&mut self, mut env: Envelope, now: Instant) -> Vec<CtaOutput> {
+        let kind = env.msg.kind();
+        let starts_procedure = kind == env.proc_kind.template().steps[0].kind;
         // Ingress admission (overload control): gate *procedure-start*
         // uplinks before any clock or log state is touched, so a shed
         // procedure leaves no trace. Mid-procedure messages always pass —
@@ -325,7 +354,7 @@ impl CtaCore {
         // keeps `failed_procedures` at zero for admitted work), and the
         // gate itself admits retransmits of an already-charged start for
         // free.
-        if env.msg.kind() == env.proc_kind.template().steps[0].kind {
+        if starts_procedure {
             if let Some(gate) = self.admission.as_mut() {
                 let class = AdmissionClass::of(env.proc_kind);
                 match gate.decide(env.ue, env.procedure, class, now) {
@@ -337,7 +366,11 @@ impl CtaCore {
                         self.metrics.rejects_sent += 1;
                         return vec![CtaOutput::ToBs {
                             bs: env.bs,
-                            msg: SysMsg::Reject { ue: env.ue, class, retry_after_ms },
+                            msg: SysMsg::Reject {
+                                ue: env.ue,
+                                class,
+                                retry_after_ms,
+                            },
                         }];
                     }
                 }
@@ -347,73 +380,67 @@ impl CtaCore {
         env.clock = tick;
         env.via_cta = Some(self.config.id);
         let ue = env.ue;
+        let awaits_acks = self.expects_acks();
         let mut out = Vec::new();
 
-        {
-            let ue_log = self.log.ue_mut(ue);
-            ue_log.last_bs = env.bs;
-            // A reordered or duplicated straggler from an already-completed
-            // procedure must not (re-)mark the UE as mid-procedure: a stale
-            // `in_flight` makes the failure handler "recover" a procedure
-            // that already finished.
-            if env.end_of_procedure {
-                if ue_log.in_flight.is_none_or(|(p, _)| p <= env.procedure) {
-                    ue_log.in_flight = None;
-                }
-            } else if env.procedure > ue_log.last_completed {
-                ue_log.in_flight = Some((env.procedure, env.bs));
+        let mut slot = self.log.ue_mut(ue);
+        slot.last_bs = env.bs;
+        // A reordered or duplicated straggler from an already-completed
+        // procedure must not (re-)mark the UE as mid-procedure: a stale
+        // `in_flight` makes the failure handler "recover" a procedure
+        // that already finished.
+        if env.end_of_procedure {
+            if slot.in_flight.is_none_or(|(p, _)| p <= env.procedure) {
+                slot.in_flight = None;
             }
+        } else if env.procedure > slot.last_completed {
+            slot.in_flight = Some((env.procedure, env.bs));
         }
 
         if self.config.logging {
             // §4.2.4 step 4: a second procedure starting while the previous
             // one still lacks ACKs ⇒ notify the lagging replicas.
-            let starting_new = self
-                .log
-                .ue(ue)
-                .map(|l| {
-                    !l.procedures.contains_key(&env.procedure)
-                        && l.last_completed.raw() > 0
-                        && l.procedures.contains_key(&l.last_completed)
-                })
-                .unwrap_or(false);
-            if starting_new {
-                let prev = self.log.ue(ue).map(|l| l.last_completed).expect("seen");
-                out.extend(self.notify_outdated(ue, prev));
+            let prev = slot.last_completed;
+            if prev.raw() > 0
+                && !slot.procedures().contains_key(&env.procedure)
+                && slot.procedures().contains_key(&prev)
+            {
+                self.notify_outdated(ue, prev, &mut out);
+                slot = self.log.ue_mut(ue);
             }
-
-            let bytes = self.wire_bytes(&env);
-            self.log.append(env.clone(), bytes, now);
-            if env.end_of_procedure {
-                self.log.complete(ue, env.procedure, tick, now);
-            }
-        } else if env.end_of_procedure {
-            self.log.complete(ue, env.procedure, tick, now);
+            let bytes = self
+                .costs
+                .get(self.config.codec, kind)
+                .map_or(64, |c| c.wire_bytes);
+            slot.append(env.clone(), bytes, now);
+        }
+        if env.end_of_procedure {
+            slot.complete(env.procedure, tick, now, awaits_acks);
         }
 
         // A (re-)attach binds the UE afresh to the ring's current choice —
         // the failed CPF is no longer on the ring.
-        if matches!(
-            env.proc_kind,
-            neutrino_messages::ProcedureKind::InitialAttach
-                | neutrino_messages::ProcedureKind::ReAttach
-        ) && env.msg.kind() == env.proc_kind.template().steps[0].kind
+        if starts_procedure
+            && matches!(
+                env.proc_kind,
+                neutrino_messages::ProcedureKind::InitialAttach
+                    | neutrino_messages::ProcedureKind::ReAttach
+            )
         {
-            self.assigned.remove(&ue);
+            slot.assigned = None;
         }
-        let primary = match self.primary_for(ue) {
-            Some(p) => p,
-            None => return out, // no CPFs at all
+        let Some(primary) = primary_of(&mut slot, ue, &self.ring) else {
+            return out; // no CPFs at all
         };
-        if !self.failed.contains(&primary) {
+        if self.failed.contains(&primary) {
+            self.failover(env, &mut out);
+        } else {
             self.metrics.forwarded_uplink += 1;
             out.push(CtaOutput::ToCpf {
                 cpf: primary,
                 msg: SysMsg::Control(env),
             });
-            return out;
         }
-        out.extend(self.failover(env, now));
         out
     }
 
@@ -424,10 +451,11 @@ impl CtaCore {
         env.clock = tick;
         env.via_cta = Some(self.config.id);
         if env.end_of_procedure {
-            self.log.complete(env.ue, env.procedure, tick, now);
-            let ue_log = self.log.ue_mut(env.ue);
-            if ue_log.in_flight.is_none_or(|(p, _)| p <= env.procedure) {
-                ue_log.in_flight = None;
+            let awaits_acks = self.expects_acks();
+            let mut slot = self.log.ue_mut(env.ue);
+            slot.complete(env.procedure, tick, now, awaits_acks);
+            if slot.in_flight.is_none_or(|(p, _)| p <= env.procedure) {
+                slot.in_flight = None;
             }
         }
         self.metrics.forwarded_downlink += 1;
@@ -440,12 +468,19 @@ impl CtaCore {
     /// Records a replica ACK (§4.2.3 steps 3–4) and prunes fully-ACKed
     /// procedures.
     pub fn on_sync_ack(&mut self, ack: SyncAck, _now: Instant) -> Vec<CtaOutput> {
-        let expected = self.expected_ack_set(ack.ue);
-        self.log.ack(ack.ue, ack.procedure, ack.replica, &expected);
+        let mut slot = self.log.ue_mut(ack.ue);
+        expected_acks(
+            &mut slot,
+            ack.ue,
+            &self.ring,
+            &self.failed,
+            &mut self.expected,
+        );
+        slot.ack(ack.procedure, ack.replica, &self.expected);
         // An ACK flowing for this UE means its primary's checkpoint path is
         // alive again: reset that CPF's resync-chase breaker.
         if self.admission.is_some() {
-            if let Some(primary) = self.primary_for(ack.ue) {
+            if let Some(primary) = slot.assigned {
                 self.resync_chases.remove(&primary);
                 self.resync_open_until.remove(&primary);
             }
@@ -465,14 +500,14 @@ impl CtaCore {
             self.resync_chases.remove(&cpf);
             self.resync_open_until.remove(&cpf);
         }
-        if !self.config.logging
-            || self.failed.contains(&cpf)
-            || self.primary_for(ue) != Some(cpf)
-            || !self.log.replay_covers(ue, have)
-        {
+        if !self.config.logging || self.failed.contains(&cpf) {
             return Vec::new();
         }
-        let messages = self.log.replay_set(ue, have);
+        let mut slot = self.log.ue_mut(ue);
+        if primary_of(&mut slot, ue, &self.ring) != Some(cpf) || !slot.replay_covers(have) {
+            return Vec::new();
+        }
+        let messages = slot.replay_set(have);
         if messages.is_empty() {
             return Vec::new();
         }
@@ -488,24 +523,21 @@ impl CtaCore {
     /// are waiting for a response that will never come — the last logged
     /// message is re-driven through failover so the new primary answers it).
     /// UEs with no procedure in flight recover lazily on their next message.
-    pub fn on_cpf_failure(&mut self, cpf: CpfId, now: Instant) -> Vec<CtaOutput> {
+    pub fn on_cpf_failure(&mut self, cpf: CpfId, _now: Instant) -> Vec<CtaOutput> {
+        // The log iterates in UE-id order, which pins the order of the
+        // failover messages below.
         let mut stuck: Vec<Envelope> = Vec::new();
         let mut stuck_no_log: Vec<(UeId, BsId)> = Vec::new();
         for (ue, ue_log) in self.log.ues() {
-            let primary = self
-                .assigned
-                .get(ue)
-                .copied()
-                .or_else(|| self.ring.primary(*ue));
+            let primary = ue_log.assigned.or_else(|| self.ring.primary(*ue));
             if primary != Some(cpf) {
                 continue;
             }
-            let (in_proc, bs) = match ue_log.in_flight {
-                Some(x) => x,
-                None => continue,
+            let Some((in_proc, bs)) = ue_log.in_flight else {
+                continue;
             };
             let last_logged = ue_log
-                .procedures
+                .procedures()
                 .get(&in_proc)
                 .and_then(|p| p.messages.last());
             match last_logged {
@@ -519,17 +551,12 @@ impl CtaCore {
         // count toward convergence or get offered as fetch sources.
         self.log.purge_replica_acks(cpf);
         // Backup sets shift for every UE whose successor list held the dead
-        // CPF; stale cache entries would make `expected_ack_set` disagree
+        // CPF; stale cache entries would make the expected-ACK sets disagree
         // with what primaries (whose rings get the same removal) now sync.
-        self.backups_cache.clear();
-        // The log map iterates in UE-id order (BTreeMap), but keep the
-        // ordering explicit so the failover message sequence stays pinned
-        // even if the collection strategy changes again.
-        stuck.sort_unstable_by_key(|env| env.ue);
-        stuck_no_log.sort_unstable_by_key(|&(ue, _)| ue);
+        self.log.invalidate_backups();
         let mut out = Vec::new();
         for env in stuck {
-            out.extend(self.failover(env, now));
+            self.failover(env, &mut out);
         }
         for (ue, bs) in stuck_no_log {
             // No log to recover from (EPC / logging off): re-attach.
@@ -548,9 +575,9 @@ impl CtaCore {
     /// the same recovery selection as control traffic: promote a synced
     /// backup (Neutrino) or wake the UE by re-attach (EPC).
     pub fn on_ddn(&mut self, ue: UeId, upf: neutrino_common::UpfId) -> Vec<CtaOutput> {
-        let primary = match self.primary_for(ue) {
-            Some(p) => p,
-            None => return Vec::new(),
+        let mut slot = self.log.ue_mut(ue);
+        let Some(primary) = primary_of(&mut slot, ue, &self.ring) else {
+            return Vec::new();
         };
         if !self.failed.contains(&primary) {
             return vec![CtaOutput::ToCpf {
@@ -560,23 +587,10 @@ impl CtaCore {
         }
         // Primary is down: pick the most-synced live backup, as in
         // `failover`, without a message to replay.
-        let candidates = self.backups_for(ue);
-        let failed = self.failed.clone();
-        let best = candidates
-            .into_iter()
-            .filter(|b| !failed.contains(b))
-            .filter_map(|b| {
-                let synced = self
-                    .log
-                    .ue(ue)
-                    .and_then(|l| l.synced_through.get(&b).copied())
-                    .unwrap_or(ProcedureId(0));
-                (synced.raw() > 0).then_some((b, synced))
-            })
-            .max_by_key(|(_, s)| *s);
+        let best = synced_backups(&mut slot, ue, &self.ring, &self.failed).max_by_key(|(_, s)| *s);
         match best {
             Some((replica, _)) if self.config.failover == FailoverPolicy::ReplayFromLog => {
-                self.assigned.insert(ue, replica);
+                slot.assigned = Some(replica);
                 self.metrics.failover_up_to_date += 1;
                 vec![CtaOutput::ToCpf {
                     cpf: replica,
@@ -586,9 +600,8 @@ impl CtaCore {
             _ => {
                 // Nothing consistent to page from: wake the UE directly.
                 self.metrics.failover_re_attach += 1;
-                let bs = self.log.ue(ue).map(|l| l.last_bs).unwrap_or(BsId::new(0));
                 vec![CtaOutput::ToBs {
-                    bs,
+                    bs: slot.last_bs,
                     msg: SysMsg::AskReAttach { ue },
                 }]
             }
@@ -596,6 +609,8 @@ impl CtaCore {
     }
 
     /// The ACK-timeout scan (§4.2.4 step 1): run periodically by the driver.
+    /// It walks the log's index of completed-but-still-logged procedures,
+    /// so it costs what is pending, not what is attached.
     ///
     /// Before a procedure's ACKs time out entirely, the scan asks the UE's
     /// primary to re-send the checkpoint (a lost `StateSync` or `SyncAck`
@@ -615,73 +630,57 @@ impl CtaCore {
         }
         let timeout = self.config.ack_timeout;
         let base = self.config.resync_base.as_nanos();
-        let mut completed: Vec<(UeId, ProcedureId, Instant, u32)> = Vec::new();
-        for (ue, ue_log) in self.log.ues() {
-            for (proc, entry) in &ue_log.procedures {
-                if let Some(done) = entry.completed_at {
-                    completed.push((*ue, *proc, done, entry.resync_attempts));
-                }
-            }
-        }
-        // Act in (ue, procedure) order so the message sequence is
-        // identical on every run (the log map already iterates in id order;
-        // the sort keeps that invariant explicit).
-        completed.sort_unstable();
+        // Act in (ue, procedure) order — the index's own — so the message
+        // sequence is identical on every run.
+        let pending: Vec<(UeId, ProcedureId)> = self.log.completed().collect();
         let mut expired: Vec<(UeId, ProcedureId)> = Vec::new();
         let mut lagging: Vec<(UeId, ProcedureId)> = Vec::new();
-        for (ue, proc, done, attempts) in completed {
+        for (ue, proc) in pending {
+            let mut slot = self.log.ue_mut(ue);
+            expected_acks(&mut slot, ue, &self.ring, &self.failed, &mut self.expected);
+            let Some(entry) = slot.procedures().get(&proc) else {
+                continue;
+            };
             // Converged sweep: after a failover the expected-ACK set can
             // shrink or shift *after* the ACKs arrived, so `ack()` never got
             // a chance to prune. Enough distinct live replicas holding the
             // state is convergence regardless of which ring slots they sit
             // on — drop the entry without chasing or counting a timeout.
-            let expected = self.expected_ack_set(ue);
-            let converged = !expected.is_empty()
-                && self
-                    .log
-                    .ue(ue)
-                    .and_then(|l| l.procedures.get(&proc))
-                    .is_some_and(|e| {
-                        expected.iter().all(|r| e.acks.contains(r))
-                            || e.acks.len() >= expected.len()
-                    });
-            if converged {
-                self.log.drop_procedure(ue, proc);
+            if entry.converged(&self.expected) {
+                slot.drop_procedure(proc);
                 continue;
             }
+            let Some(done) = entry.completed_at else {
+                continue;
+            };
             if done + timeout <= now {
                 expired.push((ue, proc));
             } else if base > 0 {
-                let wait = Duration::from_nanos(base.saturating_mul(1u64 << attempts.min(20)));
-                if done + wait <= now {
+                let backoff = 1u64 << entry.resync_attempts.min(20);
+                if done + Duration::from_nanos(base.saturating_mul(backoff)) <= now {
                     lagging.push((ue, proc));
                 }
             }
         }
         let mut out = Vec::new();
-        let mut asked: BTreeSet<UeId> = BTreeSet::new();
         // `lagging` is (ue, proc)-sorted, so the *last* entry per UE is its
         // highest pending procedure; cumulative ACKs make one re-checkpoint
         // of the current state cover every earlier procedure too. Bump the
         // backoff on all of them, but send one request per UE.
-        for i in 0..lagging.len() {
-            let (ue, proc) = lagging[i];
-            let expected = self.expected_ack_set(ue);
-            let entry = match self.log.ue(ue).and_then(|l| l.procedures.get(&proc)) {
-                Some(e) => e,
-                None => continue,
+        for (i, &(ue, proc)) in lagging.iter().enumerate() {
+            let mut slot = self.log.ue_mut(ue);
+            expected_acks(&mut slot, ue, &self.ring, &self.failed, &mut self.expected);
+            let Some(entry) = slot.procedures().get(&proc) else {
+                continue;
             };
-            if expected.is_empty() || expected.iter().all(|r| entry.acks.contains(r)) {
+            if self.expected.is_empty() || self.expected.iter().all(|r| entry.acked_by(*r)) {
                 continue; // nothing to chase (the timeout will reap it)
             }
-            if let Some(e) = self.log.ue_mut(ue).procedures.get_mut(&proc) {
-                e.resync_attempts += 1;
-            }
-            let last_for_ue = lagging[i + 1..].iter().all(|(u, _)| *u != ue);
-            if !last_for_ue || asked.contains(&ue) {
+            slot.note_resync(proc);
+            if lagging.get(i + 1).is_some_and(|(next, _)| *next == ue) {
                 continue;
             }
-            let primary = match self.primary_for(ue) {
+            let primary = match slot.assigned {
                 Some(p) if !self.failed.contains(&p) => p,
                 _ => continue, // failover will rebuild state instead
             };
@@ -690,7 +689,11 @@ impl CtaCore {
             // — hammering it with more re-checkpoint requests only deepens
             // its queue. Suppress chases to it for a cooldown instead.
             if self.admission.is_some() {
-                if self.resync_open_until.get(&primary).is_some_and(|&until| now < until) {
+                if self
+                    .resync_open_until
+                    .get(&primary)
+                    .is_some_and(|&until| now < until)
+                {
                     self.metrics.breaker_suppressed += 1;
                     continue;
                 }
@@ -698,11 +701,11 @@ impl CtaCore {
                 *chases += 1;
                 if *chases >= RESYNC_BREAKER_TRIP {
                     *chases = 0;
-                    self.resync_open_until.insert(primary, now + RESYNC_BREAKER_COOLDOWN);
+                    self.resync_open_until
+                        .insert(primary, now + RESYNC_BREAKER_COOLDOWN);
                     self.metrics.breaker_opened += 1;
                 }
             }
-            asked.insert(ue);
             self.metrics.resyncs_requested += 1;
             out.push(CtaOutput::ToCpf {
                 cpf: primary,
@@ -714,8 +717,8 @@ impl CtaCore {
             });
         }
         for (ue, proc) in expired {
-            out.extend(self.notify_outdated(ue, proc));
-            self.log.drop_procedure(ue, proc);
+            self.notify_outdated(ue, proc, &mut out);
+            self.log.ue_mut(ue).drop_procedure(proc);
             self.metrics.timeout_pruned += 1;
         }
         out
@@ -723,94 +726,74 @@ impl CtaCore {
 
     /// Tells replicas lagging on `proc` that their state is outdated,
     /// listing who does hold fresh state (§4.2.4 step 1a).
-    fn notify_outdated(&mut self, ue: UeId, proc: ProcedureId) -> Vec<CtaOutput> {
-        let (end_clock, acked) = match self.log.ue(ue).and_then(|l| l.procedures.get(&proc)) {
-            Some(entry) => (
-                entry.end_clock.unwrap_or(ClockTick::ZERO),
-                entry.acks.clone(),
-            ),
-            None => return Vec::new(),
-        };
-        let expected = self.expected_ack_set(ue);
-        let mut up_to_date: Vec<CpfId> = acked.iter().copied().collect();
-        up_to_date.sort_unstable();
-        if let Some(p) = self.primary_for(ue) {
+    fn notify_outdated(&mut self, ue: UeId, proc: ProcedureId, out: &mut Vec<CtaOutput>) {
+        let mut slot = self.log.ue_mut(ue);
+        if !slot.procedures().contains_key(&proc) {
+            return;
+        }
+        expected_acks(&mut slot, ue, &self.ring, &self.failed, &mut self.expected);
+        let entry = &slot.procedures()[&proc];
+        let clock = entry.end_clock.unwrap_or(ClockTick::ZERO);
+        let mut up_to_date = entry.acks.clone();
+        if let Some(p) = slot.assigned {
             if !self.failed.contains(&p) {
                 up_to_date.push(p);
             }
         }
-        let mut out = Vec::new();
-        for replica in expected {
-            if !acked.contains(&replica) {
+        for &replica in &self.expected {
+            if !entry.acked_by(replica) {
                 self.metrics.outdated_notices += 1;
                 out.push(CtaOutput::ToCpf {
                     cpf: replica,
                     msg: SysMsg::MarkOutdated(MarkOutdated {
                         ue,
-                        clock: end_clock,
+                        clock,
                         up_to_date: up_to_date.clone(),
                     }),
                 });
             }
         }
-        out
     }
 
     /// Failure recovery for one uplink message whose primary is down
     /// (§4.2.5).
-    fn failover(&mut self, env: Envelope, _now: Instant) -> Vec<CtaOutput> {
+    fn failover(&mut self, env: Envelope, out: &mut Vec<CtaOutput>) {
         let ue = env.ue;
+        let re_attach = CtaOutput::ToBs {
+            bs: env.bs,
+            msg: SysMsg::AskReAttach { ue },
+        };
         match self.config.failover {
             FailoverPolicy::ReAttach => {
                 self.metrics.failover_re_attach += 1;
-                vec![CtaOutput::ToBs {
-                    bs: env.bs,
-                    msg: SysMsg::AskReAttach { ue },
-                }]
+                out.push(re_attach);
             }
-            FailoverPolicy::AnyPeer => match self.ring.primary(ue) {
-                Some(peer) => {
-                    self.assigned.insert(ue, peer);
+            FailoverPolicy::AnyPeer => {
+                if let Some(peer) = self.ring.primary(ue) {
+                    self.log.ue_mut(ue).assigned = Some(peer);
                     self.metrics.failover_up_to_date += 1;
-                    vec![CtaOutput::ToCpf {
+                    out.push(CtaOutput::ToCpf {
                         cpf: peer,
                         msg: SysMsg::Control(env),
-                    }]
+                    });
                 }
-                None => Vec::new(),
-            },
+            }
             FailoverPolicy::ReplayFromLog => {
-                // Pick the live backup synced furthest ahead.
-                let candidates = self.backups_for(ue);
-                let failed = self.failed.clone();
-                let mut best: Option<(CpfId, ProcedureId)> = None;
-                for b in candidates {
-                    if failed.contains(&b) {
-                        continue;
-                    }
-                    let synced = self
-                        .log
-                        .ue(ue)
-                        .and_then(|l| l.synced_through.get(&b).copied())
-                        .unwrap_or(ProcedureId(0));
-                    if synced.raw() == 0 {
-                        continue; // never held this UE's state: ineligible
-                    }
-                    if best.map(|(_, s)| synced > s).unwrap_or(true) {
-                        best = Some((b, synced));
-                    }
-                }
+                let mut slot = self.log.ue_mut(ue);
+                // Pick the live backup synced furthest ahead (the first such
+                // in ring order).
+                let best = synced_backups(&mut slot, ue, &self.ring, &self.failed)
+                    .reduce(|best, b| if b.1 > best.1 { b } else { best });
                 match best {
-                    Some((replica, synced)) if self.log.replay_covers(ue, synced) => {
+                    Some((replica, synced)) if slot.replay_covers(synced) => {
                         // Everything after `synced` (including the current
                         // procedure's earlier messages, and this message —
                         // appended before routing) replays onto the backup.
-                        let mut messages = self.log.replay_set(ue, synced);
+                        let mut messages = slot.replay_set(synced);
                         // The message we are routing right now must not be
                         // replayed *and* forwarded.
                         messages.retain(|m| m.clock != env.clock);
-                        self.assigned.insert(ue, replica);
-                        let mut out = Vec::new();
+                        slot.assigned = Some(replica);
                         if messages.is_empty() {
                             self.metrics.failover_up_to_date += 1;
                         } else {
@@ -825,15 +808,11 @@ impl CtaCore {
                             cpf: replica,
                             msg: SysMsg::Control(env),
                         });
-                        out
                     }
                     _ => {
                         // Scenario 3: nobody can be made consistent.
                         self.metrics.failover_re_attach += 1;
-                        vec![CtaOutput::ToBs {
-                            bs: env.bs,
-                            msg: SysMsg::AskReAttach { ue },
-                        }]
+                        out.push(re_attach);
                     }
                 }
             }
@@ -937,6 +916,41 @@ mod tests {
         }
         assert_eq!(c.log_bytes(), 0, "fully acked procedure must be pruned");
         assert!(c.max_log_bytes() > 0);
+    }
+
+    #[test]
+    fn log_forward_and_replay_share_one_payload() {
+        let mut c = cta();
+        let ue = UeId::new(3);
+        let outs = c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, false), Instant::ZERO);
+        let CtaOutput::ToCpf { msg: SysMsg::Control(forwarded), .. } = &outs[0] else {
+            panic!("unexpected {outs:?}");
+        };
+        let logged = &c.log().ue(ue).unwrap().procedures()[&ProcedureId::new(1)].messages[0];
+        assert_eq!(logged, forwarded);
+        assert!(
+            std::sync::Arc::ptr_eq(&logged.msg, &forwarded.msg),
+            "logging must not deep-copy the message"
+        );
+        let replay = c.log().replay_set(ue, ProcedureId(0));
+        assert!(std::sync::Arc::ptr_eq(&replay[0].msg, &forwarded.msg));
+    }
+
+    #[test]
+    fn without_expected_acks_completion_leaves_nothing_to_time_out() {
+        // `resync_base == 0` is how a deployment without state replication
+        // tells the CTA that no ACK will ever come.
+        let mut cfg = CtaConfig::epc(CtaId::new(0));
+        cfg.resync_base = Duration::ZERO;
+        let mut c = CtaCore::new(cfg, ring());
+        c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
+        let log = c.log().ue(UeId::new(3)).unwrap();
+        assert_eq!(log.last_completed, ProcedureId::new(1));
+        assert!(log.procedures().is_empty());
+        assert_eq!(c.log().completed().count(), 0);
+        assert!(c.scan(Instant::from_secs(31)).is_empty());
+        assert_eq!(c.metrics().timeout_pruned, 0);
+        assert_eq!(c.metrics().outdated_notices, 0);
     }
 
     #[test]

@@ -3,13 +3,18 @@
 //! Per UE, per procedure: the logged uplink messages (what a replay
 //! reconstructs state from), the end-of-procedure logical clock, and the set
 //! of replicas that have ACKed the procedure's state checkpoint. The log
-//! tracks its own byte footprint — Fig. 17 reports exactly this number.
+//! tracks its own byte footprint — Fig. 17 reports exactly this number —
+//! and an ordered index of the completed procedures still waiting for
+//! ACKs, which is all the ACK-timeout scan has to visit. The per-UE record
+//! ([`UeLog`]) also carries the UE's routing, so the CTA looks a UE up once
+//! per message.
 
 use neutrino_common::clock::ClockTick;
 use neutrino_common::time::Instant;
-use neutrino_common::{CpfId, ProcedureId, UeId};
+use neutrino_common::{BsId, CpfId, ProcedureId, UeId};
 use neutrino_messages::Envelope;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Test-only lever: when set, [`MessageLog::replay_covers`] reverts to its
@@ -30,14 +35,16 @@ pub fn set_replay_floor_bug(enabled: bool) {
 /// Log of one procedure's messages and replication progress.
 #[derive(Debug, Clone)]
 pub struct ProcedureLog {
-    /// Logged uplink messages in logical-clock order.
+    /// Logged uplink messages in logical-clock order. Each shares its
+    /// payload with the copy the CTA forwarded.
     pub messages: Vec<Envelope>,
     /// Wire bytes those messages occupy.
     pub bytes: usize,
     /// Clock of the procedure's last message, once seen.
     pub end_clock: Option<ClockTick>,
-    /// Replicas that ACKed the checkpoint of this procedure.
-    pub acks: BTreeSet<CpfId>,
+    /// Replicas that ACKed the checkpoint of this procedure, sorted (there
+    /// are at most as many as the deployment has replicas).
+    pub acks: Vec<CpfId>,
     /// When the procedure completed (for the ACK timeout scan).
     pub completed_at: Option<Instant>,
     /// When the first message was logged.
@@ -63,12 +70,28 @@ impl ProcedureLog {
         })
     }
 
+    /// Whether `replica` ACKed this procedure's checkpoint.
+    pub fn acked_by(&self, replica: CpfId) -> bool {
+        self.acks.binary_search(&replica).is_ok()
+    }
+
+    /// Whether the checkpoint is durable enough to stop logging for: every
+    /// replica in `expected` has ACKed **or** at least `expected.len()`
+    /// distinct replicas have — after a failover the acting primary may
+    /// checkpoint to a different (but equally durable) replica set than the
+    /// ring now predicts, and identity-matching alone would chase ACKs that
+    /// can never come. Never true for an empty `expected`.
+    pub fn converged(&self, expected: &[CpfId]) -> bool {
+        !expected.is_empty()
+            && (expected.iter().all(|r| self.acked_by(*r)) || self.acks.len() >= expected.len())
+    }
+
     fn new(now: Instant) -> Self {
         ProcedureLog {
             messages: Vec::new(),
             bytes: 0,
             end_clock: None,
-            acks: BTreeSet::new(),
+            acks: Vec::new(),
             completed_at: None,
             started_at: now,
             resync_attempts: 0,
@@ -76,13 +99,18 @@ impl ProcedureLog {
     }
 }
 
-/// Per-UE log state.
-#[derive(Debug, Clone)]
+/// Everything the CTA keeps per UE: the log proper, the replication
+/// watermarks, and the routing facts (sticky primary, cached backup set)
+/// that every message for the UE needs — one record, one lookup.
+#[derive(Debug)]
 pub struct UeLog {
     /// Procedures with still-logged messages (pruned once fully ACKed).
-    pub procedures: BTreeMap<ProcedureId, ProcedureLog>,
-    /// Last procedure each replica is known (via ACK) to be synced through.
-    pub synced_through: BTreeMap<CpfId, ProcedureId>,
+    /// Private: entries come and go only through [`UeSlot`], which keeps
+    /// the log-wide byte count and completed index in step.
+    procedures: BTreeMap<ProcedureId, ProcedureLog>,
+    /// Last procedure each replica is known (via ACK) to be synced through,
+    /// sorted by replica.
+    synced_through: Vec<(CpfId, ProcedureId)>,
     /// Last procedure observed to complete.
     pub last_completed: ProcedureId,
     /// Highest procedure whose messages were removed from the log (pruned
@@ -95,28 +123,233 @@ pub struct UeLog {
     /// The procedure currently in flight (set on uplink, cleared when the
     /// end-of-procedure message passes), with the UE's BS — used to recover
     /// stuck UEs after a CPF failure even when message logging is off.
-    pub in_flight: Option<(ProcedureId, neutrino_common::BsId)>,
+    pub in_flight: Option<(ProcedureId, BsId)>,
     /// The BS the UE was last heard from (paging / re-attach routing).
-    pub last_bs: neutrino_common::BsId,
+    pub last_bs: BsId,
+    /// Sticky primary: set from the ring on first contact, changed by
+    /// failover promotions and re-attaches. Stable assignment is what lets
+    /// a backup "become primary" (§4.1) instead of the ring silently
+    /// remapping the UE to a CPF with no state.
+    pub assigned: Option<CpfId>,
+    /// The UE's backup set: ring-deterministic, cached so the expected-ACK
+    /// set stays stable between ring changes (a CPF failure clears it).
+    pub backups: Option<Vec<CpfId>>,
 }
 
 impl Default for UeLog {
     fn default() -> Self {
         UeLog {
             procedures: BTreeMap::new(),
-            synced_through: BTreeMap::new(),
+            synced_through: Vec::new(),
             last_completed: ProcedureId(0),
             replay_floor: ProcedureId(0),
             in_flight: None,
-            last_bs: neutrino_common::BsId::new(0),
+            last_bs: BsId::new(0),
+            assigned: None,
+            backups: None,
         }
     }
 }
 
-/// The whole in-memory message store, with byte accounting.
+impl UeLog {
+    /// Procedures with still-logged messages, by id.
+    pub fn procedures(&self) -> &BTreeMap<ProcedureId, ProcedureLog> {
+        &self.procedures
+    }
+
+    /// The last procedure `replica` is known to be synced through
+    /// (`ProcedureId(0)`: it never ACKed anything for this UE).
+    pub fn synced_through(&self, replica: CpfId) -> ProcedureId {
+        match self
+            .synced_through
+            .binary_search_by_key(&replica, |&(r, _)| r)
+        {
+            Ok(i) => self.synced_through[i].1,
+            Err(_) => ProcedureId(0),
+        }
+    }
+
+    /// All logged messages for procedures strictly after `since`, in order —
+    /// the replay set for a replica synced through `since`. The envelopes
+    /// share their payloads with the log.
+    pub fn replay_set(&self, since: ProcedureId) -> Vec<Envelope> {
+        self.procedures
+            .range(ProcedureId(since.raw() + 1)..)
+            .flat_map(|(_, entry)| entry.messages.iter().cloned())
+            .collect()
+    }
+
+    /// True when a replay from base `since` can rebuild the UE's state up to
+    /// `last_completed` — i.e. the log still holds everything the replica
+    /// would miss.
+    ///
+    /// Coverage is judged against [`UeLog::replay_floor`], not by scanning
+    /// for contiguous procedure ids: UEs consume ids for attempts whose
+    /// messages never reach the CTA (abandoned before the first send, or
+    /// every message lost), and such *phantom* ids must not read as
+    /// unclosable gaps. Only messages actually removed from the log raise
+    /// the floor. A logged attach-class procedure additionally re-anchors
+    /// coverage from scratch (see [`ProcedureLog::is_attach_reset`]), since
+    /// replaying it needs no base at all.
+    pub fn replay_covers(&self, since: ProcedureId) -> bool {
+        if REPLAY_FLOOR_BUG.load(Ordering::Relaxed) {
+            // Seeded-bug mode: the pre-fix contiguity scan. Phantom ids —
+            // consumed by the UE but never logged here — read as gaps and
+            // poison coverage permanently.
+            return (since.raw() + 1..=self.last_completed.raw())
+                .all(|need| self.procedures.contains_key(&ProcedureId(need)));
+        }
+        since >= self.replay_floor
+            || self
+                .procedures
+                .iter()
+                .any(|(p, e)| *p >= self.replay_floor && e.is_attach_reset())
+    }
+}
+
+/// One UE's record, borrowed together with the log-wide accounting: the
+/// only way a [`ProcedureLog`] is created or removed, so the byte totals
+/// and the completed index can never drift from the entries.
+pub struct UeSlot<'a> {
+    ue: UeId,
+    log: &'a mut UeLog,
+    bytes: &'a mut usize,
+    max_bytes: &'a mut usize,
+    completed: &'a mut BTreeSet<(UeId, ProcedureId)>,
+}
+
+impl Deref for UeSlot<'_> {
+    type Target = UeLog;
+
+    fn deref(&self) -> &UeLog {
+        self.log
+    }
+}
+
+impl DerefMut for UeSlot<'_> {
+    fn deref_mut(&mut self) -> &mut UeLog {
+        self.log
+    }
+}
+
+impl UeSlot<'_> {
+    /// Appends an uplink message of `wire_bytes` to its procedure's log.
+    pub fn append(&mut self, env: Envelope, wire_bytes: usize, now: Instant) {
+        debug_assert_eq!(env.ue, self.ue);
+        let entry = self
+            .log
+            .procedures
+            .entry(env.procedure)
+            .or_insert_with(|| ProcedureLog::new(now));
+        entry.messages.push(env);
+        entry.bytes += wire_bytes;
+        *self.bytes += wire_bytes;
+        if *self.bytes > *self.max_bytes {
+            *self.max_bytes = *self.bytes;
+        }
+    }
+
+    /// Marks a procedure complete (its last message just passed through).
+    /// With `awaits_acks` it stays logged until its checkpoint is ACKed or
+    /// times out; without — nobody will ever ACK it — it leaves the log at
+    /// once, so the timeout scan finds nothing to expire.
+    pub fn complete(
+        &mut self,
+        proc: ProcedureId,
+        end_clock: ClockTick,
+        now: Instant,
+        awaits_acks: bool,
+    ) {
+        if proc > self.log.last_completed {
+            self.log.last_completed = proc;
+        }
+        if !awaits_acks {
+            self.drop_procedure(proc);
+            return;
+        }
+        let entry = self
+            .log
+            .procedures
+            .entry(proc)
+            .or_insert_with(|| ProcedureLog::new(now));
+        entry.end_clock = Some(end_clock);
+        entry.completed_at = Some(now);
+        self.completed.insert((self.ue, proc));
+    }
+
+    /// Records a replica ACK; prunes the procedure's messages once the
+    /// checkpoint is durable enough ([`ProcedureLog::converged`]). Returns
+    /// `true` when pruning happened.
+    ///
+    /// ACKs are **cumulative**: a checkpoint carries the UE's full state,
+    /// so a replica ACKing procedure `proc` is synced through every earlier
+    /// procedure too — the ACK is recorded on (and may prune) all still-
+    /// logged entries up to and including `proc`. That makes a single
+    /// resync round converge even after earlier SyncAcks were lost.
+    pub fn ack(&mut self, proc: ProcedureId, replica: CpfId, expected: &[CpfId]) -> bool {
+        let log = &mut *self.log;
+        match log
+            .synced_through
+            .binary_search_by_key(&replica, |&(r, _)| r)
+        {
+            Ok(i) => log.synced_through[i].1 = log.synced_through[i].1.max(proc),
+            Err(i) => log.synced_through.insert(i, (replica, proc)),
+        }
+        let mut pruned = false;
+        log.procedures.retain(|&p, entry| {
+            // Earlier procedures count only once completed (an in-flight
+            // predecessor still needs its messages for replay); the ACKed
+            // procedure itself counts unconditionally.
+            if p > proc || (p != proc && entry.completed_at.is_none()) {
+                return true;
+            }
+            if let Err(i) = entry.acks.binary_search(&replica) {
+                entry.acks.insert(i, replica);
+            }
+            if !entry.converged(expected) {
+                return true;
+            }
+            *self.bytes -= entry.bytes;
+            if !entry.messages.is_empty() && p > log.replay_floor {
+                log.replay_floor = p;
+            }
+            self.completed.remove(&(self.ue, p));
+            pruned = true;
+            false
+        });
+        pruned
+    }
+
+    /// Drops a procedure's messages unconditionally (timeout path, §4.2.4
+    /// step 1d). Returns the freed byte count.
+    pub fn drop_procedure(&mut self, proc: ProcedureId) -> usize {
+        let Some(entry) = self.log.procedures.remove(&proc) else {
+            return 0;
+        };
+        *self.bytes -= entry.bytes;
+        if !entry.messages.is_empty() && proc > self.log.replay_floor {
+            self.log.replay_floor = proc;
+        }
+        self.completed.remove(&(self.ue, proc));
+        entry.bytes
+    }
+
+    /// Counts one more checkpoint resend request for `proc`.
+    pub fn note_resync(&mut self, proc: ProcedureId) {
+        if let Some(entry) = self.log.procedures.get_mut(&proc) {
+            entry.resync_attempts += 1;
+        }
+    }
+}
+
+/// The whole in-memory message store, with byte accounting and an ordered
+/// index of the procedures the ACK scan has to look at.
 #[derive(Debug, Default)]
 pub struct MessageLog {
     ues: BTreeMap<UeId, UeLog>,
+    /// Every `(ue, procedure)` that completed and is still logged — exactly
+    /// the entries with `completed_at` set. The scan walks this, not `ues`.
+    completed: BTreeSet<(UeId, ProcedureId)>,
     bytes: usize,
     max_bytes: usize,
 }
@@ -137,98 +370,20 @@ impl MessageLog {
         self.max_bytes
     }
 
-    /// Per-UE view (creating it if absent).
-    pub fn ue_mut(&mut self, ue: UeId) -> &mut UeLog {
-        self.ues.entry(ue).or_default()
+    /// Per-UE record for writing (created if absent).
+    pub fn ue_mut(&mut self, ue: UeId) -> UeSlot<'_> {
+        UeSlot {
+            ue,
+            log: self.ues.entry(ue).or_default(),
+            bytes: &mut self.bytes,
+            max_bytes: &mut self.max_bytes,
+            completed: &mut self.completed,
+        }
     }
 
-    /// Per-UE view, read-only.
+    /// Per-UE record, read-only.
     pub fn ue(&self, ue: UeId) -> Option<&UeLog> {
         self.ues.get(&ue)
-    }
-
-    /// Appends an uplink message of `wire_bytes` to its procedure's log.
-    pub fn append(&mut self, env: Envelope, wire_bytes: usize, now: Instant) {
-        let entry = self
-            .ues
-            .entry(env.ue)
-            .or_default()
-            .procedures
-            .entry(env.procedure)
-            .or_insert_with(|| ProcedureLog::new(now));
-        entry.messages.push(env);
-        entry.bytes += wire_bytes;
-        self.bytes += wire_bytes;
-        if self.bytes > self.max_bytes {
-            self.max_bytes = self.bytes;
-        }
-    }
-
-    /// Marks a procedure complete (its last message just passed through).
-    pub fn complete(&mut self, ue: UeId, proc: ProcedureId, end_clock: ClockTick, now: Instant) {
-        let ue_log = self.ues.entry(ue).or_default();
-        if proc > ue_log.last_completed {
-            ue_log.last_completed = proc;
-        }
-        let entry = ue_log
-            .procedures
-            .entry(proc)
-            .or_insert_with(|| ProcedureLog::new(now));
-        entry.end_clock = Some(end_clock);
-        entry.completed_at = Some(now);
-    }
-
-    /// Records a replica ACK; prunes the procedure's messages once the
-    /// checkpoint is durable enough. Returns `true` when pruning happened.
-    ///
-    /// ACKs are **cumulative**: a checkpoint carries the UE's full state,
-    /// so a replica ACKing procedure `proc` is synced through every earlier
-    /// procedure too — the ACK is recorded on (and may prune) all still-
-    /// logged entries up to and including `proc`. That makes a single
-    /// resync round converge even after earlier SyncAcks were lost.
-    ///
-    /// A procedure counts as converged when every replica in `expected` has
-    /// ACKed **or** when at least `expected.len()` distinct replicas have —
-    /// after a failover the acting primary may checkpoint to a different
-    /// (but equally durable) replica set than the ring now predicts, and
-    /// identity-matching alone would chase ACKs that can never come.
-    pub fn ack(&mut self, ue: UeId, proc: ProcedureId, replica: CpfId, expected: &[CpfId]) -> bool {
-        let ue_log = self.ues.entry(ue).or_default();
-        let prev = ue_log
-            .synced_through
-            .entry(replica)
-            .or_insert(ProcedureId(0));
-        if proc > *prev {
-            *prev = proc;
-        }
-        // Earlier procedures count only once completed (an in-flight
-        // predecessor still needs its messages for replay); the ACKed
-        // procedure itself counts unconditionally, as before.
-        let covered: Vec<ProcedureId> = ue_log
-            .procedures
-            .range(..=proc)
-            .filter(|(p, e)| **p == proc || e.completed_at.is_some())
-            .map(|(p, _)| *p)
-            .collect();
-        let mut pruned = false;
-        for p in covered {
-            let entry = ue_log.procedures.get_mut(&p).expect("collected above");
-            entry.acks.insert(replica);
-            if !expected.is_empty()
-                && (expected.iter().all(|r| entry.acks.contains(r))
-                    || entry.acks.len() >= expected.len())
-            {
-                let freed = entry.bytes;
-                let had_messages = !entry.messages.is_empty();
-                ue_log.procedures.remove(&p);
-                self.bytes -= freed;
-                if had_messages && p > ue_log.replay_floor {
-                    ue_log.replay_floor = p;
-                }
-                pruned = true;
-            }
-        }
-        pruned
     }
 
     /// Forgets a failed replica's ACKs across every logged procedure — its
@@ -238,77 +393,37 @@ impl MessageLog {
     pub fn purge_replica_acks(&mut self, replica: CpfId) {
         for ue_log in self.ues.values_mut() {
             for entry in ue_log.procedures.values_mut() {
-                entry.acks.remove(&replica);
-            }
-        }
-    }
-
-    /// Drops a procedure's messages unconditionally (timeout path, §4.2.4
-    /// step 1d). Returns the freed byte count.
-    pub fn drop_procedure(&mut self, ue: UeId, proc: ProcedureId) -> usize {
-        if let Some(ue_log) = self.ues.get_mut(&ue) {
-            if let Some(entry) = ue_log.procedures.remove(&proc) {
-                self.bytes -= entry.bytes;
-                if !entry.messages.is_empty() && proc > ue_log.replay_floor {
-                    ue_log.replay_floor = proc;
+                if let Ok(i) = entry.acks.binary_search(&replica) {
+                    entry.acks.remove(i);
                 }
-                return entry.bytes;
             }
         }
-        0
     }
 
-    /// All logged messages for procedures strictly after `since`, in order —
-    /// the replay set for a replica synced through `since`.
+    /// Forgets every cached backup set (the ring just changed).
+    pub fn invalidate_backups(&mut self) {
+        for ue_log in self.ues.values_mut() {
+            ue_log.backups = None;
+        }
+    }
+
+    /// [`UeLog::replay_set`] for `ue` (empty when the UE is unknown).
     pub fn replay_set(&self, ue: UeId, since: ProcedureId) -> Vec<Envelope> {
-        let mut out = Vec::new();
-        if let Some(ue_log) = self.ues.get(&ue) {
-            for (proc, entry) in ue_log.procedures.range(ProcedureId(since.raw() + 1)..) {
-                debug_assert!(*proc > since);
-                out.extend(entry.messages.iter().cloned());
-            }
-        }
-        out
+        self.ue(ue).map(|l| l.replay_set(since)).unwrap_or_default()
     }
 
-    /// True when a replay from base `since` can rebuild the UE's state up to
-    /// `last_completed` — i.e. the log still holds everything the replica
-    /// would miss.
-    ///
-    /// Coverage is judged against [`UeLog::replay_floor`], not by scanning
-    /// for contiguous procedure ids: UEs consume ids for attempts whose
-    /// messages never reach the CTA (abandoned before the first send, or
-    /// every message lost), and such *phantom* ids must not read as
-    /// unclosable gaps. Only messages actually removed from the log raise
-    /// the floor. A logged attach-class procedure additionally re-anchors
-    /// coverage from scratch (see [`ProcedureLog::is_attach_reset`]), since
-    /// replaying it needs no base at all.
+    /// [`UeLog::replay_covers`] for `ue` (false when the UE is unknown).
     pub fn replay_covers(&self, ue: UeId, since: ProcedureId) -> bool {
-        let ue_log = match self.ues.get(&ue) {
-            Some(l) => l,
-            None => return false,
-        };
-        if REPLAY_FLOOR_BUG.load(Ordering::Relaxed) {
-            // Seeded-bug mode: the pre-fix contiguity scan. Phantom ids —
-            // consumed by the UE but never logged here — read as gaps and
-            // poison coverage permanently.
-            let mut need = since.raw() + 1;
-            while need <= ue_log.last_completed.raw() {
-                if !ue_log.procedures.contains_key(&ProcedureId(need)) {
-                    return false;
-                }
-                need += 1;
-            }
-            return true;
-        }
-        since >= ue_log.replay_floor
-            || ue_log
-                .procedures
-                .iter()
-                .any(|(p, e)| *p >= ue_log.replay_floor && e.is_attach_reset())
+        self.ue(ue).is_some_and(|l| l.replay_covers(since))
     }
 
-    /// Iterates UEs with logged state (for the pruning scan).
+    /// Completed procedures still waiting in the log, in `(ue, procedure)`
+    /// order — what the ACK-timeout scan has to look at.
+    pub fn completed(&self) -> impl Iterator<Item = (UeId, ProcedureId)> + '_ {
+        self.completed.iter().copied()
+    }
+
+    /// Iterates UEs with logged state.
     pub fn ues(&self) -> impl Iterator<Item = (&UeId, &UeLog)> {
         self.ues.iter()
     }
@@ -339,14 +454,19 @@ mod tests {
     fn byte_accounting_tracks_appends_and_prunes() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.append(env(1, 1, 1), 100, Instant::ZERO);
-        log.append(env(1, 1, 2), 50, Instant::ZERO);
+        log.ue_mut(ue).append(env(1, 1, 1), 100, Instant::ZERO);
+        log.ue_mut(ue).append(env(1, 1, 2), 50, Instant::ZERO);
         assert_eq!(log.bytes(), 150);
-        log.complete(ue, ProcedureId::new(1), ClockTick(2), Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(1), ClockTick(2), Instant::ZERO, true);
         let replicas = [CpfId::new(10), CpfId::new(11)];
-        assert!(!log.ack(ue, ProcedureId::new(1), replicas[0], &replicas));
+        assert!(!log
+            .ue_mut(ue)
+            .ack(ProcedureId::new(1), replicas[0], &replicas));
         assert_eq!(log.bytes(), 150, "waiting for second ack");
-        assert!(log.ack(ue, ProcedureId::new(1), replicas[1], &replicas));
+        assert!(log
+            .ue_mut(ue)
+            .ack(ProcedureId::new(1), replicas[1], &replicas));
         assert_eq!(log.bytes(), 0, "fully acked → pruned");
         assert_eq!(log.max_bytes(), 150);
     }
@@ -355,10 +475,11 @@ mod tests {
     fn replay_set_orders_across_procedures() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.append(env(1, 1, 1), 10, Instant::ZERO);
-        log.complete(ue, ProcedureId::new(1), ClockTick(1), Instant::ZERO);
-        log.append(env(1, 2, 2), 10, Instant::ZERO);
-        log.append(env(1, 2, 3), 10, Instant::ZERO);
+        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
+        log.ue_mut(ue).append(env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(env(1, 2, 3), 10, Instant::ZERO);
         let all = log.replay_set(ue, ProcedureId(0));
         assert_eq!(all.len(), 3);
         assert!(all.windows(2).all(|w| w[0].clock < w[1].clock));
@@ -371,14 +492,16 @@ mod tests {
     fn replay_covers_detects_gaps() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.append(env(1, 1, 1), 10, Instant::ZERO);
-        log.complete(ue, ProcedureId::new(1), ClockTick(1), Instant::ZERO);
-        log.append(env(1, 2, 2), 10, Instant::ZERO);
-        log.complete(ue, ProcedureId::new(2), ClockTick(2), Instant::ZERO);
+        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
+        log.ue_mut(ue).append(env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
         assert!(log.replay_covers(ue, ProcedureId(0)));
         assert!(log.replay_covers(ue, ProcedureId::new(1)));
         // Prune procedure 1 (timeout path): replay from 0 now has a gap.
-        log.drop_procedure(ue, ProcedureId::new(1));
+        log.ue_mut(ue).drop_procedure(ProcedureId::new(1));
         assert!(!log.replay_covers(ue, ProcedureId(0)));
         assert!(log.replay_covers(ue, ProcedureId::new(1)));
     }
@@ -392,15 +515,17 @@ mod tests {
         // lost.
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.append(env(1, 1, 1), 10, Instant::ZERO);
-        log.complete(ue, ProcedureId::new(1), ClockTick(1), Instant::ZERO);
-        log.append(env(1, 3, 2), 10, Instant::ZERO);
-        log.complete(ue, ProcedureId::new(3), ClockTick(2), Instant::ZERO);
+        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
+        log.ue_mut(ue).append(env(1, 3, 2), 10, Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(3), ClockTick(2), Instant::ZERO, true);
         assert!(log.replay_covers(ue, ProcedureId(0)));
         assert!(log.replay_covers(ue, ProcedureId::new(1)));
         // Once procedure 1's messages are actually removed, bases below it
         // genuinely cannot close any more.
-        log.drop_procedure(ue, ProcedureId::new(1));
+        log.ue_mut(ue).drop_procedure(ProcedureId::new(1));
         assert!(!log.replay_covers(ue, ProcedureId(0)));
         assert!(log.replay_covers(ue, ProcedureId::new(1)));
     }
@@ -411,9 +536,10 @@ mod tests {
         let ue = UeId::new(1);
         // Procedure 1 completed and its messages were pruned: the floor
         // rises to 1 and a base of 0 cannot normally close.
-        log.append(env(1, 1, 1), 10, Instant::ZERO);
-        log.complete(ue, ProcedureId::new(1), ClockTick(1), Instant::ZERO);
-        log.drop_procedure(ue, ProcedureId::new(1));
+        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
+        log.ue_mut(ue).drop_procedure(ProcedureId::new(1));
         assert!(!log.replay_covers(ue, ProcedureId(0)));
         // A logged re-attach rebuilds state from scratch: coverage holds
         // again from any base, including none at all.
@@ -424,11 +550,12 @@ mod tests {
             ProcedureKind::ReAttach.template().steps[0].kind.sample(1),
         );
         attach.clock = ClockTick(2);
-        log.append(attach, 10, Instant::ZERO);
-        log.complete(ue, ProcedureId::new(2), ClockTick(2), Instant::ZERO);
+        log.ue_mut(ue).append(attach, 10, Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
         assert!(log.replay_covers(ue, ProcedureId(0)));
         // Pruning the attach itself removes the anchor again.
-        log.drop_procedure(ue, ProcedureId::new(2));
+        log.ue_mut(ue).drop_procedure(ProcedureId::new(2));
         assert!(!log.replay_covers(ue, ProcedureId(0)));
         assert!(log.replay_covers(ue, ProcedureId::new(2)));
     }
@@ -437,20 +564,22 @@ mod tests {
     fn drop_procedure_frees_bytes() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.append(env(1, 1, 1), 77, Instant::ZERO);
-        assert_eq!(log.drop_procedure(ue, ProcedureId::new(1)), 77);
+        log.ue_mut(ue).append(env(1, 1, 1), 77, Instant::ZERO);
+        assert_eq!(log.ue_mut(ue).drop_procedure(ProcedureId::new(1)), 77);
         assert_eq!(log.bytes(), 0);
-        assert_eq!(log.drop_procedure(ue, ProcedureId::new(1)), 0);
+        assert_eq!(log.ue_mut(ue).drop_procedure(ProcedureId::new(1)), 0);
     }
 
     #[test]
     fn ack_for_pruned_procedure_is_harmless() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        assert!(!log.ack(ue, ProcedureId::new(5), CpfId::new(1), &[CpfId::new(1)]));
+        assert!(!log
+            .ue_mut(ue)
+            .ack(ProcedureId::new(5), CpfId::new(1), &[CpfId::new(1)]));
         // But synced_through still advances — late ACKs count for failover.
         assert_eq!(
-            log.ue(ue).unwrap().synced_through[&CpfId::new(1)],
+            log.ue(ue).unwrap().synced_through(CpfId::new(1)),
             ProcedureId::new(5)
         );
     }
@@ -461,13 +590,19 @@ mod tests {
         let ue = UeId::new(1);
         let replicas = [CpfId::new(10), CpfId::new(11)];
         // Two completed procedures; the ACKs for procedure 1 were lost.
-        log.append(env(1, 1, 1), 10, Instant::ZERO);
-        log.complete(ue, ProcedureId::new(1), ClockTick(1), Instant::ZERO);
-        log.append(env(1, 2, 2), 10, Instant::ZERO);
-        log.complete(ue, ProcedureId::new(2), ClockTick(2), Instant::ZERO);
+        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
+        log.ue_mut(ue).append(env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
         // An ACK for procedure 2 covers procedure 1 too (full-state sync).
-        assert!(!log.ack(ue, ProcedureId::new(2), replicas[0], &replicas));
-        assert!(log.ack(ue, ProcedureId::new(2), replicas[1], &replicas));
+        assert!(!log
+            .ue_mut(ue)
+            .ack(ProcedureId::new(2), replicas[0], &replicas));
+        assert!(log
+            .ue_mut(ue)
+            .ack(ProcedureId::new(2), replicas[1], &replicas));
         assert_eq!(log.bytes(), 0, "both procedures pruned by one ACK round");
     }
 
@@ -477,12 +612,17 @@ mod tests {
         let ue = UeId::new(1);
         let replicas = [CpfId::new(10)];
         // Procedure 1 never completed (still needs replay coverage).
-        log.append(env(1, 1, 1), 10, Instant::ZERO);
-        log.append(env(1, 2, 2), 10, Instant::ZERO);
-        log.complete(ue, ProcedureId::new(2), ClockTick(2), Instant::ZERO);
-        log.ack(ue, ProcedureId::new(2), replicas[0], &replicas);
+        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
+        log.ue_mut(ue)
+            .ack(ProcedureId::new(2), replicas[0], &replicas);
         assert!(
-            log.ue(ue).unwrap().procedures.contains_key(&ProcedureId::new(1)),
+            log.ue(ue)
+                .unwrap()
+                .procedures()
+                .contains_key(&ProcedureId::new(1)),
             "in-flight procedure 1 must keep its messages"
         );
     }
@@ -491,10 +631,10 @@ mod tests {
     fn synced_through_never_regresses() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ack(ue, ProcedureId::new(5), CpfId::new(1), &[]);
-        log.ack(ue, ProcedureId::new(3), CpfId::new(1), &[]);
+        log.ue_mut(ue).ack(ProcedureId::new(5), CpfId::new(1), &[]);
+        log.ue_mut(ue).ack(ProcedureId::new(3), CpfId::new(1), &[]);
         assert_eq!(
-            log.ue(ue).unwrap().synced_through[&CpfId::new(1)],
+            log.ue(ue).unwrap().synced_through(CpfId::new(1)),
             ProcedureId::new(5)
         );
     }

@@ -1,6 +1,6 @@
-//! Property-based tests of the CTA message log: byte accounting never
-//! drifts, replay sets stay ordered, and pruning matches ACK coverage over
-//! random operation sequences.
+//! Property-based tests of the CTA message log: byte accounting and the
+//! completed index never drift from the entries, replay sets stay ordered,
+//! and pruning matches ACK coverage over random operation sequences.
 
 use neutrino_common::clock::ClockTick;
 use neutrino_common::time::Instant;
@@ -12,17 +12,23 @@ use proptest::prelude::*;
 #[derive(Debug, Clone)]
 enum Op {
     Append { ue: u8, proc: u8, bytes: u16 },
-    Complete { ue: u8, proc: u8 },
+    Complete { ue: u8, proc: u8, awaits_acks: bool },
     Ack { ue: u8, proc: u8, replica: u8 },
     Drop { ue: u8, proc: u8 },
+    Purge { replica: u8 },
 }
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u8..4, 1u8..5, 1u16..300).prop_map(|(ue, proc, bytes)| Op::Append { ue, proc, bytes }),
-        (0u8..4, 1u8..5).prop_map(|(ue, proc)| Op::Complete { ue, proc }),
+        (0u8..4, 1u8..5, 0u8..8).prop_map(|(ue, proc, coin)| Op::Complete {
+            ue,
+            proc,
+            awaits_acks: coin != 0,
+        }),
         (0u8..4, 1u8..5, 0u8..3).prop_map(|(ue, proc, replica)| Op::Ack { ue, proc, replica }),
         (0u8..4, 1u8..5).prop_map(|(ue, proc)| Op::Drop { ue, proc }),
+        (0u8..3).prop_map(|replica| Op::Purge { replica }),
     ]
 }
 
@@ -41,7 +47,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn byte_accounting_never_drifts(ops in proptest::collection::vec(op(), 1..120)) {
+    fn byte_total_and_completed_index_never_drift(ops in proptest::collection::vec(op(), 1..120)) {
         let mut log = MessageLog::new();
         let replicas = [CpfId::new(0), CpfId::new(1), CpfId::new(2)];
         let mut clock = 0u64;
@@ -60,27 +66,32 @@ proptest! {
             match *o {
                 Op::Append { ue, proc, bytes } => {
                     clock += 1;
-                    log.append(env(ue, proc, clock), bytes as usize, Instant::ZERO);
+                    log.ue_mut(UeId::new(u64::from(ue)))
+                        .append(env(ue, proc, clock), bytes as usize, Instant::ZERO);
                     shadow.entry((ue, proc)).or_default().bytes += bytes as usize;
                 }
-                Op::Complete { ue, proc } => {
-                    log.complete(
-                        UeId::new(u64::from(ue)),
+                Op::Complete { ue, proc, awaits_acks } => {
+                    log.ue_mut(UeId::new(u64::from(ue))).complete(
                         ProcedureId::new(u64::from(proc)),
                         ClockTick(clock),
                         Instant::ZERO,
+                        awaits_acks,
                     );
-                    // `complete` materializes the entry even if nothing was
-                    // appended — mirror that.
-                    shadow.entry((ue, proc)).or_default().completed = true;
+                    if awaits_acks {
+                        // `complete` materializes the entry even if nothing
+                        // was appended — mirror that.
+                        shadow.entry((ue, proc)).or_default().completed = true;
+                    } else {
+                        // Nobody will ACK it: it leaves the log at once.
+                        shadow.remove(&(ue, proc));
+                    }
                 }
                 Op::Ack { ue, proc, replica } => {
                     // Expect replicas {0, 1}: pruning needs either that exact
                     // set ACKed or two distinct ACKs (count-based convergence
                     // — replica 2 substitutes after a failover re-targets
                     // checkpoints); a single ACK must never prune.
-                    log.ack(
-                        UeId::new(u64::from(ue)),
+                    log.ue_mut(UeId::new(u64::from(ue))).ack(
                         ProcedureId::new(u64::from(proc)),
                         replicas[replica as usize],
                         &replicas[..2],
@@ -101,13 +112,33 @@ proptest! {
                     }
                 }
                 Op::Drop { ue, proc } => {
-                    log.drop_procedure(UeId::new(u64::from(ue)), ProcedureId::new(u64::from(proc)));
+                    log.ue_mut(UeId::new(u64::from(ue)))
+                        .drop_procedure(ProcedureId::new(u64::from(proc)));
                     shadow.remove(&(ue, proc));
+                }
+                Op::Purge { replica } => {
+                    log.purge_replica_acks(replicas[replica as usize]);
+                    for e in shadow.values_mut() {
+                        e.acks.remove(&replica);
+                    }
                 }
             }
             let expected: usize = shadow.values().map(|e| e.bytes).sum();
             prop_assert_eq!(log.bytes(), expected, "byte accounting drifted");
             prop_assert!(log.max_bytes() >= log.bytes());
+            // The log's own totals against a brute-force walk of its
+            // entries: the byte count is their sum, and the completed index
+            // is exactly the entries with a completion time.
+            let entries = || {
+                log.ues()
+                    .flat_map(|(ue, l)| l.procedures().iter().map(move |(p, e)| (*ue, *p, e)))
+            };
+            prop_assert_eq!(log.bytes(), entries().map(|(_, _, e)| e.bytes).sum::<usize>());
+            let completed: Vec<_> = entries()
+                .filter(|(_, _, e)| e.completed_at.is_some())
+                .map(|(ue, p, _)| (ue, p))
+                .collect();
+            prop_assert_eq!(log.completed().collect::<Vec<_>>(), completed);
         }
     }
 
@@ -120,7 +151,7 @@ proptest! {
         let mut clock = 0u64;
         for &(ue, proc) in &appends {
             clock += 1;
-            log.append(env(ue, proc, clock), 10, Instant::ZERO);
+            log.ue_mut(UeId::new(u64::from(ue))).append(env(ue, proc, clock), 10, Instant::ZERO);
         }
         for ue in 0u8..3 {
             let set = log.replay_set(UeId::new(u64::from(ue)), ProcedureId::new(u64::from(since)));

@@ -176,8 +176,9 @@ pub struct Envelope {
     /// to trigger the per-procedure state checkpoint (§4.2.2) and the CTA to
     /// delimit the log (§4.2.3).
     pub end_of_procedure: bool,
-    /// The message itself.
-    pub msg: ControlMessage,
+    /// The message itself. Immutable once built and shared: the CTA's log,
+    /// the forwarded copy and every replay hold the same allocation.
+    pub msg: Arc<ControlMessage>,
 }
 
 impl Envelope {
@@ -197,7 +198,7 @@ impl Envelope {
             clock: ClockTick::ZERO,
             direction: Direction::Uplink,
             end_of_procedure: false,
-            msg,
+            msg: Arc::new(msg),
         }
     }
 
@@ -217,7 +218,7 @@ impl Envelope {
             clock: ClockTick::ZERO,
             direction: Direction::Downlink,
             end_of_procedure: false,
-            msg,
+            msg: Arc::new(msg),
         }
     }
 

@@ -17,7 +17,6 @@ use crate::control::MessageKind;
 use neutrino_codec::calibrate::{measure, CalibrationOptions, MsgCost};
 use neutrino_codec::CodecKind;
 use neutrino_common::{Error, Result};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Emulation factor for the asn1c runtime the paper's baselines actually run.
@@ -37,10 +36,33 @@ use std::sync::OnceLock;
 /// scaled series is labeled "asn1c-emulated" wherever it appears.
 pub const ASN1C_RUNTIME_FACTOR: f64 = 4.0;
 
-/// Maps `(codec, message kind)` to measured costs.
-#[derive(Debug, Clone, Default)]
+/// One table cell: the measured cost and what the simulator charges for it.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    raw: MsgCost,
+    sim: MsgCost,
+}
+
+/// Maps `(codec, message kind)` to measured costs: a dense table indexed by
+/// the two enums' discriminants, so the per-message lookups on the
+/// simulator's hot path are one bounds-checked load.
+#[derive(Debug, Clone)]
 pub struct CostTable {
-    map: HashMap<(CodecKind, MessageKind), MsgCost>,
+    cells: Vec<Option<Entry>>,
+    len: usize,
+}
+
+impl Default for CostTable {
+    fn default() -> Self {
+        CostTable {
+            cells: vec![None; CodecKind::ALL.len() * MessageKind::ALL.len()],
+            len: 0,
+        }
+    }
+}
+
+fn cell(codec: CodecKind, kind: MessageKind) -> usize {
+    codec as usize * MessageKind::ALL.len() + kind as usize
 }
 
 impl CostTable {
@@ -49,14 +71,30 @@ impl CostTable {
         Self::default()
     }
 
-    /// Inserts an entry.
+    /// Inserts an entry. The simulator's charge is derived here, once:
+    /// [`ASN1C_RUNTIME_FACTOR`] applied to ASN.1 PER entries to model the
+    /// asn1c runtime the paper's baselines run.
     pub fn insert(&mut self, codec: CodecKind, kind: MessageKind, cost: MsgCost) {
-        self.map.insert((codec, kind), cost);
+        let sim = if codec == CodecKind::Asn1Per {
+            MsgCost {
+                encode: cost.encode.mul_f64(ASN1C_RUNTIME_FACTOR),
+                access: cost.access.mul_f64(ASN1C_RUNTIME_FACTOR),
+                wire_bytes: cost.wire_bytes,
+            }
+        } else {
+            cost
+        };
+        if self.cells[cell(codec, kind)]
+            .replace(Entry { raw: cost, sim })
+            .is_none()
+        {
+            self.len += 1;
+        }
     }
 
     /// Looks up an entry.
     pub fn get(&self, codec: CodecKind, kind: MessageKind) -> Option<MsgCost> {
-        self.map.get(&(codec, kind)).copied()
+        self.cells[cell(codec, kind)].map(|e| e.raw)
     }
 
     /// Looks up an entry, erroring with context when missing.
@@ -67,12 +105,12 @@ impl CostTable {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Measures a fresh table for the given codecs over every message kind,
@@ -94,20 +132,12 @@ impl CostTable {
         Ok(table)
     }
 
-    /// The cost the *simulator* charges for a message: the baked measured
-    /// cost, with [`ASN1C_RUNTIME_FACTOR`] applied to ASN.1 PER entries to
-    /// model the asn1c runtime the paper's baselines run.
+    /// The cost the *simulator* charges for a message: the measured cost
+    /// with the asn1c emulation factor pre-applied (see [`CostTable::insert`]).
     pub fn sim_cost(&self, codec: CodecKind, kind: MessageKind) -> Result<MsgCost> {
-        let raw = self.cost(codec, kind)?;
-        if codec == CodecKind::Asn1Per {
-            Ok(MsgCost {
-                encode: raw.encode.mul_f64(ASN1C_RUNTIME_FACTOR),
-                access: raw.access.mul_f64(ASN1C_RUNTIME_FACTOR),
-                wire_bytes: raw.wire_bytes,
-            })
-        } else {
-            Ok(raw)
-        }
+        self.cells[cell(codec, kind)]
+            .map(|e| e.sim)
+            .ok_or_else(|| Error::config(format!("no calibrated cost for {codec}/{kind}")))
     }
 
     /// The baked-in table measured on the development machine (see module
@@ -286,6 +316,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn sim_cost_scales_per_entries_only() {
+        let t = CostTable::baked();
+        assert_eq!(t.len(), BAKED.len());
+        for &kind in MessageKind::ALL {
+            let raw = t.cost(CodecKind::Asn1Per, kind).unwrap();
+            let sim = t.sim_cost(CodecKind::Asn1Per, kind).unwrap();
+            assert_eq!(sim.encode, raw.encode.mul_f64(ASN1C_RUNTIME_FACTOR));
+            assert_eq!(sim.access, raw.access.mul_f64(ASN1C_RUNTIME_FACTOR));
+            assert_eq!(sim.wire_bytes, raw.wire_bytes);
+            let raw = t.cost(CodecKind::FastbufOptimized, kind).unwrap();
+            let sim = t.sim_cost(CodecKind::FastbufOptimized, kind).unwrap();
+            assert_eq!((sim.encode, sim.access), (raw.encode, raw.access));
+        }
+        assert!(t.sim_cost(CodecKind::Cdr, MessageKind::Paging).is_err());
     }
 
     #[test]

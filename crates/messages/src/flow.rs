@@ -225,7 +225,8 @@ mod tests {
             ProcedureKind::ServiceRequest,
             MessageKind::ServiceRequest.sample(1),
         );
-        let state = UeState::new(ue, BsId::new(1), UpfId::new(1), Tai { plmn: 1, tac: 1 });
+        let state =
+            std::sync::Arc::new(UeState::new(ue, BsId::new(1), UpfId::new(1), Tai { plmn: 1, tac: 1 }));
         let sync = StateSync {
             ue,
             primary: CpfId::new(1),
@@ -247,7 +248,7 @@ mod tests {
             SysMsg::MarkOutdated(MarkOutdated { ue, clock: ClockTick(1), up_to_date: vec![] }),
             SysMsg::Replay(Replay { ue, messages: vec![] }),
             SysMsg::FetchState { ue, requester: CpfId::new(2) },
-            SysMsg::FetchStateResp { ue, state: Some(Box::new(state)) },
+            SysMsg::FetchStateResp { ue, state: Some(state) },
             SysMsg::S11(S11Request { ue, cpf: CpfId::new(1), op: SessionOp::Create, session: None }),
             SysMsg::S11Resp(S11Response {
                 ue,

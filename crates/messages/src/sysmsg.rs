@@ -10,6 +10,7 @@ use crate::procedures::ProcedureKind;
 use crate::state::UeState;
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, SessionId, UeId, UpfId};
+use std::sync::Arc;
 
 /// Priority class the CTA ingress admission layer sorts control procedures
 /// into. Lower raw value = higher priority; under overload the admission
@@ -94,8 +95,9 @@ pub struct StateSync {
     /// The CTA serving the UE — replicas send their ACK there (§4.2.3
     /// step 3).
     pub cta: CtaId,
-    /// The state snapshot.
-    pub state: UeState,
+    /// The state snapshot: one allocation shared by the primary's store,
+    /// every backup's copy of this sync and the stores that adopt it.
+    pub state: Arc<UeState>,
     /// The procedure whose completion triggered the sync.
     pub procedure: ProcedureId,
     /// Logical clock of the last (uplink) message of that procedure — "used
@@ -216,8 +218,9 @@ pub enum SysMsg {
     FetchStateResp {
         /// The UE concerned.
         ue: UeId,
-        /// The state, if the responder had an up-to-date copy.
-        state: Option<Box<UeState>>,
+        /// The state, if the responder had an up-to-date copy (shared with
+        /// the responder's store).
+        state: Option<Arc<UeState>>,
     },
     /// CPF → UPF session operation.
     S11(S11Request),

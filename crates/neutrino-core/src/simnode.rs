@@ -16,7 +16,6 @@ use neutrino_messages::{Direction, MessageKind, SysMsg};
 use neutrino_netsim::{Node, NodeEvent, NodeId, Outbox};
 use neutrino_upf::{UpfCore, UpfOutput};
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// The UE/BS population node id.
@@ -45,25 +44,23 @@ pub fn upf_node(id: UpfId) -> NodeId {
 /// answers with (if the template's next step is a downlink) — used to charge
 /// the response-encoding cost on the message that produces it.
 fn response_kind(proc: ProcedureKind, ul: MessageKind) -> Option<MessageKind> {
-    static MAP: OnceLock<HashMap<(ProcedureKind, MessageKind), MessageKind>> = OnceLock::new();
-    MAP.get_or_init(|| {
-        let mut m = HashMap::new();
+    // Dense `[procedure][uplink kind]` table, built once from the templates.
+    static TABLE: OnceLock<Vec<Option<MessageKind>>> = OnceLock::new();
+    let kinds = MessageKind::ALL.len();
+    TABLE.get_or_init(|| {
+        let mut t = vec![None; ProcedureKind::ALL.len() * kinds];
         for kind in ProcedureKind::ALL {
-            let t = kind.template();
-            for (i, step) in t.steps.iter().enumerate() {
-                if step.direction == Direction::Uplink {
-                    if let Some(next) = t.steps.get(i + 1) {
-                        if next.direction == Direction::Downlink {
-                            m.insert((*kind, step.kind), next.kind);
-                        }
-                    }
+            let steps = &kind.template().steps;
+            for pair in steps.windows(2) {
+                if pair[0].direction == Direction::Uplink
+                    && pair[1].direction == Direction::Downlink
+                {
+                    t[*kind as usize * kinds + pair[0].kind as usize] = Some(pair[1].kind);
                 }
             }
         }
-        m
-    })
-    .get(&(proc, ul))
-    .copied()
+        t
+    })[proc as usize * kinds + ul as usize]
 }
 
 /// Service time a CPF charges for one incoming system message (scaled by

@@ -50,6 +50,23 @@ fn every_baseline_completes_attach_and_service_request() {
 }
 
 #[test]
+fn epc_procedures_do_not_fail_by_outliving_the_ack_timeout() {
+    // The existing EPC replicates nothing, so no replica ever ACKs: a run
+    // longer than the CTA's 30 s ACK timeout must not count every completed
+    // procedure as timed out.
+    let mut spec = ExperimentSpec::new(
+        SystemConfig::existing_epc(),
+        workload(ProcedureKind::ServiceRequest, 50, 500),
+    );
+    spec.horizon = neutrino_common::time::Duration::from_secs(45);
+    let results = run_experiment(spec);
+    assert_eq!(results.completed, 100);
+    assert_eq!(results.cta.timeout_pruned, 0);
+    assert_eq!(results.cta.outdated_notices, 0);
+    assert_eq!(results.failed_procedures, 0);
+}
+
+#[test]
 fn neutrino_is_faster_than_epc_without_failures() {
     let run = |config: SystemConfig| {
         let spec = ExperimentSpec::new(config, workload(ProcedureKind::ServiceRequest, 200, 200));

@@ -24,6 +24,7 @@ use neutrino_messages::sysmsg::{
     SyncPurpose, SysMsg,
 };
 use neutrino_messages::Wire;
+use std::sync::Arc;
 
 const TAG_CONTROL: u8 = 1;
 const TAG_STATE_SYNC: u8 = 2;
@@ -164,7 +165,7 @@ fn get_envelope(buf: &mut &[u8], codec: &dyn WireFormat) -> Result<Envelope> {
         clock,
         direction,
         end_of_procedure,
-        msg,
+        msg: Arc::new(msg),
     })
 }
 
@@ -178,10 +179,10 @@ fn put_state(state: &UeState, buf: &mut Vec<u8>) -> Result<()> {
     })
 }
 
-fn get_state(buf: &mut &[u8]) -> Result<UeState> {
+fn get_state(buf: &mut &[u8]) -> Result<Arc<UeState>> {
     let codec = neutrino_codec::fastbuf::Fastbuf::optimized();
     let payload = get_block(buf)?;
-    UeState::decode(&codec, payload)
+    UeState::decode(&codec, payload).map(Arc::new)
 }
 
 /// Encodes a [`SysMsg`] as a self-contained frame into `buf`.
@@ -440,7 +441,7 @@ pub fn decode_sysmsg(frame: &[u8], codec_kind: CodecKind) -> Result<SysMsg> {
             need(&buf, 9)?;
             let ue = UeId::new(buf.get_u64());
             let state = if buf.get_u8() == 1 {
-                Some(Box::new(get_state(&mut buf)?))
+                Some(get_state(&mut buf)?)
             } else {
                 None
             };
@@ -601,7 +602,7 @@ mod tests {
 
     #[test]
     fn replication_frames_round_trip() {
-        let state = UeState::sample(11);
+        let state = std::sync::Arc::new(UeState::sample(11));
         round_trip(
             SysMsg::StateSync(StateSync {
                 ue: UeId::new(11),
@@ -634,7 +635,7 @@ mod tests {
         round_trip(
             SysMsg::FetchStateResp {
                 ue: UeId::new(11),
-                state: Some(Box::new(state)),
+                state: Some(state),
             },
             CodecKind::FastbufOptimized,
         );

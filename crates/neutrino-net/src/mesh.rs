@@ -321,7 +321,7 @@ mod tests {
         assert!(matches!(
             dl,
             SysMsg::Control(ref env)
-                if matches!(env.msg, ControlMessage::InitialContextSetupRequest(_))
+                if matches!(*env.msg, ControlMessage::InitialContextSetupRequest(_))
         ));
         send_ul(MessageKind::InitialContextSetupResponse, false);
         send_ul(MessageKind::AttachComplete, true);

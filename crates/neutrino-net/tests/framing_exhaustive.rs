@@ -64,7 +64,7 @@ fn sample_envelope() -> Envelope {
 
 /// One sample per variant, in declaration order.
 fn samples() -> Vec<SysMsg> {
-    let state = UeState::sample(11);
+    let state = std::sync::Arc::new(UeState::sample(11));
     vec![
         SysMsg::Control(sample_envelope()),
         SysMsg::StateSync(StateSync {
@@ -89,7 +89,7 @@ fn samples() -> Vec<SysMsg> {
         }),
         SysMsg::Replay(Replay { ue: UeId::new(42), messages: vec![sample_envelope()] }),
         SysMsg::FetchState { ue: UeId::new(11), requester: CpfId::new(2) },
-        SysMsg::FetchStateResp { ue: UeId::new(11), state: Some(Box::new(state)) },
+        SysMsg::FetchStateResp { ue: UeId::new(11), state: Some(state) },
         SysMsg::S11(S11Request {
             ue: UeId::new(1),
             cpf: CpfId::new(2),
