@@ -79,31 +79,5 @@ fn engine_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// The shards axis: the multi-region ring through the region-sharded PDES
-/// engine at 1/2/4 shards. `shardbench::measure` asserts the event count
-/// and delivery-order checksum match the sequential engine before any
-/// number is reported, so this bench doubles as an order-identity check.
-fn sharded_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine-sharded");
-    group.sample_size(10);
-    for &shards in &[1usize, 2, 4] {
-        let id = BenchmarkId::new("region-ring", format!("{shards}s"));
-        group.bench_function(id, |b| {
-            b.iter(|| {
-                let points =
-                    neutrino_bench::shardbench::measure(Duration::from_millis(10), &[shards]);
-                points.last().expect("measured").events
-            })
-        });
-    }
-    for p in neutrino_bench::shardbench::measure(Duration::from_millis(100), &[2, 4]) {
-        eprintln!(
-            "engine-sharded region-ring shards={}: {} events = {:.0} events/sec ({:.2}x vs sequential)",
-            p.shards, p.events, p.events_per_sec, p.speedup_vs_sequential
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, engine_throughput, sharded_throughput);
+criterion_group!(benches, engine_throughput);
 criterion_main!(benches);

@@ -1,0 +1,47 @@
+//! `repro` must fail loudly on input it does not understand: a stale flag
+//! or a misspelt figure exits non-zero before any figure runs, instead of
+//! silently measuring something else.
+
+use std::process::Command;
+
+/// Runs `repro` with `args`; asserts a usage error and that nothing ran
+/// (figures print their tables to stdout).
+fn assert_rejected(args: &[&str], needle: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "repro {args:?} must exit non-zero");
+    assert!(
+        out.stdout.is_empty(),
+        "repro {args:?} must not run a figure"
+    );
+    assert!(
+        stderr.contains(needle) && stderr.contains("usage: repro"),
+        "repro {args:?} must name the offender and print usage, got:\n{stderr}"
+    );
+}
+
+#[test]
+fn removed_shards_flag_is_rejected() {
+    assert_rejected(
+        &["fig8", "--quick", "--shards", "2"],
+        "unknown flag `--shards`",
+    );
+}
+
+#[test]
+fn unknown_flag_is_rejected() {
+    assert_rejected(&["--nope"], "unknown flag `--nope`");
+}
+
+#[test]
+fn wrong_case_figure_is_rejected_not_widened_to_all() {
+    assert_rejected(&["Fig8", "--quick"], "unknown figure `Fig8`");
+}
+
+#[test]
+fn misspelt_figure_is_rejected() {
+    assert_rejected(&["fig8", "fig99", "--quick"], "unknown figure `fig99`");
+}

@@ -3,9 +3,9 @@
 //! The flow registry ([`neutrino_messages::flow::FLOWS`]) declares which
 //! `(variant, src role, dst role)` edges the protocol may use, and
 //! `neutrino-lint`'s flow pass proves the *code* agrees with it. This
-//! module closes the loop dynamically: it runs scenario plans on the
-//! sequential engine with a delivery tap installed, records every edge the
-//! simulator actually carries, and diffs witnessed against declared:
+//! module closes the loop dynamically: it runs scenario plans with a
+//! delivery tap installed, records every edge the simulator actually
+//! carries, and diffs witnessed against declared:
 //!
 //! * **witnessed-but-undeclared** edges are spec drift — the running
 //!   system uses a flow the registry does not admit. Fatal (the nightly
@@ -21,8 +21,9 @@ use crate::run::run_case_witnessed;
 use crate::scenario::Scenario;
 use neutrino_core::SimMsg;
 use neutrino_messages::flow::{self, Role, FLOWS};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// One `(variant, src role, dst role)` edge in canonical string form.
 pub type Edge = (String, String, String);
@@ -46,13 +47,12 @@ pub fn declared_edges() -> BTreeSet<Edge> {
         .collect()
 }
 
-/// Runs `scenario` at `seed` on the sequential engine with a delivery tap
-/// installed and returns the witnessed edge set. Non-protocol messages
-/// (the arrival-pump `Kick`) and nodes outside the role bands are ignored
-/// rather than invented.
+/// Runs `scenario` at `seed` with a delivery tap installed and returns the
+/// witnessed edge set. Non-protocol messages (the arrival-pump `Kick`) and
+/// nodes outside the role bands are ignored rather than invented.
 pub fn witness_case(scenario: &Scenario, seed: u64) -> BTreeSet<Edge> {
-    let seen: Arc<Mutex<BTreeSet<Edge>>> = Arc::default();
-    let sink = Arc::clone(&seen);
+    let seen: Rc<RefCell<BTreeSet<Edge>>> = Rc::default();
+    let sink = Rc::clone(&seen);
     run_case_witnessed(
         &scenario.plan(seed),
         Box::new(move |from, to, msg| {
@@ -62,17 +62,16 @@ pub fn witness_case(scenario: &Scenario, seed: u64) -> BTreeSet<Edge> {
             else {
                 return;
             };
-            sink.lock().expect("tap lock").insert((
+            sink.borrow_mut().insert((
                 flow::variant_name(sys).to_string(),
                 src.name().to_string(),
                 dst.name().to_string(),
             ));
         }),
     );
-    Arc::try_unwrap(seen)
+    Rc::try_unwrap(seen)
         .expect("tap dropped with the sim")
         .into_inner()
-        .expect("tap lock")
 }
 
 /// One edge in the JSON report.

@@ -117,19 +117,6 @@ pub struct CheckReport {
     pub fingerprint: Fingerprint,
 }
 
-/// A [`CheckReport`] plus which engine actually ran. Engine selection is
-/// an execution detail, not part of the replay-equality witness, so it
-/// lives outside the serialized report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunOutcome {
-    /// The run's report.
-    pub report: CheckReport,
-    /// True when the run executed on the region-sharded engine (a shard
-    /// request degrades to sequential for fault-ful links or a non-empty
-    /// choice trace).
-    pub sharded: bool,
-}
-
 impl CheckReport {
     /// True when no invariant fired.
     pub fn is_clean(&self) -> bool {
@@ -167,29 +154,19 @@ pub fn kind_by_name(name: &str) -> Option<ProcedureKind> {
 /// `check_interval_ms`, plus a final pass after the drain.
 ///
 /// Honors the plan's `choice_trace`: a non-empty trace replays the pinned
-/// interleaving through a [`ScriptChooser`] on the sequential engine;
-/// otherwise the run uses the process-wide shard setting, byte-identical
-/// to the pre-mcheck checker.
+/// interleaving through a [`ScriptChooser`]; otherwise the run is plain
+/// `run_until`, byte-identical to the pre-mcheck checker.
 ///
 /// Panics on a malformed plan (unknown system, procedure kind, invariant,
 /// or partition endpoint) — plans come from [`Scenario::plan`]
 /// (crate::scenario::Scenario::plan) or a pinned corpus file, and a typo
 /// there should fail loudly, not skip silently.
 pub fn run_case(plan: &CasePlan) -> CheckReport {
-    run_case_sharded(plan, neutrino_core::experiment::shards()).report
-}
-
-/// [`run_case`] with an explicit shard request, bypassing the
-/// process-global setting (which parallel tests must not mutate). The
-/// request is best-effort: fault-ful links or a non-empty `choice_trace`
-/// degrade to the sequential engine — the outcome's `sharded` flag says
-/// what actually ran.
-pub fn run_case_sharded(plan: &CasePlan, shards: usize) -> RunOutcome {
     if plan.choice_trace.is_empty() {
-        run_case_with(plan, shards, None)
+        run_case_with(plan, None)
     } else {
         let mut script = ScriptChooser::new(&plan.choice_trace);
-        run_case_with(plan, 1, Some(&mut script))
+        run_case_with(plan, Some(&mut script))
     }
 }
 
@@ -198,40 +175,29 @@ pub fn run_case_sharded(plan: &CasePlan, shards: usize) -> RunOutcome {
 /// [`neutrino_netsim::Sim::set_delivery_tap`]).
 pub type DeliveryTap = neutrino_netsim::DeliveryTap<SimMsg>;
 
-/// The full checker: one plan, an explicit shard count, and an optional
-/// interleaving chooser (which requires `shards == 1` — chosen-mode
-/// dispatch only exists on the sequential engine). This is the entry point
-/// the exhaustive checker drives with an exploring chooser.
+/// The full checker: one plan and an optional interleaving chooser. This
+/// is the entry point the exhaustive checker drives with an exploring
+/// chooser.
 pub fn run_case_with(
     plan: &CasePlan,
-    shards: usize,
     chooser: Option<&mut dyn neutrino_netsim::Chooser<SimMsg>>,
-) -> RunOutcome {
-    run_case_impl(plan, shards, chooser, None)
+) -> CheckReport {
+    run_case_impl(plan, chooser, None)
 }
 
-/// [`run_case_with`] on the sequential engine with a delivery tap
-/// installed: the tap observes every enqueued message without perturbing
-/// the event stream (`explore --flow-coverage` records witnessed protocol
-/// flow edges this way).
-pub fn run_case_witnessed(plan: &CasePlan, tap: DeliveryTap) -> RunOutcome {
-    run_case_impl(plan, 1, None, Some(tap))
+/// [`run_case_with`] with a delivery tap installed: the tap observes every
+/// enqueued message without perturbing the event stream
+/// (`explore --flow-coverage` records witnessed protocol flow edges this
+/// way).
+pub fn run_case_witnessed(plan: &CasePlan, tap: DeliveryTap) -> CheckReport {
+    run_case_impl(plan, None, Some(tap))
 }
 
 fn run_case_impl(
     plan: &CasePlan,
-    shards: usize,
     mut chooser: Option<&mut dyn neutrino_netsim::Chooser<SimMsg>>,
     tap: Option<DeliveryTap>,
-) -> RunOutcome {
-    assert!(
-        chooser.is_none() || shards == 1,
-        "chosen-mode runs require the sequential engine"
-    );
-    assert!(
-        tap.is_none() || shards == 1,
-        "delivery-tap runs require the sequential engine"
-    );
+) -> CheckReport {
     let mut config = config_by_name(&plan.system)
         .unwrap_or_else(|| panic!("unknown system `{}`", plan.system));
     let kind =
@@ -350,9 +316,8 @@ fn run_case_impl(
         links,
         SimConfig::for_horizon(horizon),
         plan.seed,
-        shards,
+        1,
     );
-    let sharded = cluster.sim.is_sharded();
     if let Some(tap) = tap {
         cluster.sim.set_delivery_tap(tap);
     }
@@ -445,7 +410,7 @@ fn run_case_impl(
     let cta = cluster.cta_metrics();
     let max_queue_depth = cluster.max_control_queue_depth() as u64;
     let results = cluster.take_results();
-    let report = CheckReport {
+    CheckReport {
         violations: recorded,
         passes,
         fingerprint: Fingerprint {
@@ -466,6 +431,5 @@ fn run_case_impl(
             max_queue_depth,
             violations: total_violations,
         },
-    };
-    RunOutcome { report, sharded }
+    }
 }

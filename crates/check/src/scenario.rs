@@ -156,8 +156,7 @@ pub struct CasePlan {
     /// Interleaving replay script from the small-model checker: at the
     /// k-th *contended* delivery choice point, dispatch the
     /// `choice_trace[k]`-th enabled delivery; identity (lowest sequence)
-    /// beyond the end of the trace. A non-empty trace forces the
-    /// sequential engine (`shards = 1`). Pre-mcheck corpus files omit the
+    /// beyond the end of the trace. Pre-mcheck corpus files omit the
     /// field; parsing treats the omission as empty.
     #[serde(default)]
     pub choice_trace: Vec<u32>,

@@ -6,7 +6,7 @@
 
 use neutrino_bench::sweep::run_cells_with;
 use neutrino_check::corpus::{self, CorpusCase};
-use neutrino_check::run::{run_case, run_case_sharded, CheckReport};
+use neutrino_check::run::{run_case, CheckReport};
 use neutrino_check::scenario::{CasePlan, Scenario};
 use neutrino_check::shrink::shrink;
 
@@ -77,11 +77,7 @@ fn epc_violation_is_detected_shrunk_and_pinned() {
 }
 
 /// Every pinned corpus case replays clean and byte-identically on this
-/// tree (the corpus contract) — including when the sharded engine is
-/// *requested*. The report must not depend on the shard count, and the
-/// documented degradations must actually happen: a plan with link faults
-/// or a scripted choice trace runs on the sequential engine no matter
-/// what was asked for, while a fault-free trace-free plan really shards.
+/// tree (the corpus contract).
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
 fn corpus_cases_replay_clean() {
@@ -98,26 +94,6 @@ fn corpus_cases_replay_clean() {
             first.to_json(),
             second.to_json(),
             "{} must replay byte-identically",
-            path.display()
-        );
-        let sharded = run_case_sharded(&case.plan, 2);
-        assert_eq!(
-            first.to_json(),
-            sharded.report.to_json(),
-            "{} must produce the identical report at --shards 2",
-            path.display()
-        );
-        let plan = &case.plan;
-        let must_degrade = plan.loss_ppm > 0
-            || plan.duplicate_ppm > 0
-            || plan.reorder_ppm > 0
-            || plan.jitter_us > 0
-            || !plan.choice_trace.is_empty();
-        assert_eq!(
-            sharded.sharded,
-            !must_degrade,
-            "{}: faults or a choice trace must force the sequential engine \
-             (and only they may)",
             path.display()
         );
     }

@@ -212,18 +212,6 @@ impl Deployment {
         Some(RingStack::new(&me.cpfs, &others, self.layout.replicas))
     }
 
-    /// Maps a level-1 region onto one of `shards` parallel engine shards:
-    /// round-robin over the contiguous region ids, so every shard hosts
-    /// whole regions (a region's CTA, CPF pool and UPFs stay co-located
-    /// and their 5 µs intra-region chatter never crosses a shard
-    /// boundary) and populated shards stay balanced.
-    pub fn shard_of_region(&self, id: RegionId, shards: usize) -> usize {
-        if shards <= 1 {
-            return 0;
-        }
-        id.raw() as usize % shards
-    }
-
     /// Every CPF in the deployment.
     pub fn all_cpfs(&self) -> Vec<CpfId> {
         self.regions.iter().flat_map(|r| r.cpfs.clone()).collect()
@@ -260,25 +248,6 @@ mod tests {
                 assert!(d.same_level2(r.id, s));
             }
         }
-    }
-
-    #[test]
-    fn shard_partition_is_balanced_and_total() {
-        let d = Deployment::build(RegionLayout {
-            level2_regions: 2,
-            ..RegionLayout::default()
-        });
-        for shards in 1..=4 {
-            let mut counts = vec![0usize; shards];
-            for r in d.regions() {
-                let s = d.shard_of_region(r.id, shards);
-                assert!(s < shards);
-                counts[s] += 1;
-            }
-            let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-            assert!(max - min <= 1, "unbalanced partition: {counts:?}");
-        }
-        assert_eq!(d.shard_of_region(RegionId::new(3), 1), 0);
     }
 
     #[test]

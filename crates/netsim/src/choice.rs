@@ -4,10 +4,10 @@
 //! dispatch loop next to `run_until` that, whenever **two or more
 //! deliveries are simultaneously enabled at the same tick**, asks a
 //! [`Chooser`] which one to dispatch first. The [`IdentityChooser`] always
-//! picks the lowest global sequence number, which reproduces the
-//! sequential `(at, seq)` stream exactly — so instrumented runs with the
-//! identity chooser are byte-identical to `run_until` and no golden,
-//! corpus pin, or shard-identity suite can observe the instrumentation.
+//! picks the lowest sequence number, which reproduces `run_until`'s
+//! `(at, seq)` stream exactly — so instrumented runs with the identity
+//! chooser are byte-identical to `run_until` and no golden or corpus pin
+//! can observe the instrumentation.
 //!
 //! A model checker (see `crates/check`, `mcheck`) drives this with a
 //! scripted chooser to enumerate delivery interleavings of a small
@@ -30,10 +30,10 @@ pub(crate) fn mix64(z: u64) -> u64 {
 /// One delivery the engine could dispatch next at the current tick.
 ///
 /// Entries are presented in ascending `seq` order, so index 0 is always
-/// the delivery the sequential engine would run first.
+/// the delivery `run_until` would run first.
 #[derive(Debug)]
 pub struct Enabled<'a, M> {
-    /// Global push sequence (the sequential tie-break within a tick).
+    /// Push sequence (`run_until`'s tie-break within a tick).
     pub seq: u64,
     /// Sending node ([`NodeId::EXTERNAL`] for injected messages).
     pub from: NodeId,
@@ -70,7 +70,7 @@ pub trait Chooser<M> {
     fn choose(&mut self, ctx: &ChoiceCtx, enabled: &[Enabled<'_, M>]) -> usize;
 }
 
-/// The chooser that reproduces the sequential engine exactly: always the
+/// The chooser that reproduces `run_until` exactly: always the
 /// lowest-`seq` enabled delivery, i.e. the event `run_until` would pop.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdentityChooser;

@@ -31,13 +31,11 @@ pub mod alloc_count;
 pub mod choice;
 pub mod engine;
 pub mod links;
-pub mod shard;
 pub mod stats;
 pub mod wheel;
 
 pub use choice::{ChoiceCtx, Chooser, Enabled, IdentityChooser};
 pub use engine::{DeliveryTap, Node, NodeEvent, NodeId, Outbox, Sim, SimConfig};
-pub use shard::ShardedSim;
 pub use links::{Delivery, FaultSpec, LinkSpec, Links};
 pub use stats::{NodeStats, SimStats};
 pub use wheel::{ReferenceHeap, SchedKey, Wheel};

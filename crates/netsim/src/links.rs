@@ -155,10 +155,6 @@ pub struct Links {
     fault_default: FaultSpec,
     fault_overrides: HashMap<(NodeId, NodeId), FaultSpec, FxBuildHasher>,
     partitions: Vec<Partition>,
-    // How many entries of `overrides` carry non-zero jitter, maintained
-    // incrementally by `set`/`set_symmetric` so `sequence_sensitive` never
-    // iterates the map (hash iteration order is banned in this crate).
-    jittered_overrides: usize,
 }
 
 impl Links {
@@ -171,7 +167,6 @@ impl Links {
             fault_default: FaultSpec::NONE,
             fault_overrides: HashMap::default(),
             partitions: Vec::new(),
-            jittered_overrides: 0,
         }
     }
 
@@ -183,33 +178,13 @@ impl Links {
 
     /// Sets a directed override.
     pub fn set(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) {
-        let old = self.overrides.insert((from, to), spec);
-        self.jittered_overrides += (spec.jitter != Duration::ZERO) as usize;
-        if let Some(old) = old {
-            self.jittered_overrides -= (old.jitter != Duration::ZERO) as usize;
-        }
+        self.overrides.insert((from, to), spec);
     }
 
     /// Sets a symmetric override.
     pub fn set_symmetric(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
         self.set(a, b, spec);
         self.set(b, a, spec);
-    }
-
-    /// Whether any delivery decision consults the per-send link sequence
-    /// number (jitter or probabilistic fault draws key on it). The
-    /// sequential engine interleaves one global sequence counter across
-    /// all sends, which a sharded run cannot reproduce — so the sharded
-    /// engine only parallelizes when this is `false` and degrades to
-    /// sequential execution otherwise. Timed partitions key on virtual
-    /// time only and are *not* sequence-sensitive.
-    ///
-    /// Conservative: a fault override of `FaultSpec::NONE` still counts.
-    pub fn sequence_sensitive(&self) -> bool {
-        self.default.jitter != Duration::ZERO
-            || self.jittered_overrides > 0
-            || !self.fault_default.is_none()
-            || !self.fault_overrides.is_empty()
     }
 
     /// The spec for a directed pair.
@@ -574,44 +549,6 @@ mod tests {
             links.plan_delivery(a, NodeId::new(3), 0, Instant::ZERO),
             Delivery::Lost
         );
-    }
-
-    #[test]
-    fn sequence_sensitivity_tracks_jitter_and_faults() {
-        let mut links = Links::with_default(LinkSpec::fixed(Duration::from_micros(5)));
-        assert!(!links.sequence_sensitive(), "plain fixed links draw nothing");
-        // Partitions key on virtual time, not the sequence counter.
-        links.add_partition(
-            NodeId::new(1),
-            NodeId::new(2),
-            Instant::ZERO,
-            Instant::from_micros(10),
-        );
-        assert!(!links.sequence_sensitive());
-        // A jittered override flips it; replacing it with a fixed spec
-        // flips it back (the counter must survive map replacement).
-        let jittered = LinkSpec {
-            latency: Duration::from_micros(5),
-            jitter: Duration::from_micros(1),
-        };
-        links.set_symmetric(NodeId::new(1), NodeId::new(2), jittered);
-        assert!(links.sequence_sensitive());
-        links.set_symmetric(NodeId::new(1), NodeId::new(2), LinkSpec::fixed(Duration::ZERO));
-        assert!(!links.sequence_sensitive());
-        // Any fault probability draws on the sequence.
-        links.set_fault_default(FaultSpec {
-            loss: 0.1,
-            ..FaultSpec::NONE
-        });
-        assert!(links.sequence_sensitive());
-        links.set_fault_default(FaultSpec::NONE);
-        assert!(!links.sequence_sensitive());
-        // Conservative: any fault override counts, even a NONE one.
-        links.set_fault(NodeId::new(1), NodeId::new(2), FaultSpec::NONE);
-        assert!(links.sequence_sensitive());
-        // Jittered defaults count too.
-        let jittery_default = Links::with_default(jittered);
-        assert!(jittery_default.sequence_sensitive());
     }
 
     #[test]

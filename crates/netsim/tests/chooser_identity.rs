@@ -1,14 +1,13 @@
 //! Identity-chooser property: `run_until_chosen` with [`IdentityChooser`]
 //! dispatches random multi-region topologies in exactly the `(at, seq)`
-//! order of the uninstrumented sequential engine — observed through
-//! per-node arrival logs (sender, payload, virtual time), final clock,
-//! event counts, and drop counters. This is the instrumentation layer's
-//! whole contract (ISSUE 9): goldens, corpus pins, and shard-identity
-//! suites must not be able to observe chosen mode.
+//! order of uninstrumented `run_until` — observed through per-node
+//! arrival logs (sender, payload, virtual time), final clock, event
+//! counts, and drop counters. This is the instrumentation layer's whole
+//! contract (ISSUE 9): goldens and corpus pins must not be able to
+//! observe chosen mode.
 //!
-//! The generators are the same family as `shard_identity.rs`: equal-time
-//! ties, zero-delay self-sends, timers, and crash/recover barriers mixed
-//! into every run. A final deterministic test drives a *non*-identity
+//! The generators stress tie-breaking: equal-time ties, zero-delay
+//! self-sends, timers, and crash/recover barriers mixed into every run. A final deterministic test drives a *non*-identity
 //! chooser through an equal-time tie and asserts the delivery order
 //! actually changes — proving the mechanism can express a reordering at
 //! all (a chooser that was silently never consulted would pass the
@@ -30,9 +29,9 @@ fn mix(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Same walker as `shard_identity.rs`: logs every arrival and forwards
-/// along a deterministic pseudo-random walk, with timer detours on
-/// even-TTL hops so non-delivery events interleave with deliveries.
+/// Logs every arrival and forwards along a deterministic pseudo-random
+/// walk, with timer detours on even-TTL hops so non-delivery events
+/// interleave with deliveries.
 struct Walker {
     all: Vec<NodeId>,
     service: Duration,

@@ -30,6 +30,33 @@ impl Node<u64> for Sink {
     }
 }
 
+/// Forwards every message to a fixed peer until its hop budget runs out,
+/// recording `(msg, at)` in arrival order.
+struct Relay {
+    peer: NodeId,
+    service: Duration,
+    hops_left: u64,
+    seen: Vec<(u64, Instant)>,
+}
+
+impl Node<u64> for Relay {
+    fn service_time(&self, _msg: &u64) -> Duration {
+        self.service
+    }
+    fn handle(&mut self, event: NodeEvent<u64>, out: &mut Outbox<u64>) {
+        if let NodeEvent::Message { msg, .. } = event {
+            self.seen.push((msg, out.now()));
+            if self.hops_left > 0 {
+                self.hops_left -= 1;
+                out.send(self.peer, msg + 1);
+            }
+        }
+    }
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -121,5 +148,52 @@ proptest! {
             n,
             "every message is either processed or accounted as dropped"
         );
+    }
+
+    /// Pausing at arbitrary deadlines and skipping idle stretches with
+    /// `next_event_at` — how the check harness drives the engine between
+    /// oracle passes — dispatches the same event stream as one
+    /// uninterrupted run.
+    #[test]
+    fn segmented_runs_match_one_shot(
+        step_us in 1u64..2_000,
+        latency_us in 1u64..600,
+        service_us in 0u64..20,
+        hops in 1u64..40,
+    ) {
+        let (a, b) = (NodeId::new(1), NodeId::new(1000));
+        let build = || {
+            let links = Links::with_default(LinkSpec::fixed(Duration::from_micros(latency_us)));
+            let mut sim = Sim::new(links);
+            for (id, peer) in [(a, b), (b, a)] {
+                sim.add_node(id, Box::new(Relay {
+                    peer,
+                    service: Duration::from_micros(service_us),
+                    hops_left: hops,
+                    seen: Vec::new(),
+                }));
+            }
+            sim.inject_at(Instant::ZERO, a, 0);
+            sim
+        };
+        let mut one_shot = build();
+        one_shot.run_to_completion();
+        let mut segmented = build();
+        let step = Duration::from_micros(step_us);
+        let mut deadline = Instant::ZERO + step;
+        loop {
+            segmented.run_until(deadline);
+            let Some(next) = segmented.next_event_at() else { break };
+            prop_assert!(next > deadline, "run_until left a due event pending");
+            deadline = next.max(deadline + step);
+        }
+        prop_assert_eq!(one_shot.now(), segmented.now());
+        prop_assert_eq!(one_shot.events_processed(), segmented.events_processed());
+        for id in [a, b] {
+            prop_assert_eq!(
+                &one_shot.node_as::<Relay>(id).unwrap().seen,
+                &segmented.node_as::<Relay>(id).unwrap().seen
+            );
+        }
     }
 }

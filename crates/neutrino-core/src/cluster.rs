@@ -9,7 +9,7 @@ use neutrino_cpf::{CpfConfig, CpfCore, CpfMetrics};
 use neutrino_cta::{CtaConfig, CtaCore, CtaMetrics};
 use neutrino_geo::{Deployment, RegionLayout};
 use neutrino_messages::SysMsg;
-use neutrino_netsim::{FaultSpec, LinkSpec, Links, ShardedSim, SimConfig};
+use neutrino_netsim::{FaultSpec, LinkSpec, Links, Sim, SimConfig};
 use neutrino_upf::UpfCore;
 
 /// Merged admission-gate priority evidence: per class, the lowest token
@@ -58,10 +58,8 @@ impl Default for LinkProfile {
 
 /// A built simulation plus its id maps.
 pub struct Cluster {
-    /// The simulator: region-sharded when built with `shards > 1` and the
-    /// link table is jitter- and fault-free, sequential otherwise — either
-    /// way byte-identical event order.
-    pub sim: ShardedSim<SimMsg>,
+    /// The simulator.
+    pub sim: Sim<SimMsg>,
     /// The deployment it models.
     pub deployment: Deployment,
     config: SystemConfig,
@@ -85,13 +83,14 @@ impl Cluster {
             links_profile,
             SimConfig::default(),
             0,
-            crate::experiment::shards(),
+            1,
         )
     }
 
     /// [`Cluster::build`] with an explicit engine config (runaway-event
-    /// budget), jitter seed, and engine shard count; `run_experiment`
-    /// derives all three per cell.
+    /// budget) and jitter seed; `run_experiment` derives both per cell.
+    ///
+    /// `shards` must be 1: shim for the frozen `benchmark/` caller; a later `benchmark` PR deletes it.
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_sim(
         config: SystemConfig,
@@ -103,6 +102,10 @@ impl Cluster {
         seed: u64,
         shards: usize,
     ) -> Cluster {
+        assert_eq!(
+            shards, 1,
+            "the sharded engine was removed; shards must be 1"
+        );
         layout.replicas = config.replicas;
         let deployment = Deployment::build(layout);
 
@@ -131,7 +134,7 @@ impl Cluster {
                 }
             }
         }
-        let mut sim = ShardedSim::with_config(links, sim_config, shards);
+        let mut sim = Sim::with_config(links, sim_config);
 
         // UE population. All workload traffic enters through region 0's CTA
         // and CPF pool — the paper's testbed drives one pool of five CPF
@@ -155,16 +158,10 @@ impl Cluster {
                 bss: r.bss.clone(),
             })
             .collect();
-        // The population shares shard 0 with region 0 (the entry point for
-        // all workload traffic), so the hot UE↔CTA path stays shard-local.
-        sim.add_node(UEPOP_NODE, Box::new(UePopulation::new(uecfg, workload)), 0);
+        sim.add_node(UEPOP_NODE, Box::new(UePopulation::new(uecfg, workload)));
 
-        // Per-region control plane: each region's nodes land together on
-        // the shard `crates/geo` assigns it, so only the 500 µs
-        // inter-region links (and the population's cross-region fallback
-        // routes) cross shard boundaries.
+        // Per-region control plane.
         for region in deployment.regions() {
-            let shard = deployment.shard_of_region(region.id, shards);
             let ring = deployment
                 .ring_stack(region.id)
                 .expect("regions have rings");
@@ -191,7 +188,6 @@ impl Cluster {
                     config.logging,
                     Duration::from_secs(5),
                 )),
-                shard,
             );
             let remote_peers: Vec<_> = deployment
                 .level2_siblings(region.id)
@@ -218,14 +214,12 @@ impl Cluster {
                 sim.add_node(
                     cpf_node(cpf),
                     Box::new(CpfNode::new(CpfCore::new(cpf_cfg), config.clone())),
-                    shard,
                 );
             }
             for &upf in &region.upfs {
                 sim.add_node(
                     upf_node(upf),
                     Box::new(UpfNode::new(UpfCore::with_cta(upf, region.cta), config.cpu)),
-                    shard,
                 );
             }
         }
@@ -329,8 +323,8 @@ impl Cluster {
     }
 
     /// Runs until `deadline`, consulting `chooser` at every point where
-    /// ≥2 deliveries are simultaneously enabled (small-model checking;
-    /// requires `shards = 1` — see `Sim::run_until_chosen`).
+    /// ≥2 deliveries are simultaneously enabled (small-model checking —
+    /// see `Sim::run_until_chosen`).
     pub fn run_until_chosen(
         &mut self,
         deadline: Instant,
@@ -514,5 +508,33 @@ impl Cluster {
             }
         }
         agg
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiment::ExperimentSpec;
+
+    /// The `benchmark/` shim: the eighth argument only ever admits 1.
+    #[test]
+    #[should_panic(expected = "shards must be 1")]
+    fn build_with_sim_rejects_a_shard_request() {
+        Cluster::build_with_sim(
+            SystemConfig::neutrino(),
+            RegionLayout::default(),
+            Workload::from_vec(Vec::new()),
+            UePopConfig::default(),
+            LinkProfile::default(),
+            SimConfig::default(),
+            0,
+            2,
+        );
+    }
+
+    #[test]
+    fn experiment_spec_shards_shim_defaults_to_one() {
+        let spec = ExperimentSpec::new(SystemConfig::neutrino(), Workload::from_vec(Vec::new()));
+        assert_eq!(spec.shards, 1);
     }
 }
