@@ -7,14 +7,13 @@
 //! cargo run -p neutrino-bench --bin repro --release -- all --quick   # small sweep
 //! cargo run -p neutrino-bench --bin repro --release -- all --json out.json
 //! cargo run -p neutrino-bench --bin repro --release -- all --jobs 8  # worker count
-//! cargo run -p neutrino-bench --bin repro --release -- all --bench-out BENCH_netsim.json
 //! cargo run -p neutrino-bench --bin repro --release -- fig10 --faults  # lossy links
 //! ```
 //!
 //! Figure cells run across a worker pool (`--jobs N`, default: all host
 //! cores); results are collected in input order, so the tables and the
-//! `--json` file are byte-identical to a `--jobs 1` run. `--bench-out`
-//! records engine throughput (events/sec, wall-clock) per figure cell.
+//! `--json` file are byte-identical to a `--jobs 1` run. Performance
+//! numbers come from `benchmark/`, not from here.
 //!
 //! Absolute latencies come from a calibrated simulator (DESIGN.md §3);
 //! the reproduction target is each figure's *shape*.
@@ -23,41 +22,8 @@ use neutrino_bench::figures::{
     ablation, appsfig, burst, failure, handover, logsize, overload, pct, serialization,
 };
 use neutrino_bench::figures::{PctPoint, Profile};
-use neutrino_bench::{render, schedbench, sweep};
-use neutrino_netsim::alloc_count;
-use serde::Serialize;
+use neutrino_bench::{render, sweep};
 use std::collections::BTreeMap;
-
-/// Engine throughput of one figure cell (`--bench-out`).
-#[derive(Debug, Serialize)]
-struct CellBench {
-    /// The cell's index in the figure's input order.
-    index: usize,
-    /// Simulation runs the cell executed.
-    sim_runs: usize,
-    /// Engine events processed across those runs.
-    events_processed: u64,
-    /// Host seconds the engine spent inside `run_until`.
-    sim_wall_s: f64,
-    /// Engine throughput in events per wall-clock second.
-    events_per_sec: f64,
-}
-
-/// One figure's perf record (`--bench-out`).
-#[derive(Debug, Serialize)]
-struct FigBench {
-    /// End-to-end wall seconds for the figure (includes sweep overhead).
-    wall_s: f64,
-    /// Engine events summed over every cell.
-    events_processed: u64,
-    /// Engine wall seconds summed over every cell (exceeds `wall_s` when
-    /// cells overlap on multiple workers).
-    sim_wall_s: f64,
-    /// Aggregate engine throughput: events over summed engine wall time.
-    events_per_sec: f64,
-    /// Per-cell breakdown in input order.
-    cells: Vec<CellBench>,
-}
 
 /// Every figure `repro` can regenerate, in `all` order.
 const FIGURES: [&str; 16] = [
@@ -66,9 +32,9 @@ const FIGURES: [&str; 16] = [
 ];
 
 const USAGE: &str = "usage: repro [all | FIGURE...] [--quick] [--huge] [--faults] [--jobs N] \
-[--json FILE] [--bench-out FILE]";
+[--json FILE]";
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Args {
     figs: Vec<String>,
     quick: bool,
@@ -76,12 +42,11 @@ struct Args {
     faults: bool,
     jobs: Option<usize>,
     json_path: Option<String>,
-    bench_path: Option<String>,
 }
 
 /// Parses the command line, rejecting anything it does not understand: a
-/// stale flag or a misspelt figure must fail the run, not silently change
-/// what it measures.
+/// stale flag, a misspelt figure, or a flag whose only figure is not in the
+/// selection must fail the run, not silently change what it measures.
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args::default();
     let mut all = false;
@@ -99,7 +64,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                 )
             }
             "--json" => args.json_path = Some(value("--json")?),
-            "--bench-out" => args.bench_path = Some(value("--bench-out")?),
             "all" => all = true,
             fig if FIGURES.contains(&fig) => args.figs.push(arg),
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
@@ -108,6 +72,16 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     }
     if all || args.figs.is_empty() {
         args.figs = FIGURES.iter().map(|f| f.to_string()).collect();
+    }
+    for (set, flag, fig) in [
+        (args.huge, "--huge", "fig9"),
+        (args.faults, "--faults", "fig10"),
+    ] {
+        if set && !args.figs.iter().any(|f| f == fig) {
+            return Err(format!(
+                "{flag} applies only to {fig}, which is not selected"
+            ));
+        }
     }
     Ok(args)
 }
@@ -120,7 +94,6 @@ fn main() {
         faults,
         jobs,
         json_path,
-        bench_path,
     } = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(e) => {
@@ -134,12 +107,8 @@ fn main() {
     let profile = if quick { Profile::Quick } else { Profile::Full };
 
     let mut json: BTreeMap<String, serde_json::Value> = BTreeMap::new();
-    let mut bench: BTreeMap<String, FigBench> = BTreeMap::new();
-    let run_started = std::time::Instant::now();
-    let allocs_at_start = alloc_count::current();
     for fig in &figs {
         let started = std::time::Instant::now();
-        let _ = sweep::take_cell_perf();
         match fig.as_str() {
             "fig3" => run_fig3(profile, &mut json),
             "fig7" => run_pct_fig(
@@ -204,40 +173,7 @@ fn main() {
             "overload" => run_overload(profile, &mut json),
             other => unreachable!("parse_args admitted unknown figure `{other}`"),
         }
-        let wall = started.elapsed();
-        let cells: Vec<CellBench> = sweep::take_cell_perf()
-            .into_iter()
-            .map(|c| CellBench {
-                index: c.index,
-                sim_runs: c.runs,
-                events_processed: c.events_processed,
-                sim_wall_s: c.sim_wall.as_secs_f64(),
-                events_per_sec: c.events_per_sec(),
-            })
-            .collect();
-        let events_processed: u64 = cells.iter().map(|c| c.events_processed).sum();
-        let sim_wall_s: f64 = cells.iter().map(|c| c.sim_wall_s).sum();
-        let events_per_sec = if sim_wall_s > 0.0 {
-            events_processed as f64 / sim_wall_s
-        } else {
-            0.0
-        };
-        eprintln!(
-            "[{fig} done in {:.1}s — {} engine events, {:.0} events/sec]",
-            wall.as_secs_f64(),
-            events_processed,
-            events_per_sec
-        );
-        bench.insert(
-            fig.clone(),
-            FigBench {
-                wall_s: wall.as_secs_f64(),
-                events_processed,
-                sim_wall_s,
-                events_per_sec,
-                cells,
-            },
-        );
+        eprintln!("[{fig} done in {:.1}s]", started.elapsed().as_secs_f64());
     }
 
     if let Some(path) = json_path {
@@ -245,106 +181,6 @@ fn main() {
         std::fs::write(&path, body).expect("write json");
         eprintln!("wrote {path}");
     }
-    if let Some(path) = bench_path {
-        write_bench(
-            &path,
-            &bench,
-            json.get("overload"),
-            run_started.elapsed(),
-            quick,
-            alloc_count::current() - allocs_at_start,
-        );
-    }
-}
-
-/// Writes the `--bench-out` perf report (BENCH_netsim.json shape).
-fn write_bench(
-    path: &str,
-    bench: &BTreeMap<String, FigBench>,
-    overload: Option<&serde_json::Value>,
-    total_wall: std::time::Duration,
-    quick: bool,
-    allocs: u64,
-) {
-    let events_processed: u64 = bench.values().map(|f| f.events_processed).sum();
-    let sim_wall_s: f64 = bench.values().map(|f| f.sim_wall_s).sum();
-    #[derive(Serialize)]
-    struct Totals {
-        wall_s: f64,
-        events_processed: u64,
-        sim_wall_s: f64,
-        events_per_sec: f64,
-    }
-    let totals = Totals {
-        wall_s: total_wall.as_secs_f64(),
-        events_processed,
-        sim_wall_s,
-        events_per_sec: if sim_wall_s > 0.0 {
-            events_processed as f64 / sim_wall_s
-        } else {
-            0.0
-        },
-    };
-    let mut report = vec![
-        (
-            "profile".to_string(),
-            serde_json::to_value(&if quick { "quick" } else { "full" }).expect("ser"),
-        ),
-        ("jobs".to_string(), serde_json::to_value(&sweep::jobs()).expect("ser")),
-        (
-            "host_cores".to_string(),
-            serde_json::to_value(
-                &std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            )
-            .expect("ser"),
-        ),
-        ("totals".to_string(), serde_json::to_value(&totals).expect("ser")),
-        (
-            // Process-wide heap allocations per engine event across the
-            // whole run. Nonzero only under `--features count-allocs`
-            // (the counting global allocator); 0.0 otherwise.
-            "allocs_per_event".to_string(),
-            serde_json::to_value(&if events_processed > 0 {
-                allocs as f64 / events_processed as f64
-            } else {
-                0.0
-            })
-            .expect("ser"),
-        ),
-        ("figures".to_string(), serde_json::to_value(bench).expect("ser")),
-    ];
-    // Scheduler microbench: the calendar-queue wheel vs. the binary-heap
-    // reference on the shared engine-like workload (same drivers as
-    // `cargo bench --bench wheel`), at a small and a large pending set.
-    let sched_ops: u64 = if quick { 200_000 } else { 2_000_000 };
-    let engine_wheel: Vec<schedbench::SchedBenchPoint> = [64u64, 4096]
-        .iter()
-        .map(|&pending| schedbench::measure(sched_ops, pending))
-        .collect();
-    for p in &engine_wheel {
-        eprintln!(
-            "[engine_wheel pending={}: wheel {:.1}M ops/s, heap {:.1}M ops/s, speedup {:.2}x]",
-            p.pending,
-            p.wheel_ops_per_sec / 1e6,
-            p.heap_ops_per_sec / 1e6,
-            p.speedup
-        );
-    }
-    report.push((
-        "engine_wheel".to_string(),
-        serde_json::to_value(&engine_wheel).expect("ser"),
-    ));
-    // Overload throughput/latency percentiles (admitted vs offered, p50/p99
-    // by class) ride along whenever the `overload` figure ran.
-    if let Some(points) = overload {
-        report.push(("overload".to_string(), points.clone()));
-    }
-    let report = serde_json::Value::Map(report);
-    let body = serde_json::to_string_pretty(&report).expect("serializable");
-    std::fs::write(path, body).expect("write bench json");
-    eprintln!("wrote {path}");
 }
 
 fn run_ablation(json: &mut BTreeMap<String, serde_json::Value>) {
@@ -597,5 +433,46 @@ fn format_x(x: u64) -> String {
         format!("{}K", x / 1_000)
     } else {
         x.to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn single_figure_flags_parse_when_their_figure_is_selected() {
+        let args = parse(&["fig10", "--faults", "--quick"]).unwrap();
+        assert_eq!(args.figs, ["fig10"]);
+        assert!(args.faults && args.quick && !args.huge);
+        let args = parse(&["fig8", "fig9", "--huge"]).unwrap();
+        assert_eq!(args.figs, ["fig8", "fig9"]);
+        assert!(args.huge && !args.faults);
+    }
+
+    #[test]
+    fn all_and_the_empty_selection_contain_both_flagged_figures() {
+        for cmdline in [
+            &["all", "--faults", "--huge"][..],
+            &["--faults", "--huge", "--quick"],
+            &["fig8", "all", "--faults"],
+        ] {
+            let args = parse(cmdline).unwrap();
+            assert_eq!(args.figs, FIGURES);
+        }
+    }
+
+    /// `tests/repro_cli.rs` covers the `fig8` rejections end to end; this
+    /// pins that each flag is bound to its own figure, not to either.
+    #[test]
+    fn each_single_figure_flag_needs_its_own_figure() {
+        for (fig, flag) in [("fig9", "--faults"), ("fig10", "--huge")] {
+            let err = parse(&[fig, flag]).unwrap_err();
+            assert!(err.contains(flag), "{fig} {flag}: {err}");
+        }
     }
 }

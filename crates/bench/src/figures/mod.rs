@@ -24,11 +24,11 @@ pub struct PctPoint {
     pub summary: Summary,
 }
 
-/// Shared experiment sizing. `quick` keeps unit tests and criterion
-/// iterations affordable; the full profile regenerates the paper's series.
+/// Shared experiment sizing. `quick` keeps unit tests and smoke runs
+/// affordable; the full profile regenerates the paper's series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
-    /// Small: for tests and criterion.
+    /// Small: for tests and smoke runs.
     Quick,
     /// Full: the paper's x-axes.
     Full,

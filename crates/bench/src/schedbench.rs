@@ -1,29 +1,12 @@
-//! Scheduler microbench core: calendar-queue wheel vs. binary-heap
+//! Scheduler microbench drivers: calendar-queue wheel vs. binary-heap
 //! reference on a shared deterministic workload.
 //!
-//! Both the `wheel` criterion bench and `repro --bench-out` (the
-//! `engine_wheel` key in BENCH_netsim.json) run these drivers, so the
-//! numbers they report come from the identical push/pop schedule.
+//! `benchmark/` times these drivers for its
+//! `netsim.{wheel,heap}_ns_per_op.*` metrics, so both columns come from
+//! the identical push/pop schedule.
 
 use neutrino_common::time::Instant;
 use neutrino_netsim::{ReferenceHeap, SchedKey, Wheel};
-use serde::Serialize;
-
-/// One measured wheel-vs-heap comparison (`engine_wheel` entries in
-/// BENCH_netsim.json).
-#[derive(Debug, Serialize)]
-pub struct SchedBenchPoint {
-    /// Keys resident in the scheduler throughout the run.
-    pub pending: u64,
-    /// Push+pop pairs timed.
-    pub ops: u64,
-    /// Wheel throughput in push+pop operations per second.
-    pub wheel_ops_per_sec: f64,
-    /// Binary-heap reference throughput in push+pop operations per second.
-    pub heap_ops_per_sec: f64,
-    /// `wheel_ops_per_sec / heap_ops_per_sec`.
-    pub speedup: f64,
-}
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -89,33 +72,6 @@ pub fn drive_heap(total: u64, pending: u64) -> u64 {
         seq += 1;
     }
     sum
-}
-
-/// Times wheel-vs-heap at `pending` resident keys over `total` push+pop
-/// pairs. Asserts the two dispatch identically (the wheel's contract)
-/// before timing, so the comparison is purely data-structure cost.
-pub fn measure(total: u64, pending: u64) -> SchedBenchPoint {
-    assert_eq!(
-        drive_wheel(total.min(100_000), pending),
-        drive_heap(total.min(100_000), pending),
-        "wheel and heap must dispatch identically"
-    );
-    let start = std::time::Instant::now();
-    let s1 = drive_wheel(total, pending);
-    let wheel_secs = start.elapsed().as_secs_f64();
-    let start = std::time::Instant::now();
-    let s2 = drive_heap(total, pending);
-    let heap_secs = start.elapsed().as_secs_f64();
-    assert_eq!(s1, s2, "wheel and heap must dispatch identically");
-    let wheel_ops_per_sec = total as f64 / wheel_secs;
-    let heap_ops_per_sec = total as f64 / heap_secs;
-    SchedBenchPoint {
-        pending,
-        ops: total,
-        wheel_ops_per_sec,
-        heap_ops_per_sec,
-        speedup: heap_secs / wheel_secs,
-    }
 }
 
 #[cfg(test)]

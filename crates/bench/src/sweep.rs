@@ -8,12 +8,8 @@
 //! the worker count.
 //!
 //! The worker count comes from [`set_jobs`] (the `repro --jobs N` flag) and
-//! defaults to [`std::thread::available_parallelism`]. Workers also drain
-//! the engine's per-run perf records ([`drain_run_perf`]) around each cell,
-//! so `repro --bench-out` can attribute simulator events/sec to individual
-//! figure cells; see [`take_cell_perf`].
+//! defaults to [`std::thread::available_parallelism`].
 
-use neutrino_core::experiment::drain_run_perf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -22,36 +18,6 @@ pub type Cell<T> = Box<dyn FnOnce() -> T + Send>;
 
 /// Configured worker count; 0 = auto (`available_parallelism`).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Engine perf attributed to the cells of the most recent sweep(s).
-static CELL_PERF: Mutex<Vec<CellPerf>> = Mutex::new(Vec::new());
-
-/// Engine throughput of one executed cell (summed over the simulation runs
-/// the cell performed — failure cells, for instance, run one experiment;
-/// a cell that runs none reports zeros).
-#[derive(Debug, Clone, Copy)]
-pub struct CellPerf {
-    /// The cell's index in its sweep's input order.
-    pub index: usize,
-    /// Simulation runs the cell executed.
-    pub runs: usize,
-    /// Engine events processed across those runs.
-    pub events_processed: u64,
-    /// Host time the engine spent inside `run_until` across those runs.
-    pub sim_wall: std::time::Duration,
-}
-
-impl CellPerf {
-    /// Engine throughput of this cell in events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.sim_wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.events_processed as f64 / secs
-        }
-    }
-}
 
 /// Overrides the worker count for all subsequent sweeps (0 = auto).
 pub fn set_jobs(jobs: usize) {
@@ -69,13 +35,6 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Drains the per-cell engine perf accumulated since the last call.
-pub fn take_cell_perf() -> Vec<CellPerf> {
-    let mut perf = std::mem::take(&mut *CELL_PERF.lock().unwrap());
-    perf.sort_by_key(|p| p.index);
-    perf
-}
-
 /// Executes `cells` across the configured worker pool, returning results in
 /// input order. With one worker (or one cell) this degenerates to a plain
 /// sequential loop on the calling thread.
@@ -88,11 +47,7 @@ pub fn run_cells_with<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> Vec<T> {
     let n = cells.len();
     let jobs = jobs.max(1).min(n.max(1));
     if jobs <= 1 {
-        return cells
-            .into_iter()
-            .enumerate()
-            .map(|(index, cell)| run_one(index, cell))
-            .collect();
+        return cells.into_iter().map(|cell| cell()).collect();
     }
 
     // Work queue in reverse so `pop()` hands cells out in input order;
@@ -105,7 +60,7 @@ pub fn run_cells_with<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> Vec<T> {
             s.spawn(|| loop {
                 let next = queue.lock().unwrap().pop();
                 let Some((index, cell)) = next else { break };
-                let out = run_one(index, cell);
+                let out = cell();
                 results.lock().unwrap()[index] = Some(out);
             });
         }
@@ -116,24 +71,6 @@ pub fn run_cells_with<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> Vec<T> {
         .into_iter()
         .map(|r| r.expect("worker pool ran every cell"))
         .collect()
-}
-
-/// Runs one cell on the current thread, attributing the engine perf of the
-/// simulation runs it performs.
-fn run_one<T>(index: usize, cell: Cell<T>) -> T {
-    // Anything left over belongs to no cell (e.g. a direct run_experiment
-    // call outside a sweep); discard so attribution stays per-cell.
-    let _ = drain_run_perf();
-    let out = cell();
-    let runs = drain_run_perf();
-    let perf = CellPerf {
-        index,
-        runs: runs.len(),
-        events_processed: runs.iter().map(|r| r.events_processed).sum(),
-        sim_wall: runs.iter().map(|r| r.wall).sum(),
-    };
-    CELL_PERF.lock().unwrap().push(perf);
-    out
 }
 
 #[cfg(test)]

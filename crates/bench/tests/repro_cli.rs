@@ -1,6 +1,7 @@
-//! `repro` must fail loudly on input it does not understand: a stale flag
-//! or a misspelt figure exits non-zero before any figure runs, instead of
-//! silently measuring something else.
+//! `repro` must fail loudly on input it does not understand: a stale flag,
+//! a misspelt figure, or a flag whose figure is not selected exits with
+//! status 2 before any figure runs, instead of silently measuring something
+//! else.
 
 use std::process::Command;
 
@@ -12,7 +13,7 @@ fn assert_rejected(args: &[&str], needle: &str) {
         .output()
         .expect("spawn repro");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "repro {args:?} must exit non-zero");
+    assert_eq!(out.status.code(), Some(2), "repro {args:?} must exit 2");
     assert!(
         out.stdout.is_empty(),
         "repro {args:?} must not run a figure"
@@ -44,4 +45,22 @@ fn wrong_case_figure_is_rejected_not_widened_to_all() {
 #[test]
 fn misspelt_figure_is_rejected() {
     assert_rejected(&["fig8", "fig99", "--quick"], "unknown figure `fig99`");
+}
+
+#[test]
+fn removed_bench_out_flag_is_rejected() {
+    assert_rejected(
+        &["fig8", "--quick", "--bench-out", "x.json"],
+        "unknown flag `--bench-out`",
+    );
+}
+
+#[test]
+fn faults_without_fig10_is_rejected() {
+    assert_rejected(&["fig8", "--faults"], "--faults applies only to fig10");
+}
+
+#[test]
+fn huge_without_fig9_is_rejected() {
+    assert_rejected(&["fig8", "--huge"], "--huge applies only to fig9");
 }

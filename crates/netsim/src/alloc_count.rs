@@ -1,14 +1,14 @@
 //! Process-wide allocation counter hook for the allocs-per-event metric.
 //!
 //! This crate forbids `unsafe`, so the counting `GlobalAlloc` wrapper
-//! lives in `crates/bench` behind its `count-allocs` feature; it reports
-//! every allocation here. The engine samples the counter around
-//! [`crate::Sim::run_until`] (two relaxed loads per call) and surfaces
-//! the delta as [`crate::SimStats::allocs`]. Without a counting allocator
-//! installed the counter stays at zero and the metric reads 0.
+//! lives with whichever binary measures (today
+//! `benchmark/src/alloc_meter.rs`); it reports every allocation here. The
+//! engine samples the counter around [`crate::Sim::run_until`] (two
+//! relaxed loads per call) and surfaces the delta as
+//! [`crate::SimStats::allocs`]. Without a counting allocator installed
+//! the counter stays at zero and the metric reads 0.
 //!
-//! The counter never feeds simulated state — it is observability-only,
-//! like the wall-clock events/sec timer.
+//! The counter never feeds simulated state — it is observability-only.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -243,8 +243,6 @@ pub struct Sim<M> {
     links: Links,
     config: SimConfig,
     events_processed: u64,
-    /// Host time spent inside `run_until`, for events/sec reporting.
-    wall: std::time::Duration,
     /// Heap allocations observed across `run_until` calls (zero unless a
     /// counting allocator reports into [`crate::alloc_count`]).
     allocs: u64,
@@ -287,7 +285,6 @@ impl<M: Clone + 'static> Sim<M> {
             links,
             config,
             events_processed: 0,
-            wall: std::time::Duration::ZERO,
             allocs: 0,
             dropped_loss: 0,
             dropped_partition: 0,
@@ -318,11 +315,10 @@ impl<M: Clone + 'static> Sim<M> {
         self.events_processed
     }
 
-    /// Engine-level throughput counters for this simulation so far.
+    /// Engine-level counters for this simulation so far.
     pub fn sim_stats(&self) -> SimStats {
         SimStats {
             events_processed: self.events_processed,
-            wall: self.wall,
             dropped_loss: self.dropped_loss,
             dropped_partition: self.dropped_partition,
             duplicated: self.duplicated,
@@ -643,20 +639,14 @@ impl<M: Clone + 'static> Sim<M> {
     pub fn run_until(&mut self, deadline: Instant) -> Instant {
         /// Events dispatched between budget checks.
         const SLICE: u64 = 1024;
-        // The engine's only wall-clock read: one start sample per call (plus
-        // `.elapsed()` at the exits), batched across the whole dispatch run —
-        // observability-only, never feeds simulated state.
-        // lint-allow(wall-clock): observability-only events/sec wall timer; never feeds simulated state
-        let wall_start = std::time::Instant::now();
         let alloc_start = crate::alloc_count::current();
         let mut slice_left = 0u64;
         loop {
             if slice_left == 0 {
                 if self.events_processed > self.config.max_events {
-                    // Symmetric with the normal exit below: both samples
-                    // must land before unwinding, or allocs_per_event()
-                    // silently under-reports on budget-truncated runs.
-                    self.wall += wall_start.elapsed();
+                    // Symmetric with the normal exit below: the sample must
+                    // land before unwinding, or `SimStats::allocs` silently
+                    // under-reports on budget-truncated runs.
                     self.allocs += crate::alloc_count::current().wrapping_sub(alloc_start);
                     self.panic_event_budget(self.now);
                 }
@@ -680,7 +670,6 @@ impl<M: Clone + 'static> Sim<M> {
             self.now = key.at;
             self.dispatch(kind);
         }
-        self.wall += wall_start.elapsed();
         self.allocs += crate::alloc_count::current().wrapping_sub(alloc_start);
         self.now
     }
@@ -1358,7 +1347,7 @@ mod tests {
     }
 
     /// Pin: the budget-panic exit must take the same allocation sample the
-    /// normal exit takes, or `allocs_per_event()` silently reads zero for
+    /// normal exit takes, or `SimStats::allocs` silently reads zero for
     /// exactly the truncated runs whose panic message people debug with.
     #[test]
     fn budget_panic_exit_still_accumulates_allocs() {
@@ -1522,7 +1511,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_stats_tracks_events_and_wall_clock() {
+    fn sim_stats_tracks_events_and_depths() {
         let (mut sim, _a, b) = two_node_sim(Duration::from_micros(5), Duration::from_micros(20));
         for i in 0..100 {
             sim.inject_at(Instant::from_micros(i), b, i);
@@ -1531,7 +1520,12 @@ mod tests {
         let stats = sim.sim_stats();
         assert_eq!(stats.events_processed, sim.events_processed());
         assert!(stats.events_processed > 100);
-        assert!(stats.events_per_sec() >= 0.0);
+        // All 100 injections are scheduled up front; arriving 1 µs apart
+        // against a 5 µs service time, they back up behind the single core.
+        assert!(stats.max_sched_depth >= 100);
+        assert!(stats.max_queue_depth > 1);
+        assert_eq!(stats.max_queue_depth, sim.stats(b).unwrap().max_queue_depth);
+        assert_eq!(stats.dropped_unroutable, 0);
     }
 
     #[test]

@@ -43,17 +43,15 @@ impl NodeStats {
     }
 }
 
-/// Engine-level throughput counters: how fast the simulator itself runs,
-/// as opposed to what happens inside the simulated time line.
-///
-/// Not serialized into figure outputs — wall-clock numbers vary run to run
-/// and would break byte-identical result files.
+/// Engine-level counters: how much work the simulator itself did, as
+/// opposed to what happens inside the simulated time line. All of them are
+/// deterministic except `allocs`, which depends on the host allocator;
+/// none is a host time — a caller that wants events/s times `run_until`
+/// itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimStats {
     /// Events popped from the queue since the simulation was created.
     pub events_processed: u64,
-    /// Host time spent inside `run_until` across all calls.
-    pub wall: std::time::Duration,
     /// Transmissions dropped by the fault layer's loss probability.
     pub dropped_loss: u64,
     /// Transmissions dropped inside a partition window.
@@ -71,47 +69,15 @@ pub struct SimStats {
     /// Peak number of simultaneously scheduled events in the calendar
     /// queue (scheduler pressure, distinct from per-node backlog above).
     pub max_sched_depth: u64,
-    /// Heap allocations observed during `run_until`, when the bench
-    /// crate's `count-allocs` counting allocator is installed; 0 otherwise.
+    /// Heap allocations observed during `run_until`, when the running
+    /// binary installs a counting allocator that reports into
+    /// [`crate::alloc_count`]; 0 otherwise.
     pub allocs: u64,
-}
-
-impl SimStats {
-    /// Simulator throughput in events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.events_processed as f64 / secs
-        }
-    }
-
-    /// Mean heap allocations per processed event (0 unless counting).
-    pub fn allocs_per_event(&self) -> f64 {
-        if self.events_processed == 0 {
-            0.0
-        } else {
-            self.allocs as f64 / self.events_processed as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_per_sec_guards_zero_wall() {
-        let s = SimStats::default();
-        assert_eq!(s.events_per_sec(), 0.0);
-        let s = SimStats {
-            events_processed: 1000,
-            wall: std::time::Duration::from_millis(500),
-            ..SimStats::default()
-        };
-        assert!((s.events_per_sec() - 2000.0).abs() < 1e-6);
-    }
 
     #[test]
     fn mean_wait_handles_empty() {

@@ -12,7 +12,6 @@ use neutrino_cta::CtaMetrics;
 use neutrino_geo::RegionLayout;
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_netsim::{SimConfig, SimStats};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// A CPF failure injection.
@@ -67,26 +66,6 @@ impl ExperimentSpec {
     }
 }
 
-/// Engine-level perf record of one `run_experiment` call, accumulated in a
-/// thread-local so a sweep worker can attribute simulator throughput to the
-/// figure cell it just executed (cells run wholly on one worker thread).
-#[derive(Debug, Clone, Copy)]
-pub struct RunPerf {
-    /// Events the engine processed during the run.
-    pub events_processed: u64,
-    /// Host time the engine spent inside `run_until`.
-    pub wall: std::time::Duration,
-}
-
-thread_local! {
-    static RUN_PERF: RefCell<Vec<RunPerf>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Drains the calling thread's accumulated per-run perf records.
-pub fn drain_run_perf() -> Vec<RunPerf> {
-    RUN_PERF.with(|p| std::mem::take(&mut *p.borrow_mut()))
-}
-
 /// Results of one run.
 #[derive(Debug)]
 pub struct RunResults {
@@ -125,8 +104,8 @@ pub struct RunResults {
     pub cta: CtaMetrics,
     /// Aggregated CPF counters.
     pub cpf: CpfMetrics,
-    /// Engine throughput for this run (events processed, wall time). Not
-    /// serialized into figure outputs — wall-clock varies run to run.
+    /// Engine counters for this run (events processed, fault draws,
+    /// scheduler depth).
     pub sim: SimStats,
     /// Cross-node consistency audit: one pass shortly after each injected
     /// failure plus a final pass at the end of the run. `None` when the run
@@ -227,12 +206,6 @@ pub fn run_experiment(spec: ExperimentSpec) -> RunResults {
         Some(report)
     };
     let sim = cluster.sim.sim_stats();
-    RUN_PERF.with(|p| {
-        p.borrow_mut().push(RunPerf {
-            events_processed: sim.events_processed,
-            wall: sim.wall,
-        })
-    });
     let results = cluster.take_results();
     let cta = cluster.cta_metrics();
     let max_queue_depth = cluster.max_control_queue_depth();
