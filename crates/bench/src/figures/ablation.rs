@@ -2,6 +2,7 @@
 //! N, and the inter-region latency sensitivity of failure recovery — the
 //! tradeoffs §4.3's footnote 14 alludes to.
 
+use super::failure::failure_cell_outcome;
 use crate::sweep::{run_cells, Cell};
 use neutrino_common::stats::Summary;
 use neutrino_common::time::Duration;
@@ -82,7 +83,7 @@ pub fn inter_region_sweep(rate_pps: u64, duration: Duration) -> Vec<LatencyPoint
                     ..LinkProfile::default()
                 };
                 let mut pct =
-                    failure_cell_with_links(SystemConfig::neutrino(), rate_pps, duration, links);
+                    failure_cell_outcome(SystemConfig::neutrino(), rate_pps, duration, links).pct;
                 LatencyPoint {
                     inter_region_us: us,
                     neutrino_failure_p50_ms: pct.median(),
@@ -91,18 +92,6 @@ pub fn inter_region_sweep(rate_pps: u64, duration: Duration) -> Vec<LatencyPoint
         })
         .collect();
     run_cells(cells)
-}
-
-/// `failure_cell` with an explicit link profile.
-pub fn failure_cell_with_links(
-    config: SystemConfig,
-    rate_pps: u64,
-    duration: Duration,
-    links: LinkProfile,
-) -> neutrino_common::stats::Percentiles {
-    // Delegate through the failure module's machinery by temporarily
-    // re-running its cell with modified links.
-    crate::figures::failure::failure_cell_links(config, rate_pps, duration, links)
 }
 
 #[cfg(test)]

@@ -75,28 +75,14 @@ pub fn paper_fault_profile() -> neutrino_netsim::FaultSpec {
     }
 }
 
-/// One cell: handover PCT distribution of the probes under failure.
+/// One cell on the default links: handover PCT distribution of the probes
+/// under failure.
 pub fn failure_cell(config: SystemConfig, rate_pps: u64, duration: Duration) -> Percentiles {
-    failure_cell_links(
-        config,
-        rate_pps,
-        duration,
-        neutrino_core::LinkProfile::default(),
-    )
+    failure_cell_outcome(config, rate_pps, duration, neutrino_core::LinkProfile::default()).pct
 }
 
-/// [`failure_cell`] with an explicit link profile (latency ablations).
-pub fn failure_cell_links(
-    config: SystemConfig,
-    rate_pps: u64,
-    duration: Duration,
-    links: neutrino_core::LinkProfile,
-) -> Percentiles {
-    failure_cell_outcome(config, rate_pps, duration, links).pct
-}
-
-/// [`failure_cell_links`] returning the full [`FailureOutcome`] (audit and
-/// retry counters included).
+/// One cell on an explicit link profile, returning the full
+/// [`FailureOutcome`] (audit and retry counters included).
 pub fn failure_cell_outcome(
     config: SystemConfig,
     rate_pps: u64,
@@ -208,6 +194,23 @@ pub struct FailurePoint {
     pub failed_procedures: u64,
 }
 
+impl FailurePoint {
+    /// The point of `system` at background rate `x` from its cell's outcome.
+    pub fn new(x: u64, system: &str, mut outcome: FailureOutcome) -> Self {
+        FailurePoint {
+            x,
+            system: system.to_string(),
+            summary: outcome.pct.summary(),
+            audit_passes: outcome.audit_passes,
+            audit_divergences: outcome.audit_divergences,
+            audit_ues_checked: outcome.audit_ues_checked,
+            retransmissions: outcome.retransmissions,
+            resyncs_requested: outcome.resyncs_requested,
+            failed_procedures: outcome.failed_procedures,
+        }
+    }
+}
+
 /// [`fig10`] under seeded link faults: every link additionally drops,
 /// duplicates, and reorders messages per `faults`. Neutrino cells must
 /// audit clean; re-attach baselines report their inconsistency windows as
@@ -224,18 +227,7 @@ pub fn fig10_with(profile: Profile, faults: neutrino_netsim::FaultSpec) -> Vec<F
         for config in [SystemConfig::existing_epc(), SystemConfig::neutrino()] {
             cells.push(Box::new(move || {
                 let name = config.name;
-                let mut o = failure_cell_outcome(config, rate, duration, links);
-                FailurePoint {
-                    x: rate,
-                    system: name.to_string(),
-                    summary: o.pct.summary(),
-                    audit_passes: o.audit_passes,
-                    audit_divergences: o.audit_divergences,
-                    audit_ues_checked: o.audit_ues_checked,
-                    retransmissions: o.retransmissions,
-                    resyncs_requested: o.resyncs_requested,
-                    failed_procedures: o.failed_procedures,
-                }
+                FailurePoint::new(rate, name, failure_cell_outcome(config, rate, duration, links))
             }));
         }
     }

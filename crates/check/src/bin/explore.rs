@@ -29,7 +29,7 @@ use neutrino_check::flowcov::{self, CoverageReport};
 use neutrino_check::run::{run_case, CheckReport};
 use neutrino_check::scenario::{plan_by_name, CasePlan, Scenario, SMALL_MODEL_NAMES};
 use neutrino_check::shrink::shrink;
-use neutrino_check::{explore_exhaustive, McheckOptions, ALL_INVARIANTS};
+use neutrino_check::{explore_exhaustive, McheckOptions, CATALOG};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -126,8 +126,8 @@ fn list() {
         println!("  {name}");
     }
     println!("invariants:");
-    for i in ALL_INVARIANTS {
-        println!("  {i}");
+    for row in CATALOG {
+        println!("  {}", row.name);
     }
 }
 

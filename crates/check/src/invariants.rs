@@ -1,10 +1,13 @@
 //! The invariant catalog.
 //!
 //! Each entry implements [`neutrino_core::Invariant`] and inspects the
-//! paused cluster read-only. The catalog complements the consistency audit
-//! (which `neutrino-core` exposes as [`ConsistencyInvariant`]) with
-//! liveness- and resource-style properties that hold for *every* system,
-//! not just Neutrino:
+//! paused cluster read-only. [`CATALOG`] is the one place an invariant is
+//! registered: a row is its stable name plus the constructor for a run of
+//! a given plan, so a name without an implementation cannot be written and
+//! an implementation no row constructs is a `dead_code` error (the structs
+//! are private). The catalog pairs the consistency audit with liveness-
+//! and resource-style properties that hold for *every* system, not just
+//! Neutrino:
 //!
 //! | name                     | property                                              |
 //! |--------------------------|-------------------------------------------------------|
@@ -19,67 +22,78 @@
 //! | `no-retry-amplification` | at most one client re-offer per reject, drop-bounded retries |
 
 use crate::scenario::CasePlan;
+use neutrino_core::audit::{audit_cluster, Divergence};
 use neutrino_core::simnode::{cta_node, upf_node, CtaNode, UpfNode};
-use neutrino_core::{ConsistencyInvariant, Invariant, OracleCtx, Violation};
+use neutrino_core::{Invariant, OracleCtx, Violation};
 use neutrino_cta::admission::priority_order_violation;
 use std::collections::{BTreeMap, HashSet};
 
-/// Catalog name of [`NoLostProcedure`].
-pub const NO_LOST_PROCEDURE: &str = "no-lost-procedure";
-/// Catalog name of [`BoundedStall`].
-pub const BOUNDED_STALL: &str = "bounded-stall";
-/// Catalog name of [`SessionOwnership`].
-pub const SESSION_OWNERSHIP: &str = "session-ownership";
-/// Catalog name of [`BoundedRetry`].
-pub const BOUNDED_RETRY: &str = "bounded-retry";
-/// Catalog name of [`MonotonicCheckpoint`].
-pub const MONOTONIC_CHECKPOINT: &str = "monotonic-checkpoint";
-/// Catalog name of [`BoundedQueue`].
-pub const BOUNDED_QUEUE: &str = "bounded-queue";
-/// Catalog name of [`ShedPriorityOrder`].
-pub const SHED_PRIORITY_ORDER: &str = "shed-priority-order";
-/// Catalog name of [`NoRetryAmplification`].
-pub const NO_RETRY_AMPLIFICATION: &str = "no-retry-amplification";
-
-/// Every catalog name, including the core crate's `consistency`.
-pub const ALL_INVARIANTS: &[&str] = &[
-    neutrino_core::oracle::CONSISTENCY,
-    NO_LOST_PROCEDURE,
-    BOUNDED_STALL,
-    SESSION_OWNERSHIP,
-    BOUNDED_RETRY,
-    MONOTONIC_CHECKPOINT,
-    BOUNDED_QUEUE,
-    SHED_PRIORITY_ORDER,
-    NO_RETRY_AMPLIFICATION,
-];
-
-/// Instantiates a fresh invariant by catalog name.
-pub fn invariant_by_name(name: &str) -> Option<Box<dyn Invariant>> {
-    match name {
-        n if n == neutrino_core::oracle::CONSISTENCY => Some(Box::<ConsistencyInvariant>::default()),
-        NO_LOST_PROCEDURE => Some(Box::<NoLostProcedure>::default()),
-        BOUNDED_STALL => Some(Box::<BoundedStall>::default()),
-        SESSION_OWNERSHIP => Some(Box::<SessionOwnership>::default()),
-        BOUNDED_RETRY => Some(Box::<BoundedRetry>::default()),
-        MONOTONIC_CHECKPOINT => Some(Box::<MonotonicCheckpoint>::default()),
-        BOUNDED_QUEUE => Some(Box::<BoundedQueue>::default()),
-        SHED_PRIORITY_ORDER => Some(Box::<ShedPriorityOrder>::default()),
-        NO_RETRY_AMPLIFICATION => Some(Box::<NoRetryAmplification>::default()),
-        _ => None,
-    }
+/// One catalog row.
+pub struct CatalogRow {
+    /// Stable catalog name (scenario specs, corpus files, violation traces).
+    pub name: &'static str,
+    /// Fresh instance configured for one run of `plan`.
+    pub build: fn(&CasePlan) -> Box<dyn Invariant>,
 }
 
-/// Instantiates an invariant configured for a specific plan: the
-/// `bounded-queue` cap comes from the plan's storm block when present.
-/// Falls back to [`invariant_by_name`] defaults otherwise.
-pub fn invariant_for_case(name: &str, plan: &CasePlan) -> Option<Box<dyn Invariant>> {
-    if name == BOUNDED_QUEUE {
-        if let Some(storm) = &plan.storm {
-            return Some(Box::new(BoundedQueue::with_cap(storm.queue_cap)));
-        }
+/// Every invariant the harness can check.
+pub const CATALOG: &[CatalogRow] = &[
+    CatalogRow { name: "consistency", build: |_| Box::new(Consistency) },
+    CatalogRow { name: "no-lost-procedure", build: |_| Box::new(NoLostProcedure) },
+    CatalogRow { name: "bounded-stall", build: |_| Box::new(BoundedStall) },
+    CatalogRow { name: "session-ownership", build: |_| Box::new(SessionOwnership) },
+    CatalogRow { name: "bounded-retry", build: |_| Box::new(BoundedRetry) },
+    CatalogRow {
+        name: "monotonic-checkpoint",
+        build: |_| Box::<MonotonicCheckpoint>::default(),
+    },
+    CatalogRow { name: "bounded-queue", build: |plan| Box::new(BoundedQueue::for_plan(plan)) },
+    CatalogRow { name: "shed-priority-order", build: |_| Box::new(ShedPriorityOrder) },
+    CatalogRow { name: "no-retry-amplification", build: |_| Box::new(NoRetryAmplification) },
+];
+
+/// Instantiates the invariant called `name` for a run of `plan`.
+pub fn build(name: &str, plan: &CasePlan) -> Option<Box<dyn Invariant>> {
+    CATALOG.iter().find(|row| row.name == name).map(|row| (row.build)(plan))
+}
+
+/// The end-of-run consistency audit as an in-run invariant: at every pass,
+/// each UE the CTA saw complete a procedure must be servable from some live
+/// CPF at (or beyond) that procedure, or rebuildable by log replay, and no
+/// UPF session may be orphaned. Neutrino maintains this *continuously*;
+/// re-attach baselines do not.
+struct Consistency;
+
+impl Invariant for Consistency {
+    fn name(&self) -> &'static str {
+        "consistency"
     }
-    invariant_by_name(name)
+
+    fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
+        let report = audit_cluster(ctx.cluster);
+        report
+            .divergences
+            .into_iter()
+            .map(|d| Violation {
+                invariant: self.name(),
+                at: ctx.now,
+                ue: Some(d.ue()),
+                detail: match d {
+                    Divergence::MissingState { expected, .. } => {
+                        format!("no live copy; CTA expects procedure {}", expected.raw())
+                    }
+                    Divergence::StaleState { held, expected, .. } => format!(
+                        "freshest live copy at procedure {}, CTA expects {}, replay cannot close",
+                        held.raw(),
+                        expected.raw()
+                    ),
+                    Divergence::OrphanedSession { upf, .. } => {
+                        format!("orphaned session at UPF {}", upf.raw())
+                    }
+                },
+            })
+            .collect()
+    }
 }
 
 /// End-of-run liveness: after the drain margin, no procedure may still be
@@ -87,12 +101,11 @@ pub fn invariant_for_case(name: &str, plan: &CasePlan) -> Option<Box<dyn Invaria
 /// procedure from the log (pruned procedures silently lost their
 /// replication). Final pass only — mid-run there are always procedures in
 /// flight.
-#[derive(Debug, Default)]
-pub struct NoLostProcedure;
+struct NoLostProcedure;
 
 impl Invariant for NoLostProcedure {
     fn name(&self) -> &'static str {
-        NO_LOST_PROCEDURE
+        "no-lost-procedure"
     }
 
     fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
@@ -106,7 +119,7 @@ impl Invariant for NoLostProcedure {
             .active_procedures()
             .into_iter()
             .map(|(ue, started, _, retries)| Violation {
-                invariant: NO_LOST_PROCEDURE,
+                invariant: self.name(),
                 at: now,
                 ue: Some(ue),
                 detail: format!(
@@ -119,7 +132,7 @@ impl Invariant for NoLostProcedure {
         let pruned = ctx.cluster.cta_metrics().timeout_pruned;
         if pruned > 0 {
             out.push(Violation {
-                invariant: NO_LOST_PROCEDURE,
+                invariant: self.name(),
                 at: now,
                 ue: None,
                 detail: format!("CTA ACK-timeout scan pruned {pruned} procedures from the log"),
@@ -134,8 +147,7 @@ impl Invariant for NoLostProcedure {
 /// until the UE gives up and re-attaches (which itself counts as
 /// progress). A procedure stalled well past that bound means a timer was
 /// lost or the retry path is wedged.
-#[derive(Debug, Default)]
-pub struct BoundedStall;
+struct BoundedStall;
 
 /// Slack multiplier on top of the give-up deadline: covers timer
 /// re-arming and the re-attach hop before declaring the machinery dead.
@@ -143,7 +155,7 @@ const STALL_SLACK_RETRIES: u64 = 4;
 
 impl Invariant for BoundedStall {
     fn name(&self) -> &'static str {
-        BOUNDED_STALL
+        "bounded-stall"
     }
 
     fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
@@ -156,7 +168,7 @@ impl Invariant for BoundedStall {
             .filter_map(|(ue, _, last_progress, retries)| {
                 let stall_ns = now.saturating_since(last_progress).as_nanos();
                 (stall_ns > bound_ns).then(|| Violation {
-                    invariant: BOUNDED_STALL,
+                    invariant: self.name(),
                     at: now,
                     ue: Some(ue),
                     detail: format!(
@@ -175,12 +187,11 @@ impl Invariant for BoundedStall {
 /// the audit's orphan check, standalone so re-attach baselines (whose
 /// consistency the full audit would rightly fail) still get it. Skipped
 /// while any CTA is down: a dead CTA's knowledge is unavailable, not lost.
-#[derive(Debug, Default)]
-pub struct SessionOwnership;
+struct SessionOwnership;
 
 impl Invariant for SessionOwnership {
     fn name(&self) -> &'static str {
-        SESSION_OWNERSHIP
+        "session-ownership"
     }
 
     fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
@@ -214,7 +225,7 @@ impl Invariant for SessionOwnership {
                         .iter()
                         .filter(|(ue, _)| !known.contains(ue))
                         .map(|(ue, s)| Violation {
-                            invariant: SESSION_OWNERSHIP,
+                            invariant: self.name(),
                             at: now,
                             ue: Some(*ue),
                             detail: format!(
@@ -236,8 +247,7 @@ impl Invariant for SessionOwnership {
 /// down/crashed node), plus a constant head-room for timeouts on
 /// responses that were merely slow. Unbounded growth with no matching
 /// drops means a retry loop.
-#[derive(Debug, Default)]
-pub struct BoundedRetry;
+struct BoundedRetry;
 
 /// Constant head-room before drops are required to justify retries.
 const RETRY_BUDGET_BASE: u64 = 128;
@@ -247,7 +257,7 @@ const RETRY_BUDGET_PER_DROP: u64 = 8;
 
 impl Invariant for BoundedRetry {
     fn name(&self) -> &'static str {
-        BOUNDED_RETRY
+        "bounded-retry"
     }
 
     fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
@@ -259,7 +269,7 @@ impl Invariant for BoundedRetry {
             return Vec::new();
         }
         vec![Violation {
-            invariant: BOUNDED_RETRY,
+            invariant: self.name(),
             at: ctx.now,
             ue: None,
             detail: format!(
@@ -274,19 +284,19 @@ impl Invariant for BoundedRetry {
 /// checkpoint id the failover path trusts, and a regression would let a
 /// stale CPF copy masquerade as fresh. Stateful: watermarks persist
 /// across passes for the whole run.
-#[derive(Debug, Default)]
-pub struct MonotonicCheckpoint {
+#[derive(Default)]
+struct MonotonicCheckpoint {
     /// Highest `last_completed` observed per `(cta, ue)`.
     watermarks: BTreeMap<(u64, u64), u64>,
 }
 
 impl Invariant for MonotonicCheckpoint {
     fn name(&self) -> &'static str {
-        MONOTONIC_CHECKPOINT
+        "monotonic-checkpoint"
     }
 
     fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
-        let now = ctx.now;
+        let (name, now) = (self.name(), ctx.now);
         let cluster = &mut *ctx.cluster;
         let ctas: Vec<_> = cluster.deployment.regions().iter().map(|r| r.cta).collect();
         let mut out = Vec::new();
@@ -303,7 +313,7 @@ impl Invariant for MonotonicCheckpoint {
                 let slot = self.watermarks.entry((cta.raw(), ue.raw())).or_insert(cur);
                 if cur < *slot {
                     out.push(Violation {
-                        invariant: MONOTONIC_CHECKPOINT,
+                        invariant: name,
                         at: now,
                         ue: Some(*ue),
                         detail: format!(
@@ -327,8 +337,7 @@ impl Invariant for MonotonicCheckpoint {
 /// is its business) must stay under the cap the admission gate is sized
 /// for. Reports the first breach only — the depth is a running maximum,
 /// so every later pass would re-report the same event.
-#[derive(Debug)]
-pub struct BoundedQueue {
+struct BoundedQueue {
     cap: u64,
     tripped: bool,
 }
@@ -337,22 +346,17 @@ pub struct BoundedQueue {
 /// only a genuine overload collapse (not a burst) can reach it.
 const DEFAULT_QUEUE_CAP: u64 = 4_096;
 
-impl Default for BoundedQueue {
-    fn default() -> Self {
-        BoundedQueue { cap: DEFAULT_QUEUE_CAP, tripped: false }
-    }
-}
-
 impl BoundedQueue {
-    /// A checker with an explicit depth cap (the plan's `storm.queue_cap`).
-    pub fn with_cap(cap: u64) -> Self {
-        BoundedQueue { cap: cap.max(1), tripped: false }
+    /// The plan's `storm.queue_cap` when it declares one.
+    fn for_plan(plan: &CasePlan) -> Self {
+        let cap = plan.storm.as_ref().map_or(DEFAULT_QUEUE_CAP, |storm| storm.queue_cap.max(1));
+        BoundedQueue { cap, tripped: false }
     }
 }
 
 impl Invariant for BoundedQueue {
     fn name(&self) -> &'static str {
-        BOUNDED_QUEUE
+        "bounded-queue"
     }
 
     fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
@@ -365,7 +369,7 @@ impl Invariant for BoundedQueue {
         }
         self.tripped = true;
         vec![Violation {
-            invariant: BOUNDED_QUEUE,
+            invariant: self.name(),
             at: ctx.now,
             ue: None,
             detail: format!(
@@ -383,12 +387,11 @@ impl Invariant for BoundedQueue {
 /// higher-priority class shed at or above a level where a lower-priority
 /// class was admitted means the priority ladder inverted. Final pass
 /// only — the evidence is cumulative over the whole run.
-#[derive(Debug, Default)]
-pub struct ShedPriorityOrder;
+struct ShedPriorityOrder;
 
 impl Invariant for ShedPriorityOrder {
     fn name(&self) -> &'static str {
-        SHED_PRIORITY_ORDER
+        "shed-priority-order"
     }
 
     fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
@@ -400,7 +403,7 @@ impl Invariant for ShedPriorityOrder {
         };
         priority_order_violation(&min_admit, &max_shed)
             .map(|(hi, lo)| Violation {
-                invariant: SHED_PRIORITY_ORDER,
+                invariant: self.name(),
                 at: ctx.now,
                 ue: None,
                 detail: format!(
@@ -421,12 +424,11 @@ impl Invariant for ShedPriorityOrder {
 /// licenses *exactly one* deferred re-offer. Retransmissions beyond
 /// `base + per_drop·drops + rejects` mean the client retry machinery is
 /// amplifying the storm instead of pacing it.
-#[derive(Debug, Default)]
-pub struct NoRetryAmplification;
+struct NoRetryAmplification;
 
 impl Invariant for NoRetryAmplification {
     fn name(&self) -> &'static str {
-        NO_RETRY_AMPLIFICATION
+        "no-retry-amplification"
     }
 
     fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
@@ -442,7 +444,7 @@ impl Invariant for NoRetryAmplification {
             return Vec::new();
         }
         vec![Violation {
-            invariant: NO_RETRY_AMPLIFICATION,
+            invariant: self.name(),
             at: ctx.now,
             ue: None,
             detail: format!(
@@ -456,26 +458,66 @@ impl Invariant for NoRetryAmplification {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{plan_by_name, Scenario, SMALL_MODEL_NAMES};
 
-    #[test]
-    fn every_catalog_name_resolves() {
-        for name in ALL_INVARIANTS {
-            let inv = invariant_by_name(name).expect("catalog name resolves");
-            assert_eq!(inv.name(), *name);
-        }
-        assert!(invariant_by_name("no-such-invariant").is_none());
+    fn any_plan() -> CasePlan {
+        plan_by_name(SMALL_MODEL_NAMES[0], 0).unwrap()
     }
 
     #[test]
-    fn scenario_invariant_lists_resolve() {
-        for s in crate::scenario::Scenario::all() {
-            for name in s.plan(0).invariants {
+    fn every_catalog_name_resolves() {
+        let plan = any_plan();
+        for (i, row) in CATALOG.iter().enumerate() {
+            assert_eq!(build(row.name, &plan).expect("catalog name resolves").name(), row.name);
+            assert!(
+                CATALOG[..i].iter().all(|earlier| earlier.name != row.name),
+                "catalog name `{}` is listed twice",
+                row.name
+            );
+        }
+        assert!(build("no-such-invariant", &plan).is_none());
+    }
+
+    #[test]
+    fn scenario_and_corpus_invariant_lists_resolve() {
+        let mut plans: Vec<CasePlan> = Scenario::all().iter().map(|s| s.plan(0)).collect();
+        plans.extend(SMALL_MODEL_NAMES.iter().map(|n| plan_by_name(n, 0).unwrap()));
+        let corpus = crate::corpus::load_dir(&crate::corpus::corpus_dir()).unwrap();
+        assert!(!corpus.is_empty(), "the pinned corpus must be found");
+        plans.extend(corpus.into_iter().map(|(_, case)| case.plan));
+        for plan in &plans {
+            for name in &plan.invariants {
                 assert!(
-                    invariant_by_name(&name).is_some(),
-                    "scenario {} references unknown invariant {name}",
-                    s.name
+                    build(name, plan).is_some(),
+                    "plan {} (seed {}) references unknown invariant {name}",
+                    plan.scenario,
+                    plan.seed
                 );
             }
+        }
+    }
+
+    #[test]
+    fn every_catalog_name_is_checked_by_some_scenario_family() {
+        let families = Scenario::all();
+        for row in CATALOG {
+            assert!(
+                families.iter().any(|s| s.invariants.contains(&row.name)),
+                "invariant `{}` is in no Scenario::all() family — nothing would ever run it",
+                row.name
+            );
+        }
+    }
+
+    #[test]
+    fn every_catalog_name_is_documented_in_testing_md() {
+        let testing_md = include_str!("../../../TESTING.md");
+        for row in CATALOG {
+            assert!(
+                testing_md.contains(&format!("`{}`", row.name)),
+                "invariant `{}` is not documented in TESTING.md",
+                row.name
+            );
         }
     }
 }

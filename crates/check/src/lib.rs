@@ -8,9 +8,9 @@
 //!   fault grids) that expand, per seed, into self-contained serializable
 //!   [`CasePlan`](scenario::CasePlan)s.
 //! * [`invariants`] — the invariant catalog behind
-//!   [`neutrino_core::Invariant`]: no-lost-procedure, bounded-stall,
-//!   session-ownership, bounded-retry, monotonic-checkpoint, plus the
-//!   consistency audit in oracle form.
+//!   [`neutrino_core::Invariant`], one table row per invariant: the
+//!   consistency audit in oracle form plus liveness, retry, checkpoint
+//!   and overload-containment properties.
 //! * [`run`] — executes a plan with in-run oracle passes at configurable
 //!   sim-time intervals, pausing only at instants where events actually
 //!   occurred (so long drain tails cost nothing) and never perturbing the
@@ -43,7 +43,7 @@ pub mod scenario;
 pub mod shrink;
 
 pub use corpus::CorpusCase;
-pub use invariants::{invariant_by_name, ALL_INVARIANTS};
+pub use invariants::CATALOG;
 pub use mcheck::{explore_exhaustive, McheckOptions, McheckOutcome, McheckStats};
 pub use run::{run_case, run_case_with, CheckReport, Fingerprint, ViolationRecord};
 pub use scenario::{plan_by_name, small_model_plan, CasePlan, Scenario, SMALL_MODEL_NAMES};

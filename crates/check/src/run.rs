@@ -9,7 +9,7 @@
 //! points where nothing happened — a 10 s drain tail costs a handful of
 //! passes, not hundreds.
 
-use crate::invariants::invariant_for_case;
+use crate::invariants;
 use crate::mcheck::ScriptChooser;
 use crate::scenario::{CasePlan, EndpointPlan};
 use neutrino_core::experiment::adapt_workload;
@@ -347,7 +347,7 @@ fn run_case_impl(
     let mut invariants: Vec<Box<dyn Invariant>> = plan
         .invariants
         .iter()
-        .map(|n| invariant_for_case(n, plan).unwrap_or_else(|| panic!("unknown invariant `{n}`")))
+        .map(|n| invariants::build(n, plan).unwrap_or_else(|| panic!("unknown invariant `{n}`")))
         .collect();
 
     // The oracle loop. Each pause lands on a multiple of the check

@@ -147,7 +147,7 @@ pub struct CasePlan {
     pub crashes: Vec<CrashPlan>,
     /// Timed partition windows.
     pub partitions: Vec<PartitionPlan>,
-    /// Invariants to check, by catalog name (see `oracle::ALL_INVARIANTS`).
+    /// Invariants to check, by catalog name (see [`CATALOG`](crate::invariants::CATALOG)).
     pub invariants: Vec<String>,
     /// Overload-storm extras; `None` (the default, so pinned pre-storm
     /// corpus cases still parse) means the uniform workload.

@@ -1,17 +1,20 @@
-//! Kill-switch tests: one per catalog invariant.
+//! Kill switches: one lever per catalog invariant.
 //!
-//! Each test builds a small healthy cluster, shows the invariant is
-//! silent on it, then pulls a lever that manufactures exactly the state
-//! the invariant guards against and asserts it fires *by name*. This is
-//! the oracle suite's own oracle — an invariant whose kill-switch test
-//! cannot make it fire is dead code wearing a checkmark.
+//! Each lever builds a small healthy cluster, shows the invariant is
+//! silent on it, then manufactures exactly the state the invariant guards
+//! against and asserts it fires *by name*. This is the oracle suite's own
+//! oracle — an invariant whose kill switch cannot make it fire is dead
+//! code wearing a checkmark. The one test walks `CATALOG` and picks the
+//! lever by name with a panicking default, so a catalog row without a
+//! lever fails the suite.
 //!
 //! Levers go through test-support mutators (`results_mut`, `log_mut`,
 //! `force_priority_evidence`) or raw engine actions (`crash_at` without
 //! failover notices) precisely because the production paths are built
 //! to *never* produce these states.
 
-use neutrino_check::invariants::{invariant_by_name, BoundedQueue};
+use neutrino_check::invariants::{CatalogRow, CATALOG};
+use neutrino_check::{small_model_plan, CasePlan, Scenario};
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::{ProcedureId, UeId};
 use neutrino_core::experiment::adapt_workload;
@@ -68,14 +71,41 @@ fn at_ms(ms: u64) -> Instant {
     Instant::ZERO + Duration::from_millis(ms)
 }
 
+/// A storm-free plan: every invariant gets its default configuration.
+fn plain_plan() -> CasePlan {
+    small_model_plan("mcheck-attach-failover", 0).unwrap()
+}
+
+fn assert_fired(row: &CatalogRow, fired: &[Violation], why: &str) {
+    assert!(!fired.is_empty(), "{why}");
+    assert!(fired.iter().all(|v| v.invariant == row.name), "{fired:?}");
+}
+
 #[test]
-fn kill_switch_consistency() {
+fn every_catalog_invariant_has_a_kill_switch_that_fires() {
+    for row in CATALOG {
+        match row.name {
+            "consistency" => kill_switch_consistency(row),
+            "no-lost-procedure" => kill_switch_no_lost_procedure(row),
+            "bounded-stall" => kill_switch_bounded_stall(row),
+            "session-ownership" => kill_switch_session_ownership(row),
+            "bounded-retry" => kill_switch_bounded_retry(row),
+            "monotonic-checkpoint" => kill_switch_monotonic_checkpoint(row),
+            "bounded-queue" => kill_switch_bounded_queue(row),
+            "shed-priority-order" => kill_switch_shed_priority_order(row),
+            "no-retry-amplification" => kill_switch_no_retry_amplification(row),
+            other => panic!("invariant `{other}` has no kill switch — add a lever for it"),
+        }
+    }
+}
+
+fn kill_switch_consistency(row: &CatalogRow) {
     // EPC keeps one state copy and no log: raw-crashing the serving CPF
     // (no failover notice, so nothing recovers) leaves the CTA expecting
     // procedures no live node can serve.
     let mut cluster = small_cluster(SystemConfig::existing_epc());
     cluster.run_until(at_ms(50));
-    let mut inv = invariant_by_name("consistency").unwrap();
+    let mut inv = (row.build)(&plain_plan());
     assert!(
         check_at(&mut cluster, &mut *inv, at_ms(50), false).is_empty(),
         "healthy EPC cluster must audit clean"
@@ -84,48 +114,42 @@ fn kill_switch_consistency() {
     cluster.sim.crash_at(at_ms(51), cpf_node(victim));
     cluster.run_until(at_ms(60));
     let fired = check_at(&mut cluster, &mut *inv, at_ms(60), false);
-    assert!(!fired.is_empty(), "lost state copy must fire");
-    assert!(fired.iter().all(|v| v.invariant == "consistency"));
+    assert_fired(row, &fired, "lost state copy must fire");
 }
 
-#[test]
-fn kill_switch_no_lost_procedure() {
+fn kill_switch_no_lost_procedure(row: &CatalogRow) {
     // Stop mid-flight: the final pass then sees procedures still active.
     let mut cluster = small_cluster(SystemConfig::neutrino());
     cluster.run_until(Instant::ZERO + Duration::from_micros(150));
-    let mut inv = invariant_by_name("no-lost-procedure").unwrap();
+    let mut inv = (row.build)(&plain_plan());
     assert!(
         check_at(&mut cluster, &mut *inv, at_ms(0), false).is_empty(),
         "mid-run passes must stay silent (procedures are always in flight)"
     );
     let fired = check_at(&mut cluster, &mut *inv, at_ms(0), true);
-    assert!(!fired.is_empty(), "in-flight procedure at final pass must fire");
-    assert!(fired.iter().all(|v| v.invariant == "no-lost-procedure"));
+    assert_fired(row, &fired, "in-flight procedure at final pass must fire");
 }
 
-#[test]
-fn kill_switch_bounded_stall() {
+fn kill_switch_bounded_stall(row: &CatalogRow) {
     // A procedure is legitimately in flight; pretending an hour passed
     // with no progress puts it far beyond the retry machinery's bound.
     let mut cluster = small_cluster(SystemConfig::neutrino());
     cluster.run_until(Instant::ZERO + Duration::from_micros(150));
-    let mut inv = invariant_by_name("bounded-stall").unwrap();
+    let mut inv = (row.build)(&plain_plan());
     assert!(
         check_at(&mut cluster, &mut *inv, Instant::ZERO + Duration::from_micros(150), false)
             .is_empty(),
         "a fresh in-flight procedure is not a stall"
     );
     let fired = check_at(&mut cluster, &mut *inv, at_ms(3_600_000), false);
-    assert!(!fired.is_empty(), "hour-long no-progress window must fire");
-    assert!(fired.iter().all(|v| v.invariant == "bounded-stall"));
+    assert_fired(row, &fired, "hour-long no-progress window must fire");
 }
 
-#[test]
-fn kill_switch_session_ownership() {
+fn kill_switch_session_ownership(row: &CatalogRow) {
     // Plant a session at a UPF for a UE no CTA has ever heard of.
     let mut cluster = small_cluster(SystemConfig::neutrino());
     cluster.run_until(at_ms(100));
-    let mut inv = invariant_by_name("session-ownership").unwrap();
+    let mut inv = (row.build)(&plain_plan());
     assert!(
         check_at(&mut cluster, &mut *inv, at_ms(100), false).is_empty(),
         "every session in a healthy run has an owner"
@@ -144,34 +168,30 @@ fn kill_switch_session_ownership() {
             session: None,
         });
     let fired = check_at(&mut cluster, &mut *inv, at_ms(100), false);
-    assert!(!fired.is_empty(), "orphaned session must fire");
-    assert!(fired.iter().all(|v| v.invariant == "session-ownership"));
+    assert_fired(row, &fired, "orphaned session must fire");
     assert_eq!(fired[0].ue, Some(UeId::new(999_999)));
 }
 
-#[test]
-fn kill_switch_bounded_retry() {
+fn kill_switch_bounded_retry(row: &CatalogRow) {
     // Forge a retransmission counter with no drops to justify it.
     let mut cluster = small_cluster(SystemConfig::neutrino());
     cluster.run_until(at_ms(100));
-    let mut inv = invariant_by_name("bounded-retry").unwrap();
+    let mut inv = (row.build)(&plain_plan());
     assert!(
         check_at(&mut cluster, &mut *inv, at_ms(100), false).is_empty(),
         "fault-free run retransmits within budget"
     );
     cluster.population().results_mut().retransmissions = 10_000;
     let fired = check_at(&mut cluster, &mut *inv, at_ms(100), false);
-    assert!(!fired.is_empty(), "unexplained retransmissions must fire");
-    assert!(fired.iter().all(|v| v.invariant == "bounded-retry"));
+    assert_fired(row, &fired, "unexplained retransmissions must fire");
 }
 
-#[test]
-fn kill_switch_monotonic_checkpoint() {
+fn kill_switch_monotonic_checkpoint(row: &CatalogRow) {
     // Record watermarks on one pass, then rewind a UE's completed-
     // procedure watermark at the CTA before the next.
     let mut cluster = small_cluster(SystemConfig::neutrino());
     cluster.run_until(at_ms(100));
-    let mut inv = invariant_by_name("monotonic-checkpoint").unwrap();
+    let mut inv = (row.build)(&plain_plan());
     assert!(
         check_at(&mut cluster, &mut *inv, at_ms(100), false).is_empty(),
         "first pass only records watermarks"
@@ -188,17 +208,15 @@ fn kill_switch_monotonic_checkpoint() {
     );
     log.ue_mut(UeId::new(0)).last_completed = ProcedureId(0);
     let fired = check_at(&mut cluster, &mut *inv, at_ms(101), false);
-    assert!(!fired.is_empty(), "regressed watermark must fire");
-    assert!(fired.iter().all(|v| v.invariant == "monotonic-checkpoint"));
+    assert_fired(row, &fired, "regressed watermark must fire");
 }
 
-#[test]
-fn kill_switch_bounded_queue() {
+fn kill_switch_bounded_queue(row: &CatalogRow) {
     // Burst eight simultaneous deliveries into one UPF so its engine
     // queue provably exceeds a cap of one.
     let mut cluster = small_cluster(SystemConfig::neutrino());
     cluster.run_until(at_ms(100));
-    let mut healthy = invariant_by_name("bounded-queue").unwrap();
+    let mut healthy = (row.build)(&plain_plan());
     assert!(
         check_at(&mut cluster, &mut *healthy, at_ms(100), false).is_empty(),
         "attach traffic stays under the default cap"
@@ -212,21 +230,21 @@ fn kill_switch_bounded_queue() {
             }));
     }
     cluster.run_until(at_ms(110));
-    let mut inv = BoundedQueue::with_cap(1);
-    let fired = check_at(&mut cluster, &mut inv, at_ms(110), false);
-    assert!(!fired.is_empty(), "queue depth past the cap must fire");
-    assert!(fired.iter().all(|v| v.invariant == "bounded-queue"));
+    let mut storm_plan = Scenario::by_name("iot-burst-storm").unwrap().plan(0);
+    storm_plan.storm.as_mut().expect("storm family").queue_cap = 1;
+    let mut inv = (row.build)(&storm_plan);
+    let fired = check_at(&mut cluster, &mut *inv, at_ms(110), false);
+    assert_fired(row, &fired, "queue depth past the cap must fire");
 }
 
-#[test]
-fn kill_switch_shed_priority_order() {
+fn kill_switch_shed_priority_order(row: &CatalogRow) {
     // Forge inverted gate evidence: a handover shed at a token level
     // where a detach was still admitted. `decide` itself can never
     // produce this — that is the property under test.
     let config = SystemConfig::neutrino().with_admission(AdmissionParams::for_rate(1_000));
     let mut cluster = small_cluster(config);
     cluster.run_until(at_ms(100));
-    let mut inv = invariant_by_name("shed-priority-order").unwrap();
+    let mut inv = (row.build)(&plain_plan());
     assert!(
         check_at(&mut cluster, &mut *inv, at_ms(100), true).is_empty(),
         "an untouched gate keeps the priority ladder"
@@ -246,16 +264,14 @@ fn kill_switch_shed_priority_order() {
         "evidence is cumulative; only the final pass judges it"
     );
     let fired = check_at(&mut cluster, &mut *inv, at_ms(100), true);
-    assert!(!fired.is_empty(), "inverted shed ladder must fire");
-    assert!(fired.iter().all(|v| v.invariant == "shed-priority-order"));
+    assert_fired(row, &fired, "inverted shed ladder must fire");
 }
 
-#[test]
-fn kill_switch_no_retry_amplification() {
+fn kill_switch_no_retry_amplification(row: &CatalogRow) {
     // Retransmissions far beyond what drops and rejects license.
     let mut cluster = small_cluster(SystemConfig::neutrino());
     cluster.run_until(at_ms(100));
-    let mut inv = invariant_by_name("no-retry-amplification").unwrap();
+    let mut inv = (row.build)(&plain_plan());
     assert!(
         check_at(&mut cluster, &mut *inv, at_ms(100), true).is_empty(),
         "fault-free run has no amplification"
@@ -268,6 +284,5 @@ fn kill_switch_no_retry_amplification() {
         "amplification is judged at the final pass only"
     );
     let fired = check_at(&mut cluster, &mut *inv, at_ms(100), true);
-    assert!(!fired.is_empty(), "storm-feeding retries must fire");
-    assert!(fired.iter().all(|v| v.invariant == "no-retry-amplification"));
+    assert_fired(row, &fired, "storm-feeding retries must fire");
 }

@@ -1,4 +1,4 @@
-//! Rule family 1: the sans-IO determinism contract.
+//! The sans-IO determinism contract.
 //!
 //! Applied to the non-test code of the sans-IO protocol crates. Bans the
 //! ambient-environment escape hatches (`std::time::{Instant,SystemTime}`,

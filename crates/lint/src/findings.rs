@@ -1,18 +1,15 @@
-//! Finding and suppression machinery shared by all rule families.
+//! Finding and suppression machinery shared by both rule families.
 //!
-//! Two suppression channels exist, both audited for staleness:
-//!
-//! * inline `// lint-allow(<rule>): <reason>` comments, which suppress a
-//!   finding of `<rule>` on the same line or the next code line;
-//! * `crates/lint/allowlist.json`, a serializable per-file allowlist for
-//!   grandfathered sites (shipped empty — every live suppression is inline
-//!   and carries its reason next to the code it excuses).
+//! The one suppression channel is an inline
+//! `// lint-allow(<rule>): <reason>` comment, which suppresses a finding of
+//! `<rule>` on the same line or the next code line — every suppression
+//! carries its reason next to the code it excuses.
 //!
 //! A suppression that suppresses nothing is itself reported
-//! (`stale-allow` / `stale-allowlist`): the contract tightens monotonically.
+//! (`stale-allow`): the contract tightens monotonically.
 
 use crate::lexer::Comment;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One lint finding.
 #[derive(Debug, Clone, Serialize)]
@@ -32,19 +29,6 @@ impl Finding {
     pub fn render(&self) -> String {
         format!("{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
     }
-}
-
-/// One entry in `allowlist.json`.
-#[derive(Debug, Clone, Deserialize)]
-pub struct AllowEntry {
-    /// Workspace-relative file path the entry applies to.
-    pub file: String,
-    /// Rule identifier to suppress.
-    pub rule: String,
-    /// Optional 1-based line; omitted = any line in the file.
-    pub line: Option<u64>,
-    /// Mandatory justification.
-    pub reason: Option<String>,
 }
 
 /// An inline `// lint-allow(rule): reason` comment found in a file.
@@ -140,70 +124,6 @@ pub fn stale_inline_allows(file: &str, allows: &[InlineAllow]) -> Vec<Finding> {
         .collect()
 }
 
-/// The allowlist file, with per-entry use tracking.
-#[derive(Debug, Default)]
-pub struct Allowlist {
-    entries: Vec<(AllowEntry, bool)>,
-    /// Where the list was loaded from, for reporting.
-    pub path: String,
-}
-
-impl Allowlist {
-    /// Parse from JSON text (an array of entries). Entries without a reason
-    /// are rejected up front.
-    pub fn parse(path: &str, json: &str) -> Result<Self, String> {
-        let entries: Vec<AllowEntry> =
-            serde_json::from_str(json).map_err(|e| format!("{path}: {e:?}"))?;
-        for e in &entries {
-            let has_reason = matches!(e.reason.as_deref(), Some(r) if !r.trim().is_empty());
-            if !has_reason {
-                return Err(format!(
-                    "{path}: allowlist entry for {}:{} lacks a reason",
-                    e.file, e.rule
-                ));
-            }
-        }
-        Ok(Self { entries: entries.into_iter().map(|e| (e, false)).collect(), path: path.into() })
-    }
-
-    /// Suppress matching findings, marking entries used.
-    pub fn apply(&mut self, findings: Vec<Finding>) -> Vec<Finding> {
-        findings
-            .into_iter()
-            .filter(|f| {
-                for (e, used) in self.entries.iter_mut() {
-                    let line_matches = match e.line {
-                        None => true,
-                        Some(l) => l == u64::from(f.line),
-                    };
-                    if e.rule == f.rule && e.file == f.file && line_matches {
-                        *used = true;
-                        return false;
-                    }
-                }
-                true
-            })
-            .collect()
-    }
-
-    /// Report entries that suppressed nothing.
-    pub fn stale(&self) -> Vec<Finding> {
-        self.entries
-            .iter()
-            .filter(|(_, used)| !used)
-            .map(|(e, _)| Finding {
-                file: self.path.clone(),
-                line: 0,
-                rule: "stale-allowlist".into(),
-                message: format!(
-                    "allowlist entry ({} in {}) matches no finding — remove it",
-                    e.rule, e.file
-                ),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,23 +159,5 @@ mod tests {
         let stale = stale_inline_allows("f.rs", &allows);
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0].rule, "stale-allow");
-    }
-
-    #[test]
-    fn allowlist_round_trip() {
-        let json = r#"[{"file":"a.rs","rule":"hash-iter","line":7,"reason":"grandfathered"}]"#;
-        let mut al = Allowlist::parse("allowlist.json", json).unwrap();
-        let out = al.apply(vec![f("a.rs", 7, "hash-iter"), f("a.rs", 8, "hash-iter")]);
-        assert_eq!(out.len(), 1);
-        assert!(al.stale().is_empty());
-
-        let mut al2 = Allowlist::parse("allowlist.json", json).unwrap();
-        let _ = al2.apply(vec![]);
-        assert_eq!(al2.stale().len(), 1);
-    }
-
-    #[test]
-    fn allowlist_requires_reason() {
-        assert!(Allowlist::parse("x", r#"[{"file":"a.rs","rule":"r"}]"#).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Rule family 4: the protocol-flow contract.
+//! The protocol-flow contract.
 //!
 //! Cross-parses the flow registry (`messages/src/flow.rs`, the `FLOWS`
 //! table), the `SysMsg` enum, and every sans-IO source file, and builds the
@@ -23,9 +23,9 @@
 //! `neutrino-lint --flow-graph out.json`, which `explore --flow-coverage`
 //! diffs against dynamically witnessed edges.
 
+use crate::determinism;
 use crate::findings::Finding;
 use crate::lexer::{lex, TokKind, Token};
-use crate::{determinism, wire};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -140,7 +140,7 @@ struct TableEntry {
 /// registry; `files` is every sans-IO source file (roles pre-assigned via
 /// [`classify`] or explicitly, for fixtures). Returned findings are **raw**:
 /// the caller applies inline-allow suppression per file (see
-/// `lint_workspace`), so `flow-wildcard` sites can carry an audited
+/// `lint_workspace_full`), so `flow-wildcard` sites can carry an audited
 /// `// lint-allow(flow-wildcard): reason`.
 pub fn check(
     sysmsg: (&str, &str),
@@ -151,7 +151,7 @@ pub fn check(
     let mut graph = FlowGraph::default();
 
     let sys_tokens = determinism::strip_test_mods(&lex(sysmsg.1).tokens);
-    let variants = wire::enum_variants(&sys_tokens, "SysMsg");
+    let variants = enum_variants(&sys_tokens, "SysMsg");
     if variants.is_empty() {
         findings.push(finding(sysmsg.0, 1, "flow-table", "could not find `enum SysMsg` — flow contract unverifiable".into()));
         return (graph, findings);
@@ -205,7 +205,7 @@ pub fn check(
         extract_sends(&tokens, f, &mut graph.sends);
         if f.handler {
             let role = f.role.as_deref().unwrap_or("?");
-            if let Some((open, close)) = wire::fn_body(&tokens, "handle") {
+            if let Some((open, close)) = fn_body(&tokens, "handle") {
                 let handle_line = tokens[open].line;
                 collect_arms(&tokens[open..=close], role, f, &mut graph.handlers, &mut graph.wildcards);
                 present.insert(role.to_string(), (f.label.clone(), handle_line));
@@ -354,6 +354,96 @@ impl FlowGraph {
 
 fn finding(file: &str, line: u32, rule: &str, message: String) -> Finding {
     Finding { file: file.into(), line, rule: rule.into(), message }
+}
+
+/// A parsed enum variant.
+struct Variant {
+    name: String,
+    line: u32,
+}
+
+/// Extract the variant names of `enum <name> { ... }`.
+fn enum_variants(tokens: &[Token], name: &str) -> Vec<Variant> {
+    let mut out = Vec::new();
+    let Some(start) = tokens.windows(2).position(|w| w[0].text == "enum" && w[1].text == name)
+    else {
+        return out;
+    };
+    // Find the opening brace of the enum body.
+    let mut i = start + 2;
+    while i < tokens.len() && tokens[i].text != "{" {
+        i += 1;
+    }
+    let mut depth = 0usize;
+    let mut expecting_variant = true;
+    while i < tokens.len() {
+        match tokens[i].text.as_str() {
+            "{" | "(" | "[" => {
+                depth += 1;
+                // Depth 2+ is a variant's payload; names only live at depth 1.
+            }
+            "}" | ")" | "]" => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            "," if depth == 1 => expecting_variant = true,
+            "#" if depth == 1 => {
+                // Skip a variant attribute `#[...]`.
+                if i + 1 < tokens.len() && tokens[i + 1].text == "[" {
+                    let mut d = 0usize;
+                    i += 1;
+                    while i < tokens.len() {
+                        match tokens[i].text.as_str() {
+                            "[" => d += 1,
+                            "]" => {
+                                d -= 1;
+                                if d == 0 {
+                                    break;
+                                }
+                            }
+                            _ => {}
+                        }
+                        i += 1;
+                    }
+                }
+            }
+            _ => {
+                if depth == 1 && expecting_variant && tokens[i].kind == TokKind::Ident {
+                    out.push(Variant { name: tokens[i].text.clone(), line: tokens[i].line });
+                    expecting_variant = false;
+                }
+            }
+        }
+        i += 1;
+    }
+    out
+}
+
+/// Locate a `fn <name>` and return its brace-matched body token range.
+fn fn_body(tokens: &[Token], name: &str) -> Option<(usize, usize)> {
+    let start = tokens.windows(2).position(|w| w[0].text == "fn" && w[1].text == name)?;
+    let mut i = start + 2;
+    while i < tokens.len() && tokens[i].text != "{" {
+        i += 1;
+    }
+    let open = i;
+    let mut depth = 0usize;
+    while i < tokens.len() {
+        match tokens[i].text.as_str() {
+            "{" => depth += 1,
+            "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some((open, i));
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    None
 }
 
 /// Parse `FlowSpec { variant: "X", edges: &[(Role::A, Role::B), ...] }`

@@ -3,8 +3,6 @@
 //! ```text
 //! cargo run -p neutrino-lint --                      # lint the whole workspace
 //! neutrino-lint --check-file <file.rs>               # determinism rules on one file
-//! neutrino-lint --wire <sysmsg.rs> <framing.rs>      # wire-contract rules on two files
-//! neutrino-lint --coverage <oracle> <invs> <scen> <testing.md> <killswitch.rs>
 //! neutrino-lint --flow <sysmsg.rs> <flow.rs> [role[+handler]=FILE ...]
 //! ```
 //!
@@ -16,8 +14,8 @@
 //!   observed protocol-flow graph as deterministic JSON to `FILE` (`-` for
 //!   stdout).
 //!
-//! Exit code 0 = clean, 1 = findings, 2 = usage/IO error. The single-file
-//! modes exist for the fixture tests under `tests/fixtures/` and for
+//! Exit code 0 = clean, 1 = findings, 2 = usage/IO error. The two explicit-
+//! file modes exist for the fixture tests under `tests/fixtures/` and for
 //! spot-checking a file while editing.
 
 use neutrino_lint::findings::Finding;
@@ -45,14 +43,11 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         None => workspace(graph_ref),
         Some("--check-file") if args.len() == 2 && graph_ref.is_none() => check_file(&args[1]),
-        Some("--wire") if args.len() == 3 && graph_ref.is_none() => wire(&args[1], &args[2]),
-        Some("--coverage") if args.len() == 6 && graph_ref.is_none() => coverage(&args[1..6]),
         Some("--flow") if args.len() >= 3 => flow_mode(&args[1], &args[2], &args[3..], graph_ref),
         Some("--help" | "-h") => {
             eprintln!(
                 "usage: neutrino-lint [--json] [--flow-graph OUT] \
-                 [--check-file FILE | --wire SYSMSG FRAMING \
-                 | --coverage ORACLE INVARIANTS SCENARIO TESTING_MD KILLSWITCH \
+                 [--check-file FILE \
                  | --flow SYSMSG FLOW_TABLE [role[+handler]=FILE ...]]"
             );
             return ExitCode::SUCCESS;
@@ -116,22 +111,6 @@ fn write_graph(out: &str, graph: &flow::FlowGraph) -> Result<(), String> {
 
 fn check_file(path: &str) -> Result<Vec<Finding>, String> {
     Ok(neutrino_lint::lint_source(path, &read(path)?))
-}
-
-fn wire(sysmsg: &str, framing: &str) -> Result<Vec<Finding>, String> {
-    Ok(neutrino_lint::wire::check(sysmsg, &read(sysmsg)?, framing, &read(framing)?))
-}
-
-fn coverage(paths: &[String]) -> Result<Vec<Finding>, String> {
-    let texts: Result<Vec<String>, String> = paths.iter().map(|p| read(p)).collect();
-    let texts = texts?;
-    Ok(neutrino_lint::coverage::check(
-        (&paths[0], &texts[0]),
-        (&paths[1], &texts[1]),
-        (&paths[2], &texts[2]),
-        (&paths[3], &texts[3]),
-        (&paths[4], &texts[4]),
-    ))
 }
 
 /// `--flow SYSMSG TABLE [role[+handler]=FILE ...]`: run the protocol-flow

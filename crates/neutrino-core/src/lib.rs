@@ -37,7 +37,7 @@ pub mod simnode;
 pub mod uepop;
 
 pub use audit::{audit_cluster, AuditReport, Divergence};
-pub use oracle::{ConsistencyInvariant, Invariant, OracleCtx, Violation};
+pub use oracle::{Invariant, OracleCtx, Violation};
 pub use cluster::{Cluster, LinkProfile, SimMsg};
 pub use config::{CpuProfile, HandoverPolicy, SystemConfig, SystemKind};
 pub use experiment::{run_experiment, ExperimentSpec, FailureSpec, RunResults};

@@ -7,14 +7,11 @@
 //! read-only (never injecting events, so the deterministic event schedule
 //! is unperturbed) and reports violations as structured traces.
 //!
-//! The invariant *catalog* — liveness, bounded retry, monotonic checkpoint
-//! ids — lives in `neutrino-check`; this module owns the trait, the
-//! violation type, and [`ConsistencyInvariant`], the oracle form of the
-//! end-of-run audit.
+//! The invariant *catalog* — the audit in oracle form, liveness, bounded
+//! retry, monotonic checkpoint ids — lives in `neutrino-check`; this module
+//! owns the trait and the violation type.
 
-use crate::audit::{audit_cluster, Divergence};
 use crate::cluster::Cluster;
-use crate::config::{SystemConfig, SystemKind};
 use neutrino_common::time::Instant;
 use neutrino_common::UeId;
 
@@ -53,63 +50,6 @@ pub trait Invariant {
     /// Stable catalog name (used in violation traces and scenario specs).
     fn name(&self) -> &'static str;
 
-    /// Whether this invariant is a guarantee of the given system. Scenario
-    /// authors use this to pick defaults; an explicitly requested invariant
-    /// runs regardless (e.g. demonstrating that a baseline violates it).
-    fn applies(&self, config: &SystemConfig) -> bool {
-        let _ = config;
-        true
-    }
-
     /// Inspects the paused cluster; returns this pass's violations.
     fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation>;
-}
-
-/// The end-of-run consistency audit as an in-run invariant: at every pass,
-/// each UE the CTA saw complete a procedure must be servable from some live
-/// CPF at (or beyond) that procedure, or rebuildable by log replay, and no
-/// UPF session may be orphaned. Neutrino maintains this *continuously*;
-/// re-attach baselines do not.
-#[derive(Debug, Default)]
-pub struct ConsistencyInvariant;
-
-/// Catalog name of [`ConsistencyInvariant`].
-pub const CONSISTENCY: &str = "consistency";
-
-impl Invariant for ConsistencyInvariant {
-    fn name(&self) -> &'static str {
-        CONSISTENCY
-    }
-
-    fn applies(&self, config: &SystemConfig) -> bool {
-        // Only Neutrino with the message log guarantees the invariant
-        // between a failure and the first post-failure contact.
-        config.kind == SystemKind::Neutrino && config.logging
-    }
-
-    fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
-        let report = audit_cluster(ctx.cluster);
-        report
-            .divergences
-            .into_iter()
-            .map(|d| Violation {
-                invariant: CONSISTENCY,
-                at: ctx.now,
-                ue: Some(d.ue()),
-                detail: match d {
-                    Divergence::MissingState { expected, .. } => {
-                        format!("no live copy; CTA expects procedure {}", expected.raw())
-                    }
-                    Divergence::StaleState { held, expected, .. } => format!(
-                        "freshest live copy at procedure {}, CTA expects {}, replay cannot close",
-                        held.raw(),
-                        expected.raw()
-                    ),
-                    Divergence::OrphanedSession { upf, .. } => {
-                        format!("orphaned session at UPF {}", upf.raw())
-                    }
-                },
-            })
-            .collect()
-    }
 }

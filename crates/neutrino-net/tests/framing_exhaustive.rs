@@ -2,10 +2,12 @@
 //!
 //! The point of this test is the `match` in [`variant_index`]: it has **no
 //! wildcard arm**, so adding a `SysMsg` variant without extending this file
-//! is a *compile error* — the static-analysis `wire-contract` rule in
-//! `neutrino-lint` then catches the matching gap in `framing.rs` itself.
-//! Together they make a half-added frame tag (the PR 4 "tag 17" class)
-//! impossible to land.
+//! is a *compile error*, exactly as it is in `encode_sysmsg`'s own
+//! wildcard-free `match`. The two tests below then hold the rest of the
+//! wire contract on the real bytes — every variant decodes back to itself
+//! (so no decode arm is missing and encoder and decoder agree), and the
+//! tags are distinct and contiguous `1..=N`. This file is the whole check:
+//! a half-added frame tag (the PR 4 "tag 17" class) cannot land.
 
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, SessionId, UeId, UpfId};
@@ -152,6 +154,6 @@ fn frame_tags_are_distinct_across_variants() {
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(sorted.len(), VARIANT_COUNT, "duplicate frame tag across variants: {tags:?}");
-    // Gap-free 1..=N, matching the wire-contract lint rule.
+    // Gap-free 1..=N.
     assert_eq!(sorted, (1..=VARIANT_COUNT as u8).collect::<Vec<_>>(), "tags must be contiguous 1..=N");
 }
