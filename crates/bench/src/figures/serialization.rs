@@ -86,8 +86,8 @@ pub fn fig18(element_counts: &[usize]) -> Vec<SpeedupPoint> {
     let mut out = Vec::new();
     for &n in element_counts {
         let (schema, value) = synthetic_schema(n);
-        let per = CodecKind::Asn1Per.instance();
-        let asn1_raw = total_ns(&measure(per.as_ref(), &schema, &value, opts()).unwrap());
+        let per = CodecKind::Asn1Per.codec();
+        let asn1_raw = total_ns(&measure(per, &schema, &value, opts()).unwrap());
         let asn1c = asn1_raw as f64 * ASN1C_RUNTIME_FACTOR;
         for kind in [
             CodecKind::Fastbuf,
@@ -96,11 +96,11 @@ pub fn fig18(element_counts: &[usize]) -> Vec<SpeedupPoint> {
             CodecKind::Proto,
             CodecKind::Flex,
         ] {
-            let codec = kind.instance();
+            let codec = kind.codec();
             if !codec.supports(&schema) {
                 continue;
             }
-            let t = total_ns(&measure(codec.as_ref(), &schema, &value, opts()).unwrap());
+            let t = total_ns(&measure(codec, &schema, &value, opts()).unwrap());
             out.push(SpeedupPoint {
                 elements: n,
                 codec: kind.name().to_string(),
@@ -154,8 +154,8 @@ pub fn fig19_20() -> Vec<MessageCodecRow> {
             CodecKind::Fastbuf,
             CodecKind::FastbufOptimized,
         ] {
-            let codec = codec_kind.instance();
-            let c = measure(codec.as_ref(), &schema, &value, opts()).unwrap();
+            let codec = codec_kind.codec();
+            let c = measure(codec, &schema, &value, opts()).unwrap();
             out.push(MessageCodecRow {
                 message: kind.name().to_string(),
                 codec: codec_kind.name().to_string(),
@@ -204,7 +204,7 @@ mod tests {
         for n in [1, 7, 25] {
             let (schema, value) = synthetic_schema(n);
             for kind in CodecKind::ALL {
-                let codec = kind.instance();
+                let codec = kind.codec();
                 if !codec.supports(&schema) {
                     continue;
                 }

@@ -157,8 +157,8 @@ mod tests {
             warmup_iters: 10,
         };
         for kind in [CodecKind::Asn1Per, CodecKind::FastbufOptimized] {
-            let codec = kind.instance();
-            let cost = measure(codec.as_ref(), &schema, &value, opts).unwrap();
+            let codec = kind.codec();
+            let cost = measure(codec, &schema, &value, opts).unwrap();
             assert!(cost.encode.as_nanos() > 0, "{kind}: encode cost zero");
             assert!(cost.access.as_nanos() > 0, "{kind}: access cost zero");
             assert!(cost.wire_bytes > 0);

@@ -65,12 +65,12 @@ pub struct Fastbuf {
 impl Fastbuf {
     /// Standard FlatBuffers-like layout (unions wrap single fields in
     /// tables).
-    pub fn standard() -> Self {
+    pub const fn standard() -> Self {
         Fastbuf { svtable: false }
     }
 
     /// With the paper's svtable optimization for single-field unions.
-    pub fn optimized() -> Self {
+    pub const fn optimized() -> Self {
         Fastbuf { svtable: true }
     }
 

@@ -68,7 +68,7 @@ use value::{Schema, Value};
 /// let value = Value::Struct(vec![Value::U64(1234), Value::Str("cell".into())]);
 ///
 /// for kind in CodecKind::ALL {
-///     let codec = kind.instance();
+///     let codec = kind.codec();
 ///     if !codec.supports(&schema) { continue; }
 ///     let mut wire = Vec::new();
 ///     codec.encode(&schema, &value, &mut wire).unwrap();
@@ -137,7 +137,24 @@ impl CodecKind {
         CodecKind::Flex,
     ];
 
-    /// Instantiates the codec.
+    /// The codec itself. Every codec is stateless, so one shared instance
+    /// per kind serves all callers and naming a codec costs nothing.
+    pub fn codec(self) -> &'static dyn WireFormat {
+        static FASTBUF: fastbuf::Fastbuf = fastbuf::Fastbuf::standard();
+        static FASTBUF_OPTIMIZED: fastbuf::Fastbuf = fastbuf::Fastbuf::optimized();
+        match self {
+            CodecKind::Asn1Per => &per::Asn1Per,
+            CodecKind::Fastbuf => &FASTBUF,
+            CodecKind::FastbufOptimized => &FASTBUF_OPTIMIZED,
+            CodecKind::Cdr => &cdr::CdrLike,
+            CodecKind::Lcm => &lcmlike::LcmLike,
+            CodecKind::Proto => &protolike::ProtoLike,
+            CodecKind::Flex => &flexlike::FlexLike,
+        }
+    }
+
+    /// A boxed copy of the codec — one heap allocation per call. Kept only
+    /// because `benchmark/src/probes.rs` links it; use [`codec`](Self::codec).
     pub fn instance(self) -> Box<dyn WireFormat> {
         match self {
             CodecKind::Asn1Per => Box::new(per::Asn1Per::new()),

@@ -252,7 +252,7 @@ proptest! {
     #[test]
     fn all_codecs_round_trip((schema, value) in root()) {
         for kind in CodecKind::ALL {
-            let codec = kind.instance();
+            let codec = kind.codec();
             if !codec.supports(&schema) {
                 continue;
             }
@@ -267,7 +267,7 @@ proptest! {
     fn traverse_agrees_with_decode((schema, value) in root()) {
         let expected = checksum_value(&value);
         for kind in CodecKind::ALL {
-            let codec = kind.instance();
+            let codec = kind.codec();
             if !codec.supports(&schema) {
                 continue;
             }
@@ -285,7 +285,7 @@ proptest! {
     #[test]
     fn encoding_is_deterministic((schema, value) in root()) {
         for kind in CodecKind::ALL {
-            let codec = kind.instance();
+            let codec = kind.codec();
             if !codec.supports(&schema) {
                 continue;
             }
@@ -301,15 +301,15 @@ proptest! {
     fn per_is_never_larger_than_fastbuf((schema, value) in root()) {
         let mut per = Vec::new();
         let mut fb = Vec::new();
-        CodecKind::Asn1Per.instance().encode(&schema, &value, &mut per).unwrap();
-        CodecKind::Fastbuf.instance().encode(&schema, &value, &mut fb).unwrap();
+        CodecKind::Asn1Per.codec().encode(&schema, &value, &mut per).unwrap();
+        CodecKind::Fastbuf.codec().encode(&schema, &value, &mut fb).unwrap();
         prop_assert!(per.len() <= fb.len(), "PER {} vs fastbuf {}", per.len(), fb.len());
     }
 
     #[test]
     fn truncation_never_panics((schema, value) in root(), cut_frac in 0.0f64..1.0) {
         for kind in CodecKind::ALL {
-            let codec = kind.instance();
+            let codec = kind.codec();
             if !codec.supports(&schema) {
                 continue;
             }
@@ -324,7 +324,7 @@ proptest! {
     #[test]
     fn bit_flips_never_panic((schema, value) in root(), pos_frac in 0.0f64..1.0, bit in 0u8..8) {
         for kind in [CodecKind::Asn1Per, CodecKind::FastbufOptimized, CodecKind::Proto] {
-            let codec = kind.instance();
+            let codec = kind.codec();
             let mut buf = Vec::new();
             codec.encode(&schema, &value, &mut buf).unwrap();
             if buf.is_empty() {

@@ -165,6 +165,11 @@ pub struct CpfMetrics {
     /// Duplicate uplinks that triggered a lost-downlink recovery (re-sent
     /// the pending S11 / migration sync / downlink steps).
     pub dup_uplink_nudges: u64,
+    /// Control messages whose payload bytes did not parse. A forwarder
+    /// routes on the envelope header without reading the payload, so the
+    /// CPF is the first node that can tell; such a message is dropped here
+    /// with no output and no state change.
+    pub malformed_payloads: u64,
     /// `SysMsg` variants delivered to this CPF that the flow contract says
     /// it never receives (misrouted traffic — counted, never silently
     /// swallowed; the flow lint pins the expected set).
@@ -508,7 +513,6 @@ impl CpfCore {
     /// Processes one live uplink control message.
     pub fn on_control(&mut self, env: Envelope) -> Vec<CpfOutput> {
         let mut out = Vec::new();
-        self.metrics.processed += 1;
         self.process(env, false, &mut out);
         out
     }
@@ -520,7 +524,6 @@ impl CpfCore {
     pub fn on_replay(&mut self, replay: Replay) -> Vec<CpfOutput> {
         let mut out = Vec::new();
         for env in replay.messages {
-            self.metrics.replayed += 1;
             self.process(env, true, &mut out);
         }
         out
@@ -548,10 +551,22 @@ impl CpfCore {
     }
 
     fn process(&mut self, env: Envelope, replaying: bool, out: &mut Vec<CpfOutput>) {
+        // The one place on the control path a message is parsed (§4.4);
+        // done before anything is touched so that bytes corrupted upstream
+        // leave no trace but the count.
+        let Ok(msg) = env.msg.get() else {
+            self.metrics.malformed_payloads += 1;
+            return;
+        };
+        if replaying {
+            self.metrics.replayed += 1;
+        } else {
+            self.metrics.processed += 1;
+        }
         let ue = env.ue;
         let cta = env.via_cta.unwrap_or(CtaId::new(0));
         let template = env.proc_kind.template();
-        let kind = env.msg.kind();
+        let kind = msg.kind();
 
         let attach_start = matches!(
             env.proc_kind,
@@ -640,7 +655,7 @@ impl CpfCore {
         run.progress.next_step = cursor + rel + 1;
         run.progress.last_ul_clock = env.clock;
         run.progress.waiting = None;
-        apply_message(&mut run.rec.state, &env.msg);
+        apply_message(&mut run.rec.state, msg);
 
         if !replaying {
             // An uplink step may itself carry a UPF interaction (e.g. the
@@ -1119,6 +1134,39 @@ mod tests {
             }
         )));
         assert_eq!(cpf.metrics().re_attach_asked, 1);
+    }
+
+    #[test]
+    fn malformed_payload_is_counted_and_changes_nothing() {
+        use neutrino_codec::CodecKind;
+        use neutrino_messages::Payload;
+        let mut cpf = neutrino_cpf(0);
+        run_attach(&mut cpf, 5, 1, 1);
+        let ue = UeId::new(5);
+        let before = (cpf.metrics(), cpf.store().get(ue).unwrap().state.clone());
+        // Bytes that no codec accepts, as a live attach start (which would
+        // otherwise reset the UE's state) and inside a replay.
+        let mut bad = ul(
+            5,
+            2,
+            ProcedureKind::InitialAttach,
+            MessageKind::InitialUeMessage,
+            9,
+        );
+        bad.msg = Payload::from_wire(MessageKind::InitialUeMessage, CodecKind::Asn1Per, &[]);
+        assert!(cpf.on_control(bad.clone()).is_empty());
+        let replay = Replay {
+            ue,
+            messages: vec![bad],
+        };
+        assert!(cpf.on_replay(replay).is_empty());
+        let after = cpf.metrics();
+        assert_eq!(after.malformed_payloads, 2);
+        assert_eq!(
+            (after.processed, after.replayed),
+            (before.0.processed, before.0.replayed)
+        );
+        assert!(Arc::ptr_eq(&cpf.store().get(ue).unwrap().state, &before.1));
     }
 
     #[test]

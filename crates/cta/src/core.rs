@@ -919,21 +919,40 @@ mod tests {
     }
 
     #[test]
-    fn log_forward_and_replay_share_one_payload() {
+    fn log_forward_and_replay_share_one_unparsed_wire_image() {
+        use neutrino_messages::Payload;
         let mut c = cta();
         let ue = UeId::new(3);
-        let outs = c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, false), Instant::ZERO);
+        // An uplink as the framing layer hands it over: header fields plus
+        // the payload bytes it received.
+        let mut received = ul(3, 1, MessageKind::ServiceRequest, false);
+        let mut bytes = Vec::new();
+        MessageKind::ServiceRequest
+            .sample(3)
+            .encode(CodecKind::FastbufOptimized.codec(), &mut bytes)
+            .unwrap();
+        received.msg = Payload::from_wire(
+            MessageKind::ServiceRequest,
+            CodecKind::FastbufOptimized,
+            &bytes,
+        );
+        let outs = c.on_uplink(received, Instant::ZERO);
         let CtaOutput::ToCpf { msg: SysMsg::Control(forwarded), .. } = &outs[0] else {
             panic!("unexpected {outs:?}");
         };
         let logged = &c.log().ue(ue).unwrap().procedures()[&ProcedureId::new(1)].messages[0];
-        assert_eq!(logged, forwarded);
+        let replay = c.log().replay_set(ue, ProcedureId(0));
         assert!(
-            std::sync::Arc::ptr_eq(&logged.msg, &forwarded.msg),
+            Payload::ptr_eq(&logged.msg, &forwarded.msg),
             "logging must not deep-copy the message"
         );
-        let replay = c.log().replay_set(ue, ProcedureId(0));
-        assert!(std::sync::Arc::ptr_eq(&replay[0].msg, &forwarded.msg));
+        assert!(Payload::ptr_eq(&replay[0].msg, &forwarded.msg));
+        // Stamp, log, route and replay read the header only (§4.2.3).
+        for env in [logged, forwarded, &replay[0]] {
+            assert!(!env.msg.is_materialised(), "the CTA parsed a payload");
+            assert_eq!(env.msg.wire(CodecKind::FastbufOptimized), Some(&bytes[..]));
+        }
+        assert_eq!(logged, forwarded);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! logical clock the CTA stamps (§4.2.3).
 
 use crate::nas::*;
+use crate::payload::Payload;
 use crate::procedures::ProcedureKind;
 use crate::s1ap::*;
 use crate::wire::Wire;
@@ -176,9 +177,10 @@ pub struct Envelope {
     /// to trigger the per-procedure state checkpoint (§4.2.2) and the CTA to
     /// delimit the log (§4.2.3).
     pub end_of_procedure: bool,
-    /// The message itself. Immutable once built and shared: the CTA's log,
-    /// the forwarded copy and every replay hold the same allocation.
-    pub msg: Arc<ControlMessage>,
+    /// The message itself, decoded or as received. Immutable once built
+    /// and shared: the CTA's log, the forwarded copy and every replay hold
+    /// the same allocation.
+    pub msg: Payload,
 }
 
 impl Envelope {
@@ -198,7 +200,7 @@ impl Envelope {
             clock: ClockTick::ZERO,
             direction: Direction::Uplink,
             end_of_procedure: false,
-            msg: Arc::new(msg),
+            msg: msg.into(),
         }
     }
 
@@ -218,7 +220,7 @@ impl Envelope {
             clock: ClockTick::ZERO,
             direction: Direction::Downlink,
             end_of_procedure: false,
-            msg: Arc::new(msg),
+            msg: msg.into(),
         }
     }
 
@@ -266,12 +268,12 @@ mod tests {
                 CodecKind::Fastbuf,
                 CodecKind::FastbufOptimized,
             ] {
-                let codec = codec_kind.instance();
+                let codec = codec_kind.codec();
                 let msg = kind.sample(7);
                 let mut buf = Vec::new();
-                msg.encode(codec.as_ref(), &mut buf)
+                msg.encode(codec, &mut buf)
                     .unwrap_or_else(|e| panic!("{kind}/{codec_kind}: encode: {e}"));
-                let back = ControlMessage::decode(*kind, codec.as_ref(), &buf)
+                let back = ControlMessage::decode(*kind, codec, &buf)
                     .unwrap_or_else(|e| panic!("{kind}/{codec_kind}: decode: {e}"));
                 assert_eq!(back, msg, "{kind}/{codec_kind}");
             }

@@ -118,14 +118,14 @@ impl CostTable {
     pub fn measure_for(codecs: &[CodecKind], opts: CalibrationOptions) -> Result<CostTable> {
         let mut table = CostTable::new();
         for &codec_kind in codecs {
-            let codec = codec_kind.instance();
+            let codec = codec_kind.codec();
             for &kind in MessageKind::ALL {
                 let schema = kind.schema();
                 if !codec.supports(&schema) {
                     continue;
                 }
                 let value = kind.sample(1).to_value();
-                let cost = measure(codec.as_ref(), &schema, &value, opts)?;
+                let cost = measure(codec, &schema, &value, opts)?;
                 table.insert(codec_kind, kind, cost);
             }
         }
@@ -434,10 +434,10 @@ mod state_cost_tests {
             CodecKind::Fastbuf,
             CodecKind::FastbufOptimized,
         ] {
-            let inst = codec.instance();
+            let inst = codec.codec();
             let schema = UeState::schema();
             let value = UeState::sample(1).to_value();
-            let c = measure(inst.as_ref(), &schema, &value, opts).unwrap();
+            let c = measure(inst, &schema, &value, opts).unwrap();
             println!(
                 "{codec}: encode={} access={} bytes={}",
                 c.encode.as_nanos(),

@@ -28,6 +28,7 @@ pub mod costs;
 pub mod flow;
 pub mod ies;
 pub mod nas;
+pub mod payload;
 pub mod procedures;
 pub mod s1ap;
 pub mod state;
@@ -36,6 +37,7 @@ pub mod wire;
 
 pub use control::{ControlMessage, Direction, Envelope, MessageKind};
 pub use flow::{FlowSpec, Role, FLOWS};
+pub use payload::Payload;
 pub use procedures::{ProcedureKind, ProcedureTemplate};
 pub use sysmsg::{AdmissionClass, SysMsg};
 pub use wire::Wire;

@@ -1239,7 +1239,7 @@ mod tests {
         let mut per_len = 0usize;
         let mut others = Vec::new();
         for kind in CodecKind::ALL {
-            let codec = kind.instance();
+            let codec = kind.codec();
             if !codec.supports(&schema) {
                 continue;
             }

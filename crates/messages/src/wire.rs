@@ -140,14 +140,14 @@ pub(crate) mod testutil {
         let schema = M::schema();
         schema.validate(&msg.to_value()).expect("sample validates");
         for kind in CodecKind::ALL {
-            let codec = kind.instance();
+            let codec = kind.codec();
             if !codec.supports(&schema) {
                 continue;
             }
             let mut buf = Vec::new();
-            msg.encode(codec.as_ref(), &mut buf)
+            msg.encode(codec, &mut buf)
                 .unwrap_or_else(|e| panic!("{kind} encode failed: {e}"));
-            let back = M::decode(codec.as_ref(), &buf)
+            let back = M::decode(codec, &buf)
                 .unwrap_or_else(|e| panic!("{kind} decode failed: {e}"));
             assert_eq!(&back, msg, "round trip through {kind}");
             // traverse must agree with decode on every codec

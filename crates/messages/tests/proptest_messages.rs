@@ -22,13 +22,13 @@ proptest! {
         let schema = kind.schema();
         schema.validate(&msg.to_value()).unwrap();
         for codec_kind in CodecKind::ALL {
-            let codec = codec_kind.instance();
+            let codec = codec_kind.codec();
             if !codec.supports(&schema) {
                 continue;
             }
             let mut buf = Vec::new();
-            msg.encode(codec.as_ref(), &mut buf).unwrap();
-            let back = ControlMessage::decode(kind, codec.as_ref(), &buf).unwrap();
+            msg.encode(codec, &mut buf).unwrap();
+            let back = ControlMessage::decode(kind, codec, &buf).unwrap();
             prop_assert_eq!(&back, &msg, "{} via {}", kind, codec_kind);
             // Traverse agrees with the canonical checksum.
             prop_assert_eq!(
@@ -53,16 +53,16 @@ proptest! {
             let msg = kind.sample(seed);
             let schema = kind.schema();
             for codec_kind in [CodecKind::Asn1Per, CodecKind::Fastbuf, CodecKind::FastbufOptimized] {
-                let codec = codec_kind.instance();
+                let codec = codec_kind.codec();
                 if !codec.supports(&schema) {
                     continue;
                 }
                 let mut first = Vec::new();
-                msg.encode(codec.as_ref(), &mut first).unwrap();
-                let back = ControlMessage::decode(kind, codec.as_ref(), &first).unwrap();
+                msg.encode(codec, &mut first).unwrap();
+                let back = ControlMessage::decode(kind, codec, &first).unwrap();
                 prop_assert_eq!(&back, &msg, "{} via {} decode", kind, codec_kind);
                 let mut second = Vec::new();
-                back.encode(codec.as_ref(), &mut second).unwrap();
+                back.encode(codec, &mut second).unwrap();
                 prop_assert_eq!(
                     &first,
                     &second,
@@ -79,11 +79,11 @@ proptest! {
     fn per_is_size_floor(kind in any_kind(), seed in any::<u64>()) {
         let msg = kind.sample(seed);
         let schema = kind.schema();
-        let per = CodecKind::Asn1Per.instance();
+        let per = CodecKind::Asn1Per.codec();
         let mut per_buf = Vec::new();
         per.encode(&schema, &msg.to_value(), &mut per_buf).unwrap();
         for codec_kind in [CodecKind::Fastbuf, CodecKind::FastbufOptimized, CodecKind::Flex] {
-            let codec = codec_kind.instance();
+            let codec = codec_kind.codec();
             let mut buf = Vec::new();
             codec.encode(&schema, &msg.to_value(), &mut buf).unwrap();
             prop_assert!(
@@ -104,8 +104,8 @@ proptest! {
         let schema = kind.schema();
         let mut std_buf = Vec::new();
         let mut opt_buf = Vec::new();
-        CodecKind::Fastbuf.instance().encode(&schema, &msg.to_value(), &mut std_buf).unwrap();
-        CodecKind::FastbufOptimized.instance().encode(&schema, &msg.to_value(), &mut opt_buf).unwrap();
+        CodecKind::Fastbuf.codec().encode(&schema, &msg.to_value(), &mut std_buf).unwrap();
+        CodecKind::FastbufOptimized.codec().encode(&schema, &msg.to_value(), &mut opt_buf).unwrap();
         prop_assert!(opt_buf.len() <= std_buf.len(), "{kind}");
     }
 
@@ -115,10 +115,10 @@ proptest! {
     fn ue_state_round_trips(seed in any::<u64>()) {
         let state = UeState::sample(seed);
         for codec_kind in [CodecKind::Asn1Per, CodecKind::FastbufOptimized] {
-            let codec = codec_kind.instance();
+            let codec = codec_kind.codec();
             let mut buf = Vec::new();
-            state.encode(codec.as_ref(), &mut buf).unwrap();
-            prop_assert_eq!(UeState::decode(codec.as_ref(), &buf).unwrap(), state.clone());
+            state.encode(codec, &mut buf).unwrap();
+            prop_assert_eq!(UeState::decode(codec, &buf).unwrap(), state.clone());
         }
     }
 }

@@ -7,23 +7,30 @@
 //! comparison surface). Length-prefixed throughout so frames survive
 //! stream transports.
 //!
+//! Decoding reads a control envelope's fixed header and keeps its payload
+//! block as a wire-backed [`Payload`] without running the codec; encoding
+//! such a payload under the codec it arrived in copies the block back out.
+//! A forwarder therefore pays a header read and a memcpy per hop, the codec
+//! runs once where a message is built and once where it is read, and a
+//! corrupt payload is found by its reader, not here.
+//!
 //! Encoding writes into a caller-supplied `Vec<u8>` so transports can
 //! recycle frame buffers ([`neutrino_codec::scratch`]); interior payload
 //! temporaries come from the same pool, keeping the steady-state encode
 //! path allocation-free.
 
 use bytes::{Buf, BufMut};
-use neutrino_codec::{scratch, CodecKind, WireFormat};
+use neutrino_codec::{scratch, CodecKind};
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, CpfId, CtaId, Error, ProcedureId, Result, SessionId, UeId, UpfId};
-use neutrino_messages::control::{ControlMessage, Direction, Envelope, MessageKind};
+use neutrino_messages::control::{Direction, Envelope, MessageKind};
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_messages::state::UeState;
 use neutrino_messages::sysmsg::{
     AdmissionClass, MarkOutdated, Replay, S11Request, S11Response, SessionOp, StateSync, SyncAck,
     SyncPurpose, SysMsg,
 };
-use neutrino_messages::Wire;
+use neutrino_messages::{Payload, Wire};
 use std::sync::Arc;
 
 const TAG_CONTROL: u8 = 1;
@@ -49,11 +56,10 @@ fn err(detail: impl Into<String>) -> Error {
     Error::codec("framing", detail.into())
 }
 
+// The on-wire code of a kind is its declaration index: `ALL` lists the
+// variants in declaration order (`wire_codes_are_declaration_indices`).
 fn kind_code(kind: MessageKind) -> u16 {
-    MessageKind::ALL
-        .iter()
-        .position(|k| *k == kind)
-        .expect("kind enumerated") as u16
+    kind as u16
 }
 
 fn kind_from_code(code: u16) -> Result<MessageKind> {
@@ -64,10 +70,7 @@ fn kind_from_code(code: u16) -> Result<MessageKind> {
 }
 
 fn proc_kind_code(kind: ProcedureKind) -> u8 {
-    ProcedureKind::ALL
-        .iter()
-        .position(|k| *k == kind)
-        .expect("kind enumerated") as u8
+    kind as u8
 }
 
 fn proc_kind_from_code(code: u8) -> Result<ProcedureKind> {
@@ -95,7 +98,7 @@ fn get_block<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
     Ok(head)
 }
 
-fn put_envelope(env: &Envelope, codec: &dyn WireFormat, buf: &mut Vec<u8>) -> Result<()> {
+fn put_envelope(env: &Envelope, codec: CodecKind, buf: &mut Vec<u8>) -> Result<()> {
     buf.put_u64(env.ue.raw());
     buf.put_u64(env.procedure.raw());
     buf.put_u8(proc_kind_code(env.proc_kind));
@@ -114,11 +117,19 @@ fn put_envelope(env: &Envelope, codec: &dyn WireFormat, buf: &mut Vec<u8>) -> Re
     });
     buf.put_u8(u8::from(env.end_of_procedure));
     buf.put_u16(kind_code(env.msg.kind()));
-    scratch::with_buf(|payload| {
-        env.msg.encode(codec, payload)?;
-        put_block(buf, payload);
-        Ok(())
-    })
+    // Bytes received under the outgoing codec go out as they came in; only
+    // a payload built here, or received under another codec, is encoded.
+    match env.msg.wire(codec) {
+        Some(bytes) => {
+            put_block(buf, bytes);
+            Ok(())
+        }
+        None => scratch::with_buf(|payload| {
+            env.msg.get()?.encode(codec.codec(), payload)?;
+            put_block(buf, payload);
+            Ok(())
+        }),
+    }
 }
 
 fn take_u64(buf: &mut &[u8]) -> Result<u64> {
@@ -136,7 +147,9 @@ fn take_u8(buf: &mut &[u8]) -> Result<u8> {
     Ok(buf.get_u8())
 }
 
-fn get_envelope(buf: &mut &[u8], codec: &dyn WireFormat) -> Result<Envelope> {
+/// Reads the fixed header and keeps the payload block as received: no codec
+/// runs here, so a corrupt payload surfaces where it is first read (the CPF).
+fn get_envelope(buf: &mut &[u8], codec: CodecKind) -> Result<Envelope> {
     let ue = UeId::new(take_u64(buf)?);
     let procedure = ProcedureId::new(take_u64(buf)?);
     let proc_kind = proc_kind_from_code(take_u8(buf)?)?;
@@ -155,7 +168,6 @@ fn get_envelope(buf: &mut &[u8], codec: &dyn WireFormat) -> Result<Envelope> {
     let end_of_procedure = take_u8(buf)? == 1;
     let kind = kind_from_code(take_u16(buf)?)?;
     let payload = get_block(buf)?;
-    let msg = ControlMessage::decode(kind, codec, payload)?;
     Ok(Envelope {
         ue,
         procedure,
@@ -165,38 +177,37 @@ fn get_envelope(buf: &mut &[u8], codec: &dyn WireFormat) -> Result<Envelope> {
         clock,
         direction,
         end_of_procedure,
-        msg: Arc::new(msg),
+        msg: Payload::from_wire(kind, codec, payload),
     })
 }
 
+// State snapshots always travel as fastbuf: they are Neutrino-internal.
+const STATE_CODEC: CodecKind = CodecKind::FastbufOptimized;
+
 fn put_state(state: &UeState, buf: &mut Vec<u8>) -> Result<()> {
-    // State snapshots always travel as fastbuf: they are Neutrino-internal.
-    let codec = neutrino_codec::fastbuf::Fastbuf::optimized();
     scratch::with_buf(|payload| {
-        state.encode(&codec, payload)?;
+        state.encode(STATE_CODEC.codec(), payload)?;
         put_block(buf, payload);
         Ok(())
     })
 }
 
 fn get_state(buf: &mut &[u8]) -> Result<Arc<UeState>> {
-    let codec = neutrino_codec::fastbuf::Fastbuf::optimized();
     let payload = get_block(buf)?;
-    UeState::decode(&codec, payload).map(Arc::new)
+    UeState::decode(STATE_CODEC.codec(), payload).map(Arc::new)
 }
 
 /// Encodes a [`SysMsg`] as a self-contained frame into `buf`.
 ///
 /// `buf` is cleared first so callers can recycle one buffer across frames
 /// (e.g. via [`scratch::with_buf`]); on error its contents are unspecified.
-pub fn encode_sysmsg(msg: &SysMsg, codec_kind: CodecKind, buf: &mut Vec<u8>) -> Result<()> {
-    let codec = codec_kind.instance();
+pub fn encode_sysmsg(msg: &SysMsg, codec: CodecKind, buf: &mut Vec<u8>) -> Result<()> {
     buf.clear();
     buf.reserve(64);
     match msg {
         SysMsg::Control(env) => {
             buf.put_u8(TAG_CONTROL);
-            put_envelope(env, codec.as_ref(), buf)?;
+            put_envelope(env, codec, buf)?;
         }
         SysMsg::StateSync(s) => {
             buf.put_u8(TAG_STATE_SYNC);
@@ -232,7 +243,7 @@ pub fn encode_sysmsg(msg: &SysMsg, codec_kind: CodecKind, buf: &mut Vec<u8>) -> 
             buf.put_u64(r.ue.raw());
             buf.put_u32(r.messages.len() as u32);
             for env in &r.messages {
-                put_envelope(env, codec.as_ref(), buf)?;
+                put_envelope(env, codec, buf)?;
             }
         }
         SysMsg::FetchState { ue, requester } => {
@@ -368,13 +379,14 @@ fn need(buf: &&[u8], n: usize) -> Result<()> {
 }
 
 /// Decodes a frame produced by [`encode_sysmsg`] with the same codec.
-pub fn decode_sysmsg(frame: &[u8], codec_kind: CodecKind) -> Result<SysMsg> {
-    let codec = codec_kind.instance();
+/// Control payloads (in `Control` and `Replay`) are carried over unparsed:
+/// `Ok` vouches for the frame structure, not for their bytes.
+pub fn decode_sysmsg(frame: &[u8], codec: CodecKind) -> Result<SysMsg> {
     let mut buf = frame;
     need(&buf, 1)?;
     let tag = buf.get_u8();
     let msg = match tag {
-        TAG_CONTROL => SysMsg::Control(get_envelope(&mut buf, codec.as_ref())?),
+        TAG_CONTROL => SysMsg::Control(get_envelope(&mut buf, codec)?),
         TAG_STATE_SYNC => {
             need(&buf, 8 * 5 + 1)?;
             let ue = UeId::new(buf.get_u64());
@@ -426,7 +438,7 @@ pub fn decode_sysmsg(frame: &[u8], codec_kind: CodecKind) -> Result<SysMsg> {
             let n = buf.get_u32() as usize;
             let mut messages = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
-                messages.push(get_envelope(&mut buf, codec.as_ref())?);
+                messages.push(get_envelope(&mut buf, codec)?);
             }
             SysMsg::Replay(Replay { ue, messages })
         }
@@ -579,6 +591,21 @@ mod tests {
         e.via_cta = Some(CtaId::new(1));
         e.clock = ClockTick(99);
         e
+    }
+
+    #[test]
+    fn wire_codes_are_declaration_indices() {
+        // `kind_code`/`proc_kind_code` cast the discriminant and the decode
+        // side indexes `ALL`: the two agree only while `ALL` is in
+        // declaration order.
+        for (i, kind) in MessageKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{kind}");
+            assert_eq!(kind_from_code(kind_code(*kind)).unwrap(), *kind);
+        }
+        for (i, kind) in ProcedureKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{kind}");
+            assert_eq!(proc_kind_from_code(proc_kind_code(*kind)).unwrap(), *kind);
+        }
     }
 
     #[test]

@@ -265,7 +265,7 @@ mod tests {
     use neutrino_cta::CtaConfig;
     use neutrino_geo::RingStack;
     use neutrino_messages::procedures::ProcedureKind;
-    use neutrino_messages::{ControlMessage, Direction, Envelope, MessageKind};
+    use neutrino_messages::{Direction, Envelope, MessageKind};
 
     fn build_mesh(config: MeshConfig) -> (Mesh, SmallDeployment) {
         let dep = SmallDeployment::default();
@@ -321,7 +321,7 @@ mod tests {
         assert!(matches!(
             dl,
             SysMsg::Control(ref env)
-                if matches!(*env.msg, ControlMessage::InitialContextSetupRequest(_))
+                if env.msg.kind() == MessageKind::InitialContextSetupRequest
         ));
         send_ul(MessageKind::InitialContextSetupResponse, false);
         send_ul(MessageKind::AttachComplete, true);

@@ -8,9 +8,19 @@
 //! (so no decode arm is missing and encoder and decoder agree), and the
 //! tags are distinct and contiguous `1..=N`. This file is the whole check:
 //! a half-added frame tag (the PR 4 "tag 17" class) cannot land.
+//!
+//! The last two tests hold the other half of the contract: a `Control`
+//! payload crosses `decode_sysmsg` → `encode_sysmsg` as the bytes it
+//! arrived in, unparsed, for every message kind under every codec; and
+//! because of that a corrupt payload reaches the CPF, which must count it
+//! and carry on.
 
 use neutrino_common::clock::ClockTick;
+use neutrino_common::time::Instant;
 use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, SessionId, UeId, UpfId};
+use neutrino_cpf::{CpfConfig, CpfCore};
+use neutrino_cta::{CtaConfig, CtaCore, CtaOutput};
+use neutrino_geo::RingStack;
 use neutrino_messages::control::{Envelope, MessageKind};
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_messages::state::UeState;
@@ -156,4 +166,133 @@ fn frame_tags_are_distinct_across_variants() {
     assert_eq!(sorted.len(), VARIANT_COUNT, "duplicate frame tag across variants: {tags:?}");
     // Gap-free 1..=N.
     assert_eq!(sorted, (1..=VARIANT_COUNT as u8).collect::<Vec<_>>(), "tags must be contiguous 1..=N");
+}
+
+fn frame(msg: &SysMsg, codec: CodecKind) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_sysmsg(msg, codec, &mut frame)
+        .unwrap_or_else(|e| panic!("encode failed for {} under {codec}: {e:?}", msg.label()));
+    frame
+}
+
+fn control(msg: SysMsg) -> Envelope {
+    match msg {
+        SysMsg::Control(env) => env,
+        other => panic!("expected a control frame, got {}", other.label()),
+    }
+}
+
+#[test]
+fn control_payloads_pass_through_unparsed_for_every_kind_and_codec() {
+    for &kind in MessageKind::ALL {
+        let codecs: Vec<CodecKind> = CodecKind::ALL
+            .into_iter()
+            .filter(|c| c.codec().supports(&kind.schema()))
+            .collect();
+        assert!(codecs.len() >= 2, "{kind}: need two codecs to cross-encode");
+        let sent = Envelope::uplink(
+            UeId::new(42),
+            ProcedureId::new(3),
+            ProcedureKind::ServiceRequest,
+            kind.sample(42),
+        );
+        for (i, &codec) in codecs.iter().enumerate() {
+            let original = frame(&SysMsg::Control(sent.clone()), codec);
+            // (i) A forwarder's decode → encode is the identity on bytes and
+            // never runs the codec.
+            let hop = control(decode_sysmsg(&original, codec).unwrap());
+            assert_eq!(hop.msg.kind(), kind);
+            let forwarded = frame(&SysMsg::Control(hop.clone()), codec);
+            assert_eq!(
+                forwarded, original,
+                "{kind}/{codec}: pass-through changed bytes"
+            );
+            assert!(
+                !hop.msg.is_materialised(),
+                "{kind}/{codec}: a hop parsed the payload"
+            );
+            // (iii) Leaving under another codec than it arrived in is a real
+            // encode, identical to encoding the original message.
+            let other = codecs[(i + 1) % codecs.len()];
+            let crossed = frame(&SysMsg::Control(hop.clone()), other);
+            assert_eq!(
+                crossed,
+                frame(&SysMsg::Control(sent.clone()), other),
+                "{kind}/{codec}→{other}"
+            );
+            assert_eq!(control(decode_sysmsg(&crossed, other).unwrap()), sent);
+            // (ii) The reader gets the message that was sent.
+            assert_eq!(
+                hop.msg.get().unwrap(),
+                sent.msg.get().unwrap(),
+                "{kind}/{codec}"
+            );
+        }
+    }
+}
+
+#[test]
+fn corrupt_payload_bytes_are_counted_at_the_cpf_never_panicked_on() {
+    let cpfs: Vec<CpfId> = (0..5).map(CpfId::new).collect();
+    let ring = RingStack::new(&cpfs, &[], 2);
+    let kind = ProcedureKind::InitialAttach;
+    // A procedure start, so the CPF acts on it with no prior state.
+    let msg = kind.template().steps[0].kind.sample(42);
+    let uplink = SysMsg::Control(Envelope::uplink(
+        UeId::new(42),
+        ProcedureId::new(1),
+        kind,
+        msg.clone(),
+    ));
+    for codec in [CodecKind::Asn1Per, CodecKind::FastbufOptimized] {
+        let mut cta = CtaCore::new(CtaConfig::neutrino(CtaId::new(0), codec), ring.clone());
+        let mut cpf: Vec<CpfCore> = cpfs
+            .iter()
+            .map(|&id| CpfCore::new(CpfConfig::neutrino(id, ring.clone(), vec![UpfId::new(0)])))
+            .collect();
+        let clean = frame(&uplink, codec);
+        let mut payload = Vec::new();
+        msg.encode(codec.codec(), &mut payload).unwrap();
+        let payload_at = clean.len() - payload.len();
+        assert_eq!(
+            clean[payload_at..],
+            payload[..],
+            "the payload block ends the frame"
+        );
+
+        let mut frames = 0u64;
+        for at in payload_at..clean.len() {
+            for mask in [0xFF, 0x80, 0x01] {
+                let mut corrupt = clean.clone();
+                corrupt[at] ^= mask;
+                // The header is intact: framing and the CTA let it through.
+                let received = decode_sysmsg(&corrupt, codec).unwrap();
+                let mut outs = cta.handle(received, Instant::from_micros(frames));
+                let Some(CtaOutput::ToCpf { cpf: to, msg }) = outs.pop() else {
+                    panic!("{codec}: byte {at}: the CTA did not forward");
+                };
+                // It forwards what it received, corruption included.
+                let SysMsg::Control(fwd) = &msg else {
+                    panic!("{codec}: byte {at}: forwarded a {}", msg.label());
+                };
+                assert_eq!(fwd.msg.wire(codec), Some(&corrupt[payload_at..]));
+                let reframed = frame(&msg, codec);
+                cpf[to.raw() as usize].handle(decode_sysmsg(&reframed, codec).unwrap());
+                frames += 1;
+            }
+        }
+        let (processed, malformed) = cpf.iter().fold((0, 0), |(p, m), c| {
+            (
+                p + c.metrics().processed,
+                m + c.metrics().malformed_payloads,
+            )
+        });
+        assert_eq!(
+            processed + malformed,
+            frames,
+            "{codec}: a frame went uncounted"
+        );
+        assert!(malformed > 0, "{codec}: no corruption was ever detected");
+        assert_eq!(cta.metrics().unexpected_msgs, 0);
+    }
 }

@@ -33,7 +33,7 @@ fn main() {
             "codec", "encode", "read", "size"
         );
         for codec_kind in CodecKind::ALL {
-            let codec = codec_kind.instance();
+            let codec = codec_kind.codec();
             if !codec.supports(&schema) {
                 println!(
                     "  {:<14} {:>36}",
@@ -42,7 +42,7 @@ fn main() {
                 );
                 continue;
             }
-            let c = measure(codec.as_ref(), &schema, &value, opts).expect("measure");
+            let c = measure(codec, &schema, &value, opts).expect("measure");
             println!(
                 "  {:<14} {:>10}ns {:>10}ns {:>8}B",
                 codec_kind.name(),
