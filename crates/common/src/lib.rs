@@ -15,6 +15,7 @@
 //!   bounded Pareto) built on `rand` primitives.
 //! * [`stats`] — streaming statistics and percentile summaries used by the
 //!   experiment harness.
+//! * [`uemap`] — [`UeMap`], the O(1) per-UE state table every role uses.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
@@ -26,6 +27,7 @@ pub mod ids;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod uemap;
 
 pub use clock::LogicalClock;
 pub use error::{Error, Result};
@@ -33,3 +35,4 @@ pub use ids::{
     BearerId, BsId, CpfId, CtaId, Imsi, ProcedureId, RegionId, SessionId, Tmsi, UeId, UpfId,
 };
 pub use time::{Duration, Instant};
+pub use uemap::UeMap;

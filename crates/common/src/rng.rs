@@ -11,6 +11,17 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The splitmix64 finalizer: a stateless bijective mixer. Seedless, so
+/// whatever is keyed on it (`UeMap`'s layout, the UE backoff jitter) is the
+/// same in every run and process.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// Creates the workspace's standard deterministic RNG from a seed.
 ///
 /// All experiments accept a seed and derive every random stream from it, so

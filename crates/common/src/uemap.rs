@@ -1,0 +1,313 @@
+//! [`UeMap`]: the per-UE state table every role keys by UE id.
+//!
+//! PAPER.md §4.2.3/§4.3 has the CTA route and log by a hash of the UE id
+//! and the CPF keep one state record per UE. This is that table: O(1)
+//! lookups through a fixed hash, so a 40 000-UE attach burst costs the same
+//! per message as a 4 000-UE steady run.
+//!
+//! Two properties keep it inside the determinism contract:
+//!
+//! * the hash is seedless (the splitmix64 finalizer), so the layout is a
+//!   function of the operations applied — identical across runs, processes
+//!   and `--jobs` counts;
+//! * the layout is never observable anyway: the only keyed iteration is
+//!   [`UeMap::iter_sorted`] (ascending [`UeId`]), and the only unkeyed one is
+//!   [`UeMap::values_mut`], for updates that do not depend on order.
+
+use crate::ids::UeId;
+use crate::rng::splitmix64;
+use std::fmt;
+
+/// UE id → value.
+///
+/// Values live densely in a slab; a linear-probing index of packed
+/// `(hash tag, slab slot)` words finds them. A lookup touches the index
+/// (8 bytes per entry, cache-resident at simulation scale) and then exactly
+/// one slab entry.
+#[derive(Clone)]
+pub struct UeMap<V> {
+    /// Open-addressed index, empty or a power of two long, at most ¾ full.
+    /// `0` marks a free position; an occupied one holds
+    /// `tag << 32 | slot + 1`, and its home position is `tag & mask`.
+    index: Vec<u64>,
+    /// The entries, in no meaningful order (`remove` swaps the last one into
+    /// the hole).
+    slots: Vec<(UeId, V)>,
+}
+
+/// The upper half of the UE id's hash.
+#[inline]
+fn tag_of(ue: UeId) -> u32 {
+    (splitmix64(ue.raw()) >> 32) as u32
+}
+
+#[inline]
+fn pack(tag: u32, slot: usize) -> u64 {
+    let slot = u32::try_from(slot + 1).expect("a UeMap holds fewer than 2^32 UEs");
+    u64::from(tag) << 32 | u64::from(slot)
+}
+
+/// The slab slot an occupied index word points at.
+#[inline]
+fn slot_of(word: u64) -> usize {
+    (word as u32 - 1) as usize
+}
+
+/// Writes `word` into the first free position at or after its home.
+#[inline]
+fn place(index: &mut [u64], word: u64) {
+    let mask = index.len() - 1;
+    let mut pos = (word >> 32) as usize & mask;
+    while index[pos] != 0 {
+        pos = (pos + 1) & mask;
+    }
+    index[pos] = word;
+}
+
+impl<V> Default for UeMap<V> {
+    fn default() -> Self {
+        UeMap {
+            index: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
+}
+
+impl<V> UeMap<V> {
+    /// An empty map (allocates nothing until the first insert).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of UEs held.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when no UE is held.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// `(index position, slab slot)` of `ue`, probing from its home.
+    fn find(&self, ue: UeId, tag: u32) -> Option<(usize, usize)> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let mask = self.index.len() - 1;
+        let mut pos = tag as usize & mask;
+        loop {
+            let word = self.index[pos];
+            if word == 0 {
+                return None;
+            }
+            if (word >> 32) as u32 == tag && self.slots[slot_of(word)].0 == ue {
+                return Some((pos, slot_of(word)));
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// The value held for `ue`.
+    pub fn get(&self, ue: UeId) -> Option<&V> {
+        let (_, slot) = self.find(ue, tag_of(ue))?;
+        Some(&self.slots[slot].1)
+    }
+
+    /// The value held for `ue`, for writing.
+    pub fn get_mut(&mut self, ue: UeId) -> Option<&mut V> {
+        let (_, slot) = self.find(ue, tag_of(ue))?;
+        Some(&mut self.slots[slot].1)
+    }
+
+    /// Whether a value is held for `ue`.
+    pub fn contains_key(&self, ue: UeId) -> bool {
+        self.find(ue, tag_of(ue)).is_some()
+    }
+
+    /// `ue`'s place in the map, occupied or not, found with one probe.
+    pub fn entry(&mut self, ue: UeId) -> Entry<'_, V> {
+        let tag = tag_of(ue);
+        match self.find(ue, tag) {
+            Some((_, slot)) => Entry::Occupied(&mut self.slots[slot].1),
+            None => Entry::Vacant(VacantEntry { map: self, ue, tag }),
+        }
+    }
+
+    /// Stores `value` for `ue`, returning what it replaced.
+    pub fn insert(&mut self, ue: UeId, value: V) -> Option<V> {
+        match self.entry(ue) {
+            Entry::Occupied(held) => Some(std::mem::replace(held, value)),
+            Entry::Vacant(vacant) => {
+                vacant.insert(value);
+                None
+            }
+        }
+    }
+
+    /// Removes and returns `ue`'s value.
+    pub fn remove(&mut self, ue: UeId) -> Option<V> {
+        let (pos, slot) = self.find(ue, tag_of(ue))?;
+        self.unlink(pos);
+        let (_, value) = self.slots.swap_remove(slot);
+        if let Some((moved, _)) = self.slots.get(slot) {
+            // The former last entry now lives in `slot`: repoint its word.
+            let tag = tag_of(*moved);
+            let old = pack(tag, self.slots.len());
+            let mask = self.index.len() - 1;
+            let mut pos = tag as usize & mask;
+            while self.index[pos] != old {
+                pos = (pos + 1) & mask;
+            }
+            self.index[pos] = pack(tag, slot);
+        }
+        Some(value)
+    }
+
+    /// Frees index position `hole`, shifting back every later word of the
+    /// probe run that would otherwise become unreachable from its home.
+    fn unlink(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut pos = (hole + 1) & mask;
+        while self.index[pos] != 0 {
+            let home = (self.index[pos] >> 32) as usize & mask;
+            // Distances are cyclic: the word may move iff the hole lies
+            // between its home and where it sits now.
+            if (pos.wrapping_sub(home) & mask) >= (pos.wrapping_sub(hole) & mask) {
+                self.index[hole] = self.index[pos];
+                hole = pos;
+            }
+            pos = (pos + 1) & mask;
+        }
+        self.index[hole] = 0;
+    }
+
+    /// Doubles the index; the words carry their own tags, so the slab is not
+    /// touched.
+    fn grow(&mut self) {
+        let mut index = vec![0u64; (self.index.len() * 2).max(8)];
+        for &word in self.index.iter().filter(|&&w| w != 0) {
+            place(&mut index, word);
+        }
+        self.index = index;
+    }
+
+    /// Every entry in ascending [`UeId`] order — the only keyed iteration,
+    /// so no caller can come to depend on the layout. Costs one sort of the
+    /// entry references per call: for audits and scans, not per message.
+    pub fn iter_sorted(&self) -> impl Iterator<Item = (&UeId, &V)> {
+        let mut view: Vec<&(UeId, V)> = self.slots.iter().collect();
+        view.sort_unstable_by_key(|entry| entry.0);
+        view.into_iter().map(|entry| (&entry.0, &entry.1))
+    }
+
+    /// Every value, for writing, in no particular order: only for updates
+    /// whose result does not depend on the order they are applied in.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.slots.iter_mut().map(|entry| &mut entry.1)
+    }
+}
+
+impl<V: fmt::Debug> fmt::Debug for UeMap<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter_sorted()).finish()
+    }
+}
+
+/// What [`UeMap::entry`] found.
+pub enum Entry<'a, V> {
+    /// The UE's value.
+    Occupied(&'a mut V),
+    /// The UE holds nothing yet.
+    Vacant(VacantEntry<'a, V>),
+}
+
+/// A UE's still-empty place in a [`UeMap`].
+pub struct VacantEntry<'a, V> {
+    map: &'a mut UeMap<V>,
+    ue: UeId,
+    tag: u32,
+}
+
+impl<'a, V> Entry<'a, V> {
+    /// The held value, or `make()` stored and handed back.
+    pub fn or_insert_with(self, make: impl FnOnce() -> V) -> &'a mut V {
+        match self {
+            Entry::Occupied(held) => held,
+            Entry::Vacant(vacant) => vacant.insert(make()),
+        }
+    }
+
+    /// The held value, or a default one stored and handed back.
+    pub fn or_default(self) -> &'a mut V
+    where
+        V: Default,
+    {
+        self.or_insert_with(V::default)
+    }
+}
+
+impl<'a, V> VacantEntry<'a, V> {
+    /// Stores `value` for the UE and hands it back.
+    pub fn insert(self, value: V) -> &'a mut V {
+        let VacantEntry { map, ue, tag } = self;
+        if (map.slots.len() + 1) * 4 > map.index.len() * 3 {
+            map.grow();
+        }
+        let slot = map.slots.len();
+        place(&mut map.index, pack(tag, slot));
+        map.slots.push((ue, value));
+        &mut map.slots[slot].1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn insert_get_remove() {
+        let mut m = UeMap::new();
+        assert!(m.get(UeId::new(1)).is_none());
+        assert_eq!(m.insert(UeId::new(1), "a"), None);
+        assert_eq!(m.insert(UeId::new(1), "b"), Some("a"));
+        assert_eq!(m.get(UeId::new(1)), Some(&"b"));
+        assert!(m.contains_key(UeId::new(1)));
+        assert_eq!(m.remove(UeId::new(1)), Some("b"));
+        assert_eq!(m.remove(UeId::new(1)), None);
+        assert!(m.is_empty());
+    }
+
+    #[test]
+    fn removal_keeps_colliding_entries_reachable() {
+        // Far more entries than the smallest index has homes: every probe
+        // run is shared, and each removal must leave the rest findable.
+        let mut m = UeMap::new();
+        for i in 0..6u64 {
+            m.insert(UeId::new(i), i);
+        }
+        for gone in 0..6u64 {
+            assert_eq!(m.remove(UeId::new(gone)), Some(gone));
+            for kept in gone + 1..6 {
+                assert_eq!(m.get(UeId::new(kept)), Some(&kept), "after removing {gone}");
+            }
+        }
+    }
+
+    #[test]
+    fn entry_fills_once() {
+        let mut m: UeMap<u32> = UeMap::new();
+        *m.entry(UeId::new(9)).or_default() += 1;
+        *m.entry(UeId::new(9)).or_default() += 1;
+        assert_eq!(m.get(UeId::new(9)), Some(&2));
+        assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn debug_prints_in_ue_order() {
+        let mut m = UeMap::new();
+        m.insert(UeId::new(2), 'b');
+        m.insert(UeId::new(1), 'a');
+        assert_eq!(format!("{m:?}"), "{ue-1: 'a', ue-2: 'b'}");
+    }
+}

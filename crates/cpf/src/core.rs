@@ -4,7 +4,8 @@
 
 use crate::store::{Freshness, StateStore, UeRecord};
 use neutrino_common::clock::ClockTick;
-use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, UeId, UpfId};
+use neutrino_common::uemap::Entry;
+use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, UeId, UeMap, UpfId};
 use neutrino_geo::RingStack;
 use neutrino_messages::control::{ControlMessage, Direction, Envelope, MessageKind};
 use neutrino_messages::ies::Tai;
@@ -15,7 +16,6 @@ use neutrino_messages::sysmsg::{
     SysMsg,
 };
 use neutrino_messages::Wire;
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 /// When UE state is checkpointed to backups (§4.2.2, ablated in Fig. 15).
@@ -211,7 +211,7 @@ pub struct CpfCore {
     /// Procedures in flight. A UE with progress always has a store record:
     /// progress starts only past the stale-state guard, and the record
     /// leaves (detach) together with it.
-    progress: BTreeMap<UeId, Progress>,
+    progress: UeMap<Progress>,
     metrics: CpfMetrics,
 }
 
@@ -451,7 +451,7 @@ impl CpfCore {
         CpfCore {
             config,
             store: StateStore::new(),
-            progress: BTreeMap::new(),
+            progress: UeMap::new(),
             metrics: CpfMetrics::default(),
         }
     }
@@ -535,7 +535,7 @@ impl CpfCore {
             config: &self.config,
             metrics: &mut self.metrics,
             rec: self.store.get_mut(ue)?,
-            progress: self.progress.get_mut(&ue)?,
+            progress: self.progress.get_mut(ue)?,
             out,
         })
     }
@@ -543,7 +543,7 @@ impl CpfCore {
     /// Drops what a finished procedure leaves behind.
     fn retire(&mut self, ue: UeId, finished: Option<Finished>) {
         if let Some(Finished { detached }) = finished {
-            self.progress.remove(&ue);
+            self.progress.remove(ue);
             if detached {
                 self.store.remove(ue);
             }
@@ -615,8 +615,7 @@ impl CpfCore {
         };
         let progress = match self.progress.entry(ue) {
             Entry::Vacant(slot) => slot.insert(fresh),
-            Entry::Occupied(held) => {
-                let progress = held.into_mut();
+            Entry::Occupied(progress) => {
                 if attach_start || progress.procedure != env.procedure {
                     *progress = fresh;
                 } else {

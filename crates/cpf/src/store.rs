@@ -1,9 +1,9 @@
 //! The per-CPF UE state store.
 
 use neutrino_common::clock::ClockTick;
-use neutrino_common::UeId;
+use neutrino_common::uemap::Entry;
+use neutrino_common::{UeId, UeMap};
 use neutrino_messages::state::UeState;
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 /// Whether a stored UE state may serve traffic (§4.2.4).
@@ -32,7 +32,7 @@ pub struct UeRecord {
 /// The store: UE id → record.
 #[derive(Debug, Default)]
 pub struct StateStore {
-    records: BTreeMap<UeId, UeRecord>,
+    records: UeMap<UeRecord>,
 }
 
 impl StateStore {
@@ -53,18 +53,18 @@ impl StateStore {
 
     /// Read access.
     pub fn get(&self, ue: UeId) -> Option<&UeRecord> {
-        self.records.get(&ue)
+        self.records.get(ue)
     }
 
-    /// Read-only iteration over every held record (invariant oracles),
-    /// in UE-id order.
+    /// Read-only iteration over every held record, in ascending [`UeId`]
+    /// order — the order the audit and the `check` oracles report in.
     pub fn iter(&self) -> impl Iterator<Item = (&UeId, &UeRecord)> {
-        self.records.iter()
+        self.records.iter_sorted()
     }
 
     /// Write access.
     pub fn get_mut(&mut self, ue: UeId) -> Option<&mut UeRecord> {
-        self.records.get_mut(&ue)
+        self.records.get_mut(ue)
     }
 
     /// Installs fresh state (attach, promotion, or accepted sync) and hands
@@ -75,8 +75,7 @@ impl StateStore {
             freshness: Freshness::UpToDate,
         };
         match self.records.entry(fresh.state.ue) {
-            Entry::Occupied(held) => {
-                let rec = held.into_mut();
+            Entry::Occupied(rec) => {
                 *rec = fresh;
                 rec
             }
@@ -88,7 +87,7 @@ impl StateStore {
     /// outdated at a clock at/after the sync's (stale checkpoint from a dead
     /// primary). Returns whether the sync was adopted.
     pub fn apply_sync(&mut self, state: Arc<UeState>, end_clock: ClockTick) -> bool {
-        if let Some(rec) = self.records.get(&state.ue) {
+        if let Some(rec) = self.records.get(state.ue) {
             if let Freshness::Outdated(at) = rec.freshness {
                 if end_clock <= at {
                     return false; // §4.2.4: ignore outdated state
@@ -106,20 +105,20 @@ impl StateStore {
     /// Marks a UE outdated (§4.2.4 step 1b). No-op if the CPF holds nothing
     /// for the UE (it then simply has no state, which is equally unservable).
     pub fn mark_outdated(&mut self, ue: UeId, clock: ClockTick) {
-        if let Some(rec) = self.records.get_mut(&ue) {
+        if let Some(rec) = self.records.get_mut(ue) {
             rec.freshness = Freshness::Outdated(clock);
         }
     }
 
     /// Removes a UE (detach).
     pub fn remove(&mut self, ue: UeId) -> Option<UeRecord> {
-        self.records.remove(&ue)
+        self.records.remove(ue)
     }
 
     /// True when the CPF may serve this UE's traffic.
     pub fn servable(&self, ue: UeId) -> bool {
         matches!(
-            self.records.get(&ue),
+            self.records.get(ue),
             Some(UeRecord {
                 freshness: Freshness::UpToDate,
                 ..

@@ -27,10 +27,8 @@
 //! higher class's worst shed happened at a strictly lower level than every
 //! lower class's best admit.
 
-use std::collections::BTreeMap;
-
 use neutrino_common::time::Instant;
-use neutrino_common::{ProcedureId, UeId};
+use neutrino_common::{ProcedureId, UeId, UeMap};
 use neutrino_messages::sysmsg::AdmissionClass;
 
 /// Nano-tokens per whole token. One admitted procedure costs one token.
@@ -106,7 +104,7 @@ pub struct AdmissionControl {
     refilled_at: Instant,
     /// Highest procedure id already admitted per UE: later steps and
     /// retransmits of these pass without spending tokens.
-    charged: BTreeMap<UeId, ProcedureId>,
+    charged: UeMap<ProcedureId>,
     /// Lowest post-refill token level at which each class was admitted.
     min_admit_tokens: [Option<u64>; 4],
     /// Highest post-refill token level at which each class was shed.
@@ -120,7 +118,7 @@ impl AdmissionControl {
             params,
             tokens: params.burst.saturating_mul(TOKEN),
             refilled_at: Instant::ZERO,
-            charged: BTreeMap::new(),
+            charged: UeMap::new(),
             min_admit_tokens: [None; 4],
             max_shed_tokens: [None; 4],
         }
@@ -153,7 +151,7 @@ impl AdmissionControl {
         class: AdmissionClass,
         now: Instant,
     ) -> AdmissionDecision {
-        if self.charged.get(&ue).is_some_and(|&p| procedure <= p) {
+        if self.charged.get(ue).is_some_and(|&p| procedure <= p) {
             return AdmissionDecision::Admit;
         }
         self.refill(now);
@@ -192,8 +190,8 @@ impl AdmissionControl {
     /// Forget the admission charge for a finished procedure so the map
     /// doesn't grow without bound across a long run.
     pub fn release(&mut self, ue: UeId, procedure: ProcedureId) {
-        if self.charged.get(&ue).is_some_and(|&p| p <= procedure) {
-            self.charged.remove(&ue);
+        if self.charged.get(ue).is_some_and(|&p| p <= procedure) {
+            self.charged.remove(ue);
         }
     }
 

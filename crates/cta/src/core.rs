@@ -402,8 +402,8 @@ impl CtaCore {
             // one still lacks ACKs ⇒ notify the lagging replicas.
             let prev = slot.last_completed;
             if prev.raw() > 0
-                && !slot.procedures().contains_key(&env.procedure)
-                && slot.procedures().contains_key(&prev)
+                && slot.procedure(env.procedure).is_none()
+                && slot.procedure(prev).is_some()
             {
                 self.notify_outdated(ue, prev, &mut out);
                 slot = self.log.ue_mut(ue);
@@ -537,8 +537,7 @@ impl CtaCore {
                 continue;
             };
             let last_logged = ue_log
-                .procedures()
-                .get(&in_proc)
+                .procedure(in_proc)
                 .and_then(|p| p.messages.last());
             match last_logged {
                 Some(last) => stuck.push(last.clone()),
@@ -638,7 +637,7 @@ impl CtaCore {
         for (ue, proc) in pending {
             let mut slot = self.log.ue_mut(ue);
             expected_acks(&mut slot, ue, &self.ring, &self.failed, &mut self.expected);
-            let Some(entry) = slot.procedures().get(&proc) else {
+            let Some(entry) = slot.procedure(proc) else {
                 continue;
             };
             // Converged sweep: after a failover the expected-ACK set can
@@ -670,7 +669,7 @@ impl CtaCore {
         for (i, &(ue, proc)) in lagging.iter().enumerate() {
             let mut slot = self.log.ue_mut(ue);
             expected_acks(&mut slot, ue, &self.ring, &self.failed, &mut self.expected);
-            let Some(entry) = slot.procedures().get(&proc) else {
+            let Some(entry) = slot.procedure(proc) else {
                 continue;
             };
             if self.expected.is_empty() || self.expected.iter().all(|r| entry.acked_by(*r)) {
@@ -728,11 +727,13 @@ impl CtaCore {
     /// listing who does hold fresh state (§4.2.4 step 1a).
     fn notify_outdated(&mut self, ue: UeId, proc: ProcedureId, out: &mut Vec<CtaOutput>) {
         let mut slot = self.log.ue_mut(ue);
-        if !slot.procedures().contains_key(&proc) {
+        if slot.procedure(proc).is_none() {
             return;
         }
         expected_acks(&mut slot, ue, &self.ring, &self.failed, &mut self.expected);
-        let entry = &slot.procedures()[&proc];
+        let Some(entry) = slot.procedure(proc) else {
+            return;
+        };
         let clock = entry.end_clock.unwrap_or(ClockTick::ZERO);
         let mut up_to_date = entry.acks.clone();
         if let Some(p) = slot.assigned {
@@ -940,7 +941,7 @@ mod tests {
         let CtaOutput::ToCpf { msg: SysMsg::Control(forwarded), .. } = &outs[0] else {
             panic!("unexpected {outs:?}");
         };
-        let logged = &c.log().ue(ue).unwrap().procedures()[&ProcedureId::new(1)].messages[0];
+        let logged = &c.log().ue(ue).unwrap().procedures()[0].1.messages[0];
         let replay = c.log().replay_set(ue, ProcedureId(0));
         assert!(
             Payload::ptr_eq(&logged.msg, &forwarded.msg),

@@ -11,9 +11,9 @@
 
 use neutrino_common::clock::ClockTick;
 use neutrino_common::time::Instant;
-use neutrino_common::{BsId, CpfId, ProcedureId, UeId};
+use neutrino_common::{BsId, CpfId, ProcedureId, UeId, UeMap};
 use neutrino_messages::Envelope;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -86,9 +86,10 @@ impl ProcedureLog {
             && (expected.iter().all(|r| self.acked_by(*r)) || self.acks.len() >= expected.len())
     }
 
-    fn new(now: Instant) -> Self {
+    /// An empty entry with room for `uplinks` messages.
+    fn new(now: Instant, uplinks: usize) -> Self {
         ProcedureLog {
-            messages: Vec::new(),
+            messages: Vec::with_capacity(uplinks),
             bytes: 0,
             end_clock: None,
             acks: Vec::new(),
@@ -104,10 +105,12 @@ impl ProcedureLog {
 /// that every message for the UE needs — one record, one lookup.
 #[derive(Debug)]
 pub struct UeLog {
-    /// Procedures with still-logged messages (pruned once fully ACKed).
-    /// Private: entries come and go only through [`UeSlot`], which keeps
-    /// the log-wide byte count and completed index in step.
-    procedures: BTreeMap<ProcedureId, ProcedureLog>,
+    /// Procedures with still-logged messages (pruned once fully ACKed),
+    /// sorted by id. A UE holds one or two at a time, so a flat vector
+    /// beats a map node. Private: entries come and go only through
+    /// [`UeSlot`], which keeps the log-wide byte count and completed index
+    /// in step.
+    procedures: Vec<(ProcedureId, ProcedureLog)>,
     /// Last procedure each replica is known (via ACK) to be synced through,
     /// sorted by replica.
     synced_through: Vec<(CpfId, ProcedureId)>,
@@ -139,7 +142,7 @@ pub struct UeLog {
 impl Default for UeLog {
     fn default() -> Self {
         UeLog {
-            procedures: BTreeMap::new(),
+            procedures: Vec::new(),
             synced_through: Vec::new(),
             last_completed: ProcedureId(0),
             replay_floor: ProcedureId(0),
@@ -152,9 +155,33 @@ impl Default for UeLog {
 }
 
 impl UeLog {
-    /// Procedures with still-logged messages, by id.
-    pub fn procedures(&self) -> &BTreeMap<ProcedureId, ProcedureLog> {
+    /// Procedures with still-logged messages, in ascending id order.
+    pub fn procedures(&self) -> &[(ProcedureId, ProcedureLog)] {
         &self.procedures
+    }
+
+    /// The still-logged entry of procedure `proc`.
+    pub fn procedure(&self, proc: ProcedureId) -> Option<&ProcedureLog> {
+        let i = self.position(proc).ok()?;
+        Some(&self.procedures[i].1)
+    }
+
+    /// Where `proc` sits in `procedures` (`Ok`) or belongs (`Err`).
+    fn position(&self, proc: ProcedureId) -> Result<usize, usize> {
+        self.procedures.binary_search_by_key(&proc, |&(p, _)| p)
+    }
+
+    /// `proc`'s entry, created with room for `uplinks` messages if absent.
+    fn entry(&mut self, proc: ProcedureId, now: Instant, uplinks: usize) -> &mut ProcedureLog {
+        let i = match self.position(proc) {
+            Ok(i) => i,
+            Err(i) => {
+                self.procedures
+                    .insert(i, (proc, ProcedureLog::new(now, uplinks)));
+                i
+            }
+        };
+        &mut self.procedures[i].1
     }
 
     /// The last procedure `replica` is known to be synced through
@@ -173,8 +200,9 @@ impl UeLog {
     /// the replay set for a replica synced through `since`. The envelopes
     /// share their payloads with the log.
     pub fn replay_set(&self, since: ProcedureId) -> Vec<Envelope> {
-        self.procedures
-            .range(ProcedureId(since.raw() + 1)..)
+        let from = self.procedures.partition_point(|&(p, _)| p <= since);
+        self.procedures[from..]
+            .iter()
             .flat_map(|(_, entry)| entry.messages.iter().cloned())
             .collect()
     }
@@ -197,7 +225,7 @@ impl UeLog {
             // consumed by the UE but never logged here — read as gaps and
             // poison coverage permanently.
             return (since.raw() + 1..=self.last_completed.raw())
-                .all(|need| self.procedures.contains_key(&ProcedureId(need)));
+                .all(|need| self.procedure(ProcedureId(need)).is_some());
         }
         since >= self.replay_floor
             || self
@@ -236,11 +264,10 @@ impl UeSlot<'_> {
     /// Appends an uplink message of `wire_bytes` to its procedure's log.
     pub fn append(&mut self, env: Envelope, wire_bytes: usize, now: Instant) {
         debug_assert_eq!(env.ue, self.ue);
-        let entry = self
-            .log
-            .procedures
-            .entry(env.procedure)
-            .or_insert_with(|| ProcedureLog::new(now));
+        // Reserved once for everything the procedure will log (§4.2.3:
+        // its uplink messages).
+        let uplinks = env.proc_kind.template().uplink_count();
+        let entry = self.log.entry(env.procedure, now, uplinks);
         entry.messages.push(env);
         entry.bytes += wire_bytes;
         *self.bytes += wire_bytes;
@@ -267,11 +294,7 @@ impl UeSlot<'_> {
             self.drop_procedure(proc);
             return;
         }
-        let entry = self
-            .log
-            .procedures
-            .entry(proc)
-            .or_insert_with(|| ProcedureLog::new(now));
+        let entry = self.log.entry(proc, now, 0);
         entry.end_clock = Some(end_clock);
         entry.completed_at = Some(now);
         self.completed.insert((self.ue, proc));
@@ -296,7 +319,9 @@ impl UeSlot<'_> {
             Err(i) => log.synced_through.insert(i, (replica, proc)),
         }
         let mut pruned = false;
-        log.procedures.retain(|&p, entry| {
+        let replay_floor = &mut log.replay_floor;
+        log.procedures.retain_mut(|(p, entry)| {
+            let p = *p;
             // Earlier procedures count only once completed (an in-flight
             // predecessor still needs its messages for replay); the ACKed
             // procedure itself counts unconditionally.
@@ -310,8 +335,8 @@ impl UeSlot<'_> {
                 return true;
             }
             *self.bytes -= entry.bytes;
-            if !entry.messages.is_empty() && p > log.replay_floor {
-                log.replay_floor = p;
+            if !entry.messages.is_empty() && p > *replay_floor {
+                *replay_floor = p;
             }
             self.completed.remove(&(self.ue, p));
             pruned = true;
@@ -323,9 +348,10 @@ impl UeSlot<'_> {
     /// Drops a procedure's messages unconditionally (timeout path, §4.2.4
     /// step 1d). Returns the freed byte count.
     pub fn drop_procedure(&mut self, proc: ProcedureId) -> usize {
-        let Some(entry) = self.log.procedures.remove(&proc) else {
+        let Ok(i) = self.log.position(proc) else {
             return 0;
         };
+        let (_, entry) = self.log.procedures.remove(i);
         *self.bytes -= entry.bytes;
         if !entry.messages.is_empty() && proc > self.log.replay_floor {
             self.log.replay_floor = proc;
@@ -336,8 +362,8 @@ impl UeSlot<'_> {
 
     /// Counts one more checkpoint resend request for `proc`.
     pub fn note_resync(&mut self, proc: ProcedureId) {
-        if let Some(entry) = self.log.procedures.get_mut(&proc) {
-            entry.resync_attempts += 1;
+        if let Ok(i) = self.log.position(proc) {
+            self.log.procedures[i].1.resync_attempts += 1;
         }
     }
 }
@@ -346,7 +372,7 @@ impl UeSlot<'_> {
 /// index of the procedures the ACK scan has to look at.
 #[derive(Debug, Default)]
 pub struct MessageLog {
-    ues: BTreeMap<UeId, UeLog>,
+    ues: UeMap<UeLog>,
     /// Every `(ue, procedure)` that completed and is still logged — exactly
     /// the entries with `completed_at` set. The scan walks this, not `ues`.
     completed: BTreeSet<(UeId, ProcedureId)>,
@@ -383,7 +409,7 @@ impl MessageLog {
 
     /// Per-UE record, read-only.
     pub fn ue(&self, ue: UeId) -> Option<&UeLog> {
-        self.ues.get(&ue)
+        self.ues.get(ue)
     }
 
     /// Forgets a failed replica's ACKs across every logged procedure — its
@@ -392,7 +418,7 @@ impl MessageLog {
     /// (failover filters candidates to live replicas itself).
     pub fn purge_replica_acks(&mut self, replica: CpfId) {
         for ue_log in self.ues.values_mut() {
-            for entry in ue_log.procedures.values_mut() {
+            for (_, entry) in &mut ue_log.procedures {
                 if let Ok(i) = entry.acks.binary_search(&replica) {
                     entry.acks.remove(i);
                 }
@@ -423,9 +449,11 @@ impl MessageLog {
         self.completed.iter().copied()
     }
 
-    /// Iterates UEs with logged state.
+    /// Iterates UEs with logged state, in ascending [`UeId`] order: the
+    /// order `on_cpf_failure` emits its failover messages in, and the one
+    /// the audit and the `check` oracles report in.
     pub fn ues(&self) -> impl Iterator<Item = (&UeId, &UeLog)> {
-        self.ues.iter()
+        self.ues.iter_sorted()
     }
 
     /// Number of UEs tracked.
@@ -619,11 +647,80 @@ mod tests {
         log.ue_mut(ue)
             .ack(ProcedureId::new(2), replicas[0], &replicas);
         assert!(
-            log.ue(ue)
-                .unwrap()
-                .procedures()
-                .contains_key(&ProcedureId::new(1)),
+            log.ue(ue).unwrap().procedure(ProcedureId::new(1)).is_some(),
             "in-flight procedure 1 must keep its messages"
+        );
+    }
+
+    #[test]
+    fn two_logged_procedures_replay_prune_and_ack_cumulatively() {
+        let mut log = MessageLog::new();
+        let ue = UeId::new(1);
+        let replicas = [CpfId::new(10), CpfId::new(11)];
+        let (p1, p2) = (ProcedureId::new(1), ProcedureId::new(2));
+        // Procedure 2 reaches the log first: the record still reads in id
+        // order.
+        log.ue_mut(ue).append(env(1, 2, 3), 10, Instant::ZERO);
+        log.ue_mut(ue).append(env(1, 1, 1), 20, Instant::ZERO);
+        log.ue_mut(ue).append(env(1, 1, 2), 20, Instant::ZERO);
+        let ids = |log: &MessageLog| -> Vec<ProcedureId> {
+            let held = log.ue(ue).unwrap().procedures();
+            held.iter().map(|&(p, _)| p).collect()
+        };
+        let clocks = |log: &MessageLog, since: ProcedureId| -> Vec<u64> {
+            let set = log.replay_set(ue, since);
+            set.iter().map(|e| e.clock.0).collect()
+        };
+        assert_eq!(ids(&log), [p1, p2]);
+        assert_eq!(clocks(&log, ProcedureId(0)), [1, 2, 3]);
+        assert_eq!(clocks(&log, p1), [3]);
+        assert!(clocks(&log, p2).is_empty());
+        log.ue_mut(ue)
+            .complete(p1, ClockTick(2), Instant::ZERO, true);
+        log.ue_mut(ue)
+            .complete(p2, ClockTick(3), Instant::ZERO, true);
+        // One replica ACKs procedure 2: recorded on both entries, enough to
+        // prune neither.
+        assert!(!log.ue_mut(ue).ack(p2, replicas[0], &replicas));
+        for p in [p1, p2] {
+            assert!(log
+                .ue(ue)
+                .unwrap()
+                .procedure(p)
+                .unwrap()
+                .acked_by(replicas[0]));
+        }
+        assert_eq!(log.bytes(), 50);
+        // Procedure 1 times out: the floor rises, a base below it no longer
+        // closes, and the replay set is what is left.
+        assert_eq!(log.ue_mut(ue).drop_procedure(p1), 40);
+        assert_eq!(log.ue(ue).unwrap().replay_floor, p1);
+        assert!(!log.replay_covers(ue, ProcedureId(0)));
+        assert!(log.replay_covers(ue, p1));
+        assert_eq!(ids(&log), [p2]);
+        assert_eq!(clocks(&log, ProcedureId(0)), [3]);
+        // The second replica's ACK converges procedure 2.
+        assert!(log.ue_mut(ue).ack(p2, replicas[1], &replicas));
+        assert!(log.ue(ue).unwrap().procedures().is_empty());
+        assert_eq!(log.ue(ue).unwrap().replay_floor, p2);
+        assert_eq!(log.bytes(), 0);
+        assert_eq!(log.completed().count(), 0);
+    }
+
+    #[test]
+    fn a_ue_log_is_one_flat_record() {
+        // Pinned: an attach burst holds one of these per UE at the CTA.
+        assert_eq!(std::mem::size_of::<UeLog>(), 136);
+        let mut log = MessageLog::new();
+        let ue = UeId::new(1);
+        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        // No map node: the procedures are one `Vec` allocation, and the
+        // messages are reserved once for every uplink the procedure logs.
+        let procedures: &Vec<(ProcedureId, ProcedureLog)> = &log.ue(ue).unwrap().procedures;
+        assert_eq!(procedures.len(), 1);
+        assert_eq!(
+            procedures[0].1.messages.capacity(),
+            ProcedureKind::ServiceRequest.template().uplink_count()
         );
     }
 

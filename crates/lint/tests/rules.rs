@@ -57,6 +57,12 @@ fn hash_iter_fires_on_hash_not_btree() {
 }
 
 #[test]
+fn uemap_sorted_view_is_clean_and_raw_hash_iter_still_fires() {
+    let f = lint_fixture("uemap_sorted_view.rs");
+    assert_eq!(fired(&f), [("hash-iter".to_string(), 19)], "{f:?}");
+}
+
+#[test]
 fn inline_allows_suppress_and_stale_allows_fire() {
     let f = lint_fixture("allowed_ok.rs");
     assert!(f.is_empty(), "justified allows must fully suppress: {f:?}");

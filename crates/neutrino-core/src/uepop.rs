@@ -11,9 +11,10 @@
 use crate::cluster::SimMsg;
 use crate::simnode::cta_node;
 use neutrino_codec::CodecKind;
+use neutrino_common::rng::splitmix64;
 use neutrino_common::stats::Percentiles;
 use neutrino_common::time::{Duration, Instant};
-use neutrino_common::{BsId, CtaId, ProcedureId, UeId};
+use neutrino_common::{BsId, CtaId, ProcedureId, UeId, UeMap};
 use neutrino_messages::costs::CostTable;
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_messages::{Direction, Envelope, SysMsg};
@@ -189,15 +190,76 @@ struct Active {
     deferred_until: Option<Instant>,
 }
 
+/// Everything the population keeps per UE: one record, one lookup per
+/// event. Created at the UE's first procedure and kept for the run (the
+/// procedure counter must outlive every procedure).
+#[derive(Debug, Default)]
+struct UeRecord {
+    /// The procedure in flight, if any.
+    active: Option<Active>,
+    /// Procedure ids handed out so far.
+    proc_seq: u64,
+    /// Which entry of `routes` the UE currently camps on. Everyone starts
+    /// on route 0; a UE that exhausts its retries *twice in a row* (its CTA
+    /// looks dead, not merely overloaded) advances to the next route —
+    /// §4.2.5 scenario 4: "the UE executes the Re-Attach procedure through
+    /// a new CTA".
+    route: usize,
+    /// Consecutive give-ups (reset by any completed procedure).
+    give_ups: u32,
+}
+
 const ARRIVAL_TIMER: u64 = u64::MAX;
 
-/// The splitmix64 finalizer: a stateless bijective mixer, used for the
-/// per-(UE, attempt) backoff jitter so no RNG state is shared.
-fn splitmix64(seed: u64) -> u64 {
-    let mut x = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// The base station and CTA of a UE camping on entry `route` of `routes`.
+fn route_of(routes: &[RegionRoute], ue: UeId, route: usize) -> (BsId, CtaId) {
+    let r = &routes[route % routes.len()];
+    let bs = r.bss[ue.raw() as usize % r.bss.len().max(1)];
+    (bs, r.cta)
+}
+
+/// Sends step `step_idx` of `active`'s template and remembers it for
+/// retransmission.
+fn send_uplink(
+    routes: &[RegionRoute],
+    ue: UeId,
+    route: usize,
+    active: &mut Active,
+    step_idx: usize,
+    out: &mut Outbox<SimMsg>,
+) {
+    let (bs, cta) = route_of(routes, ue, route);
+    let template = active.kind.template();
+    let step = template.steps[step_idx];
+    debug_assert_eq!(step.direction, Direction::Uplink);
+    let mut env = Envelope::uplink(
+        ue,
+        active.procedure,
+        active.kind,
+        step.kind.sample(ue.raw()),
+    )
+    .from_bs(bs);
+    if step_idx + 1 == template.steps.len() {
+        env = env.ending_procedure();
+    }
+    active.last_uplink = Some(env.clone());
+    out.send(cta_node(cta), SimMsg::Sys(SysMsg::Control(env)));
+}
+
+/// Re-sends `active`'s last uplink, if it sent one.
+fn resend_last_uplink(
+    routes: &[RegionRoute],
+    ue: UeId,
+    route: usize,
+    active: &Active,
+    results: &mut UePopResults,
+    out: &mut Outbox<SimMsg>,
+) {
+    if let Some(env) = active.last_uplink.clone() {
+        results.retransmissions += 1;
+        let (_, cta) = route_of(routes, ue, route);
+        out.send(cta_node(cta), SimMsg::Sys(SysMsg::Control(env)));
+    }
 }
 
 /// The UE/BS population node.
@@ -205,16 +267,9 @@ pub struct UePopulation {
     config: UePopConfig,
     workload: Workload,
     pending_arrival: Option<Arrival>,
-    active: BTreeMap<UeId, Active>,
-    proc_seq: BTreeMap<UeId, u64>,
-    /// Which entry of `routes` each UE currently camps on. Everyone starts
-    /// on route 0; a UE that exhausts its retries *twice in a row* (its CTA
-    /// looks dead, not merely overloaded) advances to the next route —
-    /// §4.2.5 scenario 4: "the UE executes the Re-Attach procedure through
-    /// a new CTA".
-    route_override: BTreeMap<UeId, usize>,
-    /// Consecutive give-ups per UE (reset by any completed procedure).
-    give_ups: BTreeMap<UeId, u32>,
+    ues: UeMap<UeRecord>,
+    /// Records with a procedure in flight.
+    in_flight: usize,
     results: UePopResults,
     costs: &'static CostTable,
 }
@@ -226,10 +281,8 @@ impl UePopulation {
             config,
             workload,
             pending_arrival: None,
-            active: BTreeMap::new(),
-            proc_seq: BTreeMap::new(),
-            route_override: BTreeMap::new(),
-            give_ups: BTreeMap::new(),
+            ues: UeMap::new(),
+            in_flight: 0,
             results: UePopResults::default(),
             costs: CostTable::baked(),
         }
@@ -237,7 +290,7 @@ impl UePopulation {
 
     /// Takes the results (leaves defaults behind).
     pub fn take_results(&mut self) -> UePopResults {
-        self.results.incomplete = self.active.len() as u64;
+        self.results.incomplete = self.in_flight as u64;
         std::mem::take(&mut self.results)
     }
 
@@ -255,7 +308,7 @@ impl UePopulation {
 
     /// Number of procedures currently in flight.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.in_flight
     }
 
     /// Read-only snapshot of every in-flight procedure, sorted by UE id:
@@ -263,13 +316,13 @@ impl UePopulation {
     /// use `last_progress` to bound how long a UE may sit without the
     /// retry machinery moving it forward.
     pub fn active_procedures(&self) -> Vec<(UeId, Instant, Instant, u32)> {
-        let mut v: Vec<_> = self
-            .active
-            .iter()
-            .map(|(ue, a)| (*ue, a.started, a.last_progress, a.retries))
-            .collect();
-        v.sort_by_key(|e| e.0.raw());
-        v
+        self.ues
+            .iter_sorted()
+            .filter_map(|(ue, rec)| {
+                let a = rec.active.as_ref()?;
+                Some((*ue, a.started, a.last_progress, a.retries))
+            })
+            .collect()
     }
 
     /// The population's configuration (retry policy, routes).
@@ -277,39 +330,11 @@ impl UePopulation {
         &self.config
     }
 
-    fn route(&self, ue: UeId) -> (BsId, CtaId) {
-        let idx = self.route_override.get(&ue).copied().unwrap_or(0);
-        let r = &self.config.routes[idx % self.config.routes.len()];
-        let bs = r.bss[ue.raw() as usize % r.bss.len().max(1)];
-        (bs, r.cta)
+    fn is_active(&self, ue: UeId) -> bool {
+        self.ues.get(ue).is_some_and(|rec| rec.active.is_some())
     }
 
-    fn next_procedure_id(&mut self, ue: UeId) -> ProcedureId {
-        let seq = self.proc_seq.entry(ue).or_insert(0);
-        *seq += 1;
-        ProcedureId::new(*seq)
-    }
-
-    fn send_uplink(&mut self, ue: UeId, step_idx: usize, out: &mut Outbox<SimMsg>) {
-        let (bs, cta) = self.route(ue);
-        let active = self.active.get_mut(&ue).expect("active");
-        let template = active.kind.template();
-        let step = template.steps[step_idx];
-        debug_assert_eq!(step.direction, Direction::Uplink);
-        let mut env = Envelope::uplink(
-            ue,
-            active.procedure,
-            active.kind,
-            step.kind.sample(ue.raw()),
-        )
-        .from_bs(bs);
-        if step_idx + 1 == template.steps.len() {
-            env = env.ending_procedure();
-        }
-        active.last_uplink = Some(env.clone());
-        out.send(cta_node(cta), SimMsg::Sys(SysMsg::Control(env)));
-    }
-
+    /// Starts `kind` for `ue`, replacing whatever it had in flight.
     fn start_procedure(
         &mut self,
         ue: UeId,
@@ -319,72 +344,60 @@ impl UePopulation {
         budget_used: u32,
         out: &mut Outbox<SimMsg>,
     ) {
-        let procedure = self.next_procedure_id(ue);
+        let rec = self.ues.entry(ue).or_default();
+        rec.proc_seq += 1;
         self.results.started += 1;
-        self.active.insert(
-            ue,
-            Active {
-                kind,
-                report_kind,
-                procedure,
-                next_step: 1, // step 0 goes out right now
-                started,
-                critical_done: false,
-                retries: 0,
-                last_progress: out.now(),
-                last_uplink: None,
-                budget_used,
-                deferred_until: None,
-            },
-        );
-        self.send_uplink(ue, 0, out);
+        if rec.active.is_none() {
+            self.in_flight += 1;
+        }
+        let active = rec.active.insert(Active {
+            kind,
+            report_kind,
+            procedure: ProcedureId::new(rec.proc_seq),
+            next_step: 1, // step 0 goes out right now
+            started,
+            critical_done: false,
+            retries: 0,
+            last_progress: out.now(),
+            last_uplink: None,
+            budget_used,
+            deferred_until: None,
+        });
+        send_uplink(&self.config.routes, ue, rec.route, active, 0, out);
         out.set_timer(self.config.retry_timeout, ue.raw());
     }
 
-    /// Spends one unit of `ue`'s retry budget. Returns `true` when the
-    /// budget is exhausted — the procedure has then been abandoned.
-    fn charge_budget(&mut self, ue: UeId) -> bool {
-        let a = match self.active.get_mut(&ue) {
-            Some(a) => a,
-            None => return false,
-        };
-        a.budget_used += 1;
-        if a.budget_used > self.config.max_attempts {
-            self.active.remove(&ue);
-            self.give_ups.remove(&ue);
-            self.results.retries_exhausted += 1;
-            true
-        } else {
-            false
+    /// Abandons `rec`'s procedure: its retry budget ran out.
+    fn abandon(rec: &mut UeRecord, in_flight: &mut usize, results: &mut UePopResults) {
+        if rec.active.take().is_some() {
+            *in_flight -= 1;
         }
+        rec.give_ups = 0;
+        results.retries_exhausted += 1;
     }
 
-    fn record_completion(&mut self, ue: UeId, now: Instant) {
-        let active = self.active.get_mut(&ue).expect("active");
-        if active.critical_done {
-            return;
-        }
-        active.critical_done = true;
-        self.give_ups.remove(&ue);
-        self.results.completed += 1;
+    /// `active` just passed its critical step at `now`: count it and record
+    /// its PCT (and its window, for a probe UE).
+    fn record_completion(
+        config: &UePopConfig,
+        results: &mut UePopResults,
+        ue: UeId,
+        active: &Active,
+        now: Instant,
+    ) {
+        results.completed += 1;
         let pct = now.saturating_since(active.started);
         let kind = active.report_kind;
-        let every = self.config.pct_sample_every.max(1);
-        if self.results.completed.is_multiple_of(every) {
-            self.results
-                .pct
-                .entry(kind)
-                .or_default()
-                .push_duration_ms(pct);
+        let every = config.pct_sample_every.max(1);
+        if results.completed.is_multiple_of(every) {
+            results.pct.entry(kind).or_default().push_duration_ms(pct);
         }
-        if self.config.record_windows_for.contains(&ue) {
-            let start = active.started;
-            let procedure = active.procedure;
-            self.results.windows.push(ProcedureWindow {
+        if config.record_windows_for.contains(&ue) {
+            results.windows.push(ProcedureWindow {
                 ue,
-                procedure,
+                procedure: active.procedure,
                 kind,
-                start,
+                start: active.started,
                 end: now,
             });
         }
@@ -397,7 +410,7 @@ impl UePopulation {
         // connected) unless a procedure is already running.
         if env.msg.kind() == neutrino_messages::MessageKind::Paging {
             self.results.paged += 1;
-            if !self.active.contains_key(&ue) {
+            if !self.is_active(ue) {
                 self.start_procedure(
                     ue,
                     ProcedureKind::ServiceRequest,
@@ -409,49 +422,49 @@ impl UePopulation {
             }
             return;
         }
-        let matches = self
-            .active
-            .get(&ue)
-            .map(|a| a.procedure == env.procedure)
-            .unwrap_or(false);
-        if !matches {
-            return; // stale or duplicate downlink
-        }
-        {
-            let active = self.active.get_mut(&ue).expect("checked");
-            let template = active.kind.template();
-            // Accept the downlink if it is the next expected DL step (skip
-            // duplicates of already-passed steps).
-            let pos = template.steps[active.next_step..]
-                .iter()
-                .position(|s| s.direction == Direction::Downlink && s.kind == env.msg.kind());
-            match pos {
-                Some(rel) => active.next_step += rel + 1,
-                None => return, // duplicate from a replayed recovery: ignore
-            }
-            active.last_progress = now;
-            active.retries = 0;
-        }
-        // Did we just pass the critical step?
-        let (critical_idx, next_step, kind) = {
-            let a = self.active.get(&ue).expect("checked");
-            (a.kind.template().completion_index(), a.next_step, a.kind)
+        let Some(rec) = self.ues.get_mut(ue) else {
+            return;
         };
-        if next_step > critical_idx {
-            self.record_completion(ue, now);
+        let route = rec.route;
+        let Some(active) = rec.active.as_mut().filter(|a| a.procedure == env.procedure) else {
+            return; // stale or duplicate downlink
+        };
+        let template = active.kind.template();
+        // Accept the downlink if it is the next expected DL step (skip
+        // duplicates of already-passed steps).
+        let pos = template.steps[active.next_step..]
+            .iter()
+            .position(|s| s.direction == Direction::Downlink && s.kind == env.msg.kind());
+        match pos {
+            Some(rel) => active.next_step += rel + 1,
+            None => return, // duplicate from a replayed recovery: ignore
+        }
+        active.last_progress = now;
+        active.retries = 0;
+        // Did we just pass the critical step?
+        if active.next_step > template.completion_index() && !active.critical_done {
+            active.critical_done = true;
+            rec.give_ups = 0;
+            Self::record_completion(&self.config, &mut self.results, ue, active, now);
         }
         // Send consecutive uplink steps that follow.
-        let template = kind.template();
-        let mut step = next_step;
-        while step < template.steps.len() && template.steps[step].direction == Direction::Uplink {
-            self.send_uplink(ue, step, out);
-            step += 1;
-            let active = self.active.get_mut(&ue).expect("checked");
-            active.next_step = step;
+        while active.next_step < template.steps.len()
+            && template.steps[active.next_step].direction == Direction::Uplink
+        {
+            send_uplink(
+                &self.config.routes,
+                ue,
+                route,
+                active,
+                active.next_step,
+                out,
+            );
+            active.next_step += 1;
         }
         // Finished the whole template?
-        if step >= template.steps.len() {
-            self.active.remove(&ue);
+        if active.next_step >= template.steps.len() {
+            rec.active = None;
+            self.in_flight -= 1;
         } else {
             out.set_timer(self.config.retry_timeout, ue.raw());
         }
@@ -459,18 +472,19 @@ impl UePopulation {
 
     fn on_ask_re_attach(&mut self, ue: UeId, out: &mut Outbox<SimMsg>) {
         let now = out.now();
-        let (report_kind, started, budget) = match self.active.get(&ue) {
-            // Failure mid-procedure: the PCT keeps accumulating from the
-            // original start, as §6.4 measures it — and the restart draws
-            // from the same retry budget.
-            Some(a) => (a.report_kind, a.started, a.budget_used + 1),
-            // Idle UE told to re-attach: a fresh re-attach procedure.
-            None => (ProcedureKind::ReAttach, now, 0),
-        };
+        let (report_kind, started, budget) =
+            match self.ues.get(ue).and_then(|rec| rec.active.as_ref()) {
+                // Failure mid-procedure: the PCT keeps accumulating from the
+                // original start, as §6.4 measures it — and the restart draws
+                // from the same retry budget.
+                Some(a) => (a.report_kind, a.started, a.budget_used + 1),
+                // Idle UE told to re-attach: a fresh re-attach procedure.
+                None => (ProcedureKind::ReAttach, now, 0),
+            };
         if budget > self.config.max_attempts {
-            self.active.remove(&ue);
-            self.give_ups.remove(&ue);
-            self.results.retries_exhausted += 1;
+            if let Some(rec) = self.ues.get_mut(ue) {
+                Self::abandon(rec, &mut self.in_flight, &mut self.results);
+            }
             return;
         }
         self.results.re_attached += 1;
@@ -479,64 +493,50 @@ impl UePopulation {
 
     fn on_retry_timer(&mut self, ue: UeId, out: &mut Outbox<SimMsg>) {
         let now = out.now();
+        let Some(rec) = self.ues.get_mut(ue) else {
+            return;
+        };
+        let Some(a) = rec.active.as_mut() else {
+            return; // the procedure this timer guarded is gone
+        };
+        let routes = &self.config.routes;
         // A UE honoring a `Reject` does nothing until its deferral ends;
         // then it re-offers the shed procedure start (already charged to
         // the budget when the Reject arrived).
-        if let Some(t) = self.active.get(&ue).and_then(|a| a.deferred_until) {
+        if let Some(t) = a.deferred_until {
             if now < t {
                 out.set_timer(t.saturating_since(now), ue.raw());
                 return;
             }
-            {
-                let a = self.active.get_mut(&ue).expect("checked");
-                a.deferred_until = None;
-                a.last_progress = now;
-            }
-            let resend = self.active.get(&ue).and_then(|a| a.last_uplink.clone());
-            if let Some(env) = resend {
-                self.results.retransmissions += 1;
-                let (_, cta) = self.route(ue);
-                out.send(cta_node(cta), SimMsg::Sys(SysMsg::Control(env)));
-            }
+            a.deferred_until = None;
+            a.last_progress = now;
+            resend_last_uplink(routes, ue, rec.route, a, &mut self.results, out);
             out.set_timer(self.config.retry_timeout, ue.raw());
             return;
         }
-        let stalled = match self.active.get(&ue) {
-            Some(a) => now.saturating_since(a.last_progress) >= self.config.retry_timeout,
-            None => return,
-        };
-        if !stalled {
+        if now.saturating_since(a.last_progress) < self.config.retry_timeout {
             out.set_timer(self.config.retry_timeout, ue.raw());
             return;
         }
-        let give_up = {
-            let a = self.active.get_mut(&ue).expect("checked");
-            a.retries += 1;
-            a.retries > self.config.max_retries
-        };
-        if give_up {
+        a.retries += 1;
+        if a.retries > self.config.max_retries {
             // One silent procedure can be overload; two consecutive dead
             // re-attach attempts mean the CTA itself is gone — scenario 4
             // (§4.2.5): re-attach through the next one.
-            let gu = self.give_ups.entry(ue).or_insert(0);
-            *gu += 1;
-            if *gu >= 2 {
-                let idx = self.route_override.entry(ue).or_insert(0);
-                *idx = (*idx + 1) % self.config.routes.len().max(1);
+            rec.give_ups += 1;
+            if rec.give_ups >= 2 {
+                rec.route = (rec.route + 1) % routes.len().max(1);
             }
             self.on_ask_re_attach(ue, out);
             return;
         }
         // Retransmit the last uplink — one budget charge per resend.
-        if self.charge_budget(ue) {
+        a.budget_used += 1;
+        if a.budget_used > self.config.max_attempts {
+            Self::abandon(rec, &mut self.in_flight, &mut self.results);
             return;
         }
-        let resend = self.active.get(&ue).and_then(|a| a.last_uplink.clone());
-        if let Some(env) = resend {
-            self.results.retransmissions += 1;
-            let (_, cta) = self.route(ue);
-            out.send(cta_node(cta), SimMsg::Sys(SysMsg::Control(env)));
-        }
+        resend_last_uplink(routes, ue, rec.route, a, &mut self.results, out);
         out.set_timer(self.config.retry_timeout, ue.raw());
     }
 
@@ -545,14 +545,18 @@ impl UePopulation {
     /// backoff, then re-offer — unless the retry budget is spent.
     fn on_reject(&mut self, ue: UeId, retry_after_ms: u64, out: &mut Outbox<SimMsg>) {
         let now = out.now();
-        if !self.active.contains_key(&ue) {
+        let Some(rec) = self.ues.get_mut(ue) else {
+            return;
+        };
+        let Some(a) = rec.active.as_mut() else {
             return; // stale reject for an abandoned procedure
-        }
+        };
         self.results.rejected += 1;
-        if self.charge_budget(ue) {
+        a.budget_used += 1;
+        if a.budget_used > self.config.max_attempts {
+            Self::abandon(rec, &mut self.in_flight, &mut self.results);
             return;
         }
-        let a = self.active.get_mut(&ue).expect("checked");
         // Exponential term: base << attempt, capped. With the default
         // ZERO base only the jitter window remains.
         let expo_ns = self
@@ -594,7 +598,7 @@ impl UePopulation {
                 out.set_timer(arrival.at.saturating_since(now), ARRIVAL_TIMER);
                 return;
             }
-            if self.active.contains_key(&arrival.ue) {
+            if self.is_active(arrival.ue) {
                 self.results.skipped_busy += 1;
                 continue;
             }
@@ -676,9 +680,9 @@ mod tests {
 
     #[test]
     fn route_is_deterministic() {
-        let pop = UePopulation::new(UePopConfig::default(), Workload::from_vec(vec![]));
-        let a = pop.route(UeId::new(17));
-        let b = pop.route(UeId::new(17));
+        let routes = UePopConfig::default().routes;
+        let a = route_of(&routes, UeId::new(17), 0);
+        let b = route_of(&routes, UeId::new(17), 0);
         assert_eq!(a, b);
     }
 }

@@ -1,8 +1,7 @@
 //! Session management: the S11-facing half of the UPF.
 
-use neutrino_common::{CpfId, CtaId, SessionId, UeId, UpfId};
+use neutrino_common::{CpfId, CtaId, SessionId, UeId, UeMap, UpfId};
 use neutrino_messages::sysmsg::{S11Request, S11Response, SessionOp, SysMsg};
-use std::collections::BTreeMap;
 
 /// Lifecycle of one UE's session on the UPF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +27,7 @@ pub struct Session {
 /// UE → session map.
 #[derive(Debug, Default)]
 pub struct SessionTable {
-    sessions: BTreeMap<UeId, Session>,
+    sessions: UeMap<Session>,
 }
 
 impl SessionTable {
@@ -49,18 +48,19 @@ impl SessionTable {
 
     /// Read access.
     pub fn get(&self, ue: UeId) -> Option<&Session> {
-        self.sessions.get(&ue)
+        self.sessions.get(ue)
     }
 
-    /// Iterates all sessions (consistency audits).
+    /// Iterates all sessions in ascending [`UeId`] order — the order the
+    /// consistency audit and the `check` oracles report in.
     pub fn iter(&self) -> impl Iterator<Item = (&UeId, &Session)> {
-        self.sessions.iter()
+        self.sessions.iter_sorted()
     }
 
     /// True when the UE's packets can flow right now.
     pub fn active(&self, ue: UeId) -> bool {
         matches!(
-            self.sessions.get(&ue),
+            self.sessions.get(ue),
             Some(Session {
                 state: SessionState::Active,
                 ..
@@ -83,7 +83,7 @@ impl SessionTable {
     }
 
     fn modify(&mut self, ue: UeId, cpf: CpfId) -> Option<SessionId> {
-        self.sessions.get_mut(&ue).map(|s| {
+        self.sessions.get_mut(ue).map(|s| {
             s.state = SessionState::Active;
             s.cpf = cpf;
             s.id
@@ -91,12 +91,12 @@ impl SessionTable {
     }
 
     fn delete(&mut self, ue: UeId) -> Option<SessionId> {
-        self.sessions.remove(&ue).map(|s| s.id)
+        self.sessions.remove(ue).map(|s| s.id)
     }
 
     /// Marks a UE idle (connected→idle transition releases bearers).
     pub fn release(&mut self, ue: UeId) {
-        if let Some(s) = self.sessions.get_mut(&ue) {
+        if let Some(s) = self.sessions.get_mut(ue) {
             s.state = SessionState::Idle;
         }
     }
