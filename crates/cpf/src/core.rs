@@ -176,6 +176,43 @@ pub struct CpfMetrics {
     pub unexpected_msgs: u64,
 }
 
+impl CpfMetrics {
+    /// Adds `other`'s counters to these. The pattern names every field, so
+    /// a counter added to the struct does not compile until it is summed.
+    pub fn merge(&mut self, other: &CpfMetrics) {
+        let CpfMetrics {
+            processed,
+            replayed,
+            completed,
+            syncs_sent,
+            syncs_applied,
+            syncs_ignored,
+            re_attach_asked,
+            migrations,
+            pages_sent,
+            pages_failed,
+            resyncs_answered,
+            dup_uplink_nudges,
+            malformed_payloads,
+            unexpected_msgs,
+        } = *other;
+        self.processed += processed;
+        self.replayed += replayed;
+        self.completed += completed;
+        self.syncs_sent += syncs_sent;
+        self.syncs_applied += syncs_applied;
+        self.syncs_ignored += syncs_ignored;
+        self.re_attach_asked += re_attach_asked;
+        self.migrations += migrations;
+        self.pages_sent += pages_sent;
+        self.pages_failed += pages_failed;
+        self.resyncs_answered += resyncs_answered;
+        self.dup_uplink_nudges += dup_uplink_nudges;
+        self.malformed_payloads += malformed_payloads;
+        self.unexpected_msgs += unexpected_msgs;
+    }
+}
+
 /// What the CPF is waiting on before continuing a procedure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Waiting {
@@ -1133,6 +1170,45 @@ mod tests {
             }
         )));
         assert_eq!(cpf.metrics().re_attach_asked, 1);
+    }
+
+    #[test]
+    fn merge_sums_every_counter() {
+        let m = CpfMetrics {
+            processed: 1,
+            replayed: 2,
+            completed: 3,
+            syncs_sent: 4,
+            syncs_applied: 5,
+            syncs_ignored: 6,
+            re_attach_asked: 7,
+            migrations: 8,
+            pages_sent: 9,
+            pages_failed: 10,
+            resyncs_answered: 11,
+            dup_uplink_nudges: 12,
+            malformed_payloads: 13,
+            unexpected_msgs: 14,
+        };
+        let mut sum = m;
+        sum.merge(&m);
+        let doubled = CpfMetrics {
+            processed: 2,
+            replayed: 4,
+            completed: 6,
+            syncs_sent: 8,
+            syncs_applied: 10,
+            syncs_ignored: 12,
+            re_attach_asked: 14,
+            migrations: 16,
+            pages_sent: 18,
+            pages_failed: 20,
+            resyncs_answered: 22,
+            dup_uplink_nudges: 24,
+            malformed_payloads: 26,
+            unexpected_msgs: 28,
+        };
+        assert_eq!(sum, doubled);
     }
 
     #[test]

@@ -151,6 +151,49 @@ pub struct CtaMetrics {
     pub unexpected_msgs: u64,
 }
 
+impl CtaMetrics {
+    /// Adds `other`'s counters to these. The pattern names every field, so
+    /// a counter added to the struct does not compile until it is summed.
+    pub fn merge(&mut self, other: &CtaMetrics) {
+        let CtaMetrics {
+            forwarded_uplink,
+            forwarded_downlink,
+            failover_up_to_date,
+            failover_replayed,
+            failover_re_attach,
+            outdated_notices,
+            timeout_pruned,
+            resyncs_requested,
+            resyncs_replayed,
+            admitted_by_class,
+            shed_by_class,
+            rejects_sent,
+            acks_deferred,
+            breaker_opened,
+            breaker_suppressed,
+            unexpected_msgs,
+        } = *other;
+        self.forwarded_uplink += forwarded_uplink;
+        self.forwarded_downlink += forwarded_downlink;
+        self.failover_up_to_date += failover_up_to_date;
+        self.failover_replayed += failover_replayed;
+        self.failover_re_attach += failover_re_attach;
+        self.outdated_notices += outdated_notices;
+        self.timeout_pruned += timeout_pruned;
+        self.resyncs_requested += resyncs_requested;
+        self.resyncs_replayed += resyncs_replayed;
+        for i in 0..4 {
+            self.admitted_by_class[i] += admitted_by_class[i];
+            self.shed_by_class[i] += shed_by_class[i];
+        }
+        self.rejects_sent += rejects_sent;
+        self.acks_deferred += acks_deferred;
+        self.breaker_opened += breaker_opened;
+        self.breaker_suppressed += breaker_suppressed;
+        self.unexpected_msgs += unexpected_msgs;
+    }
+}
+
 /// The Control Traffic Aggregator state machine.
 pub struct CtaCore {
     config: CtaConfig,
@@ -864,6 +907,49 @@ mod tests {
                 _ => None,
             })
             .expect("a control forward")
+    }
+
+    #[test]
+    fn merge_sums_every_counter() {
+        let m = CtaMetrics {
+            forwarded_uplink: 1,
+            forwarded_downlink: 2,
+            failover_up_to_date: 3,
+            failover_replayed: 4,
+            failover_re_attach: 5,
+            outdated_notices: 6,
+            timeout_pruned: 7,
+            resyncs_requested: 8,
+            resyncs_replayed: 9,
+            admitted_by_class: [10, 11, 12, 13],
+            shed_by_class: [14, 15, 16, 17],
+            rejects_sent: 18,
+            acks_deferred: 19,
+            breaker_opened: 20,
+            breaker_suppressed: 21,
+            unexpected_msgs: 22,
+        };
+        let mut sum = m;
+        sum.merge(&m);
+        let doubled = CtaMetrics {
+            forwarded_uplink: 2,
+            forwarded_downlink: 4,
+            failover_up_to_date: 6,
+            failover_replayed: 8,
+            failover_re_attach: 10,
+            outdated_notices: 12,
+            timeout_pruned: 14,
+            resyncs_requested: 16,
+            resyncs_replayed: 18,
+            admitted_by_class: [20, 22, 24, 26],
+            shed_by_class: [28, 30, 32, 34],
+            rejects_sent: 36,
+            acks_deferred: 38,
+            breaker_opened: 40,
+            breaker_suppressed: 42,
+            unexpected_msgs: 44,
+        };
+        assert_eq!(sum, doubled);
     }
 
     #[test]

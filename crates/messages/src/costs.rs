@@ -365,20 +365,33 @@ mod tests {
     fn measured_table_matches_baked_shape() {
         // A quick live measurement must agree with the baked table on the
         // key *ordering* (not absolute values): PER slower than fastbuf-opt.
+        // Host noise only ever adds time, so each cell is its fastest batch
+        // of thirty, and the thirty are spread over as many passes of the
+        // whole table: a preemption, a cold cache after one, or a slow
+        // stretch of the host moves a median of three back-to-back batches
+        // (the flake this replaced), but not the minimum of batches it
+        // missed.
         let opts = CalibrationOptions {
             iters_per_batch: 60,
-            batches: 3,
+            batches: 1,
             warmup_iters: 20,
         };
-        let t = CostTable::measure_for(&[CodecKind::Asn1Per, CodecKind::FastbufOptimized], opts)
-            .unwrap();
+        let codecs = [CodecKind::Asn1Per, CodecKind::FastbufOptimized];
+        let tables: Vec<CostTable> = (0..30)
+            .map(|_| CostTable::measure_for(&codecs, opts).unwrap())
+            .collect();
+        let fastest = |codec, kind| {
+            tables
+                .iter()
+                .map(|t: &CostTable| t.cost(codec, kind).unwrap().total())
+                .min()
+                .unwrap()
+        };
         let mut per_faster = 0;
         let mut checked = 0;
         for &kind in MessageKind::ALL {
-            let per = t.cost(CodecKind::Asn1Per, kind).unwrap();
-            let fbo = t.cost(CodecKind::FastbufOptimized, kind).unwrap();
             checked += 1;
-            if per.total() <= fbo.total() {
+            if fastest(CodecKind::Asn1Per, kind) <= fastest(CodecKind::FastbufOptimized, kind) {
                 per_faster += 1;
             }
         }

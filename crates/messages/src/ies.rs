@@ -5,65 +5,20 @@
 //! nested SEQUENCEs, small constrained integers, octet strings for
 //! transport containers, and CHOICEs for UE identities.
 
-use crate::wire::{field_err, fields, get_bytes, get_str, get_u16, get_u32, get_u64, get_u8, Wire};
-use neutrino_codec::value::{FieldType, Schema, StructSchema, Value, Variant};
+use crate::wire::{field_err, optional, wire_struct, WireField};
+use neutrino_codec::value::{FieldType, Value, Variant};
 use neutrino_common::Result;
-use std::sync::Arc;
-use std::sync::OnceLock;
 
-/// Tracking Area Identity: PLMN (3 octets worth) + 16-bit TAC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Tai {
-    /// Packed MCC/MNC (3 octets of BCD in real networks; carried as u32).
-    pub plmn: u32,
-    /// Tracking area code.
-    pub tac: u16,
-}
-
-impl Tai {
-    /// Field type of a TAI sub-structure.
-    pub fn field_type() -> FieldType {
-        FieldType::Struct(Self::schema())
+wire_struct! {
+    /// Tracking Area Identity: PLMN (3 octets worth) + 16-bit TAC.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub struct Tai {
+        /// Packed MCC/MNC (3 octets of BCD in real networks; carried as u32).
+        pub plmn: u32 = FieldType::Constrained { lo: 0, hi: 0xFF_FFFF },
+        /// Tracking area code.
+        pub tac: u16 = FieldType::UInt { bits: 16 },
     }
-}
-
-impl Wire for Tai {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("Tai")
-                        .field(
-                            "plmn",
-                            FieldType::Constrained {
-                                lo: 0,
-                                hi: 0xFF_FFFF,
-                            },
-                        )
-                        .field("tac", FieldType::UInt { bits: 16 })
-                        .build(),
-                )
-            })
-            .clone()
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.plmn)),
-            Value::U64(u64::from(self.tac)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        let f = fields(v, "Tai", 2)?;
-        Ok(Tai {
-            plmn: get_u32(&f[0], "Tai", "plmn")?,
-            tac: get_u16(&f[1], "Tai", "tac")?,
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         Tai {
             plmn: 0x13_00_14, // mcc 310 / mnc 410 style packing
             tac: (seed % 0xFFFF) as u16,
@@ -71,65 +26,16 @@ impl Wire for Tai {
     }
 }
 
-/// E-UTRAN Cell Global Identifier: PLMN + 28-bit cell id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Cgi {
-    /// Packed MCC/MNC.
-    pub plmn: u32,
-    /// 28-bit cell identity (eNB id + cell within eNB).
-    pub cell_id: u32,
-}
-
-impl Cgi {
-    /// Field type of a CGI sub-structure.
-    pub fn field_type() -> FieldType {
-        FieldType::Struct(Self::schema())
+wire_struct! {
+    /// E-UTRAN Cell Global Identifier: PLMN + 28-bit cell id.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub struct Cgi {
+        /// Packed MCC/MNC.
+        pub plmn: u32 = FieldType::Constrained { lo: 0, hi: 0xFF_FFFF },
+        /// 28-bit cell identity (eNB id + cell within eNB).
+        pub cell_id: u32 = FieldType::Constrained { lo: 0, hi: 0x0FFF_FFFF },
     }
-}
-
-impl Wire for Cgi {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("Cgi")
-                        .field(
-                            "plmn",
-                            FieldType::Constrained {
-                                lo: 0,
-                                hi: 0xFF_FFFF,
-                            },
-                        )
-                        .field(
-                            "cell_id",
-                            FieldType::Constrained {
-                                lo: 0,
-                                hi: 0x0FFF_FFFF,
-                            },
-                        )
-                        .build(),
-                )
-            })
-            .clone()
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.plmn)),
-            Value::U64(u64::from(self.cell_id)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        let f = fields(v, "Cgi", 2)?;
-        Ok(Cgi {
-            plmn: get_u32(&f[0], "Cgi", "plmn")?,
-            cell_id: get_u32(&f[1], "Cgi", "cell_id")?,
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         Cgi {
             plmn: 0x13_00_14,
             cell_id: (seed.wrapping_mul(2654435761) % 0x0FFF_FFFF) as u32,
@@ -161,102 +67,47 @@ impl UeIdentity {
             },
         ])
     }
+}
 
-    /// Converts to a codec value.
-    pub fn to_value(&self) -> Value {
+impl WireField for UeIdentity {
+    fn to_field(&self) -> Value {
         match self {
-            UeIdentity::STmsi(t) => Value::choice(0, Value::U64(u64::from(*t))),
-            UeIdentity::Imsi(s) => Value::choice(1, Value::Str(s.clone())),
+            UeIdentity::STmsi(t) => Value::choice(0, t.to_field()),
+            UeIdentity::Imsi(s) => Value::choice(1, s.to_field()),
         }
     }
 
-    /// Parses from a codec value.
-    pub fn from_value(v: &Value) -> Result<Self> {
+    fn from_field(v: &Value, msg: &str, field: &str) -> Result<Self> {
         match v {
             Value::Choice { index: 0, value } => {
-                Ok(UeIdentity::STmsi(get_u32(value, "UeIdentity", "s_tmsi")?))
+                Ok(UeIdentity::STmsi(u32::from_field(value, msg, field)?))
             }
-            Value::Choice { index: 1, value } => Ok(UeIdentity::Imsi(
-                get_str(value, "UeIdentity", "imsi")?.to_owned(),
-            )),
-            _ => Err(field_err("UeIdentity", "choice")),
+            Value::Choice { index: 1, value } => {
+                Ok(UeIdentity::Imsi(String::from_field(value, msg, field)?))
+            }
+            _ => Err(field_err(msg, field)),
         }
     }
 }
 
-/// An E-RAB (bearer) requested for setup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ErabToSetup {
-    /// E-RAB id (0..=15).
-    pub erab_id: u8,
-    /// QoS class identifier (1..=9).
-    pub qci: u8,
-    /// Allocation/retention priority (1..=15).
-    pub arp: u8,
-    /// Transport layer address of the UPF endpoint (4 or 16 octets).
-    pub transport_address: Vec<u8>,
-    /// GTP tunnel endpoint id on the UPF.
-    pub gtp_teid: u32,
-    /// Piggy-backed NAS PDU, when present.
-    pub nas_pdu: Option<Vec<u8>>,
-}
-
-impl Wire for ErabToSetup {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("ErabToSetup")
-                        .field("erab_id", FieldType::Constrained { lo: 0, hi: 15 })
-                        .field("qci", FieldType::Constrained { lo: 1, hi: 9 })
-                        .field("arp", FieldType::Constrained { lo: 1, hi: 15 })
-                        .field("transport_address", FieldType::Bytes { max: Some(16) })
-                        .field("gtp_teid", FieldType::UInt { bits: 32 })
-                        .field(
-                            "nas_pdu",
-                            FieldType::Optional(Box::new(FieldType::Bytes { max: None })),
-                        )
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// An E-RAB (bearer) requested for setup.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ErabToSetup {
+        /// E-RAB id (0..=15).
+        pub erab_id: u8 = FieldType::Constrained { lo: 0, hi: 15 },
+        /// QoS class identifier (1..=9).
+        pub qci: u8 = FieldType::Constrained { lo: 1, hi: 9 },
+        /// Allocation/retention priority (1..=15).
+        pub arp: u8 = FieldType::Constrained { lo: 1, hi: 15 },
+        /// Transport layer address of the UPF endpoint (4 or 16 octets).
+        pub transport_address: Vec<u8> = FieldType::Bytes { max: Some(16) },
+        /// GTP tunnel endpoint id on the UPF.
+        pub gtp_teid: u32 = FieldType::UInt { bits: 32 },
+        /// Piggy-backed NAS PDU, when present.
+        pub nas_pdu: Option<Vec<u8>> = optional(FieldType::Bytes { max: None }),
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.erab_id)),
-            Value::U64(u64::from(self.qci)),
-            Value::U64(u64::from(self.arp)),
-            Value::Bytes(self.transport_address.clone()),
-            Value::U64(u64::from(self.gtp_teid)),
-            match &self.nas_pdu {
-                Some(pdu) => Value::some(Value::Bytes(pdu.clone())),
-                None => Value::none(),
-            },
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        let f = fields(v, "ErabToSetup", 6)?;
-        let nas_pdu = match &f[5] {
-            Value::Optional(Some(inner)) => {
-                Some(get_bytes(inner, "ErabToSetup", "nas_pdu")?.to_vec())
-            }
-            Value::Optional(None) => None,
-            _ => return Err(field_err("ErabToSetup", "nas_pdu")),
-        };
-        Ok(ErabToSetup {
-            erab_id: get_u8(&f[0], "ErabToSetup", "erab_id")?,
-            qci: get_u8(&f[1], "ErabToSetup", "qci")?,
-            arp: get_u8(&f[2], "ErabToSetup", "arp")?,
-            transport_address: get_bytes(&f[3], "ErabToSetup", "transport_address")?.to_vec(),
-            gtp_teid: get_u32(&f[4], "ErabToSetup", "gtp_teid")?,
-            nas_pdu,
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         ErabToSetup {
             erab_id: (seed % 16) as u8,
             qci: 1 + (seed % 9) as u8,
@@ -272,51 +123,18 @@ impl Wire for ErabToSetup {
     }
 }
 
-/// An E-RAB successfully set up (response list item).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ErabSetupItem {
-    /// E-RAB id.
-    pub erab_id: u8,
-    /// Transport layer address of the eNB endpoint.
-    pub transport_address: Vec<u8>,
-    /// GTP tunnel endpoint id on the eNB.
-    pub gtp_teid: u32,
-}
-
-impl Wire for ErabSetupItem {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("ErabSetupItem")
-                        .field("erab_id", FieldType::Constrained { lo: 0, hi: 15 })
-                        .field("transport_address", FieldType::Bytes { max: Some(16) })
-                        .field("gtp_teid", FieldType::UInt { bits: 32 })
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// An E-RAB successfully set up (response list item).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ErabSetupItem {
+        /// E-RAB id.
+        pub erab_id: u8 = FieldType::Constrained { lo: 0, hi: 15 },
+        /// Transport layer address of the eNB endpoint.
+        pub transport_address: Vec<u8> = FieldType::Bytes { max: Some(16) },
+        /// GTP tunnel endpoint id on the eNB.
+        pub gtp_teid: u32 = FieldType::UInt { bits: 32 },
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.erab_id)),
-            Value::Bytes(self.transport_address.clone()),
-            Value::U64(u64::from(self.gtp_teid)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        let f = fields(v, "ErabSetupItem", 3)?;
-        Ok(ErabSetupItem {
-            erab_id: get_u8(&f[0], "ErabSetupItem", "erab_id")?,
-            transport_address: get_bytes(&f[1], "ErabSetupItem", "transport_address")?.to_vec(),
-            gtp_teid: get_u32(&f[2], "ErabSetupItem", "gtp_teid")?,
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         ErabSetupItem {
             erab_id: (seed % 16) as u8,
             transport_address: vec![10, 1, (seed >> 8) as u8, seed as u8],
@@ -325,46 +143,16 @@ impl Wire for ErabSetupItem {
     }
 }
 
-/// An E-RAB that failed to set up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ErabFailedItem {
-    /// E-RAB id.
-    pub erab_id: u8,
-    /// Failure cause code.
-    pub cause: u8,
-}
-
-impl Wire for ErabFailedItem {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("ErabFailedItem")
-                        .field("erab_id", FieldType::Constrained { lo: 0, hi: 15 })
-                        .field("cause", FieldType::Enum { variants: 16 })
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// An E-RAB that failed to set up.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ErabFailedItem {
+        /// E-RAB id.
+        pub erab_id: u8 = FieldType::Constrained { lo: 0, hi: 15 },
+        /// Failure cause code.
+        pub cause: u8 = FieldType::Enum { variants: 16 },
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.erab_id)),
-            Value::U64(u64::from(self.cause)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        let f = fields(v, "ErabFailedItem", 2)?;
-        Ok(ErabFailedItem {
-            erab_id: get_u8(&f[0], "ErabFailedItem", "erab_id")?,
-            cause: get_u8(&f[1], "ErabFailedItem", "cause")?,
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         ErabFailedItem {
             erab_id: (seed % 16) as u8,
             cause: (seed % 16) as u8,
@@ -372,43 +160,16 @@ impl Wire for ErabFailedItem {
     }
 }
 
-/// UE aggregate maximum bit rate (downlink + uplink, bits/s).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UeAmbr {
-    /// Downlink AMBR.
-    pub downlink: u64,
-    /// Uplink AMBR.
-    pub uplink: u64,
-}
-
-impl Wire for UeAmbr {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("UeAmbr")
-                        .field("downlink", FieldType::UInt { bits: 64 })
-                        .field("uplink", FieldType::UInt { bits: 64 })
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// UE aggregate maximum bit rate (downlink + uplink, bits/s).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct UeAmbr {
+        /// Downlink AMBR.
+        pub downlink: u64 = FieldType::UInt { bits: 64 },
+        /// Uplink AMBR.
+        pub uplink: u64 = FieldType::UInt { bits: 64 },
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![Value::U64(self.downlink), Value::U64(self.uplink)])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        let f = fields(v, "UeAmbr", 2)?;
-        Ok(UeAmbr {
-            downlink: get_u64(&f[0], "UeAmbr", "downlink")?,
-            uplink: get_u64(&f[1], "UeAmbr", "uplink")?,
-        })
-    }
-
-    fn sample(_seed: u64) -> Self {
+    fn sample(_seed) {
         UeAmbr {
             downlink: 1_000_000_000,
             uplink: 500_000_000,
@@ -416,23 +177,11 @@ impl Wire for UeAmbr {
     }
 }
 
-/// Helper: converts a slice of `Wire` items into a list value.
-pub fn list_to_value<T: Wire>(items: &[T]) -> Value {
-    Value::List(items.iter().map(Wire::to_value).collect())
-}
-
-/// Helper: parses a list value into `Wire` items.
-pub fn list_from_value<T: Wire>(v: &Value, msg: &str, field: &str) -> Result<Vec<T>> {
-    crate::wire::get_list(v, msg, field)?
-        .iter()
-        .map(T::from_value)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::testutil::round_trip_all_codecs;
+    use crate::wire::Wire;
 
     #[test]
     fn tai_round_trips() {
@@ -469,8 +218,8 @@ mod tests {
     fn ue_identity_choice_values() {
         let t = UeIdentity::STmsi(0xDEAD_BEEF);
         let i = UeIdentity::Imsi("310410123456789".into());
-        assert_eq!(UeIdentity::from_value(&t.to_value()).unwrap(), t);
-        assert_eq!(UeIdentity::from_value(&i.to_value()).unwrap(), i);
+        assert_eq!(UeIdentity::from_field(&t.to_field(), "M", "f").unwrap(), t);
+        assert_eq!(UeIdentity::from_field(&i.to_field(), "M", "f").unwrap(), i);
     }
 
     #[test]

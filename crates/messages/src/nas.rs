@@ -4,96 +4,30 @@
 //! them to run attach / service-request / tracking-area-update / detach
 //! procedure state machines.
 
-use crate::ies::{list_from_value, list_to_value, Tai};
-use crate::wire::{fields, get_bits, get_bytes, get_opt, get_u32, get_u8, list_of, optional, Wire};
-use neutrino_codec::value::{FieldType, Schema, StructSchema, Value};
-use neutrino_common::Result;
-use std::sync::{Arc, OnceLock};
+use crate::ies::Tai;
+use crate::wire::{list_of, optional, wire_struct};
+use neutrino_codec::value::FieldType;
 
-/// NAS Attach Request (UE → CPF). Starts the initial-attach procedure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttachRequest {
-    /// EPS attach type (1 = EPS attach, 2 = combined, 3 = emergency).
-    pub attach_type: u8,
-    /// NAS key-set identifier.
-    pub nas_ksi: u8,
-    /// Old M-TMSI if the UE had one (re-attach / returning UE).
-    pub old_tmsi: Option<u32>,
-    /// IMSI digits when no valid TMSI exists (first attach).
-    pub imsi: Option<String>,
-    /// UE network capability bit flags.
-    pub ue_network_capability: Vec<bool>,
-    /// Piggy-backed ESM message (PDN connectivity request).
-    pub esm_container: Vec<u8>,
-    /// Last visited TAI, when known.
-    pub last_visited_tai: Option<Tai>,
-}
-
-impl Wire for AttachRequest {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("AttachRequest")
-                        .field("attach_type", FieldType::Constrained { lo: 1, hi: 7 })
-                        .field("nas_ksi", FieldType::Constrained { lo: 0, hi: 7 })
-                        .field("old_tmsi", optional(FieldType::UInt { bits: 32 }))
-                        .field("imsi", optional(FieldType::Utf8 { max: Some(15) }))
-                        .field(
-                            "ue_network_capability",
-                            FieldType::BitString { max_bits: Some(64) },
-                        )
-                        .field("esm_container", FieldType::Bytes { max: None })
-                        .field("last_visited_tai", optional(Tai::field_type()))
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// NAS Attach Request (UE → CPF). Starts the initial-attach procedure.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct AttachRequest {
+        /// EPS attach type (1 = EPS attach, 2 = combined, 3 = emergency).
+        pub attach_type: u8 = FieldType::Constrained { lo: 1, hi: 7 },
+        /// NAS key-set identifier.
+        pub nas_ksi: u8 = FieldType::Constrained { lo: 0, hi: 7 },
+        /// Old M-TMSI if the UE had one (re-attach / returning UE).
+        pub old_tmsi: Option<u32> = optional(FieldType::UInt { bits: 32 }),
+        /// IMSI digits when no valid TMSI exists (first attach).
+        pub imsi: Option<String> = optional(FieldType::Utf8 { max: Some(15) }),
+        /// UE network capability bit flags.
+        pub ue_network_capability: Vec<bool> = FieldType::BitString { max_bits: Some(64) },
+        /// Piggy-backed ESM message (PDN connectivity request).
+        pub esm_container: Vec<u8> = FieldType::Bytes { max: None },
+        /// Last visited TAI, when known.
+        pub last_visited_tai: Option<Tai> = optional(Tai::field_type()),
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.attach_type)),
-            Value::U64(u64::from(self.nas_ksi)),
-            match self.old_tmsi {
-                Some(t) => Value::some(Value::U64(u64::from(t))),
-                None => Value::none(),
-            },
-            match &self.imsi {
-                Some(s) => Value::some(Value::Str(s.clone())),
-                None => Value::none(),
-            },
-            Value::Bits(self.ue_network_capability.clone()),
-            Value::Bytes(self.esm_container.clone()),
-            match &self.last_visited_tai {
-                Some(t) => Value::some(t.to_value()),
-                None => Value::none(),
-            },
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "AttachRequest";
-        let f = fields(v, M, 7)?;
-        Ok(AttachRequest {
-            attach_type: get_u8(&f[0], M, "attach_type")?,
-            nas_ksi: get_u8(&f[1], M, "nas_ksi")?,
-            old_tmsi: get_opt(&f[2], M, "old_tmsi")?
-                .map(|x| get_u32(x, M, "old_tmsi"))
-                .transpose()?,
-            imsi: get_opt(&f[3], M, "imsi")?
-                .map(|x| crate::wire::get_str(x, M, "imsi").map(str::to_owned))
-                .transpose()?,
-            ue_network_capability: get_bits(&f[4], M, "ue_network_capability")?.to_vec(),
-            esm_container: get_bytes(&f[5], M, "esm_container")?.to_vec(),
-            last_visited_tai: get_opt(&f[6], M, "last_visited_tai")?
-                .map(Tai::from_value)
-                .transpose()?,
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         AttachRequest {
             attach_type: 1,
             nas_ksi: (seed % 7) as u8,
@@ -114,63 +48,23 @@ impl Wire for AttachRequest {
     }
 }
 
-/// NAS Attach Accept (CPF → UE).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttachAccept {
-    /// EPS attach result.
-    pub attach_result: u8,
-    /// T3412 periodic-TAU timer value.
-    pub t3412: u8,
-    /// The tracking-area list the UE may roam without updates — the state
-    /// whose UE/core consistency §3.1 is about.
-    pub tai_list: Vec<Tai>,
-    /// Newly assigned M-TMSI.
-    pub tmsi: u32,
-    /// Piggy-backed ESM message (activate default bearer request).
-    pub esm_container: Vec<u8>,
-}
-
-impl Wire for AttachAccept {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("AttachAccept")
-                        .field("attach_result", FieldType::Constrained { lo: 1, hi: 7 })
-                        .field("t3412", FieldType::UInt { bits: 8 })
-                        .field("tai_list", list_of(Tai::field_type(), 16))
-                        .field("tmsi", FieldType::UInt { bits: 32 })
-                        .field("esm_container", FieldType::Bytes { max: None })
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// NAS Attach Accept (CPF → UE).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct AttachAccept {
+        /// EPS attach result.
+        pub attach_result: u8 = FieldType::Constrained { lo: 1, hi: 7 },
+        /// T3412 periodic-TAU timer value.
+        pub t3412: u8 = FieldType::UInt { bits: 8 },
+        /// The tracking-area list the UE may roam without updates — the state
+        /// whose UE/core consistency §3.1 is about.
+        pub tai_list: Vec<Tai> = list_of(Tai::field_type(), 16),
+        /// Newly assigned M-TMSI.
+        pub tmsi: u32 = FieldType::UInt { bits: 32 },
+        /// Piggy-backed ESM message (activate default bearer request).
+        pub esm_container: Vec<u8> = FieldType::Bytes { max: None },
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.attach_result)),
-            Value::U64(u64::from(self.t3412)),
-            list_to_value(&self.tai_list),
-            Value::U64(u64::from(self.tmsi)),
-            Value::Bytes(self.esm_container.clone()),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "AttachAccept";
-        let f = fields(v, M, 5)?;
-        Ok(AttachAccept {
-            attach_result: get_u8(&f[0], M, "attach_result")?,
-            t3412: get_u8(&f[1], M, "t3412")?,
-            tai_list: list_from_value(&f[2], M, "tai_list")?,
-            tmsi: get_u32(&f[3], M, "tmsi")?,
-            esm_container: get_bytes(&f[4], M, "esm_container")?.to_vec(),
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         AttachAccept {
             attach_result: 1,
             t3412: 54,
@@ -181,47 +75,16 @@ impl Wire for AttachAccept {
     }
 }
 
-/// NAS Attach Complete (UE → CPF). Ends the initial-attach procedure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttachComplete {
-    /// Confirmed M-TMSI.
-    pub tmsi: u32,
-    /// Piggy-backed ESM accept.
-    pub esm_container: Vec<u8>,
-}
-
-impl Wire for AttachComplete {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("AttachComplete")
-                        .field("tmsi", FieldType::UInt { bits: 32 })
-                        .field("esm_container", FieldType::Bytes { max: None })
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// NAS Attach Complete (UE → CPF). Ends the initial-attach procedure.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct AttachComplete {
+        /// Confirmed M-TMSI.
+        pub tmsi: u32 = FieldType::UInt { bits: 32 },
+        /// Piggy-backed ESM accept.
+        pub esm_container: Vec<u8> = FieldType::Bytes { max: None },
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.tmsi)),
-            Value::Bytes(self.esm_container.clone()),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "AttachComplete";
-        let f = fields(v, M, 2)?;
-        Ok(AttachComplete {
-            tmsi: get_u32(&f[0], M, "tmsi")?,
-            esm_container: get_bytes(&f[1], M, "esm_container")?.to_vec(),
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         AttachComplete {
             tmsi: (seed & 0xFFFF_FFFF) as u32,
             esm_container: vec![0x21; 8],
@@ -229,53 +92,19 @@ impl Wire for AttachComplete {
     }
 }
 
-/// NAS Service Request (UE → CPF): idle→connected transition to restore
-/// data bearers — the most frequent control procedure in the traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceRequest {
-    /// M-TMSI identifying the UE.
-    pub tmsi: u32,
-    /// Key-set id and sequence number.
-    pub ksi_seq: u8,
-    /// Short message authentication code.
-    pub mac: u16,
-}
-
-impl Wire for ServiceRequest {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("ServiceRequest")
-                        .field("tmsi", FieldType::UInt { bits: 32 })
-                        .field("ksi_seq", FieldType::UInt { bits: 8 })
-                        .field("mac", FieldType::UInt { bits: 16 })
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// NAS Service Request (UE → CPF): idle→connected transition to restore
+    /// data bearers — the most frequent control procedure in the traces.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ServiceRequest {
+        /// M-TMSI identifying the UE.
+        pub tmsi: u32 = FieldType::UInt { bits: 32 },
+        /// Key-set id and sequence number.
+        pub ksi_seq: u8 = FieldType::UInt { bits: 8 },
+        /// Short message authentication code.
+        pub mac: u16 = FieldType::UInt { bits: 16 },
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.tmsi)),
-            Value::U64(u64::from(self.ksi_seq)),
-            Value::U64(u64::from(self.mac)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "ServiceRequest";
-        let f = fields(v, M, 3)?;
-        Ok(ServiceRequest {
-            tmsi: get_u32(&f[0], M, "tmsi")?,
-            ksi_seq: get_u8(&f[1], M, "ksi_seq")?,
-            mac: crate::wire::get_u16(&f[2], M, "mac")?,
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         ServiceRequest {
             tmsi: (seed & 0xFFFF_FFFF) as u32,
             ksi_seq: (seed % 128) as u8,
@@ -284,93 +113,33 @@ impl Wire for ServiceRequest {
     }
 }
 
-/// NAS Service Accept (CPF → UE).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceAccept {
-    /// EPS bearer context status bitmap.
-    pub bearer_status: Vec<bool>,
-}
-
-impl Wire for ServiceAccept {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("ServiceAccept")
-                        .field("bearer_status", FieldType::BitString { max_bits: Some(16) })
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// NAS Service Accept (CPF → UE).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ServiceAccept {
+        /// EPS bearer context status bitmap.
+        pub bearer_status: Vec<bool> = FieldType::BitString { max_bits: Some(16) },
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![Value::Bits(self.bearer_status.clone())])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "ServiceAccept";
-        let f = fields(v, M, 1)?;
-        Ok(ServiceAccept {
-            bearer_status: get_bits(&f[0], M, "bearer_status")?.to_vec(),
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         ServiceAccept {
             bearer_status: (0..16).map(|i| (seed >> i) & 1 == 1).collect(),
         }
     }
 }
 
-/// NAS Tracking Area Update Request (UE → CPF), sent on mobility across
-/// tracking areas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TauRequest {
-    /// Current M-TMSI.
-    pub tmsi: u32,
-    /// Update type (TA updating / combined / periodic).
-    pub update_type: u8,
-    /// Last visited TAI.
-    pub old_tai: Tai,
-}
-
-impl Wire for TauRequest {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("TauRequest")
-                        .field("tmsi", FieldType::UInt { bits: 32 })
-                        .field("update_type", FieldType::Constrained { lo: 0, hi: 7 })
-                        .field("old_tai", Tai::field_type())
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// NAS Tracking Area Update Request (UE → CPF), sent on mobility across
+    /// tracking areas.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TauRequest {
+        /// Current M-TMSI.
+        pub tmsi: u32 = FieldType::UInt { bits: 32 },
+        /// Update type (TA updating / combined / periodic).
+        pub update_type: u8 = FieldType::Constrained { lo: 0, hi: 7 },
+        /// Last visited TAI.
+        pub old_tai: Tai = Tai::field_type(),
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.tmsi)),
-            Value::U64(u64::from(self.update_type)),
-            self.old_tai.to_value(),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "TauRequest";
-        let f = fields(v, M, 3)?;
-        Ok(TauRequest {
-            tmsi: get_u32(&f[0], M, "tmsi")?,
-            update_type: get_u8(&f[1], M, "update_type")?,
-            old_tai: Tai::from_value(&f[2])?,
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         TauRequest {
             tmsi: (seed & 0xFFFF_FFFF) as u32,
             update_type: 0,
@@ -379,57 +148,18 @@ impl Wire for TauRequest {
     }
 }
 
-/// NAS Tracking Area Update Accept (CPF → UE).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TauAccept {
-    /// Update result.
-    pub result: u8,
-    /// New tracking-area list.
-    pub tai_list: Vec<Tai>,
-    /// New M-TMSI if reallocated.
-    pub new_tmsi: Option<u32>,
-}
-
-impl Wire for TauAccept {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("TauAccept")
-                        .field("result", FieldType::Constrained { lo: 0, hi: 7 })
-                        .field("tai_list", list_of(Tai::field_type(), 16))
-                        .field("new_tmsi", optional(FieldType::UInt { bits: 32 }))
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// NAS Tracking Area Update Accept (CPF → UE).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TauAccept {
+        /// Update result.
+        pub result: u8 = FieldType::Constrained { lo: 0, hi: 7 },
+        /// New tracking-area list.
+        pub tai_list: Vec<Tai> = list_of(Tai::field_type(), 16),
+        /// New M-TMSI if reallocated.
+        pub new_tmsi: Option<u32> = optional(FieldType::UInt { bits: 32 }),
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.result)),
-            list_to_value(&self.tai_list),
-            match self.new_tmsi {
-                Some(t) => Value::some(Value::U64(u64::from(t))),
-                None => Value::none(),
-            },
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "TauAccept";
-        let f = fields(v, M, 3)?;
-        Ok(TauAccept {
-            result: get_u8(&f[0], M, "result")?,
-            tai_list: list_from_value(&f[1], M, "tai_list")?,
-            new_tmsi: get_opt(&f[2], M, "new_tmsi")?
-                .map(|x| get_u32(x, M, "new_tmsi"))
-                .transpose()?,
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         TauAccept {
             result: 0,
             tai_list: (0..2).map(|i| Tai::sample(seed + i)).collect(),
@@ -442,47 +172,16 @@ impl Wire for TauAccept {
     }
 }
 
-/// NAS Detach Request (UE → CPF).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetachRequest {
-    /// M-TMSI.
-    pub tmsi: u32,
-    /// Detach type (EPS / combined / switch-off).
-    pub detach_type: u8,
-}
-
-impl Wire for DetachRequest {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("DetachRequest")
-                        .field("tmsi", FieldType::UInt { bits: 32 })
-                        .field("detach_type", FieldType::Constrained { lo: 1, hi: 7 })
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// NAS Detach Request (UE → CPF).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct DetachRequest {
+        /// M-TMSI.
+        pub tmsi: u32 = FieldType::UInt { bits: 32 },
+        /// Detach type (EPS / combined / switch-off).
+        pub detach_type: u8 = FieldType::Constrained { lo: 1, hi: 7 },
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.tmsi)),
-            Value::U64(u64::from(self.detach_type)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "DetachRequest";
-        let f = fields(v, M, 2)?;
-        Ok(DetachRequest {
-            tmsi: get_u32(&f[0], M, "tmsi")?,
-            detach_type: get_u8(&f[1], M, "detach_type")?,
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
+    fn sample(seed) {
         DetachRequest {
             tmsi: (seed & 0xFFFF_FFFF) as u32,
             detach_type: 1,
@@ -490,41 +189,94 @@ impl Wire for DetachRequest {
     }
 }
 
-/// NAS Detach Accept (CPF → UE).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DetachAccept {
-    /// Spare half-octet carried by the real message.
-    pub spare: u8,
+wire_struct! {
+    /// NAS Detach Accept (CPF → UE).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct DetachAccept {
+        /// Spare half-octet carried by the real message.
+        pub spare: u8 = FieldType::Constrained { lo: 0, hi: 15 },
+    }
+    fn sample(_seed) {
+        DetachAccept { spare: 0 }
+    }
 }
 
-impl Wire for DetachAccept {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("DetachAccept")
-                        .field("spare", FieldType::Constrained { lo: 0, hi: 15 })
-                        .build(),
-                )
-            })
-            .clone()
+wire_struct! {
+    /// NAS Authentication Request (CPF → UE): EPS-AKA challenge.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct AuthenticationRequest {
+        /// NAS key-set identifier for the new context.
+        pub nas_ksi: u8 = FieldType::Constrained { lo: 0, hi: 7 },
+        /// Random challenge (16 octets).
+        pub rand: Vec<u8> = FieldType::Bytes { max: Some(16) },
+        /// Authentication token (16 octets).
+        pub autn: Vec<u8> = FieldType::Bytes { max: Some(16) },
     }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![Value::U64(u64::from(self.spare))])
+    fn sample(seed) {
+        AuthenticationRequest {
+            nas_ksi: (seed % 7) as u8,
+            rand: (0..16)
+                .map(|i| (seed as u8).wrapping_mul(7).wrapping_add(i))
+                .collect(),
+            autn: (0..16)
+                .map(|i| (seed as u8).wrapping_mul(13).wrapping_add(i))
+                .collect(),
+        }
     }
+}
 
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "DetachAccept";
-        let f = fields(v, M, 1)?;
-        Ok(DetachAccept {
-            spare: get_u8(&f[0], M, "spare")?,
-        })
+wire_struct! {
+    /// NAS Authentication Response (UE → CPF).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct AuthenticationResponse {
+        /// Authentication response parameter (RES, 4–16 octets).
+        pub res: Vec<u8> = FieldType::Bytes { max: Some(16) },
     }
+    fn sample(seed) {
+        AuthenticationResponse {
+            res: (0..8)
+                .map(|i| (seed as u8).wrapping_mul(31).wrapping_add(i))
+                .collect(),
+        }
+    }
+}
 
-    fn sample(_seed: u64) -> Self {
-        DetachAccept { spare: 0 }
+wire_struct! {
+    /// NAS Security Mode Command (CPF → UE): selects ciphering/integrity
+    /// algorithms and replays the UE's capabilities.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SecurityModeCommand {
+        /// Selected NAS security algorithms (EEA/EIA nibbles).
+        pub selected_algorithms: u8 = FieldType::UInt { bits: 8 },
+        /// NAS key-set identifier.
+        pub nas_ksi: u8 = FieldType::Constrained { lo: 0, hi: 7 },
+        /// Replayed UE security capabilities (integrity-protected echo).
+        pub replayed_capabilities: Vec<bool> = FieldType::BitString { max_bits: Some(64) },
+    }
+    fn sample(seed) {
+        SecurityModeCommand {
+            selected_algorithms: 0x12, // EEA1/EIA2
+            nas_ksi: (seed % 7) as u8,
+            replayed_capabilities: (0..32).map(|i| (seed >> (i % 48)) & 1 == 1).collect(),
+        }
+    }
+}
+
+wire_struct! {
+    /// NAS Security Mode Complete (UE → CPF).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SecurityModeComplete {
+        /// IMEISV, when requested.
+        pub imeisv: Option<String> = optional(FieldType::Utf8 { max: Some(16) }),
+    }
+    fn sample(seed) {
+        SecurityModeComplete {
+            imeisv: if seed.is_multiple_of(2) {
+                Some(format!("35{:014}", seed % 100_000_000_000_000))
+            } else {
+                None
+            },
+        }
     }
 }
 
@@ -532,6 +284,7 @@ impl Wire for DetachAccept {
 mod tests {
     use super::*;
     use crate::wire::testutil::round_trip_all_codecs;
+    use crate::wire::Wire;
 
     #[test]
     fn attach_request_round_trips() {
@@ -593,212 +346,5 @@ mod tests {
             "PER service request was {} bytes",
             buf.len()
         );
-    }
-}
-
-/// NAS Authentication Request (CPF → UE): EPS-AKA challenge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuthenticationRequest {
-    /// NAS key-set identifier for the new context.
-    pub nas_ksi: u8,
-    /// Random challenge (16 octets).
-    pub rand: Vec<u8>,
-    /// Authentication token (16 octets).
-    pub autn: Vec<u8>,
-}
-
-impl Wire for AuthenticationRequest {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("AuthenticationRequest")
-                        .field("nas_ksi", FieldType::Constrained { lo: 0, hi: 7 })
-                        .field("rand", FieldType::Bytes { max: Some(16) })
-                        .field("autn", FieldType::Bytes { max: Some(16) })
-                        .build(),
-                )
-            })
-            .clone()
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.nas_ksi)),
-            Value::Bytes(self.rand.clone()),
-            Value::Bytes(self.autn.clone()),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "AuthenticationRequest";
-        let f = fields(v, M, 3)?;
-        Ok(AuthenticationRequest {
-            nas_ksi: get_u8(&f[0], M, "nas_ksi")?,
-            rand: get_bytes(&f[1], M, "rand")?.to_vec(),
-            autn: get_bytes(&f[2], M, "autn")?.to_vec(),
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
-        AuthenticationRequest {
-            nas_ksi: (seed % 7) as u8,
-            rand: (0..16)
-                .map(|i| (seed as u8).wrapping_mul(7).wrapping_add(i))
-                .collect(),
-            autn: (0..16)
-                .map(|i| (seed as u8).wrapping_mul(13).wrapping_add(i))
-                .collect(),
-        }
-    }
-}
-
-/// NAS Authentication Response (UE → CPF).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuthenticationResponse {
-    /// Authentication response parameter (RES, 4–16 octets).
-    pub res: Vec<u8>,
-}
-
-impl Wire for AuthenticationResponse {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("AuthenticationResponse")
-                        .field("res", FieldType::Bytes { max: Some(16) })
-                        .build(),
-                )
-            })
-            .clone()
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![Value::Bytes(self.res.clone())])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "AuthenticationResponse";
-        let f = fields(v, M, 1)?;
-        Ok(AuthenticationResponse {
-            res: get_bytes(&f[0], M, "res")?.to_vec(),
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
-        AuthenticationResponse {
-            res: (0..8)
-                .map(|i| (seed as u8).wrapping_mul(31).wrapping_add(i))
-                .collect(),
-        }
-    }
-}
-
-/// NAS Security Mode Command (CPF → UE): selects ciphering/integrity
-/// algorithms and replays the UE's capabilities.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SecurityModeCommand {
-    /// Selected NAS security algorithms (EEA/EIA nibbles).
-    pub selected_algorithms: u8,
-    /// NAS key-set identifier.
-    pub nas_ksi: u8,
-    /// Replayed UE security capabilities (integrity-protected echo).
-    pub replayed_capabilities: Vec<bool>,
-}
-
-impl Wire for SecurityModeCommand {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("SecurityModeCommand")
-                        .field("selected_algorithms", FieldType::UInt { bits: 8 })
-                        .field("nas_ksi", FieldType::Constrained { lo: 0, hi: 7 })
-                        .field(
-                            "replayed_capabilities",
-                            FieldType::BitString { max_bits: Some(64) },
-                        )
-                        .build(),
-                )
-            })
-            .clone()
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            Value::U64(u64::from(self.selected_algorithms)),
-            Value::U64(u64::from(self.nas_ksi)),
-            Value::Bits(self.replayed_capabilities.clone()),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "SecurityModeCommand";
-        let f = fields(v, M, 3)?;
-        Ok(SecurityModeCommand {
-            selected_algorithms: get_u8(&f[0], M, "selected_algorithms")?,
-            nas_ksi: get_u8(&f[1], M, "nas_ksi")?,
-            replayed_capabilities: get_bits(&f[2], M, "replayed_capabilities")?.to_vec(),
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
-        SecurityModeCommand {
-            selected_algorithms: 0x12, // EEA1/EIA2
-            nas_ksi: (seed % 7) as u8,
-            replayed_capabilities: (0..32).map(|i| (seed >> (i % 48)) & 1 == 1).collect(),
-        }
-    }
-}
-
-/// NAS Security Mode Complete (UE → CPF).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SecurityModeComplete {
-    /// IMEISV, when requested.
-    pub imeisv: Option<String>,
-}
-
-impl Wire for SecurityModeComplete {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("SecurityModeComplete")
-                        .field("imeisv", optional(FieldType::Utf8 { max: Some(16) }))
-                        .build(),
-                )
-            })
-            .clone()
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![match &self.imeisv {
-            Some(s) => Value::some(Value::Str(s.clone())),
-            None => Value::none(),
-        }])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "SecurityModeComplete";
-        let f = fields(v, M, 1)?;
-        Ok(SecurityModeComplete {
-            imeisv: get_opt(&f[0], M, "imeisv")?
-                .map(|x| crate::wire::get_str(x, M, "imeisv").map(str::to_owned))
-                .transpose()?,
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
-        SecurityModeComplete {
-            imeisv: if seed.is_multiple_of(2) {
-                Some(format!("35{:014}", seed % 100_000_000_000_000))
-            } else {
-                None
-            },
-        }
     }
 }

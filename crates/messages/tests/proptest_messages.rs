@@ -2,6 +2,7 @@
 //! randomized sample seeds, must survive every codec and keep its schema
 //! contract.
 
+use neutrino_codec::value::Value;
 use neutrino_codec::CodecKind;
 use neutrino_messages::state::UeState;
 use neutrino_messages::{ControlMessage, MessageKind, Wire};
@@ -9,6 +10,55 @@ use proptest::prelude::*;
 
 fn any_kind() -> impl Strategy<Value = MessageKind> {
     proptest::sample::select(MessageKind::ALL.to_vec())
+}
+
+/// Every malformed variant of the well-formed struct value `good`: the last
+/// field dropped, one appended, each field in turn replaced by a value of
+/// another shape, and a non-struct.
+fn malformed_trees(good: &Value) -> Vec<(String, Value)> {
+    let fields = good.as_struct().expect("messages are structs");
+    let other_shape = |v: &Value| match v {
+        Value::Bool(_) => Value::U64(0),
+        _ => Value::Bool(true),
+    };
+    let mut out = vec![
+        (
+            "last field dropped".into(),
+            Value::Struct(fields[..fields.len() - 1].to_vec()),
+        ),
+        (
+            "one field appended".into(),
+            Value::Struct([fields, &[Value::U64(0)]].concat()),
+        ),
+        ("not a struct".into(), Value::U64(0)),
+    ];
+    for i in 0..fields.len() {
+        let mut mutated = fields.to_vec();
+        mutated[i] = other_shape(&fields[i]);
+        out.push((format!("field {i} reshaped"), Value::Struct(mutated)));
+    }
+    out
+}
+
+/// `parse` accepts `good` and turns every malformed variant of it into an
+/// error that names the message.
+fn rejects_malformed<T>(
+    name: &str,
+    good: &Value,
+    parse: impl Fn(&Value) -> neutrino_common::Result<T>,
+) -> Result<(), TestCaseError> {
+    prop_assert!(parse(good).is_ok(), "{}: well-formed tree", name);
+    for (what, bad) in malformed_trees(good) {
+        let err = parse(&bad).err().map(|e| e.to_string());
+        prop_assert!(
+            err.as_deref().is_some_and(|e| e.contains(name)),
+            "{}, {}: got {:?}",
+            name,
+            what,
+            err
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -107,6 +157,18 @@ proptest! {
         CodecKind::Fastbuf.codec().encode(&schema, &msg.to_value(), &mut std_buf).unwrap();
         CodecKind::FastbufOptimized.codec().encode(&schema, &msg.to_value(), &mut opt_buf).unwrap();
         prop_assert!(opt_buf.len() <= std_buf.len(), "{kind}");
+    }
+
+    /// A `Value` tree that does not have the message's shape is an error
+    /// naming the message — never a panic — for every kind and for the
+    /// replicated UE state; the well-formed tree parses.
+    #[test]
+    fn from_value_rejects_malformed_trees(seed in any::<u64>()) {
+        for &kind in MessageKind::ALL {
+            let good = kind.sample(seed).to_value();
+            rejects_malformed(kind.name(), &good, |v| kind.from_value(v))?;
+        }
+        rejects_malformed("UeState", &UeState::sample(seed).to_value(), UeState::from_value)?;
     }
 
     /// UE state snapshots round-trip for arbitrary seeds (the replication

@@ -8,7 +8,7 @@
 //! order, a `FieldType`, a sample or a codec moves `PINNED_DIGEST`, and a
 //! codec that stops supporting a schema moves `PINNED_PAIRS`.
 
-use neutrino_codec::value::Schema;
+use neutrino_codec::value::{Schema, Value};
 use neutrino_codec::CodecKind;
 use neutrino_common::rng::splitmix64;
 use neutrino_messages::ies::{Cgi, ErabFailedItem, ErabSetupItem, ErabToSetup, Tai, UeAmbr};
@@ -41,7 +41,7 @@ impl Fold {
 
     /// Folds the schema's shape, then the image of `value(seed)` under every
     /// codec that supports the schema.
-    fn wire_type(&mut self, schema: &Schema, value: impl Fn(u64) -> neutrino_codec::value::Value) {
+    fn wire_type(&mut self, schema: &Schema, value: impl Fn(u64) -> Value) {
         self.bytes(format!("{schema:?}").as_bytes());
         for kind in CodecKind::ALL {
             let codec = kind.codec();

@@ -418,25 +418,7 @@ impl Cluster {
         let mut agg = CtaMetrics::default();
         for cta in ctas {
             if let Some(node) = self.sim.node_as::<CtaNode>(cta_node(cta)) {
-                let m = node.core().metrics();
-                agg.forwarded_uplink += m.forwarded_uplink;
-                agg.forwarded_downlink += m.forwarded_downlink;
-                agg.failover_up_to_date += m.failover_up_to_date;
-                agg.failover_replayed += m.failover_replayed;
-                agg.failover_re_attach += m.failover_re_attach;
-                agg.outdated_notices += m.outdated_notices;
-                agg.timeout_pruned += m.timeout_pruned;
-                agg.resyncs_requested += m.resyncs_requested;
-                agg.resyncs_replayed += m.resyncs_replayed;
-                for i in 0..4 {
-                    agg.admitted_by_class[i] += m.admitted_by_class[i];
-                    agg.shed_by_class[i] += m.shed_by_class[i];
-                }
-                agg.rejects_sent += m.rejects_sent;
-                agg.acks_deferred += m.acks_deferred;
-                agg.breaker_opened += m.breaker_opened;
-                agg.breaker_suppressed += m.breaker_suppressed;
-                agg.unexpected_msgs += m.unexpected_msgs;
+                agg.merge(&node.core().metrics());
             }
         }
         agg
@@ -491,20 +473,7 @@ impl Cluster {
         let mut agg = CpfMetrics::default();
         for cpf in cpfs {
             if let Some(node) = self.sim.node_as::<CpfNode>(cpf_node(cpf)) {
-                let m = node.core().metrics();
-                agg.processed += m.processed;
-                agg.replayed += m.replayed;
-                agg.completed += m.completed;
-                agg.syncs_sent += m.syncs_sent;
-                agg.syncs_applied += m.syncs_applied;
-                agg.syncs_ignored += m.syncs_ignored;
-                agg.re_attach_asked += m.re_attach_asked;
-                agg.migrations += m.migrations;
-                agg.pages_sent += m.pages_sent;
-                agg.pages_failed += m.pages_failed;
-                agg.resyncs_answered += m.resyncs_answered;
-                agg.dup_uplink_nudges += m.dup_uplink_nudges;
-                agg.unexpected_msgs += m.unexpected_msgs;
+                agg.merge(&node.core().metrics());
             }
         }
         agg
@@ -530,6 +499,36 @@ mod tests {
             0,
             2,
         );
+    }
+
+    /// `cpf_metrics()` sums every counter the CPFs keep: one control message
+    /// whose payload bytes no codec accepts, delivered to one CPF.
+    #[test]
+    fn cpf_metrics_reports_malformed_payloads() {
+        use neutrino_codec::CodecKind;
+        use neutrino_common::{ProcedureId, UeId};
+        use neutrino_messages::{Envelope, MessageKind, Payload, ProcedureKind};
+        let mut cluster = Cluster::build(
+            SystemConfig::neutrino(),
+            RegionLayout::default(),
+            Workload::from_vec(Vec::new()),
+            UePopConfig::default(),
+            LinkProfile::default(),
+        );
+        let mut bad = Envelope::uplink(
+            UeId::new(1),
+            ProcedureId::FIRST,
+            ProcedureKind::InitialAttach,
+            MessageKind::InitialUeMessage.sample(1),
+        );
+        bad.msg = Payload::from_wire(MessageKind::InitialUeMessage, CodecKind::Asn1Per, &[]);
+        let cpf = cluster.deployment.all_cpfs()[0];
+        let at = Instant::from_micros(1);
+        cluster
+            .sim
+            .inject_at(at, cpf_node(cpf), SimMsg::Sys(SysMsg::Control(bad)));
+        cluster.run_until(Instant::from_micros(1_000_000));
+        assert_eq!(cluster.cpf_metrics().malformed_payloads, 1);
     }
 
     #[test]
