@@ -5,7 +5,7 @@
 use crate::store::{Freshness, StateStore, UeRecord};
 use neutrino_common::clock::ClockTick;
 use neutrino_common::uemap::Entry;
-use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, UeId, UeMap, UpfId};
+use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, Result, UeId, UeMap, UpfId};
 use neutrino_geo::RingStack;
 use neutrino_messages::control::{ControlMessage, Direction, Envelope, MessageKind};
 use neutrino_messages::ies::Tai;
@@ -15,8 +15,7 @@ use neutrino_messages::sysmsg::{
     MarkOutdated, Replay, S11Request, S11Response, SessionOp, StateSync, SyncAck, SyncPurpose,
     SysMsg,
 };
-use neutrino_messages::Wire;
-use std::sync::Arc;
+use neutrino_messages::{Snapshot, Wire};
 
 /// When UE state is checkpointed to backups (§4.2.2, ablated in Fig. 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,6 +169,11 @@ pub struct CpfMetrics {
     /// CPF is the first node that can tell; such a message is dropped here
     /// with no output and no state change.
     pub malformed_payloads: u64,
+    /// Reads of a stored state snapshot whose wire image did not parse. A
+    /// replica stores a checkpoint's bytes unread, so the first read — when
+    /// it takes the UE over — is the first chance to tell; the record then
+    /// counts as missing state (the UE is asked to re-attach).
+    pub malformed_snapshots: u64,
     /// `SysMsg` variants delivered to this CPF that the flow contract says
     /// it never receives (misrouted traffic — counted, never silently
     /// swallowed; the flow lint pins the expected set).
@@ -194,6 +198,7 @@ impl CpfMetrics {
             resyncs_answered,
             dup_uplink_nudges,
             malformed_payloads,
+            malformed_snapshots,
             unexpected_msgs,
         } = *other;
         self.processed += processed;
@@ -209,6 +214,7 @@ impl CpfMetrics {
         self.resyncs_answered += resyncs_answered;
         self.dup_uplink_nudges += dup_uplink_nudges;
         self.malformed_payloads += malformed_payloads;
+        self.malformed_snapshots += malformed_snapshots;
         self.unexpected_msgs += unexpected_msgs;
     }
 }
@@ -288,26 +294,44 @@ impl CpfConfig {
     }
 }
 
+/// Reads a stored snapshot. A wire image that does not parse is counted and
+/// reads as missing state: this CPF is the first node that can tell.
+fn read<'a>(state: &'a Snapshot, metrics: &mut CpfMetrics) -> Option<&'a UeState> {
+    state
+        .get()
+        .map_err(|_| metrics.malformed_snapshots += 1)
+        .ok()
+}
+
+/// [`read`] for the write path (copy-on-write, see [`Snapshot::make_mut`]).
+fn write<'a>(state: &'a mut Snapshot, metrics: &mut CpfMetrics) -> Option<&'a mut UeState> {
+    state
+        .make_mut()
+        .map_err(|_| metrics.malformed_snapshots += 1)
+        .ok()
+}
+
 /// Sends `state` to every backup. The syncs share the store's own
-/// allocation: nothing is copied until the primary next mutates the state.
+/// allocation: nothing is copied until the primary next mutates the state,
+/// and whoever frames them encodes it once.
 fn checkpoint(
     config: &CpfConfig,
     metrics: &mut CpfMetrics,
-    state: &Arc<UeState>,
+    state: &Snapshot,
     procedure: ProcedureId,
     end_clock: ClockTick,
     cta: CtaId,
     out: &mut Vec<CpfOutput>,
 ) {
-    for backup in config.backups_for(state.ue) {
+    for backup in config.backups_for(state.ue()) {
         metrics.syncs_sent += 1;
         out.push(CpfOutput::ToCpf {
             cpf: backup,
             msg: SysMsg::StateSync(StateSync {
-                ue: state.ue,
+                ue: state.ue(),
                 primary: config.id,
                 cta,
-                state: Arc::clone(state),
+                state: state.clone(),
                 procedure,
                 end_clock,
                 purpose: SyncPurpose::Checkpoint,
@@ -330,7 +354,9 @@ struct Run<'a> {
 impl Run<'_> {
     /// Asks the serving UPF for a session operation.
     fn s11(&mut self, op: SessionOp) {
-        let state = &self.rec.state;
+        let Some(state) = read(&self.rec.state, self.metrics) else {
+            return;
+        };
         self.out.push(CpfOutput::ToUpf {
             upf: state.serving_upf,
             msg: SysMsg::S11(S11Request {
@@ -347,10 +373,10 @@ impl Run<'_> {
         self.out.push(CpfOutput::ToCpf {
             cpf: target,
             msg: SysMsg::StateSync(StateSync {
-                ue: self.rec.state.ue,
+                ue: self.rec.state.ue(),
                 primary: self.config.id,
                 cta: self.progress.cta,
-                state: Arc::clone(&self.rec.state),
+                state: self.rec.state.clone(),
                 procedure: self.progress.procedure,
                 end_clock: self.progress.last_ul_clock,
                 purpose: SyncPurpose::Migration,
@@ -363,7 +389,7 @@ impl Run<'_> {
         let progress = &*self.progress;
         let steps = &progress.kind.template().steps;
         debug_assert_eq!(steps[idx].direction, Direction::Downlink);
-        let ue = self.rec.state.ue;
+        let ue = self.rec.state.ue();
         let mut env = Envelope::downlink(
             ue,
             progress.procedure,
@@ -408,7 +434,7 @@ impl Run<'_> {
             // A downlink step. Migration first (handover with CPF change),
             // then the UPF interaction, then the message itself.
             if step.requires_state_migration && !self.progress.migrated && !replaying {
-                if let Some(target) = self.config.migration_target(self.rec.state.ue) {
+                if let Some(target) = self.config.migration_target(self.rec.state.ue()) {
                     self.progress.waiting = Some(Waiting::Migration { step: cursor });
                     self.metrics.migrations += 1;
                     self.migration_sync(target);
@@ -432,10 +458,18 @@ impl Run<'_> {
     fn complete(&mut self) -> Finished {
         self.metrics.completed += 1;
         let progress = &*self.progress;
-        if !self.rec.state.attached && progress.kind == ProcedureKind::Detach {
+        // A record overwritten mid-procedure by an image that does not
+        // parse has nothing to commit or checkpoint: the procedure ends and
+        // the UE's next message meets the stale-state guard.
+        let Some(state) = read(&self.rec.state, self.metrics) else {
+            return Finished { detached: false };
+        };
+        if !state.attached && progress.kind == ProcedureKind::Detach {
             return Finished { detached: true };
         }
-        Arc::make_mut(&mut self.rec.state).commit(progress.procedure, progress.last_ul_clock);
+        if let Some(state) = write(&mut self.rec.state, self.metrics) {
+            state.commit(progress.procedure, progress.last_ul_clock);
+        }
         if self.config.replication == ReplicationMode::PerProcedure {
             checkpoint(
                 self.config,
@@ -466,7 +500,7 @@ impl Run<'_> {
             // target, so a duplicate is harmless and its ACK unblocks the
             // handover.
             Some(Waiting::Migration { .. }) => {
-                if let Some(target) = self.config.migration_target(self.rec.state.ue) {
+                if let Some(target) = self.config.migration_target(self.rec.state.ue()) {
                     self.migration_sync(target);
                 }
             }
@@ -615,13 +649,17 @@ impl CpfCore {
             let mut state =
                 UeState::new(ue, env.bs, self.config.upf_for(ue), Tai::sample(ue.raw()));
             state.connected = true;
-            self.store.put(Arc::new(state))
+            self.store.put(Snapshot::from(state))
         } else {
             // Stale-state guard (§4.2.4 step 3): a CPF with no state — or,
             // when consistency is enforced, outdated state — must not serve.
+            // A replica reads the image it stored for the first time here,
+            // so state that does not parse is no state either.
             match self.store.get_mut(ue) {
                 Some(rec)
-                    if !self.config.enforce_consistency || rec.freshness == Freshness::UpToDate =>
+                    if (!self.config.enforce_consistency
+                        || rec.freshness == Freshness::UpToDate)
+                        && read(&rec.state, &mut self.metrics).is_some() =>
                 {
                     rec
                 }
@@ -691,7 +729,9 @@ impl CpfCore {
         run.progress.next_step = cursor + rel + 1;
         run.progress.last_ul_clock = env.clock;
         run.progress.waiting = None;
-        apply_message(&mut run.rec.state, msg);
+        if apply_message(&mut run.rec.state, msg).is_err() {
+            run.metrics.malformed_snapshots += 1;
+        }
 
         if !replaying {
             // An uplink step may itself carry a UPF interaction (e.g. the
@@ -720,6 +760,12 @@ impl CpfCore {
     /// Replica duty: adopt a state checkpoint and ACK it (§4.2.3 steps 2–3),
     /// or adopt a migration and ACK the source CPF.
     pub fn on_state_sync(&mut self, sync: StateSync) -> Vec<CpfOutput> {
+        // The store keys on the snapshot's UE and the ACK names the
+        // header's: a sync whose two disagree is adopted nowhere.
+        if sync.state.ue() != sync.ue {
+            self.metrics.syncs_ignored += 1;
+            return Vec::new();
+        }
         let adopted = self.store.apply_sync(sync.state, sync.end_clock);
         if adopted {
             self.metrics.syncs_applied += 1;
@@ -781,7 +827,7 @@ impl CpfCore {
             .store
             .get(ue)
             .filter(|r| r.freshness == Freshness::UpToDate)
-            .map(|r| Arc::clone(&r.state));
+            .map(|r| r.state.clone());
         vec![CpfOutput::ToCpf {
             cpf: requester,
             msg: SysMsg::FetchStateResp { ue, state },
@@ -791,13 +837,16 @@ impl CpfCore {
     /// Adopts a fetched state (§4.2.4 step 1c: "marks UE's state
     /// up-to-date") — unless the local copy is already newer (a checkpoint
     /// may have raced the fetch).
-    pub fn on_fetch_resp(&mut self, ue: UeId, state: Option<Arc<UeState>>) -> Vec<CpfOutput> {
+    pub fn on_fetch_resp(&mut self, ue: UeId, state: Option<Snapshot>) -> Vec<CpfOutput> {
         if let Some(state) = state {
-            debug_assert_eq!(state.ue, ue);
+            if state.ue() != ue {
+                self.metrics.syncs_ignored += 1;
+                return Vec::new();
+            }
             let newer = self
                 .store
                 .get(ue)
-                .map(|r| state.version >= r.state.version)
+                .map(|r| state.version() >= r.state.version())
                 .unwrap_or(true);
             if newer {
                 self.store.put(state);
@@ -816,10 +865,10 @@ impl CpfCore {
     /// forever.
     pub fn on_resync(&mut self, ue: UeId, procedure: ProcedureId, cta: CtaId) -> Vec<CpfOutput> {
         let rec = match self.store.get(ue) {
-            Some(rec) if rec.state.version.procedure >= procedure => rec,
+            Some(rec) if rec.state.version().procedure >= procedure => rec,
             other => {
                 let have = other
-                    .map(|r| r.state.version.procedure)
+                    .map(|r| r.state.version().procedure)
                     .unwrap_or(ProcedureId::new(0));
                 return vec![CpfOutput::ToCta {
                     cta,
@@ -833,7 +882,7 @@ impl CpfCore {
         };
         self.metrics.resyncs_answered += 1;
         let mut out = Vec::new();
-        let version = rec.state.version;
+        let version = rec.state.version();
         checkpoint(
             &self.config,
             &mut self.metrics,
@@ -851,8 +900,8 @@ impl CpfCore {
         let mut out = Vec::new();
         let ue = resp.ue;
         if resp.op == SessionOp::Create {
-            if let Some(rec) = self.store.get_mut(ue) {
-                let state = Arc::make_mut(&mut rec.state);
+            let rec = self.store.get_mut(ue);
+            if let Some(state) = rec.and_then(|r| write(&mut r.state, &mut self.metrics)) {
                 state.session = resp.session;
                 state.serving_upf = resp.upf;
             }
@@ -873,14 +922,14 @@ impl CpfCore {
     /// state (the paging identity and tracking-area list live in it, §4.2.1)
     /// — without it the core cannot reach the UE (§3.1, Fig. 2).
     pub fn on_ddn(&mut self, ue: UeId) -> Vec<CpfOutput> {
-        let rec = match self.store.get(ue) {
-            Some(r) if r.freshness == Freshness::UpToDate => r,
-            _ => {
-                self.metrics.pages_failed += 1;
-                return Vec::new();
-            }
+        let state = match self.store.get(ue) {
+            Some(r) if r.freshness == Freshness::UpToDate => read(&r.state, &mut self.metrics),
+            _ => None,
         };
-        let bs = rec.state.serving_bs;
+        let Some(bs) = state.map(|s| s.serving_bs) else {
+            self.metrics.pages_failed += 1;
+            return Vec::new();
+        };
         self.metrics.pages_sent += 1;
         let mut env = Envelope::downlink(
             ue,
@@ -899,16 +948,16 @@ impl CpfCore {
 
 /// State mutations per message kind. Only the arms that change something
 /// take the write path: `make_mut` on a snapshot a checkpoint still shares
-/// copies it first.
-fn apply_message(state: &mut Arc<UeState>, msg: &ControlMessage) {
+/// copies it first. An error is a stored image that does not parse.
+fn apply_message(state: &mut Snapshot, msg: &ControlMessage) -> Result<()> {
     match msg {
         ControlMessage::InitialUeMessage(_)
         | ControlMessage::AttachRequest(_)
         | ControlMessage::ServiceRequest(_) => {
-            Arc::make_mut(state).connected = true;
+            state.make_mut()?.connected = true;
         }
         ControlMessage::AttachComplete(_) => {
-            let state = Arc::make_mut(state);
+            let state = state.make_mut()?;
             state.attached = true;
             if state.bearers.is_empty() {
                 let ue = state.ue.raw();
@@ -921,7 +970,7 @@ fn apply_message(state: &mut Arc<UeState>, msg: &ControlMessage) {
             }
         }
         ControlMessage::InitialContextSetupResponse(r) => {
-            let state = Arc::make_mut(state);
+            let state = state.make_mut()?;
             for item in &r.erabs_setup {
                 if !state.bearers.iter().any(|b| b.erab_id == item.erab_id) {
                     state.bearers.push(BearerContext {
@@ -935,25 +984,26 @@ fn apply_message(state: &mut Arc<UeState>, msg: &ControlMessage) {
             state.connected = true;
         }
         ControlMessage::TauRequest(r) => {
-            let state = Arc::make_mut(state);
+            let state = state.make_mut()?;
             state.tai = r.old_tai;
             if !state.tai_list.contains(&r.old_tai) {
                 state.tai_list.push(r.old_tai);
             }
         }
         ControlMessage::DetachRequest(_) => {
-            let state = Arc::make_mut(state);
+            let state = state.make_mut()?;
             state.attached = false;
             state.connected = false;
         }
         ControlMessage::HandoverNotify(n) => {
-            Arc::make_mut(state).tai = n.tai;
+            state.make_mut()?.tai = n.tai;
         }
         ControlMessage::UeContextReleaseComplete(_) => {
-            Arc::make_mut(state).connected = false;
+            state.make_mut()?.connected = false;
         }
         _ => {}
     }
+    Ok(())
 }
 
 /// The UPF operation a procedure's UPF step performs.
@@ -1093,7 +1143,7 @@ mod tests {
         for (_, s) in &syncs {
             assert_eq!(s.procedure, ProcedureId::new(1));
             assert_eq!(s.end_clock, ClockTick(14), "last UL clock");
-            assert!(s.state.attached);
+            assert!(s.state.get().unwrap().attached);
             assert_eq!(s.purpose, SyncPurpose::Checkpoint);
         }
         assert_eq!(cpf.metrics().completed, 1);
@@ -1117,16 +1167,22 @@ mod tests {
         assert_eq!(syncs.len(), 2);
         // No deep copy anywhere: both syncs, the primary's own record and
         // (once adopted) the replicas' records are one allocation.
-        assert!(Arc::ptr_eq(&syncs[0].state, &syncs[1].state));
-        assert!(Arc::ptr_eq(
+        assert!(Snapshot::ptr_eq(&syncs[0].state, &syncs[1].state));
+        assert!(Snapshot::ptr_eq(
             &syncs[0].state,
             &primary.store().get(ue).unwrap().state
         ));
-        let at_checkpoint = UeState::clone(&syncs[0].state);
+        // Encoded once, on demand: whoever frames the first sync leaves
+        // the image for the second, which then runs no codec.
+        assert!(!syncs[1].state.is_encoded());
+        let image: *const [u8] = syncs[0].state.wire().unwrap();
+        assert!(syncs[1].state.is_encoded());
+        assert!(std::ptr::eq(image, syncs[1].state.wire().unwrap()));
+        let at_checkpoint = syncs[0].state.get().unwrap().clone();
         let mut replicas = [neutrino_cpf(8), neutrino_cpf(9)];
         for (replica, sync) in replicas.iter_mut().zip(&syncs) {
             replica.on_state_sync(sync.clone());
-            assert!(Arc::ptr_eq(
+            assert!(Snapshot::ptr_eq(
                 &replica.store().get(ue).unwrap().state,
                 &sync.state
             ));
@@ -1142,13 +1198,16 @@ mod tests {
             20,
         ));
         let now = &primary.store().get(ue).unwrap().state;
-        assert_eq!(now.version.procedure, ProcedureId::new(2));
-        assert_ne!(**now, at_checkpoint);
+        assert_eq!(now.version().procedure, ProcedureId::new(2));
+        assert_ne!(now.get().unwrap(), &at_checkpoint);
+        assert!(!now.is_encoded(), "the old image went with the old state");
         for sync in &syncs {
-            assert_eq!(*sync.state, at_checkpoint);
+            assert_eq!(sync.state.get().unwrap(), &at_checkpoint);
+            assert!(sync.state.is_encoded());
         }
         for replica in &replicas {
-            assert_eq!(*replica.store().get(ue).unwrap().state, at_checkpoint);
+            let held = &replica.store().get(ue).unwrap().state;
+            assert_eq!(held.get().unwrap(), &at_checkpoint);
         }
     }
 
@@ -1188,7 +1247,8 @@ mod tests {
             resyncs_answered: 11,
             dup_uplink_nudges: 12,
             malformed_payloads: 13,
-            unexpected_msgs: 14,
+            malformed_snapshots: 14,
+            unexpected_msgs: 15,
         };
         let mut sum = m;
         sum.merge(&m);
@@ -1206,7 +1266,8 @@ mod tests {
             resyncs_answered: 22,
             dup_uplink_nudges: 24,
             malformed_payloads: 26,
-            unexpected_msgs: 28,
+            malformed_snapshots: 28,
+            unexpected_msgs: 30,
         };
         assert_eq!(sum, doubled);
     }
@@ -1241,7 +1302,159 @@ mod tests {
             (after.processed, after.replayed),
             (before.0.processed, before.0.replayed)
         );
-        assert!(Arc::ptr_eq(&cpf.store().get(ue).unwrap().state, &before.1));
+        assert!(Snapshot::ptr_eq(
+            &cpf.store().get(ue).unwrap().state,
+            &before.1
+        ));
+    }
+
+    /// The checkpoint of `ue`'s attach as a replica receives it off a
+    /// transport: the wire image, unparsed.
+    fn received_checkpoint(ue: u64) -> StateSync {
+        let sync = run_attach(&mut neutrino_cpf(0), ue, 1, 10)
+            .into_iter()
+            .find_map(|o| match o {
+                CpfOutput::ToCpf {
+                    msg: SysMsg::StateSync(s),
+                    ..
+                } => Some(s),
+                _ => None,
+            })
+            .expect("a checkpoint");
+        StateSync {
+            state: Snapshot::from_wire(sync.state.wire().unwrap()).unwrap(),
+            ..sync
+        }
+    }
+
+    #[test]
+    fn replica_keeps_a_checkpoint_unread_until_it_serves_the_ue() {
+        let ue = UeId::new(7);
+        let mut replica = neutrino_cpf(9);
+        let sync = received_checkpoint(7);
+        assert_eq!(replica.on_state_sync(sync.clone()).len(), 1, "ACKed");
+        // Adopting, answering a fetch and being marked outdated read the
+        // header only.
+        let fetched = replica.on_fetch_state(ue, CpfId::new(8));
+        assert!(matches!(
+            &fetched[0],
+            CpfOutput::ToCpf { msg: SysMsg::FetchStateResp { state: Some(s), .. }, .. }
+                if Snapshot::ptr_eq(s, &sync.state)
+        ));
+        assert!(!sync.state.is_materialised());
+        // Failover: the UE's next procedure lands here and is served from
+        // the stored image, which is parsed now and not before.
+        let outs = replica.on_control(ul(
+            7,
+            2,
+            ProcedureKind::ServiceRequest,
+            MessageKind::ServiceRequest,
+            20,
+        ));
+        assert!(
+            !outs.is_empty() && replica.metrics().re_attach_asked == 0,
+            "{outs:?}"
+        );
+        assert!(sync.state.is_materialised());
+        assert_eq!(replica.metrics().malformed_snapshots, 0);
+        assert!(
+            replica
+                .store()
+                .get(ue)
+                .unwrap()
+                .state
+                .get()
+                .unwrap()
+                .connected
+        );
+    }
+
+    #[test]
+    fn undecodable_snapshot_is_missing_state_not_a_panic() {
+        let ue = UeId::new(7);
+        let mut replica = neutrino_cpf(9);
+        // A checkpoint whose header reads fine and whose body does not
+        // parse: the tracking-area list's offset points outside the image.
+        let sync = received_checkpoint(7);
+        let mut image = sync.state.wire().unwrap().to_vec();
+        let tai_list = neutrino_codec::fastbuf::FbTable::root(&image)
+            .unwrap()
+            .slot(8)
+            .unwrap()
+            .expect("present");
+        image[tai_list..tai_list + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let garbage = Snapshot::from_wire(&image).unwrap();
+        assert!(garbage.get().is_err());
+        // Stored like any other: a replica does not read what it stores.
+        let acks = replica.on_state_sync(StateSync {
+            state: garbage.clone(),
+            ..sync
+        });
+        assert_eq!(acks.len(), 1);
+        assert_eq!(replica.metrics().malformed_snapshots, 0);
+
+        let next = ul(
+            7,
+            2,
+            ProcedureKind::ServiceRequest,
+            MessageKind::ServiceRequest,
+            20,
+        );
+        let outs = replica.on_control(next.clone());
+        assert!(
+            matches!(
+                outs[..],
+                [CpfOutput::ToCta { msg: SysMsg::RelayReAttach { ue: asked, .. }, .. }] if asked == ue
+            ),
+            "{outs:?}"
+        );
+        let m = replica.metrics();
+        assert_eq!((m.malformed_snapshots, m.re_attach_asked), (1, 1));
+        // Inside a replay the same read fails the same way, silently.
+        let replayed = replica.on_replay(Replay {
+            ue,
+            messages: vec![next],
+        });
+        assert!(replayed.is_empty());
+        let m = replica.metrics();
+        assert_eq!((m.malformed_snapshots, m.re_attach_asked), (2, 1));
+        // Nothing else moved: the record is still the one stored, no
+        // procedure was started, and paging cannot use it either.
+        let rec = replica.store().get(ue).unwrap();
+        assert!(Snapshot::ptr_eq(&rec.state, &garbage));
+        assert_eq!(rec.freshness, Freshness::UpToDate);
+        assert!(replica.progress.get(ue).is_none());
+        assert!(replica.on_ddn(ue).is_empty());
+        assert_eq!(replica.metrics().pages_failed, 1);
+        // The re-attach the UE was asked for replaces it.
+        run_attach(&mut replica, 7, 3, 30);
+        assert!(
+            replica
+                .store()
+                .get(ue)
+                .unwrap()
+                .state
+                .get()
+                .unwrap()
+                .attached
+        );
+    }
+
+    #[test]
+    fn snapshot_of_another_ue_than_the_header_names_is_ignored() {
+        let mut replica = neutrino_cpf(9);
+        let sync = received_checkpoint(7);
+        let outs = replica.on_state_sync(StateSync {
+            ue: UeId::new(8),
+            ..sync.clone()
+        });
+        assert!(outs.is_empty(), "no ACK names a UE nothing was stored for");
+        assert!(replica
+            .on_fetch_resp(UeId::new(8), Some(sync.state))
+            .is_empty());
+        assert!(replica.store().is_empty());
+        let m = replica.metrics();
+        assert_eq!((m.syncs_ignored, m.syncs_applied), (2, 0));
     }
 
     #[test]
@@ -1303,7 +1516,7 @@ mod tests {
             procedure: ProcedureId::new(1),
             clock: ClockTick(10),
         };
-        replica.store.put(Arc::new(state.clone()));
+        replica.store.put(Snapshot::from(state.clone()));
         // CTA marks it outdated at clock 20 and points at CPF 3.
         let outs = replica.on_mark_outdated(MarkOutdated {
             ue: UeId::new(7),
@@ -1321,7 +1534,7 @@ mod tests {
             ue: UeId::new(7),
             primary: CpfId::new(0),
             cta: CtaId::new(0),
-            state: Arc::new(stale),
+            state: Snapshot::from(stale),
             procedure: ProcedureId::new(2),
             end_clock: ClockTick(20),
             purpose: SyncPurpose::Checkpoint,
@@ -1333,7 +1546,7 @@ mod tests {
         let mut fresh = state;
         fresh.version.procedure = ProcedureId::new(2);
         fresh.version.clock = ClockTick(21);
-        replica.on_fetch_resp(UeId::new(7), Some(Arc::new(fresh)));
+        replica.on_fetch_resp(UeId::new(7), Some(Snapshot::from(fresh)));
         assert!(replica.store().servable(UeId::new(7)));
     }
 
@@ -1450,9 +1663,9 @@ mod tests {
             "replay must not repeat external side effects: {outs:?}"
         );
         let rec = replica.store().get(UeId::new(7)).expect("state rebuilt");
-        assert!(rec.state.attached);
-        assert_eq!(rec.state.version.procedure, ProcedureId::new(1));
-        assert_eq!(rec.state.version.clock, ClockTick(12));
+        assert!(rec.state.get().unwrap().attached);
+        assert_eq!(rec.state.version().procedure, ProcedureId::new(1));
+        assert_eq!(rec.state.version().clock, ClockTick(12));
         assert_eq!(replica.metrics().replayed, 5);
     }
 

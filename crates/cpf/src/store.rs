@@ -3,8 +3,7 @@
 use neutrino_common::clock::ClockTick;
 use neutrino_common::uemap::Entry;
 use neutrino_common::{UeId, UeMap};
-use neutrino_messages::state::UeState;
-use std::sync::Arc;
+use neutrino_messages::Snapshot;
 
 /// Whether a stored UE state may serve traffic (§4.2.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,11 +21,27 @@ pub enum Freshness {
 pub struct UeRecord {
     /// The replicated state. Shared with the checkpoints sent from it and
     /// the replica stores that adopted them: mutate only through
-    /// [`Arc::make_mut`], which copies if (and only if) someone else still
-    /// holds this version.
-    pub state: Arc<UeState>,
+    /// [`Snapshot::make_mut`], which copies if (and only if) someone else
+    /// still holds this version. At a replica it is the image the
+    /// checkpoint arrived as, unread until the replica serves the UE.
+    pub state: Snapshot,
     /// Whether it may serve traffic.
     pub freshness: Freshness,
+}
+
+/// Makes `state` the up-to-date record behind `entry`.
+fn install(entry: Entry<'_, UeRecord>, state: Snapshot) -> &mut UeRecord {
+    let fresh = UeRecord {
+        state,
+        freshness: Freshness::UpToDate,
+    };
+    match entry {
+        Entry::Occupied(rec) => {
+            *rec = fresh;
+            rec
+        }
+        Entry::Vacant(slot) => slot.insert(fresh),
+    }
 }
 
 /// The store: UE id → record.
@@ -69,36 +84,27 @@ impl StateStore {
 
     /// Installs fresh state (attach, promotion, or accepted sync) and hands
     /// back the record it now lives in.
-    pub fn put(&mut self, state: Arc<UeState>) -> &mut UeRecord {
-        let fresh = UeRecord {
-            state,
-            freshness: Freshness::UpToDate,
-        };
-        match self.records.entry(fresh.state.ue) {
-            Entry::Occupied(rec) => {
-                *rec = fresh;
-                rec
-            }
-            Entry::Vacant(slot) => slot.insert(fresh),
-        }
+    pub fn put(&mut self, state: Snapshot) -> &mut UeRecord {
+        install(self.records.entry(state.ue()), state)
     }
 
     /// Applies an incoming state sync: adopted unless the record was marked
     /// outdated at a clock at/after the sync's (stale checkpoint from a dead
     /// primary). Returns whether the sync was adopted.
-    pub fn apply_sync(&mut self, state: Arc<UeState>, end_clock: ClockTick) -> bool {
-        if let Some(rec) = self.records.get(state.ue) {
+    pub fn apply_sync(&mut self, state: Snapshot, end_clock: ClockTick) -> bool {
+        let entry = self.records.entry(state.ue());
+        if let Entry::Occupied(rec) = &entry {
             if let Freshness::Outdated(at) = rec.freshness {
                 if end_clock <= at {
                     return false; // §4.2.4: ignore outdated state
                 }
             }
             // Never regress to an older version.
-            if state.version < rec.state.version {
+            if state.version() < rec.state.version() {
                 return false;
             }
         }
-        self.put(state);
+        install(entry, state);
         true
     }
 
@@ -132,16 +138,16 @@ mod tests {
     use super::*;
     use neutrino_common::{BsId, ProcedureId, UpfId};
     use neutrino_messages::ies::Tai;
-    use neutrino_messages::state::StateVersion;
+    use neutrino_messages::state::{StateVersion, UeState};
     use neutrino_messages::Wire;
 
-    fn state(ue: u64, proc: u64, clock: u64) -> Arc<UeState> {
+    fn state(ue: u64, proc: u64, clock: u64) -> Snapshot {
         let mut s = UeState::new(UeId::new(ue), BsId::new(0), UpfId::new(0), Tai::sample(0));
         s.version = StateVersion {
             procedure: ProcedureId::new(proc),
             clock: ClockTick(clock),
         };
-        Arc::new(s)
+        Snapshot::from(s)
     }
 
     #[test]
@@ -172,7 +178,7 @@ mod tests {
         store.put(state(1, 5, 50));
         assert!(!store.apply_sync(state(1, 3, 30), ClockTick(30)));
         assert_eq!(
-            store.get(UeId::new(1)).unwrap().state.version.procedure,
+            store.get(UeId::new(1)).unwrap().state.version().procedure,
             ProcedureId::new(5)
         );
     }

@@ -8,19 +8,12 @@
 //! CPF. When a control procedure completes, the primary CPF replicates the
 //! user state on N consecutive replicas on a level-2 ring."
 
+use neutrino_common::rng::splitmix64;
 use neutrino_common::{CpfId, UeId};
 use std::collections::BTreeMap;
 
 /// Virtual nodes per CPF — smooths load across the ring.
 const DEFAULT_VNODES: u32 = 64;
-
-fn mix64(mut x: u64) -> u64 {
-    // splitmix64 finalizer: well-distributed, stable across runs.
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// A consistent hash ring of CPFs with virtual nodes.
 #[derive(Debug, Clone, Default)]
@@ -55,7 +48,7 @@ impl ConsistentRing {
         self.members.push(cpf);
         self.members.sort_unstable();
         for v in 0..self.vnodes {
-            let point = mix64(cpf.raw().wrapping_mul(0x100_0000) ^ u64::from(v));
+            let point = splitmix64(cpf.raw().wrapping_mul(0x100_0000) ^ u64::from(v));
             self.points.insert(point, cpf);
         }
     }
@@ -78,7 +71,7 @@ impl ConsistentRing {
 
     /// The CPF owning `ue` (first point clockwise of the key's hash).
     pub fn primary(&self, ue: UeId) -> Option<CpfId> {
-        let key = mix64(ue.raw());
+        let key = splitmix64(ue.raw());
         self.points
             .range(key..)
             .next()
@@ -92,7 +85,7 @@ impl ConsistentRing {
         if n == 0 {
             return Vec::new();
         }
-        let key = mix64(ue.raw());
+        let key = splitmix64(ue.raw());
         let mut out = Vec::with_capacity(n);
         for (_, cpf) in self.points.range(key..).chain(self.points.range(..key)) {
             if !out.contains(cpf) {

@@ -206,6 +206,7 @@ mod tests {
     use super::*;
     use crate::control::{Envelope, MessageKind};
     use crate::procedures::ProcedureKind;
+    use crate::snapshot::Snapshot;
     use crate::state::UeState;
     use crate::sysmsg::{
         AdmissionClass, MarkOutdated, Replay, S11Request, S11Response, SessionOp, StateSync,
@@ -226,7 +227,7 @@ mod tests {
             MessageKind::ServiceRequest.sample(1),
         );
         let state =
-            std::sync::Arc::new(UeState::new(ue, BsId::new(1), UpfId::new(1), Tai { plmn: 1, tac: 1 }));
+            Snapshot::from(UeState::new(ue, BsId::new(1), UpfId::new(1), Tai { plmn: 1, tac: 1 }));
         let sync = StateSync {
             ue,
             primary: CpfId::new(1),

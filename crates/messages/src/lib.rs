@@ -31,6 +31,7 @@ pub mod nas;
 pub mod payload;
 pub mod procedures;
 pub mod s1ap;
+pub mod snapshot;
 pub mod state;
 pub mod sysmsg;
 pub mod wire;
@@ -39,5 +40,6 @@ pub use control::{ControlMessage, Direction, Envelope, MessageKind};
 pub use flow::{FlowSpec, Role, FLOWS};
 pub use payload::Payload;
 pub use procedures::{ProcedureKind, ProcedureTemplate};
+pub use snapshot::Snapshot;
 pub use sysmsg::{AdmissionClass, SysMsg};
 pub use wire::Wire;

@@ -7,10 +7,9 @@
 
 use crate::control::Envelope;
 use crate::procedures::ProcedureKind;
-use crate::state::UeState;
+use crate::snapshot::Snapshot;
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, SessionId, UeId, UpfId};
-use std::sync::Arc;
 
 /// Priority class the CTA ingress admission layer sorts control procedures
 /// into. Lower raw value = higher priority; under overload the admission
@@ -97,7 +96,7 @@ pub struct StateSync {
     pub cta: CtaId,
     /// The state snapshot: one allocation shared by the primary's store,
     /// every backup's copy of this sync and the stores that adopt it.
-    pub state: Arc<UeState>,
+    pub state: Snapshot,
     /// The procedure whose completion triggered the sync.
     pub procedure: ProcedureId,
     /// Logical clock of the last (uplink) message of that procedure — "used
@@ -220,7 +219,7 @@ pub enum SysMsg {
         ue: UeId,
         /// The state, if the responder had an up-to-date copy (shared with
         /// the responder's store).
-        state: Option<Arc<UeState>>,
+        state: Option<Snapshot>,
     },
     /// CPF → UPF session operation.
     S11(S11Request),

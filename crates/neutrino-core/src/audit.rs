@@ -166,7 +166,7 @@ pub fn audit_cluster(cluster: &mut Cluster) -> AuditReport {
                 None => continue,
             };
             if let Some(rec) = node.core().store().get(exp.ue) {
-                let v = rec.state.version.procedure;
+                let v = rec.state.version().procedure;
                 if best_any.map(|b| v > b).unwrap_or(true) {
                     best_any = Some(v);
                 }

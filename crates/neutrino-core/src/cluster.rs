@@ -397,7 +397,7 @@ impl Cluster {
     ) -> Option<neutrino_messages::state::StateVersion> {
         let cpf = self.serving_cpf(ue)?;
         let node = self.sim.node_as::<CpfNode>(cpf_node(cpf))?;
-        node.core().store().get(ue).map(|r| r.state.version)
+        node.core().store().get(ue).map(|r| r.state.version())
     }
 
     /// Whether the UE's serving CPF may serve it right now (fresh state).

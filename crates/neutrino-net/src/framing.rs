@@ -2,17 +2,19 @@
 //!
 //! Layout: a 1-byte message tag, fixed-width header fields, then the
 //! payload. Control-message payloads are encoded with the *system's* codec
-//! (the serialization under evaluation); state snapshots travel as fastbuf
-//! regardless (replication is Neutrino-internal and not part of the ASN.1
-//! comparison surface). Length-prefixed throughout so frames survive
-//! stream transports.
+//! (the serialization under evaluation); state snapshots travel under
+//! [`Snapshot::CODEC`] regardless. Length-prefixed throughout so frames
+//! survive stream transports.
 //!
 //! Decoding reads a control envelope's fixed header and keeps its payload
 //! block as a wire-backed [`Payload`] without running the codec; encoding
 //! such a payload under the codec it arrived in copies the block back out.
 //! A forwarder therefore pays a header read and a memcpy per hop, the codec
 //! runs once where a message is built and once where it is read, and a
-//! corrupt payload is found by its reader, not here.
+//! corrupt payload is found by its reader, not here. A state snapshot is
+//! carried the same way: its block becomes a wire-backed [`Snapshot`] after
+//! a look at the UE id inside it, and goes out as the image the snapshot
+//! holds — received, or encoded once for all the frames it goes into.
 //!
 //! Encoding writes into a caller-supplied `Vec<u8>` so transports can
 //! recycle frame buffers ([`neutrino_codec::scratch`]); interior payload
@@ -25,13 +27,11 @@ use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, CpfId, CtaId, Error, ProcedureId, Result, SessionId, UeId, UpfId};
 use neutrino_messages::control::{Direction, Envelope, MessageKind};
 use neutrino_messages::procedures::ProcedureKind;
-use neutrino_messages::state::UeState;
 use neutrino_messages::sysmsg::{
     AdmissionClass, MarkOutdated, Replay, S11Request, S11Response, SessionOp, StateSync, SyncAck,
     SyncPurpose, SysMsg,
 };
-use neutrino_messages::{Payload, Wire};
-use std::sync::Arc;
+use neutrino_messages::{Payload, Snapshot};
 
 const TAG_CONTROL: u8 = 1;
 const TAG_STATE_SYNC: u8 = 2;
@@ -181,20 +181,23 @@ fn get_envelope(buf: &mut &[u8], codec: CodecKind) -> Result<Envelope> {
     })
 }
 
-// State snapshots always travel as fastbuf: they are Neutrino-internal.
-const STATE_CODEC: CodecKind = CodecKind::FastbufOptimized;
-
-fn put_state(state: &UeState, buf: &mut Vec<u8>) -> Result<()> {
-    scratch::with_buf(|payload| {
-        state.encode(STATE_CODEC.codec(), payload)?;
-        put_block(buf, payload);
-        Ok(())
-    })
+fn put_state(state: &Snapshot, buf: &mut Vec<u8>) -> Result<()> {
+    put_block(buf, state.wire()?);
+    Ok(())
 }
 
-fn get_state(buf: &mut &[u8]) -> Result<Arc<UeState>> {
-    let payload = get_block(buf)?;
-    UeState::decode(STATE_CODEC.codec(), payload).map(Arc::new)
+/// Keeps the snapshot block as received. `ue` is the frame header's: a
+/// receiver stores under the image's id and answers to the header's, so a
+/// frame whose two disagree is malformed.
+fn get_state(buf: &mut &[u8], ue: UeId) -> Result<Snapshot> {
+    let state = Snapshot::from_wire(get_block(buf)?)?;
+    if state.ue() != ue {
+        return Err(err(format!(
+            "snapshot of {} in a frame for {ue}",
+            state.ue()
+        )));
+    }
+    Ok(state)
 }
 
 /// Encodes a [`SysMsg`] as a self-contained frame into `buf`.
@@ -379,8 +382,9 @@ fn need(buf: &&[u8], n: usize) -> Result<()> {
 }
 
 /// Decodes a frame produced by [`encode_sysmsg`] with the same codec.
-/// Control payloads (in `Control` and `Replay`) are carried over unparsed:
-/// `Ok` vouches for the frame structure, not for their bytes.
+/// Control payloads (in `Control` and `Replay`) and state snapshots (in
+/// `StateSync` and `FetchStateResp`) are carried over unparsed: `Ok` vouches
+/// for the frame structure, not for their bytes.
 pub fn decode_sysmsg(frame: &[u8], codec: CodecKind) -> Result<SysMsg> {
     let mut buf = frame;
     need(&buf, 1)?;
@@ -399,7 +403,7 @@ pub fn decode_sysmsg(frame: &[u8], codec: CodecKind) -> Result<SysMsg> {
                 1 => SyncPurpose::Migration,
                 other => return Err(err(format!("bad purpose {other}"))),
             };
-            let state = get_state(&mut buf)?;
+            let state = get_state(&mut buf, ue)?;
             SysMsg::StateSync(StateSync {
                 ue,
                 primary,
@@ -453,7 +457,7 @@ pub fn decode_sysmsg(frame: &[u8], codec: CodecKind) -> Result<SysMsg> {
             need(&buf, 9)?;
             let ue = UeId::new(buf.get_u64());
             let state = if buf.get_u8() == 1 {
-                Some(get_state(&mut buf)?)
+                Some(get_state(&mut buf, ue)?)
             } else {
                 None
             };
@@ -562,6 +566,8 @@ pub fn decode_sysmsg(frame: &[u8], codec: CodecKind) -> Result<SysMsg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neutrino_messages::state::UeState;
+    use neutrino_messages::Wire;
 
     fn encode(msg: &SysMsg, codec: CodecKind) -> Result<Vec<u8>> {
         let mut frame = Vec::new();
@@ -629,7 +635,7 @@ mod tests {
 
     #[test]
     fn replication_frames_round_trip() {
-        let state = std::sync::Arc::new(UeState::sample(11));
+        let state = Snapshot::from(UeState::sample(11));
         round_trip(
             SysMsg::StateSync(StateSync {
                 ue: UeId::new(11),
@@ -673,6 +679,61 @@ mod tests {
             },
             CodecKind::FastbufOptimized,
         );
+    }
+
+    fn sample_sync(state: &Snapshot) -> SysMsg {
+        SysMsg::StateSync(StateSync {
+            ue: state.ue(),
+            primary: CpfId::new(1),
+            cta: CtaId::new(0),
+            state: state.clone(),
+            procedure: ProcedureId::new(5),
+            end_clock: ClockTick(77),
+            purpose: SyncPurpose::Checkpoint,
+        })
+    }
+
+    #[test]
+    fn a_checkpoint_is_encoded_once_for_all_its_frames() {
+        let codec = CodecKind::Asn1Per;
+        let state = Snapshot::from(UeState::sample(11));
+        let (first, second) = (sample_sync(&state), sample_sync(&state));
+        assert!(!state.is_encoded());
+        let frame = encode(&first, codec).unwrap();
+        assert!(
+            state.is_encoded(),
+            "the first frame leaves the image behind"
+        );
+        assert_eq!(encode(&second, codec).unwrap(), frame);
+        // The receiver keeps the block as it came and can pass it on — to
+        // a peer that fetches the state, say — without ever parsing it.
+        let SysMsg::StateSync(got) = decode_sysmsg(&frame, codec).unwrap() else {
+            panic!("not a state sync");
+        };
+        assert_eq!(
+            (got.state.ue(), got.state.version()),
+            (state.ue(), state.version())
+        );
+        assert_eq!(encode(&sample_sync(&got.state), codec).unwrap(), frame);
+        assert!(!got.state.is_materialised());
+        assert_eq!(got.state, state);
+    }
+
+    #[test]
+    fn state_frames_whose_header_names_another_ue_are_rejected() {
+        let codec = CodecKind::FastbufOptimized;
+        let state = Snapshot::from(UeState::sample(11));
+        let fetched = SysMsg::FetchStateResp {
+            ue: UeId::new(11),
+            state: Some(state.clone()),
+        };
+        for msg in [sample_sync(&state), fetched] {
+            let mut frame = encode(&msg, codec).unwrap();
+            assert_eq!(frame[1..9], 11u64.to_be_bytes(), "the header's UE id");
+            frame[8] = 12;
+            let e = decode_sysmsg(&frame, codec).unwrap_err();
+            assert!(e.to_string().contains("snapshot of ue-11"), "{e}");
+        }
     }
 
     #[test]

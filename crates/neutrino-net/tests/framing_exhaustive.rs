@@ -13,7 +13,10 @@
 //! payload crosses `decode_sysmsg` → `encode_sysmsg` as the bytes it
 //! arrived in, unparsed, for every message kind under every codec; and
 //! because of that a corrupt payload reaches the CPF, which must count it
-//! and carry on.
+//! and carry on. A state snapshot is held to the same two: a `StateSync` or
+//! `FetchStateResp` block crosses unparsed, and every corruption of such a
+//! frame is either refused by the framing or stored and found out — counted,
+//! the UE asked to re-attach — by the replica that takes the UE over.
 
 use neutrino_common::clock::ClockTick;
 use neutrino_common::time::Instant;
@@ -28,7 +31,7 @@ use neutrino_messages::sysmsg::{
     AdmissionClass, MarkOutdated, Replay, S11Request, S11Response, SessionOp, StateSync, SyncAck,
     SyncPurpose, SysMsg,
 };
-use neutrino_messages::Wire;
+use neutrino_messages::{Snapshot, Wire};
 use neutrino_net::{decode_sysmsg, encode_sysmsg};
 use neutrino_codec::CodecKind;
 
@@ -76,7 +79,7 @@ fn sample_envelope() -> Envelope {
 
 /// One sample per variant, in declaration order.
 fn samples() -> Vec<SysMsg> {
-    let state = std::sync::Arc::new(UeState::sample(11));
+    let state = Snapshot::from(UeState::sample(11));
     vec![
         SysMsg::Control(sample_envelope()),
         SysMsg::StateSync(StateSync {
@@ -294,5 +297,163 @@ fn corrupt_payload_bytes_are_counted_at_the_cpf_never_panicked_on() {
         );
         assert!(malformed > 0, "{codec}: no corruption was ever detected");
         assert_eq!(cta.metrics().unexpected_msgs, 0);
+    }
+}
+
+/// The snapshot a replication frame carries.
+fn snapshot_of(msg: &SysMsg) -> &Snapshot {
+    match msg {
+        SysMsg::StateSync(sync) => &sync.state,
+        SysMsg::FetchStateResp {
+            state: Some(state), ..
+        } => state,
+        other => panic!("expected a frame with a snapshot, got {}", other.label()),
+    }
+}
+
+#[test]
+fn snapshots_pass_through_unparsed() {
+    let samples = samples();
+    for codec in [CodecKind::Asn1Per, CodecKind::FastbufOptimized] {
+        for sent in [&samples[1], &samples[6]] {
+            let original = frame(sent, codec);
+            let hop = decode_sysmsg(&original, codec).unwrap();
+            assert_eq!(frame(&hop, codec), original, "{}/{codec}", sent.label());
+            let held = snapshot_of(&hop);
+            assert!(
+                !held.is_materialised(),
+                "{}/{codec}: a hop parsed it",
+                sent.label()
+            );
+            assert_eq!(held.version(), snapshot_of(sent).version());
+            assert_eq!(held.get().unwrap(), snapshot_of(sent).get().unwrap());
+        }
+    }
+}
+
+/// The largest single allocation this thread asked for since the last
+/// `take()`. A decoder that sizes a buffer from a length it read off the
+/// wire shows up here as a request far beyond the frame it was given.
+mod largest_alloc {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub struct Recording;
+
+    // SAFETY: every call is passed through to `System` unchanged; the only
+    // addition is a write to a const-initialised, destructor-free
+    // thread-local, which neither allocates nor re-enters the allocator.
+    unsafe impl GlobalAlloc for Recording {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            LARGEST.with(|l| l.set(l.get().max(layout.size())));
+            // SAFETY: `layout` is the caller's, forwarded as is.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            LARGEST.with(|l| l.set(l.get().max(new_size)));
+            // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    pub fn take() -> usize {
+        LARGEST.with(|l| l.replace(0))
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: largest_alloc::Recording = largest_alloc::Recording;
+
+#[test]
+fn corrupt_snapshot_frames_are_refused_or_found_out_at_takeover() {
+    let cpfs: Vec<CpfId> = (0..5).map(CpfId::new).collect();
+    let ring = RingStack::new(&cpfs, &[], 2);
+    let codec = CodecKind::FastbufOptimized;
+    let samples = samples();
+    for clean_msg in [&samples[1], &samples[6]] {
+        let clean = frame(clean_msg, codec);
+        for cut in 0..clean.len() {
+            assert!(
+                decode_sysmsg(&clean[..cut], codec).is_err(),
+                "{}: cut at {cut} must error",
+                clean_msg.label()
+            );
+        }
+
+        let (mut refused, mut served, mut found_out) = (0u64, 0u64, 0u64);
+        largest_alloc::take();
+        for at in 0..clean.len() {
+            for mask in [0xFF, 0x80, 0x01] {
+                let mut corrupt = clean.clone();
+                corrupt[at] ^= mask;
+                let Ok(received) = decode_sysmsg(&corrupt, codec) else {
+                    refused += 1;
+                    continue;
+                };
+                // A replica stores whatever the framing let through...
+                let mut replica = CpfCore::new(CpfConfig::neutrino(
+                    cpfs[2],
+                    ring.clone(),
+                    vec![UpfId::new(0)],
+                ));
+                replica.handle(received);
+                // ...and reads it when the UE's next procedure lands on it.
+                let held: Vec<(UeId, bool)> = replica
+                    .store()
+                    .iter()
+                    .map(|(ue, rec)| (*ue, rec.state.get().is_ok()))
+                    .collect();
+                for (ue, parses) in held {
+                    let kind = ProcedureKind::ServiceRequest;
+                    let uplink = Envelope::uplink(
+                        ue,
+                        ProcedureId::new(9),
+                        kind,
+                        MessageKind::ServiceRequest.sample(1),
+                    );
+                    let outs = replica.handle(SysMsg::Control(uplink));
+                    let m = replica.metrics();
+                    if parses {
+                        assert_eq!((m.malformed_snapshots, m.re_attach_asked), (0, 0));
+                        served += 1;
+                    } else {
+                        assert_eq!((m.malformed_snapshots, m.re_attach_asked), (1, 1));
+                        assert!(
+                            matches!(
+                                outs[..],
+                                [neutrino_cpf::CpfOutput::ToCta {
+                                    msg: SysMsg::RelayReAttach { .. },
+                                    ..
+                                }]
+                            ),
+                            "byte {at}: {outs:?}"
+                        );
+                        found_out += 1;
+                    }
+                }
+            }
+        }
+        let largest = largest_alloc::take();
+        assert!(
+            largest <= 64 * clean.len(),
+            "{}: a {largest}-byte allocation from a {}-byte frame",
+            clean_msg.label(),
+            clean.len()
+        );
+        assert!(
+            refused > 0 && served > 0 && found_out > 0,
+            "{}: refused {refused}, served {served}, found out {found_out}",
+            clean_msg.label()
+        );
     }
 }

@@ -291,7 +291,7 @@ fn distinct_ues_never_share_sessions() {
                 .node_as::<neutrino_core::simnode::CpfNode>(neutrino_core::simnode::cpf_node(cpf))
                 .unwrap();
             if let Some(rec) = node.core().store().get(ue) {
-                if let Some(session) = rec.state.session {
+                if let Some(session) = rec.state.get().expect("built decoded").session {
                     assert!(seen.insert(session), "duplicate session {session}");
                 }
             }

@@ -11,6 +11,13 @@
 //! The pinned hash was taken before the cores' payloads became `Arc`-shared
 //! and their handlers single-pass: any change to what a handler emits, or to
 //! the order it emits it in, moves the hash.
+//!
+//! The script runs twice: handing each `SysMsg` over as the value it is (the
+//! simulator's way), and with every hop crossing `encode_sysmsg` →
+//! `decode_sysmsg` (the live path's way), so that every receiver holds
+//! wire-backed payloads and snapshots — the handover target, the replayed-to
+//! backup, the state fetcher and every replica that takes a UE over serve
+//! from bytes they had stored unread. Both runs must produce the one hash.
 
 use neutrino_codec::CodecKind;
 use neutrino_common::time::{Duration, Instant};
@@ -20,6 +27,7 @@ use neutrino_cta::{CtaConfig, CtaCore, CtaOutput};
 use neutrino_geo::RingStack;
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_messages::{Direction, Envelope, SysMsg};
+use neutrino_net::{decode_sysmsg, encode_sysmsg};
 use neutrino_upf::{UpfCore, UpfOutput};
 use std::collections::VecDeque;
 use std::fmt::Debug;
@@ -53,18 +61,19 @@ struct World {
     drop_rule: Option<DropRule>,
     crashed: Vec<u64>,
     to_client: u64,
+    /// Every hop goes through the wire framing.
+    framed: bool,
 }
 
+const CODEC: CodecKind = CodecKind::FastbufOptimized;
+
 impl World {
-    fn new() -> Self {
+    fn new(framed: bool) -> Self {
         let l1: Vec<CpfId> = (0..5).map(CpfId::new).collect();
         let l2: Vec<CpfId> = (5..10).map(CpfId::new).collect();
         let ring = RingStack::new(&l1, &l2, 2);
         World {
-            cta: CtaCore::new(
-                CtaConfig::neutrino(CtaId::new(0), CodecKind::FastbufOptimized),
-                ring.clone(),
-            ),
+            cta: CtaCore::new(CtaConfig::neutrino(CtaId::new(0), CODEC), ring.clone()),
             cpfs: (0..10)
                 .map(|id| {
                     CpfCore::new(CpfConfig::neutrino(
@@ -82,6 +91,7 @@ impl World {
             drop_rule: None,
             crashed: Vec::new(),
             to_client: 0,
+            framed,
         }
     }
 
@@ -99,6 +109,13 @@ impl World {
                 return;
             }
         }
+        let msg = if self.framed {
+            let mut frame = Vec::new();
+            encode_sysmsg(&msg, CODEC, &mut frame).expect("encodes");
+            decode_sysmsg(&frame, CODEC).expect("decodes")
+        } else {
+            msg
+        };
         self.fifo.push_back((to, msg));
     }
 
@@ -197,9 +214,9 @@ impl World {
     }
 }
 
-fn transcript() -> (u64, u64, World) {
+fn transcript(framed: bool) -> (u64, u64, World) {
     use ProcedureKind::*;
-    let mut w = World::new();
+    let mut w = World::new(framed);
 
     // 1. The everyday script on three UEs, interleaved per phase.
     let ues = [11u64, 12, 13];
@@ -316,14 +333,13 @@ fn transcript() -> (u64, u64, World) {
 
 #[test]
 fn transcript_is_deterministic() {
-    let (a, calls_a, _) = transcript();
-    let (b, calls_b, _) = transcript();
+    let (a, calls_a, _) = transcript(false);
+    let (b, calls_b, _) = transcript(false);
     assert_eq!((a, calls_a), (b, calls_b));
 }
 
-#[test]
-fn transcript_matches_the_pinned_hash() {
-    let (hash, calls, w) = transcript();
+fn assert_pinned(framed: bool) -> World {
+    let (hash, calls, w) = transcript(framed);
     assert!(
         w.to_client > 60,
         "downlinks reached the client: {}",
@@ -333,5 +349,32 @@ fn transcript_matches_the_pinned_hash() {
         (hash, calls),
         (PINNED_TRANSCRIPT_HASH, PINNED_CALLS),
         "the cores' outputs changed: got ({hash:#018x}, {calls})"
+    );
+    w
+}
+
+#[test]
+fn transcript_matches_the_pinned_hash() {
+    assert_pinned(false);
+}
+
+#[test]
+fn framed_transcript_matches_the_pinned_hash() {
+    let w = assert_pinned(true);
+    let malformed: u64 = w
+        .cpfs
+        .iter()
+        .map(|c| c.metrics().malformed_payloads + c.metrics().malformed_snapshots)
+        .sum();
+    assert_eq!(malformed, 0, "every stored image parsed when it was needed");
+    let unread = w
+        .cpfs
+        .iter()
+        .flat_map(|c| c.store().iter())
+        .filter(|(_, rec)| !rec.state.is_materialised())
+        .count();
+    assert!(
+        unread > 0,
+        "and the replicas that never served did not parse"
     );
 }
