@@ -192,19 +192,6 @@ pub fn startup_experiment(config: SystemConfig, rate_pps: u64) -> StartupOutcome
     }
 }
 
-/// Convenience used by tests and the harness: background-free single
-/// handover windows for a config.
-pub fn probe_handover_window_ms(config: SystemConfig) -> f64 {
-    let outcome = drive_experiment(config, 1_000, true, 1_000, Duration::from_millis(100));
-    outcome
-        .windows
-        .first()
-        .map(|w| {
-            w.end.saturating_since(w.start).as_millis_f64() - RADIO_PATH_SWITCH_GAP.as_millis_f64()
-        })
-        .unwrap_or(f64::NAN)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

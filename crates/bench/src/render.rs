@@ -16,11 +16,6 @@ pub fn pct_row(x_label: &str, system: &str, s: &Summary) {
     );
 }
 
-/// Renders a generic key/value row.
-pub fn kv_row(x_label: &str, system: &str, key: &str, value: f64, unit: &str) {
-    println!("{x_label:>10}  {system:<18} {key}={value:.3}{unit}");
-}
-
 /// A ratio annotation ("Neutrino is 2.3x better").
 pub fn ratio_note(label: &str, num: f64, den: f64) {
     if den > 0.0 && num.is_finite() && den.is_finite() {

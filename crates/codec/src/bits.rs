@@ -95,16 +95,6 @@ impl<'a> BitReader<'a> {
         BitReader { bytes, pos: 0 }
     }
 
-    /// Bits remaining.
-    pub fn remaining_bits(&self) -> usize {
-        self.bytes.len() * 8 - self.pos
-    }
-
-    /// Current bit position.
-    pub fn bit_pos(&self) -> usize {
-        self.pos
-    }
-
     fn err(&self) -> Error {
         Error::codec(
             "asn1-per",

@@ -73,11 +73,6 @@ impl Fastbuf {
     pub const fn optimized() -> Self {
         Fastbuf { svtable: true }
     }
-
-    /// Whether the svtable optimization is enabled.
-    pub fn is_optimized(&self) -> bool {
-        self.svtable
-    }
 }
 
 fn err(detail: impl Into<String>) -> Error {

@@ -9,8 +9,8 @@ pub type Result<T, E = Error> = std::result::Result<T, E>;
 ///
 /// Protocol state machines are written so that *expected* protocol events
 /// (e.g. "UE must re-attach") are modeled as ordinary outputs, not errors;
-/// `Error` is reserved for genuine misuse or corruption (unknown ids,
-/// malformed wire bytes, schema violations, exhausted resources).
+/// `Error` is reserved for genuine misuse or corruption (malformed wire
+/// bytes, schema violations, exhausted resources).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
@@ -23,10 +23,6 @@ pub enum Error {
     },
     /// A value violated the schema it was encoded or validated against.
     Schema(String),
-    /// An identifier was not known to the component that received it.
-    UnknownId(String),
-    /// An operation arrived in a state where it is not legal.
-    InvalidState(String),
     /// A resource limit (queue depth, log size, ring capacity) was exceeded.
     Exhausted(String),
     /// A configuration value is inconsistent or out of range.
@@ -50,16 +46,6 @@ impl Error {
         Error::Schema(detail.into())
     }
 
-    /// Constructs an unknown-identifier error.
-    pub fn unknown_id(detail: impl Into<String>) -> Self {
-        Error::UnknownId(detail.into())
-    }
-
-    /// Constructs an invalid-state error.
-    pub fn invalid_state(detail: impl Into<String>) -> Self {
-        Error::InvalidState(detail.into())
-    }
-
     /// Constructs a resource-exhaustion error.
     pub fn exhausted(detail: impl Into<String>) -> Self {
         Error::Exhausted(detail.into())
@@ -76,8 +62,6 @@ impl fmt::Display for Error {
         match self {
             Error::Codec { codec, detail } => write!(f, "codec error ({codec}): {detail}"),
             Error::Schema(d) => write!(f, "schema violation: {d}"),
-            Error::UnknownId(d) => write!(f, "unknown identifier: {d}"),
-            Error::InvalidState(d) => write!(f, "invalid state: {d}"),
             Error::Exhausted(d) => write!(f, "resource exhausted: {d}"),
             Error::Config(d) => write!(f, "configuration error: {d}"),
             Error::Io(d) => write!(f, "i/o error: {d}"),

@@ -67,11 +67,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`NaN` when empty).
     pub fn min(&self) -> f64 {
         if self.count == 0 {

@@ -132,11 +132,6 @@ impl Duration {
         Duration(self.0.saturating_sub(other.0))
     }
 
-    /// Multiplies the span by an integer factor.
-    pub const fn mul_u64(self, k: u64) -> Duration {
-        Duration(self.0 * k)
-    }
-
     /// Scales the span by a floating point factor (clamped at zero).
     pub fn mul_f64(self, k: f64) -> Duration {
         Duration((self.0 as f64 * k.max(0.0)).round() as u64)

@@ -7,7 +7,9 @@ use neutrino_common::clock::ClockTick;
 use neutrino_common::uemap::Entry;
 use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, Result, UeId, UeMap, UpfId};
 use neutrino_geo::RingStack;
+use neutrino_common::time::Instant;
 use neutrino_messages::control::{ControlMessage, Direction, Envelope, MessageKind};
+use neutrino_messages::flow::{Effect, NodeAddr, RoleCore};
 use neutrino_messages::ies::Tai;
 use neutrino_messages::procedures::{ProcedureKind, Step};
 use neutrino_messages::state::{BearerContext, UeState};
@@ -133,6 +135,16 @@ pub enum CpfOutput {
         /// Payload.
         msg: SysMsg,
     },
+}
+
+impl From<CpfOutput> for Effect {
+    fn from(out: CpfOutput) -> Effect {
+        match out {
+            CpfOutput::ToCta { cta, msg } => Effect::Send(NodeAddr::Cta(cta), msg),
+            CpfOutput::ToCpf { cpf, msg } => Effect::Send(NodeAddr::Cpf(cpf), msg),
+            CpfOutput::ToUpf { upf, msg } => Effect::Send(NodeAddr::Upf(upf), msg),
+        }
+    }
 }
 
 /// Counters for tests and experiment output.
@@ -1020,6 +1032,18 @@ fn session_op(kind: ProcedureKind, _step_kind: MessageKind) -> SessionOp {
 /// store, and the serialization benchmarks measure these same layouts.
 fn build_downlink(kind: MessageKind, ue: UeId) -> ControlMessage {
     kind.sample(ue.raw())
+}
+
+impl RoleCore for CpfCore {
+    type Output = CpfOutput;
+
+    fn addr(&self) -> NodeAddr {
+        NodeAddr::Cpf(self.config.id)
+    }
+
+    fn on_message(&mut self, msg: SysMsg, _now: Instant) -> Vec<CpfOutput> {
+        self.handle(msg)
+    }
 }
 
 #[cfg(test)]

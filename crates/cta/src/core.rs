@@ -8,6 +8,7 @@ use neutrino_common::time::{Duration, Instant};
 use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, UeId};
 use neutrino_geo::RingStack;
 use neutrino_messages::costs::CostTable;
+use neutrino_messages::flow::{Effect, NodeAddr, RoleCore};
 use neutrino_messages::sysmsg::{AdmissionClass, MarkOutdated, Replay, SyncAck, SysMsg};
 use neutrino_messages::{Direction, Envelope};
 use std::collections::{BTreeMap, BTreeSet};
@@ -17,6 +18,10 @@ use std::collections::{BTreeMap, BTreeSet};
 const RESYNC_BREAKER_TRIP: u32 = 3;
 /// How long an open breaker suppresses further chases to that CPF.
 const RESYNC_BREAKER_COOLDOWN: Duration = Duration::from_secs(8);
+
+/// How often the ACK scan runs once the CTA has seen traffic (§4.2.4's
+/// timeouts are tens of seconds; the resync chase starts at 4 s).
+const SCAN_INTERVAL: Duration = Duration::from_secs(5);
 
 /// What the CTA does when a UE's primary CPF is down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +109,15 @@ pub enum CtaOutput {
         /// Payload.
         msg: SysMsg,
     },
+}
+
+impl From<CtaOutput> for Effect {
+    fn from(out: CtaOutput) -> Effect {
+        match out {
+            CtaOutput::ToCpf { cpf, msg } => Effect::Send(NodeAddr::Cpf(cpf), msg),
+            CtaOutput::ToBs { msg, .. } => Effect::Send(NodeAddr::Client, msg),
+        }
+    }
 }
 
 /// Counters for tests and experiment output.
@@ -215,6 +229,8 @@ pub struct CtaCore {
     /// Scratch for the expected-ACK set of the UE at hand (reused so the
     /// per-ACK path allocates nothing).
     expected: Vec<CpfId>,
+    /// When the next ACK scan is due; `None` until the first message.
+    scan_due: Option<Instant>,
 }
 
 /// The primary CPF currently serving a UE (sticky; assigned from the
@@ -287,6 +303,7 @@ impl CtaCore {
             resync_chases: BTreeMap::new(),
             resync_open_until: BTreeMap::new(),
             expected: Vec::new(),
+            scan_due: None,
         }
     }
 
@@ -324,11 +341,6 @@ impl CtaCore {
         self.admission.as_mut()
     }
 
-    /// Whether `cpf` is known to have failed.
-    pub fn is_failed(&self, cpf: CpfId) -> bool {
-        self.failed.contains(&cpf)
-    }
-
     /// Current log footprint in bytes.
     pub fn log_bytes(&self) -> usize {
         self.log.bytes()
@@ -360,6 +372,7 @@ impl CtaCore {
 
     /// Handles any system message addressed to this CTA.
     pub fn handle(&mut self, msg: SysMsg, now: Instant) -> Vec<CtaOutput> {
+        self.scan_due.get_or_insert(now + SCAN_INTERVAL);
         match msg {
             SysMsg::Control(env) => match env.direction {
                 Direction::Uplink => self.on_uplink(env, now),
@@ -864,6 +877,31 @@ impl CtaCore {
     }
 }
 
+impl RoleCore for CtaCore {
+    type Output = CtaOutput;
+
+    fn addr(&self) -> NodeAddr {
+        NodeAddr::Cta(self.config.id)
+    }
+
+    fn on_message(&mut self, msg: SysMsg, now: Instant) -> Vec<CtaOutput> {
+        self.handle(msg, now)
+    }
+
+    /// Runs the ACK scan when it is due and re-arms it one interval on.
+    fn on_deadline(&mut self, now: Instant) -> Vec<CtaOutput> {
+        if self.scan_due.is_some_and(|due| due <= now) {
+            self.scan_due = Some(now + SCAN_INTERVAL);
+            return self.scan(now);
+        }
+        Vec::new()
+    }
+
+    fn next_deadline(&self) -> Option<Instant> {
+        self.scan_due
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1288,6 +1326,85 @@ mod tests {
             );
         }
         assert!(c.scan(Instant::from_secs(20)).is_empty());
+        assert_eq!(c.log_bytes(), 0);
+    }
+
+    /// A completed procedure nobody has ACKed, delivered through the contract.
+    fn unacked_procedure(c: &mut CtaCore) {
+        let msg = SysMsg::Control(ul(3, 1, MessageKind::ServiceRequest, true));
+        c.on_message(msg, Instant::ZERO);
+    }
+
+    fn ack(replica: CpfId) -> SysMsg {
+        SysMsg::SyncAck(SyncAck {
+            ue: UeId::new(3),
+            replica,
+            procedure: ProcedureId::new(1),
+            end_clock: ClockTick(1),
+        })
+    }
+
+    #[test]
+    fn deadline_is_armed_by_the_first_message_and_only_by_it() {
+        let mut c = cta();
+        assert_eq!(c.next_deadline(), None);
+        let first = Instant::from_secs(2);
+        c.on_message(SysMsg::CpfFailure { cpf: CpfId::new(19) }, first);
+        assert_eq!(c.next_deadline(), Some(first + SCAN_INTERVAL));
+        c.on_message(ack(CpfId::new(1)), Instant::from_secs(3));
+        assert_eq!(c.next_deadline(), Some(first + SCAN_INTERVAL));
+    }
+
+    #[test]
+    fn on_deadline_before_it_is_due_does_nothing() {
+        let mut c = cta();
+        unacked_procedure(&mut c);
+        let before = (c.log_bytes(), c.metrics());
+        // Past the 4 s resync base: a scan here would already chase.
+        assert!(c.on_deadline(Instant::from_millis(4_900)).is_empty());
+        assert_eq!((c.log_bytes(), c.metrics()), before);
+        assert_eq!(c.next_deadline(), Some(Instant::ZERO + SCAN_INTERVAL));
+    }
+
+    #[test]
+    fn on_deadline_when_due_is_the_scan_and_re_arms() {
+        let (mut by_contract, mut by_hand) = (cta(), cta());
+        unacked_procedure(&mut by_contract);
+        unacked_procedure(&mut by_hand);
+        let due = Instant::ZERO + SCAN_INTERVAL;
+        let outs = by_contract.on_deadline(due);
+        assert!(!outs.is_empty());
+        assert_eq!(outs, by_hand.scan(due));
+        assert_eq!(by_contract.metrics(), by_hand.metrics());
+        assert_eq!(by_contract.next_deadline(), Some(due + SCAN_INTERVAL));
+    }
+
+    #[test]
+    fn a_lost_sync_ack_is_chased_through_the_contract_alone() {
+        let mut c = cta();
+        let ue = UeId::new(3);
+        unacked_procedure(&mut c);
+        let backups = c.backups_for(ue);
+        let primary = c.primary_for(ue).unwrap();
+        // One replica's ACK arrives; the other's is lost.
+        c.on_message(ack(backups[0]), Instant::from_millis(1));
+        // A driver that knows nothing but the deadline:
+        let due = c.next_deadline().expect("armed by traffic");
+        assert_eq!(
+            c.on_deadline(due),
+            vec![CtaOutput::ToCpf {
+                cpf: primary,
+                msg: SysMsg::ResyncRequest {
+                    ue,
+                    procedure: ProcedureId::new(1),
+                    cta: CtaId::new(0),
+                },
+            }]
+        );
+        // The re-sent checkpoint's ACK ends the chase.
+        c.on_message(ack(backups[1]), due);
+        let next = c.next_deadline().expect("re-armed");
+        assert!(c.on_deadline(next).is_empty());
         assert_eq!(c.log_bytes(), 0);
     }
 

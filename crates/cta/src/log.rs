@@ -455,11 +455,6 @@ impl MessageLog {
     pub fn ues(&self) -> impl Iterator<Item = (&UeId, &UeLog)> {
         self.ues.iter_sorted()
     }
-
-    /// Number of UEs tracked.
-    pub fn ue_count(&self) -> usize {
-        self.ues.len()
-    }
 }
 
 #[cfg(test)]

@@ -23,10 +23,11 @@
 //! entry and vice versa.
 
 use crate::sysmsg::SysMsg;
+use neutrino_common::time::Instant;
+use neutrino_common::{CpfId, CtaId, UeId, UpfId};
 
 /// A protocol role: who a node *is* in the deployment, for flow-contract
-/// purposes. The simulator's node-id bands (see [`Role::of_node_raw`]) map
-/// onto these.
+/// purposes. Every [`NodeAddr`] has one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Role {
     /// A Control Traffic Aggregator.
@@ -42,14 +43,6 @@ pub enum Role {
     /// (`NodeId::EXTERNAL` sources).
     Harness,
 }
-
-/// First simulator node id of the CTA band (mirrored by
-/// `neutrino_core::simnode::cta_node`; a cross-check test lives there).
-pub const CTA_NODE_BAND: u64 = 1_000;
-/// First simulator node id of the CPF band.
-pub const CPF_NODE_BAND: u64 = 100_000;
-/// First simulator node id of the UPF band.
-pub const UPF_NODE_BAND: u64 = 200_000;
 
 impl Role {
     /// Every role, in declaration order.
@@ -73,19 +66,108 @@ impl Role {
         Role::ALL.iter().copied().find(|r| r.name() == name)
     }
 
-    /// Map a raw simulator node id onto its role band: node 0 is the UE
-    /// population, `u64::MAX` is the external injector (`NodeId::EXTERNAL`),
-    /// and the CTA/CPF/UPF bands follow `simnode`'s layout. Ids between the
-    /// UE population and the CTA band are unassigned.
+    /// The role behind a raw simulator node id: `u64::MAX` is the external
+    /// injector (`NodeId::EXTERNAL`), everything else is whatever
+    /// [`NodeAddr::from_node_raw`] says lives there.
     pub fn of_node_raw(raw: u64) -> Option<Role> {
         match raw {
-            0 => Some(Role::UePop),
             u64::MAX => Some(Role::Harness),
-            r if r >= UPF_NODE_BAND => Some(Role::Upf),
-            r if r >= CPF_NODE_BAND => Some(Role::Cpf),
-            r if r >= CTA_NODE_BAND => Some(Role::Cta),
+            r => NodeAddr::from_node_raw(r).map(NodeAddr::role),
+        }
+    }
+}
+
+/// Where a node lives in a deployment, under either driver: the channel mesh
+/// keys its links by it, the simulator derives its node ids from it
+/// ([`NodeAddr::node_raw`]) — the one statement of the address layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NodeAddr {
+    /// The UE/BS side (the simulator's UE population, a live client).
+    Client,
+    /// A CTA.
+    Cta(CtaId),
+    /// A CPF.
+    Cpf(CpfId),
+    /// A UPF.
+    Upf(UpfId),
+}
+
+/// First simulator node id of each role's band; ids between the client (0)
+/// and the CTA band are unassigned.
+const CTA_BAND: u64 = 1_000;
+const CPF_BAND: u64 = 100_000;
+const UPF_BAND: u64 = 200_000;
+
+impl NodeAddr {
+    /// The protocol role at this address.
+    pub const fn role(self) -> Role {
+        match self {
+            NodeAddr::Client => Role::UePop,
+            NodeAddr::Cta(_) => Role::Cta,
+            NodeAddr::Cpf(_) => Role::Cpf,
+            NodeAddr::Upf(_) => Role::Upf,
+        }
+    }
+
+    /// The raw simulator node id of this address.
+    pub const fn node_raw(self) -> u64 {
+        match self {
+            NodeAddr::Client => 0,
+            NodeAddr::Cta(id) => CTA_BAND + id.raw(),
+            NodeAddr::Cpf(id) => CPF_BAND + id.raw(),
+            NodeAddr::Upf(id) => UPF_BAND + id.raw(),
+        }
+    }
+
+    /// The inverse of [`NodeAddr::node_raw`].
+    pub const fn from_node_raw(raw: u64) -> Option<NodeAddr> {
+        match raw {
+            0 => Some(NodeAddr::Client),
+            r if r >= UPF_BAND => Some(NodeAddr::Upf(UpfId::new(r - UPF_BAND))),
+            r if r >= CPF_BAND => Some(NodeAddr::Cpf(CpfId::new(r - CPF_BAND))),
+            r if r >= CTA_BAND => Some(NodeAddr::Cta(CtaId::new(r - CTA_BAND))),
             _ => None,
         }
+    }
+}
+
+/// What a role core asks its driver to do, with the destination resolved.
+/// Each role keeps its own output enum (the flow lint reads the role pair off
+/// `CtaOutput::ToCpf { .. }`, the pinned transcript hashes its `Debug`);
+/// `Into<Effect>` is how a driver reads any of them.
+#[derive(Debug)]
+pub enum Effect {
+    /// Send `msg` to the node at the address.
+    Send(NodeAddr, SysMsg),
+    /// A downlink packet reached the UE (data-plane outcome at a UPF).
+    Delivered(UeId),
+    /// A downlink packet found no way to the UE (§3.1).
+    Undeliverable(UeId),
+}
+
+/// The node contract both drivers run: messages and the clock in, routed
+/// effects and the next deadline out. A core never reads a clock and never
+/// sleeps; the driver owns time and promises only to call
+/// [`RoleCore::on_deadline`] at or after [`RoleCore::next_deadline`] (any
+/// number of other calls may come first).
+pub trait RoleCore {
+    /// The role's own output enum.
+    type Output: Into<Effect>;
+
+    /// Where this node lives.
+    fn addr(&self) -> NodeAddr;
+
+    /// Reacts to one message addressed to this node.
+    fn on_message(&mut self, msg: SysMsg, now: Instant) -> Vec<Self::Output>;
+
+    /// Runs whatever is due at `now`; nothing if called early.
+    fn on_deadline(&mut self, _now: Instant) -> Vec<Self::Output> {
+        Vec::new()
+    }
+
+    /// When the core next needs [`RoleCore::on_deadline`], if ever.
+    fn next_deadline(&self) -> Option<Instant> {
+        None
     }
 }
 
@@ -310,12 +392,18 @@ mod tests {
     }
 
     #[test]
-    fn node_band_mapping() {
-        assert_eq!(Role::of_node_raw(0), Some(Role::UePop));
-        assert_eq!(Role::of_node_raw(1), None);
-        assert_eq!(Role::of_node_raw(CTA_NODE_BAND), Some(Role::Cta));
-        assert_eq!(Role::of_node_raw(CPF_NODE_BAND + 3), Some(Role::Cpf));
-        assert_eq!(Role::of_node_raw(UPF_NODE_BAND + 7), Some(Role::Upf));
+    fn node_addresses_round_trip_through_their_node_ids() {
+        let addrs = [
+            NodeAddr::Client,
+            NodeAddr::Cta(CtaId::new(0)),
+            NodeAddr::Cpf(CpfId::new(3)),
+            NodeAddr::Upf(UpfId::new(7)),
+        ];
+        for addr in addrs {
+            assert_eq!(NodeAddr::from_node_raw(addr.node_raw()), Some(addr));
+            assert_eq!(Role::of_node_raw(addr.node_raw()), Some(addr.role()));
+        }
+        assert_eq!(NodeAddr::from_node_raw(1), None, "below the CTA band is unassigned");
         assert_eq!(Role::of_node_raw(u64::MAX), Some(Role::Harness));
     }
 

@@ -37,7 +37,7 @@ pub mod sysmsg;
 pub mod wire;
 
 pub use control::{ControlMessage, Direction, Envelope, MessageKind};
-pub use flow::{FlowSpec, Role, FLOWS};
+pub use flow::{Effect, FlowSpec, NodeAddr, Role, RoleCore, FLOWS};
 pub use payload::Payload;
 pub use procedures::{ProcedureKind, ProcedureTemplate};
 pub use snapshot::Snapshot;

@@ -150,12 +150,6 @@ impl ProcedureTemplate {
             .expect("templates have at least one critical step")
     }
 
-    /// The kind of the final (end-of-procedure) message — what the CTA uses
-    /// to delimit its log.
-    pub fn last_kind(&self) -> MessageKind {
-        self.steps.last().expect("non-empty").kind
-    }
-
     /// Number of uplink messages (what the CTA must log, §4.2.3).
     pub fn uplink_count(&self) -> usize {
         self.steps

@@ -1,7 +1,9 @@
 //! Builds a complete simulated deployment from a [`SystemConfig`].
 
 use crate::config::{SystemConfig, SystemKind};
-use crate::simnode::{cpf_node, cta_node, upf_node, CpfNode, CtaNode, UpfNode, UEPOP_NODE};
+use crate::simnode::{
+    cpf_node, cta_node, upf_node, Costed, CpfNode, CtaNode, SimNode, UpfNode, UEPOP_NODE,
+};
 use crate::uepop::{RegionRoute, UePopConfig, UePopResults, UePopulation, Workload};
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::CpfId;
@@ -9,7 +11,7 @@ use neutrino_cpf::{CpfConfig, CpfCore, CpfMetrics};
 use neutrino_cta::{CtaConfig, CtaCore, CtaMetrics};
 use neutrino_geo::{Deployment, RegionLayout};
 use neutrino_messages::SysMsg;
-use neutrino_netsim::{FaultSpec, LinkSpec, Links, Sim, SimConfig};
+use neutrino_netsim::{FaultSpec, LinkSpec, Links, NodeId, Sim, SimConfig};
 use neutrino_upf::UpfCore;
 
 /// Merged admission-gate priority evidence: per class, the lowest token
@@ -184,9 +186,7 @@ impl Cluster {
                 cta_node(region.cta),
                 Box::new(CtaNode::new(
                     CtaCore::new(cta_cfg, ring.clone()),
-                    config.cpu,
-                    config.logging,
-                    Duration::from_secs(5),
+                    config.clone(),
                 )),
             );
             let remote_peers: Vec<_> = deployment
@@ -219,7 +219,7 @@ impl Cluster {
             for &upf in &region.upfs {
                 sim.add_node(
                     upf_node(upf),
-                    Box::new(UpfNode::new(UpfCore::with_cta(upf, region.cta), config.cpu)),
+                    Box::new(UpfNode::new(UpfCore::with_cta(upf, region.cta), config.clone())),
                 );
             }
         }
@@ -283,36 +283,35 @@ impl Cluster {
             .inject_at(at, upf_node(upf), SimMsg::Sys(SysMsg::DownlinkData { ue }));
     }
 
-    /// Marks a UE's session idle at its UPF (emulates the S1 inactivity
-    /// release, which our procedure set does not model as messages).
-    pub fn release_ue_to_idle(&mut self, ue: neutrino_common::UeId) {
-        let upfs: Vec<_> = self
-            .deployment
-            .regions()
-            .iter()
-            .flat_map(|r| r.upfs.clone())
-            .collect();
-        for upf in upfs {
-            if let Some(node) = self.sim.node_as::<UpfNode>(upf_node(upf)) {
-                node.core_mut().table_mut().release(ue);
+    /// Every control-plane node (CTAs, CPFs, UPFs), region by region.
+    fn control_nodes(deployment: &Deployment) -> impl Iterator<Item = NodeId> + '_ {
+        deployment.regions().iter().flat_map(|r| {
+            std::iter::once(cta_node(r.cta))
+                .chain(r.cpfs.iter().map(|&c| cpf_node(c)))
+                .chain(r.upfs.iter().map(|&u| upf_node(u)))
+        })
+    }
+
+    /// Runs `f` over every simulated node whose core is a `C`, in
+    /// [`Cluster::control_nodes`] order (the downcast is the role filter).
+    fn each_node<C: Costed + 'static>(&mut self, mut f: impl FnMut(&mut SimNode<C>)) {
+        for id in Self::control_nodes(&self.deployment) {
+            if let Some(node) = self.sim.node_as::<SimNode<C>>(id) {
+                f(node);
             }
         }
     }
 
+    /// Marks a UE's session idle at its UPF (emulates the S1 inactivity
+    /// release, which our procedure set does not model as messages).
+    pub fn release_ue_to_idle(&mut self, ue: neutrino_common::UeId) {
+        self.each_node::<UpfCore>(|node| node.core_mut().table_mut().release(ue));
+    }
+
     /// Downlink delivery log across all UPFs: `(time, ue, delivered)`.
     pub fn downlink_log(&mut self) -> Vec<(Instant, neutrino_common::UeId, bool)> {
-        let upfs: Vec<_> = self
-            .deployment
-            .regions()
-            .iter()
-            .flat_map(|r| r.upfs.clone())
-            .collect();
         let mut out = Vec::new();
-        for upf in upfs {
-            if let Some(node) = self.sim.node_as::<UpfNode>(upf_node(upf)) {
-                out.extend_from_slice(node.downlink_log());
-            }
-        }
+        self.each_node::<UpfCore>(|node| out.extend_from_slice(node.downlink_log()));
         out.sort();
         out
     }
@@ -348,13 +347,8 @@ impl Cluster {
     /// Total messages dropped at down or crashed nodes across the whole
     /// deployment (the bounded-retry oracle's drop budget).
     pub fn total_node_drops(&self) -> u64 {
-        let mut ids = vec![UEPOP_NODE];
-        for region in self.deployment.regions() {
-            ids.push(cta_node(region.cta));
-            ids.extend(region.cpfs.iter().map(|&c| cpf_node(c)));
-            ids.extend(region.upfs.iter().map(|&u| upf_node(u)));
-        }
-        ids.into_iter()
+        std::iter::once(UEPOP_NODE)
+            .chain(Self::control_nodes(&self.deployment))
             .filter_map(|id| self.sim.stats(id))
             .map(|s| s.dropped_down + s.dropped_crash)
             .sum()
@@ -370,13 +364,8 @@ impl Cluster {
 
     /// Peak CTA log footprint across all regions (Fig. 17).
     pub fn max_log_bytes(&mut self) -> usize {
-        let ctas: Vec<_> = self.deployment.regions().iter().map(|r| r.cta).collect();
         let mut total = 0;
-        for cta in ctas {
-            if let Some(node) = self.sim.node_as::<CtaNode>(cta_node(cta)) {
-                total += node.core().max_log_bytes();
-            }
-        }
+        self.each_node::<CtaCore>(|node| total += node.core().max_log_bytes());
         total
     }
 
@@ -414,13 +403,8 @@ impl Cluster {
 
     /// Aggregated CTA metrics.
     pub fn cta_metrics(&mut self) -> CtaMetrics {
-        let ctas: Vec<_> = self.deployment.regions().iter().map(|r| r.cta).collect();
         let mut agg = CtaMetrics::default();
-        for cta in ctas {
-            if let Some(node) = self.sim.node_as::<CtaNode>(cta_node(cta)) {
-                agg.merge(&node.core().metrics());
-            }
-        }
+        self.each_node::<CtaCore>(|node| agg.merge(&node.core().metrics()));
         agg
     }
 
@@ -428,11 +412,9 @@ impl Cluster {
     /// the lowest token level admitted at and the highest level shed at
     /// (the `shed-priority-order` invariant's witness).
     pub fn admission_evidence(&mut self) -> Option<AdmissionEvidence> {
-        let ctas: Vec<_> = self.deployment.regions().iter().map(|r| r.cta).collect();
         let mut merged: Option<AdmissionEvidence> = None;
-        for cta in ctas {
-            let Some(node) = self.sim.node_as::<CtaNode>(cta_node(cta)) else { continue };
-            let Some(gate) = node.core().admission() else { continue };
+        self.each_node::<CtaCore>(|node| {
+            let Some(gate) = node.core().admission() else { return };
             let (admit, shed) = gate.priority_evidence();
             let (ma, ms) = merged.get_or_insert(([None; 4], [None; 4]));
             for i in 0..4 {
@@ -445,7 +427,7 @@ impl Cluster {
                     (a, b) => a.or(b),
                 };
             }
-        }
+        });
         merged
     }
 
@@ -454,13 +436,7 @@ impl Cluster {
     /// population node is excluded: it models the device fleet, not a
     /// control-plane queue.
     pub fn max_control_queue_depth(&self) -> usize {
-        let mut ids = Vec::new();
-        for region in self.deployment.regions() {
-            ids.push(cta_node(region.cta));
-            ids.extend(region.cpfs.iter().map(|&c| cpf_node(c)));
-            ids.extend(region.upfs.iter().map(|&u| upf_node(u)));
-        }
-        ids.into_iter()
+        Self::control_nodes(&self.deployment)
             .filter_map(|id| self.sim.stats(id))
             .map(|s| s.max_queue_depth)
             .max()
@@ -469,13 +445,8 @@ impl Cluster {
 
     /// Aggregated CPF metrics.
     pub fn cpf_metrics(&mut self) -> CpfMetrics {
-        let cpfs = self.deployment.all_cpfs();
         let mut agg = CpfMetrics::default();
-        for cpf in cpfs {
-            if let Some(node) = self.sim.node_as::<CpfNode>(cpf_node(cpf)) {
-                agg.merge(&node.core().metrics());
-            }
-        }
+        self.each_node::<CpfCore>(|node| agg.merge(&node.core().metrics()));
         agg
     }
 }

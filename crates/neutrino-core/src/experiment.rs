@@ -118,15 +118,6 @@ impl RunResults {
     pub fn summary(&mut self, kind: ProcedureKind) -> Summary {
         self.pct.entry(kind).or_default().summary()
     }
-
-    /// Median PCT across every recorded procedure (milliseconds).
-    pub fn median_pct_ms(&mut self) -> f64 {
-        let mut all = Percentiles::new();
-        for p in self.pct.values() {
-            all.merge(p);
-        }
-        all.median()
-    }
 }
 
 /// The CPF the deployment's rings make primary for a UE (victim selection

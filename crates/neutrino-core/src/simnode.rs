@@ -1,43 +1,46 @@
-//! `netsim` adapters around the protocol cores.
+//! The `netsim` adapter around the protocol cores.
 //!
-//! Each adapter translates node outputs into simulator sends and charges the
-//! calibrated per-message CPU costs (§6.1's substitute for running on real
-//! cores — see DESIGN.md).
+//! One [`SimNode`] drives any [`RoleCore`]: effects become simulator sends,
+//! the core's next deadline becomes a simulator timer, and a per-role
+//! [`Costed`] impl charges the calibrated per-message CPU costs (§6.1's
+//! substitute for running on real cores — see DESIGN.md).
 
 use crate::cluster::SimMsg;
 use crate::config::{CpuProfile, SystemConfig};
-use neutrino_common::time::Duration;
-use neutrino_common::{CpfId, CtaId, UpfId};
-use neutrino_cpf::{CpfCore, CpfOutput, ReplicationMode};
-use neutrino_cta::{CtaCore, CtaOutput};
+use neutrino_common::time::{Duration, Instant};
+use neutrino_common::{CpfId, CtaId, UeId, UpfId};
+use neutrino_cpf::{CpfCore, ReplicationMode};
+use neutrino_cta::CtaCore;
 use neutrino_messages::costs::{state_sync_cost, CostTable};
+use neutrino_messages::flow::{Effect, NodeAddr, RoleCore};
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_messages::{Direction, MessageKind, SysMsg};
 use neutrino_netsim::{Node, NodeEvent, NodeId, Outbox};
-use neutrino_upf::{UpfCore, UpfOutput};
+use neutrino_upf::UpfCore;
 use std::any::Any;
 use std::sync::OnceLock;
 
-/// The UE/BS population node id.
-pub const UEPOP_NODE: NodeId = NodeId::new(0);
+/// Simulator node id of an address (the layout is [`NodeAddr::node_raw`]'s).
+const fn node_id(addr: NodeAddr) -> NodeId {
+    NodeId::new(addr.node_raw())
+}
 
-/// Simulator node id of a CTA. The band bases live in
-/// [`neutrino_messages::flow`] so [`Role::of_node_raw`]
-/// (the flow-coverage witness mapping) can never drift from the layout here.
-///
-/// [`Role::of_node_raw`]: neutrino_messages::flow::Role::of_node_raw
+/// The UE/BS population node id.
+pub const UEPOP_NODE: NodeId = node_id(NodeAddr::Client);
+
+/// Simulator node id of a CTA.
 pub fn cta_node(id: CtaId) -> NodeId {
-    NodeId::new(neutrino_messages::flow::CTA_NODE_BAND + id.raw())
+    node_id(NodeAddr::Cta(id))
 }
 
 /// Simulator node id of a CPF.
 pub fn cpf_node(id: CpfId) -> NodeId {
-    NodeId::new(neutrino_messages::flow::CPF_NODE_BAND + id.raw())
+    node_id(NodeAddr::Cpf(id))
 }
 
 /// Simulator node id of a UPF.
 pub fn upf_node(id: UpfId) -> NodeId {
-    NodeId::new(neutrino_messages::flow::UPF_NODE_BAND + id.raw())
+    node_id(NodeAddr::Upf(id))
 }
 
 /// For each `(procedure, uplink message)` pair, the downlink kind the CPF
@@ -135,219 +138,142 @@ fn raw_cpf_service_time(config: &SystemConfig, msg: &SysMsg) -> Duration {
     }
 }
 
-/// A CPF inside the simulator.
-pub struct CpfNode {
-    core: CpfCore,
-    config: SystemConfig,
+/// What the simulator charges a role for one message, and on how many cores.
+pub trait Costed: RoleCore {
+    /// Service time of one incoming system message.
+    fn service_time(config: &SystemConfig, msg: &SysMsg) -> Duration;
+    /// Cores serving the node's queue.
+    fn cores(cpu: &CpuProfile) -> usize;
 }
 
-impl CpfNode {
-    /// Wraps a CPF core.
-    pub fn new(core: CpfCore, config: SystemConfig) -> Self {
-        CpfNode { core, config }
+impl Costed for CpfCore {
+    fn service_time(config: &SystemConfig, msg: &SysMsg) -> Duration {
+        cpf_service_time(config, msg)
     }
 
-    /// The wrapped core (result extraction).
-    pub fn core(&self) -> &CpfCore {
-        &self.core
-    }
-
-    fn dispatch(outs: Vec<CpfOutput>, out: &mut Outbox<SimMsg>) {
-        for o in outs {
-            match o {
-                CpfOutput::ToCta { cta, msg } => out.send(cta_node(cta), SimMsg::Sys(msg)),
-                CpfOutput::ToCpf { cpf, msg } => out.send(cpf_node(cpf), SimMsg::Sys(msg)),
-                CpfOutput::ToUpf { upf, msg } => out.send(upf_node(upf), SimMsg::Sys(msg)),
-            }
-        }
+    fn cores(cpu: &CpuProfile) -> usize {
+        cpu.cpf_cores
     }
 }
 
-impl Node<SimMsg> for CpfNode {
-    fn service_time(&self, msg: &SimMsg) -> Duration {
+impl Costed for CtaCore {
+    fn service_time(config: &SystemConfig, msg: &SysMsg) -> Duration {
         match msg {
-            SimMsg::Sys(sys) => cpf_service_time(&self.config, sys),
-            _ => Duration::ZERO,
-        }
-    }
-
-    fn handle(&mut self, event: NodeEvent<SimMsg>, out: &mut Outbox<SimMsg>) {
-        if let NodeEvent::Message {
-            msg: SimMsg::Sys(sys),
-            ..
-        } = event
-        {
-            Self::dispatch(self.core.handle(sys), out);
-        }
-    }
-
-    fn cores(&self) -> usize {
-        self.config.cpu.cpf_cores
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Timer id of the CTA's periodic ACK scan.
-const CTA_SCAN_TIMER: u64 = 1;
-
-/// A CTA inside the simulator.
-pub struct CtaNode {
-    core: CtaCore,
-    cpu: CpuProfile,
-    logging: bool,
-    scan_interval: Duration,
-    scan_armed: bool,
-}
-
-impl CtaNode {
-    /// Wraps a CTA core; the scan timer arms on first traffic.
-    pub fn new(core: CtaCore, cpu: CpuProfile, logging: bool, scan_interval: Duration) -> Self {
-        CtaNode {
-            core,
-            cpu,
-            logging,
-            scan_interval,
-            scan_armed: false,
-        }
-    }
-
-    /// The wrapped core (log size metrics).
-    pub fn core(&self) -> &CtaCore {
-        &self.core
-    }
-
-    /// Mutable core access (routing introspection).
-    pub fn core_mut(&mut self) -> &mut CtaCore {
-        &mut self.core
-    }
-
-    fn dispatch(outs: Vec<CtaOutput>, out: &mut Outbox<SimMsg>) {
-        for o in outs {
-            match o {
-                CtaOutput::ToCpf { cpf, msg } => out.send(cpf_node(cpf), SimMsg::Sys(msg)),
-                CtaOutput::ToBs { msg, .. } => out.send(UEPOP_NODE, SimMsg::Sys(msg)),
-            }
-        }
-    }
-}
-
-impl Node<SimMsg> for CtaNode {
-    fn service_time(&self, msg: &SimMsg) -> Duration {
-        match msg {
-            SimMsg::Sys(SysMsg::Control(env)) => {
-                let log = if self.logging && env.direction == neutrino_messages::Direction::Uplink {
-                    self.cpu.cta_log_append
+            SysMsg::Control(env) => {
+                let log = if config.logging && env.direction == Direction::Uplink {
+                    config.cpu.cta_log_append
                 } else {
                     Duration::ZERO
                 };
-                self.cpu.cta_route + log
+                config.cpu.cta_route + log
             }
-            SimMsg::Sys(_) => Duration::from_nanos(200),
+            _ => Duration::from_nanos(200),
+        }
+    }
+
+    fn cores(cpu: &CpuProfile) -> usize {
+        cpu.cta_cores
+    }
+}
+
+impl Costed for UpfCore {
+    fn service_time(config: &SystemConfig, msg: &SysMsg) -> Duration {
+        match msg {
+            SysMsg::S11(_) => config.cpu.upf_s11,
+            SysMsg::DownlinkData { .. } => Duration::from_nanos(500),
             _ => Duration::ZERO,
         }
     }
 
-    fn handle(&mut self, event: NodeEvent<SimMsg>, out: &mut Outbox<SimMsg>) {
-        match event {
-            NodeEvent::Message {
-                msg: SimMsg::Sys(sys),
-                ..
-            } => {
-                if !self.scan_armed {
-                    self.scan_armed = true;
-                    out.set_timer(self.scan_interval, CTA_SCAN_TIMER);
-                }
-                let outs = self.core.handle(sys, out.now());
-                Self::dispatch(outs, out);
-            }
-            NodeEvent::Timer { id: CTA_SCAN_TIMER } => {
-                let outs = self.core.scan(out.now());
-                Self::dispatch(outs, out);
-                out.set_timer(self.scan_interval, CTA_SCAN_TIMER);
-            }
-            _ => {}
-        }
-    }
-
-    fn cores(&self) -> usize {
-        self.cpu.cta_cores
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
+    fn cores(cpu: &CpuProfile) -> usize {
+        cpu.upf_cores
     }
 }
 
+/// The one timer a [`SimNode`] arms: its core's next deadline.
+const DEADLINE_TIMER: u64 = 1;
+
+/// A role core inside the simulator.
+pub struct SimNode<C> {
+    core: C,
+    config: SystemConfig,
+    /// The deadline a timer is already in flight for.
+    armed: Option<Instant>,
+    downlink_log: Vec<(Instant, UeId, bool)>,
+}
+
+/// A CTA inside the simulator.
+pub type CtaNode = SimNode<CtaCore>;
+/// A CPF inside the simulator.
+pub type CpfNode = SimNode<CpfCore>;
 /// A UPF inside the simulator.
-pub struct UpfNode {
-    core: UpfCore,
-    cpu: CpuProfile,
-    downlink_log: Vec<(neutrino_common::time::Instant, neutrino_common::UeId, bool)>,
-}
+pub type UpfNode = SimNode<UpfCore>;
 
-impl UpfNode {
-    /// Wraps a UPF core.
-    pub fn new(core: UpfCore, cpu: CpuProfile) -> Self {
-        UpfNode {
+impl<C> SimNode<C> {
+    /// Wraps a core.
+    pub fn new(core: C, config: SystemConfig) -> Self {
+        SimNode {
             core,
-            cpu,
+            config,
+            armed: None,
             downlink_log: Vec::new(),
         }
     }
 
-    /// Downlink packet outcomes observed at this UPF: `(time, ue,
-    /// delivered)` — `false` marks the §3.1 "core cannot reach the UE"
-    /// case.
-    pub fn downlink_log(&self) -> &[(neutrino_common::time::Instant, neutrino_common::UeId, bool)] {
-        &self.downlink_log
-    }
-
-    /// The wrapped core (session-table access for data-plane checks).
-    pub fn core(&self) -> &UpfCore {
+    /// The wrapped core (result extraction).
+    pub fn core(&self) -> &C {
         &self.core
     }
 
-    /// Mutable core access.
-    pub fn core_mut(&mut self) -> &mut UpfCore {
+    /// Mutable core access (routing introspection, idle transitions).
+    pub fn core_mut(&mut self) -> &mut C {
         &mut self.core
+    }
+
+    /// Downlink packet outcomes observed at this node: `(time, ue,
+    /// delivered)` — `false` marks the §3.1 "core cannot reach the UE"
+    /// case. Only a UPF ever has any.
+    pub fn downlink_log(&self) -> &[(Instant, UeId, bool)] {
+        &self.downlink_log
     }
 }
 
-impl Node<SimMsg> for UpfNode {
+impl<C: Costed + 'static> Node<SimMsg> for SimNode<C> {
     fn service_time(&self, msg: &SimMsg) -> Duration {
         match msg {
-            SimMsg::Sys(SysMsg::S11(_)) => self.cpu.upf_s11,
-            SimMsg::Sys(SysMsg::DownlinkData { .. }) => Duration::from_nanos(500),
+            SimMsg::Sys(sys) => C::service_time(&self.config, sys),
             _ => Duration::ZERO,
         }
     }
 
     fn handle(&mut self, event: NodeEvent<SimMsg>, out: &mut Outbox<SimMsg>) {
-        if let NodeEvent::Message {
-            msg: SimMsg::Sys(sys),
-            ..
-        } = event
-        {
-            for o in self.core.handle(sys) {
-                match o {
-                    UpfOutput::ToCpf { cpf, msg } => out.send(cpf_node(cpf), SimMsg::Sys(msg)),
-                    UpfOutput::ToCta { cta, msg } => out.send(cta_node(cta), SimMsg::Sys(msg)),
-                    UpfOutput::Delivered { ue } => {
-                        self.downlink_log.push((out.now(), ue, true));
-                    }
-                    UpfOutput::Undeliverable { ue } => {
-                        self.downlink_log.push((out.now(), ue, false));
-                    }
-                }
+        let now = out.now();
+        let outs = match event {
+            NodeEvent::Message {
+                msg: SimMsg::Sys(sys),
+                ..
+            } => self.core.on_message(sys, now),
+            NodeEvent::Timer { .. } => self.core.on_deadline(now),
+            _ => return,
+        };
+        for o in outs {
+            match o.into() {
+                Effect::Send(to, msg) => out.send(node_id(to), SimMsg::Sys(msg)),
+                Effect::Delivered(ue) => self.downlink_log.push((now, ue, true)),
+                Effect::Undeliverable(ue) => self.downlink_log.push((now, ue, false)),
             }
+        }
+        let due = self.core.next_deadline();
+        if due != self.armed {
+            if let Some(at) = due {
+                out.set_timer(at.saturating_since(now), DEADLINE_TIMER);
+            }
+            self.armed = due;
         }
     }
 
     fn cores(&self) -> usize {
-        self.cpu.upf_cores
+        C::cores(&self.config.cpu)
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -361,12 +287,19 @@ mod tests {
     use neutrino_codec::CodecKind;
 
     #[test]
-    fn node_bands_agree_with_flow_roles() {
+    fn node_ids_round_trip_to_their_address_and_role() {
         use neutrino_messages::flow::Role;
-        assert_eq!(Role::of_node_raw(UEPOP_NODE.raw()), Some(Role::UePop));
-        assert_eq!(Role::of_node_raw(cta_node(CtaId::new(3)).raw()), Some(Role::Cta));
-        assert_eq!(Role::of_node_raw(cpf_node(CpfId::new(7)).raw()), Some(Role::Cpf));
-        assert_eq!(Role::of_node_raw(upf_node(UpfId::new(9)).raw()), Some(Role::Upf));
+        let addrs = [
+            (UEPOP_NODE, NodeAddr::Client),
+            (cta_node(CtaId::new(3)), NodeAddr::Cta(CtaId::new(3))),
+            (cpf_node(CpfId::new(7)), NodeAddr::Cpf(CpfId::new(7))),
+            (upf_node(UpfId::new(9)), NodeAddr::Upf(UpfId::new(9))),
+        ];
+        for (id, addr) in addrs {
+            assert_eq!(id, node_id(addr));
+            assert_eq!(NodeAddr::from_node_raw(id.raw()), Some(addr));
+            assert_eq!(Role::of_node_raw(id.raw()), Some(addr.role()));
+        }
         assert_eq!(Role::of_node_raw(NodeId::EXTERNAL.raw()), Some(Role::Harness));
     }
 

@@ -306,11 +306,6 @@ impl UePopulation {
         &mut self.results
     }
 
-    /// Number of procedures currently in flight.
-    pub fn active_count(&self) -> usize {
-        self.in_flight
-    }
-
     /// Read-only snapshot of every in-flight procedure, sorted by UE id:
     /// `(ue, started, last_progress, retries)`. Mid-run liveness oracles
     /// use `last_progress` to bound how long a UE may sit without the

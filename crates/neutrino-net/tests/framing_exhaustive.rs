@@ -22,9 +22,10 @@ use neutrino_common::clock::ClockTick;
 use neutrino_common::time::Instant;
 use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, SessionId, UeId, UpfId};
 use neutrino_cpf::{CpfConfig, CpfCore};
-use neutrino_cta::{CtaConfig, CtaCore, CtaOutput};
+use neutrino_cta::{CtaConfig, CtaCore};
 use neutrino_geo::RingStack;
 use neutrino_messages::control::{Envelope, MessageKind};
+use neutrino_messages::flow::{Effect, NodeAddr};
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_messages::state::UeState;
 use neutrino_messages::sysmsg::{
@@ -271,7 +272,8 @@ fn corrupt_payload_bytes_are_counted_at_the_cpf_never_panicked_on() {
                 // The header is intact: framing and the CTA let it through.
                 let received = decode_sysmsg(&corrupt, codec).unwrap();
                 let mut outs = cta.handle(received, Instant::from_micros(frames));
-                let Some(CtaOutput::ToCpf { cpf: to, msg }) = outs.pop() else {
+                let Some(Effect::Send(NodeAddr::Cpf(to), msg)) = outs.pop().map(Effect::from)
+                else {
                     panic!("{codec}: byte {at}: the CTA did not forward");
                 };
                 // It forwards what it received, corruption included.
@@ -428,15 +430,13 @@ fn corrupt_snapshot_frames_are_refused_or_found_out_at_takeover() {
                         served += 1;
                     } else {
                         assert_eq!((m.malformed_snapshots, m.re_attach_asked), (1, 1));
+                        let effects: Vec<Effect> = outs.into_iter().map(Effect::from).collect();
                         assert!(
                             matches!(
-                                outs[..],
-                                [neutrino_cpf::CpfOutput::ToCta {
-                                    msg: SysMsg::RelayReAttach { .. },
-                                    ..
-                                }]
+                                effects[..],
+                                [Effect::Send(NodeAddr::Cta(_), SysMsg::RelayReAttach { .. })]
                             ),
-                            "byte {at}: {outs:?}"
+                            "byte {at}: {effects:?}"
                         );
                         found_out += 1;
                     }

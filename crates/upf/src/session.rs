@@ -1,6 +1,8 @@
 //! Session management: the S11-facing half of the UPF.
 
+use neutrino_common::time::Instant;
 use neutrino_common::{CpfId, CtaId, SessionId, UeId, UeMap, UpfId};
+use neutrino_messages::flow::{Effect, NodeAddr, RoleCore};
 use neutrino_messages::sysmsg::{S11Request, S11Response, SessionOp, SysMsg};
 
 /// Lifecycle of one UE's session on the UPF.
@@ -133,6 +135,17 @@ pub enum UpfOutput {
     },
 }
 
+impl From<UpfOutput> for Effect {
+    fn from(out: UpfOutput) -> Effect {
+        match out {
+            UpfOutput::ToCpf { cpf, msg } => Effect::Send(NodeAddr::Cpf(cpf), msg),
+            UpfOutput::ToCta { cta, msg } => Effect::Send(NodeAddr::Cta(cta), msg),
+            UpfOutput::Delivered { ue } => Effect::Delivered(ue),
+            UpfOutput::Undeliverable { ue } => Effect::Undeliverable(ue),
+        }
+    }
+}
+
 /// The UPF's S11 state machine.
 #[derive(Debug)]
 pub struct UpfCore {
@@ -234,6 +247,18 @@ impl UpfCore {
                 Vec::new()
             }
         }
+    }
+}
+
+impl RoleCore for UpfCore {
+    type Output = UpfOutput;
+
+    fn addr(&self) -> NodeAddr {
+        NodeAddr::Upf(self.id)
+    }
+
+    fn on_message(&mut self, msg: SysMsg, _now: Instant) -> Vec<UpfOutput> {
+        self.handle(msg)
     }
 }
 

@@ -24,18 +24,18 @@ fn build(codec: CodecKind) -> Mesh {
         codec,
         serialize_on_wire: true,
     });
-    mesh.spawn_cta(CtaCore::new(
+    mesh.spawn(CtaCore::new(
         CtaConfig::neutrino(CtaId::new(0), codec),
         ring.clone(),
     ));
     for &cpf in &cpfs {
-        mesh.spawn_cpf(CpfCore::new(CpfConfig::neutrino(
+        mesh.spawn(CpfCore::new(CpfConfig::neutrino(
             cpf,
             ring.clone(),
             vec![UpfId::new(0)],
         )));
     }
-    mesh.spawn_upf(UpfCore::new(UpfId::new(0)));
+    mesh.spawn(UpfCore::new(UpfId::new(0)));
     mesh
 }
 

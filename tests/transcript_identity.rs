@@ -22,13 +22,14 @@
 use neutrino_codec::CodecKind;
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, UeId, UpfId};
-use neutrino_cpf::{CpfConfig, CpfCore, CpfOutput};
-use neutrino_cta::{CtaConfig, CtaCore, CtaOutput};
+use neutrino_cpf::{CpfConfig, CpfCore};
+use neutrino_cta::{CtaConfig, CtaCore};
 use neutrino_geo::RingStack;
+use neutrino_messages::flow::{Effect, NodeAddr, RoleCore};
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_messages::{Direction, Envelope, SysMsg};
 use neutrino_net::{decode_sysmsg, encode_sysmsg};
-use neutrino_upf::{UpfCore, UpfOutput};
+use neutrino_upf::UpfCore;
 use std::collections::VecDeque;
 use std::fmt::Debug;
 
@@ -119,12 +120,21 @@ impl World {
         self.fifo.push_back((to, msg));
     }
 
-    fn cta_outs(&mut self, outs: Vec<CtaOutput>) {
-        self.record(Dest::Cta, &outs);
+    /// Records one handler call of a role and routes what it returned.
+    fn outs<C: RoleCore>(&mut self, who: Dest, outs: Vec<C::Output>)
+    where
+        C::Output: Debug,
+    {
+        self.record(who, &outs);
         for out in outs {
-            match out {
-                CtaOutput::ToCpf { cpf, msg } => self.send(Dest::Cpf(cpf.raw()), msg),
-                CtaOutput::ToBs { msg, .. } => self.send(Dest::Client, msg),
+            if let Effect::Send(to, msg) = out.into() {
+                let to = match to {
+                    NodeAddr::Client => Dest::Client,
+                    NodeAddr::Cta(_) => Dest::Cta,
+                    NodeAddr::Cpf(cpf) => Dest::Cpf(cpf.raw()),
+                    NodeAddr::Upf(_) => Dest::Upf,
+                };
+                self.send(to, msg);
             }
         }
     }
@@ -136,33 +146,19 @@ impl World {
             match dest {
                 Dest::Client => self.to_client += 1,
                 Dest::Cta => {
-                    let outs = self.cta.handle(msg, self.now);
-                    self.cta_outs(outs);
+                    let outs = self.cta.on_message(msg, self.now);
+                    self.outs::<CtaCore>(dest, outs);
                 }
                 Dest::Cpf(i) => {
                     if self.crashed.contains(&i) {
                         continue;
                     }
-                    let outs = self.cpfs[i as usize].handle(msg);
-                    self.record(dest, &outs);
-                    for out in outs {
-                        match out {
-                            CpfOutput::ToCta { msg, .. } => self.send(Dest::Cta, msg),
-                            CpfOutput::ToCpf { cpf, msg } => self.send(Dest::Cpf(cpf.raw()), msg),
-                            CpfOutput::ToUpf { msg, .. } => self.send(Dest::Upf, msg),
-                        }
-                    }
+                    let outs = self.cpfs[i as usize].on_message(msg, self.now);
+                    self.outs::<CpfCore>(dest, outs);
                 }
                 Dest::Upf => {
-                    let outs = self.upf.handle(msg);
-                    self.record(dest, &outs);
-                    for out in outs {
-                        match out {
-                            UpfOutput::ToCpf { cpf, msg } => self.send(Dest::Cpf(cpf.raw()), msg),
-                            UpfOutput::ToCta { msg, .. } => self.send(Dest::Cta, msg),
-                            UpfOutput::Delivered { .. } | UpfOutput::Undeliverable { .. } => {}
-                        }
-                    }
+                    let outs = self.upf.on_message(msg, self.now);
+                    self.outs::<UpfCore>(dest, outs);
                 }
             }
         }
@@ -170,7 +166,7 @@ impl World {
 
     fn scan(&mut self) {
         let outs = self.cta.scan(self.now);
-        self.cta_outs(outs);
+        self.outs::<CtaCore>(Dest::Cta, outs);
         self.drain();
     }
 
