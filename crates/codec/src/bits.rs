@@ -8,76 +8,77 @@
 
 use neutrino_common::{Error, Result};
 
-/// MSB-first bit writer.
-#[derive(Debug, Default)]
-pub struct BitWriter {
-    bytes: Vec<u8>,
+/// MSB-first bit writer appending to a caller's buffer, so a pooled
+/// buffer's capacity is written into rather than replaced.
+#[derive(Debug)]
+pub struct BitWriter<'a> {
+    bytes: &'a mut Vec<u8>,
+    /// Where this writer's output starts in `bytes`.
+    start: usize,
     /// Number of valid bits in the last byte (0 means the last byte is full
-    /// or the buffer is empty).
+    /// or nothing has been written).
     partial_bits: u8,
 }
 
-impl BitWriter {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> BitWriter<'a> {
+    /// A writer appending after whatever `bytes` already holds.
+    pub fn new(bytes: &'a mut Vec<u8>) -> Self {
+        let start = bytes.len();
+        BitWriter {
+            bytes,
+            start,
+            partial_bits: 0,
+        }
     }
 
     /// Total number of bits written so far.
     pub fn bit_len(&self) -> usize {
+        let whole = (self.bytes.len() - self.start) * 8;
         if self.partial_bits == 0 {
-            self.bytes.len() * 8
+            whole
         } else {
-            (self.bytes.len() - 1) * 8 + self.partial_bits as usize
+            whole - 8 + self.partial_bits as usize
         }
     }
 
     /// Writes a single bit.
+    #[inline]
     pub fn write_bit(&mut self, bit: bool) {
-        if self.partial_bits == 0 {
-            self.bytes.push(0);
-            self.partial_bits = 0;
-        }
-        if self.partial_bits == 0 {
-            // Fresh byte was just pushed above.
-            self.partial_bits = 1;
-            if bit {
-                *self.bytes.last_mut().expect("just pushed") |= 0x80;
-            }
-            return;
-        }
-        let last = self.bytes.last_mut().expect("non-empty");
-        if bit {
-            *last |= 0x80 >> self.partial_bits;
-        }
-        self.partial_bits = (self.partial_bits + 1) % 8;
+        self.write_bits(u64::from(bit), 1);
     }
 
     /// Writes the low `width` bits of `value`, MSB first. `width` ≤ 64.
     pub fn write_bits(&mut self, value: u64, width: u8) {
         debug_assert!(width <= 64);
-        for i in (0..width).rev() {
-            self.write_bit((value >> i) & 1 == 1);
+        let mut left = width;
+        while left > 0 {
+            if self.partial_bits == 0 {
+                self.bytes.push(0);
+            }
+            let free = 8 - self.partial_bits;
+            let take = free.min(left);
+            left -= take;
+            // `take` ≤ 8 bits of `value`, placed below the bits already in
+            // the last byte.
+            let chunk = ((value >> left) & ((1u64 << take) - 1)) as u8;
+            if let Some(last) = self.bytes.last_mut() {
+                *last |= chunk << (free - take);
+            }
+            self.partial_bits = (self.partial_bits + take) % 8;
         }
     }
 
     /// Pads with zero bits to the next byte boundary (no-op if aligned).
+    #[inline]
     pub fn align(&mut self) {
-        while self.partial_bits != 0 {
-            self.write_bit(false);
-        }
+        self.partial_bits = 0;
     }
 
     /// Writes whole bytes; the cursor must be byte-aligned.
+    #[inline]
     pub fn write_bytes(&mut self, data: &[u8]) {
         debug_assert_eq!(self.partial_bits, 0, "write_bytes requires alignment");
         self.bytes.extend_from_slice(data);
-    }
-
-    /// Finishes and returns the padded byte buffer.
-    pub fn finish(mut self) -> Vec<u8> {
-        self.align();
-        self.bytes
     }
 }
 
@@ -116,11 +117,26 @@ impl<'a> BitReader<'a> {
     /// Reads `width` bits (≤ 64), MSB first.
     pub fn read_bits(&mut self, width: u8) -> Result<u64> {
         debug_assert!(width <= 64);
+        if width as usize > self.remaining_bits() {
+            return Err(self.err());
+        }
         let mut v = 0u64;
-        for _ in 0..width {
-            v = (v << 1) | u64::from(self.read_bit()?);
+        let mut left = width;
+        while left > 0 {
+            let used = (self.pos % 8) as u8;
+            let take = (8 - used).min(left);
+            let byte = self.bytes[self.pos / 8];
+            let chunk = (byte >> (8 - used - take)) & ((1u16 << take) - 1) as u8;
+            v = (v << take) | u64::from(chunk);
+            self.pos += take as usize;
+            left -= take;
         }
         Ok(v)
+    }
+
+    /// Bits left to read.
+    pub fn remaining_bits(&self) -> usize {
+        self.bytes.len() * 8 - self.pos
     }
 
     /// Skips to the next byte boundary.
@@ -156,12 +172,12 @@ mod tests {
 
     #[test]
     fn single_bits_round_trip() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         let pattern = [true, false, true, true, false, false, true, false, true];
         for &b in &pattern {
             w.write_bit(b);
         }
-        let bytes = w.finish();
         assert_eq!(bytes.len(), 2);
         let mut r = BitReader::new(&bytes);
         for &b in &pattern {
@@ -171,11 +187,11 @@ mod tests {
 
     #[test]
     fn multi_bit_fields_round_trip() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         w.write_bits(0b101, 3);
         w.write_bits(0xDEAD, 16);
         w.write_bits(1, 1);
-        let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(3).unwrap(), 0b101);
         assert_eq!(r.read_bits(16).unwrap(), 0xDEAD);
@@ -184,11 +200,11 @@ mod tests {
 
     #[test]
     fn alignment_and_byte_copy() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         w.write_bits(0b11, 2);
         w.align();
         w.write_bytes(&[0xAB, 0xCD]);
-        let bytes = w.finish();
         assert_eq!(bytes, vec![0b1100_0000, 0xAB, 0xCD]);
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(2).unwrap(), 0b11);
@@ -214,7 +230,8 @@ mod tests {
 
     #[test]
     fn bit_len_tracks_partial_bytes() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         assert_eq!(w.bit_len(), 0);
         w.write_bits(0b1010, 4);
         assert_eq!(w.bit_len(), 4);
@@ -234,9 +251,9 @@ mod tests {
 
     #[test]
     fn sixty_four_bit_value_round_trips() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitWriter::new(&mut bytes);
         w.write_bits(u64::MAX - 3, 64);
-        let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(64).unwrap(), u64::MAX - 3);
     }

@@ -42,10 +42,20 @@
 //! encoded buffer through vtable offsets (the "direct access to inner fields
 //! via pointers" property of §4.4). Full [`WireFormat::decode`] into an
 //! owned tree exists for round-trip testing and interop.
+//!
+//! # One writer, one reader
+//!
+//! The codec is a field sink and a field source ([`crate::sink`]). A typed
+//! message streams into and out of the image through them
+//! ([`WireFormat::encode_with`] / [`WireFormat::decode_with`]); `encode` /
+//! `decode` drive the same two from a [`Value`] by schema, and `traverse`
+//! is the source's walk with a checksum fold in place of a builder.
 
-use crate::value::{FieldType, Schema, StructSchema, Value, Variant};
+use crate::sink::{FieldSink, FieldSource};
+use crate::value::{put_value, take_value, FieldType, Schema, StructSchema, Value};
 use crate::WireFormat;
 use neutrino_common::{Error, Result};
+use std::cell::Cell;
 
 const NAME_STD: &str = "fastbuf";
 const NAME_OPT: &str = "fastbuf-opt";
@@ -96,7 +106,8 @@ fn is_single_field(ty: &FieldType) -> bool {
 fn scalar_size(ty: &FieldType) -> Option<usize> {
     match ty {
         FieldType::Bool => Some(1),
-        FieldType::UInt { bits } => Some(usize::from(*bits) / 8),
+        // A power of two for any width, so a slot aligns with a mask.
+        FieldType::UInt { bits } => Some(usize::from(*bits).div_ceil(8).next_power_of_two()),
         FieldType::Int => Some(8),
         FieldType::Constrained { lo, hi } => {
             let range = (*hi as i128 - *lo as i128) as u128;
@@ -121,20 +132,13 @@ fn slot_count(ty: &FieldType) -> usize {
     }
 }
 
-/// The raw little-endian carrier of a scalar (range-offset for constrained
-/// integers).
-fn scalar_raw(ty: &FieldType, value: &Value) -> Result<u64> {
-    match (ty, value) {
-        (FieldType::Bool, Value::Bool(b)) => Ok(u64::from(*b)),
-        (FieldType::UInt { .. }, Value::U64(x)) => Ok(*x),
-        (FieldType::Int, Value::I64(x)) => Ok(*x as u64),
-        (FieldType::Enum { .. }, Value::U64(x)) => Ok(*x),
-        (FieldType::Constrained { lo, .. }, v) => {
-            let x = crate::value::integer_carrier(v)
-                .ok_or_else(|| err("constrained field is not an integer"))?;
-            Ok((x as i128 - *lo as i128) as u64)
-        }
-        (ty, v) => Err(err(format!("scalar mismatch: {ty:?} vs {v:?}"))),
+/// The raw little-endian carrier of an integer scalar (range-offset for
+/// constrained integers). `v` is the value's two's-complement carrier.
+fn scalar_raw(ty: &FieldType, v: u64) -> Result<u64> {
+    match ty {
+        FieldType::UInt { .. } | FieldType::Int | FieldType::Enum { .. } => Ok(v),
+        FieldType::Constrained { lo, .. } => Ok(v.wrapping_sub(*lo as u64)),
+        ty => Err(err(format!("an integer in a field of type {ty:?}"))),
     }
 }
 
@@ -142,42 +146,100 @@ fn scalar_raw(ty: &FieldType, value: &Value) -> Result<u64> {
 // Encoding
 // ---------------------------------------------------------------------------
 
-struct Builder {
-    buf: Vec<u8>,
+/// The sink keeps the builder's frame discipline: a table's children are
+/// written out of line as they arrive and leave one pending slot each on a
+/// shared stack; `end_struct` lays the table out, writes vtable and body
+/// after them and truncates the stack back, so nested tables cost no
+/// allocation.
+struct Sink<'a> {
+    buf: &'a mut Vec<u8>,
     svtable: bool,
-    /// Reusable slot scratch shared by nested tables (frame discipline:
-    /// each `write_table` call appends its slots, then truncates back).
-    slots: Vec<PendingKind>,
-    /// Reusable offset scratch for composite vectors.
-    vec_offsets: Vec<u32>,
+    /// What is being written; [`Open::Root`] outside the root table.
+    open: Open,
+    scratch: Scratch,
+    /// Where the root table went.
+    root: u32,
+}
+
+/// Encoder and decoder stacks recycled across messages: they reach
+/// steady-state capacity after the first few messages and never allocate
+/// again on the hot path.
+#[derive(Default)]
+struct Scratch {
+    /// Pending slots of every open table.
+    slots: Vec<Slot>,
+    /// Element offsets of every open composite vector.
+    offsets: Vec<u32>,
+    /// What the value being written is nested in, innermost last.
+    outer: Vec<Open>,
 }
 
 thread_local! {
-    /// Encoder scratch recycled across messages: the slot stack and vector
-    /// offset stack reach steady-state capacity after the first few encodes
-    /// and never allocate again on the hot path.
-    static SCRATCH: std::cell::Cell<(Vec<PendingKind>, Vec<u32>)> =
-        const { std::cell::Cell::new((Vec::new(), Vec::new())) };
+    static SCRATCH: Cell<Scratch> = const {
+        Cell::new(Scratch {
+            slots: Vec::new(),
+            offsets: Vec::new(),
+            outer: Vec::new(),
+        })
+    };
+    /// The decoder's stack of what it has open, recycled the same way.
+    static READING: Cell<Vec<Reading>> = const { Cell::new(Vec::new()) };
 }
 
-/// What one vtable slot of a table under construction will hold.
+/// What one vtable slot of a table under construction will hold: `size`
+/// bytes of `raw` at `size` alignment in the table body, or nothing.
 #[derive(Clone, Copy)]
-enum PendingKind {
-    Absent,
-    Scalar { raw: u64, size: u8 },
-    Offset(u32),
-    UnionTag(u8),
+struct Slot {
+    raw: u64,
+    size: u8,
 }
 
-impl Builder {
+impl Slot {
+    const ABSENT: Slot = Slot { raw: 0, size: 0 };
+
+    fn offset(at: u32) -> Slot {
+        Slot {
+            raw: u64::from(at),
+            size: 4,
+        }
+    }
+
+    fn union_tag(tag: u8) -> Slot {
+        Slot {
+            raw: u64::from(tag),
+            size: 1,
+        }
+    }
+}
+
+/// Rounds `off` up to `size`, a power of two.
+fn align_up(off: usize, size: usize) -> usize {
+    (off + size - 1) & !(size - 1)
+}
+
+/// What the sink is in the middle of writing.
+#[derive(Clone, Copy)]
+enum Open {
+    /// Nothing yet: the next table is the root.
+    Root,
+    /// A table; its slots start at `frame` on the slot stack.
+    Table { frame: usize },
+    /// A vector of scalars whose header sits at `at`; elements go inline.
+    Scalars { at: usize },
+    /// A vector of composites; its offsets start at `frame` on the stack.
+    Offsets { frame: usize },
+    /// A union slot pair awaiting the payload of the variant tagged `tag`.
+    Union { tag: u8 },
+}
+
+impl Sink<'_> {
     fn pos(&self) -> usize {
         self.buf.len()
     }
 
     fn align(&mut self, to: usize) {
-        while !self.buf.len().is_multiple_of(to) {
-            self.buf.push(0);
-        }
+        let aligned = align_up(self.buf.len(), to);
+        self.buf.resize(aligned, 0);
     }
 
     fn put_u16(&mut self, v: u16) {
@@ -188,330 +250,269 @@ impl Builder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn patch_u32(&mut self, at: usize, v: u32) {
-        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
     fn put_raw(&mut self, raw: u64, size: usize) {
-        let le = raw.to_le_bytes();
-        self.buf.extend_from_slice(&le[..size]);
+        self.buf.extend_from_slice(&raw.to_le_bytes()[..size]);
     }
 
-    fn put_scalar(&mut self, ty: &FieldType, value: &Value, size: usize) -> Result<()> {
-        let raw = scalar_raw(ty, value)?;
-        self.put_raw(raw, size);
+    /// An out-of-line value now sits at `at`: hands its offset to whatever
+    /// holds it.
+    fn placed(&mut self, at: usize) -> Result<()> {
+        let at = at as u32;
+        match self.open {
+            Open::Table { .. } => self.scratch.slots.push(Slot::offset(at)),
+            Open::Offsets { .. } => self.scratch.offsets.push(at),
+            Open::Union { tag } => self.close_union(tag, at)?,
+            Open::Scalars { .. } => return Err(err("composite in a scalar vector")),
+            Open::Root => self.root = at,
+        }
         Ok(())
     }
 
-    /// Writes a `[u32 len][bytes]` blob and returns its absolute offset.
-    fn write_blob(&mut self, data: &[u8]) -> usize {
-        self.align(4);
-        let at = self.pos();
-        self.put_u32(data.len() as u32);
-        self.buf.extend_from_slice(data);
-        at
+    /// The union's payload sits at `at`: fills the tag and value slots of
+    /// the table the union is a field of.
+    fn close_union(&mut self, tag: u8, at: u32) -> Result<()> {
+        self.close()?;
+        self.scratch.slots.push(Slot::union_tag(tag));
+        self.scratch.slots.push(Slot::offset(at));
+        Ok(())
     }
 
-    /// Writes a variable-length value out-of-line, returning its offset.
-    fn write_varlen(&mut self, ty: &FieldType, value: &Value) -> Result<usize> {
-        match (ty, value) {
-            (FieldType::Bytes { .. }, Value::Bytes(bs)) => Ok(self.write_blob(bs)),
-            (FieldType::Utf8 { .. }, Value::Str(s)) => Ok(self.write_blob(s.as_bytes())),
-            (FieldType::BitString { .. }, Value::Bits(bits)) => {
-                let mut packed = vec![0u8; bits.len().div_ceil(8)];
-                for (i, &b) in bits.iter().enumerate() {
-                    if b {
-                        packed[i / 8] |= 0x80 >> (i % 8);
-                    }
-                }
-                self.align(4);
-                let at = self.pos();
-                self.put_u32(bits.len() as u32);
-                self.buf.extend_from_slice(&packed);
-                Ok(at)
-            }
-            (ty, v) => Err(err(format!("varlen mismatch: {ty:?} vs {v:?}"))),
-        }
+    /// Starts writing `inner`, nested in what was being written.
+    fn nest(&mut self, inner: Open) {
+        self.scratch
+            .outer
+            .push(std::mem::replace(&mut self.open, inner));
     }
 
-    /// Writes a vector out-of-line and returns its offset. Scalar elements
-    /// are packed inline; composite elements are written first and the
-    /// vector stores `u32` offsets.
-    fn write_list(&mut self, elem: &FieldType, items: &[Value]) -> Result<usize> {
-        if let Some(size) = scalar_size(elem) {
-            self.align(4);
-            let at = self.pos();
-            self.put_u32(items.len() as u32);
-            for item in items {
-                self.put_scalar(elem, item, size)?;
-            }
-            Ok(at)
-        } else {
-            let frame = self.vec_offsets.len();
-            for item in items {
-                let off = self.write_outline(elem, item)? as u32;
-                self.vec_offsets.push(off);
-            }
-            self.align(4);
-            let at = self.pos();
-            self.put_u32(items.len() as u32);
-            for i in frame..self.vec_offsets.len() {
-                let off = self.vec_offsets[i];
-                self.put_u32(off);
-            }
-            self.vec_offsets.truncate(frame);
-            Ok(at)
-        }
+    /// Back to what the value just finished was nested in.
+    fn close(&mut self) -> Result<Open> {
+        let outer = self.scratch.outer.pop();
+        outer
+            .map(|outer| std::mem::replace(&mut self.open, outer))
+            .ok_or_else(|| err("close without a matching open"))
     }
 
-    /// Writes any out-of-line value (blob, vector, or table) and returns its
-    /// absolute offset.
-    fn write_outline(&mut self, ty: &FieldType, value: &Value) -> Result<usize> {
-        match ty {
-            FieldType::Bytes { .. } | FieldType::Utf8 { .. } | FieldType::BitString { .. } => {
-                self.write_varlen(ty, value)
-            }
-            FieldType::Struct(schema) => self.write_table(schema, value),
-            FieldType::List { elem, .. } => match value {
-                Value::List(items) => self.write_list(elem, items),
-                v => Err(err(format!("expected list, got {v:?}"))),
-            },
-            ty => Err(err(format!("type {ty:?} is not out-of-line"))),
-        }
-    }
-
-    /// Writes a union payload and returns the offset the value slot stores.
-    fn write_union_payload(&mut self, variant: &Variant, value: &Value) -> Result<usize> {
-        if is_single_field(&variant.ty) {
-            if self.svtable {
-                // svtable: 2-byte marker, payload follows directly.
-                if let Some(size) = scalar_size(&variant.ty) {
+    fn scalar(&mut self, raw: u64, size: usize) -> Result<()> {
+        match self.open {
+            Open::Table { .. } => self.scratch.slots.push(Slot {
+                raw,
+                size: size as u8,
+            }),
+            Open::Scalars { .. } => self.put_raw(raw, size),
+            Open::Union { tag } => {
+                let at = if self.svtable {
+                    // svtable: 2-byte marker, payload follows directly.
                     self.align(2);
                     let at = self.pos();
                     self.put_u16(SVTABLE_SCALAR);
-                    self.put_scalar(&variant.ty, value, size)?;
-                    Ok(at)
+                    self.put_raw(raw, size);
+                    at
                 } else {
-                    self.align(2);
-                    let at = self.pos();
-                    self.put_u16(SVTABLE_VARLEN);
-                    // Payload written inline (no u32 indirection): len+bytes.
-                    match (&variant.ty, value) {
-                        (FieldType::Bytes { .. }, Value::Bytes(bs)) => {
-                            self.put_u32(bs.len() as u32);
-                            self.buf.extend_from_slice(bs);
-                        }
-                        (FieldType::Utf8 { .. }, Value::Str(s)) => {
-                            self.put_u32(s.len() as u32);
-                            self.buf.extend_from_slice(s.as_bytes());
-                        }
-                        (FieldType::BitString { .. }, Value::Bits(bits)) => {
-                            let mut packed = vec![0u8; bits.len().div_ceil(8)];
-                            for (i, &b) in bits.iter().enumerate() {
-                                if b {
-                                    packed[i / 8] |= 0x80 >> (i % 8);
-                                }
-                            }
-                            self.put_u32(bits.len() as u32);
-                            self.buf.extend_from_slice(&packed);
-                        }
-                        (ty, v) => {
-                            return Err(err(format!("svtable varlen mismatch: {ty:?} vs {v:?}")))
-                        }
-                    }
-                    Ok(at)
-                }
-            } else {
-                // Standard FlatBuffers: wrap the single field in a one-field
-                // table (soffset + slot) with its own vtable — the overhead
-                // the paper's optimization removes. Written directly, without
-                // materializing a wrapper schema.
-                let (payload, payload_size) = match scalar_size(&variant.ty) {
-                    Some(size) => (scalar_raw(&variant.ty, value)?, size),
-                    None => {
-                        let off = self.write_varlen(&variant.ty, value)?;
-                        (off as u64, 4)
-                    }
+                    self.wrapper_table(raw, size)
                 };
-                // vtable: one slot at offset 4 (right after the soffset).
+                self.close_union(tag, at as u32)?;
+            }
+            _ => return Err(err("scalar outside a table, vector or union")),
+        }
+        Ok(())
+    }
+
+    /// A `[u32 len][body]` value: octets, a string, or packed bits (`len`
+    /// counts what the type counts, `body` appends the octets).
+    fn varlen(&mut self, len: usize, body: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        if let Open::Union { tag } = self.open {
+            let at = if self.svtable {
+                // Payload inline after the marker: no u32 indirection.
+                self.align(2);
+                let at = self.pos();
+                self.put_u16(SVTABLE_VARLEN);
+                self.put_u32(len as u32);
+                body(self.buf);
+                at
+            } else {
                 self.align(4);
-                let vtable_pos = self.pos();
-                self.put_u16(6);
-                self.put_u16(4 + payload_size as u16);
-                self.put_u16(4);
-                self.align(payload_size.max(4));
-                let table_pos = self.pos();
-                let soffset = (table_pos - vtable_pos) as i32;
-                self.buf.extend_from_slice(&soffset.to_le_bytes());
-                self.put_raw(payload, payload_size);
-                Ok(table_pos)
+                let blob = self.pos();
+                self.put_u32(len as u32);
+                body(self.buf);
+                self.wrapper_table(blob as u64, 4)
+            };
+            return self.close_union(tag, at as u32);
+        }
+        self.align(4);
+        let at = self.pos();
+        self.put_u32(len as u32);
+        body(self.buf);
+        self.placed(at)
+    }
+
+    /// Standard FlatBuffers: a union's single field is wrapped in a
+    /// one-field table (soffset + slot) with its own vtable — the overhead
+    /// the paper's optimization removes. Returns the table's position.
+    fn wrapper_table(&mut self, payload: u64, size: usize) -> usize {
+        // vtable: one slot at offset 4 (right after the soffset).
+        self.align(4);
+        let vtable_pos = self.pos();
+        self.put_u16(6);
+        self.put_u16(4 + size as u16);
+        self.put_u16(4);
+        self.align(size.max(4));
+        let table_pos = self.pos();
+        self.put_u32((table_pos - vtable_pos) as u32);
+        self.put_raw(payload, size);
+        table_pos
+    }
+}
+
+impl FieldSink for Sink<'_> {
+    fn begin_struct(&mut self, _: &StructSchema) -> Result<()> {
+        let frame = self.scratch.slots.len();
+        self.nest(Open::Table { frame });
+        Ok(())
+    }
+
+    fn presence(&mut self, _: bool) -> Result<()> {
+        Ok(())
+    }
+
+    fn optional(&mut self, inner: &FieldType, present: bool) -> Result<()> {
+        let Open::Table { .. } = self.open else {
+            return Err(err("optional outside a table"));
+        };
+        if !present {
+            for _ in 0..slot_count(inner) {
+                self.scratch.slots.push(Slot::ABSENT);
             }
+        }
+        Ok(())
+    }
+
+    /// Writes the table (vtable first, then the body) after the children
+    /// already out of line.
+    fn end_struct(&mut self) -> Result<()> {
+        let Open::Table { frame } = self.close()? else {
+            return Err(err("end of a table that is not open"));
+        };
+        let buf = &mut *self.buf;
+        let slots = &self.scratch.slots[frame..];
+        // The vtable is 4-aligned so the table that follows lands on its
+        // own alignment without depending on buffer position parity. The
+        // body is the soffset (4 bytes) then the slots at natural alignment:
+        // one pass lays it out and fills the vtable (absent entries stay 0).
+        let vtable_pos = align_up(buf.len(), 4);
+        let vtable_size = 4 + 2 * slots.len();
+        buf.resize(vtable_pos + vtable_size, 0);
+        let mut table_size = 4usize;
+        let mut max_align = 4usize;
+        for (entry, slot) in buf[vtable_pos + 4..].chunks_exact_mut(2).zip(slots) {
+            let size = usize::from(slot.size);
+            if size != 0 {
+                table_size = align_up(table_size, size);
+                entry.copy_from_slice(&(table_size as u16).to_le_bytes());
+                table_size += size;
+                max_align = max_align.max(size);
+            }
+        }
+        if table_size.max(vtable_size) > u16::MAX as usize {
+            return Err(err("table exceeds 64KiB"));
+        }
+        buf[vtable_pos..vtable_pos + 2].copy_from_slice(&(vtable_size as u16).to_le_bytes());
+        buf[vtable_pos + 2..vtable_pos + 4].copy_from_slice(&(table_size as u16).to_le_bytes());
+
+        // The body, aligned to its widest scalar (≥4 for the soffset) — the
+        // padding FlatBuffers pays and PER does not.
+        let table_pos = align_up(buf.len(), max_align);
+        buf.resize(table_pos + table_size, 0);
+        let body = &mut buf[table_pos..];
+        body[..4].copy_from_slice(&((table_pos - vtable_pos) as u32).to_le_bytes());
+        let mut off = 4usize;
+        for slot in slots {
+            let size = usize::from(slot.size);
+            if size != 0 {
+                off = align_up(off, size);
+                body[off..off + size].copy_from_slice(&slot.raw.to_le_bytes()[..size]);
+                off += size;
+            }
+        }
+        self.scratch.slots.truncate(frame);
+        self.placed(table_pos)
+    }
+
+    fn bool(&mut self, v: bool) -> Result<()> {
+        self.scalar(u64::from(v), 1)
+    }
+
+    fn uint(&mut self, ty: &FieldType, v: u64) -> Result<()> {
+        let size = scalar_size(ty).ok_or_else(|| err(format!("{ty:?} is not a scalar")))?;
+        self.scalar(scalar_raw(ty, v)?, size)
+    }
+
+    fn int(&mut self, ty: &FieldType, v: i64) -> Result<()> {
+        self.uint(ty, v as u64)
+    }
+
+    fn bytes(&mut self, _: &FieldType, v: &[u8]) -> Result<()> {
+        self.varlen(v.len(), |buf| buf.extend_from_slice(v))
+    }
+
+    fn str(&mut self, ty: &FieldType, v: &str) -> Result<()> {
+        self.bytes(ty, v.as_bytes())
+    }
+
+    fn bits(&mut self, _: &FieldType, v: &[bool]) -> Result<()> {
+        self.varlen(v.len(), |buf| {
+            let start = buf.len();
+            buf.resize(start + v.len().div_ceil(8), 0);
+            for (i, _) in v.iter().enumerate().filter(|(_, &b)| b) {
+                buf[start + i / 8] |= 0x80 >> (i % 8);
+            }
+        })
+    }
+
+    /// Scalar elements are packed inline after the count; composite
+    /// elements are written first and the vector stores `u32` offsets.
+    fn begin_list(&mut self, ty: &FieldType, len: usize) -> Result<()> {
+        let elem = ty.list_elem()?;
+        if scalar_size(elem).is_some() {
+            self.align(4);
+            let at = self.pos();
+            self.put_u32(len as u32);
+            self.nest(Open::Scalars { at });
         } else {
-            // Composite payload: a genuine table either way.
-            match &variant.ty {
-                FieldType::Struct(schema) => self.write_table(schema, value),
-                ty => Err(err(format!(
-                    "union variant {ty:?} must be struct or single field"
-                ))),
+            let frame = self.scratch.offsets.len();
+            self.nest(Open::Offsets { frame });
+        }
+        Ok(())
+    }
+
+    fn end_list(&mut self) -> Result<()> {
+        match self.close()? {
+            Open::Scalars { at } => self.placed(at),
+            Open::Offsets { frame } => {
+                self.align(4);
+                let at = self.pos();
+                self.put_u32((self.scratch.offsets.len() - frame) as u32);
+                for off in self.scratch.offsets.drain(frame..) {
+                    self.buf.extend_from_slice(&off.to_le_bytes());
+                }
+                self.placed(at)
             }
+            _ => Err(err("end of a vector that is not open")),
         }
     }
 
-    /// Writes a table (vtable first, then the table body) and returns the
-    /// absolute offset of the table body.
-    fn write_table(&mut self, schema: &StructSchema, value: &Value) -> Result<usize> {
-        let fields = value
-            .as_struct()
-            .ok_or_else(|| err(format!("expected struct for {}", schema.name)))?;
-        if fields.len() != schema.fields.len() {
-            return Err(err(format!("struct {} arity mismatch", schema.name)));
+    fn choice(&mut self, ty: &FieldType, index: u32) -> Result<()> {
+        let variant = ty.variant(index)?;
+        if !is_single_field(variant) && !matches!(variant, FieldType::Struct(_)) {
+            return Err(err(format!(
+                "union variant {variant:?} must be struct or single field"
+            )));
         }
-
-        // Pass 1: write out-of-line children; scalars cannot be written yet
-        // (they live in the table body), so record what each slot will hold.
-        // Slots live on the builder's shared scratch stack (frame
-        // discipline) so nested tables cost no allocation.
-        let frame = self.slots.len();
-
-        for (def, val) in schema.fields.iter().zip(fields) {
-            let (ty, val): (&FieldType, Option<&Value>) = match (&def.ty, val) {
-                (FieldType::Optional(inner), Value::Optional(opt)) => {
-                    (inner.as_ref(), opt.as_deref())
-                }
-                (ty, v) => (ty, Some(v)),
-            };
-            match val {
-                None => {
-                    for _ in 0..slot_count(ty) {
-                        self.slots.push(PendingKind::Absent);
-                    }
-                }
-                Some(v) => match ty {
-                    FieldType::Choice(variants) => {
-                        let (index, inner) = match v {
-                            Value::Choice { index, value } => (*index, value.as_ref()),
-                            v => return Err(err(format!("expected choice, got {v:?}"))),
-                        };
-                        let variant = variants
-                            .get(index as usize)
-                            .ok_or_else(|| err(format!("choice index {index} out of range")))?;
-                        let off = self.write_union_payload(variant, inner)?;
-                        self.slots.push(PendingKind::UnionTag(index as u8 + 1));
-                        self.slots.push(PendingKind::Offset(off as u32));
-                    }
-                    ty if scalar_size(ty).is_some() => {
-                        let kind = PendingKind::Scalar {
-                            raw: scalar_raw(ty, v)?,
-                            size: scalar_size(ty).expect("checked") as u8,
-                        };
-                        self.slots.push(kind);
-                    }
-                    ty => {
-                        let off = self.write_outline(ty, v)?;
-                        self.slots.push(PendingKind::Offset(off as u32));
-                    }
-                },
-            }
-        }
-        // Pass 2: lay out the table body — soffset (4 bytes) then slots at
-        // natural alignment. Slot offsets are derivable from the slot kinds,
-        // so no second scratch vector is needed.
-        let nslots = self.slots.len() - frame;
-        let mut table_off = 4usize;
-        let mut max_align = 4usize;
-        for i in frame..self.slots.len() {
-            match self.slots[i] {
-                PendingKind::Absent => {}
-                PendingKind::Scalar { size, .. } => {
-                    let size = size as usize;
-                    table_off = table_off.div_ceil(size) * size;
-                    table_off += size;
-                    max_align = max_align.max(size);
-                }
-                PendingKind::Offset(_) => {
-                    table_off = table_off.div_ceil(4) * 4;
-                    table_off += 4;
-                }
-                PendingKind::UnionTag(_) => {
-                    table_off += 1;
-                }
-            }
-        }
-        let table_size = table_off;
-        if table_size > u16::MAX as usize {
-            self.slots.truncate(frame);
-            return Err(err(format!("table {} exceeds 64KiB", schema.name)));
-        }
-
-        // Write the vtable (4-aligned so the following table lands on its
-        // own alignment without depending on buffer position parity).
-        self.align(4);
-        let vtable_pos = self.pos();
-        self.put_u16((4 + 2 * nslots) as u16);
-        self.put_u16(table_size as u16);
-        let mut off = 4usize;
-        for i in frame..self.slots.len() {
-            match self.slots[i] {
-                PendingKind::Absent => self.put_u16(0),
-                PendingKind::Scalar { size, .. } => {
-                    let size = size as usize;
-                    off = off.div_ceil(size) * size;
-                    self.put_u16(off as u16);
-                    off += size;
-                }
-                PendingKind::Offset(_) => {
-                    off = off.div_ceil(4) * 4;
-                    self.put_u16(off as u16);
-                    off += 4;
-                }
-                PendingKind::UnionTag(_) => {
-                    self.put_u16(off as u16);
-                    off += 1;
-                }
-            }
-        }
-
-        // Write the table body, aligned to its widest scalar (≥4 for the
-        // soffset) — the padding FlatBuffers pays and PER does not.
-        self.align(max_align);
-        let table_pos = self.pos();
-        let soffset = (table_pos - vtable_pos) as i32;
-        self.buf.extend_from_slice(&soffset.to_le_bytes());
-        let mut cursor = 4usize;
-        for i in frame..self.slots.len() {
-            match self.slots[i] {
-                PendingKind::Absent => {}
-                PendingKind::Scalar { raw, size } => {
-                    let size = size as usize;
-                    let target = cursor.div_ceil(size) * size;
-                    while cursor < target {
-                        self.buf.push(0);
-                        cursor += 1;
-                    }
-                    self.put_raw(raw, size);
-                    cursor += size;
-                }
-                PendingKind::Offset(off) => {
-                    let target = cursor.div_ceil(4) * 4;
-                    while cursor < target {
-                        self.buf.push(0);
-                        cursor += 1;
-                    }
-                    self.put_u32(off);
-                    cursor += 4;
-                }
-                PendingKind::UnionTag(tag) => {
-                    self.buf.push(tag);
-                    cursor += 1;
-                }
-            }
-        }
-        while cursor < table_size {
-            self.buf.push(0);
-            cursor += 1;
-        }
-        self.slots.truncate(frame);
-        Ok(table_pos)
+        let Open::Table { .. } = self.open else {
+            return Err(err("union outside a table"));
+        };
+        let tag = u8::try_from(index + 1).map_err(|_| err("union tag does not fit a byte"))?;
+        self.nest(Open::Union { tag });
+        Ok(())
     }
 }
 
@@ -525,38 +526,43 @@ impl Builder {
 pub struct FbTable<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Position and declared size of the vtable, read once.
+    vt: usize,
+    vt_size: usize,
 }
 
 impl<'a> FbTable<'a> {
     /// Interprets `buf` as a complete fastbuf message and returns the root
     /// table view.
     pub fn root(buf: &'a [u8]) -> Result<FbTable<'a>> {
-        let root = read_u32(buf, 0)? as usize;
-        if root < 4 || root >= buf.len() {
-            return Err(err(format!("root offset {root} out of bounds")));
-        }
-        Ok(FbTable { buf, pos: root })
+        FbTable::at(buf, root_offset(buf)?)
     }
 
-    fn vtable(&self) -> Result<usize> {
-        let soffset = read_i32(self.buf, self.pos)?;
-        let vt = self.pos as i64 - i64::from(soffset);
-        if vt < 0 || vt as usize >= self.buf.len() {
+    /// The table whose body starts at `pos`.
+    fn at(buf: &'a [u8], pos: usize) -> Result<FbTable<'a>> {
+        let soffset = read_u32(buf, pos)? as i32;
+        let vt = pos as i64 - i64::from(soffset);
+        if vt < 0 || vt as usize >= buf.len() {
             return Err(err("vtable offset out of bounds"));
         }
-        Ok(vt as usize)
+        let vt = vt as usize;
+        let vt_size = read_u16(buf, vt)? as usize;
+        Ok(FbTable {
+            buf,
+            pos,
+            vt,
+            vt_size,
+        })
     }
 
     /// Absolute buffer position of vtable slot `slot`'s content, or `None`
     /// when the field is absent.
     pub fn slot(&self, slot: usize) -> Result<Option<usize>> {
-        let vt = self.vtable()?;
-        let vt_size = read_u16(self.buf, vt)? as usize;
         let entry_pos = 4 + 2 * slot;
-        if entry_pos + 2 > vt_size {
+        if entry_pos + 2 > self.vt_size {
             return Ok(None);
         }
-        let off = read_u16(self.buf, vt + entry_pos)? as usize;
+        let off = read_u16(self.buf, self.vt + entry_pos)? as usize;
         if off == 0 {
             return Ok(None);
         }
@@ -567,12 +573,7 @@ impl<'a> FbTable<'a> {
     pub fn scalar(&self, slot: usize, size: usize) -> Result<Option<u64>> {
         match self.slot(slot)? {
             None => Ok(None),
-            Some(at) => {
-                let bytes = get(self.buf, at, size)?;
-                let mut le = [0u8; 8];
-                le[..size].copy_from_slice(bytes);
-                Ok(Some(u64::from_le_bytes(le)))
-            }
+            Some(at) => Ok(Some(read_raw(self.buf, at, size)?)),
         }
     }
 
@@ -585,8 +586,18 @@ impl<'a> FbTable<'a> {
     }
 }
 
+/// Where the message's leading word says the root table is.
+fn root_offset(buf: &[u8]) -> Result<usize> {
+    let root = read_u32(buf, 0)? as usize;
+    if root < 4 || root >= buf.len() {
+        return Err(err(format!("root offset {root} out of bounds")));
+    }
+    Ok(root)
+}
+
 fn get(buf: &[u8], at: usize, n: usize) -> Result<&[u8]> {
-    buf.get(at..at + n)
+    at.checked_add(n)
+        .and_then(|end| buf.get(at..end))
         .ok_or_else(|| err(format!("read of {n} bytes at {at} out of bounds")))
 }
 
@@ -600,410 +611,361 @@ fn read_u32(buf: &[u8], at: usize) -> Result<u32> {
     Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-fn read_i32(buf: &[u8], at: usize) -> Result<i32> {
-    Ok(read_u32(buf, at)? as i32)
+/// A little-endian scalar of a slot width: 1, 2, 4 or 8 bytes.
+fn read_raw(buf: &[u8], at: usize, size: usize) -> Result<u64> {
+    match size {
+        1 => Ok(u64::from(get(buf, at, 1)?[0])),
+        2 => Ok(u64::from(read_u16(buf, at)?)),
+        4 => Ok(u64::from(read_u32(buf, at)?)),
+        8 => {
+            let b = get(buf, at, 8)?;
+            Ok(u64::from_le_bytes([
+                b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+            ]))
+        }
+        _ => Err(err(format!("scalar of {size} bytes"))),
+    }
 }
 
-struct Reader<'a> {
+/// The decoder mirrors the sink: what it is in the middle of reading says
+/// where the next value is — the next slot of a table, the next element of
+/// a vector, or a union's payload.
+struct Source<'a> {
     buf: &'a [u8],
     svtable: bool,
+    reading: Reading,
+    /// What `reading` is nested in, innermost last.
+    outer: Vec<Reading>,
 }
 
-impl<'a> Reader<'a> {
-    fn scalar_to_value(&self, ty: &FieldType, raw: u64, size: usize) -> Result<Value> {
-        Ok(match ty {
-            FieldType::Bool => Value::Bool(raw != 0),
-            FieldType::UInt { .. } => Value::U64(raw),
-            FieldType::Int => Value::I64(sign_extend(raw, size)),
-            FieldType::Enum { .. } => Value::U64(raw),
-            FieldType::Constrained { lo, .. } => {
-                let v = *lo as i128 + raw as i128;
-                if *lo >= 0 {
-                    Value::U64(v as u64)
+/// What the source is in the middle of reading (positions only, so the
+/// stack can be recycled across images).
+#[derive(Clone, Copy)]
+enum Reading {
+    /// Nothing yet: the next struct is the root table.
+    Root,
+    /// A table, next to read its vtable slot `slot`.
+    Table {
+        pos: usize,
+        vt: usize,
+        vt_size: usize,
+        slot: usize,
+    },
+    /// A vector whose next element (a scalar, or a `u32` offset) is at `next`.
+    Vector { next: usize },
+    /// A union whose payload is at `at`.
+    Union { at: usize },
+}
+
+impl<'a> Source<'a> {
+    /// Sets `inner` as what is being read, inside what was. A union is not
+    /// kept: its payload is the one value read inside it.
+    fn nest(&mut self, inner: Reading) {
+        match std::mem::replace(&mut self.reading, inner) {
+            Reading::Union { .. } => {}
+            outer => self.outer.push(outer),
+        }
+    }
+
+    /// Back to what the struct, vector or union payload just read was in.
+    fn close(&mut self) -> Result<()> {
+        self.reading = self
+            .outer
+            .pop()
+            .ok_or_else(|| err("close without a matching open"))?;
+        Ok(())
+    }
+
+    /// The position of the open table's next vtable slot, advancing past
+    /// it; `None` when the field is absent.
+    fn next_slot(&mut self) -> Result<Option<usize>> {
+        let buf = self.buf;
+        match &mut self.reading {
+            &mut Reading::Table {
+                pos,
+                vt,
+                vt_size,
+                ref mut slot,
+            } => {
+                *slot += 1;
+                FbTable {
+                    buf,
+                    pos,
+                    vt,
+                    vt_size,
+                }
+                .slot(*slot - 1)
+            }
+            _ => Err(err("field outside a table")),
+        }
+    }
+
+    fn required(at: Option<usize>) -> Result<usize> {
+        at.ok_or_else(|| err("required field absent"))
+    }
+
+    /// The raw value of the next scalar of `size` bytes.
+    fn scalar(&mut self, size: usize) -> Result<u64> {
+        let at = match &mut self.reading {
+            Reading::Table { .. } => Self::required(self.next_slot()?)?,
+            Reading::Vector { next } => {
+                *next += size;
+                *next - size
+            }
+            &mut Reading::Union { at } => {
+                self.close()?;
+                if self.svtable {
+                    match read_u16(self.buf, at)? {
+                        SVTABLE_SCALAR => at + 2,
+                        other => return Err(err(format!("bad svtable marker {other:#x}"))),
+                    }
                 } else {
-                    Value::I64(v as i64)
+                    // Wrapper table with one field at slot 0.
+                    FbTable::at(self.buf, at)?
+                        .slot(0)?
+                        .ok_or_else(|| err("union wrapper missing payload"))?
                 }
             }
-            ty => return Err(err(format!("{ty:?} is not a scalar"))),
+            Reading::Root => return Err(err("scalar outside a table, vector or union")),
+        };
+        read_raw(self.buf, at, size)
+    }
+
+    /// The position of the next out-of-line value: a table body or the
+    /// count word of a blob or vector.
+    fn outline(&mut self, varlen: bool) -> Result<usize> {
+        match &mut self.reading {
+            Reading::Table { .. } => {
+                let at = Self::required(self.next_slot()?)?;
+                Ok(read_u32(self.buf, at)? as usize)
+            }
+            Reading::Vector { next } => {
+                *next += 4;
+                Ok(read_u32(self.buf, *next - 4)? as usize)
+            }
+            &mut Reading::Union { at } if !varlen => {
+                // A composite variant is a genuine table either way; the
+                // caller opens it in the union's place.
+                Ok(at)
+            }
+            &mut Reading::Union { at } => {
+                self.close()?;
+                if self.svtable {
+                    match read_u16(self.buf, at)? {
+                        SVTABLE_VARLEN => Ok(at + 2),
+                        other => Err(err(format!("bad svtable marker {other:#x}"))),
+                    }
+                } else {
+                    FbTable::at(self.buf, at)?
+                        .offset(0)?
+                        .ok_or_else(|| err("union wrapper missing payload"))
+                }
+            }
+            Reading::Root => root_offset(self.buf),
+        }
+    }
+
+    /// The count word and body position of the next blob.
+    fn varlen(&mut self) -> Result<(usize, usize)> {
+        let at = self.outline(true)?;
+        Ok((read_u32(self.buf, at)? as usize, at + 4))
+    }
+
+    /// The next octet string or string, as it lies in the image.
+    fn blob(&mut self) -> Result<&'a [u8]> {
+        let (len, at) = self.varlen()?;
+        get(self.buf, at, len)
+    }
+
+    /// The next bit string: its bit count and the octets packing them.
+    fn packed_bits(&mut self) -> Result<(usize, &'a [u8])> {
+        let (len, at) = self.varlen()?;
+        Ok((len, get(self.buf, at, len.div_ceil(8))?))
+    }
+}
+
+impl FieldSource for Source<'_> {
+    fn begin_struct(&mut self, _: &StructSchema) -> Result<()> {
+        let at = self.outline(false)?;
+        let FbTable {
+            pos, vt, vt_size, ..
+        } = FbTable::at(self.buf, at)?;
+        self.nest(Reading::Table {
+            pos,
+            vt,
+            vt_size,
+            slot: 0,
+        });
+        Ok(())
+    }
+
+    fn presence(&mut self) -> Result<bool> {
+        Ok(true)
+    }
+
+    fn optional(&mut self, inner: &FieldType, _: bool) -> Result<bool> {
+        let &mut Reading::Table {
+            pos,
+            vt,
+            vt_size,
+            ref mut slot,
+        } = &mut self.reading
+        else {
+            return Err(err("optional outside a table"));
+        };
+        let table = FbTable {
+            buf: self.buf,
+            pos,
+            vt,
+            vt_size,
+        };
+        let slots = slot_count(inner);
+        let mut present = 0;
+        for s in *slot..*slot + slots {
+            present += usize::from(table.slot(s)?.is_some());
+        }
+        if present == 0 {
+            // Absent: step over its slots.
+            *slot += slots;
+            Ok(false)
+        } else if present == slots {
+            Ok(true)
+        } else {
+            Err(err("union tag/payload slots inconsistent"))
+        }
+    }
+
+    fn end_struct(&mut self) -> Result<()> {
+        self.close()
+    }
+
+    fn bool(&mut self) -> Result<bool> {
+        Ok(self.scalar(1)? != 0)
+    }
+
+    fn uint(&mut self, ty: &FieldType) -> Result<u64> {
+        let size = scalar_size(ty).ok_or_else(|| err(format!("{ty:?} is not a scalar")))?;
+        let raw = self.scalar(size)?;
+        Ok(match ty {
+            FieldType::Constrained { lo, .. } => raw.wrapping_add(*lo as u64),
+            _ => raw,
         })
     }
 
-    fn read_varlen(&self, ty: &FieldType, at: usize) -> Result<Value> {
-        let len = read_u32(self.buf, at)? as usize;
-        match ty {
-            FieldType::Bytes { .. } => Ok(Value::Bytes(get(self.buf, at + 4, len)?.to_vec())),
-            FieldType::Utf8 { .. } => {
-                let bytes = get(self.buf, at + 4, len)?;
-                Ok(Value::Str(
-                    std::str::from_utf8(bytes)
-                        .map_err(|_| err("invalid UTF-8"))?
-                        .to_owned(),
-                ))
-            }
-            FieldType::BitString { .. } => {
-                let packed = get(self.buf, at + 4, len.div_ceil(8))?;
-                let bits = (0..len)
-                    .map(|i| packed[i / 8] & (0x80 >> (i % 8)) != 0)
-                    .collect();
-                Ok(Value::Bits(bits))
-            }
-            ty => Err(err(format!("{ty:?} is not variable-length"))),
+    fn int(&mut self, ty: &FieldType) -> Result<i64> {
+        Ok(self.uint(ty)? as i64)
+    }
+
+    fn bytes(&mut self, _: &FieldType) -> Result<&[u8]> {
+        self.blob()
+    }
+
+    fn str(&mut self, _: &FieldType) -> Result<&str> {
+        std::str::from_utf8(self.blob()?).map_err(|_| err("invalid UTF-8"))
+    }
+
+    fn bits(&mut self, _: &FieldType) -> Result<Vec<bool>> {
+        let (len, packed) = self.packed_bits()?;
+        Ok((0..len)
+            .map(|i| packed[i / 8] & (0x80 >> (i % 8)) != 0)
+            .collect())
+    }
+
+    fn begin_list(&mut self, ty: &FieldType) -> Result<usize> {
+        let elem = ty.list_elem()?;
+        let at = self.outline(false)?;
+        let count = read_u32(self.buf, at)? as usize;
+        // A corrupted count must not drive allocation: the elements cannot
+        // occupy more bytes than the buffer holds.
+        let elem_bytes = scalar_size(elem).unwrap_or(4);
+        if count.saturating_mul(elem_bytes) > self.buf.len() {
+            return Err(err(format!("vector count {count} exceeds buffer")));
         }
+        self.nest(Reading::Vector { next: at + 4 });
+        Ok(count)
     }
 
-    fn read_outline(&self, ty: &FieldType, at: usize) -> Result<Value> {
-        match ty {
-            FieldType::Bytes { .. } | FieldType::Utf8 { .. } | FieldType::BitString { .. } => {
-                self.read_varlen(ty, at)
-            }
-            FieldType::Struct(schema) => self.read_table(
-                schema,
-                FbTable {
-                    buf: self.buf,
-                    pos: at,
-                },
-            ),
-            FieldType::List { elem, .. } => {
-                let count = read_u32(self.buf, at)? as usize;
-                // A corrupted count must not drive allocation: the elements
-                // cannot occupy more bytes than the buffer holds.
-                let elem_bytes = scalar_size(elem).unwrap_or(4);
-                if count.saturating_mul(elem_bytes) > self.buf.len() {
-                    return Err(err(format!("vector count {count} exceeds buffer")));
-                }
-                let mut items = Vec::with_capacity(count);
-                if let Some(size) = scalar_size(elem) {
-                    for i in 0..count {
-                        let bytes = get(self.buf, at + 4 + i * size, size)?;
-                        let mut le = [0u8; 8];
-                        le[..size].copy_from_slice(bytes);
-                        items.push(self.scalar_to_value(elem, u64::from_le_bytes(le), size)?);
-                    }
-                } else {
-                    for i in 0..count {
-                        let off = read_u32(self.buf, at + 4 + i * 4)? as usize;
-                        items.push(self.read_outline(elem, off)?);
-                    }
-                }
-                Ok(Value::List(items))
-            }
-            ty => Err(err(format!("{ty:?} is not out-of-line"))),
-        }
+    fn end_list(&mut self) -> Result<()> {
+        self.close()
     }
 
-    fn read_union_payload(&self, variant: &Variant, at: usize) -> Result<Value> {
-        if is_single_field(&variant.ty) {
-            if self.svtable {
-                let marker = read_u16(self.buf, at)?;
-                match marker {
-                    SVTABLE_SCALAR => {
-                        let size = scalar_size(&variant.ty)
-                            .ok_or_else(|| err("svtable scalar marker on varlen payload"))?;
-                        let bytes = get(self.buf, at + 2, size)?;
-                        let mut le = [0u8; 8];
-                        le[..size].copy_from_slice(bytes);
-                        self.scalar_to_value(&variant.ty, u64::from_le_bytes(le), size)
-                    }
-                    SVTABLE_VARLEN => self.read_varlen(&variant.ty, at + 2),
-                    other => Err(err(format!("bad svtable marker {other:#x}"))),
-                }
-            } else {
-                // Wrapper table with one field at slot 0.
-                let table = FbTable {
-                    buf: self.buf,
-                    pos: at,
-                };
-                if let Some(size) = scalar_size(&variant.ty) {
-                    let raw = table
-                        .scalar(0, size)?
-                        .ok_or_else(|| err("union wrapper missing payload"))?;
-                    self.scalar_to_value(&variant.ty, raw, size)
-                } else {
-                    let off = table
-                        .offset(0)?
-                        .ok_or_else(|| err("union wrapper missing payload"))?;
-                    self.read_varlen(&variant.ty, off)
-                }
-            }
-        } else {
-            match &variant.ty {
-                FieldType::Struct(schema) => self.read_table(
-                    schema,
-                    FbTable {
-                        buf: self.buf,
-                        pos: at,
-                    },
-                ),
-                ty => Err(err(format!("union variant {ty:?} unsupported"))),
-            }
-        }
+    fn choice(&mut self, ty: &FieldType) -> Result<u32> {
+        let tag = self.next_slot()?;
+        let payload = self.next_slot()?;
+        let (Some(tag), Some(payload)) = (tag, payload) else {
+            return Err(err("union tag/payload slots inconsistent"));
+        };
+        let index = (read_raw(self.buf, tag, 1)? as u32)
+            .checked_sub(1)
+            .ok_or_else(|| err("union tag/payload slots inconsistent"))?;
+        ty.variant(index)
+            .map_err(|_| err(format!("union tag {index} out of range")))?;
+        let at = read_u32(self.buf, payload)? as usize;
+        self.nest(Reading::Union { at });
+        Ok(index)
     }
+}
 
-    fn read_table(&self, schema: &StructSchema, table: FbTable<'a>) -> Result<Value> {
-        let mut fields = Vec::with_capacity(schema.fields.len());
-        let mut slot = 0usize;
-        for def in &schema.fields {
-            let (ty, optional) = match &def.ty {
-                FieldType::Optional(inner) => (inner.as_ref(), true),
-                ty => (ty, false),
-            };
-            let value = match ty {
-                FieldType::Choice(variants) => {
-                    let tag = table.scalar(slot, 1)?;
-                    let payload = table.offset(slot + 1)?;
-                    slot += 2;
-                    match (tag, payload) {
-                        (Some(tag), Some(at)) if tag > 0 => {
-                            let index = (tag - 1) as u32;
-                            let variant = variants
-                                .get(index as usize)
-                                .ok_or_else(|| err(format!("union tag {index} out of range")))?;
-                            Some(Value::Choice {
-                                index,
-                                value: Box::new(self.read_union_payload(variant, at)?),
-                            })
-                        }
-                        (None, None) => None,
-                        _ => return Err(err("union tag/payload slots inconsistent")),
-                    }
-                }
-                ty if scalar_size(ty).is_some() => {
-                    let size = scalar_size(ty).expect("checked");
-                    let s = slot;
-                    slot += 1;
-                    match table.scalar(s, size)? {
-                        Some(raw) => Some(self.scalar_to_value(ty, raw, size)?),
-                        None => None,
-                    }
-                }
-                ty => {
-                    let s = slot;
-                    slot += 1;
-                    match table.offset(s)? {
-                        Some(at) => Some(self.read_outline(ty, at)?),
-                        None => None,
-                    }
-                }
-            };
-            match (optional, value) {
-                (true, Some(v)) => fields.push(Value::Optional(Some(Box::new(v)))),
-                (true, None) => fields.push(Value::Optional(None)),
-                (false, Some(v)) => fields.push(v),
-                (false, None) => {
-                    return Err(err(format!(
-                        "required field {}.{} absent",
-                        schema.name, def.name
-                    )))
-                }
-            }
-        }
-        Ok(Value::Struct(fields))
-    }
+/// The checksum fold of [`crate::checksum_value`].
+fn mix(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(27)
+}
 
-    // -- zero-copy traversal (no allocation) --------------------------------
-
-    fn mix(h: u64, x: u64) -> u64 {
-        (h ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(27)
-    }
-
-    fn checksum_scalar(&self, ty: &FieldType, raw: u64, size: usize) -> Result<u64> {
-        Ok(match ty {
-            FieldType::Bool => Self::mix(1, u64::from(raw != 0)),
-            FieldType::UInt { .. } | FieldType::Enum { .. } => Self::mix(2, raw),
-            FieldType::Int => Self::mix(3, sign_extend(raw, size) as u64),
-            FieldType::Constrained { lo, .. } => {
-                let v = *lo as i128 + raw as i128;
-                if *lo >= 0 {
-                    Self::mix(2, v as u64)
-                } else {
-                    Self::mix(3, v as i64 as u64)
-                }
-            }
-            ty => return Err(err(format!("{ty:?} is not a scalar"))),
-        })
-    }
-
-    fn checksum_varlen(&self, ty: &FieldType, at: usize) -> Result<u64> {
-        let len = read_u32(self.buf, at)? as usize;
-        match ty {
-            FieldType::Bytes { .. } => {
-                let bytes = get(self.buf, at + 4, len)?;
-                let mut h = 4u64;
-                for &b in bytes {
-                    h = Self::mix(h, u64::from(b));
-                }
-                Ok(h)
-            }
-            FieldType::Utf8 { .. } => {
-                let bytes = get(self.buf, at + 4, len)?;
-                let mut h = 5u64;
-                for &b in bytes {
-                    h = Self::mix(h, u64::from(b));
-                }
-                Ok(h)
-            }
-            FieldType::BitString { .. } => {
-                let packed = get(self.buf, at + 4, len.div_ceil(8))?;
-                let mut h = 6u64;
-                for i in 0..len {
-                    h = Self::mix(h, u64::from(packed[i / 8] & (0x80 >> (i % 8)) != 0));
-                }
-                Ok(h)
-            }
-            ty => Err(err(format!("{ty:?} is not variable-length"))),
-        }
-    }
-
-    fn checksum_outline(&self, ty: &FieldType, at: usize) -> Result<u64> {
-        match ty {
-            FieldType::Bytes { .. } | FieldType::Utf8 { .. } | FieldType::BitString { .. } => {
-                self.checksum_varlen(ty, at)
-            }
-            FieldType::Struct(schema) => self.checksum_table(
-                schema,
-                FbTable {
-                    buf: self.buf,
-                    pos: at,
-                },
-            ),
-            FieldType::List { elem, .. } => {
-                let count = read_u32(self.buf, at)? as usize;
-                let mut h = 8u64;
-                if let Some(size) = scalar_size(elem) {
-                    for i in 0..count {
-                        let bytes = get(self.buf, at + 4 + i * size, size)?;
-                        let mut le = [0u8; 8];
-                        le[..size].copy_from_slice(bytes);
-                        h = Self::mix(h, self.checksum_scalar(elem, u64::from_le_bytes(le), size)?);
-                    }
-                } else {
-                    for i in 0..count {
-                        let off = read_u32(self.buf, at + 4 + i * 4)? as usize;
-                        h = Self::mix(h, self.checksum_outline(elem, off)?);
-                    }
-                }
-                Ok(h)
-            }
-            ty => Err(err(format!("{ty:?} is not out-of-line"))),
-        }
-    }
-
-    fn checksum_union_payload(&self, variant: &Variant, at: usize) -> Result<u64> {
-        if is_single_field(&variant.ty) {
-            if self.svtable {
-                let marker = read_u16(self.buf, at)?;
-                match marker {
-                    SVTABLE_SCALAR => {
-                        let size = scalar_size(&variant.ty)
-                            .ok_or_else(|| err("svtable scalar marker on varlen payload"))?;
-                        let bytes = get(self.buf, at + 2, size)?;
-                        let mut le = [0u8; 8];
-                        le[..size].copy_from_slice(bytes);
-                        self.checksum_scalar(&variant.ty, u64::from_le_bytes(le), size)
-                    }
-                    SVTABLE_VARLEN => self.checksum_varlen(&variant.ty, at + 2),
-                    other => Err(err(format!("bad svtable marker {other:#x}"))),
-                }
-            } else {
-                let table = FbTable {
-                    buf: self.buf,
-                    pos: at,
-                };
-                if let Some(size) = scalar_size(&variant.ty) {
-                    let raw = table
-                        .scalar(0, size)?
-                        .ok_or_else(|| err("union wrapper missing payload"))?;
-                    self.checksum_scalar(&variant.ty, raw, size)
-                } else {
-                    let off = table
-                        .offset(0)?
-                        .ok_or_else(|| err("union wrapper missing payload"))?;
-                    self.checksum_varlen(&variant.ty, off)
-                }
-            }
-        } else {
-            match &variant.ty {
-                FieldType::Struct(schema) => self.checksum_table(
-                    schema,
-                    FbTable {
-                        buf: self.buf,
-                        pos: at,
-                    },
-                ),
-                ty => Err(err(format!("union variant {ty:?} unsupported"))),
-            }
-        }
-    }
-
-    fn checksum_table(&self, schema: &StructSchema, table: FbTable<'a>) -> Result<u64> {
+/// The zero-copy traversal: the same walk `take` drives, folding each
+/// field into the checksum where it lies instead of building anything.
+impl Source<'_> {
+    fn checksum_struct(&mut self, schema: &StructSchema) -> Result<u64> {
+        self.begin_struct(schema)?;
         let mut h = 7u64;
-        let mut slot = 0usize;
         for def in &schema.fields {
-            let (ty, optional) = match &def.ty {
-                FieldType::Optional(inner) => (inner.as_ref(), true),
-                ty => (ty, false),
-            };
-            let field_hash: Option<u64> = match ty {
-                FieldType::Choice(variants) => {
-                    let tag = table.scalar(slot, 1)?;
-                    let payload = table.offset(slot + 1)?;
-                    slot += 2;
-                    match (tag, payload) {
-                        (Some(tag), Some(at)) if tag > 0 => {
-                            let index = (tag - 1) as u32;
-                            let variant = variants
-                                .get(index as usize)
-                                .ok_or_else(|| err(format!("union tag {index} out of range")))?;
-                            Some(Self::mix(
-                                Self::mix(9, u64::from(index)),
-                                self.checksum_union_payload(variant, at)?,
-                            ))
-                        }
-                        (None, None) => None,
-                        _ => return Err(err("union tag/payload slots inconsistent")),
-                    }
-                }
-                ty if scalar_size(ty).is_some() => {
-                    let size = scalar_size(ty).expect("checked");
-                    let s = slot;
-                    slot += 1;
-                    match table.scalar(s, size)? {
-                        Some(raw) => Some(self.checksum_scalar(ty, raw, size)?),
-                        None => None,
-                    }
-                }
-                ty => {
-                    let s = slot;
-                    slot += 1;
-                    match table.offset(s)? {
-                        Some(at) => Some(self.checksum_outline(ty, at)?),
-                        None => None,
-                    }
-                }
-            };
-            let fh = match (optional, field_hash) {
-                (true, Some(v)) => Self::mix(11, v),
-                (true, None) => 10,
-                (false, Some(v)) => v,
-                (false, None) => {
-                    return Err(err(format!(
-                        "required field {}.{} absent",
-                        schema.name, def.name
-                    )))
-                }
-            };
-            h = Self::mix(h, fh);
+            h = mix(h, self.checksum_field(&def.ty)?);
         }
+        self.end_struct()?;
         Ok(h)
     }
-}
 
-fn sign_extend(raw: u64, size: usize) -> i64 {
-    if size >= 8 {
-        return raw as i64;
+    fn checksum_field(&mut self, ty: &FieldType) -> Result<u64> {
+        let bytes = |tag, bytes: &[u8]| bytes.iter().fold(tag, |h, &b| mix(h, u64::from(b)));
+        Ok(match ty {
+            FieldType::Bool => mix(1, u64::from(self.bool()?)),
+            FieldType::Constrained { lo, .. } if *lo < 0 => mix(3, self.uint(ty)?),
+            FieldType::UInt { .. } | FieldType::Enum { .. } | FieldType::Constrained { .. } => {
+                mix(2, self.uint(ty)?)
+            }
+            FieldType::Int => mix(3, self.uint(ty)?),
+            FieldType::Bytes { .. } => bytes(4, self.blob()?),
+            FieldType::Utf8 { .. } => bytes(5, self.blob()?),
+            FieldType::BitString { .. } => {
+                let (len, packed) = self.packed_bits()?;
+                (0..len).fold(6, |h, i| {
+                    mix(h, u64::from(packed[i / 8] & (0x80 >> (i % 8)) != 0))
+                })
+            }
+            FieldType::Struct(schema) => self.checksum_struct(schema)?,
+            FieldType::List { elem, .. } => {
+                let mut h = 8u64;
+                for _ in 0..self.begin_list(ty)? {
+                    h = mix(h, self.checksum_field(elem)?);
+                }
+                self.end_list()?;
+                h
+            }
+            FieldType::Choice(_) => {
+                let index = self.choice(ty)?;
+                mix(
+                    mix(9, u64::from(index)),
+                    self.checksum_field(ty.variant(index)?)?,
+                )
+            }
+            FieldType::Optional(inner) => {
+                if self.optional(inner, true)? {
+                    mix(11, self.checksum_field(inner)?)
+                } else {
+                    10
+                }
+            }
+        })
     }
-    let shift = 64 - size * 8;
-    ((raw << shift) as i64) >> shift
 }
 
 impl WireFormat for Fastbuf {
@@ -1016,61 +978,88 @@ impl WireFormat for Fastbuf {
     }
 
     fn encode(&self, schema: &Schema, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-        out.clear();
-        let (slots, vec_offsets) = SCRATCH.with(std::cell::Cell::take);
-        let mut b = Builder {
-            buf: std::mem::take(out),
-            svtable: self.svtable,
-            slots,
-            vec_offsets,
-        };
-        b.buf.reserve(256);
-        b.put_u32(0); // root placeholder
-        let root = b.write_table(schema, value);
-        if let Ok(root) = root {
-            b.patch_u32(0, root as u32);
-        }
-        let Builder {
-            buf,
-            mut slots,
-            mut vec_offsets,
-            ..
-        } = b;
-        *out = buf;
-        // Frame discipline leaves both scratches empty on success; clear
-        // defensively on error so pooled capacity never carries stale state.
-        slots.clear();
-        vec_offsets.clear();
-        SCRATCH.with(|s| s.set((slots, vec_offsets)));
-        if root.is_err() {
-            out.clear();
-        }
-        root.map(|_| ())
+        self.with_sink(out, |sink| put_value(schema, value, sink))
     }
 
     fn decode(&self, schema: &Schema, bytes: &[u8]) -> Result<Value> {
-        let reader = Reader {
-            buf: bytes,
-            svtable: self.svtable,
-        };
-        let root = FbTable::root(bytes)?;
-        reader.read_table(schema, root)
+        self.with_source(bytes, |src| take_value(schema, src))
+    }
+
+    fn encode_with(
+        &self,
+        _: &Schema,
+        out: &mut Vec<u8>,
+        put: &mut dyn FnMut(&mut dyn FieldSink) -> Result<()>,
+    ) -> Result<()> {
+        self.with_sink(out, |sink| put(sink))
+    }
+
+    fn decode_with(
+        &self,
+        _: &Schema,
+        bytes: &[u8],
+        take: &mut dyn FnMut(&mut dyn FieldSource) -> Result<()>,
+    ) -> Result<()> {
+        self.with_source(bytes, |src| take(src))
     }
 
     fn traverse(&self, schema: &Schema, bytes: &[u8]) -> Result<u64> {
-        let reader = Reader {
+        self.with_source(bytes, |src| src.checksum_struct(schema))
+    }
+}
+
+impl Fastbuf {
+    /// Runs `put` over a sink building the message in the emptied `out`
+    /// (left empty if `put` fails), its stacks this thread's recycled ones.
+    fn with_sink(
+        &self,
+        out: &mut Vec<u8>,
+        put: impl FnOnce(&mut Sink<'_>) -> Result<()>,
+    ) -> Result<()> {
+        out.clear();
+        out.reserve(256);
+        out.extend_from_slice(&[0; 4]); // root placeholder
+        let mut scratch = SCRATCH.with(Cell::take);
+        scratch.slots.clear();
+        scratch.offsets.clear();
+        scratch.outer.clear();
+        let mut sink = Sink {
+            buf: out,
+            svtable: self.svtable,
+            open: Open::Root,
+            scratch,
+            root: 0,
+        };
+        let written = put(&mut sink);
+        let root = sink.root;
+        SCRATCH.with(|s| s.set(sink.scratch));
+        match written {
+            Ok(()) => out[..4].copy_from_slice(&root.to_le_bytes()),
+            Err(_) => out.clear(),
+        }
+        written
+    }
+
+    /// Runs `f` over a source on `bytes`, its stack this thread's recycled one.
+    fn with_source<R>(&self, bytes: &[u8], f: impl FnOnce(&mut Source<'_>) -> R) -> R {
+        let mut outer = READING.with(Cell::take);
+        outer.clear();
+        let mut src = Source {
             buf: bytes,
             svtable: self.svtable,
+            reading: Reading::Root,
+            outer,
         };
-        let root = FbTable::root(bytes)?;
-        reader.checksum_table(schema, root)
+        let out = f(&mut src);
+        READING.with(|s| s.set(src.outer));
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::FieldDef;
+    use crate::value::{FieldDef, Variant};
     use std::sync::Arc;
 
     fn round_trip(codec: &Fastbuf, schema: &Schema, value: &Value) -> Vec<u8> {

@@ -23,6 +23,11 @@
 //!
 //! All codecs speak the same [`value::Schema`]/[`value::Value`] reflection
 //! model, so the experiment harness can run any message through any codec.
+//! PER and the two fastbufs — the codecs the live path runs — are at bottom
+//! a field [`sink`] and source: a typed message streams straight into and
+//! out of the image ([`WireFormat::encode_with`] / [`WireFormat::decode_with`]),
+//! and their `encode(schema, value)` / `decode` drive that same sink and
+//! source from a `Value` by schema, so each has one encoder and one decoder.
 //!
 //! # Benchmark semantics
 //!
@@ -46,10 +51,12 @@ pub mod lcmlike;
 pub mod per;
 pub mod protolike;
 pub mod scratch;
+pub mod sink;
 pub mod value;
 
 use neutrino_common::Result;
-use value::{Schema, Value};
+use sink::{FieldSink, FieldSource};
+use value::{Schema, Value, ValueSink, ValueSource};
 
 /// A serialization scheme for control messages.
 ///
@@ -85,6 +92,36 @@ pub trait WireFormat: Send + Sync {
 
     /// Fully decodes `bytes` into an owned [`Value`] tree.
     fn decode(&self, schema: &Schema, bytes: &[u8]) -> Result<Value>;
+
+    /// Encodes the message `put` streams, field by field, into `out`
+    /// (cleared first). `put` follows the [`sink`] call order for `schema`.
+    ///
+    /// The default builds the `Value` tree and [`encode`](Self::encode)s it;
+    /// a codec that is a sink overrides this and builds no tree.
+    fn encode_with(
+        &self,
+        schema: &Schema,
+        out: &mut Vec<u8>,
+        put: &mut dyn FnMut(&mut dyn FieldSink) -> Result<()>,
+    ) -> Result<()> {
+        let mut tree = ValueSink::default();
+        put(&mut tree)?;
+        self.encode(schema, &tree.finish()?, out)
+    }
+
+    /// Hands `take` a source over the message in `bytes`, to read field by
+    /// field in the [`sink`] call order for `schema`.
+    ///
+    /// The default [`decode`](Self::decode)s the `Value` tree and reads
+    /// that; a codec that is a source overrides this and builds no tree.
+    fn decode_with(
+        &self,
+        schema: &Schema,
+        bytes: &[u8],
+        take: &mut dyn FnMut(&mut dyn FieldSource) -> Result<()>,
+    ) -> Result<()> {
+        take(&mut ValueSource::new(&self.decode(schema, bytes)?))
+    }
 
     /// Reads every field of the message once through the codec's *native*
     /// access path and folds it into a checksum.

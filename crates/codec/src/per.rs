@@ -19,7 +19,8 @@
 //! is why Fig. 20 shows ASN.1 as the size floor.
 
 use crate::bits::{bits_for_range, BitReader, BitWriter};
-use crate::value::{FieldType, Schema, StructSchema, Value};
+use crate::sink::{FieldSink, FieldSource};
+use crate::value::{put_value, take_value, FieldType, Schema, StructSchema, Value};
 use crate::WireFormat;
 use neutrino_common::{Error, Result};
 
@@ -42,257 +43,291 @@ impl WireFormat for Asn1Per {
     }
 
     fn encode(&self, schema: &Schema, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-        out.clear();
-        let mut w = BitWriter::new();
-        encode_struct(schema, value, &mut w)?;
-        *out = w.finish();
-        Ok(())
+        write(out, |sink| put_value(schema, value, sink))
     }
 
     fn decode(&self, schema: &Schema, bytes: &[u8]) -> Result<Value> {
-        let mut r = BitReader::new(bytes);
-        decode_struct(schema, &mut r)
+        take_value(schema, &mut Source(BitReader::new(bytes)))
     }
+
+    fn encode_with(
+        &self,
+        _: &Schema,
+        out: &mut Vec<u8>,
+        put: &mut dyn FnMut(&mut dyn FieldSink) -> Result<()>,
+    ) -> Result<()> {
+        write(out, |sink| put(sink))
+    }
+
+    fn decode_with(
+        &self,
+        _: &Schema,
+        bytes: &[u8],
+        take: &mut dyn FnMut(&mut dyn FieldSource) -> Result<()>,
+    ) -> Result<()> {
+        take(&mut Source(BitReader::new(bytes)))
+    }
+}
+
+/// Runs `put` over a sink appending to the emptied `out`, which stays empty
+/// if `put` fails.
+fn write(out: &mut Vec<u8>, put: impl FnOnce(&mut Sink<'_>) -> Result<()>) -> Result<()> {
+    out.clear();
+    let written = put(&mut Sink(BitWriter::new(out)));
+    if written.is_err() {
+        out.clear();
+    }
+    written
 }
 
 fn err(detail: impl Into<String>) -> Error {
     Error::codec(NAME, detail.into())
 }
 
-fn encode_struct(schema: &StructSchema, value: &Value, w: &mut BitWriter) -> Result<()> {
-    let fields = value
-        .as_struct()
-        .ok_or_else(|| err(format!("expected struct for {}", schema.name)))?;
-    if fields.len() != schema.fields.len() {
-        return Err(err(format!(
-            "struct {} arity mismatch: {} vs {}",
-            schema.name,
-            schema.fields.len(),
-            fields.len()
-        )));
-    }
-    // Presence preamble: one bit per OPTIONAL field, in schema order.
-    for (def, val) in schema.fields.iter().zip(fields) {
-        if matches!(def.ty, FieldType::Optional(_)) {
-            match val {
-                Value::Optional(opt) => w.write_bit(opt.is_some()),
-                _ => return Err(err(format!("field {} is not optional-shaped", def.name))),
-            }
-        }
-    }
-    for (def, val) in schema.fields.iter().zip(fields) {
-        match (&def.ty, val) {
-            (FieldType::Optional(inner), Value::Optional(opt)) => {
-                if let Some(v) = opt {
-                    encode_field(inner, v, w)?;
-                }
-            }
-            (ty, v) => encode_field(ty, v, w)?,
-        }
-    }
-    Ok(())
+fn mismatch(what: &str, ty: &FieldType) -> Error {
+    err(format!("{what} in a field of type {ty:?}"))
 }
 
-fn encode_field(ty: &FieldType, value: &Value, w: &mut BitWriter) -> Result<()> {
-    match (ty, value) {
-        (FieldType::Bool, Value::Bool(b)) => {
-            w.write_bit(*b);
-            Ok(())
-        }
-        (FieldType::UInt { bits }, Value::U64(x)) => {
-            if *bits == 64 {
-                // Full-range 64-bit fields: aligned fixed octets (constrained
-                // whole numbers cannot span more than an i64 range).
-                w.align();
-                w.write_bytes(&x.to_be_bytes());
+/// PER streams bits in field order: nothing is open, nothing to close. The
+/// one thing it needs ahead of a struct's fields is its presence preamble,
+/// which is what the `presence` calls write.
+struct Sink<'a>(BitWriter<'a>);
+
+impl FieldSink for Sink<'_> {
+    fn begin_struct(&mut self, _: &StructSchema) -> Result<()> {
+        Ok(())
+    }
+
+    fn presence(&mut self, present: bool) -> Result<()> {
+        self.0.write_bit(present);
+        Ok(())
+    }
+
+    fn optional(&mut self, _: &FieldType, _: bool) -> Result<()> {
+        Ok(())
+    }
+
+    fn end_struct(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn bool(&mut self, v: bool) -> Result<()> {
+        self.0.write_bit(v);
+        Ok(())
+    }
+
+    fn uint(&mut self, ty: &FieldType, v: u64) -> Result<()> {
+        match ty {
+            // Full-range 64-bit fields: aligned fixed octets (constrained
+            // whole numbers cannot span more than an i64 range).
+            FieldType::UInt { bits: 64 } => {
+                self.0.align();
+                self.0.write_bytes(&v.to_be_bytes());
                 Ok(())
-            } else {
-                encode_constrained(0, max_for_bits(*bits), *x as i64, w)
             }
+            _ => self.int(
+                ty,
+                i64::try_from(v).map_err(|_| err(format!("value {v} too wide")))?,
+            ),
         }
-        (FieldType::Int, Value::I64(x)) => {
+    }
+
+    fn int(&mut self, ty: &FieldType, v: i64) -> Result<()> {
+        let w = &mut self.0;
+        match ty {
+            FieldType::UInt { bits } => encode_constrained(0, max_for_bits(*bits), v, w),
+            FieldType::Enum { variants } => encode_constrained(0, i64::from(*variants) - 1, v, w),
+            FieldType::Constrained { lo, hi } => encode_constrained(*lo, *hi, v, w),
             // Unconstrained INTEGER: aligned, 1-octet length, minimal
             // two's-complement octets.
-            w.align();
-            let octets = minimal_twos_complement(*x);
-            w.write_bytes(&[octets.len() as u8]);
-            w.write_bytes(&octets);
-            Ok(())
-        }
-        (FieldType::Constrained { lo, hi }, v) => {
-            let x = crate::value::integer_carrier(v)
-                .ok_or_else(|| err("constrained field is not an integer"))?;
-            if x < *lo || x > *hi {
-                return Err(err(format!("value {x} outside [{lo}, {hi}]")));
+            FieldType::Int => {
+                w.align();
+                let be = v.to_be_bytes();
+                let octets = &be[sign_extension_octets(&be)..];
+                w.write_bytes(&[octets.len() as u8]);
+                w.write_bytes(octets);
+                Ok(())
             }
-            encode_constrained(*lo, *hi, x, w)
+            ty => Err(mismatch("an integer", ty)),
         }
-        (FieldType::Enum { variants }, Value::U64(x)) => {
-            encode_constrained(0, i64::from(*variants) - 1, *x as i64, w)
+    }
+
+    fn bytes(&mut self, ty: &FieldType, v: &[u8]) -> Result<()> {
+        let FieldType::Bytes { max } = ty else {
+            return Err(mismatch("an octet string", ty));
+        };
+        encode_length(v.len(), *max, &mut self.0)?;
+        self.0.align();
+        self.0.write_bytes(v);
+        Ok(())
+    }
+
+    fn str(&mut self, ty: &FieldType, v: &str) -> Result<()> {
+        let FieldType::Utf8 { max } = ty else {
+            return Err(mismatch("a string", ty));
+        };
+        encode_length(v.len(), *max, &mut self.0)?;
+        self.0.align();
+        self.0.write_bytes(v.as_bytes());
+        Ok(())
+    }
+
+    fn bits(&mut self, ty: &FieldType, v: &[bool]) -> Result<()> {
+        let FieldType::BitString { max_bits } = ty else {
+            return Err(mismatch("a bit string", ty));
+        };
+        encode_length(v.len(), *max_bits, &mut self.0)?;
+        for &b in v {
+            self.0.write_bit(b);
         }
-        (FieldType::Bytes { max }, Value::Bytes(bs)) => {
-            encode_length(bs.len(), *max, w)?;
-            w.align();
-            w.write_bytes(bs);
-            Ok(())
-        }
-        (FieldType::Utf8 { max }, Value::Str(s)) => {
-            encode_length(s.len(), *max, w)?;
-            w.align();
-            w.write_bytes(s.as_bytes());
-            Ok(())
-        }
-        (FieldType::BitString { max_bits }, Value::Bits(bits)) => {
-            encode_length(bits.len(), *max_bits, w)?;
-            for &b in bits {
-                w.write_bit(b);
-            }
-            Ok(())
-        }
-        (FieldType::Struct(schema), v) => encode_struct(schema, v, w),
-        (FieldType::List { elem, max }, Value::List(items)) => {
-            encode_length(items.len(), *max, w)?;
-            for item in items {
-                encode_field(elem, item, w)?;
-            }
-            Ok(())
-        }
-        (FieldType::Choice(variants), Value::Choice { index, value }) => {
-            let n = variants.len();
-            if *index as usize >= n {
-                return Err(err(format!("choice index {index} out of range")));
-            }
-            encode_constrained(0, n as i64 - 1, i64::from(*index), w)?;
-            encode_field(&variants[*index as usize].ty, value, w)
-        }
-        (FieldType::Optional(inner), Value::Optional(opt)) => {
-            // Standalone optional (e.g. a list element): explicit presence bit.
-            w.write_bit(opt.is_some());
-            if let Some(v) = opt {
-                encode_field(inner, v, w)?;
-            }
-            Ok(())
-        }
-        (ty, v) => Err(err(format!("type mismatch: {ty:?} vs {v:?}"))),
+        Ok(())
+    }
+
+    fn begin_list(&mut self, ty: &FieldType, len: usize) -> Result<()> {
+        let FieldType::List { max, .. } = ty else {
+            return Err(mismatch("a list", ty));
+        };
+        encode_length(len, *max, &mut self.0)
+    }
+
+    fn end_list(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn choice(&mut self, ty: &FieldType, index: u32) -> Result<()> {
+        let FieldType::Choice(variants) = ty else {
+            return Err(mismatch("a choice", ty));
+        };
+        encode_constrained(0, variants.len() as i64 - 1, i64::from(index), &mut self.0)
     }
 }
 
-fn decode_struct(schema: &StructSchema, r: &mut BitReader<'_>) -> Result<Value> {
-    // Presence preamble first.
-    let mut present = Vec::with_capacity(schema.fields.len());
-    for def in &schema.fields {
-        if matches!(def.ty, FieldType::Optional(_)) {
-            present.push(Some(r.read_bit()?));
-        } else {
-            present.push(None);
-        }
+/// The decoder mirrors the encoder call for call; the presence bits of a
+/// struct's preamble are handed back to the caller, who holds them until
+/// each optional field's turn.
+struct Source<'a>(BitReader<'a>);
+
+impl<'a> Source<'a> {
+    fn octets(&mut self, max: Option<u32>) -> Result<&'a [u8]> {
+        let len = decode_length(max, &mut self.0)?;
+        self.0.align();
+        self.0.read_bytes(len)
     }
-    let mut fields = Vec::with_capacity(schema.fields.len());
-    for (def, presence) in schema.fields.iter().zip(present) {
-        match (&def.ty, presence) {
-            (FieldType::Optional(inner), Some(true)) => {
-                fields.push(Value::Optional(Some(Box::new(decode_field(inner, r)?))));
-            }
-            (FieldType::Optional(_), Some(false)) => fields.push(Value::Optional(None)),
-            (ty, _) => fields.push(decode_field(ty, r)?),
-        }
-    }
-    Ok(Value::Struct(fields))
 }
 
-fn decode_field(ty: &FieldType, r: &mut BitReader<'_>) -> Result<Value> {
-    match ty {
-        FieldType::Bool => Ok(Value::Bool(r.read_bit()?)),
-        FieldType::UInt { bits } => {
-            if *bits == 64 {
+impl FieldSource for Source<'_> {
+    fn begin_struct(&mut self, _: &StructSchema) -> Result<()> {
+        Ok(())
+    }
+
+    fn presence(&mut self) -> Result<bool> {
+        self.0.read_bit()
+    }
+
+    fn optional(&mut self, _: &FieldType, announced: bool) -> Result<bool> {
+        Ok(announced)
+    }
+
+    fn end_struct(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn bool(&mut self) -> Result<bool> {
+        self.0.read_bit()
+    }
+
+    fn uint(&mut self, ty: &FieldType) -> Result<u64> {
+        match ty {
+            FieldType::UInt { bits: 64 } => {
+                self.0.align();
+                Ok(big_endian(self.0.read_bytes(8)?))
+            }
+            _ => Ok(self.int(ty)? as u64),
+        }
+    }
+
+    fn int(&mut self, ty: &FieldType) -> Result<i64> {
+        let r = &mut self.0;
+        match ty {
+            FieldType::UInt { bits } => decode_constrained(0, max_for_bits(*bits), r),
+            FieldType::Enum { variants } => decode_constrained(0, i64::from(*variants) - 1, r),
+            FieldType::Constrained { lo, hi } => decode_constrained(*lo, *hi, r),
+            FieldType::Int => {
                 r.align();
-                let raw = r.read_bytes(8)?;
-                Ok(Value::U64(u64::from_be_bytes(raw.try_into().expect("8"))))
-            } else {
-                let v = decode_constrained(0, max_for_bits(*bits), r)?;
-                Ok(Value::U64(v as u64))
+                let len = r.read_bytes(1)?[0] as usize;
+                if len == 0 || len > 8 {
+                    return Err(err(format!("bad INTEGER length {len}")));
+                }
+                let octets = r.read_bytes(len)?;
+                let mut v: i64 = if octets[0] & 0x80 != 0 { -1 } else { 0 };
+                for &b in octets {
+                    v = (v << 8) | i64::from(b);
+                }
+                Ok(v)
             }
-        }
-        FieldType::Int => {
-            r.align();
-            let len = r.read_bytes(1)?[0] as usize;
-            if len == 0 || len > 8 {
-                return Err(err(format!("bad INTEGER length {len}")));
-            }
-            let octets = r.read_bytes(len)?;
-            let mut v: i64 = if octets[0] & 0x80 != 0 { -1 } else { 0 };
-            for &b in octets {
-                v = (v << 8) | i64::from(b);
-            }
-            Ok(Value::I64(v))
-        }
-        FieldType::Constrained { lo, hi } => {
-            let v = decode_constrained(*lo, *hi, r)?;
-            if *lo >= 0 {
-                Ok(Value::U64(v as u64))
-            } else {
-                Ok(Value::I64(v))
-            }
-        }
-        FieldType::Enum { variants } => {
-            let v = decode_constrained(0, i64::from(*variants) - 1, r)?;
-            Ok(Value::U64(v as u64))
-        }
-        FieldType::Bytes { max } => {
-            let len = decode_length(*max, r)?;
-            r.align();
-            Ok(Value::Bytes(r.read_bytes(len)?.to_vec()))
-        }
-        FieldType::Utf8 { max } => {
-            let len = decode_length(*max, r)?;
-            r.align();
-            let bytes = r.read_bytes(len)?;
-            let s = std::str::from_utf8(bytes).map_err(|_| err("invalid UTF-8 in string field"))?;
-            Ok(Value::Str(s.to_owned()))
-        }
-        FieldType::BitString { max_bits } => {
-            let len = decode_length(*max_bits, r)?;
-            let mut bits = Vec::with_capacity(len);
-            for _ in 0..len {
-                bits.push(r.read_bit()?);
-            }
-            Ok(Value::Bits(bits))
-        }
-        FieldType::Struct(schema) => decode_struct(schema, r),
-        FieldType::List { elem, max } => {
-            let len = decode_length(*max, r)?;
-            let mut items = Vec::with_capacity(len);
-            for _ in 0..len {
-                items.push(decode_field(elem, r)?);
-            }
-            Ok(Value::List(items))
-        }
-        FieldType::Choice(variants) => {
-            let idx = decode_constrained(0, variants.len() as i64 - 1, r)? as u32;
-            let var = variants
-                .get(idx as usize)
-                .ok_or_else(|| err(format!("choice index {idx} out of range")))?;
-            Ok(Value::Choice {
-                index: idx,
-                value: Box::new(decode_field(&var.ty, r)?),
-            })
-        }
-        FieldType::Optional(inner) => {
-            let present = r.read_bit()?;
-            if present {
-                Ok(Value::Optional(Some(Box::new(decode_field(inner, r)?))))
-            } else {
-                Ok(Value::Optional(None))
-            }
+            ty => Err(mismatch("an integer", ty)),
         }
     }
+
+    fn bytes(&mut self, ty: &FieldType) -> Result<&[u8]> {
+        match ty {
+            FieldType::Bytes { max } => self.octets(*max),
+            ty => Err(mismatch("an octet string", ty)),
+        }
+    }
+
+    fn str(&mut self, ty: &FieldType) -> Result<&str> {
+        let FieldType::Utf8 { max } = ty else {
+            return Err(mismatch("a string", ty));
+        };
+        std::str::from_utf8(self.octets(*max)?).map_err(|_| err("invalid UTF-8 in string field"))
+    }
+
+    fn bits(&mut self, ty: &FieldType) -> Result<Vec<bool>> {
+        let FieldType::BitString { max_bits } = ty else {
+            return Err(mismatch("a bit string", ty));
+        };
+        let len = decode_length(*max_bits, &mut self.0)?;
+        // Reserved only once the input is seen to hold that many bits.
+        let mut bits = Vec::with_capacity(len.min(self.0.remaining_bits()));
+        for _ in 0..len {
+            bits.push(self.0.read_bit()?);
+        }
+        Ok(bits)
+    }
+
+    fn begin_list(&mut self, ty: &FieldType) -> Result<usize> {
+        match ty {
+            FieldType::List { max, .. } => decode_length(*max, &mut self.0),
+            ty => Err(mismatch("a list", ty)),
+        }
+    }
+
+    fn end_list(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn choice(&mut self, ty: &FieldType) -> Result<u32> {
+        let FieldType::Choice(variants) = ty else {
+            return Err(mismatch("a choice", ty));
+        };
+        let index = decode_constrained(0, variants.len() as i64 - 1, &mut self.0)?;
+        if index as usize >= variants.len() {
+            return Err(err(format!("choice index {index} out of range")));
+        }
+        Ok(index as u32)
+    }
+}
+
+fn big_endian(octets: &[u8]) -> u64 {
+    octets.iter().fold(0, |v, &b| (v << 8) | u64::from(b))
 }
 
 /// Encodes a constrained whole number per aligned PER:
 /// * ranges representable in ≤16 bits are written as an unaligned bit field;
 /// * wider ranges are byte-aligned and written in the minimal number of
 ///   whole octets for the range.
-fn encode_constrained(lo: i64, hi: i64, x: i64, w: &mut BitWriter) -> Result<()> {
+fn encode_constrained(lo: i64, hi: i64, x: i64, w: &mut BitWriter<'_>) -> Result<()> {
     if x < lo || x > hi {
         return Err(err(format!("value {x} outside [{lo}, {hi}]")));
     }
@@ -323,13 +358,7 @@ fn decode_constrained(lo: i64, hi: i64, r: &mut BitReader<'_>) -> Result<i64> {
         r.read_bits(bits)?
     } else {
         r.align();
-        let octets = bits.div_ceil(8) as usize;
-        let raw = r.read_bytes(octets)?;
-        let mut v = 0u64;
-        for &b in raw {
-            v = (v << 8) | u64::from(b);
-        }
-        v
+        big_endian(r.read_bytes(bits.div_ceil(8) as usize)?)
     };
     let val = lo as i128 + offset as i128;
     if val > hi as i128 {
@@ -350,7 +379,7 @@ fn bits_for_range_u128(range: u128) -> u8 {
 /// Encodes a length: a constrained count when a max is known and fits 64K,
 /// otherwise the standard aligned general length determinant (1 octet for
 /// < 128, 2 octets `10xxxxxx xxxxxxxx` for < 16384).
-fn encode_length(len: usize, max: Option<u32>, w: &mut BitWriter) -> Result<()> {
+fn encode_length(len: usize, max: Option<u32>, w: &mut BitWriter<'_>) -> Result<()> {
     match max {
         Some(m) if m < 65_536 => {
             if len > m as usize {
@@ -396,29 +425,24 @@ fn decode_length(max: Option<u32>, r: &mut BitReader<'_>) -> Result<usize> {
 
 fn max_for_bits(bits: u8) -> i64 {
     match bits {
-        8 => 0xFF,
-        16 => 0xFFFF,
-        32 => 0xFFFF_FFFF,
-        // 64-bit fields take the raw-octet path in encode/decode.
-        64 => i64::MAX,
+        // 64-bit fields take the raw-octet path in the sink and the source.
+        63.. => i64::MAX,
         other => (1i64 << other) - 1,
     }
 }
 
-fn minimal_twos_complement(x: i64) -> Vec<u8> {
-    let be = x.to_be_bytes();
+/// How many leading octets of a big-endian i64 are pure sign extension.
+fn sign_extension_octets(be: &[u8; 8]) -> usize {
     let mut start = 0;
     while start < 7 {
-        let cur = be[start];
-        let next = be[start + 1];
-        // Drop a leading octet if it is pure sign extension.
+        let (cur, next) = (be[start], be[start + 1]);
         if (cur == 0x00 && next & 0x80 == 0) || (cur == 0xFF && next & 0x80 != 0) {
             start += 1;
         } else {
             break;
         }
     }
-    be[start..].to_vec()
+    start
 }
 
 #[cfg(test)]

@@ -6,7 +6,16 @@
 //! convert to/from `Value`, and each wire format encodes `(Schema, Value)`
 //! pairs. This keeps the seven codecs comparable: they all serialize exactly
 //! the same logical content.
+//!
+//! The codecs on the live path are field sinks and sources
+//! ([`crate::sink`]); this module is also where the two models meet.
+//! [`put_value`] / [`take_value`] drive a sink or a source from a `Value` by
+//! schema — that is all `encode(schema, value)` / `decode` are for those
+//! codecs — and [`ValueSink`] / [`ValueSource`] let a typed message's
+//! `put` / `take` build and read a tree, which is how the comparison codecs
+//! (and `to_value` / `from_value`) are reached.
 
+use crate::sink::{FieldSink, FieldSource, LIST_RESERVE};
 use neutrino_common::{Error, Result};
 use std::fmt;
 use std::sync::Arc;
@@ -69,6 +78,35 @@ pub enum FieldType {
     Choice(Vec<Variant>),
     /// Present-or-absent wrapper (ASN.1 OPTIONAL).
     Optional(Box<FieldType>),
+}
+
+impl FieldType {
+    /// The content type of an `Optional`.
+    pub fn optional_inner(&self) -> Result<&FieldType> {
+        match self {
+            FieldType::Optional(inner) => Ok(inner),
+            ty => Err(Error::schema(format!("{ty:?} is not optional"))),
+        }
+    }
+
+    /// The element type of a `List`.
+    pub fn list_elem(&self) -> Result<&FieldType> {
+        match self {
+            FieldType::List { elem, .. } => Ok(elem),
+            ty => Err(Error::schema(format!("{ty:?} is not a list"))),
+        }
+    }
+
+    /// The payload type of variant `index` of a `Choice`.
+    pub fn variant(&self, index: u32) -> Result<&FieldType> {
+        match self {
+            FieldType::Choice(variants) => variants
+                .get(index as usize)
+                .map(|v| &v.ty)
+                .ok_or_else(|| Error::schema(format!("choice index {index} out of range"))),
+            ty => Err(Error::schema(format!("{ty:?} is not a choice"))),
+        }
+    }
 }
 
 /// One alternative of a [`FieldType::Choice`].
@@ -252,6 +290,404 @@ pub(crate) fn integer_carrier(value: &Value) -> Option<i64> {
         Value::U64(x) => i64::try_from(*x).ok(),
         Value::I64(x) => Some(*x),
         _ => None,
+    }
+}
+
+fn mismatch(ty: &FieldType, value: &Value) -> Error {
+    Error::schema(format!("type mismatch: schema {ty:?} vs value {value:?}"))
+}
+
+// ---------------------------------------------------------------------------
+// The generic `Value` driver: a tree into a sink, a source into a tree
+// ---------------------------------------------------------------------------
+
+/// Streams `value` into `sink` as the struct `schema` describes — what
+/// `encode(schema, value)` is for a codec that is a [`FieldSink`]. Generic
+/// so a codec driving its own sink pays no virtual call per field.
+pub fn put_value<S: FieldSink + ?Sized>(
+    schema: &StructSchema,
+    value: &Value,
+    sink: &mut S,
+) -> Result<()> {
+    let fields = value
+        .as_struct()
+        .filter(|fields| fields.len() == schema.fields.len())
+        .ok_or_else(|| Error::schema(format!("{}: not a struct of its arity", schema.name)))?;
+    sink.begin_struct(schema)?;
+    for (def, val) in schema.fields.iter().zip(fields) {
+        if let FieldType::Optional(_) = def.ty {
+            match val {
+                Value::Optional(opt) => sink.presence(opt.is_some())?,
+                v => return Err(mismatch(&def.ty, v)),
+            }
+        }
+    }
+    for (def, val) in schema.fields.iter().zip(fields) {
+        match (&def.ty, val) {
+            // Announced in the preamble above.
+            (FieldType::Optional(inner), Value::Optional(opt)) => put_optional(inner, opt, sink)?,
+            (ty, v) => put_field(ty, v, sink)?,
+        }
+    }
+    sink.end_struct()
+}
+
+fn put_optional<S: FieldSink + ?Sized>(
+    inner: &FieldType,
+    opt: &Option<Box<Value>>,
+    sink: &mut S,
+) -> Result<()> {
+    sink.optional(inner, opt.is_some())?;
+    match opt {
+        Some(v) => put_field(inner, v, sink),
+        None => Ok(()),
+    }
+}
+
+fn put_field<S: FieldSink + ?Sized>(ty: &FieldType, value: &Value, sink: &mut S) -> Result<()> {
+    match (ty, value) {
+        (FieldType::Bool, Value::Bool(b)) => sink.bool(*b),
+        (FieldType::UInt { .. } | FieldType::Enum { .. }, Value::U64(x)) => sink.uint(ty, *x),
+        (FieldType::Int, Value::I64(x)) => sink.int(ty, *x),
+        (FieldType::Constrained { .. }, v) => {
+            sink.int(ty, integer_carrier(v).ok_or_else(|| mismatch(ty, v))?)
+        }
+        (FieldType::Bytes { .. }, Value::Bytes(bs)) => sink.bytes(ty, bs),
+        (FieldType::Utf8 { .. }, Value::Str(s)) => sink.str(ty, s),
+        (FieldType::BitString { .. }, Value::Bits(bits)) => sink.bits(ty, bits),
+        (FieldType::Struct(schema), v) => put_value(schema, v, sink),
+        (FieldType::List { elem, .. }, Value::List(items)) => {
+            sink.begin_list(ty, items.len())?;
+            for item in items {
+                put_field(elem, item, sink)?;
+            }
+            sink.end_list()
+        }
+        (FieldType::Choice(_), Value::Choice { index, value }) => {
+            let variant = ty.variant(*index)?;
+            sink.choice(ty, *index)?;
+            put_field(variant, value, sink)
+        }
+        // Outside a struct's field list (a list element): no preamble
+        // announced it, so it brings its own presence bit.
+        (FieldType::Optional(inner), Value::Optional(opt)) => {
+            sink.presence(opt.is_some())?;
+            put_optional(inner, opt, sink)
+        }
+        (ty, v) => Err(mismatch(ty, v)),
+    }
+}
+
+/// Reads the struct `schema` describes out of `src` into an owned tree —
+/// what `decode(schema, bytes)` is for a codec that is a [`FieldSource`].
+pub fn take_value<S: FieldSource + ?Sized>(schema: &StructSchema, src: &mut S) -> Result<Value> {
+    src.begin_struct(schema)?;
+    let announced = schema
+        .fields
+        .iter()
+        .filter(|def| matches!(def.ty, FieldType::Optional(_)))
+        .map(|_| src.presence())
+        .collect::<Result<Vec<bool>>>()?;
+    let mut announced = announced.into_iter();
+    let mut fields = Vec::with_capacity(schema.fields.len());
+    for def in &schema.fields {
+        fields.push(match &def.ty {
+            FieldType::Optional(inner) => {
+                take_optional(inner, announced.next().unwrap_or(true), src)?
+            }
+            ty => take_field(ty, src)?,
+        });
+    }
+    src.end_struct()?;
+    Ok(Value::Struct(fields))
+}
+
+fn take_optional<S: FieldSource + ?Sized>(
+    inner: &FieldType,
+    announced: bool,
+    src: &mut S,
+) -> Result<Value> {
+    Ok(if src.optional(inner, announced)? {
+        Value::some(take_field(inner, src)?)
+    } else {
+        Value::none()
+    })
+}
+
+fn take_field<S: FieldSource + ?Sized>(ty: &FieldType, src: &mut S) -> Result<Value> {
+    Ok(match ty {
+        FieldType::Bool => Value::Bool(src.bool()?),
+        FieldType::UInt { .. } | FieldType::Enum { .. } => Value::U64(src.uint(ty)?),
+        FieldType::Int => Value::I64(src.int(ty)?),
+        FieldType::Constrained { lo, .. } if *lo >= 0 => Value::U64(src.uint(ty)?),
+        FieldType::Constrained { .. } => Value::I64(src.int(ty)?),
+        FieldType::Bytes { .. } => Value::Bytes(src.bytes(ty)?.to_vec()),
+        FieldType::Utf8 { .. } => Value::Str(src.str(ty)?.to_owned()),
+        FieldType::BitString { .. } => Value::Bits(src.bits(ty)?),
+        FieldType::Struct(schema) => take_value(schema, src)?,
+        FieldType::List { elem, .. } => {
+            let len = src.begin_list(ty)?;
+            let mut items = Vec::with_capacity(len.min(LIST_RESERVE));
+            for _ in 0..len {
+                items.push(take_field(elem, src)?);
+            }
+            src.end_list()?;
+            Value::List(items)
+        }
+        FieldType::Choice(_) => {
+            let index = src.choice(ty)?;
+            Value::choice(index, take_field(ty.variant(index)?, src)?)
+        }
+        FieldType::Optional(inner) => {
+            let announced = src.presence()?;
+            take_optional(inner, announced, src)?
+        }
+    })
+}
+
+// ---------------------------------------------------------------------------
+// `Value` as a sink and a source
+// ---------------------------------------------------------------------------
+
+/// A [`FieldSink`] that builds the [`Value`] tree of what it is given.
+#[derive(Debug, Default)]
+pub struct ValueSink {
+    open: Vec<Open>,
+    done: Option<Value>,
+}
+
+#[derive(Debug)]
+enum Open {
+    /// A struct or list collecting its members.
+    Members { list: bool, members: Vec<Value> },
+    /// The next value is a present optional's content.
+    Some,
+    /// The next value is this variant's payload.
+    Variant(u32),
+}
+
+impl ValueSink {
+    /// The finished tree: the one root value the sink was given.
+    pub fn finish(self) -> Result<Value> {
+        self.done
+            .filter(|_| self.open.is_empty())
+            .ok_or_else(|| Error::schema("value sink closed before its root value was"))
+    }
+
+    /// Hands a finished value to whatever is waiting for one.
+    fn value(&mut self, mut v: Value) -> Result<()> {
+        loop {
+            match self.open.last_mut() {
+                Some(Open::Members { members, .. }) => members.push(v),
+                Some(Open::Some) => {
+                    self.open.pop();
+                    v = Value::some(v);
+                    continue;
+                }
+                Some(&mut Open::Variant(index)) => {
+                    self.open.pop();
+                    v = Value::choice(index, v);
+                    continue;
+                }
+                None => self.done = Some(v),
+            }
+            return Ok(());
+        }
+    }
+
+    fn close(&mut self, list: bool) -> Result<()> {
+        match self.open.pop() {
+            Some(Open::Members { list: l, members }) if l == list => self.value(if list {
+                Value::List(members)
+            } else {
+                Value::Struct(members)
+            }),
+            _ => Err(Error::schema("value sink: close without a matching open")),
+        }
+    }
+}
+
+impl FieldSink for ValueSink {
+    fn begin_struct(&mut self, schema: &StructSchema) -> Result<()> {
+        self.open.push(Open::Members {
+            list: false,
+            members: Vec::with_capacity(schema.fields.len()),
+        });
+        Ok(())
+    }
+    fn presence(&mut self, _: bool) -> Result<()> {
+        Ok(())
+    }
+    fn optional(&mut self, _: &FieldType, present: bool) -> Result<()> {
+        if present {
+            self.open.push(Open::Some);
+            Ok(())
+        } else {
+            self.value(Value::none())
+        }
+    }
+    fn end_struct(&mut self) -> Result<()> {
+        self.close(false)
+    }
+    fn bool(&mut self, v: bool) -> Result<()> {
+        self.value(Value::Bool(v))
+    }
+    fn uint(&mut self, _: &FieldType, v: u64) -> Result<()> {
+        self.value(Value::U64(v))
+    }
+    fn int(&mut self, _: &FieldType, v: i64) -> Result<()> {
+        self.value(Value::I64(v))
+    }
+    fn bytes(&mut self, _: &FieldType, v: &[u8]) -> Result<()> {
+        self.value(Value::Bytes(v.to_vec()))
+    }
+    fn str(&mut self, _: &FieldType, v: &str) -> Result<()> {
+        self.value(Value::Str(v.to_owned()))
+    }
+    fn bits(&mut self, _: &FieldType, v: &[bool]) -> Result<()> {
+        self.value(Value::Bits(v.to_vec()))
+    }
+    fn begin_list(&mut self, _: &FieldType, len: usize) -> Result<()> {
+        self.open.push(Open::Members {
+            list: true,
+            members: Vec::with_capacity(len),
+        });
+        Ok(())
+    }
+    fn end_list(&mut self) -> Result<()> {
+        self.close(true)
+    }
+    fn choice(&mut self, _: &FieldType, index: u32) -> Result<()> {
+        self.open.push(Open::Variant(index));
+        Ok(())
+    }
+}
+
+/// A [`FieldSource`] that reads a [`Value`] tree. A value of the wrong
+/// shape where one is asked for is a schema `Err`.
+#[derive(Debug)]
+pub struct ValueSource<'v> {
+    /// The members of every open struct and list, innermost last.
+    open: Vec<std::slice::Iter<'v, Value>>,
+    /// The value the next call reads, when it is not the next member: the
+    /// root, an optional's content, a choice's payload.
+    next: Option<&'v Value>,
+}
+
+impl<'v> ValueSource<'v> {
+    /// A source over the root value `root`.
+    pub fn new(root: &'v Value) -> Self {
+        ValueSource {
+            open: Vec::new(),
+            next: Some(root),
+        }
+    }
+
+    fn value(&mut self) -> Result<&'v Value> {
+        self.next
+            .take()
+            .or_else(|| self.open.last_mut()?.next())
+            .ok_or_else(|| Error::schema("no value left where one is expected"))
+    }
+
+    fn close(&mut self) -> Result<()> {
+        self.open
+            .pop()
+            .map(|_| ())
+            .ok_or_else(|| Error::schema("close without a matching open"))
+    }
+}
+
+fn shape(expected: &str, got: &Value) -> Error {
+    Error::schema(format!("expected {expected}, got {got:?}"))
+}
+
+impl FieldSource for ValueSource<'_> {
+    fn begin_struct(&mut self, schema: &StructSchema) -> Result<()> {
+        match self.value()? {
+            Value::Struct(fs) if fs.len() == schema.fields.len() => {
+                self.open.push(fs.iter());
+                Ok(())
+            }
+            Value::Struct(fs) => Err(Error::schema(format!(
+                "{}: expected {} fields, got {}",
+                schema.name,
+                schema.fields.len(),
+                fs.len()
+            ))),
+            _ => Err(Error::schema(format!("{}: not a struct", schema.name))),
+        }
+    }
+    fn presence(&mut self) -> Result<bool> {
+        Ok(true)
+    }
+    fn optional(&mut self, _: &FieldType, _: bool) -> Result<bool> {
+        match self.value()? {
+            Value::Optional(opt) => {
+                self.next = opt.as_deref();
+                Ok(opt.is_some())
+            }
+            v => Err(shape("an optional", v)),
+        }
+    }
+    fn end_struct(&mut self) -> Result<()> {
+        self.close()
+    }
+    fn bool(&mut self) -> Result<bool> {
+        match self.value()? {
+            Value::Bool(b) => Ok(*b),
+            v => Err(shape("a bool", v)),
+        }
+    }
+    fn uint(&mut self, _: &FieldType) -> Result<u64> {
+        match self.value()? {
+            Value::U64(x) => Ok(*x),
+            v => Err(shape("an unsigned integer", v)),
+        }
+    }
+    fn int(&mut self, _: &FieldType) -> Result<i64> {
+        let v = self.value()?;
+        integer_carrier(v).ok_or_else(|| shape("an integer", v))
+    }
+    fn bytes(&mut self, _: &FieldType) -> Result<&[u8]> {
+        match self.value()? {
+            Value::Bytes(bs) => Ok(bs),
+            v => Err(shape("an octet string", v)),
+        }
+    }
+    fn str(&mut self, _: &FieldType) -> Result<&str> {
+        match self.value()? {
+            Value::Str(s) => Ok(s),
+            v => Err(shape("a string", v)),
+        }
+    }
+    fn bits(&mut self, _: &FieldType) -> Result<Vec<bool>> {
+        match self.value()? {
+            Value::Bits(bits) => Ok(bits.clone()),
+            v => Err(shape("a bit string", v)),
+        }
+    }
+    fn begin_list(&mut self, _: &FieldType) -> Result<usize> {
+        match self.value()? {
+            Value::List(items) => {
+                self.open.push(items.iter());
+                Ok(items.len())
+            }
+            v => Err(shape("a list", v)),
+        }
+    }
+    fn end_list(&mut self) -> Result<()> {
+        self.close()
+    }
+    fn choice(&mut self, ty: &FieldType) -> Result<u32> {
+        match self.value()? {
+            Value::Choice { index, value } => {
+                ty.variant(*index)?;
+                self.next = Some(value);
+                Ok(*index)
+            }
+            v => Err(shape("a choice", v)),
+        }
     }
 }
 

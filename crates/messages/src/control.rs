@@ -97,6 +97,26 @@ macro_rules! control_messages {
                     $(ControlMessage::$variant(m) => m.to_value(),)+
                 }
             }
+
+            /// Encodes the message through a codec: its fields stream into
+            /// the codec's image, no value tree in between.
+            pub fn encode(&self, codec: &dyn WireFormat, out: &mut Vec<u8>) -> Result<()> {
+                match self {
+                    $(ControlMessage::$variant(m) => m.encode(codec, out),)+
+                }
+            }
+
+            /// Decodes a message of known `kind` through a codec.
+            pub fn decode(
+                kind: MessageKind,
+                codec: &dyn WireFormat,
+                bytes: &[u8],
+            ) -> Result<Self> {
+                match kind {
+                    $(MessageKind::$variant =>
+                        <$variant as Wire>::decode(codec, bytes).map(ControlMessage::$variant),)+
+                }
+            }
         }
     };
 }
@@ -133,18 +153,6 @@ control_messages!(
     UeContextReleaseComplete,
     Paging,
 );
-
-impl ControlMessage {
-    /// Encodes the message through a codec.
-    pub fn encode(&self, codec: &dyn WireFormat, out: &mut Vec<u8>) -> Result<()> {
-        codec.encode(&self.kind().schema(), &self.to_value(), out)
-    }
-
-    /// Decodes a message of known `kind` through a codec.
-    pub fn decode(kind: MessageKind, codec: &dyn WireFormat, bytes: &[u8]) -> Result<Self> {
-        kind.from_value(&codec.decode(&kind.schema(), bytes)?)
-    }
-}
 
 impl std::fmt::Display for MessageKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

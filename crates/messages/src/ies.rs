@@ -5,9 +5,10 @@
 //! nested SEQUENCEs, small constrained integers, octet strings for
 //! transport containers, and CHOICEs for UE identities.
 
-use crate::wire::{field_err, optional, wire_struct, WireField};
-use neutrino_codec::value::{FieldType, Value, Variant};
-use neutrino_common::Result;
+use crate::wire::{optional, wire_struct, WireField};
+use neutrino_codec::sink::{FieldSink, FieldSource};
+use neutrino_codec::value::{FieldType, Variant};
+use neutrino_common::{Error, Result};
 
 wire_struct! {
     /// Tracking Area Identity: PLMN (3 octets worth) + 16-bit TAC.
@@ -70,22 +71,24 @@ impl UeIdentity {
 }
 
 impl WireField for UeIdentity {
-    fn to_field(&self) -> Value {
+    fn put_field(&self, ty: &FieldType, sink: &mut dyn FieldSink) -> Result<()> {
         match self {
-            UeIdentity::STmsi(t) => Value::choice(0, t.to_field()),
-            UeIdentity::Imsi(s) => Value::choice(1, s.to_field()),
+            UeIdentity::STmsi(t) => {
+                sink.choice(ty, 0)?;
+                t.put_field(ty.variant(0)?, sink)
+            }
+            UeIdentity::Imsi(s) => {
+                sink.choice(ty, 1)?;
+                s.put_field(ty.variant(1)?, sink)
+            }
         }
     }
 
-    fn from_field(v: &Value, msg: &str, field: &str) -> Result<Self> {
-        match v {
-            Value::Choice { index: 0, value } => {
-                Ok(UeIdentity::STmsi(u32::from_field(value, msg, field)?))
-            }
-            Value::Choice { index: 1, value } => {
-                Ok(UeIdentity::Imsi(String::from_field(value, msg, field)?))
-            }
-            _ => Err(field_err(msg, field)),
+    fn take_field(ty: &FieldType, src: &mut dyn FieldSource, _: bool) -> Result<Self> {
+        match src.choice(ty)? {
+            0 => u32::take_field(ty.variant(0)?, src, true).map(UeIdentity::STmsi),
+            1 => String::take_field(ty.variant(1)?, src, true).map(UeIdentity::Imsi),
+            other => Err(Error::schema(format!("no identity variant {other}"))),
         }
     }
 }
@@ -216,10 +219,24 @@ mod tests {
 
     #[test]
     fn ue_identity_choice_values() {
-        let t = UeIdentity::STmsi(0xDEAD_BEEF);
-        let i = UeIdentity::Imsi("310410123456789".into());
-        assert_eq!(UeIdentity::from_field(&t.to_field(), "M", "f").unwrap(), t);
-        assert_eq!(UeIdentity::from_field(&i.to_field(), "M", "f").unwrap(), i);
+        use neutrino_codec::value::{Value, ValueSink, ValueSource};
+        let ty = UeIdentity::field_type();
+        for (id, value) in [
+            (
+                UeIdentity::STmsi(0xDEAD_BEEF),
+                Value::choice(0, Value::U64(0xDEAD_BEEF)),
+            ),
+            (
+                UeIdentity::Imsi("310410123456789".into()),
+                Value::choice(1, Value::Str("310410123456789".into())),
+            ),
+        ] {
+            let mut sink = ValueSink::default();
+            id.put_field(&ty, &mut sink).unwrap();
+            assert_eq!(sink.finish().unwrap(), value);
+            let mut src = ValueSource::new(&value);
+            assert_eq!(UeIdentity::take_field(&ty, &mut src, true).unwrap(), id);
+        }
     }
 
     #[test]

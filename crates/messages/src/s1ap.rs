@@ -5,9 +5,10 @@
 //! plus the handover family, NAS transport, context release, and paging.
 
 use crate::ies::{Cgi, ErabFailedItem, ErabSetupItem, ErabToSetup, Tai, UeAmbr, UeIdentity};
-use crate::wire::{field_err, fields, list_of, optional, wire_struct, WireField};
-use neutrino_codec::value::{FieldType, StructSchema, Value, Variant};
-use neutrino_common::Result;
+use crate::wire::{in_field, list_of, optional, wire_struct, WireField};
+use neutrino_codec::sink::{FieldSink, FieldSource};
+use neutrino_codec::value::{FieldType, StructSchema, Variant};
+use neutrino_common::{Error, Result};
 use std::sync::Arc;
 
 wire_struct! {
@@ -400,33 +401,54 @@ impl ReleaseIds {
     }
 }
 
+/// The `pair` variant's inline struct, out of the CHOICE type.
+fn pair_schema(ty: &FieldType) -> Result<&StructSchema> {
+    match ty.variant(1)? {
+        FieldType::Struct(pair) if pair.fields.len() == 2 => Ok(pair),
+        ty => Err(Error::schema(format!("{ty:?} is not the id pair"))),
+    }
+}
+
 impl WireField for ReleaseIds {
-    fn to_field(&self) -> Value {
+    fn put_field(&self, ty: &FieldType, sink: &mut dyn FieldSink) -> Result<()> {
         match self {
-            ReleaseIds::MmeOnly(id) => Value::choice(0, id.to_field()),
+            ReleaseIds::MmeOnly(id) => {
+                sink.choice(ty, 0)?;
+                id.put_field(ty.variant(0)?, sink)
+            }
             ReleaseIds::Pair {
                 mme_ue_id,
                 enb_ue_id,
-            } => Value::choice(
-                1,
-                Value::Struct(vec![mme_ue_id.to_field(), enb_ue_id.to_field()]),
-            ),
+            } => {
+                let pair = pair_schema(ty)?;
+                sink.choice(ty, 1)?;
+                sink.begin_struct(pair)?;
+                mme_ue_id.put_field(&pair.fields[0].ty, sink)?;
+                enb_ue_id.put_field(&pair.fields[1].ty, sink)?;
+                sink.end_struct()
+            }
         }
     }
 
-    fn from_field(v: &Value, msg: &str, field: &str) -> Result<Self> {
-        match v {
-            Value::Choice { index: 0, value } => Ok(ReleaseIds::MmeOnly(u32::from_field(
-                value, msg, "mme_only",
-            )?)),
-            Value::Choice { index: 1, value } => {
-                let [mme_ue_id, enb_ue_id] = fields(value, msg)?;
+    fn take_field(ty: &FieldType, src: &mut dyn FieldSource, _: bool) -> Result<Self> {
+        match src.choice(ty)? {
+            0 => u32::take_field(ty.variant(0)?, src, true)
+                .map(ReleaseIds::MmeOnly)
+                .map_err(|e| in_field(e, "ReleaseIds", "mme_only")),
+            1 => {
+                let pair = pair_schema(ty)?;
+                src.begin_struct(pair)?;
+                let mme_ue_id = u32::take_field(&pair.fields[0].ty, src, true)
+                    .map_err(|e| in_field(e, &pair.name, "mme_ue_id"))?;
+                let enb_ue_id = u32::take_field(&pair.fields[1].ty, src, true)
+                    .map_err(|e| in_field(e, &pair.name, "enb_ue_id"))?;
+                src.end_struct()?;
                 Ok(ReleaseIds::Pair {
-                    mme_ue_id: u32::from_field(mme_ue_id, msg, "mme_ue_id")?,
-                    enb_ue_id: u32::from_field(enb_ue_id, msg, "enb_ue_id")?,
+                    mme_ue_id,
+                    enb_ue_id,
                 })
             }
-            _ => Err(field_err(msg, field)),
+            other => Err(Error::schema(format!("no release-id variant {other}"))),
         }
     }
 }

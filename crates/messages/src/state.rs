@@ -7,11 +7,11 @@
 //! hold (or reconstruct by replay) before it may serve the UE.
 
 use crate::ies::Tai;
-use crate::wire::{fields, list_of, optional, wire_struct, Wire, WireField};
-use neutrino_codec::value::{FieldType, Schema, StructSchema, Value};
+use crate::wire::{list_of, optional, wire_struct, WireField};
+use neutrino_codec::sink::{FieldSink, FieldSource};
+use neutrino_codec::value::{FieldType, SchemaBuilder};
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, ProcedureId, Result, SessionId, UeId, UpfId};
-use std::sync::{Arc, OnceLock};
 
 /// Version of a UE state snapshot: which procedure produced it and the
 /// logical clock of that procedure's last message.
@@ -32,6 +32,46 @@ impl StateVersion {
         procedure: ProcedureId(0),
         clock: ClockTick(0),
     };
+}
+
+/// An id or a clock streams as the integer it wraps.
+macro_rules! id_wire_field {
+    ($($t:ty),+) => {$(
+        impl WireField for $t {
+            fn put_field(&self, ty: &FieldType, sink: &mut dyn FieldSink) -> Result<()> {
+                sink.uint(ty, self.raw())
+            }
+
+            fn take_field(ty: &FieldType, src: &mut dyn FieldSource, _: bool) -> Result<Self> {
+                Ok(Self(src.uint(ty)?))
+            }
+        }
+    )+};
+}
+id_wire_field!(UeId, BsId, UpfId, SessionId, ProcedureId, ClockTick);
+
+/// A version is flattened into its struct: a field `f` declared with one
+/// type is two wire fields of that type, `f_procedure` and `f_clock`.
+impl WireField for StateVersion {
+    const SPAN: usize = 2;
+
+    fn declare(schema: SchemaBuilder, name: &str, ty: FieldType) -> SchemaBuilder {
+        schema
+            .field(format!("{name}_procedure"), ty.clone())
+            .field(format!("{name}_clock"), ty)
+    }
+
+    fn put_field(&self, ty: &FieldType, sink: &mut dyn FieldSink) -> Result<()> {
+        self.procedure.put_field(ty, sink)?;
+        self.clock.put_field(ty, sink)
+    }
+
+    fn take_field(ty: &FieldType, src: &mut dyn FieldSource, _: bool) -> Result<Self> {
+        Ok(StateVersion {
+            procedure: ProcedureId::take_field(ty, src, true)?,
+            clock: ClockTick::take_field(ty, src, true)?,
+        })
+    }
 }
 
 wire_struct! {
@@ -57,34 +97,55 @@ wire_struct! {
     }
 }
 
-/// The complete per-UE control state a CPF maintains and replicates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UeState {
-    /// Network-internal UE id (equal-valued with the S1AP id, §4.3 fn. 15).
-    pub ue: UeId,
-    /// Current M-TMSI.
-    pub tmsi: u32,
-    /// Whether the UE is attached.
-    pub attached: bool,
-    /// Whether the UE is in connected (vs idle) RRC state.
-    pub connected: bool,
-    /// Serving base station.
-    pub serving_bs: BsId,
-    /// Serving UPF.
-    pub serving_upf: UpfId,
-    /// Data session on the UPF, when established.
-    pub session: Option<SessionId>,
-    /// Current tracking area.
-    pub tai: Tai,
-    /// Tracking-area list granted to the UE — must match the UE's copy
-    /// (§3.1's consistency example).
-    pub tai_list: Vec<Tai>,
-    /// Established bearers.
-    pub bearers: Vec<BearerContext>,
-    /// Security key material.
-    pub security_key: Vec<u8>,
-    /// Version of this snapshot.
-    pub version: StateVersion,
+wire_struct! {
+    /// The complete per-UE control state a CPF maintains and replicates.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct UeState {
+        /// Network-internal UE id (equal-valued with the S1AP id, §4.3 fn. 15).
+        pub ue: UeId = FieldType::UInt { bits: 64 },
+        /// Current M-TMSI.
+        pub tmsi: u32 = FieldType::UInt { bits: 32 },
+        /// Whether the UE is attached.
+        pub attached: bool = FieldType::Bool,
+        /// Whether the UE is in connected (vs idle) RRC state.
+        pub connected: bool = FieldType::Bool,
+        /// Serving base station.
+        pub serving_bs: BsId = FieldType::UInt { bits: 64 },
+        /// Serving UPF.
+        pub serving_upf: UpfId = FieldType::UInt { bits: 64 },
+        /// Data session on the UPF, when established.
+        pub session: Option<SessionId> = optional(FieldType::UInt { bits: 64 }),
+        /// Current tracking area.
+        pub tai: Tai = Tai::field_type(),
+        /// Tracking-area list granted to the UE — must match the UE's copy
+        /// (§3.1's consistency example).
+        pub tai_list: Vec<Tai> = list_of(Tai::field_type(), 16),
+        /// Established bearers.
+        pub bearers: Vec<BearerContext> = list_of(BearerContext::field_type(), 16),
+        /// Security key material.
+        pub security_key: Vec<u8> = FieldType::Bytes { max: Some(64) },
+        /// Version of this snapshot: `version_procedure`, `version_clock`.
+        pub version: StateVersion = FieldType::UInt { bits: 64 },
+    }
+    fn sample(seed) {
+        UeState {
+            ue: UeId::new(seed),
+            tmsi: (seed & 0xFFFF_FFFF) as u32,
+            attached: true,
+            connected: seed.is_multiple_of(2),
+            serving_bs: BsId::new(seed % 64),
+            serving_upf: UpfId::new(seed % 8),
+            session: Some(SessionId::new(seed.wrapping_mul(3))),
+            tai: Tai::sample(seed),
+            tai_list: (0..3).map(|i| Tai::sample(seed + i)).collect(),
+            bearers: (0..2).map(|i| BearerContext::sample(seed + i)).collect(),
+            security_key: (0..32).map(|i| (seed as u8).wrapping_add(i)).collect(),
+            version: StateVersion {
+                procedure: ProcedureId::new(seed % 100 + 1),
+                clock: ClockTick(seed % 1000 + 1),
+            },
+        }
+    }
 }
 
 impl UeState {
@@ -112,97 +173,11 @@ impl UeState {
     }
 }
 
-impl Wire for UeState {
-    fn schema() -> Arc<Schema> {
-        static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
-        SCHEMA
-            .get_or_init(|| {
-                Arc::new(
-                    StructSchema::builder("UeState")
-                        .field("ue", FieldType::UInt { bits: 64 })
-                        .field("tmsi", FieldType::UInt { bits: 32 })
-                        .field("attached", FieldType::Bool)
-                        .field("connected", FieldType::Bool)
-                        .field("serving_bs", FieldType::UInt { bits: 64 })
-                        .field("serving_upf", FieldType::UInt { bits: 64 })
-                        .field("session", optional(FieldType::UInt { bits: 64 }))
-                        .field("tai", Tai::field_type())
-                        .field("tai_list", list_of(Tai::field_type(), 16))
-                        .field("bearers", list_of(BearerContext::field_type(), 16))
-                        .field("security_key", FieldType::Bytes { max: Some(64) })
-                        .field("version_procedure", FieldType::UInt { bits: 64 })
-                        .field("version_clock", FieldType::UInt { bits: 64 })
-                        .build(),
-                )
-            })
-            .clone()
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Struct(vec![
-            self.ue.raw().to_field(),
-            self.tmsi.to_field(),
-            self.attached.to_field(),
-            self.connected.to_field(),
-            self.serving_bs.raw().to_field(),
-            self.serving_upf.raw().to_field(),
-            self.session.map(SessionId::raw).to_field(),
-            self.tai.to_field(),
-            self.tai_list.to_field(),
-            self.bearers.to_field(),
-            self.security_key.to_field(),
-            self.version.procedure.raw().to_field(),
-            self.version.clock.raw().to_field(),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self> {
-        const M: &str = "UeState";
-        let f: &[Value; 13] = fields(v, M)?;
-        Ok(UeState {
-            ue: UeId::new(u64::from_field(&f[0], M, "ue")?),
-            tmsi: u32::from_field(&f[1], M, "tmsi")?,
-            attached: bool::from_field(&f[2], M, "attached")?,
-            connected: bool::from_field(&f[3], M, "connected")?,
-            serving_bs: BsId::new(u64::from_field(&f[4], M, "serving_bs")?),
-            serving_upf: UpfId::new(u64::from_field(&f[5], M, "serving_upf")?),
-            session: Option::<u64>::from_field(&f[6], M, "session")?.map(SessionId::new),
-            tai: Tai::from_field(&f[7], M, "tai")?,
-            tai_list: Vec::from_field(&f[8], M, "tai_list")?,
-            bearers: Vec::from_field(&f[9], M, "bearers")?,
-            security_key: Vec::from_field(&f[10], M, "security_key")?,
-            version: StateVersion {
-                procedure: ProcedureId::new(u64::from_field(&f[11], M, "version_procedure")?),
-                clock: ClockTick(u64::from_field(&f[12], M, "version_clock")?),
-            },
-        })
-    }
-
-    fn sample(seed: u64) -> Self {
-        UeState {
-            ue: UeId::new(seed),
-            tmsi: (seed & 0xFFFF_FFFF) as u32,
-            attached: true,
-            connected: seed.is_multiple_of(2),
-            serving_bs: BsId::new(seed % 64),
-            serving_upf: UpfId::new(seed % 8),
-            session: Some(SessionId::new(seed.wrapping_mul(3))),
-            tai: Tai::sample(seed),
-            tai_list: (0..3).map(|i| Tai::sample(seed + i)).collect(),
-            bearers: (0..2).map(|i| BearerContext::sample(seed + i)).collect(),
-            security_key: (0..32).map(|i| (seed as u8).wrapping_add(i)).collect(),
-            version: StateVersion {
-                procedure: ProcedureId::new(seed % 100 + 1),
-                clock: ClockTick(seed % 1000 + 1),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::testutil::round_trip_all_codecs;
+    use crate::wire::Wire;
 
     #[test]
     fn ue_state_round_trips() {

@@ -1,36 +1,66 @@
 //! The `Wire` trait: everything a message type needs to travel through any
 //! codec, and `wire_struct!`, the one declaration a message's struct, schema
-//! and value conversions are generated from.
+//! and field streaming are generated from.
 
-use neutrino_codec::value::{FieldType, Schema, Value};
+use neutrino_codec::sink::{FieldSink, FieldSource, LIST_RESERVE};
+use neutrino_codec::value::{FieldType, Schema, SchemaBuilder, Value, ValueSink, ValueSource};
 use neutrino_codec::WireFormat;
 use neutrino_common::{Error, Result};
 use std::sync::Arc;
 
-/// A message (or IE) with a schema, value conversion, and a realistic sample.
+/// A message (or IE) with a schema, a field stream in each direction, and a
+/// realistic sample.
 pub trait Wire: Sized {
     /// The message's schema (shared, built once).
-    fn schema() -> Arc<Schema>;
+    fn layout() -> &'static Arc<Schema>;
 
-    /// Converts to the codec value model. The result always validates
-    /// against [`Wire::schema`].
-    fn to_value(&self) -> Value;
+    /// Streams the message into `sink`, field by field in schema order
+    /// (`neutrino_codec::sink` has the call order). Every codec's image of
+    /// the message is what its sink makes of these calls.
+    fn put(&self, sink: &mut dyn FieldSink) -> Result<()>;
 
-    /// Parses back from a value produced by any codec's decode.
-    fn from_value(v: &Value) -> Result<Self>;
+    /// Reads the message back out of `src`, in the order [`put`](Self::put)
+    /// wrote it. A value outside a field's Rust type is an error naming the
+    /// message and the field.
+    fn take(src: &mut dyn FieldSource) -> Result<Self>;
 
     /// A realistic sample instance (field contents modeled on real traces)
     /// for calibration and benchmarks. `seed` varies the contents.
     fn sample(seed: u64) -> Self;
 
+    /// The message's schema.
+    fn schema() -> Arc<Schema> {
+        Self::layout().clone()
+    }
+
+    /// Converts to the codec value model. The result always validates
+    /// against [`Wire::schema`].
+    fn to_value(&self) -> Value {
+        let mut tree = ValueSink::default();
+        // A `ValueSink` refuses nothing, so `put` cannot fail into it.
+        self.put(&mut tree)
+            .and_then(|()| tree.finish())
+            .expect("a wire type follows the sink call order")
+    }
+
+    /// Parses back from a value produced by any codec's decode.
+    fn from_value(v: &Value) -> Result<Self> {
+        Self::take(&mut ValueSource::new(v))
+    }
+
     /// Encodes through a codec.
     fn encode(&self, codec: &dyn WireFormat, out: &mut Vec<u8>) -> Result<()> {
-        codec.encode(&Self::schema(), &self.to_value(), out)
+        codec.encode_with(Self::layout(), out, &mut |sink| self.put(sink))
     }
 
     /// Decodes through a codec.
     fn decode(codec: &dyn WireFormat, bytes: &[u8]) -> Result<Self> {
-        Self::from_value(&codec.decode(&Self::schema(), bytes)?)
+        let mut msg = None;
+        codec.decode_with(Self::layout(), bytes, &mut |src| {
+            msg = Some(Self::take(src)?);
+            Ok(())
+        })?;
+        msg.ok_or_else(|| Error::schema(format!("{}: nothing decoded", Self::layout().name)))
     }
 
     /// The type as a nested field of another schema.
@@ -42,8 +72,7 @@ pub trait Wire: Sized {
 // --- the one field table ----------------------------------------------------
 
 /// Declares a wire type once: the struct, and from the same field list its
-/// schema (named after the struct and its fields), `to_value`, and
-/// `from_value` with the arity check.
+/// schema (named after the struct and its fields), `put`, and `take`.
 ///
 /// ```text
 /// wire_struct! {
@@ -57,8 +86,8 @@ pub trait Wire: Sized {
 /// }
 /// ```
 ///
-/// Each `RustType` must be a [`WireField`], whose `Value` shape must be the
-/// one the field's `FieldType` describes.
+/// Each `RustType` must be a [`WireField`] that streams as the shape the
+/// field's `FieldType` describes.
 macro_rules! wire_struct {
     (
         $(#[$meta:meta])*
@@ -73,35 +102,53 @@ macro_rules! wire_struct {
         }
 
         impl $crate::wire::Wire for $name {
-            fn schema() -> ::std::sync::Arc<::neutrino_codec::value::Schema> {
+            fn layout() -> &'static ::std::sync::Arc<::neutrino_codec::value::Schema> {
                 static SCHEMA: ::std::sync::OnceLock<
                     ::std::sync::Arc<::neutrino_codec::value::Schema>,
                 > = ::std::sync::OnceLock::new();
-                SCHEMA
-                    .get_or_init(|| {
-                        ::std::sync::Arc::new(
-                            ::neutrino_codec::value::StructSchema::builder(stringify!($name))
-                                $( .field(stringify!($field), $ft) )+
-                                .build(),
-                        )
-                    })
-                    .clone()
-            }
-
-            fn to_value(&self) -> ::neutrino_codec::value::Value {
-                ::neutrino_codec::value::Value::Struct(vec![
-                    $( $crate::wire::WireField::to_field(&self.$field), )+
-                ])
-            }
-
-            fn from_value(v: &::neutrino_codec::value::Value) -> ::neutrino_common::Result<Self> {
-                const M: &str = stringify!($name);
-                let [$($field),+] = $crate::wire::fields(v, M)?;
-                Ok($name {
-                    $( $field: $crate::wire::WireField::from_field(
-                        $field, M, stringify!($field),
-                    )?, )+
+                SCHEMA.get_or_init(|| {
+                    let schema = ::neutrino_codec::value::StructSchema::builder(stringify!($name));
+                    $( let schema = <$ty as $crate::wire::WireField>::declare(
+                        schema, stringify!($field), $ft,
+                    ); )+
+                    ::std::sync::Arc::new(schema.build())
                 })
+            }
+
+            fn put(
+                &self,
+                sink: &mut dyn ::neutrino_codec::sink::FieldSink,
+            ) -> ::neutrino_common::Result<()> {
+                let schema = Self::layout();
+                sink.begin_struct(schema)?;
+                $( $crate::wire::WireField::put_presence(&self.$field, sink)?; )+
+                let mut at = 0;
+                $(
+                    $crate::wire::WireField::put_field(&self.$field, &schema.fields[at].ty, sink)?;
+                    at += <$ty as $crate::wire::WireField>::SPAN;
+                )+
+                let _ = at;
+                sink.end_struct()
+            }
+
+            fn take(
+                src: &mut dyn ::neutrino_codec::sink::FieldSource,
+            ) -> ::neutrino_common::Result<Self> {
+                const M: &str = stringify!($name);
+                let schema = Self::layout();
+                src.begin_struct(schema)?;
+                $( let $field = <$ty as $crate::wire::WireField>::take_presence(src)?; )+
+                let mut at = 0;
+                $(
+                    let $field = <$ty as $crate::wire::WireField>::take_field(
+                        &schema.fields[at].ty, src, $field,
+                    )
+                    .map_err(|e| $crate::wire::in_field(e, M, stringify!($field)))?;
+                    at += <$ty as $crate::wire::WireField>::SPAN;
+                )+
+                let _ = at;
+                src.end_struct()?;
+                Ok($name { $($field),+ })
             }
 
             fn sample($seed: u64) -> Self $sample
@@ -110,108 +157,142 @@ macro_rules! wire_struct {
 }
 pub(crate) use wire_struct;
 
-/// A Rust type that can sit in a wire struct's field: its `Value` shape.
+/// A Rust type that can sit in a wire struct's field: how it streams.
 pub(crate) trait WireField: Sized {
-    /// The field's value.
-    fn to_field(&self) -> Value;
+    /// How many schema fields the type spans: one, unless it flattens.
+    const SPAN: usize = 1;
 
-    /// Parses the field `field` of message `msg` (both only name the error).
-    fn from_field(v: &Value, msg: &str, field: &str) -> Result<Self>;
+    /// Declares the field `name` of type `ty` in its struct's schema.
+    fn declare(schema: SchemaBuilder, name: &str, ty: FieldType) -> SchemaBuilder {
+        schema.field(name, ty)
+    }
+
+    /// The struct preamble's word on the field; only an `Option` has one.
+    fn put_presence(&self, _sink: &mut dyn FieldSink) -> Result<()> {
+        Ok(())
+    }
+
+    /// Streams the field, declared as `ty`, into `sink`.
+    fn put_field(&self, ty: &FieldType, sink: &mut dyn FieldSink) -> Result<()>;
+
+    /// Reads the struct preamble's word on the field.
+    fn take_presence(_src: &mut dyn FieldSource) -> Result<bool> {
+        Ok(true)
+    }
+
+    /// Reads the field, declared as `ty`, out of `src`; `announced` is
+    /// what [`take_presence`](Self::take_presence) returned for it.
+    fn take_field(ty: &FieldType, src: &mut dyn FieldSource, announced: bool) -> Result<Self>;
 }
 
-/// Error for a malformed field during `from_value`.
-pub(crate) fn field_err(msg: &str, field: &str) -> Error {
-    Error::schema(format!("{msg}: bad field `{field}`"))
-}
-
-/// Extracts struct fields, checking arity (`N`, usually inferred from the
-/// pattern the caller destructures into).
-pub(crate) fn fields<'v, const N: usize>(v: &'v Value, msg: &str) -> Result<&'v [Value; N]> {
-    let fs = v
-        .as_struct()
-        .ok_or_else(|| Error::schema(format!("{msg}: not a struct")))?;
-    fs.try_into()
-        .map_err(|_| Error::schema(format!("{msg}: expected {N} fields, got {}", fs.len())))
+/// A schema error met while reading `field` of `msg`, restated under both
+/// names so the outermost message is always named; a codec's own error
+/// (truncated, out of bounds) passes as it is.
+pub(crate) fn in_field(e: Error, msg: &str, field: &str) -> Error {
+    match e {
+        Error::Schema(detail) => Error::schema(format!("{msg}: bad field `{field}`: {detail}")),
+        e => e,
+    }
 }
 
 macro_rules! uint_wire_field {
     ($($t:ty),+) => {$(
         impl WireField for $t {
-            fn to_field(&self) -> Value {
-                Value::U64(u64::from(*self))
+            fn put_field(&self, ty: &FieldType, sink: &mut dyn FieldSink) -> Result<()> {
+                sink.uint(ty, u64::from(*self))
             }
 
-            fn from_field(v: &Value, msg: &str, field: &str) -> Result<Self> {
-                match v {
-                    Value::U64(x) => <$t>::try_from(*x).map_err(|_| field_err(msg, field)),
-                    _ => Err(field_err(msg, field)),
-                }
+            fn take_field(ty: &FieldType, src: &mut dyn FieldSource, _: bool) -> Result<Self> {
+                let x = src.uint(ty)?;
+                <$t>::try_from(x).map_err(|_| Error::schema(format!("{x} out of range")))
             }
         }
     )+};
 }
-uint_wire_field!(u8, u16, u32);
+uint_wire_field!(u8, u16, u32, u64);
 
-/// A leaf whose `Value` variant holds the Rust type itself.
+impl WireField for bool {
+    fn put_field(&self, _: &FieldType, sink: &mut dyn FieldSink) -> Result<()> {
+        sink.bool(*self)
+    }
+
+    fn take_field(_: &FieldType, src: &mut dyn FieldSource, _: bool) -> Result<Self> {
+        src.bool()
+    }
+}
+
+/// A leaf the sink takes by reference and the source hands back borrowed.
 macro_rules! leaf_wire_field {
-    ($($t:ty => $variant:ident),+ $(,)?) => {$(
+    ($($t:ty => $method:ident),+ $(,)?) => {$(
         impl WireField for $t {
-            fn to_field(&self) -> Value {
-                Value::$variant(self.clone())
+            fn put_field(&self, ty: &FieldType, sink: &mut dyn FieldSink) -> Result<()> {
+                sink.$method(ty, self)
             }
 
-            fn from_field(v: &Value, msg: &str, field: &str) -> Result<Self> {
-                match v {
-                    Value::$variant(x) => Ok(x.clone()),
-                    _ => Err(field_err(msg, field)),
-                }
+            fn take_field(ty: &FieldType, src: &mut dyn FieldSource, _: bool) -> Result<Self> {
+                Ok(src.$method(ty)?.into())
             }
         }
     )+};
 }
-leaf_wire_field!(u64 => U64, bool => Bool, Vec<u8> => Bytes, Vec<bool> => Bits, String => Str);
+leaf_wire_field!(Vec<u8> => bytes, Vec<bool> => bits, String => str);
 
 impl<T: WireField> WireField for Option<T> {
-    fn to_field(&self) -> Value {
+    fn put_presence(&self, sink: &mut dyn FieldSink) -> Result<()> {
+        sink.presence(self.is_some())
+    }
+
+    fn put_field(&self, ty: &FieldType, sink: &mut dyn FieldSink) -> Result<()> {
+        let inner = ty.optional_inner()?;
+        sink.optional(inner, self.is_some())?;
         match self {
-            Some(x) => Value::some(x.to_field()),
-            None => Value::none(),
+            Some(x) => x.put_field(inner, sink),
+            None => Ok(()),
         }
     }
 
-    fn from_field(v: &Value, msg: &str, field: &str) -> Result<Self> {
-        match v {
-            Value::Optional(opt) => opt
-                .as_deref()
-                .map(|x| T::from_field(x, msg, field))
-                .transpose(),
-            _ => Err(field_err(msg, field)),
+    fn take_presence(src: &mut dyn FieldSource) -> Result<bool> {
+        src.presence()
+    }
+
+    fn take_field(ty: &FieldType, src: &mut dyn FieldSource, announced: bool) -> Result<Self> {
+        let inner = ty.optional_inner()?;
+        if src.optional(inner, announced)? {
+            T::take_field(inner, src, true).map(Some)
+        } else {
+            Ok(None)
         }
     }
 }
 
 impl<T: Wire> WireField for Vec<T> {
-    fn to_field(&self) -> Value {
-        Value::List(self.iter().map(Wire::to_value).collect())
+    fn put_field(&self, ty: &FieldType, sink: &mut dyn FieldSink) -> Result<()> {
+        sink.begin_list(ty, self.len())?;
+        for item in self {
+            item.put(sink)?;
+        }
+        sink.end_list()
     }
 
-    fn from_field(v: &Value, msg: &str, field: &str) -> Result<Self> {
-        match v {
-            Value::List(items) => items.iter().map(|x| T::from_field(x, msg, field)).collect(),
-            _ => Err(field_err(msg, field)),
+    fn take_field(ty: &FieldType, src: &mut dyn FieldSource, _: bool) -> Result<Self> {
+        let len = src.begin_list(ty)?;
+        let mut items = Vec::with_capacity(len.min(LIST_RESERVE));
+        for _ in 0..len {
+            items.push(T::take(src)?);
         }
+        src.end_list()?;
+        Ok(items)
     }
 }
 
-/// A nested wire struct; its own parse error is restated under the field
-/// that held it, so the outermost message is always named.
+/// A nested wire struct.
 impl<T: Wire> WireField for T {
-    fn to_field(&self) -> Value {
-        self.to_value()
+    fn put_field(&self, _: &FieldType, sink: &mut dyn FieldSink) -> Result<()> {
+        self.put(sink)
     }
 
-    fn from_field(v: &Value, msg: &str, field: &str) -> Result<Self> {
-        T::from_value(v).map_err(|e| Error::schema(format!("{msg}: bad field `{field}`: {e}")))
+    fn take_field(_: &FieldType, src: &mut dyn FieldSource, _: bool) -> Result<Self> {
+        T::take(src)
     }
 }
 
@@ -238,7 +319,13 @@ pub(crate) mod testutil {
     /// asserts losslessness.
     pub(crate) fn round_trip_all_codecs<M: Wire + PartialEq + std::fmt::Debug>(msg: &M) {
         let schema = M::schema();
-        schema.validate(&msg.to_value()).expect("sample validates");
+        let value = msg.to_value();
+        schema.validate(&value).expect("sample validates");
+        assert_eq!(
+            &M::from_value(&value).unwrap(),
+            msg,
+            "through the value model"
+        );
         for kind in CodecKind::ALL {
             let codec = kind.codec();
             if !codec.supports(&schema) {
@@ -247,8 +334,8 @@ pub(crate) mod testutil {
             let mut buf = Vec::new();
             msg.encode(codec, &mut buf)
                 .unwrap_or_else(|e| panic!("{kind} encode failed: {e}"));
-            let back = M::decode(codec, &buf)
-                .unwrap_or_else(|e| panic!("{kind} decode failed: {e}"));
+            let back =
+                M::decode(codec, &buf).unwrap_or_else(|e| panic!("{kind} decode failed: {e}"));
             assert_eq!(&back, msg, "round trip through {kind}");
             // traverse must agree with decode on every codec
             let t = codec.traverse(&schema, &buf).unwrap();

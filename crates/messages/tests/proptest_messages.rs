@@ -6,7 +6,8 @@ use neutrino_codec::value::Value;
 use neutrino_codec::CodecKind;
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, ProcedureId, SessionId, UeId, UpfId};
-use neutrino_messages::ies::Tai;
+use neutrino_messages::ies::{Cgi, ErabFailedItem, ErabSetupItem, ErabToSetup, Tai, UeAmbr};
+use neutrino_messages::nas::AttachRequest;
 use neutrino_messages::state::{BearerContext, StateVersion, UeState};
 use neutrino_messages::{ControlMessage, MessageKind, Snapshot, Wire};
 use proptest::collection::vec;
@@ -121,8 +122,115 @@ fn rejects_malformed<T>(
     Ok(())
 }
 
+const LIVE_CODECS: [CodecKind; 3] = [
+    CodecKind::Asn1Per,
+    CodecKind::Fastbuf,
+    CodecKind::FastbufOptimized,
+];
+
+/// The streamed path is the value path: under every live codec `put`'s
+/// image is the image of `to_value` encoded by schema, and `take` of it is
+/// `from_value` of it decoded by schema (and the message that went in).
+fn streams_as_its_value<T: Wire + PartialEq + std::fmt::Debug>(
+    msg: &T,
+) -> Result<(), TestCaseError> {
+    let schema = T::schema();
+    for kind in LIVE_CODECS {
+        let codec = kind.codec();
+        let (mut streamed, mut by_value) = (Vec::new(), Vec::new());
+        msg.encode(codec, &mut streamed).unwrap();
+        codec
+            .encode(&schema, &msg.to_value(), &mut by_value)
+            .unwrap();
+        prop_assert_eq!(&streamed, &by_value, "{} image via {}", schema.name, kind);
+        let taken = T::decode(codec, &streamed).unwrap();
+        let parsed = T::from_value(&codec.decode(&schema, &streamed).unwrap()).unwrap();
+        prop_assert_eq!(&taken, &parsed, "{} via {}", schema.name, kind);
+        prop_assert_eq!(&taken, msg, "{} via {}", schema.name, kind);
+    }
+    Ok(())
+}
+
+/// What `from_value` refused, `take` refuses — off a tree or off an image —
+/// with an error naming the message and the field: a value outside the
+/// field's Rust type, and a string that is not UTF-8.
+#[test]
+fn take_names_the_message_and_field_it_refuses() {
+    // `tac` is a `u16` declared 16 bits wide; a codec that stores it wider
+    // (or a hand-built tree) can still hand back more.
+    let wide = Value::Struct(vec![Value::U64(1), Value::U64(70_000)]);
+    let err = Tai::from_value(&wide).unwrap_err().to_string();
+    assert!(err.contains("Tai") && err.contains("`tac`"), "{err}");
+    // Nested, the outer message is named too.
+    let mut paging = MessageKind::Paging.sample(1).to_value();
+    let Value::Struct(fields) = &mut paging else {
+        panic!("messages are structs")
+    };
+    let at = fields
+        .iter()
+        .position(|f| matches!(f, Value::List(_)))
+        .expect("paging carries a TAI list");
+    fields[at] = Value::List(vec![wide]);
+    let err = MessageKind::Paging
+        .from_value(&paging)
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("Paging") && err.contains("Tai") && err.contains("`tac`"),
+        "{err}"
+    );
+
+    // An attach request's IMSI, defaced in the image under each live codec.
+    let msg = AttachRequest::sample(0);
+    let imsi = msg.imsi.clone().expect("seed 0 attaches by IMSI");
+    for codec in LIVE_CODECS {
+        let mut image = Vec::new();
+        msg.encode(codec.codec(), &mut image).unwrap();
+        let at = image
+            .windows(imsi.len())
+            .position(|w| w == imsi.as_bytes())
+            .expect("the digits are in the image as they are");
+        image[at] = 0xFF;
+        let err = AttachRequest::decode(codec.codec(), &image)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("UTF-8"), "{codec}: {err}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Every wire type — the 28 kinds, the replicated state over the whole
+    /// of what its schema admits, and the shared IEs — streams as its value.
+    #[test]
+    fn put_and_take_are_the_value_path(seed in any::<u64>(), state in any_state()) {
+        for &kind in MessageKind::ALL {
+            let msg = kind.sample(seed);
+            let schema = kind.schema();
+            for codec_kind in LIVE_CODECS {
+                let codec = codec_kind.codec();
+                let (mut streamed, mut by_value) = (Vec::new(), Vec::new());
+                msg.encode(codec, &mut streamed).unwrap();
+                codec.encode(&schema, &msg.to_value(), &mut by_value).unwrap();
+                prop_assert_eq!(&streamed, &by_value, "{} image via {}", kind, codec_kind);
+                let taken = ControlMessage::decode(kind, codec, &streamed).unwrap();
+                let parsed = kind.from_value(&codec.decode(&schema, &streamed).unwrap()).unwrap();
+                prop_assert_eq!(&taken, &parsed, "{} via {}", kind, codec_kind);
+                prop_assert_eq!(&taken, &msg, "{} via {}", kind, codec_kind);
+            }
+        }
+        streams_as_its_value(&state)?;
+        for bearer in &state.bearers {
+            streams_as_its_value(bearer)?;
+        }
+        streams_as_its_value(&state.tai)?;
+        streams_as_its_value(&Cgi::sample(seed))?;
+        streams_as_its_value(&ErabToSetup::sample(seed))?;
+        streams_as_its_value(&ErabSetupItem::sample(seed))?;
+        streams_as_its_value(&ErabFailedItem::sample(seed))?;
+        streams_as_its_value(&UeAmbr::sample(seed))?;
+    }
 
     /// Samples of every kind validate against their schema and round-trip
     /// through every supporting codec.

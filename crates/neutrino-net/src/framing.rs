@@ -18,8 +18,11 @@
 //!
 //! Encoding writes into a caller-supplied `Vec<u8>` so transports can
 //! recycle frame buffers ([`neutrino_codec::scratch`]); interior payload
-//! temporaries come from the same pool, keeping the steady-state encode
-//! path allocation-free.
+//! temporaries come from the same pool, and the codecs the live path runs
+//! stream the message's fields into the buffer they are handed (PER's bit
+//! writer appends to it; fastbuf's slot stacks are per-thread), so the
+//! steady-state encode path is allocation-free
+//! (`tests/framing_exhaustive.rs::the_second_encode_into_one_buffer_allocates_nothing`).
 
 use bytes::{Buf, BufMut};
 use neutrino_codec::{scratch, CodecKind};

@@ -24,7 +24,7 @@ use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, SessionId, UeId, UpfId};
 use neutrino_cpf::{CpfConfig, CpfCore};
 use neutrino_cta::{CtaConfig, CtaCore};
 use neutrino_geo::RingStack;
-use neutrino_messages::control::{Envelope, MessageKind};
+use neutrino_messages::control::{ControlMessage, Envelope, MessageKind};
 use neutrino_messages::flow::{Effect, NodeAddr};
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_messages::state::UeState;
@@ -334,14 +334,22 @@ fn snapshots_pass_through_unparsed() {
 }
 
 /// The largest single allocation this thread asked for since the last
-/// `take()`. A decoder that sizes a buffer from a length it read off the
-/// wire shows up here as a request far beyond the frame it was given.
+/// `take()`, and how many it has made. A decoder that sizes a buffer from a
+/// length it read off the wire shows up in the first as a request far beyond
+/// the frame it was given; an encoder that does not write into the buffer it
+/// was handed shows up in the second.
 mod largest_alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
     thread_local! {
         static LARGEST: Cell<usize> = const { Cell::new(0) };
+        static COUNT: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn record(size: usize) {
+        LARGEST.with(|l| l.set(l.get().max(size)));
+        COUNT.with(|c| c.set(c.get() + 1));
     }
 
     pub struct Recording;
@@ -351,7 +359,7 @@ mod largest_alloc {
     // thread-local, which neither allocates nor re-enters the allocator.
     unsafe impl GlobalAlloc for Recording {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            LARGEST.with(|l| l.set(l.get().max(layout.size())));
+            record(layout.size());
             // SAFETY: `layout` is the caller's, forwarded as is.
             unsafe { System.alloc(layout) }
         }
@@ -362,7 +370,7 @@ mod largest_alloc {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            LARGEST.with(|l| l.set(l.get().max(new_size)));
+            record(new_size);
             // SAFETY: `ptr` came from `System.alloc` with this `layout`.
             unsafe { System.realloc(ptr, layout, new_size) }
         }
@@ -371,10 +379,56 @@ mod largest_alloc {
     pub fn take() -> usize {
         LARGEST.with(|l| l.replace(0))
     }
+
+    /// Allocations and reallocations this thread has made so far.
+    pub fn count() -> u64 {
+        COUNT.with(Cell::get)
+    }
 }
 
 #[global_allocator]
 static ALLOCATOR: largest_alloc::Recording = largest_alloc::Recording;
+
+/// `framing`'s promise that the steady-state encode path allocates nothing:
+/// once the buffer, the payload scratch and the codec's own stacks have
+/// grown to the message, encoding it again — the bare payload, and the
+/// frame around it — asks the allocator for nothing, under each codec the
+/// live path runs. The message is one that arrived (decoded from an image),
+/// so this is a CPF re-encoding what it parsed, not a held image going
+/// back out.
+#[test]
+fn the_second_encode_into_one_buffer_allocates_nothing() {
+    let sent = MessageKind::InitialContextSetupRequest.sample(6);
+    for codec in [
+        CodecKind::Asn1Per,
+        CodecKind::Fastbuf,
+        CodecKind::FastbufOptimized,
+    ] {
+        let mut image = Vec::new();
+        sent.encode(codec.codec(), &mut image).unwrap();
+        let msg = ControlMessage::decode(sent.kind(), codec.codec(), &image).unwrap();
+        let framed = SysMsg::Control(Envelope::downlink(
+            UeId::new(6),
+            ProcedureId::new(1),
+            ProcedureKind::InitialAttach,
+            msg.clone(),
+        ));
+
+        let (mut payload, mut frame) = (Vec::new(), Vec::new());
+        msg.encode(codec.codec(), &mut payload).unwrap();
+        encode_sysmsg(&framed, codec, &mut frame).unwrap();
+        let before = largest_alloc::count();
+        msg.encode(codec.codec(), &mut payload).unwrap();
+        encode_sysmsg(&framed, codec, &mut frame).unwrap();
+        assert_eq!(
+            largest_alloc::count() - before,
+            0,
+            "{codec}: the second encode allocated"
+        );
+        assert_eq!(payload, image);
+        assert_eq!(decode_sysmsg(&frame, codec).unwrap(), framed);
+    }
+}
 
 #[test]
 fn corrupt_snapshot_frames_are_refused_or_found_out_at_takeover() {
