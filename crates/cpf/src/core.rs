@@ -271,15 +271,16 @@ pub struct CpfCore {
 }
 
 impl CpfConfig {
-    /// The backups this CPF checkpoints a UE's state to.
-    fn backups_for(&self, ue: UeId) -> Vec<CpfId> {
-        let mut backups = match (&self.ring, self.replication) {
-            (Some(ring), _) => ring.backups(ue),
-            (None, ReplicationMode::PerMessage) => self.peers.clone(),
-            _ => Vec::new(),
+    /// The backups this CPF checkpoints a UE's state to: the ring's, else
+    /// (per-message broadcast) the pool's, never itself.
+    fn backups_for(&self, ue: UeId) -> impl Iterator<Item = CpfId> + '_ {
+        let broadcast: &[CpfId] = match (&self.ring, self.replication) {
+            (None, ReplicationMode::PerMessage) => &self.peers,
+            _ => &[],
         };
-        backups.retain(|b| *b != self.id);
-        backups
+        let ring = self.ring.iter().flat_map(move |ring| ring.backups(ue));
+        ring.chain(broadcast.iter().copied())
+            .filter(|b| *b != self.id)
     }
 
     /// The migration target for a handover with CPF change: the first
@@ -287,8 +288,7 @@ impl CpfConfig {
     /// sibling-region CPF, else a pool peer.
     fn migration_target(&self, ue: UeId) -> Option<CpfId> {
         self.backups_for(ue)
-            .first()
-            .copied()
+            .next()
             .or_else(|| {
                 self.remote_peers
                     .get(ue.raw() as usize % self.remote_peers.len().max(1))
@@ -552,11 +552,6 @@ impl CpfCore {
     /// Read access to the state store (tests, consistency checks).
     pub fn store(&self) -> &StateStore {
         &self.store
-    }
-
-    /// The backups this CPF checkpoints a UE's state to.
-    pub fn backups_for(&self, ue: UeId) -> Vec<CpfId> {
-        self.config.backups_for(ue)
     }
 
     /// Handles any system message addressed to this CPF.

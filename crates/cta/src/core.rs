@@ -244,7 +244,8 @@ fn primary_of(log: &mut UeLog, ue: UeId, ring: &RingStack) -> Option<CpfId> {
 
 /// The backup set for a UE (cached on first use).
 fn backups_of<'a>(log: &'a mut UeLog, ue: UeId, ring: &RingStack) -> &'a [CpfId] {
-    log.backups.get_or_insert_with(|| ring.backups(ue))
+    log.backups
+        .get_or_insert_with(|| ring.backups(ue).collect())
 }
 
 /// Fills `expected` with the replicas whose ACKs the UE's checkpoints wait

@@ -24,4 +24,4 @@ pub mod ring;
 
 pub use geohash::GeoHash;
 pub use region::{Deployment, Level1Region, RegionLayout};
-pub use ring::{ConsistentRing, MultiRing, RingStack};
+pub use ring::{ConsistentRing, RingStack};

@@ -8,7 +8,6 @@ use crate::geohash::GeoHash;
 use crate::ring::RingStack;
 use neutrino_common::{BsId, CpfId, CtaId, RegionId, UpfId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One level-1 region: the unit of CTA/CPF-pool deployment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,14 +55,39 @@ impl Default for RegionLayout {
     }
 }
 
-/// A complete deployment: regions plus reverse lookups.
+/// The raw ids of one kind the `region`-th level-1 region holds: every kind
+/// is numbered contiguously, region by region.
+fn ids(region: u64, per_region: usize) -> std::ops::Range<u64> {
+    let per_region = per_region as u64;
+    region * per_region..(region + 1) * per_region
+}
+
+impl RegionLayout {
+    /// The CPF pool of the `region`-th level-1 region.
+    pub fn pool(&self, region: u64) -> impl Iterator<Item = CpfId> {
+        ids(region, self.cpfs_per_region).map(CpfId::new)
+    }
+}
+
+/// A complete deployment: regions, reverse lookups, and the ring stack each
+/// region's CTA and CPFs copy.
 #[derive(Debug, Clone)]
 pub struct Deployment {
     regions: Vec<Level1Region>,
-    bs_to_region: HashMap<BsId, RegionId>,
-    cpf_to_region: HashMap<CpfId, RegionId>,
-    cta_to_region: HashMap<CtaId, RegionId>,
+    /// Indexed by the raw id: ids are minted contiguously by [`Self::build`].
+    bs_to_region: Vec<RegionId>,
+    cpf_to_region: Vec<RegionId>,
+    /// Per region: the other level-1 regions sharing its geohash parent.
+    siblings: Vec<Vec<RegionId>>,
+    /// Per region: level-1 ring over its own pool, level-2 ring over its
+    /// siblings' pools.
+    stacks: Vec<RingStack>,
     layout: RegionLayout,
+}
+
+/// Point query into a table indexed by raw id.
+fn lookup(table: &[RegionId], raw: u64) -> Option<RegionId> {
+    table.get(usize::try_from(raw).ok()?).copied()
 }
 
 impl Deployment {
@@ -76,10 +100,8 @@ impl Deployment {
         );
         assert!(layout.cpfs_per_region >= 1, "need at least one CPF");
         let mut regions = Vec::new();
-        let mut next_bs = 0u64;
-        let mut next_cpf = 0u64;
-        let mut next_upf = 0u64;
-        let mut region_id = 0u64;
+        let mut bs_to_region = Vec::new();
+        let mut cpf_to_region = Vec::new();
         for g in 0..layout.level2_regions {
             // Each level-2 region is one level-5 geohash cell; its four
             // level-1 children are the cell's sub-cells. Bases 20° apart in
@@ -88,56 +110,47 @@ impl Deployment {
             let base_lat = -80.0 + (g as f64 / 16.0).floor() * 20.0;
             let parent = GeoHash::encode(base_lon, base_lat, 5);
             for corner in 0..4 {
-                let geohash = parent.child(corner);
-                let bss = (0..layout.bss_per_region)
-                    .map(|_| {
-                        let id = BsId::new(next_bs);
-                        next_bs += 1;
-                        id
-                    })
-                    .collect();
-                let cpfs = (0..layout.cpfs_per_region)
-                    .map(|_| {
-                        let id = CpfId::new(next_cpf);
-                        next_cpf += 1;
-                        id
-                    })
-                    .collect();
-                let upfs = (0..layout.upfs_per_region)
-                    .map(|_| {
-                        let id = UpfId::new(next_upf);
-                        next_upf += 1;
-                        id
-                    })
-                    .collect();
+                let index = regions.len() as u64;
+                let id = RegionId::new(index);
+                bs_to_region.resize(bs_to_region.len() + layout.bss_per_region, id);
+                cpf_to_region.resize(cpf_to_region.len() + layout.cpfs_per_region, id);
                 regions.push(Level1Region {
-                    id: RegionId::new(region_id),
-                    geohash,
-                    bss,
-                    cta: CtaId::new(region_id),
-                    cpfs,
-                    upfs,
+                    id,
+                    geohash: parent.child(corner),
+                    bss: ids(index, layout.bss_per_region).map(BsId::new).collect(),
+                    cta: CtaId::new(index),
+                    cpfs: layout.pool(index).collect(),
+                    upfs: ids(index, layout.upfs_per_region).map(UpfId::new).collect(),
                 });
-                region_id += 1;
             }
         }
-        let mut bs_to_region = HashMap::new();
-        let mut cpf_to_region = HashMap::new();
-        let mut cta_to_region = HashMap::new();
-        for r in &regions {
-            for &bs in &r.bss {
-                bs_to_region.insert(bs, r.id);
-            }
-            for &cpf in &r.cpfs {
-                cpf_to_region.insert(cpf, r.id);
-            }
-            cta_to_region.insert(r.cta, r.id);
-        }
+        let siblings: Vec<Vec<RegionId>> = regions
+            .iter()
+            .map(|me| {
+                let others = regions
+                    .iter()
+                    .filter(|r| r.id != me.id && r.geohash.parent() == me.geohash.parent());
+                others.map(|r| r.id).collect()
+            })
+            .collect();
+        let stacks = regions
+            .iter()
+            .zip(&siblings)
+            .map(|(me, siblings)| {
+                let others: Vec<CpfId> = siblings
+                    .iter()
+                    .flat_map(|s| &regions[s.raw() as usize].cpfs)
+                    .copied()
+                    .collect();
+                RingStack::new(&me.cpfs, &others, layout.replicas)
+            })
+            .collect();
         Deployment {
             regions,
             bs_to_region,
             cpf_to_region,
-            cta_to_region,
+            siblings,
+            stacks,
             layout,
         }
     }
@@ -159,35 +172,25 @@ impl Deployment {
 
     /// The region a base station belongs to.
     pub fn region_of_bs(&self, bs: BsId) -> Option<RegionId> {
-        self.bs_to_region.get(&bs).copied()
+        lookup(&self.bs_to_region, bs.raw())
     }
 
     /// The region a CPF belongs to.
     pub fn region_of_cpf(&self, cpf: CpfId) -> Option<RegionId> {
-        self.cpf_to_region.get(&cpf).copied()
+        lookup(&self.cpf_to_region, cpf.raw())
     }
 
-    /// The region a CTA serves.
+    /// The region a CTA serves: a region and its CTA share one number.
     pub fn region_of_cta(&self, cta: CtaId) -> Option<RegionId> {
-        self.cta_to_region.get(&cta).copied()
+        self.region(RegionId::new(cta.raw())).map(|r| r.id)
     }
 
     /// The level-2 siblings of a region: the other level-1 regions sharing
     /// its geohash parent.
-    pub fn level2_siblings(&self, id: RegionId) -> Vec<RegionId> {
-        let me = match self.region(id) {
-            Some(r) => r,
-            None => return Vec::new(),
-        };
-        let parent = match me.geohash.parent() {
-            Some(p) => p,
-            None => return Vec::new(),
-        };
-        self.regions
-            .iter()
-            .filter(|r| r.id != id && r.geohash.parent() == Some(parent))
-            .map(|r| r.id)
-            .collect()
+    pub fn level2_siblings(&self, id: RegionId) -> &[RegionId] {
+        self.siblings
+            .get(id.raw() as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// True when two regions share a level-2 region — fast handover is
@@ -199,17 +202,11 @@ impl Deployment {
         }
     }
 
-    /// Builds the ring stack a region's CTA holds: level-1 ring over its own
-    /// CPF pool, level-2 ring over the sibling regions' CPFs.
-    pub fn ring_stack(&self, id: RegionId) -> Option<RingStack> {
-        let me = self.region(id)?;
-        let mut others = Vec::new();
-        for sib in self.level2_siblings(id) {
-            if let Some(r) = self.region(sib) {
-                others.extend_from_slice(&r.cpfs);
-            }
-        }
-        Some(RingStack::new(&me.cpfs, &others, self.layout.replicas))
+    /// The ring stack a region's CTA holds: level-1 ring over its own CPF
+    /// pool, level-2 ring over the sibling regions' CPFs. Built once with
+    /// the deployment; every node that needs one clones it.
+    pub fn ring_stack(&self, id: RegionId) -> Option<&RingStack> {
+        self.stacks.get(id.raw() as usize)
     }
 
     /// Every CPF in the deployment.
@@ -244,7 +241,7 @@ mod tests {
         for r in d.regions() {
             let sibs = d.level2_siblings(r.id);
             assert_eq!(sibs.len(), 3, "region {} has wrong siblings", r.id);
-            for s in sibs {
+            for &s in sibs {
                 assert!(d.same_level2(r.id, s));
             }
         }

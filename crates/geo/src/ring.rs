@@ -10,53 +10,68 @@
 
 use neutrino_common::rng::splitmix64;
 use neutrino_common::{CpfId, UeId};
-use std::collections::BTreeMap;
 
 /// Virtual nodes per CPF — smooths load across the ring.
-const DEFAULT_VNODES: u32 = 64;
+const VNODES: u64 = 64;
 
-/// A consistent hash ring of CPFs with virtual nodes.
+/// The ring points a CPF's virtual nodes sit on.
+fn vnode_points(cpf: CpfId) -> impl Iterator<Item = u64> {
+    (0..VNODES).map(move |v| splitmix64(cpf.raw().wrapping_mul(0x100_0000) ^ v))
+}
+
+/// A consistent hash ring of CPFs with virtual nodes: one flat table, walked
+/// clockwise from a binary search.
 #[derive(Debug, Clone, Default)]
 pub struct ConsistentRing {
-    /// point → CPF, ordered around the ring.
-    points: BTreeMap<u64, CpfId>,
-    /// Distinct members.
+    /// Virtual nodes sorted by `(point, cpf)`. Two CPFs hashing to one point
+    /// both keep their entry: the lower id owns the point, and removing it
+    /// exposes the other.
+    points: Vec<(u64, CpfId)>,
+    /// Distinct members, sorted.
     members: Vec<CpfId>,
-    vnodes: u32,
 }
 
 impl ConsistentRing {
-    /// An empty ring with the default virtual-node count.
+    /// An empty ring.
     pub fn new() -> Self {
-        Self::with_vnodes(DEFAULT_VNODES)
+        Self::default()
     }
 
-    /// An empty ring with an explicit virtual-node count.
-    pub fn with_vnodes(vnodes: u32) -> Self {
-        ConsistentRing {
-            points: BTreeMap::new(),
-            members: Vec::new(),
-            vnodes: vnodes.max(1),
+    /// A ring of `members` (duplicates ignored), sorted once.
+    pub fn from_members(members: impl IntoIterator<Item = CpfId>) -> Self {
+        let mut members: Vec<CpfId> = members.into_iter().collect();
+        members.sort_unstable();
+        members.dedup();
+        let mut points = Vec::with_capacity(members.len() * VNODES as usize);
+        for &cpf in &members {
+            points.extend(vnode_points(cpf).map(|p| (p, cpf)));
         }
+        points.sort_unstable();
+        ConsistentRing { points, members }
     }
 
     /// Adds a CPF (no-op if present).
     pub fn add(&mut self, cpf: CpfId) {
-        if self.members.contains(&cpf) {
+        self.place(cpf, vnode_points(cpf));
+    }
+
+    /// Puts `cpf` on the ring at `at` unless it is already a member.
+    fn place(&mut self, cpf: CpfId, at: impl Iterator<Item = u64>) {
+        let Err(slot) = self.members.binary_search(&cpf) else {
             return;
-        }
-        self.members.push(cpf);
-        self.members.sort_unstable();
-        for v in 0..self.vnodes {
-            let point = splitmix64(cpf.raw().wrapping_mul(0x100_0000) ^ u64::from(v));
-            self.points.insert(point, cpf);
+        };
+        self.members.insert(slot, cpf);
+        for point in at {
+            let entry = (point, cpf);
+            let slot = self.points.partition_point(|p| *p < entry);
+            self.points.insert(slot, entry);
         }
     }
 
     /// Removes a CPF (e.g. on failure) so lookups stop landing on it.
     pub fn remove(&mut self, cpf: CpfId) {
         self.members.retain(|m| *m != cpf);
-        self.points.retain(|_, m| *m != cpf);
+        self.points.retain(|(_, m)| *m != cpf);
     }
 
     /// Members currently on the ring.
@@ -71,33 +86,87 @@ impl ConsistentRing {
 
     /// The CPF owning `ue` (first point clockwise of the key's hash).
     pub fn primary(&self, ue: UeId) -> Option<CpfId> {
+        self.successors(ue, 1).next()
+    }
+
+    /// The owner of `ue` on a ring of `members`, found in one pass over
+    /// their points without building the ring: the owner's point is the one
+    /// the shortest clockwise distance from the key.
+    pub fn primary_among(members: impl IntoIterator<Item = CpfId>, ue: UeId) -> Option<CpfId> {
         let key = splitmix64(ue.raw());
-        self.points
-            .range(key..)
-            .next()
-            .or_else(|| self.points.iter().next())
-            .map(|(_, cpf)| *cpf)
+        members
+            .into_iter()
+            .flat_map(|cpf| vnode_points(cpf).map(move |p| (p, cpf)))
+            .min_by_key(|&(point, cpf)| (point.wrapping_sub(key), cpf))
+            .map(|(_, cpf)| cpf)
     }
 
     /// The first `n` *distinct* CPFs clockwise of the key — the paper's
     /// "N consecutive replicas on a level-2 ring".
-    pub fn successors(&self, ue: UeId, n: usize) -> Vec<CpfId> {
-        if n == 0 {
-            return Vec::new();
-        }
+    pub fn successors(&self, ue: UeId, n: usize) -> Successors<'_> {
         let key = splitmix64(ue.raw());
-        let mut out = Vec::with_capacity(n);
-        for (_, cpf) in self.points.range(key..).chain(self.points.range(..key)) {
-            if !out.contains(cpf) {
-                out.push(*cpf);
-                if out.len() == n {
-                    break;
-                }
-            }
+        let (before, from) = self
+            .points
+            .split_at(self.points.partition_point(|p| p.0 < key));
+        Successors {
+            from,
+            before,
+            walked: 0,
+            left: n.min(self.members.len()),
         }
-        out
     }
 }
+
+/// The clockwise walk [`ConsistentRing::successors`] returns. It keeps no
+/// set of the CPFs it has yielded: a point's CPF is new when none of the
+/// points walked before it carries the same one, and with N ≪ members the
+/// walk is a handful of points long.
+#[derive(Debug, Clone)]
+pub struct Successors<'a> {
+    /// The points at or clockwise of the key, then the wrap-around.
+    from: &'a [(u64, CpfId)],
+    before: &'a [(u64, CpfId)],
+    /// Points of `from ++ before` already visited.
+    walked: usize,
+    /// Distinct CPFs still to yield (never more than the ring has left).
+    left: usize,
+}
+
+impl Successors<'_> {
+    fn cpf_at(&self, step: usize) -> CpfId {
+        match self.from.get(step) {
+            Some(point) => point.1,
+            None => self.before[step - self.from.len()].1,
+        }
+    }
+}
+
+impl Iterator for Successors<'_> {
+    type Item = CpfId;
+
+    fn next(&mut self) -> Option<CpfId> {
+        if self.left == 0 {
+            return None;
+        }
+        // `left` never exceeds the members not yet yielded, so the walk
+        // finds a new one before it runs out of points.
+        loop {
+            let step = self.walked;
+            self.walked += 1;
+            let cpf = self.cpf_at(step);
+            if (0..step).all(|earlier| self.cpf_at(earlier) != cpf) {
+                self.left -= 1;
+                return Some(cpf);
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Successors<'_> {}
 
 /// The two rings a CTA holds (§4.3), plus replica selection.
 #[derive(Debug, Clone)]
@@ -115,21 +184,15 @@ impl RingStack {
     /// Builds the stack from the CPFs of the local level-1 region and the
     /// CPFs of the rest of the level-2 region.
     pub fn new(level1_cpfs: &[CpfId], level2_other_cpfs: &[CpfId], replicas: usize) -> Self {
-        let mut level1 = ConsistentRing::new();
-        for &c in level1_cpfs {
-            level1.add(c);
-        }
-        let mut level2 = ConsistentRing::new();
-        for &c in level2_other_cpfs {
-            // §4.3: the level-2 ring excludes CPFs already on the level-1
-            // ring, so backups always land in *other* level-1 regions.
-            if !level1_cpfs.contains(&c) {
-                level2.add(c);
-            }
-        }
+        // §4.3: the level-2 ring excludes CPFs already on the level-1 ring,
+        // so backups always land in *other* level-1 regions.
+        let others = level2_other_cpfs
+            .iter()
+            .copied()
+            .filter(|c| !level1_cpfs.contains(c));
         RingStack {
-            level1,
-            level2,
+            level1: ConsistentRing::from_members(level1_cpfs.iter().copied()),
+            level2: ConsistentRing::from_members(others),
             replicas,
         }
     }
@@ -140,96 +203,22 @@ impl RingStack {
     }
 
     /// Backup CPFs for a UE: N consecutive members of the level-2 ring.
-    /// Falls back to other level-1 members when the level-2 ring is empty
-    /// (single-region deployments), never including the primary.
-    pub fn backups(&self, ue: UeId) -> Vec<CpfId> {
-        if !self.level2.is_empty() {
-            return self.level2.successors(ue, self.replicas);
-        }
-        let primary = self.primary(ue);
-        self.level1
-            .successors(ue, self.replicas + 1)
-            .into_iter()
-            .filter(|c| Some(*c) != primary)
-            .take(self.replicas)
-            .collect()
+    /// Falls back to the level-1 members after the primary when the level-2
+    /// ring is empty (single-region deployments).
+    pub fn backups(&self, ue: UeId) -> impl ExactSizeIterator<Item = CpfId> + '_ {
+        // A level-1 walk starts on the primary: ask for one more and skip it.
+        let (ring, primary) = if self.level2.is_empty() {
+            (&self.level1, 1)
+        } else {
+            (&self.level2, 0)
+        };
+        ring.successors(ue, self.replicas + primary).skip(primary)
     }
 
     /// Handles a CPF failure: removes it from whichever ring holds it.
     pub fn remove(&mut self, cpf: CpfId) {
         self.level1.remove(cpf);
         self.level2.remove(cpf);
-    }
-}
-
-/// An n-level generalization of [`RingStack`] — the paper's footnote 14
-/// ("one can potentially implement more than 2 consistent hash rings,
-/// however, there are tradeoffs. We leave this exploration for future
-/// work"). Level 0 picks the primary; each further level covers a 4×
-/// larger area and hosts replicas progressively farther away, trading
-/// replication latency (farther backups are slower to sync) against
-/// handover coverage (a UE can move farther and still find its state).
-#[derive(Debug, Clone)]
-pub struct MultiRing {
-    /// `levels[0]` is the local pool; `levels[k]` holds the CPFs of the
-    /// level-(k+1) area *excluding* every lower level's members.
-    levels: Vec<ConsistentRing>,
-    /// Replicas placed per non-local level.
-    replicas_per_level: usize,
-}
-
-impl MultiRing {
-    /// Builds the stack from per-level CPF sets (lower levels' members are
-    /// filtered out of higher levels automatically).
-    pub fn new(level_cpfs: &[Vec<CpfId>], replicas_per_level: usize) -> Self {
-        let mut seen: Vec<CpfId> = Vec::new();
-        let mut levels = Vec::with_capacity(level_cpfs.len());
-        for cpfs in level_cpfs {
-            let mut ring = ConsistentRing::new();
-            for &c in cpfs {
-                if !seen.contains(&c) {
-                    ring.add(c);
-                    seen.push(c);
-                }
-            }
-            levels.push(ring);
-        }
-        MultiRing {
-            levels,
-            replicas_per_level,
-        }
-    }
-
-    /// Number of levels.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// The primary CPF (level 0).
-    pub fn primary(&self, ue: UeId) -> Option<CpfId> {
-        self.levels.first().and_then(|r| r.primary(ue))
-    }
-
-    /// Backups across every non-local level: `replicas_per_level` from each,
-    /// nearest level first.
-    pub fn backups(&self, ue: UeId) -> Vec<CpfId> {
-        let mut out = Vec::new();
-        for ring in self.levels.iter().skip(1) {
-            out.extend(ring.successors(ue, self.replicas_per_level));
-        }
-        out
-    }
-
-    /// The level whose ring holds `cpf` (placement distance), if any.
-    pub fn level_of(&self, cpf: CpfId) -> Option<usize> {
-        self.levels.iter().position(|r| r.members().contains(&cpf))
-    }
-
-    /// Removes a failed CPF from every level.
-    pub fn remove(&mut self, cpf: CpfId) {
-        for ring in &mut self.levels {
-            ring.remove(cpf);
-        }
     }
 }
 
@@ -260,16 +249,15 @@ mod tests {
         for c in cpfs(0..5) {
             ring.add(c);
         }
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = [0usize; 5];
         for ue in 0..10_000 {
             let p = ring.primary(UeId::new(ue)).unwrap();
-            *counts.entry(p).or_insert(0usize) += 1;
+            counts[p.raw() as usize] += 1;
         }
-        assert_eq!(counts.len(), 5);
-        for (&cpf, &n) in &counts {
+        for (cpf, n) in counts.into_iter().enumerate() {
             assert!(
                 (1_000..4_000).contains(&n),
-                "{cpf} got {n}/10000 — too skewed"
+                "cpf-{cpf} got {n}/10000 — too skewed"
             );
         }
     }
@@ -306,14 +294,13 @@ mod tests {
             ring.add(c);
         }
         for ue in 0..100 {
-            let succ = ring.successors(UeId::new(ue), 3);
+            let succ: Vec<_> = ring.successors(UeId::new(ue), 3).collect();
             assert_eq!(succ.len(), 3);
             let set: std::collections::HashSet<_> = succ.iter().collect();
             assert_eq!(set.len(), 3);
         }
         // Asking for more than membership yields all members.
-        let succ = ring.successors(UeId::new(1), 10);
-        assert_eq!(succ.len(), 4);
+        assert_eq!(ring.successors(UeId::new(1), 10).count(), 4);
     }
 
     #[test]
@@ -322,14 +309,14 @@ mod tests {
         for c in cpfs(0..4) {
             ring.add(c);
         }
-        assert!(ring.successors(UeId::new(1), 0).is_empty());
+        assert_eq!(ring.successors(UeId::new(1), 0).next(), None);
     }
 
     #[test]
     fn empty_ring_returns_none() {
         let ring = ConsistentRing::new();
         assert_eq!(ring.primary(UeId::new(1)), None);
-        assert!(ring.successors(UeId::new(1), 3).is_empty());
+        assert_eq!(ring.successors(UeId::new(1), 3).next(), None);
     }
 
     #[test]
@@ -341,7 +328,7 @@ mod tests {
             let ue = UeId::new(ue);
             let primary = stack.primary(ue).unwrap();
             assert!(l1.contains(&primary));
-            let backups = stack.backups(ue);
+            let backups: Vec<_> = stack.backups(ue).collect();
             assert_eq!(backups.len(), 2);
             for b in &backups {
                 assert!(!l1.contains(b), "backup {b} must be outside level-1");
@@ -357,46 +344,10 @@ mod tests {
         for ue in 0..200 {
             let ue = UeId::new(ue);
             let primary = stack.primary(ue).unwrap();
-            let backups = stack.backups(ue);
+            let backups: Vec<_> = stack.backups(ue).collect();
             assert_eq!(backups.len(), 2);
             assert!(!backups.contains(&primary));
         }
-    }
-
-    #[test]
-    fn multi_ring_places_replicas_per_level() {
-        let levels = vec![
-            cpfs(0..5),   // local pool
-            cpfs(5..20),  // level-2 area
-            cpfs(20..80), // level-3 area
-        ];
-        let ring = MultiRing::new(&levels, 2);
-        assert_eq!(ring.depth(), 3);
-        for ue in 0..200 {
-            let ue = UeId::new(ue);
-            let primary = ring.primary(ue).unwrap();
-            assert!(levels[0].contains(&primary));
-            let backups = ring.backups(ue);
-            assert_eq!(backups.len(), 4, "2 per non-local level");
-            assert!(levels[1].contains(&backups[0]));
-            assert!(levels[1].contains(&backups[1]));
-            assert!(levels[2].contains(&backups[2]));
-            assert!(levels[2].contains(&backups[3]));
-        }
-    }
-
-    #[test]
-    fn multi_ring_levels_filter_duplicates() {
-        // Overlapping inputs: higher levels must exclude lower members.
-        let ring = MultiRing::new(&[cpfs(0..5), cpfs(0..20)], 1);
-        for ue in 0..100 {
-            for b in ring.backups(UeId::new(ue)) {
-                assert!(b.raw() >= 5, "backup {b} leaked from level 0");
-            }
-        }
-        assert_eq!(ring.level_of(CpfId::new(3)), Some(0));
-        assert_eq!(ring.level_of(CpfId::new(12)), Some(1));
-        assert_eq!(ring.level_of(CpfId::new(99)), None);
     }
 
     #[test]
@@ -410,5 +361,30 @@ mod tests {
         let p1 = stack.primary(ue).unwrap();
         assert_ne!(p0, p1);
         assert!(l1.contains(&p1));
+    }
+
+    /// Two CPFs on one point both keep their vnode: the lower id owns it,
+    /// and the other takes over when — and only while — the owner is gone.
+    #[test]
+    fn a_vnode_collision_loses_no_point() {
+        let (low, high, elsewhere) = (CpfId::new(1), CpfId::new(2), CpfId::new(3));
+        let mut ring = ConsistentRing::new();
+        // Added in the order in which an overwriting map would drop `low`.
+        ring.place(low, [u64::MAX / 2].into_iter());
+        ring.place(high, [u64::MAX / 2].into_iter());
+        ring.place(elsewhere, [u64::MAX].into_iter());
+        let on_shared_point = (0..)
+            .map(UeId::new)
+            .find(|ue| splitmix64(ue.raw()) <= u64::MAX / 2)
+            .unwrap();
+        assert_eq!(ring.primary(on_shared_point), Some(low));
+        let all: Vec<_> = ring.successors(on_shared_point, 3).collect();
+        assert_eq!(all, [low, high, elsewhere]);
+        ring.remove(low);
+        assert_eq!(ring.primary(on_shared_point), Some(high));
+        ring.place(low, [u64::MAX / 2].into_iter());
+        assert_eq!(ring.primary(on_shared_point), Some(low));
+        ring.remove(high);
+        assert_eq!(ring.primary(on_shared_point), Some(low));
     }
 }

@@ -1,9 +1,42 @@
 //! Property-based tests of the geo substrate: consistent-hashing invariants
 //! and geohash structure over random inputs.
 
+use neutrino_common::rng::splitmix64;
 use neutrino_common::{CpfId, UeId};
 use neutrino_geo::{ConsistentRing, GeoHash, RingStack};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The ring as it was before the flat table: a point → CPF map filled one
+/// `insert` at a time.
+#[derive(Default)]
+struct MapRing(BTreeMap<u64, CpfId>);
+
+impl MapRing {
+    fn add(&mut self, cpf: CpfId) {
+        if !self.0.values().any(|m| *m == cpf) {
+            for v in 0..64u64 {
+                self.0
+                    .insert(splitmix64(cpf.raw().wrapping_mul(0x100_0000) ^ v), cpf);
+            }
+        }
+    }
+
+    fn remove(&mut self, cpf: CpfId) {
+        self.0.retain(|_, m| *m != cpf);
+    }
+
+    fn successors(&self, ue: UeId, n: usize) -> Vec<CpfId> {
+        let key = splitmix64(ue.raw());
+        let mut out = Vec::new();
+        for (_, cpf) in self.0.range(key..).chain(self.0.range(..key)) {
+            if out.len() < n && !out.contains(cpf) {
+                out.push(*cpf);
+            }
+        }
+        out
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -40,14 +73,63 @@ proptest! {
         for &m in &members {
             ring.add(CpfId::new(m));
         }
-        let succ = ring.successors(UeId::new(key), n);
+        let succ: Vec<_> = ring.successors(UeId::new(key), n).collect();
+        prop_assert_eq!(ring.successors(UeId::new(key), n).len(), succ.len(), "exact size");
         prop_assert_eq!(succ.len(), n.min(members.len()));
         let set: std::collections::HashSet<_> = succ.iter().collect();
         prop_assert_eq!(set.len(), succ.len(), "successors must be distinct");
-        prop_assert_eq!(ring.successors(UeId::new(key), n), succ, "deterministic");
         if n >= 1 {
-            let p = ring.primary(UeId::new(key)).unwrap();
-            prop_assert_eq!(ring.successors(UeId::new(key), 1)[0], p);
+            prop_assert_eq!(ring.primary(UeId::new(key)), Some(succ[0]));
+        }
+    }
+
+    /// Any add / remove sequence — re-adds and removals of absent ids
+    /// included — leaves the flat table placing every key where the map did.
+    #[test]
+    fn flat_table_matches_the_map(ops in proptest::collection::vec((any::<bool>(), 0u64..12), 2..40),
+                                  keys in proptest::collection::vec(any::<u64>(), 1..40),
+                                  n in 0usize..14) {
+        let mut ring = ConsistentRing::new();
+        let mut map = MapRing::default();
+        for (add, id) in ops {
+            let cpf = CpfId::new(id);
+            if add {
+                ring.add(cpf);
+                map.add(cpf);
+            } else {
+                ring.remove(cpf);
+                map.remove(cpf);
+            }
+            for &k in &keys {
+                let ue = UeId::new(k);
+                let want = map.successors(ue, n);
+                prop_assert_eq!(ring.primary(ue), map.successors(ue, 1).first().copied());
+                prop_assert_eq!(ring.successors(ue, n).collect::<Vec<_>>(), want);
+            }
+        }
+    }
+
+    /// One bulk build, the same members added one by one in any order, and
+    /// the build-free owner scan all agree.
+    #[test]
+    fn bulk_build_matches_incremental(members in proptest::collection::vec(0u64..500, 2..12),
+                                      keys in proptest::collection::vec(any::<u64>(), 1..60),
+                                      n in 0usize..14) {
+        let members: Vec<CpfId> = members.into_iter().map(CpfId::new).collect();
+        let bulk = ConsistentRing::from_members(members.iter().copied());
+        let mut forward = ConsistentRing::new();
+        let mut backward = ConsistentRing::new();
+        for (&a, &b) in members.iter().zip(members.iter().rev()) {
+            forward.add(a);
+            backward.add(b);
+        }
+        prop_assert_eq!(bulk.members(), forward.members());
+        for &k in &keys {
+            let ue = UeId::new(k);
+            let want: Vec<_> = bulk.successors(ue, n).collect();
+            prop_assert_eq!(forward.successors(ue, n).collect::<Vec<_>>(), want.clone());
+            prop_assert_eq!(backward.successors(ue, n).collect::<Vec<_>>(), want);
+            prop_assert_eq!(ConsistentRing::primary_among(members.iter().copied(), ue), bulk.primary(ue));
         }
     }
 
@@ -64,7 +146,7 @@ proptest! {
         let ue = UeId::new(key);
         let primary = stack.primary(ue).unwrap();
         prop_assert!(l1.contains(&primary));
-        let backups = stack.backups(ue);
+        let backups: Vec<_> = stack.backups(ue).collect();
         prop_assert!(backups.len() <= replicas);
         for b in &backups {
             prop_assert_ne!(*b, primary);

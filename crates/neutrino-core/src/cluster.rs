@@ -191,8 +191,8 @@ impl Cluster {
             );
             let remote_peers: Vec<_> = deployment
                 .level2_siblings(region.id)
-                .into_iter()
-                .filter_map(|r| deployment.region(r))
+                .iter()
+                .filter_map(|&r| deployment.region(r))
                 .flat_map(|r| r.cpfs.clone())
                 .collect();
             for &cpf in &region.cpfs {

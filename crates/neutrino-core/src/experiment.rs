@@ -122,17 +122,16 @@ impl RunResults {
 
 /// The CPF the deployment's rings make primary for a UE (victim selection
 /// in failure experiments; mirrors the UE population's region routing).
+/// Every system's CTA routes by the level-1 ring, so the answer depends on
+/// the layout alone; probe searches call this once per pool UE, so it scans
+/// the one pool's points instead of building a deployment.
 pub fn primary_cpf_for(
-    config: &SystemConfig,
+    _config: &SystemConfig,
     layout: RegionLayout,
     ue: neutrino_common::UeId,
 ) -> Option<CpfId> {
-    let mut layout = layout;
-    layout.replicas = config.replicas;
-    let deployment = neutrino_geo::Deployment::build(layout);
     // All workload traffic enters region 0 (see `Cluster::build`).
-    let region = &deployment.regions()[0];
-    deployment.ring_stack(region.id)?.primary(ue)
+    neutrino_geo::ConsistentRing::primary_among(layout.pool(0), ue)
 }
 
 /// Rewrites generic handover arrivals to the system's handover flavor:

@@ -379,3 +379,34 @@ fn same_seed_replays_identically_different_seed_does_not() {
         "a different seed must re-roll the jittered delays"
     );
 }
+
+/// `primary_cpf_for` scans one pool's ring points without building a
+/// deployment; it must name the CPF the built cluster's entry CTA routes to.
+#[test]
+fn primary_cpf_for_matches_the_clusters_cta() {
+    use neutrino_core::{Cluster, LinkProfile, UePopConfig};
+    use neutrino_geo::RegionLayout;
+    for config in [SystemConfig::neutrino(), SystemConfig::existing_epc()] {
+        for level2_regions in [1, 2] {
+            let layout = RegionLayout {
+                level2_regions,
+                ..RegionLayout::default()
+            };
+            let mut cluster = Cluster::build(
+                config.clone(),
+                layout,
+                Workload::from_vec(Vec::new()),
+                UePopConfig::default(),
+                LinkProfile::default(),
+            );
+            for ue in (0..2_000).map(UeId::new) {
+                assert_eq!(
+                    primary_cpf_for(&config, layout, ue),
+                    cluster.serving_cpf(ue),
+                    "{}: {ue}",
+                    config.name
+                );
+            }
+        }
+    }
+}
