@@ -17,7 +17,7 @@ use neutrino_messages::sysmsg::{
     MarkOutdated, Replay, S11Request, S11Response, SessionOp, StateSync, SyncAck, SyncPurpose,
     SysMsg,
 };
-use neutrino_messages::{Snapshot, Wire};
+use neutrino_messages::{Payload, Snapshot, Wire};
 
 /// When UE state is checkpointed to backups (§4.2.2, ablated in Fig. 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -629,13 +629,14 @@ impl CpfCore {
     }
 
     fn process(&mut self, env: Envelope, replaying: bool, out: &mut Vec<CpfOutput>) {
-        // The one place on the control path a message is parsed (§4.4);
+        // The one place on the control path a wire body is parsed (§4.4);
         // done before anything is touched so that bytes corrupted upstream
-        // leave no trace but the count.
-        let Ok(msg) = env.msg.get() else {
+        // leave no trace but the count. A built or sample body is read —
+        // or built — only where `apply_message` needs a field.
+        if env.msg.parse().is_err() {
             self.metrics.malformed_payloads += 1;
             return;
-        };
+        }
         if replaying {
             self.metrics.replayed += 1;
         } else {
@@ -644,7 +645,7 @@ impl CpfCore {
         let ue = env.ue;
         let cta = env.via_cta.unwrap_or(CtaId::new(0));
         let template = env.proc_kind.template();
-        let kind = msg.kind();
+        let kind = env.msg.kind();
 
         let attach_start = matches!(
             env.proc_kind,
@@ -736,7 +737,7 @@ impl CpfCore {
         run.progress.next_step = cursor + rel + 1;
         run.progress.last_ul_clock = env.clock;
         run.progress.waiting = None;
-        if apply_message(&mut run.rec.state, msg).is_err() {
+        if apply_message(&mut run.rec.state, &env.msg).is_err() {
             run.metrics.malformed_snapshots += 1;
         }
 
@@ -956,14 +957,18 @@ impl CpfCore {
 /// State mutations per message kind. Only the arms that change something
 /// take the write path: `make_mut` on a snapshot a checkpoint still shares
 /// copies it first. An error is a stored image that does not parse.
-fn apply_message(state: &mut Snapshot, msg: &ControlMessage) -> Result<()> {
-    match msg {
-        ControlMessage::InitialUeMessage(_)
-        | ControlMessage::AttachRequest(_)
-        | ControlMessage::ServiceRequest(_) => {
+///
+/// Dispatches on the kind; only the three kinds whose fields the state
+/// takes read the body — the one build of a sample body on the simulator
+/// path. That read cannot fail: `process` parsed a wire body up front.
+fn apply_message(state: &mut Snapshot, msg: &Payload) -> Result<()> {
+    match msg.kind() {
+        MessageKind::InitialUeMessage
+        | MessageKind::AttachRequest
+        | MessageKind::ServiceRequest => {
             state.make_mut()?.connected = true;
         }
-        ControlMessage::AttachComplete(_) => {
+        MessageKind::AttachComplete => {
             let state = state.make_mut()?;
             state.attached = true;
             if state.bearers.is_empty() {
@@ -976,6 +981,25 @@ fn apply_message(state: &mut Snapshot, msg: &ControlMessage) -> Result<()> {
                 });
             }
         }
+        MessageKind::DetachRequest => {
+            let state = state.make_mut()?;
+            state.attached = false;
+            state.connected = false;
+        }
+        MessageKind::UeContextReleaseComplete => {
+            state.make_mut()?.connected = false;
+        }
+        MessageKind::InitialContextSetupResponse
+        | MessageKind::TauRequest
+        | MessageKind::HandoverNotify => apply_fields(state, &*msg.get()?)?,
+        _ => {}
+    }
+    Ok(())
+}
+
+/// The [`apply_message`] arms that read message fields.
+fn apply_fields(state: &mut Snapshot, msg: &ControlMessage) -> Result<()> {
+    match msg {
         ControlMessage::InitialContextSetupResponse(r) => {
             let state = state.make_mut()?;
             for item in &r.erabs_setup {
@@ -997,16 +1021,8 @@ fn apply_message(state: &mut Snapshot, msg: &ControlMessage) -> Result<()> {
                 state.tai_list.push(r.old_tai);
             }
         }
-        ControlMessage::DetachRequest(_) => {
-            let state = state.make_mut()?;
-            state.attached = false;
-            state.connected = false;
-        }
         ControlMessage::HandoverNotify(n) => {
             state.make_mut()?.tai = n.tai;
-        }
-        ControlMessage::UeContextReleaseComplete(_) => {
-            state.make_mut()?.connected = false;
         }
         _ => {}
     }
@@ -1022,11 +1038,12 @@ fn session_op(kind: ProcedureKind, _step_kind: MessageKind) -> SessionOp {
     }
 }
 
-/// Builds the content of a downlink message. Contents are realistic
-/// (sample-based) — the control-plane logic keys off envelopes and the state
-/// store, and the serialization benchmarks measure these same layouts.
-fn build_downlink(kind: MessageKind, ue: UeId) -> ControlMessage {
-    kind.sample(ue.raw())
+/// The content of a downlink message: realistic (sample-based) — the
+/// control-plane logic keys off envelopes and the state store, and the
+/// serialization benchmarks measure these same layouts — and held as its
+/// recipe, built only by whoever reads it (a framing encode, a `Debug`).
+fn build_downlink(kind: MessageKind, ue: UeId) -> Payload {
+    Payload::sample(kind, ue.raw())
 }
 
 impl RoleCore for CpfCore {
@@ -1294,7 +1311,6 @@ mod tests {
     #[test]
     fn malformed_payload_is_counted_and_changes_nothing() {
         use neutrino_codec::CodecKind;
-        use neutrino_messages::Payload;
         let mut cpf = neutrino_cpf(0);
         run_attach(&mut cpf, 5, 1, 1);
         let ue = UeId::new(5);

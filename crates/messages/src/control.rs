@@ -185,19 +185,21 @@ pub struct Envelope {
     /// to trigger the per-procedure state checkpoint (§4.2.2) and the CTA to
     /// delimit the log (§4.2.3).
     pub end_of_procedure: bool,
-    /// The message itself, decoded or as received. Immutable once built
-    /// and shared: the CTA's log, the forwarded copy and every replay hold
-    /// the same allocation.
+    /// The message itself: built, a sample recipe, or as received.
+    /// Immutable once made; a built or received body is shared — the CTA's
+    /// log, the forwarded copy and every replay hold the same allocation —
+    /// and a recipe has none to share.
     pub msg: Payload,
 }
 
 impl Envelope {
-    /// Creates an unstamped uplink envelope.
+    /// Creates an unstamped uplink envelope. `msg` is a [`ControlMessage`]
+    /// or a [`Payload`] (e.g. [`Payload::sample`]).
     pub fn uplink(
         ue: UeId,
         procedure: ProcedureId,
         proc_kind: ProcedureKind,
-        msg: ControlMessage,
+        msg: impl Into<Payload>,
     ) -> Self {
         Envelope {
             ue,
@@ -212,12 +214,12 @@ impl Envelope {
         }
     }
 
-    /// Creates a downlink envelope.
+    /// Creates a downlink envelope; `msg` as for [`uplink`](Self::uplink).
     pub fn downlink(
         ue: UeId,
         procedure: ProcedureId,
         proc_kind: ProcedureKind,
-        msg: ControlMessage,
+        msg: impl Into<Payload>,
     ) -> Self {
         Envelope {
             ue,

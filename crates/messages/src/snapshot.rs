@@ -29,9 +29,10 @@ use std::sync::{Arc, OnceLock};
 #[derive(Clone)]
 pub struct Snapshot(Arc<Repr>);
 
-// One enum, as for `Payload`: the wire variant fits inside the space the
+// One enum behind one pointer: the wire variant fits inside the space the
 // decoded variant needs anyway, so a decoded snapshot's heap block is that
-// of an `Arc` of the bare state plus the image cell.
+// of an `Arc` of the bare state plus the image cell. (A `Payload` has a
+// third, inline body, so it holds its two shared ones as separate `Arc`s.)
 enum Repr {
     Decoded {
         state: UeState,

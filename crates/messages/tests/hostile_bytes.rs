@@ -5,8 +5,8 @@
 //! live path runs: an `Ok` or a named `Err`, never a panic, and never an
 //! allocation sized by a count or a length read off the wire. The test
 //! binary's allocator records what each parse asked for, which is also how
-//! the last test holds `Payload::get` to allocating exactly the message it
-//! returns — no tree in between.
+//! the last tests hold `Payload::get` to allocating exactly the message it
+//! returns — no tree in between — and a sample body to allocating nothing.
 
 use neutrino_codec::CodecKind;
 use neutrino_common::Error;
@@ -170,7 +170,7 @@ fn reading_a_wire_payload_allocates_exactly_the_message() {
 
         let received = Payload::from_wire(msg.kind(), codec, &image);
         let before = recording::spent();
-        assert_eq!(received.get().unwrap(), &msg);
+        assert_eq!(*received.get().unwrap(), msg);
         let (after, _kept) = (recording::spent(), Box::new(msg.clone()));
         let owned = recording::spent();
         assert_eq!(
@@ -179,4 +179,22 @@ fn reading_a_wire_payload_allocates_exactly_the_message() {
             "{codec}: (requests, bytes) of the parse against those of the message"
         );
     }
+}
+
+/// A sample body is a recipe in two words: making and cloning it asks the
+/// allocator for nothing, where a built body is the one `Arc` block of the
+/// message (two counters and the message, no box around it).
+#[test]
+fn a_sample_body_allocates_nothing_and_a_built_one_one_block() {
+    let kind = MessageKind::InitialContextSetupResponse;
+    let msg = kind.sample(5);
+    let before = recording::spent();
+    let sample = Payload::sample(kind, 5);
+    let copy = sample.clone();
+    assert_eq!(recording::spent(), before, "a recipe allocated");
+    let built = Payload::from(msg);
+    let after = recording::spent();
+    let block = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<ControlMessage>();
+    assert_eq!((after.0 - before.0, after.1 - before.1), (1, block as u64));
+    assert_eq!(copy, built);
 }

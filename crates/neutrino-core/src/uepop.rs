@@ -17,7 +17,7 @@ use neutrino_common::time::{Duration, Instant};
 use neutrino_common::{BsId, CtaId, ProcedureId, UeId, UeMap};
 use neutrino_messages::costs::CostTable;
 use neutrino_messages::procedures::ProcedureKind;
-use neutrino_messages::{Direction, Envelope, SysMsg};
+use neutrino_messages::{Direction, Envelope, Payload, SysMsg};
 use neutrino_netsim::{Node, NodeEvent, Outbox};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -236,7 +236,7 @@ fn send_uplink(
         ue,
         active.procedure,
         active.kind,
-        step.kind.sample(ue.raw()),
+        Payload::sample(step.kind, ue.raw()),
     )
     .from_bs(bs);
     if step_idx + 1 == template.steps.len() {

@@ -101,6 +101,10 @@ fn get_block<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
     Ok(head)
 }
 
+/// The shortest framed envelope: its fixed header (no `via_cta`) and an
+/// empty payload block's length.
+const MIN_ENVELOPE_LEN: usize = 8 + 8 + 1 + 8 + 1 + 8 + 1 + 1 + 2 + 4;
+
 fn put_envelope(env: &Envelope, codec: CodecKind, buf: &mut Vec<u8>) -> Result<()> {
     buf.put_u64(env.ue.raw());
     buf.put_u64(env.procedure.raw());
@@ -121,7 +125,8 @@ fn put_envelope(env: &Envelope, codec: CodecKind, buf: &mut Vec<u8>) -> Result<(
     buf.put_u8(u8::from(env.end_of_procedure));
     buf.put_u16(kind_code(env.msg.kind()));
     // Bytes received under the outgoing codec go out as they came in; only
-    // a payload built here, or received under another codec, is encoded.
+    // a payload built here, or received under another codec, is encoded —
+    // a sample body through the tree it names, built for this encode.
     match env.msg.wire(codec) {
         Some(bytes) => {
             put_block(buf, bytes);
@@ -443,7 +448,9 @@ pub fn decode_sysmsg(frame: &[u8], codec: CodecKind) -> Result<SysMsg> {
             need(&buf, 8 + 4)?;
             let ue = UeId::new(buf.get_u64());
             let n = buf.get_u32() as usize;
-            let mut messages = Vec::with_capacity(n.min(4096));
+            // The count is the sender's word; reserve no more envelopes
+            // than the rest of the frame can hold.
+            let mut messages = Vec::with_capacity(n.min(buf.remaining() / MIN_ENVELOPE_LEN));
             for _ in 0..n {
                 messages.push(get_envelope(&mut buf, codec)?);
             }

@@ -17,9 +17,16 @@
 //! `FetchStateResp` block crosses unparsed, and every corruption of such a
 //! frame is either refused by the framing or stored and found out — counted,
 //! the UE asked to re-attach — by the replica that takes the UE over.
+//!
+//! A sample body (`Payload::sample`, the simulator's recipe) frames to the
+//! very bytes its built message does, so every wire pin speaks for both.
+//! And `decode_sysmsg` holds on bytes nobody framed: an `Ok` or a codec
+//! error, never a panic, never an allocation sized by a forged count.
 
 use neutrino_common::clock::ClockTick;
+use neutrino_common::rng::splitmix64;
 use neutrino_common::time::Instant;
+use neutrino_common::Error;
 use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, SessionId, UeId, UpfId};
 use neutrino_cpf::{CpfConfig, CpfCore};
 use neutrino_cta::{CtaConfig, CtaCore};
@@ -32,7 +39,7 @@ use neutrino_messages::sysmsg::{
     AdmissionClass, MarkOutdated, Replay, S11Request, S11Response, SessionOp, StateSync, SyncAck,
     SyncPurpose, SysMsg,
 };
-use neutrino_messages::{Snapshot, Wire};
+use neutrino_messages::{Payload, Snapshot, Wire};
 use neutrino_net::{decode_sysmsg, encode_sysmsg};
 use neutrino_codec::CodecKind;
 
@@ -509,5 +516,145 @@ fn corrupt_snapshot_frames_are_refused_or_found_out_at_takeover() {
             "{}: refused {refused}, served {served}, found out {found_out}",
             clean_msg.label()
         );
+    }
+}
+
+/// What one decode may ask for in a single request — the budget
+/// `messages/tests/hostile_bytes.rs` holds every wire type's `take` to.
+fn allowance(input: usize) -> usize {
+    4096 + 16 * input
+}
+
+/// Decodes `frame` under `codec`: it must come back `Ok` or with a codec
+/// error (the framing's own, or the snapshot header's), and ask for no more
+/// than `allowance` in any one request.
+fn decode_holds(frame: &[u8], codec: CodecKind, what: &str) {
+    largest_alloc::take();
+    let outcome = decode_sysmsg(frame, codec);
+    let largest = largest_alloc::take();
+    assert!(
+        largest <= allowance(frame.len()),
+        "{what}/{codec}: a {largest}-byte request from a {}-byte frame",
+        frame.len()
+    );
+    assert!(
+        matches!(outcome, Ok(_) | Err(Error::Codec { .. })),
+        "{what}/{codec}: {outcome:?}"
+    );
+}
+
+/// `len` bytes of a noise stream keyed by `seed`.
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = splitmix64(state);
+            state as u8
+        })
+        .collect()
+}
+
+/// A `Replay` header that promises four billion envelopes and carries none
+/// is refused without reserving room for them: the count is bounded by
+/// what the rest of the frame could hold.
+#[test]
+fn a_forged_replay_count_reserves_nothing() {
+    let mut frame = frame(
+        &SysMsg::Replay(Replay {
+            ue: UeId::new(42),
+            messages: Vec::new(),
+        }),
+        CodecKind::FastbufOptimized,
+    );
+    assert_eq!(frame.len(), 13, "tag, UE id, count");
+    frame[9..13].copy_from_slice(&u32::MAX.to_be_bytes());
+    for codec in [CodecKind::Asn1Per, CodecKind::FastbufOptimized] {
+        largest_alloc::take();
+        assert!(decode_sysmsg(&frame, codec).is_err());
+        let largest = largest_alloc::take();
+        assert!(
+            largest <= allowance(frame.len()),
+            "{codec}: a {largest}-byte request"
+        );
+    }
+}
+
+/// Arbitrary bytes up to 512, and the same bytes behind every real tag.
+#[test]
+fn decode_of_arbitrary_bytes_is_ok_or_a_codec_error() {
+    for case in 0..256u64 {
+        let mut bytes = noise(case, (splitmix64(!case) % 513) as usize);
+        for codec in [CodecKind::Asn1Per, CodecKind::FastbufOptimized] {
+            decode_holds(&bytes, codec, "noise");
+            if let Some(tag) = bytes.first_mut() {
+                *tag = (case % VARIANT_COUNT as u64) as u8 + 1;
+                decode_holds(&bytes, codec, "noise behind a tag");
+            }
+        }
+    }
+}
+
+/// A real frame of every tag with 1..=24 bytes of noise written over it
+/// somewhere: pure noise rarely gets past a header, this does.
+#[test]
+fn decode_of_a_defaced_frame_is_ok_or_a_codec_error() {
+    for codec in [CodecKind::Asn1Per, CodecKind::FastbufOptimized] {
+        for msg in samples() {
+            let clean = frame(&msg, codec);
+            for case in 0..64u64 {
+                let key = splitmix64(case ^ (variant_index(&msg) as u64) << 32);
+                let at = (key % clean.len() as u64) as usize;
+                let mut defaced = clean.clone();
+                let over = noise(key, 1 + (key >> 40) as usize % 24);
+                for (byte, noise) in defaced[at..].iter_mut().zip(&over) {
+                    *byte = *noise;
+                }
+                decode_holds(&defaced, codec, msg.label());
+            }
+        }
+    }
+}
+
+/// A sample body frames to exactly the bytes of the message it names, for
+/// every kind under every codec the live path runs — alone and inside a
+/// `Replay` — and decodes back equal to it.
+#[test]
+fn a_sample_body_frames_as_the_built_body() {
+    for &kind in MessageKind::ALL {
+        for seed in (0..=3).chain([1_000_000]) {
+            let envelope = |msg: Payload| {
+                Envelope::uplink(
+                    UeId::new(seed),
+                    ProcedureId::new(3),
+                    ProcedureKind::ServiceRequest,
+                    msg,
+                )
+            };
+            let built = envelope(kind.sample(seed).into());
+            let sample = envelope(Payload::sample(kind, seed));
+            for codec in [
+                CodecKind::Asn1Per,
+                CodecKind::Fastbuf,
+                CodecKind::FastbufOptimized,
+            ] {
+                let replay = |env: &Envelope| {
+                    SysMsg::Replay(Replay {
+                        ue: env.ue,
+                        messages: vec![env.clone(), env.clone()],
+                    })
+                };
+                let image = frame(&SysMsg::Control(sample.clone()), codec);
+                assert_eq!(
+                    image,
+                    frame(&SysMsg::Control(built.clone()), codec),
+                    "{kind}/{seed}/{codec}"
+                );
+                assert_eq!(
+                    frame(&replay(&sample), codec),
+                    frame(&replay(&built), codec)
+                );
+                assert_eq!(control(decode_sysmsg(&image, codec).unwrap()), sample);
+            }
+        }
     }
 }

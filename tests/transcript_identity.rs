@@ -12,12 +12,14 @@
 //! and their handlers single-pass: any change to what a handler emits, or to
 //! the order it emits it in, moves the hash.
 //!
-//! The script runs twice: handing each `SysMsg` over as the value it is (the
-//! simulator's way), and with every hop crossing `encode_sysmsg` →
+//! The script runs three ways: handing each `SysMsg` over as the value it is
+//! with built uplinks; the same with every uplink a sample body
+//! (`Payload::sample`, the simulator's way — the CPF's downlinks are one in
+//! every run); and with every hop crossing `encode_sysmsg` →
 //! `decode_sysmsg` (the live path's way), so that every receiver holds
 //! wire-backed payloads and snapshots — the handover target, the replayed-to
 //! backup, the state fetcher and every replica that takes a UE over serve
-//! from bytes they had stored unread. Both runs must produce the one hash.
+//! from bytes they had stored unread. All three must produce the one hash.
 
 use neutrino_codec::CodecKind;
 use neutrino_common::time::{Duration, Instant};
@@ -27,7 +29,7 @@ use neutrino_cta::{CtaConfig, CtaCore};
 use neutrino_geo::RingStack;
 use neutrino_messages::flow::{Effect, NodeAddr, RoleCore};
 use neutrino_messages::procedures::ProcedureKind;
-use neutrino_messages::{Direction, Envelope, SysMsg};
+use neutrino_messages::{Direction, Envelope, Payload, SysMsg};
 use neutrino_net::{decode_sysmsg, encode_sysmsg};
 use neutrino_upf::UpfCore;
 use std::collections::VecDeque;
@@ -39,6 +41,17 @@ const PINNED_TRANSCRIPT_HASH: u64 = 0xc1e8_202c_15a7_6db7;
 /// Handler calls the script makes (a cheap guard against a script that
 /// silently stops early).
 const PINNED_CALLS: u64 = 588;
+
+/// How the script's messages are made and carried.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mode {
+    /// Built uplinks, handed over as values.
+    Direct,
+    /// Sample-body uplinks, handed over as values.
+    Sampled,
+    /// Built uplinks, every hop through the wire framing.
+    Framed,
+}
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Dest {
@@ -62,14 +75,13 @@ struct World {
     drop_rule: Option<DropRule>,
     crashed: Vec<u64>,
     to_client: u64,
-    /// Every hop goes through the wire framing.
-    framed: bool,
+    mode: Mode,
 }
 
 const CODEC: CodecKind = CodecKind::FastbufOptimized;
 
 impl World {
-    fn new(framed: bool) -> Self {
+    fn new(mode: Mode) -> Self {
         let l1: Vec<CpfId> = (0..5).map(CpfId::new).collect();
         let l2: Vec<CpfId> = (5..10).map(CpfId::new).collect();
         let ring = RingStack::new(&l1, &l2, 2);
@@ -92,7 +104,7 @@ impl World {
             drop_rule: None,
             crashed: Vec::new(),
             to_client: 0,
-            framed,
+            mode,
         }
     }
 
@@ -110,7 +122,7 @@ impl World {
                 return;
             }
         }
-        let msg = if self.framed {
+        let msg = if self.mode == Mode::Framed {
             let mut frame = Vec::new();
             encode_sysmsg(&msg, CODEC, &mut frame).expect("encodes");
             decode_sysmsg(&frame, CODEC).expect("decodes")
@@ -175,13 +187,12 @@ impl World {
     fn uplink(&mut self, kind: ProcedureKind, ue: u64, procedure: u64, step: usize) {
         let steps = &kind.template().steps;
         assert_eq!(steps[step].direction, Direction::Uplink);
-        let mut env = Envelope::uplink(
-            UeId::new(ue),
-            ProcedureId::new(procedure),
-            kind,
-            steps[step].kind.sample(ue),
-        )
-        .from_bs(BsId::new(ue % 8));
+        let msg = match self.mode {
+            Mode::Sampled => Payload::sample(steps[step].kind, ue),
+            Mode::Direct | Mode::Framed => steps[step].kind.sample(ue).into(),
+        };
+        let mut env = Envelope::uplink(UeId::new(ue), ProcedureId::new(procedure), kind, msg)
+            .from_bs(BsId::new(ue % 8));
         if step + 1 == steps.len() {
             env = env.ending_procedure();
         }
@@ -210,9 +221,9 @@ impl World {
     }
 }
 
-fn transcript(framed: bool) -> (u64, u64, World) {
+fn transcript(mode: Mode) -> (u64, u64, World) {
     use ProcedureKind::*;
-    let mut w = World::new(framed);
+    let mut w = World::new(mode);
 
     // 1. The everyday script on three UEs, interleaved per phase.
     let ues = [11u64, 12, 13];
@@ -329,13 +340,13 @@ fn transcript(framed: bool) -> (u64, u64, World) {
 
 #[test]
 fn transcript_is_deterministic() {
-    let (a, calls_a, _) = transcript(false);
-    let (b, calls_b, _) = transcript(false);
+    let (a, calls_a, _) = transcript(Mode::Direct);
+    let (b, calls_b, _) = transcript(Mode::Direct);
     assert_eq!((a, calls_a), (b, calls_b));
 }
 
-fn assert_pinned(framed: bool) -> World {
-    let (hash, calls, w) = transcript(framed);
+fn assert_pinned(mode: Mode) -> World {
+    let (hash, calls, w) = transcript(mode);
     assert!(
         w.to_client > 60,
         "downlinks reached the client: {}",
@@ -351,12 +362,17 @@ fn assert_pinned(framed: bool) -> World {
 
 #[test]
 fn transcript_matches_the_pinned_hash() {
-    assert_pinned(false);
+    assert_pinned(Mode::Direct);
+}
+
+#[test]
+fn sampled_transcript_matches_the_pinned_hash() {
+    assert_pinned(Mode::Sampled);
 }
 
 #[test]
 fn framed_transcript_matches_the_pinned_hash() {
-    let w = assert_pinned(true);
+    let w = assert_pinned(Mode::Framed);
     let malformed: u64 = w
         .cpfs
         .iter()
