@@ -228,7 +228,9 @@ impl<'a> CdrReader<'a> {
             FieldType::Struct(schema) => self.decode_struct(schema),
             FieldType::List { elem, .. } => {
                 let count = self.get_u32()? as usize;
-                let mut items = Vec::with_capacity(count.min(4096));
+                // The count is the sender's word: reserve from the input
+                // left, two bytes per 32-byte `Value` at most.
+                let mut items = Vec::with_capacity(count.min((self.buf.len() - self.pos) / 2));
                 for _ in 0..count {
                     items.push(self.decode(elem)?);
                 }

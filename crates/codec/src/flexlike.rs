@@ -163,6 +163,12 @@ impl<'a> FlexReader<'a> {
         Ok(out)
     }
 
+    /// Room to reserve for `count` values: the count is the sender's word,
+    /// so no more than the input left, two bytes per 32-byte `Value`.
+    fn reserve(&self, count: usize) -> usize {
+        count.min((self.buf.len() - self.pos) / 2)
+    }
+
     fn decode_value(&mut self) -> Result<Value> {
         match self.byte()? {
             T_BOOL_FALSE => Ok(Value::Bool(false)),
@@ -193,7 +199,7 @@ impl<'a> FlexReader<'a> {
             }
             T_STRUCT => {
                 let n = self.varint()? as usize;
-                let mut fields = Vec::with_capacity(n.min(4096));
+                let mut fields = Vec::with_capacity(self.reserve(n));
                 for _ in 0..n {
                     fields.push(self.decode_value()?);
                 }
@@ -201,7 +207,7 @@ impl<'a> FlexReader<'a> {
             }
             T_LIST => {
                 let n = self.varint()? as usize;
-                let mut items = Vec::with_capacity(n.min(4096));
+                let mut items = Vec::with_capacity(self.reserve(n));
                 for _ in 0..n {
                     items.push(self.decode_value()?);
                 }

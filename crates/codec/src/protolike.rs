@@ -257,7 +257,9 @@ impl<'a> ProtoReader<'a> {
             FieldType::Struct(schema) => decode_message(schema, body),
             FieldType::List { elem, .. } => {
                 let count = r.get_varint()? as usize;
-                let mut items = Vec::with_capacity(count.min(4096));
+                // The count is the sender's word: reserve from the input
+                // left, two bytes per 32-byte `Value` at most.
+                let mut items = Vec::with_capacity(count.min((r.buf.len() - r.pos) / 2));
                 for _ in 0..count {
                     if is_varint(elem) {
                         items.push(r.decode_varint_value(elem)?);

@@ -55,20 +55,9 @@ impl AdmissionClass {
         }
     }
 
-    /// Wire encoding.
+    /// The class's index: its priority rank, and its code on the wire.
     pub fn raw(self) -> u8 {
         self as u8
-    }
-
-    /// Wire decoding.
-    pub fn from_raw(raw: u8) -> Option<AdmissionClass> {
-        match raw {
-            0 => Some(AdmissionClass::Handover),
-            1 => Some(AdmissionClass::ServiceRequest),
-            2 => Some(AdmissionClass::Attach),
-            3 => Some(AdmissionClass::Detach),
-            _ => None,
-        }
     }
 
     /// Short label for traces and figure output.

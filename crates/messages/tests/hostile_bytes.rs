@@ -3,9 +3,10 @@
 //! The framing hands a CPF whatever payload block a frame carried, so every
 //! wire type's `take` must hold on arbitrary input under each codec the
 //! live path runs: an `Ok` or a named `Err`, never a panic, and never an
-//! allocation sized by a count or a length read off the wire. The test
-//! binary's allocator records what each parse asked for, which is also how
-//! the last tests hold `Payload::get` to allocating exactly the message it
+//! allocation sized by a count or a length read off the wire. The four
+//! comparison codecs' decoders are held to the same for every message kind
+//! they can express. The test binary's allocator records what each parse
+//! asked for, which is also how the last tests hold `Payload::get` to allocating exactly the message it
 //! returns — no tree in between — and a sample body to allocating nothing.
 
 use neutrino_codec::CodecKind;
@@ -76,6 +77,15 @@ const LIVE_CODECS: [CodecKind; 3] = [
     CodecKind::FastbufOptimized,
 ];
 
+/// The comparison codecs of Figs. 18–20: the live path never runs them, but
+/// their decoders meet bytes from the same hands.
+const COMPARISON_CODECS: [CodecKind; 4] = [
+    CodecKind::Cdr,
+    CodecKind::Lcm,
+    CodecKind::Proto,
+    CodecKind::Flex,
+];
+
 /// What one parse may ask for in a single request: a list's first reserve
 /// (16 elements of the widest element type) and an error's text fit under
 /// the constant; past that it is a small multiple of what the input holds
@@ -84,36 +94,57 @@ fn allowance(input: usize) -> usize {
     4096 + 16 * input
 }
 
-/// Parses `bytes` as every wire type under `codec`: each must come back
-/// `Ok` or with an error that says which codec or message refused it, and
-/// none may ask for more than `allowance`.
-fn take_everything(bytes: &[u8], codec: CodecKind) -> Result<(), TestCaseError> {
-    let check = |what: &str, outcome: Result<(), Error>| {
-        let largest = recording::take_largest();
-        prop_assert!(
-            largest <= allowance(bytes.len()),
-            "{} via {}: a {}-byte request from {} bytes of input",
-            what,
-            codec,
-            largest,
-            bytes.len()
-        );
-        // A codec's refusal names the codec, a type's the message.
-        let named = match &outcome {
-            Ok(()) | Err(Error::Codec { .. }) => true,
-            Err(Error::Schema(detail)) => detail.contains(what),
-            Err(_) => false,
-        };
-        prop_assert!(named, "{} via {}: unnamed {:?}", what, codec, outcome);
-        Ok(())
+/// Holds one parse of `input` bytes under `codec` to the contract: it asked
+/// for no more than `allowance` in any one request, and came back `Ok` or
+/// with an error that says which codec or message refused it.
+fn holds(
+    what: &str,
+    codec: CodecKind,
+    input: usize,
+    outcome: Result<(), Error>,
+) -> Result<(), TestCaseError> {
+    let largest = recording::take_largest();
+    prop_assert!(
+        largest <= allowance(input),
+        "{} via {}: a {}-byte request from {} bytes of input",
+        what,
+        codec,
+        largest,
+        input
+    );
+    // A codec's refusal names the codec, a type's the message.
+    let named = match &outcome {
+        Ok(()) | Err(Error::Codec { .. }) => true,
+        Err(Error::Schema(detail)) => detail.contains(what),
+        Err(_) => false,
     };
-    recording::take_largest();
+    prop_assert!(named, "{} via {}: unnamed {:?}", what, codec, outcome);
+    Ok(())
+}
+
+/// Decodes `bytes` as every message kind `codec` can express.
+fn decode_every_kind(bytes: &[u8], codec: CodecKind) -> Result<(), TestCaseError> {
     for &kind in MessageKind::ALL {
+        if !codec.codec().supports(&kind.schema()) {
+            continue;
+        }
+        recording::take_largest();
         let outcome = ControlMessage::decode(kind, codec.codec(), bytes).map(drop);
-        check(kind.name(), outcome)?;
+        holds(kind.name(), codec, bytes.len(), outcome)?;
     }
-    check("UeState", take::<UeState>(bytes, codec))?;
-    check("BearerContext", take::<BearerContext>(bytes, codec))
+    Ok(())
+}
+
+/// Parses `bytes` as every wire type under `codec`.
+fn take_everything(bytes: &[u8], codec: CodecKind) -> Result<(), TestCaseError> {
+    decode_every_kind(bytes, codec)?;
+    holds("UeState", codec, bytes.len(), take::<UeState>(bytes, codec))?;
+    holds(
+        "BearerContext",
+        codec,
+        bytes.len(),
+        take::<BearerContext>(bytes, codec),
+    )
 }
 
 /// `T::take` straight off the codec's source over `bytes`.
@@ -151,6 +182,40 @@ proptest! {
                 *byte = *noise;
             }
             take_everything(&image, codec)?;
+        }
+    }
+
+    /// Arbitrary bytes, as every kind under every comparison codec.
+    #[test]
+    fn comparison_decode_of_arbitrary_bytes_is_ok_or_a_named_error(
+        bytes in vec(any::<u8>(), 0..=512),
+    ) {
+        for codec in COMPARISON_CODECS {
+            decode_every_kind(&bytes, codec)?;
+        }
+    }
+
+    /// Arbitrary bytes written over part of a real image under a comparison
+    /// codec (LCM cannot encode a union, so it sits out those kinds).
+    #[test]
+    fn comparison_decode_of_a_defaced_image_is_ok_or_a_named_error(
+        kind in proptest::sample::select(MessageKind::ALL.to_vec()),
+        seed in any::<u64>(),
+        at in any::<proptest::sample::Index>(),
+        noise in vec(any::<u8>(), 1..=24),
+    ) {
+        for codec in COMPARISON_CODECS {
+            if !codec.codec().supports(&kind.schema()) {
+                continue;
+            }
+            let mut image = Vec::new();
+            kind.sample(seed).encode(codec.codec(), &mut image).unwrap();
+            // A protobuf image of nothing but absent options is empty.
+            let at = at.index(image.len().max(1));
+            for (byte, noise) in image[at..].iter_mut().zip(&noise) {
+                *byte = *noise;
+            }
+            decode_every_kind(&image, codec)?;
         }
     }
 }

@@ -1,10 +1,14 @@
 //! Wire framing for [`SysMsg`] over byte transports.
 //!
-//! Layout: a 1-byte message tag, fixed-width header fields, then the
-//! payload. Control-message payloads are encoded with the *system's* codec
-//! (the serialization under evaluation); state snapshots travel under
-//! [`Snapshot::CODEC`] regardless. Length-prefixed throughout so frames
-//! survive stream transports.
+//! Layout: a 1-byte message tag, then the variant's fields in wire order.
+//! Both are stated once, in the `frames!` table at the end of this file (and,
+//! for the structs a frame carries, in `fields!`): `encode_sysmsg` and
+//! `decode_sysmsg` are generated from it, so encoder and decoder cannot
+//! disagree on a layout; how each field travels is its type's `Field` impl.
+//! Control-message payloads are encoded with the *system's* codec (the
+//! serialization under evaluation); state snapshots travel under
+//! [`Snapshot::CODEC`] regardless. Both are length-prefixed blocks, so
+//! frames survive stream transports.
 //!
 //! Decoding reads a control envelope's fixed header and keeps its payload
 //! block as a wire-backed [`Payload`] without running the codec; encoding
@@ -24,7 +28,6 @@
 //! steady-state encode path is allocation-free
 //! (`tests/framing_exhaustive.rs::the_second_encode_into_one_buffer_allocates_nothing`).
 
-use bytes::{Buf, BufMut};
 use neutrino_codec::{scratch, CodecKind};
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, CpfId, CtaId, Error, ProcedureId, Result, SessionId, UeId, UpfId};
@@ -36,541 +39,311 @@ use neutrino_messages::sysmsg::{
 };
 use neutrino_messages::{Payload, Snapshot};
 
-const TAG_CONTROL: u8 = 1;
-const TAG_STATE_SYNC: u8 = 2;
-const TAG_SYNC_ACK: u8 = 3;
-const TAG_MARK_OUTDATED: u8 = 4;
-const TAG_REPLAY: u8 = 5;
-const TAG_FETCH_STATE: u8 = 6;
-const TAG_FETCH_RESP: u8 = 7;
-const TAG_S11: u8 = 8;
-const TAG_S11_RESP: u8 = 9;
-const TAG_ASK_RE_ATTACH: u8 = 10;
-const TAG_MIGRATION_ACK: u8 = 11;
-const TAG_RELAY_RE_ATTACH: u8 = 12;
-const TAG_CPF_FAILURE: u8 = 13;
-const TAG_DOWNLINK_DATA: u8 = 14;
-const TAG_DDN: u8 = 15;
-const TAG_RESYNC_REQUEST: u8 = 16;
-const TAG_RESYNC_BEHIND: u8 = 17;
-const TAG_REJECT: u8 = 18;
-
 fn err(detail: impl Into<String>) -> Error {
     Error::codec("framing", detail.into())
 }
 
-// The on-wire code of a kind is its declaration index: `ALL` lists the
-// variants in declaration order (`wire_codes_are_declaration_indices`).
-fn kind_code(kind: MessageKind) -> u16 {
-    kind as u16
+/// One wire shape: how a value goes into a frame and comes back out of one.
+/// `codec` is the system's; only a control payload uses it.
+///
+/// The leaf shapes (integers, ids, enums, `bool`, `Option`) are always
+/// inlined: a frame is a run of them, and with plain `#[inline]` hints a
+/// forwarded `Control` frame's decode and re-encode took ≈ 3 ns (4 %) more
+/// on a 2-core Xeon.
+trait Field: Sized {
+    fn put(&self, buf: &mut Vec<u8>, codec: CodecKind) -> Result<()>;
+    fn take(buf: &mut &[u8], codec: CodecKind) -> Result<Self>;
 }
 
-fn kind_from_code(code: u16) -> Result<MessageKind> {
-    MessageKind::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| err(format!("bad message kind code {code}")))
-}
+macro_rules! big_endian {
+    ($($int:ty),+) => {$(
+        impl Field for $int {
+            #[inline(always)]
+            fn put(&self, buf: &mut Vec<u8>, _: CodecKind) -> Result<()> {
+                buf.extend_from_slice(&self.to_be_bytes());
+                Ok(())
+            }
 
-fn proc_kind_code(kind: ProcedureKind) -> u8 {
-    kind as u8
-}
-
-fn proc_kind_from_code(code: u8) -> Result<ProcedureKind> {
-    ProcedureKind::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| err(format!("bad procedure kind code {code}")))
-}
-
-fn put_block(buf: &mut Vec<u8>, bytes: &[u8]) {
-    buf.put_u32(bytes.len() as u32);
-    buf.put_slice(bytes);
-}
-
-fn get_block<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
-    if buf.remaining() < 4 {
-        return Err(err("truncated block length"));
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(err("truncated block body"));
-    }
-    let (head, tail) = buf.split_at(len);
-    *buf = tail;
-    Ok(head)
-}
-
-/// The shortest framed envelope: its fixed header (no `via_cta`) and an
-/// empty payload block's length.
-const MIN_ENVELOPE_LEN: usize = 8 + 8 + 1 + 8 + 1 + 8 + 1 + 1 + 2 + 4;
-
-fn put_envelope(env: &Envelope, codec: CodecKind, buf: &mut Vec<u8>) -> Result<()> {
-    buf.put_u64(env.ue.raw());
-    buf.put_u64(env.procedure.raw());
-    buf.put_u8(proc_kind_code(env.proc_kind));
-    buf.put_u64(env.bs.raw());
-    match env.via_cta {
-        Some(c) => {
-            buf.put_u8(1);
-            buf.put_u64(c.raw());
+            #[inline(always)]
+            fn take(buf: &mut &[u8], _: CodecKind) -> Result<Self> {
+                let (head, rest) = buf.split_first_chunk().ok_or_else(|| err("truncated frame"))?;
+                *buf = rest;
+                Ok(<$int>::from_be_bytes(*head))
+            }
         }
-        None => buf.put_u8(0),
-    }
-    buf.put_u64(env.clock.raw());
-    buf.put_u8(match env.direction {
-        Direction::Uplink => 0,
-        Direction::Downlink => 1,
-    });
-    buf.put_u8(u8::from(env.end_of_procedure));
-    buf.put_u16(kind_code(env.msg.kind()));
-    // Bytes received under the outgoing codec go out as they came in; only
-    // a payload built here, or received under another codec, is encoded —
-    // a sample body through the tree it names, built for this encode.
-    match env.msg.wire(codec) {
-        Some(bytes) => {
-            put_block(buf, bytes);
-            Ok(())
+    )+};
+}
+
+big_endian!(u8, u16, u32, u64);
+
+macro_rules! u64_newtype {
+    ($($ty:ident),+) => {$(
+        impl Field for $ty {
+            #[inline(always)]
+            fn put(&self, buf: &mut Vec<u8>, codec: CodecKind) -> Result<()> {
+                self.0.put(buf, codec)
+            }
+
+            #[inline(always)]
+            fn take(buf: &mut &[u8], codec: CodecKind) -> Result<Self> {
+                u64::take(buf, codec).map($ty)
+            }
         }
-        None => scratch::with_buf(|payload| {
-            env.msg.get()?.encode(codec.codec(), payload)?;
-            put_block(buf, payload);
-            Ok(())
-        }),
+    )+};
+}
+
+u64_newtype! { UeId, CpfId, CtaId, BsId, UpfId, SessionId, ProcedureId, ClockTick }
+
+/// An enum travels as its declaration index and is read back by indexing
+/// its variants in declaration order (`wire_codes_are_declaration_indices`).
+macro_rules! declaration_index {
+    ($($ty:ident as $int:ty, $what:literal: $variants:expr;)+) => {$(
+        impl Field for $ty {
+            #[inline(always)]
+            fn put(&self, buf: &mut Vec<u8>, codec: CodecKind) -> Result<()> {
+                (*self as $int).put(buf, codec)
+            }
+
+            #[inline(always)]
+            fn take(buf: &mut &[u8], codec: CodecKind) -> Result<Self> {
+                let code = <$int>::take(buf, codec)?;
+                $variants
+                    .get(usize::from(code))
+                    .copied()
+                    .ok_or_else(|| err(format!(concat!("bad ", $what, " {}"), code)))
+            }
+        }
+    )+};
+}
+
+declaration_index! {
+    MessageKind as u16, "message kind code": MessageKind::ALL;
+    ProcedureKind as u8, "procedure kind code": ProcedureKind::ALL;
+    AdmissionClass as u8, "admission class": AdmissionClass::ALL;
+    Direction as u8, "direction": [Direction::Uplink, Direction::Downlink];
+    SyncPurpose as u8, "purpose": [SyncPurpose::Checkpoint, SyncPurpose::Migration];
+    SessionOp as u8, "session op": [SessionOp::Create, SessionOp::Modify, SessionOp::Delete];
+}
+
+/// A byte, of which only `1` reads as true.
+impl Field for bool {
+    #[inline(always)]
+    fn put(&self, buf: &mut Vec<u8>, codec: CodecKind) -> Result<()> {
+        u8::from(*self).put(buf, codec)
+    }
+
+    #[inline(always)]
+    fn take(buf: &mut &[u8], codec: CodecKind) -> Result<Self> {
+        Ok(u8::take(buf, codec)? == 1)
     }
 }
 
-fn take_u64(buf: &mut &[u8]) -> Result<u64> {
-    need(buf, 8)?;
-    Ok(buf.get_u64())
+/// Presence as a `bool`, then the value if there is one.
+impl<T: Field> Field for Option<T> {
+    #[inline(always)]
+    fn put(&self, buf: &mut Vec<u8>, codec: CodecKind) -> Result<()> {
+        self.is_some().put(buf, codec)?;
+        self.as_ref().map_or(Ok(()), |value| value.put(buf, codec))
+    }
+
+    #[inline(always)]
+    fn take(buf: &mut &[u8], codec: CodecKind) -> Result<Self> {
+        if bool::take(buf, codec)? {
+            T::take(buf, codec).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
 }
 
-fn take_u16(buf: &mut &[u8]) -> Result<u16> {
-    need(buf, 2)?;
-    Ok(buf.get_u16())
+/// A list behind its count. The count is the sender's word, so a decode
+/// reserves no more memory than the rest of the frame takes.
+macro_rules! counted {
+    ($($elem:ty: $count:ty),+) => {$(
+        impl Field for Vec<$elem> {
+            fn put(&self, buf: &mut Vec<u8>, codec: CodecKind) -> Result<()> {
+                (self.len() as $count).put(buf, codec)?;
+                self.iter().try_for_each(|elem| elem.put(buf, codec))
+            }
+
+            fn take(buf: &mut &[u8], codec: CodecKind) -> Result<Self> {
+                let count = <$count>::take(buf, codec)? as usize;
+                let mut list = Vec::with_capacity(count.min(buf.len() / size_of::<$elem>()));
+                for _ in 0..count {
+                    list.push(<$elem>::take(buf, codec)?);
+                }
+                Ok(list)
+            }
+        }
+    )+};
 }
 
-fn take_u8(buf: &mut &[u8]) -> Result<u8> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
-}
+counted!(CpfId: u16, Envelope: u32);
 
-/// Reads the fixed header and keeps the payload block as received: no codec
-/// runs here, so a corrupt payload surfaces where it is first read (the CPF).
-fn get_envelope(buf: &mut &[u8], codec: CodecKind) -> Result<Envelope> {
-    let ue = UeId::new(take_u64(buf)?);
-    let procedure = ProcedureId::new(take_u64(buf)?);
-    let proc_kind = proc_kind_from_code(take_u8(buf)?)?;
-    let bs = BsId::new(take_u64(buf)?);
-    let via_cta = if take_u8(buf)? == 1 {
-        Some(CtaId::new(take_u64(buf)?))
-    } else {
-        None
-    };
-    let clock = ClockTick(take_u64(buf)?);
-    let direction = match take_u8(buf)? {
-        0 => Direction::Uplink,
-        1 => Direction::Downlink,
-        other => return Err(err(format!("bad direction {other}"))),
-    };
-    let end_of_procedure = take_u8(buf)? == 1;
-    let kind = kind_from_code(take_u16(buf)?)?;
-    let payload = get_block(buf)?;
-    Ok(Envelope {
-        ue,
-        procedure,
-        proc_kind,
-        bs,
-        via_cta,
-        clock,
-        direction,
-        end_of_procedure,
-        msg: Payload::from_wire(kind, codec, payload),
-    })
-}
-
-fn put_state(state: &Snapshot, buf: &mut Vec<u8>) -> Result<()> {
-    put_block(buf, state.wire()?);
+fn put_block(buf: &mut Vec<u8>, block: &[u8], codec: CodecKind) -> Result<()> {
+    (block.len() as u32).put(buf, codec)?;
+    buf.extend_from_slice(block);
     Ok(())
 }
 
-/// Keeps the snapshot block as received. `ue` is the frame header's: a
-/// receiver stores under the image's id and answers to the header's, so a
-/// frame whose two disagree is malformed.
-fn get_state(buf: &mut &[u8], ue: UeId) -> Result<Snapshot> {
-    let state = Snapshot::from_wire(get_block(buf)?)?;
-    if state.ue() != ue {
-        return Err(err(format!(
+fn take_block<'a>(buf: &mut &'a [u8], codec: CodecKind) -> Result<&'a [u8]> {
+    let len = u32::take(buf, codec)? as usize;
+    let (block, rest) = buf
+        .split_at_checked(len)
+        .ok_or_else(|| err("truncated block body"))?;
+    *buf = rest;
+    Ok(block)
+}
+
+/// The message's kind, then its image as a block.
+impl Field for Payload {
+    fn put(&self, buf: &mut Vec<u8>, codec: CodecKind) -> Result<()> {
+        self.kind().put(buf, codec)?;
+        // Bytes received under the outgoing codec go out as they came in;
+        // only a payload built here, or received under another codec, is
+        // encoded — a sample body through the tree it names, built for this
+        // encode.
+        match self.wire(codec) {
+            Some(bytes) => put_block(buf, bytes, codec),
+            None => scratch::with_buf(|image| {
+                self.get()?.encode(codec.codec(), image)?;
+                put_block(buf, image, codec)
+            }),
+        }
+    }
+
+    /// Keeps the block as received: no codec runs here, so a corrupt
+    /// payload surfaces where it is first read (the CPF).
+    fn take(buf: &mut &[u8], codec: CodecKind) -> Result<Self> {
+        let kind = MessageKind::take(buf, codec)?;
+        Ok(Payload::from_wire(kind, codec, take_block(buf, codec)?))
+    }
+}
+
+/// The image under [`Snapshot::CODEC`] as a block, kept as received.
+impl Field for Snapshot {
+    fn put(&self, buf: &mut Vec<u8>, codec: CodecKind) -> Result<()> {
+        put_block(buf, self.wire()?, codec)
+    }
+
+    fn take(buf: &mut &[u8], codec: CodecKind) -> Result<Self> {
+        Snapshot::from_wire(take_block(buf, codec)?)
+    }
+}
+
+/// A struct a frame carries: its fields in wire order.
+macro_rules! fields {
+    ($($ty:ident { $($field:ident),+ })+) => {$(
+        impl Field for $ty {
+            fn put(&self, buf: &mut Vec<u8>, codec: CodecKind) -> Result<()> {
+                $(self.$field.put(buf, codec)?;)+
+                Ok(())
+            }
+
+            fn take(buf: &mut &[u8], codec: CodecKind) -> Result<Self> {
+                Ok($ty { $($field: Field::take(buf, codec)?),+ })
+            }
+        }
+    )+};
+}
+
+fields! {
+    Envelope { ue, procedure, proc_kind, bs, via_cta, clock, direction, end_of_procedure, msg }
+    // Not declaration order: the snapshot block goes last.
+    StateSync { ue, primary, cta, procedure, end_clock, purpose, state }
+    SyncAck { ue, replica, procedure, end_clock }
+    MarkOutdated { ue, clock, up_to_date }
+    Replay { ue, messages }
+    S11Request { ue, cpf, op, session }
+    S11Response { ue, op, upf, session, ok }
+}
+
+/// A receiver stores a snapshot under the image's UE id and answers to the
+/// frame header's, so a frame whose two disagree is malformed.
+fn owner_is(ue: UeId, state: Option<&Snapshot>) -> Result<()> {
+    match state {
+        Some(state) if state.ue() != ue => Err(err(format!(
             "snapshot of {} in a frame for {ue}",
             state.ue()
-        )));
-    }
-    Ok(state)
-}
-
-/// Encodes a [`SysMsg`] as a self-contained frame into `buf`.
-///
-/// `buf` is cleared first so callers can recycle one buffer across frames
-/// (e.g. via [`scratch::with_buf`]); on error its contents are unspecified.
-pub fn encode_sysmsg(msg: &SysMsg, codec: CodecKind, buf: &mut Vec<u8>) -> Result<()> {
-    buf.clear();
-    buf.reserve(64);
-    match msg {
-        SysMsg::Control(env) => {
-            buf.put_u8(TAG_CONTROL);
-            put_envelope(env, codec, buf)?;
-        }
-        SysMsg::StateSync(s) => {
-            buf.put_u8(TAG_STATE_SYNC);
-            buf.put_u64(s.ue.raw());
-            buf.put_u64(s.primary.raw());
-            buf.put_u64(s.cta.raw());
-            buf.put_u64(s.procedure.raw());
-            buf.put_u64(s.end_clock.raw());
-            buf.put_u8(match s.purpose {
-                SyncPurpose::Checkpoint => 0,
-                SyncPurpose::Migration => 1,
-            });
-            put_state(&s.state, buf)?;
-        }
-        SysMsg::SyncAck(a) => {
-            buf.put_u8(TAG_SYNC_ACK);
-            buf.put_u64(a.ue.raw());
-            buf.put_u64(a.replica.raw());
-            buf.put_u64(a.procedure.raw());
-            buf.put_u64(a.end_clock.raw());
-        }
-        SysMsg::MarkOutdated(m) => {
-            buf.put_u8(TAG_MARK_OUTDATED);
-            buf.put_u64(m.ue.raw());
-            buf.put_u64(m.clock.raw());
-            buf.put_u16(m.up_to_date.len() as u16);
-            for c in &m.up_to_date {
-                buf.put_u64(c.raw());
-            }
-        }
-        SysMsg::Replay(r) => {
-            buf.put_u8(TAG_REPLAY);
-            buf.put_u64(r.ue.raw());
-            buf.put_u32(r.messages.len() as u32);
-            for env in &r.messages {
-                put_envelope(env, codec, buf)?;
-            }
-        }
-        SysMsg::FetchState { ue, requester } => {
-            buf.put_u8(TAG_FETCH_STATE);
-            buf.put_u64(ue.raw());
-            buf.put_u64(requester.raw());
-        }
-        SysMsg::FetchStateResp { ue, state } => {
-            buf.put_u8(TAG_FETCH_RESP);
-            buf.put_u64(ue.raw());
-            match state {
-                Some(s) => {
-                    buf.put_u8(1);
-                    put_state(s, buf)?;
-                }
-                None => buf.put_u8(0),
-            }
-        }
-        SysMsg::S11(r) => {
-            buf.put_u8(TAG_S11);
-            buf.put_u64(r.ue.raw());
-            buf.put_u64(r.cpf.raw());
-            buf.put_u8(session_op_code(r.op));
-            put_opt_u64(buf, r.session.map(|s| s.raw()));
-        }
-        SysMsg::S11Resp(r) => {
-            buf.put_u8(TAG_S11_RESP);
-            buf.put_u64(r.ue.raw());
-            buf.put_u8(session_op_code(r.op));
-            buf.put_u64(r.upf.raw());
-            put_opt_u64(buf, r.session.map(|s| s.raw()));
-            buf.put_u8(u8::from(r.ok));
-        }
-        SysMsg::AskReAttach { ue } => {
-            buf.put_u8(TAG_ASK_RE_ATTACH);
-            buf.put_u64(ue.raw());
-        }
-        SysMsg::MigrationAck { ue } => {
-            buf.put_u8(TAG_MIGRATION_ACK);
-            buf.put_u64(ue.raw());
-        }
-        SysMsg::RelayReAttach { ue, bs } => {
-            buf.put_u8(TAG_RELAY_RE_ATTACH);
-            buf.put_u64(ue.raw());
-            buf.put_u64(bs.raw());
-        }
-        SysMsg::CpfFailure { cpf } => {
-            buf.put_u8(TAG_CPF_FAILURE);
-            buf.put_u64(cpf.raw());
-        }
-        SysMsg::DownlinkData { ue } => {
-            buf.put_u8(TAG_DOWNLINK_DATA);
-            buf.put_u64(ue.raw());
-        }
-        SysMsg::DdnRequest { ue, upf } => {
-            buf.put_u8(TAG_DDN);
-            buf.put_u64(ue.raw());
-            buf.put_u64(upf.raw());
-        }
-        SysMsg::ResyncRequest { ue, procedure, cta } => {
-            buf.put_u8(TAG_RESYNC_REQUEST);
-            buf.put_u64(ue.raw());
-            buf.put_u64(procedure.raw());
-            buf.put_u64(cta.raw());
-        }
-        SysMsg::ResyncBehind { ue, have, cpf } => {
-            buf.put_u8(TAG_RESYNC_BEHIND);
-            buf.put_u64(ue.raw());
-            buf.put_u64(have.raw());
-            buf.put_u64(cpf.raw());
-        }
-        SysMsg::Reject {
-            ue,
-            class,
-            retry_after_ms,
-        } => {
-            buf.put_u8(TAG_REJECT);
-            buf.put_u64(ue.raw());
-            buf.put_u8(class.raw());
-            buf.put_u64(*retry_after_ms);
-        }
-    }
-    Ok(())
-}
-
-fn session_op_code(op: SessionOp) -> u8 {
-    match op {
-        SessionOp::Create => 0,
-        SessionOp::Modify => 1,
-        SessionOp::Delete => 2,
+        ))),
+        _ => Ok(()),
     }
 }
 
-fn session_op_from(code: u8) -> Result<SessionOp> {
-    Ok(match code {
-        0 => SessionOp::Create,
-        1 => SessionOp::Modify,
-        2 => SessionOp::Delete,
-        other => return Err(err(format!("bad session op {other}"))),
-    })
-}
-
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            buf.put_u8(1);
-            buf.put_u64(x);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn get_opt_u64(buf: &mut &[u8]) -> Result<Option<u64>> {
-    if buf.remaining() < 1 {
-        return Err(err("truncated option"));
-    }
-    if buf.get_u8() == 1 {
-        if buf.remaining() < 8 {
-            return Err(err("truncated option body"));
-        }
-        Ok(Some(buf.get_u64()))
-    } else {
-        Ok(None)
-    }
-}
-
-fn need(buf: &&[u8], n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        Err(err("truncated frame"))
-    } else {
-        Ok(())
-    }
-}
-
-/// Decodes a frame produced by [`encode_sysmsg`] with the same codec.
-/// Control payloads (in `Control` and `Replay`) and state snapshots (in
-/// `StateSync` and `FetchStateResp`) are carried over unparsed: `Ok` vouches
-/// for the frame structure, not for their bytes.
-pub fn decode_sysmsg(frame: &[u8], codec: CodecKind) -> Result<SysMsg> {
-    let mut buf = frame;
-    need(&buf, 1)?;
-    let tag = buf.get_u8();
-    let msg = match tag {
-        TAG_CONTROL => SysMsg::Control(get_envelope(&mut buf, codec)?),
-        TAG_STATE_SYNC => {
-            need(&buf, 8 * 5 + 1)?;
-            let ue = UeId::new(buf.get_u64());
-            let primary = CpfId::new(buf.get_u64());
-            let cta = CtaId::new(buf.get_u64());
-            let procedure = ProcedureId::new(buf.get_u64());
-            let end_clock = ClockTick(buf.get_u64());
-            let purpose = match buf.get_u8() {
-                0 => SyncPurpose::Checkpoint,
-                1 => SyncPurpose::Migration,
-                other => return Err(err(format!("bad purpose {other}"))),
-            };
-            let state = get_state(&mut buf, ue)?;
-            SysMsg::StateSync(StateSync {
-                ue,
-                primary,
-                cta,
-                state,
-                procedure,
-                end_clock,
-                purpose,
-            })
-        }
-        TAG_SYNC_ACK => {
-            need(&buf, 8 * 4)?;
-            SysMsg::SyncAck(SyncAck {
-                ue: UeId::new(buf.get_u64()),
-                replica: CpfId::new(buf.get_u64()),
-                procedure: ProcedureId::new(buf.get_u64()),
-                end_clock: ClockTick(buf.get_u64()),
-            })
-        }
-        TAG_MARK_OUTDATED => {
-            need(&buf, 8 * 2 + 2)?;
-            let ue = UeId::new(buf.get_u64());
-            let clock = ClockTick(buf.get_u64());
-            let n = buf.get_u16() as usize;
-            need(&buf, 8 * n)?;
-            let up_to_date = (0..n).map(|_| CpfId::new(buf.get_u64())).collect();
-            SysMsg::MarkOutdated(MarkOutdated {
-                ue,
-                clock,
-                up_to_date,
-            })
-        }
-        TAG_REPLAY => {
-            need(&buf, 8 + 4)?;
-            let ue = UeId::new(buf.get_u64());
-            let n = buf.get_u32() as usize;
-            // The count is the sender's word; reserve no more envelopes
-            // than the rest of the frame can hold.
-            let mut messages = Vec::with_capacity(n.min(buf.remaining() / MIN_ENVELOPE_LEN));
-            for _ in 0..n {
-                messages.push(get_envelope(&mut buf, codec)?);
-            }
-            SysMsg::Replay(Replay { ue, messages })
-        }
-        TAG_FETCH_STATE => {
-            need(&buf, 16)?;
-            SysMsg::FetchState {
-                ue: UeId::new(buf.get_u64()),
-                requester: CpfId::new(buf.get_u64()),
-            }
-        }
-        TAG_FETCH_RESP => {
-            need(&buf, 9)?;
-            let ue = UeId::new(buf.get_u64());
-            let state = if buf.get_u8() == 1 {
-                Some(get_state(&mut buf, ue)?)
-            } else {
-                None
-            };
-            SysMsg::FetchStateResp { ue, state }
-        }
-        TAG_S11 => {
-            need(&buf, 17)?;
-            let ue = UeId::new(buf.get_u64());
-            let cpf = CpfId::new(buf.get_u64());
-            let op = session_op_from(buf.get_u8())?;
-            let session = get_opt_u64(&mut buf)?.map(SessionId::new);
-            SysMsg::S11(S11Request {
-                ue,
-                cpf,
-                op,
-                session,
-            })
-        }
-        TAG_S11_RESP => {
-            need(&buf, 17)?;
-            let ue = UeId::new(buf.get_u64());
-            let op = session_op_from(buf.get_u8())?;
-            let upf = UpfId::new(buf.get_u64());
-            let session = get_opt_u64(&mut buf)?.map(SessionId::new);
-            need(&buf, 1)?;
-            let ok = buf.get_u8() == 1;
-            SysMsg::S11Resp(S11Response {
-                ue,
-                op,
-                upf,
-                session,
-                ok,
-            })
-        }
-        TAG_ASK_RE_ATTACH => {
-            need(&buf, 8)?;
-            SysMsg::AskReAttach {
-                ue: UeId::new(buf.get_u64()),
-            }
-        }
-        TAG_MIGRATION_ACK => {
-            need(&buf, 8)?;
-            SysMsg::MigrationAck {
-                ue: UeId::new(buf.get_u64()),
-            }
-        }
-        TAG_RELAY_RE_ATTACH => {
-            need(&buf, 16)?;
-            SysMsg::RelayReAttach {
-                ue: UeId::new(buf.get_u64()),
-                bs: BsId::new(buf.get_u64()),
-            }
-        }
-        TAG_CPF_FAILURE => {
-            need(&buf, 8)?;
-            SysMsg::CpfFailure {
-                cpf: CpfId::new(buf.get_u64()),
-            }
-        }
-        TAG_DOWNLINK_DATA => {
-            need(&buf, 8)?;
-            SysMsg::DownlinkData {
-                ue: UeId::new(buf.get_u64()),
-            }
-        }
-        TAG_DDN => {
-            need(&buf, 16)?;
-            SysMsg::DdnRequest {
-                ue: UeId::new(buf.get_u64()),
-                upf: UpfId::new(buf.get_u64()),
-            }
-        }
-        TAG_RESYNC_REQUEST => {
-            need(&buf, 24)?;
-            SysMsg::ResyncRequest {
-                ue: UeId::new(buf.get_u64()),
-                procedure: ProcedureId::new(buf.get_u64()),
-                cta: CtaId::new(buf.get_u64()),
-            }
-        }
-        TAG_RESYNC_BEHIND => {
-            need(&buf, 24)?;
-            SysMsg::ResyncBehind {
-                ue: UeId::new(buf.get_u64()),
-                have: ProcedureId::new(buf.get_u64()),
-                cpf: CpfId::new(buf.get_u64()),
-            }
-        }
-        TAG_REJECT => {
-            need(&buf, 17)?;
-            let ue = UeId::new(buf.get_u64());
-            let raw = buf.get_u8();
-            let class = AdmissionClass::from_raw(raw)
-                .ok_or_else(|| err(format!("bad admission class {raw}")))?;
-            SysMsg::Reject {
-                ue,
-                class,
-                retry_after_ms: buf.get_u64(),
-            }
-        }
-        other => return Err(err(format!("unknown frame tag {other}"))),
+/// Generates `encode_sysmsg` and `decode_sysmsg` from one row per variant:
+/// its tag, its fields in wire order — the one struct it wraps, `(x)`, or
+/// its own, `{ .. }` — and a check the decoded frame must pass.
+macro_rules! frames {
+    (@put $buf:ident, $codec:ident, ($x:ident)) => {
+        $x.put($buf, $codec)
     };
-    Ok(msg)
+    (@put $buf:ident, $codec:ident, { $($field:ident),+ }) => {{
+        $($field.put($buf, $codec)?;)+
+        Ok(())
+    }};
+    (@take $buf:ident, $codec:ident, $variant:ident ($x:ident)) => {
+        SysMsg::$variant(Field::take($buf, $codec)?)
+    };
+    (@take $buf:ident, $codec:ident, $variant:ident { $($field:ident),+ }) => {
+        SysMsg::$variant { $($field: Field::take($buf, $codec)?),+ }
+    };
+    ($($tag:literal $variant:ident $fields:tt $(if $check:expr)?;)+) => {
+        /// Encodes a [`SysMsg`] as a self-contained frame into `buf`.
+        ///
+        /// `buf` is cleared first so callers can recycle one buffer across
+        /// frames (e.g. via [`scratch::with_buf`]); on error its contents
+        /// are unspecified.
+        pub fn encode_sysmsg(msg: &SysMsg, codec: CodecKind, buf: &mut Vec<u8>) -> Result<()> {
+            buf.clear();
+            buf.reserve(64);
+            match msg {
+                $(SysMsg::$variant $fields => {
+                    buf.push($tag);
+                    frames!(@put buf, codec, $fields)
+                })+
+            }
+        }
+
+        /// Decodes a frame produced by [`encode_sysmsg`] with the same
+        /// codec. Control payloads (in `Control` and `Replay`) and state
+        /// snapshots (in `StateSync` and `FetchStateResp`) are carried over
+        /// unparsed: `Ok` vouches for the frame structure, not for their
+        /// bytes.
+        pub fn decode_sysmsg(frame: &[u8], codec: CodecKind) -> Result<SysMsg> {
+            let buf = &mut &frame[..];
+            Ok(match u8::take(buf, codec)? {
+                $($tag => {
+                    let msg = frames!(@take buf, codec, $variant $fields);
+                    $(if let SysMsg::$variant $fields = &msg {
+                        $check?;
+                    })?
+                    msg
+                })+
+                other => return Err(err(format!("unknown frame tag {other}"))),
+            })
+        }
+    };
+}
+
+frames! {
+    1 Control(x);
+    2 StateSync(x) if owner_is(x.ue, Some(&x.state));
+    3 SyncAck(x);
+    4 MarkOutdated(x);
+    5 Replay(x);
+    6 FetchState { ue, requester };
+    7 FetchStateResp { ue, state } if owner_is(*ue, state.as_ref());
+    8 S11(x);
+    9 S11Resp(x);
+    10 AskReAttach { ue };
+    11 MigrationAck { ue };
+    12 RelayReAttach { ue, bs };
+    13 CpfFailure { cpf };
+    14 DownlinkData { ue };
+    15 DdnRequest { ue, upf };
+    16 ResyncRequest { ue, procedure, cta };
+    17 ResyncBehind { ue, have, cpf };
+    18 Reject { ue, class, retry_after_ms };
 }
 
 #[cfg(test)]
@@ -609,18 +382,37 @@ mod tests {
         e
     }
 
+    /// `value` put into a frame and taken back out of it.
+    fn through_a_frame<T: Field>(value: &T) -> T {
+        let mut buf = Vec::new();
+        value.put(&mut buf, CodecKind::Asn1Per).unwrap();
+        T::take(&mut &buf[..], CodecKind::Asn1Per).unwrap()
+    }
+
     #[test]
     fn wire_codes_are_declaration_indices() {
-        // `kind_code`/`proc_kind_code` cast the discriminant and the decode
-        // side indexes `ALL`: the two agree only while `ALL` is in
-        // declaration order.
+        // An enum's `Field` impl casts the discriminant and the decode side
+        // indexes the variants: the two agree only while the list it
+        // indexes is in declaration order.
         for (i, kind) in MessageKind::ALL.iter().enumerate() {
             assert_eq!(*kind as usize, i, "{kind}");
-            assert_eq!(kind_from_code(kind_code(*kind)).unwrap(), *kind);
+            assert_eq!(through_a_frame(kind), *kind);
         }
         for (i, kind) in ProcedureKind::ALL.iter().enumerate() {
             assert_eq!(*kind as usize, i, "{kind}");
-            assert_eq!(proc_kind_from_code(proc_kind_code(*kind)).unwrap(), *kind);
+            assert_eq!(through_a_frame(kind), *kind);
+        }
+        for class in AdmissionClass::ALL {
+            assert_eq!(through_a_frame(class), *class);
+        }
+        for direction in [Direction::Uplink, Direction::Downlink] {
+            assert_eq!(through_a_frame(&direction), direction);
+        }
+        for purpose in [SyncPurpose::Checkpoint, SyncPurpose::Migration] {
+            assert_eq!(through_a_frame(&purpose), purpose);
+        }
+        for op in [SessionOp::Create, SessionOp::Modify, SessionOp::Delete] {
+            assert_eq!(through_a_frame(&op), op);
         }
     }
 

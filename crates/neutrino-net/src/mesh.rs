@@ -13,7 +13,7 @@ use crate::framing::{decode_sysmsg, encode_sysmsg};
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use neutrino_codec::CodecKind;
 use neutrino_common::time::Instant;
-use neutrino_common::{BsId, CpfId, CtaId, UpfId};
+use neutrino_common::CpfId;
 use neutrino_cpf::CpfCore;
 use neutrino_cta::CtaCore;
 use neutrino_messages::flow::{Effect, Role, RoleCore};
@@ -240,41 +240,40 @@ fn join(handle: JoinHandle<u64>) -> u64 {
     handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
-/// Convenience: the ids a small single-region mesh uses.
-#[derive(Debug, Clone)]
-pub struct SmallDeployment {
-    /// The CTA.
-    pub cta: CtaId,
-    /// The CPF pool.
-    pub cpfs: Vec<CpfId>,
-    /// The UPF.
-    pub upf: UpfId,
-    /// The client-side BS id.
-    pub bs: BsId,
-}
-
-impl Default for SmallDeployment {
-    fn default() -> Self {
-        SmallDeployment {
-            cta: CtaId::new(0),
-            cpfs: (0..5).map(CpfId::new).collect(),
-            upf: UpfId::new(0),
-            bs: BsId::new(0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use neutrino_common::time::Duration;
-    use neutrino_common::{ProcedureId, UeId};
+    use neutrino_common::{BsId, CtaId, ProcedureId, UeId, UpfId};
     use neutrino_cpf::CpfConfig;
     use neutrino_cta::CtaConfig;
     use neutrino_geo::RingStack;
     use neutrino_messages::procedures::ProcedureKind;
     use neutrino_messages::{Direction, Envelope, MessageKind};
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// The ids of a small single-region mesh.
+    struct SmallDeployment {
+        /// The CTA.
+        cta: CtaId,
+        /// The CPF pool.
+        cpfs: Vec<CpfId>,
+        /// The UPF.
+        upf: UpfId,
+        /// The client-side BS id.
+        bs: BsId,
+    }
+
+    impl Default for SmallDeployment {
+        fn default() -> Self {
+            SmallDeployment {
+                cta: CtaId::new(0),
+                cpfs: (0..5).map(CpfId::new).collect(),
+                upf: UpfId::new(0),
+                bs: BsId::new(0),
+            }
+        }
+    }
 
     fn ring(dep: &SmallDeployment) -> RingStack {
         RingStack::new(&dep.cpfs, &[], 2)
