@@ -5,16 +5,9 @@
 //! `netsim.{wheel,heap}_ns_per_op.*` metrics, so both columns come from
 //! the identical push/pop schedule.
 
+use neutrino_common::rng::splitmix64_next;
 use neutrino_common::time::Instant;
 use neutrino_netsim::{ReferenceHeap, SchedKey, Wheel};
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// An engine-like delay mix, matching what the figure workloads schedule:
 /// mostly sub-millisecond hops, some ACK/paging timers in the tens-of-ms
@@ -22,11 +15,11 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// timers (log-pruning scans). Correctness for pathological far-future
 /// delays is covered by the order-equivalence proptest, not timed here.
 fn next_delay(rng: &mut u64) -> u64 {
-    match splitmix64(rng) % 100 {
-        0..=4 => 0,                                       // same-instant self-send
-        5..=91 => splitmix64(rng) % 2_000_000,            // < 2 ms hop
-        92..=98 => splitmix64(rng) % 200_000_000,         // < 200 ms timer
-        _ => 1_000_000_000 + splitmix64(rng) % (1 << 39), // seconds-scale timer
+    match splitmix64_next(rng) % 100 {
+        0..=4 => 0,                                            // same-instant self-send
+        5..=91 => splitmix64_next(rng) % 2_000_000,            // < 2 ms hop
+        92..=98 => splitmix64_next(rng) % 200_000_000,         // < 200 ms timer
+        _ => 1_000_000_000 + splitmix64_next(rng) % (1 << 39), // seconds-scale timer
     }
 }
 

@@ -30,9 +30,10 @@ use neutrino_check::run::{run_case, CheckReport};
 use neutrino_check::scenario::{plan_by_name, CasePlan, Scenario, SMALL_MODEL_NAMES};
 use neutrino_check::shrink::shrink;
 use neutrino_check::{explore_exhaustive, McheckOptions, CATALOG};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+#[derive(Default)]
 struct Args {
     scenario: String,
     seeds: u64,
@@ -44,8 +45,8 @@ struct Args {
     list: bool,
     exhaustive: bool,
     flow_coverage: bool,
-    bound: usize,
-    max_paths: u64,
+    bound: Option<usize>,
+    max_paths: Option<u64>,
     json: Option<PathBuf>,
 }
 
@@ -53,67 +54,75 @@ const USAGE: &str = "usage: explore [--scenario NAME|all] [--seeds N] [--start-s
 [--jobs J] [--corpus DIR] [--shrink-budget R] [--replay FILE] [--list] \
 [--exhaustive] [--flow-coverage] [--bound B] [--max-paths P] [--json FILE]";
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line. A flag that does not apply to the selected
+/// mode fails the run rather than being silently ignored.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         scenario: "all".to_string(),
         seeds: 100,
-        start_seed: 0,
-        jobs: 0,
-        corpus: None,
         shrink_budget: 150,
-        replay: None,
-        list: false,
-        exhaustive: false,
-        flow_coverage: false,
-        bound: McheckOptions::default().bound,
-        max_paths: McheckOptions::default().max_paths,
-        json: None,
+        ..Args::default()
     };
-    let mut it = std::env::args().skip(1);
+    fn value<T: std::str::FromStr>(name: &str, v: Option<String>) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        v.ok_or_else(|| format!("{name} needs a value"))?
+            .parse()
+            .map_err(|e| format!("{name}: {e}"))
+    }
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value\n{USAGE}"))
-        };
-        match flag.as_str() {
-            "--scenario" => args.scenario = value("--scenario")?,
-            "--seeds" => {
-                args.seeds = value("--seeds")?.parse().map_err(|e| format!("--seeds: {e}"))?
-            }
-            "--start-seed" => {
-                args.start_seed = value("--start-seed")?
-                    .parse()
-                    .map_err(|e| format!("--start-seed: {e}"))?
-            }
-            "--jobs" => {
-                args.jobs = value("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--corpus" => args.corpus = Some(PathBuf::from(value("--corpus")?)),
-            "--shrink-budget" => {
-                args.shrink_budget = value("--shrink-budget")?
-                    .parse()
-                    .map_err(|e| format!("--shrink-budget: {e}"))?
-            }
-            "--replay" => args.replay = Some(PathBuf::from(value("--replay")?)),
+        let name = flag.as_str();
+        match name {
+            "--scenario" => args.scenario = value(name, it.next())?,
+            "--seeds" => args.seeds = value(name, it.next())?,
+            "--start-seed" => args.start_seed = value(name, it.next())?,
+            "--jobs" => args.jobs = value(name, it.next())?,
+            "--corpus" => args.corpus = Some(value(name, it.next())?),
+            "--shrink-budget" => args.shrink_budget = value(name, it.next())?,
+            "--replay" => args.replay = Some(value(name, it.next())?),
             "--list" => args.list = true,
             "--exhaustive" => args.exhaustive = true,
             "--flow-coverage" => args.flow_coverage = true,
-            "--bound" => {
-                args.bound = value("--bound")?.parse().map_err(|e| format!("--bound: {e}"))?
-            }
-            "--max-paths" => {
-                args.max_paths = value("--max-paths")?
-                    .parse()
-                    .map_err(|e| format!("--max-paths: {e}"))?
-            }
-            "--json" => args.json = Some(PathBuf::from(value("--json")?)),
+            "--bound" => args.bound = Some(value(name, it.next())?),
+            "--max-paths" => args.max_paths = Some(value(name, it.next())?),
+            "--json" => args.json = Some(value(name, it.next())?),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    let modes = [args.list, args.replay.is_some(), args.exhaustive, args.flow_coverage];
+    if modes.iter().filter(|&&m| m).count() > 1 {
+        return Err("--list, --replay, --exhaustive and --flow-coverage exclude each other".into());
+    }
+    if !args.exhaustive && (args.bound.is_some() || args.max_paths.is_some()) {
+        return Err("--bound and --max-paths apply only to --exhaustive".into());
+    }
+    if args.json.is_some() && !(args.exhaustive || args.flow_coverage) {
+        return Err("--json applies only to --exhaustive and --flow-coverage".into());
+    }
+    if args.exhaustive && args.scenario == "all" {
+        return Err("--exhaustive needs a single --scenario (try --list)".into());
+    }
     Ok(args)
+}
+
+/// The scenario families a seed sweep or a coverage run covers: `all` is
+/// every family for a sweep and the core families for flow coverage.
+fn scenarios(args: &Args) -> Option<Vec<Scenario>> {
+    match args.scenario.as_str() {
+        "all" if args.flow_coverage => Some(
+            flowcov::CORE_SCENARIOS
+                .iter()
+                .map(|n| Scenario::by_name(n).expect("core scenario exists"))
+                .collect(),
+        ),
+        "all" => Some(Scenario::all()),
+        name => Scenario::by_name(name).map(|s| vec![s]),
+    }
 }
 
 fn list() {
@@ -150,7 +159,7 @@ fn print_violations(report: &CheckReport) {
 
 /// Replays a pinned case twice; returns failure when violations appear or
 /// the two runs diverge.
-fn replay(path: &std::path::Path) -> ExitCode {
+fn replay(path: &Path) -> ExitCode {
     let case = match corpus::load(path) {
         Ok(c) => c,
         Err(e) => {
@@ -186,7 +195,7 @@ fn replay(path: &std::path::Path) -> ExitCode {
 
 /// Shrinks the failing plan, pins it, and proves the pin replays
 /// byte-identically. Returns the corpus path.
-fn pin_failure(plan: &CasePlan, dir: &std::path::Path, budget: u64) -> PathBuf {
+fn pin_failure(plan: &CasePlan, dir: &Path, budget: u64) -> PathBuf {
     println!("  shrinking seed {} (budget {budget} runs)...", plan.seed);
     let outcome = shrink(plan, budget);
     println!(
@@ -237,14 +246,15 @@ struct ExhaustiveSummary {
 }
 
 /// Runs the small-model exhaustive checker on one named plan.
-fn run_exhaustive(args: &Args, corpus_dir: &std::path::Path) -> ExitCode {
+fn run_exhaustive(args: &Args, corpus_dir: &Path) -> ExitCode {
     let Some(mut plan) = plan_by_name(&args.scenario, args.start_seed) else {
         eprintln!("error: unknown scenario `{}` (try --list)", args.scenario);
         return ExitCode::FAILURE;
     };
+    let defaults = McheckOptions::default();
     let opts = McheckOptions {
-        bound: args.bound,
-        max_paths: args.max_paths,
+        bound: args.bound.unwrap_or(defaults.bound),
+        max_paths: args.max_paths.unwrap_or(defaults.max_paths),
     };
     println!(
         "exhaustive {} (seed {}, bound {}, max paths {})",
@@ -310,21 +320,7 @@ fn run_exhaustive(args: &Args, corpus_dir: &std::path::Path) -> ExitCode {
 /// across reruns and any `--jobs` value. Exit is non-zero only on
 /// witnessed-but-undeclared edges (spec drift); dead declared edges are
 /// advisory.
-fn run_flow_coverage(args: &Args, jobs: usize) -> ExitCode {
-    let scenarios: Vec<Scenario> = if args.scenario == "all" {
-        flowcov::CORE_SCENARIOS
-            .iter()
-            .map(|n| Scenario::by_name(n).expect("core scenario exists"))
-            .collect()
-    } else {
-        match Scenario::by_name(&args.scenario) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!("error: unknown scenario `{}` (try --list)", args.scenario);
-                return ExitCode::FAILURE;
-            }
-        }
-    };
+fn run_flow_coverage(args: &Args, scenarios: &[Scenario], jobs: usize) -> ExitCode {
     let names: Vec<String> = scenarios.iter().map(|s| s.name.to_string()).collect();
     println!(
         "flow coverage: {} scenario(s) x {} seed(s), {jobs} job(s)",
@@ -376,55 +372,9 @@ fn run_flow_coverage(args: &Args, jobs: usize) -> ExitCode {
     }
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.list {
-        list();
-        return ExitCode::SUCCESS;
-    }
-    if let Some(path) = &args.replay {
-        return replay(path);
-    }
-    if args.flow_coverage {
-        let jobs = if args.jobs == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            args.jobs
-        };
-        return run_flow_coverage(&args, jobs);
-    }
-    if args.exhaustive {
-        if args.scenario == "all" {
-            eprintln!("error: --exhaustive needs a single --scenario (try --list)");
-            return ExitCode::FAILURE;
-        }
-        let corpus_dir = args.corpus.clone().unwrap_or_else(corpus::corpus_dir);
-        return run_exhaustive(&args, &corpus_dir);
-    }
-    let scenarios = if args.scenario == "all" {
-        Scenario::all()
-    } else {
-        match Scenario::by_name(&args.scenario) {
-            Some(s) => vec![s],
-            None => {
-                eprintln!("error: unknown scenario `{}` (try --list)", args.scenario);
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let jobs = if args.jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        args.jobs
-    };
-    let corpus_dir = args.corpus.clone().unwrap_or_else(corpus::corpus_dir);
-
+/// Sweeps `args.seeds` seeds of every scenario; on a failure, shrinks and
+/// pins the lowest failing seed.
+fn run_sweep(args: &Args, scenarios: &[Scenario], jobs: usize, corpus_dir: &Path) -> ExitCode {
     let mut failed = false;
     for scenario in scenarios {
         let plans: Vec<CasePlan> = (args.start_seed..args.start_seed + args.seeds)
@@ -461,7 +411,7 @@ fn main() -> ExitCode {
                 plan.seed, report.fingerprint.violations
             );
             print_violations(report);
-            pin_failure(plan, &corpus_dir, args.shrink_budget);
+            pin_failure(plan, corpus_dir, args.shrink_budget);
             for (plan, _) in failures.iter().skip(1) {
                 println!("  seed {} also failed (not shrunk)", plan.seed);
             }
@@ -471,5 +421,95 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if args.list {
+        list();
+        return ExitCode::SUCCESS;
+    }
+    if let Some(path) = &args.replay {
+        return replay(path);
+    }
+    let corpus_dir = args.corpus.clone().unwrap_or_else(corpus::corpus_dir);
+    if args.exhaustive {
+        return run_exhaustive(&args, &corpus_dir);
+    }
+    let Some(scenarios) = scenarios(&args) else {
+        eprintln!("error: unknown scenario `{}` (try --list)", args.scenario);
+        return ExitCode::FAILURE;
+    };
+    let jobs = if args.jobs == 0 {
+        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    } else {
+        args.jobs
+    };
+    if args.flow_coverage {
+        run_flow_coverage(&args, &scenarios, jobs)
+    } else {
+        run_sweep(&args, &scenarios, jobs, &corpus_dir)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn every_ci_invocation_parses() {
+        for line in [
+            "--scenario mcheck-attach-failover --exhaustive --bound 6 --json mc1.json",
+            "--scenario mcheck-attach-failover --exhaustive --bound 6 --jobs 8 --json mc2.json",
+            "--scenario mcheck-attach-failover --exhaustive --bound 12 --corpus c --json m.json",
+            "--scenario failover --seeds 1000 --jobs 8 --corpus corpus-out",
+            "--flow-coverage --seeds 25 --jobs 8 --json flow-coverage.json",
+            "--replay crates/check/corpus/x.json",
+            "--list",
+        ] {
+            assert!(parse(line).is_ok(), "`{line}` must parse: {:?}", parse(line).err());
+        }
+        let a = parse("--exhaustive --scenario m --bound 6 --max-paths 9").unwrap();
+        assert_eq!((a.bound, a.max_paths), (Some(6), Some(9)));
+    }
+
+    #[test]
+    fn a_flag_that_does_not_apply_fails_the_run() {
+        for line in [
+            "--scenario failover --seeds 5 --json out.json",
+            "--bound 6",
+            "--flow-coverage --max-paths 10",
+            "--exhaustive --flow-coverage --scenario m",
+            "--list --replay x.json",
+            "--exhaustive",
+            "--jobs many",
+            "--seeds",
+            "--frobnicate",
+        ] {
+            assert!(parse(line).is_err(), "`{line}` must be rejected");
+        }
+    }
+
+    #[test]
+    fn all_means_every_family_or_the_core_coverage_set() {
+        let names = |line: &str| -> Vec<&str> {
+            scenarios(&parse(line).unwrap()).unwrap().iter().map(|s| s.name).collect()
+        };
+        let every: Vec<&str> = Scenario::all().iter().map(|s| s.name).collect();
+        assert_eq!(names(""), every);
+        assert_eq!(names("--flow-coverage"), flowcov::CORE_SCENARIOS);
+        assert_eq!(names("--scenario chaos"), ["chaos"]);
+        assert!(scenarios(&parse("--scenario nope").unwrap()).is_none());
     }
 }

@@ -17,7 +17,7 @@
 //! order cells complete in: the report is byte-identical across reruns and
 //! any `--jobs` value.
 
-use crate::run::run_case_witnessed;
+use crate::run::{run_case_with, DeliveryTap};
 use crate::scenario::Scenario;
 use neutrino_core::SimMsg;
 use neutrino_messages::flow::{self, Role, FLOWS};
@@ -53,22 +53,19 @@ pub fn declared_edges() -> BTreeSet<Edge> {
 pub fn witness_case(scenario: &Scenario, seed: u64) -> BTreeSet<Edge> {
     let seen: Rc<RefCell<BTreeSet<Edge>>> = Rc::default();
     let sink = Rc::clone(&seen);
-    run_case_witnessed(
-        &scenario.plan(seed),
-        Box::new(move |from, to, msg| {
-            let SimMsg::Sys(sys) = msg else { return };
-            let (Some(src), Some(dst)) =
-                (Role::of_node_raw(from.raw()), Role::of_node_raw(to.raw()))
-            else {
-                return;
-            };
-            sink.borrow_mut().insert((
-                flow::variant_name(sys).to_string(),
-                src.name().to_string(),
-                dst.name().to_string(),
-            ));
-        }),
-    );
+    let tap: DeliveryTap = Box::new(move |from, to, msg| {
+        let SimMsg::Sys(sys) = msg else { return };
+        let (Some(src), Some(dst)) = (Role::of_node_raw(from.raw()), Role::of_node_raw(to.raw()))
+        else {
+            return;
+        };
+        sink.borrow_mut().insert((
+            flow::variant_name(sys).to_string(),
+            src.name().to_string(),
+            dst.name().to_string(),
+        ));
+    });
+    run_case_with(&scenario.plan(seed), None, Some(tap));
     Rc::try_unwrap(seen)
         .expect("tap dropped with the sim")
         .into_inner()

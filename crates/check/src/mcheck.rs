@@ -14,7 +14,7 @@
 //! [`run_case_with`] with a script chooser; at every choice point (≥ 2
 //! deliveries enabled at one tick) the script says which enabled delivery
 //! to dispatch, and past the script's end the identity choice (lowest
-//! sequence number — `run_until`'s order) finishes the run.
+//! sequence number — the unchosen engine's order) finishes the run.
 //! Re-running from the root costs `O(depth)` per path, but small-model
 //! runs are milliseconds and the approach needs no engine snapshotting —
 //! determinism *is* the snapshot.
@@ -260,7 +260,7 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
             script,
             log: Vec::new(),
         };
-        let report = run_case_with(plan, Some(&mut chooser));
+        let report = run_case_with(plan, Some(&mut chooser), None);
         stats.paths_explored += 1;
         if stats.paths_explored == 1 {
             stats.identity_choice_points = chooser.log.len() as u64;

@@ -1,27 +1,30 @@
 //! Executes one [`CasePlan`] with in-run oracle passes.
 //!
-//! The oracle loop pauses the simulation at interval-aligned instants and
-//! evaluates every requested invariant against the paused cluster. Pauses
-//! are read-only and segmented `run_until` calls process the identical
-//! event stream, so a checked run is byte-for-byte the run the plan's seed
-//! would have produced unchecked. Between two events the cluster cannot
-//! change, so the loop uses the engine's next-event time to skip pause
-//! points where nothing happened — a 10 s drain tail costs a handful of
-//! passes, not hundreds.
+//! A plan maps to an [`ExperimentSpec`] and runs on
+//! `neutrino_core::experiment`'s one run path (build → advance → finish),
+//! the same path every figure takes. The oracle loop pauses the simulation
+//! at interval-aligned instants and evaluates every requested invariant
+//! against the paused cluster. Pauses are read-only and a segmented run
+//! processes the identical event stream, so a checked run is byte-for-byte
+//! the run the plan's seed would have produced unchecked (the
+//! `checked_run_is_the_figure_run` test pins this). Between two events the
+//! cluster cannot change, so the loop uses the engine's next-event time to
+//! skip pause points where nothing happened — a 10 s drain tail costs a
+//! handful of passes, not hundreds.
 
 use crate::invariants;
 use crate::mcheck::ScriptChooser;
 use crate::scenario::{CasePlan, EndpointPlan};
-use neutrino_core::experiment::adapt_workload;
+use neutrino_core::experiment::{self, ExperimentSpec, FailureSpec, RunResults};
 use neutrino_core::oracle::{Invariant, OracleCtx, Violation};
 use neutrino_core::simnode::{cpf_node, cta_node};
-use neutrino_core::{Arrival, Cluster, LinkProfile, SimMsg, SystemConfig, UePopConfig, Workload};
+use neutrino_core::{Arrival, Cluster, LinkProfile, SimMsg, SystemConfig, Workload};
 use neutrino_common::time::{Duration, Instant};
-use neutrino_common::UeId;
+use neutrino_common::{CpfId, UeId};
 use neutrino_cta::AdmissionParams;
 use neutrino_geo::RegionLayout;
 use neutrino_messages::procedures::ProcedureKind;
-use neutrino_netsim::{FaultSpec, SimConfig};
+use neutrino_netsim::{Chooser, FaultSpec};
 use neutrino_trafficgen::patterns::{
     flash_crowd_reattach, iot_burst_storm, uniform_with_pool, FlashCrowdParams, IotStormParams,
     UniformParams,
@@ -105,6 +108,31 @@ pub struct Fingerprint {
     pub violations: u64,
 }
 
+impl Fingerprint {
+    /// The replay counters of a finished run, plus the violation count its
+    /// oracles reported.
+    pub fn of(r: &RunResults, violations: u64) -> Fingerprint {
+        Fingerprint {
+            events_processed: r.sim.events_processed,
+            started: r.started,
+            completed: r.completed,
+            re_attached: r.re_attached,
+            retransmissions: r.retransmissions,
+            dropped_loss: r.sim.dropped_loss,
+            dropped_partition: r.sim.dropped_partition,
+            duplicated: r.sim.duplicated,
+            reordered: r.sim.reordered,
+            timeout_pruned: r.cta.timeout_pruned,
+            admitted: r.cta.admitted_by_class.to_vec(),
+            shed: r.cta.shed_by_class.to_vec(),
+            rejected: r.rejected,
+            retries_exhausted: r.retries_exhausted,
+            max_queue_depth: r.max_queue_depth as u64,
+            violations,
+        }
+    }
+}
+
 /// Outcome of one checked run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CheckReport {
@@ -150,54 +178,19 @@ pub fn kind_by_name(name: &str) -> Option<ProcedureKind> {
     ProcedureKind::ALL.iter().copied().find(|k| k.name() == name)
 }
 
-/// Runs one plan to its horizon with oracle passes every
-/// `check_interval_ms`, plus a final pass after the drain.
+/// Maps a plan to the [`ExperimentSpec`] it runs, plus the instant its
+/// chaos schedule is relative to (the start of the measured phase, so
+/// shrinking the attach pool keeps crash and partition times meaningful).
 ///
-/// Honors the plan's `choice_trace`: a non-empty trace replays the pinned
-/// interleaving through a [`ScriptChooser`]; otherwise the run is plain
-/// `run_until`, byte-identical to the pre-mcheck checker.
+/// Crash victims come from [`RegionLayout::pool`]`(0)`, region 0's CPF list
+/// by construction. Partitions have no spec field: [`run_case_with`]
+/// installs them on the built cluster.
 ///
-/// Panics on a malformed plan (unknown system, procedure kind, invariant,
-/// or partition endpoint) — plans come from [`Scenario::plan`]
+/// Panics on a malformed plan (unknown system, procedure kind or storm
+/// shape) — plans come from [`Scenario::plan`]
 /// (crate::scenario::Scenario::plan) or a pinned corpus file, and a typo
 /// there should fail loudly, not skip silently.
-pub fn run_case(plan: &CasePlan) -> CheckReport {
-    if plan.choice_trace.is_empty() {
-        run_case_with(plan, None)
-    } else {
-        let mut script = ScriptChooser::new(&plan.choice_trace);
-        run_case_with(plan, Some(&mut script))
-    }
-}
-
-/// A delivery witness for flow-coverage runs: `(from, to, &msg)` for every
-/// message the engine actually enqueues (see
-/// [`neutrino_netsim::Sim::set_delivery_tap`]).
-pub type DeliveryTap = neutrino_netsim::DeliveryTap<SimMsg>;
-
-/// The full checker: one plan and an optional interleaving chooser. This
-/// is the entry point the exhaustive checker drives with an exploring
-/// chooser.
-pub fn run_case_with(
-    plan: &CasePlan,
-    chooser: Option<&mut dyn neutrino_netsim::Chooser<SimMsg>>,
-) -> CheckReport {
-    run_case_impl(plan, chooser, None)
-}
-
-/// [`run_case_with`] with a delivery tap installed: the tap observes every
-/// enqueued message without perturbing the event stream
-/// (`explore --flow-coverage` records witnessed protocol flow edges this
-/// way).
-pub fn run_case_witnessed(plan: &CasePlan, tap: DeliveryTap) -> CheckReport {
-    run_case_impl(plan, None, Some(tap))
-}
-
-fn run_case_impl(
-    plan: &CasePlan,
-    mut chooser: Option<&mut dyn neutrino_netsim::Chooser<SimMsg>>,
-    tap: Option<DeliveryTap>,
-) -> CheckReport {
+pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
     let mut config = config_by_name(&plan.system)
         .unwrap_or_else(|| panic!("unknown system `{}`", plan.system));
     let kind =
@@ -212,9 +205,11 @@ fn run_case_impl(
     // `measured_start` anchors the chaos schedule (crash/partition times
     // are relative to it) and `horizon` covers the traffic plus the drain
     // margin.
-    let (workload, measured_start, horizon): (Workload, Instant, Duration) = match &plan.storm {
-        None if plan.small_model.is_some() => {
-            let sm = plan.small_model.as_ref().expect("checked");
+    let (workload, measured_start, horizon): (Workload, Instant, Duration) = match (
+        &plan.storm,
+        &plan.small_model,
+    ) {
+        (None, Some(sm)) => {
             let arrivals = sm
                 .arrivals
                 .iter()
@@ -228,7 +223,7 @@ fn run_case_impl(
             let horizon = Duration::from_millis(plan.duration_ms + plan.drain_ms);
             (Workload::from_vec(arrivals), Instant::ZERO, horizon)
         }
-        None => {
+        (None, None) => {
             let (w, measured_start) = uniform_with_pool(
                 UniformParams {
                     rate_pps: plan.rate_pps,
@@ -244,7 +239,7 @@ fn run_case_impl(
                 + Duration::from_millis(plan.duration_ms + plan.drain_ms);
             (w, measured_start, horizon)
         }
-        Some(storm) if storm.shape == "flash-crowd" => {
+        (Some(storm), _) if storm.shape == "flash-crowd" => {
             let (w, sched) = flash_crowd_reattach(FlashCrowdParams {
                 ues: plan.ues,
                 first_ue: 0,
@@ -263,7 +258,7 @@ fn run_case_impl(
                 + Duration::from_millis(plan.drain_ms);
             (w, sched.steady_start, horizon)
         }
-        Some(storm) if storm.shape == "iot-burst" => {
+        (Some(storm), _) if storm.shape == "iot-burst" => {
             let w = iot_burst_storm(IotStormParams {
                 devices: plan.ues,
                 first_ue: 0,
@@ -278,10 +273,30 @@ fn run_case_impl(
             );
             (w, Instant::ZERO, horizon)
         }
-        Some(storm) => panic!("unknown storm shape `{}`", storm.shape),
+        (Some(storm), _) => panic!("unknown storm shape `{}`", storm.shape),
     };
-    let workload = adapt_workload(&config, workload);
-    let links = LinkProfile {
+    let layout = match &plan.small_model {
+        Some(sm) => RegionLayout {
+            bss_per_region: sm.bss_per_region as usize,
+            cpfs_per_region: sm.cpfs_per_region as usize,
+            upfs_per_region: sm.upfs_per_region as usize,
+            ..RegionLayout::default()
+        },
+        None => RegionLayout::default(),
+    };
+    let cpfs: Vec<CpfId> = layout.pool(0).collect();
+    let mut spec = ExperimentSpec::new(config, workload);
+    spec.failures = plan
+        .crashes
+        .iter()
+        .map(|c| FailureSpec {
+            at: measured_start + Duration::from_millis(c.at_ms),
+            cpf: cpfs[c.cpf_index as usize % cpfs.len()],
+        })
+        .collect();
+    spec.layout = layout;
+    spec.horizon = horizon;
+    spec.links = LinkProfile {
         jitter: Duration::from_micros(plan.jitter_us),
         faults: FaultSpec {
             loss: plan.loss_ppm as f64 / 1e6,
@@ -291,45 +306,53 @@ fn run_case_impl(
         },
         ..LinkProfile::default()
     };
-    let layout = match &plan.small_model {
-        Some(sm) => {
-            let d = RegionLayout::default();
-            RegionLayout {
-                bss_per_region: sm.bss_per_region as usize,
-                cpfs_per_region: sm.cpfs_per_region as usize,
-                upfs_per_region: sm.upfs_per_region as usize,
-                // A replica set cannot exceed the pool that hosts it.
-                replicas: d
-                    .replicas
-                    .min((sm.cpfs_per_region as usize).saturating_sub(1))
-                    .max(1),
-                ..d
-            }
-        }
-        None => RegionLayout::default(),
-    };
-    let mut cluster = Cluster::build_with_sim(
-        config,
-        layout,
-        workload,
-        UePopConfig::default(),
-        links,
-        SimConfig::for_horizon(horizon),
-        plan.seed,
-        1,
-    );
+    spec.seed = plan.seed;
+    (spec, measured_start)
+}
+
+/// Runs one plan to its horizon with oracle passes every
+/// `check_interval_ms`, plus a final pass after the drain.
+///
+/// Honors the plan's `choice_trace`: a non-empty trace replays the pinned
+/// interleaving through a [`ScriptChooser`]; otherwise no chooser is
+/// consulted and the engine dispatches in its own order.
+pub fn run_case(plan: &CasePlan) -> CheckReport {
+    if plan.choice_trace.is_empty() {
+        run_case_with(plan, None, None)
+    } else {
+        let mut script = ScriptChooser::new(&plan.choice_trace);
+        run_case_with(plan, Some(&mut script), None)
+    }
+}
+
+/// A delivery witness for flow-coverage runs: `(from, to, &msg)` for every
+/// message the engine actually enqueues (see
+/// [`neutrino_netsim::Sim::set_delivery_tap`]).
+pub type DeliveryTap = neutrino_netsim::DeliveryTap<SimMsg>;
+
+/// The full checker: one plan, an optional interleaving chooser (the
+/// exhaustive checker drives an exploring one) and an optional delivery
+/// tap, which observes every enqueued message without perturbing the event
+/// stream (`explore --flow-coverage` records witnessed protocol flow edges
+/// this way).
+///
+/// The run is [`experiment_spec`]'s spec on `experiment`'s one run path
+/// (build → advance → finish); only the pause points differ from a figure
+/// run. Panics on a malformed plan, as [`experiment_spec`] does, or on an
+/// unknown invariant or partition endpoint.
+pub fn run_case_with(
+    plan: &CasePlan,
+    mut chooser: Option<&mut dyn Chooser<SimMsg>>,
+    tap: Option<DeliveryTap>,
+) -> CheckReport {
+    let (spec, measured_start) = experiment_spec(plan);
+    let horizon_end = Instant::ZERO + spec.horizon;
+    let mut cluster = experiment::build(spec);
     if let Some(tap) = tap {
         cluster.sim.set_delivery_tap(tap);
     }
-
-    // Chaos schedule: crash and partition times are relative to the
-    // measured phase so shrinking the attach pool keeps them meaningful.
-    let cpfs = cluster.deployment.regions()[0].cpfs.clone();
-    let cta0 = cluster.deployment.regions()[0].cta;
-    for c in &plan.crashes {
-        let victim = cpfs[c.cpf_index as usize % cpfs.len()];
-        cluster.fail_cpf_at(measured_start + Duration::from_millis(c.at_ms), victim);
-    }
+    let region0 = &cluster.deployment.regions()[0];
+    let (cta0, cpfs) = (region0.cta, region0.cpfs.clone());
     for p in &plan.partitions {
         let resolve = |e: &EndpointPlan| match e.kind.as_str() {
             "cta" => cta_node(cta0),
@@ -354,7 +377,6 @@ fn run_case_impl(
     // interval, but only when at least one event occurred since the last
     // pause — the next-event peek makes empty stretches free.
     let interval = Duration::from_millis(plan.check_interval_ms.max(1));
-    let horizon_end = Instant::ZERO + horizon;
     let mut passes = 0u64;
     let mut recorded: Vec<ViolationRecord> = Vec::new();
     let mut total_violations = 0u64;
@@ -392,44 +414,18 @@ fn run_case_impl(
         if pause >= horizon_end {
             break;
         }
-        match &mut chooser {
-            Some(c) => cluster.run_until_chosen(pause, &mut **c),
-            None => cluster.run_until(pause),
-        }
+        experiment::advance(&mut cluster, pause, chooser.as_deref_mut());
         passes += 1;
         run_pass(&mut cluster, &mut invariants, pause, false);
     }
-    match &mut chooser {
-        Some(c) => cluster.run_until_chosen(horizon_end, &mut **c),
-        None => cluster.run_until(horizon_end),
-    }
+    experiment::advance(&mut cluster, horizon_end, chooser);
     passes += 1;
     run_pass(&mut cluster, &mut invariants, horizon_end, true);
 
-    let sim = cluster.sim.sim_stats();
-    let cta = cluster.cta_metrics();
-    let max_queue_depth = cluster.max_control_queue_depth() as u64;
-    let results = cluster.take_results();
+    let results = experiment::finish(cluster, None);
     CheckReport {
         violations: recorded,
         passes,
-        fingerprint: Fingerprint {
-            events_processed: sim.events_processed,
-            started: results.started,
-            completed: results.completed,
-            re_attached: results.re_attached,
-            retransmissions: results.retransmissions,
-            dropped_loss: sim.dropped_loss,
-            dropped_partition: sim.dropped_partition,
-            duplicated: sim.duplicated,
-            reordered: sim.reordered,
-            timeout_pruned: cta.timeout_pruned,
-            admitted: cta.admitted_by_class.to_vec(),
-            shed: cta.shed_by_class.to_vec(),
-            rejected: results.rejected,
-            retries_exhausted: results.retries_exhausted,
-            max_queue_depth,
-            violations: total_violations,
-        },
+        fingerprint: Fingerprint::of(&results, total_violations),
     }
 }

@@ -10,6 +10,7 @@
 //! to disk and replayed byte-identically with no reference back to the
 //! scenario that generated it.
 
+use neutrino_common::rng::splitmix64_next;
 use neutrino_cta::AdmissionParams;
 use serde::{Deserialize, Serialize};
 
@@ -179,11 +180,7 @@ impl SplitMix {
 
     /// Next raw draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = self.0;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        splitmix64_next(&mut self.0)
     }
 
     /// Uniform draw in `lo..=hi`.

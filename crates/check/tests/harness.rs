@@ -6,9 +6,10 @@
 
 use neutrino_bench::sweep::run_cells_with;
 use neutrino_check::corpus::{self, CorpusCase};
-use neutrino_check::run::{run_case, CheckReport};
+use neutrino_check::run::{experiment_spec, run_case, CheckReport, Fingerprint};
 use neutrino_check::scenario::{CasePlan, Scenario};
 use neutrino_check::shrink::shrink;
+use neutrino_core::experiment::run_experiment;
 
 /// The harness's own determinism: same plan, same bytes.
 #[test]
@@ -76,8 +77,10 @@ fn epc_violation_is_detected_shrunk_and_pinned() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every pinned corpus case replays clean and byte-identically on this
-/// tree (the corpus contract).
+/// Every pinned corpus case replays clean, byte-identically, and to the
+/// fingerprint pinned in its file (the corpus contract). `violations` is
+/// the one counter exempt from the pin: a case recorded under a
+/// reintroduced bug pins the violations that bug caused.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
 fn corpus_cases_replay_clean() {
@@ -96,7 +99,36 @@ fn corpus_cases_replay_clean() {
             "{} must replay byte-identically",
             path.display()
         );
+        let replayed = Fingerprint {
+            violations: case.fingerprint.violations,
+            ..first.fingerprint
+        };
+        assert_eq!(
+            replayed,
+            case.fingerprint,
+            "{} must replay to its pinned fingerprint",
+            path.display()
+        );
     }
+}
+
+/// A checked run is the figure run: the plan's spec, run by
+/// `run_experiment` (audit pauses at each crash), yields every counter the
+/// oracle-paused `run_case` does. Pauses leave the event stream unchanged.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
+fn checked_run_is_the_figure_run() {
+    let plan = Scenario::by_name("failover").unwrap().plan(2);
+    assert!(!plan.crashes.is_empty() && plan.partitions.is_empty());
+    let checked = run_case(&plan);
+    assert!(checked.passes > 2, "the oracle must actually pause the run");
+    let (spec, _) = experiment_spec(&plan);
+    let figure = run_experiment(spec);
+    assert!(figure.audit.is_some(), "the figure run must audit its crash");
+    assert_eq!(
+        checked.fingerprint,
+        Fingerprint::of(&figure, checked.fingerprint.violations)
+    );
 }
 
 /// The flash-crowd storm under admission control: clean, and not

@@ -17,18 +17,15 @@ use neutrino_check::invariants::{CatalogRow, CATALOG};
 use neutrino_check::{small_model_plan, CasePlan, Scenario};
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::{ProcedureId, UeId};
-use neutrino_core::experiment::adapt_workload;
+use neutrino_core::experiment::{self, ExperimentSpec};
 use neutrino_core::simnode::{cpf_node, cta_node, upf_node, CtaNode, UpfNode};
 use neutrino_core::{
-    Arrival, Cluster, Invariant, LinkProfile, OracleCtx, SimMsg, SystemConfig, UePopConfig,
-    Violation, Workload,
+    Arrival, Cluster, Invariant, OracleCtx, SimMsg, SystemConfig, Violation, Workload,
 };
 use neutrino_cta::AdmissionParams;
-use neutrino_geo::RegionLayout;
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_messages::sysmsg::{S11Request, SessionOp};
 use neutrino_messages::{AdmissionClass, SysMsg};
-use neutrino_netsim::SimConfig;
 
 /// Four UEs attaching 100 µs apart — enough traffic for every oracle to
 /// have something to look at, small enough to drain in milliseconds.
@@ -40,17 +37,10 @@ fn small_cluster(config: SystemConfig) -> Cluster {
             kind: ProcedureKind::InitialAttach,
         })
         .collect();
-    let workload = adapt_workload(&config, Workload::from_vec(arrivals));
-    Cluster::build_with_sim(
-        config,
-        RegionLayout::default(),
-        workload,
-        UePopConfig::default(),
-        LinkProfile::default(),
-        SimConfig::for_horizon(Duration::from_millis(200)),
-        7,
-        1,
-    )
+    let mut spec = ExperimentSpec::new(config, Workload::from_vec(arrivals));
+    spec.horizon = Duration::from_millis(200);
+    spec.seed = 7;
+    experiment::build(spec)
 }
 
 fn check_at(

@@ -11,15 +11,28 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// splitmix64's stream increment (the 64-bit golden ratio).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// The splitmix64 finalizer: a stateless bijective mixer. Seedless, so
-/// whatever is keyed on it (`UeMap`'s layout, the UE backoff jitter) is the
-/// same in every run and process.
+/// whatever is keyed on it (`UeMap`'s layout, the UE backoff jitter, link
+/// fault draws, the choice-state hash) is the same in every run and
+/// process. The one definition in the workspace.
 #[inline]
 pub fn splitmix64(x: u64) -> u64 {
-    let mut x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut x = x.wrapping_add(GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The next draw of a splitmix64 stream whose state is `state`: advances
+/// the state by one increment and returns [`splitmix64`] of the old one.
+#[inline]
+pub fn splitmix64_next(state: &mut u64) -> u64 {
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(GAMMA);
+    out
 }
 
 /// Creates the workspace's standard deterministic RNG from a seed.

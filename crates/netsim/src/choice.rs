@@ -18,15 +18,6 @@
 use crate::engine::NodeId;
 use neutrino_common::time::Instant;
 
-/// Splitmix64 finalizer used by the choice-state hash chains.
-#[inline]
-pub(crate) fn mix64(z: u64) -> u64 {
-    let z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One delivery the engine could dispatch next at the current tick.
 ///
 /// Entries are presented in ascending `seq` order, so index 0 is always

@@ -13,6 +13,7 @@
 use crate::links::{Delivery, Links};
 use crate::stats::{NodeStats, SimStats};
 use crate::wheel::{SchedKey, Wheel};
+use neutrino_common::rng::splitmix64;
 use neutrino_common::time::{Duration, Instant};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -819,9 +820,10 @@ impl<M: Clone + 'static> Sim<M> {
             EventKind::Crash { .. } => (4, 0),
             EventKind::Recover { .. } => (5, 0),
         };
-        use crate::choice::mix64;
         let c = &mut st.chains[slot];
-        *c = mix64(mix64(mix64(mix64(*c ^ tag) ^ detail) ^ seq) ^ tick.as_nanos());
+        *c = splitmix64(
+            splitmix64(splitmix64(splitmix64(*c ^ tag) ^ detail) ^ seq) ^ tick.as_nanos(),
+        );
     }
 
     /// Order-canonical hash of the chosen-mode dispatch history: each
@@ -836,12 +838,12 @@ impl<M: Clone + 'static> Sim<M> {
     /// Zero until the first `run_until_chosen` call; plain `run_until`
     /// dispatches are not recorded.
     pub fn choice_state_hash(&self) -> u64 {
-        use crate::choice::mix64;
         let Some(st) = &self.choice else { return 0 };
-        let mut h = mix64(st.deliveries ^ 0x6E75_6D64_656C_6976) ^ mix64(self.now.as_nanos());
+        let mut h =
+            splitmix64(st.deliveries ^ 0x6E75_6D64_656C_6976) ^ splitmix64(self.now.as_nanos());
         for (slot, &c) in st.chains.iter().enumerate() {
             if c != 0 {
-                h ^= mix64(c ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                h ^= splitmix64(c ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             }
         }
         h

@@ -2,6 +2,7 @@
 //! fault layer (loss, duplication, bounded reorder, timed partitions).
 
 use crate::engine::NodeId;
+use neutrino_common::rng::splitmix64;
 use neutrino_common::time::{Duration, Instant};
 use std::collections::HashMap;
 
@@ -246,12 +247,9 @@ impl Links {
     /// splitmix64 over the transmission tuple plus a per-draw-type salt:
     /// stateless, splittable, replay-identical streams.
     fn mix(&self, from: NodeId, to: NodeId, sequence: u64, salt: u64) -> u64 {
-        let mut x =
-            from.raw() ^ to.raw().rotate_left(21) ^ sequence.rotate_left(42) ^ self.seed ^ salt;
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        splitmix64(
+            from.raw() ^ to.raw().rotate_left(21) ^ sequence.rotate_left(42) ^ self.seed ^ salt,
+        )
     }
 
     /// Bernoulli draw at probability `p` for this transmission and salt.

@@ -321,17 +321,6 @@ impl Cluster {
         self.sim.run_until(deadline);
     }
 
-    /// Runs until `deadline`, consulting `chooser` at every point where
-    /// ≥2 deliveries are simultaneously enabled (small-model checking —
-    /// see `Sim::run_until_chosen`).
-    pub fn run_until_chosen(
-        &mut self,
-        deadline: Instant,
-        chooser: &mut dyn neutrino_netsim::Chooser<SimMsg>,
-    ) {
-        self.sim.run_until_chosen(deadline, chooser);
-    }
-
     /// Runs until the event queue drains.
     pub fn run_to_completion(&mut self) {
         self.sim.run_to_completion();

@@ -1,7 +1,8 @@
-//! One-call experiment runner.
+//! The one run path: build a cluster from an [`ExperimentSpec`], advance it
+//! from pause to pause, finish into [`RunResults`].
 
 use crate::audit::{audit_cluster, AuditReport};
-use crate::cluster::{Cluster, LinkProfile};
+use crate::cluster::{Cluster, LinkProfile, SimMsg};
 use crate::config::{HandoverPolicy, SystemConfig};
 use crate::uepop::{Arrival, ProcedureWindow, UePopConfig, Workload};
 use neutrino_common::stats::{Percentiles, Summary};
@@ -11,7 +12,7 @@ use neutrino_cpf::CpfMetrics;
 use neutrino_cta::CtaMetrics;
 use neutrino_geo::RegionLayout;
 use neutrino_messages::procedures::ProcedureKind;
-use neutrino_netsim::{SimConfig, SimStats};
+use neutrino_netsim::{Chooser, SimConfig, SimStats};
 use std::collections::BTreeMap;
 
 /// A CPF failure injection.
@@ -147,9 +148,12 @@ pub fn adapt_workload(config: &SystemConfig, workload: Workload) -> Workload {
     }))
 }
 
-/// Runs one experiment to completion and extracts everything the figures
-/// need.
-pub fn run_experiment(spec: ExperimentSpec) -> RunResults {
+/// Builds the cluster a spec describes: adapts the workload to the
+/// system's handover flavor, builds the deployment and schedules every
+/// [`FailureSpec`]. The first of the three steps every run takes (build →
+/// [`advance`] → [`finish`]); `neutrino-check` installs its partitions and
+/// delivery tap between build and the first advance.
+pub fn build(spec: ExperimentSpec) -> Cluster {
     let workload = adapt_workload(&spec.config, spec.workload);
     // Runaway-loop budget scales with the horizon: a genuine feedback loop
     // trips it with a descriptive panic (virtual time, heap size, deepest
@@ -167,38 +171,30 @@ pub fn run_experiment(spec: ExperimentSpec) -> RunResults {
     for f in &spec.failures {
         cluster.fail_cpf_at(f.at, f.cpf);
     }
-    // The horizon bounds stragglers (retry loops after unrecoverable
-    // failures); the workload itself ends the run in the common case.
-    // Failure runs execute in segments so the consistency audit can observe
-    // the cluster inside each post-failure window; the audit is read-only
-    // and segmented `run_until` calls process the identical event stream,
-    // so fault-free runs and failure runs stay byte-reproducible.
-    let horizon_end = Instant::ZERO + spec.horizon;
-    let audit = if spec.failures.is_empty() {
-        cluster.run_until(horizon_end);
-        None
-    } else {
-        let mut report = AuditReport::default();
-        let mut pauses: Vec<Instant> = spec
-            .failures
-            .iter()
-            .map(|f| f.at + Duration::from_millis(2))
-            .collect();
-        pauses.sort_unstable();
-        for pause in pauses {
-            if pause < horizon_end {
-                cluster.run_until(pause);
-                report.merge(audit_cluster(&mut cluster));
-            }
-        }
-        cluster.run_until(horizon_end);
-        report.merge(audit_cluster(&mut cluster));
-        Some(report)
+    cluster
+}
+
+/// Runs the cluster to the pause instant `until`, consulting `chooser` at
+/// every point where ≥ 2 deliveries are simultaneously enabled (small-model
+/// checking — see `Sim::run_until_chosen`). Segmented runs process the
+/// identical event stream, so a read-only look between two advances (the
+/// figures' audit, `check`'s oracles) leaves the run byte-identical.
+pub fn advance(
+    cluster: &mut Cluster,
+    until: Instant,
+    chooser: Option<&mut (dyn Chooser<SimMsg> + '_)>,
+) {
+    match chooser {
+        Some(c) => cluster.sim.run_until_chosen(until, c),
+        None => cluster.sim.run_until(until),
     };
+}
+
+/// Extracts everything the figures need from a finished run.
+pub fn finish(mut cluster: Cluster, audit: Option<AuditReport>) -> RunResults {
     let sim = cluster.sim.sim_stats();
     let results = cluster.take_results();
     let cta = cluster.cta_metrics();
-    let max_queue_depth = cluster.max_control_queue_depth();
     RunResults {
         pct: results.pct,
         windows: results.windows,
@@ -209,7 +205,7 @@ pub fn run_experiment(spec: ExperimentSpec) -> RunResults {
         retransmissions: results.retransmissions,
         retries_exhausted: results.retries_exhausted,
         rejected: results.rejected,
-        max_queue_depth,
+        max_queue_depth: cluster.max_control_queue_depth(),
         incomplete: results.incomplete,
         failed_procedures: results.incomplete + cta.timeout_pruned,
         max_log_bytes: cluster.max_log_bytes(),
@@ -218,4 +214,36 @@ pub fn run_experiment(spec: ExperimentSpec) -> RunResults {
         sim,
         audit,
     }
+}
+
+/// Runs one experiment to completion and extracts everything the figures
+/// need.
+///
+/// The horizon bounds stragglers (retry loops after unrecoverable
+/// failures); the workload itself ends the run in the common case. Failure
+/// runs pause shortly after each injected failure so the consistency audit
+/// can observe the cluster inside each post-failure window, then once more
+/// at the horizon.
+pub fn run_experiment(spec: ExperimentSpec) -> RunResults {
+    let horizon_end = Instant::ZERO + spec.horizon;
+    let audited = !spec.failures.is_empty();
+    let mut pauses: Vec<Instant> = spec
+        .failures
+        .iter()
+        .map(|f| f.at + Duration::from_millis(2))
+        .filter(|&p| p < horizon_end)
+        .collect();
+    pauses.sort_unstable();
+    let mut cluster = build(spec);
+    let mut report = AuditReport::default();
+    for pause in pauses {
+        advance(&mut cluster, pause, None);
+        report.merge(audit_cluster(&mut cluster));
+    }
+    advance(&mut cluster, horizon_end, None);
+    let audit = audited.then(|| {
+        report.merge(audit_cluster(&mut cluster));
+        report
+    });
+    finish(cluster, audit)
 }
