@@ -6,6 +6,10 @@
 //! service completion (charging the declared service time), `Timer` runs
 //! zero-cost internal work, `Crash`/`Recover` inject failures.
 //!
+//! A message body is stored once while in flight: a slab holds it from the
+//! send to its handler, and scheduled events, node queues and running jobs
+//! carry a 4-byte handle into that slab.
+//!
 //! Determinism: the event queue orders by `(time, sequence)` where the
 //! sequence is assigned at scheduling time, so ties break identically on
 //! every run.
@@ -90,7 +94,7 @@ impl<M> Outbox<M> {
         }
     }
 
-    /// Re-arms a recycled outbox: buffers are kept (already drained by
+    /// Re-arms the scratch outbox: buffers are kept (already drained by
     /// `flush_outbox`), only the clock is reset.
     fn rearm(&mut self, now: Instant) {
         debug_assert!(self.sends.is_empty() && self.timers.is_empty());
@@ -141,7 +145,8 @@ pub trait Node<M>: Any {
     /// Reacts to an event. All effects go through the outbox.
     fn handle(&mut self, event: NodeEvent<M>, out: &mut Outbox<M>);
 
-    /// Number of cores serving this node's queue.
+    /// Number of cores serving this node's queue. Read once, at
+    /// [`Sim::add_node`], so it must be a constant of the node.
     fn cores(&self) -> usize {
         1
     }
@@ -150,15 +155,92 @@ pub trait Node<M>: Any {
     fn as_any(&mut self) -> &mut dyn Any;
 }
 
-enum EventKind<M> {
-    Deliver { to: NodeId, from: NodeId, msg: M },
-    JobComplete { node: NodeId, epoch: u64, job: u64 },
-    Timer { node: NodeId, id: u64, epoch: u64 },
-    Crash { node: NodeId },
-    Recover { node: NodeId },
+/// Handle of a message body held in [`Bodies`].
+#[derive(Debug, Clone, Copy)]
+struct MsgId(u32);
+
+/// Every message body in flight, from the send (`flush_outbox`,
+/// `inject_at`) to the `JobComplete` that moves it into its handler.
+/// Events, node queues and running jobs carry a [`MsgId`], so a wheel entry
+/// is the same 48 bytes for any `M` and a body is never copied on the way.
+/// Freed slots are reused LIFO, so the steady state allocates nothing.
+struct Bodies<M> {
+    slots: Vec<Option<M>>,
+    free: Vec<u32>,
 }
 
-impl<M> EventKind<M> {
+impl<M> Bodies<M> {
+    fn new() -> Self {
+        Bodies {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, msg: M) -> MsgId {
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = Some(msg);
+                MsgId(i)
+            }
+            None => {
+                // The cast cannot truncate in practice: 2^32 bodies in
+                // flight would take hundreds of GB.
+                self.slots.push(Some(msg));
+                MsgId((self.slots.len() - 1) as u32)
+            }
+        }
+    }
+
+    /// The body of `id`. `None` is an engine bug (a handle used after its
+    /// body moved out); callers drop the event.
+    fn get(&self, id: MsgId) -> Option<&M> {
+        let body = self.slots.get(id.0 as usize).and_then(Option::as_ref);
+        debug_assert!(body.is_some(), "in-flight message {id:?} has no body");
+        body
+    }
+
+    /// Moves the body of `id` out and frees its slot. `None` as for `get`.
+    fn take(&mut self, id: MsgId) -> Option<M> {
+        let body = self.slots.get_mut(id.0 as usize).and_then(Option::take);
+        debug_assert!(body.is_some(), "in-flight message {id:?} has no body");
+        if body.is_some() {
+            self.free.push(id.0);
+        }
+        body
+    }
+
+    /// Bodies held right now.
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
+
+enum EventKind {
+    Deliver {
+        to: NodeId,
+        from: NodeId,
+        msg: MsgId,
+    },
+    JobComplete {
+        node: NodeId,
+        epoch: u64,
+        job: u64,
+    },
+    Timer {
+        node: NodeId,
+        id: u64,
+        epoch: u64,
+    },
+    Crash {
+        node: NodeId,
+    },
+    Recover {
+        node: NodeId,
+    },
+}
+
+impl EventKind {
     /// The node this event is dispatched at.
     fn target(&self) -> NodeId {
         match self {
@@ -171,17 +253,36 @@ impl<M> EventKind<M> {
     }
 }
 
+/// A queued message: sender, body, enqueue time (24 bytes).
+type Queued = (NodeId, MsgId, Instant);
+
+/// A message in service: job id, sender, body (24 bytes).
+type InService = (u64, NodeId, MsgId);
+
 struct NodeEntry<M> {
     id: NodeId,
     node: Box<dyn Node<M>>,
-    queue: VecDeque<(NodeId, M, Instant)>,
+    /// `node.cores()`, read once at registration.
+    cores: usize,
+    queue: VecDeque<Queued>,
     busy_cores: usize,
     /// In-flight jobs tagged by job id (multicore jobs finish out of
-    /// order). At most `cores()` entries, so a linear scan beats hashing.
-    running: Vec<(u64, NodeId, M)>,
+    /// order). At most `cores` entries, so a linear scan beats hashing.
+    running: Vec<InService>,
     up: bool,
     epoch: u64,
     stats: NodeStats,
+}
+
+impl<M> NodeEntry<M> {
+    /// The next queued message, if the node is up and a core is free.
+    fn next_job(&mut self) -> Option<Queued> {
+        if self.up && self.busy_cores < self.cores {
+            self.queue.pop_front()
+        } else {
+            None
+        }
+    }
 }
 
 /// Engine configuration.
@@ -227,6 +328,14 @@ const MAX_DENSE_ID: u64 = 1 << 24;
 /// Slot sentinel meaning "no node registered at this raw id".
 const NO_SLOT: u32 = u32::MAX;
 
+/// Schedules `kind` at `at` under the next sequence number. It takes the
+/// two fields it touches rather than the `Sim`, so `flush_outbox` can call
+/// it while draining the scratch outbox in place.
+fn schedule(queue: &mut Wheel<EventKind>, seq: &mut u64, at: Instant, kind: EventKind) {
+    queue.push(SchedKey { at, seq: *seq }, kind);
+    *seq += 1;
+}
+
 /// The simulator.
 pub struct Sim<M> {
     now: Instant,
@@ -235,7 +344,9 @@ pub struct Sim<M> {
     link_seq: u64,
     /// The calendar-queue scheduler; dispatch order is ascending
     /// [`SchedKey`] — see [`crate::wheel`] for the ordering definition.
-    queue: Wheel<EventKind<M>>,
+    queue: Wheel<EventKind>,
+    /// Bodies of the messages `queue` and the node queues refer to.
+    bodies: Bodies<M>,
     /// Dense node slab; slots are assigned in `add_node` order.
     nodes: Vec<NodeEntry<M>>,
     /// Sparse raw-id → slot map (`NO_SLOT` = absent). Node ids are banded,
@@ -253,8 +364,8 @@ pub struct Sim<M> {
     duplicated: u64,
     reordered: u64,
     dropped_unroutable: u64,
-    /// Recycled outbox: send/timer buffers are reused across `handle`
-    /// calls instead of being reallocated per event.
+    /// The outbox every `handle` call borrows; `flush_outbox` drains its
+    /// buffers in place, so they are reused across calls.
     scratch: Outbox<M>,
     /// Chosen-mode bookkeeping (state-hash chains, delivery count);
     /// `None` until the first [`Sim::run_until_chosen`] call, so plain
@@ -281,6 +392,7 @@ impl<M: Clone + 'static> Sim<M> {
             job_seq: 0,
             link_seq: 0,
             queue: Wheel::new(),
+            bodies: Bodies::new(),
             nodes: Vec::new(),
             slots: Vec::new(),
             links,
@@ -333,6 +445,7 @@ impl<M: Clone + 'static> Sim<M> {
                 .unwrap_or(0),
             max_sched_depth: self.queue.max_depth() as u64,
             allocs: self.allocs,
+            in_flight: self.bodies.len() as u64,
         }
     }
 
@@ -365,6 +478,7 @@ impl<M: Clone + 'static> Sim<M> {
         self.slots[raw as usize] = self.nodes.len() as u32;
         self.nodes.push(NodeEntry {
             id,
+            cores: node.cores(),
             node,
             queue: VecDeque::new(),
             busy_cores: 0,
@@ -380,15 +494,14 @@ impl<M: Clone + 'static> Sim<M> {
         &mut self.links
     }
 
-    fn push(&mut self, at: Instant, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(SchedKey { at, seq }, kind);
+    fn push(&mut self, at: Instant, kind: EventKind) {
+        schedule(&mut self.queue, &mut self.seq, at, kind);
     }
 
     /// Injects a message from outside the simulated network, arriving at
     /// `to` at absolute time `at` (no link delay applied).
     pub fn inject_at(&mut self, at: Instant, to: NodeId, msg: M) {
+        let msg = self.bodies.insert(msg);
         self.push(
             at,
             EventKind::Deliver {
@@ -425,12 +538,15 @@ impl<M: Clone + 'static> Sim<M> {
         self.entry_mut(id)?.node.as_any().downcast_mut::<T>()
     }
 
-    /// Drains a borrowed outbox into the event queue, leaving its buffers
-    /// empty for reuse. Every send consults the fault layer: the link
-    /// sequence advances exactly once per send (fault draws use salted
+    /// Drains the scratch outbox into the event queue in place, leaving its
+    /// buffers empty for reuse. Every send consults the fault layer: the
+    /// link sequence advances exactly once per send (fault draws use salted
     /// hashes of the same sequence), so a fault-free run schedules the
-    /// identical event stream the pre-fault-layer engine did.
-    fn flush_outbox(&mut self, from: NodeId, out: &mut Outbox<M>, epoch: u64) {
+    /// identical event stream the pre-fault-layer engine did. A lost or
+    /// partitioned send never enters the body slab; a duplicate is cloned
+    /// into a slot of its own.
+    fn flush_outbox(&mut self, from: NodeId, epoch: u64) {
+        let out = &mut self.scratch;
         let now = out.now;
         for (to, msg, extra) in out.sends.drain(..) {
             let sequence = self.link_seq;
@@ -448,21 +564,28 @@ impl<M: Clone + 'static> Sim<M> {
                     }
                     if let Some(dup_delay) = duplicate {
                         self.duplicated += 1;
-                        self.push(
+                        let msg = self.bodies.insert(msg.clone());
+                        schedule(
+                            &mut self.queue,
+                            &mut self.seq,
                             now + extra + dup_delay,
-                            EventKind::Deliver {
-                                to,
-                                from,
-                                msg: msg.clone(),
-                            },
+                            EventKind::Deliver { to, from, msg },
                         );
                     }
-                    self.push(now + extra + delay, EventKind::Deliver { to, from, msg });
+                    let msg = self.bodies.insert(msg);
+                    schedule(
+                        &mut self.queue,
+                        &mut self.seq,
+                        now + extra + delay,
+                        EventKind::Deliver { to, from, msg },
+                    );
                 }
             }
         }
         for (delay, id) in out.timers.drain(..) {
-            self.push(
+            schedule(
+                &mut self.queue,
+                &mut self.seq,
                 now + delay,
                 EventKind::Timer {
                     node: from,
@@ -473,26 +596,25 @@ impl<M: Clone + 'static> Sim<M> {
         }
     }
 
-    /// Runs `entry.node.handle(event)` through the recycled scratch outbox
-    /// and flushes the effects. `slot` must be valid.
+    /// Runs `entry.node.handle(event)` against the scratch outbox and
+    /// flushes the effects. `slot` must be valid.
     fn handle_at(&mut self, slot: usize, event: NodeEvent<M>) {
-        let mut out = std::mem::take(&mut self.scratch);
-        out.rearm(self.now);
+        self.scratch.rearm(self.now);
         let entry = &mut self.nodes[slot];
-        entry.node.handle(event, &mut out);
+        entry.node.handle(event, &mut self.scratch);
         let (id, epoch) = (entry.id, entry.epoch);
-        self.flush_outbox(id, &mut out, epoch);
-        self.scratch = out;
+        self.flush_outbox(id, epoch);
     }
 
+    /// Starts service of queued messages while the node has a free core.
+    /// The body stays in the slab: `service_time` borrows it there.
     fn try_start_jobs(&mut self, slot: usize) {
-        loop {
-            let entry = &mut self.nodes[slot];
-            if !entry.up || entry.busy_cores >= entry.node.cores() || entry.queue.is_empty() {
-                return;
-            }
-            let (from, msg, enq) = entry.queue.pop_front().expect("non-empty");
-            let st = entry.node.service_time(&msg);
+        let entry = &mut self.nodes[slot];
+        while let Some((from, msg, enq)) = entry.next_job() {
+            let Some(body) = self.bodies.get(msg) else {
+                continue;
+            };
+            let st = entry.node.service_time(body);
             entry.busy_cores += 1;
             entry.stats.total_wait += self.now.saturating_since(enq);
             entry.stats.busy += st;
@@ -500,8 +622,12 @@ impl<M: Clone + 'static> Sim<M> {
             self.job_seq += 1;
             entry.running.push((job, from, msg));
             let (node, epoch) = (entry.id, entry.epoch);
-            let at = self.now + st;
-            self.push(at, EventKind::JobComplete { node, epoch, job });
+            schedule(
+                &mut self.queue,
+                &mut self.seq,
+                self.now + st,
+                EventKind::JobComplete { node, epoch, job },
+            );
         }
     }
 
@@ -509,7 +635,7 @@ impl<M: Clone + 'static> Sim<M> {
     /// `run_until` and `run_until_chosen` so both loops run the identical
     /// per-event state machine.
     #[inline(always)]
-    fn dispatch(&mut self, kind: EventKind<M>) {
+    fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Deliver { to, from, msg } => {
                 let slot = match self.slot(to) {
@@ -518,15 +644,19 @@ impl<M: Clone + 'static> Sim<M> {
                         // Unknown destination: count it — a misrouted
                         // message vanishing silently is undebuggable.
                         self.dropped_unroutable += 1;
+                        self.bodies.take(msg);
                         return;
                     }
                 };
                 if !self.nodes[slot].up {
                     self.nodes[slot].stats.dropped_down += 1;
+                    self.bodies.take(msg);
                     return;
                 }
                 if let Some(tap) = self.tap.as_mut() {
-                    tap(from, to, &msg);
+                    if let Some(body) = self.bodies.get(msg) {
+                        tap(from, to, body);
+                    }
                 }
                 let entry = &mut self.nodes[slot];
                 entry.queue.push_back((from, msg, self.now));
@@ -551,15 +681,16 @@ impl<M: Clone + 'static> Sim<M> {
                 if entry.epoch != epoch || !entry.up {
                     return; // stale: node crashed since this job began
                 }
-                let pos = entry
-                    .running
-                    .iter()
-                    .position(|&(j, _, _)| j == job)
-                    .expect("job was running");
+                let Some(pos) = entry.running.iter().position(|&(j, _, _)| j == job) else {
+                    return;
+                };
                 let (_, from, msg) = entry.running.swap_remove(pos);
                 entry.busy_cores -= 1;
                 entry.stats.processed += 1;
-                self.handle_at(slot, NodeEvent::Message { from, msg });
+                // The one move of the body: out of the slab, into the handler.
+                if let Some(msg) = self.bodies.take(msg) {
+                    self.handle_at(slot, NodeEvent::Message { from, msg });
+                }
                 self.try_start_jobs(slot);
             }
             EventKind::Timer { node, id, epoch } => {
@@ -580,12 +711,17 @@ impl<M: Clone + 'static> Sim<M> {
                 self.try_start_jobs(slot);
             }
             EventKind::Crash { node } => {
-                if let Some(entry) = self.entry_mut(node) {
+                if let Some(slot) = self.slot(node) {
+                    let entry = &mut self.nodes[slot];
                     entry.up = false;
                     entry.epoch += 1;
                     entry.stats.dropped_crash += (entry.queue.len() + entry.running.len()) as u64;
-                    entry.queue.clear();
-                    entry.running.clear();
+                    for (_, msg, _) in entry.queue.drain(..) {
+                        self.bodies.take(msg);
+                    }
+                    for (_, _, msg) in entry.running.drain(..) {
+                        self.bodies.take(msg);
+                    }
                     entry.busy_cores = 0;
                 }
             }
@@ -664,7 +800,9 @@ impl<M: Clone + 'static> Sim<M> {
             if key.at > deadline {
                 break;
             }
-            let (key, kind) = self.queue.pop().expect("peeked");
+            let Some((key, kind)) = self.queue.pop() else {
+                break;
+            };
             self.events_processed += 1;
             slice_left -= 1;
             debug_assert!(key.at >= self.now, "time went backwards");
@@ -713,7 +851,7 @@ impl<M: Clone + 'static> Sim<M> {
         }
         // One tick's events, kept in ascending seq order (wheel pop order;
         // same-tick pushes always carry a strictly larger seq).
-        let mut staging: Vec<(SchedKey, EventKind<M>)> = Vec::new();
+        let mut staging: Vec<(SchedKey, EventKind)> = Vec::new();
         while let Some(head) = self.queue.peek_key() {
             if head.at > deadline {
                 break;
@@ -722,7 +860,8 @@ impl<M: Clone + 'static> Sim<M> {
             debug_assert!(tick >= self.now, "time went backwards");
             self.now = tick;
             while self.queue.peek_key().is_some_and(|k| k.at == tick) {
-                staging.push(self.queue.pop().expect("peeked"));
+                let Some(ev) = self.queue.pop() else { break };
+                staging.push(ev);
             }
             while !staging.is_empty() {
                 let idx = self.choose_staged(tick, &staging, chooser);
@@ -736,7 +875,7 @@ impl<M: Clone + 'static> Sim<M> {
                 // Zero-delay effects land at this same tick; merge them so
                 // later choices at this tick see them as enabled.
                 while self.queue.peek_key().is_some_and(|k| k.at == tick) {
-                    let ev = self.queue.pop().expect("peeked");
+                    let Some(ev) = self.queue.pop() else { break };
                     debug_assert!(
                         staging.last().is_none_or(|(k, _)| k.seq < ev.0.seq),
                         "same-tick push with non-monotone seq"
@@ -755,7 +894,7 @@ impl<M: Clone + 'static> Sim<M> {
     fn choose_staged(
         &self,
         tick: Instant,
-        staging: &[(SchedKey, EventKind<M>)],
+        staging: &[(SchedKey, EventKind)],
         chooser: &mut dyn crate::Chooser<M>,
     ) -> usize {
         if !matches!(staging[0].1, EventKind::Deliver { .. }) {
@@ -764,11 +903,14 @@ impl<M: Clone + 'static> Sim<M> {
         let mut enabled: Vec<crate::Enabled<'_, M>> = Vec::new();
         let mut positions: Vec<usize> = Vec::new();
         for (i, (key, kind)) in staging.iter().enumerate() {
-            if let EventKind::Deliver { to, from, msg } = kind {
+            if let EventKind::Deliver { to, from, msg } = *kind {
+                let Some(msg) = self.bodies.get(msg) else {
+                    continue;
+                };
                 enabled.push(crate::Enabled {
                     seq: key.seq,
-                    from: *from,
-                    to: *to,
+                    from,
+                    to,
                     msg,
                 });
                 positions.push(i);
@@ -795,7 +937,7 @@ impl<M: Clone + 'static> Sim<M> {
 
     /// Folds one about-to-dispatch event into the chosen-mode state hash
     /// and delivery counter.
-    fn note_chosen_dispatch(&mut self, kind: &EventKind<M>, seq: u64, tick: Instant) {
+    fn note_chosen_dispatch(&mut self, kind: &EventKind, seq: u64, tick: Instant) {
         let slot = self.slot(kind.target());
         let st = self.choice.as_mut().expect("chosen mode");
         if matches!(kind, EventKind::Deliver { .. }) {
@@ -1413,6 +1555,60 @@ mod tests {
         assert_eq!(sim.stats(b).unwrap().processed, 1);
         let phoenix = sim.node_as::<Phoenix>(b).unwrap();
         assert_eq!(phoenix.processed, vec![7], "self-enqueued work ran");
+    }
+
+    /// Every path that discards a message frees its body: a crash's queued
+    /// and in-service work, a delivery to a down node and one to an
+    /// unregistered id. A `Recover` handler's self-send goes through the
+    /// slab and out again like any other message.
+    #[test]
+    fn every_discard_path_frees_its_body() {
+        let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
+        let mut sim = Sim::new(links);
+        let b = NodeId::new(2);
+        sim.add_node(
+            b,
+            Box::new(Phoenix {
+                me: b,
+                processed: Vec::new(),
+            }),
+        );
+        // At t=0 the first message enters service, four queue behind it,
+        // then the crash (scheduled after them) discards all five.
+        for i in 0..5 {
+            sim.inject_at(Instant::ZERO, b, i);
+        }
+        sim.crash_at(Instant::ZERO, b);
+        sim.inject_at(Instant::from_micros(5), b, 100); // b is down
+        sim.inject_at(Instant::from_micros(5), NodeId::new(99), 101); // unregistered
+        sim.recover_at(Instant::from_micros(10), b);
+        assert_eq!(sim.sim_stats().in_flight, 7);
+
+        sim.run_until(Instant::ZERO);
+        assert_eq!(sim.stats(b).unwrap().dropped_crash, 5);
+        assert_eq!(sim.sim_stats().in_flight, 2, "the crash freed its five");
+
+        sim.run_until(Instant::from_micros(5));
+        assert_eq!(sim.stats(b).unwrap().dropped_down, 1);
+        assert_eq!(sim.sim_stats().dropped_unroutable, 1);
+        assert_eq!(sim.sim_stats().in_flight, 0, "both drops freed theirs");
+
+        sim.run_until(Instant::from_micros(10));
+        assert_eq!(sim.sim_stats().in_flight, 1, "the recovery's self-send");
+        sim.run_to_completion();
+        assert_eq!(sim.sim_stats().in_flight, 0);
+        assert_eq!(sim.node_as::<Phoenix>(b).unwrap().processed, vec![7]);
+    }
+
+    /// Pin: a scheduled event carries a handle, never a body, so a wheel
+    /// entry is 48 bytes whatever the message type; node queues and running
+    /// jobs hold 24-byte tuples.
+    #[test]
+    fn scheduled_and_queued_entries_carry_no_body() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<(SchedKey, EventKind)>(), 48);
+        assert_eq!(size_of::<Queued>(), 24);
+        assert_eq!(size_of::<InService>(), 24);
     }
 
     #[test]

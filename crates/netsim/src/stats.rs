@@ -73,6 +73,10 @@ pub struct SimStats {
     /// binary installs a counting allocator that reports into
     /// [`crate::alloc_count`]; 0 otherwise.
     pub allocs: u64,
+    /// Message bodies the engine holds right now: scheduled deliveries,
+    /// queued and in-service messages. 0 once a run has drained; anything
+    /// else after a drain is a leaked slot.
+    pub in_flight: u64,
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Property-based tests of the link fault layer: a retrying protocol
 //! converges under any random fault plan (loss, duplication, bounded
-//! reorder, timed partitions), and the same plan + seed replays
-//! byte-identically.
+//! reorder, timed partitions), the drained engine holds no message body,
+//! and the same plan + seed replays byte-identically.
 
 use neutrino_common::time::{Duration, Instant};
 use neutrino_netsim::{FaultSpec, LinkSpec, Links, Node, NodeEvent, NodeId, Outbox, Sim};
@@ -136,6 +136,7 @@ struct Trace {
     dropped_partition: u64,
     duplicated: u64,
     reordered: u64,
+    in_flight: u64,
 }
 
 fn run(plan: &Plan) -> Trace {
@@ -188,6 +189,7 @@ fn run(plan: &Plan) -> Trace {
         dropped_partition: stats.dropped_partition,
         duplicated: stats.duplicated,
         reordered: stats.reordered,
+        in_flight: stats.in_flight,
     }
 }
 
@@ -205,6 +207,8 @@ proptest! {
         prop_assert_eq!(distinct.len() as u64, p.total, "server saw every request");
         // Retries mean the client never sends fewer datagrams than requests.
         prop_assert!(trace.client_sends >= p.total);
+        // Every body was delivered or discarded, and each freed its slot.
+        prop_assert_eq!(trace.in_flight, 0, "drained run holds no message body");
         // Fault accounting only moves when the plan can produce that fault.
         if p.loss == 0.0 {
             prop_assert_eq!(trace.dropped_loss, 0);
