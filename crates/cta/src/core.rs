@@ -213,8 +213,8 @@ pub struct CtaCore {
     config: CtaConfig,
     ring: RingStack,
     clock: neutrino_common::LogicalClock,
-    /// The message log; its per-UE records also carry the UE's routing
-    /// (sticky primary, cached backup set), so a message costs one lookup.
+    /// The message log; its per-UE records also carry the UE's sticky
+    /// primary, so a message costs one lookup.
     log: MessageLog,
     failed: BTreeSet<CpfId>,
     costs: &'static CostTable,
@@ -242,12 +242,6 @@ fn primary_of(log: &mut UeLog, ue: UeId, ring: &RingStack) -> Option<CpfId> {
     log.assigned
 }
 
-/// The backup set for a UE (cached on first use).
-fn backups_of<'a>(log: &'a mut UeLog, ue: UeId, ring: &RingStack) -> &'a [CpfId] {
-    log.backups
-        .get_or_insert_with(|| ring.backups(ue).collect())
-}
-
 /// Fills `expected` with the replicas whose ACKs the UE's checkpoints wait
 /// for: its live backups other than the primary.
 fn expected_acks(
@@ -260,28 +254,22 @@ fn expected_acks(
     let primary = primary_of(log, ue, ring);
     expected.clear();
     expected.extend(
-        backups_of(log, ue, ring)
-            .iter()
-            .filter(|b| Some(**b) != primary && !failed.contains(b)),
+        ring.backups(ue)
+            .filter(|b| Some(*b) != primary && !failed.contains(b)),
     );
 }
 
 /// The UE's live backups that have ever held its state, with the procedure
 /// each is synced through — the failover candidates, in ring order.
 fn synced_backups<'a>(
-    log: &'a mut UeLog,
+    log: &'a UeLog,
     ue: UeId,
-    ring: &RingStack,
+    ring: &'a RingStack,
     failed: &'a BTreeSet<CpfId>,
 ) -> impl Iterator<Item = (CpfId, ProcedureId)> + 'a {
-    // Fill the cache first: the candidates are read next to the watermarks.
-    backups_of(log, ue, ring);
-    let log = &*log;
-    let backups = log.backups.as_deref().unwrap_or_default();
-    backups
-        .iter()
+    ring.backups(ue)
         .filter(|b| !failed.contains(b))
-        .filter_map(|&b| {
+        .filter_map(|b| {
             let synced = log.synced_through(b);
             // Never held this UE's state: ineligible.
             (synced.raw() > 0).then_some((b, synced))
@@ -352,15 +340,18 @@ impl CtaCore {
         self.log.max_bytes()
     }
 
-    /// The primary CPF currently serving a UE (sticky; assigned from the
-    /// level-1 ring on first contact).
-    pub fn primary_for(&mut self, ue: UeId) -> Option<CpfId> {
-        primary_of(&mut self.log.ue_mut(ue), ue, &self.ring)
+    /// The primary CPF currently serving a UE: its sticky assignment, or
+    /// the level-1 ring's choice for a UE not yet bound. Records nothing.
+    pub fn primary_for(&self, ue: UeId) -> Option<CpfId> {
+        self.log
+            .ue(ue)
+            .and_then(|l| l.assigned)
+            .or_else(|| self.ring.primary(ue))
     }
 
-    /// The backup set for a UE (cached on first use).
-    pub fn backups_for(&mut self, ue: UeId) -> Vec<CpfId> {
-        backups_of(&mut self.log.ue_mut(ue), ue, &self.ring).to_vec()
+    /// The backup set for a UE on the current ring.
+    pub fn backups_for(&self, ue: UeId) -> Vec<CpfId> {
+        self.ring.backups(ue).collect()
     }
 
     /// Whether replicas will ever ACK this CTA's completed procedures. A
@@ -606,10 +597,6 @@ impl CtaCore {
         // The dead CPF's copies died with it: drop its ACKs so they never
         // count toward convergence or get offered as fetch sources.
         self.log.purge_replica_acks(cpf);
-        // Backup sets shift for every UE whose successor list held the dead
-        // CPF; stale cache entries would make the expected-ACK sets disagree
-        // with what primaries (whose rings get the same removal) now sync.
-        self.log.invalidate_backups();
         let mut out = Vec::new();
         for env in stuck {
             self.failover(env, &mut out);
@@ -643,7 +630,7 @@ impl CtaCore {
         }
         // Primary is down: pick the most-synced live backup, as in
         // `failover`, without a message to replay.
-        let best = synced_backups(&mut slot, ue, &self.ring, &self.failed).max_by_key(|(_, s)| *s);
+        let best = synced_backups(&slot, ue, &self.ring, &self.failed).max_by_key(|(_, s)| *s);
         match best {
             Some((replica, _)) if self.config.failover == FailoverPolicy::ReplayFromLog => {
                 slot.assigned = Some(replica);
@@ -840,7 +827,7 @@ impl CtaCore {
                 let mut slot = self.log.ue_mut(ue);
                 // Pick the live backup synced furthest ahead (the first such
                 // in ring order).
-                let best = synced_backups(&mut slot, ue, &self.ring, &self.failed)
+                let best = synced_backups(&slot, ue, &self.ring, &self.failed)
                     .reduce(|best, b| if b.1 > best.1 { b } else { best });
                 match best {
                     Some((replica, synced)) if slot.replay_covers(synced) => {
@@ -1042,6 +1029,30 @@ mod tests {
         }
         assert_eq!(c.log_bytes(), 0, "fully acked procedure must be pruned");
         assert!(c.max_log_bytes() > 0);
+    }
+
+    #[test]
+    fn a_backup_set_follows_the_ring_through_a_cpf_failure() {
+        let mut c = cta();
+        let ue = UeId::new(3);
+        c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
+        let dead = c.backups_for(ue)[0];
+        c.on_cpf_failure(dead, Instant::ZERO);
+        let mut shrunk = ring();
+        shrunk.remove(dead);
+        let backups = c.backups_for(ue);
+        assert_eq!(backups, shrunk.backups(ue).collect::<Vec<_>>());
+        assert!(!backups.contains(&dead));
+        let mut expected = Vec::new();
+        expected_acks(&mut c.log.ue_mut(ue), ue, &c.ring, &c.failed, &mut expected);
+        assert_eq!(expected, backups, "the dead CPF's ACK is no longer awaited");
+        // The shrunken set's ACKs are what converges the procedure.
+        for replica in backups {
+            let procedure = ProcedureId::new(1);
+            let end_clock = ClockTick(1);
+            c.on_sync_ack(SyncAck { ue, replica, procedure, end_clock }, Instant::ZERO);
+        }
+        assert_eq!(c.log_bytes(), 0);
     }
 
     #[test]

@@ -101,18 +101,19 @@ impl ProcedureLog {
 }
 
 /// Everything the CTA keeps per UE: the log proper, the replication
-/// watermarks, and the routing facts (sticky primary, cached backup set)
-/// that every message for the UE needs — one record, one lookup.
+/// watermarks, and the sticky primary every message for the UE needs — one
+/// record, one lookup.
 #[derive(Debug)]
 pub struct UeLog {
     /// Procedures with still-logged messages (pruned once fully ACKed),
     /// sorted by id. A UE holds one or two at a time, so a flat vector
-    /// beats a map node. Private: entries come and go only through
-    /// [`UeSlot`], which keeps the log-wide byte count and completed index
-    /// in step.
+    /// beats a map node; it is reserved one entry at a time and handed back
+    /// whole when it empties, so an idle UE holds no storage here. Private:
+    /// entries come and go only through [`UeSlot`], which keeps the
+    /// log-wide byte count and completed index in step.
     procedures: Vec<(ProcedureId, ProcedureLog)>,
     /// Last procedure each replica is known (via ACK) to be synced through,
-    /// sorted by replica.
+    /// sorted by replica, reserved exactly for the replicas it names.
     synced_through: Vec<(CpfId, ProcedureId)>,
     /// Last procedure observed to complete.
     pub last_completed: ProcedureId,
@@ -134,9 +135,6 @@ pub struct UeLog {
     /// a backup "become primary" (§4.1) instead of the ring silently
     /// remapping the UE to a CPF with no state.
     pub assigned: Option<CpfId>,
-    /// The UE's backup set: ring-deterministic, cached so the expected-ACK
-    /// set stays stable between ring changes (a CPF failure clears it).
-    pub backups: Option<Vec<CpfId>>,
 }
 
 impl Default for UeLog {
@@ -149,7 +147,6 @@ impl Default for UeLog {
             in_flight: None,
             last_bs: BsId::new(0),
             assigned: None,
-            backups: None,
         }
     }
 }
@@ -176,12 +173,21 @@ impl UeLog {
         let i = match self.position(proc) {
             Ok(i) => i,
             Err(i) => {
+                self.procedures.reserve_exact(1);
                 self.procedures
                     .insert(i, (proc, ProcedureLog::new(now, uplinks)));
                 i
             }
         };
         &mut self.procedures[i].1
+    }
+
+    /// Gives an emptied procedure table's storage back, so an idle UE holds
+    /// none.
+    fn release_if_empty(&mut self) {
+        if self.procedures.is_empty() {
+            self.procedures = Vec::new();
+        }
     }
 
     /// The last procedure `replica` is known to be synced through
@@ -316,7 +322,10 @@ impl UeSlot<'_> {
             .binary_search_by_key(&replica, |&(r, _)| r)
         {
             Ok(i) => log.synced_through[i].1 = log.synced_through[i].1.max(proc),
-            Err(i) => log.synced_through.insert(i, (replica, proc)),
+            Err(i) => {
+                log.synced_through.reserve_exact(1);
+                log.synced_through.insert(i, (replica, proc));
+            }
         }
         let mut pruned = false;
         let replay_floor = &mut log.replay_floor;
@@ -342,6 +351,7 @@ impl UeSlot<'_> {
             pruned = true;
             false
         });
+        log.release_if_empty();
         pruned
     }
 
@@ -352,6 +362,7 @@ impl UeSlot<'_> {
             return 0;
         };
         let (_, entry) = self.log.procedures.remove(i);
+        self.log.release_if_empty();
         *self.bytes -= entry.bytes;
         if !entry.messages.is_empty() && proc > self.log.replay_floor {
             self.log.replay_floor = proc;
@@ -423,13 +434,6 @@ impl MessageLog {
                     entry.acks.remove(i);
                 }
             }
-        }
-    }
-
-    /// Forgets every cached backup set (the ring just changed).
-    pub fn invalidate_backups(&mut self) {
-        for ue_log in self.ues.values_mut() {
-            ue_log.backups = None;
         }
     }
 
@@ -705,18 +709,46 @@ mod tests {
     #[test]
     fn a_ue_log_is_one_flat_record() {
         // Pinned: an attach burst holds one of these per UE at the CTA.
-        assert_eq!(std::mem::size_of::<UeLog>(), 136);
+        assert_eq!(std::mem::size_of::<UeLog>(), 112);
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
         log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
-        // No map node: the procedures are one `Vec` allocation, and the
-        // messages are reserved once for every uplink the procedure logs.
+        // No map node: the procedures are one `Vec` allocation, sized for
+        // the one procedure, and the messages are reserved once for every
+        // uplink the procedure logs.
         let procedures: &Vec<(ProcedureId, ProcedureLog)> = &log.ue(ue).unwrap().procedures;
-        assert_eq!(procedures.len(), 1);
+        assert_eq!((procedures.len(), procedures.capacity()), (1, 1));
         assert_eq!(
             procedures[0].1.messages.capacity(),
             ProcedureKind::ServiceRequest.template().uplink_count()
         );
+    }
+
+    #[test]
+    fn an_idle_ue_holds_no_procedure_storage() {
+        let mut log = MessageLog::new();
+        let ue = UeId::new(1);
+        let replicas = [CpfId::new(10), CpfId::new(11)];
+        let storage = |log: &MessageLog| {
+            let rec = log.ue(ue).unwrap();
+            (rec.procedures.len(), rec.procedures.capacity())
+        };
+        // ACK convergence prunes the last procedure: the table goes back.
+        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue)
+            .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
+        for r in replicas {
+            log.ue_mut(ue).ack(ProcedureId::new(1), r, &replicas);
+        }
+        assert_eq!(storage(&log), (0, 0));
+        let synced = &log.ue(ue).unwrap().synced_through;
+        assert_eq!((synced.len(), synced.capacity()), (2, 2));
+        // The next procedure starts at capacity 1; a timeout drop of it
+        // gives the table back again.
+        log.ue_mut(ue).append(env(1, 2, 2), 10, Instant::ZERO);
+        assert_eq!(storage(&log), (1, 1));
+        log.ue_mut(ue).drop_procedure(ProcedureId::new(2));
+        assert_eq!(storage(&log), (0, 0));
     }
 
     #[test]

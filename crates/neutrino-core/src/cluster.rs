@@ -364,7 +364,7 @@ impl Cluster {
         let cta = self.deployment.regions()[0].cta;
         self.sim
             .node_as::<CtaNode>(cta_node(cta))?
-            .core_mut()
+            .core()
             .primary_for(ue)
     }
 

@@ -225,7 +225,7 @@ impl<C> SimNode<C> {
         &self.core
     }
 
-    /// Mutable core access (routing introspection, idle transitions).
+    /// Mutable core access (idle transitions).
     pub fn core_mut(&mut self) -> &mut C {
         &mut self.core
     }

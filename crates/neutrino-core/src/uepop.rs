@@ -183,7 +183,9 @@ struct Active {
     critical_done: bool,
     retries: u32,
     last_progress: Instant,
-    last_uplink: Option<Envelope>,
+    /// The template step of the last uplink sent, which a retransmission
+    /// rebuilds (step 0 goes out as the procedure starts).
+    last_uplink: usize,
     /// Lifetime retry-budget charges (survives re-attach restarts).
     budget_used: u32,
     /// Set while honoring a `Reject`: no re-offer before this instant.
@@ -218,13 +220,15 @@ fn route_of(routes: &[RegionRoute], ue: UeId, route: usize) -> (BsId, CtaId) {
     (bs, r.cta)
 }
 
-/// Sends step `step_idx` of `active`'s template and remembers it for
-/// retransmission.
+/// Sends step `step_idx` of `active`'s template to `ue`'s CTA on `route`.
+/// The envelope is a function of these arguments alone, and a UE's route
+/// changes only on a give-up, which starts a fresh procedure — so sending
+/// `active.last_uplink` again repeats the last uplink exactly.
 fn send_uplink(
     routes: &[RegionRoute],
     ue: UeId,
     route: usize,
-    active: &mut Active,
+    active: &Active,
     step_idx: usize,
     out: &mut Outbox<SimMsg>,
 ) {
@@ -242,24 +246,7 @@ fn send_uplink(
     if step_idx + 1 == template.steps.len() {
         env = env.ending_procedure();
     }
-    active.last_uplink = Some(env.clone());
     out.send(cta_node(cta), SimMsg::Sys(SysMsg::Control(env)));
-}
-
-/// Re-sends `active`'s last uplink, if it sent one.
-fn resend_last_uplink(
-    routes: &[RegionRoute],
-    ue: UeId,
-    route: usize,
-    active: &Active,
-    results: &mut UePopResults,
-    out: &mut Outbox<SimMsg>,
-) {
-    if let Some(env) = active.last_uplink.clone() {
-        results.retransmissions += 1;
-        let (_, cta) = route_of(routes, ue, route);
-        out.send(cta_node(cta), SimMsg::Sys(SysMsg::Control(env)));
-    }
 }
 
 /// The UE/BS population node.
@@ -354,7 +341,7 @@ impl UePopulation {
             critical_done: false,
             retries: 0,
             last_progress: out.now(),
-            last_uplink: None,
+            last_uplink: 0,
             budget_used,
             deferred_until: None,
         });
@@ -446,14 +433,8 @@ impl UePopulation {
         while active.next_step < template.steps.len()
             && template.steps[active.next_step].direction == Direction::Uplink
         {
-            send_uplink(
-                &self.config.routes,
-                ue,
-                route,
-                active,
-                active.next_step,
-                out,
-            );
+            active.last_uplink = active.next_step;
+            send_uplink(&self.config.routes, ue, route, active, active.next_step, out);
             active.next_step += 1;
         }
         // Finished the whole template?
@@ -505,7 +486,8 @@ impl UePopulation {
             }
             a.deferred_until = None;
             a.last_progress = now;
-            resend_last_uplink(routes, ue, rec.route, a, &mut self.results, out);
+            self.results.retransmissions += 1;
+            send_uplink(routes, ue, rec.route, a, a.last_uplink, out);
             out.set_timer(self.config.retry_timeout, ue.raw());
             return;
         }
@@ -531,7 +513,8 @@ impl UePopulation {
             Self::abandon(rec, &mut self.in_flight, &mut self.results);
             return;
         }
-        resend_last_uplink(routes, ue, rec.route, a, &mut self.results, out);
+        self.results.retransmissions += 1;
+        send_uplink(routes, ue, rec.route, a, a.last_uplink, out);
         out.set_timer(self.config.retry_timeout, ue.raw());
     }
 
@@ -653,6 +636,8 @@ impl Node<SimMsg> for UePopulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simnode::UEPOP_NODE;
+    use neutrino_netsim::{LinkSpec, Links, Sim};
 
     #[test]
     fn workload_from_vec_sorts() {
@@ -679,5 +664,74 @@ mod tests {
         let a = route_of(&routes, UeId::new(17), 0);
         let b = route_of(&routes, UeId::new(17), 0);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_ue_record_keeps_no_envelope() {
+        // Pinned: a run holds one slab entry per UE it ever saw.
+        assert_eq!(std::mem::size_of::<(UeId, UeRecord)>(), 104);
+    }
+
+    /// A CTA that records every uplink and answers only the first
+    /// `answer` of them, each with the downlink step that follows it.
+    struct SilentCta {
+        seen: Vec<Envelope>,
+        answer: usize,
+    }
+
+    impl Node<SimMsg> for SilentCta {
+        fn service_time(&self, _: &SimMsg) -> Duration {
+            Duration::ZERO
+        }
+
+        fn handle(&mut self, event: NodeEvent<SimMsg>, out: &mut Outbox<SimMsg>) {
+            let NodeEvent::Message { msg: SimMsg::Sys(SysMsg::Control(env)), .. } = event else {
+                return;
+            };
+            if self.seen.len() < self.answer {
+                let steps = &env.proc_kind.template().steps;
+                let next = 1 + steps.iter().position(|s| s.kind == env.msg.kind()).unwrap();
+                let msg = Payload::sample(steps[next].kind, env.ue.raw());
+                let reply =
+                    Envelope::downlink(env.ue, env.procedure, env.proc_kind, msg).from_bs(env.bs);
+                out.send(UEPOP_NODE, SimMsg::Sys(SysMsg::Control(reply)));
+            }
+            self.seen.push(env);
+        }
+
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_retransmission_is_the_uplink_it_repeats() {
+        let kind = ProcedureKind::InitialAttach;
+        // Unanswered, the UE repeats step 0; answered once, step 2.
+        for (answer, step) in [(0, 0), (1, 2)] {
+            let config = UePopConfig {
+                max_retries: 10,
+                ..UePopConfig::default()
+            };
+            let ue = UeId::new(7);
+            let arrival = Arrival { at: Instant::ZERO, ue, kind };
+            let pop = UePopulation::new(config, Workload::from_vec(vec![arrival]));
+            let cta = cta_node(CtaId::new(0));
+            let mut sim = Sim::new(Links::with_default(LinkSpec::fixed(Duration::from_micros(5))));
+            sim.add_node(UEPOP_NODE, Box::new(pop));
+            sim.add_node(cta, Box::new(SilentCta { seen: Vec::new(), answer }));
+            sim.inject_at(Instant::ZERO, UEPOP_NODE, SimMsg::Kick);
+            sim.run_until(Instant::from_millis(3_500));
+            let seen = std::mem::take(&mut sim.node_as::<SilentCta>(cta).unwrap().seen);
+            let repeated = &seen[answer..];
+            let first = &repeated[0];
+            assert_eq!(first.msg.kind(), kind.template().steps[step].kind);
+            assert_eq!((first.ue, first.procedure, first.bs), (ue, ProcedureId::new(1), BsId::new(7)));
+            assert!(repeated.iter().all(|env| env == first), "{repeated:?}");
+            let pop = sim.node_as::<UePopulation>(UEPOP_NODE).unwrap();
+            let resent = pop.results().retransmissions;
+            assert!(resent >= 2);
+            assert_eq!(resent as usize, repeated.len() - 1);
+        }
     }
 }
