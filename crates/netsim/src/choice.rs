@@ -1,13 +1,13 @@
 //! Choice-point interposition for bounded exhaustive interleaving checks.
 //!
-//! [`Sim::run_until_chosen`](crate::Sim::run_until_chosen) is a second
-//! dispatch loop next to `run_until` that, whenever **two or more
-//! deliveries are simultaneously enabled at the same tick**, asks a
-//! [`Chooser`] which one to dispatch first. The [`IdentityChooser`] always
-//! picks the lowest sequence number, which reproduces `run_until`'s
-//! `(at, seq)` stream exactly — so instrumented runs with the identity
-//! chooser are byte-identical to `run_until` and no golden or corpus pin
-//! can observe the instrumentation.
+//! The engine has one dispatch loop and two orders it can pop in.
+//! [`Sim::run_until_chosen`](crate::Sim::run_until_chosen) runs that loop in
+//! the chosen order: whenever **two or more deliveries are simultaneously
+//! enabled at the same tick**, it asks a [`Chooser`] which one to dispatch
+//! first. The [`IdentityChooser`] always picks the lowest sequence number,
+//! which reproduces `run_until`'s `(at, seq)` order exactly — so
+//! instrumented runs with the identity chooser are byte-identical to
+//! `run_until` and no golden or corpus pin can observe the instrumentation.
 //!
 //! A model checker (see `crates/check`, `mcheck`) drives this with a
 //! scripted chooser to enumerate delivery interleavings of a small
@@ -40,15 +40,15 @@ pub struct Enabled<'a, M> {
 pub struct ChoiceCtx {
     /// The tick every enabled delivery is scheduled at.
     pub now: Instant,
-    /// Deliveries dispatched so far in chosen mode (the depth coordinate
+    /// Deliveries dispatched so far in the chosen order (the depth coordinate
     /// a bounded search counts against).
     pub deliveries: u64,
     /// Order-canonical hash of the dispatch history so far — see
     /// [`crate::Sim::choice_state_hash`] for what it does and does not
     /// distinguish.
     pub state_hash: u64,
-    /// True when a non-delivery event (timer, job completion, crash,
-    /// recover) is also staged at this tick. Orders across such a barrier
+    /// True when a non-delivery event (timer, job completion or crash) is
+    /// also staged at this tick. Orders across such a barrier
     /// do **not** commute (delivering before vs. after a crash differs),
     /// so independence-based pruning must be disabled here.
     pub barrier: bool,
@@ -72,23 +72,15 @@ impl<M> Chooser<M> for IdentityChooser {
     }
 }
 
-/// Per-engine bookkeeping for chosen mode, lazily created on the first
-/// `run_until_chosen` call and persisting across pause/resume calls.
+/// Per-engine bookkeeping for the chosen order, lazily created on the
+/// first `run_until_chosen` call and persisting across pause/resume calls.
+#[derive(Default)]
 pub(crate) struct ChoiceState {
     /// Per-slot dispatch-history hash chains. Each dispatched event is
     /// folded into its *target* node's chain, so the chain encodes that
     /// node's event order while saying nothing about how events at
     /// different nodes interleaved.
     pub(crate) chains: Vec<u64>,
-    /// Deliveries dispatched in chosen mode.
+    /// Deliveries dispatched in the chosen order.
     pub(crate) deliveries: u64,
-}
-
-impl ChoiceState {
-    pub(crate) fn new(slots: usize) -> Self {
-        ChoiceState {
-            chains: vec![0; slots],
-            deliveries: 0,
-        }
-    }
 }

@@ -1,10 +1,13 @@
 //! The discrete-event engine.
 //!
 //! Each node is a multi-core FIFO queueing server running a [`Node`] state
-//! machine. The engine pops time-ordered events; `Deliver` enqueues a
-//! message at its destination, `JobComplete` runs the node's handler at
-//! service completion (charging the declared service time), `Timer` runs
-//! zero-cost internal work, `Crash`/`Recover` inject failures.
+//! machine. One dispatch loop pops events of four kinds: `Deliver`
+//! enqueues a message at its destination, `JobComplete` runs the node's
+//! handler at service completion (charging the declared service time),
+//! `Timer` runs zero-cost internal work, and `Crash` takes a node down for
+//! good. The loop is generic over how it pops: [`Sim::run_until`] takes the
+//! wheel's `(at, seq)` head, [`Sim::run_until_chosen`] stages one tick's
+//! events and lets a [`crate::Chooser`] order the deliveries among them.
 //!
 //! A message body is stored once while in flight: a slab holds it from the
 //! send to its handler, and scheduled events, node queues and running jobs
@@ -73,15 +76,12 @@ pub enum NodeEvent<M> {
         /// The id passed to [`Outbox::set_timer`].
         id: u64,
     },
-    /// The node just recovered from a crash (state was NOT preserved by the
-    /// engine; the node decides what recovery means).
-    Recovered,
 }
 
 /// The only way a node affects the world: messages out and timers.
 pub struct Outbox<M> {
     now: Instant,
-    sends: Vec<(NodeId, M, Duration)>,
+    sends: Vec<(NodeId, M)>,
     timers: Vec<(Duration, u64)>,
 }
 
@@ -109,13 +109,7 @@ impl<M> Outbox<M> {
     /// Sends a message; it leaves the node immediately and arrives after the
     /// link delay.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.sends.push((to, msg, Duration::ZERO));
-    }
-
-    /// Sends a message after an extra local delay (e.g. modeling work done
-    /// off the critical path).
-    pub fn send_after(&mut self, to: NodeId, msg: M, extra: Duration) {
-        self.sends.push((to, msg, extra));
+        self.sends.push((to, msg));
     }
 
     /// Arms a timer that fires after `delay` with the given id.
@@ -162,7 +156,7 @@ struct MsgId(u32);
 /// Every message body in flight, from the send (`flush_outbox`,
 /// `inject_at`) to the `JobComplete` that moves it into its handler.
 /// Events, node queues and running jobs carry a [`MsgId`], so a wheel entry
-/// is the same 48 bytes for any `M` and a body is never copied on the way.
+/// is the same 40 bytes for any `M` and a body is never copied on the way.
 /// Freed slots are reused LIFO, so the steady state allocates nothing.
 struct Bodies<M> {
     slots: Vec<Option<M>>,
@@ -224,18 +218,13 @@ enum EventKind {
     },
     JobComplete {
         node: NodeId,
-        epoch: u64,
         job: u64,
     },
     Timer {
         node: NodeId,
         id: u64,
-        epoch: u64,
     },
     Crash {
-        node: NodeId,
-    },
-    Recover {
         node: NodeId,
     },
 }
@@ -247,8 +236,7 @@ impl EventKind {
             EventKind::Deliver { to, .. } => *to,
             EventKind::JobComplete { node, .. }
             | EventKind::Timer { node, .. }
-            | EventKind::Crash { node }
-            | EventKind::Recover { node } => *node,
+            | EventKind::Crash { node } => *node,
         }
     }
 }
@@ -269,8 +257,9 @@ struct NodeEntry<M> {
     /// In-flight jobs tagged by job id (multicore jobs finish out of
     /// order). At most `cores` entries, so a linear scan beats hashing.
     running: Vec<InService>,
+    /// `false` from the node's crash on: a crashed node stays down, so this
+    /// alone marks a `JobComplete` or `Timer` scheduled before it as stale.
     up: bool,
-    epoch: u64,
     stats: NodeStats,
 }
 
@@ -354,20 +343,13 @@ pub struct Sim<M> {
     slots: Vec<u32>,
     links: Links,
     config: SimConfig,
-    events_processed: u64,
-    /// Heap allocations observed across `run_until` calls (zero unless a
-    /// counting allocator reports into [`crate::alloc_count`]).
-    allocs: u64,
-    /// Fault-layer and routing counters (see [`SimStats`]).
-    dropped_loss: u64,
-    dropped_partition: u64,
-    duplicated: u64,
-    reordered: u64,
-    dropped_unroutable: u64,
+    /// The counters the engine keeps itself; [`Sim::sim_stats`] adds the
+    /// depths and the slab size it reads off the structures.
+    stats: SimStats,
     /// The outbox every `handle` call borrows; `flush_outbox` drains its
     /// buffers in place, so they are reused across calls.
     scratch: Outbox<M>,
-    /// Chosen-mode bookkeeping (state-hash chains, delivery count);
+    /// Chosen-order bookkeeping (state-hash chains, delivery count);
     /// `None` until the first [`Sim::run_until_chosen`] call, so plain
     /// runs carry no instrumentation cost.
     choice: Option<Box<crate::choice::ChoiceState>>,
@@ -397,13 +379,7 @@ impl<M: Clone + 'static> Sim<M> {
             slots: Vec::new(),
             links,
             config,
-            events_processed: 0,
-            allocs: 0,
-            dropped_loss: 0,
-            dropped_partition: 0,
-            duplicated: 0,
-            reordered: 0,
-            dropped_unroutable: 0,
+            stats: SimStats::default(),
             scratch: Outbox::default(),
             choice: None,
             tap: None,
@@ -425,18 +401,12 @@ impl<M: Clone + 'static> Sim<M> {
 
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.stats.events_processed
     }
 
     /// Engine-level counters for this simulation so far.
     pub fn sim_stats(&self) -> SimStats {
         SimStats {
-            events_processed: self.events_processed,
-            dropped_loss: self.dropped_loss,
-            dropped_partition: self.dropped_partition,
-            duplicated: self.duplicated,
-            reordered: self.reordered,
-            dropped_unroutable: self.dropped_unroutable,
             max_queue_depth: self
                 .nodes
                 .iter()
@@ -444,8 +414,8 @@ impl<M: Clone + 'static> Sim<M> {
                 .max()
                 .unwrap_or(0),
             max_sched_depth: self.queue.max_depth() as u64,
-            allocs: self.allocs,
             in_flight: self.bodies.len() as u64,
+            ..self.stats
         }
     }
 
@@ -484,7 +454,6 @@ impl<M: Clone + 'static> Sim<M> {
             busy_cores: 0,
             running: Vec::new(),
             up: true,
-            epoch: 0,
             stats: NodeStats::default(),
         });
     }
@@ -513,14 +482,10 @@ impl<M: Clone + 'static> Sim<M> {
     }
 
     /// Schedules a crash of `node` at `at`: its queue and in-flight work are
-    /// discarded and later arrivals are dropped until recovery.
+    /// discarded, and the node stays down for the rest of the run, dropping
+    /// every later arrival, completion and timer.
     pub fn crash_at(&mut self, at: Instant, node: NodeId) {
         self.push(at, EventKind::Crash { node });
-    }
-
-    /// Schedules a recovery of `node` at `at`.
-    pub fn recover_at(&mut self, at: Instant, node: NodeId) {
-        self.push(at, EventKind::Recover { node });
     }
 
     /// Whether a node is currently up.
@@ -545,30 +510,30 @@ impl<M: Clone + 'static> Sim<M> {
     /// identical event stream the pre-fault-layer engine did. A lost or
     /// partitioned send never enters the body slab; a duplicate is cloned
     /// into a slot of its own.
-    fn flush_outbox(&mut self, from: NodeId, epoch: u64) {
+    fn flush_outbox(&mut self, from: NodeId) {
         let out = &mut self.scratch;
         let now = out.now;
-        for (to, msg, extra) in out.sends.drain(..) {
+        for (to, msg) in out.sends.drain(..) {
             let sequence = self.link_seq;
             self.link_seq += 1;
             match self.links.plan_delivery(from, to, sequence, now) {
-                Delivery::Lost => self.dropped_loss += 1,
-                Delivery::Partitioned => self.dropped_partition += 1,
+                Delivery::Lost => self.stats.dropped_loss += 1,
+                Delivery::Partitioned => self.stats.dropped_partition += 1,
                 Delivery::Deliver {
                     delay,
                     duplicate,
                     reordered,
                 } => {
                     if reordered {
-                        self.reordered += 1;
+                        self.stats.reordered += 1;
                     }
                     if let Some(dup_delay) = duplicate {
-                        self.duplicated += 1;
+                        self.stats.duplicated += 1;
                         let msg = self.bodies.insert(msg.clone());
                         schedule(
                             &mut self.queue,
                             &mut self.seq,
-                            now + extra + dup_delay,
+                            now + dup_delay,
                             EventKind::Deliver { to, from, msg },
                         );
                     }
@@ -576,7 +541,7 @@ impl<M: Clone + 'static> Sim<M> {
                     schedule(
                         &mut self.queue,
                         &mut self.seq,
-                        now + extra + delay,
+                        now + delay,
                         EventKind::Deliver { to, from, msg },
                     );
                 }
@@ -587,11 +552,7 @@ impl<M: Clone + 'static> Sim<M> {
                 &mut self.queue,
                 &mut self.seq,
                 now + delay,
-                EventKind::Timer {
-                    node: from,
-                    id,
-                    epoch,
-                },
+                EventKind::Timer { node: from, id },
             );
         }
     }
@@ -602,8 +563,8 @@ impl<M: Clone + 'static> Sim<M> {
         self.scratch.rearm(self.now);
         let entry = &mut self.nodes[slot];
         entry.node.handle(event, &mut self.scratch);
-        let (id, epoch) = (entry.id, entry.epoch);
-        self.flush_outbox(id, epoch);
+        let id = entry.id;
+        self.flush_outbox(id);
     }
 
     /// Starts service of queued messages while the node has a free core.
@@ -621,19 +582,17 @@ impl<M: Clone + 'static> Sim<M> {
             let job = self.job_seq;
             self.job_seq += 1;
             entry.running.push((job, from, msg));
-            let (node, epoch) = (entry.id, entry.epoch);
+            let node = entry.id;
             schedule(
                 &mut self.queue,
                 &mut self.seq,
                 self.now + st,
-                EventKind::JobComplete { node, epoch, job },
+                EventKind::JobComplete { node, job },
             );
         }
     }
 
-    /// Dispatches one already-popped event at `self.now`. Shared between
-    /// `run_until` and `run_until_chosen` so both loops run the identical
-    /// per-event state machine.
+    /// Dispatches one already-popped event at `self.now`.
     #[inline(always)]
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
@@ -643,7 +602,7 @@ impl<M: Clone + 'static> Sim<M> {
                     None => {
                         // Unknown destination: count it — a misrouted
                         // message vanishing silently is undebuggable.
-                        self.dropped_unroutable += 1;
+                        self.stats.dropped_unroutable += 1;
                         self.bodies.take(msg);
                         return;
                     }
@@ -666,19 +625,19 @@ impl<M: Clone + 'static> Sim<M> {
                 }
                 self.try_start_jobs(slot);
             }
-            EventKind::JobComplete { node, epoch, job } => {
+            EventKind::JobComplete { node, job } => {
                 let slot = match self.slot(node) {
                     Some(s) => s,
                     // A completion for a node that was never registered is
                     // just as misrouted as an unknown-destination Deliver:
                     // count it instead of vanishing silently.
                     None => {
-                        self.dropped_unroutable += 1;
+                        self.stats.dropped_unroutable += 1;
                         return;
                     }
                 };
                 let entry = &mut self.nodes[slot];
-                if entry.epoch != epoch || !entry.up {
+                if !entry.up {
                     return; // stale: node crashed since this job began
                 }
                 let Some(pos) = entry.running.iter().position(|&(j, _, _)| j == job) else {
@@ -693,17 +652,17 @@ impl<M: Clone + 'static> Sim<M> {
                 }
                 self.try_start_jobs(slot);
             }
-            EventKind::Timer { node, id, epoch } => {
+            EventKind::Timer { node, id } => {
                 let slot = match self.slot(node) {
                     Some(s) => s,
                     // Same unroutable accounting as Deliver/JobComplete.
                     None => {
-                        self.dropped_unroutable += 1;
+                        self.stats.dropped_unroutable += 1;
                         return;
                     }
                 };
                 let entry = &mut self.nodes[slot];
-                if entry.epoch != epoch || !entry.up {
+                if !entry.up {
                     return;
                 }
                 entry.stats.timers += 1;
@@ -714,7 +673,6 @@ impl<M: Clone + 'static> Sim<M> {
                 if let Some(slot) = self.slot(node) {
                     let entry = &mut self.nodes[slot];
                     entry.up = false;
-                    entry.epoch += 1;
                     entry.stats.dropped_crash += (entry.queue.len() + entry.running.len()) as u64;
                     for (_, msg, _) in entry.queue.drain(..) {
                         self.bodies.take(msg);
@@ -725,30 +683,12 @@ impl<M: Clone + 'static> Sim<M> {
                     entry.busy_cores = 0;
                 }
             }
-            EventKind::Recover { node } => {
-                if let Some(slot) = self.slot(node) {
-                    let entry = &mut self.nodes[slot];
-                    if !entry.up {
-                        entry.up = true;
-                        entry.epoch += 1;
-                        self.handle_at(slot, NodeEvent::Recovered);
-                        // Recovery handlers may self-enqueue work via a
-                        // zero-delay self-send; like every other arm, give
-                        // the node a chance to start service immediately
-                        // instead of stalling until the next external
-                        // event. (The queue is empty at this point unless
-                        // the handler filled it: crashing cleared it and
-                        // arrivals while down were dropped.)
-                        self.try_start_jobs(slot);
-                    }
-                }
-            }
         }
     }
 
     /// Diagnostic panic when the event budget trips: reports where the
     /// simulation was and which node was drowning.
-    fn panic_event_budget(&self, at: Instant) -> ! {
+    fn panic_event_budget(&self) -> ! {
         let busiest = self
             .nodes
             .iter()
@@ -760,57 +700,68 @@ impl<M: Clone + 'static> Sim<M> {
              ({} events in the heap; deepest backlog: {}) — \
              runaway feedback loop, or raise SimConfig::max_events",
             self.config.max_events,
-            at.as_millis_f64(),
+            self.now.as_millis_f64(),
             self.queue.len(),
             busiest,
         );
     }
 
-    /// Runs until the event queue drains or `deadline` passes. Returns the
-    /// time of the last processed event.
+    /// The dispatch loop, generic over its pop order: `pop` removes the
+    /// next event due at or before the deadline, or says there is none.
     ///
     /// The runaway-loop event budget is enforced at dispatch-slice
     /// boundaries rather than per event; slices are truncated so the check
-    /// trips at exactly the event the per-event check would have caught
-    /// (same panic, same reported virtual time).
-    pub fn run_until(&mut self, deadline: Instant) -> Instant {
+    /// trips at exactly the event a per-event check would have caught
+    /// (same panic, same reported virtual time), whatever the order.
+    #[inline(always)]
+    fn run_loop(
+        &mut self,
+        deadline: Instant,
+        mut pop: impl FnMut(&mut Self, Instant) -> Option<(SchedKey, EventKind)>,
+    ) -> Instant {
         /// Events dispatched between budget checks.
         const SLICE: u64 = 1024;
         let alloc_start = crate::alloc_count::current();
         let mut slice_left = 0u64;
         loop {
             if slice_left == 0 {
-                if self.events_processed > self.config.max_events {
+                if self.stats.events_processed > self.config.max_events {
                     // Symmetric with the normal exit below: the sample must
                     // land before unwinding, or `SimStats::allocs` silently
                     // under-reports on budget-truncated runs.
-                    self.allocs += crate::alloc_count::current().wrapping_sub(alloc_start);
-                    self.panic_event_budget(self.now);
+                    self.stats.allocs += crate::alloc_count::current().wrapping_sub(alloc_start);
+                    self.panic_event_budget();
                 }
                 // Truncate so the next boundary lands exactly on the first
                 // event past the budget. The subtraction is safe (the check
                 // above guarantees events_processed <= max_events); the +1
                 // must saturate for max_events == u64::MAX.
-                slice_left =
-                    SLICE.min((self.config.max_events - self.events_processed).saturating_add(1));
+                slice_left = SLICE
+                    .min((self.config.max_events - self.stats.events_processed).saturating_add(1));
             }
-            let Some(key) = self.queue.peek_key() else {
+            let Some((key, kind)) = pop(self, deadline) else {
                 break;
             };
-            if key.at > deadline {
-                break;
-            }
-            let Some((key, kind)) = self.queue.pop() else {
-                break;
-            };
-            self.events_processed += 1;
+            self.stats.events_processed += 1;
             slice_left -= 1;
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
             self.dispatch(kind);
         }
-        self.allocs += crate::alloc_count::current().wrapping_sub(alloc_start);
+        self.stats.allocs += crate::alloc_count::current().wrapping_sub(alloc_start);
         self.now
+    }
+
+    /// Runs until the event queue drains or `deadline` passes, in the
+    /// wheel's `(at, seq)` order. Returns the time of the last processed
+    /// event.
+    pub fn run_until(&mut self, deadline: Instant) -> Instant {
+        self.run_loop(deadline, |sim, deadline| {
+            if sim.queue.peek_key()?.at > deadline {
+                return None;
+            }
+            sim.queue.pop()
+        })
     }
 
     /// Runs until the queue is fully drained.
@@ -828,14 +779,15 @@ impl<M: Clone + 'static> Sim<M> {
         self.queue.min_key().map(|k| k.at)
     }
 
-    /// Runs until the event queue drains or `deadline` passes, consulting
-    /// `chooser` whenever ≥2 deliveries are simultaneously enabled at the
-    /// same tick. With [`crate::IdentityChooser`] this dispatches the
-    /// exact `(at, seq)` stream of [`Sim::run_until`]: the identity pick
-    /// is always the lowest-seq staged delivery, non-delivery events run
-    /// whenever they head the staging buffer (i.e. in seq order), and
-    /// same-tick pushes join the staging buffer with strictly larger seq,
-    /// exactly where the wheel would have popped them.
+    /// Runs [`Sim::run_until`]'s loop, with its budget and allocation
+    /// sample, in the chosen order: `chooser` is consulted whenever ≥2
+    /// deliveries are simultaneously enabled at the same tick. With
+    /// [`crate::IdentityChooser`] this dispatches the exact `(at, seq)`
+    /// stream of `run_until`: the identity pick is always the lowest-seq
+    /// staged delivery, non-delivery events run whenever they head the
+    /// staging buffer (i.e. in seq order), and same-tick pushes join the
+    /// staging buffer with strictly larger seq, exactly where the wheel
+    /// would have popped them.
     ///
     /// A chooser may also run a delivery *across* a staged non-delivery
     /// event (delivering before vs. after a same-tick crash is a
@@ -846,45 +798,24 @@ impl<M: Clone + 'static> Sim<M> {
         deadline: Instant,
         chooser: &mut dyn crate::Chooser<M>,
     ) -> Instant {
-        if self.choice.is_none() {
-            self.choice = Some(Box::new(crate::choice::ChoiceState::new(self.nodes.len())));
-        }
-        // One tick's events, kept in ascending seq order (wheel pop order;
-        // same-tick pushes always carry a strictly larger seq).
+        self.choice.get_or_insert_with(Box::default);
+        // One tick's events, kept in ascending seq order.
         let mut staging: Vec<(SchedKey, EventKind)> = Vec::new();
-        while let Some(head) = self.queue.peek_key() {
-            if head.at > deadline {
-                break;
-            }
-            let tick = head.at;
-            debug_assert!(tick >= self.now, "time went backwards");
-            self.now = tick;
-            while self.queue.peek_key().is_some_and(|k| k.at == tick) {
-                let Some(ev) = self.queue.pop() else { break };
-                staging.push(ev);
-            }
-            while !staging.is_empty() {
-                let idx = self.choose_staged(tick, &staging, chooser);
-                let (key, kind) = staging.remove(idx);
-                self.events_processed += 1;
-                if self.events_processed > self.config.max_events {
-                    self.panic_event_budget(tick);
-                }
-                self.note_chosen_dispatch(&kind, key.seq, tick);
-                self.dispatch(kind);
-                // Zero-delay effects land at this same tick; merge them so
-                // later choices at this tick see them as enabled.
-                while self.queue.peek_key().is_some_and(|k| k.at == tick) {
-                    let Some(ev) = self.queue.pop() else { break };
-                    debug_assert!(
-                        staging.last().is_none_or(|(k, _)| k.seq < ev.0.seq),
-                        "same-tick push with non-monotone seq"
-                    );
-                    staging.push(ev);
-                }
-            }
-        }
-        self.now
+        self.run_loop(deadline, |sim, deadline| {
+            let tick = match staging.first() {
+                Some((key, _)) => key.at,
+                None => sim.queue.peek_key().filter(|k| k.at <= deadline)?.at,
+            };
+            // Zero-delay effects of the last dispatch land at this same
+            // tick; merging them lets later choices here see them enabled.
+            sim.queue.pop_all_at(tick, &mut staging);
+            debug_assert!(staging.is_sorted_by_key(|e| e.0), "non-monotone seq");
+            sim.now = tick;
+            let idx = sim.choose_staged(tick, &staging, chooser);
+            let (key, kind) = staging.remove(idx);
+            sim.note_chosen_dispatch(&kind, key.seq, tick);
+            Some((key, kind))
+        })
     }
 
     /// Picks the staging index to dispatch next. Non-delivery events run
@@ -919,10 +850,9 @@ impl<M: Clone + 'static> Sim<M> {
         if enabled.len() < 2 {
             return 0; // the head is the only enabled delivery
         }
-        let st = self.choice.as_ref().expect("chosen mode");
         let ctx = crate::ChoiceCtx {
             now: tick,
-            deliveries: st.deliveries,
+            deliveries: self.choice.as_ref().map_or(0, |st| st.deliveries),
             state_hash: self.choice_state_hash(),
             barrier: enabled.len() != staging.len(),
         };
@@ -935,11 +865,11 @@ impl<M: Clone + 'static> Sim<M> {
         positions[pick]
     }
 
-    /// Folds one about-to-dispatch event into the chosen-mode state hash
+    /// Folds one about-to-dispatch event into the chosen-order state hash
     /// and delivery counter.
     fn note_chosen_dispatch(&mut self, kind: &EventKind, seq: u64, tick: Instant) {
         let slot = self.slot(kind.target());
-        let st = self.choice.as_mut().expect("chosen mode");
+        let st = self.choice.get_or_insert_with(Box::default);
         if matches!(kind, EventKind::Deliver { .. }) {
             st.deliveries += 1;
         }
@@ -960,7 +890,6 @@ impl<M: Clone + 'static> Sim<M> {
             EventKind::JobComplete { .. } => (2, 0),
             EventKind::Timer { id, .. } => (3, *id),
             EventKind::Crash { .. } => (4, 0),
-            EventKind::Recover { .. } => (5, 0),
         };
         let c = &mut st.chains[slot];
         *c = splitmix64(
@@ -968,7 +897,7 @@ impl<M: Clone + 'static> Sim<M> {
         );
     }
 
-    /// Order-canonical hash of the chosen-mode dispatch history: each
+    /// Order-canonical hash of the chosen-order dispatch history: each
     /// node's events are chained in their dispatch order, but chains of
     /// *different* nodes combine commutatively, so two interleavings that
     /// only permute deliveries to independent nodes hash identically — the
@@ -1186,29 +1115,47 @@ mod tests {
         assert_eq!(stats.processed, 0, "nothing completed before the crash");
         assert_eq!(stats.dropped_crash, 5);
         assert_eq!(stats.dropped_down, 1);
+        let echo = sim.node_as::<Echo>(b).unwrap();
+        assert!(
+            echo.seen.is_empty(),
+            "the completion due after the crash is stale"
+        );
     }
 
+    /// Arms a 100 µs timer on every message and counts the ones that fire.
+    struct Alarm {
+        fired: u64,
+    }
+
+    impl Node<u64> for Alarm {
+        fn service_time(&self, _msg: &u64) -> Duration {
+            Duration::ZERO
+        }
+        fn handle(&mut self, event: NodeEvent<u64>, out: &mut Outbox<u64>) {
+            match event {
+                NodeEvent::Message { .. } => out.set_timer(Duration::from_micros(100), 0),
+                NodeEvent::Timer { .. } => self.fired += 1,
+            }
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Pin: a crashed node stays down, so `up` alone marks the timer it
+    /// armed before the crash as stale.
     #[test]
-    fn recovery_resumes_processing() {
+    fn crashed_node_never_fires_an_earlier_timer() {
         let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
         let mut sim = Sim::new(links);
         let b = NodeId::new(2);
-        sim.add_node(
-            b,
-            Box::new(Echo {
-                service: Duration::from_micros(10),
-                seen: Vec::new(),
-            }),
-        );
-        sim.crash_at(Instant::ZERO, b);
-        sim.recover_at(Instant::from_micros(100), b);
-        sim.inject_at(Instant::from_micros(50), b, 1); // dropped (down)
-        sim.inject_at(Instant::from_micros(150), b, 2); // processed
+        sim.add_node(b, Box::new(Alarm { fired: 0 }));
+        sim.inject_at(Instant::ZERO, b, 0);
+        sim.crash_at(Instant::from_micros(50), b);
         sim.run_to_completion();
-        let stats = sim.stats(b).unwrap();
-        assert_eq!(stats.dropped_down, 1);
-        assert_eq!(stats.processed, 1);
-        assert!(sim.is_up(b));
+        assert_eq!(sim.stats(b).unwrap().timers, 0);
+        assert_eq!(sim.node_as::<Alarm>(b).unwrap().fired, 0);
+        assert!(!sim.is_up(b));
     }
 
     #[test]
@@ -1300,30 +1247,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_job_completions_dropped_across_epoch_bump() {
-        let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
-        let mut sim = Sim::new(links);
-        let b = NodeId::new(2);
-        sim.add_node(b, Box::new(VarEcho { cores: 2, seen: Vec::new() }));
-        // Two in-flight jobs: the short one (10µs) completes before the
-        // crash at 50µs, the long one (100µs) is still running and its
-        // completion event must be ignored as stale after the epoch bump.
-        sim.inject_at(Instant::ZERO, b, 100);
-        sim.inject_at(Instant::ZERO, b, 10);
-        sim.crash_at(Instant::from_micros(50), b);
-        sim.recover_at(Instant::from_micros(60), b);
-        // Post-recovery work processes under the new epoch.
-        sim.inject_at(Instant::from_micros(70), b, 5);
-        sim.run_to_completion();
-        let stats = sim.stats(b).unwrap();
-        assert_eq!(stats.processed, 2, "short pre-crash job + post-recovery job");
-        assert_eq!(stats.dropped_crash, 1, "long job was in flight at the crash");
-        let echo = sim.node_as::<VarEcho>(b).unwrap();
-        assert_eq!(echo.seen, vec![10, 5], "stale completion never ran handle");
-        assert!(sim.is_up(b));
-    }
-
-    #[test]
     fn horizon_derived_budget_scales_with_horizon() {
         let short = SimConfig::for_horizon(Duration::from_millis(1));
         let long = SimConfig::for_horizon(Duration::from_secs(10));
@@ -1353,40 +1276,58 @@ mod tests {
         sim.run_to_completion();
     }
 
-    /// The budget check runs once per dispatch slice, but slices are
-    /// truncated so it still trips at exactly the event the old per-event
-    /// check caught: events_processed stops at `max_events + 1`, never
-    /// rounded up to a slice boundary. Uses a budget that is neither a
-    /// multiple of the slice size nor smaller than one slice.
-    #[test]
-    fn budget_trips_at_exactly_the_per_event_boundary() {
-        let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
-        let max_events = 1500u64;
-        let mut sim = Sim::with_config(links, SimConfig { max_events });
-        let b = NodeId::new(2);
-        sim.add_node(
-            b,
-            Box::new(Echo {
-                service: Duration::from_micros(1),
-                seen: Vec::new(),
-            }),
-        );
-        for i in 0..2_000u64 {
-            sim.inject_at(Instant::from_micros(i), b, i);
-        }
+    /// Runs `sim` to completion in the plain or the chosen order and
+    /// returns the event-budget panic's message.
+    fn budget_panic(sim: &mut Sim<u64>, chosen: bool) -> String {
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.run_to_completion();
+            if chosen {
+                sim.run_until_chosen(Instant::FAR_FUTURE, &mut crate::IdentityChooser);
+            } else {
+                sim.run_to_completion();
+            }
         }));
-        let msg = panicked
+        *panicked
             .expect_err("budget must trip")
             .downcast::<String>()
-            .expect("panic payload is a formatted string");
-        assert!(msg.contains("event budget of 1500 exhausted"), "{msg}");
-        assert_eq!(
-            sim.events_processed(),
-            max_events + 1,
-            "slice truncation must stop at the first over-budget event"
-        );
+            .expect("panic payload is a formatted string")
+    }
+
+    /// The budget check runs once per dispatch slice, but slices are
+    /// truncated so it still trips at exactly the event a per-event check
+    /// catches: events_processed stops at `max_events + 1`, never rounded
+    /// up to a slice boundary. Uses a budget that is neither a multiple of
+    /// the slice size nor smaller than one slice. Both pop orders run the
+    /// one loop, so they trip at the same event having handled the same
+    /// messages (event 1501 is a completion whose handler runs).
+    #[test]
+    fn budget_trips_at_exactly_the_per_event_boundary() {
+        let max_events = 1500u64;
+        let run = |chosen: bool| {
+            let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
+            let mut sim = Sim::with_config(links, SimConfig { max_events });
+            let b = NodeId::new(2);
+            sim.add_node(
+                b,
+                Box::new(Echo {
+                    service: Duration::from_micros(1),
+                    seen: Vec::new(),
+                }),
+            );
+            for i in 0..2_000u64 {
+                sim.inject_at(Instant::from_micros(i), b, i);
+            }
+            let msg = budget_panic(&mut sim, chosen);
+            assert!(msg.contains("event budget of 1500 exhausted"), "{msg}");
+            assert_eq!(
+                sim.events_processed(),
+                max_events + 1,
+                "slice truncation must stop at the first over-budget event"
+            );
+            std::mem::take(&mut sim.node_as::<Echo>(b).unwrap().seen)
+        };
+        let plain = run(false);
+        assert_eq!(plain, (0..750).collect::<Vec<_>>());
+        assert_eq!(plain, run(true), "both orders handled the same messages");
     }
 
     /// `max_events: u64::MAX` is the natural "disable the budget" value;
@@ -1447,7 +1388,6 @@ mod tests {
             Instant::from_micros(1),
             EventKind::JobComplete {
                 node: NodeId::new(99),
-                epoch: 0,
                 job: 0,
             },
         );
@@ -1465,7 +1405,6 @@ mod tests {
             EventKind::Timer {
                 node: NodeId::new(99),
                 id: 0,
-                epoch: 0,
             },
         );
         sim.run_to_completion();
@@ -1492,75 +1431,29 @@ mod tests {
 
     /// Pin: the budget-panic exit must take the same allocation sample the
     /// normal exit takes, or `SimStats::allocs` silently reads zero for
-    /// exactly the truncated runs whose panic message people debug with.
+    /// exactly the truncated runs whose panic message people debug with —
+    /// in either pop order.
     #[test]
     fn budget_panic_exit_still_accumulates_allocs() {
-        let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
-        let mut sim = Sim::with_config(links, SimConfig { max_events: 6 });
-        let b = NodeId::new(2);
-        sim.add_node(b, Box::new(Alloky));
-        for i in 0..20u64 {
-            sim.inject_at(Instant::from_micros(i), b, i);
-        }
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sim.run_to_completion();
-        }));
-        assert!(panicked.is_err(), "budget must trip");
-        assert!(
-            sim.sim_stats().allocs >= 1,
-            "allocations recorded before the budget panic must survive it"
-        );
-    }
-
-    /// On `Recovered`, sends itself fresh work (zero link latency).
-    struct Phoenix {
-        me: NodeId,
-        processed: Vec<u64>,
-    }
-
-    impl Node<u64> for Phoenix {
-        fn service_time(&self, _msg: &u64) -> Duration {
-            Duration::from_micros(1)
-        }
-        fn handle(&mut self, event: NodeEvent<u64>, out: &mut Outbox<u64>) {
-            match event {
-                NodeEvent::Recovered => out.send(self.me, 7),
-                NodeEvent::Message { msg, .. } => self.processed.push(msg),
-                NodeEvent::Timer { .. } => {}
+        for chosen in [false, true] {
+            let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
+            let mut sim = Sim::with_config(links, SimConfig { max_events: 6 });
+            let b = NodeId::new(2);
+            sim.add_node(b, Box::new(Alloky));
+            for i in 0..20u64 {
+                sim.inject_at(Instant::from_micros(i), b, i);
             }
+            budget_panic(&mut sim, chosen);
+            assert!(
+                sim.sim_stats().allocs >= 1,
+                "allocations recorded before the budget panic must survive it (chosen: {chosen})"
+            );
         }
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    /// Pin: a recovered node that self-enqueues work in its `Recovered`
-    /// handler processes it with no further external events — the
-    /// `Recover` arm starts service like every other dispatch arm.
-    #[test]
-    fn recovered_node_immediately_starts_self_enqueued_work() {
-        let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
-        let mut sim = Sim::new(links);
-        let b = NodeId::new(2);
-        sim.add_node(
-            b,
-            Box::new(Phoenix {
-                me: b,
-                processed: Vec::new(),
-            }),
-        );
-        sim.crash_at(Instant::ZERO, b);
-        sim.recover_at(Instant::from_micros(10), b);
-        sim.run_to_completion();
-        assert_eq!(sim.stats(b).unwrap().processed, 1);
-        let phoenix = sim.node_as::<Phoenix>(b).unwrap();
-        assert_eq!(phoenix.processed, vec![7], "self-enqueued work ran");
     }
 
     /// Every path that discards a message frees its body: a crash's queued
     /// and in-service work, a delivery to a down node and one to an
-    /// unregistered id. A `Recover` handler's self-send goes through the
-    /// slab and out again like any other message.
+    /// unregistered id.
     #[test]
     fn every_discard_path_frees_its_body() {
         let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
@@ -1568,9 +1461,9 @@ mod tests {
         let b = NodeId::new(2);
         sim.add_node(
             b,
-            Box::new(Phoenix {
-                me: b,
-                processed: Vec::new(),
+            Box::new(Echo {
+                service: Duration::from_micros(1),
+                seen: Vec::new(),
             }),
         );
         // At t=0 the first message enters service, four queue behind it,
@@ -1581,32 +1474,25 @@ mod tests {
         sim.crash_at(Instant::ZERO, b);
         sim.inject_at(Instant::from_micros(5), b, 100); // b is down
         sim.inject_at(Instant::from_micros(5), NodeId::new(99), 101); // unregistered
-        sim.recover_at(Instant::from_micros(10), b);
         assert_eq!(sim.sim_stats().in_flight, 7);
 
         sim.run_until(Instant::ZERO);
         assert_eq!(sim.stats(b).unwrap().dropped_crash, 5);
         assert_eq!(sim.sim_stats().in_flight, 2, "the crash freed its five");
 
-        sim.run_until(Instant::from_micros(5));
+        sim.run_to_completion();
         assert_eq!(sim.stats(b).unwrap().dropped_down, 1);
         assert_eq!(sim.sim_stats().dropped_unroutable, 1);
         assert_eq!(sim.sim_stats().in_flight, 0, "both drops freed theirs");
-
-        sim.run_until(Instant::from_micros(10));
-        assert_eq!(sim.sim_stats().in_flight, 1, "the recovery's self-send");
-        sim.run_to_completion();
-        assert_eq!(sim.sim_stats().in_flight, 0);
-        assert_eq!(sim.node_as::<Phoenix>(b).unwrap().processed, vec![7]);
     }
 
     /// Pin: a scheduled event carries a handle, never a body, so a wheel
-    /// entry is 48 bytes whatever the message type; node queues and running
+    /// entry is 40 bytes whatever the message type; node queues and running
     /// jobs hold 24-byte tuples.
     #[test]
     fn scheduled_and_queued_entries_carry_no_body() {
         use std::mem::size_of;
-        assert_eq!(size_of::<(SchedKey, EventKind)>(), 48);
+        assert_eq!(size_of::<(SchedKey, EventKind)>(), 40);
         assert_eq!(size_of::<Queued>(), 24);
         assert_eq!(size_of::<InService>(), 24);
     }

@@ -10,10 +10,15 @@
 //!   saturation knees appear at the right arrival rates;
 //! * **links** — point-to-point propagation delays with optional
 //!   deterministic jitter;
-//! * **failure injection** — crash/recover events that drop a node's queue
-//!   and in-flight work, for the §6.4 experiments;
+//! * **failure injection** — a crash drops a node's queue and in-flight
+//!   work and keeps it down, as §6.4's failed CPF stays down;
 //! * **timers** — zero-cost internal events (log pruning scans, ACK
 //!   timeouts).
+//!
+//! One dispatch loop runs those four event kinds, in either of two pop
+//! orders: the scheduler's `(time, seq)` order ([`Sim::run_until`]), or,
+//! for the model checker, a [`Chooser`]'s order among the deliveries due at
+//! one tick ([`Sim::run_until_chosen`]).
 //!
 //! The engine is generic over the message type `M`, carries no cellular
 //! logic, and is fully deterministic: same nodes + same schedule + same seed

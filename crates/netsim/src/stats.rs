@@ -31,16 +31,6 @@ impl NodeStats {
             .map(Duration::from_nanos)
             .unwrap_or(Duration::ZERO)
     }
-
-    /// Utilization of one core over `elapsed` (can exceed 1.0 for multicore
-    /// nodes; divide by core count for per-core utilization).
-    pub fn utilization(&self, elapsed: Duration) -> f64 {
-        if elapsed == Duration::ZERO {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / elapsed.as_secs_f64()
-        }
-    }
 }
 
 /// Engine-level counters: how much work the simulator itself did, as
@@ -48,7 +38,7 @@ impl NodeStats {
 /// deterministic except `allocs`, which depends on the host allocator;
 /// none is a host time — a caller that wants events/s times `run_until`
 /// itself.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Events popped from the queue since the simulation was created.
     pub events_processed: u64,
@@ -69,9 +59,9 @@ pub struct SimStats {
     /// Peak number of simultaneously scheduled events in the calendar
     /// queue (scheduler pressure, distinct from per-node backlog above).
     pub max_sched_depth: u64,
-    /// Heap allocations observed during `run_until`, when the running
-    /// binary installs a counting allocator that reports into
-    /// [`crate::alloc_count`]; 0 otherwise.
+    /// Heap allocations observed during `run_until` and `run_until_chosen`,
+    /// when the running binary installs a counting allocator that reports
+    /// into [`crate::alloc_count`]; 0 otherwise.
     pub allocs: u64,
     /// Message bodies the engine holds right now: scheduled deliveries,
     /// queued and in-service messages. 0 once a run has drained; anything
@@ -97,16 +87,5 @@ mod tests {
             ..NodeStats::default()
         };
         assert_eq!(s.mean_wait(), Duration::from_micros(10));
-    }
-
-    #[test]
-    fn utilization_ratio() {
-        let s = NodeStats {
-            busy: Duration::from_millis(500),
-            ..NodeStats::default()
-        };
-        let u = s.utilization(Duration::from_secs(1));
-        assert!((u - 0.5).abs() < 1e-9);
-        assert_eq!(s.utilization(Duration::ZERO), 0.0);
     }
 }

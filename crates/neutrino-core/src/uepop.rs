@@ -620,7 +620,6 @@ impl Node<SimMsg> for UePopulation {
             },
             NodeEvent::Timer { id: ARRIVAL_TIMER } => self.pump_arrivals(out),
             NodeEvent::Timer { id } => self.on_retry_timer(UeId::new(id), out),
-            NodeEvent::Recovered => {}
         }
     }
 
