@@ -317,9 +317,9 @@ fn run_exhaustive(args: &Args, corpus_dir: &Path) -> ExitCode {
 /// Sweeps scenario families with a delivery tap installed and diffs the
 /// witnessed `(variant, src, dst)` edges against the declared flow
 /// registry. Witness sets are unioned, so the report is byte-identical
-/// across reruns and any `--jobs` value. Exit is non-zero only on
-/// witnessed-but-undeclared edges (spec drift); dead declared edges are
-/// advisory.
+/// across reruns and any `--jobs` value. Exit is non-zero on
+/// witnessed-but-undeclared edges (spec drift) and on any role that counted
+/// a misrouted message; dead declared edges are advisory.
 fn run_flow_coverage(args: &Args, scenarios: &[Scenario], jobs: usize) -> ExitCode {
     let names: Vec<String> = scenarios.iter().map(|s| s.name.to_string()).collect();
     println!(
@@ -333,16 +333,19 @@ fn run_flow_coverage(args: &Args, scenarios: &[Scenario], jobs: usize) -> ExitCo
             (args.start_seed..args.start_seed + args.seeds).map(|seed| {
                 let s = s.clone();
                 Box::new(move || flowcov::witness_case(&s, seed))
-                    as Box<dyn FnOnce() -> std::collections::BTreeSet<flowcov::Edge> + Send>
+                    as Box<dyn FnOnce() -> flowcov::Witness + Send>
             })
         })
         .collect();
     let t0 = std::time::Instant::now();
-    let mut witnessed = std::collections::BTreeSet::new();
-    for set in run_cells_with(jobs, cells) {
-        witnessed.extend(set);
+    let mut merged = flowcov::Witness::default();
+    for (edges, unexpected) in run_cells_with(jobs, cells) {
+        merged.0.extend(edges);
+        for (role, n) in unexpected {
+            *merged.1.entry(role).or_default() += n;
+        }
     }
-    let report = CoverageReport::diff(names, args.seeds, &witnessed);
+    let report = CoverageReport::diff(names, args.seeds, merged);
     println!(
         "  {} declared, {} witnessed, {} dead declared, {} undeclared witnessed, {:.1}s wall",
         report.declared.len(),
@@ -357,6 +360,9 @@ fn run_flow_coverage(args: &Args, scenarios: &[Scenario], jobs: usize) -> ExitCo
     for e in &report.undeclared_witnessed {
         println!("  UNDECLARED witnessed: {} {} -> {}", e.variant, e.src, e.dst);
     }
+    for (role, n) in report.unexpected.iter().filter(|(_, &n)| n > 0) {
+        eprintln!("  MISROUTED: {} counted {n} message(s) it has no handler for", role.name());
+    }
     if let Some(path) = &args.json {
         if let Err(e) = std::fs::write(path, report.to_json()) {
             eprintln!("error: writing {}: {e}", path.display());
@@ -364,10 +370,10 @@ fn run_flow_coverage(args: &Args, scenarios: &[Scenario], jobs: usize) -> ExitCo
         }
     }
     if report.is_clean() {
-        println!("  clean: every witnessed edge is declared");
+        println!("  clean: every witnessed edge is declared and handled");
         ExitCode::SUCCESS
     } else {
-        println!("  FAILED: witnessed edges missing from the flow registry");
+        println!("  FAILED: undeclared or misrouted messages");
         ExitCode::FAILURE
     }
 }

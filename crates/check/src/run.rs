@@ -23,6 +23,7 @@ use neutrino_common::time::{Duration, Instant};
 use neutrino_common::{CpfId, UeId};
 use neutrino_cta::AdmissionParams;
 use neutrino_geo::RegionLayout;
+use neutrino_messages::flow::Role;
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_netsim::{Chooser, FaultSpec};
 use neutrino_trafficgen::patterns::{
@@ -30,6 +31,7 @@ use neutrino_trafficgen::patterns::{
     UniformParams,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Attach-phase rate used for every checked run (fast enough that the
 /// pool registers in tens of milliseconds, slow enough not to overload).
@@ -143,6 +145,10 @@ pub struct CheckReport {
     pub passes: u64,
     /// Replay-equality witness.
     pub fingerprint: Fingerprint,
+    /// Misrouted `SysMsg`s each role counted at its handler's catch-all arm
+    /// (`explore --flow-coverage` fails on any). Not part of the JSON.
+    #[serde(skip)]
+    pub unexpected: BTreeMap<Role, u64>,
 }
 
 impl CheckReport {
@@ -422,10 +428,18 @@ pub fn run_case_with(
     passes += 1;
     run_pass(&mut cluster, &mut invariants, horizon_end, true);
 
+    let upf_unexpected = cluster.upf_unexpected_msgs();
+    let uepop_unexpected = cluster.population().results().unexpected_msgs;
     let results = experiment::finish(cluster, None);
     CheckReport {
         violations: recorded,
         passes,
         fingerprint: Fingerprint::of(&results, total_violations),
+        unexpected: BTreeMap::from([
+            (Role::Cta, results.cta.unexpected_msgs),
+            (Role::Cpf, results.cpf.unexpected_msgs),
+            (Role::Upf, upf_unexpected),
+            (Role::UePop, uepop_unexpected),
+        ]),
     }
 }

@@ -86,22 +86,16 @@ pub fn measure(
         sink ^= codec.traverse(schema, &buf)?;
     }
 
-    let encode = median_batch_ns(opts, || {
-        // Reusing the buffer mirrors how the CPF reuses serialization
-        // arenas; allocation of the output buffer is not what the paper
-        // compares.
-        codec
-            .encode(schema, value, &mut buf)
-            .expect("encode succeeded during warm-up");
-    });
+    // Reusing the buffer mirrors how the CPF reuses serialization arenas;
+    // allocation of the output buffer is not what the paper compares.
+    let encode = median_batch_ns(opts, || codec.encode(schema, value, &mut buf))?;
 
     codec.encode(schema, value, &mut buf)?;
     let encoded = buf.clone();
     let access = median_batch_ns(opts, || {
-        sink ^= codec
-            .traverse(schema, &encoded)
-            .expect("traverse succeeded during warm-up");
-    });
+        sink ^= codec.traverse(schema, &encoded)?;
+        Ok(())
+    })?;
 
     // Keep `sink` alive so the traversals cannot be optimized away.
     std::hint::black_box(sink);
@@ -113,19 +107,22 @@ pub fn measure(
     })
 }
 
-fn median_batch_ns(opts: CalibrationOptions, mut op: impl FnMut()) -> Duration {
+fn median_batch_ns(
+    opts: CalibrationOptions,
+    mut op: impl FnMut() -> Result<()>,
+) -> Result<Duration> {
     let mut per_op: Vec<u64> = Vec::with_capacity(opts.batches as usize);
     for _ in 0..opts.batches {
-        // lint-allow(wall-clock): calibration measures real host CPU time by design (offline, never inside a simulation)
+        #[expect(clippy::disallowed_types, reason = "offline calibration times host CPU work")]
         let start = std::time::Instant::now();
         for _ in 0..opts.iters_per_batch {
-            op();
+            op()?;
         }
         let elapsed = start.elapsed().as_nanos() as u64;
         per_op.push(elapsed / u64::from(opts.iters_per_batch).max(1));
     }
     per_op.sort_unstable();
-    Duration::from_nanos(per_op[per_op.len() / 2])
+    Ok(Duration::from_nanos(per_op[per_op.len() / 2]))
 }
 
 #[cfg(test)]

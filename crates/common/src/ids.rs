@@ -160,7 +160,7 @@ impl fmt::Display for ProcedureId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn ids_do_not_cross_types() {
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn ids_order_and_hash() {
-        let mut set = HashSet::new();
+        let mut set = BTreeSet::new();
         for i in 0..100 {
             set.insert(UeId::new(i));
         }

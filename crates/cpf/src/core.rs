@@ -188,7 +188,7 @@ pub struct CpfMetrics {
     pub malformed_snapshots: u64,
     /// `SysMsg` variants delivered to this CPF that the flow contract says
     /// it never receives (misrouted traffic — counted, never silently
-    /// swallowed; the flow lint pins the expected set).
+    /// swallowed; `explore --flow-coverage` fails on any).
     pub unexpected_msgs: u64,
 }
 
@@ -568,7 +568,7 @@ impl CpfCore {
             SysMsg::MigrationAck { ue } => self.on_migration_ack(ue),
             SysMsg::ResyncRequest { ue, procedure, cta } => self.on_resync(ue, procedure, cta),
             SysMsg::CpfFailure { cpf } => self.on_peer_failure(cpf),
-            // lint-allow(flow-wildcard): counted — a misrouted SysMsg increments unexpected_msgs instead of vanishing
+            // A misrouted SysMsg is counted, not dropped: flow coverage fails on it.
             _ => {
                 self.metrics.unexpected_msgs += 1;
                 Vec::new()

@@ -161,7 +161,7 @@ pub struct CtaMetrics {
     pub breaker_suppressed: u64,
     /// `SysMsg` variants delivered to this CTA that the flow contract says
     /// it never receives (misrouted traffic — counted, never silently
-    /// swallowed; the flow lint pins the expected set).
+    /// swallowed; `explore --flow-coverage` fails on any).
     pub unexpected_msgs: u64,
 }
 
@@ -381,7 +381,7 @@ impl CtaCore {
                     msg: SysMsg::AskReAttach { ue },
                 }]
             }
-            // lint-allow(flow-wildcard): counted — a misrouted SysMsg increments unexpected_msgs instead of vanishing
+            // A misrouted SysMsg is counted, not dropped: flow coverage fails on it.
             _ => {
                 self.metrics.unexpected_msgs += 1;
                 Vec::new()

@@ -60,8 +60,8 @@ proptest! {
             acks: std::collections::BTreeSet<u8>,
             completed: bool,
         }
-        let mut shadow: std::collections::HashMap<(u8, u8), Entry> =
-            std::collections::HashMap::new();
+        let mut shadow: std::collections::BTreeMap<(u8, u8), Entry> =
+            std::collections::BTreeMap::new();
         for o in &ops {
             match *o {
                 Op::Append { ue, proc, bytes } => {

@@ -204,7 +204,7 @@ mod tests {
         // different last characters are distinct but have the same parent.
         let child = GeoHash::encode(10.0, 50.0, 6);
         let parent = child.parent().unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         // Sample a grid inside the parent cell and count distinct level-6
         // hashes under it: exactly 4.
         let (clon, clat) = parent.center();

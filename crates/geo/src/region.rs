@@ -281,10 +281,10 @@ mod tests {
             ..RegionLayout::default()
         });
         let cpfs = d.all_cpfs();
-        let set: std::collections::HashSet<_> = cpfs.iter().collect();
+        let set: std::collections::BTreeSet<_> = cpfs.iter().collect();
         assert_eq!(set.len(), cpfs.len());
         let bss = d.all_bss();
-        let set: std::collections::HashSet<_> = bss.iter().collect();
+        let set: std::collections::BTreeSet<_> = bss.iter().collect();
         assert_eq!(set.len(), bss.len());
     }
 

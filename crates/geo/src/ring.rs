@@ -296,7 +296,7 @@ mod tests {
         for ue in 0..100 {
             let succ: Vec<_> = ring.successors(UeId::new(ue), 3).collect();
             assert_eq!(succ.len(), 3);
-            let set: std::collections::HashSet<_> = succ.iter().collect();
+            let set: std::collections::BTreeSet<_> = succ.iter().collect();
             assert_eq!(set.len(), 3);
         }
         // Asking for more than membership yields all members.

@@ -76,7 +76,7 @@ proptest! {
         let succ: Vec<_> = ring.successors(UeId::new(key), n).collect();
         prop_assert_eq!(ring.successors(UeId::new(key), n).len(), succ.len(), "exact size");
         prop_assert_eq!(succ.len(), n.min(members.len()));
-        let set: std::collections::HashSet<_> = succ.iter().collect();
+        let set: std::collections::BTreeSet<_> = succ.iter().collect();
         prop_assert_eq!(set.len(), succ.len(), "successors must be distinct");
         if n >= 1 {
             prop_assert_eq!(ring.primary(UeId::new(key)), Some(succ[0]));

@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn all_kinds_have_distinct_names_and_schemas() {
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for kind in MessageKind::ALL {
             assert!(names.insert(kind.name()), "duplicate name {kind}");
             assert!(!kind.schema().fields.is_empty());

@@ -5,22 +5,16 @@
 //! `Replay` → `AskReAttach`) break silently when a handler quietly ignores a
 //! variant or a new send site routes a message to a role that never expected
 //! it. This table turns the doc-comment flow annotations ("CPF → CTA: …")
-//! into a machine-checked contract:
-//!
-//! * `neutrino-lint`'s flow pass (crates/lint/src/flow.rs) cross-parses this
-//!   table against every `SysMsg` construction/send site and every `handle()`
-//!   match arm in the sans-IO crates, and fails CI on undeclared senders,
-//!   missing handler arms, dead arms, orphan variants, and silent wildcard
-//!   arms;
-//! * the check harness witnesses `(variant, src_role, dst_role)` edges during
-//!   explore runs and `explore --flow-coverage` diffs them against this table
-//!   (declared-but-never-witnessed = dead protocol path,
-//!   witnessed-but-undeclared = spec drift).
+//! into a checked contract: the check harness witnesses `(variant, src_role,
+//! dst_role)` edges during explore runs, and `explore --flow-coverage` diffs
+//! them against this table. A witnessed-but-undeclared edge is spec drift and
+//! fails the run, as does a message any role counted as unexpected;
+//! declared-but-never-witnessed edges are reported as dead paths.
 //!
 //! Totality is enforced twice: [`variant_name`] matches `SysMsg`
 //! exhaustively (adding a variant without touching this file fails to
-//! build), and the unit tests + lint assert every variant has a `FLOWS`
-//! entry and vice versa.
+//! build), and the unit tests assert every variant has a `FLOWS` entry and
+//! vice versa.
 
 use crate::sysmsg::SysMsg;
 use neutrino_common::time::Instant;
@@ -49,8 +43,7 @@ impl Role {
     pub const ALL: &'static [Role] =
         &[Role::Cta, Role::Cpf, Role::Upf, Role::UePop, Role::Harness];
 
-    /// Stable lower-case name used in lint findings, the static flow graph
-    /// and the coverage-diff JSON.
+    /// Stable lower-case name used in the coverage-diff JSON.
     pub fn name(self) -> &'static str {
         match self {
             Role::Cta => "cta",
@@ -132,9 +125,8 @@ impl NodeAddr {
 }
 
 /// What a role core asks its driver to do, with the destination resolved.
-/// Each role keeps its own output enum (the flow lint reads the role pair off
-/// `CtaOutput::ToCpf { .. }`, the pinned transcript hashes its `Debug`);
-/// `Into<Effect>` is how a driver reads any of them.
+/// Each role keeps its own output enum (the pinned transcript hashes its
+/// `Debug`); `Into<Effect>` is how the node loops read any of them.
 #[derive(Debug)]
 pub enum Effect {
     /// Send `msg` to the node at the address.
@@ -204,9 +196,7 @@ impl FlowSpec {
 }
 
 /// The flow table: one entry per `SysMsg` variant, in enum declaration
-/// order. The lint's flow pass parses this table textually, so entries stay
-/// in the literal `FlowSpec { variant: "...", edges: &[(Role::X, Role::Y)] }`
-/// form — no helper macros.
+/// order.
 pub const FLOWS: &[FlowSpec] = &[
     FlowSpec {
         variant: "Control",
@@ -246,8 +236,8 @@ pub const FLOWS: &[FlowSpec] = &[
 ///
 /// This match is deliberately exhaustive with no wildcard: adding a `SysMsg`
 /// variant without declaring its flow here fails to **build**, which is the
-/// totality guarantee the flow contract rests on (the unit tests and the
-/// lint then force the matching `FLOWS` entry).
+/// totality guarantee the flow contract rests on (the unit tests then force
+/// the matching `FLOWS` entry).
 pub fn variant_name(msg: &SysMsg) -> &'static str {
     match msg {
         SysMsg::Control(_) => "Control",
@@ -276,13 +266,6 @@ pub fn spec(variant: &str) -> Option<&'static FlowSpec> {
     FLOWS.iter().find(|s| s.variant == variant)
 }
 
-/// The declared flow of a message. Panics if the variant has no `FLOWS`
-/// entry — the totality tests make that unreachable in a green tree.
-pub fn flow_of(msg: &SysMsg) -> &'static FlowSpec {
-    let name = variant_name(msg);
-    spec(name).unwrap_or_else(|| panic!("SysMsg::{name} has no FLOWS entry — declare its flow"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +282,7 @@ mod tests {
     use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, SessionId, UeId, UpfId};
 
     /// One instance of **every** `SysMsg` variant. Kept next to the table so
-    /// the totality test below exercises `flow_of` over the whole enum.
+    /// the totality test below looks up every variant's `FLOWS` entry.
     fn one_of_each() -> Vec<SysMsg> {
         let ue = UeId::new(1);
         let env = Envelope::uplink(
@@ -355,10 +338,10 @@ mod tests {
     #[test]
     fn table_is_total_over_the_enum() {
         let msgs = one_of_each();
-        // Every variant resolves to a FLOWS entry bearing its own name
-        // (flow_of panics on a missing entry), …
+        // Every variant has a FLOWS entry, …
         for m in &msgs {
-            assert_eq!(flow_of(m).variant, variant_name(m));
+            let name = variant_name(m);
+            assert!(spec(name).is_some(), "SysMsg::{name} has no FLOWS entry — declare its flow");
         }
         // … the sample set covers each variant exactly once, …
         let names: std::collections::BTreeSet<_> = msgs.iter().map(|m| variant_name(m)).collect();

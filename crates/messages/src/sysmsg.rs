@@ -341,7 +341,7 @@ mod tests {
             SysMsg::AskReAttach { ue },
             SysMsg::CpfFailure { cpf: CpfId::new(2) },
         ];
-        let labels: std::collections::HashSet<_> = msgs.iter().map(|m| m.label()).collect();
+        let labels: std::collections::BTreeSet<_> = msgs.iter().map(|m| m.label()).collect();
         assert_eq!(labels.len(), msgs.len());
     }
 }

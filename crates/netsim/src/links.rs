@@ -4,7 +4,6 @@
 use crate::engine::NodeId;
 use neutrino_common::rng::splitmix64;
 use neutrino_common::time::{Duration, Instant};
-use std::collections::HashMap;
 
 /// Propagation characteristics of one directed link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,6 +135,11 @@ impl std::hash::BuildHasher for FxBuildHasher {
     }
 }
 
+/// A directed-pair override map. Both override maps are lookup-only:
+/// nothing iterates them, so their order never reaches a run.
+#[expect(clippy::disallowed_types, reason = "lookup-only, never iterated; Fx-hashed, unseeded")]
+type PairMap<V> = std::collections::HashMap<(NodeId, NodeId), V, FxBuildHasher>;
+
 // Per-draw-type salts keep the loss/dup/reorder streams independent of
 // each other and of the jitter stream (salt 0).
 const SALT_LOSS: u64 = 0xA24B_AED4_963E_E407;
@@ -149,12 +153,12 @@ const SALT_DUP_DELAY: u64 = 0x1D8E_4E27_C47D_124F;
 pub struct Links {
     default: LinkSpec,
     // Directed overrides; lookups fall back to the default.
-    overrides: HashMap<(NodeId, NodeId), LinkSpec, FxBuildHasher>,
+    overrides: PairMap<LinkSpec>,
     // Mixed into the jitter hash; seed 0 reproduces the unseeded stream.
     seed: u64,
     // Fault layer: default spec, directed overrides, partition windows.
     fault_default: FaultSpec,
-    fault_overrides: HashMap<(NodeId, NodeId), FaultSpec, FxBuildHasher>,
+    fault_overrides: PairMap<FaultSpec>,
     partitions: Vec<Partition>,
 }
 
@@ -163,10 +167,10 @@ impl Links {
     pub fn with_default(default: LinkSpec) -> Self {
         Links {
             default,
-            overrides: HashMap::default(),
+            overrides: PairMap::default(),
             seed: 0,
             fault_default: FaultSpec::NONE,
-            fault_overrides: HashMap::default(),
+            fault_overrides: PairMap::default(),
             partitions: Vec::new(),
         }
     }
@@ -383,7 +387,7 @@ mod tests {
         );
         let a = NodeId::new(3);
         let b = NodeId::new(4);
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for seq in 0..100 {
             let d1 = links.sample_delay(a, b, seq);
             let d2 = links.sample_delay(a, b, seq);

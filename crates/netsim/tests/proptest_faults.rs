@@ -7,7 +7,7 @@ use neutrino_common::time::{Duration, Instant};
 use neutrino_netsim::{FaultSpec, LinkSpec, Links, Node, NodeEvent, NodeId, Outbox, Sim};
 use proptest::prelude::*;
 use std::any::Any;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 const ACK_BIT: u64 = 1 << 32;
 const START: u64 = u64::MAX;
@@ -20,7 +20,7 @@ struct Client {
     server: NodeId,
     total: u64,
     retry: Duration,
-    acked: HashSet<u64>,
+    acked: BTreeSet<u64>,
     acked_at: Vec<(u64, Instant)>,
     sends: u64,
 }
@@ -168,7 +168,7 @@ fn run(plan: &Plan) -> Trace {
             server: server_id,
             total: plan.total,
             retry: Duration::from_millis(10),
-            acked: HashSet::new(),
+            acked: BTreeSet::new(),
             acked_at: Vec::new(),
             sends: 0,
         }),
@@ -203,7 +203,7 @@ proptest! {
     fn retrying_protocol_converges_under_any_fault_plan(p in plan()) {
         let trace = run(&p);
         prop_assert_eq!(trace.acked_at.len() as u64, p.total, "every request ACKed");
-        let distinct: HashSet<u64> = trace.server_log.iter().map(|(m, _)| *m).collect();
+        let distinct: BTreeSet<u64> = trace.server_log.iter().map(|(m, _)| *m).collect();
         prop_assert_eq!(distinct.len() as u64, p.total, "server saw every request");
         // Retries mean the client never sends fewer datagrams than requests.
         prop_assert!(trace.client_sends >= p.total);

@@ -15,8 +15,7 @@
 
 use crate::cluster::Cluster;
 use crate::simnode::{cpf_node, cta_node, upf_node, CpfNode, CtaNode, UpfNode};
-use neutrino_common::{CpfId, CtaId, ProcedureId, UeId, UpfId};
-use std::collections::HashSet;
+use neutrino_common::{CpfId, CtaId, ProcedureId, UeId, UeMap, UpfId};
 
 /// One observed violation of the cross-node consistency invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +123,7 @@ pub fn audit_cluster(cluster: &mut Cluster) -> AuditReport {
     // Phase 1: collect what every live CTA knows. A UE with no completed
     // procedure has no durable state to check yet, but still counts as
     // "known" for the orphan check.
-    let mut known: HashSet<UeId> = HashSet::new();
+    let mut known: UeMap<()> = UeMap::new();
     let mut expectations: Vec<Expectation> = Vec::new();
     for &cta in &ctas {
         if !cluster.sim.is_up(cta_node(cta)) {
@@ -135,7 +134,7 @@ pub fn audit_cluster(cluster: &mut Cluster) -> AuditReport {
             None => continue,
         };
         for (ue, ue_log) in node.core().log().ues() {
-            known.insert(*ue);
+            known.insert(*ue, ());
             if ue_log.last_completed.raw() > 0 {
                 expectations.push(Expectation {
                     cta,
@@ -223,7 +222,7 @@ pub fn audit_cluster(cluster: &mut Cluster) -> AuditReport {
             .table()
             .iter()
             .map(|(ue, _)| *ue)
-            .filter(|ue| !known.contains(ue))
+            .filter(|&ue| !known.contains_key(ue))
             .collect();
         report.sessions_checked += node.core().table().len() as u64;
         divergences.extend(

@@ -438,6 +438,13 @@ impl Cluster {
         self.each_node::<CpfCore>(|node| agg.merge(&node.core().metrics()));
         agg
     }
+
+    /// Misrouted `SysMsg`s the UPFs counted.
+    pub fn upf_unexpected_msgs(&mut self) -> u64 {
+        let mut total = 0;
+        self.each_node::<UpfCore>(|node| total += node.core().unexpected_msgs());
+        total
+    }
 }
 
 #[cfg(test)]

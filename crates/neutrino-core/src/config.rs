@@ -285,7 +285,7 @@ mod tests {
     fn comparison_set_has_four_distinct_systems() {
         let set = SystemConfig::comparison_set();
         assert_eq!(set.len(), 4);
-        let kinds: std::collections::HashSet<_> = set.iter().map(|c| c.kind).collect();
+        let kinds: std::collections::BTreeSet<_> = set.iter().map(|c| c.kind as u8).collect();
         assert_eq!(kinds.len(), 4);
     }
 }

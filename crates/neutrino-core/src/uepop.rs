@@ -615,7 +615,7 @@ impl Node<SimMsg> for UePopulation {
                 SimMsg::Sys(SysMsg::Reject { ue, retry_after_ms, .. }) => {
                     self.on_reject(ue, retry_after_ms, out);
                 }
-                // lint-allow(flow-wildcard): counted — a misrouted SysMsg increments unexpected_msgs instead of vanishing
+                // A misrouted SysMsg is counted, not dropped: flow coverage fails on it.
                 _ => self.results.unexpected_msgs += 1,
             },
             NodeEvent::Timer { id: ARRIVAL_TIMER } => self.pump_arrivals(out),
@@ -732,5 +732,19 @@ mod tests {
             assert!(resent >= 2);
             assert_eq!(resent as usize, repeated.len() - 1);
         }
+    }
+
+    #[test]
+    fn misrouted_sysmsg_is_counted_not_swallowed() {
+        // The flow contract says the UE side never receives MigrationAck (it
+        // is a CPF→CPF message) — it must land in the counter, not vanish.
+        let pop = UePopulation::new(UePopConfig::default(), Workload::from_vec(Vec::new()));
+        let mut sim = Sim::new(Links::with_default(LinkSpec::fixed(Duration::from_micros(5))));
+        sim.add_node(UEPOP_NODE, Box::new(pop));
+        let misrouted = SimMsg::Sys(SysMsg::MigrationAck { ue: UeId::new(7) });
+        sim.inject_at(Instant::ZERO, UEPOP_NODE, misrouted);
+        sim.run_until(Instant::from_millis(1));
+        let pop = sim.node_as::<UePopulation>(UEPOP_NODE).unwrap();
+        assert_eq!(pop.results().unexpected_msgs, 1);
     }
 }

@@ -309,7 +309,7 @@ mod tests {
         assert_eq!(srs.len(), 100);
         assert!(srs.iter().all(|a| a.at >= measured_start));
         // Every UE attached exactly once.
-        let set: std::collections::HashSet<_> = attaches.iter().map(|a| a.ue).collect();
+        let set: std::collections::BTreeSet<_> = attaches.iter().map(|a| a.ue).collect();
         assert_eq!(set.len(), 50);
     }
 
@@ -329,7 +329,7 @@ mod tests {
             .iter()
             .all(|a| a.at <= Instant::from_secs(1) + Duration::from_millis(50)));
         // Distinct devices.
-        let set: std::collections::HashSet<_> = v.iter().map(|a| a.ue).collect();
+        let set: std::collections::BTreeSet<_> = v.iter().map(|a| a.ue).collect();
         assert_eq!(set.len(), 10_000);
     }
 
@@ -367,7 +367,7 @@ mod tests {
         assert_eq!(sched.surge_start, sched.blackout_at + Duration::from_millis(300));
         assert!(herd.iter().all(|a| a.at <= sched.surge_end));
         assert_eq!(herd[1].at - herd[0].at, Duration::from_micros(100));
-        let set: std::collections::HashSet<_> = herd.iter().map(|a| a.ue).collect();
+        let set: std::collections::BTreeSet<_> = herd.iter().map(|a| a.ue).collect();
         assert_eq!(set.len(), 200);
         // Steady traffic resumes after the surge drains.
         assert!(v

@@ -261,7 +261,7 @@ mod tests {
         let t = small_trace();
         assert!(t.records.windows(2).all(|w| w[0].at_us <= w[1].at_us));
         // Per device, the first record is an attach.
-        let mut first = std::collections::HashMap::new();
+        let mut first = std::collections::BTreeMap::new();
         for r in &t.records {
             first.entry(r.ue).or_insert(r.procedure);
         }
@@ -314,7 +314,7 @@ mod tests {
     #[test]
     fn activity_is_skewed() {
         let t = small_trace();
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for r in &t.records {
             *counts.entry(r.ue).or_insert(0usize) += 1;
         }
