@@ -1,10 +1,13 @@
-//! Bit-level buffers for the ASN.1 PER codec.
+//! Bit-level buffers for the ASN.1 PER codec, and the bit and varint
+//! helpers the byte-aligned codecs share.
 //!
 //! PER packs fields at bit granularity ("unaligned within the aligned
 //! variant" for small constrained values) and byte-aligns before octet
 //! strings and large integers. These cursors implement exactly the
 //! primitives the [`crate::per`] codec needs: MSB-first bit writes/reads,
-//! explicit alignment, and whole-byte block copies.
+//! explicit alignment, and whole-byte block copies. Every other codec packs
+//! a bit string with [`pack_bits`] / [`unpack_bits`], and the protobuf- and
+//! FlexBuffers-like ones write integers as (zigzag) varints.
 
 use neutrino_common::{Error, Result};
 
@@ -166,6 +169,59 @@ pub fn bits_for_range(max: u64) -> u8 {
     }
 }
 
+/// Appends `bits` packed MSB-first, `bits.len().div_ceil(8)` octets — the
+/// bit-string body of every byte-aligned codec.
+pub fn pack_bits(bits: &[bool], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + bits.len().div_ceil(8), 0);
+    for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+        out[start + i / 8] |= 0x80 >> (i % 8);
+    }
+}
+
+/// The first `nbits` bits of `packed`, MSB-first; `packed` holds at least
+/// `nbits.div_ceil(8)` octets.
+pub fn unpack_bits(nbits: usize, packed: &[u8]) -> Vec<bool> {
+    (0..nbits)
+        .map(|i| packed[i / 8] & (0x80 >> (i % 8)) != 0)
+        .collect()
+}
+
+/// Appends `v` as a LEB128 varint (7 bits per octet, low group first).
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads the varint at `*pos` in `buf`, advancing past it; the error is the
+/// detail for the reading codec to name itself in.
+pub fn read_varint(buf: &[u8], pos: &mut usize) -> std::result::Result<u64, &'static str> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let &byte = buf.get(*pos).ok_or("truncated varint")?;
+        *pos += 1;
+        v |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err("varint too long")
+}
+
+/// Maps a signed integer onto the unsigned varint space, small magnitudes
+/// first (0, -1, 1, -2, …).
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverts [`zigzag`].
+pub fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +303,32 @@ mod tests {
         assert_eq!(bits_for_range(255), 8);
         assert_eq!(bits_for_range(256), 9);
         assert_eq!(bits_for_range(u64::MAX), 64);
+    }
+
+    #[test]
+    fn packed_bits_round_trip() {
+        let bits: Vec<bool> = (0..11).map(|i| i % 3 == 0).collect();
+        let mut out = vec![0xAA];
+        pack_bits(&bits, &mut out);
+        assert_eq!(out, vec![0xAA, 0b1001_0010, 0b0100_0000]);
+        assert_eq!(unpack_bits(bits.len(), &out[1..]), bits);
+    }
+
+    #[test]
+    fn varints_and_zigzag_round_trip() {
+        for v in [0u64, 1, 127, 128, 300, u64::MAX] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            let mut pos = 0;
+            assert_eq!(read_varint(&out, &mut pos), Ok(v));
+            assert_eq!(pos, out.len());
+        }
+        assert!(read_varint(&[0x80], &mut 0).is_err());
+        assert!(read_varint(&[0xFF; 11], &mut 0).is_err());
+        for v in [0i64, -1, 1, i64::MIN, i64::MAX] {
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+        assert_eq!(zigzag(-1), 1);
     }
 
     #[test]

@@ -6,15 +6,17 @@
 //! so the *relative* performance of Neutrino vs. the ASN.1 baselines in the
 //! PCT figures is grounded in real measured work, not in assumed constants.
 //!
-//! [`measure`] runs `encode` and `traverse` (the native read path, see the
-//! crate docs) in a tight loop with warm-up and reports the median of
-//! several batches — median over batches is robust against scheduler noise.
+//! [`measure`] runs what the framing runs per message — encode, then decode
+//! into the owned typed message — in a tight loop with warm-up and reports
+//! the median of several batches; median over batches is robust against
+//! scheduler noise.
 //! `neutrino-messages` bakes in a table measured once on the development
 //! machine (documented there) so simulations stay deterministic; callers can
 //! recalibrate at startup with [`measure`] when absolute local numbers
 //! matter.
 
-use crate::value::{Schema, Value};
+use crate::schema::Schema;
+use crate::sink::{FieldSink, FieldSource};
 use crate::WireFormat;
 use neutrino_common::time::Duration;
 use neutrino_common::Result;
@@ -24,7 +26,7 @@ use neutrino_common::Result;
 pub struct MsgCost {
     /// Time to encode the message once.
     pub encode: Duration,
-    /// Time to read every field once through the codec's native path.
+    /// Time to decode the message once into its owned typed form.
     pub access: Duration,
     /// Encoded size in bytes.
     pub wire_bytes: usize,
@@ -41,7 +43,7 @@ impl MsgCost {
         }
     }
 
-    /// Total encode + access cost.
+    /// Total encode + decode cost.
     pub fn total(&self) -> Duration {
         self.encode + self.access
     }
@@ -68,41 +70,37 @@ impl Default for CalibrationOptions {
     }
 }
 
-/// Measures encode and native-access costs of `codec` on `(schema, value)`.
-pub fn measure(
+/// Measures `codec` on the message `put` streams: encoding it, and decoding
+/// the image back into the owned message `take` builds (and drops), exactly
+/// as the framing does.
+pub fn measure<T>(
     codec: &dyn WireFormat,
     schema: &Schema,
-    value: &Value,
+    mut put: impl FnMut(&mut dyn FieldSink) -> Result<()>,
+    mut take: impl FnMut(&mut dyn FieldSource) -> Result<T>,
     opts: CalibrationOptions,
 ) -> Result<MsgCost> {
+    let mut encode = |buf: &mut Vec<u8>| codec.encode_with(schema, buf, &mut put);
+    let mut decode = |bytes: &[u8]| {
+        codec.decode_with(schema, bytes, &mut |src| {
+            std::hint::black_box(take(src)?);
+            Ok(())
+        })
+    };
+    // Reusing the buffer mirrors how the CPF reuses serialization arenas;
+    // allocation of the output buffer is not what the paper compares.
     let mut buf = Vec::with_capacity(1024);
-    codec.encode(schema, value, &mut buf)?;
+    encode(&mut buf)?;
     let wire_bytes = buf.len();
 
     // Warm-up: touch both paths so caches/branch predictors settle.
-    let mut sink = 0u64;
     for _ in 0..opts.warmup_iters {
-        codec.encode(schema, value, &mut buf)?;
-        sink ^= codec.traverse(schema, &buf)?;
+        encode(&mut buf)?;
+        decode(&buf)?;
     }
-
-    // Reusing the buffer mirrors how the CPF reuses serialization arenas;
-    // allocation of the output buffer is not what the paper compares.
-    let encode = median_batch_ns(opts, || codec.encode(schema, value, &mut buf))?;
-
-    codec.encode(schema, value, &mut buf)?;
-    let encoded = buf.clone();
-    let access = median_batch_ns(opts, || {
-        sink ^= codec.traverse(schema, &encoded)?;
-        Ok(())
-    })?;
-
-    // Keep `sink` alive so the traversals cannot be optimized away.
-    std::hint::black_box(sink);
-
     Ok(MsgCost {
-        encode,
-        access,
+        encode: median_batch_ns(opts, || encode(&mut buf))?,
+        access: median_batch_ns(opts, || decode(&buf))?,
         wire_bytes,
     })
 }
@@ -128,37 +126,50 @@ fn median_batch_ns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{FieldType, StructSchema};
+    use crate::schema::{FieldType, StructSchema};
+    use crate::tree::{decode, encode, Tree};
     use crate::CodecKind;
 
-    fn sample() -> (Schema, Value) {
+    #[test]
+    fn measure_reports_positive_costs() {
         let schema = StructSchema::builder("Cal")
             .field("a", FieldType::UInt { bits: 32 })
             .field("b", FieldType::Utf8 { max: Some(32) })
             .field("c", FieldType::Constrained { lo: 0, hi: 4095 })
             .build();
-        let value = Value::Struct(vec![
-            Value::U64(77),
-            Value::Str("calibration".into()),
-            Value::U64(2048),
+        let [a, b, c] = [0, 1, 2].map(|i| &schema.fields[i].ty);
+        let tree = Tree::Struct(vec![
+            Tree::U64(77),
+            Tree::Str("calibration".into()),
+            Tree::U64(2048),
         ]);
-        (schema, value)
-    }
-
-    #[test]
-    fn measure_reports_positive_costs() {
-        let (schema, value) = sample();
         let opts = CalibrationOptions {
             iters_per_batch: 50,
             batches: 3,
             warmup_iters: 10,
         };
-        for kind in [CodecKind::Asn1Per, CodecKind::FastbufOptimized] {
+        for kind in CodecKind::ALL {
             let codec = kind.codec();
-            let cost = measure(codec, &schema, &value, opts).unwrap();
+            let put = |sink: &mut dyn FieldSink| {
+                sink.begin_struct(&schema)?;
+                sink.uint(a, 77)?;
+                sink.str(b, "calibration")?;
+                sink.uint(c, 2048)?;
+                sink.end_struct()
+            };
+            let take = |src: &mut dyn FieldSource| {
+                src.begin_struct(&schema)?;
+                let fields = (src.uint(a)?, src.str(b)?.to_owned(), src.uint(c)?);
+                src.end_struct()?;
+                Ok(fields)
+            };
+            let cost = measure(codec, &schema, put, take, opts).unwrap();
             assert!(cost.encode.as_nanos() > 0, "{kind}: encode cost zero");
-            assert!(cost.access.as_nanos() > 0, "{kind}: access cost zero");
-            assert!(cost.wire_bytes > 0);
+            assert!(cost.access.as_nanos() > 0, "{kind}: decode cost zero");
+            let mut image = Vec::new();
+            encode(codec, &schema, &tree, &mut image).unwrap();
+            assert_eq!(cost.wire_bytes, image.len(), "{kind}");
+            assert_eq!(decode(codec, &schema, &image).unwrap(), tree, "{kind}");
         }
     }
 

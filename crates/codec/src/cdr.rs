@@ -8,7 +8,9 @@
 //! grows with field count while fastbuf's does not — the crossover the
 //! paper's Fig. 18 shows around 7 information elements.
 
-use crate::value::{FieldType, Schema, StructSchema, Value};
+use crate::bits::{pack_bits, unpack_bits};
+use crate::schema::{FieldType, Schema, StructSchema};
+use crate::sink::{fresh, FieldSink, FieldSource};
 use crate::WireFormat;
 use neutrino_common::{Error, Result};
 
@@ -32,133 +34,110 @@ fn err(detail: impl Into<String>) -> Error {
 /// Scalar width in bytes (CDR has no sub-byte packing; constrained ints use
 /// the smallest natural width that fits the range, as an IDL author would
 /// declare).
-fn width(ty: &FieldType) -> Option<usize> {
-    match ty {
-        FieldType::Bool => Some(1),
-        FieldType::UInt { bits } => Some(usize::from(*bits) / 8),
-        FieldType::Int => Some(8),
-        FieldType::Enum { .. } => Some(4),
-        FieldType::Constrained { lo, hi } => {
-            let range = (*hi as i128 - *lo as i128) as u128;
-            Some(match range {
-                0..=0xFF => 1,
-                0x100..=0xFFFF => 2,
-                0x1_0000..=0xFFFF_FFFF => 4,
-                _ => 8,
-            })
-        }
-        _ => None,
-    }
+fn width(ty: &FieldType) -> Result<usize> {
+    Ok(match ty {
+        FieldType::Bool => 1,
+        FieldType::UInt { bits } => usize::from(*bits) / 8,
+        FieldType::Int => 8,
+        FieldType::Enum { .. } => 4,
+        FieldType::Constrained { lo, hi } => match (*hi as i128 - *lo as i128) as u128 {
+            0..=0xFF => 1,
+            0x100..=0xFFFF => 2,
+            0x1_0000..=0xFFFF_FFFF => 4,
+            _ => 8,
+        },
+        ty => return Err(err(format!("{ty:?} is not a scalar"))),
+    })
 }
 
-struct Writer {
-    buf: Vec<u8>,
-}
+/// CDR writes each value where it stands: nothing is open, nothing to close.
+struct Sink<'a>(&'a mut Vec<u8>);
 
-impl Writer {
+impl Sink<'_> {
     fn align(&mut self, to: usize) {
-        while !self.buf.len().is_multiple_of(to) {
-            self.buf.push(0);
-        }
+        let aligned = self.0.len().next_multiple_of(to);
+        self.0.resize(aligned, 0);
     }
 
     fn put_u32(&mut self, v: u32) {
         self.align(4);
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.0.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn put_scalar(&mut self, ty: &FieldType, value: &Value, w: usize) -> Result<()> {
-        let raw: u64 = match (ty, value) {
-            (FieldType::Bool, Value::Bool(b)) => u64::from(*b),
-            (FieldType::UInt { .. }, Value::U64(x)) => *x,
-            (FieldType::Int, Value::I64(x)) => *x as u64,
-            (FieldType::Enum { .. }, Value::U64(x)) => *x,
-            (FieldType::Constrained { lo, .. }, v) => {
-                let x = crate::value::integer_carrier(v)
-                    .ok_or_else(|| err("constrained field is not an integer"))?;
-                (x as i128 - *lo as i128) as u64
-            }
-            (ty, v) => return Err(err(format!("scalar mismatch: {ty:?} vs {v:?}"))),
-        };
+    /// A scalar of `ty`'s width at its natural alignment; a constrained
+    /// integer travels as its offset from the lower bound.
+    fn scalar(&mut self, ty: &FieldType, v: i128) -> Result<()> {
+        let w = width(ty)?;
+        let raw = match ty {
+            FieldType::Constrained { lo, .. } => v - i128::from(*lo),
+            _ => v,
+        } as u64;
         self.align(w);
-        self.buf.extend_from_slice(&raw.to_le_bytes()[..w]);
-        Ok(())
-    }
-
-    fn encode(&mut self, ty: &FieldType, value: &Value) -> Result<()> {
-        match (ty, value) {
-            (FieldType::Bytes { .. }, Value::Bytes(bs)) => {
-                self.put_u32(bs.len() as u32);
-                self.buf.extend_from_slice(bs);
-                Ok(())
-            }
-            (FieldType::Utf8 { .. }, Value::Str(s)) => {
-                self.put_u32(s.len() as u32);
-                self.buf.extend_from_slice(s.as_bytes());
-                Ok(())
-            }
-            (FieldType::BitString { .. }, Value::Bits(bits)) => {
-                self.put_u32(bits.len() as u32);
-                let mut packed = vec![0u8; bits.len().div_ceil(8)];
-                for (i, &b) in bits.iter().enumerate() {
-                    if b {
-                        packed[i / 8] |= 0x80 >> (i % 8);
-                    }
-                }
-                self.buf.extend_from_slice(&packed);
-                Ok(())
-            }
-            (FieldType::Struct(schema), v) => self.encode_struct(schema, v),
-            (FieldType::List { elem, .. }, Value::List(items)) => {
-                self.put_u32(items.len() as u32);
-                for item in items {
-                    self.encode(elem, item)?;
-                }
-                Ok(())
-            }
-            (FieldType::Choice(variants), Value::Choice { index, value }) => {
-                if *index as usize >= variants.len() {
-                    return Err(err(format!("choice index {index} out of range")));
-                }
-                self.put_u32(*index);
-                self.encode(&variants[*index as usize].ty, value)
-            }
-            (FieldType::Optional(inner), Value::Optional(opt)) => {
-                self.buf.push(u8::from(opt.is_some()));
-                if let Some(v) = opt {
-                    self.encode(inner, v)?;
-                }
-                Ok(())
-            }
-            (ty, v) => match width(ty) {
-                Some(w) => self.put_scalar(ty, v, w),
-                None => Err(err(format!("type mismatch: {ty:?} vs {v:?}"))),
-            },
-        }
-    }
-
-    fn encode_struct(&mut self, schema: &StructSchema, value: &Value) -> Result<()> {
-        let fields = value
-            .as_struct()
-            .ok_or_else(|| err(format!("expected struct for {}", schema.name)))?;
-        if fields.len() != schema.fields.len() {
-            return Err(err(format!("struct {} arity mismatch", schema.name)));
-        }
-        for (def, val) in schema.fields.iter().zip(fields) {
-            self.encode(&def.ty, val)?;
-        }
+        self.0.extend_from_slice(&raw.to_le_bytes()[..w]);
         Ok(())
     }
 }
 
-struct CdrReader<'a> {
+impl FieldSink for Sink<'_> {
+    fn begin_struct(&mut self, _: &StructSchema) -> Result<()> {
+        Ok(())
+    }
+    fn presence(&mut self, _: bool) -> Result<()> {
+        Ok(())
+    }
+    fn optional(&mut self, _: &FieldType, present: bool) -> Result<()> {
+        self.0.push(u8::from(present));
+        Ok(())
+    }
+    fn end_struct(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn bool(&mut self, v: bool) -> Result<()> {
+        self.0.push(u8::from(v));
+        Ok(())
+    }
+    fn uint(&mut self, ty: &FieldType, v: u64) -> Result<()> {
+        self.scalar(ty, i128::from(v))
+    }
+    fn int(&mut self, ty: &FieldType, v: i64) -> Result<()> {
+        self.scalar(ty, i128::from(v))
+    }
+    fn bytes(&mut self, _: &FieldType, v: &[u8]) -> Result<()> {
+        self.put_u32(v.len() as u32);
+        self.0.extend_from_slice(v);
+        Ok(())
+    }
+    fn str(&mut self, ty: &FieldType, v: &str) -> Result<()> {
+        self.bytes(ty, v.as_bytes())
+    }
+    fn bits(&mut self, _: &FieldType, v: &[bool]) -> Result<()> {
+        self.put_u32(v.len() as u32);
+        pack_bits(v, self.0);
+        Ok(())
+    }
+    fn begin_list(&mut self, _: &FieldType, len: usize) -> Result<()> {
+        self.put_u32(len as u32);
+        Ok(())
+    }
+    fn end_list(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn choice(&mut self, ty: &FieldType, index: u32) -> Result<()> {
+        ty.variant(index)?;
+        self.put_u32(index);
+        Ok(())
+    }
+}
+
+/// The reader mirrors the writer value for value.
+struct Source<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> CdrReader<'a> {
+impl<'a> Source<'a> {
     fn align(&mut self, to: usize) {
-        self.pos = self.pos.div_ceil(to) * to;
+        self.pos = self.pos.next_multiple_of(to);
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -178,95 +157,67 @@ impl<'a> CdrReader<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn get_scalar(&mut self, ty: &FieldType, w: usize) -> Result<Value> {
+    fn count(&mut self) -> Result<usize> {
+        Ok(self.get_u32()? as usize)
+    }
+
+    fn scalar(&mut self, ty: &FieldType) -> Result<i128> {
+        let w = width(ty)?;
         self.align(w);
-        let b = self.take(w)?;
         let mut le = [0u8; 8];
-        le[..w].copy_from_slice(b);
-        let raw = u64::from_le_bytes(le);
+        le[..w].copy_from_slice(self.take(w)?);
+        let raw = i128::from(u64::from_le_bytes(le));
         Ok(match ty {
-            FieldType::Bool => Value::Bool(raw != 0),
-            FieldType::UInt { .. } => Value::U64(raw),
-            FieldType::Int => Value::I64(raw as i64),
-            FieldType::Enum { .. } => Value::U64(raw),
-            FieldType::Constrained { lo, .. } => {
-                let v = *lo as i128 + raw as i128;
-                if *lo >= 0 {
-                    Value::U64(v as u64)
-                } else {
-                    Value::I64(v as i64)
-                }
-            }
-            ty => return Err(err(format!("{ty:?} is not a scalar"))),
+            FieldType::Constrained { lo, .. } => i128::from(*lo) + raw,
+            _ => raw,
         })
     }
+}
 
-    fn decode(&mut self, ty: &FieldType) -> Result<Value> {
-        match ty {
-            FieldType::Bytes { .. } => {
-                let len = self.get_u32()? as usize;
-                Ok(Value::Bytes(self.take(len)?.to_vec()))
-            }
-            FieldType::Utf8 { .. } => {
-                let len = self.get_u32()? as usize;
-                let bytes = self.take(len)?;
-                Ok(Value::Str(
-                    std::str::from_utf8(bytes)
-                        .map_err(|_| err("invalid UTF-8"))?
-                        .to_owned(),
-                ))
-            }
-            FieldType::BitString { .. } => {
-                let nbits = self.get_u32()? as usize;
-                let packed = self.take(nbits.div_ceil(8))?;
-                Ok(Value::Bits(
-                    (0..nbits)
-                        .map(|i| packed[i / 8] & (0x80 >> (i % 8)) != 0)
-                        .collect(),
-                ))
-            }
-            FieldType::Struct(schema) => self.decode_struct(schema),
-            FieldType::List { elem, .. } => {
-                let count = self.get_u32()? as usize;
-                // The count is the sender's word: reserve from the input
-                // left, two bytes per 32-byte `Value` at most.
-                let mut items = Vec::with_capacity(count.min((self.buf.len() - self.pos) / 2));
-                for _ in 0..count {
-                    items.push(self.decode(elem)?);
-                }
-                Ok(Value::List(items))
-            }
-            FieldType::Choice(variants) => {
-                let index = self.get_u32()?;
-                let var = variants
-                    .get(index as usize)
-                    .ok_or_else(|| err(format!("choice index {index} out of range")))?;
-                Ok(Value::Choice {
-                    index,
-                    value: Box::new(self.decode(&var.ty)?),
-                })
-            }
-            FieldType::Optional(inner) => {
-                let present = self.take(1)?[0] != 0;
-                if present {
-                    Ok(Value::Optional(Some(Box::new(self.decode(inner)?))))
-                } else {
-                    Ok(Value::Optional(None))
-                }
-            }
-            ty => {
-                let w = width(ty).ok_or_else(|| err(format!("unhandled type {ty:?}")))?;
-                self.get_scalar(ty, w)
-            }
-        }
+impl FieldSource for Source<'_> {
+    fn begin_struct(&mut self, _: &StructSchema) -> Result<()> {
+        Ok(())
     }
-
-    fn decode_struct(&mut self, schema: &StructSchema) -> Result<Value> {
-        let mut fields = Vec::with_capacity(schema.fields.len());
-        for def in &schema.fields {
-            fields.push(self.decode(&def.ty)?);
-        }
-        Ok(Value::Struct(fields))
+    fn presence(&mut self) -> Result<bool> {
+        Ok(true)
+    }
+    fn optional(&mut self, _: &FieldType, _: bool) -> Result<bool> {
+        Ok(self.take(1)?[0] != 0)
+    }
+    fn end_struct(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn bool(&mut self) -> Result<bool> {
+        Ok(self.take(1)?[0] != 0)
+    }
+    fn uint(&mut self, ty: &FieldType) -> Result<u64> {
+        Ok(self.scalar(ty)? as u64)
+    }
+    fn int(&mut self, ty: &FieldType) -> Result<i64> {
+        Ok(self.scalar(ty)? as i64)
+    }
+    fn bytes(&mut self, _: &FieldType) -> Result<&[u8]> {
+        let len = self.count()?;
+        self.take(len)
+    }
+    fn str(&mut self, ty: &FieldType) -> Result<&str> {
+        std::str::from_utf8(self.bytes(ty)?).map_err(|_| err("invalid UTF-8"))
+    }
+    fn bits(&mut self, _: &FieldType) -> Result<Vec<bool>> {
+        let nbits = self.count()?;
+        Ok(unpack_bits(nbits, self.take(nbits.div_ceil(8))?))
+    }
+    fn begin_list(&mut self, _: &FieldType) -> Result<usize> {
+        self.count()
+    }
+    fn end_list(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn choice(&mut self, ty: &FieldType) -> Result<u32> {
+        let index = self.get_u32()?;
+        ty.variant(index)
+            .map_err(|_| err(format!("choice index {index} out of range")))?;
+        Ok(index)
     }
 }
 
@@ -275,34 +226,36 @@ impl WireFormat for CdrLike {
         NAME
     }
 
-    fn encode(&self, schema: &Schema, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-        out.clear();
-        let mut w = Writer {
-            buf: std::mem::take(out),
-        };
-        w.encode_struct(schema, value)?;
-        *out = w.buf;
-        Ok(())
+    fn encode_with(
+        &self,
+        _: &Schema,
+        out: &mut Vec<u8>,
+        put: &mut dyn FnMut(&mut dyn FieldSink) -> Result<()>,
+    ) -> Result<()> {
+        fresh(out, |out| put(&mut Sink(out)))
     }
 
-    fn decode(&self, schema: &Schema, bytes: &[u8]) -> Result<Value> {
-        let mut r = CdrReader { buf: bytes, pos: 0 };
-        r.decode_struct(schema)
+    fn decode_with(
+        &self,
+        _: &Schema,
+        bytes: &[u8],
+        take: &mut dyn FnMut(&mut dyn FieldSource) -> Result<()>,
+    ) -> Result<()> {
+        take(&mut Source { buf: bytes, pos: 0 })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Variant;
+    use crate::schema::Variant;
+    use crate::tree::{choice, decode, encode, some, Tree};
     use std::sync::Arc;
 
-    fn round_trip(schema: &Schema, value: &Value) -> Vec<u8> {
-        let codec = CdrLike::new();
+    fn round_trip(schema: &Schema, value: &Tree) -> Vec<u8> {
         let mut buf = Vec::new();
-        codec.encode(schema, value, &mut buf).unwrap();
-        let back = codec.decode(schema, &buf).unwrap();
-        assert_eq!(&back, value);
+        encode(&CdrLike, schema, value, &mut buf).unwrap();
+        assert_eq!(&decode(&CdrLike, schema, &buf).unwrap(), value);
         buf
     }
 
@@ -314,7 +267,7 @@ mod tests {
             .build();
         let buf = round_trip(
             &schema,
-            &Value::Struct(vec![Value::U64(7), Value::U64(0x1234_5678)]),
+            &Tree::Struct(vec![Tree::U64(7), Tree::U64(0x1234_5678)]),
         );
         // 1 byte + 3 pad + 4 bytes.
         assert_eq!(buf.len(), 8);
@@ -357,17 +310,17 @@ mod tests {
                 ]),
             )
             .build();
-        let v = Value::Struct(vec![
-            Value::Bool(true),
-            Value::Str("edge-node".into()),
-            Value::Bytes(vec![1, 2, 3]),
-            Value::Bits(vec![true, true, false, true]),
-            Value::List(vec![
-                Value::Struct(vec![Value::I64(-5)]),
-                Value::Struct(vec![Value::I64(300)]),
+        let v = Tree::Struct(vec![
+            Tree::Bool(true),
+            Tree::Str("edge-node".into()),
+            Tree::Bytes(vec![1, 2, 3]),
+            Tree::Bits(vec![true, true, false, true]),
+            Tree::List(vec![
+                Tree::Struct(vec![Tree::I64(-5)]),
+                Tree::Struct(vec![Tree::I64(300)]),
             ]),
-            Value::some(Value::U64(99)),
-            Value::choice(0, Value::U64(1 << 40)),
+            some(Tree::U64(99)),
+            choice(0, Tree::U64(1 << 40)),
         ]);
         round_trip(&schema, &v);
     }
@@ -377,17 +330,12 @@ mod tests {
         let schema = StructSchema::builder("S")
             .field("s", FieldType::Utf8 { max: None })
             .build();
-        let codec = CdrLike::new();
-        let mut buf = Vec::new();
-        codec
-            .encode(
-                &schema,
-                &Value::Struct(vec![Value::Str("hello world".into())]),
-                &mut buf,
-            )
-            .unwrap();
+        let buf = round_trip(
+            &schema,
+            &Tree::Struct(vec![Tree::Str("hello world".into())]),
+        );
         for cut in 0..buf.len() {
-            assert!(codec.decode(&schema, &buf[..cut]).is_err());
+            assert!(decode(&CdrLike, &schema, &buf[..cut]).is_err());
         }
     }
 
@@ -397,13 +345,11 @@ mod tests {
             .field("a", FieldType::UInt { bits: 32 })
             .field("b", FieldType::UInt { bits: 32 })
             .build();
-        let v = Value::Struct(vec![Value::U64(1), Value::U64(2)]);
+        let v = Tree::Struct(vec![Tree::U64(1), Tree::U64(2)]);
         let mut cdr = Vec::new();
         let mut fb = Vec::new();
-        CdrLike::new().encode(&schema, &v, &mut cdr).unwrap();
-        crate::fastbuf::Fastbuf::standard()
-            .encode(&schema, &v, &mut fb)
-            .unwrap();
+        encode(&CdrLike, &schema, &v, &mut cdr).unwrap();
+        encode(&crate::fastbuf::Fastbuf::standard(), &schema, &v, &mut fb).unwrap();
         assert!(cdr.len() < fb.len());
     }
 }

@@ -38,21 +38,19 @@
 //!
 //! # Access path
 //!
-//! [`WireFormat::traverse`] for fastbuf does **no allocation**: it walks the
-//! encoded buffer through vtable offsets (the "direct access to inner fields
-//! via pointers" property of §4.4). Full [`WireFormat::decode`] into an
-//! owned tree exists for round-trip testing and interop.
+//! The source reads every field through vtable offsets, bounds-checked and
+//! allocation-free (the "direct access to inner fields via pointers"
+//! property of §4.4); [`FbTable`] exposes the same offset reads directly.
 //!
 //! # One writer, one reader
 //!
 //! The codec is a field sink and a field source ([`crate::sink`]). A typed
 //! message streams into and out of the image through them
-//! ([`WireFormat::encode_with`] / [`WireFormat::decode_with`]); `encode` /
-//! `decode` drive the same two from a [`Value`] by schema, and `traverse`
-//! is the source's walk with a checksum fold in place of a builder.
+//! ([`WireFormat::encode_with`] / [`WireFormat::decode_with`]).
 
+use crate::bits::{pack_bits, unpack_bits};
+use crate::schema::{FieldType, Schema, StructSchema};
 use crate::sink::{FieldSink, FieldSource};
-use crate::value::{put_value, take_value, FieldType, Schema, StructSchema, Value};
 use crate::WireFormat;
 use neutrino_common::{Error, Result};
 use std::cell::Cell;
@@ -459,13 +457,7 @@ impl FieldSink for Sink<'_> {
     }
 
     fn bits(&mut self, _: &FieldType, v: &[bool]) -> Result<()> {
-        self.varlen(v.len(), |buf| {
-            let start = buf.len();
-            buf.resize(start + v.len().div_ceil(8), 0);
-            for (i, _) in v.iter().enumerate().filter(|(_, &b)| b) {
-                buf[start + i / 8] |= 0x80 >> (i % 8);
-            }
-        })
+        self.varlen(v.len(), |buf| pack_bits(v, buf))
     }
 
     /// Scalar elements are packed inline after the count; composite
@@ -866,9 +858,7 @@ impl FieldSource for Source<'_> {
 
     fn bits(&mut self, _: &FieldType) -> Result<Vec<bool>> {
         let (len, packed) = self.packed_bits()?;
-        Ok((0..len)
-            .map(|i| packed[i / 8] & (0x80 >> (i % 8)) != 0)
-            .collect())
+        Ok(unpack_bits(len, packed))
     }
 
     fn begin_list(&mut self, ty: &FieldType) -> Result<usize> {
@@ -906,68 +896,6 @@ impl FieldSource for Source<'_> {
     }
 }
 
-/// The checksum fold of [`crate::checksum_value`].
-fn mix(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(27)
-}
-
-/// The zero-copy traversal: the same walk `take` drives, folding each
-/// field into the checksum where it lies instead of building anything.
-impl Source<'_> {
-    fn checksum_struct(&mut self, schema: &StructSchema) -> Result<u64> {
-        self.begin_struct(schema)?;
-        let mut h = 7u64;
-        for def in &schema.fields {
-            h = mix(h, self.checksum_field(&def.ty)?);
-        }
-        self.end_struct()?;
-        Ok(h)
-    }
-
-    fn checksum_field(&mut self, ty: &FieldType) -> Result<u64> {
-        let bytes = |tag, bytes: &[u8]| bytes.iter().fold(tag, |h, &b| mix(h, u64::from(b)));
-        Ok(match ty {
-            FieldType::Bool => mix(1, u64::from(self.bool()?)),
-            FieldType::Constrained { lo, .. } if *lo < 0 => mix(3, self.uint(ty)?),
-            FieldType::UInt { .. } | FieldType::Enum { .. } | FieldType::Constrained { .. } => {
-                mix(2, self.uint(ty)?)
-            }
-            FieldType::Int => mix(3, self.uint(ty)?),
-            FieldType::Bytes { .. } => bytes(4, self.blob()?),
-            FieldType::Utf8 { .. } => bytes(5, self.blob()?),
-            FieldType::BitString { .. } => {
-                let (len, packed) = self.packed_bits()?;
-                (0..len).fold(6, |h, i| {
-                    mix(h, u64::from(packed[i / 8] & (0x80 >> (i % 8)) != 0))
-                })
-            }
-            FieldType::Struct(schema) => self.checksum_struct(schema)?,
-            FieldType::List { elem, .. } => {
-                let mut h = 8u64;
-                for _ in 0..self.begin_list(ty)? {
-                    h = mix(h, self.checksum_field(elem)?);
-                }
-                self.end_list()?;
-                h
-            }
-            FieldType::Choice(_) => {
-                let index = self.choice(ty)?;
-                mix(
-                    mix(9, u64::from(index)),
-                    self.checksum_field(ty.variant(index)?)?,
-                )
-            }
-            FieldType::Optional(inner) => {
-                if self.optional(inner, true)? {
-                    mix(11, self.checksum_field(inner)?)
-                } else {
-                    10
-                }
-            }
-        })
-    }
-}
-
 impl WireFormat for Fastbuf {
     fn name(&self) -> &'static str {
         if self.svtable {
@@ -975,14 +903,6 @@ impl WireFormat for Fastbuf {
         } else {
             NAME_STD
         }
-    }
-
-    fn encode(&self, schema: &Schema, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-        self.with_sink(out, |sink| put_value(schema, value, sink))
-    }
-
-    fn decode(&self, schema: &Schema, bytes: &[u8]) -> Result<Value> {
-        self.with_source(bytes, |src| take_value(schema, src))
     }
 
     fn encode_with(
@@ -1001,10 +921,6 @@ impl WireFormat for Fastbuf {
         take: &mut dyn FnMut(&mut dyn FieldSource) -> Result<()>,
     ) -> Result<()> {
         self.with_source(bytes, |src| take(src))
-    }
-
-    fn traverse(&self, schema: &Schema, bytes: &[u8]) -> Result<u64> {
-        self.with_source(bytes, |src| src.checksum_struct(schema))
     }
 }
 
@@ -1059,13 +975,14 @@ impl Fastbuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{FieldDef, Variant};
+    use crate::schema::{FieldDef, Variant};
+    use crate::tree::{choice, decode, encode, none, some, Tree};
     use std::sync::Arc;
 
-    fn round_trip(codec: &Fastbuf, schema: &Schema, value: &Value) -> Vec<u8> {
+    fn round_trip(codec: &Fastbuf, schema: &Schema, value: &Tree) -> Vec<u8> {
         let mut buf = Vec::new();
-        codec.encode(schema, value, &mut buf).unwrap();
-        let back = codec.decode(schema, &buf).unwrap();
+        encode(codec, schema, value, &mut buf).unwrap();
+        let back = decode(codec, schema, &buf).unwrap();
         assert_eq!(&back, value, "round trip mismatch ({})", codec.name());
         buf
     }
@@ -1087,16 +1004,16 @@ mod tests {
             .build()
     }
 
-    fn scalar_value() -> Value {
-        Value::Struct(vec![
-            Value::Bool(true),
-            Value::U64(200),
-            Value::U64(60_000),
-            Value::U64(4_000_000_000),
-            Value::U64(1 << 60),
-            Value::I64(-12345),
-            Value::U64(4),
-            Value::I64(-7),
+    fn scalar_value() -> Tree {
+        Tree::Struct(vec![
+            Tree::Bool(true),
+            Tree::U64(200),
+            Tree::U64(60_000),
+            Tree::U64(4_000_000_000),
+            Tree::U64(1 << 60),
+            Tree::I64(-12345),
+            Tree::U64(4),
+            Tree::I64(-7),
         ])
     }
 
@@ -1133,14 +1050,14 @@ mod tests {
             )
             .field("nested", FieldType::Struct(inner))
             .build();
-        let v = Value::Struct(vec![
-            Value::Bytes(vec![1, 2, 3, 4, 5]),
-            Value::List(vec![Value::U64(10), Value::U64(20), Value::U64(30)]),
-            Value::List(vec![
-                Value::Struct(vec![Value::U64(1), Value::Str("default".into())]),
-                Value::Struct(vec![Value::U64(2), Value::Str("voice".into())]),
+        let v = Tree::Struct(vec![
+            Tree::Bytes(vec![1, 2, 3, 4, 5]),
+            Tree::List(vec![Tree::U64(10), Tree::U64(20), Tree::U64(30)]),
+            Tree::List(vec![
+                Tree::Struct(vec![Tree::U64(1), Tree::Str("default".into())]),
+                Tree::Struct(vec![Tree::U64(2), Tree::Str("voice".into())]),
             ]),
-            Value::Struct(vec![Value::U64(9), Value::Str("video".into())]),
+            Tree::Struct(vec![Tree::U64(9), Tree::Str("video".into())]),
         ]);
         for codec in both() {
             round_trip(&codec, &schema, &v);
@@ -1164,15 +1081,15 @@ mod tests {
             round_trip(
                 &codec,
                 &schema,
-                &Value::Struct(vec![Value::none(), Value::none(), Value::Bool(true)]),
+                &Tree::Struct(vec![none(), none(), Tree::Bool(true)]),
             );
             round_trip(
                 &codec,
                 &schema,
-                &Value::Struct(vec![
-                    Value::some(Value::U64(7)),
-                    Value::some(Value::Str("hi".into())),
-                    Value::Bool(false),
+                &Tree::Struct(vec![
+                    some(Tree::U64(7)),
+                    some(Tree::Str("hi".into())),
+                    Tree::Bool(false),
                 ]),
             );
         }
@@ -1216,11 +1133,11 @@ mod tests {
     fn unions_round_trip_all_variant_kinds() {
         let schema = union_schema();
         let cases = [
-            Value::Struct(vec![Value::choice(0, Value::U64(0xAABB_CCDD))]),
-            Value::Struct(vec![Value::choice(1, Value::Str("001010123456789".into()))]),
-            Value::Struct(vec![Value::choice(
+            Tree::Struct(vec![choice(0, Tree::U64(0xAABB_CCDD))]),
+            Tree::Struct(vec![choice(1, Tree::Str("001010123456789".into()))]),
+            Tree::Struct(vec![choice(
                 2,
-                Value::Struct(vec![Value::U64(1), Value::U64(2)]),
+                Tree::Struct(vec![Tree::U64(1), Tree::U64(2)]),
             )]),
         ];
         for codec in both() {
@@ -1231,7 +1148,7 @@ mod tests {
     }
 
     /// Builds a schema with `n` scalar-union fields and the matching value.
-    fn n_union_message(n: usize, varlen: bool) -> (Schema, Value) {
+    fn n_union_message(n: usize, varlen: bool) -> (Schema, Tree) {
         let mut b = StructSchema::builder("NUnions");
         for i in 0..n {
             b = b.field(
@@ -1251,25 +1168,21 @@ mod tests {
         let fields = (0..n)
             .map(|_| {
                 if varlen {
-                    Value::choice(1, Value::Str("001010123456".into()))
+                    choice(1, Tree::Str("001010123456".into()))
                 } else {
-                    Value::choice(0, Value::U64(0xAABB_CCDD))
+                    choice(0, Tree::U64(0xAABB_CCDD))
                 }
             })
             .collect();
-        (b.build(), Value::Struct(fields))
+        (b.build(), Tree::Struct(fields))
     }
 
     fn size_delta(n: usize, varlen: bool) -> usize {
         let (schema, v) = n_union_message(n, varlen);
         let mut std_buf = Vec::new();
         let mut opt_buf = Vec::new();
-        Fastbuf::standard()
-            .encode(&schema, &v, &mut std_buf)
-            .unwrap();
-        Fastbuf::optimized()
-            .encode(&schema, &v, &mut opt_buf)
-            .unwrap();
+        encode(&Fastbuf::standard(), &schema, &v, &mut std_buf).unwrap();
+        encode(&Fastbuf::optimized(), &schema, &v, &mut opt_buf).unwrap();
         std_buf.len() - opt_buf.len()
     }
 
@@ -1294,23 +1207,19 @@ mod tests {
     #[test]
     fn struct_variant_unions_cost_the_same_in_both_modes() {
         let schema = union_schema();
-        let v = Value::Struct(vec![Value::choice(
+        let v = Tree::Struct(vec![choice(
             2,
-            Value::Struct(vec![Value::U64(1), Value::U64(2)]),
+            Tree::Struct(vec![Tree::U64(1), Tree::U64(2)]),
         )]);
         let mut std_buf = Vec::new();
         let mut opt_buf = Vec::new();
-        Fastbuf::standard()
-            .encode(&schema, &v, &mut std_buf)
-            .unwrap();
-        Fastbuf::optimized()
-            .encode(&schema, &v, &mut opt_buf)
-            .unwrap();
+        encode(&Fastbuf::standard(), &schema, &v, &mut std_buf).unwrap();
+        encode(&Fastbuf::optimized(), &schema, &v, &mut opt_buf).unwrap();
         assert_eq!(std_buf.len(), opt_buf.len());
     }
 
     #[test]
-    fn traverse_matches_decode_checksum() {
+    fn every_field_kind_round_trips_both_modes() {
         let inner = Arc::new(
             StructSchema::builder("Inner")
                 .field("x", FieldType::Constrained { lo: 0, hi: 300 })
@@ -1339,23 +1248,18 @@ mod tests {
                 ]),
             )
             .build();
-        let v = Value::Struct(vec![
-            Value::U64(1234),
-            Value::Str("tracking".into()),
-            Value::none(),
-            Value::Struct(vec![
-                Value::U64(250),
-                Value::Bits(vec![true, false, true, true, false]),
+        let v = Tree::Struct(vec![
+            Tree::U64(1234),
+            Tree::Str("tracking".into()),
+            none(),
+            Tree::Struct(vec![
+                Tree::U64(250),
+                Tree::Bits(vec![true, false, true, true, false]),
             ]),
-            Value::choice(1, Value::Bytes(vec![9, 8, 7])),
+            choice(1, Tree::Bytes(vec![9, 8, 7])),
         ]);
         for codec in both() {
-            let mut buf = Vec::new();
-            codec.encode(&schema, &v, &mut buf).unwrap();
-            let via_decode = crate::checksum_value(&codec.decode(&schema, &buf).unwrap());
-            let via_traverse = codec.traverse(&schema, &buf).unwrap();
-            assert_eq!(via_decode, via_traverse, "mode {}", codec.name());
-            assert_eq!(via_decode, crate::checksum_value(&v));
+            round_trip(&codec, &schema, &v);
         }
     }
 
@@ -1365,16 +1269,15 @@ mod tests {
         let v = scalar_value();
         let codec = Fastbuf::standard();
         let mut buf = Vec::new();
-        codec.encode(&schema, &v, &mut buf).unwrap();
+        encode(&codec, &schema, &v, &mut buf).unwrap();
         for cut in 0..buf.len() {
-            let _ = codec.decode(&schema, &buf[..cut]);
-            let _ = codec.traverse(&schema, &buf[..cut]);
+            let _ = decode(&codec, &schema, &buf[..cut]);
         }
         // Flip bytes too.
         for i in 0..buf.len() {
             let mut bad = buf.clone();
             bad[i] ^= 0xFF;
-            let _ = codec.decode(&schema, &bad);
+            let _ = decode(&codec, &schema, &bad);
         }
     }
 
@@ -1385,10 +1288,8 @@ mod tests {
         let v = scalar_value();
         let mut fb = Vec::new();
         let mut per = Vec::new();
-        Fastbuf::standard().encode(&schema, &v, &mut fb).unwrap();
-        crate::per::Asn1Per::new()
-            .encode(&schema, &v, &mut per)
-            .unwrap();
+        encode(&Fastbuf::standard(), &schema, &v, &mut fb).unwrap();
+        encode(&crate::per::Asn1Per::new(), &schema, &v, &mut per).unwrap();
         assert!(
             fb.len() > per.len(),
             "fastbuf {} must exceed per {}",
@@ -1403,10 +1304,10 @@ mod tests {
             .field("a", FieldType::UInt { bits: 32 })
             .field("b", FieldType::UInt { bits: 8 })
             .build();
-        let v = Value::Struct(vec![Value::U64(0xCAFE_F00D), Value::U64(42)]);
+        let v = Tree::Struct(vec![Tree::U64(0xCAFE_F00D), Tree::U64(42)]);
         let codec = Fastbuf::standard();
         let mut buf = Vec::new();
-        codec.encode(&schema, &v, &mut buf).unwrap();
+        encode(&codec, &schema, &v, &mut buf).unwrap();
         let table = FbTable::root(&buf).unwrap();
         assert_eq!(table.scalar(0, 4).unwrap(), Some(0xCAFE_F00D));
         assert_eq!(table.scalar(1, 1).unwrap(), Some(42));

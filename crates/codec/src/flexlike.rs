@@ -1,13 +1,16 @@
 //! A FlexBuffers-like self-describing format (Fig. 18 comparator).
 //!
 //! FlexBuffers is FlatBuffers' schemaless sibling: every value carries its
-//! own type information, so no schema is needed to read a buffer, at the
-//! cost of per-value type dispatch and larger output. This implementation
-//! stores a type byte before each value with varint lengths — decoding is
-//! driven entirely by the buffer (the schema is only consulted afterwards
-//! for validation), which is why it trails the schema'd codecs in Fig. 18.
+//! own type information, at the cost of per-value type dispatch and larger
+//! output. This implementation stores a type byte before each value with
+//! varint lengths. The writer refuses a value outside its field's bounds, as
+//! a schema'd builder would; the reader checks every type byte against the
+//! field it is asked for — the dispatch that leaves it behind the schema'd
+//! codecs in Fig. 18.
 
-use crate::value::{Schema, Value};
+use crate::bits::{pack_bits, put_varint, read_varint, unpack_bits, unzigzag, zigzag};
+use crate::schema::{FieldType, Schema, StructSchema};
+use crate::sink::{fresh, FieldSink, FieldSource};
 use crate::WireFormat;
 use neutrino_common::{Error, Result};
 
@@ -41,92 +44,119 @@ fn err(detail: impl Into<String>) -> Error {
     Error::codec(NAME, detail.into())
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
+/// Refuses an integer outside `ty`'s range; `signed` says which carrier the
+/// value came in, as the type byte will.
+fn check_int(ty: &FieldType, v: i128, signed: bool) -> Result<()> {
+    let fits = match *ty {
+        FieldType::UInt { bits } if !signed => bits >= 64 || v < 1i128 << bits,
+        FieldType::Enum { variants } if !signed => v < i128::from(variants),
+        FieldType::Int if signed => true,
+        FieldType::Constrained { lo, hi } => (i128::from(lo)..=i128::from(hi)).contains(&v),
+        _ => return Err(err(format!("an integer in a field of type {ty:?}"))),
+    };
+    if fits {
+        Ok(())
+    } else {
+        Err(err(format!("{v} is outside {ty:?}")))
     }
 }
 
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Bool(false) => out.push(T_BOOL_FALSE),
-        Value::Bool(true) => out.push(T_BOOL_TRUE),
-        Value::U64(x) => {
-            out.push(T_U64);
-            put_varint(out, *x);
-        }
-        Value::I64(x) => {
-            out.push(T_I64);
-            put_varint(out, zigzag(*x));
-        }
-        Value::Bytes(bs) => {
-            out.push(T_BYTES);
-            put_varint(out, bs.len() as u64);
-            out.extend_from_slice(bs);
-        }
-        Value::Str(s) => {
-            out.push(T_STR);
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Bits(bits) => {
-            out.push(T_BITS);
-            put_varint(out, bits.len() as u64);
-            let mut packed = vec![0u8; bits.len().div_ceil(8)];
-            for (i, &b) in bits.iter().enumerate() {
-                if b {
-                    packed[i / 8] |= 0x80 >> (i % 8);
-                }
-            }
-            out.extend_from_slice(&packed);
-        }
-        Value::Struct(fields) => {
-            out.push(T_STRUCT);
-            put_varint(out, fields.len() as u64);
-            for f in fields {
-                encode_value(f, out);
-            }
-        }
-        Value::List(items) => {
-            out.push(T_LIST);
-            put_varint(out, items.len() as u64);
-            for it in items {
-                encode_value(it, out);
-            }
-        }
-        Value::Choice { index, value } => {
-            out.push(T_CHOICE);
-            put_varint(out, u64::from(*index));
-            encode_value(value, out);
-        }
-        Value::Optional(None) => out.push(T_NONE),
-        Value::Optional(Some(inner)) => {
-            out.push(T_SOME);
-            encode_value(inner, out);
-        }
+/// Refuses a string, octet string, bit string or list longer than `ty`
+/// allows.
+fn check_len(ty: &FieldType, len: usize) -> Result<()> {
+    let max = match *ty {
+        FieldType::Bytes { max } | FieldType::Utf8 { max } | FieldType::List { max, .. } => max,
+        FieldType::BitString { max_bits } => max_bits,
+        _ => return Err(err(format!("a length in a field of type {ty:?}"))),
+    };
+    match max {
+        Some(max) if len > max as usize => Err(err(format!("length {len} exceeds {max}"))),
+        _ => Ok(()),
     }
 }
 
-struct FlexReader<'a> {
+/// Writes each value where it stands, behind its type byte.
+struct Sink<'a>(&'a mut Vec<u8>);
+
+impl Sink<'_> {
+    fn counted(&mut self, tag: u8, n: usize) {
+        self.0.push(tag);
+        put_varint(self.0, n as u64);
+    }
+}
+
+impl FieldSink for Sink<'_> {
+    fn begin_struct(&mut self, schema: &StructSchema) -> Result<()> {
+        self.counted(T_STRUCT, schema.fields.len());
+        Ok(())
+    }
+    fn presence(&mut self, _: bool) -> Result<()> {
+        Ok(())
+    }
+    fn optional(&mut self, _: &FieldType, present: bool) -> Result<()> {
+        self.0.push(if present { T_SOME } else { T_NONE });
+        Ok(())
+    }
+    fn end_struct(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn bool(&mut self, v: bool) -> Result<()> {
+        self.0.push(if v { T_BOOL_TRUE } else { T_BOOL_FALSE });
+        Ok(())
+    }
+    fn uint(&mut self, ty: &FieldType, v: u64) -> Result<()> {
+        check_int(ty, i128::from(v), false)?;
+        self.0.push(T_U64);
+        put_varint(self.0, v);
+        Ok(())
+    }
+    fn int(&mut self, ty: &FieldType, v: i64) -> Result<()> {
+        check_int(ty, i128::from(v), true)?;
+        self.0.push(T_I64);
+        put_varint(self.0, zigzag(v));
+        Ok(())
+    }
+    fn bytes(&mut self, ty: &FieldType, v: &[u8]) -> Result<()> {
+        check_len(ty, v.len())?;
+        self.counted(T_BYTES, v.len());
+        self.0.extend_from_slice(v);
+        Ok(())
+    }
+    fn str(&mut self, ty: &FieldType, v: &str) -> Result<()> {
+        check_len(ty, v.len())?;
+        self.counted(T_STR, v.len());
+        self.0.extend_from_slice(v.as_bytes());
+        Ok(())
+    }
+    fn bits(&mut self, ty: &FieldType, v: &[bool]) -> Result<()> {
+        check_len(ty, v.len())?;
+        self.counted(T_BITS, v.len());
+        pack_bits(v, self.0);
+        Ok(())
+    }
+    fn begin_list(&mut self, ty: &FieldType, len: usize) -> Result<()> {
+        check_len(ty, len)?;
+        self.counted(T_LIST, len);
+        Ok(())
+    }
+    fn end_list(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn choice(&mut self, ty: &FieldType, index: u32) -> Result<()> {
+        ty.variant(index)?;
+        self.counted(T_CHOICE, index as usize);
+        Ok(())
+    }
+}
+
+/// Reads each value where it stands, refusing one whose type byte is not
+/// what the field asks for.
+struct Source<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> FlexReader<'a> {
+impl<'a> Source<'a> {
     fn byte(&mut self) -> Result<u8> {
         let b = *self
             .buf
@@ -137,93 +167,109 @@ impl<'a> FlexReader<'a> {
     }
 
     fn varint(&mut self) -> Result<u64> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.byte()?;
-            if shift >= 64 {
-                return Err(err("varint too long"));
-            }
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
+        read_varint(self.buf, &mut self.pos).map_err(err)
+    }
+
+    /// The count after the type byte `tag`, which must be the next byte.
+    fn counted(&mut self, tag: u8) -> Result<usize> {
+        match self.byte()? {
+            t if t == tag => Ok(self.varint()? as usize),
+            t => Err(err(format!("type byte {t:#x} where {tag:#x} is expected"))),
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    fn blob(&mut self, tag: u8) -> Result<&'a [u8]> {
+        let len = self.counted(tag)?;
         let end = self
             .pos
-            .checked_add(n)
+            .checked_add(len)
             .filter(|&e| e <= self.buf.len())
             .ok_or_else(|| err("truncated bytes"))?;
         let out = &self.buf[self.pos..end];
         self.pos = end;
         Ok(out)
     }
+}
 
-    /// Room to reserve for `count` values: the count is the sender's word,
-    /// so no more than the input left, two bytes per 32-byte `Value`.
-    fn reserve(&self, count: usize) -> usize {
-        count.min((self.buf.len() - self.pos) / 2)
-    }
-
-    fn decode_value(&mut self) -> Result<Value> {
-        match self.byte()? {
-            T_BOOL_FALSE => Ok(Value::Bool(false)),
-            T_BOOL_TRUE => Ok(Value::Bool(true)),
-            T_U64 => Ok(Value::U64(self.varint()?)),
-            T_I64 => Ok(Value::I64(unzigzag(self.varint()?))),
-            T_BYTES => {
-                let len = self.varint()? as usize;
-                Ok(Value::Bytes(self.take(len)?.to_vec()))
-            }
-            T_STR => {
-                let len = self.varint()? as usize;
-                let bytes = self.take(len)?;
-                Ok(Value::Str(
-                    std::str::from_utf8(bytes)
-                        .map_err(|_| err("invalid UTF-8"))?
-                        .to_owned(),
-                ))
-            }
-            T_BITS => {
-                let nbits = self.varint()? as usize;
-                let packed = self.take(nbits.div_ceil(8))?;
-                Ok(Value::Bits(
-                    (0..nbits)
-                        .map(|i| packed[i / 8] & (0x80 >> (i % 8)) != 0)
-                        .collect(),
-                ))
-            }
-            T_STRUCT => {
-                let n = self.varint()? as usize;
-                let mut fields = Vec::with_capacity(self.reserve(n));
-                for _ in 0..n {
-                    fields.push(self.decode_value()?);
-                }
-                Ok(Value::Struct(fields))
-            }
-            T_LIST => {
-                let n = self.varint()? as usize;
-                let mut items = Vec::with_capacity(self.reserve(n));
-                for _ in 0..n {
-                    items.push(self.decode_value()?);
-                }
-                Ok(Value::List(items))
-            }
-            T_CHOICE => {
-                let index = self.varint()? as u32;
-                Ok(Value::Choice {
-                    index,
-                    value: Box::new(self.decode_value()?),
-                })
-            }
-            T_NONE => Ok(Value::Optional(None)),
-            T_SOME => Ok(Value::Optional(Some(Box::new(self.decode_value()?)))),
-            other => Err(err(format!("unknown type tag {other:#x}"))),
+impl FieldSource for Source<'_> {
+    fn begin_struct(&mut self, schema: &StructSchema) -> Result<()> {
+        let n = self.counted(T_STRUCT)?;
+        if n != schema.fields.len() {
+            return Err(err(format!(
+                "{n} fields where {} has {}",
+                schema.name,
+                schema.fields.len()
+            )));
         }
+        Ok(())
+    }
+    fn presence(&mut self) -> Result<bool> {
+        Ok(true)
+    }
+    fn optional(&mut self, _: &FieldType, _: bool) -> Result<bool> {
+        match self.byte()? {
+            T_NONE => Ok(false),
+            T_SOME => Ok(true),
+            t => Err(err(format!(
+                "type byte {t:#x} where an optional is expected"
+            ))),
+        }
+    }
+    fn end_struct(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn bool(&mut self) -> Result<bool> {
+        match self.byte()? {
+            T_BOOL_FALSE => Ok(false),
+            T_BOOL_TRUE => Ok(true),
+            t => Err(err(format!("type byte {t:#x} where a bool is expected"))),
+        }
+    }
+    fn uint(&mut self, _: &FieldType) -> Result<u64> {
+        match self.byte()? {
+            T_U64 => self.varint(),
+            t => Err(err(format!(
+                "type byte {t:#x} where an unsigned integer is expected"
+            ))),
+        }
+    }
+    fn int(&mut self, _: &FieldType) -> Result<i64> {
+        match self.byte()? {
+            T_I64 => Ok(unzigzag(self.varint()?)),
+            T_U64 => i64::try_from(self.varint()?).map_err(|_| err("integer out of range")),
+            t => Err(err(format!(
+                "type byte {t:#x} where an integer is expected"
+            ))),
+        }
+    }
+    fn bytes(&mut self, _: &FieldType) -> Result<&[u8]> {
+        self.blob(T_BYTES)
+    }
+    fn str(&mut self, _: &FieldType) -> Result<&str> {
+        std::str::from_utf8(self.blob(T_STR)?).map_err(|_| err("invalid UTF-8"))
+    }
+    fn bits(&mut self, _: &FieldType) -> Result<Vec<bool>> {
+        let nbits = self.counted(T_BITS)?;
+        let packed = self
+            .buf
+            .get(self.pos..)
+            .filter(|rest| rest.len() >= nbits.div_ceil(8))
+            .ok_or_else(|| err("truncated bytes"))?;
+        self.pos += nbits.div_ceil(8);
+        Ok(unpack_bits(nbits, packed))
+    }
+    fn begin_list(&mut self, _: &FieldType) -> Result<usize> {
+        self.counted(T_LIST)
+    }
+    fn end_list(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn choice(&mut self, ty: &FieldType) -> Result<u32> {
+        let index = self.counted(T_CHOICE)?;
+        u32::try_from(index)
+            .ok()
+            .filter(|&index| ty.variant(index).is_ok())
+            .ok_or_else(|| err(format!("choice index {index} out of range")))
     }
 }
 
@@ -232,30 +278,34 @@ impl WireFormat for FlexLike {
         NAME
     }
 
-    fn encode(&self, schema: &Schema, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-        // Self-describing: validate against the schema, then ignore it.
-        schema
-            .validate(value)
-            .map_err(|e| err(format!("schema validation failed: {e}")))?;
-        out.clear();
-        encode_value(value, out);
-        Ok(())
+    fn encode_with(
+        &self,
+        _: &Schema,
+        out: &mut Vec<u8>,
+        put: &mut dyn FnMut(&mut dyn FieldSink) -> Result<()>,
+    ) -> Result<()> {
+        fresh(out, |out| put(&mut Sink(out)))
     }
 
-    fn decode(&self, _schema: &Schema, bytes: &[u8]) -> Result<Value> {
-        let mut r = FlexReader { buf: bytes, pos: 0 };
-        let v = r.decode_value()?;
-        if r.pos != bytes.len() {
-            return Err(err(format!("{} trailing bytes", bytes.len() - r.pos)));
+    fn decode_with(
+        &self,
+        _: &Schema,
+        bytes: &[u8],
+        take: &mut dyn FnMut(&mut dyn FieldSource) -> Result<()>,
+    ) -> Result<()> {
+        let mut src = Source { buf: bytes, pos: 0 };
+        take(&mut src)?;
+        match bytes.len() - src.pos {
+            0 => Ok(()),
+            trailing => Err(err(format!("{trailing} trailing bytes"))),
         }
-        Ok(v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{FieldType, StructSchema};
+    use crate::tree::{decode, encode, some, Tree};
 
     fn schema() -> Schema {
         StructSchema::builder("S")
@@ -278,22 +328,30 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_without_schema_knowledge() {
+    fn round_trips_and_checks_every_type_tag() {
         let schema = schema();
-        let v = Value::Struct(vec![
-            Value::Bool(true),
-            Value::U64(123456789),
-            Value::I64(-777),
-            Value::Str("schemaless".into()),
-            Value::some(Value::U64(3)),
-            Value::List(vec![Value::U64(1), Value::U64(2)]),
+        let v = Tree::Struct(vec![
+            Tree::Bool(true),
+            Tree::U64(123456789),
+            Tree::I64(-777),
+            Tree::Str("self-describing".into()),
+            some(Tree::U64(3)),
+            Tree::List(vec![Tree::U64(1), Tree::U64(2)]),
         ]);
-        let codec = FlexLike::new();
         let mut buf = Vec::new();
-        codec.encode(&schema, &v, &mut buf).unwrap();
-        // Decoding needs no schema: pass an empty one.
-        let empty = StructSchema::builder("ignored").build();
-        assert_eq!(codec.decode(&empty, &buf).unwrap(), v);
+        encode(&FlexLike, &schema, &v, &mut buf).unwrap();
+        assert_eq!(decode(&FlexLike, &schema, &buf).unwrap(), v);
+        // The image names its own types: read as another arity or with a
+        // string where the bool is, it is refused.
+        let empty = StructSchema::builder("S").build();
+        assert!(decode(&FlexLike, &empty, &buf).is_err());
+        let mut fields = schema.fields.clone();
+        fields[0].ty = FieldType::Utf8 { max: None };
+        let retyped = StructSchema {
+            name: "S".into(),
+            fields,
+        };
+        assert!(decode(&FlexLike, &retyped, &buf).is_err());
     }
 
     #[test]
@@ -303,9 +361,19 @@ mod tests {
             .build();
         let codec = FlexLike::new();
         let mut buf = Vec::new();
-        assert!(codec
-            .encode(&schema, &Value::Struct(vec![Value::U64(300)]), &mut buf)
-            .is_err());
+        assert!(encode(
+            &codec,
+            &schema,
+            &Tree::Struct(vec![Tree::U64(300)]),
+            &mut buf
+        )
+        .is_err());
+        assert!(buf.is_empty(), "a refused message leaves no image");
+        let bounded = StructSchema::builder("S")
+            .field("s", FieldType::Utf8 { max: Some(4) })
+            .build();
+        let long = Tree::Struct(vec![Tree::Str("too long".into())]);
+        assert!(encode(&codec, &bounded, &long, &mut buf).is_err());
     }
 
     #[test]
@@ -315,14 +383,12 @@ mod tests {
             .field("b", FieldType::UInt { bits: 32 })
             .field("c", FieldType::UInt { bits: 32 })
             .build();
-        let v = Value::Struct(vec![Value::U64(1), Value::U64(2), Value::U64(3)]);
+        let v = Tree::Struct(vec![Tree::U64(1), Tree::U64(2), Tree::U64(3)]);
         let codec = FlexLike::new();
         let mut flex = Vec::new();
-        codec.encode(&schema, &v, &mut flex).unwrap();
+        encode(&codec, &schema, &v, &mut flex).unwrap();
         let mut proto = Vec::new();
-        crate::protolike::ProtoLike::new()
-            .encode(&schema, &v, &mut proto)
-            .unwrap();
+        encode(&crate::protolike::ProtoLike::new(), &schema, &v, &mut proto).unwrap();
         assert!(flex.len() > proto.len());
     }
 
@@ -333,11 +399,15 @@ mod tests {
             .build();
         let codec = FlexLike::new();
         let mut buf = Vec::new();
-        codec
-            .encode(&schema, &Value::Struct(vec![Value::Bool(true)]), &mut buf)
-            .unwrap();
+        encode(
+            &codec,
+            &schema,
+            &Tree::Struct(vec![Tree::Bool(true)]),
+            &mut buf,
+        )
+        .unwrap();
         buf.push(0x00);
-        assert!(codec.decode(&schema, &buf).is_err());
+        assert!(decode(&codec, &schema, &buf).is_err());
     }
 
     #[test]
@@ -347,15 +417,15 @@ mod tests {
             .build();
         let codec = FlexLike::new();
         let mut buf = Vec::new();
-        codec
-            .encode(
-                &schema,
-                &Value::Struct(vec![Value::Str("0123456789".into())]),
-                &mut buf,
-            )
-            .unwrap();
+        encode(
+            &codec,
+            &schema,
+            &Tree::Struct(vec![Tree::Str("0123456789".into())]),
+            &mut buf,
+        )
+        .unwrap();
         for cut in 0..buf.len() {
-            assert!(codec.decode(&schema, &buf[..cut]).is_err());
+            assert!(decode(&codec, &schema, &buf[..cut]).is_err());
         }
     }
 }

@@ -9,7 +9,9 @@
 //! integer types, so constrained fields are carried at full 8-byte width
 //! (one reason its messages are bigger than PER's).
 
-use crate::value::{FieldType, Schema, StructSchema, Value};
+use crate::bits::{pack_bits, unpack_bits};
+use crate::schema::{FieldType, Schema, StructSchema};
+use crate::sink::{fresh, FieldSink, FieldSource};
 use crate::WireFormat;
 use neutrino_common::{Error, Result};
 
@@ -28,6 +30,10 @@ impl LcmLike {
 
 fn err(detail: impl Into<String>) -> Error {
     Error::codec(NAME, detail.into())
+}
+
+fn no_unions() -> Error {
+    err("LCM cannot express unions")
 }
 
 /// FNV-1a over a canonical rendering of the schema — stands in for LCM's
@@ -84,92 +90,90 @@ pub fn fingerprint(schema: &StructSchema) -> u64 {
     h
 }
 
-fn encode_field(ty: &FieldType, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-    match (ty, value) {
-        (FieldType::Bool, Value::Bool(b)) => {
-            out.push(u8::from(*b));
-            Ok(())
-        }
-        (FieldType::UInt { bits }, Value::U64(x)) => {
-            let w = usize::from(*bits) / 8;
-            out.extend_from_slice(&x.to_be_bytes()[8 - w..]);
-            Ok(())
-        }
-        (FieldType::Int, Value::I64(x)) => {
-            out.extend_from_slice(&x.to_be_bytes());
-            Ok(())
-        }
-        (FieldType::Constrained { .. }, v) => {
-            let x = crate::value::integer_carrier(v)
-                .ok_or_else(|| err("constrained field is not an integer"))?;
-            // LCM has no range types: full-width int64.
-            out.extend_from_slice(&x.to_be_bytes());
-            Ok(())
-        }
-        (FieldType::Enum { .. }, Value::U64(x)) => {
-            out.extend_from_slice(&(*x as u32).to_be_bytes());
-            Ok(())
-        }
-        (FieldType::Bytes { .. }, Value::Bytes(bs)) => {
-            out.extend_from_slice(&(bs.len() as u32).to_be_bytes());
-            out.extend_from_slice(bs);
-            Ok(())
-        }
-        (FieldType::Utf8 { .. }, Value::Str(s)) => {
-            out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-            out.extend_from_slice(s.as_bytes());
-            Ok(())
-        }
-        (FieldType::BitString { .. }, Value::Bits(bits)) => {
-            out.extend_from_slice(&(bits.len() as u32).to_be_bytes());
-            let mut packed = vec![0u8; bits.len().div_ceil(8)];
-            for (i, &b) in bits.iter().enumerate() {
-                if b {
-                    packed[i / 8] |= 0x80 >> (i % 8);
-                }
-            }
-            out.extend_from_slice(&packed);
-            Ok(())
-        }
-        (FieldType::Struct(schema), v) => encode_struct_body(schema, v, out),
-        (FieldType::List { elem, .. }, Value::List(items)) => {
-            out.extend_from_slice(&(items.len() as u32).to_be_bytes());
-            for item in items {
-                encode_field(elem, item, out)?;
-            }
-            Ok(())
-        }
-        (FieldType::Choice(_), _) => Err(err("LCM cannot express unions")),
-        (FieldType::Optional(inner), Value::Optional(opt)) => {
-            out.push(u8::from(opt.is_some()));
-            if let Some(v) = opt {
-                encode_field(inner, v, out)?;
-            }
-            Ok(())
-        }
-        (ty, v) => Err(err(format!("type mismatch: {ty:?} vs {v:?}"))),
+/// Big-endian width of an integer field: its natural width, LCM's `int32`
+/// for an enumeration, and a full `int64` for anything ranged.
+fn width(ty: &FieldType) -> Result<usize> {
+    match ty {
+        FieldType::UInt { bits } => Ok(usize::from(*bits) / 8),
+        FieldType::Int | FieldType::Constrained { .. } => Ok(8),
+        FieldType::Enum { .. } => Ok(4),
+        ty => Err(err(format!("an integer in a field of type {ty:?}"))),
     }
 }
 
-fn encode_struct_body(schema: &StructSchema, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-    let fields = value
-        .as_struct()
-        .ok_or_else(|| err(format!("expected struct for {}", schema.name)))?;
-    if fields.len() != schema.fields.len() {
-        return Err(err(format!("struct {} arity mismatch", schema.name)));
+/// LCM writes each value where it stands, the fingerprint first: nothing is
+/// open, nothing to close.
+struct Sink<'a>(&'a mut Vec<u8>);
+
+impl Sink<'_> {
+    fn put_u32(&mut self, n: usize) {
+        self.0.extend_from_slice(&(n as u32).to_be_bytes());
     }
-    for (def, val) in schema.fields.iter().zip(fields) {
-        encode_field(&def.ty, val, out)?;
-    }
-    Ok(())
 }
 
-struct LcmReader<'a> {
+impl FieldSink for Sink<'_> {
+    fn begin_struct(&mut self, schema: &StructSchema) -> Result<()> {
+        // Every nested struct follows the root's fingerprint.
+        if self.0.is_empty() {
+            self.0.extend_from_slice(&fingerprint(schema).to_be_bytes());
+        }
+        Ok(())
+    }
+    fn presence(&mut self, _: bool) -> Result<()> {
+        Ok(())
+    }
+    fn optional(&mut self, _: &FieldType, present: bool) -> Result<()> {
+        self.0.push(u8::from(present));
+        Ok(())
+    }
+    fn end_struct(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn bool(&mut self, v: bool) -> Result<()> {
+        self.0.push(u8::from(v));
+        Ok(())
+    }
+    fn uint(&mut self, ty: &FieldType, v: u64) -> Result<()> {
+        let w = width(ty)?;
+        self.0.extend_from_slice(&v.to_be_bytes()[8 - w..]);
+        Ok(())
+    }
+    fn int(&mut self, ty: &FieldType, v: i64) -> Result<()> {
+        self.uint(ty, v as u64)
+    }
+    fn bytes(&mut self, _: &FieldType, v: &[u8]) -> Result<()> {
+        self.put_u32(v.len());
+        self.0.extend_from_slice(v);
+        Ok(())
+    }
+    fn str(&mut self, ty: &FieldType, v: &str) -> Result<()> {
+        self.bytes(ty, v.as_bytes())
+    }
+    fn bits(&mut self, _: &FieldType, v: &[bool]) -> Result<()> {
+        self.put_u32(v.len());
+        pack_bits(v, self.0);
+        Ok(())
+    }
+    fn begin_list(&mut self, _: &FieldType, len: usize) -> Result<()> {
+        self.put_u32(len);
+        Ok(())
+    }
+    fn end_list(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn choice(&mut self, _: &FieldType, _: u32) -> Result<()> {
+        Err(no_unions())
+    }
+}
+
+/// The reader mirrors the writer value for value, checking the root's
+/// fingerprint against the schema it is asked to read.
+struct Source<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> LcmReader<'a> {
+impl<'a> Source<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .pos
@@ -181,86 +185,63 @@ impl<'a> LcmReader<'a> {
         Ok(out)
     }
 
-    fn get_u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+    /// The next `n` ≤ 8 bytes as a big-endian integer.
+    fn big_endian(&mut self, n: usize) -> Result<u64> {
+        Ok(self
+            .take(n)?
+            .iter()
+            .fold(0, |v, &b| (v << 8) | u64::from(b)))
     }
 
-    fn decode(&mut self, ty: &FieldType) -> Result<Value> {
-        match ty {
-            FieldType::Bool => Ok(Value::Bool(self.take(1)?[0] != 0)),
-            FieldType::UInt { bits } => {
-                let w = usize::from(*bits) / 8;
-                let b = self.take(w)?;
-                let mut be = [0u8; 8];
-                be[8 - w..].copy_from_slice(b);
-                Ok(Value::U64(u64::from_be_bytes(be)))
-            }
-            FieldType::Int => {
-                let b = self.take(8)?;
-                Ok(Value::I64(i64::from_be_bytes(b.try_into().expect("8"))))
-            }
-            FieldType::Constrained { lo, .. } => {
-                let b = self.take(8)?;
-                let x = i64::from_be_bytes(b.try_into().expect("8"));
-                if *lo >= 0 {
-                    Ok(Value::U64(x as u64))
-                } else {
-                    Ok(Value::I64(x))
-                }
-            }
-            FieldType::Enum { .. } => Ok(Value::U64(u64::from(self.get_u32()?))),
-            FieldType::Bytes { .. } => {
-                let len = self.get_u32()? as usize;
-                Ok(Value::Bytes(self.take(len)?.to_vec()))
-            }
-            FieldType::Utf8 { .. } => {
-                let len = self.get_u32()? as usize;
-                let bytes = self.take(len)?;
-                Ok(Value::Str(
-                    std::str::from_utf8(bytes)
-                        .map_err(|_| err("invalid UTF-8"))?
-                        .to_owned(),
-                ))
-            }
-            FieldType::BitString { .. } => {
-                let nbits = self.get_u32()? as usize;
-                let packed = self.take(nbits.div_ceil(8))?;
-                Ok(Value::Bits(
-                    (0..nbits)
-                        .map(|i| packed[i / 8] & (0x80 >> (i % 8)) != 0)
-                        .collect(),
-                ))
-            }
-            FieldType::Struct(schema) => self.decode_struct_body(schema),
-            FieldType::List { elem, .. } => {
-                let count = self.get_u32()? as usize;
-                // The count is the sender's word: reserve from the input
-                // left, two bytes per 32-byte `Value` at most.
-                let mut items = Vec::with_capacity(count.min((self.buf.len() - self.pos) / 2));
-                for _ in 0..count {
-                    items.push(self.decode(elem)?);
-                }
-                Ok(Value::List(items))
-            }
-            FieldType::Choice(_) => Err(err("LCM cannot express unions")),
-            FieldType::Optional(inner) => {
-                let present = self.take(1)?[0] != 0;
-                if present {
-                    Ok(Value::Optional(Some(Box::new(self.decode(inner)?))))
-                } else {
-                    Ok(Value::Optional(None))
-                }
-            }
-        }
+    fn count(&mut self) -> Result<usize> {
+        Ok(self.big_endian(4)? as usize)
     }
+}
 
-    fn decode_struct_body(&mut self, schema: &StructSchema) -> Result<Value> {
-        let mut fields = Vec::with_capacity(schema.fields.len());
-        for def in &schema.fields {
-            fields.push(self.decode(&def.ty)?);
+impl FieldSource for Source<'_> {
+    fn begin_struct(&mut self, schema: &StructSchema) -> Result<()> {
+        if self.pos == 0 && self.big_endian(8)? != fingerprint(schema) {
+            return Err(err("fingerprint mismatch"));
         }
-        Ok(Value::Struct(fields))
+        Ok(())
+    }
+    fn presence(&mut self) -> Result<bool> {
+        Ok(true)
+    }
+    fn optional(&mut self, _: &FieldType, _: bool) -> Result<bool> {
+        Ok(self.take(1)?[0] != 0)
+    }
+    fn end_struct(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn bool(&mut self) -> Result<bool> {
+        Ok(self.take(1)?[0] != 0)
+    }
+    fn uint(&mut self, ty: &FieldType) -> Result<u64> {
+        self.big_endian(width(ty)?)
+    }
+    fn int(&mut self, ty: &FieldType) -> Result<i64> {
+        Ok(self.uint(ty)? as i64)
+    }
+    fn bytes(&mut self, _: &FieldType) -> Result<&[u8]> {
+        let len = self.count()?;
+        self.take(len)
+    }
+    fn str(&mut self, ty: &FieldType) -> Result<&str> {
+        std::str::from_utf8(self.bytes(ty)?).map_err(|_| err("invalid UTF-8"))
+    }
+    fn bits(&mut self, _: &FieldType) -> Result<Vec<bool>> {
+        let nbits = self.count()?;
+        Ok(unpack_bits(nbits, self.take(nbits.div_ceil(8))?))
+    }
+    fn begin_list(&mut self, _: &FieldType) -> Result<usize> {
+        self.count()
+    }
+    fn end_list(&mut self) -> Result<()> {
+        Ok(())
+    }
+    fn choice(&mut self, _: &FieldType) -> Result<u32> {
+        Err(no_unions())
     }
 }
 
@@ -269,19 +250,22 @@ impl WireFormat for LcmLike {
         NAME
     }
 
-    fn encode(&self, schema: &Schema, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-        out.clear();
-        out.extend_from_slice(&fingerprint(schema).to_be_bytes());
-        encode_struct_body(schema, value, out)
+    fn encode_with(
+        &self,
+        _: &Schema,
+        out: &mut Vec<u8>,
+        put: &mut dyn FnMut(&mut dyn FieldSink) -> Result<()>,
+    ) -> Result<()> {
+        fresh(out, |out| put(&mut Sink(out)))
     }
 
-    fn decode(&self, schema: &Schema, bytes: &[u8]) -> Result<Value> {
-        let mut r = LcmReader { buf: bytes, pos: 0 };
-        let fp = r.take(8)?;
-        if fp != fingerprint(schema).to_be_bytes() {
-            return Err(err("fingerprint mismatch"));
-        }
-        r.decode_struct_body(schema)
+    fn decode_with(
+        &self,
+        _: &Schema,
+        bytes: &[u8],
+        take: &mut dyn FnMut(&mut dyn FieldSource) -> Result<()>,
+    ) -> Result<()> {
+        take(&mut Source { buf: bytes, pos: 0 })
     }
 
     fn supports(&self, schema: &Schema) -> bool {
@@ -292,7 +276,8 @@ impl WireFormat for LcmLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Variant;
+    use crate::schema::Variant;
+    use crate::tree::{choice, decode, encode, Tree};
 
     #[test]
     fn round_trips_flat_message() {
@@ -301,15 +286,15 @@ mod tests {
             .field("x", FieldType::Int)
             .field("name", FieldType::Utf8 { max: None })
             .build();
-        let v = Value::Struct(vec![
-            Value::U64(1234567),
-            Value::I64(-42),
-            Value::Str("sensor".into()),
+        let v = Tree::Struct(vec![
+            Tree::U64(1234567),
+            Tree::I64(-42),
+            Tree::Str("sensor".into()),
         ]);
         let codec = LcmLike::new();
         let mut buf = Vec::new();
-        codec.encode(&schema, &v, &mut buf).unwrap();
-        assert_eq!(codec.decode(&schema, &buf).unwrap(), v);
+        encode(&codec, &schema, &v, &mut buf).unwrap();
+        assert_eq!(decode(&codec, &schema, &buf).unwrap(), v);
     }
 
     #[test]
@@ -322,11 +307,9 @@ mod tests {
             .build();
         let codec = LcmLike::new();
         let mut buf = Vec::new();
-        codec
-            .encode(&s1, &Value::Struct(vec![Value::U64(1)]), &mut buf)
-            .unwrap();
-        assert!(codec.decode(&s2, &buf).is_err());
-        assert!(codec.decode(&s1, &buf).is_ok());
+        encode(&codec, &s1, &Tree::Struct(vec![Tree::U64(1)]), &mut buf).unwrap();
+        assert!(decode(&codec, &s2, &buf).is_err());
+        assert!(decode(&codec, &s1, &buf).is_ok());
     }
 
     #[test]
@@ -343,13 +326,13 @@ mod tests {
         let codec = LcmLike::new();
         assert!(!codec.supports(&schema));
         let mut buf = Vec::new();
-        assert!(codec
-            .encode(
-                &schema,
-                &Value::Struct(vec![Value::choice(0, Value::Bool(true))]),
-                &mut buf
-            )
-            .is_err());
+        assert!(encode(
+            &codec,
+            &schema,
+            &Tree::Struct(vec![choice(0, Tree::Bool(true))]),
+            &mut buf
+        )
+        .is_err());
     }
 
     #[test]
@@ -358,17 +341,15 @@ mod tests {
         let schema = StructSchema::builder("C")
             .field("x", FieldType::Constrained { lo: 0, hi: 15 })
             .build();
-        let v = Value::Struct(vec![Value::U64(9)]);
+        let v = Tree::Struct(vec![Tree::U64(9)]);
         let codec = LcmLike::new();
         let mut lcm = Vec::new();
-        codec.encode(&schema, &v, &mut lcm).unwrap();
+        encode(&codec, &schema, &v, &mut lcm).unwrap();
         let mut per = Vec::new();
-        crate::per::Asn1Per::new()
-            .encode(&schema, &v, &mut per)
-            .unwrap();
+        encode(&crate::per::Asn1Per::new(), &schema, &v, &mut per).unwrap();
         assert_eq!(lcm.len(), 8 + 8);
         assert_eq!(per.len(), 1);
-        assert_eq!(codec.decode(&schema, &lcm).unwrap(), v);
+        assert_eq!(decode(&codec, &schema, &lcm).unwrap(), v);
     }
 
     #[test]
@@ -378,11 +359,9 @@ mod tests {
             .build();
         let codec = LcmLike::new();
         let mut buf = Vec::new();
-        codec
-            .encode(&schema, &Value::Struct(vec![Value::U64(5)]), &mut buf)
-            .unwrap();
+        encode(&codec, &schema, &Tree::Struct(vec![Tree::U64(5)]), &mut buf).unwrap();
         for cut in 0..buf.len() {
-            assert!(codec.decode(&schema, &buf[..cut]).is_err());
+            assert!(decode(&codec, &schema, &buf[..cut]).is_err());
         }
     }
 }

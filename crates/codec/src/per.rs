@@ -9,9 +9,11 @@
 //!   bit per OPTIONAL field;
 //! * **sequential traversal** — no field can be located without decoding
 //!   every preceding bit;
-//! * **decode-time allocation** — decoding materializes an owned tree,
-//!   allocating for every struct, string, and list (as asn1c-generated code
-//!   allocates per information element);
+//! * **decode-time copying** — decoding fills the owned message field by
+//!   field: strings, octet strings, bit strings and lists are copied out of
+//!   the image, though a nested struct costs no allocation of its own
+//!   (asn1c-generated code allocates per information element; the
+//!   simulator's `ASN1C_RUNTIME_FACTOR` models that gap);
 //! * **length determinants** — unbounded strings/lists carry the standard
 //!   1-or-2-octet aligned determinant; bounded ones use a constrained count.
 //!
@@ -19,8 +21,8 @@
 //! is why Fig. 20 shows ASN.1 as the size floor.
 
 use crate::bits::{bits_for_range, BitReader, BitWriter};
-use crate::sink::{FieldSink, FieldSource};
-use crate::value::{put_value, take_value, FieldType, Schema, StructSchema, Value};
+use crate::schema::{FieldType, Schema, StructSchema};
+use crate::sink::{fresh, FieldSink, FieldSource};
 use crate::WireFormat;
 use neutrino_common::{Error, Result};
 
@@ -42,21 +44,13 @@ impl WireFormat for Asn1Per {
         NAME
     }
 
-    fn encode(&self, schema: &Schema, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-        write(out, |sink| put_value(schema, value, sink))
-    }
-
-    fn decode(&self, schema: &Schema, bytes: &[u8]) -> Result<Value> {
-        take_value(schema, &mut Source(BitReader::new(bytes)))
-    }
-
     fn encode_with(
         &self,
         _: &Schema,
         out: &mut Vec<u8>,
         put: &mut dyn FnMut(&mut dyn FieldSink) -> Result<()>,
     ) -> Result<()> {
-        write(out, |sink| put(sink))
+        fresh(out, |out| put(&mut Sink(BitWriter::new(out))))
     }
 
     fn decode_with(
@@ -67,17 +61,6 @@ impl WireFormat for Asn1Per {
     ) -> Result<()> {
         take(&mut Source(BitReader::new(bytes)))
     }
-}
-
-/// Runs `put` over a sink appending to the emptied `out`, which stays empty
-/// if `put` fails.
-fn write(out: &mut Vec<u8>, put: impl FnOnce(&mut Sink<'_>) -> Result<()>) -> Result<()> {
-    out.clear();
-    let written = put(&mut Sink(BitWriter::new(out)));
-    if written.is_err() {
-        out.clear();
-    }
-    written
 }
 
 fn err(detail: impl Into<String>) -> Error {
@@ -448,14 +431,15 @@ fn sign_extension_octets(be: &[u8; 8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{StructSchema, Variant};
+    use crate::schema::Variant;
+    use crate::tree::{choice, decode, encode, none, some, Tree};
     use std::sync::Arc;
 
-    fn round_trip(schema: &Schema, value: &Value) -> Vec<u8> {
+    fn round_trip(schema: &Schema, value: &Tree) -> Vec<u8> {
         let codec = Asn1Per::new();
         let mut buf = Vec::new();
-        codec.encode(schema, value, &mut buf).unwrap();
-        let back = codec.decode(schema, &buf).unwrap();
+        encode(&codec, schema, value, &mut buf).unwrap();
+        let back = decode(&codec, schema, &buf).unwrap();
         assert_eq!(&back, value, "round trip mismatch");
         buf
     }
@@ -467,11 +451,7 @@ mod tests {
             .field("b", FieldType::Bool)
             .field("c", FieldType::Bool)
             .build();
-        let v = Value::Struct(vec![
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::Bool(true),
-        ]);
+        let v = Tree::Struct(vec![Tree::Bool(true), Tree::Bool(false), Tree::Bool(true)]);
         let buf = round_trip(&schema, &v);
         assert_eq!(buf.len(), 1, "three bools must fit one octet");
     }
@@ -485,11 +465,11 @@ mod tests {
             .field("f1", FieldType::Bool)
             .field("f2", FieldType::Bool)
             .build();
-        let v = Value::Struct(vec![
-            Value::U64(5),
-            Value::U64(2),
-            Value::Bool(true),
-            Value::Bool(false),
+        let v = Tree::Struct(vec![
+            Tree::U64(5),
+            Tree::U64(2),
+            Tree::Bool(true),
+            Tree::Bool(false),
         ]);
         let buf = round_trip(&schema, &v);
         assert_eq!(buf.len(), 1);
@@ -501,18 +481,7 @@ mod tests {
             .field("t", FieldType::Constrained { lo: -100, hi: 100 })
             .build();
         for x in [-100i64, -1, 0, 57, 100] {
-            let v = Value::Struct(vec![if x >= 0 {
-                Value::U64(x as u64)
-            } else {
-                Value::I64(x)
-            }]);
-            let codec = Asn1Per::new();
-            let mut buf = Vec::new();
-            codec.encode(&schema, &v, &mut buf).unwrap();
-            let back = codec.decode(&schema, &buf).unwrap();
-            let got = back.as_struct().unwrap()[0].clone();
-            let got_i = crate::value::integer_carrier(&got).unwrap();
-            assert_eq!(got_i, x);
+            round_trip(&schema, &Tree::Struct(vec![Tree::I64(x)]));
         }
     }
 
@@ -528,7 +497,7 @@ mod tests {
                 },
             )
             .build();
-        let v = Value::Struct(vec![Value::Bool(true), Value::U64(0xDEAD_BEEF)]);
+        let v = Tree::Struct(vec![Tree::Bool(true), Tree::U64(0xDEAD_BEEF)]);
         let buf = round_trip(&schema, &v);
         // 1 bit flag, align (7 bits pad), 4 octets TEID.
         assert_eq!(buf.len(), 5);
@@ -548,12 +517,12 @@ mod tests {
             (i64::MAX, 8),
             (i64::MIN, 8),
         ] {
-            let v = Value::Struct(vec![Value::I64(x)]);
+            let v = Tree::Struct(vec![Tree::I64(x)]);
             let codec = Asn1Per::new();
             let mut buf = Vec::new();
-            codec.encode(&schema, &v, &mut buf).unwrap();
+            encode(&codec, &schema, &v, &mut buf).unwrap();
             assert_eq!(buf.len(), 1 + expect_len, "for {x}");
-            assert_eq!(codec.decode(&schema, &buf).unwrap(), v);
+            assert_eq!(decode(&codec, &schema, &buf).unwrap(), v);
         }
     }
 
@@ -569,10 +538,10 @@ mod tests {
                 FieldType::Optional(Box::new(FieldType::UInt { bits: 8 })),
             )
             .build();
-        let both_absent = Value::Struct(vec![Value::none(), Value::none()]);
+        let both_absent = Tree::Struct(vec![none(), none()]);
         let buf = round_trip(&schema, &both_absent);
         assert_eq!(buf.len(), 1, "two preamble bits only");
-        let one_present = Value::Struct(vec![Value::some(Value::U64(200)), Value::none()]);
+        let one_present = Tree::Struct(vec![some(Tree::U64(200)), none()]);
         round_trip(&schema, &one_present);
     }
 
@@ -582,9 +551,9 @@ mod tests {
             .field("name", FieldType::Utf8 { max: Some(64) })
             .field("blob", FieldType::Bytes { max: None })
             .build();
-        let v = Value::Struct(vec![
-            Value::Str("tracking-area-42".into()),
-            Value::Bytes((0..200).map(|i| i as u8).collect()),
+        let v = Tree::Struct(vec![
+            Tree::Str("tracking-area-42".into()),
+            Tree::Bytes((0..200).map(|i| i as u8).collect()),
         ]);
         round_trip(&schema, &v);
     }
@@ -594,7 +563,7 @@ mod tests {
         let schema = StructSchema::builder("B")
             .field("blob", FieldType::Bytes { max: None })
             .build();
-        let v = Value::Struct(vec![Value::Bytes(vec![7u8; 1000])]);
+        let v = Tree::Struct(vec![Tree::Bytes(vec![7u8; 1000])]);
         let buf = round_trip(&schema, &v);
         assert_eq!(buf.len(), 2 + 1000);
     }
@@ -604,10 +573,10 @@ mod tests {
         let schema = StructSchema::builder("B")
             .field("blob", FieldType::Bytes { max: Some(4) })
             .build();
-        let v = Value::Struct(vec![Value::Bytes(vec![0u8; 5])]);
+        let v = Tree::Struct(vec![Tree::Bytes(vec![0u8; 5])]);
         let codec = Asn1Per::new();
         let mut buf = Vec::new();
-        assert!(codec.encode(&schema, &v, &mut buf).is_err());
+        assert!(encode(&codec, &schema, &v, &mut buf).is_err());
     }
 
     #[test]
@@ -616,7 +585,7 @@ mod tests {
             .field("mask", FieldType::BitString { max_bits: Some(40) })
             .build();
         let bits: Vec<bool> = (0..27).map(|i| i % 3 == 0).collect();
-        let v = Value::Struct(vec![Value::Bits(bits)]);
+        let v = Tree::Struct(vec![Tree::Bits(bits)]);
         round_trip(&schema, &v);
     }
 
@@ -637,9 +606,9 @@ mod tests {
                 },
             )
             .build();
-        let v = Value::Struct(vec![Value::List(vec![
-            Value::Struct(vec![Value::U64(5), Value::U64(9)]),
-            Value::Struct(vec![Value::U64(6), Value::U64(1)]),
+        let v = Tree::Struct(vec![Tree::List(vec![
+            Tree::Struct(vec![Tree::U64(5), Tree::U64(9)]),
+            Tree::Struct(vec![Tree::U64(6), Tree::U64(1)]),
         ])]);
         round_trip(&schema, &v);
     }
@@ -663,11 +632,11 @@ mod tests {
             .build();
         round_trip(
             &schema,
-            &Value::Struct(vec![Value::choice(0, Value::U64(0xABCD_1234))]),
+            &Tree::Struct(vec![choice(0, Tree::U64(0xABCD_1234))]),
         );
         round_trip(
             &schema,
-            &Value::Struct(vec![Value::choice(1, Value::Str("001010123456789".into()))]),
+            &Tree::Struct(vec![choice(1, Tree::Str("001010123456789".into()))]),
         );
     }
 
@@ -677,26 +646,12 @@ mod tests {
             .field("x", FieldType::UInt { bits: 32 })
             .field("name", FieldType::Utf8 { max: None })
             .build();
-        let v = Value::Struct(vec![Value::U64(7), Value::Str("hello".into())]);
+        let v = Tree::Struct(vec![Tree::U64(7), Tree::Str("hello".into())]);
         let codec = Asn1Per::new();
         let mut buf = Vec::new();
-        codec.encode(&schema, &v, &mut buf).unwrap();
+        encode(&codec, &schema, &v, &mut buf).unwrap();
         for cut in 0..buf.len() {
-            let _ = codec.decode(&schema, &buf[..cut]); // must not panic
+            let _ = decode(&codec, &schema, &buf[..cut]); // must not panic
         }
-    }
-
-    #[test]
-    fn traverse_matches_checksum_of_decode() {
-        let schema = StructSchema::builder("S")
-            .field("x", FieldType::UInt { bits: 16 })
-            .field("s", FieldType::Utf8 { max: Some(8) })
-            .build();
-        let v = Value::Struct(vec![Value::U64(999), Value::Str("abc".into())]);
-        let codec = Asn1Per::new();
-        let mut buf = Vec::new();
-        codec.encode(&schema, &v, &mut buf).unwrap();
-        let t = codec.traverse(&schema, &buf).unwrap();
-        assert_eq!(t, crate::checksum_value(&v));
     }
 }

@@ -2,11 +2,15 @@
 //!
 //! Tag/wire-type varint framing: scalars as varints (zigzag for signed),
 //! everything else length-delimited. Like protobuf, absent optional fields
-//! are simply omitted and the decoder dispatches on field numbers, which
-//! costs a branch per tag and allocation per nested message — the overheads
-//! that leave protobuf behind FlatBuffers in the paper's Fig. 18.
+//! are simply omitted; the encoder backpatches each length prefix when its
+//! message, list or union closes, and the decoder matches each tag against
+//! the field it expects next — field-number order, the only order the
+//! encoder writes. A tag per field and a length per nested value are the
+//! overheads that leave protobuf behind FlatBuffers in the paper's Fig. 18.
 
-use crate::value::{FieldType, Schema, StructSchema, Value};
+use crate::bits::{pack_bits, put_varint, read_varint, unpack_bits, unzigzag, zigzag};
+use crate::schema::{FieldType, Schema, StructSchema};
+use crate::sink::{fresh, FieldSink, FieldSource};
 use crate::WireFormat;
 use neutrino_common::{Error, Result};
 
@@ -32,300 +36,349 @@ fn err(detail: impl Into<String>) -> Error {
     Error::codec(NAME, detail.into())
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            break;
+fn no_optional_element() -> Error {
+    err("an optional outside a message has no encoding")
+}
+
+/// True when the integer field travels zigzag-encoded.
+fn signed(ty: &FieldType) -> bool {
+    matches!(ty, FieldType::Int) || matches!(ty, FieldType::Constrained { lo, .. } if *lo < 0)
+}
+
+/// A length-delimited value under construction or being read: a message,
+/// a list (its count, then its elements) or a union (its index, then its
+/// payload, which closes it).
+#[derive(Clone, Copy)]
+enum Open {
+    /// A message whose next field is number `field`.
+    Message { body: usize, field: u64 },
+    /// A list.
+    List { body: usize },
+    /// A union.
+    Choice { body: usize },
+}
+
+impl Open {
+    /// Where the body starts (writing) or ends (reading).
+    fn body(self) -> usize {
+        match self {
+            Open::Message { body, .. } | Open::List { body } | Open::Choice { body } => body,
         }
-        out.push(byte | 0x80);
     }
 }
 
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
+/// Writes each value in place, behind its tag when it is a message field;
+/// a length-delimited value's prefix is inserted in front of its body once
+/// the body is complete.
+struct Sink<'a> {
+    out: &'a mut Vec<u8>,
+    open: Vec<Open>,
 }
 
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-fn put_tag(out: &mut Vec<u8>, field_no: u64, wire_type: u64) {
-    put_varint(out, (field_no << 3) | wire_type);
-}
-
-/// True when the field encodes as a bare varint.
-fn is_varint(ty: &FieldType) -> bool {
-    matches!(
-        ty,
-        FieldType::Bool
-            | FieldType::UInt { .. }
-            | FieldType::Int
-            | FieldType::Constrained { .. }
-            | FieldType::Enum { .. }
-    )
-}
-
-fn encode_varint_value(ty: &FieldType, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-    match (ty, value) {
-        (FieldType::Bool, Value::Bool(b)) => put_varint(out, u64::from(*b)),
-        (FieldType::UInt { .. }, Value::U64(x)) => put_varint(out, *x),
-        (FieldType::Int, Value::I64(x)) => put_varint(out, zigzag(*x)),
-        (FieldType::Constrained { lo, .. }, v) => {
-            let x = crate::value::integer_carrier(v)
-                .ok_or_else(|| err("constrained field is not an integer"))?;
-            if *lo >= 0 {
-                put_varint(out, x as u64);
-            } else {
-                put_varint(out, zigzag(x));
+impl Sink<'_> {
+    /// What precedes a value: its tag, when it is the next field of the
+    /// innermost message; nothing in a list or a union.
+    fn lead(&mut self, wire_type: u64) -> Result<()> {
+        match self.open.last_mut() {
+            Some(Open::Message { field, .. }) => {
+                put_varint(self.out, (*field << 3) | wire_type);
+                *field += 1;
+                Ok(())
             }
+            Some(_) => Ok(()),
+            None => Err(err("a value outside the root message")),
         }
-        (FieldType::Enum { .. }, Value::U64(x)) => put_varint(out, *x),
-        (ty, v) => return Err(err(format!("varint mismatch: {ty:?} vs {v:?}"))),
     }
-    Ok(())
+
+    /// Inserts the length of the body that starts at `body` in front of it.
+    fn prefix(&mut self, body: usize) {
+        let end = self.out.len();
+        put_varint(self.out, (end - body) as u64);
+        let prefix = self.out.len() - end;
+        self.out[body..].rotate_right(prefix);
+    }
+
+    /// A value just finished: a union closes with its payload.
+    fn done(&mut self) {
+        while let Some(&Open::Choice { body }) = self.open.last() {
+            self.open.pop();
+            self.prefix(body);
+        }
+    }
+
+    fn varint(&mut self, raw: u64) -> Result<()> {
+        self.lead(WT_VARINT)?;
+        put_varint(self.out, raw);
+        self.done();
+        Ok(())
+    }
+
+    /// Opens a length-delimited value whose body the next calls write.
+    fn open(&mut self, open: impl FnOnce(usize) -> Open) -> Result<()> {
+        self.lead(WT_LEN)?;
+        let body = self.out.len();
+        self.open.push(open(body));
+        Ok(())
+    }
+
+    fn close(&mut self) -> Result<()> {
+        let open = self
+            .open
+            .pop()
+            .ok_or_else(|| err("close without a matching open"))?;
+        self.prefix(open.body());
+        self.done();
+        Ok(())
+    }
 }
 
-fn encode_len_delimited(
-    ty: &FieldType,
-    value: &Value,
-    scratch: &mut Vec<u8>,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    scratch.clear();
-    match (ty, value) {
-        (FieldType::Bytes { .. }, Value::Bytes(bs)) => scratch.extend_from_slice(bs),
-        (FieldType::Utf8 { .. }, Value::Str(s)) => scratch.extend_from_slice(s.as_bytes()),
-        (FieldType::BitString { .. }, Value::Bits(bits)) => {
-            put_varint(scratch, bits.len() as u64);
-            let mut packed = vec![0u8; bits.len().div_ceil(8)];
-            for (i, &b) in bits.iter().enumerate() {
-                if b {
-                    packed[i / 8] |= 0x80 >> (i % 8);
-                }
-            }
-            scratch.extend_from_slice(&packed);
+impl FieldSink for Sink<'_> {
+    fn begin_struct(&mut self, _: &StructSchema) -> Result<()> {
+        if self.open.is_empty() {
+            // The root message is the image: no tag, no length.
+            self.open.push(Open::Message { body: 0, field: 1 });
+            return Ok(());
         }
-        (FieldType::Struct(schema), v) => {
-            let mut inner = Vec::new();
-            encode_message(schema, v, &mut inner)?;
-            scratch.extend_from_slice(&inner);
-        }
-        (FieldType::List { elem, .. }, Value::List(items)) => {
-            put_varint(scratch, items.len() as u64);
-            let mut inner_scratch = Vec::new();
-            for item in items {
-                if is_varint(elem) {
-                    encode_varint_value(elem, item, scratch)?;
-                } else {
-                    let mut tmp = Vec::new();
-                    encode_len_delimited(elem, item, &mut inner_scratch, &mut tmp)?;
-                    scratch.extend_from_slice(&tmp);
-                }
-            }
-        }
-        (FieldType::Choice(variants), Value::Choice { index, value }) => {
-            if *index as usize >= variants.len() {
-                return Err(err(format!("choice index {index} out of range")));
-            }
-            put_varint(scratch, u64::from(*index));
-            let var = &variants[*index as usize];
-            if is_varint(&var.ty) {
-                encode_varint_value(&var.ty, value, scratch)?;
-            } else {
-                let mut inner_scratch = Vec::new();
-                let mut tmp = Vec::new();
-                encode_len_delimited(&var.ty, value, &mut inner_scratch, &mut tmp)?;
-                scratch.extend_from_slice(&tmp);
-            }
-        }
-        (ty, v) => return Err(err(format!("length-delimited mismatch: {ty:?} vs {v:?}"))),
+        self.open(|body| Open::Message { body, field: 1 })
     }
-    put_varint(out, scratch.len() as u64);
-    out.extend_from_slice(scratch);
-    Ok(())
-}
-
-fn encode_message(schema: &StructSchema, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-    let fields = value
-        .as_struct()
-        .ok_or_else(|| err(format!("expected struct for {}", schema.name)))?;
-    if fields.len() != schema.fields.len() {
-        return Err(err(format!("struct {} arity mismatch", schema.name)));
+    fn presence(&mut self, _: bool) -> Result<()> {
+        Ok(())
     }
-    let mut scratch = Vec::new();
-    for (i, (def, val)) in schema.fields.iter().zip(fields).enumerate() {
-        let field_no = (i + 1) as u64;
-        let (ty, val) = match (&def.ty, val) {
-            (FieldType::Optional(inner), Value::Optional(opt)) => match opt {
-                None => continue, // omitted, like proto3 optional
-                Some(v) => (inner.as_ref(), v.as_ref()),
-            },
-            (ty, v) => (ty, v),
+    fn optional(&mut self, _: &FieldType, present: bool) -> Result<()> {
+        let Some(Open::Message { field, .. }) = self.open.last_mut() else {
+            return Err(no_optional_element());
         };
-        if is_varint(ty) {
-            put_tag(out, field_no, WT_VARINT);
-            encode_varint_value(ty, val, out)?;
-        } else {
-            put_tag(out, field_no, WT_LEN);
-            encode_len_delimited(ty, val, &mut scratch, out)?;
+        if !present {
+            // Omitted: the field's number goes unused.
+            *field += 1;
         }
+        Ok(())
     }
-    Ok(())
+    fn end_struct(&mut self) -> Result<()> {
+        if self.open.len() == 1 {
+            self.open.clear();
+            return Ok(());
+        }
+        self.close()
+    }
+    fn bool(&mut self, v: bool) -> Result<()> {
+        self.varint(u64::from(v))
+    }
+    fn uint(&mut self, ty: &FieldType, v: u64) -> Result<()> {
+        self.varint(if signed(ty) { zigzag(v as i64) } else { v })
+    }
+    fn int(&mut self, ty: &FieldType, v: i64) -> Result<()> {
+        self.uint(ty, v as u64)
+    }
+    fn bytes(&mut self, _: &FieldType, v: &[u8]) -> Result<()> {
+        self.lead(WT_LEN)?;
+        put_varint(self.out, v.len() as u64);
+        self.out.extend_from_slice(v);
+        self.done();
+        Ok(())
+    }
+    fn str(&mut self, ty: &FieldType, v: &str) -> Result<()> {
+        self.bytes(ty, v.as_bytes())
+    }
+    fn bits(&mut self, _: &FieldType, v: &[bool]) -> Result<()> {
+        self.open(|body| Open::List { body })?;
+        put_varint(self.out, v.len() as u64);
+        pack_bits(v, self.out);
+        self.close()
+    }
+    fn begin_list(&mut self, _: &FieldType, len: usize) -> Result<()> {
+        self.open(|body| Open::List { body })?;
+        put_varint(self.out, len as u64);
+        Ok(())
+    }
+    fn end_list(&mut self) -> Result<()> {
+        self.close()
+    }
+    fn choice(&mut self, ty: &FieldType, index: u32) -> Result<()> {
+        ty.variant(index)?;
+        self.open(|body| Open::Choice { body })?;
+        put_varint(self.out, u64::from(index));
+        Ok(())
+    }
 }
 
-struct ProtoReader<'a> {
+/// Reads each value in place, checking its tag when it is a message field;
+/// every read stays inside the innermost open value's body.
+struct Source<'a> {
     buf: &'a [u8],
     pos: usize,
+    open: Vec<Open>,
 }
 
-impl<'a> ProtoReader<'a> {
-    fn at_end(&self) -> bool {
-        self.pos >= self.buf.len()
+impl<'a> Source<'a> {
+    /// Where the innermost open body ends.
+    fn limit(&self) -> usize {
+        self.open.last().map_or(self.buf.len(), |open| open.body())
     }
 
-    fn get_varint(&mut self) -> Result<u64> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = *self
-                .buf
-                .get(self.pos)
-                .ok_or_else(|| err("truncated varint"))?;
-            self.pos += 1;
-            if shift >= 64 {
-                return Err(err("varint too long"));
-            }
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+    fn varint(&mut self) -> Result<u64> {
+        let limit = self.limit();
+        read_varint(&self.buf[..limit], &mut self.pos).map_err(err)
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .pos
             .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
+            .filter(|&e| e <= self.limit())
             .ok_or_else(|| err("truncated bytes"))?;
         let out = &self.buf[self.pos..end];
         self.pos = end;
         Ok(out)
     }
 
-    fn decode_varint_value(&mut self, ty: &FieldType) -> Result<Value> {
-        let raw = self.get_varint()?;
-        Ok(match ty {
-            FieldType::Bool => Value::Bool(raw != 0),
-            FieldType::UInt { .. } | FieldType::Enum { .. } => Value::U64(raw),
-            FieldType::Int => Value::I64(unzigzag(raw)),
-            FieldType::Constrained { lo, .. } => {
-                if *lo >= 0 {
-                    Value::U64(raw)
-                } else {
-                    Value::I64(unzigzag(raw))
-                }
-            }
-            ty => return Err(err(format!("{ty:?} is not a varint type"))),
-        })
+    /// Reads the tag of the innermost message's next field, which must be
+    /// there with `wire_type`; nothing in a list or a union.
+    fn lead(&mut self, wire_type: u64) -> Result<()> {
+        let Some(&Open::Message { field, .. }) = self.open.last() else {
+            return Ok(());
+        };
+        if self.pos >= self.limit() {
+            return Err(err(format!("required field {field} missing")));
+        }
+        let tag = self.varint()?;
+        if tag != (field << 3) | wire_type {
+            return Err(err(format!("tag {tag:#x} where field {field} is expected")));
+        }
+        if let Some(Open::Message { field, .. }) = self.open.last_mut() {
+            *field += 1;
+        }
+        Ok(())
     }
 
-    fn decode_len_delimited(&mut self, ty: &FieldType) -> Result<Value> {
-        let len = self.get_varint()? as usize;
-        let body = self.take(len)?;
-        let mut r = ProtoReader { buf: body, pos: 0 };
-        match ty {
-            FieldType::Bytes { .. } => Ok(Value::Bytes(body.to_vec())),
-            FieldType::Utf8 { .. } => Ok(Value::Str(
-                std::str::from_utf8(body)
-                    .map_err(|_| err("invalid UTF-8"))?
-                    .to_owned(),
-            )),
-            FieldType::BitString { .. } => {
-                let nbits = r.get_varint()? as usize;
-                let packed = r.take(nbits.div_ceil(8))?;
-                Ok(Value::Bits(
-                    (0..nbits)
-                        .map(|i| packed[i / 8] & (0x80 >> (i % 8)) != 0)
-                        .collect(),
-                ))
-            }
-            FieldType::Struct(schema) => decode_message(schema, body),
-            FieldType::List { elem, .. } => {
-                let count = r.get_varint()? as usize;
-                // The count is the sender's word: reserve from the input
-                // left, two bytes per 32-byte `Value` at most.
-                let mut items = Vec::with_capacity(count.min((r.buf.len() - r.pos) / 2));
-                for _ in 0..count {
-                    if is_varint(elem) {
-                        items.push(r.decode_varint_value(elem)?);
-                    } else {
-                        items.push(r.decode_len_delimited(elem)?);
-                    }
-                }
-                Ok(Value::List(items))
-            }
-            FieldType::Choice(variants) => {
-                let index = r.get_varint()? as u32;
-                let var = variants
-                    .get(index as usize)
-                    .ok_or_else(|| err(format!("choice index {index} out of range")))?;
-                let inner = if is_varint(&var.ty) {
-                    r.decode_varint_value(&var.ty)?
-                } else {
-                    r.decode_len_delimited(&var.ty)?
-                };
-                Ok(Value::Choice {
-                    index,
-                    value: Box::new(inner),
-                })
-            }
-            ty => Err(err(format!("{ty:?} is not length-delimited"))),
+    /// A value just finished: a union closes with its payload.
+    fn done(&mut self) -> Result<()> {
+        while let Some(&Open::Choice { .. }) = self.open.last() {
+            self.close()?;
         }
+        Ok(())
+    }
+
+    fn varint_value(&mut self) -> Result<u64> {
+        self.lead(WT_VARINT)?;
+        let raw = self.varint()?;
+        self.done()?;
+        Ok(raw)
+    }
+
+    /// The next length-delimited value's body, left unopened.
+    fn blob(&mut self) -> Result<&'a [u8]> {
+        self.lead(WT_LEN)?;
+        let len = self.varint()? as usize;
+        let body = self.take(len)?;
+        self.done()?;
+        Ok(body)
+    }
+
+    /// Opens the next length-delimited value, whose body the next reads stay in.
+    fn open(&mut self, open: impl FnOnce(usize) -> Open) -> Result<()> {
+        self.lead(WT_LEN)?;
+        let len = self.varint()? as usize;
+        let end = self
+            .pos
+            .checked_add(len)
+            .filter(|&e| e <= self.limit())
+            .ok_or_else(|| err("truncated bytes"))?;
+        self.open.push(open(end));
+        Ok(())
+    }
+
+    /// Closes the innermost open value, whose body must be read to its end.
+    fn close(&mut self) -> Result<()> {
+        let open = self
+            .open
+            .pop()
+            .ok_or_else(|| err("close without a matching open"))?;
+        if self.pos != open.body() {
+            return Err(err(format!("{} unread bytes", open.body() - self.pos)));
+        }
+        Ok(())
     }
 }
 
-fn decode_message(schema: &StructSchema, bytes: &[u8]) -> Result<Value> {
-    let mut r = ProtoReader { buf: bytes, pos: 0 };
-    let mut fields: Vec<Option<Value>> = vec![None; schema.fields.len()];
-    while !r.at_end() {
-        let tag = r.get_varint()?;
-        let field_no = (tag >> 3) as usize;
-        let wire_type = tag & 0x7;
-        if field_no == 0 || field_no > schema.fields.len() {
-            return Err(err(format!("unknown field number {field_no}")));
+impl FieldSource for Source<'_> {
+    fn begin_struct(&mut self, _: &StructSchema) -> Result<()> {
+        if self.open.is_empty() {
+            self.open.push(Open::Message {
+                body: self.buf.len(),
+                field: 1,
+            });
+            return Ok(());
         }
-        let def = &schema.fields[field_no - 1];
-        let ty = match &def.ty {
-            FieldType::Optional(inner) => inner.as_ref(),
-            ty => ty,
-        };
-        let value = match wire_type {
-            WT_VARINT => r.decode_varint_value(ty)?,
-            WT_LEN => r.decode_len_delimited(ty)?,
-            other => return Err(err(format!("unsupported wire type {other}"))),
-        };
-        fields[field_no - 1] = Some(value);
+        self.open(|body| Open::Message { body, field: 1 })
     }
-    let mut out = Vec::with_capacity(schema.fields.len());
-    for (def, slot) in schema.fields.iter().zip(fields) {
-        match (&def.ty, slot) {
-            (FieldType::Optional(_), Some(v)) => out.push(Value::Optional(Some(Box::new(v)))),
-            (FieldType::Optional(_), None) => out.push(Value::Optional(None)),
-            (_, Some(v)) => out.push(v),
-            (_, None) => {
-                return Err(err(format!(
-                    "required field {}.{} missing",
-                    schema.name, def.name
-                )))
+    fn presence(&mut self) -> Result<bool> {
+        Ok(true)
+    }
+    fn optional(&mut self, _: &FieldType, _: bool) -> Result<bool> {
+        let Some(&Open::Message { body, field }) = self.open.last() else {
+            return Err(no_optional_element());
+        };
+        let mut at = self.pos;
+        let present =
+            at < body && read_varint(&self.buf[..body], &mut at).map_err(err)? >> 3 == field;
+        if !present {
+            if let Some(Open::Message { field, .. }) = self.open.last_mut() {
+                *field += 1;
             }
         }
+        Ok(present)
     }
-    Ok(Value::Struct(out))
+    fn end_struct(&mut self) -> Result<()> {
+        self.close()?;
+        self.done()
+    }
+    fn bool(&mut self) -> Result<bool> {
+        Ok(self.varint_value()? != 0)
+    }
+    fn uint(&mut self, ty: &FieldType) -> Result<u64> {
+        let raw = self.varint_value()?;
+        Ok(if signed(ty) {
+            unzigzag(raw) as u64
+        } else {
+            raw
+        })
+    }
+    fn int(&mut self, ty: &FieldType) -> Result<i64> {
+        Ok(self.uint(ty)? as i64)
+    }
+    fn bytes(&mut self, _: &FieldType) -> Result<&[u8]> {
+        self.blob()
+    }
+    fn str(&mut self, _: &FieldType) -> Result<&str> {
+        std::str::from_utf8(self.blob()?).map_err(|_| err("invalid UTF-8"))
+    }
+    fn bits(&mut self, _: &FieldType) -> Result<Vec<bool>> {
+        let body = self.blob()?;
+        let mut at = 0;
+        let nbits = read_varint(body, &mut at).map_err(err)? as usize;
+        let packed = body
+            .get(at..)
+            .filter(|packed| packed.len() >= nbits.div_ceil(8))
+            .ok_or_else(|| err("truncated bytes"))?;
+        Ok(unpack_bits(nbits, packed))
+    }
+    fn begin_list(&mut self, _: &FieldType) -> Result<usize> {
+        self.open(|body| Open::List { body })?;
+        Ok(self.varint()? as usize)
+    }
+    fn end_list(&mut self) -> Result<()> {
+        self.close()?;
+        self.done()
+    }
+    fn choice(&mut self, ty: &FieldType) -> Result<u32> {
+        self.open(|body| Open::Choice { body })?;
+        let index = self.varint()?;
+        u32::try_from(index)
+            .ok()
+            .filter(|&index| ty.variant(index).is_ok())
+            .ok_or_else(|| err(format!("choice index {index} out of range")))
+    }
 }
 
 impl WireFormat for ProtoLike {
@@ -333,27 +386,46 @@ impl WireFormat for ProtoLike {
         NAME
     }
 
-    fn encode(&self, schema: &Schema, value: &Value, out: &mut Vec<u8>) -> Result<()> {
-        out.clear();
-        encode_message(schema, value, out)
+    fn encode_with(
+        &self,
+        _: &Schema,
+        out: &mut Vec<u8>,
+        put: &mut dyn FnMut(&mut dyn FieldSink) -> Result<()>,
+    ) -> Result<()> {
+        fresh(out, |out| {
+            put(&mut Sink {
+                out,
+                open: Vec::new(),
+            })
+        })
     }
 
-    fn decode(&self, schema: &Schema, bytes: &[u8]) -> Result<Value> {
-        decode_message(schema, bytes)
+    fn decode_with(
+        &self,
+        _: &Schema,
+        bytes: &[u8],
+        take: &mut dyn FnMut(&mut dyn FieldSource) -> Result<()>,
+    ) -> Result<()> {
+        take(&mut Source {
+            buf: bytes,
+            pos: 0,
+            open: Vec::new(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Variant;
+    use crate::schema::Variant;
+    use crate::tree::{choice, decode, encode, none, some, Tree};
     use std::sync::Arc;
 
-    fn round_trip(schema: &Schema, value: &Value) -> Vec<u8> {
+    fn round_trip(schema: &Schema, value: &Tree) -> Vec<u8> {
         let codec = ProtoLike::new();
         let mut buf = Vec::new();
-        codec.encode(schema, value, &mut buf).unwrap();
-        let back = codec.decode(schema, &buf).unwrap();
+        encode(&codec, schema, value, &mut buf).unwrap();
+        let back = decode(&codec, schema, &buf).unwrap();
         assert_eq!(&back, value);
         buf
     }
@@ -363,19 +435,16 @@ mod tests {
         let schema = StructSchema::builder("S")
             .field("x", FieldType::UInt { bits: 64 })
             .build();
-        let buf = round_trip(&schema, &Value::Struct(vec![Value::U64(5)]));
+        let buf = round_trip(&schema, &Tree::Struct(vec![Tree::U64(5)]));
         assert_eq!(buf.len(), 2); // tag + single varint byte
     }
 
     #[test]
     fn zigzag_round_trips_negatives() {
-        assert_eq!(unzigzag(zigzag(-1)), -1);
-        assert_eq!(unzigzag(zigzag(i64::MIN)), i64::MIN);
-        assert_eq!(unzigzag(zigzag(i64::MAX)), i64::MAX);
         let schema = StructSchema::builder("S")
             .field("x", FieldType::Int)
             .build();
-        round_trip(&schema, &Value::Struct(vec![Value::I64(-123456)]));
+        round_trip(&schema, &Tree::Struct(vec![Tree::I64(-123456)]));
     }
 
     #[test]
@@ -387,14 +456,29 @@ mod tests {
             )
             .field("b", FieldType::UInt { bits: 32 })
             .build();
-        let absent = Value::Struct(vec![Value::none(), Value::U64(7)]);
+        let absent = Tree::Struct(vec![none(), Tree::U64(7)]);
         let buf = round_trip(&schema, &absent);
         // Only field 2 encoded: tag + varint.
         assert_eq!(buf.len(), 2);
         round_trip(
             &schema,
-            &Value::Struct(vec![Value::some(Value::U64(1)), Value::U64(7)]),
+            &Tree::Struct(vec![some(Tree::U64(1)), Tree::U64(7)]),
         );
+    }
+
+    #[test]
+    fn fields_are_read_in_field_number_order() {
+        let schema = StructSchema::builder("S")
+            .field("a", FieldType::UInt { bits: 32 })
+            .field("b", FieldType::UInt { bits: 32 })
+            .build();
+        let in_order = [0x08, 1, 0x10, 7];
+        assert_eq!(
+            decode(&ProtoLike, &schema, &in_order).unwrap(),
+            Tree::Struct(vec![Tree::U64(1), Tree::U64(7)])
+        );
+        assert!(decode(&ProtoLike, &schema, &[0x10, 7, 0x08, 1]).is_err());
+        assert!(decode(&ProtoLike, &schema, &[0x08, 1, 0x08, 1, 0x10, 7]).is_err());
     }
 
     #[test]
@@ -421,12 +505,12 @@ mod tests {
                 },
             )
             .build();
-        let v = Value::Struct(vec![
-            Value::List(vec![
-                Value::Struct(vec![Value::U64(1), Value::Str("a".into())]),
-                Value::Struct(vec![Value::U64(2), Value::Str("b".into())]),
+        let v = Tree::Struct(vec![
+            Tree::List(vec![
+                Tree::Struct(vec![Tree::U64(1), Tree::Str("a".into())]),
+                Tree::Struct(vec![Tree::U64(2), Tree::Str("b".into())]),
             ]),
-            Value::List(vec![Value::U64(100), Value::U64(200), Value::U64(300)]),
+            Tree::List(vec![Tree::U64(100), Tree::U64(200), Tree::U64(300)]),
         ]);
         round_trip(&schema, &v);
     }
@@ -448,13 +532,10 @@ mod tests {
                 ]),
             )
             .build();
+        round_trip(&schema, &Tree::Struct(vec![choice(0, Tree::U64(77))]));
         round_trip(
             &schema,
-            &Value::Struct(vec![Value::choice(0, Value::U64(77))]),
-        );
-        round_trip(
-            &schema,
-            &Value::Struct(vec![Value::choice(1, Value::Str("imsi-string".into()))]),
+            &Tree::Struct(vec![choice(1, Tree::Str("imsi-string".into()))]),
         );
     }
 
@@ -465,16 +546,16 @@ mod tests {
             .build();
         let codec = ProtoLike::new();
         let mut buf = Vec::new();
-        codec
-            .encode(
-                &schema,
-                &Value::Struct(vec![Value::Str("payload".into())]),
-                &mut buf,
-            )
-            .unwrap();
+        encode(
+            &codec,
+            &schema,
+            &Tree::Struct(vec![Tree::Str("payload".into())]),
+            &mut buf,
+        )
+        .unwrap();
         for cut in 1..buf.len() {
-            assert!(codec.decode(&schema, &buf[..cut]).is_err());
+            assert!(decode(&codec, &schema, &buf[..cut]).is_err());
         }
-        assert!(codec.decode(&schema, &[0xFF; 16]).is_err());
+        assert!(decode(&codec, &schema, &[0xFF; 16]).is_err());
     }
 }

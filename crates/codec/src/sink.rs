@@ -1,16 +1,12 @@
 //! The field sink / source contract: how a typed message streams into a
-//! wire image and back out without a [`Value`](crate::value::Value) tree in
-//! between.
+//! wire image and back out.
 //!
 //! A wire type's generated `put` walks its own fields in schema order and
 //! hands each one to a [`FieldSink`]; its `take` asks a [`FieldSource`] for
-//! them in the same order. The codecs that run on the live path — PER and
-//! both fastbufs — implement the pair directly over the image
-//! ([`WireFormat::encode_with`](crate::WireFormat::encode_with) /
-//! [`decode_with`](crate::WireFormat::decode_with)); the comparison codecs
-//! keep the `Value` model and reach it through
-//! [`ValueSink`](crate::value::ValueSink) /
-//! [`ValueSource`](crate::value::ValueSource).
+//! them in the same order. Every codec implements the pair directly over
+//! its image ([`WireFormat::encode_with`](crate::WireFormat::encode_with) /
+//! [`decode_with`](crate::WireFormat::decode_with)); nothing is built in
+//! between.
 //!
 //! # Call order
 //!
@@ -31,12 +27,26 @@
 //! field's own position. Every leaf call names the field's [`FieldType`]:
 //! PER reads the constraint off it, fastbuf the slot width.
 
-use crate::value::{FieldType, StructSchema};
+use crate::schema::{FieldType, StructSchema};
 use neutrino_common::Result;
 
 /// What a list reader reserves before the first element arrives: no wire
 /// type declares a longer list, and a forged count reserves no more.
 pub const LIST_RESERVE: usize = 16;
+
+/// Runs `write` over the emptied `out`, which stays empty if `write` fails:
+/// how every codec's `encode_with` starts and ends.
+pub(crate) fn fresh(
+    out: &mut Vec<u8>,
+    write: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+) -> Result<()> {
+    out.clear();
+    let written = write(out);
+    if written.is_err() {
+        out.clear();
+    }
+    written
+}
 
 /// Struct → image: receives a message field by field.
 pub trait FieldSink {

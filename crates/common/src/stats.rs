@@ -69,8 +69,7 @@ impl Percentiles {
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
+            self.samples.sort_by(f64::total_cmp);
             self.sorted = true;
         }
     }
@@ -94,7 +93,8 @@ impl Percentiles {
 
     /// Produces the full box-plot summary.
     pub fn summary(&mut self) -> Summary {
-        if self.samples.is_empty() {
+        self.ensure_sorted();
+        let (Some(&min), Some(&max)) = (self.samples.first(), self.samples.last()) else {
             return Summary {
                 count: 0,
                 min: f64::NAN,
@@ -106,18 +106,17 @@ impl Percentiles {
                 max: f64::NAN,
                 mean: f64::NAN,
             };
-        }
-        self.ensure_sorted();
+        };
         let mean = self.samples.iter().sum::<f64>() / self.samples.len() as f64;
         Summary {
             count: self.count(),
-            min: self.samples[0],
+            min,
             p25: self.quantile(0.25),
             p50: self.quantile(0.50),
             p75: self.quantile(0.75),
             p95: self.quantile(0.95),
             p99: self.quantile(0.99),
-            max: *self.samples.last().expect("non-empty"),
+            max,
             mean,
         }
     }

@@ -109,12 +109,18 @@ impl GeoHash {
         Some(((self.bits >> (2 * (self.len - 1 - i))) & 0b11) as u8)
     }
 
+    /// The characters (0..=3), first to last.
+    fn chars(&self) -> impl Iterator<Item = u8> + '_ {
+        (0..self.len)
+            .rev()
+            .map(|shift| ((self.bits >> (2 * shift)) & 0b11) as u8)
+    }
+
     /// The center of this hash's cell, as (lon, lat).
     pub fn center(&self) -> (f64, f64) {
         let mut lon_range = (-180.0f64, 180.0f64);
         let mut lat_range = (-90.0f64, 90.0f64);
-        for i in 0..self.len {
-            let c = self.char_at(i).expect("in range");
+        for c in self.chars() {
             let lon_mid = (lon_range.0 + lon_range.1) / 2.0;
             if c & 0b10 != 0 {
                 lon_range.0 = lon_mid;
@@ -143,8 +149,8 @@ impl GeoHash {
 impl fmt::Debug for GeoHash {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "gh:")?;
-        for i in 0..self.len {
-            write!(f, "{}", self.char_at(i).expect("in range"))?;
+        for c in self.chars() {
+            write!(f, "{c}")?;
         }
         Ok(())
     }

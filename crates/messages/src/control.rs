@@ -10,7 +10,8 @@ use crate::payload::Payload;
 use crate::procedures::ProcedureKind;
 use crate::s1ap::*;
 use crate::wire::Wire;
-use neutrino_codec::value::{Schema, Value};
+use neutrino_codec::schema::Schema;
+use neutrino_codec::sink::{FieldSink, FieldSource};
 use neutrino_codec::WireFormat;
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, CtaId, ProcedureId, Result, UeId};
@@ -74,13 +75,6 @@ macro_rules! control_messages {
                 }
             }
 
-            /// Parses a decoded value of this kind back into a message.
-            pub fn from_value(self, v: &Value) -> Result<ControlMessage> {
-                match self {
-                    $(MessageKind::$variant =>
-                        Ok(ControlMessage::$variant(<$variant as Wire>::from_value(v)?)),)+
-                }
-            }
         }
 
         impl ControlMessage {
@@ -91,10 +85,18 @@ macro_rules! control_messages {
                 }
             }
 
-            /// Converts to the codec value model.
-            pub fn to_value(&self) -> Value {
+            /// Streams the message into `sink` ([`Wire::put`]).
+            pub fn put(&self, sink: &mut dyn FieldSink) -> Result<()> {
                 match self {
-                    $(ControlMessage::$variant(m) => m.to_value(),)+
+                    $(ControlMessage::$variant(m) => m.put(sink),)+
+                }
+            }
+
+            /// Reads a message of known `kind` out of `src` ([`Wire::take`]).
+            pub fn take(kind: MessageKind, src: &mut dyn FieldSource) -> Result<Self> {
+                match kind {
+                    $(MessageKind::$variant =>
+                        <$variant as Wire>::take(src).map(ControlMessage::$variant),)+
                 }
             }
 

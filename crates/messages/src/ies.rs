@@ -6,8 +6,8 @@
 //! transport containers, and CHOICEs for UE identities.
 
 use crate::wire::{optional, wire_struct, WireField};
+use neutrino_codec::schema::{FieldType, Variant};
 use neutrino_codec::sink::{FieldSink, FieldSource};
-use neutrino_codec::value::{FieldType, Variant};
 use neutrino_common::{Error, Result};
 
 wire_struct! {
@@ -219,32 +219,32 @@ mod tests {
 
     #[test]
     fn ue_identity_choice_values() {
-        use neutrino_codec::value::{Value, ValueSink, ValueSource};
+        use neutrino_codec::schema::StructSchema;
+        use neutrino_codec::CodecKind;
         let ty = UeIdentity::field_type();
-        for (id, value) in [
-            (
-                UeIdentity::STmsi(0xDEAD_BEEF),
-                Value::choice(0, Value::U64(0xDEAD_BEEF)),
-            ),
-            (
-                UeIdentity::Imsi("310410123456789".into()),
-                Value::choice(1, Value::Str("310410123456789".into())),
-            ),
+        let schema = StructSchema::builder("Id").field("id", ty.clone()).build();
+        for id in [
+            UeIdentity::STmsi(0xDEAD_BEEF),
+            UeIdentity::Imsi("310410123456789".into()),
         ] {
-            let mut sink = ValueSink::default();
-            id.put_field(&ty, &mut sink).unwrap();
-            assert_eq!(sink.finish().unwrap(), value);
-            let mut src = ValueSource::new(&value);
-            assert_eq!(UeIdentity::take_field(&ty, &mut src, true).unwrap(), id);
+            for kind in CodecKind::ALL.into_iter().filter(|k| *k != CodecKind::Lcm) {
+                let codec = kind.codec();
+                let mut image = Vec::new();
+                codec
+                    .encode_with(&schema, &mut image, &mut |sink| {
+                        sink.begin_struct(&schema)?;
+                        id.put_field(&ty, sink)?;
+                        sink.end_struct()
+                    })
+                    .unwrap();
+                codec
+                    .decode_with(&schema, &image, &mut |src| {
+                        src.begin_struct(&schema)?;
+                        assert_eq!(UeIdentity::take_field(&ty, src, true)?, id, "{kind}");
+                        src.end_struct()
+                    })
+                    .unwrap();
+            }
         }
-    }
-
-    #[test]
-    fn sample_values_validate() {
-        Tai::schema().validate(&Tai::sample(1).to_value()).unwrap();
-        Cgi::schema().validate(&Cgi::sample(1).to_value()).unwrap();
-        ErabToSetup::schema()
-            .validate(&ErabToSetup::sample(4).to_value())
-            .unwrap();
     }
 }

@@ -9,8 +9,9 @@
 //! * a [`codec`](neutrino_codec) schema ([`wire::Wire::schema`]) describing
 //!   its ASN.1-like layout — nested IEs, optionals, constrained integers and
 //!   the unions (`CHOICE`s) whose svtable optimization §4.4 introduces;
-//! * lossless conversion to/from the codec [`Value`](neutrino_codec::value::Value)
-//!   model so any of the seven wire formats can carry it;
+//! * a lossless field stream into any codec's sink and back out of its
+//!   source ([`wire::Wire::put`] / [`wire::Wire::take`]), so any of the
+//!   seven wire formats can carry it;
 //! * a [`wire::Wire::sample`] instance with realistic field contents, used
 //!   by the calibration pass and the Fig. 18–20 benchmarks.
 //!

@@ -6,7 +6,7 @@
 
 use crate::ies::Tai;
 use crate::wire::{list_of, optional, wire_struct};
-use neutrino_codec::value::FieldType;
+use neutrino_codec::schema::FieldType;
 
 wire_struct! {
     /// NAS Attach Request (UE → CPF). Starts the initial-attach procedure.

@@ -6,8 +6,8 @@
 
 use crate::ies::{Cgi, ErabFailedItem, ErabSetupItem, ErabToSetup, Tai, UeAmbr, UeIdentity};
 use crate::wire::{in_field, list_of, optional, wire_struct, WireField};
+use neutrino_codec::schema::{FieldType, StructSchema, Variant};
 use neutrino_codec::sink::{FieldSink, FieldSource};
-use neutrino_codec::value::{FieldType, StructSchema, Variant};
 use neutrino_common::{Error, Result};
 use std::sync::Arc;
 
@@ -556,7 +556,6 @@ mod tests {
         use neutrino_codec::CodecKind;
         let msg = InitialContextSetupRequest::sample(5);
         let schema = InitialContextSetupRequest::schema();
-        let v = msg.to_value();
         let mut per_len = 0usize;
         let mut others = Vec::new();
         for kind in CodecKind::ALL {
@@ -565,7 +564,7 @@ mod tests {
                 continue;
             }
             let mut buf = Vec::new();
-            codec.encode(&schema, &v, &mut buf).unwrap();
+            msg.encode(codec, &mut buf).unwrap();
             if kind == CodecKind::Asn1Per {
                 per_len = buf.len();
             } else {

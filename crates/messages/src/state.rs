@@ -8,8 +8,8 @@
 
 use crate::ies::Tai;
 use crate::wire::{list_of, optional, wire_struct, WireField};
+use neutrino_codec::schema::{FieldType, SchemaBuilder};
 use neutrino_codec::sink::{FieldSink, FieldSource};
-use neutrino_codec::value::{FieldType, SchemaBuilder};
 use neutrino_common::clock::ClockTick;
 use neutrino_common::{BsId, ProcedureId, Result, SessionId, UeId, UpfId};
 

@@ -2,8 +2,8 @@
 //! codec, and `wire_struct!`, the one declaration a message's struct, schema
 //! and field streaming are generated from.
 
+use neutrino_codec::schema::{FieldType, Schema, SchemaBuilder};
 use neutrino_codec::sink::{FieldSink, FieldSource, LIST_RESERVE};
-use neutrino_codec::value::{FieldType, Schema, SchemaBuilder, Value, ValueSink, ValueSource};
 use neutrino_codec::WireFormat;
 use neutrino_common::{Error, Result};
 use std::sync::Arc;
@@ -31,21 +31,6 @@ pub trait Wire: Sized {
     /// The message's schema.
     fn schema() -> Arc<Schema> {
         Self::layout().clone()
-    }
-
-    /// Converts to the codec value model. The result always validates
-    /// against [`Wire::schema`].
-    fn to_value(&self) -> Value {
-        let mut tree = ValueSink::default();
-        // A `ValueSink` refuses nothing, so `put` cannot fail into it.
-        self.put(&mut tree)
-            .and_then(|()| tree.finish())
-            .expect("a wire type follows the sink call order")
-    }
-
-    /// Parses back from a value produced by any codec's decode.
-    fn from_value(v: &Value) -> Result<Self> {
-        Self::take(&mut ValueSource::new(v))
     }
 
     /// Encodes through a codec.
@@ -102,12 +87,12 @@ macro_rules! wire_struct {
         }
 
         impl $crate::wire::Wire for $name {
-            fn layout() -> &'static ::std::sync::Arc<::neutrino_codec::value::Schema> {
+            fn layout() -> &'static ::std::sync::Arc<::neutrino_codec::schema::Schema> {
                 static SCHEMA: ::std::sync::OnceLock<
-                    ::std::sync::Arc<::neutrino_codec::value::Schema>,
+                    ::std::sync::Arc<::neutrino_codec::schema::Schema>,
                 > = ::std::sync::OnceLock::new();
                 SCHEMA.get_or_init(|| {
-                    let schema = ::neutrino_codec::value::StructSchema::builder(stringify!($name));
+                    let schema = ::neutrino_codec::schema::StructSchema::builder(stringify!($name));
                     $( let schema = <$ty as $crate::wire::WireField>::declare(
                         schema, stringify!($field), $ft,
                     ); )+
@@ -318,17 +303,9 @@ pub(crate) mod testutil {
     /// Round-trips `msg` through every codec that supports its schema and
     /// asserts losslessness.
     pub(crate) fn round_trip_all_codecs<M: Wire + PartialEq + std::fmt::Debug>(msg: &M) {
-        let schema = M::schema();
-        let value = msg.to_value();
-        schema.validate(&value).expect("sample validates");
-        assert_eq!(
-            &M::from_value(&value).unwrap(),
-            msg,
-            "through the value model"
-        );
         for kind in CodecKind::ALL {
             let codec = kind.codec();
-            if !codec.supports(&schema) {
+            if !codec.supports(M::layout()) {
                 continue;
             }
             let mut buf = Vec::new();
@@ -337,13 +314,6 @@ pub(crate) mod testutil {
             let back =
                 M::decode(codec, &buf).unwrap_or_else(|e| panic!("{kind} decode failed: {e}"));
             assert_eq!(&back, msg, "round trip through {kind}");
-            // traverse must agree with decode on every codec
-            let t = codec.traverse(&schema, &buf).unwrap();
-            assert_eq!(
-                t,
-                neutrino_codec::checksum_value(&msg.to_value()),
-                "traverse checksum through {kind}"
-            );
         }
     }
 }

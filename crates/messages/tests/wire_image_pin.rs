@@ -8,15 +8,17 @@
 //! order, a `FieldType`, a sample or a codec moves `PINNED_DIGEST`, and a
 //! codec that stops supporting a schema moves `PINNED_PAIRS`.
 
-use neutrino_codec::value::{Schema, Value};
-use neutrino_codec::CodecKind;
+use neutrino_codec::schema::Schema;
+use neutrino_codec::{CodecKind, WireFormat};
 use neutrino_common::rng::splitmix64;
+use neutrino_common::Result;
 use neutrino_messages::ies::{Cgi, ErabFailedItem, ErabSetupItem, ErabToSetup, Tai, UeAmbr};
 use neutrino_messages::state::{BearerContext, UeState};
 use neutrino_messages::{MessageKind, Wire};
 
 /// Digest of every (type, codec, seed) image and every schema. Recorded on
-/// the tree that still had one hand-written `impl Wire` per type.
+/// the tree that still had one hand-written `impl Wire` per type, and
+/// unchanged since every codec became a field sink.
 const PINNED_DIGEST: u64 = 0xafee_acd0_47b5_5992;
 
 /// Number of (wire type, codec) pairs whose codec supports the schema.
@@ -39,9 +41,13 @@ impl Fold {
         }
     }
 
-    /// Folds the schema's shape, then the image of `value(seed)` under every
-    /// codec that supports the schema.
-    fn wire_type(&mut self, schema: &Schema, value: impl Fn(u64) -> Value) {
+    /// Folds the schema's shape, then the image `encode(seed, ..)` writes
+    /// under every codec that supports the schema.
+    fn wire_type(
+        &mut self,
+        schema: &Schema,
+        encode: impl Fn(u64, &dyn WireFormat, &mut Vec<u8>) -> Result<()>,
+    ) {
         self.bytes(format!("{schema:?}").as_bytes());
         for kind in CodecKind::ALL {
             let codec = kind.codec();
@@ -51,8 +57,7 @@ impl Fold {
             self.pairs += 1;
             for seed in SEEDS {
                 let mut buf = Vec::new();
-                codec
-                    .encode(schema, &value(seed), &mut buf)
+                encode(seed, codec, &mut buf)
                     .unwrap_or_else(|e| panic!("{} via {kind}: {e}", schema.name));
                 self.bytes(&buf);
             }
@@ -60,7 +65,9 @@ impl Fold {
     }
 
     fn wire<T: Wire>(&mut self) {
-        self.wire_type(&T::schema(), |seed| T::sample(seed).to_value());
+        self.wire_type(T::layout(), |seed, codec, buf| {
+            T::sample(seed).encode(codec, buf)
+        });
     }
 }
 
@@ -71,7 +78,9 @@ fn every_wire_image_and_schema_matches_the_pin() {
         pairs: 0,
     };
     for &kind in MessageKind::ALL {
-        fold.wire_type(&kind.schema(), |seed| kind.sample(seed).to_value());
+        fold.wire_type(&kind.schema(), |seed, codec, buf| {
+            kind.sample(seed).encode(codec, buf)
+        });
     }
     fold.wire::<UeState>();
     fold.wire::<BearerContext>();

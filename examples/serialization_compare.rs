@@ -1,13 +1,14 @@
-//! Compares all seven wire formats on the real S1AP message set: encode +
-//! native-read times and encoded sizes (the §4.4 / Fig. 18–20 story).
+//! Compares all seven wire formats on the real S1AP message set: encode and
+//! decode times and encoded sizes (the §4.4 / Fig. 18–20 story).
 //!
 //! ```text
 //! cargo run --example serialization_compare --release
 //! ```
 
 use neutrino::codec::calibrate::{measure, CalibrationOptions};
+use neutrino::codec::sink::FieldSource;
 use neutrino::codec::CodecKind;
-use neutrino::messages::MessageKind;
+use neutrino::messages::{ControlMessage, MessageKind};
 
 fn main() {
     let messages = [
@@ -26,11 +27,11 @@ fn main() {
     };
     for kind in messages {
         let schema = kind.schema();
-        let value = kind.sample(7).to_value();
+        let msg = kind.sample(7);
         println!("\n{kind}:");
         println!(
             "  {:<14} {:>12} {:>12} {:>10}",
-            "codec", "encode", "read", "size"
+            "codec", "encode", "decode", "size"
         );
         for codec_kind in CodecKind::ALL {
             let codec = codec_kind.codec();
@@ -42,7 +43,8 @@ fn main() {
                 );
                 continue;
             }
-            let c = measure(codec, &schema, &value, opts).expect("measure");
+            let take = |s: &mut dyn FieldSource| ControlMessage::take(kind, s);
+            let c = measure(codec, &schema, |s| msg.put(s), take, opts).expect("measure");
             println!(
                 "  {:<14} {:>10}ns {:>10}ns {:>8}B",
                 codec_kind.name(),
