@@ -227,16 +227,6 @@ pub fn fig19_20() -> Vec<MessageCodecRow> {
     out
 }
 
-/// The "a single control message has ≥ 8 data elements" observation of
-/// §6.7.4, checked against our real message set.
-pub fn min_real_message_elements() -> usize {
-    fig19_messages()
-        .iter()
-        .map(|k| k.schema().leaf_count())
-        .min()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,7 +268,8 @@ mod tests {
         // carry ≥7 payload leaves — their count includes the per-message
         // S1AP header IEs (message type, criticality, transaction id) that
         // we do not model as payload.
-        assert!(min_real_message_elements() >= 7);
+        let fewest = fig19_messages().iter().map(|k| k.schema().leaf_count()).min();
+        assert!(fewest >= Some(7), "{fewest:?}");
     }
 
     #[test]

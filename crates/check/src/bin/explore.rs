@@ -20,8 +20,11 @@
 //! checking: one plan (`--start-seed` picks the seed), every schedule of
 //! its contended deliveries up to `--bound` branch points. The run is
 //! single-threaded and fully deterministic — the report (and `--json`
-//! output) is byte-identical across reruns and any `--jobs` value. A
-//! violating interleaving is pinned to the corpus with its choice trace.
+//! output) is byte-identical across reruns. A violating interleaving is
+//! pinned to the corpus with its choice trace.
+//!
+//! Each mode reads its own flags ([`mode_flags`]); any other flag fails the
+//! run rather than being silently ignored.
 
 use neutrino_bench::sweep::run_cells_with;
 use neutrino_check::corpus::{self, CorpusCase};
@@ -54,8 +57,25 @@ const USAGE: &str = "usage: explore [--scenario NAME|all] [--seeds N] [--start-s
 [--jobs J] [--corpus DIR] [--shrink-budget R] [--replay FILE] [--list] \
 [--exhaustive] [--flow-coverage] [--bound B] [--max-paths P] [--json FILE]";
 
-/// Parses the command line. A flag that does not apply to the selected
-/// mode fails the run rather than being silently ignored.
+/// The mode the flags select, and the other flags that mode reads.
+fn mode_flags(args: &Args) -> (&'static str, &'static str) {
+    if args.list {
+        ("--list", "")
+    } else if args.replay.is_some() {
+        ("--replay", "")
+    } else if args.exhaustive {
+        let reads = "--scenario --start-seed --bound --max-paths --json --corpus --shrink-budget";
+        ("--exhaustive", reads)
+    } else if args.flow_coverage {
+        ("--flow-coverage", "--scenario --seeds --start-seed --jobs --json")
+    } else {
+        let reads = "--scenario --seeds --start-seed --jobs --corpus --shrink-budget";
+        ("a seed sweep", reads)
+    }
+}
+
+/// Parses the command line. A flag the selected mode does not read fails
+/// the run rather than being silently ignored.
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         scenario: "all".to_string(),
@@ -71,6 +91,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             .parse()
             .map_err(|e| format!("{name}: {e}"))
     }
+    let mut given = Vec::new();
     while let Some(flag) = it.next() {
         let name = flag.as_str();
         match name {
@@ -93,16 +114,11 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
+        given.push(flag);
     }
-    let modes = [args.list, args.replay.is_some(), args.exhaustive, args.flow_coverage];
-    if modes.iter().filter(|&&m| m).count() > 1 {
-        return Err("--list, --replay, --exhaustive and --flow-coverage exclude each other".into());
-    }
-    if !args.exhaustive && (args.bound.is_some() || args.max_paths.is_some()) {
-        return Err("--bound and --max-paths apply only to --exhaustive".into());
-    }
-    if args.json.is_some() && !(args.exhaustive || args.flow_coverage) {
-        return Err("--json applies only to --exhaustive and --flow-coverage".into());
+    let (mode, reads) = mode_flags(&args);
+    if let Some(flag) = given.iter().find(|&f| f != mode && !reads.split(' ').any(|r| r == f)) {
+        return Err(format!("{flag} does not apply to {mode}"));
     }
     if args.exhaustive && args.scenario == "all" {
         return Err("--exhaustive needs a single --scenario (try --list)".into());
@@ -476,11 +492,15 @@ mod tests {
     #[test]
     fn every_ci_invocation_parses() {
         for line in [
+            "--flow-coverage --seeds 2 --jobs 2 --json flow-coverage.json",
             "--scenario mcheck-attach-failover --exhaustive --bound 6 --json mc1.json",
-            "--scenario mcheck-attach-failover --exhaustive --bound 6 --jobs 8 --json mc2.json",
-            "--scenario mcheck-attach-failover --exhaustive --bound 12 --corpus c --json m.json",
+            "--scenario mcheck-attach-failover --exhaustive --bound 6 --json mc2.json",
             "--scenario failover --seeds 1000 --jobs 8 --corpus corpus-out",
+            "--scenario iot-burst-storm --seeds 500 --jobs 8 --corpus corpus-out",
+            "--scenario mcheck-attach-failover --exhaustive --bound 12 \
+             --corpus corpus-out --json mcheck-nightly.json",
             "--flow-coverage --seeds 25 --jobs 8 --json flow-coverage.json",
+            "--flow-coverage --seeds 25 --jobs 1 --json flow-coverage-j1.json",
             "--replay crates/check/corpus/x.json",
             "--list",
         ] {
@@ -493,9 +513,20 @@ mod tests {
     #[test]
     fn a_flag_that_does_not_apply_fails_the_run() {
         for line in [
+            // A seed sweep reads no exhaustive or report flag.
             "--scenario failover --seeds 5 --json out.json",
             "--bound 6",
+            // Flow coverage pins nothing and bounds nothing.
             "--flow-coverage --max-paths 10",
+            "--flow-coverage --corpus c",
+            "--flow-coverage --shrink-budget 5",
+            // The exhaustive checker runs one plan on one thread.
+            "--exhaustive --scenario m --jobs 8",
+            "--exhaustive --scenario m --seeds 3",
+            // `--list` and `--replay` read nothing else.
+            "--list --scenario failover",
+            "--replay x.json --jobs 2",
+            // Two modes.
             "--exhaustive --flow-coverage --scenario m",
             "--list --replay x.json",
             "--exhaustive",

@@ -113,9 +113,10 @@ impl Invariant for NoLostProcedure {
             return Vec::new();
         }
         let now = ctx.now;
-        let mut out: Vec<Violation> = ctx
-            .cluster
-            .population()
+        let Some(pop) = ctx.cluster.population() else {
+            return Vec::new();
+        };
+        let mut out: Vec<Violation> = pop
             .active_procedures()
             .into_iter()
             .map(|(ue, started, _, retries)| Violation {
@@ -160,7 +161,9 @@ impl Invariant for BoundedStall {
 
     fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
         let now = ctx.now;
-        let pop = ctx.cluster.population();
+        let Some(pop) = ctx.cluster.population() else {
+            return Vec::new();
+        };
         let bound_ns = pop.config().retry_timeout.as_nanos()
             * (pop.config().max_retries as u64 + STALL_SLACK_RETRIES);
         pop.active_procedures()
@@ -263,7 +266,10 @@ impl Invariant for BoundedRetry {
     fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation> {
         let sim = ctx.cluster.sim.sim_stats();
         let drops = sim.dropped_loss + sim.dropped_partition + ctx.cluster.total_node_drops();
-        let retx = ctx.cluster.population().results().retransmissions;
+        let Some(pop) = ctx.cluster.population() else {
+            return Vec::new();
+        };
+        let retx = pop.results().retransmissions;
         let budget = RETRY_BUDGET_BASE + RETRY_BUDGET_PER_DROP * drops;
         if retx <= budget {
             return Vec::new();
@@ -437,7 +443,10 @@ impl Invariant for NoRetryAmplification {
         }
         let sim = ctx.cluster.sim.sim_stats();
         let drops = sim.dropped_loss + sim.dropped_partition + ctx.cluster.total_node_drops();
-        let results = ctx.cluster.population().results();
+        let Some(pop) = ctx.cluster.population() else {
+            return Vec::new();
+        };
+        let results = pop.results();
         let (retx, rejected) = (results.retransmissions, results.rejected);
         let budget = RETRY_BUDGET_BASE + RETRY_BUDGET_PER_DROP * drops + rejected;
         if retx <= budget {

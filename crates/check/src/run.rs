@@ -429,7 +429,7 @@ pub fn run_case_with(
     run_pass(&mut cluster, &mut invariants, horizon_end, true);
 
     let upf_unexpected = cluster.upf_unexpected_msgs();
-    let uepop_unexpected = cluster.population().results().unexpected_msgs;
+    let uepop_unexpected = cluster.population().map_or(0, |p| p.results().unexpected_msgs);
     let results = experiment::finish(cluster, None);
     CheckReport {
         violations: recorded,

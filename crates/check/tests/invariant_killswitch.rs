@@ -171,7 +171,7 @@ fn kill_switch_bounded_retry(row: &CatalogRow) {
         check_at(&mut cluster, &mut *inv, at_ms(100), false).is_empty(),
         "fault-free run retransmits within budget"
     );
-    cluster.population().results_mut().retransmissions = 10_000;
+    cluster.population().unwrap().results_mut().retransmissions = 10_000;
     let fired = check_at(&mut cluster, &mut *inv, at_ms(100), false);
     assert_fired(row, &fired, "unexplained retransmissions must fire");
 }
@@ -266,7 +266,7 @@ fn kill_switch_no_retry_amplification(row: &CatalogRow) {
         check_at(&mut cluster, &mut *inv, at_ms(100), true).is_empty(),
         "fault-free run has no amplification"
     );
-    let results = cluster.population().results_mut();
+    let results = cluster.population().unwrap().results_mut();
     results.retransmissions = 10_000;
     results.rejected = 10;
     assert!(

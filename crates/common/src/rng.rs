@@ -3,10 +3,8 @@
 //!
 //! The approved dependency set includes `rand` but not `rand_distr`, so the
 //! distributions the evaluation needs — exponential inter-arrivals for
-//! uniform(-rate) Poisson traffic, Poisson counts, Zipf popularity for UE
-//! activity skew, and bounded Pareto for heavy-tailed think times — are
-//! implemented here from `rand` primitives using standard inversion /
-//! rejection methods.
+//! uniform(-rate) Poisson traffic and Zipf popularity for UE activity skew —
+//! are implemented here from `rand` primitives by inversion.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,52 +64,6 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     }
     let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     -u.ln() / rate
-}
-
-/// Samples a Poisson count with the given mean.
-///
-/// Knuth's product method for small means; normal approximation (rounded,
-/// clamped at zero) for large means where the product method would need too
-/// many uniforms.
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
-    if mean <= 0.0 {
-        return 0;
-    }
-    if mean < 30.0 {
-        let limit = (-mean).exp();
-        let mut product: f64 = 1.0;
-        let mut count = 0u64;
-        loop {
-            product *= rng.gen_range(0.0f64..1.0);
-            if product <= limit {
-                return count;
-            }
-            count += 1;
-        }
-    } else {
-        let normal = standard_normal(rng);
-        let v = mean + mean.sqrt() * normal;
-        v.round().max(0.0) as u64
-    }
-}
-
-/// Samples a standard normal variate via the Box–Muller transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0f64..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Samples from a bounded Pareto distribution on `[lo, hi]` with shape
-/// `alpha`, via inversion. Heavy-tailed think/dwell times in the mobility
-/// model use this.
-pub fn bounded_pareto<R: Rng + ?Sized>(rng: &mut R, alpha: f64, lo: f64, hi: f64) -> f64 {
-    assert!(alpha > 0.0 && lo > 0.0 && hi > lo, "invalid pareto params");
-    let u: f64 = rng.gen_range(0.0f64..1.0);
-    let la = lo.powf(alpha);
-    let ha = hi.powf(alpha);
-    // Inverse CDF of the truncated Pareto.
-    (-(u * (ha - la) - ha) / (ha * la)).powf(-1.0 / alpha)
 }
 
 /// A Zipf sampler over ranks `1..=n` with exponent `s`, used to skew per-UE
@@ -200,28 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_close_small_and_large() {
-        let mut rng = seeded(2);
-        for mean in [0.5, 5.0, 80.0] {
-            let n = 20_000;
-            let avg: f64 = (0..n).map(|_| poisson(&mut rng, mean) as f64).sum::<f64>() / n as f64;
-            assert!(
-                (avg - mean).abs() / mean.max(1.0) < 0.05,
-                "mean {mean}: got {avg}"
-            );
-        }
-    }
-
-    #[test]
-    fn bounded_pareto_stays_in_bounds() {
-        let mut rng = seeded(3);
-        for _ in 0..10_000 {
-            let v = bounded_pareto(&mut rng, 1.2, 1.0, 100.0);
-            assert!((1.0..=100.0).contains(&v), "out of range: {v}");
-        }
-    }
-
-    #[test]
     fn zipf_prefers_low_ranks() {
         let mut rng = seeded(4);
         let z = Zipf::new(1000, 1.0);
@@ -251,16 +181,5 @@ mod tests {
         for c in counts {
             assert!((c as f64 - 10_000.0).abs() < 1_000.0, "count {c}");
         }
-    }
-
-    #[test]
-    fn standard_normal_moments() {
-        let mut rng = seeded(6);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 }

@@ -102,11 +102,6 @@ impl Duration {
         Duration((s.max(0.0) * 1e9).round() as u64)
     }
 
-    /// Constructs a span from fractional microseconds, saturating at zero.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Duration((us.max(0.0) * 1e3).round() as u64)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -259,7 +254,6 @@ mod tests {
     fn conversions_match_units() {
         assert_eq!(Duration::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(Duration::from_secs_f64(0.5), Duration::from_millis(500));
-        assert_eq!(Duration::from_micros_f64(1.5).as_nanos(), 1_500);
     }
 
     #[test]

@@ -41,10 +41,13 @@ fn tag_of(ue: UeId) -> u32 {
     (splitmix64(ue.raw()) >> 32) as u32
 }
 
+/// The index word of `slot`: `slot + 1` fills the low half. That is the
+/// map's capacity, fewer than 2^32 − 1 UEs (a slab that size is over
+/// 64 GiB), checked like a `Vec`'s: past it a word would corrupt its tag.
 #[inline]
 fn pack(tag: u32, slot: usize) -> u64 {
-    let slot = u32::try_from(slot + 1).expect("a UeMap holds fewer than 2^32 UEs");
-    u64::from(tag) << 32 | u64::from(slot)
+    assert!(slot < u32::MAX as usize, "UeMap capacity overflow");
+    u64::from(tag) << 32 | (slot as u64 + 1)
 }
 
 /// The slab slot an occupied index word points at.

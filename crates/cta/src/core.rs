@@ -23,6 +23,10 @@ const RESYNC_BREAKER_COOLDOWN: Duration = Duration::from_secs(8);
 /// timeouts are tens of seconds; the resync chase starts at 4 s).
 const SCAN_INTERVAL: Duration = Duration::from_secs(5);
 
+/// How long the CTA waits for replica ACKs before declaring the replicas
+/// outdated and pruning the procedure (§4.2.4 uses 30 s).
+const ACK_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// What the CTA does when a UE's primary CPF is down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailoverPolicy {
@@ -47,12 +51,9 @@ pub struct CtaConfig {
     pub logging: bool,
     /// Failure recovery policy.
     pub failover: FailoverPolicy,
-    /// How long to wait for replica ACKs before declaring them outdated
-    /// (§4.2.4 uses 30 s).
-    pub ack_timeout: Duration,
     /// Base delay before a completed-but-unACKed procedure's checkpoint is
     /// re-requested from the primary. Doubles per attempt (exponential
-    /// backoff) until [`CtaConfig::ack_timeout`] prunes the procedure.
+    /// backoff) until the 30 s ACK timeout (§4.2.4) prunes the procedure.
     pub resync_base: Duration,
     /// The codec in use — determines the wire size the log charges per
     /// message.
@@ -71,7 +72,6 @@ impl CtaConfig {
             id,
             logging: true,
             failover: FailoverPolicy::ReplayFromLog,
-            ack_timeout: Duration::from_secs(30),
             resync_base: Duration::from_secs(4),
             codec,
             admission: None,
@@ -84,7 +84,6 @@ impl CtaConfig {
             id,
             logging: false,
             failover: FailoverPolicy::ReAttach,
-            ack_timeout: Duration::from_secs(30),
             resync_base: Duration::from_secs(4),
             codec: CodecKind::Asn1Per,
             admission: None,
@@ -671,7 +670,6 @@ impl CtaCore {
                 return Vec::new();
             }
         }
-        let timeout = self.config.ack_timeout;
         let base = self.config.resync_base.as_nanos();
         // Act in (ue, procedure) order — the index's own — so the message
         // sequence is identical on every run.
@@ -696,7 +694,7 @@ impl CtaCore {
             let Some(done) = entry.completed_at else {
                 continue;
             };
-            if done + timeout <= now {
+            if done + ACK_TIMEOUT <= now {
                 expired.push((ue, proc));
             } else if base > 0 {
                 let backoff = 1u64 << entry.resync_attempts.min(20);

@@ -38,8 +38,6 @@ pub struct RegionLayout {
     pub cpfs_per_region: usize,
     /// UPFs per level-1 region.
     pub upfs_per_region: usize,
-    /// Backup replica count N.
-    pub replicas: usize,
 }
 
 impl Default for RegionLayout {
@@ -50,7 +48,6 @@ impl Default for RegionLayout {
             bss_per_region: 8,
             cpfs_per_region: 5,
             upfs_per_region: 2,
-            replicas: 2,
         }
     }
 }
@@ -69,39 +66,29 @@ impl RegionLayout {
     }
 }
 
-/// A complete deployment: regions, reverse lookups, and the ring stack each
-/// region's CTA and CPFs copy.
+/// A complete deployment: regions, their level-2 siblings, and the ring
+/// stack each region's CTA and CPFs copy.
 #[derive(Debug, Clone)]
 pub struct Deployment {
     regions: Vec<Level1Region>,
-    /// Indexed by the raw id: ids are minted contiguously by [`Self::build`].
-    bs_to_region: Vec<RegionId>,
-    cpf_to_region: Vec<RegionId>,
     /// Per region: the other level-1 regions sharing its geohash parent.
     siblings: Vec<Vec<RegionId>>,
     /// Per region: level-1 ring over its own pool, level-2 ring over its
     /// siblings' pools.
     stacks: Vec<RingStack>,
-    layout: RegionLayout,
-}
-
-/// Point query into a table indexed by raw id.
-fn lookup(table: &[RegionId], raw: u64) -> Option<RegionId> {
-    table.get(usize::try_from(raw).ok()?).copied()
 }
 
 impl Deployment {
     /// Builds a deployment with contiguous ids: level-2 region `g` holds
-    /// level-1 regions `4g..4g+4`, laid out on a geohash grid.
-    pub fn build(layout: RegionLayout) -> Deployment {
+    /// level-1 regions `4g..4g+4`, laid out on a geohash grid. Each ring
+    /// stack places `replicas` (the backup count N) backups per UE.
+    pub fn build(layout: RegionLayout, replicas: usize) -> Deployment {
         assert!(
             layout.level2_regions >= 1,
             "need at least one level-2 region"
         );
         assert!(layout.cpfs_per_region >= 1, "need at least one CPF");
         let mut regions = Vec::new();
-        let mut bs_to_region = Vec::new();
-        let mut cpf_to_region = Vec::new();
         for g in 0..layout.level2_regions {
             // Each level-2 region is one level-5 geohash cell; its four
             // level-1 children are the cell's sub-cells. Bases 20° apart in
@@ -111,11 +98,8 @@ impl Deployment {
             let parent = GeoHash::encode(base_lon, base_lat, 5);
             for corner in 0..4 {
                 let index = regions.len() as u64;
-                let id = RegionId::new(index);
-                bs_to_region.resize(bs_to_region.len() + layout.bss_per_region, id);
-                cpf_to_region.resize(cpf_to_region.len() + layout.cpfs_per_region, id);
                 regions.push(Level1Region {
-                    id,
+                    id: RegionId::new(index),
                     geohash: parent.child(corner),
                     bss: ids(index, layout.bss_per_region).map(BsId::new).collect(),
                     cta: CtaId::new(index),
@@ -142,22 +126,14 @@ impl Deployment {
                     .flat_map(|s| &regions[s.raw() as usize].cpfs)
                     .copied()
                     .collect();
-                RingStack::new(&me.cpfs, &others, layout.replicas)
+                RingStack::new(&me.cpfs, &others, replicas)
             })
             .collect();
         Deployment {
             regions,
-            bs_to_region,
-            cpf_to_region,
             siblings,
             stacks,
-            layout,
         }
-    }
-
-    /// The layout this deployment was built from.
-    pub fn layout(&self) -> RegionLayout {
-        self.layout
     }
 
     /// All level-1 regions.
@@ -170,36 +146,12 @@ impl Deployment {
         self.regions.get(id.raw() as usize)
     }
 
-    /// The region a base station belongs to.
-    pub fn region_of_bs(&self, bs: BsId) -> Option<RegionId> {
-        lookup(&self.bs_to_region, bs.raw())
-    }
-
-    /// The region a CPF belongs to.
-    pub fn region_of_cpf(&self, cpf: CpfId) -> Option<RegionId> {
-        lookup(&self.cpf_to_region, cpf.raw())
-    }
-
-    /// The region a CTA serves: a region and its CTA share one number.
-    pub fn region_of_cta(&self, cta: CtaId) -> Option<RegionId> {
-        self.region(RegionId::new(cta.raw())).map(|r| r.id)
-    }
-
     /// The level-2 siblings of a region: the other level-1 regions sharing
     /// its geohash parent.
     pub fn level2_siblings(&self, id: RegionId) -> &[RegionId] {
         self.siblings
             .get(id.raw() as usize)
             .map_or(&[], Vec::as_slice)
-    }
-
-    /// True when two regions share a level-2 region — fast handover is
-    /// possible between them (§4.3).
-    pub fn same_level2(&self, a: RegionId, b: RegionId) -> bool {
-        match (self.region(a), self.region(b)) {
-            (Some(ra), Some(rb)) => ra.geohash.parent() == rb.geohash.parent(),
-            _ => false,
-        }
     }
 
     /// The ring stack a region's CTA holds: level-1 ring over its own CPF
@@ -213,94 +165,93 @@ impl Deployment {
     pub fn all_cpfs(&self) -> Vec<CpfId> {
         self.regions.iter().flat_map(|r| r.cpfs.clone()).collect()
     }
-
-    /// Every base station in the deployment.
-    pub fn all_bss(&self) -> Vec<BsId> {
-        self.regions.iter().flat_map(|r| r.bss.clone()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The backup count the paper evaluates (`SystemConfig::neutrino`).
+    const N: usize = 2;
+
     #[test]
     fn default_layout_matches_paper() {
-        let d = Deployment::build(RegionLayout::default());
+        let d = Deployment::build(RegionLayout::default(), N);
         assert_eq!(d.regions().len(), 4);
         assert_eq!(d.regions()[0].cpfs.len(), 5);
     }
 
     #[test]
     fn level2_groups_are_quads() {
-        let d = Deployment::build(RegionLayout {
-            level2_regions: 3,
-            ..RegionLayout::default()
-        });
+        let d = Deployment::build(
+            RegionLayout {
+                level2_regions: 3,
+                ..RegionLayout::default()
+            },
+            N,
+        );
         assert_eq!(d.regions().len(), 12);
         for r in d.regions() {
             let sibs = d.level2_siblings(r.id);
             assert_eq!(sibs.len(), 3, "region {} has wrong siblings", r.id);
+            // Region 4g + k's siblings are the rest of 4g..4g+4.
+            let quad = r.id.raw() / 4;
             for &s in sibs {
-                assert!(d.same_level2(r.id, s));
+                assert_ne!(s, r.id);
+                assert_eq!(s.raw() / 4, quad, "region {} is not in {}'s quad", s, r.id);
+                let sibling = d.region(s).unwrap();
+                assert_eq!(sibling.geohash.parent(), r.geohash.parent());
             }
         }
     }
 
     #[test]
     fn cross_level2_regions_are_not_siblings() {
-        let d = Deployment::build(RegionLayout {
-            level2_regions: 2,
-            ..RegionLayout::default()
-        });
-        assert!(!d.same_level2(RegionId::new(0), RegionId::new(4)));
-        assert!(d.same_level2(RegionId::new(0), RegionId::new(3)));
-    }
-
-    #[test]
-    fn reverse_lookups_are_consistent() {
-        let d = Deployment::build(RegionLayout {
-            level2_regions: 2,
-            ..RegionLayout::default()
-        });
-        for r in d.regions() {
-            for &bs in &r.bss {
-                assert_eq!(d.region_of_bs(bs), Some(r.id));
-            }
-            for &cpf in &r.cpfs {
-                assert_eq!(d.region_of_cpf(cpf), Some(r.id));
-            }
-            assert_eq!(d.region_of_cta(r.cta), Some(r.id));
-        }
+        let d = Deployment::build(
+            RegionLayout {
+                level2_regions: 2,
+                ..RegionLayout::default()
+            },
+            N,
+        );
+        let sibs = d.level2_siblings(RegionId::new(0));
+        assert!(!sibs.contains(&RegionId::new(4)));
+        assert!(sibs.contains(&RegionId::new(3)));
     }
 
     #[test]
     fn ids_are_globally_unique() {
-        let d = Deployment::build(RegionLayout {
-            level2_regions: 2,
-            ..RegionLayout::default()
-        });
+        let d = Deployment::build(
+            RegionLayout {
+                level2_regions: 2,
+                ..RegionLayout::default()
+            },
+            N,
+        );
         let cpfs = d.all_cpfs();
         let set: std::collections::BTreeSet<_> = cpfs.iter().collect();
         assert_eq!(set.len(), cpfs.len());
-        let bss = d.all_bss();
+        let bss: Vec<BsId> = d.regions().iter().flat_map(|r| r.bss.clone()).collect();
         let set: std::collections::BTreeSet<_> = bss.iter().collect();
         assert_eq!(set.len(), bss.len());
+        // A region and its CTA share one number.
+        for (i, r) in d.regions().iter().enumerate() {
+            assert_eq!((r.id.raw(), r.cta.raw()), (i as u64, i as u64));
+        }
     }
 
     #[test]
     fn ring_stack_uses_sibling_cpfs_for_backups() {
-        let d = Deployment::build(RegionLayout {
-            level2_regions: 1,
-            ..RegionLayout::default()
-        });
+        let d = Deployment::build(RegionLayout::default(), N);
         let stack = d.ring_stack(RegionId::new(0)).unwrap();
         let my_cpfs = &d.region(RegionId::new(0)).unwrap().cpfs;
         for ue in 0..100 {
             let ue = neutrino_common::UeId::new(ue);
             let primary = stack.primary(ue).unwrap();
             assert!(my_cpfs.contains(&primary));
-            for b in stack.backups(ue) {
+            let backups: Vec<_> = stack.backups(ue).collect();
+            assert_eq!(backups.len(), N);
+            for b in backups {
                 assert!(!my_cpfs.contains(&b), "backups live in sibling regions");
             }
         }

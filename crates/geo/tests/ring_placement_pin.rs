@@ -27,9 +27,11 @@ fn fold_placements(digest: &mut u64, stack: &RingStack) {
 }
 
 /// Every region's placements before and after the region loses its first
-/// CPF (level-1 removal) and its first sibling's first CPF (level-2 removal).
+/// CPF (level-1 removal) and its first sibling's first CPF (level-2 removal),
+/// with the paper's two backups per UE.
+#[expect(clippy::expect_used, reason = "a test helper: every region has a stack and siblings")]
 fn placement_digest(layout: RegionLayout) -> u64 {
-    let deployment = Deployment::build(layout);
+    let deployment = Deployment::build(layout, 2);
     let mut digest = 0xcbf2_9ce4_8422_2325;
     for region in deployment.regions() {
         let mut stack = deployment

@@ -134,20 +134,15 @@ pub struct ProcedureTemplate {
     pub kind: ProcedureKind,
     /// Ordered message exchanges.
     pub steps: Vec<Step>,
+    /// Index of the last step inside the PCT window: the first step, an
+    /// uplink request, is never `post_completion`.
+    completion: usize,
 }
 
 impl ProcedureTemplate {
-    /// Steps that bound the UE-observed completion time.
-    pub fn critical_steps(&self) -> impl Iterator<Item = &Step> {
-        self.steps.iter().filter(|s| !s.post_completion)
-    }
-
     /// Index of the last step inside the PCT window.
     pub fn completion_index(&self) -> usize {
-        self.steps
-            .iter()
-            .rposition(|s| !s.post_completion)
-            .expect("templates have at least one critical step")
+        self.completion
     }
 
     /// Number of uplink messages (what the CTA must log, §4.2.3).
@@ -162,19 +157,22 @@ impl ProcedureTemplate {
 fn template(kind: ProcedureKind) -> &'static ProcedureTemplate {
     use std::sync::OnceLock;
     static TEMPLATES: OnceLock<Vec<ProcedureTemplate>> = OnceLock::new();
+    // `ALL` lists the kinds in declaration order, so a kind indexes it.
     let all = TEMPLATES.get_or_init(|| {
         ProcedureKind::ALL
             .iter()
-            .map(|k| ProcedureTemplate {
-                kind: *k,
-                steps: steps_for(*k),
+            .map(|&kind| {
+                let steps = steps_for(kind);
+                let completion = steps.iter().rposition(|s| !s.post_completion).unwrap_or(0);
+                ProcedureTemplate {
+                    kind,
+                    steps,
+                    completion,
+                }
             })
             .collect()
     });
-    &all[ProcedureKind::ALL
-        .iter()
-        .position(|k| *k == kind)
-        .expect("all kinds enumerated")]
+    &all[kind as usize]
 }
 
 fn steps_for(kind: ProcedureKind) -> Vec<Step> {
@@ -250,6 +248,7 @@ mod tests {
                 "{kind} must start with a request"
             );
             assert_eq!(t.kind, *kind);
+            assert_eq!(ProcedureKind::ALL[*kind as usize], *kind);
         }
     }
 
@@ -282,11 +281,14 @@ mod tests {
 
     #[test]
     fn attach_has_upf_interaction_on_critical_path() {
-        let t = ProcedureKind::InitialAttach.template();
-        assert!(t.critical_steps().any(|s| s.upf_interaction));
+        let critical = |t: &'static ProcedureTemplate| &t.steps[..=t.completion_index()];
+        assert!(critical(ProcedureKind::InitialAttach.template())
+            .iter()
+            .any(|s| s.upf_interaction));
         // The service request does not block on the UPF (LTE ordering).
-        let sr = ProcedureKind::ServiceRequest.template();
-        assert!(sr.critical_steps().all(|s| !s.upf_interaction));
+        assert!(critical(ProcedureKind::ServiceRequest.template())
+            .iter()
+            .all(|s| !s.upf_interaction));
     }
 
     #[test]

@@ -216,12 +216,6 @@ impl Links {
         self.fault_overrides.insert((from, to), spec);
     }
 
-    /// Sets a symmetric fault override.
-    pub fn set_fault_symmetric(&mut self, a: NodeId, b: NodeId, spec: FaultSpec) {
-        self.fault_overrides.insert((a, b), spec);
-        self.fault_overrides.insert((b, a), spec);
-    }
-
     /// Adds a bidirectional partition between `a` and `b`: every
     /// transmission in either direction is dropped in `[from, until)`.
     pub fn add_partition(&mut self, a: NodeId, b: NodeId, from: Instant, until: Instant) {
@@ -538,7 +532,8 @@ mod tests {
             ..FaultSpec::NONE
         });
         let (a, b) = (NodeId::new(1), NodeId::new(2));
-        links.set_fault_symmetric(a, b, FaultSpec::NONE);
+        links.set_fault(a, b, FaultSpec::NONE);
+        links.set_fault(b, a, FaultSpec::NONE);
         assert!(matches!(
             links.plan_delivery(a, b, 0, Instant::ZERO),
             Delivery::Deliver { .. }

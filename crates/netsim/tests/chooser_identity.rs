@@ -176,6 +176,7 @@ type Observables = (Vec<Vec<(NodeId, u64, Instant)>>, Instant, SimStats);
 /// counts the wheel alone, which a staged tick has left. (Two same-tick
 /// deliveries to two nodes, the first fanning out three sends: the plain
 /// order peaks at 4 scheduled events, the staged one at 3.)
+#[expect(clippy::unwrap_used, reason = "a test helper: `build` added every node")]
 fn observe(sim: &mut Sim<u64>, all: &[NodeId]) -> Observables {
     let logs = all
         .iter()

@@ -139,6 +139,7 @@ struct Trace {
     in_flight: u64,
 }
 
+#[expect(clippy::unwrap_used, reason = "a test helper: both nodes were added above")]
 fn run(plan: &Plan) -> Trace {
     let client_id = NodeId::new(1);
     let server_id = NodeId::new(2);

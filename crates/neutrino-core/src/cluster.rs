@@ -4,7 +4,7 @@ use crate::config::{SystemConfig, SystemKind};
 use crate::simnode::{
     cpf_node, cta_node, upf_node, Costed, CpfNode, CtaNode, SimNode, UpfNode, UEPOP_NODE,
 };
-use crate::uepop::{RegionRoute, UePopConfig, UePopResults, UePopulation, Workload};
+use crate::uepop::{UePopConfig, UePopResults, UePopulation, Workload};
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::CpfId;
 use neutrino_cpf::{CpfConfig, CpfCore, CpfMetrics};
@@ -28,13 +28,14 @@ pub enum SimMsg {
     Kick,
 }
 
+/// Latency of a same-region hop (BS↔CTA, CTA↔CPF, CPF↔UPF): the paper's
+/// testbed is two servers on 40 GbE with DPDK kernel-bypass I/O (§6) —
+/// single-digit microseconds one way.
+pub const INTRA_REGION_LATENCY: Duration = Duration::from_micros(5);
+
 /// Link latencies of the edge deployment.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkProfile {
-    /// Same-region hops (BS↔CTA, CTA↔CPF, CPF↔UPF): the paper's testbed is
-    /// two servers on 40 GbE with DPDK kernel-bypass I/O — single-digit
-    /// microseconds one way.
-    pub intra_region: Duration,
     /// Cross-region hops (CPF ↔ level-2 replica CPFs): different edge sites.
     pub inter_region: Duration,
     /// Maximum deterministic per-hop jitter (uniform in `0..=jitter`,
@@ -50,7 +51,6 @@ pub struct LinkProfile {
 impl Default for LinkProfile {
     fn default() -> Self {
         LinkProfile {
-            intra_region: Duration::from_micros(5),
             inter_region: Duration::from_micros(500),
             jitter: Duration::ZERO,
             faults: FaultSpec::NONE,
@@ -96,9 +96,9 @@ impl Cluster {
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_sim(
         config: SystemConfig,
-        mut layout: RegionLayout,
+        layout: RegionLayout,
         workload: Workload,
-        mut uecfg: UePopConfig,
+        uecfg: UePopConfig,
         links_profile: LinkProfile,
         sim_config: SimConfig,
         seed: u64,
@@ -108,13 +108,12 @@ impl Cluster {
             shards, 1,
             "the sharded engine was removed; shards must be 1"
         );
-        layout.replicas = config.replicas;
-        let deployment = Deployment::build(layout);
+        let deployment = Deployment::build(layout, config.replicas);
 
         // Links: intra-region by default, cross-region overridden.
         let jitter = links_profile.jitter;
         let mut links = Links::with_default(LinkSpec {
-            latency: links_profile.intra_region,
+            latency: INTRA_REGION_LATENCY,
             jitter,
         });
         links.set_seed(seed);
@@ -142,36 +141,18 @@ impl Cluster {
         // and CPF pool — the paper's testbed drives one pool of five CPF
         // instances (§5); sibling regions host the level-2 backup replicas
         // and handover targets.
-        uecfg.codec = config.codec;
-        // Overload control is end-to-end: when the CTA gates ingress, the
-        // UEs also spread their re-offers with exponential backoff instead
-        // of re-offering in lockstep the moment `retry_after` elapses.
-        if config.admission.is_some() && uecfg.backoff_base == Duration::ZERO {
-            uecfg.backoff_base = Duration::from_millis(50);
-        }
-        // Route 0 (region 0) carries all traffic — the paper's testbed
-        // shape; the rest are fallbacks for CTA-failure recovery
-        // (§4.2.5 scenario 4).
-        uecfg.routes = deployment
-            .regions()
-            .iter()
-            .map(|r| RegionRoute {
-                cta: r.cta,
-                bss: r.bss.clone(),
-            })
-            .collect();
-        sim.add_node(UEPOP_NODE, Box::new(UePopulation::new(uecfg, workload)));
+        let population = UePopulation::new(uecfg, workload, &config, &deployment);
+        sim.add_node(UEPOP_NODE, Box::new(population));
 
         // Per-region control plane.
         for region in deployment.regions() {
-            let ring = deployment
-                .ring_stack(region.id)
-                .expect("regions have rings");
+            let Some(ring) = deployment.ring_stack(region.id) else {
+                continue;
+            };
             let cta_cfg = CtaConfig {
                 id: region.cta,
                 logging: config.logging,
                 failover: config.failover,
-                ack_timeout: Duration::from_secs(30),
                 // No replication → no ACKs will ever come; a resync chase
                 // would just spam the primary. Zero disables it.
                 resync_base: if config.replication == neutrino_cpf::ReplicationMode::None {
@@ -207,9 +188,9 @@ impl Cluster {
                     peers: region.cpfs.clone(),
                     remote_peers: remote_peers.clone(),
                     upfs: region.upfs.clone(),
-                    enforce_consistency: config.enforce_consistency,
+                    enforce_consistency: config.enforce_consistency(),
                     home_cta: region.cta,
-                    parallel_upf: config.parallel_upf,
+                    parallel_upf: config.parallel,
                 };
                 sim.add_node(
                     cpf_node(cpf),
@@ -326,11 +307,10 @@ impl Cluster {
         self.sim.run_to_completion();
     }
 
-    /// The UE-population node (read-mostly access for invariant oracles).
-    pub fn population(&mut self) -> &mut UePopulation {
-        self.sim
-            .node_as::<UePopulation>(UEPOP_NODE)
-            .expect("population exists")
+    /// The UE-population node (read-mostly access for invariant oracles);
+    /// `None` only for a simulator the cluster did not build.
+    pub fn population(&mut self) -> Option<&mut UePopulation> {
+        self.sim.node_as::<UePopulation>(UEPOP_NODE)
     }
 
     /// Total messages dropped at down or crashed nodes across the whole
@@ -345,10 +325,9 @@ impl Cluster {
 
     /// Extracts the UE population's results.
     pub fn take_results(&mut self) -> UePopResults {
-        self.sim
-            .node_as::<UePopulation>(UEPOP_NODE)
-            .expect("population exists")
-            .take_results()
+        self.population()
+            .map(UePopulation::take_results)
+            .unwrap_or_default()
     }
 
     /// Peak CTA log footprint across all regions (Fig. 17).

@@ -1,7 +1,6 @@
 //! System configurations: the §6.2 baselines and Neutrino variants as data.
 
 use neutrino_codec::CodecKind;
-use neutrino_common::time::Duration;
 use neutrino_cpf::ReplicationMode;
 use neutrino_cta::{AdmissionParams, FailoverPolicy};
 
@@ -29,61 +28,6 @@ pub enum HandoverPolicy {
     Proactive,
 }
 
-/// CPU provisioning of the simulated nodes, mirroring §5's "five CPF
-/// instances, each running on two CPU cores (one for processing requests
-/// and the second one for state synchronization)".
-#[derive(Debug, Clone, Copy)]
-pub struct CpuProfile {
-    /// Request-processing cores per CPF (the second, sync core is modeled by
-    /// not charging checkpoint *encoding* to this core — §4.2.2's
-    /// non-blocking replication).
-    pub cpf_cores: usize,
-    /// Cores per CTA (DPDK producer/consumer threads).
-    pub cta_cores: usize,
-    /// Cores per UPF.
-    pub upf_cores: usize,
-    /// Cores of the traffic-generator node (never the bottleneck).
-    pub uepop_cores: usize,
-    /// Fixed per-message state-machine cost on a CPF besides serialization
-    /// (hash lookups, state mutation).
-    pub cpf_state_update: Duration,
-    /// Per-message lock/checkpoint overhead a CPF pays when replicating on
-    /// *every* message (Fig. 15's "frequent state locking").
-    pub per_message_lock: Duration,
-    /// Per-message routing cost on the CTA.
-    pub cta_route: Duration,
-    /// In-memory log append cost per logged message (a map insert + clone;
-    /// §6.7.2 shows it is negligible — but not zero).
-    pub cta_log_append: Duration,
-    /// S11 session-table operation cost on the UPF.
-    pub upf_s11: Duration,
-    /// Global scale on CPF service times, calibrating absolute saturation
-    /// points to the paper's testbed: with 5 CPF instances, existing EPC
-    /// saturates near 60K attach procedures/s (§6.3, Fig. 8). The *relative*
-    /// behavior of the systems comes entirely from the measured codec costs;
-    /// this factor only positions the knees on the paper's x-axis (the
-    /// authors' Xeon cores run a full OAI stack per message; our CPF state
-    /// machine is far leaner).
-    pub cpf_scale: f64,
-}
-
-impl Default for CpuProfile {
-    fn default() -> Self {
-        CpuProfile {
-            cpf_cores: 1,
-            cta_cores: 4,
-            upf_cores: 4,
-            uepop_cores: 64,
-            cpf_state_update: Duration::from_nanos(800),
-            per_message_lock: Duration::from_micros(3),
-            cta_route: Duration::from_nanos(400),
-            cta_log_append: Duration::from_nanos(150),
-            upf_s11: Duration::from_micros(2),
-            cpf_scale: 8.0,
-        }
-    }
-}
-
 /// A complete system configuration.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -101,18 +45,13 @@ pub struct SystemConfig {
     pub logging: bool,
     /// Handover policy.
     pub handover: HandoverPolicy,
-    /// DPCM's parallel UPF interaction.
-    pub parallel_upf: bool,
-    /// DPCM's operation parallelism \[61\]: device-provided state lets the
-    /// CPF overlap request parsing with response building, so a message
-    /// charges `max(parse, build)` instead of their sum.
-    pub parallel_ops: bool,
-    /// Whether CPFs refuse to serve stale state.
-    pub enforce_consistency: bool,
+    /// DPCM's parallelism \[61\]: the CPF runs its UPF interaction in
+    /// parallel with the procedure, and device-provided state lets it overlap
+    /// request parsing with response building, so a message charges
+    /// `max(parse, build)` instead of their sum.
+    pub parallel: bool,
     /// Backup replica count N.
     pub replicas: usize,
-    /// CPU provisioning.
-    pub cpu: CpuProfile,
     /// CTA ingress admission gate (overload control). `None` — the stock
     /// setting for every baseline — admits everything, preserving
     /// byte-identical behavior with pre-overload-control runs.
@@ -124,6 +63,12 @@ impl SystemConfig {
     pub fn with_admission(mut self, params: AdmissionParams) -> Self {
         self.admission = Some(params);
         self
+    }
+
+    /// Whether CPFs refuse to serve stale state: every system but SkyCore,
+    /// whose any-peer failover serves whatever state the broadcast left.
+    pub fn enforce_consistency(&self) -> bool {
+        self.failover != FailoverPolicy::AnyPeer
     }
 }
 
@@ -140,11 +85,8 @@ impl SystemConfig {
             failover: FailoverPolicy::ReplayFromLog,
             logging: true,
             handover: HandoverPolicy::Proactive,
-            parallel_upf: false,
-            parallel_ops: false,
-            enforce_consistency: true,
+            parallel: false,
             replicas: 2,
-            cpu: CpuProfile::default(),
             admission: None,
         }
     }
@@ -199,11 +141,8 @@ impl SystemConfig {
             failover: FailoverPolicy::ReAttach,
             logging: false,
             handover: HandoverPolicy::MigrateOnDemand,
-            parallel_upf: false,
-            parallel_ops: false,
-            enforce_consistency: true,
+            parallel: false,
             replicas: 0,
-            cpu: CpuProfile::default(),
             admission: None,
         }
     }
@@ -214,8 +153,7 @@ impl SystemConfig {
         SystemConfig {
             kind: SystemKind::Dpcm,
             name: "DPCM",
-            parallel_upf: true,
-            parallel_ops: true,
+            parallel: true,
             ..Self::existing_epc()
         }
     }
@@ -231,11 +169,8 @@ impl SystemConfig {
             failover: FailoverPolicy::AnyPeer,
             logging: false,
             handover: HandoverPolicy::MigrateOnDemand,
-            parallel_upf: false,
-            parallel_ops: false,
-            enforce_consistency: false,
+            parallel: false,
             replicas: 0,
-            cpu: CpuProfile::default(),
             admission: None,
         }
     }
@@ -263,8 +198,9 @@ mod tests {
         let s = SystemConfig::skycore();
         assert_eq!(n.codec, CodecKind::FastbufOptimized);
         assert_eq!(e.codec, CodecKind::Asn1Per);
-        assert!(d.parallel_upf && !e.parallel_upf);
+        assert!(d.parallel && !e.parallel);
         assert_eq!(s.replication, ReplicationMode::PerMessage);
+        assert!(!s.enforce_consistency() && n.enforce_consistency() && d.enforce_consistency());
         assert_eq!(n.replication, ReplicationMode::PerProcedure);
         assert!(n.logging && !e.logging);
     }

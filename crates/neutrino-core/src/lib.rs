@@ -39,6 +39,6 @@ pub mod uepop;
 pub use audit::{audit_cluster, AuditReport, Divergence};
 pub use oracle::{Invariant, OracleCtx, Violation};
 pub use cluster::{Cluster, LinkProfile, SimMsg};
-pub use config::{CpuProfile, HandoverPolicy, SystemConfig, SystemKind};
+pub use config::{HandoverPolicy, SystemConfig, SystemKind};
 pub use experiment::{run_experiment, ExperimentSpec, FailureSpec, RunResults};
 pub use uepop::{Arrival, ProcedureWindow, UePopConfig, UePopulation, Workload};

@@ -9,12 +9,14 @@
 //! serialization costs.
 
 use crate::cluster::SimMsg;
+use crate::config::SystemConfig;
 use crate::simnode::cta_node;
 use neutrino_codec::CodecKind;
 use neutrino_common::rng::splitmix64;
 use neutrino_common::stats::Percentiles;
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::{BsId, CtaId, ProcedureId, UeId, UeMap};
+use neutrino_geo::Deployment;
 use neutrino_messages::costs::CostTable;
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_messages::{Direction, Envelope, Payload, SysMsg};
@@ -66,64 +68,53 @@ impl std::fmt::Debug for Workload {
 
 /// Routing of UEs to regions: a UE with id `u` uses entry `u % len`.
 #[derive(Debug, Clone)]
-pub struct RegionRoute {
+struct RegionRoute {
     /// The region's CTA.
-    pub cta: CtaId,
+    cta: CtaId,
     /// The region's base stations (UE `u` camps on `bss[u % len]`).
-    pub bss: Vec<BsId>,
+    bss: Vec<BsId>,
 }
 
 /// UE population configuration.
 #[derive(Debug, Clone)]
 pub struct UePopConfig {
-    /// Serialization in use on the UE/BS side.
-    pub codec: CodecKind,
-    /// Region routing table.
-    pub routes: Vec<RegionRoute>,
     /// How long a UE waits for a response before retrying.
     pub retry_timeout: Duration,
     /// Retries before giving up and re-attaching.
     pub max_retries: u32,
-    /// Total retry *budget* per procedure: retransmissions, reject
-    /// re-offers, and re-attach restarts all draw from it. Once spent, the
-    /// UE abandons the procedure (`retries_exhausted`) instead of looping
-    /// forever — PR 3's give-up → re-attach cycle never terminated when
-    /// the CTA stayed unreachable.
-    pub max_attempts: u32,
-    /// Base of the exponential backoff added on top of a `Reject`'s
-    /// `retry_after_ms`. `ZERO` (the default) adds only the deterministic
-    /// jitter.
-    pub backoff_base: Duration,
-    /// Ceiling of the exponential backoff term.
-    pub backoff_cap: Duration,
     /// Record every k-th completed PCT sample (1 = all).
     pub pct_sample_every: u64,
     /// UEs whose data-access interruption windows are recorded (the app
     /// experiments' probe UEs).
     pub record_windows_for: BTreeSet<UeId>,
-    /// Generator cores (never the bottleneck).
-    pub cores: usize,
 }
 
 impl Default for UePopConfig {
     fn default() -> Self {
         UePopConfig {
-            codec: CodecKind::FastbufOptimized,
-            routes: vec![RegionRoute {
-                cta: CtaId::new(0),
-                bss: (0..8).map(BsId::new).collect(),
-            }],
             retry_timeout: Duration::from_secs(1),
             max_retries: 2,
-            max_attempts: 16,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::from_secs(4),
             pct_sample_every: 1,
             record_windows_for: BTreeSet::new(),
-            cores: 64,
         }
     }
 }
+
+/// Generator cores (never the bottleneck).
+const CORES: usize = 64;
+/// Total retry *budget* per procedure: retransmissions, reject re-offers,
+/// and re-attach restarts all draw from it. Once spent, the UE abandons the
+/// procedure (`retries_exhausted`) instead of looping forever on a CTA that
+/// stays unreachable.
+const MAX_ATTEMPTS: u32 = 16;
+/// Base of the exponential backoff a UE adds on top of a `Reject`'s
+/// `retry_after_ms` when the CTA gates admission: overload control is
+/// end-to-end, so the UEs spread their re-offers instead of re-offering in
+/// lockstep the moment `retry_after` elapses. Without a gate only the
+/// jitter remains.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+/// Ceiling of the exponential backoff term.
+const BACKOFF_CAP: Duration = Duration::from_secs(4);
 
 /// A completed procedure's data-access interruption window at a probe UE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,6 +243,14 @@ fn send_uplink(
 /// The UE/BS population node.
 pub struct UePopulation {
     config: UePopConfig,
+    /// Serialization in use on the UE/BS side: the system's.
+    codec: CodecKind,
+    /// Region routing table, one route per region: route 0 (region 0)
+    /// carries all traffic — the paper's testbed shape; the rest are
+    /// fallbacks for CTA-failure recovery (§4.2.5 scenario 4).
+    routes: Vec<RegionRoute>,
+    /// Whether the CTA gates admission, which turns on the backoff.
+    gated: bool,
     workload: Workload,
     pending_arrival: Option<Arrival>,
     ues: UeMap<UeRecord>,
@@ -262,10 +261,27 @@ pub struct UePopulation {
 }
 
 impl UePopulation {
-    /// Creates the population over a workload.
-    pub fn new(config: UePopConfig, workload: Workload) -> Self {
+    /// Creates the population of `system` over a workload, its UEs camped
+    /// on `deployment`'s regions.
+    pub fn new(
+        config: UePopConfig,
+        workload: Workload,
+        system: &SystemConfig,
+        deployment: &Deployment,
+    ) -> Self {
+        let routes = deployment
+            .regions()
+            .iter()
+            .map(|r| RegionRoute {
+                cta: r.cta,
+                bss: r.bss.clone(),
+            })
+            .collect();
         UePopulation {
             config,
+            codec: system.codec,
+            routes,
+            gated: system.admission.is_some(),
             workload,
             pending_arrival: None,
             ues: UeMap::new(),
@@ -307,7 +323,7 @@ impl UePopulation {
             .collect()
     }
 
-    /// The population's configuration (retry policy, routes).
+    /// The population's configuration (retry policy).
     pub fn config(&self) -> &UePopConfig {
         &self.config
     }
@@ -345,7 +361,7 @@ impl UePopulation {
             budget_used,
             deferred_until: None,
         });
-        send_uplink(&self.config.routes, ue, rec.route, active, 0, out);
+        send_uplink(&self.routes, ue, rec.route, active, 0, out);
         out.set_timer(self.config.retry_timeout, ue.raw());
     }
 
@@ -434,7 +450,7 @@ impl UePopulation {
             && template.steps[active.next_step].direction == Direction::Uplink
         {
             active.last_uplink = active.next_step;
-            send_uplink(&self.config.routes, ue, route, active, active.next_step, out);
+            send_uplink(&self.routes, ue, route, active, active.next_step, out);
             active.next_step += 1;
         }
         // Finished the whole template?
@@ -457,7 +473,7 @@ impl UePopulation {
                 // Idle UE told to re-attach: a fresh re-attach procedure.
                 None => (ProcedureKind::ReAttach, now, 0),
             };
-        if budget > self.config.max_attempts {
+        if budget > MAX_ATTEMPTS {
             if let Some(rec) = self.ues.get_mut(ue) {
                 Self::abandon(rec, &mut self.in_flight, &mut self.results);
             }
@@ -475,7 +491,7 @@ impl UePopulation {
         let Some(a) = rec.active.as_mut() else {
             return; // the procedure this timer guarded is gone
         };
-        let routes = &self.config.routes;
+        let routes = &self.routes;
         // A UE honoring a `Reject` does nothing until its deferral ends;
         // then it re-offers the shed procedure start (already charged to
         // the budget when the Reject arrived).
@@ -509,7 +525,7 @@ impl UePopulation {
         }
         // Retransmit the last uplink — one budget charge per resend.
         a.budget_used += 1;
-        if a.budget_used > self.config.max_attempts {
+        if a.budget_used > MAX_ATTEMPTS {
             Self::abandon(rec, &mut self.in_flight, &mut self.results);
             return;
         }
@@ -531,19 +547,17 @@ impl UePopulation {
         };
         self.results.rejected += 1;
         a.budget_used += 1;
-        if a.budget_used > self.config.max_attempts {
+        if a.budget_used > MAX_ATTEMPTS {
             Self::abandon(rec, &mut self.in_flight, &mut self.results);
             return;
         }
-        // Exponential term: base << attempt, capped. With the default
-        // ZERO base only the jitter window remains.
-        let expo_ns = self
-            .config
-            .backoff_base
-            .as_nanos()
-            .checked_shl(a.budget_used.min(16))
-            .unwrap_or(u64::MAX)
-            .min(self.config.backoff_cap.as_nanos());
+        // Exponential term behind a gate: base << attempt, capped. Without
+        // one only the jitter window remains.
+        let expo_ns = if self.gated {
+            (BACKOFF_BASE.as_nanos() << a.budget_used.min(16)).min(BACKOFF_CAP.as_nanos())
+        } else {
+            0
+        };
         // Stateless splitmix64 jitter keyed on (ue, attempt): no shared RNG
         // state, so the draw is identical under any worker interleaving.
         let jitter_window = (expo_ns / 2).max(1_000_000); // ≥ 1ms to break sync
@@ -591,7 +605,7 @@ impl Node<SimMsg> for UePopulation {
             SimMsg::Sys(SysMsg::Control(env)) => {
                 // UE/BS-side parse of the downlink.
                 self.costs
-                    .sim_cost(self.config.codec, env.msg.kind())
+                    .sim_cost(self.codec, env.msg.kind())
                     .map(|c| c.access)
                     .unwrap_or(Duration::from_nanos(500))
             }
@@ -624,7 +638,7 @@ impl Node<SimMsg> for UePopulation {
     }
 
     fn cores(&self) -> usize {
-        self.config.cores
+        CORES
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -636,7 +650,32 @@ impl Node<SimMsg> for UePopulation {
 mod tests {
     use super::*;
     use crate::simnode::UEPOP_NODE;
-    use neutrino_netsim::{LinkSpec, Links, Sim};
+    use neutrino_cta::AdmissionParams;
+    use neutrino_geo::RegionLayout;
+    use neutrino_messages::sysmsg::AdmissionClass;
+    use neutrino_netsim::{LinkSpec, Links, NodeId, Sim};
+
+    /// Region 0's CTA, where every UE starts.
+    fn cta() -> NodeId {
+        cta_node(CtaId::new(0))
+    }
+
+    /// A simulator holding `system`'s population over `arrivals` and, at
+    /// region 0's CTA, `cta`; every hop takes 5 µs.
+    fn population_sim(
+        system: &SystemConfig,
+        config: UePopConfig,
+        arrivals: Vec<Arrival>,
+        cta: impl Node<SimMsg> + 'static,
+    ) -> Sim<SimMsg> {
+        let deployment = Deployment::build(RegionLayout::default(), system.replicas);
+        let pop = UePopulation::new(config, Workload::from_vec(arrivals), system, &deployment);
+        let mut sim = Sim::new(Links::with_default(LinkSpec::fixed(Duration::from_micros(5))));
+        sim.add_node(UEPOP_NODE, Box::new(pop));
+        sim.add_node(self::cta(), Box::new(cta));
+        sim.inject_at(Instant::ZERO, UEPOP_NODE, SimMsg::Kick);
+        sim
+    }
 
     #[test]
     fn workload_from_vec_sorts() {
@@ -659,10 +698,18 @@ mod tests {
 
     #[test]
     fn route_is_deterministic() {
-        let routes = UePopConfig::default().routes;
-        let a = route_of(&routes, UeId::new(17), 0);
-        let b = route_of(&routes, UeId::new(17), 0);
+        let deployment = Deployment::build(RegionLayout::default(), 2);
+        let pop = UePopulation::new(
+            UePopConfig::default(),
+            Workload::from_vec(Vec::new()),
+            &SystemConfig::neutrino(),
+            &deployment,
+        );
+        let a = route_of(&pop.routes, UeId::new(17), 0);
+        let b = route_of(&pop.routes, UeId::new(17), 0);
         assert_eq!(a, b);
+        assert_eq!(a, (BsId::new(1), CtaId::new(0)));
+        assert_eq!(route_of(&pop.routes, UeId::new(17), 1).1, CtaId::new(1));
     }
 
     #[test]
@@ -714,14 +761,11 @@ mod tests {
             };
             let ue = UeId::new(7);
             let arrival = Arrival { at: Instant::ZERO, ue, kind };
-            let pop = UePopulation::new(config, Workload::from_vec(vec![arrival]));
-            let cta = cta_node(CtaId::new(0));
-            let mut sim = Sim::new(Links::with_default(LinkSpec::fixed(Duration::from_micros(5))));
-            sim.add_node(UEPOP_NODE, Box::new(pop));
-            sim.add_node(cta, Box::new(SilentCta { seen: Vec::new(), answer }));
-            sim.inject_at(Instant::ZERO, UEPOP_NODE, SimMsg::Kick);
+            let silent = SilentCta { seen: Vec::new(), answer };
+            let mut sim =
+                population_sim(&SystemConfig::neutrino(), config, vec![arrival], silent);
             sim.run_until(Instant::from_millis(3_500));
-            let seen = std::mem::take(&mut sim.node_as::<SilentCta>(cta).unwrap().seen);
+            let seen = std::mem::take(&mut sim.node_as::<SilentCta>(cta()).unwrap().seen);
             let repeated = &seen[answer..];
             let first = &repeated[0];
             assert_eq!(first.msg.kind(), kind.template().steps[step].kind);
@@ -738,13 +782,85 @@ mod tests {
     fn misrouted_sysmsg_is_counted_not_swallowed() {
         // The flow contract says the UE side never receives MigrationAck (it
         // is a CPF→CPF message) — it must land in the counter, not vanish.
-        let pop = UePopulation::new(UePopConfig::default(), Workload::from_vec(Vec::new()));
-        let mut sim = Sim::new(Links::with_default(LinkSpec::fixed(Duration::from_micros(5))));
-        sim.add_node(UEPOP_NODE, Box::new(pop));
+        let silent = SilentCta { seen: Vec::new(), answer: 0 };
+        let config = UePopConfig::default();
+        let mut sim = population_sim(&SystemConfig::neutrino(), config, Vec::new(), silent);
         let misrouted = SimMsg::Sys(SysMsg::MigrationAck { ue: UeId::new(7) });
         sim.inject_at(Instant::ZERO, UEPOP_NODE, misrouted);
         sim.run_until(Instant::from_millis(1));
         let pop = sim.node_as::<UePopulation>(UEPOP_NODE).unwrap();
         assert_eq!(pop.results().unexpected_msgs, 1);
+    }
+
+    /// The `retry_after` a [`GateCta`] sends.
+    const RETRY_AFTER: Duration = Duration::from_millis(20);
+
+    /// A CTA whose gate sheds the first `rejects` uplinks it sees; it
+    /// records when every uplink arrived.
+    struct GateCta {
+        rejects: usize,
+        arrivals: Vec<Instant>,
+    }
+
+    impl Node<SimMsg> for GateCta {
+        fn service_time(&self, _: &SimMsg) -> Duration {
+            Duration::ZERO
+        }
+
+        fn handle(&mut self, event: NodeEvent<SimMsg>, out: &mut Outbox<SimMsg>) {
+            let NodeEvent::Message { msg: SimMsg::Sys(SysMsg::Control(env)), .. } = event else {
+                return;
+            };
+            if self.arrivals.len() < self.rejects {
+                let reject = SysMsg::Reject {
+                    ue: env.ue,
+                    class: AdmissionClass::Attach,
+                    retry_after_ms: RETRY_AFTER.as_nanos() / 1_000_000,
+                };
+                out.send(UEPOP_NODE, SimMsg::Sys(reject));
+            }
+            self.arrivals.push(out.now());
+        }
+
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_rejected_ue_backs_off_only_behind_a_gate() {
+        // Seven rejects reach attempt 7, where 50 ms · 2^7 passes the cap.
+        const REJECTS: usize = 7;
+        // Two 5 µs hops and the UE's parse of the reject, with room to spare.
+        let hops = Duration::from_micros(20);
+        let gated = SystemConfig::neutrino().with_admission(AdmissionParams::for_rate(1_000));
+        for system in [gated, SystemConfig::neutrino()] {
+            let ue = UeId::new(7);
+            let arrival = Arrival { at: Instant::ZERO, ue, kind: ProcedureKind::InitialAttach };
+            let gate = GateCta { rejects: REJECTS, arrivals: Vec::new() };
+            let config = UePopConfig::default();
+            let mut sim = population_sim(&system, config, vec![arrival], gate);
+            sim.run_until(Instant::from_secs(30));
+            let arrivals = std::mem::take(&mut sim.node_as::<GateCta>(cta()).unwrap().arrivals);
+            assert!(arrivals.len() > REJECTS, "{arrivals:?}");
+            for (attempt, pair) in (1u32..).zip(arrivals[..=REJECTS].windows(2)) {
+                // Behind a gate the UE waits at least half the exponential
+                // term; the jitter window is that half, or 1 ms without one.
+                let half = if system.admission.is_some() {
+                    (BACKOFF_BASE.as_nanos() << attempt).min(BACKOFF_CAP.as_nanos()) / 2
+                } else {
+                    0
+                };
+                let waited = pair[1].saturating_since(pair[0]) - RETRY_AFTER;
+                let earliest = Duration::from_nanos(half);
+                let latest = earliest + Duration::from_nanos(half.max(1_000_000)) + hops;
+                assert!(
+                    earliest <= waited && waited < latest,
+                    "{}: attempt {attempt} waited {waited:?} past retry_after, \
+                     outside [{earliest:?}, {latest:?})",
+                    system.name
+                );
+            }
+        }
     }
 }

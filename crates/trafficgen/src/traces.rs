@@ -70,13 +70,13 @@ pub struct Trace {
 
 impl Trace {
     /// Serializes as JSON lines.
-    pub fn to_jsonl(&self) -> String {
+    pub fn to_jsonl(&self) -> Result<String, serde_json::Error> {
         let mut out = String::new();
         for r in &self.records {
-            out.push_str(&serde_json::to_string(r).expect("serializable"));
+            out.push_str(&serde_json::to_string(r)?);
             out.push('\n');
         }
-        out
+        Ok(out)
     }
 
     /// Parses JSON lines.
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn jsonl_round_trips() {
         let t = small_trace();
-        let s = t.to_jsonl();
+        let s = t.to_jsonl().unwrap();
         let back = Trace::from_jsonl(&s).unwrap();
         assert_eq!(back.records, t.records);
     }

@@ -30,7 +30,7 @@ fn main() {
 
     // Archive and reload — runs replay bit-for-bit from the file.
     let path = std::env::temp_dir().join("neutrino_trace.jsonl");
-    std::fs::write(&path, trace.to_jsonl()).expect("write trace");
+    std::fs::write(&path, trace.to_jsonl().expect("serialize trace")).expect("write trace");
     let reloaded =
         Trace::from_jsonl(&std::fs::read_to_string(&path).expect("read")).expect("parse trace");
     assert_eq!(reloaded.records.len(), trace.records.len());
