@@ -253,7 +253,6 @@ struct ExhaustiveSummary {
     bound: usize,
     max_paths: u64,
     paths_explored: u64,
-    states_deduped: u64,
     max_frontier: u64,
     pruned_independent: u64,
     identity_choice_points: u64,
@@ -279,10 +278,9 @@ fn run_exhaustive(args: &Args, corpus_dir: &Path) -> ExitCode {
     let outcome = explore_exhaustive(&plan, &opts);
     let s = &outcome.stats;
     println!(
-        "  {} paths explored, {} states deduped, max frontier {}, \
-         {} pruned independent, {} identity choice points{}",
+        "  {} paths explored, max frontier {}, {} pruned independent, \
+         {} identity choice points{}",
         s.paths_explored,
-        s.states_deduped,
         s.max_frontier,
         s.pruned_independent,
         s.identity_choice_points,
@@ -294,7 +292,6 @@ fn run_exhaustive(args: &Args, corpus_dir: &Path) -> ExitCode {
         bound: opts.bound,
         max_paths: opts.max_paths,
         paths_explored: s.paths_explored,
-        states_deduped: s.states_deduped,
         max_frontier: s.max_frontier,
         pruned_independent: s.pruned_independent,
         identity_choice_points: s.identity_choice_points,

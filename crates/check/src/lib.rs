@@ -17,8 +17,8 @@
 //!   event schedule. Produces a byte-stable [`CheckReport`](run::CheckReport).
 //! * [`mcheck`] — the small-model exhaustive interleaving checker: a DFS
 //!   over every schedule of simultaneously enabled deliveries (bounded by
-//!   contended-delivery count), with sleep-set-style independence pruning
-//!   and fingerprint-based state deduplication.
+//!   contended-delivery count), with per-stream FIFO and sleep-set-style
+//!   independence pruning.
 //! * [`shrink`] — minimizes a failing plan (drop partitions and crashes,
 //!   zero fault rates, shorten the horizon, fewer UEs, truncate the
 //!   choice trace) while it keeps failing.

@@ -19,7 +19,7 @@
 //! runs are milliseconds and the approach needs no engine snapshotting —
 //! determinism *is* the snapshot.
 //!
-//! Three prunes keep the tree honest without losing soundness of what is
+//! Two prunes keep the tree honest without losing soundness of what is
 //! reported (every explored path is a real, replayable run — a violation
 //! found here is a violation, full stop; the prunes only risk *missing*
 //! paths, and each one's assumption is stated where it is applied):
@@ -32,55 +32,21 @@
 //!   to different nodes touch disjoint state and commute, so some explored
 //!   schedule already covers that order. Crash/recover barriers at the
 //!   same tick void the assumption, so choice points that jump across a
-//!   staged non-delivery event (`barrier` in [`ChoiceCtx`]) branch fully.
-//! * **state deduplication** — the engine's order-canonical per-node
-//!   dispatch-history hash ([`choice_state_hash`]
-//!   (neutrino_netsim::Sim::choice_state_hash)) identifies states already
-//!   expanded at the same or shallower depth. The hash is approximate
-//!   (bitstate hashing): a collision can hide a path, never invent a
-//!   violation.
+//!   staged non-delivery event (the `barrier` argument of
+//!   [`Chooser::choose`]) branch fully.
 //!
-//! Fault-ful plans (loss/duplication/reorder/jitter) disable the latter
-//! two prunes: fault draws are salted by per-link send sequence, so
-//! dispatch order feeds back into *which messages exist* — neither the
-//! commutativity argument nor the state hash's "same history ⇒ same
-//! future" premise holds. Such plans still explore, just without
-//! reduction.
+//! Fault-ful plans (loss/duplication/reorder/jitter) disable the
+//! independence prune: fault draws are salted by per-link send sequence,
+//! so dispatch order feeds back into *which messages exist* and the
+//! commutativity argument no longer holds. Such plans still explore, just
+//! without reduction.
 
 use crate::run::{run_case_with, CheckReport};
 use crate::scenario::CasePlan;
 use neutrino_core::SimMsg;
 use neutrino_messages::SysMsg;
-use neutrino_netsim::{ChoiceCtx, Chooser, Enabled, NodeId};
+use neutrino_netsim::{Chooser, Enabled, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-/// Replays a pinned choice trace: the k-th consultation dispatches the
-/// `script[k]`-th enabled delivery; identity (index 0) past the end.
-///
-/// Picks are clamped into range rather than panicking: a shrunk plan can
-/// reach a choice point with fewer enabled deliveries than the original
-/// run had, and the shrinker's replay check — not the chooser — decides
-/// whether the result still fails.
-pub struct ScriptChooser<'a> {
-    script: &'a [u32],
-    pos: usize,
-}
-
-impl<'a> ScriptChooser<'a> {
-    /// A chooser that follows `script`, then identity.
-    pub fn new(script: &'a [u32]) -> Self {
-        ScriptChooser { script, pos: 0 }
-    }
-}
-
-impl<M> Chooser<M> for ScriptChooser<'_> {
-    fn choose(&mut self, _ctx: &ChoiceCtx, enabled: &[Enabled<'_, M>]) -> usize {
-        let pick = self.script.get(self.pos).copied().unwrap_or(0) as usize;
-        self.pos += 1;
-        pick.min(enabled.len() - 1)
-    }
-}
 
 /// One schedulable candidate at a choice point: the head of one delivery
 /// stream.
@@ -97,14 +63,12 @@ struct CandidateRec {
 struct ChoicePointRec {
     /// The enabled index actually dispatched.
     chosen: u32,
-    /// Stream-head candidates, in enabled (ascending-seq) order.
+    /// Stream-head candidates, in enabled (push) order.
     candidates: Vec<CandidateRec>,
     /// True when the enabled set jumped across a staged non-delivery
     /// event (crash/recover/timer at the same tick) — commutativity does
     /// not hold across it, so independence pruning is off here.
     barrier: bool,
-    /// Engine state hash *before* this dispatch (deduplication key).
-    state_hash: u64,
 }
 
 /// FIFO stream identity of an enabled delivery. Control-plane messages
@@ -120,16 +84,32 @@ fn stream_key(e: &Enabled<'_, SimMsg>) -> (u64, u64, u64, u64) {
     }
 }
 
-/// Follows a script, then identity — while recording every consultation
-/// (candidates, barrier flag, state hash) for the driver to expand.
-struct ExploringChooser {
-    script: Vec<u32>,
+/// Follows a choice script, then identity, recording every consultation
+/// (stream-head candidates, barrier flag) for the explorer to expand: the
+/// k-th consultation dispatches the `script[k]`-th enabled delivery, and
+/// index 0 past the script's end.
+///
+/// Picks are clamped into range rather than panicking: a shrunk plan can
+/// reach a choice point with fewer enabled deliveries than the original
+/// run had, and the shrinker's replay check — not the chooser — decides
+/// whether the result still fails.
+pub struct ScriptChooser<'a> {
+    script: &'a [u32],
     log: Vec<ChoicePointRec>,
 }
 
-impl Chooser<SimMsg> for ExploringChooser {
-    fn choose(&mut self, ctx: &ChoiceCtx, enabled: &[Enabled<'_, SimMsg>]) -> usize {
-        let k = self.log.len();
+impl<'a> ScriptChooser<'a> {
+    /// A chooser that follows `script`, then identity.
+    pub fn new(script: &'a [u32]) -> Self {
+        ScriptChooser {
+            script,
+            log: Vec::new(),
+        }
+    }
+}
+
+impl Chooser<SimMsg> for ScriptChooser<'_> {
+    fn choose(&mut self, barrier: bool, enabled: &[Enabled<'_, SimMsg>]) -> usize {
         let mut keys: Vec<(u64, u64, u64, u64)> = Vec::with_capacity(enabled.len());
         let mut candidates = Vec::new();
         for (i, e) in enabled.iter().enumerate() {
@@ -142,21 +122,12 @@ impl Chooser<SimMsg> for ExploringChooser {
                 });
             }
         }
-        let chosen = match self.script.get(k) {
-            Some(&s) => {
-                debug_assert!(
-                    (s as usize) < enabled.len(),
-                    "scripted pick out of range on a deterministic replay"
-                );
-                s.min(enabled.len() as u32 - 1)
-            }
-            None => 0,
-        };
+        let pick = self.script.get(self.log.len()).copied().unwrap_or(0);
+        let chosen = pick.min(enabled.len() as u32 - 1);
         self.log.push(ChoicePointRec {
             chosen,
             candidates,
-            barrier: ctx.barrier,
-            state_hash: ctx.state_hash,
+            barrier,
         });
         chosen as usize
     }
@@ -192,9 +163,6 @@ impl Default for McheckOptions {
 pub struct McheckStats {
     /// Complete root-to-leaf runs executed.
     pub paths_explored: u64,
-    /// Expansions cut because the state hash was already expanded at the
-    /// same or shallower depth.
-    pub states_deduped: u64,
     /// Largest depth-first frontier (pending alternative scripts).
     pub max_frontier: u64,
     /// Alternatives skipped by the independence (commuting-destinations)
@@ -236,8 +204,8 @@ pub struct McheckOutcome {
 /// on every run.
 pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcome {
     // Fault draws are salted by per-link send sequence: dispatch order
-    // changes which messages exist, so neither commutativity nor
-    // same-hash-same-future holds. Explore fault-ful plans unreduced.
+    // changes which messages exist, so commutativity does not hold.
+    // Explore fault-ful plans unreduced.
     let has_faults = plan.loss_ppm > 0
         || plan.duplicate_ppm > 0
         || plan.reorder_ppm > 0
@@ -246,20 +214,13 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
     let mut stats = McheckStats::default();
     // Depth-first worklist of alternative scripts still to run.
     let mut stack: Vec<Vec<u32>> = vec![Vec::new()];
-    // State hash → shallowest depth at which it was expanded. A state
-    // reached again at the same or greater depth has nothing new below
-    // it (the earlier expansion covered a superset of remaining budget).
-    let mut visited: BTreeMap<u64, usize> = BTreeMap::new();
     let mut violation = None;
     while let Some(script) = stack.pop() {
         if stats.paths_explored >= opts.max_paths {
             stats.truncated = true;
             break;
         }
-        let mut chooser = ExploringChooser {
-            script,
-            log: Vec::new(),
-        };
+        let mut chooser = ScriptChooser::new(&script);
         let report = run_case_with(plan, Some(&mut chooser), None);
         stats.paths_explored += 1;
         if stats.paths_explored == 1 {
@@ -280,7 +241,7 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
         // bound — a consultation whose candidates all commute away
         // contributes nothing to the interleaving tree and must not eat
         // exploration depth.
-        let from = chooser.script.len();
+        let from = script.len();
         let mut branch_points = 0usize;
         for (k, cp) in chooser.log.iter().enumerate() {
             if branch_points >= opts.bound {
@@ -313,17 +274,6 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
             if k < from {
                 continue; // an ancestor already expanded this point
             }
-            if reduce {
-                match visited.get(&cp.state_hash) {
-                    Some(&d) if d <= k => {
-                        stats.states_deduped += 1;
-                        break;
-                    }
-                    _ => {
-                        visited.insert(cp.state_hash, k);
-                    }
-                }
-            }
             for alt in alts {
                 let mut child: Vec<u32> = Vec::with_capacity(k + 1);
                 child.extend(chooser.log[..k].iter().map(|c| c.chosen));
@@ -339,34 +289,34 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neutrino_common::time::Instant;
 
     #[test]
     fn script_chooser_follows_then_identity_and_clamps() {
         let script = vec![1u32, 7];
         let mut c = ScriptChooser::new(&script);
-        let msgs = [0u64, 1, 2];
-        let enabled: Vec<Enabled<'_, u64>> = msgs
+        let msgs = [SimMsg::Kick, SimMsg::Kick, SimMsg::Kick];
+        let enabled: Vec<Enabled<'_, SimMsg>> = msgs
             .iter()
             .enumerate()
-            .map(|(i, m)| Enabled {
-                seq: i as u64,
+            .map(|(i, msg)| Enabled {
                 from: NodeId::new(1),
-                to: NodeId::new(2),
-                msg: m,
+                to: NodeId::new(2 + i as u64),
+                msg,
             })
             .collect();
-        let ctx = ChoiceCtx {
-            now: Instant::ZERO,
-            deliveries: 0,
-            state_hash: 0,
-            barrier: false,
-        };
-        assert_eq!(Chooser::<u64>::choose(&mut c, &ctx, &enabled), 1);
+        assert_eq!(c.choose(false, &enabled), 1);
         // Out-of-range script entries clamp (shrunk plans may shrink the
         // enabled set).
-        assert_eq!(Chooser::<u64>::choose(&mut c, &ctx, &enabled), 2);
+        assert_eq!(c.choose(true, &enabled), 2);
         // Past the script: identity.
-        assert_eq!(Chooser::<u64>::choose(&mut c, &ctx, &enabled), 0);
+        assert_eq!(c.choose(false, &enabled), 0);
+        // Every consultation is recorded: the pick, the barrier flag and
+        // one candidate per distinct stream.
+        let picks: Vec<(u32, bool, usize)> = c
+            .log
+            .iter()
+            .map(|r| (r.chosen, r.barrier, r.candidates.len()))
+            .collect();
+        assert_eq!(picks, [(1, false, 3), (2, true, 3), (0, false, 3)]);
     }
 }

@@ -336,11 +336,11 @@ pub fn run_case(plan: &CasePlan) -> CheckReport {
 /// [`neutrino_netsim::Sim::set_delivery_tap`]).
 pub type DeliveryTap = neutrino_netsim::DeliveryTap<SimMsg>;
 
-/// The full checker: one plan, an optional interleaving chooser (the
-/// exhaustive checker drives an exploring one) and an optional delivery
-/// tap, which observes every enqueued message without perturbing the event
-/// stream (`explore --flow-coverage` records witnessed protocol flow edges
-/// this way).
+/// The full checker: one plan, an optional interleaving chooser (a
+/// [`ScriptChooser`] in replays and in the exhaustive checker) and an
+/// optional delivery tap, which observes every enqueued message without
+/// perturbing the event stream (`explore --flow-coverage` records
+/// witnessed protocol flow edges this way).
 ///
 /// The run is [`experiment_spec`]'s spec on `experiment`'s one run path
 /// (build → advance → finish); only the pause points differ from a figure

@@ -605,8 +605,8 @@ pub fn small_model_plan(name: &str, seed: u64) -> Option<CasePlan> {
         // Rate-based two-UE run under heavy loss with a mid-run CPF
         // crash: the regression model for the PR 4 `replay_floor` fix.
         // Loss makes fault draws depend on dispatch order, so the checker
-        // runs this config with partial-order reduction and state
-        // deduplication off (every branch is a genuinely different run).
+        // runs this config with independence pruning off (every branch is
+        // a genuinely different run).
         "mcheck-replay-floor" => {
             let mut plan = small_model_base(name, seed);
             plan.kind = "service-request".to_string();

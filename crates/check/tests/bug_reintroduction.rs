@@ -1,13 +1,17 @@
-//! Seeded bug re-introduction: prove the exhaustive checker catches a
-//! real, historical bug.
+//! Seeded bug re-introduction: a real, historical bug is caught by the
+//! seeded run of a small model, shrinks, and pins in the corpus format.
 //!
 //! The lever re-enables the pre-fix `replay_covers` contiguity scan (a
 //! phantom procedure id then reads as a permanent replay gap, so failover
 //! wrongly re-attaches and strands state). `mcheck-replay-floor` seed 18
 //! is the witness: under loss + a CPF crash the buggy floor logic fires
-//! `consistency` violations, while the fixed logic runs clean — every
-//! other nearby seed is clean both ways, which is exactly why a targeted
-//! small-model plan is pinned here instead of a random sweep.
+//! `consistency` violations, while the fixed logic runs clean.
+//!
+//! The bug needs no interleaving search: the unchosen (identity) run of
+//! the plan already violates, so the exhaustive checker stops on its
+//! first path with an empty choice trace. What this test shows is the
+//! seeded run, the shrinker and the corpus format; it does not show that
+//! the exhaustive mode can catch a bug only a reordering reaches.
 //!
 //! This file holds a single test: the lever is a process-global flag, and
 //! sibling tests in the same binary would race it.
@@ -57,8 +61,16 @@ fn reintroduced_replay_floor_bug_is_caught_and_pins() {
         "the replay-floor bug manifests as a consistency violation: {:?}",
         violation.report.violations
     );
+    // The first (identity) path already violates: no reordering is needed
+    // to reach this bug.
+    assert_eq!(caught.stats.paths_explored, 1, "caught on the unchosen path");
+    assert!(
+        violation.trace.is_empty(),
+        "the counterexample needs no non-identity choice: {:?}",
+        violation.trace
+    );
 
-    // The counterexample flows through the PR 4 shrinker unchanged.
+    // The counterexample flows through the shrinker unchanged.
     let mut failing = plan.clone();
     failing.choice_trace = violation.trace;
     let outcome = shrink(&failing, 80);

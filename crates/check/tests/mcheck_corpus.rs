@@ -9,11 +9,12 @@
 //!
 //! Two cases are produced:
 //!
-//! * `mcheck-replay-floor-seed18.json` — the shrunk counterexample the
-//!   exhaustive checker finds when the pre-fix replay-floor bug is
-//!   re-introduced (see `tests/bug_reintroduction.rs`). On the healthy
-//!   tree it replays clean; the recorded violation documents what the
-//!   buggy build did.
+//! * `mcheck-replay-floor-seed18.json` — the shrunk counterexample of the
+//!   seeded run when the pre-fix replay-floor bug is re-introduced (see
+//!   `tests/bug_reintroduction.rs`). The exhaustive checker reports it on
+//!   its first, unchosen path, so its choice trace is empty. On the
+//!   healthy tree it replays clean; the recorded violation documents what
+//!   the buggy build did.
 //! * `mcheck-attach-failover-seed0.json` — a clean case carrying a
 //!   non-identity choice trace, pinning that scripted interleaving
 //!   replay stays byte-stable (and sequential) forever.

@@ -20,7 +20,6 @@
 use crate::links::{Delivery, Links};
 use crate::stats::{NodeStats, SimStats};
 use crate::wheel::{SchedKey, Wheel};
-use neutrino_common::rng::splitmix64;
 use neutrino_common::time::{Duration, Instant};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -229,18 +228,6 @@ enum EventKind {
     },
 }
 
-impl EventKind {
-    /// The node this event is dispatched at.
-    fn target(&self) -> NodeId {
-        match self {
-            EventKind::Deliver { to, .. } => *to,
-            EventKind::JobComplete { node, .. }
-            | EventKind::Timer { node, .. }
-            | EventKind::Crash { node } => *node,
-        }
-    }
-}
-
 /// A queued message: sender, body, enqueue time (24 bytes).
 type Queued = (NodeId, MsgId, Instant);
 
@@ -349,10 +336,6 @@ pub struct Sim<M> {
     /// The outbox every `handle` call borrows; `flush_outbox` drains its
     /// buffers in place, so they are reused across calls.
     scratch: Outbox<M>,
-    /// Chosen-order bookkeeping (state-hash chains, delivery count);
-    /// `None` until the first [`Sim::run_until_chosen`] call, so plain
-    /// runs carry no instrumentation cost.
-    choice: Option<Box<crate::choice::ChoiceState>>,
     /// Optional delivery witness (flow-coverage tooling): called for every
     /// message actually enqueued at an up node, after fault filtering and
     /// before service. `None` on plain runs, so the hot path pays exactly
@@ -381,7 +364,6 @@ impl<M: Clone + 'static> Sim<M> {
             config,
             stats: SimStats::default(),
             scratch: Outbox::default(),
-            choice: None,
             tap: None,
         }
     }
@@ -791,14 +773,14 @@ impl<M: Clone + 'static> Sim<M> {
     ///
     /// A chooser may also run a delivery *across* a staged non-delivery
     /// event (delivering before vs. after a same-tick crash is a
-    /// meaningful ordering); [`crate::ChoiceCtx::barrier`] flags such
-    /// choice points so a pruning policy can treat them as dependent.
+    /// meaningful ordering); the `barrier` argument of
+    /// [`crate::Chooser::choose`] flags such choice points so a pruning
+    /// policy can treat them as dependent.
     pub fn run_until_chosen(
         &mut self,
         deadline: Instant,
         chooser: &mut dyn crate::Chooser<M>,
     ) -> Instant {
-        self.choice.get_or_insert_with(Box::default);
         // One tick's events, kept in ascending seq order.
         let mut staging: Vec<(SchedKey, EventKind)> = Vec::new();
         self.run_loop(deadline, |sim, deadline| {
@@ -811,10 +793,8 @@ impl<M: Clone + 'static> Sim<M> {
             sim.queue.pop_all_at(tick, &mut staging);
             debug_assert!(staging.is_sorted_by_key(|e| e.0), "non-monotone seq");
             sim.now = tick;
-            let idx = sim.choose_staged(tick, &staging, chooser);
-            let (key, kind) = staging.remove(idx);
-            sim.note_chosen_dispatch(&kind, key.seq, tick);
-            Some((key, kind))
+            let idx = sim.choose_staged(&staging, chooser);
+            Some(staging.remove(idx))
         })
     }
 
@@ -824,7 +804,6 @@ impl<M: Clone + 'static> Sim<M> {
     /// when there are at least two.
     fn choose_staged(
         &self,
-        tick: Instant,
         staging: &[(SchedKey, EventKind)],
         chooser: &mut dyn crate::Chooser<M>,
     ) -> usize {
@@ -833,91 +812,25 @@ impl<M: Clone + 'static> Sim<M> {
         }
         let mut enabled: Vec<crate::Enabled<'_, M>> = Vec::new();
         let mut positions: Vec<usize> = Vec::new();
-        for (i, (key, kind)) in staging.iter().enumerate() {
+        for (i, (_, kind)) in staging.iter().enumerate() {
             if let EventKind::Deliver { to, from, msg } = *kind {
                 let Some(msg) = self.bodies.get(msg) else {
                     continue;
                 };
-                enabled.push(crate::Enabled {
-                    seq: key.seq,
-                    from,
-                    to,
-                    msg,
-                });
+                enabled.push(crate::Enabled { from, to, msg });
                 positions.push(i);
             }
         }
         if enabled.len() < 2 {
             return 0; // the head is the only enabled delivery
         }
-        let ctx = crate::ChoiceCtx {
-            now: tick,
-            deliveries: self.choice.as_ref().map_or(0, |st| st.deliveries),
-            state_hash: self.choice_state_hash(),
-            barrier: enabled.len() != staging.len(),
-        };
-        let pick = chooser.choose(&ctx, &enabled);
+        let pick = chooser.choose(enabled.len() != staging.len(), &enabled);
         assert!(
             pick < enabled.len(),
             "chooser returned {pick} for {} enabled deliveries",
             enabled.len()
         );
         positions[pick]
-    }
-
-    /// Folds one about-to-dispatch event into the chosen-order state hash
-    /// and delivery counter.
-    fn note_chosen_dispatch(&mut self, kind: &EventKind, seq: u64, tick: Instant) {
-        let slot = self.slot(kind.target());
-        let st = self.choice.get_or_insert_with(Box::default);
-        if matches!(kind, EventKind::Deliver { .. }) {
-            st.deliveries += 1;
-        }
-        let Some(slot) = slot else { return };
-        if st.chains.len() <= slot {
-            st.chains.resize(slot + 1, 0);
-        }
-        // Message payloads are deliberately not hashed: under a
-        // deterministic protocol they are a function of the per-node
-        // arrival histories the chains already encode, and hashing them
-        // would demand `M: Hash` of every node implementation. The
-        // scheduling `seq` stands in for message identity instead — it is
-        // unique per event and, being assigned at push time, identical
-        // across replays of the same prefix, so reordering two deliveries
-        // that share (source, destination, tick) still changes the chain.
-        let (tag, detail) = match kind {
-            EventKind::Deliver { from, .. } => (1u64, from.raw()),
-            EventKind::JobComplete { .. } => (2, 0),
-            EventKind::Timer { id, .. } => (3, *id),
-            EventKind::Crash { .. } => (4, 0),
-        };
-        let c = &mut st.chains[slot];
-        *c = splitmix64(
-            splitmix64(splitmix64(splitmix64(*c ^ tag) ^ detail) ^ seq) ^ tick.as_nanos(),
-        );
-    }
-
-    /// Order-canonical hash of the chosen-order dispatch history: each
-    /// node's events are chained in their dispatch order, but chains of
-    /// *different* nodes combine commutatively, so two interleavings that
-    /// only permute deliveries to independent nodes hash identically — the
-    /// property a visited-state set needs to merge equivalent states. Two
-    /// *different* states may also collide (this is approximate, bitstate
-    /// style); a checker using it for pruning trades a sliver of coverage
-    /// for a tractable frontier, never soundness of reported violations.
-    ///
-    /// Zero until the first `run_until_chosen` call; plain `run_until`
-    /// dispatches are not recorded.
-    pub fn choice_state_hash(&self) -> u64 {
-        let Some(st) = &self.choice else { return 0 };
-        let mut h =
-            splitmix64(st.deliveries ^ 0x6E75_6D64_656C_6976) ^ splitmix64(self.now.as_nanos());
-        for (slot, &c) in st.chains.iter().enumerate() {
-            if c != 0 {
-                h ^= splitmix64(c ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            }
-        }
-        h
     }
 }
 

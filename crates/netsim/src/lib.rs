@@ -39,7 +39,7 @@ pub mod links;
 pub mod stats;
 pub mod wheel;
 
-pub use choice::{ChoiceCtx, Chooser, Enabled, IdentityChooser};
+pub use choice::{Chooser, Enabled, IdentityChooser};
 pub use engine::{DeliveryTap, Node, NodeEvent, NodeId, Outbox, Sim, SimConfig};
 pub use links::{Delivery, FaultSpec, LinkSpec, Links};
 pub use stats::{NodeStats, SimStats};

@@ -16,8 +16,8 @@
 
 use neutrino_common::time::{Duration, Instant};
 use neutrino_netsim::{
-    ChoiceCtx, Chooser, Enabled, IdentityChooser, LinkSpec, Links, Node, NodeEvent, NodeId, Outbox,
-    Sim, SimStats,
+    Chooser, Enabled, IdentityChooser, LinkSpec, Links, Node, NodeEvent, NodeId, Outbox, Sim,
+    SimStats,
 };
 use proptest::prelude::*;
 use std::any::Any;
@@ -225,7 +225,7 @@ struct ReverseChooser {
 }
 
 impl Chooser<u64> for ReverseChooser {
-    fn choose(&mut self, _ctx: &ChoiceCtx, enabled: &[Enabled<'_, u64>]) -> usize {
+    fn choose(&mut self, _barrier: bool, enabled: &[Enabled<'_, u64>]) -> usize {
         self.consulted += 1;
         enabled.len() - 1
     }
