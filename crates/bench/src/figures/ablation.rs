@@ -82,11 +82,11 @@ pub fn inter_region_sweep(rate_pps: u64, duration: Duration) -> Vec<LatencyPoint
                     inter_region: Duration::from_micros(us),
                     ..LinkProfile::default()
                 };
-                let mut pct =
-                    failure_cell_outcome(SystemConfig::neutrino(), rate_pps, duration, links).pct;
+                let point =
+                    failure_cell_outcome(SystemConfig::neutrino(), rate_pps, duration, links);
                 LatencyPoint {
                     inter_region_us: us,
-                    neutrino_failure_p50_ms: pct.median(),
+                    neutrino_failure_p50_ms: point.summary.p50,
                 }
             }) as Cell<LatencyPoint>
         })

@@ -43,26 +43,6 @@ fn probes_on_victim(
     (victim, probes)
 }
 
-/// Everything one failure cell produces beyond the PCT distribution:
-/// retry/resync activity and the consistency-audit outcome.
-#[derive(Debug)]
-pub struct FailureOutcome {
-    /// Probe PCT distribution (the figure's y-axis).
-    pub pct: Percentiles,
-    /// Audit passes executed (one per failure + one final).
-    pub audit_passes: u64,
-    /// Total divergences across all audit passes — must be 0 for Neutrino.
-    pub audit_divergences: u64,
-    /// UE records checked across all audit passes.
-    pub audit_ues_checked: u64,
-    /// S1AP retransmissions the UE population sent.
-    pub retransmissions: u64,
-    /// Checkpoint resends the CTA requested.
-    pub resyncs_requested: u64,
-    /// Procedures that never finished (incomplete + ACK-timeout pruned).
-    pub failed_procedures: u64,
-}
-
 /// The fault profile failure figures run under `repro --faults`: the
 /// paper's failover experiments assume a lossy edge WAN, so every link
 /// drops 1% of messages, duplicates 0.5%, and reorders 2% within 200 µs.
@@ -75,20 +55,14 @@ pub fn paper_fault_profile() -> neutrino_netsim::FaultSpec {
     }
 }
 
-/// One cell on the default links: handover PCT distribution of the probes
-/// under failure.
-pub fn failure_cell(config: SystemConfig, rate_pps: u64, duration: Duration) -> Percentiles {
-    failure_cell_outcome(config, rate_pps, duration, neutrino_core::LinkProfile::default()).pct
-}
-
-/// One cell on an explicit link profile, returning the full
-/// [`FailureOutcome`] (audit and retry counters included).
+/// One cell on an explicit link profile: the probes' handover PCT under
+/// failure, with the cell's audit and retry counters.
 pub fn failure_cell_outcome(
     config: SystemConfig,
     rate_pps: u64,
     duration: Duration,
     links: neutrino_core::LinkProfile,
-) -> FailureOutcome {
+) -> FailurePoint {
     let layout = RegionLayout::default();
     let pool = UniformParams::pool_for_rate(rate_pps);
     let (victim, probes) = probes_on_victim(&config, layout, pool, PROBES);
@@ -120,6 +94,7 @@ pub fn failure_cell_outcome(
 
     let mut merged: Vec<Arrival> = background.into_arrivals().collect();
     merged.extend(probe_arrivals);
+    let system = config.name.to_string();
     let mut spec = ExperimentSpec::new(config, Workload::from_vec(merged));
     spec.layout = layout;
     spec.failures.push(FailureSpec {
@@ -142,8 +117,10 @@ pub fn failure_cell_outcome(
         }
     }
     let audit = results.audit.as_ref();
-    FailureOutcome {
-        pct,
+    FailurePoint {
+        x: rate_pps,
+        system,
+        summary: pct.summary(),
         audit_passes: audit.map(|a| a.passes).unwrap_or(0),
         audit_divergences: audit.map(|a| a.divergences.len() as u64).unwrap_or(0),
         audit_ues_checked: audit.map(|a| a.ues_checked).unwrap_or(0),
@@ -153,21 +130,17 @@ pub fn failure_cell_outcome(
     }
 }
 
-/// Fig. 10: handover PCT under failure, 40K–160K PPS, EPC vs Neutrino.
+/// Fig. 10: handover PCT under failure, 40K–160K PPS, EPC vs Neutrino — the
+/// PCT projection of [`fig10_with`] on fault-free links.
 pub fn fig10(profile: Profile) -> Vec<PctPoint> {
-    let rates = profile.rates(&[40_000, 60_000, 80_000, 100_000, 120_000, 140_000, 160_000]);
-    let duration = Duration::from_millis(profile.duration_ms());
-    let mut cells: Vec<Cell<PctPoint>> = Vec::new();
-    for &rate in &rates {
-        for config in [SystemConfig::existing_epc(), SystemConfig::neutrino()] {
-            cells.push(Box::new(move || PctPoint {
-                x: rate,
-                system: config.name.to_string(),
-                summary: failure_cell(config, rate, duration).summary(),
-            }));
-        }
-    }
-    run_cells(cells)
+    fig10_with(profile, neutrino_netsim::FaultSpec::NONE)
+        .into_iter()
+        .map(|p| PctPoint {
+            x: p.x,
+            system: p.system,
+            summary: p.summary,
+        })
+        .collect()
 }
 
 /// One point of the fault-injected failure figure: the PCT summary plus the
@@ -194,27 +167,11 @@ pub struct FailurePoint {
     pub failed_procedures: u64,
 }
 
-impl FailurePoint {
-    /// The point of `system` at background rate `x` from its cell's outcome.
-    pub fn new(x: u64, system: &str, mut outcome: FailureOutcome) -> Self {
-        FailurePoint {
-            x,
-            system: system.to_string(),
-            summary: outcome.pct.summary(),
-            audit_passes: outcome.audit_passes,
-            audit_divergences: outcome.audit_divergences,
-            audit_ues_checked: outcome.audit_ues_checked,
-            retransmissions: outcome.retransmissions,
-            resyncs_requested: outcome.resyncs_requested,
-            failed_procedures: outcome.failed_procedures,
-        }
-    }
-}
-
-/// [`fig10`] under seeded link faults: every link additionally drops,
-/// duplicates, and reorders messages per `faults`. Neutrino cells must
-/// audit clean; re-attach baselines report their inconsistency windows as
-/// nonzero divergence counts.
+/// The failure grid under seeded link faults: every link additionally
+/// drops, duplicates, and reorders messages per `faults` (none under
+/// [`FaultSpec::NONE`](neutrino_netsim::FaultSpec::NONE), which is
+/// [`fig10`]). Neutrino cells must audit clean; re-attach baselines report
+/// their inconsistency windows as nonzero divergence counts.
 pub fn fig10_with(profile: Profile, faults: neutrino_netsim::FaultSpec) -> Vec<FailurePoint> {
     let rates = profile.rates(&[40_000, 60_000, 80_000, 100_000, 120_000, 140_000, 160_000]);
     let duration = Duration::from_millis(profile.duration_ms());
@@ -226,8 +183,7 @@ pub fn fig10_with(profile: Profile, faults: neutrino_netsim::FaultSpec) -> Vec<F
     for &rate in &rates {
         for config in [SystemConfig::existing_epc(), SystemConfig::neutrino()] {
             cells.push(Box::new(move || {
-                let name = config.name;
-                FailurePoint::new(rate, name, failure_cell_outcome(config, rate, duration, links))
+                failure_cell_outcome(config, rate, duration, links)
             }));
         }
     }
@@ -246,19 +202,15 @@ mod tests {
     fn failure_recovery_gap_appears_under_load() {
         // The §6.4 gap (≤5.6x) comes from re-attach re-entering loaded ASN.1
         // queues; measure at a rate where the EPC pool is busy.
-        let mut epc = failure_cell(
-            SystemConfig::existing_epc(),
-            50_000,
-            Duration::from_millis(400),
-        );
-        let mut neu = failure_cell(SystemConfig::neutrino(), 50_000, Duration::from_millis(400));
-        assert!(epc.count() > 10, "EPC probes measured: {}", epc.count());
-        assert!(
-            neu.count() > 10,
-            "Neutrino probes measured: {}",
-            neu.count()
-        );
-        let (e, n) = (epc.median(), neu.median());
+        let cell = |config| {
+            let links = neutrino_core::LinkProfile::default();
+            failure_cell_outcome(config, 50_000, Duration::from_millis(400), links).summary
+        };
+        let epc = cell(SystemConfig::existing_epc());
+        let neu = cell(SystemConfig::neutrino());
+        assert!(epc.count > 10, "EPC probes measured: {}", epc.count);
+        assert!(neu.count > 10, "Neutrino probes measured: {}", neu.count);
+        let (e, n) = (epc.p50, neu.p50);
         assert!(
             e > n * 1.5,
             "EPC failure PCT ({e} ms) must clearly exceed Neutrino ({n} ms)"

@@ -38,9 +38,7 @@ fn fault_grid(jobs: usize) -> Vec<failure::FailurePoint> {
     for &rate in &[20_000u64, 40_000] {
         for config in [SystemConfig::existing_epc(), SystemConfig::neutrino()] {
             cells.push(Box::new(move || {
-                let name = config.name;
-                let outcome = failure::failure_cell_outcome(config, rate, duration, links);
-                failure::FailurePoint::new(rate, name, outcome)
+                failure::failure_cell_outcome(config, rate, duration, links)
             }));
         }
     }

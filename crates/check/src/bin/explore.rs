@@ -3,18 +3,19 @@
 //! ```text
 //! explore --scenario failover --seeds 500 --jobs 8
 //! explore --scenario all --seeds 1000 --corpus corpus-out
+//! explore --seeds 2 --json coverage.json
 //! explore --exhaustive --scenario mcheck-attach-failover --bound 12
-//! explore --flow-coverage --seeds 5 --json coverage.json
 //! explore --replay crates/check/corpus/failover-seed17.json
 //! explore --list
 //! ```
 //!
 //! Expands the scenario into one plan per seed, runs them over the bench
 //! crate's work-queue sweep runner (results are input-ordered, so output
-//! is byte-identical for any `--jobs`), and reports every violation. On
-//! failure it shrinks the lowest failing seed, pins the shrunk plan as a
-//! corpus case, double-runs it to prove byte-identical replay, and exits
-//! non-zero.
+//! is byte-identical for any `--jobs`), and reports every violation, flow
+//! breaches included. On failure it shrinks the lowest failing seed, pins
+//! the shrunk plan as a corpus case, double-runs it to prove byte-identical
+//! replay, and exits non-zero. It then prints the declared flow edges no
+//! case witnessed (advisory); `--json` writes that coverage report.
 //!
 //! `--exhaustive` switches from seed sweeping to small-model interleaving
 //! checking: one plan (`--start-seed` picks the seed), every schedule of
@@ -28,11 +29,12 @@
 
 use neutrino_bench::sweep::run_cells_with;
 use neutrino_check::corpus::{self, CorpusCase};
-use neutrino_check::flowcov::{self, CoverageReport};
+use neutrino_check::flowcov::CoverageReport;
 use neutrino_check::run::{run_case, CheckReport};
 use neutrino_check::scenario::{plan_by_name, CasePlan, Scenario, SMALL_MODEL_NAMES};
 use neutrino_check::shrink::shrink;
 use neutrino_check::{explore_exhaustive, McheckOptions, CATALOG};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -47,7 +49,6 @@ struct Args {
     replay: Option<PathBuf>,
     list: bool,
     exhaustive: bool,
-    flow_coverage: bool,
     bound: Option<usize>,
     max_paths: Option<u64>,
     json: Option<PathBuf>,
@@ -55,7 +56,7 @@ struct Args {
 
 const USAGE: &str = "usage: explore [--scenario NAME|all] [--seeds N] [--start-seed S] \
 [--jobs J] [--corpus DIR] [--shrink-budget R] [--replay FILE] [--list] \
-[--exhaustive] [--flow-coverage] [--bound B] [--max-paths P] [--json FILE]";
+[--exhaustive] [--bound B] [--max-paths P] [--json FILE]";
 
 /// The mode the flags select, and the other flags that mode reads.
 fn mode_flags(args: &Args) -> (&'static str, &'static str) {
@@ -66,10 +67,8 @@ fn mode_flags(args: &Args) -> (&'static str, &'static str) {
     } else if args.exhaustive {
         let reads = "--scenario --start-seed --bound --max-paths --json --corpus --shrink-budget";
         ("--exhaustive", reads)
-    } else if args.flow_coverage {
-        ("--flow-coverage", "--scenario --seeds --start-seed --jobs --json")
     } else {
-        let reads = "--scenario --seeds --start-seed --jobs --corpus --shrink-budget";
+        let reads = "--scenario --seeds --start-seed --jobs --corpus --shrink-budget --json";
         ("a seed sweep", reads)
     }
 }
@@ -104,7 +103,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--replay" => args.replay = Some(value(name, it.next())?),
             "--list" => args.list = true,
             "--exhaustive" => args.exhaustive = true,
-            "--flow-coverage" => args.flow_coverage = true,
             "--bound" => args.bound = Some(value(name, it.next())?),
             "--max-paths" => args.max_paths = Some(value(name, it.next())?),
             "--json" => args.json = Some(value(name, it.next())?),
@@ -126,16 +124,9 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// The scenario families a seed sweep or a coverage run covers: `all` is
-/// every family for a sweep and the core families for flow coverage.
+/// The scenario families a seed sweep covers: `all` is every family.
 fn scenarios(args: &Args) -> Option<Vec<Scenario>> {
     match args.scenario.as_str() {
-        "all" if args.flow_coverage => Some(
-            flowcov::CORE_SCENARIOS
-                .iter()
-                .map(|n| Scenario::by_name(n).expect("core scenario exists"))
-                .collect(),
-        ),
         "all" => Some(Scenario::all()),
         name => Scenario::by_name(name).map(|s| vec![s]),
     }
@@ -327,74 +318,12 @@ fn run_exhaustive(args: &Args, corpus_dir: &Path) -> ExitCode {
     }
 }
 
-/// Sweeps scenario families with a delivery tap installed and diffs the
-/// witnessed `(variant, src, dst)` edges against the declared flow
-/// registry. Witness sets are unioned, so the report is byte-identical
-/// across reruns and any `--jobs` value. Exit is non-zero on
-/// witnessed-but-undeclared edges (spec drift) and on any role that counted
-/// a misrouted message; dead declared edges are advisory.
-fn run_flow_coverage(args: &Args, scenarios: &[Scenario], jobs: usize) -> ExitCode {
-    let names: Vec<String> = scenarios.iter().map(|s| s.name.to_string()).collect();
-    println!(
-        "flow coverage: {} scenario(s) x {} seed(s), {jobs} job(s)",
-        names.len(),
-        args.seeds
-    );
-    let cells = scenarios
-        .iter()
-        .flat_map(|s| {
-            (args.start_seed..args.start_seed + args.seeds).map(|seed| {
-                let s = s.clone();
-                Box::new(move || flowcov::witness_case(&s, seed))
-                    as Box<dyn FnOnce() -> flowcov::Witness + Send>
-            })
-        })
-        .collect();
-    let t0 = std::time::Instant::now();
-    let mut merged = flowcov::Witness::default();
-    for (edges, unexpected) in run_cells_with(jobs, cells) {
-        merged.0.extend(edges);
-        for (role, n) in unexpected {
-            *merged.1.entry(role).or_default() += n;
-        }
-    }
-    let report = CoverageReport::diff(names, args.seeds, merged);
-    println!(
-        "  {} declared, {} witnessed, {} dead declared, {} undeclared witnessed, {:.1}s wall",
-        report.declared.len(),
-        report.witnessed.len(),
-        report.dead_declared.len(),
-        report.undeclared_witnessed.len(),
-        t0.elapsed().as_secs_f64()
-    );
-    for e in &report.dead_declared {
-        println!("  dead declared (advisory): {} {} -> {}", e.variant, e.src, e.dst);
-    }
-    for e in &report.undeclared_witnessed {
-        println!("  UNDECLARED witnessed: {} {} -> {}", e.variant, e.src, e.dst);
-    }
-    for (role, n) in report.unexpected.iter().filter(|(_, &n)| n > 0) {
-        eprintln!("  MISROUTED: {} counted {n} message(s) it has no handler for", role.name());
-    }
-    if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if report.is_clean() {
-        println!("  clean: every witnessed edge is declared and handled");
-        ExitCode::SUCCESS
-    } else {
-        println!("  FAILED: undeclared or misrouted messages");
-        ExitCode::FAILURE
-    }
-}
-
 /// Sweeps `args.seeds` seeds of every scenario; on a failure, shrinks and
-/// pins the lowest failing seed.
+/// pins the lowest failing seed. Then diffs the merged flow witness
+/// against the registry: dead declared edges are advisory.
 fn run_sweep(args: &Args, scenarios: &[Scenario], jobs: usize, corpus_dir: &Path) -> ExitCode {
     let mut failed = false;
+    let mut witnessed = BTreeSet::new();
     for scenario in scenarios {
         let plans: Vec<CasePlan> = (args.start_seed..args.start_seed + args.seeds)
             .map(|seed| scenario.plan(seed))
@@ -410,6 +339,9 @@ fn run_sweep(args: &Args, scenarios: &[Scenario], jobs: usize, corpus_dir: &Path
         let reports = run_cells_with(jobs, cells);
         let elapsed = t0.elapsed();
         let events: u64 = reports.iter().map(|r| r.fingerprint.events_processed).sum();
+        for r in &reports {
+            witnessed.extend(&r.witnessed);
+        }
         let failures: Vec<(&CasePlan, &CheckReport)> = plans
             .iter()
             .zip(&reports)
@@ -434,6 +366,23 @@ fn run_sweep(args: &Args, scenarios: &[Scenario], jobs: usize, corpus_dir: &Path
             for (plan, _) in failures.iter().skip(1) {
                 println!("  seed {} also failed (not shrunk)", plan.seed);
             }
+        }
+    }
+    let names = scenarios.iter().map(|s| s.name.to_string()).collect();
+    let report = CoverageReport::diff(names, args.seeds, &witnessed);
+    println!(
+        "flow coverage: {} declared, {} witnessed, {} dead declared",
+        report.declared.len(),
+        report.witnessed.len(),
+        report.dead_declared.len()
+    );
+    for e in &report.dead_declared {
+        println!("  dead declared (advisory): {} {} -> {}", e.variant, e.src, e.dst);
+    }
+    if let Some(path) = &args.json {
+        if let Err(e) = std::fs::write(path, report.to_json()) {
+            eprintln!("error: writing {}: {e}", path.display());
+            return ExitCode::FAILURE;
         }
     }
     if failed {
@@ -471,11 +420,7 @@ fn main() -> ExitCode {
     } else {
         args.jobs
     };
-    if args.flow_coverage {
-        run_flow_coverage(&args, &scenarios, jobs)
-    } else {
-        run_sweep(&args, &scenarios, jobs, &corpus_dir)
-    }
+    run_sweep(&args, &scenarios, jobs, &corpus_dir)
 }
 
 #[cfg(test)]
@@ -489,15 +434,14 @@ mod tests {
     #[test]
     fn every_ci_invocation_parses() {
         for line in [
-            "--flow-coverage --seeds 2 --jobs 2 --json flow-coverage.json",
+            "--seeds 2 --jobs 1 --json sweep-j1.json",
+            "--seeds 2 --jobs 2 --json sweep-j2.json",
             "--scenario mcheck-attach-failover --exhaustive --bound 6 --json mc1.json",
             "--scenario mcheck-attach-failover --exhaustive --bound 6 --json mc2.json",
             "--scenario failover --seeds 1000 --jobs 8 --corpus corpus-out",
             "--scenario iot-burst-storm --seeds 500 --jobs 8 --corpus corpus-out",
             "--scenario mcheck-attach-failover --exhaustive --bound 12 \
              --corpus corpus-out --json mcheck-nightly.json",
-            "--flow-coverage --seeds 25 --jobs 8 --json flow-coverage.json",
-            "--flow-coverage --seeds 25 --jobs 1 --json flow-coverage-j1.json",
             "--replay crates/check/corpus/x.json",
             "--list",
         ] {
@@ -510,13 +454,9 @@ mod tests {
     #[test]
     fn a_flag_that_does_not_apply_fails_the_run() {
         for line in [
-            // A seed sweep reads no exhaustive or report flag.
-            "--scenario failover --seeds 5 --json out.json",
+            // A seed sweep reads no exhaustive flag.
             "--bound 6",
-            // Flow coverage pins nothing and bounds nothing.
-            "--flow-coverage --max-paths 10",
-            "--flow-coverage --corpus c",
-            "--flow-coverage --shrink-budget 5",
+            "--scenario failover --max-paths 10",
             // The exhaustive checker runs one plan on one thread.
             "--exhaustive --scenario m --jobs 8",
             "--exhaustive --scenario m --seeds 3",
@@ -524,7 +464,6 @@ mod tests {
             "--list --scenario failover",
             "--replay x.json --jobs 2",
             // Two modes.
-            "--exhaustive --flow-coverage --scenario m",
             "--list --replay x.json",
             "--exhaustive",
             "--jobs many",
@@ -533,17 +472,5 @@ mod tests {
         ] {
             assert!(parse(line).is_err(), "`{line}` must be rejected");
         }
-    }
-
-    #[test]
-    fn all_means_every_family_or_the_core_coverage_set() {
-        let names = |line: &str| -> Vec<&str> {
-            scenarios(&parse(line).unwrap()).unwrap().iter().map(|s| s.name).collect()
-        };
-        let every: Vec<&str> = Scenario::all().iter().map(|s| s.name).collect();
-        assert_eq!(names(""), every);
-        assert_eq!(names("--flow-coverage"), flowcov::CORE_SCENARIOS);
-        assert_eq!(names("--scenario chaos"), ["chaos"]);
-        assert!(scenarios(&parse("--scenario nope").unwrap()).is_none());
     }
 }

@@ -1,87 +1,102 @@
-//! Static-vs-dynamic protocol-flow coverage (`explore --flow-coverage`).
+//! The protocol-flow contract of a checked case.
 //!
 //! The flow registry ([`neutrino_messages::flow::FLOWS`]) declares which
-//! `(variant, src role, dst role)` edges the protocol may use. This module
-//! holds the code to it: it runs scenario plans with a delivery tap
-//! installed, records every edge the simulator actually carries, and diffs
-//! witnessed against declared:
+//! `(label, src role, dst role)` edges the protocol may use. Every checked
+//! case holds the code to it: [`run_case_with`](crate::run::run_case_with)
+//! installs a delivery tap that records each edge the simulator
+//! actually carries, and after the final oracle pass [`verdict`] names two
+//! kinds of breach as `flow-contract` violations:
 //!
-//! * **witnessed-but-undeclared** edges are spec drift — a send the
-//!   registry does not admit. Fatal.
+//! * **witnessed-but-undeclared** edges — spec drift, a send the registry
+//!   does not admit;
 //! * **misrouted messages** — a message that reached a role's counting
 //!   catch-all arm (its `unexpected_msgs`) because that role has no handler
-//!   for it. Fatal, and named per role on stderr; not part of the JSON.
-//! * **declared-but-never-witnessed** edges are dead paths — either an
-//!   unreachable declaration or a scenario-coverage gap. Advisory.
+//!   for it.
 //!
-//! Witness sets are unions and counts are sums, so the merged result is
-//! independent of the order cells complete in: the report is byte-identical
-//! across reruns and any `--jobs` value.
+//! A sweep merges its cases' witnesses into a [`CoverageReport`], whose
+//! **declared-but-never-witnessed** edges are dead paths — either an
+//! unreachable declaration or a scenario-coverage gap. Advisory. Witness
+//! sets are unions, so the merged report is independent of the order cells
+//! complete in: it is byte-identical across reruns and any `--jobs` value.
 
-use crate::run::{run_case_with, DeliveryTap};
-use crate::scenario::Scenario;
-use neutrino_core::SimMsg;
-use neutrino_messages::flow::{self, Role, FLOWS};
+use neutrino_common::time::Instant;
+use neutrino_core::oracle::Violation;
+use neutrino_core::{Cluster, SimMsg};
+use neutrino_messages::flow::{Role, FLOWS};
+use neutrino_netsim::DeliveryTap;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
-/// One `(variant, src role, dst role)` edge in canonical string form.
-pub type Edge = (String, String, String);
+/// One `(SysMsg::label, src role, dst role)` edge.
+pub type Edge = (&'static str, Role, Role);
 
-/// What runs witnessed: the edges they carried and the misrouted messages
-/// each role counted.
-pub type Witness = (BTreeSet<Edge>, BTreeMap<Role, u64>);
+/// The violation name of a flow-contract breach.
+const FLOW_CONTRACT: &str = "flow-contract";
 
-/// The scenario families the nightly coverage job sweeps: every
-/// deterministic non-storm family. The storm families exercise the same
-/// flows at higher volume and add no new edges, so they stay out of the
-/// sweep budget.
-pub const CORE_SCENARIOS: &[&str] =
-    &["failover", "partition", "chaos", "handover-failover", "epc-reattach"];
-
-/// The declared edge set, in canonical form.
+/// The declared edge set.
 pub fn declared_edges() -> BTreeSet<Edge> {
     FLOWS
         .iter()
-        .flat_map(|spec| {
-            spec.edges.iter().map(move |(s, d)| {
-                (spec.variant.to_string(), s.name().to_string(), d.name().to_string())
-            })
-        })
+        .flat_map(|spec| spec.edges.iter().map(move |&(s, d)| (spec.variant, s, d)))
         .collect()
 }
 
-/// Runs `scenario` at `seed` with a delivery tap installed and returns the
-/// witnessed edge set with each role's misrouted-message count.
+/// A delivery tap that records every delivered protocol edge into `seen`.
 /// Non-protocol messages (the arrival-pump `Kick`) and nodes outside the
-/// role bands are ignored rather than invented.
-pub fn witness_case(scenario: &Scenario, seed: u64) -> Witness {
-    let seen: Rc<RefCell<BTreeSet<Edge>>> = Rc::default();
-    let sink = Rc::clone(&seen);
-    let tap: DeliveryTap = Box::new(move |from, to, msg| {
-        let SimMsg::Sys(sys) = msg else { return };
-        let (Some(src), Some(dst)) = (Role::of_node_raw(from.raw()), Role::of_node_raw(to.raw()))
-        else {
-            return;
-        };
-        sink.borrow_mut().insert((
-            flow::variant_name(sys).to_string(),
-            src.name().to_string(),
-            dst.name().to_string(),
-        ));
+/// role bands are ignored rather than invented. A repeat edge allocates
+/// nothing.
+pub(crate) fn tap(seen: Rc<RefCell<BTreeSet<Edge>>>) -> DeliveryTap<SimMsg> {
+    Box::new(move |from, to, msg| {
+        let (src, dst) = (Role::of_node_raw(from.raw()), Role::of_node_raw(to.raw()));
+        if let (SimMsg::Sys(sys), Some(src), Some(dst)) = (msg, src, dst) {
+            seen.borrow_mut().insert((sys.label(), src, dst));
+        }
+    })
+}
+
+/// The misrouted `SysMsg`s each receiving role counted at its handler's
+/// catch-all arm.
+pub(crate) fn misrouted(cluster: &mut Cluster) -> [(Role, u64); 4] {
+    let uepop = cluster
+        .population()
+        .map_or(0, |p| p.results().unexpected_msgs);
+    [
+        (Role::Cta, cluster.cta_metrics().unexpected_msgs),
+        (Role::Cpf, cluster.cpf_metrics().unexpected_msgs),
+        (Role::Upf, cluster.upf_unexpected_msgs()),
+        (Role::UePop, uepop),
+    ]
+}
+
+/// The flow verdict at `at`: one `flow-contract` violation per witnessed
+/// edge the registry does not declare and one per role with a non-zero
+/// misrouted count.
+pub fn verdict(seen: &BTreeSet<Edge>, misrouted: &[(Role, u64)], at: Instant) -> Vec<Violation> {
+    let declared = declared_edges();
+    let undeclared = seen.difference(&declared).map(|&(label, src, dst)| {
+        let (src, dst) = (src.name(), dst.name());
+        format!("undeclared edge {label} {src} -> {dst}")
     });
-    let report = run_case_with(&scenario.plan(seed), None, Some(tap));
-    let edges = Rc::try_unwrap(seen)
-        .expect("tap dropped with the sim")
-        .into_inner();
-    (edges, report.unexpected)
+    let misrouted = misrouted.iter().filter(|&&(_, n)| n > 0).map(|&(role, n)| {
+        let role = role.name();
+        format!("{role} counted {n} message(s) it has no handler for")
+    });
+    undeclared
+        .chain(misrouted)
+        .map(|detail| Violation {
+            invariant: FLOW_CONTRACT,
+            at,
+            ue: None,
+            detail,
+        })
+        .collect()
 }
 
 /// One edge in the JSON report.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct EdgeRecord {
-    /// `SysMsg` variant name.
+    /// The message's `SysMsg::label`.
     pub variant: String,
     /// Sending role.
     pub src: String,
@@ -89,14 +104,19 @@ pub struct EdgeRecord {
     pub dst: String,
 }
 
-fn records(set: &BTreeSet<Edge>) -> Vec<EdgeRecord> {
-    set.iter()
-        .map(|(v, s, d)| EdgeRecord { variant: v.clone(), src: s.clone(), dst: d.clone() })
+fn records<'a>(edges: impl IntoIterator<Item = &'a Edge>) -> Vec<EdgeRecord> {
+    edges
+        .into_iter()
+        .map(|(v, s, d)| EdgeRecord {
+            variant: v.to_string(),
+            src: s.name().to_string(),
+            dst: d.name().to_string(),
+        })
         .collect()
 }
 
-/// The coverage diff (`explore --flow-coverage --json`). Every list is
-/// sorted; serialization is byte-stable.
+/// A sweep's coverage diff (`explore --json`). Every list is sorted;
+/// serialization is byte-stable.
 #[derive(Debug, serde::Serialize)]
 pub struct CoverageReport {
     /// Scenario families swept.
@@ -109,33 +129,23 @@ pub struct CoverageReport {
     pub witnessed: Vec<EdgeRecord>,
     /// Declared but never witnessed — dead paths (advisory).
     pub dead_declared: Vec<EdgeRecord>,
-    /// Witnessed but not declared — spec drift (fatal).
+    /// Witnessed but not declared — spec drift (each one already failed
+    /// its case as a `flow-contract` violation).
     pub undeclared_witnessed: Vec<EdgeRecord>,
-    /// Misrouted messages per role (fatal when non-zero).
-    #[serde(skip)]
-    pub unexpected: BTreeMap<Role, u64>,
 }
 
 impl CoverageReport {
     /// Diffs a merged witness against the registry.
-    pub fn diff(scenarios: Vec<String>, seeds: u64, witness: Witness) -> CoverageReport {
-        let (witnessed, unexpected) = witness;
+    pub fn diff(scenarios: Vec<String>, seeds: u64, witnessed: &BTreeSet<Edge>) -> CoverageReport {
         let declared = declared_edges();
         CoverageReport {
             scenarios,
             seeds,
-            dead_declared: records(&declared.difference(&witnessed).cloned().collect()),
-            undeclared_witnessed: records(&witnessed.difference(&declared).cloned().collect()),
+            dead_declared: records(declared.difference(witnessed)),
+            undeclared_witnessed: records(witnessed.difference(&declared)),
             declared: records(&declared),
-            witnessed: records(&witnessed),
-            unexpected,
+            witnessed: records(witnessed),
         }
-    }
-
-    /// True when every witnessed edge is declared and no role counted a
-    /// misrouted message.
-    pub fn is_clean(&self) -> bool {
-        self.undeclared_witnessed.is_empty() && self.unexpected.values().all(|&n| n == 0)
     }
 
     /// Deterministic pretty JSON (trailing newline included).
@@ -147,6 +157,15 @@ impl CoverageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::run_case;
+    use crate::scenario::Scenario;
+
+    const NO_MISROUTES: [(Role, u64); 4] = [
+        (Role::Cta, 0),
+        (Role::Cpf, 0),
+        (Role::Upf, 0),
+        (Role::UePop, 0),
+    ];
 
     #[test]
     fn declared_set_matches_registry_size() {
@@ -156,63 +175,70 @@ mod tests {
     }
 
     #[test]
-    fn witnessed_subset_is_clean_and_missing_edges_are_dead() {
+    fn the_verdict_names_each_undeclared_edge_and_misrouting_role() {
+        let at = Instant::ZERO;
+        assert!(verdict(&declared_edges(), &NO_MISROUTES, at).is_empty());
+
+        let mut witnessed = declared_edges();
+        witnessed.insert(("control", Role::Upf, Role::Cta));
+        let undeclared = verdict(&witnessed, &NO_MISROUTES, at);
+        assert_eq!(undeclared.len(), 1);
+        assert_eq!(undeclared[0].invariant, FLOW_CONTRACT);
+        assert_eq!(undeclared[0].detail, "undeclared edge control upf -> cta");
+
+        let mut counts = NO_MISROUTES;
+        counts[3].1 = 1;
+        let misrouted = verdict(&declared_edges(), &counts, at);
+        assert_eq!(misrouted.len(), 1);
+        assert_eq!(misrouted[0].invariant, FLOW_CONTRACT);
+        assert!(
+            misrouted[0].detail.starts_with("uepop counted 1 "),
+            "{}",
+            misrouted[0].detail
+        );
+    }
+
+    #[test]
+    fn witnessed_subset_reports_missing_edges_as_dead() {
         let mut witnessed = declared_edges();
         let dropped = witnessed.pop_first().expect("non-empty registry");
-        let report = CoverageReport::diff(vec!["unit".into()], 1, (witnessed, BTreeMap::new()));
-        assert!(report.is_clean());
+        let report = CoverageReport::diff(vec!["unit".into()], 1, &witnessed);
+        assert!(report.undeclared_witnessed.is_empty());
         assert_eq!(report.dead_declared.len(), 1);
         assert_eq!(report.dead_declared[0].variant, dropped.0);
     }
 
     #[test]
-    fn undeclared_edge_is_fatal() {
-        let mut witnessed = BTreeSet::new();
-        witnessed.insert(("Control".to_string(), "upf".to_string(), "cta".to_string()));
-        let report = CoverageReport::diff(vec!["unit".into()], 1, (witnessed, BTreeMap::new()));
-        assert!(!report.is_clean());
-        assert_eq!(report.undeclared_witnessed.len(), 1);
-    }
-
-    #[test]
-    fn misrouted_message_is_fatal_and_stays_out_of_the_json() {
-        let clean = CoverageReport::diff(vec!["x".into()], 1, (declared_edges(), BTreeMap::new()));
-        let misrouted = CoverageReport::diff(
-            vec!["x".into()],
-            1,
-            (
-                declared_edges(),
-                BTreeMap::from([(Role::Cta, 0), (Role::UePop, 1)]),
-            ),
-        );
-        assert!(clean.is_clean());
-        assert!(!misrouted.is_clean());
-        assert_eq!(misrouted.to_json(), clean.to_json());
-    }
-
-    #[test]
     fn report_json_is_byte_stable() {
         let witnessed = declared_edges();
-        let a = CoverageReport::diff(vec!["x".into()], 3, (witnessed.clone(), BTreeMap::new()));
-        let b = CoverageReport::diff(vec!["x".into()], 3, (witnessed, BTreeMap::new()));
+        let a = CoverageReport::diff(vec!["x".into()], 3, &witnessed);
+        let b = CoverageReport::diff(vec!["x".into()], 3, &witnessed);
         assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
     fn one_small_case_witnesses_only_declared_edges() {
-        // The cheapest real run: a small-model plan carries real traffic
-        // through every node band; whatever it witnesses must be declared,
-        // and no role may count a message it has no handler for.
+        // A real run carries traffic through every node band; a clean
+        // report means every witnessed edge is declared and no role
+        // counted a message it has no handler for.
         let scenario = Scenario::by_name("failover").expect("failover exists");
-        let witness = witness_case(&scenario, 0);
-        assert!(!witness.0.is_empty(), "a failover run delivers messages");
-        assert_eq!(witness.1.len(), 4, "every receiving role reports a count");
-        let report = CoverageReport::diff(vec!["failover".into()], 1, witness);
+        let report = run_case(&scenario.plan(0));
+        assert!(report.is_clean(), "{:?}", report.violations);
         assert!(
-            report.is_clean(),
-            "undeclared edges witnessed: {:?}, misrouted: {:?}",
-            report.undeclared_witnessed,
-            report.unexpected
+            !report.witnessed.is_empty(),
+            "a failover run delivers messages"
         );
+        assert!(report.witnessed.is_subset(&declared_edges()));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
+    fn a_storm_case_witnesses_the_reject_edge() {
+        let scenario = Scenario::by_name("iot-burst-storm").expect("iot-burst-storm exists");
+        let report = run_case(&scenario.plan(0));
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert!(report
+            .witnessed
+            .contains(&("reject", Role::Cta, Role::UePop)));
     }
 }

@@ -15,6 +15,8 @@
 //!   sim-time intervals, pausing only at instants where events actually
 //!   occurred (so long drain tails cost nothing) and never perturbing the
 //!   event schedule. Produces a byte-stable [`CheckReport`](run::CheckReport).
+//! * [`flowcov`] — the protocol-flow contract every checked case holds, and
+//!   the coverage report a sweep merges from the edges its cases witnessed.
 //! * [`mcheck`] — the small-model exhaustive interleaving checker: a DFS
 //!   over every schedule of simultaneously enabled deliveries (bounded by
 //!   contended-delivery count), with per-stream FIFO and sleep-set-style

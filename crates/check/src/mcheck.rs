@@ -221,7 +221,7 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
             break;
         }
         let mut chooser = ScriptChooser::new(&script);
-        let report = run_case_with(plan, Some(&mut chooser), None);
+        let report = run_case_with(plan, Some(&mut chooser));
         stats.paths_explored += 1;
         if stats.paths_explored == 1 {
             stats.identity_choice_points = chooser.log.len() as u64;

@@ -12,6 +12,7 @@
 //! skip pause points where nothing happened — a 10 s drain tail costs a
 //! handful of passes, not hundreds.
 
+use crate::flowcov::{self, Edge};
 use crate::invariants;
 use crate::mcheck::ScriptChooser;
 use crate::scenario::{CasePlan, EndpointPlan};
@@ -23,7 +24,6 @@ use neutrino_common::time::{Duration, Instant};
 use neutrino_common::{CpfId, UeId};
 use neutrino_cta::AdmissionParams;
 use neutrino_geo::RegionLayout;
-use neutrino_messages::flow::Role;
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_netsim::{Chooser, FaultSpec};
 use neutrino_trafficgen::patterns::{
@@ -31,7 +31,9 @@ use neutrino_trafficgen::patterns::{
     UniformParams,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// Attach-phase rate used for every checked run (fast enough that the
 /// pool registers in tens of milliseconds, slow enough not to overload).
@@ -106,7 +108,7 @@ pub struct Fingerprint {
     /// Largest engine queue depth across control-plane nodes.
     #[serde(default)]
     pub max_queue_depth: u64,
-    /// Total invariant violations (including ones beyond the record cap).
+    /// Total violations, flow-contract breaches and ones past the cap included.
     pub violations: u64,
 }
 
@@ -145,14 +147,14 @@ pub struct CheckReport {
     pub passes: u64,
     /// Replay-equality witness.
     pub fingerprint: Fingerprint,
-    /// Misrouted `SysMsg`s each role counted at its handler's catch-all arm
-    /// (`explore --flow-coverage` fails on any). Not part of the JSON.
+    /// The protocol-flow edges the run delivered (a sweep merges them into
+    /// its coverage report). Not part of the JSON.
     #[serde(skip)]
-    pub unexpected: BTreeMap<Role, u64>,
+    pub witnessed: BTreeSet<Edge>,
 }
 
 impl CheckReport {
-    /// True when no invariant fired.
+    /// True when no invariant fired and the flow contract held.
     pub fn is_clean(&self) -> bool {
         self.fingerprint.violations == 0
     }
@@ -324,23 +326,18 @@ pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
 /// consulted and the engine dispatches in its own order.
 pub fn run_case(plan: &CasePlan) -> CheckReport {
     if plan.choice_trace.is_empty() {
-        run_case_with(plan, None, None)
+        run_case_with(plan, None)
     } else {
         let mut script = ScriptChooser::new(&plan.choice_trace);
-        run_case_with(plan, Some(&mut script), None)
+        run_case_with(plan, Some(&mut script))
     }
 }
 
-/// A delivery witness for flow-coverage runs: `(from, to, &msg)` for every
-/// message the engine actually enqueues (see
-/// [`neutrino_netsim::Sim::set_delivery_tap`]).
-pub type DeliveryTap = neutrino_netsim::DeliveryTap<SimMsg>;
-
-/// The full checker: one plan, an optional interleaving chooser (a
-/// [`ScriptChooser`] in replays and in the exhaustive checker) and an
-/// optional delivery tap, which observes every enqueued message without
-/// perturbing the event stream (`explore --flow-coverage` records
-/// witnessed protocol flow edges this way).
+/// The full checker: one plan and an optional interleaving chooser (a
+/// [`ScriptChooser`] in replays and in the exhaustive checker). A delivery
+/// tap records every delivered protocol-flow edge without perturbing the
+/// event stream; the final pass adds the flow verdict
+/// ([`flowcov::verdict`]) to the invariants' violations.
 ///
 /// The run is [`experiment_spec`]'s spec on `experiment`'s one run path
 /// (build → advance → finish); only the pause points differ from a figure
@@ -349,14 +346,12 @@ pub type DeliveryTap = neutrino_netsim::DeliveryTap<SimMsg>;
 pub fn run_case_with(
     plan: &CasePlan,
     mut chooser: Option<&mut dyn Chooser<SimMsg>>,
-    tap: Option<DeliveryTap>,
 ) -> CheckReport {
     let (spec, measured_start) = experiment_spec(plan);
     let horizon_end = Instant::ZERO + spec.horizon;
     let mut cluster = experiment::build(spec);
-    if let Some(tap) = tap {
-        cluster.sim.set_delivery_tap(tap);
-    }
+    let seen: Rc<RefCell<BTreeSet<Edge>>> = Rc::default();
+    cluster.sim.set_delivery_tap(flowcov::tap(Rc::clone(&seen)));
     let region0 = &cluster.deployment.regions()[0];
     let (cta0, cpfs) = (region0.cta, region0.cpfs.clone());
     for p in &plan.partitions {
@@ -397,6 +392,10 @@ pub fn run_case_with(
                 };
                 batch.extend(inv.check(&mut ctx));
             }
+            if final_pass {
+                let misrouted = flowcov::misrouted(cluster);
+                batch.extend(flowcov::verdict(&seen.borrow(), &misrouted, now));
+            }
             // Invariants iterate HashMaps internally; the report must be
             // byte-stable across runs.
             batch.sort_by(|a, b| {
@@ -428,18 +427,11 @@ pub fn run_case_with(
     passes += 1;
     run_pass(&mut cluster, &mut invariants, horizon_end, true);
 
-    let upf_unexpected = cluster.upf_unexpected_msgs();
-    let uepop_unexpected = cluster.population().map_or(0, |p| p.results().unexpected_msgs);
     let results = experiment::finish(cluster, None);
     CheckReport {
         violations: recorded,
         passes,
         fingerprint: Fingerprint::of(&results, total_violations),
-        unexpected: BTreeMap::from([
-            (Role::Cta, results.cta.unexpected_msgs),
-            (Role::Cpf, results.cpf.unexpected_msgs),
-            (Role::Upf, upf_unexpected),
-            (Role::UePop, uepop_unexpected),
-        ]),
+        witnessed: seen.take(),
     }
 }

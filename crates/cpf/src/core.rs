@@ -188,7 +188,8 @@ pub struct CpfMetrics {
     pub malformed_snapshots: u64,
     /// `SysMsg` variants delivered to this CPF that the flow contract says
     /// it never receives (misrouted traffic — counted, never silently
-    /// swallowed; `explore --flow-coverage` fails on any).
+    /// swallowed; any checked case with a non-zero count fails with a
+    /// `flow-contract` violation).
     pub unexpected_msgs: u64,
 }
 
@@ -568,7 +569,7 @@ impl CpfCore {
             SysMsg::MigrationAck { ue } => self.on_migration_ack(ue),
             SysMsg::ResyncRequest { ue, procedure, cta } => self.on_resync(ue, procedure, cta),
             SysMsg::CpfFailure { cpf } => self.on_peer_failure(cpf),
-            // A misrouted SysMsg is counted, not dropped: flow coverage fails on it.
+            // A misrouted SysMsg is counted, not dropped: a checked case fails on it.
             _ => {
                 self.metrics.unexpected_msgs += 1;
                 Vec::new()

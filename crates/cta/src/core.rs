@@ -160,7 +160,8 @@ pub struct CtaMetrics {
     pub breaker_suppressed: u64,
     /// `SysMsg` variants delivered to this CTA that the flow contract says
     /// it never receives (misrouted traffic — counted, never silently
-    /// swallowed; `explore --flow-coverage` fails on any).
+    /// swallowed; any checked case with a non-zero count fails with a
+    /// `flow-contract` violation).
     pub unexpected_msgs: u64,
 }
 
@@ -380,7 +381,7 @@ impl CtaCore {
                     msg: SysMsg::AskReAttach { ue },
                 }]
             }
-            // A misrouted SysMsg is counted, not dropped: flow coverage fails on it.
+            // A misrouted SysMsg is counted, not dropped: a checked case fails on it.
             _ => {
                 self.metrics.unexpected_msgs += 1;
                 Vec::new()

@@ -5,16 +5,14 @@
 //! `Replay` → `AskReAttach`) break silently when a handler quietly ignores a
 //! variant or a new send site routes a message to a role that never expected
 //! it. This table turns the doc-comment flow annotations ("CPF → CTA: …")
-//! into a checked contract: the check harness witnesses `(variant, src_role,
-//! dst_role)` edges during explore runs, and `explore --flow-coverage` diffs
-//! them against this table. A witnessed-but-undeclared edge is spec drift and
-//! fails the run, as does a message any role counted as unexpected;
-//! declared-but-never-witnessed edges are reported as dead paths.
+//! into a checked contract: every checked case witnesses its delivered
+//! `(label, src_role, dst_role)` edges, and a witnessed-but-undeclared edge
+//! is a `flow-contract` violation, as is a message any role counted as
+//! unexpected; declared-but-never-witnessed edges are reported as dead paths.
 //!
-//! Totality is enforced twice: [`variant_name`] matches `SysMsg`
-//! exhaustively (adding a variant without touching this file fails to
-//! build), and the unit tests assert every variant has a `FLOWS` entry and
-//! vice versa.
+//! The table is keyed by [`SysMsg::label`], which matches `SysMsg`
+//! exhaustively (adding a variant without a label fails to build); the unit
+//! tests assert every variant has a `FLOWS` entry and vice versa.
 
 use crate::sysmsg::SysMsg;
 use neutrino_common::time::Instant;
@@ -171,7 +169,7 @@ pub trait RoleCore {
 /// `DdnRequest` flows Upf→Cta and Cta→Cpf, but never Upf→Cpf directly).
 #[derive(Debug, Clone, Copy)]
 pub struct FlowSpec {
-    /// The `SysMsg` variant name, e.g. `"StateSync"`.
+    /// The variant's [`SysMsg::label`], e.g. `"state-sync"`.
     pub variant: &'static str,
     /// Allowed `(src, dst)` role pairs.
     pub edges: &'static [(Role, Role)],
@@ -199,7 +197,7 @@ impl FlowSpec {
 /// order.
 pub const FLOWS: &[FlowSpec] = &[
     FlowSpec {
-        variant: "Control",
+        variant: "control",
         edges: &[
             (Role::UePop, Role::Cta),
             (Role::Cta, Role::Cpf),
@@ -207,61 +205,32 @@ pub const FLOWS: &[FlowSpec] = &[
             (Role::Cta, Role::UePop),
         ],
     },
-    FlowSpec { variant: "StateSync", edges: &[(Role::Cpf, Role::Cpf)] },
-    FlowSpec { variant: "SyncAck", edges: &[(Role::Cpf, Role::Cta)] },
-    FlowSpec { variant: "MarkOutdated", edges: &[(Role::Cta, Role::Cpf)] },
-    FlowSpec { variant: "Replay", edges: &[(Role::Cta, Role::Cpf)] },
-    FlowSpec { variant: "FetchState", edges: &[(Role::Cpf, Role::Cpf)] },
-    FlowSpec { variant: "FetchStateResp", edges: &[(Role::Cpf, Role::Cpf)] },
-    FlowSpec { variant: "S11", edges: &[(Role::Cpf, Role::Upf)] },
-    FlowSpec { variant: "S11Resp", edges: &[(Role::Upf, Role::Cpf)] },
-    FlowSpec { variant: "AskReAttach", edges: &[(Role::Cta, Role::UePop)] },
-    FlowSpec { variant: "MigrationAck", edges: &[(Role::Cpf, Role::Cpf)] },
-    FlowSpec { variant: "RelayReAttach", edges: &[(Role::Cpf, Role::Cta)] },
-    FlowSpec { variant: "DownlinkData", edges: &[(Role::Harness, Role::Upf)] },
+    FlowSpec { variant: "state-sync", edges: &[(Role::Cpf, Role::Cpf)] },
+    FlowSpec { variant: "sync-ack", edges: &[(Role::Cpf, Role::Cta)] },
+    FlowSpec { variant: "mark-outdated", edges: &[(Role::Cta, Role::Cpf)] },
+    FlowSpec { variant: "replay", edges: &[(Role::Cta, Role::Cpf)] },
+    FlowSpec { variant: "fetch-state", edges: &[(Role::Cpf, Role::Cpf)] },
+    FlowSpec { variant: "fetch-state-resp", edges: &[(Role::Cpf, Role::Cpf)] },
+    FlowSpec { variant: "s11", edges: &[(Role::Cpf, Role::Upf)] },
+    FlowSpec { variant: "s11-resp", edges: &[(Role::Upf, Role::Cpf)] },
+    FlowSpec { variant: "ask-re-attach", edges: &[(Role::Cta, Role::UePop)] },
+    FlowSpec { variant: "migration-ack", edges: &[(Role::Cpf, Role::Cpf)] },
+    FlowSpec { variant: "relay-re-attach", edges: &[(Role::Cpf, Role::Cta)] },
+    FlowSpec { variant: "downlink-data", edges: &[(Role::Harness, Role::Upf)] },
     FlowSpec {
-        variant: "DdnRequest",
+        variant: "ddn-request",
         edges: &[(Role::Upf, Role::Cta), (Role::Cta, Role::Cpf)],
     },
     FlowSpec {
-        variant: "CpfFailure",
+        variant: "cpf-failure",
         edges: &[(Role::Harness, Role::Cta), (Role::Harness, Role::Cpf)],
     },
-    FlowSpec { variant: "ResyncRequest", edges: &[(Role::Cta, Role::Cpf)] },
-    FlowSpec { variant: "ResyncBehind", edges: &[(Role::Cpf, Role::Cta)] },
-    FlowSpec { variant: "Reject", edges: &[(Role::Cta, Role::UePop)] },
+    FlowSpec { variant: "resync-request", edges: &[(Role::Cta, Role::Cpf)] },
+    FlowSpec { variant: "resync-behind", edges: &[(Role::Cpf, Role::Cta)] },
+    FlowSpec { variant: "reject", edges: &[(Role::Cta, Role::UePop)] },
 ];
 
-/// The variant name of a message, matching the identifiers used in `FLOWS`.
-///
-/// This match is deliberately exhaustive with no wildcard: adding a `SysMsg`
-/// variant without declaring its flow here fails to **build**, which is the
-/// totality guarantee the flow contract rests on (the unit tests then force
-/// the matching `FLOWS` entry).
-pub fn variant_name(msg: &SysMsg) -> &'static str {
-    match msg {
-        SysMsg::Control(_) => "Control",
-        SysMsg::StateSync(_) => "StateSync",
-        SysMsg::SyncAck(_) => "SyncAck",
-        SysMsg::MarkOutdated(_) => "MarkOutdated",
-        SysMsg::Replay(_) => "Replay",
-        SysMsg::FetchState { .. } => "FetchState",
-        SysMsg::FetchStateResp { .. } => "FetchStateResp",
-        SysMsg::S11(_) => "S11",
-        SysMsg::S11Resp(_) => "S11Resp",
-        SysMsg::AskReAttach { .. } => "AskReAttach",
-        SysMsg::MigrationAck { .. } => "MigrationAck",
-        SysMsg::RelayReAttach { .. } => "RelayReAttach",
-        SysMsg::DownlinkData { .. } => "DownlinkData",
-        SysMsg::DdnRequest { .. } => "DdnRequest",
-        SysMsg::CpfFailure { .. } => "CpfFailure",
-        SysMsg::ResyncRequest { .. } => "ResyncRequest",
-        SysMsg::ResyncBehind { .. } => "ResyncBehind",
-        SysMsg::Reject { .. } => "Reject",
-    }
-}
-
-/// Look up the declared flow of a variant by name.
+/// Look up the declared flow of a variant by its [`SysMsg::label`].
 pub fn spec(variant: &str) -> Option<&'static FlowSpec> {
     FLOWS.iter().find(|s| s.variant == variant)
 }
@@ -340,11 +309,11 @@ mod tests {
         let msgs = one_of_each();
         // Every variant has a FLOWS entry, …
         for m in &msgs {
-            let name = variant_name(m);
-            assert!(spec(name).is_some(), "SysMsg::{name} has no FLOWS entry — declare its flow");
+            let name = m.label();
+            assert!(spec(name).is_some(), "`{name}` has no FLOWS entry — declare its flow");
         }
         // … the sample set covers each variant exactly once, …
-        let names: std::collections::BTreeSet<_> = msgs.iter().map(|m| variant_name(m)).collect();
+        let names: std::collections::BTreeSet<_> = msgs.iter().map(SysMsg::label).collect();
         assert_eq!(names.len(), msgs.len(), "one_of_each has a duplicate variant");
         // … and the table carries no extra (undeclarable) entries.
         assert_eq!(FLOWS.len(), msgs.len(), "FLOWS has entries for nonexistent variants");
@@ -392,7 +361,7 @@ mod tests {
 
     #[test]
     fn spec_lookup_and_edge_queries() {
-        let ddn = spec("DdnRequest").unwrap();
+        let ddn = spec("ddn-request").unwrap();
         assert!(ddn.allows(Role::Upf, Role::Cta));
         assert!(ddn.allows(Role::Cta, Role::Cpf));
         assert!(!ddn.allows(Role::Upf, Role::Cpf), "edges are pairs, not a product");

@@ -336,10 +336,10 @@ pub struct Sim<M> {
     /// The outbox every `handle` call borrows; `flush_outbox` drains its
     /// buffers in place, so they are reused across calls.
     scratch: Outbox<M>,
-    /// Optional delivery witness (flow-coverage tooling): called for every
-    /// message actually enqueued at an up node, after fault filtering and
-    /// before service. `None` on plain runs, so the hot path pays exactly
-    /// one branch.
+    /// Optional delivery witness (every checked case installs one to hold
+    /// the flow contract): called for every message actually enqueued at an
+    /// up node, after fault filtering and before service. `None` on figure
+    /// runs, so the hot path pays exactly one branch.
     tap: Option<DeliveryTap<M>>,
 }
 
@@ -370,8 +370,8 @@ impl<M: Clone + 'static> Sim<M> {
 
     /// Installs a delivery witness: `tap(from, to, &msg)` runs for every
     /// message actually enqueued at an up node (after loss/partition/down
-    /// filtering, before service). Used by `explore --flow-coverage` to
-    /// record witnessed protocol-flow edges; plain runs never install one.
+    /// filtering, before service). Every checked case installs one to
+    /// record the protocol-flow edges it witnesses; figure runs never do.
     pub fn set_delivery_tap(&mut self, tap: DeliveryTap<M>) {
         self.tap = Some(tap);
     }
@@ -1423,14 +1423,10 @@ mod tests {
     #[test]
     fn total_loss_blackholes_the_link() {
         let (mut sim, a, b) = two_node_sim(Duration::ZERO, Duration::from_micros(10));
-        sim.links_mut().set_fault(
-            a,
-            b,
-            crate::links::FaultSpec {
-                loss: 1.0,
-                ..crate::links::FaultSpec::NONE
-            },
-        );
+        sim.links_mut().set_fault_default(crate::links::FaultSpec {
+            loss: 1.0,
+            ..crate::links::FaultSpec::NONE
+        });
         sim.inject_at(Instant::ZERO, a, 0);
         sim.run_to_completion();
         let echo = sim.node_as::<Echo>(b).unwrap();
@@ -1441,20 +1437,18 @@ mod tests {
     #[test]
     fn duplication_delivers_extra_copies() {
         let (mut sim, a, b) = two_node_sim(Duration::ZERO, Duration::from_micros(10));
-        sim.links_mut().set_fault(
-            a,
-            b,
-            crate::links::FaultSpec {
-                duplicate: 1.0,
-                ..crate::links::FaultSpec::NONE
-            },
-        );
+        sim.links_mut().set_fault_default(crate::links::FaultSpec {
+            duplicate: 1.0,
+            ..crate::links::FaultSpec::NONE
+        });
         sim.inject_at(Instant::ZERO, a, 0);
         sim.run_to_completion();
         let stats = sim.sim_stats();
-        assert_eq!(stats.duplicated, 3);
+        // 3 pings and their 6 echoes, each duplicated once.
+        assert_eq!(stats.duplicated, 9);
         let echo = sim.node_as::<Echo>(b).unwrap();
         assert_eq!(echo.seen.len(), 6, "each of 3 pings arrived twice");
+        assert_eq!(sim.node_as::<Kicker>(a).unwrap().replies.len(), 12);
     }
 
     #[test]

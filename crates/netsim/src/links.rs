@@ -135,8 +135,8 @@ impl std::hash::BuildHasher for FxBuildHasher {
     }
 }
 
-/// A directed-pair override map. Both override maps are lookup-only:
-/// nothing iterates them, so their order never reaches a run.
+/// The directed-pair link override map. It is lookup-only: nothing
+/// iterates it, so its order never reaches a run.
 #[expect(clippy::disallowed_types, reason = "lookup-only, never iterated; Fx-hashed, unseeded")]
 type PairMap<V> = std::collections::HashMap<(NodeId, NodeId), V, FxBuildHasher>;
 
@@ -156,9 +156,8 @@ pub struct Links {
     overrides: PairMap<LinkSpec>,
     // Mixed into the jitter hash; seed 0 reproduces the unseeded stream.
     seed: u64,
-    // Fault layer: default spec, directed overrides, partition windows.
+    // Fault layer: one spec for every pair, plus partition windows.
     fault_default: FaultSpec,
-    fault_overrides: PairMap<FaultSpec>,
     partitions: Vec<Partition>,
 }
 
@@ -170,7 +169,6 @@ impl Links {
             overrides: PairMap::default(),
             seed: 0,
             fault_default: FaultSpec::NONE,
-            fault_overrides: PairMap::default(),
             partitions: Vec::new(),
         }
     }
@@ -205,32 +203,15 @@ impl Links {
             .unwrap_or(self.default)
     }
 
-    /// Sets the default fault spec applied to every pair without an
-    /// override.
+    /// Sets the fault spec applied to every pair.
     pub fn set_fault_default(&mut self, spec: FaultSpec) {
         self.fault_default = spec;
-    }
-
-    /// Sets a directed fault override.
-    pub fn set_fault(&mut self, from: NodeId, to: NodeId, spec: FaultSpec) {
-        self.fault_overrides.insert((from, to), spec);
     }
 
     /// Adds a bidirectional partition between `a` and `b`: every
     /// transmission in either direction is dropped in `[from, until)`.
     pub fn add_partition(&mut self, a: NodeId, b: NodeId, from: Instant, until: Instant) {
         self.partitions.push(Partition { a, b, from, until });
-    }
-
-    /// The fault spec for a directed pair.
-    pub fn fault_for(&self, from: NodeId, to: NodeId) -> FaultSpec {
-        if self.fault_overrides.is_empty() {
-            return self.fault_default;
-        }
-        self.fault_overrides
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.fault_default)
     }
 
     /// Whether `(from, to)` is inside a partition window at `now`.
@@ -290,21 +271,10 @@ impl Links {
         sequence: u64,
         now: Instant,
     ) -> Delivery {
-        // Fast path: no fault layer configured anywhere — the common case
-        // for throughput figures — costs one `is_empty`/`is_none` cascade
-        // and no hash lookups.
-        if self.fault_overrides.is_empty()
-            && self.partitions.is_empty()
-            && self.fault_default.is_none()
-        {
-            return Delivery::Deliver {
-                delay: self.sample_delay(from, to, sequence),
-                duplicate: None,
-                reordered: false,
-            };
-        }
+        // Fast path: no fault layer configured — the common case for
+        // throughput figures — costs one `is_empty`/`is_none` pair.
         let delay = self.sample_delay(from, to, sequence);
-        let fault = self.fault_for(from, to);
+        let fault = self.fault_default;
         if fault.is_none() && self.partitions.is_empty() {
             return Delivery::Deliver {
                 delay,
@@ -522,30 +492,6 @@ mod tests {
             links.plan_delivery(a, c, 0, Instant::from_micros(150)),
             Delivery::Deliver { .. }
         ));
-    }
-
-    #[test]
-    fn per_link_fault_overrides_win() {
-        let mut links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
-        links.set_fault_default(FaultSpec {
-            loss: 1.0,
-            ..FaultSpec::NONE
-        });
-        let (a, b) = (NodeId::new(1), NodeId::new(2));
-        links.set_fault(a, b, FaultSpec::NONE);
-        links.set_fault(b, a, FaultSpec::NONE);
-        assert!(matches!(
-            links.plan_delivery(a, b, 0, Instant::ZERO),
-            Delivery::Deliver { .. }
-        ));
-        assert!(matches!(
-            links.plan_delivery(b, a, 0, Instant::ZERO),
-            Delivery::Deliver { .. }
-        ));
-        assert_eq!(
-            links.plan_delivery(a, NodeId::new(3), 0, Instant::ZERO),
-            Delivery::Lost
-        );
     }
 
     #[test]

@@ -629,7 +629,7 @@ impl Node<SimMsg> for UePopulation {
                 SimMsg::Sys(SysMsg::Reject { ue, retry_after_ms, .. }) => {
                     self.on_reject(ue, retry_after_ms, out);
                 }
-                // A misrouted SysMsg is counted, not dropped: flow coverage fails on it.
+                // A misrouted SysMsg is counted, not dropped: a checked case fails on it.
                 _ => self.results.unexpected_msgs += 1,
             },
             NodeEvent::Timer { id: ARRIVAL_TIMER } => self.pump_arrivals(out),

@@ -4,10 +4,10 @@
 //! The mesh runs the *same* sans-IO cores as the simulator, against the
 //! wall clock, through the same [`RoleCore`] contract: one generic pump per
 //! thread feeds a core messages, calls `on_deadline` when its deadline
-//! passes and routes its effects. When [`MeshConfig::serialize_on_wire`] is
-//! set, every message is actually encoded with [`framing`](crate::framing)
-//! and decoded on the receiving thread — the live path exercises the real
-//! serialization engine, exactly like the paper's testbed.
+//! passes and routes its effects. Every message is actually encoded with
+//! [`framing`](crate::framing) and decoded on the receiving thread — the
+//! live path exercises the real serialization engine, exactly like the
+//! paper's testbed.
 
 use crate::framing::{decode_sysmsg, encode_sysmsg};
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -27,19 +27,18 @@ use std::thread::JoinHandle;
 pub use neutrino_messages::flow::NodeAddr;
 
 enum MeshMsg {
-    /// A (possibly wire-encoded) system message.
+    /// A wire-encoded system message.
     Sys(Vec<u8>),
-    /// Direct (no serialization) variant.
-    Direct(Box<SysMsg>),
     Stop,
 }
 
 /// Mesh configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MeshConfig {
-    /// Codec used when messages are serialized hop-by-hop.
+    /// Codec every hop is serialized with.
     pub codec: CodecKind,
-    /// Encode/decode every hop through the real framing layer.
+    /// Must be `true` ([`Mesh::new`] asserts it): every hop goes through
+    /// the real framing layer. Kept because the frozen `benchmark/` sets it.
     pub serialize_on_wire: bool,
 }
 
@@ -69,25 +68,18 @@ impl Router {
             Some(tx) => tx.clone(),
             None => return, // destination gone (shutdown)
         };
-        let payload = if self.config.serialize_on_wire {
-            // The frame crosses a channel, so it must be owned — but one
-            // Vec instead of the old BytesMut-then-copy pair.
-            let mut frame = Vec::new();
-            match encode_sysmsg(msg, self.config.codec, &mut frame) {
-                Ok(()) => MeshMsg::Sys(frame),
-                Err(_) => return,
-            }
-        } else {
-            MeshMsg::Direct(Box::new(msg.clone()))
-        };
-        let _ = tx.send(payload);
+        // The frame crosses a channel, so it must be owned — but one Vec
+        // instead of the old BytesMut-then-copy pair.
+        let mut frame = Vec::new();
+        if encode_sysmsg(msg, self.config.codec, &mut frame).is_ok() {
+            let _ = tx.send(MeshMsg::Sys(frame));
+        }
     }
 
     /// `None` for a frame no codec accepts (and for a stray `Stop`).
     fn decode(&self, m: MeshMsg) -> Option<SysMsg> {
         match m {
             MeshMsg::Sys(frame) => decode_sysmsg(&frame, self.config.codec).ok(),
-            MeshMsg::Direct(msg) => Some(*msg),
             MeshMsg::Stop => None,
         }
     }
@@ -145,8 +137,10 @@ pub struct Mesh {
 }
 
 impl Mesh {
-    /// Builds a mesh and registers the client endpoint.
+    /// Builds a mesh and registers the client endpoint. Panics unless
+    /// `config.serialize_on_wire`: the mesh has no unserialised hop.
     pub fn new(config: MeshConfig) -> Mesh {
+        assert!(config.serialize_on_wire, "every mesh hop is serialized");
         let router = Router {
             config,
             links: Arc::new(Mutex::new(HashMap::new())),
@@ -370,10 +364,7 @@ mod tests {
 
     #[test]
     fn live_mesh_completes_attach_with_wire_serialization() {
-        let (mesh, dep) = build_mesh(MeshConfig {
-            codec: CodecKind::FastbufOptimized,
-            serialize_on_wire: true,
-        });
+        let (mesh, dep) = build_mesh(MeshConfig::default());
         attach(&mesh, &dep, 7);
         // A follow-up service request also completes.
         let dl = service_request(&mesh, &dep, NodeAddr::Cta(dep.cta), 7);
@@ -385,7 +376,7 @@ mod tests {
     fn live_mesh_works_with_asn1_wire() {
         let (mesh, dep) = build_mesh(MeshConfig {
             codec: CodecKind::Asn1Per,
-            serialize_on_wire: true,
+            ..MeshConfig::default()
         });
         attach(&mesh, &dep, 9);
         mesh.shutdown();
@@ -423,7 +414,7 @@ mod tests {
     fn serves_through_a_primary_crash(codec: CodecKind) {
         let (mut mesh, dep) = build_mesh(MeshConfig {
             codec,
-            serialize_on_wire: true,
+            ..MeshConfig::default()
         });
         let ring = ring(&dep);
         let ue = 7;

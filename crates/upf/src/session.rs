@@ -241,7 +241,7 @@ impl UpfCore {
         match msg {
             SysMsg::S11(req) => self.on_s11(req),
             SysMsg::DownlinkData { ue } => self.on_downlink_data(ue),
-            // A misrouted SysMsg is counted, not dropped: flow coverage fails on it.
+            // A misrouted SysMsg is counted, not dropped: a checked case fails on it.
             _ => {
                 self.unexpected_msgs += 1;
                 Vec::new()

@@ -22,7 +22,7 @@ fn build(codec: CodecKind) -> Mesh {
     let ring = RingStack::new(&cpfs, &[], 2);
     let mut mesh = Mesh::new(MeshConfig {
         codec,
-        serialize_on_wire: true,
+        ..MeshConfig::default()
     });
     mesh.spawn(CtaCore::new(
         CtaConfig::neutrino(CtaId::new(0), codec),
