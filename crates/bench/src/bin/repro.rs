@@ -22,8 +22,12 @@ use neutrino_bench::figures::{
     ablation, appsfig, burst, failure, handover, logsize, overload, pct, serialization,
 };
 use neutrino_bench::figures::{PctPoint, Profile};
-use neutrino_bench::{render, sweep};
+use neutrino_bench::render;
+use neutrino_bench::sweep::{self, run_cells};
+use serde::Serialize;
+use serde_json::Value;
 use std::collections::BTreeMap;
+use std::io::Write;
 
 /// Every figure `repro` can regenerate, in `all` order.
 const FIGURES: [&str; 16] = [
@@ -40,7 +44,8 @@ struct Args {
     quick: bool,
     huge: bool,
     faults: bool,
-    jobs: Option<usize>,
+    /// Sweep workers; 0 = all host cores.
+    jobs: usize,
     json_path: Option<String>,
 }
 
@@ -57,11 +62,9 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--huge" => args.huge = true,
             "--faults" => args.faults = true,
             "--jobs" => {
-                args.jobs = Some(
-                    value("--jobs")?
-                        .parse()
-                        .map_err(|e| format!("--jobs: {e}"))?,
-                )
+                args.jobs = value("--jobs")?
+                    .parse()
+                    .map_err(|e| format!("--jobs: {e}"))?
             }
             "--json" => args.json_path = Some(value("--json")?),
             "all" => all = true,
@@ -101,92 +104,100 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Some(jobs) = jobs {
-        sweep::set_jobs(jobs);
-    }
+    // Create the JSON file before any figure runs: an unwritable path must
+    // fail in milliseconds, not after the whole sweep.
+    let json_out = json_path.map(|path| match std::fs::File::create(&path) {
+        Ok(file) => (path, file),
+        Err(e) => fail(&format!("--json {path}: {e}")),
+    });
+    let jobs = sweep::workers(jobs);
     let profile = if quick { Profile::Quick } else { Profile::Full };
 
-    let mut json: BTreeMap<String, serde_json::Value> = BTreeMap::new();
+    let mut json: BTreeMap<&str, Value> = BTreeMap::new();
+    let pct_fig = |title: &str, grid| run_pct_fig(title, run_cells(jobs, grid));
+    let drive_fig = |title: &str, grid| run_drive_fig(title, run_cells(jobs, grid));
     for fig in &figs {
         let started = std::time::Instant::now();
-        match fig.as_str() {
-            "fig3" => run_fig3(profile, &mut json),
-            "fig7" => run_pct_fig(
+        let mut key = fig.as_str();
+        let value = match fig.as_str() {
+            "fig3" => run_fig3(run_cells(jobs, appsfig::fig3(profile))),
+            "fig7" => pct_fig(
                 "Fig. 7: service request PCT (uniform traffic)",
-                "fig7",
                 pct::fig7(profile),
-                &mut json,
             ),
-            "fig8" => run_pct_fig(
-                "Fig. 8: attach PCT (uniform traffic)",
-                "fig8",
-                pct::fig8(profile),
-                &mut json,
-            ),
-            "fig9" => run_pct_fig(
+            "fig8" => pct_fig("Fig. 8: attach PCT (uniform traffic)", pct::fig8(profile)),
+            "fig9" => pct_fig(
                 "Fig. 9: attach PCT (bursty IoT traffic, by active users)",
-                "fig9",
                 burst::fig9(profile, huge),
-                &mut json,
             ),
-            "fig10" if faults => run_fig10_faults(profile, &mut json),
-            "fig10" => run_pct_fig(
+            "fig10" if faults => {
+                key = "fig10_faults";
+                let grid = failure::fig10_with(profile, failure::paper_fault_profile());
+                run_fig10_faults(run_cells(jobs, grid))
+            }
+            "fig10" => pct_fig(
                 "Fig. 10: handover PCT under CPF failure",
-                "fig10",
                 failure::fig10(profile),
-                &mut json,
             ),
-            "fig11" => run_pct_fig(
-                "Fig. 11: fast handover PCT",
-                "fig11",
-                handover::fig11(profile),
-                &mut json,
-            ),
-            "fig13" => run_drive_fig(
+            "fig11" => pct_fig("Fig. 11: fast handover PCT", handover::fig11(profile)),
+            "fig13" => drive_fig(
                 "Fig. 13: self-driving car missed deadlines (100 ms budget)",
-                "fig13",
                 appsfig::fig13(profile),
-                &mut json,
             ),
-            "fig14" => run_drive_fig(
+            "fig14" => drive_fig(
                 "Fig. 14: VR missed deadlines (16 ms budget)",
-                "fig14",
                 appsfig::fig14(profile),
-                &mut json,
             ),
-            "fig15" => run_pct_fig(
+            "fig15" => pct_fig(
                 "Fig. 15: state synchronization ablation (attach PCT)",
-                "fig15",
                 pct::fig15(profile),
-                &mut json,
             ),
-            "fig16" => run_pct_fig(
+            "fig16" => pct_fig(
                 "Fig. 16: CTA message logging overhead (attach PCT)",
-                "fig16",
                 pct::fig16(profile),
-                &mut json,
             ),
-            "fig17" => run_fig17(profile, &mut json),
-            "fig18" => run_fig18(quick, &mut json),
-            "fig19" | "fig20" => run_fig19_20(fig, &mut json),
-            "ablation" => run_ablation(&mut json),
-            "overload" => run_overload(profile, &mut json),
+            "fig17" => run_fig17(run_cells(jobs, logsize::fig17(profile))),
+            "fig18" => run_fig18(quick),
+            "fig19" => run_fig19_20(true),
+            "fig20" => run_fig19_20(false),
+            "ablation" => {
+                // Two tables, each its own top-level entry.
+                let (replicas, latency) = run_ablation(jobs);
+                json.insert("ablation_replicas", replicas);
+                key = "ablation_latency";
+                latency
+            }
+            "overload" => run_overload(run_cells(jobs, overload::overload(profile))),
             other => unreachable!("parse_args admitted unknown figure `{other}`"),
-        }
+        };
+        json.insert(key, value);
         eprintln!("[{fig} done in {:.1}s]", started.elapsed().as_secs_f64());
     }
 
-    if let Some(path) = json_path {
+    if let Some((path, mut file)) = json_out {
         let body = serde_json::to_string_pretty(&json).expect("serializable");
-        std::fs::write(&path, body).expect("write json");
+        if let Err(e) = file.write_all(body.as_bytes()) {
+            fail(&format!("--json {path}: {e}"));
+        }
         eprintln!("wrote {path}");
     }
 }
 
-fn run_ablation(json: &mut BTreeMap<String, serde_json::Value>) {
+/// Reports a run-time error and exits 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1);
+}
+
+fn to_json(rows: &impl Serialize) -> Value {
+    serde_json::to_value(rows).expect("ser")
+}
+
+fn run_ablation(jobs: usize) -> (Value, Value) {
     use neutrino_common::time::Duration;
+    let (rate, window) = (40_000, Duration::from_millis(800));
     render::header("Ablation A: backup replica count N (attach, 40K PPS)");
-    let reps = ablation::replica_sweep(40_000, Duration::from_millis(800));
+    let reps = run_cells(jobs, ablation::replica_sweep(rate, window));
     for p in &reps {
         println!(
             "  N={}  attach p50={:.3}ms  syncs={}  max_log={:.1} KB",
@@ -197,28 +208,20 @@ fn run_ablation(json: &mut BTreeMap<String, serde_json::Value>) {
         );
     }
     render::header("Ablation B: inter-region latency vs failure recovery (40K PPS)");
-    let lats = ablation::inter_region_sweep(40_000, Duration::from_millis(800));
+    let lats = run_cells(jobs, ablation::inter_region_sweep(rate, window));
     for p in &lats {
         println!(
             "  inter-region={:>5}us  Neutrino failure-PCT p50={:.3}ms",
             p.inter_region_us, p.neutrino_failure_p50_ms
         );
     }
-    json.insert(
-        "ablation_replicas".into(),
-        serde_json::to_value(&reps).expect("ser"),
-    );
-    json.insert(
-        "ablation_latency".into(),
-        serde_json::to_value(&lats).expect("ser"),
-    );
+    (to_json(&reps), to_json(&lats))
 }
 
 /// Overload figure: admitted-vs-offered throughput and per-class PCT
 /// percentiles under a flash-crowd storm, admission gated vs ungated.
-fn run_overload(profile: Profile, json: &mut BTreeMap<String, serde_json::Value>) {
+fn run_overload(points: Vec<overload::OverloadPoint>) -> Value {
     render::header("Overload: flash-crowd re-attach, admission gated vs ungated");
-    let points = overload::overload(profile);
     for p in &points {
         println!(
             "{:>10}  {:<20} offered={:>7} admitted={:>7} shed={:>7} rejected={:>7}  depth={:>5} (cap {})",
@@ -242,15 +245,10 @@ fn run_overload(profile: Profile, json: &mut BTreeMap<String, serde_json::Value>
             p.audit_divergences,
         );
     }
-    json.insert("overload".into(), serde_json::to_value(&points).expect("ser"));
+    to_json(&points)
 }
 
-fn run_pct_fig(
-    title: &str,
-    key: &str,
-    points: Vec<PctPoint>,
-    json: &mut BTreeMap<String, serde_json::Value>,
-) {
+fn run_pct_fig(title: &str, points: Vec<PctPoint>) -> Value {
     render::header(title);
     let mut by_x: BTreeMap<u64, Vec<&PctPoint>> = BTreeMap::new();
     for p in &points {
@@ -279,16 +277,15 @@ fn run_pct_fig(
             }
         }
     }
-    json.insert(key.to_string(), serde_json::to_value(&points).expect("ser"));
+    to_json(&points)
 }
 
 /// Fig. 10 under seeded link faults (`--faults`): the failure figure with
 /// every link dropping/duplicating/reordering per the paper fault profile,
 /// plus the per-cell consistency-audit verdict. Neutrino rows must report
 /// zero divergences; re-attach baselines report their inconsistency windows.
-fn run_fig10_faults(profile: Profile, json: &mut BTreeMap<String, serde_json::Value>) {
+fn run_fig10_faults(points: Vec<failure::FailurePoint>) -> Value {
     render::header("Fig. 10 (faulty links): handover PCT under CPF failure + link faults");
-    let points = failure::fig10_with(profile, failure::paper_fault_profile());
     for p in &points {
         render::pct_row(&format_x(p.x), &p.system, &p.summary);
         println!(
@@ -301,18 +298,10 @@ fn run_fig10_faults(profile: Profile, json: &mut BTreeMap<String, serde_json::Va
             p.failed_procedures
         );
     }
-    json.insert(
-        "fig10_faults".into(),
-        serde_json::to_value(&points).expect("ser"),
-    );
+    to_json(&points)
 }
 
-fn run_drive_fig(
-    title: &str,
-    key: &str,
-    points: Vec<appsfig::DrivePoint>,
-    json: &mut BTreeMap<String, serde_json::Value>,
-) {
+fn run_drive_fig(title: &str, points: Vec<appsfig::DrivePoint>) -> Value {
     render::header(title);
     for p in &points {
         println!(
@@ -327,12 +316,11 @@ fn run_drive_fig(
             p.missed_deadlines
         );
     }
-    json.insert(key.to_string(), serde_json::to_value(&points).expect("ser"));
+    to_json(&points)
 }
 
-fn run_fig3(profile: Profile, json: &mut BTreeMap<String, serde_json::Value>) {
+fn run_fig3(points: Vec<appsfig::StartupPoint>) -> Value {
     render::header("Fig. 3: page load time and video startup delay");
-    let points = appsfig::fig3(profile);
     for p in &points {
         println!(
             "{:>10}  {:<14} video={:>10.1}ms  plt={:>10.1}ms  (sr-pct={:.2}ms)",
@@ -367,12 +355,11 @@ fn run_fig3(profile: Profile, json: &mut BTreeMap<String, serde_json::Value>) {
             );
         }
     }
-    json.insert("fig3".into(), serde_json::to_value(&points).expect("ser"));
+    to_json(&points)
 }
 
-fn run_fig17(profile: Profile, json: &mut BTreeMap<String, serde_json::Value>) {
+fn run_fig17(points: Vec<logsize::LogSizePoint>) -> Value {
     render::header("Fig. 17: CTA message log size by active users");
-    let points = logsize::fig17(profile);
     for p in &points {
         println!(
             "{:>10}  {:<22} max_log={:.2} MB",
@@ -381,10 +368,10 @@ fn run_fig17(profile: Profile, json: &mut BTreeMap<String, serde_json::Value>) {
             p.max_log_bytes as f64 / 1e6
         );
     }
-    json.insert("fig17".into(), serde_json::to_value(&points).expect("ser"));
+    to_json(&points)
 }
 
-fn run_fig18(quick: bool, json: &mut BTreeMap<String, serde_json::Value>) {
+fn run_fig18(quick: bool) -> Value {
     render::header("Fig. 18: encode+decode speedup vs ASN.1 (synthetic messages)");
     let elements = if quick {
         vec![3, 7, 25]
@@ -398,12 +385,13 @@ fn run_fig18(quick: bool, json: &mut BTreeMap<String, serde_json::Value>) {
             p.elements, p.codec, p.total_ns, p.speedup_vs_asn1_raw, p.speedup_vs_asn1c
         );
     }
-    json.insert("fig18".into(), serde_json::to_value(&points).expect("ser"));
+    to_json(&points)
 }
 
-fn run_fig19_20(which: &str, json: &mut BTreeMap<String, serde_json::Value>) {
+/// Fig. 19 (`times`) or Fig. 20 (sizes): both read the same codec rows.
+fn run_fig19_20(times: bool) -> Value {
     let rows = serialization::fig19_20();
-    if which == "fig19" {
+    if times {
         render::header("Fig. 19: encode+decode times, real S1AP messages");
         for r in &rows {
             println!(
@@ -423,7 +411,7 @@ fn run_fig19_20(which: &str, json: &mut BTreeMap<String, serde_json::Value>) {
             );
         }
     }
-    json.insert(which.to_string(), serde_json::to_value(&rows).expect("ser"));
+    to_json(&rows)
 }
 
 fn format_x(x: u64) -> String {

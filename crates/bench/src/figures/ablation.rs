@@ -3,7 +3,7 @@
 //! tradeoffs §4.3's footnote 14 alludes to.
 
 use super::failure::failure_cell_outcome;
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::Cell;
 use neutrino_common::stats::Summary;
 use neutrino_common::time::Duration;
 use neutrino_core::{LinkProfile, SystemConfig};
@@ -26,11 +26,11 @@ pub struct ReplicaPoint {
 /// Sweeps the backup replica count N: failure-free cost of durability.
 /// The paper fixes N implicitly; this quantifies the failure-free PCT and
 /// sync-traffic price of each additional replica.
-pub fn replica_sweep(rate_pps: u64, duration: Duration) -> Vec<ReplicaPoint> {
+pub fn replica_sweep(rate_pps: u64, duration: Duration) -> Vec<Cell<ReplicaPoint>> {
     use neutrino_core::experiment::{run_experiment, ExperimentSpec};
     use neutrino_trafficgen::{uniform, UniformParams};
 
-    let cells: Vec<Cell<ReplicaPoint>> = [1usize, 2, 3, 4]
+    [1usize, 2, 3, 4]
         .into_iter()
         .map(|replicas| {
             Box::new(move || {
@@ -57,8 +57,7 @@ pub fn replica_sweep(rate_pps: u64, duration: Duration) -> Vec<ReplicaPoint> {
                 }
             }) as Cell<ReplicaPoint>
         })
-        .collect();
-    run_cells(cells)
+        .collect()
 }
 
 /// One latency-sensitivity row.
@@ -73,8 +72,8 @@ pub struct LatencyPoint {
 /// Sweeps the inter-region link latency: how far away may the level-2
 /// replicas live before failure recovery stops being cheap? (The paper's
 /// two-server testbed could not expose this dimension.)
-pub fn inter_region_sweep(rate_pps: u64, duration: Duration) -> Vec<LatencyPoint> {
-    let cells: Vec<Cell<LatencyPoint>> = [100u64, 500, 2_000, 5_000]
+pub fn inter_region_sweep(rate_pps: u64, duration: Duration) -> Vec<Cell<LatencyPoint>> {
+    [100u64, 500, 2_000, 5_000]
         .into_iter()
         .map(|us| {
             Box::new(move || {
@@ -90,8 +89,7 @@ pub fn inter_region_sweep(rate_pps: u64, duration: Duration) -> Vec<LatencyPoint
                 }
             }) as Cell<LatencyPoint>
         })
-        .collect();
-    run_cells(cells)
+        .collect()
 }
 
 #[cfg(test)]
@@ -104,7 +102,10 @@ mod tests {
         ignore = "simulation-scale test; run with --release"
     )]
     fn more_replicas_cost_more_syncs_not_more_latency() {
-        let points = replica_sweep(20_000, Duration::from_millis(250));
+        let points = replica_sweep(20_000, Duration::from_millis(250))
+            .into_iter()
+            .map(|cell| cell())
+            .collect::<Vec<_>>();
         assert_eq!(points.len(), 4);
         // Sync traffic strictly grows with N.
         for w in points.windows(2) {
@@ -137,7 +138,10 @@ mod tests {
         ignore = "simulation-scale test; run with --release"
     )]
     fn farther_replicas_slow_failure_recovery() {
-        let points = inter_region_sweep(20_000, Duration::from_millis(250));
+        let points = inter_region_sweep(20_000, Duration::from_millis(250))
+            .into_iter()
+            .map(|cell| cell())
+            .collect::<Vec<_>>();
         assert!(
             points.last().unwrap().neutrino_failure_p50_ms
                 > points.first().unwrap().neutrino_failure_p50_ms,
@@ -145,5 +149,5 @@ mod tests {
         );
     }
 
-    const _: fn(u64, Duration) -> Vec<ReplicaPoint> = replica_sweep;
+    const _: fn(u64, Duration) -> Vec<Cell<ReplicaPoint>> = replica_sweep;
 }

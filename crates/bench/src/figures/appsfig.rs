@@ -1,7 +1,7 @@
 //! Figures 3, 13, 14: application-level impact.
 
 use super::Profile;
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::Cell;
 use neutrino_apps::experiments::{drive_experiment, startup_experiment, StartupOutcome};
 use neutrino_common::time::Duration;
 use neutrino_core::SystemConfig;
@@ -33,7 +33,7 @@ pub fn fig3_rates(profile: Profile) -> Vec<u64> {
 }
 
 /// Fig. 3: video startup delay and page load time vs. active users/second.
-pub fn fig3(profile: Profile) -> Vec<StartupPoint> {
+pub fn fig3(profile: Profile) -> Vec<Cell<StartupPoint>> {
     let mut cells: Vec<Cell<StartupPoint>> = Vec::new();
     for &rate in &fig3_rates(profile) {
         for config in [SystemConfig::existing_epc(), SystemConfig::neutrino()] {
@@ -50,7 +50,7 @@ pub fn fig3(profile: Profile) -> Vec<StartupPoint> {
             }));
         }
     }
-    run_cells(cells)
+    cells
 }
 
 /// One Fig. 13/14 row.
@@ -75,7 +75,7 @@ pub fn drive_users(profile: Profile) -> Vec<u64> {
     }
 }
 
-fn drive_fig(profile: Profile, rate_hz: u64, deadline: Duration) -> Vec<DrivePoint> {
+fn drive_fig(profile: Profile, rate_hz: u64, deadline: Duration) -> Vec<Cell<DrivePoint>> {
     let mut cells: Vec<Cell<DrivePoint>> = Vec::new();
     for &users in &drive_users(profile) {
         for single in [true, false] {
@@ -96,16 +96,16 @@ fn drive_fig(profile: Profile, rate_hz: u64, deadline: Duration) -> Vec<DrivePoi
             }
         }
     }
-    run_cells(cells)
+    cells
 }
 
 /// Fig. 13: the self-driving car (1 kHz sensors, 100 ms budget \[55\]).
-pub fn fig13(profile: Profile) -> Vec<DrivePoint> {
+pub fn fig13(profile: Profile) -> Vec<Cell<DrivePoint>> {
     drive_fig(profile, 1_000, Duration::from_millis(100))
 }
 
 /// Fig. 14: the VR stream (16 ms perceptual budget \[53\]).
-pub fn fig14(profile: Profile) -> Vec<DrivePoint> {
+pub fn fig14(profile: Profile) -> Vec<Cell<DrivePoint>> {
     drive_fig(profile, 1_000, Duration::from_millis(16))
 }
 
@@ -119,7 +119,10 @@ mod tests {
         ignore = "simulation-scale test; run with --release"
     )]
     fn fig13_quick_epc_misses_more() {
-        let points = fig13(Profile::Quick);
+        let points = fig13(Profile::Quick)
+            .into_iter()
+            .map(|cell| cell())
+            .collect::<Vec<_>>();
         let epc = points
             .iter()
             .find(|p| p.system == "ExistingEPC")

@@ -1,7 +1,7 @@
 //! Fig. 9: attach PCT under bursty IoT traffic, by active-user count.
 
 use super::{PctPoint, Profile};
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::Cell;
 use neutrino_common::time::{Duration, Instant};
 use neutrino_core::experiment::{run_experiment, ExperimentSpec};
 use neutrino_core::SystemConfig;
@@ -40,7 +40,7 @@ pub fn fig9_users(profile: Profile, huge: bool) -> Vec<u64> {
 }
 
 /// Fig. 9: attach PCT with bursty control traffic.
-pub fn fig9(profile: Profile, huge: bool) -> Vec<PctPoint> {
+pub fn fig9(profile: Profile, huge: bool) -> Vec<Cell<PctPoint>> {
     let mut cells: Vec<Cell<PctPoint>> = Vec::new();
     for &users in &fig9_users(profile, huge) {
         for config in [SystemConfig::existing_epc(), SystemConfig::neutrino()] {
@@ -51,7 +51,7 @@ pub fn fig9(profile: Profile, huge: bool) -> Vec<PctPoint> {
             }));
         }
     }
-    run_cells(cells)
+    cells
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! at the figure's x-axis rate provides the queueing context.
 
 use super::{PctPoint, Profile};
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::Cell;
 use neutrino_common::stats::Percentiles;
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::UeId;
@@ -131,14 +131,19 @@ pub fn failure_cell_outcome(
 }
 
 /// Fig. 10: handover PCT under failure, 40K–160K PPS, EPC vs Neutrino — the
-/// PCT projection of [`fig10_with`] on fault-free links.
-pub fn fig10(profile: Profile) -> Vec<PctPoint> {
+/// per-cell PCT projection of [`fig10_with`] on fault-free links.
+pub fn fig10(profile: Profile) -> Vec<Cell<PctPoint>> {
     fig10_with(profile, neutrino_netsim::FaultSpec::NONE)
         .into_iter()
-        .map(|p| PctPoint {
-            x: p.x,
-            system: p.system,
-            summary: p.summary,
+        .map(|cell| {
+            Box::new(move || {
+                let p = cell();
+                PctPoint {
+                    x: p.x,
+                    system: p.system,
+                    summary: p.summary,
+                }
+            }) as Cell<PctPoint>
         })
         .collect()
 }
@@ -172,7 +177,7 @@ pub struct FailurePoint {
 /// [`FaultSpec::NONE`](neutrino_netsim::FaultSpec::NONE), which is
 /// [`fig10`]). Neutrino cells must audit clean; re-attach baselines report
 /// their inconsistency windows as nonzero divergence counts.
-pub fn fig10_with(profile: Profile, faults: neutrino_netsim::FaultSpec) -> Vec<FailurePoint> {
+pub fn fig10_with(profile: Profile, faults: neutrino_netsim::FaultSpec) -> Vec<Cell<FailurePoint>> {
     let rates = profile.rates(&[40_000, 60_000, 80_000, 100_000, 120_000, 140_000, 160_000]);
     let duration = Duration::from_millis(profile.duration_ms());
     let links = neutrino_core::LinkProfile {
@@ -187,7 +192,7 @@ pub fn fig10_with(profile: Profile, faults: neutrino_netsim::FaultSpec) -> Vec<F
             }));
         }
     }
-    run_cells(cells)
+    cells
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use super::{PctPoint, Profile};
 use crate::figures::pct::uniform_pct_cell;
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::Cell;
 use neutrino_common::time::Duration;
 use neutrino_core::SystemConfig;
 use neutrino_messages::procedures::ProcedureKind;
@@ -18,7 +18,7 @@ pub fn systems() -> Vec<SystemConfig> {
 }
 
 /// Fig. 11: handover PCT, 40K–160K PPS.
-pub fn fig11(profile: Profile) -> Vec<PctPoint> {
+pub fn fig11(profile: Profile) -> Vec<Cell<PctPoint>> {
     let rates = profile.rates(&[40_000, 60_000, 80_000, 100_000, 120_000, 140_000, 160_000]);
     let duration = Duration::from_millis(profile.duration_ms());
     let mut cells: Vec<Cell<PctPoint>> = Vec::new();
@@ -42,7 +42,7 @@ pub fn fig11(profile: Profile) -> Vec<PctPoint> {
             }));
         }
     }
-    run_cells(cells)
+    cells
 }
 
 #[cfg(test)]
@@ -55,7 +55,10 @@ mod tests {
         ignore = "simulation-scale test; run with --release"
     )]
     fn fig11_quick_ordering_holds() {
-        let points = fig11(Profile::Quick);
+        let points = fig11(Profile::Quick)
+            .into_iter()
+            .map(|cell| cell())
+            .collect::<Vec<_>>();
         let rate = points[0].x;
         let get = |name: &str| {
             points

@@ -2,7 +2,7 @@
 //! procedures under per-procedure synchronization.
 
 use super::Profile;
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::Cell;
 use neutrino_common::time::{Duration, Instant};
 use neutrino_core::experiment::{run_experiment, ExperimentSpec};
 use neutrino_core::SystemConfig;
@@ -70,7 +70,7 @@ pub fn fig17_users(profile: Profile) -> Vec<u64> {
 }
 
 /// Fig. 17: peak log size for attach and handover bursts.
-pub fn fig17(profile: Profile) -> Vec<LogSizePoint> {
+pub fn fig17(profile: Profile) -> Vec<Cell<LogSizePoint>> {
     let mut cells: Vec<Cell<LogSizePoint>> = Vec::new();
     for &users in &fig17_users(profile) {
         for kind in [
@@ -84,7 +84,7 @@ pub fn fig17(profile: Profile) -> Vec<LogSizePoint> {
             }));
         }
     }
-    run_cells(cells)
+    cells
 }
 
 #[cfg(test)]

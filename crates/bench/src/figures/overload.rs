@@ -10,7 +10,7 @@
 //! cap and audit clean; some ungated depth > cap).
 
 use super::Profile;
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::Cell;
 use neutrino_common::stats::Summary;
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::UeId;
@@ -131,7 +131,7 @@ fn overload_cell(gated: bool, surge_rate_pps: u64, ues: u64, steady: Duration) -
 }
 
 /// The overload figure: gated vs ungated flash crowds across surge rates.
-pub fn overload(profile: Profile) -> Vec<OverloadPoint> {
+pub fn overload(profile: Profile) -> Vec<Cell<OverloadPoint>> {
     let surges = profile.rates(&[120_000, 240_000, 360_000]);
     let ues = match profile {
         Profile::Quick => 4_000,
@@ -144,5 +144,5 @@ pub fn overload(profile: Profile) -> Vec<OverloadPoint> {
             cells.push(Box::new(move || overload_cell(gated, surge, ues, steady)));
         }
     }
-    run_cells(cells)
+    cells
 }

@@ -1,7 +1,7 @@
 //! Figures 7, 8, 15, 16: procedure completion time vs. uniform arrival rate.
 
 use super::{PctPoint, Profile};
-use crate::sweep::{run_cells, Cell};
+use crate::sweep::Cell;
 use neutrino_common::stats::Summary;
 use neutrino_common::time::{Duration, Instant};
 use neutrino_core::experiment::{run_experiment, ExperimentSpec};
@@ -71,7 +71,7 @@ fn sweep(
     kind: ProcedureKind,
     rates: &[u64],
     profile: Profile,
-) -> Vec<PctPoint> {
+) -> Vec<Cell<PctPoint>> {
     let duration = Duration::from_millis(profile.duration_ms());
     let mut cells: Vec<Cell<PctPoint>> = Vec::new();
     for &rate in &profile.rates(rates) {
@@ -84,12 +84,12 @@ fn sweep(
             }));
         }
     }
-    run_cells(cells)
+    cells
 }
 
 /// Fig. 7: `service request` PCT, 100K–220K PPS, existing EPC / DPCM /
 /// SkyCore / Neutrino.
-pub fn fig7(profile: Profile) -> Vec<PctPoint> {
+pub fn fig7(profile: Profile) -> Vec<Cell<PctPoint>> {
     sweep(
         SystemConfig::comparison_set(),
         ProcedureKind::ServiceRequest,
@@ -104,7 +104,7 @@ pub fn fig7(profile: Profile) -> Vec<PctPoint> {
 }
 
 /// Fig. 8: `attach` PCT, 40K–160K PPS, existing EPC vs Neutrino.
-pub fn fig8(profile: Profile) -> Vec<PctPoint> {
+pub fn fig8(profile: Profile) -> Vec<Cell<PctPoint>> {
     sweep(
         vec![SystemConfig::existing_epc(), SystemConfig::neutrino()],
         ProcedureKind::InitialAttach,
@@ -115,7 +115,7 @@ pub fn fig8(profile: Profile) -> Vec<PctPoint> {
 
 /// Fig. 15: state-synchronization ablation on `attach` PCT — No Rep /
 /// Per Msg Rep / Per Proc Rep.
-pub fn fig15(profile: Profile) -> Vec<PctPoint> {
+pub fn fig15(profile: Profile) -> Vec<Cell<PctPoint>> {
     sweep(
         vec![
             SystemConfig::neutrino_no_replication(),
@@ -129,7 +129,7 @@ pub fn fig15(profile: Profile) -> Vec<PctPoint> {
 }
 
 /// Fig. 16: CTA message logging on/off on `attach` PCT.
-pub fn fig16(profile: Profile) -> Vec<PctPoint> {
+pub fn fig16(profile: Profile) -> Vec<Cell<PctPoint>> {
     sweep(
         vec![
             SystemConfig::neutrino(),
@@ -151,7 +151,10 @@ mod tests {
         ignore = "simulation-scale test; run with --release"
     )]
     fn fig8_quick_shows_the_epc_gap() {
-        let points = fig8(Profile::Quick);
+        let points = fig8(Profile::Quick)
+            .into_iter()
+            .map(|cell| cell())
+            .collect::<Vec<_>>();
         assert_eq!(points.len(), 4); // 2 rates × 2 systems
         let epc = points
             .iter()
@@ -176,7 +179,10 @@ mod tests {
         ignore = "simulation-scale test; run with --release"
     )]
     fn fig16_quick_logging_is_nearly_free() {
-        let points = fig16(Profile::Quick);
+        let points = fig16(Profile::Quick)
+            .into_iter()
+            .map(|cell| cell())
+            .collect::<Vec<_>>();
         let on = points
             .iter()
             .find(|p| p.system == "Neutrino" && p.x == 20_000)

@@ -1,8 +1,10 @@
 //! The experiment harness: one module per paper figure.
 //!
-//! Every public `figN` function regenerates the corresponding figure's data
-//! series and returns it as structured rows; the `repro` binary renders them
-//! as text tables and optionally JSON. The mapping from figure to module is
+//! Every public `figN` function enumerates the corresponding figure's grid
+//! of independent experiment cells ([`sweep::Cell`]) without running it;
+//! the `repro` binary runs each grid with [`sweep::run_cells`] at its
+//! `--jobs` worker count and renders the rows as text tables and
+//! optionally JSON. The mapping from figure to module is
 //! indexed in DESIGN.md; paper-vs-measured numbers live in EXPERIMENTS.md.
 //!
 //! Absolute latencies are not expected to match the authors' testbed — the

@@ -1,49 +1,30 @@
 //! Parallel figure-cell executor.
 //!
 //! Every figure is a grid of independent experiment cells (config × kind ×
-//! rate × seed). Each figure module enumerates its grid as boxed closures
-//! in a fixed order; [`run_cells`] executes them across a scoped worker
-//! pool and returns results **in input order**, so the rendered tables and
-//! the emitted JSON are byte-identical to a sequential run regardless of
-//! the worker count.
-//!
-//! The worker count comes from [`set_jobs`] (the `repro --jobs N` flag) and
-//! defaults to [`std::thread::available_parallelism`].
+//! rate × seed). Each figure module only enumerates its grid as boxed
+//! closures in a fixed order; the binaries hand the grid to [`run_cells`],
+//! which executes it across a scoped worker pool and returns results **in
+//! input order**, so the rendered tables and the emitted JSON are
+//! byte-identical to a sequential run regardless of the worker count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One unit of figure work: runs on exactly one worker thread.
 pub type Cell<T> = Box<dyn FnOnce() -> T + Send>;
 
-/// Configured worker count; 0 = auto (`available_parallelism`).
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the worker count for all subsequent sweeps (0 = auto).
-pub fn set_jobs(jobs: usize) {
-    JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// The effective worker count: the [`set_jobs`] override, else the host's
-/// available parallelism.
-pub fn jobs() -> usize {
-    match JOBS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+/// The worker count a `--jobs` flag asks for: the flag's value, or the
+/// host's available parallelism for 0.
+pub fn workers(flag: usize) -> usize {
+    match flag {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     }
 }
 
-/// Executes `cells` across the configured worker pool, returning results in
-/// input order. With one worker (or one cell) this degenerates to a plain
+/// Executes `cells` across `jobs` workers, returning results in input
+/// order. With one worker (or one cell) this degenerates to a plain
 /// sequential loop on the calling thread.
-pub fn run_cells<T: Send>(cells: Vec<Cell<T>>) -> Vec<T> {
-    run_cells_with(jobs(), cells)
-}
-
-/// [`run_cells`] with an explicit worker count.
-pub fn run_cells_with<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> Vec<T> {
+pub fn run_cells<T: Send>(jobs: usize, cells: Vec<Cell<T>>) -> Vec<T> {
     let n = cells.len();
     let jobs = jobs.max(1).min(n.max(1));
     if jobs <= 1 {
@@ -91,7 +72,7 @@ mod tests {
                 }) as Cell<usize>
             })
             .collect();
-        let out = run_cells_with(8, cells);
+        let out = run_cells(8, cells);
         assert_eq!(out, (0..32).map(|i| i * 10).collect::<Vec<_>>());
     }
 
@@ -102,23 +83,20 @@ mod tests {
                 .map(|i| Box::new(move || (i as u64).wrapping_mul(0x9E37)) as Cell<u64>)
                 .collect()
         };
-        assert_eq!(run_cells_with(1, make()), run_cells_with(8, make()));
+        assert_eq!(run_cells(1, make()), run_cells(8, make()));
     }
 
     #[test]
     fn empty_and_oversized_pools_are_fine() {
         let none: Vec<Cell<u8>> = Vec::new();
-        assert!(run_cells_with(8, none).is_empty());
+        assert!(run_cells(8, none).is_empty());
         let one: Vec<Cell<u8>> = vec![Box::new(|| 7)];
-        assert_eq!(run_cells_with(64, one), vec![7]);
+        assert_eq!(run_cells(64, one), vec![7]);
     }
 
     #[test]
-    fn jobs_default_is_host_parallelism() {
-        set_jobs(0);
-        assert!(jobs() >= 1);
-        set_jobs(3);
-        assert_eq!(jobs(), 3);
-        set_jobs(0);
+    fn zero_workers_means_host_parallelism() {
+        assert!(workers(0) >= 1);
+        assert_eq!(workers(3), 3);
     }
 }

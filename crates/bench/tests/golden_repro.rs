@@ -1,64 +1,59 @@
 //! Golden-file snapshots of the quick-profile repro figures.
 //!
-//! The jobs-independence tests (parallel_determinism.rs) prove two worker
-//! counts agree *with each other*; these pin the actual bytes, so a silent
-//! behavior change that shifts both runs equally still fails. Tolerance-
-//! free: the simulator is deterministic, so the JSON must match to the
-//! byte. To re-bless after an intended change:
+//! Each test runs its figure's grid at 1 and at 8 workers, asserts the two
+//! serialize identically, and pins the bytes, so a silent behavior change
+//! that shifts both runs equally still fails. Tolerance-free: the
+//! simulator is deterministic, so the JSON must match to the byte. To
+//! re-bless after an intended change:
 //!
 //! ```text
 //! BLESS=1 cargo test --release -p neutrino-bench --test golden_repro
 //! ```
 
-use neutrino_bench::figures::{failure, pct, Profile};
-use neutrino_bench::sweep;
+use neutrino_bench::figures::{failure, pct, PctPoint, Profile};
+use neutrino_bench::sweep::{run_cells, Cell};
 use std::path::Path;
 
-/// A named snapshot: golden file name plus its figure renderer.
-type SnapshotCase = (&'static str, fn() -> String);
+/// Runs `grid` at 1 and at 8 workers and checks its JSON against the
+/// golden file `name` (or, under `BLESS`, writes it).
+fn assert_golden(name: &str, grid: fn() -> Vec<Cell<PctPoint>>) {
+    let render = |jobs| serde_json::to_string_pretty(&run_cells(jobs, grid())).expect("ser");
+    let sequential = render(1);
+    assert_eq!(
+        sequential,
+        render(8),
+        "{name}: figure JSON must not depend on the worker count"
+    );
+    let snapshot = sequential + "\n";
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let path = dir.join(name);
+    if std::env::var("BLESS").is_ok() {
+        std::fs::create_dir_all(&dir).expect("golden dir");
+        std::fs::write(&path, &snapshot).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+        panic!(
+            "missing golden {}; generate it with BLESS=1 cargo test --release \
+             -p neutrino-bench --test golden_repro",
+            path.display()
+        )
+    });
+    assert_eq!(
+        snapshot, golden,
+        "{name} drifted from its golden snapshot; if the change is \
+         intended, re-bless with BLESS=1"
+    );
+}
 
-/// One test drives every snapshot: `set_jobs` is process-global, so the
-/// jobs=1 / jobs=8 sequence must not interleave with another sweep.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
-fn quick_figures_match_golden_snapshots() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let cases: [SnapshotCase; 2] = [
-        ("fig8_quick.json", || {
-            serde_json::to_string_pretty(&pct::fig8(Profile::Quick)).expect("ser")
-        }),
-        ("fig10_quick.json", || {
-            serde_json::to_string_pretty(&failure::fig10(Profile::Quick)).expect("ser")
-        }),
-    ];
-    for (name, render) in cases {
-        sweep::set_jobs(1);
-        let sequential = render();
-        sweep::set_jobs(8);
-        let parallel = render();
-        sweep::set_jobs(0);
-        assert_eq!(
-            sequential, parallel,
-            "{name}: figure JSON must not depend on the worker count"
-        );
-        let snapshot = sequential + "\n";
-        let path = dir.join(name);
-        if std::env::var("BLESS").is_ok() {
-            std::fs::create_dir_all(&dir).expect("golden dir");
-            std::fs::write(&path, &snapshot).expect("write golden");
-            continue;
-        }
-        let golden = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-            panic!(
-                "missing golden {}; generate it with BLESS=1 cargo test --release \
-                 -p neutrino-bench --test golden_repro",
-                path.display()
-            )
-        });
-        assert_eq!(
-            snapshot, golden,
-            "{name} drifted from its golden snapshot; if the change is \
-             intended, re-bless with BLESS=1"
-        );
-    }
+fn fig8_quick_matches_its_golden() {
+    assert_golden("fig8_quick.json", || pct::fig8(Profile::Quick));
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
+fn fig10_quick_matches_its_golden() {
+    assert_golden("fig10_quick.json", || failure::fig10(Profile::Quick));
 }

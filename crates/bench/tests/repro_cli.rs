@@ -64,3 +64,24 @@ fn faults_without_fig10_is_rejected() {
 fn huge_without_fig9_is_rejected() {
     assert_rejected(&["fig8", "--huge"], "--huge applies only to fig9");
 }
+
+/// An unwritable `--json` path fails the run with exit 1 before any figure
+/// runs, not with a panic after the whole sweep.
+#[test]
+fn unwritable_json_path_fails_before_any_figure() {
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_cli_not_a_dir");
+    std::fs::write(&file, b"").expect("create a regular file");
+    let path = file.join("out.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig8", "--quick", "--json"])
+        .arg(&path)
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(out.stdout.is_empty(), "no figure may run");
+    assert!(
+        stderr.starts_with("error: --json ") && !stderr.contains("panicked"),
+        "must name the path without a panic, got:\n{stderr}"
+    );
+}

@@ -27,7 +27,7 @@
 //! Each mode reads its own flags ([`mode_flags`]); any other flag fails the
 //! run rather than being silently ignored.
 
-use neutrino_bench::sweep::run_cells_with;
+use neutrino_bench::sweep::{self, run_cells, Cell};
 use neutrino_check::corpus::{self, CorpusCase};
 use neutrino_check::flowcov::CoverageReport;
 use neutrino_check::run::{run_case, CheckReport};
@@ -321,7 +321,8 @@ fn run_exhaustive(args: &Args, corpus_dir: &Path) -> ExitCode {
 /// Sweeps `args.seeds` seeds of every scenario; on a failure, shrinks and
 /// pins the lowest failing seed. Then diffs the merged flow witness
 /// against the registry: dead declared edges are advisory.
-fn run_sweep(args: &Args, scenarios: &[Scenario], jobs: usize, corpus_dir: &Path) -> ExitCode {
+fn run_sweep(args: &Args, scenarios: &[Scenario], corpus_dir: &Path) -> ExitCode {
+    let jobs = sweep::workers(args.jobs);
     let mut failed = false;
     let mut witnessed = BTreeSet::new();
     for scenario in scenarios {
@@ -331,12 +332,10 @@ fn run_sweep(args: &Args, scenarios: &[Scenario], jobs: usize, corpus_dir: &Path
         let cells = plans
             .iter()
             .cloned()
-            .map(|plan| {
-                Box::new(move || run_case(&plan)) as Box<dyn FnOnce() -> CheckReport + Send>
-            })
+            .map(|plan| Box::new(move || run_case(&plan)) as Cell<CheckReport>)
             .collect();
         let t0 = std::time::Instant::now();
-        let reports = run_cells_with(jobs, cells);
+        let reports = run_cells(jobs, cells);
         let elapsed = t0.elapsed();
         let events: u64 = reports.iter().map(|r| r.fingerprint.events_processed).sum();
         for r in &reports {
@@ -415,12 +414,7 @@ fn main() -> ExitCode {
         eprintln!("error: unknown scenario `{}` (try --list)", args.scenario);
         return ExitCode::FAILURE;
     };
-    let jobs = if args.jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        args.jobs
-    };
-    run_sweep(&args, &scenarios, jobs, &corpus_dir)
+    run_sweep(&args, &scenarios, &corpus_dir)
 }
 
 #[cfg(test)]

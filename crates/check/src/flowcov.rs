@@ -19,8 +19,8 @@
 //! sets are unions, so the merged report is independent of the order cells
 //! complete in: it is byte-identical across reruns and any `--jobs` value.
 
+use crate::oracle::Violation;
 use neutrino_common::time::Instant;
-use neutrino_core::oracle::Violation;
 use neutrino_core::{Cluster, SimMsg};
 use neutrino_messages::flow::{Role, FLOWS};
 use neutrino_netsim::DeliveryTap;

@@ -1,6 +1,6 @@
 //! The invariant catalog.
 //!
-//! Each entry implements [`neutrino_core::Invariant`] and inspects the
+//! Each entry implements [`Invariant`] and inspects the
 //! paused cluster read-only. [`CATALOG`] is the one place an invariant is
 //! registered: a row is its stable name plus the constructor for a run of
 //! a given plan, so a name without an implementation cannot be written and
@@ -21,10 +21,10 @@
 //! | `shed-priority-order`    | admission never sheds a class while serving a lower one |
 //! | `no-retry-amplification` | at most one client re-offer per reject, drop-bounded retries |
 
+use crate::oracle::{Invariant, OracleCtx, Violation};
 use crate::scenario::CasePlan;
 use neutrino_core::audit::{audit_cluster, Divergence};
 use neutrino_core::simnode::{cta_node, upf_node, CtaNode, UpfNode};
-use neutrino_core::{Invariant, OracleCtx, Violation};
 use neutrino_cta::admission::priority_order_violation;
 use std::collections::{BTreeMap, HashSet};
 

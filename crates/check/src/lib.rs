@@ -7,9 +7,10 @@
 //! * [`scenario`] — a DSL of named chaos families (topology + traffic +
 //!   fault grids) that expand, per seed, into self-contained serializable
 //!   [`CasePlan`](scenario::CasePlan)s.
-//! * [`invariants`] — the invariant catalog behind
-//!   [`neutrino_core::Invariant`], one table row per invariant: the
-//!   consistency audit in oracle form plus liveness, retry, checkpoint
+//! * [`oracle`] — the [`Invariant`](oracle::Invariant) trait an in-run
+//!   oracle pass calls, and the violation it reports.
+//! * [`invariants`] — the invariant catalog, one table row per invariant:
+//!   the consistency audit in oracle form plus liveness, retry, checkpoint
 //!   and overload-containment properties.
 //! * [`run`] — executes a plan with in-run oracle passes at configurable
 //!   sim-time intervals, pausing only at instants where events actually
@@ -40,6 +41,7 @@ pub mod corpus;
 pub mod flowcov;
 pub mod invariants;
 pub mod mcheck;
+pub mod oracle;
 pub mod run;
 pub mod scenario;
 pub mod shrink;

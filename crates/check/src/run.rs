@@ -17,7 +17,7 @@ use crate::invariants;
 use crate::mcheck::ScriptChooser;
 use crate::scenario::{CasePlan, EndpointPlan};
 use neutrino_core::experiment::{self, ExperimentSpec, FailureSpec, RunResults};
-use neutrino_core::oracle::{Invariant, OracleCtx, Violation};
+use crate::oracle::{Invariant, OracleCtx, Violation};
 use neutrino_core::simnode::{cpf_node, cta_node};
 use neutrino_core::{Arrival, Cluster, LinkProfile, SimMsg, SystemConfig, Workload};
 use neutrino_common::time::{Duration, Instant};
@@ -43,7 +43,7 @@ const ATTACH_RATE_PPS: u64 = 40_000;
 /// badly broken build can emit one violation per UE per pass).
 const MAX_RECORDED_VIOLATIONS: usize = 256;
 
-/// A [`Violation`](neutrino_core::Violation) in serializable form.
+/// A [`Violation`] in serializable form.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ViolationRecord {
     /// Invariant catalog name.

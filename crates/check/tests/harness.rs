@@ -4,7 +4,7 @@
 //! the explorer-scale sweep is `#[ignore]`d for the `check-long` CI job —
 //! see TESTING.md.
 
-use neutrino_bench::sweep::run_cells_with;
+use neutrino_bench::sweep::{run_cells, Cell};
 use neutrino_check::corpus::{self, CorpusCase};
 use neutrino_check::run::{experiment_spec, run_case, CheckReport, Fingerprint};
 use neutrino_check::scenario::{CasePlan, Scenario};
@@ -221,11 +221,10 @@ fn storm_reports_are_independent_of_jobs() {
         let cells = (1..4u64)
             .map(|seed| {
                 let plan = scenario.plan(seed);
-                Box::new(move || run_case(&plan).to_json())
-                    as Box<dyn FnOnce() -> String + Send>
+                Box::new(move || run_case(&plan).to_json()) as Cell<String>
             })
             .collect();
-        run_cells_with(jobs, cells)
+        run_cells(jobs, cells)
     };
     let (one, eight) = (run_sweep(1), run_sweep(8));
     assert_eq!(one, eight, "storm reports must not depend on --jobs");
@@ -247,11 +246,10 @@ fn sweep_output_is_independent_of_jobs() {
         let cells = (40..44u64)
             .map(|seed| {
                 let plan = scenario.plan(seed);
-                Box::new(move || run_case(&plan).to_json())
-                    as Box<dyn FnOnce() -> String + Send>
+                Box::new(move || run_case(&plan).to_json()) as Cell<String>
             })
             .collect();
-        run_cells_with(jobs, cells)
+        run_cells(jobs, cells)
     };
     assert_eq!(run_sweep(1), run_sweep(4));
 }
@@ -266,11 +264,9 @@ fn explorer_sweep_stays_clean() {
         let cells = plans
             .iter()
             .cloned()
-            .map(|plan| {
-                Box::new(move || run_case(&plan)) as Box<dyn FnOnce() -> CheckReport + Send>
-            })
+            .map(|plan| Box::new(move || run_case(&plan)) as Cell<CheckReport>)
             .collect();
-        let reports = run_cells_with(8, cells);
+        let reports = run_cells(8, cells);
         for (plan, report) in plans.iter().zip(&reports) {
             assert!(
                 report.is_clean(),

@@ -14,14 +14,13 @@
 //! to *never* produce these states.
 
 use neutrino_check::invariants::{CatalogRow, CATALOG};
+use neutrino_check::oracle::{Invariant, OracleCtx, Violation};
 use neutrino_check::{small_model_plan, CasePlan, Scenario};
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::{ProcedureId, UeId};
 use neutrino_core::experiment::{self, ExperimentSpec};
 use neutrino_core::simnode::{cpf_node, cta_node, upf_node, CtaNode, UpfNode};
-use neutrino_core::{
-    Arrival, Cluster, Invariant, OracleCtx, SimMsg, SystemConfig, Violation, Workload,
-};
+use neutrino_core::{Arrival, Cluster, SimMsg, SystemConfig, Workload};
 use neutrino_cta::AdmissionParams;
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_messages::sysmsg::{S11Request, SessionOp};

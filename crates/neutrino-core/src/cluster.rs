@@ -69,28 +69,10 @@ pub struct Cluster {
 
 impl Cluster {
     /// Builds a cluster: per level-1 region one CTA, a CPF pool, UPFs; one
-    /// UE-population node emulating all UEs and base stations.
-    pub fn build(
-        config: SystemConfig,
-        layout: RegionLayout,
-        workload: Workload,
-        uecfg: UePopConfig,
-        links_profile: LinkProfile,
-    ) -> Cluster {
-        Self::build_with_sim(
-            config,
-            layout,
-            workload,
-            uecfg,
-            links_profile,
-            SimConfig::default(),
-            0,
-            1,
-        )
-    }
-
-    /// [`Cluster::build`] with an explicit engine config (runaway-event
-    /// budget) and jitter seed; `run_experiment` derives both per cell.
+    /// UE-population node emulating all UEs and base stations. The engine
+    /// config (runaway-event budget) and jitter seed come from the caller;
+    /// [`experiment::build`](crate::experiment::build) derives both from
+    /// its spec.
     ///
     /// `shards` must be 1: shim for the frozen `benchmark/` caller; a later `benchmark` PR deletes it.
     #[allow(clippy::too_many_arguments)]
@@ -302,11 +284,6 @@ impl Cluster {
         self.sim.run_until(deadline);
     }
 
-    /// Runs until the event queue drains.
-    pub fn run_to_completion(&mut self) {
-        self.sim.run_to_completion();
-    }
-
     /// The UE-population node (read-mostly access for invariant oracles);
     /// `None` only for a simulator the cluster did not build.
     pub fn population(&mut self) -> Option<&mut UePopulation> {
@@ -454,13 +431,10 @@ mod tests {
         use neutrino_codec::CodecKind;
         use neutrino_common::{ProcedureId, UeId};
         use neutrino_messages::{Envelope, MessageKind, Payload, ProcedureKind};
-        let mut cluster = Cluster::build(
+        let mut cluster = crate::experiment::build(ExperimentSpec::new(
             SystemConfig::neutrino(),
-            RegionLayout::default(),
             Workload::from_vec(Vec::new()),
-            UePopConfig::default(),
-            LinkProfile::default(),
-        );
+        ));
         let mut bad = Envelope::uplink(
             UeId::new(1),
             ProcedureId::FIRST,

@@ -131,7 +131,7 @@ pub fn primary_cpf_for(
     layout: RegionLayout,
     ue: neutrino_common::UeId,
 ) -> Option<CpfId> {
-    // All workload traffic enters region 0 (see `Cluster::build`).
+    // All workload traffic enters region 0 (see `Cluster::build_with_sim`).
     neutrino_geo::ConsistentRing::primary_among(layout.pool(0), ue)
 }
 

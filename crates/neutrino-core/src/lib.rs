@@ -21,8 +21,6 @@
 //!   distributions and system metrics.
 //! * [`audit`] — post-failure cross-node consistency audit (CTA log vs CPF
 //!   stores vs UPF session tables).
-//! * [`oracle`] — the audit generalized into a pluggable [`Invariant`]
-//!   trait for in-run checking (the `neutrino-check` harness's hook).
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
@@ -32,12 +30,10 @@ pub mod audit;
 pub mod cluster;
 pub mod config;
 pub mod experiment;
-pub mod oracle;
 pub mod simnode;
 pub mod uepop;
 
 pub use audit::{audit_cluster, AuditReport, Divergence};
-pub use oracle::{Invariant, OracleCtx, Violation};
 pub use cluster::{Cluster, LinkProfile, SimMsg};
 pub use config::{HandoverPolicy, SystemConfig, SystemKind};
 pub use experiment::{run_experiment, ExperimentSpec, FailureSpec, RunResults};

@@ -384,7 +384,6 @@ fn same_seed_replays_identically_different_seed_does_not() {
 /// deployment; it must name the CPF the built cluster's entry CTA routes to.
 #[test]
 fn primary_cpf_for_matches_the_clusters_cta() {
-    use neutrino_core::{Cluster, LinkProfile, UePopConfig};
     use neutrino_geo::RegionLayout;
     for config in [SystemConfig::neutrino(), SystemConfig::existing_epc()] {
         for level2_regions in [1, 2] {
@@ -392,13 +391,9 @@ fn primary_cpf_for_matches_the_clusters_cta() {
                 level2_regions,
                 ..RegionLayout::default()
             };
-            let mut cluster = Cluster::build(
-                config.clone(),
-                layout,
-                Workload::from_vec(Vec::new()),
-                UePopConfig::default(),
-                LinkProfile::default(),
-            );
+            let mut spec = ExperimentSpec::new(config.clone(), Workload::from_vec(Vec::new()));
+            spec.layout = layout;
+            let mut cluster = neutrino_core::experiment::build(spec);
             for ue in (0..2_000).map(UeId::new) {
                 assert_eq!(
                     primary_cpf_for(&config, layout, ue),

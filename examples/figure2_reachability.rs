@@ -7,8 +7,7 @@
 //! ```
 
 use neutrino::prelude::*;
-use neutrino_core::cluster::{Cluster, LinkProfile};
-use neutrino_core::UePopConfig;
+use neutrino_core::experiment;
 use neutrino_geo::RegionLayout;
 
 fn run(config: SystemConfig) {
@@ -24,13 +23,7 @@ fn run(config: SystemConfig) {
             kind: ProcedureKind::InitialAttach,
         })
         .collect();
-    let mut cluster = Cluster::build(
-        config,
-        RegionLayout::default(),
-        Workload::from_vec(arrivals),
-        UePopConfig::default(),
-        LinkProfile::default(),
-    );
+    let mut cluster = experiment::build(ExperimentSpec::new(config, Workload::from_vec(arrivals)));
 
     // (1) UE attaches; (2) it goes idle; (3) its CPF fails before anyone
     // notices; (4) a call comes in, retried every 50 ms by the caller.

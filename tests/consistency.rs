@@ -12,9 +12,8 @@
 //! 2. every procedure eventually completes (liveness) despite crashes.
 
 use neutrino::prelude::*;
-use neutrino_core::cluster::{Cluster, LinkProfile};
-use neutrino_core::experiment::adapt_workload;
-use neutrino_core::UePopConfig;
+use neutrino_core::experiment;
+use neutrino_core::Cluster;
 use neutrino_geo::RegionLayout;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -59,18 +58,11 @@ fn run_cluster(
     failures: Vec<(Instant, neutrino::common::CpfId)>,
     probe_all_up_to: u64,
 ) -> (Cluster, neutrino_core::uepop::UePopResults) {
-    let mut uecfg = UePopConfig::default();
+    let mut spec = ExperimentSpec::new(config, Workload::from_vec(arrivals));
     for u in 0..probe_all_up_to {
-        uecfg.record_windows_for.insert(UeId::new(u));
+        spec.uecfg.record_windows_for.insert(UeId::new(u));
     }
-    let workload = adapt_workload(&config, Workload::from_vec(arrivals));
-    let mut cluster = Cluster::build(
-        config,
-        RegionLayout::default(),
-        workload,
-        uecfg,
-        LinkProfile::default(),
-    );
+    let mut cluster = experiment::build(spec);
     for (at, cpf) in failures {
         cluster.fail_cpf_at(at, cpf);
     }

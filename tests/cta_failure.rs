@@ -7,9 +7,8 @@
 //! the new CTA."
 
 use neutrino::prelude::*;
-use neutrino_core::cluster::{Cluster, LinkProfile};
-use neutrino_core::UePopConfig;
-use neutrino_geo::RegionLayout;
+use neutrino_core::experiment;
+use neutrino_core::{Cluster, UePopConfig};
 
 fn build(config: SystemConfig, ues: u64, retry_ms: u64) -> Cluster {
     let mut arrivals = Vec::new();
@@ -34,13 +33,9 @@ fn build(config: SystemConfig, ues: u64, retry_ms: u64) -> Cluster {
     for u in 0..ues {
         uecfg.record_windows_for.insert(UeId::new(u));
     }
-    Cluster::build(
-        config,
-        RegionLayout::default(),
-        Workload::from_vec(arrivals),
-        uecfg,
-        LinkProfile::default(),
-    )
+    let mut spec = ExperimentSpec::new(config, Workload::from_vec(arrivals));
+    spec.uecfg = uecfg;
+    experiment::build(spec)
 }
 
 #[test]

@@ -12,8 +12,7 @@
 //! recreated).
 
 use neutrino::prelude::*;
-use neutrino_core::cluster::{Cluster, LinkProfile};
-use neutrino_core::UePopConfig;
+use neutrino_core::experiment;
 use neutrino_geo::RegionLayout;
 
 struct Outcome {
@@ -37,13 +36,7 @@ fn figure2(config: SystemConfig) -> Outcome {
             kind: ProcedureKind::InitialAttach,
         })
         .collect();
-    let mut cluster = Cluster::build(
-        config,
-        RegionLayout::default(),
-        Workload::from_vec(arrivals),
-        UePopConfig::default(),
-        LinkProfile::default(),
-    );
+    let mut cluster = experiment::build(ExperimentSpec::new(config, Workload::from_vec(arrivals)));
 
     // Let every attach complete, then the UE goes idle (inactivity).
     cluster.run_until(Instant::from_millis(100));
@@ -129,13 +122,7 @@ fn active_sessions_deliver_without_control_plane_help() {
         ue,
         kind: ProcedureKind::InitialAttach,
     }];
-    let mut cluster = Cluster::build(
-        config,
-        RegionLayout::default(),
-        Workload::from_vec(arrivals),
-        UePopConfig::default(),
-        LinkProfile::default(),
-    );
+    let mut cluster = experiment::build(ExperimentSpec::new(config, Workload::from_vec(arrivals)));
     cluster.run_until(Instant::from_millis(50));
     cluster.fail_cpf_at(Instant::from_millis(60), victim);
     cluster.inject_downlink_data_at(Instant::from_millis(80), ue);
