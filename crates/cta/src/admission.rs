@@ -201,10 +201,11 @@ impl AdmissionControl {
         (self.min_admit_tokens, self.max_shed_tokens)
     }
 
-    /// Test support: forge raw priority evidence for `class`. The public
-    /// [`AdmissionControl::decide`] path cannot produce an inverted
-    /// ladder (that is the property), so oracle kill-switch tests plant
-    /// the evidence directly.
+    /// Test support (`test-support` only): forge raw priority evidence for
+    /// `class`. The public [`AdmissionControl::decide`] path cannot produce
+    /// an inverted ladder (that is the property), so oracle kill-switch
+    /// tests plant the evidence directly.
+    #[cfg(feature = "test-support")]
     pub fn force_priority_evidence(
         &mut self,
         class: AdmissionClass,

@@ -317,15 +317,15 @@ impl CtaCore {
         &self.log
     }
 
-    /// Mutable log access. Test harnesses use this to plant watermark
-    /// states that exercise oracle kill-switches; production drivers
-    /// never mutate the log from outside.
+    /// Mutable log access (`test-support` only). Test harnesses use this to
+    /// plant watermark states that exercise oracle kill-switches.
+    #[cfg(feature = "test-support")]
     pub fn log_mut(&mut self) -> &mut MessageLog {
         &mut self.log
     }
 
-    /// Mutable admission-gate access (same test-support caveat as
-    /// [`CtaCore::log_mut`]).
+    /// Mutable admission-gate access (`test-support` only).
+    #[cfg(feature = "test-support")]
     pub fn admission_mut(&mut self) -> Option<&mut AdmissionControl> {
         self.admission.as_mut()
     }
@@ -460,7 +460,7 @@ impl CtaCore {
                 .costs
                 .get(self.config.codec, kind)
                 .map_or(64, |c| c.wire_bytes);
-            slot.append(env.clone(), bytes, now);
+            slot.append(&env, bytes, now);
         }
         if env.end_of_procedure {
             slot.complete(env.procedure, tick, now, awaits_acks);
@@ -555,7 +555,7 @@ impl CtaCore {
         if primary_of(&mut slot, ue, &self.ring) != Some(cpf) || !slot.replay_covers(have) {
             return Vec::new();
         }
-        let messages = slot.replay_set(have);
+        let messages = slot.replay_set(ue, self.config.id, have);
         if messages.is_empty() {
             return Vec::new();
         }
@@ -584,11 +584,9 @@ impl CtaCore {
             let Some((in_proc, bs)) = ue_log.in_flight else {
                 continue;
             };
-            let last_logged = ue_log
-                .procedure(in_proc)
-                .and_then(|p| p.messages.last());
+            let last_logged = ue_log.procedure(in_proc).and_then(|p| p.messages.last());
             match last_logged {
-                Some(last) => stuck.push(last.clone()),
+                Some(last) => stuck.push(last.envelope(*ue, in_proc, self.config.id)),
                 None => stuck_no_log.push((*ue, bs)),
             }
         }
@@ -833,7 +831,7 @@ impl CtaCore {
                         // Everything after `synced` (including the current
                         // procedure's earlier messages, and this message —
                         // appended before routing) replays onto the backup.
-                        let mut messages = slot.replay_set(synced);
+                        let mut messages = slot.replay_set(ue, self.config.id, synced);
                         // The message we are routing right now must not be
                         // replayed *and* forwarded.
                         messages.retain(|m| m.clock != env.clock);
@@ -1059,36 +1057,101 @@ mod tests {
         use neutrino_messages::Payload;
         let mut c = cta();
         let ue = UeId::new(3);
-        // An uplink as the framing layer hands it over: header fields plus
-        // the payload bytes it received.
-        let mut received = ul(3, 1, MessageKind::ServiceRequest, false);
-        let mut bytes = Vec::new();
-        MessageKind::ServiceRequest
-            .sample(3)
-            .encode(CodecKind::FastbufOptimized.codec(), &mut bytes)
-            .unwrap();
-        received.msg = Payload::from_wire(
-            MessageKind::ServiceRequest,
-            CodecKind::FastbufOptimized,
-            &bytes,
-        );
-        let outs = c.on_uplink(received, Instant::ZERO);
-        let CtaOutput::ToCpf { msg: SysMsg::Control(forwarded), .. } = &outs[0] else {
+        // Procedure 1 completes and both backups ACK it, so a failover has
+        // a synced backup to replay onto.
+        c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
+        for replica in c.backups_for(ue) {
+            let (procedure, end_clock) = (ProcedureId::new(1), ClockTick(1));
+            c.on_sync_ack(
+                SyncAck {
+                    ue,
+                    replica,
+                    procedure,
+                    end_clock,
+                },
+                Instant::ZERO,
+            );
+        }
+        // Procedure 2's uplinks as the framing layer hands them over: header
+        // fields plus the payload bytes it received. The second one arrives
+        // through another BS.
+        let steps = [
+            (MessageKind::ServiceRequest, BsId::new(1)),
+            (MessageKind::InitialContextSetupResponse, BsId::new(2)),
+        ];
+        let mut forwarded = Vec::new();
+        let mut images = Vec::new();
+        for (kind, bs) in steps {
+            let mut bytes = Vec::new();
+            kind.sample(3)
+                .encode(CodecKind::FastbufOptimized.codec(), &mut bytes)
+                .unwrap();
+            let mut received = ul(3, 2, kind, false).from_bs(bs);
+            received.msg = Payload::from_wire(kind, CodecKind::FastbufOptimized, &bytes);
+            let outs = c.on_uplink(received, Instant::ZERO);
+            let [CtaOutput::ToCpf {
+                msg: SysMsg::Control(env),
+                ..
+            }] = &outs[..]
+            else {
+                panic!("unexpected {outs:?}");
+            };
+            forwarded.push(env.clone());
+            images.push(bytes);
+        }
+        // Field for field what the CTA forwarded, on the same payload
+        // allocation: the log rebuilds the envelope, it never copies one.
+        let same = |rebuilt: &Envelope, sent: &Envelope| {
+            let header = |e: &Envelope| {
+                (
+                    e.ue,
+                    e.procedure,
+                    e.proc_kind,
+                    e.bs,
+                    e.via_cta,
+                    e.clock,
+                    e.direction,
+                    e.end_of_procedure,
+                )
+            };
+            assert_eq!(header(rebuilt), header(sent));
+            assert!(
+                Payload::ptr_eq(&rebuilt.msg, &sent.msg),
+                "a payload was copied"
+            );
+        };
+        let replay = c
+            .log()
+            .ue(ue)
+            .unwrap()
+            .replay_set(ue, c.id(), ProcedureId::new(1));
+        assert_eq!(replay.len(), 2);
+        for ((rebuilt, sent), bytes) in replay.iter().zip(&forwarded).zip(&images) {
+            same(rebuilt, sent);
+            // Stamp, log, route and replay read the header only (§4.2.3).
+            for env in [rebuilt, sent] {
+                assert!(!env.msg.is_materialised(), "the CTA parsed a payload");
+                assert_eq!(env.msg.wire(CodecKind::FastbufOptimized), Some(&bytes[..]));
+            }
+        }
+        // The primary dies mid-procedure: the first uplink replays onto the
+        // synced backup, and the last one is re-sent exactly as forwarded.
+        let primary = c.primary_for(ue).unwrap();
+        let outs = c.on_cpf_failure(primary, Instant::ZERO);
+        let [CtaOutput::ToCpf {
+            cpf: to,
+            msg: SysMsg::Replay(replayed),
+        }, CtaOutput::ToCpf {
+            cpf,
+            msg: SysMsg::Control(resent),
+        }] = &outs[..]
+        else {
             panic!("unexpected {outs:?}");
         };
-        let logged = &c.log().ue(ue).unwrap().procedures()[0].1.messages[0];
-        let replay = c.log().replay_set(ue, ProcedureId(0));
-        assert!(
-            Payload::ptr_eq(&logged.msg, &forwarded.msg),
-            "logging must not deep-copy the message"
-        );
-        assert!(Payload::ptr_eq(&replay[0].msg, &forwarded.msg));
-        // Stamp, log, route and replay read the header only (§4.2.3).
-        for env in [logged, forwarded, &replay[0]] {
-            assert!(!env.msg.is_materialised(), "the CTA parsed a payload");
-            assert_eq!(env.msg.wire(CodecKind::FastbufOptimized), Some(&bytes[..]));
-        }
-        assert_eq!(logged, forwarded);
+        assert_eq!(to, cpf);
+        assert_eq!(replayed.messages.len(), 1);
+        same(&replayed.messages[0], &forwarded[0]);
+        same(resent, &forwarded[1]);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 
 use neutrino_common::clock::ClockTick;
 use neutrino_common::time::Instant;
-use neutrino_common::{BsId, CpfId, ProcedureId, UeId, UeMap};
-use neutrino_messages::Envelope;
+use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, UeId, UeMap};
+use neutrino_messages::{Direction, Envelope, Payload, ProcedureKind};
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
+#[cfg(feature = "test-support")]
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Test-only lever: when set, [`MessageLog::replay_covers`] reverts to its
@@ -23,21 +24,55 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// every message was lost before reaching this CTA) reads as a permanent,
 /// unclosable gap and wrongly fails coverage forever after. The exhaustive
 /// checker's seeded-bug regression test flips this to prove it can
-/// rediscover the violation; production code must never touch it.
+/// rediscover the violation. Compiled only with the `test-support` feature.
+#[cfg(feature = "test-support")]
 static REPLAY_FLOOR_BUG: AtomicBool = AtomicBool::new(false);
 
 /// Enables or disables the seeded `replay_covers` bug (see
-/// [`REPLAY_FLOOR_BUG`]). Test-only; affects every CTA in the process.
+/// [`REPLAY_FLOOR_BUG`]). Affects every CTA in the process.
+#[cfg(feature = "test-support")]
 pub fn set_replay_floor_bug(enabled: bool) {
     REPLAY_FLOOR_BUG.store(enabled, Ordering::SeqCst);
+}
+
+/// One logged uplink: what varies per message. The rest needs no storage —
+/// `ue` and `procedure` are the log's own keys, and `via_cta` is the stamp
+/// the CTA puts on every message it logs — so [`LoggedUplink::envelope`]
+/// rebuilds the forwarded envelope exactly. 40 bytes, not an envelope's 72.
+#[derive(Debug, Clone)]
+pub(crate) struct LoggedUplink {
+    clock: ClockTick,
+    bs: BsId,
+    /// Shared with the forwarded copy, never copied.
+    msg: Payload,
+    proc_kind: ProcedureKind,
+    direction: Direction,
+    end_of_procedure: bool,
+}
+
+impl LoggedUplink {
+    /// The envelope `via` forwarded when it logged this record for `ue`'s
+    /// `procedure`.
+    pub(crate) fn envelope(&self, ue: UeId, procedure: ProcedureId, via: CtaId) -> Envelope {
+        Envelope {
+            ue,
+            procedure,
+            proc_kind: self.proc_kind,
+            bs: self.bs,
+            via_cta: Some(via),
+            clock: self.clock,
+            direction: self.direction,
+            end_of_procedure: self.end_of_procedure,
+            msg: self.msg.clone(),
+        }
+    }
 }
 
 /// Log of one procedure's messages and replication progress.
 #[derive(Debug, Clone)]
 pub struct ProcedureLog {
-    /// Logged uplink messages in logical-clock order. Each shares its
-    /// payload with the copy the CTA forwarded.
-    pub messages: Vec<Envelope>,
+    /// Logged uplink messages in logical-clock order.
+    pub(crate) messages: Vec<LoggedUplink>,
     /// Wire bytes those messages occupy.
     pub bytes: usize,
     /// Clock of the procedure's last message, once seen.
@@ -61,12 +96,10 @@ impl ProcedureLog {
     /// presence in the log re-anchors replay coverage regardless of how far
     /// behind the target replica is.
     pub fn is_attach_reset(&self) -> bool {
-        self.messages.first().is_some_and(|env| {
-            matches!(
-                env.proc_kind,
-                neutrino_messages::ProcedureKind::InitialAttach
-                    | neutrino_messages::ProcedureKind::ReAttach
-            ) && env.msg.kind() == env.proc_kind.template().steps[0].kind
+        use ProcedureKind::{InitialAttach, ReAttach};
+        self.messages.first().is_some_and(|m| {
+            matches!(m.proc_kind, InitialAttach | ReAttach)
+                && m.msg.kind() == m.proc_kind.template().steps[0].kind
         })
     }
 
@@ -202,14 +235,15 @@ impl UeLog {
         }
     }
 
-    /// All logged messages for procedures strictly after `since`, in order —
-    /// the replay set for a replica synced through `since`. The envelopes
-    /// share their payloads with the log.
-    pub fn replay_set(&self, since: ProcedureId) -> Vec<Envelope> {
+    /// All logged messages of `ue` for procedures strictly after `since`,
+    /// in order — the replay set for a replica synced through `since` — as
+    /// the envelopes CTA `via` forwarded. They share their payloads with
+    /// the log.
+    pub fn replay_set(&self, ue: UeId, via: CtaId, since: ProcedureId) -> Vec<Envelope> {
         let from = self.procedures.partition_point(|&(p, _)| p <= since);
         self.procedures[from..]
             .iter()
-            .flat_map(|(_, entry)| entry.messages.iter().cloned())
+            .flat_map(|(p, entry)| entry.messages.iter().map(|m| m.envelope(ue, *p, via)))
             .collect()
     }
 
@@ -226,6 +260,7 @@ impl UeLog {
     /// coverage from scratch (see [`ProcedureLog::is_attach_reset`]), since
     /// replaying it needs no base at all.
     pub fn replay_covers(&self, since: ProcedureId) -> bool {
+        #[cfg(feature = "test-support")]
         if REPLAY_FLOOR_BUG.load(Ordering::Relaxed) {
             // Seeded-bug mode: the pre-fix contiguity scan. Phantom ids —
             // consumed by the UE but never logged here — read as gaps and
@@ -268,13 +303,20 @@ impl DerefMut for UeSlot<'_> {
 
 impl UeSlot<'_> {
     /// Appends an uplink message of `wire_bytes` to its procedure's log.
-    pub fn append(&mut self, env: Envelope, wire_bytes: usize, now: Instant) {
+    pub fn append(&mut self, env: &Envelope, wire_bytes: usize, now: Instant) {
         debug_assert_eq!(env.ue, self.ue);
         // Reserved once for everything the procedure will log (§4.2.3:
         // its uplink messages).
         let uplinks = env.proc_kind.template().uplink_count();
         let entry = self.log.entry(env.procedure, now, uplinks);
-        entry.messages.push(env);
+        entry.messages.push(LoggedUplink {
+            clock: env.clock,
+            bs: env.bs,
+            msg: env.msg.clone(),
+            proc_kind: env.proc_kind,
+            direction: env.direction,
+            end_of_procedure: env.end_of_procedure,
+        });
         entry.bytes += wire_bytes;
         *self.bytes += wire_bytes;
         if *self.bytes > *self.max_bytes {
@@ -437,11 +479,6 @@ impl MessageLog {
         }
     }
 
-    /// [`UeLog::replay_set`] for `ue` (empty when the UE is unknown).
-    pub fn replay_set(&self, ue: UeId, since: ProcedureId) -> Vec<Envelope> {
-        self.ue(ue).map(|l| l.replay_set(since)).unwrap_or_default()
-    }
-
     /// [`UeLog::replay_covers`] for `ue` (false when the UE is unknown).
     pub fn replay_covers(&self, ue: UeId, since: ProcedureId) -> bool {
         self.ue(ue).is_some_and(|l| l.replay_covers(since))
@@ -466,6 +503,12 @@ mod tests {
     use super::*;
     use neutrino_messages::{MessageKind, ProcedureKind};
 
+    const CTA: CtaId = CtaId::new(0);
+
+    fn replay_set(log: &MessageLog, ue: UeId, since: ProcedureId) -> Vec<Envelope> {
+        log.ue(ue).unwrap().replay_set(ue, CTA, since)
+    }
+
     fn env(ue: u64, proc: u64, clock: u64) -> Envelope {
         let mut e = Envelope::uplink(
             UeId::new(ue),
@@ -481,8 +524,8 @@ mod tests {
     fn byte_accounting_tracks_appends_and_prunes() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(env(1, 1, 1), 100, Instant::ZERO);
-        log.ue_mut(ue).append(env(1, 1, 2), 50, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 100, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 2), 50, Instant::ZERO);
         assert_eq!(log.bytes(), 150);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(2), Instant::ZERO, true);
@@ -502,15 +545,15 @@ mod tests {
     fn replay_set_orders_across_procedures() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
-        log.ue_mut(ue).append(env(1, 2, 2), 10, Instant::ZERO);
-        log.ue_mut(ue).append(env(1, 2, 3), 10, Instant::ZERO);
-        let all = log.replay_set(ue, ProcedureId(0));
+        log.ue_mut(ue).append(&env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 2, 3), 10, Instant::ZERO);
+        let all = replay_set(&log, ue, ProcedureId(0));
         assert_eq!(all.len(), 3);
         assert!(all.windows(2).all(|w| w[0].clock < w[1].clock));
-        let tail = log.replay_set(ue, ProcedureId::new(1));
+        let tail = replay_set(&log, ue, ProcedureId::new(1));
         assert_eq!(tail.len(), 2);
         assert!(tail.iter().all(|e| e.procedure == ProcedureId::new(2)));
     }
@@ -519,10 +562,10 @@ mod tests {
     fn replay_covers_detects_gaps() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
-        log.ue_mut(ue).append(env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 2, 2), 10, Instant::ZERO);
         log.ue_mut(ue)
             .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
         assert!(log.replay_covers(ue, ProcedureId(0)));
@@ -542,10 +585,10 @@ mod tests {
         // lost.
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
-        log.ue_mut(ue).append(env(1, 3, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 3, 2), 10, Instant::ZERO);
         log.ue_mut(ue)
             .complete(ProcedureId::new(3), ClockTick(2), Instant::ZERO, true);
         assert!(log.replay_covers(ue, ProcedureId(0)));
@@ -563,7 +606,7 @@ mod tests {
         let ue = UeId::new(1);
         // Procedure 1 completed and its messages were pruned: the floor
         // rises to 1 and a base of 0 cannot normally close.
-        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
         log.ue_mut(ue).drop_procedure(ProcedureId::new(1));
@@ -577,7 +620,7 @@ mod tests {
             ProcedureKind::ReAttach.template().steps[0].kind.sample(1),
         );
         attach.clock = ClockTick(2);
-        log.ue_mut(ue).append(attach, 10, Instant::ZERO);
+        log.ue_mut(ue).append(&attach, 10, Instant::ZERO);
         log.ue_mut(ue)
             .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
         assert!(log.replay_covers(ue, ProcedureId(0)));
@@ -591,7 +634,7 @@ mod tests {
     fn drop_procedure_frees_bytes() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(env(1, 1, 1), 77, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 77, Instant::ZERO);
         assert_eq!(log.ue_mut(ue).drop_procedure(ProcedureId::new(1)), 77);
         assert_eq!(log.bytes(), 0);
         assert_eq!(log.ue_mut(ue).drop_procedure(ProcedureId::new(1)), 0);
@@ -617,10 +660,10 @@ mod tests {
         let ue = UeId::new(1);
         let replicas = [CpfId::new(10), CpfId::new(11)];
         // Two completed procedures; the ACKs for procedure 1 were lost.
-        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
-        log.ue_mut(ue).append(env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 2, 2), 10, Instant::ZERO);
         log.ue_mut(ue)
             .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
         // An ACK for procedure 2 covers procedure 1 too (full-state sync).
@@ -639,8 +682,8 @@ mod tests {
         let ue = UeId::new(1);
         let replicas = [CpfId::new(10)];
         // Procedure 1 never completed (still needs replay coverage).
-        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
-        log.ue_mut(ue).append(env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 2, 2), 10, Instant::ZERO);
         log.ue_mut(ue)
             .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
         log.ue_mut(ue)
@@ -659,15 +702,15 @@ mod tests {
         let (p1, p2) = (ProcedureId::new(1), ProcedureId::new(2));
         // Procedure 2 reaches the log first: the record still reads in id
         // order.
-        log.ue_mut(ue).append(env(1, 2, 3), 10, Instant::ZERO);
-        log.ue_mut(ue).append(env(1, 1, 1), 20, Instant::ZERO);
-        log.ue_mut(ue).append(env(1, 1, 2), 20, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 2, 3), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 20, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 2), 20, Instant::ZERO);
         let ids = |log: &MessageLog| -> Vec<ProcedureId> {
             let held = log.ue(ue).unwrap().procedures();
             held.iter().map(|&(p, _)| p).collect()
         };
         let clocks = |log: &MessageLog, since: ProcedureId| -> Vec<u64> {
-            let set = log.replay_set(ue, since);
+            let set = replay_set(log, ue, since);
             set.iter().map(|e| e.clock.0).collect()
         };
         assert_eq!(ids(&log), [p1, p2]);
@@ -707,12 +750,28 @@ mod tests {
     }
 
     #[test]
+    fn a_logged_uplink_is_what_varies_per_message() {
+        // Pinned: an attach burst logs one of these per uplink, where an
+        // `Envelope` is 72 bytes. The procedure entry that holds them stays
+        // within 104.
+        assert_eq!(std::mem::size_of::<LoggedUplink>(), 40);
+        assert!(std::mem::size_of::<ProcedureLog>() <= 104);
+        // Rebuilt from the log's keys and the CTA's stamp, a logged uplink
+        // is the envelope the CTA forwarded.
+        let mut sent = env(1, 2, 9).from_bs(BsId::new(4)).ending_procedure();
+        sent.via_cta = Some(CTA);
+        let mut log = MessageLog::new();
+        log.ue_mut(sent.ue).append(&sent, 10, Instant::ZERO);
+        assert_eq!(replay_set(&log, sent.ue, ProcedureId(0)), [sent]);
+    }
+
+    #[test]
     fn a_ue_log_is_one_flat_record() {
         // Pinned: an attach burst holds one of these per UE at the CTA.
         assert_eq!(std::mem::size_of::<UeLog>(), 112);
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
         // No map node: the procedures are one `Vec` allocation, sized for
         // the one procedure, and the messages are reserved once for every
         // uplink the procedure logs.
@@ -734,7 +793,7 @@ mod tests {
             (rec.procedures.len(), rec.procedures.capacity())
         };
         // ACK convergence prunes the last procedure: the table goes back.
-        log.ue_mut(ue).append(env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
         for r in replicas {
@@ -745,7 +804,7 @@ mod tests {
         assert_eq!((synced.len(), synced.capacity()), (2, 2));
         // The next procedure starts at capacity 1; a timeout drop of it
         // gives the table back again.
-        log.ue_mut(ue).append(env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 2, 2), 10, Instant::ZERO);
         assert_eq!(storage(&log), (1, 1));
         log.ue_mut(ue).drop_procedure(ProcedureId::new(2));
         assert_eq!(storage(&log), (0, 0));

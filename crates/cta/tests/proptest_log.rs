@@ -1,10 +1,11 @@
 //! Property-based tests of the CTA message log: byte accounting and the
-//! completed index never drift from the entries, replay sets stay ordered,
-//! and pruning matches ACK coverage over random operation sequences.
+//! completed index never drift from the entries, replay sets rebuild the
+//! logged envelopes in order, and pruning matches ACK coverage over random
+//! operation sequences.
 
 use neutrino_common::clock::ClockTick;
 use neutrino_common::time::Instant;
-use neutrino_common::{CpfId, ProcedureId, UeId};
+use neutrino_common::{CpfId, CtaId, ProcedureId, UeId};
 use neutrino_cta::MessageLog;
 use neutrino_messages::{Envelope, MessageKind, ProcedureKind};
 use proptest::prelude::*;
@@ -67,7 +68,7 @@ proptest! {
                 Op::Append { ue, proc, bytes } => {
                     clock += 1;
                     log.ue_mut(UeId::new(u64::from(ue)))
-                        .append(env(ue, proc, clock), bytes as usize, Instant::ZERO);
+                        .append(&env(ue, proc, clock), bytes as usize, Instant::ZERO);
                     shadow.entry((ue, proc)).or_default().bytes += bytes as usize;
                 }
                 Op::Complete { ue, proc, awaits_acks } => {
@@ -147,27 +148,26 @@ proptest! {
         appends in proptest::collection::vec((0u8..3, 1u8..6), 1..60),
         since in 0u8..6,
     ) {
+        // The CTA stamps every uplink it logs with its id and a clock.
+        let via = CtaId::new(7);
         let mut log = MessageLog::new();
-        let mut clock = 0u64;
-        for &(ue, proc) in &appends {
-            clock += 1;
-            log.ue_mut(UeId::new(u64::from(ue))).append(env(ue, proc, clock), 10, Instant::ZERO);
+        let mut logged = Vec::new();
+        for (clock, &(ue, proc)) in (1u64..).zip(&appends) {
+            let mut e = env(ue, proc, clock);
+            e.via_cta = Some(via);
+            log.ue_mut(e.ue).append(&e, 10, Instant::ZERO);
+            logged.push(e);
         }
-        for ue in 0u8..3 {
-            let set = log.replay_set(UeId::new(u64::from(ue)), ProcedureId::new(u64::from(since)));
-            // Scoped to the UE and to procedures after `since`.
-            for e in &set {
-                prop_assert_eq!(e.ue, UeId::new(u64::from(ue)));
-                prop_assert!(e.procedure > ProcedureId::new(u64::from(since)));
-            }
-            // Ordered by logical clock within each procedure, and
-            // procedures in ascending order.
-            for w in set.windows(2) {
-                prop_assert!(w[0].procedure <= w[1].procedure);
-                if w[0].procedure == w[1].procedure {
-                    prop_assert!(w[0].clock < w[1].clock);
-                }
-            }
+        // Procedures in ascending order, clock order within each.
+        logged.sort_by_key(|e| (e.procedure, e.clock));
+        let since = ProcedureId::new(u64::from(since));
+        for ue in (0u64..3).map(UeId::new) {
+            let set = log.ue(ue).map(|l| l.replay_set(ue, via, since)).unwrap_or_default();
+            // Exactly the UE's logged envelopes after `since`, field for
+            // field.
+            let expected: Vec<&Envelope> =
+                logged.iter().filter(|e| e.ue == ue && e.procedure > since).collect();
+            prop_assert_eq!(set.iter().collect::<Vec<_>>(), expected);
         }
     }
 }
