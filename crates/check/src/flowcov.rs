@@ -19,8 +19,8 @@
 //! sets are unions, so the merged report is independent of the order cells
 //! complete in: it is byte-identical across reruns and any `--jobs` value.
 
-use crate::oracle::Violation;
-use neutrino_common::time::Instant;
+use crate::oracle::Finding;
+use neutrino_core::simnode::{upf_node, UpfNode};
 use neutrino_core::{Cluster, SimMsg};
 use neutrino_messages::flow::{Role, FLOWS};
 use neutrino_netsim::DeliveryTap;
@@ -32,7 +32,7 @@ use std::rc::Rc;
 pub type Edge = (&'static str, Role, Role);
 
 /// The violation name of a flow-contract breach.
-const FLOW_CONTRACT: &str = "flow-contract";
+pub(crate) const FLOW_CONTRACT: &str = "flow-contract";
 
 /// The declared edge set.
 pub fn declared_edges() -> BTreeSet<Edge> {
@@ -61,18 +61,24 @@ pub(crate) fn misrouted(cluster: &mut Cluster) -> [(Role, u64); 4] {
     let uepop = cluster
         .population()
         .map_or(0, |p| p.results().unexpected_msgs);
+    let (sim, regions) = (&mut cluster.sim, cluster.deployment.regions());
+    let upf = regions
+        .iter()
+        .flat_map(|r| &r.upfs)
+        .filter_map(|&u| sim.node_as::<UpfNode>(upf_node(u)).map(|n| n.core().unexpected_msgs()))
+        .sum();
     [
         (Role::Cta, cluster.cta_metrics().unexpected_msgs),
         (Role::Cpf, cluster.cpf_metrics().unexpected_msgs),
-        (Role::Upf, cluster.upf_unexpected_msgs()),
+        (Role::Upf, upf),
         (Role::UePop, uepop),
     ]
 }
 
-/// The flow verdict at `at`: one `flow-contract` violation per witnessed
-/// edge the registry does not declare and one per role with a non-zero
-/// misrouted count.
-pub fn verdict(seen: &BTreeSet<Edge>, misrouted: &[(Role, u64)], at: Instant) -> Vec<Violation> {
+/// The flow verdict: one `flow-contract` finding per witnessed edge the
+/// registry does not declare and one per role with a non-zero misrouted
+/// count.
+pub fn verdict(seen: &BTreeSet<Edge>, misrouted: &[(Role, u64)]) -> Vec<Finding> {
     let declared = declared_edges();
     let undeclared = seen.difference(&declared).map(|&(label, src, dst)| {
         let (src, dst) = (src.name(), dst.name());
@@ -84,12 +90,7 @@ pub fn verdict(seen: &BTreeSet<Edge>, misrouted: &[(Role, u64)], at: Instant) ->
     });
     undeclared
         .chain(misrouted)
-        .map(|detail| Violation {
-            invariant: FLOW_CONTRACT,
-            at,
-            ue: None,
-            detail,
-        })
+        .map(|detail| Finding { ue: None, detail })
         .collect()
 }
 
@@ -176,21 +177,18 @@ mod tests {
 
     #[test]
     fn the_verdict_names_each_undeclared_edge_and_misrouting_role() {
-        let at = Instant::ZERO;
-        assert!(verdict(&declared_edges(), &NO_MISROUTES, at).is_empty());
+        assert!(verdict(&declared_edges(), &NO_MISROUTES).is_empty());
 
         let mut witnessed = declared_edges();
         witnessed.insert(("control", Role::Upf, Role::Cta));
-        let undeclared = verdict(&witnessed, &NO_MISROUTES, at);
+        let undeclared = verdict(&witnessed, &NO_MISROUTES);
         assert_eq!(undeclared.len(), 1);
-        assert_eq!(undeclared[0].invariant, FLOW_CONTRACT);
         assert_eq!(undeclared[0].detail, "undeclared edge control upf -> cta");
 
         let mut counts = NO_MISROUTES;
         counts[3].1 = 1;
-        let misrouted = verdict(&declared_edges(), &counts, at);
+        let misrouted = verdict(&declared_edges(), &counts);
         assert_eq!(misrouted.len(), 1);
-        assert_eq!(misrouted[0].invariant, FLOW_CONTRACT);
         assert!(
             misrouted[0].detail.starts_with("uepop counted 1 "),
             "{}",

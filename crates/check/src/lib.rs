@@ -8,7 +8,7 @@
 //!   fault grids) that expand, per seed, into self-contained serializable
 //!   [`CasePlan`](scenario::CasePlan)s.
 //! * [`oracle`] — the [`Invariant`](oracle::Invariant) trait an in-run
-//!   oracle pass calls, and the violation it reports.
+//!   oracle pass calls, and the finding it reports.
 //! * [`invariants`] — the invariant catalog, one table row per invariant:
 //!   the consistency audit in oracle form plus liveness, retry, checkpoint
 //!   and overload-containment properties.

@@ -11,10 +11,11 @@
 //!
 //! The search is stateless in the jbsimsa/Shuttle style: the engine is
 //! never forked. Each path re-runs the plan from the root through
-//! [`run_case_with`] with a script chooser; at every choice point (≥ 2
-//! deliveries enabled at one tick) the script says which enabled delivery
-//! to dispatch, and past the script's end the identity choice (lowest
-//! sequence number — the unchosen engine's order) finishes the run.
+//! [`run_case_with`] with a script chooser installed; at every choice
+//! point (≥ 2 deliveries enabled at one tick) the script says which
+//! enabled delivery to dispatch, and past the script's end the identity
+//! choice (lowest sequence number — the unchosen engine's order) finishes
+//! the run.
 //! Re-running from the root costs `O(depth)` per path, but small-model
 //! runs are milliseconds and the approach needs no engine snapshotting —
 //! determinism *is* the snapshot.
@@ -30,7 +31,7 @@
 //! * **independence** — a candidate whose destination node differs from
 //!   every earlier candidate's destination is not branched to: deliveries
 //!   to different nodes touch disjoint state and commute, so some explored
-//!   schedule already covers that order. Crash/recover barriers at the
+//!   schedule already covers that order. Crash and timer barriers at the
 //!   same tick void the assumption, so choice points that jump across a
 //!   staged non-delivery event (the `barrier` argument of
 //!   [`Chooser::choose`]) branch fully.
@@ -47,6 +48,8 @@ use neutrino_core::SimMsg;
 use neutrino_messages::SysMsg;
 use neutrino_netsim::{Chooser, Enabled, NodeId};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// One schedulable candidate at a choice point: the head of one delivery
 /// stream.
@@ -66,8 +69,8 @@ struct ChoicePointRec {
     /// Stream-head candidates, in enabled (push) order.
     candidates: Vec<CandidateRec>,
     /// True when the enabled set jumped across a staged non-delivery
-    /// event (crash/recover/timer at the same tick) — commutativity does
-    /// not hold across it, so independence pruning is off here.
+    /// event (a same-tick crash, timer or job completion): commutativity
+    /// does not hold across it, so independence pruning is off here.
     barrier: bool,
 }
 
@@ -87,44 +90,42 @@ fn stream_key(e: &Enabled<'_, SimMsg>) -> (u64, u64, u64, u64) {
 /// Follows a choice script, then identity, recording every consultation
 /// (stream-head candidates, barrier flag) for the explorer to expand: the
 /// k-th consultation dispatches the `script[k]`-th enabled delivery, and
-/// index 0 past the script's end.
+/// index 0 past the script's end. The record is shared, so the explorer
+/// keeps a handle to it while the engine owns the chooser.
 ///
 /// Picks are clamped into range rather than panicking: a shrunk plan can
 /// reach a choice point with fewer enabled deliveries than the original
 /// run had, and the shrinker's replay check — not the chooser — decides
 /// whether the result still fails.
-pub struct ScriptChooser<'a> {
-    script: &'a [u32],
-    log: Vec<ChoicePointRec>,
+pub struct ScriptChooser {
+    script: Vec<u32>,
+    log: Rc<RefCell<Vec<ChoicePointRec>>>,
 }
 
-impl<'a> ScriptChooser<'a> {
+impl ScriptChooser {
     /// A chooser that follows `script`, then identity.
-    pub fn new(script: &'a [u32]) -> Self {
+    pub fn new(script: &[u32]) -> Self {
         ScriptChooser {
-            script,
-            log: Vec::new(),
+            script: script.to_vec(),
+            log: Rc::default(),
         }
     }
 }
 
-impl Chooser<SimMsg> for ScriptChooser<'_> {
+impl Chooser<SimMsg> for ScriptChooser {
     fn choose(&mut self, barrier: bool, enabled: &[Enabled<'_, SimMsg>]) -> usize {
-        let mut keys: Vec<(u64, u64, u64, u64)> = Vec::with_capacity(enabled.len());
-        let mut candidates = Vec::new();
-        for (i, e) in enabled.iter().enumerate() {
-            let key = stream_key(e);
-            if !keys.contains(&key) {
-                keys.push(key);
-                candidates.push(CandidateRec {
-                    idx: i as u32,
-                    to: e.to,
-                });
-            }
-        }
-        let pick = self.script.get(self.log.len()).copied().unwrap_or(0);
+        // A delivery is a candidate when it heads its stream.
+        let candidates: Vec<CandidateRec> = (0..enabled.len())
+            .filter(|&i| !enabled[..i].iter().any(|e| stream_key(e) == stream_key(&enabled[i])))
+            .map(|i| CandidateRec {
+                idx: i as u32,
+                to: enabled[i].to,
+            })
+            .collect();
+        let mut log = self.log.borrow_mut();
+        let pick = self.script.get(log.len()).copied().unwrap_or(0);
         let chosen = pick.min(enabled.len() as u32 - 1);
-        self.log.push(ChoicePointRec {
+        log.push(ChoicePointRec {
             chosen,
             candidates,
             barrier,
@@ -206,11 +207,7 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
     // Fault draws are salted by per-link send sequence: dispatch order
     // changes which messages exist, so commutativity does not hold.
     // Explore fault-ful plans unreduced.
-    let has_faults = plan.loss_ppm > 0
-        || plan.duplicate_ppm > 0
-        || plan.reorder_ppm > 0
-        || plan.jitter_us > 0;
-    let reduce = !has_faults;
+    let reduce = [plan.loss_ppm, plan.duplicate_ppm, plan.reorder_ppm, plan.jitter_us] == [0; 4];
     let mut stats = McheckStats::default();
     // Depth-first worklist of alternative scripts still to run.
     let mut stack: Vec<Vec<u32>> = vec![Vec::new()];
@@ -220,14 +217,16 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
             stats.truncated = true;
             break;
         }
-        let mut chooser = ScriptChooser::new(&script);
-        let report = run_case_with(plan, Some(&mut chooser));
+        let chooser = ScriptChooser::new(&script);
+        let log = Rc::clone(&chooser.log);
+        let report = run_case_with(plan, Some(Box::new(chooser)));
+        let log = log.take();
         stats.paths_explored += 1;
         if stats.paths_explored == 1 {
-            stats.identity_choice_points = chooser.log.len() as u64;
+            stats.identity_choice_points = log.len() as u64;
         }
         if !report.is_clean() {
-            let mut trace: Vec<u32> = chooser.log.iter().map(|c| c.chosen).collect();
+            let mut trace: Vec<u32> = log.iter().map(|c| c.chosen).collect();
             while trace.last() == Some(&0) {
                 trace.pop();
             }
@@ -243,7 +242,7 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
         // exploration depth.
         let from = script.len();
         let mut branch_points = 0usize;
-        for (k, cp) in chooser.log.iter().enumerate() {
+        for (k, cp) in log.iter().enumerate() {
             if branch_points >= opts.bound {
                 break;
             }
@@ -255,7 +254,7 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
                 // Independence: only branch to a candidate that races an
                 // earlier candidate for the same destination node —
                 // deliveries to different nodes commute (void across
-                // crash/recover barriers, hence the flag).
+                // same-tick crash and timer barriers, hence the flag).
                 if reduce
                     && !cp.barrier
                     && !cp.candidates[..ci].iter().any(|e| e.to == cand.to)
@@ -276,7 +275,7 @@ pub fn explore_exhaustive(plan: &CasePlan, opts: &McheckOptions) -> McheckOutcom
             }
             for alt in alts {
                 let mut child: Vec<u32> = Vec::with_capacity(k + 1);
-                child.extend(chooser.log[..k].iter().map(|c| c.chosen));
+                child.extend(log[..k].iter().map(|c| c.chosen));
                 child.push(alt);
                 stack.push(child);
             }
@@ -314,6 +313,7 @@ mod tests {
         // one candidate per distinct stream.
         let picks: Vec<(u32, bool, usize)> = c
             .log
+            .borrow()
             .iter()
             .map(|r| (r.chosen, r.barrier, r.candidates.len()))
             .collect();

@@ -5,21 +5,19 @@
 //! trait [`run`](crate::run) evaluates at *configurable sim-time
 //! intervals*: each invariant inspects the paused cluster read-only (never
 //! injecting events, so the deterministic event schedule is unperturbed)
-//! and reports violations as structured traces. The catalog of
+//! and reports what it found. The runner stamps each [`Finding`] with the
+//! invariant's catalog name and the pass time. The catalog of
 //! implementations is [`invariants`](crate::invariants).
 
 use neutrino_common::time::Instant;
 use neutrino_common::UeId;
 use neutrino_core::Cluster;
 
-/// One observed invariant violation: a structured trace entry.
+/// What an invariant found wrong at one pass; the runner stamps it into a
+/// [`ViolationRecord`](crate::run::ViolationRecord).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// The invariant that fired (its stable catalog name).
-    pub invariant: &'static str,
-    /// Virtual time of the oracle pass that observed it.
-    pub at: Instant,
-    /// The UE concerned, when the violation is per-UE.
+pub struct Finding {
+    /// The UE concerned, when the finding is per-UE.
     pub ue: Option<UeId>,
     /// Human-readable specifics.
     pub detail: String,
@@ -44,9 +42,6 @@ pub struct OracleCtx<'a> {
 /// fresh instance is created per run, and passes arrive in increasing
 /// virtual-time order.
 pub trait Invariant {
-    /// Stable catalog name (used in violation traces and scenario specs).
-    fn name(&self) -> &'static str;
-
-    /// Inspects the paused cluster; returns this pass's violations.
-    fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Violation>;
+    /// Inspects the paused cluster; returns this pass's findings.
+    fn check(&mut self, ctx: &mut OracleCtx<'_>) -> Vec<Finding>;
 }

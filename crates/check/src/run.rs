@@ -12,12 +12,12 @@
 //! skip pause points where nothing happened — a 10 s drain tail costs a
 //! handful of passes, not hundreds.
 
-use crate::flowcov::{self, Edge};
+use crate::flowcov::{self, Edge, FLOW_CONTRACT};
 use crate::invariants;
 use crate::mcheck::ScriptChooser;
+use crate::oracle::{Finding, Invariant, OracleCtx};
 use crate::scenario::{CasePlan, EndpointPlan};
 use neutrino_core::experiment::{self, ExperimentSpec, FailureSpec, RunResults};
-use crate::oracle::{Invariant, OracleCtx, Violation};
 use neutrino_core::simnode::{cpf_node, cta_node};
 use neutrino_core::{Arrival, Cluster, LinkProfile, SimMsg, SystemConfig, Workload};
 use neutrino_common::time::{Duration, Instant};
@@ -43,7 +43,8 @@ const ATTACH_RATE_PPS: u64 = 40_000;
 /// badly broken build can emit one violation per UE per pass).
 const MAX_RECORDED_VIOLATIONS: usize = 256;
 
-/// A [`Violation`] in serializable form.
+/// One observed violation: an invariant's [`Finding`], stamped with the
+/// invariant's catalog name and the pass time.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ViolationRecord {
     /// Invariant catalog name.
@@ -57,12 +58,14 @@ pub struct ViolationRecord {
 }
 
 impl ViolationRecord {
-    fn from_violation(v: Violation) -> ViolationRecord {
+    /// Stamps `finding` with the name of the invariant that reported it and
+    /// the time of the pass that observed it.
+    pub fn stamp(invariant: &str, at: Instant, finding: Finding) -> ViolationRecord {
         ViolationRecord {
-            invariant: v.invariant.to_string(),
-            at_us: v.at.as_nanos() / 1_000,
-            ue: v.ue.map(|u| u.raw()),
-            detail: v.detail,
+            invariant: invariant.to_string(),
+            at_us: at.as_nanos() / 1_000,
+            ue: finding.ue.map(|u| u.raw()),
+            detail: finding.detail,
         }
     }
 }
@@ -323,35 +326,33 @@ pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
 ///
 /// Honors the plan's `choice_trace`: a non-empty trace replays the pinned
 /// interleaving through a [`ScriptChooser`]; otherwise no chooser is
-/// consulted and the engine dispatches in its own order.
+/// installed and the engine dispatches in its own order.
 pub fn run_case(plan: &CasePlan) -> CheckReport {
-    if plan.choice_trace.is_empty() {
-        run_case_with(plan, None)
-    } else {
-        let mut script = ScriptChooser::new(&plan.choice_trace);
-        run_case_with(plan, Some(&mut script))
-    }
+    let chooser: Option<Box<dyn Chooser<SimMsg>>> = (!plan.choice_trace.is_empty())
+        .then(|| Box::new(ScriptChooser::new(&plan.choice_trace)) as _);
+    run_case_with(plan, chooser)
 }
 
 /// The full checker: one plan and an optional interleaving chooser (a
-/// [`ScriptChooser`] in replays and in the exhaustive checker). A delivery
-/// tap records every delivered protocol-flow edge without perturbing the
-/// event stream; the final pass adds the flow verdict
-/// ([`flowcov::verdict`]) to the invariants' violations.
+/// [`ScriptChooser`] in replays and in the exhaustive checker), installed
+/// on the built cluster next to a delivery tap that records every
+/// delivered protocol-flow edge without perturbing the event stream. The
+/// final pass adds the flow verdict ([`flowcov::verdict`]) to the
+/// invariants' findings.
 ///
 /// The run is [`experiment_spec`]'s spec on `experiment`'s one run path
 /// (build → advance → finish); only the pause points differ from a figure
 /// run. Panics on a malformed plan, as [`experiment_spec`] does, or on an
 /// unknown invariant or partition endpoint.
-pub fn run_case_with(
-    plan: &CasePlan,
-    mut chooser: Option<&mut dyn Chooser<SimMsg>>,
-) -> CheckReport {
+pub fn run_case_with(plan: &CasePlan, chooser: Option<Box<dyn Chooser<SimMsg>>>) -> CheckReport {
     let (spec, measured_start) = experiment_spec(plan);
     let horizon_end = Instant::ZERO + spec.horizon;
     let mut cluster = experiment::build(spec);
     let seen: Rc<RefCell<BTreeSet<Edge>>> = Rc::default();
     cluster.sim.set_delivery_tap(flowcov::tap(Rc::clone(&seen)));
+    if let Some(chooser) = chooser {
+        cluster.sim.set_chooser(chooser);
+    }
     let region0 = &cluster.deployment.regions()[0];
     let (cta0, cpfs) = (region0.cta, region0.cpfs.clone());
     for p in &plan.partitions {
@@ -368,10 +369,13 @@ pub fn run_case_with(
         );
     }
 
-    let mut invariants: Vec<Box<dyn Invariant>> = plan
+    let mut invariants: Vec<(&str, Box<dyn Invariant>)> = plan
         .invariants
         .iter()
-        .map(|n| invariants::build(n, plan).unwrap_or_else(|| panic!("unknown invariant `{n}`")))
+        .map(|n| {
+            let row = invariants::row(n).unwrap_or_else(|| panic!("unknown invariant `{n}`"));
+            (row.name, (row.build)(plan))
+        })
         .collect();
 
     // The oracle loop. Each pause lands on a multiple of the check
@@ -381,34 +385,30 @@ pub fn run_case_with(
     let mut passes = 0u64;
     let mut recorded: Vec<ViolationRecord> = Vec::new();
     let mut total_violations = 0u64;
-    let mut run_pass =
-        |cluster: &mut Cluster, invs: &mut Vec<Box<dyn Invariant>>, now: Instant, final_pass: bool| {
-            let mut batch: Vec<Violation> = Vec::new();
-            for inv in invs.iter_mut() {
-                let mut ctx = OracleCtx {
-                    cluster,
-                    now,
-                    final_pass,
-                };
-                batch.extend(inv.check(&mut ctx));
-            }
-            if final_pass {
-                let misrouted = flowcov::misrouted(cluster);
-                batch.extend(flowcov::verdict(&seen.borrow(), &misrouted, now));
-            }
-            // Invariants iterate HashMaps internally; the report must be
-            // byte-stable across runs.
-            batch.sort_by(|a, b| {
-                (a.invariant, a.ue.map(|u| u.raw()), &a.detail)
-                    .cmp(&(b.invariant, b.ue.map(|u| u.raw()), &b.detail))
-            });
-            total_violations += batch.len() as u64;
-            for v in batch {
-                if recorded.len() < MAX_RECORDED_VIOLATIONS {
-                    recorded.push(ViolationRecord::from_violation(v));
-                }
-            }
-        };
+    let mut run_pass = |cluster: &mut Cluster, now: Instant, final_pass: bool| {
+        let mut batch: Vec<ViolationRecord> = Vec::new();
+        for (name, inv) in invariants.iter_mut() {
+            let mut ctx = OracleCtx {
+                cluster,
+                now,
+                final_pass,
+            };
+            let findings = inv.check(&mut ctx);
+            batch.extend(findings.into_iter().map(|f| ViolationRecord::stamp(name, now, f)));
+        }
+        if final_pass {
+            let misrouted = flowcov::misrouted(cluster);
+            let findings = flowcov::verdict(&seen.borrow(), &misrouted);
+            let flow = findings.into_iter().map(|f| ViolationRecord::stamp(FLOW_CONTRACT, now, f));
+            batch.extend(flow);
+        }
+        // Invariants iterate HashMaps internally; the report must be
+        // byte-stable across runs.
+        batch.sort_by(|a, b| (&a.invariant, a.ue, &a.detail).cmp(&(&b.invariant, b.ue, &b.detail)));
+        total_violations += batch.len() as u64;
+        let room = MAX_RECORDED_VIOLATIONS - recorded.len();
+        recorded.extend(batch.into_iter().take(room));
+    };
     loop {
         let next = match cluster.sim.next_event_at() {
             Some(t) if t < horizon_end => t,
@@ -419,13 +419,13 @@ pub fn run_case_with(
         if pause >= horizon_end {
             break;
         }
-        experiment::advance(&mut cluster, pause, chooser.as_deref_mut());
+        experiment::advance(&mut cluster, pause);
         passes += 1;
-        run_pass(&mut cluster, &mut invariants, pause, false);
+        run_pass(&mut cluster, pause, false);
     }
-    experiment::advance(&mut cluster, horizon_end, chooser);
+    experiment::advance(&mut cluster, horizon_end);
     passes += 1;
-    run_pass(&mut cluster, &mut invariants, horizon_end, true);
+    run_pass(&mut cluster, horizon_end, true);
 
     let results = experiment::finish(cluster, None);
     CheckReport {

@@ -2,7 +2,8 @@
 //!
 //! Each lever builds a small healthy cluster, shows the invariant is
 //! silent on it, then manufactures exactly the state the invariant guards
-//! against and asserts it fires *by name*. This is the oracle suite's own
+//! against and asserts it fires *by name* (stamped as the runner stamps
+//! it). This is the oracle suite's own
 //! oracle — an invariant whose kill switch cannot make it fire is dead
 //! code wearing a checkmark. The one test walks `CATALOG` and picks the
 //! lever by name with a panicking default, so a catalog row without a
@@ -14,8 +15,8 @@
 //! to *never* produce these states.
 
 use neutrino_check::invariants::{CatalogRow, CATALOG};
-use neutrino_check::oracle::{Invariant, OracleCtx, Violation};
-use neutrino_check::{small_model_plan, CasePlan, Scenario};
+use neutrino_check::oracle::{Invariant, OracleCtx};
+use neutrino_check::{small_model_plan, CasePlan, Scenario, ViolationRecord};
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::{ProcedureId, UeId};
 use neutrino_core::experiment::{self, ExperimentSpec};
@@ -42,18 +43,22 @@ fn small_cluster(config: SystemConfig) -> Cluster {
     experiment::build(spec)
 }
 
+/// One pass of `inv`, its findings stamped with the row's name as the
+/// runner stamps them.
 fn check_at(
+    row: &CatalogRow,
     cluster: &mut Cluster,
     inv: &mut dyn Invariant,
     now: Instant,
     final_pass: bool,
-) -> Vec<Violation> {
+) -> Vec<ViolationRecord> {
     let mut ctx = OracleCtx {
         cluster,
         now,
         final_pass,
     };
-    inv.check(&mut ctx)
+    let findings = inv.check(&mut ctx);
+    findings.into_iter().map(|f| ViolationRecord::stamp(row.name, now, f)).collect()
 }
 
 fn at_ms(ms: u64) -> Instant {
@@ -65,7 +70,7 @@ fn plain_plan() -> CasePlan {
     small_model_plan("mcheck-attach-failover", 0).unwrap()
 }
 
-fn assert_fired(row: &CatalogRow, fired: &[Violation], why: &str) {
+fn assert_fired(row: &CatalogRow, fired: &[ViolationRecord], why: &str) {
     assert!(!fired.is_empty(), "{why}");
     assert!(fired.iter().all(|v| v.invariant == row.name), "{fired:?}");
 }
@@ -96,13 +101,13 @@ fn kill_switch_consistency(row: &CatalogRow) {
     cluster.run_until(at_ms(50));
     let mut inv = (row.build)(&plain_plan());
     assert!(
-        check_at(&mut cluster, &mut *inv, at_ms(50), false).is_empty(),
+        check_at(row, &mut cluster, &mut *inv, at_ms(50), false).is_empty(),
         "healthy EPC cluster must audit clean"
     );
     let victim = cluster.serving_cpf(UeId::new(0)).expect("ue 0 attached");
     cluster.sim.crash_at(at_ms(51), cpf_node(victim));
     cluster.run_until(at_ms(60));
-    let fired = check_at(&mut cluster, &mut *inv, at_ms(60), false);
+    let fired = check_at(row, &mut cluster, &mut *inv, at_ms(60), false);
     assert_fired(row, &fired, "lost state copy must fire");
 }
 
@@ -112,10 +117,10 @@ fn kill_switch_no_lost_procedure(row: &CatalogRow) {
     cluster.run_until(Instant::ZERO + Duration::from_micros(150));
     let mut inv = (row.build)(&plain_plan());
     assert!(
-        check_at(&mut cluster, &mut *inv, at_ms(0), false).is_empty(),
+        check_at(row, &mut cluster, &mut *inv, at_ms(0), false).is_empty(),
         "mid-run passes must stay silent (procedures are always in flight)"
     );
-    let fired = check_at(&mut cluster, &mut *inv, at_ms(0), true);
+    let fired = check_at(row, &mut cluster, &mut *inv, at_ms(0), true);
     assert_fired(row, &fired, "in-flight procedure at final pass must fire");
 }
 
@@ -126,11 +131,11 @@ fn kill_switch_bounded_stall(row: &CatalogRow) {
     cluster.run_until(Instant::ZERO + Duration::from_micros(150));
     let mut inv = (row.build)(&plain_plan());
     assert!(
-        check_at(&mut cluster, &mut *inv, Instant::ZERO + Duration::from_micros(150), false)
+        check_at(row, &mut cluster, &mut *inv, Instant::ZERO + Duration::from_micros(150), false)
             .is_empty(),
         "a fresh in-flight procedure is not a stall"
     );
-    let fired = check_at(&mut cluster, &mut *inv, at_ms(3_600_000), false);
+    let fired = check_at(row, &mut cluster, &mut *inv, at_ms(3_600_000), false);
     assert_fired(row, &fired, "hour-long no-progress window must fire");
 }
 
@@ -140,7 +145,7 @@ fn kill_switch_session_ownership(row: &CatalogRow) {
     cluster.run_until(at_ms(100));
     let mut inv = (row.build)(&plain_plan());
     assert!(
-        check_at(&mut cluster, &mut *inv, at_ms(100), false).is_empty(),
+        check_at(row, &mut cluster, &mut *inv, at_ms(100), false).is_empty(),
         "every session in a healthy run has an owner"
     );
     let upf = cluster.deployment.regions()[0].upfs[0];
@@ -156,9 +161,9 @@ fn kill_switch_session_ownership(row: &CatalogRow) {
             op: SessionOp::Create,
             session: None,
         });
-    let fired = check_at(&mut cluster, &mut *inv, at_ms(100), false);
+    let fired = check_at(row, &mut cluster, &mut *inv, at_ms(100), false);
     assert_fired(row, &fired, "orphaned session must fire");
-    assert_eq!(fired[0].ue, Some(UeId::new(999_999)));
+    assert_eq!(fired[0].ue, Some(999_999));
 }
 
 fn kill_switch_bounded_retry(row: &CatalogRow) {
@@ -167,11 +172,11 @@ fn kill_switch_bounded_retry(row: &CatalogRow) {
     cluster.run_until(at_ms(100));
     let mut inv = (row.build)(&plain_plan());
     assert!(
-        check_at(&mut cluster, &mut *inv, at_ms(100), false).is_empty(),
+        check_at(row, &mut cluster, &mut *inv, at_ms(100), false).is_empty(),
         "fault-free run retransmits within budget"
     );
     cluster.population().unwrap().results_mut().retransmissions = 10_000;
-    let fired = check_at(&mut cluster, &mut *inv, at_ms(100), false);
+    let fired = check_at(row, &mut cluster, &mut *inv, at_ms(100), false);
     assert_fired(row, &fired, "unexplained retransmissions must fire");
 }
 
@@ -182,7 +187,7 @@ fn kill_switch_monotonic_checkpoint(row: &CatalogRow) {
     cluster.run_until(at_ms(100));
     let mut inv = (row.build)(&plain_plan());
     assert!(
-        check_at(&mut cluster, &mut *inv, at_ms(100), false).is_empty(),
+        check_at(row, &mut cluster, &mut *inv, at_ms(100), false).is_empty(),
         "first pass only records watermarks"
     );
     let cta = cluster.deployment.regions()[0].cta;
@@ -196,7 +201,7 @@ fn kill_switch_monotonic_checkpoint(row: &CatalogRow) {
         "ue 0 must have completed procedures for the rewind to regress"
     );
     log.ue_mut(UeId::new(0)).last_completed = ProcedureId(0);
-    let fired = check_at(&mut cluster, &mut *inv, at_ms(101), false);
+    let fired = check_at(row, &mut cluster, &mut *inv, at_ms(101), false);
     assert_fired(row, &fired, "regressed watermark must fire");
 }
 
@@ -207,7 +212,7 @@ fn kill_switch_bounded_queue(row: &CatalogRow) {
     cluster.run_until(at_ms(100));
     let mut healthy = (row.build)(&plain_plan());
     assert!(
-        check_at(&mut cluster, &mut *healthy, at_ms(100), false).is_empty(),
+        check_at(row, &mut cluster, &mut *healthy, at_ms(100), false).is_empty(),
         "attach traffic stays under the default cap"
     );
     let upf = cluster.deployment.regions()[0].upfs[0];
@@ -222,7 +227,7 @@ fn kill_switch_bounded_queue(row: &CatalogRow) {
     let mut storm_plan = Scenario::by_name("iot-burst-storm").unwrap().plan(0);
     storm_plan.storm.as_mut().expect("storm family").queue_cap = 1;
     let mut inv = (row.build)(&storm_plan);
-    let fired = check_at(&mut cluster, &mut *inv, at_ms(110), false);
+    let fired = check_at(row, &mut cluster, &mut *inv, at_ms(110), false);
     assert_fired(row, &fired, "queue depth past the cap must fire");
 }
 
@@ -235,7 +240,7 @@ fn kill_switch_shed_priority_order(row: &CatalogRow) {
     cluster.run_until(at_ms(100));
     let mut inv = (row.build)(&plain_plan());
     assert!(
-        check_at(&mut cluster, &mut *inv, at_ms(100), true).is_empty(),
+        check_at(row, &mut cluster, &mut *inv, at_ms(100), true).is_empty(),
         "an untouched gate keeps the priority ladder"
     );
     let cta = cluster.deployment.regions()[0].cta;
@@ -249,10 +254,10 @@ fn kill_switch_shed_priority_order(row: &CatalogRow) {
     gate.force_priority_evidence(AdmissionClass::Detach, Some(400), None);
     gate.force_priority_evidence(AdmissionClass::Handover, None, Some(500));
     assert!(
-        check_at(&mut cluster, &mut *inv, at_ms(100), false).is_empty(),
+        check_at(row, &mut cluster, &mut *inv, at_ms(100), false).is_empty(),
         "evidence is cumulative; only the final pass judges it"
     );
-    let fired = check_at(&mut cluster, &mut *inv, at_ms(100), true);
+    let fired = check_at(row, &mut cluster, &mut *inv, at_ms(100), true);
     assert_fired(row, &fired, "inverted shed ladder must fire");
 }
 
@@ -262,16 +267,16 @@ fn kill_switch_no_retry_amplification(row: &CatalogRow) {
     cluster.run_until(at_ms(100));
     let mut inv = (row.build)(&plain_plan());
     assert!(
-        check_at(&mut cluster, &mut *inv, at_ms(100), true).is_empty(),
+        check_at(row, &mut cluster, &mut *inv, at_ms(100), true).is_empty(),
         "fault-free run has no amplification"
     );
     let results = cluster.population().unwrap().results_mut();
     results.retransmissions = 10_000;
     results.rejected = 10;
     assert!(
-        check_at(&mut cluster, &mut *inv, at_ms(100), false).is_empty(),
+        check_at(row, &mut cluster, &mut *inv, at_ms(100), false).is_empty(),
         "amplification is judged at the final pass only"
     );
-    let fired = check_at(&mut cluster, &mut *inv, at_ms(100), true);
+    let fired = check_at(row, &mut cluster, &mut *inv, at_ms(100), true);
     assert_fired(row, &fired, "storm-feeding retries must fire");
 }

@@ -259,14 +259,16 @@ fn expected_acks(
     );
 }
 
-/// The UE's live backups that have ever held its state, with the procedure
-/// each is synced through — the failover candidates, in ring order.
-fn synced_backups<'a>(
-    log: &'a UeLog,
+/// A failed primary's successor: among the UE's live backups that have
+/// ever held its state, the one synced furthest ahead, and the first such
+/// in ring order. Returns it with the procedure it is synced through. A
+/// page and an uplink that find the primary dead pick the same backup.
+fn best_backup(
+    log: &UeLog,
     ue: UeId,
-    ring: &'a RingStack,
-    failed: &'a BTreeSet<CpfId>,
-) -> impl Iterator<Item = (CpfId, ProcedureId)> + 'a {
+    ring: &RingStack,
+    failed: &BTreeSet<CpfId>,
+) -> Option<(CpfId, ProcedureId)> {
     ring.backups(ue)
         .filter(|b| !failed.contains(b))
         .filter_map(|b| {
@@ -274,6 +276,7 @@ fn synced_backups<'a>(
             // Never held this UE's state: ineligible.
             (synced.raw() > 0).then_some((b, synced))
         })
+        .reduce(|best, b| if b.1 > best.1 { b } else { best })
 }
 
 impl CtaCore {
@@ -626,10 +629,9 @@ impl CtaCore {
                 msg: SysMsg::DdnRequest { ue, upf },
             }];
         }
-        // Primary is down: pick the most-synced live backup, as in
-        // `failover`, without a message to replay.
-        let best = synced_backups(&slot, ue, &self.ring, &self.failed).max_by_key(|(_, s)| *s);
-        match best {
+        // Primary is down: promote the backup `failover` would, without a
+        // message to replay.
+        match best_backup(&slot, ue, &self.ring, &self.failed) {
             Some((replica, _)) if self.config.failover == FailoverPolicy::ReplayFromLog => {
                 slot.assigned = Some(replica);
                 self.metrics.failover_up_to_date += 1;
@@ -822,11 +824,7 @@ impl CtaCore {
             }
             FailoverPolicy::ReplayFromLog => {
                 let mut slot = self.log.ue_mut(ue);
-                // Pick the live backup synced furthest ahead (the first such
-                // in ring order).
-                let best = synced_backups(&slot, ue, &self.ring, &self.failed)
-                    .reduce(|best, b| if b.1 > best.1 { b } else { best });
-                match best {
+                match best_backup(&slot, ue, &self.ring, &self.failed) {
                     Some((replica, synced)) if slot.replay_covers(synced) => {
                         // Everything after `synced` (including the current
                         // procedure's earlier messages, and this message —
@@ -1205,6 +1203,34 @@ mod tests {
             "scenario 1 must not replay"
         );
         assert_eq!(c.metrics().failover_up_to_date, 1);
+    }
+
+    #[test]
+    fn a_page_and_an_uplink_promote_the_same_backup() {
+        // Two backups synced through the same procedure tie; whichever
+        // reaches the CTA first after the primary dies (a DDN or an
+        // uplink), the UE ends up on the same successor.
+        let ue = UeId::new(3);
+        let crashed = || {
+            let mut c = cta();
+            c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
+            for replica in c.backups_for(ue) {
+                let (procedure, end_clock) = (ProcedureId::new(1), ClockTick(1));
+                c.on_sync_ack(SyncAck { ue, replica, procedure, end_clock }, Instant::ZERO);
+            }
+            let primary = c.primary_for(ue).unwrap();
+            c.on_cpf_failure(primary, Instant::ZERO);
+            c
+        };
+        let (mut paged, mut sent) = (crashed(), crashed());
+        assert_eq!(paged.backups_for(ue).len(), 2);
+        let outs = paged.on_ddn(ue, neutrino_common::UpfId::new(0));
+        let [CtaOutput::ToCpf { cpf: by_page, msg: SysMsg::DdnRequest { .. } }] = &outs[..] else {
+            panic!("unexpected {outs:?}");
+        };
+        let outs = sent.on_uplink(ul(3, 2, MessageKind::ServiceRequest, false), Instant::ZERO);
+        assert_eq!(*by_page, route_target(&outs));
+        assert_eq!(paged.primary_for(ue), sent.primary_for(ue));
     }
 
     #[test]

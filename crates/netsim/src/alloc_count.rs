@@ -4,7 +4,7 @@
 //! lives with whichever binary measures (today
 //! `benchmark/src/alloc_meter.rs`); it reports every allocation here. The
 //! engine samples the counter around its dispatch loop (two relaxed loads
-//! per `run_until` or `run_until_chosen` call) and surfaces the delta as
+//! per `run_until` call) and surfaces the delta as
 //! [`crate::SimStats::allocs`]. Without a counting allocator installed
 //! the counter stays at zero and the metric reads 0.
 //!

@@ -1,13 +1,14 @@
 //! Choice-point interposition for bounded exhaustive interleaving checks.
 //!
-//! The engine has one dispatch loop and two orders it can pop in.
-//! [`Sim::run_until_chosen`](crate::Sim::run_until_chosen) runs that loop in
-//! the chosen order: whenever **two or more deliveries are simultaneously
-//! enabled at the same tick**, it asks a [`Chooser`] which one to dispatch
-//! first. The [`IdentityChooser`] always picks the first (lowest-sequence)
-//! delivery, which reproduces `run_until`'s `(at, seq)` order exactly — so
-//! instrumented runs with the identity chooser are byte-identical to
-//! `run_until` and no golden or corpus pin can observe the instrumentation.
+//! The engine has one dispatch loop and two orders it can pop in. With a
+//! [`Chooser`] installed ([`Sim::set_chooser`](crate::Sim::set_chooser)),
+//! `run_until` runs that loop in the chosen order: whenever **two or more
+//! deliveries are simultaneously enabled at the same tick**, it asks the
+//! chooser which one to dispatch first. The [`IdentityChooser`] always picks
+//! the first (lowest-sequence) delivery, which reproduces the plain
+//! `(at, seq)` order exactly — so instrumented runs with the identity
+//! chooser are byte-identical to uninstrumented ones and no golden or
+//! corpus pin can observe the instrumentation.
 //!
 //! A model checker (see `crates/check`, `mcheck`) drives this with a
 //! scripted chooser to enumerate delivery interleavings of a small
@@ -20,7 +21,7 @@ use crate::engine::NodeId;
 /// One delivery the engine could dispatch next at the current tick.
 ///
 /// Entries are presented in push order, so index 0 is always the delivery
-/// `run_until` would run first.
+/// the plain `(at, seq)` order would run first.
 #[derive(Debug)]
 pub struct Enabled<'a, M> {
     /// Sending node ([`NodeId::EXTERNAL`] for injected messages).
@@ -44,8 +45,8 @@ pub trait Chooser<M> {
     fn choose(&mut self, barrier: bool, enabled: &[Enabled<'_, M>]) -> usize;
 }
 
-/// The chooser that reproduces `run_until` exactly: always the first
-/// enabled delivery, i.e. the event `run_until` would pop.
+/// The chooser that reproduces the plain order exactly: always the first
+/// enabled delivery, i.e. the event the wheel would pop.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdentityChooser;
 

@@ -6,8 +6,9 @@
 //! handler at service completion (charging the declared service time),
 //! `Timer` runs zero-cost internal work, and `Crash` takes a node down for
 //! good. The loop is generic over how it pops: [`Sim::run_until`] takes the
-//! wheel's `(at, seq)` head, [`Sim::run_until_chosen`] stages one tick's
-//! events and lets a [`crate::Chooser`] order the deliveries among them.
+//! wheel's `(at, seq)` head, or, with a [`crate::Chooser`] installed
+//! ([`Sim::set_chooser`]), stages one tick's events and lets the chooser
+//! order the deliveries among them.
 //!
 //! A message body is stored once while in flight: a slab holds it from the
 //! send to its handler, and scheduled events, node queues and running jobs
@@ -341,6 +342,9 @@ pub struct Sim<M> {
     /// up node, after fault filtering and before service. `None` on figure
     /// runs, so the hot path pays exactly one branch.
     tap: Option<DeliveryTap<M>>,
+    /// Optional delivery order (the model checker installs one): `None` on
+    /// figure runs, so `run_until` pops in `(at, seq)` order.
+    chooser: Option<Box<dyn crate::Chooser<M>>>,
 }
 
 impl<M: Clone + 'static> Sim<M> {
@@ -365,6 +369,7 @@ impl<M: Clone + 'static> Sim<M> {
             stats: SimStats::default(),
             scratch: Outbox::default(),
             tap: None,
+            chooser: None,
         }
     }
 
@@ -374,6 +379,13 @@ impl<M: Clone + 'static> Sim<M> {
     /// record the protocol-flow edges it witnesses; figure runs never do.
     pub fn set_delivery_tap(&mut self, tap: DeliveryTap<M>) {
         self.tap = Some(tap);
+    }
+
+    /// Installs a delivery order: from now on `run_until` consults
+    /// `chooser` whenever ≥ 2 deliveries are enabled at one tick. The model
+    /// checker installs one; figure runs never do.
+    pub fn set_chooser(&mut self, chooser: Box<dyn crate::Chooser<M>>) {
+        self.chooser = Some(chooser);
     }
 
     /// Current virtual time.
@@ -735,9 +747,15 @@ impl<M: Clone + 'static> Sim<M> {
     }
 
     /// Runs until the event queue drains or `deadline` passes, in the
-    /// wheel's `(at, seq)` order. Returns the time of the last processed
+    /// wheel's `(at, seq)` order or, when one is installed, the chooser's
+    /// (picked once per call). Returns the time of the last processed
     /// event.
     pub fn run_until(&mut self, deadline: Instant) -> Instant {
+        if let Some(mut chooser) = self.chooser.take() {
+            let end = self.run_chosen(deadline, &mut *chooser);
+            self.chooser = Some(chooser);
+            return end;
+        }
         self.run_loop(deadline, |sim, deadline| {
             if sim.queue.peek_key()?.at > deadline {
                 return None;
@@ -761,26 +779,15 @@ impl<M: Clone + 'static> Sim<M> {
         self.queue.min_key().map(|k| k.at)
     }
 
-    /// Runs [`Sim::run_until`]'s loop, with its budget and allocation
-    /// sample, in the chosen order: `chooser` is consulted whenever ≥2
-    /// deliveries are simultaneously enabled at the same tick. With
-    /// [`crate::IdentityChooser`] this dispatches the exact `(at, seq)`
-    /// stream of `run_until`: the identity pick is always the lowest-seq
-    /// staged delivery, non-delivery events run whenever they head the
-    /// staging buffer (i.e. in seq order), and same-tick pushes join the
-    /// staging buffer with strictly larger seq, exactly where the wheel
-    /// would have popped them.
-    ///
-    /// A chooser may also run a delivery *across* a staged non-delivery
-    /// event (delivering before vs. after a same-tick crash is a
-    /// meaningful ordering); the `barrier` argument of
-    /// [`crate::Chooser::choose`] flags such choice points so a pruning
-    /// policy can treat them as dependent.
-    pub fn run_until_chosen(
-        &mut self,
-        deadline: Instant,
-        chooser: &mut dyn crate::Chooser<M>,
-    ) -> Instant {
+    /// [`Sim::run_until`]'s loop in the chosen order. Non-delivery events
+    /// run in seq order whenever one heads the tick's staging buffer;
+    /// otherwise `chooser` picks among every staged delivery (consulted only
+    /// when there are at least two), with `barrier` set when a non-delivery
+    /// event is staged too: delivering before or after a same-tick crash
+    /// does not commute. So [`crate::IdentityChooser`] dispatches the exact
+    /// `(at, seq)` stream: same-tick pushes join the buffer with larger seq,
+    /// exactly where the wheel would have popped them.
+    fn run_chosen(&mut self, deadline: Instant, chooser: &mut dyn crate::Chooser<M>) -> Instant {
         // One tick's events, kept in ascending seq order.
         let mut staging: Vec<(SchedKey, EventKind)> = Vec::new();
         self.run_loop(deadline, |sim, deadline| {
@@ -793,44 +800,27 @@ impl<M: Clone + 'static> Sim<M> {
             sim.queue.pop_all_at(tick, &mut staging);
             debug_assert!(staging.is_sorted_by_key(|e| e.0), "non-monotone seq");
             sim.now = tick;
-            let idx = sim.choose_staged(&staging, chooser);
+            let (mut enabled, mut positions) = (Vec::new(), Vec::new());
+            if matches!(staging[0].1, EventKind::Deliver { .. }) {
+                for (i, (_, kind)) in staging.iter().enumerate() {
+                    if let EventKind::Deliver { to, from, msg } = *kind {
+                        if let Some(msg) = sim.bodies.get(msg) {
+                            enabled.push(crate::Enabled { from, to, msg });
+                            positions.push(i);
+                        }
+                    }
+                }
+            }
+            let idx = match enabled.len() {
+                0 | 1 => 0,
+                n => {
+                    let pick = chooser.choose(n != staging.len(), &enabled);
+                    assert!(pick < n, "chooser returned {pick} for {n} enabled deliveries");
+                    positions[pick]
+                }
+            };
             Some(staging.remove(idx))
         })
-    }
-
-    /// Picks the staging index to dispatch next. Non-delivery events run
-    /// in seq order whenever one heads the buffer; otherwise the choice
-    /// set is every staged delivery, and the chooser is consulted only
-    /// when there are at least two.
-    fn choose_staged(
-        &self,
-        staging: &[(SchedKey, EventKind)],
-        chooser: &mut dyn crate::Chooser<M>,
-    ) -> usize {
-        if !matches!(staging[0].1, EventKind::Deliver { .. }) {
-            return 0;
-        }
-        let mut enabled: Vec<crate::Enabled<'_, M>> = Vec::new();
-        let mut positions: Vec<usize> = Vec::new();
-        for (i, (_, kind)) in staging.iter().enumerate() {
-            if let EventKind::Deliver { to, from, msg } = *kind {
-                let Some(msg) = self.bodies.get(msg) else {
-                    continue;
-                };
-                enabled.push(crate::Enabled { from, to, msg });
-                positions.push(i);
-            }
-        }
-        if enabled.len() < 2 {
-            return 0; // the head is the only enabled delivery
-        }
-        let pick = chooser.choose(enabled.len() != staging.len(), &enabled);
-        assert!(
-            pick < enabled.len(),
-            "chooser returned {pick} for {} enabled deliveries",
-            enabled.len()
-        );
-        positions[pick]
     }
 }
 
@@ -1194,10 +1184,9 @@ mod tests {
     fn budget_panic(sim: &mut Sim<u64>, chosen: bool) -> String {
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if chosen {
-                sim.run_until_chosen(Instant::FAR_FUTURE, &mut crate::IdentityChooser);
-            } else {
-                sim.run_to_completion();
+                sim.set_chooser(Box::new(crate::IdentityChooser));
             }
+            sim.run_to_completion();
         }));
         *panicked
             .expect_err("budget must trip")

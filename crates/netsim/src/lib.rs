@@ -17,8 +17,8 @@
 //!
 //! One dispatch loop runs those four event kinds, in either of two pop
 //! orders: the scheduler's `(time, seq)` order ([`Sim::run_until`]), or,
-//! for the model checker, a [`Chooser`]'s order among the deliveries due at
-//! one tick ([`Sim::run_until_chosen`]).
+//! for the model checker, an installed [`Chooser`]'s order among the
+//! deliveries due at one tick ([`Sim::set_chooser`]).
 //!
 //! The engine is generic over the message type `M`, carries no cellular
 //! logic, and is fully deterministic: same nodes + same schedule + same seed

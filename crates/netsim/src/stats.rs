@@ -59,7 +59,7 @@ pub struct SimStats {
     /// Peak number of simultaneously scheduled events in the calendar
     /// queue (scheduler pressure, distinct from per-node backlog above).
     pub max_sched_depth: u64,
-    /// Heap allocations observed during `run_until` and `run_until_chosen`,
+    /// Heap allocations observed during `run_until`,
     /// when the running binary installs a counting allocator that reports
     /// into [`crate::alloc_count`]; 0 otherwise.
     pub allocs: u64,

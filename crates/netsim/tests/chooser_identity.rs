@@ -1,6 +1,6 @@
-//! Identity-chooser property: `run_until_chosen` with [`IdentityChooser`]
-//! dispatches random multi-region topologies in exactly the `(at, seq)`
-//! order of uninstrumented `run_until` — observed through per-node
+//! Identity-chooser property: `run_until` with an installed
+//! [`IdentityChooser`] dispatches random multi-region topologies in exactly
+//! the `(at, seq)` order of an uninstrumented run — observed through per-node
 //! arrival logs (sender, payload, virtual time), the final clock and every
 //! deterministic `SimStats` field. This is the instrumentation layer's
 //! whole contract: goldens and corpus pins must not be able to observe
@@ -21,6 +21,8 @@ use neutrino_netsim::{
 };
 use proptest::prelude::*;
 use std::any::Any;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Splitmix step used to derandomize per-hop routing decisions.
 fn mix(z: u64) -> u64 {
@@ -201,9 +203,9 @@ fn run_plain(sc: &Scenario) -> Observables {
 /// at an arbitrary mid-run deadline to also cover resume behaviour.
 fn run_chosen(sc: &Scenario) -> Observables {
     let (mut sim, all) = build(sc);
-    let mut id = IdentityChooser;
-    sim.run_until_chosen(Instant::from_micros(900), &mut id);
-    sim.run_until_chosen(Instant::FAR_FUTURE, &mut id);
+    sim.set_chooser(Box::new(IdentityChooser));
+    sim.run_until(Instant::from_micros(900));
+    sim.run_until(Instant::FAR_FUTURE);
     observe(&mut sim, &all)
 }
 
@@ -211,7 +213,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random multi-region topologies observe byte-identical behaviour
-    /// under `run_until` and `run_until_chosen(IdentityChooser)`.
+    /// with and without an installed `IdentityChooser`.
     #[test]
     fn identity_chooser_matches_sequential(sc in scenario_strategy()) {
         prop_assert_eq!(run_plain(&sc), run_chosen(&sc));
@@ -221,12 +223,12 @@ proptest! {
 /// A chooser that always picks the *last* enabled delivery, recording how
 /// often it was actually consulted.
 struct ReverseChooser {
-    consulted: usize,
+    consulted: Rc<Cell<usize>>,
 }
 
 impl Chooser<u64> for ReverseChooser {
     fn choose(&mut self, _barrier: bool, enabled: &[Enabled<'_, u64>]) -> usize {
-        self.consulted += 1;
+        self.consulted.set(self.consulted.get() + 1);
         enabled.len() - 1
     }
 }
@@ -247,11 +249,12 @@ fn reverse_chooser_flips_an_equal_time_tie() {
         fault: None,
     };
     let (mut sim, all) = build(&sc);
-    let mut rev = ReverseChooser { consulted: 0 };
-    sim.run_until_chosen(Instant::FAR_FUTURE, &mut rev);
+    let consulted = Rc::new(Cell::new(0));
+    sim.set_chooser(Box::new(ReverseChooser { consulted: Rc::clone(&consulted) }));
+    sim.run_to_completion();
     let chosen = observe(&mut sim, &all);
     let plain = run_plain(&sc);
-    assert!(rev.consulted > 0, "tie never reached the chooser");
+    assert!(consulted.get() > 0, "tie never reached the chooser");
     assert_ne!(
         plain.0, chosen.0,
         "reverse chooser did not change any delivery order"

@@ -97,6 +97,78 @@ impl AuditReport {
     }
 }
 
+/// A session at a live UPF whose UE no live CTA's log holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Orphan {
+    /// The UPF holding the session.
+    pub upf: UpfId,
+    /// The UE concerned.
+    pub ue: UeId,
+    /// The CPF the session names as its owner.
+    pub cpf: CpfId,
+}
+
+/// What [`walk_ownership`] found.
+#[derive(Debug, Default)]
+pub struct OwnershipWalk {
+    /// Some CTA is down: its knowledge is unavailable, not lost, so an
+    /// orphan may belong to it.
+    pub cta_down: bool,
+    /// Sessions walked at live UPFs.
+    pub sessions: u64,
+    /// Sessions no live CTA's log knows the UE of, in UPF order.
+    pub orphans: Vec<Orphan>,
+}
+
+/// The orphan walk the audit and `check`'s `session-ownership` invariant
+/// share: every live CTA's log, calling `seen(cta, ue, last_completed)`
+/// once per UE it holds, then every live UPF's session table, collecting
+/// the sessions whose UE none of those logs holds.
+pub fn walk_ownership(
+    cluster: &mut Cluster,
+    mut seen: impl FnMut(CtaId, UeId, ProcedureId),
+) -> OwnershipWalk {
+    let mut walk = OwnershipWalk::default();
+    let ctas: Vec<CtaId> = cluster.deployment.regions().iter().map(|r| r.cta).collect();
+    let upfs: Vec<UpfId> = cluster
+        .deployment
+        .regions()
+        .iter()
+        .flat_map(|r| r.upfs.clone())
+        .collect();
+    let mut known: UeMap<()> = UeMap::new();
+    for cta in ctas {
+        if !cluster.sim.is_up(cta_node(cta)) {
+            walk.cta_down = true;
+            continue;
+        }
+        let Some(node) = cluster.sim.node_as::<CtaNode>(cta_node(cta)) else {
+            continue;
+        };
+        for (ue, ue_log) in node.core().log().ues() {
+            known.insert(*ue, ());
+            seen(cta, *ue, ue_log.last_completed);
+        }
+    }
+    for upf in upfs {
+        if !cluster.sim.is_up(upf_node(upf)) {
+            continue;
+        }
+        let Some(node) = cluster.sim.node_as::<UpfNode>(upf_node(upf)) else {
+            continue;
+        };
+        let table = node.core().table();
+        walk.sessions += table.len() as u64;
+        walk.orphans.extend(
+            table
+                .iter()
+                .filter(|(ue, _)| !known.contains_key(**ue))
+                .map(|(ue, s)| Orphan { upf, ue: *ue, cpf: s.cpf }),
+        );
+    }
+    walk
+}
+
 /// What one live CTA expects for one UE.
 struct Expectation {
     cta: CtaId,
@@ -111,39 +183,17 @@ pub fn audit_cluster(cluster: &mut Cluster) -> AuditReport {
         ..AuditReport::default()
     };
 
-    let ctas: Vec<CtaId> = cluster.deployment.regions().iter().map(|r| r.cta).collect();
+    // Phases 1 and 3: what every live CTA knows, and the UPF sessions none
+    // of them owns. A UE with no completed procedure has no durable state
+    // to check yet, but still counts as "known" for the orphan check.
     let cpfs: Vec<CpfId> = cluster.deployment.all_cpfs();
-    let upfs: Vec<UpfId> = cluster
-        .deployment
-        .regions()
-        .iter()
-        .flat_map(|r| r.upfs.clone())
-        .collect();
-
-    // Phase 1: collect what every live CTA knows. A UE with no completed
-    // procedure has no durable state to check yet, but still counts as
-    // "known" for the orphan check.
-    let mut known: UeMap<()> = UeMap::new();
     let mut expectations: Vec<Expectation> = Vec::new();
-    for &cta in &ctas {
-        if !cluster.sim.is_up(cta_node(cta)) {
-            continue;
+    let walk = walk_ownership(cluster, |cta, ue, expected| {
+        if expected.raw() > 0 {
+            expectations.push(Expectation { cta, ue, expected });
         }
-        let node = match cluster.sim.node_as::<CtaNode>(cta_node(cta)) {
-            Some(n) => n,
-            None => continue,
-        };
-        for (ue, ue_log) in node.core().log().ues() {
-            known.insert(*ue, ());
-            if ue_log.last_completed.raw() > 0 {
-                expectations.push(Expectation {
-                    cta,
-                    ue: *ue,
-                    expected: ue_log.last_completed,
-                });
-            }
-        }
-    }
+    });
+    report.sessions_checked = walk.sessions;
 
     // Phase 2: for each expectation, find the freshest servable copy on any
     // live CPF, then fall back to replay coverage from the owning CTA's log.
@@ -160,19 +210,14 @@ pub fn audit_cluster(cluster: &mut Cluster) -> AuditReport {
             if !cluster.sim.is_up(cpf_node(cpf)) {
                 continue;
             }
-            let node = match cluster.sim.node_as::<CpfNode>(cpf_node(cpf)) {
-                Some(n) => n,
-                None => continue,
+            let Some(node) = cluster.sim.node_as::<CpfNode>(cpf_node(cpf)) else {
+                continue;
             };
             if let Some(rec) = node.core().store().get(exp.ue) {
-                let v = rec.state.version().procedure;
-                if best_any.map(|b| v > b).unwrap_or(true) {
-                    best_any = Some(v);
-                }
-                if node.core().store().servable(exp.ue)
-                    && best_servable.map(|b| v > b).unwrap_or(true)
-                {
-                    best_servable = Some(v);
+                let v = Some(rec.state.version().procedure);
+                best_any = best_any.max(v);
+                if node.core().store().servable(exp.ue) {
+                    best_servable = best_servable.max(v);
                 }
             }
         }
@@ -190,8 +235,7 @@ pub fn audit_cluster(cluster: &mut Cluster) -> AuditReport {
             && cluster
                 .sim
                 .node_as::<CtaNode>(cta_node(exp.cta))
-                .map(|n| n.core().log().replay_covers(exp.ue, base))
-                .unwrap_or(false);
+                .is_some_and(|n| n.core().log().replay_covers(exp.ue, base));
         if recoverable {
             continue;
         }
@@ -208,29 +252,11 @@ pub fn audit_cluster(cluster: &mut Cluster) -> AuditReport {
         });
     }
 
-    // Phase 3: every UPF session must belong to a known UE.
-    for &upf in &upfs {
-        if !cluster.sim.is_up(upf_node(upf)) {
-            continue;
-        }
-        let node = match cluster.sim.node_as::<UpfNode>(upf_node(upf)) {
-            Some(n) => n,
-            None => continue,
-        };
-        let orphans: Vec<UeId> = node
-            .core()
-            .table()
+    divergences.extend(
+        walk.orphans
             .iter()
-            .map(|(ue, _)| *ue)
-            .filter(|&ue| !known.contains_key(ue))
-            .collect();
-        report.sessions_checked += node.core().table().len() as u64;
-        divergences.extend(
-            orphans
-                .into_iter()
-                .map(|ue| Divergence::OrphanedSession { ue, upf }),
-        );
-    }
+            .map(|o| Divergence::OrphanedSession { ue: o.ue, upf: o.upf }),
+    );
 
     // Divergences accumulate from several per-node scans; impose one
     // global order so the report is byte-stable across runs and `--jobs N`.

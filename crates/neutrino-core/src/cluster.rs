@@ -14,10 +14,6 @@ use neutrino_messages::SysMsg;
 use neutrino_netsim::{FaultSpec, LinkSpec, Links, NodeId, Sim, SimConfig};
 use neutrino_upf::UpfCore;
 
-/// Merged admission-gate priority evidence: per class, the lowest token
-/// level a request was admitted at and the highest level one was shed at.
-pub type AdmissionEvidence = ([Option<u64>; 4], [Option<u64>; 4]);
-
 /// The simulator's message type: protocol traffic plus the bootstrap kick
 /// for the UE population's arrival loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -290,16 +286,6 @@ impl Cluster {
         self.sim.node_as::<UePopulation>(UEPOP_NODE)
     }
 
-    /// Total messages dropped at down or crashed nodes across the whole
-    /// deployment (the bounded-retry oracle's drop budget).
-    pub fn total_node_drops(&self) -> u64 {
-        std::iter::once(UEPOP_NODE)
-            .chain(Self::control_nodes(&self.deployment))
-            .filter_map(|id| self.sim.stats(id))
-            .map(|s| s.dropped_down + s.dropped_crash)
-            .sum()
-    }
-
     /// Extracts the UE population's results.
     pub fn take_results(&mut self) -> UePopResults {
         self.population()
@@ -353,29 +339,6 @@ impl Cluster {
         agg
     }
 
-    /// Admission-gate priority evidence, merged across regions: per class,
-    /// the lowest token level admitted at and the highest level shed at
-    /// (the `shed-priority-order` invariant's witness).
-    pub fn admission_evidence(&mut self) -> Option<AdmissionEvidence> {
-        let mut merged: Option<AdmissionEvidence> = None;
-        self.each_node::<CtaCore>(|node| {
-            let Some(gate) = node.core().admission() else { return };
-            let (admit, shed) = gate.priority_evidence();
-            let (ma, ms) = merged.get_or_insert(([None; 4], [None; 4]));
-            for i in 0..4 {
-                ma[i] = match (ma[i], admit[i]) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                ms[i] = match (ms[i], shed[i]) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-        });
-        merged
-    }
-
     /// Largest engine queue depth across the control-plane nodes (CTAs,
     /// CPFs, UPFs) — the `bounded-queue` invariant's observable. The UE
     /// population node is excluded: it models the device fleet, not a
@@ -393,13 +356,6 @@ impl Cluster {
         let mut agg = CpfMetrics::default();
         self.each_node::<CpfCore>(|node| agg.merge(&node.core().metrics()));
         agg
-    }
-
-    /// Misrouted `SysMsg`s the UPFs counted.
-    pub fn upf_unexpected_msgs(&mut self) -> u64 {
-        let mut total = 0;
-        self.each_node::<UpfCore>(|node| total += node.core().unexpected_msgs());
-        total
     }
 }
 

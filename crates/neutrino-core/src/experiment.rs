@@ -2,7 +2,7 @@
 //! from pause to pause, finish into [`RunResults`].
 
 use crate::audit::{audit_cluster, AuditReport};
-use crate::cluster::{Cluster, LinkProfile, SimMsg};
+use crate::cluster::{Cluster, LinkProfile};
 use crate::config::{HandoverPolicy, SystemConfig};
 use crate::uepop::{Arrival, ProcedureWindow, UePopConfig, Workload};
 use neutrino_common::stats::{Percentiles, Summary};
@@ -12,7 +12,7 @@ use neutrino_cpf::CpfMetrics;
 use neutrino_cta::CtaMetrics;
 use neutrino_geo::RegionLayout;
 use neutrino_messages::procedures::ProcedureKind;
-use neutrino_netsim::{Chooser, SimConfig, SimStats};
+use neutrino_netsim::{SimConfig, SimStats};
 use std::collections::BTreeMap;
 
 /// A CPF failure injection.
@@ -151,8 +151,8 @@ pub fn adapt_workload(config: &SystemConfig, workload: Workload) -> Workload {
 /// Builds the cluster a spec describes: adapts the workload to the
 /// system's handover flavor, builds the deployment and schedules every
 /// [`FailureSpec`]. The first of the three steps every run takes (build →
-/// [`advance`] → [`finish`]); `neutrino-check` installs its partitions and
-/// delivery tap between build and the first advance.
+/// [`advance`] → [`finish`]); `neutrino-check` installs its partitions,
+/// delivery tap and chooser between build and the first advance.
 pub fn build(spec: ExperimentSpec) -> Cluster {
     let workload = adapt_workload(&spec.config, spec.workload);
     // Runaway-loop budget scales with the horizon: a genuine feedback loop
@@ -174,20 +174,11 @@ pub fn build(spec: ExperimentSpec) -> Cluster {
     cluster
 }
 
-/// Runs the cluster to the pause instant `until`, consulting `chooser` at
-/// every point where ≥ 2 deliveries are simultaneously enabled (small-model
-/// checking — see `Sim::run_until_chosen`). Segmented runs process the
-/// identical event stream, so a read-only look between two advances (the
-/// figures' audit, `check`'s oracles) leaves the run byte-identical.
-pub fn advance(
-    cluster: &mut Cluster,
-    until: Instant,
-    chooser: Option<&mut (dyn Chooser<SimMsg> + '_)>,
-) {
-    match chooser {
-        Some(c) => cluster.sim.run_until_chosen(until, c),
-        None => cluster.sim.run_until(until),
-    };
+/// Runs the cluster to the pause instant `until`. Segmented runs process
+/// the identical event stream, so a read-only look between two advances
+/// (the figures' audit, `check`'s oracles) leaves the run byte-identical.
+pub fn advance(cluster: &mut Cluster, until: Instant) {
+    cluster.sim.run_until(until);
 }
 
 /// Extracts everything the figures need from a finished run.
@@ -237,10 +228,10 @@ pub fn run_experiment(spec: ExperimentSpec) -> RunResults {
     let mut cluster = build(spec);
     let mut report = AuditReport::default();
     for pause in pauses {
-        advance(&mut cluster, pause, None);
+        advance(&mut cluster, pause);
         report.merge(audit_cluster(&mut cluster));
     }
-    advance(&mut cluster, horizon_end, None);
+    advance(&mut cluster, horizon_end);
     let audit = audited.then(|| {
         report.merge(audit_cluster(&mut cluster));
         report

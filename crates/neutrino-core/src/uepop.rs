@@ -302,9 +302,9 @@ impl UePopulation {
         &self.results
     }
 
-    /// Mutable access to results. Test harnesses use this to plant
-    /// counter states that exercise oracle kill-switches; production
-    /// drivers never need it.
+    /// Mutable access to results (`test-support` only). Test harnesses use
+    /// this to plant counter states that exercise oracle kill-switches.
+    #[cfg(feature = "test-support")]
     pub fn results_mut(&mut self) -> &mut UePopResults {
         &mut self.results
     }

@@ -59,17 +59,6 @@ impl SessionTable {
         self.sessions.iter_sorted()
     }
 
-    /// True when the UE's packets can flow right now.
-    pub fn active(&self, ue: UeId) -> bool {
-        matches!(
-            self.sessions.get(ue),
-            Some(Session {
-                state: SessionState::Active,
-                ..
-            })
-        )
-    }
-
     fn create(&mut self, ue: UeId, cpf: CpfId) -> SessionId {
         // Deterministic id: recovery replays and re-creates agree.
         let id = SessionId::new(ue.raw());
@@ -203,13 +192,13 @@ impl UpfCore {
         self.id
     }
 
-    /// The session table (the data plane reads it).
+    /// The session table (the audit and the oracles read it).
     pub fn table(&self) -> &SessionTable {
         &self.table
     }
 
-    /// Mutable access to the session table (the data-plane driver marks
-    /// idle transitions).
+    /// Mutable access to the session table (the cluster marks idle
+    /// transitions).
     pub fn table_mut(&mut self) -> &mut SessionTable {
         &mut self.table
     }
@@ -266,6 +255,10 @@ impl RoleCore for UpfCore {
 mod tests {
     use super::*;
 
+    fn active(upf: &UpfCore, ue: u64) -> bool {
+        upf.table().get(UeId::new(ue)).map(|s| s.state) == Some(SessionState::Active)
+    }
+
     fn req(ue: u64, op: SessionOp) -> S11Request {
         S11Request {
             ue: UeId::new(ue),
@@ -288,17 +281,17 @@ mod tests {
         };
         assert!(resp.ok);
         assert_eq!(resp.session, Some(SessionId::new(7)));
-        assert!(upf.table().active(UeId::new(7)));
+        assert!(active(&upf, 7));
 
         upf.table_mut().release(UeId::new(7));
-        assert!(!upf.table().active(UeId::new(7)));
+        assert!(!active(&upf, 7));
 
         let outs = upf.on_s11(req(7, SessionOp::Modify));
         assert!(matches!(
             &outs[0],
             UpfOutput::ToCpf { msg: SysMsg::S11Resp(r), .. } if r.ok
         ));
-        assert!(upf.table().active(UeId::new(7)));
+        assert!(active(&upf, 7));
 
         upf.on_s11(req(7, SessionOp::Delete));
         assert!(upf.table().get(UeId::new(7)).is_none());
