@@ -25,6 +25,7 @@ use crate::oracle::{Finding, Invariant, OracleCtx};
 use crate::scenario::CasePlan;
 use neutrino_core::audit::{audit_cluster, walk_ownership, Divergence};
 use neutrino_core::simnode::{cpf_node, cta_node, upf_node, CtaNode, UEPOP_NODE};
+use neutrino_core::uepop::MAX_RETRIES;
 use neutrino_core::Cluster;
 use neutrino_cta::admission::priority_order_violation;
 use std::collections::BTreeMap;
@@ -137,14 +138,15 @@ impl Invariant for NoLostProcedure {
 }
 
 /// Mid-run liveness: the retry machinery bounds how long any in-flight
-/// procedure can sit without progress — `retry_timeout × max_retries`
-/// until the UE gives up and re-attaches (which itself counts as
+/// procedure can sit without progress — `retry_timeout × (MAX_RETRIES + 1)`
+/// until the UE's deadline gives up and re-attaches (which itself counts as
 /// progress). A procedure stalled well past that bound means a timer was
 /// lost or the retry path is wedged.
 struct BoundedStall;
 
-/// Slack multiplier on top of the give-up deadline: covers timer
-/// re-arming and the re-attach hop before declaring the machinery dead.
+/// Slack multiplier on top of the give-up deadline: covers a `Reject`'s
+/// deferral, during which the UE makes no progress until it re-offers —
+/// `retry_after` plus up to `BACKOFF_CAP` (4 s) of backoff.
 const STALL_SLACK_RETRIES: u64 = 4;
 
 impl Invariant for BoundedStall {
@@ -154,7 +156,7 @@ impl Invariant for BoundedStall {
             return Vec::new();
         };
         let bound_ns = pop.config().retry_timeout.as_nanos()
-            * (pop.config().max_retries as u64 + STALL_SLACK_RETRIES);
+            * (u64::from(MAX_RETRIES) + STALL_SLACK_RETRIES);
         pop.active_procedures()
             .into_iter()
             .filter_map(|(ue, _, last_progress, retries)| {

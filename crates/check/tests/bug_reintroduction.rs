@@ -3,7 +3,7 @@
 //!
 //! The lever re-enables the pre-fix `replay_covers` contiguity scan (a
 //! phantom procedure id then reads as a permanent replay gap, so failover
-//! wrongly re-attaches and strands state). `mcheck-replay-floor` seed 18
+//! wrongly re-attaches and strands state). `mcheck-replay-floor` seed 0
 //! is the witness: under loss + a CPF crash the buggy floor logic fires
 //! `consistency` violations, while the fixed logic runs clean.
 //!
@@ -34,7 +34,7 @@ impl Drop for FlagGuard {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
 fn reintroduced_replay_floor_bug_is_caught_and_pins() {
-    let plan = small_model_plan("mcheck-replay-floor", 18).expect("registered small model");
+    let plan = small_model_plan("mcheck-replay-floor", 0).expect("registered small model");
     let opts = McheckOptions {
         bound: 2,
         max_paths: 5_000,

@@ -9,7 +9,7 @@
 //!
 //! Two cases are produced:
 //!
-//! * `mcheck-replay-floor-seed18.json` — the shrunk counterexample of the
+//! * `mcheck-replay-floor-seed0.json` — the shrunk counterexample of the
 //!   seeded run when the pre-fix replay-floor bug is re-introduced (see
 //!   `tests/bug_reintroduction.rs`). The exhaustive checker reports it on
 //!   its first, unchosen path, so its choice trace is empty. On the
@@ -31,7 +31,7 @@ fn regen_seed_mcheck_corpus() {
     let dir = corpus::corpus_dir();
 
     // Case 1: the replay-floor counterexample, shrunk under the bug.
-    let plan = small_model_plan("mcheck-replay-floor", 18).unwrap();
+    let plan = small_model_plan("mcheck-replay-floor", 0).unwrap();
     set_replay_floor_bug(true);
     let caught = explore_exhaustive(
         &plan,
@@ -40,7 +40,7 @@ fn regen_seed_mcheck_corpus() {
             max_paths: 5_000,
         },
     );
-    let violation = caught.violation.expect("seed 18 reproduces under the bug");
+    let violation = caught.violation.expect("seed 0 reproduces under the bug");
     let mut failing = plan.clone();
     failing.choice_trace = violation.trace;
     let outcome = shrink(&failing, 80);

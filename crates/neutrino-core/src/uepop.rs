@@ -80,8 +80,6 @@ struct RegionRoute {
 pub struct UePopConfig {
     /// How long a UE waits for a response before retrying.
     pub retry_timeout: Duration,
-    /// Retries before giving up and re-attaching.
-    pub max_retries: u32,
     /// Record every k-th completed PCT sample (1 = all).
     pub pct_sample_every: u64,
     /// UEs whose data-access interruption windows are recorded (the app
@@ -93,7 +91,6 @@ impl Default for UePopConfig {
     fn default() -> Self {
         UePopConfig {
             retry_timeout: Duration::from_secs(1),
-            max_retries: 2,
             pct_sample_every: 1,
             record_windows_for: BTreeSet::new(),
         }
@@ -102,6 +99,8 @@ impl Default for UePopConfig {
 
 /// Generator cores (never the bottleneck).
 const CORES: usize = 64;
+/// Retransmissions of one uplink before the UE gives up and re-attaches.
+pub const MAX_RETRIES: u32 = 2;
 /// Total retry *budget* per procedure: retransmissions, reject re-offers,
 /// and re-attach restarts all draw from it. Once spent, the UE abandons the
 /// procedure (`retries_exhausted`) instead of looping forever on a CTA that
@@ -179,8 +178,19 @@ struct Active {
     last_uplink: usize,
     /// Lifetime retry-budget charges (survives re-attach restarts).
     budget_used: u32,
-    /// Set while honoring a `Reject`: no re-offer before this instant.
-    deferred_until: Option<Instant>,
+    /// When the UE next acts unless a downlink comes first. Only [`arm`]
+    /// sets it; a retry timer firing before it was superseded.
+    deadline: Instant,
+    /// Set while honoring a `Reject`: the deadline re-offers rather than
+    /// retries.
+    deferred: bool,
+}
+
+/// Sets `a`'s one deadline `after` from now and the timer that wakes `ue`
+/// for it.
+fn arm(a: &mut Active, ue: UeId, after: Duration, out: &mut Outbox<SimMsg>) {
+    a.deadline = out.now() + after;
+    out.set_timer(after, ue.raw());
 }
 
 /// Everything the population keeps per UE: one record, one lookup per
@@ -359,10 +369,11 @@ impl UePopulation {
             last_progress: out.now(),
             last_uplink: 0,
             budget_used,
-            deferred_until: None,
+            deadline: out.now(),
+            deferred: false,
         });
         send_uplink(&self.routes, ue, rec.route, active, 0, out);
-        out.set_timer(self.config.retry_timeout, ue.raw());
+        arm(active, ue, self.config.retry_timeout, out);
     }
 
     /// Abandons `rec`'s procedure: its retry budget ran out.
@@ -458,7 +469,7 @@ impl UePopulation {
             rec.active = None;
             self.in_flight -= 1;
         } else {
-            out.set_timer(self.config.retry_timeout, ue.raw());
+            arm(active, ue, self.config.retry_timeout, out);
         }
     }
 
@@ -488,50 +499,37 @@ impl UePopulation {
         let Some(rec) = self.ues.get_mut(ue) else {
             return;
         };
-        let Some(a) = rec.active.as_mut() else {
-            return; // the procedure this timer guarded is gone
+        let Some(a) = rec.active.as_mut().filter(|a| now >= a.deadline) else {
+            return; // the procedure is gone, or a later arm superseded this timer
         };
-        let routes = &self.routes;
-        // A UE honoring a `Reject` does nothing until its deferral ends;
-        // then it re-offers the shed procedure start (already charged to
-        // the budget when the Reject arrived).
-        if let Some(t) = a.deferred_until {
-            if now < t {
-                out.set_timer(t.saturating_since(now), ue.raw());
+        if a.deferred {
+            // The `Reject`'s deferral is over: re-offer the shed procedure
+            // start (already charged to the budget when the Reject arrived).
+            a.deferred = false;
+            a.last_progress = now;
+        } else {
+            a.retries += 1;
+            if a.retries > MAX_RETRIES {
+                // One silent procedure can be overload; two consecutive dead
+                // re-attach attempts mean the CTA itself is gone — scenario 4
+                // (§4.2.5): re-attach through the next one.
+                rec.give_ups += 1;
+                if rec.give_ups >= 2 {
+                    rec.route = (rec.route + 1) % self.routes.len().max(1);
+                }
+                self.on_ask_re_attach(ue, out);
                 return;
             }
-            a.deferred_until = None;
-            a.last_progress = now;
-            self.results.retransmissions += 1;
-            send_uplink(routes, ue, rec.route, a, a.last_uplink, out);
-            out.set_timer(self.config.retry_timeout, ue.raw());
-            return;
-        }
-        if now.saturating_since(a.last_progress) < self.config.retry_timeout {
-            out.set_timer(self.config.retry_timeout, ue.raw());
-            return;
-        }
-        a.retries += 1;
-        if a.retries > self.config.max_retries {
-            // One silent procedure can be overload; two consecutive dead
-            // re-attach attempts mean the CTA itself is gone — scenario 4
-            // (§4.2.5): re-attach through the next one.
-            rec.give_ups += 1;
-            if rec.give_ups >= 2 {
-                rec.route = (rec.route + 1) % routes.len().max(1);
+            // Retransmit the last uplink — one budget charge per resend.
+            a.budget_used += 1;
+            if a.budget_used > MAX_ATTEMPTS {
+                Self::abandon(rec, &mut self.in_flight, &mut self.results);
+                return;
             }
-            self.on_ask_re_attach(ue, out);
-            return;
-        }
-        // Retransmit the last uplink — one budget charge per resend.
-        a.budget_used += 1;
-        if a.budget_used > MAX_ATTEMPTS {
-            Self::abandon(rec, &mut self.in_flight, &mut self.results);
-            return;
         }
         self.results.retransmissions += 1;
-        send_uplink(routes, ue, rec.route, a, a.last_uplink, out);
-        out.set_timer(self.config.retry_timeout, ue.raw());
+        send_uplink(&self.routes, ue, rec.route, a, a.last_uplink, out);
+        arm(a, ue, self.config.retry_timeout, out);
     }
 
     /// The CTA's admission gate shed this UE's procedure start. Honor the
@@ -568,10 +566,10 @@ impl UePopulation {
         ) % jitter_window;
         let wait = Duration::from_millis(retry_after_ms)
             + Duration::from_nanos(expo_ns / 2 + jitter_ns);
-        a.deferred_until = Some(now + wait);
+        a.deferred = true;
         a.last_progress = now;
         a.retries = 0;
-        out.set_timer(wait, ue.raw());
+        arm(a, ue, wait, out);
     }
 
     fn pump_arrivals(&mut self, out: &mut Outbox<SimMsg>) {
@@ -619,8 +617,7 @@ impl Node<SimMsg> for UePopulation {
         match event {
             NodeEvent::Message { msg, .. } => match msg {
                 SimMsg::Kick => self.pump_arrivals(out),
-                SimMsg::Sys(SysMsg::Control(env)) => {
-                    debug_assert_eq!(env.direction, Direction::Downlink);
+                SimMsg::Sys(SysMsg::Control(env)) if env.direction == Direction::Downlink => {
                     self.on_downlink(env, out);
                 }
                 SimMsg::Sys(SysMsg::AskReAttach { ue }) => {
@@ -629,7 +626,8 @@ impl Node<SimMsg> for UePopulation {
                 SimMsg::Sys(SysMsg::Reject { ue, retry_after_ms, .. }) => {
                     self.on_reject(ue, retry_after_ms, out);
                 }
-                // A misrouted SysMsg is counted, not dropped: a checked case fails on it.
+                // A misrouted SysMsg, an uplink `Control` too, is counted, not
+                // dropped: a checked case fails on it.
                 _ => self.results.unexpected_msgs += 1,
             },
             NodeEvent::Timer { id: ARRIVAL_TIMER } => self.pump_arrivals(out),
@@ -715,7 +713,7 @@ mod tests {
     #[test]
     fn a_ue_record_keeps_no_envelope() {
         // Pinned: a run holds one slab entry per UE it ever saw.
-        assert_eq!(std::mem::size_of::<(UeId, UeRecord)>(), 104);
+        assert_eq!(std::mem::size_of::<(UeId, UeRecord)>(), 96);
     }
 
     /// A CTA that records every uplink and answers only the first
@@ -753,43 +751,64 @@ mod tests {
     #[test]
     fn a_retransmission_is_the_uplink_it_repeats() {
         let kind = ProcedureKind::InitialAttach;
-        // Unanswered, the UE repeats step 0; answered once, step 2.
-        for (answer, step) in [(0, 0), (1, 2)] {
-            let config = UePopConfig {
-                max_retries: 10,
-                ..UePopConfig::default()
-            };
+        // Answered 0, 1 or 2 times, the UE repeats step 0, 2 or 4: one
+        // resend per `retry_timeout` from its last progress at ≈ 0 s, and a
+        // re-attach only at ≈ 3 s.
+        for (answer, step) in [(0, 0), (1, 2), (2, 4)] {
             let ue = UeId::new(7);
             let arrival = Arrival { at: Instant::ZERO, ue, kind };
             let silent = SilentCta { seen: Vec::new(), answer };
+            let config = UePopConfig::default();
             let mut sim =
                 population_sim(&SystemConfig::neutrino(), config, vec![arrival], silent);
-            sim.run_until(Instant::from_millis(3_500));
+            sim.run_until(Instant::from_millis(2_500));
             let seen = std::mem::take(&mut sim.node_as::<SilentCta>(cta()).unwrap().seen);
             let repeated = &seen[answer..];
             let first = &repeated[0];
             assert_eq!(first.msg.kind(), kind.template().steps[step].kind);
             assert_eq!((first.ue, first.procedure, first.bs), (ue, ProcedureId::new(1), BsId::new(7)));
             assert!(repeated.iter().all(|env| env == first), "{repeated:?}");
-            let pop = sim.node_as::<UePopulation>(UEPOP_NODE).unwrap();
-            let resent = pop.results().retransmissions;
-            assert!(resent >= 2);
-            assert_eq!(resent as usize, repeated.len() - 1);
+            let results = sim.node_as::<UePopulation>(UEPOP_NODE).unwrap().results();
+            assert_eq!((results.retransmissions, results.re_attached), (2, 0), "{answer} answers");
+            assert_eq!(repeated.len(), 3);
         }
+        // One reject, then silence: the re-offer's deadline supersedes the
+        // start's, so the UE resends at re-offer + 1 s and + 2 s and gives
+        // up only at + 3 s.
+        let gated = SystemConfig::neutrino().with_admission(AdmissionParams::for_rate(1_000));
+        let arrival = Arrival { at: Instant::ZERO, ue: UeId::new(7), kind };
+        let gate = GateCta { rejects: 1, arrivals: Vec::new() };
+        let config = UePopConfig::default();
+        let timeout = config.retry_timeout;
+        let mut sim = population_sim(&gated, config, vec![arrival], gate);
+        sim.run_until(Instant::from_millis(2_600));
+        let arrivals = std::mem::take(&mut sim.node_as::<GateCta>(cta()).unwrap().arrivals);
+        assert_eq!(arrivals.len(), 4, "{arrivals:?}");
+        for pair in arrivals[1..].windows(2) {
+            assert_eq!(pair[1].saturating_since(pair[0]), timeout, "{arrivals:?}");
+        }
+        let results = sim.node_as::<UePopulation>(UEPOP_NODE).unwrap().results();
+        assert_eq!((results.retransmissions, results.re_attached), (3, 0));
     }
 
     #[test]
     fn misrouted_sysmsg_is_counted_not_swallowed() {
         // The flow contract says the UE side never receives MigrationAck (it
-        // is a CPF→CPF message) — it must land in the counter, not vanish.
-        let silent = SilentCta { seen: Vec::new(), answer: 0 };
-        let config = UePopConfig::default();
-        let mut sim = population_sim(&SystemConfig::neutrino(), config, Vec::new(), silent);
-        let misrouted = SimMsg::Sys(SysMsg::MigrationAck { ue: UeId::new(7) });
-        sim.inject_at(Instant::ZERO, UEPOP_NODE, misrouted);
-        sim.run_until(Instant::from_millis(1));
-        let pop = sim.node_as::<UePopulation>(UEPOP_NODE).unwrap();
-        assert_eq!(pop.results().unexpected_msgs, 1);
+        // is a CPF→CPF message) nor an uplink — each must land in the
+        // counter, not vanish or panic.
+        let ue = UeId::new(7);
+        let kind = ProcedureKind::InitialAttach;
+        let body = Payload::sample(kind.template().steps[0].kind, ue.raw());
+        let uplink = Envelope::uplink(ue, ProcedureId::new(1), kind, body);
+        for misrouted in [SysMsg::MigrationAck { ue }, SysMsg::Control(uplink)] {
+            let silent = SilentCta { seen: Vec::new(), answer: 0 };
+            let config = UePopConfig::default();
+            let mut sim = population_sim(&SystemConfig::neutrino(), config, Vec::new(), silent);
+            sim.inject_at(Instant::ZERO, UEPOP_NODE, SimMsg::Sys(misrouted));
+            sim.run_until(Instant::from_millis(1));
+            let pop = sim.node_as::<UePopulation>(UEPOP_NODE).unwrap();
+            assert_eq!(pop.results().unexpected_msgs, 1);
+        }
     }
 
     /// The `retry_after` a [`GateCta`] sends.

@@ -27,7 +27,6 @@ fn build(config: SystemConfig, ues: u64, retry_ms: u64) -> Cluster {
     }
     let mut uecfg = UePopConfig {
         retry_timeout: Duration::from_millis(retry_ms),
-        max_retries: 1,
         ..Default::default()
     };
     for u in 0..ues {
