@@ -20,20 +20,29 @@ use std::fmt;
 
 /// UE id → value.
 ///
-/// Values live densely in a slab; a linear-probing index of packed
-/// `(hash tag, slab slot)` words finds them. A lookup touches the index
-/// (8 bytes per entry, cache-resident at simulation scale) and then exactly
-/// one slab entry.
-#[derive(Clone)]
+/// Values live densely in a slab of fixed-size chunks; a linear-probing
+/// index of packed `(hash tag, slab slot)` words finds them. A lookup touches
+/// the index (8 bytes per entry, cache-resident at simulation scale) and then
+/// exactly one slab entry.
 pub struct UeMap<V> {
     /// Open-addressed index, empty or a power of two long, at most ¾ full.
     /// `0` marks a free position; an occupied one holds
     /// `tag << 32 | slot + 1`, and its home position is `tag & mask`.
     index: Vec<u64>,
     /// The entries, in no meaningful order (`remove` swaps the last one into
-    /// the hole).
-    slots: Vec<(UeId, V)>,
+    /// the hole): slot `s` is entry `s % CHUNK` of chunk `s / CHUNK`. Every
+    /// chunk is allocated once, at `CHUNK` entries, all but the last are
+    /// full, and an emptied last one is freed, so the slab never copies
+    /// itself and wastes at most one partial chunk.
+    chunks: Vec<Vec<Item<V>>>,
 }
+
+/// One slab entry.
+type Item<V> = (UeId, V);
+
+/// Slab entries per chunk: a power of two, so a slot splits into chunk and
+/// entry by a shift and a mask.
+const CHUNK: usize = 256;
 
 /// The upper half of the UE id's hash.
 #[inline]
@@ -71,7 +80,23 @@ impl<V> Default for UeMap<V> {
     fn default() -> Self {
         UeMap {
             index: Vec::new(),
-            slots: Vec::new(),
+            chunks: Vec::new(),
+        }
+    }
+}
+
+/// A clone's chunks are allocated at full capacity too, so it grows without
+/// reallocating one.
+impl<V: Clone> Clone for UeMap<V> {
+    fn clone(&self) -> Self {
+        let chunks = self.chunks.iter().map(|c| {
+            let mut copy = Vec::with_capacity(CHUNK);
+            copy.extend_from_slice(c);
+            copy
+        });
+        UeMap {
+            index: self.index.clone(),
+            chunks: chunks.collect(),
         }
     }
 }
@@ -84,12 +109,26 @@ impl<V> UeMap<V> {
 
     /// Number of UEs held.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
     }
 
     /// True when no UE is held.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.chunks.is_empty()
+    }
+
+    /// The entry in slab slot `slot`.
+    #[inline]
+    fn at(&self, slot: usize) -> &Item<V> {
+        &self.chunks[slot / CHUNK][slot % CHUNK]
+    }
+
+    /// The entry in slab slot `slot`, for writing.
+    #[inline]
+    fn at_mut(&mut self, slot: usize) -> &mut Item<V> {
+        &mut self.chunks[slot / CHUNK][slot % CHUNK]
     }
 
     /// `(index position, slab slot)` of `ue`, probing from its home.
@@ -104,7 +143,7 @@ impl<V> UeMap<V> {
             if word == 0 {
                 return None;
             }
-            if (word >> 32) as u32 == tag && self.slots[slot_of(word)].0 == ue {
+            if (word >> 32) as u32 == tag && self.at(slot_of(word)).0 == ue {
                 return Some((pos, slot_of(word)));
             }
             pos = (pos + 1) & mask;
@@ -114,13 +153,13 @@ impl<V> UeMap<V> {
     /// The value held for `ue`.
     pub fn get(&self, ue: UeId) -> Option<&V> {
         let (_, slot) = self.find(ue, tag_of(ue))?;
-        Some(&self.slots[slot].1)
+        Some(&self.at(slot).1)
     }
 
     /// The value held for `ue`, for writing.
     pub fn get_mut(&mut self, ue: UeId) -> Option<&mut V> {
         let (_, slot) = self.find(ue, tag_of(ue))?;
-        Some(&mut self.slots[slot].1)
+        Some(&mut self.at_mut(slot).1)
     }
 
     /// Whether a value is held for `ue`.
@@ -132,7 +171,7 @@ impl<V> UeMap<V> {
     pub fn entry(&mut self, ue: UeId) -> Entry<'_, V> {
         let tag = tag_of(ue);
         match self.find(ue, tag) {
-            Some((_, slot)) => Entry::Occupied(&mut self.slots[slot].1),
+            Some((_, slot)) => Entry::Occupied(&mut self.at_mut(slot).1),
             None => Entry::Vacant(VacantEntry { map: self, ue, tag }),
         }
     }
@@ -152,18 +191,25 @@ impl<V> UeMap<V> {
     pub fn remove(&mut self, ue: UeId) -> Option<V> {
         let (pos, slot) = self.find(ue, tag_of(ue))?;
         self.unlink(pos);
-        let (_, value) = self.slots.swap_remove(slot);
-        if let Some((moved, _)) = self.slots.get(slot) {
-            // The former last entry now lives in `slot`: repoint its word.
-            let tag = tag_of(*moved);
-            let old = pack(tag, self.slots.len());
-            let mask = self.index.len() - 1;
-            let mut pos = tag as usize & mask;
-            while self.index[pos] != old {
-                pos = (pos + 1) & mask;
-            }
-            self.index[pos] = pack(tag, slot);
+        let last_chunk = self.chunks.last_mut()?;
+        let last = last_chunk.pop()?;
+        if last_chunk.is_empty() {
+            self.chunks.pop();
         }
+        let moved_from = self.len();
+        if slot == moved_from {
+            return Some(last.1);
+        }
+        // The former last entry now lives in `slot`: repoint its word.
+        let tag = tag_of(last.0);
+        let (_, value) = std::mem::replace(self.at_mut(slot), last);
+        let old = pack(tag, moved_from);
+        let mask = self.index.len() - 1;
+        let mut pos = tag as usize & mask;
+        while self.index[pos] != old {
+            pos = (pos + 1) & mask;
+        }
+        self.index[pos] = pack(tag, slot);
         Some(value)
     }
 
@@ -199,7 +245,7 @@ impl<V> UeMap<V> {
     /// so no caller can come to depend on the layout. Costs one sort of the
     /// entry references per call: for audits and scans, not per message.
     pub fn iter_sorted(&self) -> impl Iterator<Item = (&UeId, &V)> {
-        let mut view: Vec<&(UeId, V)> = self.slots.iter().collect();
+        let mut view: Vec<&Item<V>> = self.chunks.iter().flatten().collect();
         view.sort_unstable_by_key(|entry| entry.0);
         view.into_iter().map(|entry| (&entry.0, &entry.1))
     }
@@ -207,7 +253,7 @@ impl<V> UeMap<V> {
     /// Every value, for writing, in no particular order: only for updates
     /// whose result does not depend on the order they are applied in.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.slots.iter_mut().map(|entry| &mut entry.1)
+        self.chunks.iter_mut().flatten().map(|entry| &mut entry.1)
     }
 }
 
@@ -254,13 +300,17 @@ impl<'a, V> VacantEntry<'a, V> {
     /// Stores `value` for the UE and hands it back.
     pub fn insert(self, value: V) -> &'a mut V {
         let VacantEntry { map, ue, tag } = self;
-        if (map.slots.len() + 1) * 4 > map.index.len() * 3 {
+        let slot = map.len();
+        if (slot + 1) * 4 > map.index.len() * 3 {
             map.grow();
         }
-        let slot = map.slots.len();
         place(&mut map.index, pack(tag, slot));
-        map.slots.push((ue, value));
-        &mut map.slots[slot].1
+        if slot % CHUNK == 0 {
+            map.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        let last = &mut map.chunks[slot / CHUNK];
+        last.push((ue, value));
+        &mut last[slot % CHUNK].1
     }
 }
 
@@ -304,6 +354,67 @@ mod tests {
         *m.entry(UeId::new(9)).or_default() += 1;
         assert_eq!(m.get(UeId::new(9)), Some(&2));
         assert_eq!(m.len(), 1);
+    }
+
+    /// The sorted view, as a model's iteration.
+    fn sorted<V: Clone>(m: &UeMap<V>) -> Vec<(UeId, V)> {
+        m.iter_sorted().map(|(&ue, v)| (ue, v.clone())).collect()
+    }
+
+    #[test]
+    fn chunks_fill_then_free_as_the_map_drains() {
+        // Past three chunks, then removed in a seeded order down to empty:
+        // the swap into each hole crosses chunk boundaries, and every chunk
+        // is allocated once at full capacity and freed once it empties.
+        let n = 3 * CHUNK + CHUNK / 2;
+        let ues: Vec<UeId> = (0..n as u64).map(|i| UeId::new(splitmix64(i))).collect();
+        let mut m = UeMap::new();
+        let mut model = std::collections::BTreeMap::new();
+        let check_chunks = |m: &UeMap<usize>| {
+            assert_eq!(m.chunks.len(), m.len().div_ceil(CHUNK));
+            assert!(m.chunks.iter().all(|c| c.capacity() == CHUNK));
+        };
+        for (i, &ue) in ues.iter().enumerate() {
+            m.insert(ue, i);
+            model.insert(ue, i);
+            check_chunks(&m);
+            if m.len() % CHUNK == 0 {
+                assert_eq!(sorted(&m), model.clone().into_iter().collect::<Vec<_>>());
+            }
+        }
+        let mut order = ues;
+        let mut state = 7;
+        for i in (1..order.len()).rev() {
+            state = splitmix64(state);
+            order.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        for (k, &gone) in order.iter().enumerate() {
+            assert_eq!(m.remove(gone), model.remove(&gone));
+            for kept in &order[k + 1..] {
+                assert_eq!(m.get(*kept), model.get(kept), "after removing {k} UEs");
+            }
+            check_chunks(&m);
+            if m.len() % CHUNK == 0 {
+                assert_eq!(sorted(&m), model.clone().into_iter().collect::<Vec<_>>());
+            }
+        }
+        assert!(m.is_empty() && m.chunks.is_empty());
+    }
+
+    #[test]
+    fn a_clone_grows_into_its_partial_chunk() {
+        let mut m = UeMap::new();
+        for i in 0..CHUNK as u64 + 5 {
+            m.insert(UeId::new(i), i);
+        }
+        let mut copy = m.clone();
+        let partial = copy.chunks[1].as_ptr();
+        for i in CHUNK as u64 + 5..2 * CHUNK as u64 {
+            copy.insert(UeId::new(i), i);
+        }
+        assert_eq!(copy.chunks[1].as_ptr(), partial, "the partial chunk moved");
+        assert!(copy.chunks.iter().all(|c| c.capacity() == CHUNK));
+        assert_eq!(sorted(&copy)[..m.len()], sorted(&m)[..]);
     }
 
     #[test]

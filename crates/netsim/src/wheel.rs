@@ -5,8 +5,10 @@
 //! pair — so every golden snapshot and corpus replay stays byte-identical.
 //! The win is constant-time scheduling for near-future events (the common
 //! case: link delays and service times of a few microseconds) instead of
-//! `O(log n)` sift costs, and recycled bucket buffers so the steady state
-//! allocates nothing per event.
+//! `O(log n)` sift costs, and level-0/1 bucket buffers that are recycled,
+//! so the steady state allocates nothing per event. A level-2/3 bucket
+//! frees its storage as it cascades, so a far timer wave is never held
+//! twice.
 //!
 //! # Layout
 //!
@@ -95,6 +97,9 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 const LEVELS: usize = 4;
 /// Ticks covered by all levels together (deltas beyond this go to `far`).
 const SPAN_TICKS: u64 = 1 << (LEVEL_BITS * LEVELS as u32);
+/// Events a level-2/3 cascade re-places between two returns of its
+/// bucket's storage.
+const DRAIN_STEP: usize = 4096;
 
 /// One wheel level: 256 buckets plus an occupancy bitmap for skip-scans.
 struct Level<T> {
@@ -347,9 +352,13 @@ impl<T> Wheel<T> {
         None
     }
 
-    /// Drains a level slot, re-placing each event relative to the new
-    /// cursor. Re-placed events land strictly below `level` (or in spill
-    /// when due exactly now). The emptied buffer keeps its capacity.
+    /// Drains a level slot from the back, re-placing each event relative to
+    /// the new cursor. Re-placed events land strictly below `level` (or in
+    /// spill when due exactly now). A level-1 bucket keeps its capacity for
+    /// the next rotation, 16.8 ms later. A level-2 or level-3 bucket, next
+    /// used a rotation (4.3 s or 18 min) later, gives its storage back every
+    /// `DRAIN_STEP` events, so the buckets it fills grow into memory it
+    /// frees, and it keeps none.
     fn cascade(&mut self, level: usize, slot: usize) {
         if !self.levels[level].is_set(slot) {
             return;
@@ -357,10 +366,15 @@ impl<T> Wheel<T> {
         self.levels[level].clear(slot);
         let mut drained = std::mem::take(&mut self.levels[level].slots[slot]);
         self.in_wheels -= drained.len();
-        for (key, item) in drained.drain(..) {
+        while let Some((key, item)) = drained.pop() {
             self.place(key, item);
+            if level > 1 && drained.len().is_multiple_of(DRAIN_STEP) {
+                drained.shrink_to_fit();
+            }
         }
-        self.levels[level].slots[slot] = drained;
+        if level == 1 {
+            self.levels[level].slots[slot] = drained;
+        }
     }
 
     /// Advances the cursor to the next non-empty tick and activates it.
@@ -612,6 +626,50 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn a_far_cascade_keeps_no_capacity() {
+        // An attach-burst shape: 12 000 near events, each of which arms a
+        // timer 2 s (level 2) and one 120 s (level 3) after it fires. The
+        // pop order stays the reference heap's, and a level-2/3 bucket
+        // holds capacity only while its slot is occupied.
+        let near = 12_000u64;
+        let mut wheel = Wheel::new();
+        let mut heap = ReferenceHeap::new();
+        for seq in 0..near {
+            wheel.push(key(seq * 7_919, seq), seq);
+            heap.push(key(seq * 7_919, seq), seq);
+        }
+        let mut seq = near;
+        let mut popped = 0;
+        while let Some((k, item)) = wheel.pop() {
+            assert_eq!(
+                heap.pop(),
+                Some((k, item)),
+                "wheel diverged from reference heap"
+            );
+            if item < near {
+                for after in [2_000_000_000, 120_000_000_000] {
+                    wheel.push(key(k.at.as_nanos() + after, seq), seq);
+                    heap.push(key(k.at.as_nanos() + after, seq), seq);
+                    seq += 1;
+                }
+            }
+            popped += 1;
+            if popped % 500 == 0 || wheel.is_empty() {
+                for (l, lv) in wheel.levels.iter().enumerate().skip(2) {
+                    for (s, bucket) in lv.slots.iter().enumerate() {
+                        assert!(
+                            lv.is_set(s) || bucket.capacity() == 0,
+                            "level {l} slot {s} kept {} entries of capacity",
+                            bucket.capacity()
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!((popped, heap.pop()), (3 * near, None));
     }
 
     #[test]
