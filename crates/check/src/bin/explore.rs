@@ -4,7 +4,6 @@
 //! explore --scenario failover --seeds 500 --jobs 8
 //! explore --scenario all --seeds 1000 --corpus corpus-out
 //! explore --seeds 2 --json coverage.json
-//! explore --exhaustive --scenario mcheck-attach-failover --bound 12
 //! explore --replay crates/check/corpus/failover-seed17.json
 //! explore --list
 //! ```
@@ -17,13 +16,6 @@
 //! replay, and exits non-zero. It then prints the declared flow edges no
 //! case witnessed (advisory); `--json` writes that coverage report.
 //!
-//! `--exhaustive` switches from seed sweeping to small-model interleaving
-//! checking: one plan (`--start-seed` picks the seed), every schedule of
-//! its contended deliveries up to `--bound` branch points. The run is
-//! single-threaded and fully deterministic — the report (and `--json`
-//! output) is byte-identical across reruns. A violating interleaving is
-//! pinned to the corpus with its choice trace.
-//!
 //! Each mode reads its own flags ([`mode_flags`]); any other flag fails the
 //! run rather than being silently ignored.
 
@@ -31,9 +23,9 @@ use neutrino_bench::sweep::{self, run_cells, Cell};
 use neutrino_check::corpus::{self, CorpusCase};
 use neutrino_check::flowcov::CoverageReport;
 use neutrino_check::run::{run_case, CheckReport};
-use neutrino_check::scenario::{plan_by_name, CasePlan, Scenario, SMALL_MODEL_NAMES};
+use neutrino_check::scenario::{CasePlan, Scenario};
 use neutrino_check::shrink::shrink;
-use neutrino_check::{explore_exhaustive, McheckOptions, CATALOG};
+use neutrino_check::CATALOG;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -48,15 +40,11 @@ struct Args {
     shrink_budget: u64,
     replay: Option<PathBuf>,
     list: bool,
-    exhaustive: bool,
-    bound: Option<usize>,
-    max_paths: Option<u64>,
     json: Option<PathBuf>,
 }
 
 const USAGE: &str = "usage: explore [--scenario NAME|all] [--seeds N] [--start-seed S] \
-[--jobs J] [--corpus DIR] [--shrink-budget R] [--replay FILE] [--list] \
-[--exhaustive] [--bound B] [--max-paths P] [--json FILE]";
+[--jobs J] [--corpus DIR] [--shrink-budget R] [--replay FILE] [--list] [--json FILE]";
 
 /// The mode the flags select, and the other flags that mode reads.
 fn mode_flags(args: &Args) -> (&'static str, &'static str) {
@@ -64,9 +52,6 @@ fn mode_flags(args: &Args) -> (&'static str, &'static str) {
         ("--list", "")
     } else if args.replay.is_some() {
         ("--replay", "")
-    } else if args.exhaustive {
-        let reads = "--scenario --start-seed --bound --max-paths --json --corpus --shrink-budget";
-        ("--exhaustive", reads)
     } else {
         let reads = "--scenario --seeds --start-seed --jobs --corpus --shrink-budget --json";
         ("a seed sweep", reads)
@@ -102,9 +87,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--shrink-budget" => args.shrink_budget = value(name, it.next())?,
             "--replay" => args.replay = Some(value(name, it.next())?),
             "--list" => args.list = true,
-            "--exhaustive" => args.exhaustive = true,
-            "--bound" => args.bound = Some(value(name, it.next())?),
-            "--max-paths" => args.max_paths = Some(value(name, it.next())?),
             "--json" => args.json = Some(value(name, it.next())?),
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -117,9 +99,6 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let (mode, reads) = mode_flags(&args);
     if let Some(flag) = given.iter().find(|&f| f != mode && !reads.split(' ').any(|r| r == f)) {
         return Err(format!("{flag} does not apply to {mode}"));
-    }
-    if args.exhaustive && args.scenario == "all" {
-        return Err("--exhaustive needs a single --scenario (try --list)".into());
     }
     Ok(args)
 }
@@ -136,10 +115,6 @@ fn list() {
     println!("scenarios:");
     for s in Scenario::all() {
         println!("  {:<18} {} [{}]", s.name, s.summary, s.system);
-    }
-    println!("small models (--exhaustive):");
-    for name in SMALL_MODEL_NAMES {
-        println!("  {name}");
     }
     println!("invariants:");
     for row in CATALOG {
@@ -235,89 +210,6 @@ fn pin_failure(plan: &CasePlan, dir: &Path, budget: u64) -> PathBuf {
     path
 }
 
-/// Machine-readable exhaustive-run summary (`--json`); byte-identical
-/// across reruns of the same invocation.
-#[derive(serde::Serialize)]
-struct ExhaustiveSummary {
-    scenario: String,
-    seed: u64,
-    bound: usize,
-    max_paths: u64,
-    paths_explored: u64,
-    max_frontier: u64,
-    pruned_independent: u64,
-    identity_choice_points: u64,
-    truncated: bool,
-    violations: u64,
-}
-
-/// Runs the small-model exhaustive checker on one named plan.
-fn run_exhaustive(args: &Args, corpus_dir: &Path) -> ExitCode {
-    let Some(mut plan) = plan_by_name(&args.scenario, args.start_seed) else {
-        eprintln!("error: unknown scenario `{}` (try --list)", args.scenario);
-        return ExitCode::FAILURE;
-    };
-    let defaults = McheckOptions::default();
-    let opts = McheckOptions {
-        bound: args.bound.unwrap_or(defaults.bound),
-        max_paths: args.max_paths.unwrap_or(defaults.max_paths),
-    };
-    println!(
-        "exhaustive {} (seed {}, bound {}, max paths {})",
-        plan.scenario, plan.seed, opts.bound, opts.max_paths
-    );
-    let outcome = explore_exhaustive(&plan, &opts);
-    let s = &outcome.stats;
-    println!(
-        "  {} paths explored, max frontier {}, {} pruned independent, \
-         {} identity choice points{}",
-        s.paths_explored,
-        s.max_frontier,
-        s.pruned_independent,
-        s.identity_choice_points,
-        if s.truncated { " (TRUNCATED at --max-paths)" } else { "" }
-    );
-    let summary = ExhaustiveSummary {
-        scenario: plan.scenario.clone(),
-        seed: plan.seed,
-        bound: opts.bound,
-        max_paths: opts.max_paths,
-        paths_explored: s.paths_explored,
-        max_frontier: s.max_frontier,
-        pruned_independent: s.pruned_independent,
-        identity_choice_points: s.identity_choice_points,
-        truncated: s.truncated,
-        violations: outcome
-            .violation
-            .as_ref()
-            .map(|v| v.report.fingerprint.violations)
-            .unwrap_or(0),
-    };
-    if let Some(path) = &args.json {
-        let json = serde_json::to_string_pretty(&summary).expect("summary serializes");
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    match outcome.violation {
-        None => {
-            println!("  clean: no interleaving within the bound fires an invariant");
-            ExitCode::SUCCESS
-        }
-        Some(v) => {
-            println!(
-                "  FAILED: interleaving {:?} fires {} violations",
-                v.trace, v.report.fingerprint.violations
-            );
-            print_violations(&v.report);
-            plan.choice_trace = v.trace;
-            pin_failure(&plan, corpus_dir, args.shrink_budget);
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// Sweeps `args.seeds` seeds of every scenario; on a failure, shrinks and
 /// pins the lowest failing seed. Then diffs the merged flow witness
 /// against the registry: dead declared edges are advisory.
@@ -407,9 +299,6 @@ fn main() -> ExitCode {
         return replay(path);
     }
     let corpus_dir = args.corpus.clone().unwrap_or_else(corpus::corpus_dir);
-    if args.exhaustive {
-        return run_exhaustive(&args, &corpus_dir);
-    }
     let Some(scenarios) = scenarios(&args) else {
         eprintln!("error: unknown scenario `{}` (try --list)", args.scenario);
         return ExitCode::FAILURE;
@@ -430,39 +319,30 @@ mod tests {
         for line in [
             "--seeds 2 --jobs 1 --json sweep-j1.json",
             "--seeds 2 --jobs 2 --json sweep-j2.json",
-            "--scenario mcheck-attach-failover --exhaustive --bound 6 --json mc1.json",
-            "--scenario mcheck-attach-failover --exhaustive --bound 6 --json mc2.json",
             "--scenario failover --seeds 1000 --jobs 8 --corpus corpus-out",
             "--scenario iot-burst-storm --seeds 500 --jobs 8 --corpus corpus-out",
-            "--scenario mcheck-attach-failover --exhaustive --bound 12 \
-             --corpus corpus-out --json mcheck-nightly.json",
             "--replay crates/check/corpus/x.json",
             "--list",
         ] {
             assert!(parse(line).is_ok(), "`{line}` must parse: {:?}", parse(line).err());
         }
-        let a = parse("--exhaustive --scenario m --bound 6 --max-paths 9").unwrap();
-        assert_eq!((a.bound, a.max_paths), (Some(6), Some(9)));
     }
 
     #[test]
     fn a_flag_that_does_not_apply_fails_the_run() {
         for line in [
-            // A seed sweep reads no exhaustive flag.
-            "--bound 6",
-            "--scenario failover --max-paths 10",
-            // The exhaustive checker runs one plan on one thread.
-            "--exhaustive --scenario m --jobs 8",
-            "--exhaustive --scenario m --seeds 3",
             // `--list` and `--replay` read nothing else.
             "--list --scenario failover",
             "--replay x.json --jobs 2",
             // Two modes.
             "--list --replay x.json",
-            "--exhaustive",
+            // Bad values.
             "--jobs many",
             "--seeds",
+            // Unknown flags.
             "--frobnicate",
+            "--exhaustive --scenario failover",
+            "--bound 6",
         ] {
             assert!(parse(line).is_err(), "`{line}` must be rejected");
         }

@@ -13,8 +13,10 @@ use crate::scenario::CasePlan;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-/// One pinned regression case.
+/// One pinned regression case. Like [`CasePlan`], it rejects a field it
+/// does not name.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CorpusCase {
     /// The (shrunk) plan that reproduced the violation.
     pub plan: CasePlan,

@@ -2,7 +2,7 @@
 //!
 //! The flow registry ([`neutrino_messages::flow::FLOWS`]) declares which
 //! `(label, src role, dst role)` edges the protocol may use. Every checked
-//! case holds the code to it: [`run_case_with`](crate::run::run_case_with)
+//! case holds the code to it: [`run_case`](crate::run::run_case)
 //! installs a delivery tap that records each edge the simulator
 //! actually carries, and after the final oracle pass [`verdict`] names two
 //! kinds of breach as `flow-contract` violations:

@@ -397,7 +397,7 @@ impl Invariant for ShedPriorityOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{plan_by_name, Scenario, SMALL_MODEL_NAMES};
+    use crate::scenario::Scenario;
 
     #[test]
     fn every_catalog_name_resolves() {
@@ -415,7 +415,6 @@ mod tests {
     #[test]
     fn scenario_and_corpus_invariant_lists_resolve() {
         let mut plans: Vec<CasePlan> = Scenario::all().iter().map(|s| s.plan(0)).collect();
-        plans.extend(SMALL_MODEL_NAMES.iter().map(|n| plan_by_name(n, 0).unwrap()));
         let corpus = crate::corpus::load_dir(&crate::corpus::corpus_dir()).unwrap();
         assert!(!corpus.is_empty(), "the pinned corpus must be found");
         plans.extend(corpus.into_iter().map(|(_, case)| case.plan));

@@ -18,13 +18,9 @@
 //!   event schedule. Produces a byte-stable [`CheckReport`](run::CheckReport).
 //! * [`flowcov`] — the protocol-flow contract every checked case holds, and
 //!   the coverage report a sweep merges from the edges its cases witnessed.
-//! * [`mcheck`] — the small-model exhaustive interleaving checker: a DFS
-//!   over every schedule of simultaneously enabled deliveries (bounded by
-//!   contended-delivery count), with per-stream FIFO and sleep-set-style
-//!   independence pruning.
 //! * [`shrink`] — minimizes a failing plan (drop partitions and crashes,
-//!   zero fault rates, shorten the horizon, fewer UEs, truncate the
-//!   choice trace) while it keeps failing.
+//!   zero fault rates, shorten the horizon, fewer UEs) while it keeps
+//!   failing.
 //! * [`corpus`] — pinned regression cases under `crates/check/corpus/`:
 //!   shrunk plans that must replay clean and byte-identically on a healthy
 //!   tree.
@@ -40,7 +36,6 @@
 pub mod corpus;
 pub mod flowcov;
 pub mod invariants;
-pub mod mcheck;
 pub mod oracle;
 pub mod run;
 pub mod scenario;
@@ -48,7 +43,6 @@ pub mod shrink;
 
 pub use corpus::CorpusCase;
 pub use invariants::CATALOG;
-pub use mcheck::{explore_exhaustive, McheckOptions, McheckOutcome, McheckStats};
-pub use run::{run_case, run_case_with, CheckReport, Fingerprint, ViolationRecord};
-pub use scenario::{plan_by_name, small_model_plan, CasePlan, Scenario, SMALL_MODEL_NAMES};
+pub use run::{run_case, CheckReport, Fingerprint, ViolationRecord};
+pub use scenario::{CasePlan, Scenario};
 pub use shrink::{shrink, ShrinkOutcome};

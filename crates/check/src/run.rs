@@ -14,18 +14,16 @@
 
 use crate::flowcov::{self, Edge, FLOW_CONTRACT};
 use crate::invariants;
-use crate::mcheck::ScriptChooser;
 use crate::oracle::{Finding, Invariant, OracleCtx};
 use crate::scenario::{CasePlan, EndpointPlan};
 use neutrino_core::experiment::{self, ExperimentSpec, FailureSpec, RunResults};
 use neutrino_core::simnode::{cpf_node, cta_node};
-use neutrino_core::{Arrival, Cluster, LinkProfile, SimMsg, SystemConfig, Workload};
+use neutrino_core::{Cluster, LinkProfile, SystemConfig, Workload};
 use neutrino_common::time::{Duration, Instant};
-use neutrino_common::{CpfId, UeId};
+use neutrino_common::CpfId;
 use neutrino_cta::AdmissionParams;
-use neutrino_geo::RegionLayout;
 use neutrino_messages::procedures::ProcedureKind;
-use neutrino_netsim::{Chooser, FaultSpec};
+use neutrino_netsim::FaultSpec;
 use neutrino_trafficgen::patterns::{
     flash_crowd_reattach, iot_burst_storm, uniform_with_pool, FlashCrowdParams, IotStormParams,
     UniformParams,
@@ -193,9 +191,9 @@ pub fn kind_by_name(name: &str) -> Option<ProcedureKind> {
 /// chaos schedule is relative to (the start of the measured phase, so
 /// shrinking the attach pool keeps crash and partition times meaningful).
 ///
-/// Crash victims come from [`RegionLayout::pool`]`(0)`, region 0's CPF list
-/// by construction. Partitions have no spec field: [`run_case_with`]
-/// installs them on the built cluster.
+/// Crash victims come from `spec.layout.pool(0)`, region 0's CPF list by
+/// construction. Partitions have no spec field: [`run_case`] installs
+/// them on the built cluster.
 ///
 /// Panics on a malformed plan (unknown system, procedure kind or storm
 /// shape) — plans come from [`Scenario::plan`]
@@ -211,30 +209,12 @@ pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
             config = config.with_admission(AdmissionParams::for_rate(storm.admission_rate_pps));
         }
     }
-    // The workload: uniform-with-pool by default, the plan's storm shape,
-    // or — for small-model plans — the explicit arrival schedule verbatim.
-    // `measured_start` anchors the chaos schedule (crash/partition times
-    // are relative to it) and `horizon` covers the traffic plus the drain
-    // margin.
-    let (workload, measured_start, horizon): (Workload, Instant, Duration) = match (
-        &plan.storm,
-        &plan.small_model,
-    ) {
-        (None, Some(sm)) => {
-            let arrivals = sm
-                .arrivals
-                .iter()
-                .map(|a| Arrival {
-                    at: Instant::ZERO + Duration::from_micros(a.at_us),
-                    ue: UeId::new(a.ue),
-                    kind: kind_by_name(&a.kind)
-                        .unwrap_or_else(|| panic!("unknown procedure `{}`", a.kind)),
-                })
-                .collect();
-            let horizon = Duration::from_millis(plan.duration_ms + plan.drain_ms);
-            (Workload::from_vec(arrivals), Instant::ZERO, horizon)
-        }
-        (None, None) => {
+    // The workload: uniform-with-pool by default, or the plan's storm
+    // shape. `measured_start` anchors the chaos schedule (crash/partition
+    // times are relative to it) and `horizon` covers the traffic plus the
+    // drain margin.
+    let (workload, measured_start, horizon): (Workload, Instant, Duration) = match &plan.storm {
+        None => {
             let (w, measured_start) = uniform_with_pool(
                 UniformParams {
                     rate_pps: plan.rate_pps,
@@ -250,7 +230,7 @@ pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
                 + Duration::from_millis(plan.duration_ms + plan.drain_ms);
             (w, measured_start, horizon)
         }
-        (Some(storm), _) if storm.shape == "flash-crowd" => {
+        Some(storm) if storm.shape == "flash-crowd" => {
             let (w, sched) = flash_crowd_reattach(FlashCrowdParams {
                 ues: plan.ues,
                 first_ue: 0,
@@ -269,7 +249,7 @@ pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
                 + Duration::from_millis(plan.drain_ms);
             (w, sched.steady_start, horizon)
         }
-        (Some(storm), _) if storm.shape == "iot-burst" => {
+        Some(storm) if storm.shape == "iot-burst" => {
             let w = iot_burst_storm(IotStormParams {
                 devices: plan.ues,
                 first_ue: 0,
@@ -284,19 +264,10 @@ pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
             );
             (w, Instant::ZERO, horizon)
         }
-        (Some(storm), _) => panic!("unknown storm shape `{}`", storm.shape),
+        Some(storm) => panic!("unknown storm shape `{}`", storm.shape),
     };
-    let layout = match &plan.small_model {
-        Some(sm) => RegionLayout {
-            bss_per_region: sm.bss_per_region as usize,
-            cpfs_per_region: sm.cpfs_per_region as usize,
-            upfs_per_region: sm.upfs_per_region as usize,
-            ..RegionLayout::default()
-        },
-        None => RegionLayout::default(),
-    };
-    let cpfs: Vec<CpfId> = layout.pool(0).collect();
     let mut spec = ExperimentSpec::new(config, workload);
+    let cpfs: Vec<CpfId> = spec.layout.pool(0).collect();
     spec.failures = plan
         .crashes
         .iter()
@@ -305,7 +276,6 @@ pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
             cpf: cpfs[c.cpf_index as usize % cpfs.len()],
         })
         .collect();
-    spec.layout = layout;
     spec.horizon = horizon;
     spec.links = LinkProfile {
         jitter: Duration::from_micros(plan.jitter_us),
@@ -322,37 +292,21 @@ pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
 }
 
 /// Runs one plan to its horizon with oracle passes every
-/// `check_interval_ms`, plus a final pass after the drain.
-///
-/// Honors the plan's `choice_trace`: a non-empty trace replays the pinned
-/// interleaving through a [`ScriptChooser`]; otherwise no chooser is
-/// installed and the engine dispatches in its own order.
-pub fn run_case(plan: &CasePlan) -> CheckReport {
-    let chooser: Option<Box<dyn Chooser<SimMsg>>> = (!plan.choice_trace.is_empty())
-        .then(|| Box::new(ScriptChooser::new(&plan.choice_trace)) as _);
-    run_case_with(plan, chooser)
-}
-
-/// The full checker: one plan and an optional interleaving chooser (a
-/// [`ScriptChooser`] in replays and in the exhaustive checker), installed
-/// on the built cluster next to a delivery tap that records every
-/// delivered protocol-flow edge without perturbing the event stream. The
-/// final pass adds the flow verdict ([`flowcov::verdict`]) to the
-/// invariants' findings.
+/// `check_interval_ms`, plus a final pass after the drain. A delivery tap
+/// installed on the built cluster records every delivered protocol-flow
+/// edge without perturbing the event stream; the final pass adds the flow
+/// verdict ([`flowcov::verdict`]) to the invariants' findings.
 ///
 /// The run is [`experiment_spec`]'s spec on `experiment`'s one run path
 /// (build → advance → finish); only the pause points differ from a figure
 /// run. Panics on a malformed plan, as [`experiment_spec`] does, or on an
 /// unknown invariant or partition endpoint.
-pub fn run_case_with(plan: &CasePlan, chooser: Option<Box<dyn Chooser<SimMsg>>>) -> CheckReport {
+pub fn run_case(plan: &CasePlan) -> CheckReport {
     let (spec, measured_start) = experiment_spec(plan);
     let horizon_end = Instant::ZERO + spec.horizon;
     let mut cluster = experiment::build(spec);
     let seen: Rc<RefCell<BTreeSet<Edge>>> = Rc::default();
     cluster.sim.set_delivery_tap(flowcov::tap(Rc::clone(&seen)));
-    if let Some(chooser) = chooser {
-        cluster.sim.set_chooser(chooser);
-    }
     let region0 = &cluster.deployment.regions()[0];
     let (cta0, cpfs) = (region0.cta, region0.cpfs.clone());
     for p in &plan.partitions {

@@ -78,41 +78,13 @@ pub struct StormPlan {
     pub window_ms: u64,
 }
 
-/// One explicitly scheduled procedure start in a small-model plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ArrivalPlan {
-    /// Microseconds after the origin (small-model runs have no attach
-    /// phase; the measured clock starts at zero).
-    pub at_us: u64,
-    /// UE index.
-    pub ue: u64,
-    /// Procedure kind name (see
-    /// [`ProcedureKind::name`](neutrino_messages::procedures::ProcedureKind::name)).
-    pub kind: String,
-}
-
-/// Small-model override for exhaustive interleaving checking: a tiny
-/// fixed topology plus a hand-pinned arrival schedule that replaces the
-/// rate-based workload entirely. Arrivals are pinned to shared ticks on
-/// purpose — simultaneous deliveries are exactly what the checker
-/// enumerates, and a rate-based workload would leave tie formation to
-/// chance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SmallModelPlan {
-    /// CPFs per region (layout override; the default deployment has 5).
-    pub cpfs_per_region: u64,
-    /// Base stations per region.
-    pub bss_per_region: u64,
-    /// UPFs per region.
-    pub upfs_per_region: u64,
-    /// The explicit arrival schedule.
-    pub arrivals: Vec<ArrivalPlan>,
-}
-
 /// A fully concrete, self-contained chaos schedule: everything one checked
 /// run needs. Probabilities are parts-per-million integers so the JSON
-/// form is byte-stable.
+/// form is byte-stable. A field this struct does not name fails the load,
+/// so a pinned plan never silently replays as something other than what
+/// it pinned.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CasePlan {
     /// The scenario family this plan came from (informational).
     pub scenario: String,
@@ -154,17 +126,6 @@ pub struct CasePlan {
     /// corpus cases still parse) means the uniform workload.
     #[serde(default)]
     pub storm: Option<StormPlan>,
-    /// Interleaving replay script from the small-model checker: at the
-    /// k-th *contended* delivery choice point, dispatch the
-    /// `choice_trace[k]`-th enabled delivery; identity (lowest sequence)
-    /// beyond the end of the trace. Pre-mcheck corpus files omit the
-    /// field; parsing treats the omission as empty.
-    #[serde(default)]
-    pub choice_trace: Vec<u32>,
-    /// Small-model topology/workload override (exhaustive checking);
-    /// `None` means the rate-based workload on the default deployment.
-    #[serde(default)]
-    pub small_model: Option<SmallModelPlan>,
 }
 
 /// A stateless splitmix64 stream — the same generator family the link
@@ -539,96 +500,8 @@ impl Scenario {
             partitions,
             invariants: self.invariants.iter().map(|s| s.to_string()).collect(),
             storm,
-            choice_trace: Vec::new(),
-            small_model: None,
         }
     }
-}
-
-/// Baseline plan for the small-model registry: every fault dimension off,
-/// every field explicit so the configs below only state what they change.
-fn small_model_base(name: &str, seed: u64) -> CasePlan {
-    CasePlan {
-        scenario: name.to_string(),
-        seed,
-        system: "neutrino".to_string(),
-        kind: "initial-attach".to_string(),
-        rate_pps: 0,
-        ues: 2,
-        duration_ms: 3,
-        drain_ms: 20,
-        check_interval_ms: 1,
-        loss_ppm: 0,
-        duplicate_ppm: 0,
-        reorder_ppm: 0,
-        reorder_window_us: 0,
-        jitter_us: 0,
-        crashes: Vec::new(),
-        partitions: Vec::new(),
-        invariants: NEUTRINO_INVARIANTS.iter().map(|s| s.to_string()).collect(),
-        storm: None,
-        choice_trace: Vec::new(),
-        small_model: None,
-    }
-}
-
-/// Named small-model configurations for the exhaustive interleaving
-/// checker. These are separate from [`Scenario::all`]: a scenario is a
-/// randomization *family*, while a small-model config is one hand-built
-/// cluster state whose contended deliveries the checker enumerates — the
-/// seed only salts link-layer draws (which the healthy configs do not
-/// use), so the plans here are essentially seed-independent.
-pub fn small_model_plan(name: &str, seed: u64) -> Option<CasePlan> {
-    match name {
-        // Two UEs attach on the same tick, CPF 0 crashes, then both issue
-        // same-tick service requests that ride the failover path. Every
-        // attach step yields same-destination delivery ties at the CTA,
-        // the UE population, and the CPF, so the contended-delivery tree
-        // is deep enough to exceed 1,000 interleavings by bound 12 while
-        // each path still runs in milliseconds.
-        "mcheck-attach-failover" => {
-            let mut plan = small_model_base(name, seed);
-            plan.crashes = vec![CrashPlan { at_ms: 1, cpf_index: 0 }];
-            plan.small_model = Some(SmallModelPlan {
-                cpfs_per_region: 2,
-                bss_per_region: 1,
-                upfs_per_region: 1,
-                arrivals: vec![
-                    ArrivalPlan { at_us: 10, ue: 0, kind: "initial-attach".into() },
-                    ArrivalPlan { at_us: 10, ue: 1, kind: "initial-attach".into() },
-                    ArrivalPlan { at_us: 2_000, ue: 0, kind: "service-request".into() },
-                    ArrivalPlan { at_us: 2_000, ue: 1, kind: "service-request".into() },
-                ],
-            });
-            Some(plan)
-        }
-        // Rate-based two-UE run under heavy loss with a mid-run CPF
-        // crash: the regression model for the PR 4 `replay_floor` fix.
-        // Loss makes fault draws depend on dispatch order, so the checker
-        // runs this config with independence pruning off (every branch is
-        // a genuinely different run).
-        "mcheck-replay-floor" => {
-            let mut plan = small_model_base(name, seed);
-            plan.kind = "service-request".to_string();
-            plan.rate_pps = 50;
-            plan.duration_ms = 3_000;
-            plan.drain_ms = 12_000;
-            plan.loss_ppm = 200_000;
-            plan.crashes = vec![CrashPlan { at_ms: 1_800, cpf_index: 0 }];
-            plan.invariants = vec!["consistency".to_string()];
-            Some(plan)
-        }
-        _ => None,
-    }
-}
-
-/// Names registered in [`small_model_plan`], for `explore --list`.
-pub const SMALL_MODEL_NAMES: &[&str] = &["mcheck-attach-failover", "mcheck-replay-floor"];
-
-/// Resolves a plan by name: small-model registry first, then the scenario
-/// families.
-pub fn plan_by_name(name: &str, seed: u64) -> Option<CasePlan> {
-    small_model_plan(name, seed).or_else(|| Scenario::by_name(name).map(|s| s.plan(seed)))
 }
 
 #[cfg(test)]
@@ -660,35 +533,6 @@ mod tests {
             let back: CasePlan = serde_json::from_str(&json).unwrap();
             assert_eq!(back, plan);
         }
-    }
-
-    #[test]
-    fn pre_mcheck_json_without_new_fields_still_parses() {
-        // A corpus file pinned before `choice_trace`/`small_model` existed
-        // omits both keys; parsing must fill in the defaults.
-        let plan = Scenario::by_name("failover").unwrap().plan(3);
-        let json = serde_json::to_string_pretty(&plan)
-            .unwrap()
-            .replace(",\n  \"choice_trace\": []", "")
-            .replace(",\n  \"small_model\": null", "");
-        assert!(!json.contains("choice_trace"), "test setup: key not stripped");
-        let back: CasePlan = serde_json::from_str(&json).unwrap();
-        assert!(back.choice_trace.is_empty());
-        assert!(back.small_model.is_none());
-        assert_eq!(back, plan);
-    }
-
-    #[test]
-    fn small_model_registry_resolves_and_round_trips() {
-        for name in SMALL_MODEL_NAMES {
-            let plan = plan_by_name(name, 0).unwrap();
-            assert_eq!(&plan.scenario, name);
-            let json = serde_json::to_string_pretty(&plan).unwrap();
-            let back: CasePlan = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, plan);
-        }
-        assert!(small_model_plan("failover", 0).is_none());
-        assert!(plan_by_name("failover", 0).is_some());
     }
 
     #[test]

@@ -40,33 +40,8 @@ pub struct ShrinkOutcome {
 
 /// Every single-step reduction of `plan`, in fixed order: structural
 /// removals first (they shrink the *explanation*), size reductions last.
-/// A choice trace shrinks before everything else — a shorter or
-/// more-identity trace is a simpler interleaving story even when no fault
-/// dimension can move.
 fn candidates(plan: &CasePlan) -> Vec<CasePlan> {
     let mut out = Vec::new();
-    if !plan.choice_trace.is_empty() {
-        // Drop the whole trace (maybe the identity schedule fails too),
-        // halve it, pop the last entry, and zero each non-identity pick.
-        let mut c = plan.clone();
-        c.choice_trace.clear();
-        out.push(c);
-        if plan.choice_trace.len() > 1 {
-            let mut c = plan.clone();
-            c.choice_trace.truncate(plan.choice_trace.len() / 2);
-            out.push(c);
-            let mut c = plan.clone();
-            c.choice_trace.pop();
-            out.push(c);
-        }
-        for (i, &pick) in plan.choice_trace.iter().enumerate() {
-            if pick != 0 {
-                let mut c = plan.clone();
-                c.choice_trace[i] = 0;
-                out.push(c);
-            }
-        }
-    }
     for i in 0..plan.partitions.len() {
         let mut c = plan.clone();
         c.partitions.remove(i);
@@ -188,20 +163,6 @@ mod tests {
         for c in candidates(&plan) {
             assert_ne!(c, plan, "a candidate must change the plan");
         }
-    }
-
-    #[test]
-    fn trace_candidates_simplify_the_trace() {
-        let mut plan = Scenario::by_name("chaos").unwrap().plan(5);
-        plan.choice_trace = vec![2, 0, 1, 3];
-        let cands = candidates(&plan);
-        // Clear, halve, pop, then per-entry zeroing, ahead of everything.
-        assert!(cands[0].choice_trace.is_empty());
-        assert_eq!(cands[1].choice_trace, vec![2, 0]);
-        assert_eq!(cands[2].choice_trace, vec![2, 0, 1]);
-        assert_eq!(cands[3].choice_trace, vec![0, 0, 1, 3]);
-        assert_eq!(cands[4].choice_trace, vec![2, 0, 0, 3]);
-        assert_eq!(cands[5].choice_trace, vec![2, 0, 1, 0]);
     }
 
     #[test]

@@ -112,6 +112,20 @@ fn corpus_cases_replay_clean() {
     }
 }
 
+/// A plan field the checker does not read fails the load, naming the
+/// field: a pinned interleaving script must not replay in the engine's
+/// own order as if it were an ordinary plan.
+#[test]
+fn a_plan_field_the_checker_does_not_read_fails_the_load() {
+    let plan = Scenario::by_name("failover").unwrap().plan(3);
+    let json = serde_json::to_string_pretty(&plan)
+        .unwrap()
+        .replace("\n  \"storm\": null", "\n  \"storm\": null,\n  \"choice_trace\": [1]");
+    assert!(json.contains("\"choice_trace\": [1]"), "test setup: key not added");
+    let err = serde_json::from_str::<CasePlan>(&json).unwrap_err().to_string();
+    assert!(err.contains("unknown field `choice_trace`"), "the error names the field: {err}");
+}
+
 /// A checked run is the figure run: the plan's spec, run by
 /// `run_experiment` (audit pauses at each crash), yields every counter the
 /// oracle-paused `run_case` does. Pauses leave the event stream unchanged.

@@ -16,7 +16,7 @@
 
 use neutrino_check::invariants::{CatalogRow, CATALOG};
 use neutrino_check::oracle::{Invariant, OracleCtx};
-use neutrino_check::{small_model_plan, CasePlan, Scenario, ViolationRecord};
+use neutrino_check::{CasePlan, Scenario, ViolationRecord};
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::{ProcedureId, UeId};
 use neutrino_core::experiment::{self, ExperimentSpec};
@@ -67,7 +67,7 @@ fn at_ms(ms: u64) -> Instant {
 
 /// A storm-free plan: every invariant gets its default configuration.
 fn plain_plan() -> CasePlan {
-    small_model_plan("mcheck-attach-failover", 0).unwrap()
+    Scenario::by_name("failover").unwrap().plan(0)
 }
 
 fn assert_fired(row: &CatalogRow, fired: &[ViolationRecord], why: &str) {

@@ -22,9 +22,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// original contiguity-scan implementation — the bug the replay-floor
 /// rework fixed, where a *phantom* procedure id (consumed by a UE whose
 /// every message was lost before reaching this CTA) reads as a permanent,
-/// unclosable gap and wrongly fails coverage forever after. The exhaustive
-/// checker's seeded-bug regression test flips this to prove it can
-/// rediscover the violation. Compiled only with the `test-support` feature.
+/// unclosable gap and wrongly fails coverage forever after. The checker's
+/// seeded-bug regression test flips this to prove a seeded run rediscovers
+/// the violation. Compiled only with the `test-support` feature.
 #[cfg(feature = "test-support")]
 static REPLAY_FLOOR_BUG: AtomicBool = AtomicBool::new(false);
 

@@ -5,10 +5,7 @@
 //! enqueues a message at its destination, `JobComplete` runs the node's
 //! handler at service completion (charging the declared service time),
 //! `Timer` runs zero-cost internal work, and `Crash` takes a node down for
-//! good. The loop is generic over how it pops: [`Sim::run_until`] takes the
-//! wheel's `(at, seq)` head, or, with a [`crate::Chooser`] installed
-//! ([`Sim::set_chooser`]), stages one tick's events and lets the chooser
-//! order the deliveries among them.
+//! good. [`Sim::run_until`] pops them in the wheel's `(at, seq)` order.
 //!
 //! A message body is stored once while in flight: a slab holds it from the
 //! send to its handler, and scheduled events, node queues and running jobs
@@ -342,9 +339,6 @@ pub struct Sim<M> {
     /// up node, after fault filtering and before service. `None` on figure
     /// runs, so the hot path pays exactly one branch.
     tap: Option<DeliveryTap<M>>,
-    /// Optional delivery order (the model checker installs one): `None` on
-    /// figure runs, so `run_until` pops in `(at, seq)` order.
-    chooser: Option<Box<dyn crate::Chooser<M>>>,
 }
 
 impl<M: Clone + 'static> Sim<M> {
@@ -369,7 +363,6 @@ impl<M: Clone + 'static> Sim<M> {
             stats: SimStats::default(),
             scratch: Outbox::default(),
             tap: None,
-            chooser: None,
         }
     }
 
@@ -379,13 +372,6 @@ impl<M: Clone + 'static> Sim<M> {
     /// record the protocol-flow edges it witnesses; figure runs never do.
     pub fn set_delivery_tap(&mut self, tap: DeliveryTap<M>) {
         self.tap = Some(tap);
-    }
-
-    /// Installs a delivery order: from now on `run_until` consults
-    /// `chooser` whenever ≥ 2 deliveries are enabled at one tick. The model
-    /// checker installs one; figure runs never do.
-    pub fn set_chooser(&mut self, chooser: Box<dyn crate::Chooser<M>>) {
-        self.chooser = Some(chooser);
     }
 
     /// Current virtual time.
@@ -700,19 +686,15 @@ impl<M: Clone + 'static> Sim<M> {
         );
     }
 
-    /// The dispatch loop, generic over its pop order: `pop` removes the
-    /// next event due at or before the deadline, or says there is none.
+    /// Runs until the event queue drains or `deadline` passes, in the
+    /// wheel's `(at, seq)` order. Returns the time of the last processed
+    /// event.
     ///
     /// The runaway-loop event budget is enforced at dispatch-slice
     /// boundaries rather than per event; slices are truncated so the check
     /// trips at exactly the event a per-event check would have caught
-    /// (same panic, same reported virtual time), whatever the order.
-    #[inline(always)]
-    fn run_loop(
-        &mut self,
-        deadline: Instant,
-        mut pop: impl FnMut(&mut Self, Instant) -> Option<(SchedKey, EventKind)>,
-    ) -> Instant {
+    /// (same panic, same reported virtual time).
+    pub fn run_until(&mut self, deadline: Instant) -> Instant {
         /// Events dispatched between budget checks.
         const SLICE: u64 = 1024;
         let alloc_start = crate::alloc_count::current();
@@ -733,7 +715,10 @@ impl<M: Clone + 'static> Sim<M> {
                 slice_left = SLICE
                     .min((self.config.max_events - self.stats.events_processed).saturating_add(1));
             }
-            let Some((key, kind)) = pop(self, deadline) else {
+            if self.queue.peek_key().is_none_or(|k| k.at > deadline) {
+                break;
+            }
+            let Some((key, kind)) = self.queue.pop() else {
                 break;
             };
             self.stats.events_processed += 1;
@@ -744,24 +729,6 @@ impl<M: Clone + 'static> Sim<M> {
         }
         self.stats.allocs += crate::alloc_count::current().wrapping_sub(alloc_start);
         self.now
-    }
-
-    /// Runs until the event queue drains or `deadline` passes, in the
-    /// wheel's `(at, seq)` order or, when one is installed, the chooser's
-    /// (picked once per call). Returns the time of the last processed
-    /// event.
-    pub fn run_until(&mut self, deadline: Instant) -> Instant {
-        if let Some(mut chooser) = self.chooser.take() {
-            let end = self.run_chosen(deadline, &mut *chooser);
-            self.chooser = Some(chooser);
-            return end;
-        }
-        self.run_loop(deadline, |sim, deadline| {
-            if sim.queue.peek_key()?.at > deadline {
-                return None;
-            }
-            sim.queue.pop()
-        })
     }
 
     /// Runs until the queue is fully drained.
@@ -777,50 +744,6 @@ impl<M: Clone + 'static> Sim<M> {
     /// exactly what the previous one did.
     pub fn next_event_at(&self) -> Option<Instant> {
         self.queue.min_key().map(|k| k.at)
-    }
-
-    /// [`Sim::run_until`]'s loop in the chosen order. Non-delivery events
-    /// run in seq order whenever one heads the tick's staging buffer;
-    /// otherwise `chooser` picks among every staged delivery (consulted only
-    /// when there are at least two), with `barrier` set when a non-delivery
-    /// event is staged too: delivering before or after a same-tick crash
-    /// does not commute. So [`crate::IdentityChooser`] dispatches the exact
-    /// `(at, seq)` stream: same-tick pushes join the buffer with larger seq,
-    /// exactly where the wheel would have popped them.
-    fn run_chosen(&mut self, deadline: Instant, chooser: &mut dyn crate::Chooser<M>) -> Instant {
-        // One tick's events, kept in ascending seq order.
-        let mut staging: Vec<(SchedKey, EventKind)> = Vec::new();
-        self.run_loop(deadline, |sim, deadline| {
-            let tick = match staging.first() {
-                Some((key, _)) => key.at,
-                None => sim.queue.peek_key().filter(|k| k.at <= deadline)?.at,
-            };
-            // Zero-delay effects of the last dispatch land at this same
-            // tick; merging them lets later choices here see them enabled.
-            sim.queue.pop_all_at(tick, &mut staging);
-            debug_assert!(staging.is_sorted_by_key(|e| e.0), "non-monotone seq");
-            sim.now = tick;
-            let (mut enabled, mut positions) = (Vec::new(), Vec::new());
-            if matches!(staging[0].1, EventKind::Deliver { .. }) {
-                for (i, (_, kind)) in staging.iter().enumerate() {
-                    if let EventKind::Deliver { to, from, msg } = *kind {
-                        if let Some(msg) = sim.bodies.get(msg) {
-                            enabled.push(crate::Enabled { from, to, msg });
-                            positions.push(i);
-                        }
-                    }
-                }
-            }
-            let idx = match enabled.len() {
-                0 | 1 => 0,
-                n => {
-                    let pick = chooser.choose(n != staging.len(), &enabled);
-                    assert!(pick < n, "chooser returned {pick} for {n} enabled deliveries");
-                    positions[pick]
-                }
-            };
-            Some(staging.remove(idx))
-        })
     }
 }
 
@@ -1179,13 +1102,10 @@ mod tests {
         sim.run_to_completion();
     }
 
-    /// Runs `sim` to completion in the plain or the chosen order and
-    /// returns the event-budget panic's message.
-    fn budget_panic(sim: &mut Sim<u64>, chosen: bool) -> String {
+    /// Runs `sim` to completion and returns the event-budget panic's
+    /// message.
+    fn budget_panic(sim: &mut Sim<u64>) -> String {
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if chosen {
-                sim.set_chooser(Box::new(crate::IdentityChooser));
-            }
             sim.run_to_completion();
         }));
         *panicked
@@ -1198,38 +1118,33 @@ mod tests {
     /// truncated so it still trips at exactly the event a per-event check
     /// catches: events_processed stops at `max_events + 1`, never rounded
     /// up to a slice boundary. Uses a budget that is neither a multiple of
-    /// the slice size nor smaller than one slice. Both pop orders run the
-    /// one loop, so they trip at the same event having handled the same
-    /// messages (event 1501 is a completion whose handler runs).
+    /// the slice size nor smaller than one slice. Event 1501 is a
+    /// completion whose handler runs.
     #[test]
     fn budget_trips_at_exactly_the_per_event_boundary() {
         let max_events = 1500u64;
-        let run = |chosen: bool| {
-            let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
-            let mut sim = Sim::with_config(links, SimConfig { max_events });
-            let b = NodeId::new(2);
-            sim.add_node(
-                b,
-                Box::new(Echo {
-                    service: Duration::from_micros(1),
-                    seen: Vec::new(),
-                }),
-            );
-            for i in 0..2_000u64 {
-                sim.inject_at(Instant::from_micros(i), b, i);
-            }
-            let msg = budget_panic(&mut sim, chosen);
-            assert!(msg.contains("event budget of 1500 exhausted"), "{msg}");
-            assert_eq!(
-                sim.events_processed(),
-                max_events + 1,
-                "slice truncation must stop at the first over-budget event"
-            );
-            std::mem::take(&mut sim.node_as::<Echo>(b).unwrap().seen)
-        };
-        let plain = run(false);
-        assert_eq!(plain, (0..750).collect::<Vec<_>>());
-        assert_eq!(plain, run(true), "both orders handled the same messages");
+        let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
+        let mut sim = Sim::with_config(links, SimConfig { max_events });
+        let b = NodeId::new(2);
+        sim.add_node(
+            b,
+            Box::new(Echo {
+                service: Duration::from_micros(1),
+                seen: Vec::new(),
+            }),
+        );
+        for i in 0..2_000u64 {
+            sim.inject_at(Instant::from_micros(i), b, i);
+        }
+        let msg = budget_panic(&mut sim);
+        assert!(msg.contains("event budget of 1500 exhausted"), "{msg}");
+        assert_eq!(
+            sim.events_processed(),
+            max_events + 1,
+            "slice truncation must stop at the first over-budget event"
+        );
+        let echo = sim.node_as::<Echo>(b).unwrap();
+        assert_eq!(echo.seen, (0..750).collect::<Vec<_>>());
     }
 
     /// `max_events: u64::MAX` is the natural "disable the budget" value;
@@ -1333,24 +1248,21 @@ mod tests {
 
     /// Pin: the budget-panic exit must take the same allocation sample the
     /// normal exit takes, or `SimStats::allocs` silently reads zero for
-    /// exactly the truncated runs whose panic message people debug with —
-    /// in either pop order.
+    /// exactly the truncated runs whose panic message people debug with.
     #[test]
     fn budget_panic_exit_still_accumulates_allocs() {
-        for chosen in [false, true] {
-            let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
-            let mut sim = Sim::with_config(links, SimConfig { max_events: 6 });
-            let b = NodeId::new(2);
-            sim.add_node(b, Box::new(Alloky));
-            for i in 0..20u64 {
-                sim.inject_at(Instant::from_micros(i), b, i);
-            }
-            budget_panic(&mut sim, chosen);
-            assert!(
-                sim.sim_stats().allocs >= 1,
-                "allocations recorded before the budget panic must survive it (chosen: {chosen})"
-            );
+        let links = Links::with_default(LinkSpec::fixed(Duration::ZERO));
+        let mut sim = Sim::with_config(links, SimConfig { max_events: 6 });
+        let b = NodeId::new(2);
+        sim.add_node(b, Box::new(Alloky));
+        for i in 0..20u64 {
+            sim.inject_at(Instant::from_micros(i), b, i);
         }
+        budget_panic(&mut sim);
+        assert!(
+            sim.sim_stats().allocs >= 1,
+            "allocations recorded before the budget panic must survive it"
+        );
     }
 
     /// Every path that discards a message frees its body: a crash's queued

@@ -15,10 +15,8 @@
 //! * **timers** — zero-cost internal events (log pruning scans, ACK
 //!   timeouts).
 //!
-//! One dispatch loop runs those four event kinds, in either of two pop
-//! orders: the scheduler's `(time, seq)` order ([`Sim::run_until`]), or,
-//! for the model checker, an installed [`Chooser`]'s order among the
-//! deliveries due at one tick ([`Sim::set_chooser`]).
+//! One dispatch loop ([`Sim::run_until`]) runs those four event kinds in
+//! the scheduler's `(time, seq)` order.
 //!
 //! The engine is generic over the message type `M`, carries no cellular
 //! logic, and is fully deterministic: same nodes + same schedule + same seed
@@ -33,13 +31,11 @@
 #![warn(missing_docs)]
 
 pub mod alloc_count;
-pub mod choice;
 pub mod engine;
 pub mod links;
 pub mod stats;
 pub mod wheel;
 
-pub use choice::{Chooser, Enabled, IdentityChooser};
 pub use engine::{DeliveryTap, Node, NodeEvent, NodeId, Outbox, Sim, SimConfig};
 pub use links::{Delivery, FaultSpec, LinkSpec, Links};
 pub use stats::{NodeStats, SimStats};

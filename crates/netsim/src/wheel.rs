@@ -245,14 +245,6 @@ impl<T> Wheel<T> {
         }
     }
 
-    /// Moves every event due exactly at `at` into `out`, in pop order: one
-    /// instant's batch, for a caller that orders it itself.
-    pub fn pop_all_at(&mut self, at: Instant, out: &mut Vec<(SchedKey, T)>) {
-        while self.peek_key().is_some_and(|k| k.at == at) {
-            out.extend(self.pop());
-        }
-    }
-
     /// Key of the earliest scheduled event without advancing anything —
     /// a read-only scan for harnesses that probe between `run_until`
     /// segments. Each level's earliest event lives in its cyclically-first
@@ -710,24 +702,6 @@ mod tests {
             }
             assert_equivalent(&schedule);
         }
-    }
-
-    #[test]
-    fn pop_all_at_takes_exactly_the_head_instant() {
-        let mut wheel = Wheel::new();
-        for &(at, seq) in &[(500u64, 3u64), (300, 0), (500, 1), (501, 2)] {
-            wheel.push(key(at, seq), seq);
-        }
-        let mut out = Vec::new();
-        wheel.pop_all_at(Instant::from_nanos(500), &mut out);
-        assert!(out.is_empty(), "an instant after the head's is left alone");
-        wheel.pop_all_at(Instant::from_nanos(300), &mut out);
-        wheel.pop_all_at(Instant::from_nanos(500), &mut out);
-        assert_eq!(
-            out,
-            vec![(key(300, 0), 0), (key(500, 1), 1), (key(500, 3), 3)]
-        );
-        assert_eq!(wheel.pop(), Some((key(501, 2), 2)));
     }
 
     #[test]
