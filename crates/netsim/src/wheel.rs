@@ -39,9 +39,12 @@
 //!   it, and higher-level slots cascade exactly when the cursor enters
 //!   their tick block (highest level first, so re-placed events land
 //!   strictly below).
-//! - A drained level-0 slot holds exactly one tick's events; they are
-//!   sorted descending by `SchedKey` and popped from the back, while pops
-//!   always compare against the spill heap's minimum. Since `seq` is
+//! - Every bucket holds its events in the order they were placed: a
+//!   push appends, and a cascade re-places a bucket in that order. Direct
+//!   pushes mostly arrive in key order, so an activated level-0 slot —
+//!   exactly one tick's events — is usually ascending already; it is
+//!   sorted only when it is not, then handed out smallest first, while
+//!   pops always compare against the spill heap's minimum. Since `seq` is
 //!   unique, the order is a total order — identical to the reference heap.
 //!
 //! [`ReferenceHeap`] is the binary-heap scheduler the wheel replaced, kept
@@ -155,9 +158,9 @@ pub struct Wheel<T> {
     /// `> cursor` (the cursor's own tick is drained on arrival).
     cursor: u64,
     levels: Vec<Level<T>>,
-    /// The activated tick's events, sorted descending by key (pop from the
-    /// back = smallest first). Swapped wholesale with level-0 buckets so
-    /// buffers recycle.
+    /// The activated tick's events, smallest key last so `pop` takes it
+    /// from the back. Swapped wholesale with level-0 buckets so buffers
+    /// recycle.
     current: Vec<(SchedKey, T)>,
     /// Events due at or before the cursor's tick: zero-delay sends and
     /// insertions landing mid-drain. Always dispatch-comparable against
@@ -344,11 +347,13 @@ impl<T> Wheel<T> {
         None
     }
 
-    /// Drains a level slot from the back, re-placing each event relative to
-    /// the new cursor. Re-placed events land strictly below `level` (or in
-    /// spill when due exactly now). A level-1 bucket keeps its capacity for
-    /// the next rotation, 16.8 ms later. A level-2 or level-3 bucket, next
-    /// used a rotation (4.3 s or 18 min) later, gives its storage back every
+    /// Re-places a level slot's events relative to the new cursor in the
+    /// order they were placed (the bucket is reversed in place, then
+    /// drained from the back), so each receiving bucket keeps placement
+    /// order. Re-placed events land strictly below `level` (or in spill
+    /// when due exactly now). A level-1 bucket keeps its capacity for the
+    /// next rotation, 16.8 ms later. A level-2 or level-3 bucket, next used
+    /// a rotation (4.3 s or 18 min) later, gives its storage back every
     /// `DRAIN_STEP` events, so the buckets it fills grow into memory it
     /// frees, and it keeps none.
     fn cascade(&mut self, level: usize, slot: usize) {
@@ -358,6 +363,7 @@ impl<T> Wheel<T> {
         self.levels[level].clear(slot);
         let mut drained = std::mem::take(&mut self.levels[level].slots[slot]);
         self.in_wheels -= drained.len();
+        drained.reverse();
         while let Some((key, item)) = drained.pop() {
             self.place(key, item);
             if level > 1 && drained.len().is_multiple_of(DRAIN_STEP) {
@@ -423,13 +429,18 @@ impl<T> Wheel<T> {
             }
             // Activate the level-0 slot at the boundary: every entry in it
             // carries exactly this tick (see module docs), so the whole
-            // bucket becomes `current`, sorted descending for back-pops.
+            // bucket becomes `current`. It is in placement order, which is
+            // usually key order; sort it only when it is not, then reverse
+            // it for back-pops.
             let s0 = (boundary & (SLOTS as u64 - 1)) as usize;
             if self.levels[0].is_set(s0) {
                 self.levels[0].clear(s0);
                 std::mem::swap(&mut self.levels[0].slots[s0], &mut self.current);
                 self.in_wheels -= self.current.len();
-                self.current.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+                if !self.current.is_sorted_by_key(|e| e.0) {
+                    self.current.sort_unstable_by_key(|e| e.0);
+                }
+                self.current.reverse();
             }
             if !self.current.is_empty() || !self.spill.is_empty() {
                 return;
@@ -662,6 +673,50 @@ mod tests {
             }
         }
         assert_eq!((popped, heap.pop()), (3 * near, None));
+    }
+
+    #[test]
+    fn a_cascade_keeps_placement_order() {
+        // Three events (two sharing an instant) in a level-1, a level-2 and
+        // a level-3 slot, pushed in key order from cursor 0. A marker at
+        // every block start their tick cascades through is due exactly on
+        // the boundary, so it lands in spill and stops `advance` right
+        // after that cascade: the buckets it filled are inspected before
+        // anything activates them.
+        let mut schedule = Vec::new();
+        for t in [1_000u64, 3 << 16 | 1_000, 2 << 24 | 70_000] {
+            for shift in [24, 16, 8] {
+                let start = t >> shift << shift;
+                if start > 0 && !schedule.contains(&start) {
+                    schedule.push(start);
+                }
+            }
+            schedule.extend([t, t, t + 1]);
+        }
+        schedule.sort_unstable();
+        let mut wheel = Wheel::new();
+        let mut heap = ReferenceHeap::new();
+        for (seq, &t) in (0u64..).zip(&schedule) {
+            wheel.push(key(t << TICK_SHIFT, seq), seq);
+            heap.push(key(t << TICK_SHIFT, seq), seq);
+        }
+        while let Some(popped) = wheel.pop() {
+            assert_eq!(
+                Some(popped),
+                heap.pop(),
+                "wheel diverged from reference heap"
+            );
+            for (l, lv) in wheel.levels.iter().enumerate() {
+                for (s, bucket) in lv.slots.iter().enumerate() {
+                    assert!(
+                        bucket.is_sorted_by_key(|e| e.0),
+                        "level {l} slot {s} out of placement order after {:?}",
+                        popped.0
+                    );
+                }
+            }
+        }
+        assert_eq!(heap.pop(), None);
     }
 
     #[test]

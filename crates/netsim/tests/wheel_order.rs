@@ -130,3 +130,75 @@ proptest! {
         prop_assert!(wheel.is_empty());
     }
 }
+
+/// Runs a ring through the wheel and the reference heap side by side and
+/// demands the same pop sequence. `tokens` events start on one instant;
+/// each one popped is re-sent one hop later, alternately 3 µs (a direct
+/// level-0 push) and 100 µs (through a level-1 cascade), so a tick holds
+/// all `tokens` events, filled in key order — the shape of the engine's
+/// bare rings, whose activations need no sort. With `jitter`, each re-send
+/// adds a sub-tick offset that varies with token and hop, so ticks fill
+/// out of key order and activation must sort them. Every fourth token also
+/// echoes itself with zero delay every third hop (a spill push while its
+/// tick drains), and every eighth re-send arms a 2 s and a 120 s timer
+/// (level 2 and level 3), which cascade down past the ring's ticks.
+fn assert_ring_matches_reference(tokens: u64, hops: u64, jitter: bool) {
+    const ECHO: u64 = 1 << 32;
+    const TIMER: u64 = 1 << 33;
+    let mut wheel: Wheel<(u64, u64)> = Wheel::new();
+    let mut heap: ReferenceHeap<(u64, u64)> = ReferenceHeap::new();
+    let mut seq = 0u64;
+    // Pushes due this step, as `(at, (token, hop))`, fed to both schedulers.
+    let mut sends: Vec<(u64, (u64, u64))> = (0..tokens).map(|t| (1_000, (t, 0))).collect();
+    let mut pops = 0u64;
+    loop {
+        for &(at, item) in &sends {
+            let key = SchedKey {
+                at: Instant::from_nanos(at),
+                seq,
+            };
+            wheel.push(key, item);
+            heap.push(key, item);
+            seq += 1;
+        }
+        sends.clear();
+        let Some(want) = heap.pop() else { break };
+        assert_eq!(
+            wheel.pop(),
+            Some(want),
+            "ring of {tokens} (jitter {jitter}) diverged at pop {pops}"
+        );
+        pops += 1;
+        let (key, (token, hop)) = want;
+        let at = key.at.as_nanos();
+        if token >= ECHO || hop == hops {
+            continue;
+        }
+        let mut delay = if hop % 2 == 0 { 3_000 } else { 100_000 };
+        if jitter {
+            delay += (token * 37 + hop * 101) % 200;
+        }
+        sends.push((at + delay, (token, hop + 1)));
+        if token % 4 == 0 && hop % 3 == 0 {
+            sends.push((at, (ECHO | token, hop)));
+        }
+        if (token + hop) % 8 == 0 {
+            sends.push((at + 2_000_000_000, (TIMER | token, hop)));
+            sends.push((at + 120_000_000_000, (TIMER | token, hop)));
+        }
+    }
+    assert!(wheel.is_empty());
+    assert!(pops > tokens * hops, "the ring ran {pops} pops");
+}
+
+/// Ring-shaped schedules, in key order and jittered out of it, with ticks
+/// of ≤ 20 and of > 20 events (the two regimes of the slice sort that
+/// activation falls back on), match the reference heap.
+#[test]
+fn ring_schedules_match_reference_heap() {
+    for tokens in [16, 128] {
+        for jitter in [false, true] {
+            assert_ring_matches_reference(tokens, 120, jitter);
+        }
+    }
+}
