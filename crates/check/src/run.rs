@@ -209,6 +209,10 @@ pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
             config = config.with_admission(AdmissionParams::for_rate(storm.admission_rate_pps));
         }
     }
+    #[cfg(feature = "test-support")]
+    {
+        config.mutant = plan.mutant;
+    }
     // The workload: uniform-with-pool by default, or the plan's storm
     // shape. `measured_start` anchors the chaos schedule (crash/partition
     // times are relative to it) and `horizon` covers the traffic plus the

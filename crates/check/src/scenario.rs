@@ -126,6 +126,12 @@ pub struct CasePlan {
     /// corpus cases still parse) means the uniform workload.
     #[serde(default)]
     pub storm: Option<StormPlan>,
+    /// The protocol mutant every CTA and CPF of the run plants
+    /// (`test-support` only). `None` is the healthy tree, and is left out
+    /// of the JSON, so a healthy plan reads the same in every build.
+    #[cfg(feature = "test-support")]
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub mutant: Option<neutrino_common::Mutant>,
 }
 
 /// A stateless splitmix64 stream — the same generator family the link
@@ -500,6 +506,8 @@ impl Scenario {
             partitions,
             invariants: self.invariants.iter().map(|s| s.to_string()).collect(),
             storm,
+            #[cfg(feature = "test-support")]
+            mutant: None,
         }
     }
 }

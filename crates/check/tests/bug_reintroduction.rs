@@ -1,35 +1,23 @@
 //! Seeded bug re-introduction: a real, historical bug is caught by the
 //! seeded run of a pinned plan, shrinks, and pins in the corpus format.
 //!
-//! The lever re-enables the pre-fix `replay_covers` contiguity scan (a
-//! phantom procedure id then reads as a permanent replay gap, so failover
-//! wrongly re-attaches and strands state). The plan of the pinned
-//! `mcheck-replay-floor-seed0.json` case is the witness: under loss + a
-//! CPF crash the buggy floor logic fires `consistency` violations, while
-//! the fixed logic runs clean.
-//!
-//! This file holds a single test: the lever is a process-global flag, and
-//! sibling tests in the same binary would race it.
+//! The plan's `ReplayFloor` mutant re-enables the pre-fix `replay_covers`
+//! contiguity scan (a phantom procedure id then reads as a permanent replay
+//! gap, so failover wrongly re-attaches and strands state). The plan of the
+//! pinned `mcheck-replay-floor-seed0.json` case is the witness: under loss
+//! and a CPF crash the buggy floor logic fires `consistency` violations,
+//! while the fixed logic runs clean.
 
 use neutrino_check::corpus::{self, CorpusCase};
-use neutrino_check::run_case;
 use neutrino_check::shrink::shrink;
-use neutrino_cta::set_replay_floor_bug;
-
-/// Clears the bug flag even when an assertion unwinds mid-test.
-struct FlagGuard;
-
-impl Drop for FlagGuard {
-    fn drop(&mut self) {
-        set_replay_floor_bug(false);
-    }
-}
+use neutrino_check::{run_case, CasePlan};
+use neutrino_common::Mutant;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
 fn reintroduced_replay_floor_bug_is_caught_and_pins() {
     let pinned = corpus::corpus_dir().join("mcheck-replay-floor-seed0.json");
-    let plan = corpus::load(&pinned).expect("pinned replay-floor case").plan;
+    let mut plan = corpus::load(&pinned).expect("pinned replay-floor case").plan;
 
     // Fixed code: the seeded run is clean.
     let healthy = run_case(&plan);
@@ -40,8 +28,7 @@ fn reintroduced_replay_floor_bug_is_caught_and_pins() {
     );
 
     // Re-introduce the bug; the same run must catch it.
-    let _guard = FlagGuard;
-    set_replay_floor_bug(true);
+    plan.mutant = Some(Mutant::ReplayFloor);
     let caught = run_case(&plan);
     assert!(!caught.is_clean(), "the seeded run must catch the re-introduced bug");
     assert!(
@@ -75,10 +62,17 @@ fn reintroduced_replay_floor_bug_is_caught_and_pins() {
     assert!(!first.is_clean(), "the pinned case still reproduces the bug");
     assert_eq!(first.fingerprint, loaded.fingerprint, "pinned fingerprint matches replay");
 
-    // Flip the lever off: the very same case runs clean — the fix, not
+    // Take the mutant out: the very same case runs clean — the fix, not
     // the plan, is what the corpus case is testing.
-    set_replay_floor_bug(false);
-    let fixed = run_case(&loaded.plan);
+    assert_eq!(
+        loaded.plan.mutant,
+        Some(Mutant::ReplayFloor),
+        "the pin names its mutant"
+    );
+    let fixed = run_case(&CasePlan {
+        mutant: None,
+        ..loaded.plan
+    });
     assert!(
         fixed.is_clean(),
         "with the fix restored the counterexample must pass: {:?}",

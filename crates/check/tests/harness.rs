@@ -9,7 +9,15 @@ use neutrino_check::corpus::{self, CorpusCase};
 use neutrino_check::run::{experiment_spec, run_case, CheckReport, Fingerprint};
 use neutrino_check::scenario::{CasePlan, Scenario};
 use neutrino_check::shrink::shrink;
+use neutrino_common::Mutant;
 use neutrino_core::experiment::run_experiment;
+
+/// The pinned replay-floor case: a small plan (476 events).
+fn replay_floor_case() -> (std::path::PathBuf, CorpusCase) {
+    let path = corpus::corpus_dir().join("mcheck-replay-floor-seed0.json");
+    let case = corpus::load(&path).expect("pinned replay-floor case");
+    (path, case)
+}
 
 /// The harness's own determinism: same plan, same bytes.
 #[test]
@@ -124,6 +132,101 @@ fn a_plan_field_the_checker_does_not_read_fails_the_load() {
     assert!(json.contains("\"choice_trace\": [1]"), "test setup: key not added");
     let err = serde_json::from_str::<CasePlan>(&json).unwrap_err().to_string();
     assert!(err.contains("unknown field `choice_trace`"), "the error names the field: {err}");
+}
+
+/// A corpus file written before plans named a mutant has no `mutant` key:
+/// it loads unedited as the healthy tree and replays to its pinned event
+/// count, and with the mutant it was pinned under (the replay-floor bug)
+/// to its whole pinned fingerprint, violations included.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
+fn a_plan_without_a_mutant_key_is_the_healthy_tree() {
+    let (path, case) = replay_floor_case();
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        !text.contains("mutant"),
+        "test setup: the pinned file names no mutant"
+    );
+    assert_eq!(case.plan.mutant, None);
+    let healthy = run_case(&case.plan);
+    assert!(healthy.is_clean(), "{}", healthy.to_json());
+    assert_eq!(healthy.fingerprint.events_processed, 476);
+    let mutated = run_case(&CasePlan {
+        mutant: Some(Mutant::ReplayFloor),
+        ..case.plan
+    });
+    assert_eq!(mutated.fingerprint, case.fingerprint, "the pin's own run");
+}
+
+/// A plan's mutant survives `corpus::save` and `corpus::load`, and a
+/// healthy plan writes no `mutant` key at all.
+#[test]
+fn a_mutated_plan_round_trips_through_the_corpus() {
+    let healthy = Scenario::by_name("failover").unwrap().plan(3);
+    assert!(!serde_json::to_string(&healthy).unwrap().contains("mutant"));
+    let case = CorpusCase {
+        plan: CasePlan {
+            mutant: Some(Mutant::ServeOutdated),
+            ..healthy
+        },
+        violation: None,
+        fingerprint: Fingerprint::default(),
+    };
+    let dir = std::env::temp_dir().join(format!("neutrino-check-mutant-{}", std::process::id()));
+    let path = corpus::save(&dir, &case).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains("\"mutant\": \"serve_outdated\""), "{text}");
+    assert_eq!(corpus::load(&path).unwrap(), case);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A plan naming a mutant this build does not know fails the load, and
+/// the error names it.
+#[test]
+fn a_plan_naming_an_unknown_mutant_fails_the_load() {
+    let plan = Scenario::by_name("failover").unwrap().plan(3);
+    let json = serde_json::to_string_pretty(&plan).unwrap().replace(
+        "\n  \"storm\": null",
+        "\n  \"storm\": null,\n  \"mutant\": \"no_such_mutant\"",
+    );
+    assert!(json.contains("no_such_mutant"), "test setup: key not added");
+    let err = serde_json::from_str::<CasePlan>(&json)
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.contains("`no_such_mutant`"),
+        "the error names the mutant: {err}"
+    );
+}
+
+/// A mutant is the data of its own run: a healthy plan and two mutated
+/// ones, run side by side on two workers, each report what that plan
+/// reports when it runs alone.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
+fn a_mutant_changes_only_its_own_run() {
+    let (_, case) = replay_floor_case();
+    let plans: Vec<CasePlan> = [
+        None,
+        Some(Mutant::ReplayFloor),
+        Some(Mutant::NoStuckRedrive),
+    ]
+    .into_iter()
+    .map(|mutant| CasePlan {
+        mutant,
+        ..case.plan.clone()
+    })
+    .collect();
+    let alone: Vec<String> = plans.iter().map(|p| run_case(p).to_json()).collect();
+    assert!(
+        alone[0] != alone[1] && alone[0] != alone[2] && alone[1] != alone[2],
+        "test setup: the three runs must differ"
+    );
+    let cells = plans
+        .into_iter()
+        .map(|plan| Box::new(move || run_case(&plan).to_json()) as Cell<String>)
+        .collect();
+    assert_eq!(run_cells(2, cells), alone);
 }
 
 /// A checked run is the figure run: the plan's spec, run by

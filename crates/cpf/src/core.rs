@@ -5,7 +5,7 @@
 use crate::store::{Freshness, StateStore, UeRecord};
 use neutrino_common::clock::ClockTick;
 use neutrino_common::uemap::Entry;
-use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, Result, UeId, UeMap, UpfId};
+use neutrino_common::{mutant, BsId, CpfId, CtaId, ProcedureId, Result, UeId, UeMap, UpfId};
 use neutrino_geo::RingStack;
 use neutrino_common::time::Instant;
 use neutrino_messages::control::{ControlMessage, Direction, Envelope, MessageKind};
@@ -60,6 +60,9 @@ pub struct CpfConfig {
     /// run the UPF session operation in parallel instead of blocking the
     /// response on it.
     pub parallel_upf: bool,
+    /// The protocol mutant this run plants (`test-support` only).
+    #[cfg(feature = "test-support")]
+    pub mutant: Option<neutrino_common::Mutant>,
 }
 
 impl CpfConfig {
@@ -76,6 +79,8 @@ impl CpfConfig {
             home_cta: CtaId::new(0),
             enforce_consistency: true,
             parallel_upf: false,
+            #[cfg(feature = "test-support")]
+            mutant: None,
         }
     }
 
@@ -91,6 +96,8 @@ impl CpfConfig {
             home_cta: CtaId::new(0),
             enforce_consistency: true,
             parallel_upf: false,
+            #[cfg(feature = "test-support")]
+            mutant: None,
         }
     }
 
@@ -107,6 +114,8 @@ impl CpfConfig {
             home_cta: CtaId::new(0),
             enforce_consistency: false,
             parallel_upf: false,
+            #[cfg(feature = "test-support")]
+            mutant: None,
         }
     }
 }
@@ -532,9 +541,18 @@ impl Run<'_> {
 impl CpfCore {
     /// Creates a CPF.
     pub fn new(config: CpfConfig) -> Self {
+        #[cfg_attr(
+            not(feature = "test-support"),
+            expect(unused_mut, reason = "no mutant to plant")
+        )]
+        let mut store = StateStore::new();
+        #[cfg(feature = "test-support")]
+        {
+            store.mutant = config.mutant;
+        }
         CpfCore {
             config,
-            store: StateStore::new(),
+            store,
             progress: UeMap::new(),
             metrics: CpfMetrics::default(),
         }
@@ -667,7 +685,8 @@ impl CpfCore {
             match self.store.get_mut(ue) {
                 Some(rec)
                     if (!self.config.enforce_consistency
-                        || rec.freshness == Freshness::UpToDate)
+                        || mutant!(self.config.mutant, ServeOutdated => true;
+                            rec.freshness == Freshness::UpToDate))
                         && read(&rec.state, &mut self.metrics).is_some() =>
                 {
                     rec
@@ -781,8 +800,9 @@ impl CpfCore {
         } else {
             self.metrics.syncs_ignored += 1;
         }
+        let acks = mutant!(self.config.mutant, AckRefusedSync => true; adopted);
         match sync.purpose {
-            SyncPurpose::Checkpoint if adopted => vec![CpfOutput::ToCta {
+            SyncPurpose::Checkpoint if acks => vec![CpfOutput::ToCta {
                 cta: sync.cta,
                 msg: SysMsg::SyncAck(SyncAck {
                     ue: sync.ue,

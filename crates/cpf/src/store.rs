@@ -2,7 +2,7 @@
 
 use neutrino_common::clock::ClockTick;
 use neutrino_common::uemap::Entry;
-use neutrino_common::{UeId, UeMap};
+use neutrino_common::{mutant, UeId, UeMap};
 use neutrino_messages::Snapshot;
 
 /// Whether a stored UE state may serve traffic (§4.2.4).
@@ -48,6 +48,9 @@ fn install(entry: Entry<'_, UeRecord>, state: Snapshot) -> &mut UeRecord {
 #[derive(Debug, Default)]
 pub struct StateStore {
     records: UeMap<UeRecord>,
+    /// The planted mutant, from [`CpfConfig::mutant`](crate::CpfConfig::mutant).
+    #[cfg(feature = "test-support")]
+    pub(crate) mutant: Option<neutrino_common::Mutant>,
 }
 
 impl StateStore {
@@ -95,12 +98,13 @@ impl StateStore {
         let entry = self.records.entry(state.ue());
         if let Entry::Occupied(rec) = &entry {
             if let Freshness::Outdated(at) = rec.freshness {
-                if end_clock <= at {
+                if mutant!(self.mutant, AdoptBelowOutdatedMark => false; end_clock <= at) {
                     return false; // §4.2.4: ignore outdated state
                 }
             }
             // Never regress to an older version.
-            if state.version() < rec.state.version() {
+            if mutant!(self.mutant, NoVersionGuard => false; state.version() < rec.state.version())
+            {
                 return false;
             }
         }

@@ -1,11 +1,11 @@
 //! The CTA state machine.
 
 use crate::admission::{AdmissionControl, AdmissionDecision, AdmissionParams};
-use crate::log::{MessageLog, UeLog};
+use crate::log::{MessageLog, UeLog, UeSlot};
 use neutrino_codec::CodecKind;
 use neutrino_common::clock::ClockTick;
 use neutrino_common::time::{Duration, Instant};
-use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, UeId};
+use neutrino_common::{mutant, BsId, CpfId, CtaId, ProcedureId, UeId};
 use neutrino_geo::RingStack;
 use neutrino_messages::costs::CostTable;
 use neutrino_messages::flow::{Effect, NodeAddr, RoleCore};
@@ -62,6 +62,9 @@ pub struct CtaConfig {
     /// every stock configuration — admits everything and leaves behavior
     /// byte-identical to the pre-overload-control tree.
     pub admission: Option<AdmissionParams>,
+    /// The protocol mutant this run plants (`test-support` only).
+    #[cfg(feature = "test-support")]
+    pub mutant: Option<neutrino_common::Mutant>,
 }
 
 impl CtaConfig {
@@ -75,6 +78,8 @@ impl CtaConfig {
             resync_base: Duration::from_secs(4),
             codec,
             admission: None,
+            #[cfg(feature = "test-support")]
+            mutant: None,
         }
     }
 
@@ -87,6 +92,8 @@ impl CtaConfig {
             resync_base: Duration::from_secs(4),
             codec: CodecKind::Asn1Per,
             admission: None,
+            #[cfg(feature = "test-support")]
+            mutant: None,
         }
     }
 }
@@ -264,7 +271,7 @@ fn expected_acks(
 /// in ring order. Returns it with the procedure it is synced through. A
 /// page and an uplink that find the primary dead pick the same backup.
 fn best_backup(
-    log: &UeLog,
+    slot: &UeSlot<'_>,
     ue: UeId,
     ring: &RingStack,
     failed: &BTreeSet<CpfId>,
@@ -272,22 +279,34 @@ fn best_backup(
     ring.backups(ue)
         .filter(|b| !failed.contains(b))
         .filter_map(|b| {
-            let synced = log.synced_through(b);
+            let synced = slot.synced_through(b);
             // Never held this UE's state: ineligible.
             (synced.raw() > 0).then_some((b, synced))
         })
-        .reduce(|best, b| if b.1 > best.1 { b } else { best })
+        .reduce(|best, b| {
+            mutant!(slot.mutant, FirstEligibleBackup => best;
+                if b.1 > best.1 { b } else { best })
+        })
 }
 
 impl CtaCore {
     /// Creates a CTA over a region's ring stack.
     pub fn new(config: CtaConfig, ring: RingStack) -> Self {
         let admission = config.admission.map(AdmissionControl::new);
+        #[cfg_attr(
+            not(feature = "test-support"),
+            expect(unused_mut, reason = "no mutant to plant")
+        )]
+        let mut log = MessageLog::new();
+        #[cfg(feature = "test-support")]
+        {
+            log.mutant = config.mutant;
+        }
         CtaCore {
             config,
             ring,
             clock: neutrino_common::LogicalClock::new(),
-            log: MessageLog::new(),
+            log,
             failed: BTreeSet::new(),
             costs: CostTable::baked(),
             metrics: CtaMetrics::default(),
@@ -441,10 +460,14 @@ impl CtaCore {
         // `in_flight` makes the failure handler "recover" a procedure
         // that already finished.
         if env.end_of_procedure {
-            if slot.in_flight.is_none_or(|(p, _)| p <= env.procedure) {
+            if mutant!(self.config.mutant, EndClearsAnyInFlight => true;
+                slot.in_flight.is_none_or(|(p, _)| p <= env.procedure))
+            {
                 slot.in_flight = None;
             }
-        } else if env.procedure > slot.last_completed {
+        } else if mutant!(self.config.mutant, StragglerInFlight => true;
+            env.procedure > slot.last_completed)
+        {
             slot.in_flight = Some((env.procedure, env.bs));
         }
 
@@ -554,11 +577,11 @@ impl CtaCore {
         if !self.config.logging || self.failed.contains(&cpf) {
             return Vec::new();
         }
-        let mut slot = self.log.ue_mut(ue);
-        if primary_of(&mut slot, ue, &self.ring) != Some(cpf) || !slot.replay_covers(have) {
+        let primary = primary_of(&mut self.log.ue_mut(ue), ue, &self.ring);
+        if primary != Some(cpf) || !self.log.replay_covers(ue, have) {
             return Vec::new();
         }
-        let messages = slot.replay_set(ue, self.config.id, have);
+        let messages = self.log.ue_mut(ue).replay_set(ue, self.config.id, have);
         if messages.is_empty() {
             return Vec::new();
         }
@@ -597,9 +620,9 @@ impl CtaCore {
         self.ring.remove(cpf);
         // The dead CPF's copies died with it: drop its ACKs so they never
         // count toward convergence or get offered as fetch sources.
-        self.log.purge_replica_acks(cpf);
+        mutant!(self.config.mutant, NoAckPurge => (); self.log.purge_replica_acks(cpf));
         let mut out = Vec::new();
-        for env in stuck {
+        for env in mutant!(self.config.mutant, NoStuckRedrive => Vec::new(); stuck) {
             self.failover(env, &mut out);
         }
         for (ue, bs) in stuck_no_log {
@@ -823,16 +846,18 @@ impl CtaCore {
                 }
             }
             FailoverPolicy::ReplayFromLog => {
-                let mut slot = self.log.ue_mut(ue);
-                match best_backup(&slot, ue, &self.ring, &self.failed) {
-                    Some((replica, synced)) if slot.replay_covers(synced) => {
+                let backup = best_backup(&self.log.ue_mut(ue), ue, &self.ring, &self.failed);
+                match backup {
+                    Some((replica, synced)) if self.log.replay_covers(ue, synced) => {
+                        let mut slot = self.log.ue_mut(ue);
                         // Everything after `synced` (including the current
                         // procedure's earlier messages, and this message —
                         // appended before routing) replays onto the backup.
                         let mut messages = slot.replay_set(ue, self.config.id, synced);
                         // The message we are routing right now must not be
                         // replayed *and* forwarded.
-                        messages.retain(|m| m.clock != env.clock);
+                        mutant!(self.config.mutant, ReplayAndForward => ();
+                            messages.retain(|m| m.clock != env.clock));
                         slot.assigned = Some(replica);
                         if messages.is_empty() {
                             self.metrics.failover_up_to_date += 1;
@@ -848,6 +873,15 @@ impl CtaCore {
                             cpf: replica,
                             msg: SysMsg::Control(env),
                         });
+                        mutant!(self.config.mutant, ForwardBeforeReplay => {
+                            // Swap the forward ahead of this UE's replay.
+                            let n = out.len();
+                            let replay = |o: &CtaOutput| matches!(o,
+                                CtaOutput::ToCpf { msg: SysMsg::Replay(r), .. } if r.ue == ue);
+                            if n >= 2 && replay(&out[n - 2]) {
+                                out.swap(n - 2, n - 1);
+                            }
+                        }; ());
                     }
                     _ => {
                         // Scenario 3: nobody can be made consistent.

@@ -21,6 +21,4 @@ pub mod log;
 
 pub use crate::core::{CtaConfig, CtaCore, CtaMetrics, CtaOutput, FailoverPolicy};
 pub use admission::{AdmissionControl, AdmissionDecision, AdmissionParams};
-#[cfg(feature = "test-support")]
-pub use log::set_replay_floor_bug;
 pub use log::{MessageLog, ProcedureLog};

@@ -11,29 +11,10 @@
 
 use neutrino_common::clock::ClockTick;
 use neutrino_common::time::Instant;
-use neutrino_common::{BsId, CpfId, CtaId, ProcedureId, UeId, UeMap};
+use neutrino_common::{mutant, BsId, CpfId, CtaId, ProcedureId, UeId, UeMap};
 use neutrino_messages::{Direction, Envelope, Payload, ProcedureKind};
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
-#[cfg(feature = "test-support")]
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Test-only lever: when set, [`MessageLog::replay_covers`] reverts to its
-/// original contiguity-scan implementation — the bug the replay-floor
-/// rework fixed, where a *phantom* procedure id (consumed by a UE whose
-/// every message was lost before reaching this CTA) reads as a permanent,
-/// unclosable gap and wrongly fails coverage forever after. The checker's
-/// seeded-bug regression test flips this to prove a seeded run rediscovers
-/// the violation. Compiled only with the `test-support` feature.
-#[cfg(feature = "test-support")]
-static REPLAY_FLOOR_BUG: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables the seeded `replay_covers` bug (see
-/// [`REPLAY_FLOOR_BUG`]). Affects every CTA in the process.
-#[cfg(feature = "test-support")]
-pub fn set_replay_floor_bug(enabled: bool) {
-    REPLAY_FLOOR_BUG.store(enabled, Ordering::SeqCst);
-}
 
 /// One logged uplink: what varies per message. The rest needs no storage —
 /// `ue` and `procedure` are the log's own keys, and `via_cta` is the stamp
@@ -247,9 +228,7 @@ impl UeLog {
             .collect()
     }
 
-    /// True when a replay from base `since` can rebuild the UE's state up to
-    /// `last_completed` — i.e. the log still holds everything the replica
-    /// would miss.
+    /// [`MessageLog::replay_covers`] for this UE.
     ///
     /// Coverage is judged against [`UeLog::replay_floor`], not by scanning
     /// for contiguous procedure ids: UEs consume ids for attempts whose
@@ -259,15 +238,7 @@ impl UeLog {
     /// the floor. A logged attach-class procedure additionally re-anchors
     /// coverage from scratch (see [`ProcedureLog::is_attach_reset`]), since
     /// replaying it needs no base at all.
-    pub fn replay_covers(&self, since: ProcedureId) -> bool {
-        #[cfg(feature = "test-support")]
-        if REPLAY_FLOOR_BUG.load(Ordering::Relaxed) {
-            // Seeded-bug mode: the pre-fix contiguity scan. Phantom ids —
-            // consumed by the UE but never logged here — read as gaps and
-            // poison coverage permanently.
-            return (since.raw() + 1..=self.last_completed.raw())
-                .all(|need| self.procedure(ProcedureId(need)).is_some());
-        }
+    fn replay_covers(&self, since: ProcedureId) -> bool {
         since >= self.replay_floor
             || self
                 .procedures
@@ -281,6 +252,9 @@ impl UeLog {
 /// and the completed index can never drift from the entries.
 pub struct UeSlot<'a> {
     ue: UeId,
+    /// The log's planted mutant.
+    #[cfg(feature = "test-support")]
+    pub(crate) mutant: Option<neutrino_common::Mutant>,
     log: &'a mut UeLog,
     bytes: &'a mut usize,
     max_bytes: &'a mut usize,
@@ -365,8 +339,10 @@ impl UeSlot<'_> {
         {
             Ok(i) => log.synced_through[i].1 = log.synced_through[i].1.max(proc),
             Err(i) => {
-                log.synced_through.reserve_exact(1);
-                log.synced_through.insert(i, (replica, proc));
+                if mutant!(self.mutant, SyncedRaceFirstOnly => i == 0; true) {
+                    log.synced_through.reserve_exact(1);
+                    log.synced_through.insert(i, (replica, proc));
+                }
             }
         }
         let mut pruned = false;
@@ -380,7 +356,10 @@ impl UeSlot<'_> {
                 return true;
             }
             if let Err(i) = entry.acks.binary_search(&replica) {
-                entry.acks.insert(i, replica);
+                if mutant!(self.mutant, AckRaceFirstOnly => i == 0; true) {
+                    mutant!(self.mutant, UnsortedAcks => entry.acks.push(replica);
+                        entry.acks.insert(i, replica));
+                }
             }
             if !entry.converged(expected) {
                 return true;
@@ -431,6 +410,9 @@ pub struct MessageLog {
     completed: BTreeSet<(UeId, ProcedureId)>,
     bytes: usize,
     max_bytes: usize,
+    /// The planted mutant, from [`CtaConfig::mutant`](crate::CtaConfig::mutant).
+    #[cfg(feature = "test-support")]
+    pub(crate) mutant: Option<neutrino_common::Mutant>,
 }
 
 impl MessageLog {
@@ -453,6 +435,8 @@ impl MessageLog {
     pub fn ue_mut(&mut self, ue: UeId) -> UeSlot<'_> {
         UeSlot {
             ue,
+            #[cfg(feature = "test-support")]
+            mutant: self.mutant,
             log: self.ues.entry(ue).or_default(),
             bytes: &mut self.bytes,
             max_bytes: &mut self.max_bytes,
@@ -479,9 +463,15 @@ impl MessageLog {
         }
     }
 
-    /// [`UeLog::replay_covers`] for `ue` (false when the UE is unknown).
+    /// True when a replay from base `since` can rebuild `ue`'s state up to
+    /// its `last_completed` — i.e. the log still holds everything the
+    /// replica would miss (false when the UE is unknown).
     pub fn replay_covers(&self, ue: UeId, since: ProcedureId) -> bool {
-        self.ue(ue).is_some_and(|l| l.replay_covers(since))
+        self.ue(ue).is_some_and(|l| {
+            mutant!(self.mutant, ReplayFloor => (since.raw() + 1..=l.last_completed.raw())
+                .all(|need| l.procedure(ProcedureId(need)).is_some());
+                l.replay_covers(since))
+        })
     }
 
     /// Completed procedures still waiting in the log, in `(ue, procedure)`

@@ -140,6 +140,8 @@ impl Cluster {
                 },
                 codec: config.codec,
                 admission: config.admission,
+                #[cfg(feature = "test-support")]
+                mutant: config.mutant,
             };
             sim.add_node(
                 cta_node(region.cta),
@@ -169,6 +171,8 @@ impl Cluster {
                     enforce_consistency: config.enforce_consistency(),
                     home_cta: region.cta,
                     parallel_upf: config.parallel,
+                    #[cfg(feature = "test-support")]
+                    mutant: config.mutant,
                 };
                 sim.add_node(
                     cpf_node(cpf),

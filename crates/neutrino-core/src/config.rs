@@ -56,6 +56,9 @@ pub struct SystemConfig {
     /// setting for every baseline — admits everything, preserving
     /// byte-identical behavior with pre-overload-control runs.
     pub admission: Option<AdmissionParams>,
+    /// The protocol mutant every CTA and CPF plants (`test-support` only).
+    #[cfg(feature = "test-support")]
+    pub mutant: Option<neutrino_common::Mutant>,
 }
 
 impl SystemConfig {
@@ -88,6 +91,8 @@ impl SystemConfig {
             parallel: false,
             replicas: 2,
             admission: None,
+            #[cfg(feature = "test-support")]
+            mutant: None,
         }
     }
 
@@ -144,6 +149,8 @@ impl SystemConfig {
             parallel: false,
             replicas: 0,
             admission: None,
+            #[cfg(feature = "test-support")]
+            mutant: None,
         }
     }
 
@@ -172,6 +179,8 @@ impl SystemConfig {
             parallel: false,
             replicas: 0,
             admission: None,
+            #[cfg(feature = "test-support")]
+            mutant: None,
         }
     }
 
