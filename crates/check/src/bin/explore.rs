@@ -1,14 +1,15 @@
 //! The parallel seed explorer.
 //!
 //! ```text
-//! explore --scenario failover --seeds 500 --jobs 8
+//! explore --scenario chaos --seeds 500 --jobs 8
 //! explore --scenario all --seeds 1000 --corpus corpus-out
 //! explore --seeds 2 --json coverage.json
-//! explore --replay crates/check/corpus/failover-seed17.json
+//! explore --replay crates/check/corpus/mcheck-replay-floor-seed0.json
 //! explore --list
 //! ```
 //!
-//! Expands the scenario into one plan per seed, runs them over the bench
+//! Expands the scenario into its plans per seed (one, or a crash-point
+//! family's hundreds), runs them over the bench
 //! crate's work-queue sweep runner (results are input-ordered, so output
 //! is byte-identical for any `--jobs`), and reports every violation, flow
 //! breaches included. On failure it shrinks the lowest failing seed, pins
@@ -114,7 +115,9 @@ fn scenarios(args: &Args) -> Option<Vec<Scenario>> {
 fn list() {
     println!("scenarios:");
     for s in Scenario::all() {
-        println!("  {:<18} {} [{}]", s.name, s.summary, s.system);
+        let mut systems: Vec<&str> = s.bases.iter().map(|b| b.system).collect();
+        systems.dedup();
+        println!("  {:<20} {} [{}]", s.name, s.summary, systems.join(", "));
     }
     println!("invariants:");
     for row in CATALOG {
@@ -178,7 +181,7 @@ fn replay(path: &Path) -> ExitCode {
 /// Shrinks the failing plan, pins it, and proves the pin replays
 /// byte-identically. Returns the corpus path.
 fn pin_failure(plan: &CasePlan, dir: &Path, budget: u64) -> PathBuf {
-    println!("  shrinking seed {} (budget {budget} runs)...", plan.seed);
+    println!("  shrinking {} (budget {budget} runs)...", plan.label());
     let outcome = shrink(plan, budget);
     println!(
         "    shrunk after {} runs: ues {} -> {}, duration {} -> {} ms, \
@@ -219,7 +222,7 @@ fn run_sweep(args: &Args, scenarios: &[Scenario], corpus_dir: &Path) -> ExitCode
     let mut witnessed = BTreeSet::new();
     for scenario in scenarios {
         let plans: Vec<CasePlan> = (args.start_seed..args.start_seed + args.seeds)
-            .map(|seed| scenario.plan(seed))
+            .flat_map(|seed| scenario.plans(seed))
             .collect();
         let cells = plans
             .iter()
@@ -239,9 +242,10 @@ fn run_sweep(args: &Args, scenarios: &[Scenario], corpus_dir: &Path) -> ExitCode
             .filter(|(_, r)| !r.is_clean())
             .collect();
         println!(
-            "scenario {:<18} {} seeds, {} events, {:.1}s wall, {} failing",
+            "scenario {:<20} {} seeds, {} plans, {} events, {:.1}s wall, {} failing",
             scenario.name,
             args.seeds,
+            plans.len(),
             events,
             elapsed.as_secs_f64(),
             failures.len()
@@ -249,13 +253,14 @@ fn run_sweep(args: &Args, scenarios: &[Scenario], corpus_dir: &Path) -> ExitCode
         if let Some((plan, report)) = failures.first() {
             failed = true;
             println!(
-                "  seed {} FAILED ({} violations):",
-                plan.seed, report.fingerprint.violations
+                "  {} FAILED ({} violations):",
+                plan.label(),
+                report.fingerprint.violations
             );
             print_violations(report);
             pin_failure(plan, corpus_dir, args.shrink_budget);
             for (plan, _) in failures.iter().skip(1) {
-                println!("  seed {} also failed (not shrunk)", plan.seed);
+                println!("  {} also failed (not shrunk)", plan.label());
             }
         }
     }
@@ -319,7 +324,8 @@ mod tests {
         for line in [
             "--seeds 2 --jobs 1 --json sweep-j1.json",
             "--seeds 2 --jobs 2 --json sweep-j2.json",
-            "--scenario failover --seeds 1000 --jobs 8 --corpus corpus-out",
+            "--scenario chaos --seeds 1000 --jobs 8 --corpus corpus-out",
+            "--scenario crash-points --seeds 100 --jobs 8 --corpus corpus-out",
             "--scenario iot-burst-storm --seeds 500 --jobs 8 --corpus corpus-out",
             "--replay crates/check/corpus/x.json",
             "--list",
@@ -332,7 +338,7 @@ mod tests {
     fn a_flag_that_does_not_apply_fails_the_run() {
         for line in [
             // `--list` and `--replay` read nothing else.
-            "--list --scenario failover",
+            "--list --scenario chaos",
             "--replay x.json --jobs 2",
             // Two modes.
             "--list --replay x.json",
@@ -341,7 +347,7 @@ mod tests {
             "--seeds",
             // Unknown flags.
             "--frobnicate",
-            "--exhaustive --scenario failover",
+            "--exhaustive --scenario chaos",
             "--bound 6",
         ] {
             assert!(parse(line).is_err(), "`{line}` must be rejected");

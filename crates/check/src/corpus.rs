@@ -81,7 +81,7 @@ mod tests {
     #[test]
     fn save_load_round_trips() {
         let case = CorpusCase {
-            plan: Scenario::by_name("failover").unwrap().plan(99),
+            plan: Scenario::by_name("chaos").unwrap().plan(99),
             violation: Some(ViolationRecord {
                 invariant: "consistency".into(),
                 at_us: 123_456,
@@ -98,7 +98,7 @@ mod tests {
             std::process::id()
         ));
         let path = save(&dir, &case).unwrap();
-        assert_eq!(path.file_name().unwrap(), "failover-seed99.json");
+        assert_eq!(path.file_name().unwrap(), "chaos-seed99.json");
         let loaded = load(&path).unwrap();
         assert_eq!(loaded, case);
         let all = load_dir(&dir).unwrap();

@@ -47,7 +47,7 @@ pub fn declared_edges() -> BTreeSet<Edge> {
 /// role bands are ignored rather than invented. A repeat edge allocates
 /// nothing.
 pub(crate) fn tap(seen: Rc<RefCell<BTreeSet<Edge>>>) -> DeliveryTap<SimMsg> {
-    Box::new(move |from, to, msg| {
+    Box::new(move |_, from, to, msg| {
         let (src, dst) = (Role::of_node_raw(from.raw()), Role::of_node_raw(to.raw()));
         if let (SimMsg::Sys(sys), Some(src), Some(dst)) = (msg, src, dst) {
             seen.borrow_mut().insert((sys.label(), src, dst));
@@ -158,7 +158,7 @@ impl CoverageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::run_case;
+    use crate::run::{crash_points, run_case};
     use crate::scenario::Scenario;
 
     const NO_MISROUTES: [(Role, u64); 4] = [
@@ -219,12 +219,15 @@ mod tests {
         // A real run carries traffic through every node band; a clean
         // report means every witnessed edge is declared and no role
         // counted a message it has no handler for.
-        let scenario = Scenario::by_name("failover").expect("failover exists");
-        let report = run_case(&scenario.plan(0));
+        let base = Scenario::by_name("crash-points")
+            .expect("crash-points exists")
+            .plan(0);
+        let point = crash_points(&base).swap_remove(0);
+        let report = run_case(&point);
         assert!(report.is_clean(), "{:?}", report.violations);
         assert!(
             !report.witnessed.is_empty(),
-            "a failover run delivers messages"
+            "a crash-point run delivers messages"
         );
         assert!(report.witnessed.is_subset(&declared_edges()));
     }

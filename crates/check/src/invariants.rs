@@ -414,17 +414,23 @@ mod tests {
 
     #[test]
     fn scenario_and_corpus_invariant_lists_resolve() {
-        let mut plans: Vec<CasePlan> = Scenario::all().iter().map(|s| s.plan(0)).collect();
-        let corpus = crate::corpus::load_dir(&crate::corpus::corpus_dir()).unwrap();
-        assert!(!corpus.is_empty(), "the pinned corpus must be found");
-        plans.extend(corpus.into_iter().map(|(_, case)| case.plan));
-        for plan in &plans {
-            for name in &plan.invariants {
+        for s in Scenario::all() {
+            for name in s.bases.iter().flat_map(|b| b.invariants) {
                 assert!(
                     row(name).is_some(),
-                    "plan {} (seed {}) references unknown invariant {name}",
-                    plan.scenario,
-                    plan.seed
+                    "{} references unknown invariant {name}",
+                    s.name
+                );
+            }
+        }
+        let corpus = crate::corpus::load_dir(&crate::corpus::corpus_dir()).unwrap();
+        assert!(!corpus.is_empty(), "the pinned corpus must be found");
+        for (path, case) in corpus {
+            for name in &case.plan.invariants {
+                let path = path.display();
+                assert!(
+                    row(name).is_some(),
+                    "{path} references unknown invariant {name}"
                 );
             }
         }
@@ -435,7 +441,10 @@ mod tests {
         let families = Scenario::all();
         for row in CATALOG {
             assert!(
-                families.iter().any(|s| s.invariants.contains(&row.name)),
+                families
+                    .iter()
+                    .flat_map(|s| s.bases)
+                    .any(|b| b.invariants.contains(&row.name)),
                 "invariant `{}` is in no Scenario::all() family — nothing would ever run it",
                 row.name
             );

@@ -15,13 +15,14 @@
 use crate::flowcov::{self, Edge, FLOW_CONTRACT};
 use crate::invariants;
 use crate::oracle::{Finding, Invariant, OracleCtx};
-use crate::scenario::{CasePlan, EndpointPlan};
+use crate::scenario::{CasePlan, CrashPlan, EndpointPlan, NS_PER_MS};
 use neutrino_core::experiment::{self, ExperimentSpec, FailureSpec, RunResults};
 use neutrino_core::simnode::{cpf_node, cta_node};
 use neutrino_core::{Cluster, LinkProfile, SystemConfig, Workload};
 use neutrino_common::time::{Duration, Instant};
 use neutrino_common::CpfId;
 use neutrino_cta::AdmissionParams;
+use neutrino_messages::flow::NodeAddr;
 use neutrino_messages::procedures::ProcedureKind;
 use neutrino_netsim::FaultSpec;
 use neutrino_trafficgen::patterns::{
@@ -191,9 +192,8 @@ pub fn kind_by_name(name: &str) -> Option<ProcedureKind> {
 /// chaos schedule is relative to (the start of the measured phase, so
 /// shrinking the attach pool keeps crash and partition times meaningful).
 ///
-/// Crash victims come from `spec.layout.pool(0)`, region 0's CPF list by
-/// construction. Partitions have no spec field: [`run_case`] installs
-/// them on the built cluster.
+/// A crash names its victim by raw `CpfId`, in any region. Partitions have
+/// no spec field: [`run_case`] installs them on the built cluster.
 ///
 /// Panics on a malformed plan (unknown system, procedure kind or storm
 /// shape) — plans come from [`Scenario::plan`]
@@ -271,13 +271,12 @@ pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
         Some(storm) => panic!("unknown storm shape `{}`", storm.shape),
     };
     let mut spec = ExperimentSpec::new(config, workload);
-    let cpfs: Vec<CpfId> = spec.layout.pool(0).collect();
     spec.failures = plan
         .crashes
         .iter()
         .map(|c| FailureSpec {
-            at: measured_start + Duration::from_millis(c.at_ms),
-            cpf: cpfs[c.cpf_index as usize % cpfs.len()],
+            at: measured_start + Duration::from_nanos(c.at_ns),
+            cpf: CpfId::new(c.cpf),
         })
         .collect();
     spec.horizon = horizon;
@@ -295,22 +294,21 @@ pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
     (spec, measured_start)
 }
 
-/// Runs one plan to its horizon with oracle passes every
-/// `check_interval_ms`, plus a final pass after the drain. A delivery tap
-/// installed on the built cluster records every delivered protocol-flow
-/// edge without perturbing the event stream; the final pass adds the flow
-/// verdict ([`flowcov::verdict`]) to the invariants' findings.
-///
-/// The run is [`experiment_spec`]'s spec on `experiment`'s one run path
-/// (build → advance → finish); only the pause points differ from a figure
-/// run. Panics on a malformed plan, as [`experiment_spec`] does, or on an
-/// unknown invariant or partition endpoint.
-pub fn run_case(plan: &CasePlan) -> CheckReport {
+/// Builds the cluster a plan runs on: [`experiment_spec`]'s spec with the
+/// plan's partitions installed. Also returns the measured-phase start and
+/// the horizon. Panics on a malformed plan, as [`experiment_spec`] does,
+/// or on an unknown partition endpoint or crash victim.
+fn build_case(plan: &CasePlan) -> (Cluster, Instant, Instant) {
     let (spec, measured_start) = experiment_spec(plan);
     let horizon_end = Instant::ZERO + spec.horizon;
     let mut cluster = experiment::build(spec);
-    let seen: Rc<RefCell<BTreeSet<Edge>>> = Rc::default();
-    cluster.sim.set_delivery_tap(flowcov::tap(Rc::clone(&seen)));
+    let cpf_count = cluster.deployment.all_cpfs().len() as u64;
+    if let Some(c) = plan.crashes.iter().find(|c| c.cpf >= cpf_count) {
+        panic!(
+            "crash victim cpf {} is not one of the {cpf_count} CPFs",
+            c.cpf
+        );
+    }
     let region0 = &cluster.deployment.regions()[0];
     let (cta0, cpfs) = (region0.cta, region0.cpfs.clone());
     for p in &plan.partitions {
@@ -326,6 +324,63 @@ pub fn run_case(plan: &CasePlan) -> CheckReport {
             measured_start + Duration::from_millis(p.until_ms),
         );
     }
+    (cluster, measured_start, horizon_end)
+}
+
+/// The crash points of a crash-free `base` plan: one plan per delivery to
+/// a CPF during or after `base`'s measured phase, crashing that CPF at
+/// that delivery's instant. Deliveries sharing an instant and a victim
+/// are one point. A crash scheduled at build time wins the same-instant
+/// tie ([`Sim::crash_at`](neutrino_netsim::Sim::crash_at)) and the run is
+/// `base`'s run until then, so the victim loses exactly that delivery and
+/// everything after it. Each point's plan keeps `base`'s drain after its
+/// crash: a crash late in the drain must still leave the UEs their time
+/// to recover.
+pub fn crash_points(base: &CasePlan) -> Vec<CasePlan> {
+    let (mut cluster, measured_start, horizon_end) = build_case(base);
+    let points: Rc<RefCell<BTreeSet<(Instant, CpfId)>>> = Rc::default();
+    let sink = Rc::clone(&points);
+    cluster.sim.set_delivery_tap(Box::new(move |at, _, to, _| {
+        if let Some(NodeAddr::Cpf(cpf)) = NodeAddr::from_node_raw(to.raw()) {
+            if at >= measured_start {
+                sink.borrow_mut().insert((at, cpf));
+            }
+        }
+    }));
+    experiment::advance(&mut cluster, horizon_end);
+    let measured_end_ns = base.duration_ms * NS_PER_MS;
+    let points = points.take();
+    points
+        .into_iter()
+        .map(|(at, cpf)| {
+            let at_ns = at.saturating_since(measured_start).as_nanos();
+            let past_end_ms = at_ns.saturating_sub(measured_end_ns).div_ceil(NS_PER_MS);
+            CasePlan {
+                crashes: vec![CrashPlan {
+                    at_ns,
+                    cpf: cpf.raw(),
+                }],
+                drain_ms: base.drain_ms + past_end_ms,
+                ..base.clone()
+            }
+        })
+        .collect()
+}
+
+/// Runs one plan to its horizon with oracle passes every
+/// `check_interval_ms`, plus a final pass after the drain. A delivery tap
+/// installed on the built cluster records every delivered protocol-flow
+/// edge without perturbing the event stream; the final pass adds the flow
+/// verdict ([`flowcov::verdict`]) to the invariants' findings.
+///
+/// The run is [`experiment_spec`]'s spec on `experiment`'s one run path
+/// (build → advance → finish); only the pause points differ from a figure
+/// run. Panics on a malformed plan, as [`build_case`] does, or on an
+/// unknown invariant.
+pub fn run_case(plan: &CasePlan) -> CheckReport {
+    let (mut cluster, _, horizon_end) = build_case(plan);
+    let seen: Rc<RefCell<BTreeSet<Edge>>> = Rc::default();
+    cluster.sim.set_delivery_tap(flowcov::tap(Rc::clone(&seen)));
 
     let mut invariants: Vec<(&str, Box<dyn Invariant>)> = plan
         .invariants

@@ -9,6 +9,12 @@
 //! plan itself is plain serializable data, so a failing case can be pinned
 //! to disk and replayed byte-identically with no reference back to the
 //! scenario that generated it.
+//!
+//! The `crash-points` family draws no crash time. It enumerates crash
+//! points instead: each of its base plans is dry-run, and every delivery
+//! to a CPF in that run becomes one plan that crashes that CPF at that
+//! instant ([`crash_points`](crate::run::crash_points)), so each protocol
+//! step a CPF takes is a step it dies at.
 
 use neutrino_common::rng::splitmix64_next;
 use neutrino_cta::AdmissionParams;
@@ -28,10 +34,11 @@ pub struct EndpointPlan {
 /// so they stay meaningful when the shrinker shortens the attach phase.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashPlan {
-    /// Milliseconds after the measured phase starts.
-    pub at_ms: u64,
-    /// Index into region 0's CPF pool (wrapped by modulo).
-    pub cpf_index: u64,
+    /// Nanoseconds after the measured phase starts.
+    pub at_ns: u64,
+    /// The victim's raw `CpfId`: any CPF of the deployment, which numbers
+    /// every region's pool contiguously (region 0's is `0..5`).
+    pub cpf: u64,
 }
 
 /// One timed bidirectional partition window (relative to measured start).
@@ -134,6 +141,19 @@ pub struct CasePlan {
     pub mutant: Option<neutrino_common::Mutant>,
 }
 
+impl CasePlan {
+    /// The plan's name in a sweep's output: family, seed, base and crashes.
+    pub fn label(&self) -> String {
+        let crashes: String = self
+            .crashes
+            .iter()
+            .map(|c| format!(", cpf {} down at +{:.6} ms", c.cpf, c.at_ns as f64 / 1e6))
+            .collect();
+        let (scenario, seed, system, kind) = (&self.scenario, self.seed, &self.system, &self.kind);
+        format!("{scenario} seed {seed} ({system} {kind}{crashes})")
+    }
+}
+
 /// A stateless splitmix64 stream — the same generator family the link
 /// fault layer uses, so plans and fault draws share one reproducibility
 /// story.
@@ -170,6 +190,34 @@ const fn span(lo: u64, hi: u64) -> Span {
     Span { lo, hi }
 }
 
+/// Nanoseconds per millisecond: a drawn crash lands on a whole
+/// millisecond, a crash point on the nanosecond of its delivery.
+pub(crate) const NS_PER_MS: u64 = 1_000_000;
+
+/// What one plan of a family runs: a system under test, the procedure
+/// kind of its measured phase and the invariants it checks.
+#[derive(Debug, Clone, Copy)]
+pub struct Base {
+    /// System under test (config constructor name).
+    pub system: &'static str,
+    /// Measured-phase procedure kind.
+    pub kind: &'static str,
+    /// Invariants checked (catalog names).
+    pub invariants: &'static [&'static str],
+}
+
+const fn base(
+    system: &'static str,
+    kind: &'static str,
+    invariants: &'static [&'static str],
+) -> Base {
+    Base {
+        system,
+        kind,
+        invariants,
+    }
+}
+
 /// A named chaos family: the ranges every per-seed draw comes from.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -177,10 +225,9 @@ pub struct Scenario {
     pub name: &'static str,
     /// What the family stresses (shown by `explore --list`).
     pub summary: &'static str,
-    /// System under test (config constructor name).
-    pub system: &'static str,
-    /// Measured-phase procedure kind.
-    pub kind: &'static str,
+    /// What its plans run. A family drawing its crashes has one base; the
+    /// crash-point family dry-runs each of its bases.
+    pub bases: &'static [Base],
     /// Arrival rate range (pps).
     pub rate_pps: Span,
     /// UE pool range.
@@ -195,12 +242,10 @@ pub struct Scenario {
     pub reorder_ppm: Span,
     /// Jitter bound range (µs).
     pub jitter_us: Span,
-    /// CPF crash count range.
-    pub crashes: Span,
+    /// CPF crash count range; `None` enumerates crash points instead.
+    pub crashes: Option<Span>,
     /// Partition window count range.
     pub partitions: Span,
-    /// Invariants checked (catalog names).
-    pub invariants: &'static [&'static str],
     /// Overload-storm dimensions (`None` for uniform-workload families).
     pub storm: Option<StormSpec>,
 }
@@ -260,32 +305,56 @@ const STORM_INVARIANTS: &[&str] = &[
     "no-retry-amplification",
 ];
 
+/// The crash-point family's bases: five procedure kinds on Neutrino and on
+/// the existing EPC, and a handover on Neutrino's default (non-proactive)
+/// handover, the one flavour that migrates state between CPFs.
+const POINT_BASES: &[Base] = &[
+    base("neutrino", "service-request", NEUTRINO_INVARIANTS),
+    base("neutrino", "tracking-area-update", NEUTRINO_INVARIANTS),
+    base("neutrino", "handover-cpf-change", NEUTRINO_INVARIANTS),
+    base("neutrino", "detach", NEUTRINO_INVARIANTS),
+    base("neutrino", "initial-attach", NEUTRINO_INVARIANTS),
+    base("existing_epc", "service-request", BASELINE_INVARIANTS),
+    base("existing_epc", "tracking-area-update", BASELINE_INVARIANTS),
+    base("existing_epc", "handover-cpf-change", BASELINE_INVARIANTS),
+    base("existing_epc", "detach", BASELINE_INVARIANTS),
+    base("existing_epc", "initial-attach", BASELINE_INVARIANTS),
+    base(
+        "neutrino_default_handover",
+        "handover-cpf-change",
+        NEUTRINO_INVARIANTS,
+    ),
+];
+
+/// Oracle pass interval of a crash-point plan: a recovery step is
+/// milliseconds long, so the passes look at every millisecond.
+const POINT_CHECK_INTERVAL_MS: u64 = 1;
+
+const NEUTRINO: &[Base] = &[base("neutrino", "service-request", NEUTRINO_INVARIANTS)];
+
 impl Scenario {
     /// Every built-in scenario.
     pub fn all() -> Vec<Scenario> {
         vec![
             Scenario {
-                name: "failover",
-                summary: "Neutrino CPF crash mid-run under light link faults",
-                system: "neutrino",
-                kind: "service-request",
-                rate_pps: span(8_000, 24_000),
-                ues: span(1_500, 3_000),
-                duration_ms: span(200, 400),
-                loss_ppm: span(0, 15_000),
-                duplicate_ppm: span(0, 8_000),
-                reorder_ppm: span(0, 25_000),
-                jitter_us: span(0, 20),
-                crashes: span(1, 1),
+                name: "crash-points",
+                summary: "each CPF crashed at each delivery it receives in 4-UE runs",
+                bases: POINT_BASES,
+                rate_pps: span(100, 100),
+                ues: span(4, 4),
+                duration_ms: span(200, 200),
+                loss_ppm: span(50_000, 50_000),
+                duplicate_ppm: span(0, 0),
+                reorder_ppm: span(0, 0),
+                jitter_us: span(0, 0),
+                crashes: None,
                 partitions: span(0, 0),
-                invariants: NEUTRINO_INVARIANTS,
                 storm: None,
             },
             Scenario {
                 name: "partition",
                 summary: "timed CTA–CPF / CPF–CPF partitions, no crash",
-                system: "neutrino",
-                kind: "service-request",
+                bases: NEUTRINO,
                 rate_pps: span(8_000, 20_000),
                 ues: span(1_500, 2_500),
                 duration_ms: span(250, 450),
@@ -293,16 +362,14 @@ impl Scenario {
                 duplicate_ppm: span(0, 5_000),
                 reorder_ppm: span(0, 15_000),
                 jitter_us: span(0, 20),
-                crashes: span(0, 0),
+                crashes: Some(span(0, 0)),
                 partitions: span(1, 2),
-                invariants: NEUTRINO_INVARIANTS,
                 storm: None,
             },
             Scenario {
                 name: "chaos",
                 summary: "crash + partitions + heavy loss/dup/reorder at once",
-                system: "neutrino",
-                kind: "service-request",
+                bases: NEUTRINO,
                 rate_pps: span(6_000, 18_000),
                 ues: span(1_200, 2_400),
                 duration_ms: span(250, 500),
@@ -310,50 +377,18 @@ impl Scenario {
                 duplicate_ppm: span(0, 20_000),
                 reorder_ppm: span(5_000, 60_000),
                 jitter_us: span(0, 40),
-                crashes: span(0, 2),
+                crashes: Some(span(0, 2)),
                 partitions: span(0, 2),
-                invariants: NEUTRINO_INVARIANTS,
-                storm: None,
-            },
-            Scenario {
-                name: "handover-failover",
-                summary: "CPF crash while handovers migrate state",
-                system: "neutrino",
-                kind: "handover-cpf-change",
-                rate_pps: span(8_000, 20_000),
-                ues: span(1_500, 2_500),
-                duration_ms: span(200, 400),
-                loss_ppm: span(0, 15_000),
-                duplicate_ppm: span(0, 8_000),
-                reorder_ppm: span(0, 25_000),
-                jitter_us: span(0, 20),
-                crashes: span(1, 1),
-                partitions: span(0, 0),
-                invariants: NEUTRINO_INVARIANTS,
-                storm: None,
-            },
-            Scenario {
-                name: "epc-reattach",
-                summary: "existing-EPC crash recovery by re-attach (liveness only)",
-                system: "existing_epc",
-                kind: "service-request",
-                rate_pps: span(6_000, 16_000),
-                ues: span(1_200, 2_400),
-                duration_ms: span(200, 400),
-                loss_ppm: span(0, 10_000),
-                duplicate_ppm: span(0, 5_000),
-                reorder_ppm: span(0, 15_000),
-                jitter_us: span(0, 20),
-                crashes: span(1, 1),
-                partitions: span(0, 0),
-                invariants: BASELINE_INVARIANTS,
                 storm: None,
             },
             Scenario {
                 name: "flash-crowd-reattach",
                 summary: "regional blackout, then the whole population re-attaches at once",
-                system: "neutrino",
-                kind: "service-request",
+                bases: &[Base {
+                    system: "neutrino",
+                    kind: "service-request",
+                    invariants: STORM_INVARIANTS,
+                }],
                 rate_pps: span(400, 800),
                 ues: span(6_000, 10_000),
                 duration_ms: span(1_000, 2_000),
@@ -361,9 +396,8 @@ impl Scenario {
                 duplicate_ppm: span(0, 3_000),
                 reorder_ppm: span(0, 10_000),
                 jitter_us: span(0, 20),
-                crashes: span(1, 2),
+                crashes: Some(span(1, 2)),
                 partitions: span(0, 0),
-                invariants: STORM_INVARIANTS,
                 storm: Some(StormSpec {
                     shape: "flash-crowd",
                     admission_rate_pps: span(2_500, 4_000),
@@ -376,8 +410,11 @@ impl Scenario {
             Scenario {
                 name: "iot-burst-storm",
                 summary: "IoT fleet wakes in synchronized diurnal pulses",
-                system: "neutrino",
-                kind: "tracking-area-update",
+                bases: &[Base {
+                    system: "neutrino",
+                    kind: "tracking-area-update",
+                    invariants: STORM_INVARIANTS,
+                }],
                 rate_pps: span(1_000, 1_000),
                 ues: span(2_000, 4_000),
                 duration_ms: span(6_000, 12_000),
@@ -385,9 +422,8 @@ impl Scenario {
                 duplicate_ppm: span(0, 3_000),
                 reorder_ppm: span(0, 10_000),
                 jitter_us: span(0, 20),
-                crashes: span(0, 0),
+                crashes: Some(span(0, 0)),
                 partitions: span(0, 0),
-                invariants: STORM_INVARIANTS,
                 storm: Some(StormSpec {
                     shape: "iot-burst",
                     admission_rate_pps: span(1_500, 3_000),
@@ -405,9 +441,26 @@ impl Scenario {
         Scenario::all().into_iter().find(|s| s.name == name)
     }
 
-    /// Expands this family into the concrete plan for `seed`. Pure: the
-    /// same `(scenario, seed)` always yields the identical plan.
+    /// Every plan of this family for `seed`: a drawn family's one plan, or
+    /// the crash points of each base plan of the crash-point family. Pure:
+    /// the same `(scenario, seed)` always yields the identical plans.
+    pub fn plans(&self, seed: u64) -> Vec<CasePlan> {
+        if self.crashes.is_some() {
+            return vec![self.plan(seed)];
+        }
+        self.bases
+            .iter()
+            .flat_map(|b| crate::run::crash_points(&self.draw(seed, b)))
+            .collect()
+    }
+
+    /// The plan this family draws for `seed` from its first base; for the
+    /// crash-point family, that base's crash-free plan.
     pub fn plan(&self, seed: u64) -> CasePlan {
+        self.draw(seed, &self.bases[0])
+    }
+
+    fn draw(&self, seed: u64, base: &Base) -> CasePlan {
         // Salt the stream with the scenario name so two scenarios sharing a
         // seed do not share their draw sequence.
         let salt = self
@@ -418,12 +471,13 @@ impl Scenario {
             });
         let mut rng = SplitMix::new(seed ^ salt);
         let duration_ms = rng.range(self.duration_ms.lo, self.duration_ms.hi);
-        let crashes = (0..rng.range(self.crashes.lo, self.crashes.hi))
+        let count = self.crashes.map_or(0, |c| rng.range(c.lo, c.hi));
+        let crashes = (0..count)
             .map(|_| CrashPlan {
                 // Land well inside the measured window so traffic is
                 // flowing both before and after the crash.
-                at_ms: rng.range(20, duration_ms.saturating_sub(40).max(21)),
-                cpf_index: rng.range(0, 4),
+                at_ns: rng.range(20, duration_ms.saturating_sub(40).max(21)) * NS_PER_MS,
+                cpf: rng.range(0, 4),
             })
             .collect();
         let partitions = (0..rng.range(self.partitions.lo, self.partitions.hi))
@@ -482,7 +536,7 @@ impl Scenario {
                 // The blackout IS the regional failure: every scheduled
                 // crash lands exactly when the steady phase ends.
                 for c in &mut crashes {
-                    c.at_ms = plan.steady_ms;
+                    c.at_ns = plan.steady_ms * NS_PER_MS;
                 }
             }
             plan
@@ -490,13 +544,16 @@ impl Scenario {
         CasePlan {
             scenario: self.name.to_string(),
             seed,
-            system: self.system.to_string(),
-            kind: self.kind.to_string(),
+            system: base.system.to_string(),
+            kind: base.kind.to_string(),
             rate_pps,
             ues,
             duration_ms,
             drain_ms: 10_000,
-            check_interval_ms: 25,
+            check_interval_ms: match self.crashes {
+                Some(_) => 25,
+                None => POINT_CHECK_INTERVAL_MS,
+            },
             loss_ppm,
             duplicate_ppm,
             reorder_ppm,
@@ -504,7 +561,7 @@ impl Scenario {
             jitter_us,
             crashes,
             partitions,
-            invariants: self.invariants.iter().map(|s| s.to_string()).collect(),
+            invariants: base.invariants.iter().map(|s| s.to_string()).collect(),
             storm,
             #[cfg(feature = "test-support")]
             mutant: None,
@@ -518,7 +575,7 @@ mod tests {
 
     #[test]
     fn plans_are_deterministic_per_seed() {
-        let s = Scenario::by_name("failover").unwrap();
+        let s = Scenario::by_name("chaos").unwrap();
         assert_eq!(s.plan(7), s.plan(7));
         assert_ne!(s.plan(7), s.plan(8));
     }
@@ -551,7 +608,7 @@ mod tests {
             assert!(p.rate_pps >= s.rate_pps.lo && p.rate_pps <= s.rate_pps.hi);
             assert!(p.ues >= s.ues.lo && p.ues <= s.ues.hi);
             assert!(p.duration_ms >= s.duration_ms.lo && p.duration_ms <= s.duration_ms.hi);
-            assert!(p.crashes.len() as u64 <= s.crashes.hi);
+            assert!(p.crashes.len() as u64 <= s.crashes.unwrap().hi);
             assert!(p.partitions.len() as u64 <= s.partitions.hi);
             for w in &p.partitions {
                 assert!(w.from_ms < w.until_ms);

@@ -12,7 +12,7 @@
 //! replays byte-identically with no reference to the shrink history.
 
 use crate::run::{run_case, CheckReport};
-use crate::scenario::CasePlan;
+use crate::scenario::{CasePlan, NS_PER_MS};
 
 /// Smallest measured window the shrinker will try (ms). Below this the
 /// fault schedule has no room to land inside the run.
@@ -69,7 +69,7 @@ fn candidates(plan: &CasePlan) -> Vec<CasePlan> {
         let mut c = plan.clone();
         c.duration_ms = (c.duration_ms / 2).max(MIN_DURATION_MS);
         // Keep the schedule inside the shortened window.
-        c.crashes.retain(|cr| cr.at_ms < c.duration_ms);
+        c.crashes.retain(|cr| cr.at_ns < c.duration_ms * NS_PER_MS);
         c.partitions.retain(|p| p.from_ms < c.duration_ms);
         for p in &mut c.partitions {
             p.until_ms = p.until_ms.min(c.duration_ms);
@@ -171,7 +171,7 @@ mod tests {
         plan.duration_ms = 400;
         for c in candidates(&plan) {
             for cr in &c.crashes {
-                assert!(cr.at_ms < c.duration_ms);
+                assert!(cr.at_ns < c.duration_ms * NS_PER_MS);
             }
             for p in &c.partitions {
                 assert!(p.until_ms <= c.duration_ms.max(p.from_ms + 1));

@@ -6,7 +6,7 @@
 
 use neutrino_bench::sweep::{run_cells, Cell};
 use neutrino_check::corpus::{self, CorpusCase};
-use neutrino_check::run::{experiment_spec, run_case, CheckReport, Fingerprint};
+use neutrino_check::run::{crash_points, experiment_spec, run_case, CheckReport, Fingerprint};
 use neutrino_check::scenario::{CasePlan, Scenario};
 use neutrino_check::shrink::shrink;
 use neutrino_common::Mutant;
@@ -19,15 +19,41 @@ fn replay_floor_case() -> (std::path::PathBuf, CorpusCase) {
     (path, case)
 }
 
-/// The harness's own determinism: same plan, same bytes.
+/// The crash-point family is data: a seed enumerates the same plans on
+/// every call, each its base plan plus one crash whose base drain still
+/// follows it, and a point's run is clean and replays byte-identically.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
-fn failover_seed_is_clean_and_replays_byte_identically() {
-    let plan = Scenario::by_name("failover").unwrap().plan(1);
-    let first = run_case(&plan);
+fn crash_points_enumerate_deterministically_and_replay_byte_identically() {
+    let family = Scenario::by_name("crash-points").unwrap();
+    let base = family.plan(1);
+    let plans = family.plans(1);
+    assert_eq!(
+        plans,
+        family.plans(1),
+        "the same seed enumerates the same points"
+    );
+    for p in &plans {
+        let [crash] = p.crashes.as_slice() else {
+            panic!("{} crashes once", p.label())
+        };
+        let end_ns = (p.duration_ms + p.drain_ms) * 1_000_000;
+        assert!(
+            crash.at_ns + base.drain_ms * 1_000_000 <= end_ns,
+            "{}",
+            p.label()
+        );
+    }
+    assert!(
+        plans.iter().any(|p| p.drain_ms > base.drain_ms),
+        "test setup: some point lies in the drain"
+    );
+    let point = &plans[plans.len() / 2];
+    let first = run_case(point);
     assert!(
         first.is_clean(),
-        "failover seed 1 must be clean on a healthy tree:\n{}",
+        "{} must be clean on a healthy tree:\n{}",
+        point.label(),
         first.to_json()
     );
     assert!(first.passes > 2, "oracle must actually pause the run");
@@ -35,8 +61,17 @@ fn failover_seed_is_clean_and_replays_byte_identically() {
         first.fingerprint.completed > 0,
         "the measured phase must complete procedures"
     );
-    let second = run_case(&plan);
+    let second = run_case(point);
     assert_eq!(first.to_json(), second.to_json(), "replay must be byte-identical");
+}
+
+/// The first crash point of the existing EPC's first base.
+fn epc_crash_point(seed: u64) -> CasePlan {
+    let plans = Scenario::by_name("crash-points").unwrap().plans(seed);
+    plans
+        .into_iter()
+        .find(|p| p.system == "existing_epc")
+        .expect("an EPC base")
 }
 
 /// Self-test of the detect→shrink→pin pipeline, with no code sabotage
@@ -47,7 +82,8 @@ fn failover_seed_is_clean_and_replays_byte_identically() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
 fn epc_violation_is_detected_shrunk_and_pinned() {
-    let mut plan = Scenario::by_name("epc-reattach").unwrap().plan(3);
+    let mut plan = epc_crash_point(3);
+    assert!(!plan.invariants.contains(&"consistency".to_string()));
     plan.invariants.push("consistency".to_string());
     let report = run_case(&plan);
     assert!(
@@ -125,7 +161,7 @@ fn corpus_cases_replay_clean() {
 /// own order as if it were an ordinary plan.
 #[test]
 fn a_plan_field_the_checker_does_not_read_fails_the_load() {
-    let plan = Scenario::by_name("failover").unwrap().plan(3);
+    let plan = Scenario::by_name("chaos").unwrap().plan(3);
     let json = serde_json::to_string_pretty(&plan)
         .unwrap()
         .replace("\n  \"storm\": null", "\n  \"storm\": null,\n  \"choice_trace\": [1]");
@@ -162,7 +198,7 @@ fn a_plan_without_a_mutant_key_is_the_healthy_tree() {
 /// healthy plan writes no `mutant` key at all.
 #[test]
 fn a_mutated_plan_round_trips_through_the_corpus() {
-    let healthy = Scenario::by_name("failover").unwrap().plan(3);
+    let healthy = Scenario::by_name("chaos").unwrap().plan(3);
     assert!(!serde_json::to_string(&healthy).unwrap().contains("mutant"));
     let case = CorpusCase {
         plan: CasePlan {
@@ -184,7 +220,7 @@ fn a_mutated_plan_round_trips_through_the_corpus() {
 /// the error names it.
 #[test]
 fn a_plan_naming_an_unknown_mutant_fails_the_load() {
-    let plan = Scenario::by_name("failover").unwrap().plan(3);
+    let plan = Scenario::by_name("chaos").unwrap().plan(3);
     let json = serde_json::to_string_pretty(&plan).unwrap().replace(
         "\n  \"storm\": null",
         "\n  \"storm\": null,\n  \"mutant\": \"no_such_mutant\"",
@@ -235,7 +271,7 @@ fn a_mutant_changes_only_its_own_run() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
 fn checked_run_is_the_figure_run() {
-    let plan = Scenario::by_name("failover").unwrap().plan(2);
+    let plan = crash_points(&Scenario::by_name("crash-points").unwrap().plan(2)).swap_remove(5);
     assert!(!plan.crashes.is_empty() && plan.partitions.is_empty());
     let checked = run_case(&plan);
     assert!(checked.passes > 2, "the oracle must actually pause the run");
@@ -358,7 +394,7 @@ fn storm_reports_are_independent_of_jobs() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulation-scale test; run with --release")]
 fn sweep_output_is_independent_of_jobs() {
-    let scenario = Scenario::by_name("failover").unwrap();
+    let scenario = Scenario::by_name("chaos").unwrap();
     let run_sweep = |jobs: usize| -> Vec<String> {
         let cells = (40..44u64)
             .map(|seed| {
@@ -371,13 +407,13 @@ fn sweep_output_is_independent_of_jobs() {
     assert_eq!(run_sweep(1), run_sweep(4));
 }
 
-/// Explorer-scale sweep: 100 seeds across two scenarios, all clean.
+/// Explorer-scale sweep: 50 seeds of two scenarios, all clean.
 #[test]
 #[ignore = "explorer-scale; run via the check-long CI job (cargo test --release -- --ignored)"]
 fn explorer_sweep_stays_clean() {
-    for name in ["failover", "chaos"] {
+    for name in ["crash-points", "chaos"] {
         let scenario = Scenario::by_name(name).unwrap();
-        let plans: Vec<CasePlan> = (0..50).map(|seed| scenario.plan(seed)).collect();
+        let plans: Vec<CasePlan> = (0..50).flat_map(|seed| scenario.plans(seed)).collect();
         let cells = plans
             .iter()
             .cloned()
@@ -387,9 +423,8 @@ fn explorer_sweep_stays_clean() {
         for (plan, report) in plans.iter().zip(&reports) {
             assert!(
                 report.is_clean(),
-                "scenario {} seed {} violated:\n{}",
-                name,
-                plan.seed,
+                "{} violated:\n{}",
+                plan.label(),
                 report.to_json()
             );
         }

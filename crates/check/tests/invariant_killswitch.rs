@@ -67,7 +67,7 @@ fn at_ms(ms: u64) -> Instant {
 
 /// A storm-free plan: every invariant gets its default configuration.
 fn plain_plan() -> CasePlan {
-    Scenario::by_name("failover").unwrap().plan(0)
+    Scenario::by_name("chaos").unwrap().plan(0)
 }
 
 fn assert_fired(row: &CatalogRow, fired: &[ViolationRecord], why: &str) {

@@ -1,13 +1,15 @@
 //! The mutant matrix: what the checker catches of each protocol mutant.
 //!
 //! Every [`Mutant`] is planted in two checks: the `lint` job's seed sweep
-//! (every scenario family at seeds 0 and 1, as `explore --seeds 2` runs
-//! it) and the plan of the pinned `mcheck-replay-floor-seed0.json`. A row
-//! records the sweep's total event count — a mutant whose count equals the
-//! healthy sweep's changed nothing the sweep ran, so it is not live — and
-//! the first catcher: the invariant (a `CATALOG` row or `flow-contract`)
-//! of the first failing sweep case in family-then-seed order, else of the
-//! corpus plan, else `uncaught`. Runs are deterministic, so the table is
+//! (every plan of every scenario family at seeds 0 and 1, as `explore
+//! --seeds 2` runs it, the crash points enumerated once on the healthy
+//! tree) and the plan of the pinned `mcheck-replay-floor-seed0.json`. A
+//! row records the sweep's total event count — a mutant whose count equals
+//! the healthy sweep's changed nothing the sweep ran, so it is not live —
+//! and the first catcher: the invariant (a `CATALOG` row or
+//! `flow-contract`) of the first failing sweep case in family, seed, then
+//! plan order, named by [`CasePlan::label`], else of the corpus plan, else
+//! `uncaught`. Runs are deterministic, so the table is
 //! pinned as it stands; a change that makes the checker catch a mutant
 //! moves that row here.
 
@@ -17,29 +19,30 @@ use neutrino_check::{run_case, CasePlan, CheckReport, Scenario};
 use neutrino_common::Mutant::{self, *};
 
 /// `(mutant, sweep events, first catcher)`, the healthy tree first, then
-/// every mutant. Three mutants are not live (the healthy 4 861 136
-/// events), eleven are live but uncaught, and the corpus plan's
-/// `consistency` catches one.
+/// every mutant. Two mutants are not live (the healthy 3 932 793 events),
+/// twelve are live but uncaught, and a crash point's `consistency`
+/// catches one.
 const PINNED: [(Option<Mutant>, u64, &str); 16] = [
-    (None, 4_861_136, "uncaught"),
-    (Some(NoVersionGuard), 4_860_398, "uncaught"),
-    (Some(AdoptBelowOutdatedMark), 4_861_020, "uncaught"),
-    (Some(UnsortedAcks), 4_861_136, "uncaught"),
-    (Some(StragglerInFlight), 4_933_806, "uncaught"),
-    (Some(EndClearsAnyInFlight), 4_861_136, "uncaught"),
-    (Some(FirstEligibleBackup), 4_862_209, "uncaught"),
-    (Some(NoStuckRedrive), 4_842_495, "uncaught"),
-    (Some(NoAckPurge), 4_861_136, "uncaught"),
-    (Some(ServeOutdated), 4_860_584, "uncaught"),
-    (Some(ReplayAndForward), 4_863_710, "uncaught"),
-    (Some(AckRefusedSync), 4_860_398, "uncaught"),
-    (Some(ReplayFloor), 4_861_098, CORPUS_CONSISTENCY),
-    (Some(ForwardBeforeReplay), 4_861_186, "uncaught"),
-    (Some(AckRaceFirstOnly), 5_244_572, "uncaught"),
-    (Some(SyncedRaceFirstOnly), 4_862_150, "uncaught"),
+    (None, 3_932_793, "uncaught"),
+    (Some(NoVersionGuard), 3_931_887, "uncaught"),
+    (Some(AdoptBelowOutdatedMark), 3_932_668, "uncaught"),
+    (Some(UnsortedAcks), 3_932_793, "uncaught"),
+    (Some(StragglerInFlight), 3_994_287, "uncaught"),
+    (Some(EndClearsAnyInFlight), 3_932_793, "uncaught"),
+    (Some(FirstEligibleBackup), 3_934_891, "uncaught"),
+    (Some(NoStuckRedrive), 3_912_294, "uncaught"),
+    (Some(NoAckPurge), 3_932_720, "uncaught"),
+    (Some(ServeOutdated), 3_931_635, "uncaught"),
+    (Some(ReplayAndForward), 3_934_704, "uncaught"),
+    (Some(AckRefusedSync), 3_931_882, "uncaught"),
+    (Some(ReplayFloor), 3_932_315, DETACH_POINT_CONSISTENCY),
+    (Some(ForwardBeforeReplay), 3_933_303, "uncaught"),
+    (Some(AckRaceFirstOnly), 4_149_937, "uncaught"),
+    (Some(SyncedRaceFirstOnly), 3_934_241, "uncaught"),
 ];
 
-const CORPUS_CONSISTENCY: &str = "consistency @ corpus mcheck-replay-floor-seed0";
+const DETACH_POINT_CONSISTENCY: &str =
+    "consistency @ crash-points seed 0 (neutrino detach, cpf 0 down at +70.120225 ms)";
 
 /// Fails to compile when a variant is added: give it a `PINNED` row too.
 fn _every_mutant_has_a_row(m: Mutant) {
@@ -90,7 +93,8 @@ fn mutant_matrix_matches_the_pinned_table() {
         .plan;
     let mut plans: Vec<(String, CasePlan)> = Scenario::all()
         .iter()
-        .flat_map(|s| (0..2).map(move |seed| (format!("{} seed {seed}", s.name), s.plan(seed))))
+        .flat_map(|s| (0..2).flat_map(|seed| s.plans(seed)))
+        .map(|plan| (plan.label(), plan))
         .collect();
     let sweep_len = plans.len();
     for (i, (m, _, _)) in PINNED.iter().enumerate() {

@@ -465,7 +465,7 @@ impl Run<'_> {
                 // Nowhere to migrate (single-CPF deployments): continue.
             }
             if step.upf_interaction && !replaying {
-                self.s11(session_op(self.progress.kind, step.kind));
+                self.s11(session_op(self.progress.kind));
                 if !self.config.parallel_upf {
                     self.progress.waiting = Some(Waiting::Upf { step: cursor });
                     return None;
@@ -517,7 +517,7 @@ impl Run<'_> {
         match self.progress.waiting {
             // Re-send the pending S11; session operations are idempotent at
             // the UPF.
-            Some(Waiting::Upf { step }) => self.s11(session_op(kind, steps[step].kind)),
+            Some(Waiting::Upf { .. }) => self.s11(session_op(kind)),
             // Re-send the migration sync; adoption is version-gated at the
             // target, so a duplicate is harmless and its ACK unblocks the
             // handover.
@@ -766,7 +766,7 @@ impl CpfCore {
             // modify-bearer after an ICS Response). It is fire-and-forget:
             // the procedure does not block on it.
             if consumed.upf_interaction {
-                run.s11(session_op(env.proc_kind, consumed.kind));
+                run.s11(session_op(env.proc_kind));
             }
             if run.config.replication == ReplicationMode::PerMessage {
                 checkpoint(
@@ -1051,7 +1051,7 @@ fn apply_fields(state: &mut Snapshot, msg: &ControlMessage) -> Result<()> {
 }
 
 /// The UPF operation a procedure's UPF step performs.
-fn session_op(kind: ProcedureKind, _step_kind: MessageKind) -> SessionOp {
+fn session_op(kind: ProcedureKind) -> SessionOp {
     match kind {
         ProcedureKind::InitialAttach | ProcedureKind::ReAttach => SessionOp::Create,
         ProcedureKind::Detach => SessionOp::Delete,

@@ -84,6 +84,14 @@ impl ProcedureLog {
         })
     }
 
+    /// Whether this procedure is a Detach, after which the UE holds no
+    /// state anywhere: the CPF that serves it drops the UE's record.
+    pub fn is_detach(&self) -> bool {
+        self.messages
+            .first()
+            .is_some_and(|m| m.proc_kind == ProcedureKind::Detach)
+    }
+
     /// Whether `replica` ACKed this procedure's checkpoint.
     pub fn acked_by(&self, replica: CpfId) -> bool {
         self.acks.binary_search(&replica).is_ok()

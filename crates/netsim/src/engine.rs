@@ -124,10 +124,11 @@ impl<M> Default for Outbox<M> {
     }
 }
 
-/// A delivery witness: `tap(from, to, &msg)` runs for every message
+/// A delivery witness: `tap(at, from, to, &msg)` runs for every message
 /// actually enqueued at an up node (after loss/partition/down filtering,
-/// before service). See [`Sim::set_delivery_tap`].
-pub type DeliveryTap<M> = Box<dyn FnMut(NodeId, NodeId, &M)>;
+/// before service); `at` is the arrival instant. See
+/// [`Sim::set_delivery_tap`].
+pub type DeliveryTap<M> = Box<dyn FnMut(Instant, NodeId, NodeId, &M)>;
 
 /// A protocol state machine living at one node.
 pub trait Node<M>: Any {
@@ -381,10 +382,11 @@ impl<M: Clone + 'static> Sim<M> {
         }
     }
 
-    /// Installs a delivery witness: `tap(from, to, &msg)` runs for every
-    /// message actually enqueued at an up node (after loss/partition/down
-    /// filtering, before service). Every checked case installs one to
-    /// record the protocol-flow edges it witnesses; figure runs never do.
+    /// Installs a delivery witness: `tap(at, from, to, &msg)` runs for
+    /// every message actually enqueued at an up node (after
+    /// loss/partition/down filtering, before service), `at` being its
+    /// arrival instant. Every checked case installs one to record the
+    /// protocol-flow edges it witnesses; figure runs never do.
     pub fn set_delivery_tap(&mut self, tap: DeliveryTap<M>) {
         self.tap = Some(tap);
     }
@@ -471,7 +473,10 @@ impl<M: Clone + 'static> Sim<M> {
 
     /// Schedules a crash of `node` at `at`: its queue and in-flight work are
     /// discarded, and the node stays down for the rest of the run, dropping
-    /// every later arrival, completion and timer.
+    /// every later arrival, completion and timer. Same-instant events run
+    /// in scheduling order, so a crash scheduled before the run starts
+    /// precedes every event the run schedules for `at`: the node loses a
+    /// delivery arriving at exactly `at`, and everything after it.
     pub fn crash_at(&mut self, at: Instant, node: NodeId) {
         let node = Id32::of(node);
         self.push(at, EventKind::Crash { node });
@@ -606,7 +611,7 @@ impl<M: Clone + 'static> Sim<M> {
                 }
                 if let Some(tap) = self.tap.as_mut() {
                     if let Some(body) = self.bodies.get(msg) {
-                        tap(from.id(), self.nodes[slot].id, body);
+                        tap(self.now, from.id(), self.nodes[slot].id, body);
                     }
                 }
                 let entry = &mut self.nodes[slot];
@@ -759,6 +764,8 @@ impl<M: Clone + 'static> Sim<M> {
 mod tests {
     use super::*;
     use crate::links::LinkSpec;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Echoes every message back to its sender after a fixed service time.
     struct Echo {
@@ -954,6 +961,32 @@ mod tests {
             echo.seen.is_empty(),
             "the completion due after the crash is stale"
         );
+    }
+
+    /// The tie rule a crash point rests on: a crash scheduled before the
+    /// run wins the same-instant tie, so a delivery arriving at exactly
+    /// the crash instant is dropped as down and never reaches the tap,
+    /// while the tap reports each earlier delivery at its arrival instant.
+    #[test]
+    fn a_crash_scheduled_before_the_run_wins_the_same_instant_tie() {
+        let (mut sim, a, b) = two_node_sim(Duration::ZERO, Duration::from_micros(10));
+        let seen: Rc<RefCell<Vec<(Instant, u64)>>> = Rc::default();
+        let sink = Rc::clone(&seen);
+        sim.set_delivery_tap(Box::new(move |at, _, to, msg| {
+            if to == b {
+                sink.borrow_mut().push((at, *msg));
+            }
+        }));
+        // Each kick makes `a` ping `b` three times over the 10 µs link: the
+        // first batch reaches `b` at 10 µs, the second at the crash instant.
+        sim.inject_at(Instant::ZERO, a, 0);
+        sim.inject_at(Instant::from_micros(20), a, 0);
+        sim.crash_at(Instant::from_micros(30), b);
+        sim.run_to_completion();
+        let at = Instant::from_micros(10);
+        assert_eq!(*seen.borrow(), [(at, 0), (at, 1), (at, 2)]);
+        let stats = sim.stats(b).unwrap();
+        assert_eq!((stats.processed, stats.dropped_down), (3, 3));
     }
 
     /// Arms a 100 µs timer on every message and counts the ones that fire.

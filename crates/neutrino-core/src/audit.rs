@@ -121,9 +121,11 @@ pub struct OwnershipWalk {
 }
 
 /// The orphan walk the audit and `check`'s `session-ownership` invariant
-/// share: every live CTA's log, calling `seen(cta, ue, last_completed)`
-/// once per UE it holds, then every live UPF's session table, collecting
-/// the sessions whose UE none of those logs holds.
+/// share: every live CTA's log, calling `seen(cta, ue, expected)` once per
+/// UE it holds, then every live UPF's session table, collecting the
+/// sessions whose UE none of those logs holds. `expected` is the UE's last
+/// completed procedure, or 0 when that was a Detach: a detached UE holds
+/// no state until it attaches again.
 pub fn walk_ownership(
     cluster: &mut Cluster,
     mut seen: impl FnMut(CtaId, UeId, ProcedureId),
@@ -147,7 +149,9 @@ pub fn walk_ownership(
         };
         for (ue, ue_log) in node.core().log().ues() {
             known.insert(*ue, ());
-            seen(cta, *ue, ue_log.last_completed);
+            let last = ue_log.last_completed;
+            let detached = ue_log.procedure(last).is_some_and(|p| p.is_detach());
+            seen(cta, *ue, if detached { ProcedureId(0) } else { last });
         }
     }
     for upf in upfs {

@@ -151,8 +151,8 @@ pub fn adapt_workload(config: &SystemConfig, workload: Workload) -> Workload {
 /// Builds the cluster a spec describes: adapts the workload to the
 /// system's handover flavor, builds the deployment and schedules every
 /// [`FailureSpec`]. The first of the three steps every run takes (build →
-/// [`advance`] → [`finish`]); `neutrino-check` installs its partitions,
-/// delivery tap and chooser between build and the first advance.
+/// [`advance`] → [`finish`]); `neutrino-check` installs its partitions
+/// and delivery tap between build and the first advance.
 pub fn build(spec: ExperimentSpec) -> Cluster {
     let workload = adapt_workload(&spec.config, spec.workload);
     // Runaway-loop budget scales with the horizon: a genuine feedback loop

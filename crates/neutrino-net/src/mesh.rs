@@ -157,6 +157,10 @@ impl Mesh {
 
     /// Spawns a node: a thread running the pump over `core`, reachable at
     /// `core.addr()`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the mesh's one node thread: every role runs this pump"
+    )]
     pub fn spawn<C: RoleCore + Send + 'static>(&mut self, core: C) {
         let addr = core.addr();
         let (tx, rx) = unbounded();
@@ -478,6 +482,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "an idle pump is observed by sleeping in host time"
+    )]
     fn the_pump_honours_deadlines_idle_and_under_traffic() {
         let ticks = Arc::new(AtomicU64::new(0));
         let mut mesh = Mesh::new(MeshConfig::default());
