@@ -69,7 +69,7 @@ pub struct OverloadPoint {
 /// without the admission gate.
 fn overload_cell(gated: bool, surge_rate_pps: u64, ues: u64, steady: Duration) -> OverloadPoint {
     let params = AdmissionParams::for_rate(ADMISSION_RATE_PPS);
-    let queue_cap = params.queue_cap;
+    let queue_cap = params.queue_cap();
     let mut config = SystemConfig::neutrino();
     if gated {
         config = config.with_admission(params);

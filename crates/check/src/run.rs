@@ -415,8 +415,9 @@ pub fn run_case(plan: &CasePlan) -> CheckReport {
             let flow = findings.into_iter().map(|f| ViolationRecord::stamp(FLOW_CONTRACT, now, f));
             batch.extend(flow);
         }
-        // Invariants iterate HashMaps internally; the report must be
-        // byte-stable across runs.
+        // One stable order over several invariants' findings and the flow
+        // verdict: the report, and which records the cap keeps, do not
+        // depend on the order the checks ran in.
         batch.sort_by(|a, b| (&a.invariant, a.ue, &a.detail).cmp(&(&b.invariant, b.ue, &b.detail)));
         total_violations += batch.len() as u64;
         let room = MAX_RECORDED_VIOLATIONS - recorded.len();

@@ -523,7 +523,7 @@ impl Scenario {
             let plan = StormPlan {
                 shape: sp.shape.to_string(),
                 admission_rate_pps,
-                queue_cap: AdmissionParams::for_rate(admission_rate_pps).queue_cap,
+                queue_cap: AdmissionParams::for_rate(admission_rate_pps).queue_cap(),
                 steady_ms: duration_ms,
                 surge_delay_ms: rng.range(200, 500),
                 surge_rate_pps: rate_pps * rng.range(sp.surge_mult.lo.max(1), sp.surge_mult.hi.max(1)),

@@ -83,41 +83,6 @@ impl CpfConfig {
             mutant: None,
         }
     }
-
-    /// Existing-EPC CPF: no replication; UEs re-attach after failures.
-    pub fn epc(id: CpfId, peers: Vec<CpfId>, upfs: Vec<UpfId>) -> Self {
-        CpfConfig {
-            id,
-            replication: ReplicationMode::None,
-            ring: None,
-            peers,
-            remote_peers: Vec::new(),
-            upfs,
-            home_cta: CtaId::new(0),
-            enforce_consistency: true,
-            parallel_upf: false,
-            #[cfg(feature = "test-support")]
-            mutant: None,
-        }
-    }
-
-    /// SkyCore CPF: per-message broadcast to pool peers, no consistency
-    /// checks.
-    pub fn skycore(id: CpfId, peers: Vec<CpfId>, upfs: Vec<UpfId>) -> Self {
-        CpfConfig {
-            id,
-            replication: ReplicationMode::PerMessage,
-            ring: None,
-            peers,
-            remote_peers: Vec::new(),
-            upfs,
-            home_cta: CtaId::new(0),
-            enforce_consistency: false,
-            parallel_upf: false,
-            #[cfg(feature = "test-support")]
-            mutant: None,
-        }
-    }
 }
 
 /// An action the CPF asks its driver to perform.
@@ -244,8 +209,8 @@ impl CpfMetrics {
 /// What the CPF is waiting on before continuing a procedure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Waiting {
-    Upf { step: usize },
-    Migration { step: usize },
+    Upf,
+    Migration,
 }
 
 /// Per-UE procedure progress.
@@ -457,7 +422,7 @@ impl Run<'_> {
             // then the UPF interaction, then the message itself.
             if step.requires_state_migration && !self.progress.migrated && !replaying {
                 if let Some(target) = self.config.migration_target(self.rec.state.ue()) {
-                    self.progress.waiting = Some(Waiting::Migration { step: cursor });
+                    self.progress.waiting = Some(Waiting::Migration);
                     self.metrics.migrations += 1;
                     self.migration_sync(target);
                     return None;
@@ -467,7 +432,7 @@ impl Run<'_> {
             if step.upf_interaction && !replaying {
                 self.s11(session_op(self.progress.kind));
                 if !self.config.parallel_upf {
-                    self.progress.waiting = Some(Waiting::Upf { step: cursor });
+                    self.progress.waiting = Some(Waiting::Upf);
                     return None;
                 }
                 // DPCM: fall through and emit the downlink immediately.
@@ -517,11 +482,11 @@ impl Run<'_> {
         match self.progress.waiting {
             // Re-send the pending S11; session operations are idempotent at
             // the UPF.
-            Some(Waiting::Upf { .. }) => self.s11(session_op(kind)),
+            Some(Waiting::Upf) => self.s11(session_op(kind)),
             // Re-send the migration sync; adoption is version-gated at the
             // target, so a duplicate is harmless and its ACK unblocks the
             // handover.
-            Some(Waiting::Migration { .. }) => {
+            Some(Waiting::Migration) => {
                 if let Some(target) = self.config.migration_target(self.rec.state.ue()) {
                     self.migration_sync(target);
                 }
@@ -823,7 +788,7 @@ impl CpfCore {
     pub fn on_migration_ack(&mut self, ue: UeId) -> Vec<CpfOutput> {
         let mut out = Vec::new();
         let finished = match self.run(ue, &mut out) {
-            Some(mut run) if matches!(run.progress.waiting, Some(Waiting::Migration { .. })) => {
+            Some(mut run) if matches!(run.progress.waiting, Some(Waiting::Migration)) => {
                 run.progress.waiting = None;
                 run.progress.migrated = true;
                 run.drive(false)
@@ -936,7 +901,7 @@ impl CpfCore {
             }
         }
         let finished = match self.run(ue, &mut out) {
-            Some(mut run) if matches!(run.progress.waiting, Some(Waiting::Upf { .. })) => {
+            Some(mut run) if matches!(run.progress.waiting, Some(Waiting::Upf)) => {
                 run.progress.waiting = None;
                 run.emit_downlink(false);
                 run.drive(false)
@@ -1763,11 +1728,13 @@ mod tests {
     #[test]
     fn skycore_broadcasts_on_every_message() {
         let peers: Vec<CpfId> = (0..5).map(CpfId::new).collect();
-        let mut cpf = CpfCore::new(CpfConfig::skycore(
-            CpfId::new(0),
+        let mut cpf = CpfCore::new(CpfConfig {
+            replication: ReplicationMode::PerMessage,
+            ring: None,
             peers,
-            vec![UpfId::new(0)],
-        ));
+            enforce_consistency: false,
+            ..CpfConfig::neutrino(CpfId::new(0), ring(), vec![UpfId::new(0)])
+        });
         let outs = cpf.on_control(ul(
             7,
             1,
@@ -1792,11 +1759,12 @@ mod tests {
 
     #[test]
     fn epc_mode_never_replicates() {
-        let mut cpf = CpfCore::new(CpfConfig::epc(
-            CpfId::new(0),
-            (0..5).map(CpfId::new).collect(),
-            vec![UpfId::new(0)],
-        ));
+        let mut cpf = CpfCore::new(CpfConfig {
+            replication: ReplicationMode::None,
+            ring: None,
+            peers: (0..5).map(CpfId::new).collect(),
+            ..CpfConfig::neutrino(CpfId::new(0), ring(), vec![UpfId::new(0)])
+        });
         let outs = run_attach(&mut cpf, 7, 1, 10);
         assert!(!outs.iter().any(|o| matches!(
             o,

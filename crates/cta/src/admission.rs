@@ -34,20 +34,20 @@ use neutrino_messages::sysmsg::AdmissionClass;
 /// Nano-tokens per whole token. One admitted procedure costs one token.
 const TOKEN: u64 = 1_000_000_000;
 
-/// Static parameters of the CTA ingress admission gate.
+/// Static parameters of the CTA ingress admission gate, built from the
+/// admission rate by [`AdmissionParams::for_rate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionParams {
     /// Sustained admission rate, in procedures per second.
-    pub rate_pps: u64,
+    pub(crate) rate_pps: u64,
     /// Bucket capacity in whole tokens: the largest burst admitted at once.
-    pub burst: u64,
+    pub(crate) burst: u64,
     /// Engine-queue depth the admission gate is sized to keep every node
-    /// under; the `bounded-queue` invariant checks observed depths against
-    /// this cap.
-    pub queue_cap: u64,
+    /// under.
+    pub(crate) queue_cap: u64,
     /// Floor added to every computed `retry_after_ms` so rejected UEs never
     /// re-offer instantly even when the bucket is about to refill.
-    pub retry_after_base_ms: u64,
+    pub(crate) retry_after_base_ms: u64,
 }
 
 impl AdmissionParams {
@@ -64,6 +64,12 @@ impl AdmissionParams {
             queue_cap: (rate_pps / 4).max(64),
             retry_after_base_ms: 20,
         }
+    }
+
+    /// Engine-queue depth the gate is sized to keep every node under; the
+    /// `bounded-queue` invariant checks observed depths against it.
+    pub fn queue_cap(&self) -> u64 {
+        self.queue_cap
     }
 
     /// Reserve threshold for a class, in nano-tokens: the bucket level that
@@ -122,11 +128,6 @@ impl AdmissionControl {
             min_admit_tokens: [None; 4],
             max_shed_tokens: [None; 4],
         }
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &AdmissionParams {
-        &self.params
     }
 
     /// Lazily refill the bucket up to `now`. `rate_pps` tokens/second is

@@ -27,6 +27,11 @@ const SCAN_INTERVAL: Duration = Duration::from_secs(5);
 /// outdated and pruning the procedure (§4.2.4 uses 30 s).
 const ACK_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Base delay before a completed-but-unACKed procedure's checkpoint is
+/// re-requested from the primary; it doubles per attempt until
+/// [`ACK_TIMEOUT`] prunes the procedure.
+const RESYNC_BASE: Duration = Duration::from_secs(4);
+
 /// What the CTA does when a UE's primary CPF is down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailoverPolicy {
@@ -51,10 +56,6 @@ pub struct CtaConfig {
     pub logging: bool,
     /// Failure recovery policy.
     pub failover: FailoverPolicy,
-    /// Base delay before a completed-but-unACKed procedure's checkpoint is
-    /// re-requested from the primary. Doubles per attempt (exponential
-    /// backoff) until the 30 s ACK timeout (§4.2.4) prunes the procedure.
-    pub resync_base: Duration,
     /// The codec in use — determines the wire size the log charges per
     /// message.
     pub codec: CodecKind,
@@ -75,22 +76,7 @@ impl CtaConfig {
             id,
             logging: true,
             failover: FailoverPolicy::ReplayFromLog,
-            resync_base: Duration::from_secs(4),
             codec,
-            admission: None,
-            #[cfg(feature = "test-support")]
-            mutant: None,
-        }
-    }
-
-    /// Existing-EPC defaults: no log, re-attach on failure, ASN.1.
-    pub fn epc(id: CtaId) -> Self {
-        CtaConfig {
-            id,
-            logging: false,
-            failover: FailoverPolicy::ReAttach,
-            resync_base: Duration::from_secs(4),
-            codec: CodecKind::Asn1Per,
             admission: None,
             #[cfg(feature = "test-support")]
             mutant: None,
@@ -376,12 +362,13 @@ impl CtaCore {
         self.ring.backups(ue).collect()
     }
 
-    /// Whether replicas will ever ACK this CTA's completed procedures. A
-    /// zero [`CtaConfig::resync_base`] is how a deployment without state
-    /// replication says "no": nothing is chased, and nothing is kept
-    /// waiting for an ACK timeout that would only count phantom failures.
+    /// Whether replicas will ever ACK this CTA's completed procedures: only
+    /// when a failure is recovered from a replica rather than by re-attach,
+    /// because only then does the system replicate. Otherwise nothing is
+    /// chased, and nothing is kept waiting for an ACK timeout that would
+    /// only count phantom failures.
     fn expects_acks(&self) -> bool {
-        self.config.resync_base > Duration::ZERO
+        self.config.failover != FailoverPolicy::ReAttach
     }
 
     /// Handles any system message addressed to this CTA.
@@ -681,7 +668,7 @@ impl CtaCore {
     /// Before a procedure's ACKs time out entirely, the scan asks the UE's
     /// primary to re-send the checkpoint (a lost `StateSync` or `SyncAck`
     /// otherwise leaves the replicas permanently behind), backing off
-    /// exponentially from [`CtaConfig::resync_base`] per attempt.
+    /// exponentially from [`RESYNC_BASE`] per attempt.
     pub fn scan(&mut self, now: Instant) -> Vec<CtaOutput> {
         // Graceful degradation: while the admission gate is shedding, the
         // level-2 replication sweep (converged pruning, resync chases, and
@@ -694,7 +681,6 @@ impl CtaCore {
                 return Vec::new();
             }
         }
-        let base = self.config.resync_base.as_nanos();
         // Act in (ue, procedure) order — the index's own — so the message
         // sequence is identical on every run.
         let pending: Vec<(UeId, ProcedureId)> = self.log.completed().collect();
@@ -720,9 +706,10 @@ impl CtaCore {
             };
             if done + ACK_TIMEOUT <= now {
                 expired.push((ue, proc));
-            } else if base > 0 {
+            } else {
                 let backoff = 1u64 << entry.resync_attempts.min(20);
-                if done + Duration::from_nanos(base.saturating_mul(backoff)) <= now {
+                let wait = RESYNC_BASE.as_nanos().saturating_mul(backoff);
+                if done + Duration::from_nanos(wait) <= now {
                     lagging.push((ue, proc));
                 }
             }
@@ -935,6 +922,16 @@ mod tests {
             CtaConfig::neutrino(CtaId::new(0), CodecKind::FastbufOptimized),
             ring(),
         )
+    }
+
+    /// An existing-EPC CTA: no log, re-attach on failure, ASN.1.
+    fn epc() -> CtaCore {
+        let cfg = CtaConfig {
+            logging: false,
+            failover: FailoverPolicy::ReAttach,
+            ..CtaConfig::neutrino(CtaId::new(0), CodecKind::Asn1Per)
+        };
+        CtaCore::new(cfg, ring())
     }
 
     fn ul(ue: u64, proc: u64, kind: MessageKind, eop: bool) -> Envelope {
@@ -1188,11 +1185,9 @@ mod tests {
 
     #[test]
     fn without_expected_acks_completion_leaves_nothing_to_time_out() {
-        // `resync_base == 0` is how a deployment without state replication
-        // tells the CTA that no ACK will ever come.
-        let mut cfg = CtaConfig::epc(CtaId::new(0));
-        cfg.resync_base = Duration::ZERO;
-        let mut c = CtaCore::new(cfg, ring());
+        // Re-attach on failure is how a deployment without state
+        // replication tells the CTA that no ACK will ever come.
+        let mut c = epc();
         c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
         let log = c.log().ue(UeId::new(3)).unwrap();
         assert_eq!(log.last_completed, ProcedureId::new(1));
@@ -1347,7 +1342,7 @@ mod tests {
 
     #[test]
     fn epc_policy_always_re_attaches() {
-        let mut c = CtaCore::new(CtaConfig::epc(CtaId::new(0)), ring());
+        let mut c = epc();
         let ue = UeId::new(3);
         c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
         let primary = c.primary_for(ue).unwrap();

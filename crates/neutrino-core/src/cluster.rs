@@ -131,13 +131,6 @@ impl Cluster {
                 id: region.cta,
                 logging: config.logging,
                 failover: config.failover,
-                // No replication → no ACKs will ever come; a resync chase
-                // would just spam the primary. Zero disables it.
-                resync_base: if config.replication == neutrino_cpf::ReplicationMode::None {
-                    Duration::ZERO
-                } else {
-                    Duration::from_secs(4)
-                },
                 codec: config.codec,
                 admission: config.admission,
                 #[cfg(feature = "test-support")]
@@ -409,6 +402,52 @@ mod tests {
             .inject_at(at, cpf_node(cpf), SimMsg::Sys(SysMsg::Control(bad)));
         cluster.run_until(Instant::from_micros(1_000_000));
         assert_eq!(cluster.cpf_metrics().malformed_payloads, 1);
+    }
+
+    /// A CTA expects replica ACKs exactly when its failover is not a
+    /// re-attach, which stands for "the system replicates". Every preset
+    /// must keep that premise, and its cluster's CTA must hold a completed
+    /// attach in its ACK index exactly when the system replicates.
+    #[test]
+    fn a_cta_awaits_acks_exactly_when_its_system_replicates() {
+        use crate::uepop::Arrival;
+        use neutrino_common::UeId;
+        use neutrino_cpf::ReplicationMode;
+        use neutrino_cta::FailoverPolicy;
+        use neutrino_messages::ProcedureKind;
+        let presets = [
+            SystemConfig::neutrino(),
+            SystemConfig::neutrino_default_handover(),
+            SystemConfig::neutrino_no_replication(),
+            SystemConfig::neutrino_per_message(),
+            SystemConfig::neutrino_no_logging(),
+            SystemConfig::existing_epc(),
+            SystemConfig::dpcm(),
+            SystemConfig::skycore(),
+        ];
+        for config in presets {
+            let name = config.name;
+            let replicates = config.replication != ReplicationMode::None;
+            let recovers_from_replicas = config.failover != FailoverPolicy::ReAttach;
+            assert_eq!(replicates, recovers_from_replicas, "{name}");
+            let attach = Arrival {
+                at: Instant::from_millis(1),
+                ue: UeId::new(1),
+                kind: ProcedureKind::InitialAttach,
+            };
+            let spec = ExperimentSpec::new(config, Workload::from_vec(vec![attach]));
+            let mut cluster = crate::experiment::build(spec);
+            let (mut kept, end) = (false, Instant::from_secs(1));
+            while let Some(at) = cluster.sim.next_event_at().filter(|&t| t < end) {
+                cluster.run_until(at);
+                cluster.each_node::<CtaCore>(|node| {
+                    kept |= node.core().log().completed().next().is_some();
+                });
+            }
+            let completed = cluster.take_results().completed;
+            assert_eq!(completed, 1, "{name}: the attach completes");
+            assert_eq!(kept, replicates, "{name}");
+        }
     }
 
     #[test]

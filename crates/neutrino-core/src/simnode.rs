@@ -15,7 +15,7 @@ use neutrino_cta::CtaCore;
 use neutrino_messages::costs::{state_sync_cost, CostTable};
 use neutrino_messages::flow::{Effect, NodeAddr, RoleCore};
 use neutrino_messages::procedures::ProcedureKind;
-use neutrino_messages::{Direction, MessageKind, SysMsg};
+use neutrino_messages::{Direction, MessageKind, Snapshot, SysMsg};
 use neutrino_netsim::{Node, NodeEvent, NodeId, Outbox};
 use neutrino_upf::UpfCore;
 use std::any::Any;
@@ -133,9 +133,7 @@ fn raw_cpf_service_time(config: &SystemConfig, msg: &SysMsg) -> Duration {
         // Replica duty: parse + apply the checkpoint. State snapshots are
         // system-internal (each system serializes them with its own code,
         // not the ASN.1 control-plane codec).
-        SysMsg::StateSync(_) => {
-            state_sync_cost(neutrino_codec::CodecKind::FastbufOptimized).access + CPF_STATE_UPDATE
-        }
+        SysMsg::StateSync(_) => state_sync_cost(Snapshot::CODEC).access + CPF_STATE_UPDATE,
         // Replaying n logged messages re-parses and re-applies each.
         SysMsg::Replay(r) => {
             let mut t = Duration::ZERO;
@@ -147,9 +145,7 @@ fn raw_cpf_service_time(config: &SystemConfig, msg: &SysMsg) -> Duration {
         // The pending downlink's encoding was charged on the uplink message
         // that triggered the S11 op; resuming is bookkeeping.
         SysMsg::S11Resp(_) => CPF_STATE_UPDATE,
-        SysMsg::FetchStateResp { .. } => {
-            state_sync_cost(neutrino_codec::CodecKind::FastbufOptimized).access
-        }
+        SysMsg::FetchStateResp { .. } => state_sync_cost(Snapshot::CODEC).access,
         // Paging an idle UE encodes a Paging message.
         SysMsg::DdnRequest { .. } => cost_of(MessageKind::Paging).encode + CPF_STATE_UPDATE,
         SysMsg::MigrationAck { .. }
