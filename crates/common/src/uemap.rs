@@ -21,14 +21,16 @@ use std::fmt;
 /// UE id → value.
 ///
 /// Values live densely in a slab of fixed-size chunks; a linear-probing
-/// index of packed `(hash tag, slab slot)` words finds them. A lookup touches
-/// the index (8 bytes per entry, cache-resident at simulation scale) and then
-/// exactly one slab entry.
+/// index of packed `(hash tag, slab slot)` words finds them. A lookup reads
+/// 4-byte index words from the UE's home until one's tag matches, then that
+/// word's slab entry. At 40 000 UEs the index is 256 KiB, and a run holds
+/// at least six such tables.
 pub struct UeMap<V> {
     /// Open-addressed index, empty or a power of two long, at most ¾ full.
     /// `0` marks a free position; an occupied one holds
-    /// `tag << 32 | slot + 1`, and its home position is `tag & mask`.
-    index: Vec<u64>,
+    /// `tag << 24 | slot + 1`, and its home position is `hash & mask`, so
+    /// moving a word needs its slab entry's [`UeId`].
+    index: Vec<u32>,
     /// The entries, in no meaningful order (`remove` swaps the last one into
     /// the hole): slot `s` is entry `s % CHUNK` of chunk `s / CHUNK`. Every
     /// chunk is allocated once, at `CHUNK` entries, all but the last are
@@ -44,32 +46,46 @@ type Item<V> = (UeId, V);
 /// entry by a shift and a mask.
 const CHUNK: usize = 256;
 
-/// The upper half of the UE id's hash.
+/// Bits of an index word that hold `slot + 1`; the hash tag fills the rest.
+const SLOT_BITS: u32 = 24;
+
+/// The `slot + 1` part of an index word.
+const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
+
+/// The UE id's hash: its low bits pick the home position, its top byte is
+/// the tag.
 #[inline]
-fn tag_of(ue: UeId) -> u32 {
-    (splitmix64(ue.raw()) >> 32) as u32
+fn hash_of(ue: UeId) -> u64 {
+    splitmix64(ue.raw())
 }
 
-/// The index word of `slot`: `slot + 1` fills the low half. That is the
-/// map's capacity, fewer than 2^32 − 1 UEs (a slab that size is over
-/// 64 GiB), checked like a `Vec`'s: past it a word would corrupt its tag.
+/// The top byte of `hash`, placed where an index word holds it.
 #[inline]
-fn pack(tag: u32, slot: usize) -> u64 {
-    assert!(slot < u32::MAX as usize, "UeMap capacity overflow");
-    u64::from(tag) << 32 | (slot as u64 + 1)
+fn tag_bits(hash: u64) -> u32 {
+    ((hash >> 56) as u32) << SLOT_BITS
+}
+
+/// The index word of `slot` under `tag` (from [`tag_bits`]): `slot + 1`
+/// fills the low 24 bits. That is the map's capacity, slots up to
+/// 2^24 − 2 (16.7 M UEs), checked like a `Vec`'s: past it a word would
+/// corrupt its tag.
+#[inline]
+fn pack(tag: u32, slot: usize) -> u32 {
+    assert!(slot < SLOT_MASK as usize, "UeMap capacity overflow");
+    tag | (slot as u32 + 1)
 }
 
 /// The slab slot an occupied index word points at.
 #[inline]
-fn slot_of(word: u64) -> usize {
-    (word as u32 - 1) as usize
+fn slot_of(word: u32) -> usize {
+    ((word & SLOT_MASK) - 1) as usize
 }
 
-/// Writes `word` into the first free position at or after its home.
+/// Writes `word` into the first free position at or after `hash`'s home.
 #[inline]
-fn place(index: &mut [u64], word: u64) {
+fn place(index: &mut [u32], hash: u64, word: u32) {
     let mask = index.len() - 1;
-    let mut pos = (word >> 32) as usize & mask;
+    let mut pos = hash as usize & mask;
     while index[pos] != 0 {
         pos = (pos + 1) & mask;
     }
@@ -131,19 +147,21 @@ impl<V> UeMap<V> {
         &mut self.chunks[slot / CHUNK][slot % CHUNK]
     }
 
-    /// `(index position, slab slot)` of `ue`, probing from its home.
-    fn find(&self, ue: UeId, tag: u32) -> Option<(usize, usize)> {
+    /// `(index position, slab slot)` of `ue`, whose hash is `hash`, probing
+    /// from its home; a word's slab entry is read only when its tag matches.
+    fn find(&self, ue: UeId, hash: u64) -> Option<(usize, usize)> {
         if self.index.is_empty() {
             return None;
         }
         let mask = self.index.len() - 1;
-        let mut pos = tag as usize & mask;
+        let tag = tag_bits(hash);
+        let mut pos = hash as usize & mask;
         loop {
             let word = self.index[pos];
             if word == 0 {
                 return None;
             }
-            if (word >> 32) as u32 == tag && self.at(slot_of(word)).0 == ue {
+            if word & !SLOT_MASK == tag && self.at(slot_of(word)).0 == ue {
                 return Some((pos, slot_of(word)));
             }
             pos = (pos + 1) & mask;
@@ -152,27 +170,31 @@ impl<V> UeMap<V> {
 
     /// The value held for `ue`.
     pub fn get(&self, ue: UeId) -> Option<&V> {
-        let (_, slot) = self.find(ue, tag_of(ue))?;
+        let (_, slot) = self.find(ue, hash_of(ue))?;
         Some(&self.at(slot).1)
     }
 
     /// The value held for `ue`, for writing.
     pub fn get_mut(&mut self, ue: UeId) -> Option<&mut V> {
-        let (_, slot) = self.find(ue, tag_of(ue))?;
+        let (_, slot) = self.find(ue, hash_of(ue))?;
         Some(&mut self.at_mut(slot).1)
     }
 
     /// Whether a value is held for `ue`.
     pub fn contains_key(&self, ue: UeId) -> bool {
-        self.find(ue, tag_of(ue)).is_some()
+        self.find(ue, hash_of(ue)).is_some()
     }
 
     /// `ue`'s place in the map, occupied or not, found with one probe.
     pub fn entry(&mut self, ue: UeId) -> Entry<'_, V> {
-        let tag = tag_of(ue);
-        match self.find(ue, tag) {
+        let hash = hash_of(ue);
+        match self.find(ue, hash) {
             Some((_, slot)) => Entry::Occupied(&mut self.at_mut(slot).1),
-            None => Entry::Vacant(VacantEntry { map: self, ue, tag }),
+            None => Entry::Vacant(VacantEntry {
+                map: self,
+                ue,
+                hash,
+            }),
         }
     }
 
@@ -189,7 +211,7 @@ impl<V> UeMap<V> {
 
     /// Removes and returns `ue`'s value.
     pub fn remove(&mut self, ue: UeId) -> Option<V> {
-        let (pos, slot) = self.find(ue, tag_of(ue))?;
+        let (pos, slot) = self.find(ue, hash_of(ue))?;
         self.unlink(pos);
         let last_chunk = self.chunks.last_mut()?;
         let last = last_chunk.pop()?;
@@ -201,15 +223,16 @@ impl<V> UeMap<V> {
             return Some(last.1);
         }
         // The former last entry now lives in `slot`: repoint its word.
-        let tag = tag_of(last.0);
+        let hash = hash_of(last.0);
         let (_, value) = std::mem::replace(self.at_mut(slot), last);
-        let old = pack(tag, moved_from);
+        let old = pack(tag_bits(hash), moved_from);
         let mask = self.index.len() - 1;
-        let mut pos = tag as usize & mask;
+        let mut pos = hash as usize & mask;
         while self.index[pos] != old {
+            debug_assert_ne!(self.index[pos], 0, "moved entry's word is unreachable");
             pos = (pos + 1) & mask;
         }
-        self.index[pos] = pack(tag, slot);
+        self.index[pos] = pack(tag_bits(hash), slot);
         Some(value)
     }
 
@@ -219,7 +242,7 @@ impl<V> UeMap<V> {
         let mask = self.index.len() - 1;
         let mut pos = (hole + 1) & mask;
         while self.index[pos] != 0 {
-            let home = (self.index[pos] >> 32) as usize & mask;
+            let home = hash_of(self.at(slot_of(self.index[pos])).0) as usize & mask;
             // Distances are cyclic: the word may move iff the hole lies
             // between its home and where it sits now.
             if (pos.wrapping_sub(home) & mask) >= (pos.wrapping_sub(hole) & mask) {
@@ -231,12 +254,13 @@ impl<V> UeMap<V> {
         self.index[hole] = 0;
     }
 
-    /// Doubles the index; the words carry their own tags, so the slab is not
-    /// touched.
+    /// Doubles the index and re-places a word for every slab entry, in slot
+    /// order, from the entry's [`UeId`].
     fn grow(&mut self) {
-        let mut index = vec![0u64; (self.index.len() * 2).max(8)];
-        for &word in self.index.iter().filter(|&&w| w != 0) {
-            place(&mut index, word);
+        let mut index = vec![0u32; (self.index.len() * 2).max(8)];
+        for (slot, (ue, _)) in self.chunks.iter().flatten().enumerate() {
+            let hash = hash_of(*ue);
+            place(&mut index, hash, pack(tag_bits(hash), slot));
         }
         self.index = index;
     }
@@ -275,7 +299,7 @@ pub enum Entry<'a, V> {
 pub struct VacantEntry<'a, V> {
     map: &'a mut UeMap<V>,
     ue: UeId,
-    tag: u32,
+    hash: u64,
 }
 
 impl<'a, V> Entry<'a, V> {
@@ -299,12 +323,12 @@ impl<'a, V> Entry<'a, V> {
 impl<'a, V> VacantEntry<'a, V> {
     /// Stores `value` for the UE and hands it back.
     pub fn insert(self, value: V) -> &'a mut V {
-        let VacantEntry { map, ue, tag } = self;
+        let VacantEntry { map, ue, hash } = self;
         let slot = map.len();
         if (slot + 1) * 4 > map.index.len() * 3 {
             map.grow();
         }
-        place(&mut map.index, pack(tag, slot));
+        place(&mut map.index, hash, pack(tag_bits(hash), slot));
         if slot % CHUNK == 0 {
             map.chunks.push(Vec::with_capacity(CHUNK));
         }
@@ -317,6 +341,7 @@ impl<'a, V> VacantEntry<'a, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::splitmix64_next;
 
     #[test]
     fn insert_get_remove() {
@@ -415,6 +440,119 @@ mod tests {
         assert_eq!(copy.chunks[1].as_ptr(), partial, "the partial chunk moved");
         assert!(copy.chunks.iter().all(|c| c.capacity() == CHUNK));
         assert_eq!(sorted(&copy)[..m.len()], sorted(&m)[..]);
+    }
+
+    /// The UE whose hash is `hash`: splitmix64's finalizer undone step by
+    /// step, so a test can choose the tag and home it collides on.
+    fn ue_with_hash(hash: u64) -> UeId {
+        fn unshift(y: u64, by: u32) -> u64 {
+            (0..64 / by).fold(y, |x, _| y ^ (x >> by))
+        }
+        fn inverse(odd: u64) -> u64 {
+            // Newton's iteration doubles the correct low bits: 3 → 96.
+            (0..5).fold(odd, |x, _| {
+                x.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(x)))
+            })
+        }
+        let mut x = unshift(hash, 31);
+        x = unshift(x.wrapping_mul(inverse(0x94D0_49BB_1331_11EB)), 27);
+        x = unshift(x.wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9)), 30);
+        let ue = UeId::new(x.wrapping_sub(0x9E37_79B9_7F4A_7C15));
+        assert_eq!(hash_of(ue), hash, "the inverse is exact");
+        ue
+    }
+
+    type Model = std::collections::BTreeMap<UeId, u64>;
+
+    /// `m` holds what `model` holds, through the index (when `full`) as well
+    /// as by count, and keeps one word per entry and one chunk per `CHUNK`.
+    fn check_against(m: &UeMap<u64>, model: &Model, full: bool) {
+        assert_eq!(m.len(), model.len());
+        assert_eq!(m.index.iter().filter(|&&w| w != 0).count(), model.len());
+        assert_eq!(m.chunks.len(), m.len().div_ceil(CHUNK));
+        if full {
+            assert_eq!(
+                sorted(m),
+                model.iter().map(|(&u, &v)| (u, v)).collect::<Vec<_>>()
+            );
+            assert!(model.iter().all(|(&ue, v)| m.get(ue) == Some(v)));
+        }
+    }
+
+    /// `ops` seeded operations on UEs of `pool`, each applied to `m` and to
+    /// `model` alike: `inserts` in ten are inserts, most of the rest removes.
+    fn run_mixed(
+        m: &mut UeMap<u64>,
+        model: &mut Model,
+        pool: &[UeId],
+        state: &mut u64,
+        ops: u64,
+        inserts: u64,
+    ) {
+        for step in 0..ops {
+            let ue = pool[(splitmix64_next(state) % pool.len() as u64) as usize];
+            match splitmix64_next(state) % 10 {
+                r if r < inserts => assert_eq!(m.insert(ue, step), model.insert(ue, step)),
+                9 => assert_eq!(m.get(ue), model.get(&ue)),
+                _ => assert_eq!(m.remove(ue), model.remove(&ue)),
+            }
+            check_against(
+                m,
+                model,
+                step.is_multiple_of(64) || m.len().is_multiple_of(CHUNK),
+            );
+        }
+    }
+
+    #[test]
+    fn matches_a_btreemap_when_tags_and_homes_collide() {
+        // Three UEs in four share one tag and one of three homes at every
+        // index size up to 4 096 (low 12 hash bits 0, 1 or all ones, the
+        // last wrapping past the index's end): every lookup compares the
+        // slab entry's id, and `unlink` and the repoint walk long shared
+        // runs. The fourth is any UE. The map fills past two chunks, drains
+        // to empty in a seeded order, and fills again.
+        let mut state = 51;
+        let pool: Vec<UeId> = (0..800)
+            .map(|i| {
+                let mid = splitmix64_next(&mut state) >> 20 << 12;
+                match i % 4 {
+                    3 => UeId::new(mid),
+                    home => ue_with_hash(0xA5 << 56 | mid | [0, 1, 0xFFF][home]),
+                }
+            })
+            .collect();
+        let (mut m, mut model) = (UeMap::new(), Model::new());
+        run_mixed(&mut m, &mut model, &pool, &mut state, 2_000, 7);
+        assert!(m.len() > 2 * CHUNK, "filled past two chunks: {}", m.len());
+        let mut order: Vec<UeId> = model.keys().copied().collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, (splitmix64_next(&mut state) % (i as u64 + 1)) as usize);
+        }
+        for ue in order {
+            assert_eq!(m.remove(ue), model.remove(&ue));
+            check_against(&m, &model, m.len().is_multiple_of(32));
+        }
+        assert!(m.is_empty() && m.chunks.is_empty());
+        run_mixed(&mut m, &mut model, &pool, &mut state, 1_500, 6);
+    }
+
+    #[test]
+    fn the_index_holds_four_bytes_per_position() {
+        let mut m = UeMap::new();
+        for i in 0..1_000 {
+            m.insert(UeId::new(i), ());
+        }
+        assert_eq!(m.index.len(), 2_048, "at most ¾ full");
+        assert_eq!(std::mem::size_of_val(m.index.as_slice()), 4 * 2_048);
+    }
+
+    #[test]
+    #[should_panic(expected = "UeMap capacity overflow")]
+    fn a_slot_past_the_capacity_is_refused() {
+        let last = (1 << SLOT_BITS) - 2;
+        assert_eq!(slot_of(pack(tag_bits(u64::MAX), last)), last);
+        pack(0, last + 1);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * the peak live bytes per UE, which grows if the level-3 cascade of the
 //!   stale timers holds the wave twice (the drained bucket kept beside the
-//!   level-2 buckets it fills) or if a per-UE table doubles instead of
-//!   growing by chunks;
+//!   level-2 buckets it fills), if a per-UE table doubles instead of
+//!   growing by chunks, or if its index words widen past 4 bytes;
 //! * the live bytes once the last stale timer has fired are no higher than
 //!   before the cascade: buckets above wheel level 1 keep no capacity.
 //!
@@ -85,9 +85,10 @@ static ALLOCATOR: live_heap::Recording = live_heap::Recording;
 const UES: u64 = 4_000;
 
 /// Peak live bytes per UE over the run, as measured with chunked per-UE
-/// tables and a far cascade that frees what it drains. Doubling tables and
-/// a cascade that keeps its buckets read 1 700, outside the 5 % band.
-const PEAK_BYTES_PER_UE: i64 = 1_593;
+/// tables indexed by 4-byte words and a far cascade that frees what it
+/// drains. 8-byte index words read 1 537 (+3.3 %) and doubling tables with
+/// a cascade that keeps its buckets 1 700, both outside the 2 % band.
+const PEAK_BYTES_PER_UE: i64 = 1_488;
 
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
@@ -117,8 +118,8 @@ fn a_burst_holds_each_pending_timer_once() {
     assert_eq!(results.completed, UES, "every UE attached");
     assert_eq!(results.retransmissions, 0, "every retry timer went stale");
     assert!(
-        (per_ue - PEAK_BYTES_PER_UE).abs() * 20 <= PEAK_BYTES_PER_UE,
-        "peak live heap {per_ue} B per UE, pinned at {PEAK_BYTES_PER_UE} ± 5 %"
+        (per_ue - PEAK_BYTES_PER_UE).abs() * 50 <= PEAK_BYTES_PER_UE,
+        "peak live heap {per_ue} B per UE, pinned at {PEAK_BYTES_PER_UE} ± 2 %"
     );
     assert!(
         after <= before,
