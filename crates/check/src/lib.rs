@@ -6,7 +6,7 @@
 //!
 //! * [`scenario`] — a DSL of named chaos families (topology + traffic +
 //!   fault grids) that expand, per seed, into self-contained serializable
-//!   [`CasePlan`](scenario::CasePlan)s.
+//!   [`CasePlan`]s.
 //! * [`oracle`] — the [`Invariant`](oracle::Invariant) trait an in-run
 //!   oracle pass calls, and the finding it reports.
 //! * [`invariants`] — the invariant catalog, one table row per invariant:
@@ -15,10 +15,10 @@
 //! * [`run`] — executes a plan with in-run oracle passes at configurable
 //!   sim-time intervals, pausing only at instants where events actually
 //!   occurred (so long drain tails cost nothing) and never perturbing the
-//!   event schedule. Produces a byte-stable [`CheckReport`](run::CheckReport).
+//!   event schedule. Produces a byte-stable [`CheckReport`].
 //! * [`flowcov`] — the protocol-flow contract every checked case holds, and
 //!   the coverage report a sweep merges from the edges its cases witnessed.
-//! * [`shrink`] — minimizes a failing plan (drop partitions and crashes,
+//! * [`shrink`](mod@shrink) — minimizes a failing plan (drop partitions and crashes,
 //!   zero fault rates, shorten the horizon, fewer UEs) while it keeps
 //!   failing.
 //! * [`corpus`] — pinned regression cases under `crates/check/corpus/`:

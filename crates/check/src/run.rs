@@ -196,8 +196,8 @@ pub fn kind_by_name(name: &str) -> Option<ProcedureKind> {
 /// no spec field: [`run_case`] installs them on the built cluster.
 ///
 /// Panics on a malformed plan (unknown system, procedure kind or storm
-/// shape) — plans come from [`Scenario::plan`]
-/// (crate::scenario::Scenario::plan) or a pinned corpus file, and a typo
+/// shape) — plans come from [`Scenario::plans`](crate::scenario::Scenario::plans)
+/// or a pinned corpus file, and a typo
 /// there should fail loudly, not skip silently.
 pub fn experiment_spec(plan: &CasePlan) -> (ExperimentSpec, Instant) {
     let mut config = config_by_name(&plan.system)
@@ -375,8 +375,8 @@ pub fn crash_points(base: &CasePlan) -> Vec<CasePlan> {
 ///
 /// The run is [`experiment_spec`]'s spec on `experiment`'s one run path
 /// (build → advance → finish); only the pause points differ from a figure
-/// run. Panics on a malformed plan, as [`build_case`] does, or on an
-/// unknown invariant.
+/// run. Panics on a malformed plan, as [`experiment_spec`] does, on an
+/// unknown partition endpoint or crash victim, or on an unknown invariant.
 pub fn run_case(plan: &CasePlan) -> CheckReport {
     let (mut cluster, _, horizon_end) = build_case(plan);
     let seen: Rc<RefCell<BTreeSet<Edge>>> = Rc::default();

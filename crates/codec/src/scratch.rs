@@ -21,8 +21,8 @@
 //! may return anything *derived* from it, but not the buffer itself. Nested
 //! calls get distinct buffers, so an encoder that needs a payload scratch
 //! inside a frame scratch composes naturally. Pool residency is bounded:
-//! at most [`MAX_POOLED`] buffers per thread, and buffers that grew beyond
-//! [`MAX_RETAINED_CAP`] are dropped rather than hoarded.
+//! at most `MAX_POOLED` (8) buffers per thread, and buffers that grew beyond
+//! `MAX_RETAINED_CAP` are dropped rather than hoarded.
 
 use std::cell::RefCell;
 

@@ -19,7 +19,9 @@
 //! for a bounded, computed interval instead of blindly retransmitting into
 //! the storm. Admission is charged **once per procedure**: retransmits and
 //! later steps of an already-admitted procedure always pass, which is what
-//! guarantees zero `failed_procedures` for admitted work.
+//! guarantees zero `failed_procedures` for admitted work. The charge is the
+//! UE's [`UeLog::charged`](crate::log::UeLog::charged): the gate reads it and
+//! the CTA records it, so a shed start leaves no per-UE record.
 //!
 //! The bucket also records *evidence* for the `shed-priority-order`
 //! invariant: the minimum token level at which each class was admitted and
@@ -27,12 +29,19 @@
 //! higher class's worst shed happened at a strictly lower level than every
 //! lower class's best admit.
 
-use neutrino_common::time::Instant;
-use neutrino_common::{ProcedureId, UeId, UeMap};
+use neutrino_common::time::{Duration, Instant};
+use neutrino_common::{CpfId, ProcedureId};
 use neutrino_messages::sysmsg::AdmissionClass;
+use std::collections::BTreeMap;
 
 /// Nano-tokens per whole token. One admitted procedure costs one token.
 const TOKEN: u64 = 1_000_000_000;
+
+/// Consecutive unanswered resync chases to one CPF before the circuit
+/// breaker opens.
+const RESYNC_BREAKER_TRIP: u32 = 3;
+/// How long an open breaker suppresses further chases to that CPF.
+const RESYNC_BREAKER_COOLDOWN: Duration = Duration::from_secs(8);
 
 /// Static parameters of the CTA ingress admission gate, built from the
 /// admission rate by [`AdmissionParams::for_rate`].
@@ -90,7 +99,7 @@ impl AdmissionParams {
 /// Outcome of one admission check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionDecision {
-    /// Let the uplink through (and remember the procedure as charged).
+    /// Let the uplink through (the caller records the procedure as charged).
     Admit,
     /// Shed the uplink; the UE should wait at least this long before
     /// re-offering.
@@ -100,7 +109,19 @@ pub enum AdmissionDecision {
     },
 }
 
-/// Deterministic token-bucket admission state for one CTA.
+/// What the resync-chase breaker makes of one chase to a CPF.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Chase {
+    /// The breaker is open: send nothing.
+    Suppressed,
+    /// Send it.
+    Sent,
+    /// Send it; it was the chase that opened the breaker.
+    Tripped,
+}
+
+/// Deterministic token-bucket admission state for one CTA, and the resync
+/// breaker that only overload mode runs.
 #[derive(Debug, Clone)]
 pub struct AdmissionControl {
     params: AdmissionParams,
@@ -108,13 +129,14 @@ pub struct AdmissionControl {
     tokens: u64,
     /// Sim time of the last lazy refill.
     refilled_at: Instant,
-    /// Highest procedure id already admitted per UE: later steps and
-    /// retransmits of these pass without spending tokens.
-    charged: UeMap<ProcedureId>,
     /// Lowest post-refill token level at which each class was admitted.
     min_admit_tokens: [Option<u64>; 4],
     /// Highest post-refill token level at which each class was shed.
     max_shed_tokens: [Option<u64>; 4],
+    /// Per CPF, since its last sign of life (a `SyncAck` routed through it
+    /// or a `ResyncBehind` report): consecutive resync chases, and until
+    /// when its breaker is open.
+    resync: BTreeMap<CpfId, (u32, Option<Instant>)>,
 }
 
 impl AdmissionControl {
@@ -124,9 +146,9 @@ impl AdmissionControl {
             params,
             tokens: params.burst.saturating_mul(TOKEN),
             refilled_at: Instant::ZERO,
-            charged: UeMap::new(),
             min_admit_tokens: [None; 4],
             max_shed_tokens: [None; 4],
+            resync: BTreeMap::new(),
         }
     }
 
@@ -142,17 +164,19 @@ impl AdmissionControl {
         }
     }
 
-    /// Decide whether to admit the first uplink of `(ue, procedure)` in
-    /// `class` at `now`. Subsequent calls for an already-admitted procedure
-    /// (retransmits, later steps routed through here) admit for free.
+    /// Decide whether to admit the first uplink of `procedure` in `class`
+    /// at `now`, for a UE whose highest admitted procedure is `charged`
+    /// (`ProcedureId(0)`: none). A procedure at or below the charge (a
+    /// retransmit, a later step routed through here) admits for free; on
+    /// any other admit the caller raises the charge to `procedure`.
     pub fn decide(
         &mut self,
-        ue: UeId,
+        charged: ProcedureId,
         procedure: ProcedureId,
         class: AdmissionClass,
         now: Instant,
     ) -> AdmissionDecision {
-        if self.charged.get(ue).is_some_and(|&p| procedure <= p) {
+        if procedure <= charged {
             return AdmissionDecision::Admit;
         }
         self.refill(now);
@@ -163,7 +187,6 @@ impl AdmissionControl {
             self.min_admit_tokens[idx] =
                 Some(self.min_admit_tokens[idx].map_or(level, |m| m.min(level)));
             self.tokens -= TOKEN;
-            self.charged.insert(ue, procedure);
             AdmissionDecision::Admit
         } else {
             self.max_shed_tokens[idx] =
@@ -188,12 +211,27 @@ impl AdmissionControl {
         self.tokens < self.params.reserve(AdmissionClass::Detach).saturating_add(TOKEN)
     }
 
-    /// Forget the admission charge for a finished procedure so the map
-    /// doesn't grow without bound across a long run.
-    pub fn release(&mut self, ue: UeId, procedure: ProcedureId) {
-        if self.charged.get(ue).is_some_and(|&p| p <= procedure) {
-            self.charged.remove(ue);
+    /// A sign of life from `cpf`: its breaker closes and its chase count
+    /// starts again from zero.
+    pub(crate) fn cpf_alive(&mut self, cpf: CpfId) {
+        self.resync.remove(&cpf);
+    }
+
+    /// Runs one resync chase to `cpf` at `now` through the breaker: a
+    /// primary that has soaked up several chases without a sign of life is
+    /// struggling, and more re-checkpoint requests only deepen its queue.
+    pub(crate) fn chase(&mut self, cpf: CpfId, now: Instant) -> Chase {
+        let (chases, open_until) = self.resync.entry(cpf).or_default();
+        if open_until.is_some_and(|until| now < until) {
+            return Chase::Suppressed;
         }
+        *chases += 1;
+        if *chases < RESYNC_BREAKER_TRIP {
+            return Chase::Sent;
+        }
+        *chases = 0;
+        *open_until = Some(now + RESYNC_BREAKER_COOLDOWN);
+        Chase::Tripped
     }
 
     /// Evidence for `shed-priority-order`: per class (priority order), the
@@ -258,11 +296,16 @@ mod tests {
         AdmissionParams { rate_pps: 100, burst: 8, queue_cap: 64, retry_after_base_ms: 20 }
     }
 
+    /// The start of procedure 1 by a UE with no charge, in `class`.
+    fn start(a: &mut AdmissionControl, class: AdmissionClass, now: Instant) -> AdmissionDecision {
+        a.decide(ProcedureId(0), ProcedureId::new(1), class, now)
+    }
+
     #[test]
     fn full_bucket_admits_every_class() {
         let mut a = AdmissionControl::new(params());
-        for (i, class) in AdmissionClass::ALL.iter().copied().enumerate() {
-            let d = a.decide(UeId::new(i as u64), ProcedureId::new(1), class, Instant::ZERO);
+        for class in AdmissionClass::ALL.iter().copied() {
+            let d = start(&mut a, class, Instant::ZERO);
             assert_eq!(d, AdmissionDecision::Admit, "{class:?}");
         }
     }
@@ -273,19 +316,17 @@ mod tests {
         // Drain with handovers (no reserve) and watch the reserved classes
         // shut off from lowest priority to highest.
         let mut cut_off = Vec::new();
-        for i in 0..64u64 {
+        for _ in 0..64 {
             for class in [AdmissionClass::Detach, AdmissionClass::Attach, AdmissionClass::ServiceRequest] {
                 if cut_off.contains(&class) {
                     continue;
                 }
-                let probe = a
-                    .clone()
-                    .decide(UeId::new(1000 + i), ProcedureId::new(1), class, Instant::ZERO);
+                let probe = start(&mut a.clone(), class, Instant::ZERO);
                 if matches!(probe, AdmissionDecision::Shed { .. }) {
                     cut_off.push(class);
                 }
             }
-            let d = a.decide(UeId::new(i), ProcedureId::new(1), AdmissionClass::Handover, Instant::ZERO);
+            let d = start(&mut a, AdmissionClass::Handover, Instant::ZERO);
             if matches!(d, AdmissionDecision::Shed { .. }) {
                 break;
             }
@@ -300,14 +341,14 @@ mod tests {
     #[test]
     fn retransmit_of_admitted_procedure_is_free() {
         let mut a = AdmissionControl::new(params());
-        let ue = UeId::new(7);
+        let (none, proc) = (ProcedureId(0), ProcedureId::new(3));
         assert_eq!(
-            a.decide(ue, ProcedureId::new(3), AdmissionClass::Attach, Instant::ZERO),
+            a.decide(none, proc, AdmissionClass::Attach, Instant::ZERO),
             AdmissionDecision::Admit
         );
         let before = a.tokens;
         assert_eq!(
-            a.decide(ue, ProcedureId::new(3), AdmissionClass::Attach, Instant::ZERO),
+            a.decide(proc, proc, AdmissionClass::Attach, Instant::ZERO),
             AdmissionDecision::Admit
         );
         assert_eq!(a.tokens, before, "retransmit must not spend a token");
@@ -317,13 +358,11 @@ mod tests {
     fn refill_is_deterministic_and_bounded() {
         let mut a = AdmissionControl::new(params());
         // Empty the bucket.
-        for i in 0..8u64 {
-            assert_eq!(
-                a.decide(UeId::new(i), ProcedureId::new(1), AdmissionClass::Handover, Instant::ZERO),
-                AdmissionDecision::Admit
-            );
+        for _ in 0..8 {
+            let d = start(&mut a, AdmissionClass::Handover, Instant::ZERO);
+            assert_eq!(d, AdmissionDecision::Admit);
         }
-        let d = a.decide(UeId::new(99), ProcedureId::new(1), AdmissionClass::Handover, Instant::ZERO);
+        let d = start(&mut a, AdmissionClass::Handover, Instant::ZERO);
         let AdmissionDecision::Shed { retry_after_ms } = d else {
             panic!("empty bucket must shed, got {d:?}")
         };
@@ -331,10 +370,8 @@ mod tests {
         assert_eq!(retry_after_ms, 30);
         // 10ms later exactly one token has accrued.
         let later = Instant::ZERO + Duration::from_millis(10);
-        assert_eq!(
-            a.decide(UeId::new(99), ProcedureId::new(1), AdmissionClass::Handover, later),
-            AdmissionDecision::Admit
-        );
+        let d = start(&mut a, AdmissionClass::Handover, later);
+        assert_eq!(d, AdmissionDecision::Admit);
         // Bucket never exceeds its cap.
         a.refill(Instant::ZERO + Duration::from_secs(3600));
         assert_eq!(a.tokens, 8 * TOKEN);
@@ -344,8 +381,8 @@ mod tests {
     fn pressure_tracks_detach_reserve() {
         let mut a = AdmissionControl::new(params());
         assert!(!a.under_pressure(Instant::ZERO));
-        for i in 0..5u64 {
-            a.decide(UeId::new(i), ProcedureId::new(1), AdmissionClass::Handover, Instant::ZERO);
+        for _ in 0..5 {
+            start(&mut a, AdmissionClass::Handover, Instant::ZERO);
         }
         // 3 tokens left < detach reserve (4) + 1.
         assert!(a.under_pressure(Instant::ZERO));
@@ -363,14 +400,5 @@ mod tests {
             priority_order_violation(&min_admit, &bad_shed),
             Some((AdmissionClass::Handover, AdmissionClass::ServiceRequest))
         );
-    }
-
-    #[test]
-    fn release_forgets_charge() {
-        let mut a = AdmissionControl::new(params());
-        let ue = UeId::new(1);
-        a.decide(ue, ProcedureId::new(2), AdmissionClass::Attach, Instant::ZERO);
-        a.release(ue, ProcedureId::new(2));
-        assert!(a.charged.is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! The CTA state machine.
 
-use crate::admission::{AdmissionControl, AdmissionDecision, AdmissionParams};
+use crate::admission::{AdmissionControl, AdmissionDecision, AdmissionParams, Chase};
 use crate::log::{MessageLog, UeLog, UeSlot};
 use neutrino_codec::CodecKind;
 use neutrino_common::clock::ClockTick;
@@ -11,13 +11,6 @@ use neutrino_messages::costs::CostTable;
 use neutrino_messages::flow::{Effect, NodeAddr, RoleCore};
 use neutrino_messages::sysmsg::{AdmissionClass, MarkOutdated, Replay, SyncAck, SysMsg};
 use neutrino_messages::{Direction, Envelope};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Consecutive unanswered resync chases to one CPF before the circuit
-/// breaker opens (overload mode only).
-const RESYNC_BREAKER_TRIP: u32 = 3;
-/// How long an open breaker suppresses further chases to that CPF.
-const RESYNC_BREAKER_COOLDOWN: Duration = Duration::from_secs(8);
 
 /// How often the ACK scan runs once the CTA has seen traffic (§4.2.4's
 /// timeouts are tens of seconds; the resync chase starts at 4 s).
@@ -207,18 +200,13 @@ pub struct CtaCore {
     ring: RingStack,
     clock: neutrino_common::LogicalClock,
     /// The message log; its per-UE records also carry the UE's sticky
-    /// primary, so a message costs one lookup.
+    /// primary and admission charge, so a message costs one lookup.
     log: MessageLog,
-    failed: BTreeSet<CpfId>,
     costs: &'static CostTable,
     metrics: CtaMetrics,
-    /// Ingress admission gate; `None` admits everything (stock behavior).
+    /// Ingress admission gate and resync breaker; `None` admits everything
+    /// and never suppresses a chase (stock behavior).
     admission: Option<AdmissionControl>,
-    /// Consecutive resync chases per CPF since its last sign of life
-    /// (a `SyncAck` routed through it or a `ResyncBehind` report).
-    resync_chases: BTreeMap<CpfId, u32>,
-    /// CPFs whose resync-chase breaker is open, and until when.
-    resync_open_until: BTreeMap<CpfId, Instant>,
     /// Scratch for the expected-ACK set of the UE at hand (reused so the
     /// per-ACK path allocates nothing).
     expected: Vec<CpfId>,
@@ -236,34 +224,19 @@ fn primary_of(log: &mut UeLog, ue: UeId, ring: &RingStack) -> Option<CpfId> {
 }
 
 /// Fills `expected` with the replicas whose ACKs the UE's checkpoints wait
-/// for: its live backups other than the primary.
-fn expected_acks(
-    log: &mut UeLog,
-    ue: UeId,
-    ring: &RingStack,
-    failed: &BTreeSet<CpfId>,
-    expected: &mut Vec<CpfId>,
-) {
+/// for: its backups other than the primary (the ring holds live CPFs only).
+fn expected_acks(log: &mut UeLog, ue: UeId, ring: &RingStack, expected: &mut Vec<CpfId>) {
     let primary = primary_of(log, ue, ring);
     expected.clear();
-    expected.extend(
-        ring.backups(ue)
-            .filter(|b| Some(*b) != primary && !failed.contains(b)),
-    );
+    expected.extend(ring.backups(ue).filter(|b| Some(*b) != primary));
 }
 
-/// A failed primary's successor: among the UE's live backups that have
-/// ever held its state, the one synced furthest ahead, and the first such
-/// in ring order. Returns it with the procedure it is synced through. A
-/// page and an uplink that find the primary dead pick the same backup.
-fn best_backup(
-    slot: &UeSlot<'_>,
-    ue: UeId,
-    ring: &RingStack,
-    failed: &BTreeSet<CpfId>,
-) -> Option<(CpfId, ProcedureId)> {
+/// A failed primary's successor: among the UE's backups that have ever
+/// held its state, the one synced furthest ahead, and the first such in
+/// ring order. Returns it with the procedure it is synced through. A page
+/// and an uplink that find the primary dead pick the same backup.
+fn best_backup(slot: &UeSlot<'_>, ue: UeId, ring: &RingStack) -> Option<(CpfId, ProcedureId)> {
     ring.backups(ue)
-        .filter(|b| !failed.contains(b))
         .filter_map(|b| {
             let synced = slot.synced_through(b);
             // Never held this UE's state: ineligible.
@@ -293,12 +266,9 @@ impl CtaCore {
             ring,
             clock: neutrino_common::LogicalClock::new(),
             log,
-            failed: BTreeSet::new(),
             costs: CostTable::baked(),
             metrics: CtaMetrics::default(),
             admission,
-            resync_chases: BTreeMap::new(),
-            resync_open_until: BTreeMap::new(),
             expected: Vec::new(),
             scan_due: None,
         }
@@ -363,12 +333,13 @@ impl CtaCore {
     }
 
     /// Whether replicas will ever ACK this CTA's completed procedures: only
-    /// when a failure is recovered from a replica rather than by re-attach,
-    /// because only then does the system replicate. Otherwise nothing is
-    /// chased, and nothing is kept waiting for an ACK timeout that would
-    /// only count phantom failures.
+    /// when a failure is recovered by replay onto a replica, the one policy
+    /// that checkpoints to the ring's backups. (SkyCore's any-peer pool
+    /// broadcasts state but names no backup a checkpoint could wait on.)
+    /// Otherwise nothing is chased, and nothing is kept waiting for an ACK
+    /// timeout that would only count phantom failures.
     fn expects_acks(&self) -> bool {
-        self.config.failover != FailoverPolicy::ReAttach
+        self.config.failover == FailoverPolicy::ReplayFromLog
     }
 
     /// Handles any system message addressed to this CTA.
@@ -410,26 +381,27 @@ impl CtaCore {
         // once work is admitted it is carried to completion (this is what
         // keeps `failed_procedures` at zero for admitted work), and the
         // gate itself admits retransmits of an already-charged start for
-        // free.
-        if starts_procedure {
-            if let Some(gate) = self.admission.as_mut() {
-                let class = AdmissionClass::of(env.proc_kind);
-                match gate.decide(env.ue, env.procedure, class, now) {
-                    AdmissionDecision::Admit => {
-                        self.metrics.admitted_by_class[class.raw() as usize] += 1;
-                    }
-                    AdmissionDecision::Shed { retry_after_ms } => {
-                        self.metrics.shed_by_class[class.raw() as usize] += 1;
-                        self.metrics.rejects_sent += 1;
-                        return vec![CtaOutput::ToBs {
-                            bs: env.bs,
-                            msg: SysMsg::Reject {
-                                ue: env.ue,
-                                class,
-                                retry_after_ms,
-                            },
-                        }];
-                    }
+        // free. The charge is read here and recorded below, once admitted.
+        let gate = self.admission.as_mut().filter(|_| starts_procedure);
+        let gated = gate.is_some();
+        if let Some(gate) = gate {
+            let class = AdmissionClass::of(env.proc_kind);
+            let charged = self.log.ue(env.ue).map_or(ProcedureId(0), |l| l.charged);
+            match gate.decide(charged, env.procedure, class, now) {
+                AdmissionDecision::Admit => {
+                    self.metrics.admitted_by_class[class.raw() as usize] += 1;
+                }
+                AdmissionDecision::Shed { retry_after_ms } => {
+                    self.metrics.shed_by_class[class.raw() as usize] += 1;
+                    self.metrics.rejects_sent += 1;
+                    return vec![CtaOutput::ToBs {
+                        bs: env.bs,
+                        msg: SysMsg::Reject {
+                            ue: env.ue,
+                            class,
+                            retry_after_ms,
+                        },
+                    }];
                 }
             }
         }
@@ -442,20 +414,23 @@ impl CtaCore {
 
         let mut slot = self.log.ue_mut(ue);
         slot.last_bs = env.bs;
+        if gated {
+            slot.charged = slot.charged.max(env.procedure);
+        }
         // A reordered or duplicated straggler from an already-completed
         // procedure must not (re-)mark the UE as mid-procedure: a stale
         // `in_flight` makes the failure handler "recover" a procedure
         // that already finished.
         if env.end_of_procedure {
             if mutant!(self.config.mutant, EndClearsAnyInFlight => true;
-                slot.in_flight.is_none_or(|(p, _)| p <= env.procedure))
+                slot.in_flight.is_none_or(|p| p <= env.procedure))
             {
                 slot.in_flight = None;
             }
         } else if mutant!(self.config.mutant, StragglerInFlight => true;
             env.procedure > slot.last_completed)
         {
-            slot.in_flight = Some((env.procedure, env.bs));
+            slot.in_flight = Some(env.procedure);
         }
 
         if self.config.logging {
@@ -473,7 +448,7 @@ impl CtaCore {
                 .costs
                 .get(self.config.codec, kind)
                 .map_or(64, |c| c.wire_bytes);
-            slot.append(&env, bytes, now);
+            slot.append(&env, bytes);
         }
         if env.end_of_procedure {
             slot.complete(env.procedure, tick, now, awaits_acks);
@@ -493,7 +468,7 @@ impl CtaCore {
         let Some(primary) = primary_of(&mut slot, ue, &self.ring) else {
             return out; // no CPFs at all
         };
-        if self.failed.contains(&primary) {
+        if !self.ring.contains(primary) {
             self.failover(env, &mut out);
         } else {
             self.metrics.forwarded_uplink += 1;
@@ -515,7 +490,7 @@ impl CtaCore {
             let awaits_acks = self.expects_acks();
             let mut slot = self.log.ue_mut(env.ue);
             slot.complete(env.procedure, tick, now, awaits_acks);
-            if slot.in_flight.is_none_or(|(p, _)| p <= env.procedure) {
+            if slot.in_flight.is_none_or(|p| p <= env.procedure) {
                 slot.in_flight = None;
             }
         }
@@ -530,21 +505,12 @@ impl CtaCore {
     /// procedures.
     pub fn on_sync_ack(&mut self, ack: SyncAck, _now: Instant) -> Vec<CtaOutput> {
         let mut slot = self.log.ue_mut(ack.ue);
-        expected_acks(
-            &mut slot,
-            ack.ue,
-            &self.ring,
-            &self.failed,
-            &mut self.expected,
-        );
+        expected_acks(&mut slot, ack.ue, &self.ring, &mut self.expected);
         slot.ack(ack.procedure, ack.replica, &self.expected);
         // An ACK flowing for this UE means its primary's checkpoint path is
         // alive again: reset that CPF's resync-chase breaker.
-        if self.admission.is_some() {
-            if let Some(primary) = slot.assigned {
-                self.resync_chases.remove(&primary);
-                self.resync_open_until.remove(&primary);
-            }
+        if let (Some(gate), Some(primary)) = (self.admission.as_mut(), slot.assigned) {
+            gate.cpf_alive(primary);
         }
         Vec::new()
     }
@@ -557,11 +523,10 @@ impl CtaCore {
     /// commit, and checkpoint to its backups, whose ACKs then prune the log.
     pub fn on_resync_behind(&mut self, ue: UeId, have: ProcedureId, cpf: CpfId) -> Vec<CtaOutput> {
         // The CPF answered a chase — alive, just behind. Close its breaker.
-        if self.admission.is_some() {
-            self.resync_chases.remove(&cpf);
-            self.resync_open_until.remove(&cpf);
+        if let Some(gate) = self.admission.as_mut() {
+            gate.cpf_alive(cpf);
         }
-        if !self.config.logging || self.failed.contains(&cpf) {
+        if !self.config.logging || !self.ring.contains(cpf) {
             return Vec::new();
         }
         let primary = primary_of(&mut self.log.ue_mut(ue), ue, &self.ring);
@@ -594,16 +559,15 @@ impl CtaCore {
             if primary != Some(cpf) {
                 continue;
             }
-            let Some((in_proc, bs)) = ue_log.in_flight else {
+            let Some(in_proc) = ue_log.in_flight else {
                 continue;
             };
             let last_logged = ue_log.procedure(in_proc).and_then(|p| p.messages.last());
             match last_logged {
                 Some(last) => stuck.push(last.envelope(*ue, in_proc, self.config.id)),
-                None => stuck_no_log.push((*ue, bs)),
+                None => stuck_no_log.push((*ue, ue_log.last_bs)),
             }
         }
-        self.failed.insert(cpf);
         self.ring.remove(cpf);
         // The dead CPF's copies died with it: drop its ACKs so they never
         // count toward convergence or get offered as fetch sources.
@@ -633,7 +597,7 @@ impl CtaCore {
         let Some(primary) = primary_of(&mut slot, ue, &self.ring) else {
             return Vec::new();
         };
-        if !self.failed.contains(&primary) {
+        if self.ring.contains(primary) {
             return vec![CtaOutput::ToCpf {
                 cpf: primary,
                 msg: SysMsg::DdnRequest { ue, upf },
@@ -641,7 +605,7 @@ impl CtaCore {
         }
         // Primary is down: promote the backup `failover` would, without a
         // message to replay.
-        match best_backup(&slot, ue, &self.ring, &self.failed) {
+        match best_backup(&slot, ue, &self.ring) {
             Some((replica, _)) if self.config.failover == FailoverPolicy::ReplayFromLog => {
                 slot.assigned = Some(replica);
                 self.metrics.failover_up_to_date += 1;
@@ -668,7 +632,7 @@ impl CtaCore {
     /// Before a procedure's ACKs time out entirely, the scan asks the UE's
     /// primary to re-send the checkpoint (a lost `StateSync` or `SyncAck`
     /// otherwise leaves the replicas permanently behind), backing off
-    /// exponentially from [`RESYNC_BASE`] per attempt.
+    /// exponentially from `RESYNC_BASE` (4 s) per attempt.
     pub fn scan(&mut self, now: Instant) -> Vec<CtaOutput> {
         // Graceful degradation: while the admission gate is shedding, the
         // level-2 replication sweep (converged pruning, resync chases, and
@@ -688,7 +652,7 @@ impl CtaCore {
         let mut lagging: Vec<(UeId, ProcedureId)> = Vec::new();
         for (ue, proc) in pending {
             let mut slot = self.log.ue_mut(ue);
-            expected_acks(&mut slot, ue, &self.ring, &self.failed, &mut self.expected);
+            expected_acks(&mut slot, ue, &self.ring, &mut self.expected);
             let Some(entry) = slot.procedure(proc) else {
                 continue;
             };
@@ -721,7 +685,7 @@ impl CtaCore {
         // backoff on all of them, but send one request per UE.
         for (i, &(ue, proc)) in lagging.iter().enumerate() {
             let mut slot = self.log.ue_mut(ue);
-            expected_acks(&mut slot, ue, &self.ring, &self.failed, &mut self.expected);
+            expected_acks(&mut slot, ue, &self.ring, &mut self.expected);
             let Some(entry) = slot.procedure(proc) else {
                 continue;
             };
@@ -733,29 +697,19 @@ impl CtaCore {
                 continue;
             }
             let primary = match slot.assigned {
-                Some(p) if !self.failed.contains(&p) => p,
+                Some(p) if self.ring.contains(p) => p,
                 _ => continue, // failover will rebuild state instead
             };
-            // Circuit breaker (overload mode only): a primary that has
-            // soaked up several chases without a sign of life is struggling
-            // — hammering it with more re-checkpoint requests only deepens
-            // its queue. Suppress chases to it for a cooldown instead.
-            if self.admission.is_some() {
-                if self
-                    .resync_open_until
-                    .get(&primary)
-                    .is_some_and(|&until| now < until)
-                {
-                    self.metrics.breaker_suppressed += 1;
-                    continue;
-                }
-                let chases = self.resync_chases.entry(primary).or_insert(0);
-                *chases += 1;
-                if *chases >= RESYNC_BREAKER_TRIP {
-                    *chases = 0;
-                    self.resync_open_until
-                        .insert(primary, now + RESYNC_BREAKER_COOLDOWN);
-                    self.metrics.breaker_opened += 1;
+            // Circuit breaker (overload mode only): suppress chases to a
+            // primary that has stopped answering them, for a cooldown.
+            if let Some(gate) = self.admission.as_mut() {
+                match gate.chase(primary, now) {
+                    Chase::Suppressed => {
+                        self.metrics.breaker_suppressed += 1;
+                        continue;
+                    }
+                    Chase::Tripped => self.metrics.breaker_opened += 1,
+                    Chase::Sent => {}
                 }
             }
             self.metrics.resyncs_requested += 1;
@@ -783,16 +737,14 @@ impl CtaCore {
         if slot.procedure(proc).is_none() {
             return;
         }
-        expected_acks(&mut slot, ue, &self.ring, &self.failed, &mut self.expected);
+        expected_acks(&mut slot, ue, &self.ring, &mut self.expected);
         let Some(entry) = slot.procedure(proc) else {
             return;
         };
         let clock = entry.end_clock.unwrap_or(ClockTick::ZERO);
         let mut up_to_date = entry.acks.clone();
-        if let Some(p) = slot.assigned {
-            if !self.failed.contains(&p) {
-                up_to_date.push(p);
-            }
+        if let Some(p) = slot.assigned.filter(|&p| self.ring.contains(p)) {
+            up_to_date.push(p);
         }
         for &replica in &self.expected {
             if !entry.acked_by(replica) {
@@ -833,7 +785,7 @@ impl CtaCore {
                 }
             }
             FailoverPolicy::ReplayFromLog => {
-                let backup = best_backup(&self.log.ue_mut(ue), ue, &self.ring, &self.failed);
+                let backup = best_backup(&self.log.ue_mut(ue), ue, &self.ring);
                 match backup {
                     Some((replica, synced)) if self.log.replay_covers(ue, synced) => {
                         let mut slot = self.log.ue_mut(ue);
@@ -1070,7 +1022,7 @@ mod tests {
         assert_eq!(backups, shrunk.backups(ue).collect::<Vec<_>>());
         assert!(!backups.contains(&dead));
         let mut expected = Vec::new();
-        expected_acks(&mut c.log.ue_mut(ue), ue, &c.ring, &c.failed, &mut expected);
+        expected_acks(&mut c.log.ue_mut(ue), ue, &c.ring, &mut expected);
         assert_eq!(expected, backups, "the dead CPF's ACK is no longer awaited");
         // The shrunken set's ACKs are what converges the procedure.
         for replica in backups {
@@ -1586,15 +1538,9 @@ mod tests {
         // late end-of-procedure straggler from procedure 1 must not clear
         // the newer procedure's marker.
         c.on_uplink(ul(3, 2, MessageKind::ServiceRequest, false), Instant::ZERO);
-        assert_eq!(
-            c.log().ue(ue).unwrap().in_flight.map(|(p, _)| p),
-            Some(ProcedureId::new(2))
-        );
+        assert_eq!(c.log().ue(ue).unwrap().in_flight, Some(ProcedureId::new(2)));
         c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
-        assert_eq!(
-            c.log().ue(ue).unwrap().in_flight.map(|(p, _)| p),
-            Some(ProcedureId::new(2))
-        );
+        assert_eq!(c.log().ue(ue).unwrap().in_flight, Some(ProcedureId::new(2)));
     }
 
     #[test]
@@ -1683,6 +1629,47 @@ mod tests {
     }
 
     #[test]
+    fn the_admission_charge_is_recorded_only_on_admit_and_paid_once() {
+        let mut c = cta_with_admission(tight_params());
+        // UE 0's procedure is admitted and completes: its record holds the
+        // charge.
+        c.on_uplink(ul(0, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
+        assert_eq!(
+            c.log().ue(UeId::new(0)).unwrap().charged,
+            ProcedureId::new(1)
+        );
+        // Two more starts leave one token: too few for a service request
+        // (its reserve is half a token), so UE 3's start is shed, and it
+        // leaves no record behind.
+        c.on_uplink(ul(1, 1, MessageKind::ServiceRequest, false), Instant::ZERO);
+        c.on_uplink(ul(2, 1, MessageKind::ServiceRequest, false), Instant::ZERO);
+        let outs = c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, false), Instant::ZERO);
+        assert!(matches!(
+            outs[..],
+            [CtaOutput::ToBs {
+                msg: SysMsg::Reject { .. },
+                ..
+            }]
+        ));
+        assert!(
+            c.log().ue(UeId::new(3)).is_none(),
+            "a shed start left a record"
+        );
+        // UE 0's start, retransmitted after its procedure completed, passes
+        // for free: the last token is still there for a handover, whose
+        // class keeps no reserve.
+        let outs = c.on_uplink(ul(0, 1, MessageKind::ServiceRequest, false), Instant::ZERO);
+        assert!(matches!(outs[..], [CtaOutput::ToCpf { .. }]), "{outs:?}");
+        let kind = ProcedureKind::FastHandover;
+        let start = kind.template().steps[0].kind;
+        let handover = Envelope::uplink(UeId::new(4), ProcedureId::new(1), kind, start.sample(4))
+            .from_bs(BsId::new(1));
+        let outs = c.on_uplink(handover, Instant::ZERO);
+        assert!(matches!(outs[..], [CtaOutput::ToCpf { .. }]), "{outs:?}");
+        assert_eq!(c.metrics().rejects_sent, 1);
+    }
+
+    #[test]
     fn scan_defers_under_pressure_and_resumes_after_drain() {
         let mut c = cta_with_admission(tight_params());
         c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
@@ -1712,7 +1699,7 @@ mod tests {
         let mut c = cta_with_admission(params);
         // Find two UEs sharing a primary; the lower id trips the breaker
         // and the higher id's chase is then suppressed in the same scan.
-        let mut by_primary: BTreeMap<CpfId, Vec<u64>> = BTreeMap::new();
+        let mut by_primary: std::collections::BTreeMap<CpfId, Vec<u64>> = Default::default();
         for ue in 0..50u64 {
             let p = c.primary_for(UeId::new(ue)).unwrap();
             by_primary.entry(p).or_default().push(ue);
@@ -1749,8 +1736,12 @@ mod tests {
             },
             Instant::from_secs(18),
         );
-        assert!(!c.resync_open_until.contains_key(&primary));
-        assert!(!c.resync_chases.contains_key(&primary));
+        // Closed, with its count back at zero: the next chases pass, and
+        // only the third of them trips it again.
+        let gate = c.admission.as_mut().unwrap();
+        let at = Instant::from_secs(18);
+        let chases: Vec<Chase> = (0..3).map(|_| gate.chase(primary, at)).collect();
+        assert_eq!(chases, [Chase::Sent, Chase::Sent, Chase::Tripped]);
     }
 
     #[test]

@@ -63,8 +63,6 @@ pub struct ProcedureLog {
     pub acks: Vec<CpfId>,
     /// When the procedure completed (for the ACK timeout scan).
     pub completed_at: Option<Instant>,
-    /// When the first message was logged.
-    pub started_at: Instant,
     /// Checkpoint resend requests issued for this procedure (exponential
     /// backoff: the next resend waits `base << resync_attempts`).
     pub resync_attempts: u32,
@@ -109,22 +107,21 @@ impl ProcedureLog {
     }
 
     /// An empty entry with room for `uplinks` messages.
-    fn new(now: Instant, uplinks: usize) -> Self {
+    fn new(uplinks: usize) -> Self {
         ProcedureLog {
             messages: Vec::with_capacity(uplinks),
             bytes: 0,
             end_clock: None,
             acks: Vec::new(),
             completed_at: None,
-            started_at: now,
             resync_attempts: 0,
         }
     }
 }
 
 /// Everything the CTA keeps per UE: the log proper, the replication
-/// watermarks, and the sticky primary every message for the UE needs — one
-/// record, one lookup.
+/// watermarks, the sticky primary every message for the UE needs and the
+/// admission charge — one record, one lookup.
 #[derive(Debug)]
 pub struct UeLog {
     /// Procedures with still-logged messages (pruned once fully ACKed),
@@ -147,9 +144,13 @@ pub struct UeLog {
     /// only actual removals raise the floor.
     pub replay_floor: ProcedureId,
     /// The procedure currently in flight (set on uplink, cleared when the
-    /// end-of-procedure message passes), with the UE's BS — used to recover
-    /// stuck UEs after a CPF failure even when message logging is off.
-    pub in_flight: Option<(ProcedureId, BsId)>,
+    /// end-of-procedure message passes) — used to recover stuck UEs after a
+    /// CPF failure even when message logging is off.
+    pub in_flight: Option<ProcedureId>,
+    /// Highest procedure the admission gate let start (`ProcedureId(0)`:
+    /// none, or no gate). Set only once the gate admits, so a shed start
+    /// leaves no record behind.
+    pub charged: ProcedureId,
     /// The BS the UE was last heard from (paging / re-attach routing).
     pub last_bs: BsId,
     /// Sticky primary: set from the ring on first contact, changed by
@@ -167,6 +168,7 @@ impl Default for UeLog {
             last_completed: ProcedureId(0),
             replay_floor: ProcedureId(0),
             in_flight: None,
+            charged: ProcedureId(0),
             last_bs: BsId::new(0),
             assigned: None,
         }
@@ -191,13 +193,13 @@ impl UeLog {
     }
 
     /// `proc`'s entry, created with room for `uplinks` messages if absent.
-    fn entry(&mut self, proc: ProcedureId, now: Instant, uplinks: usize) -> &mut ProcedureLog {
+    fn entry(&mut self, proc: ProcedureId, uplinks: usize) -> &mut ProcedureLog {
         let i = match self.position(proc) {
             Ok(i) => i,
             Err(i) => {
                 self.procedures.reserve_exact(1);
                 self.procedures
-                    .insert(i, (proc, ProcedureLog::new(now, uplinks)));
+                    .insert(i, (proc, ProcedureLog::new(uplinks)));
                 i
             }
         };
@@ -285,12 +287,12 @@ impl DerefMut for UeSlot<'_> {
 
 impl UeSlot<'_> {
     /// Appends an uplink message of `wire_bytes` to its procedure's log.
-    pub fn append(&mut self, env: &Envelope, wire_bytes: usize, now: Instant) {
+    pub fn append(&mut self, env: &Envelope, wire_bytes: usize) {
         debug_assert_eq!(env.ue, self.ue);
         // Reserved once for everything the procedure will log (§4.2.3:
         // its uplink messages).
         let uplinks = env.proc_kind.template().uplink_count();
-        let entry = self.log.entry(env.procedure, now, uplinks);
+        let entry = self.log.entry(env.procedure, uplinks);
         entry.messages.push(LoggedUplink {
             clock: env.clock,
             bs: env.bs,
@@ -324,7 +326,7 @@ impl UeSlot<'_> {
             self.drop_procedure(proc);
             return;
         }
-        let entry = self.log.entry(proc, now, 0);
+        let entry = self.log.entry(proc, 0);
         entry.end_clock = Some(end_clock);
         entry.completed_at = Some(now);
         self.completed.insert((self.ue, proc));
@@ -522,8 +524,8 @@ mod tests {
     fn byte_accounting_tracks_appends_and_prunes() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(&env(1, 1, 1), 100, Instant::ZERO);
-        log.ue_mut(ue).append(&env(1, 1, 2), 50, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 100);
+        log.ue_mut(ue).append(&env(1, 1, 2), 50);
         assert_eq!(log.bytes(), 150);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(2), Instant::ZERO, true);
@@ -543,11 +545,11 @@ mod tests {
     fn replay_set_orders_across_procedures() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
-        log.ue_mut(ue).append(&env(1, 2, 2), 10, Instant::ZERO);
-        log.ue_mut(ue).append(&env(1, 2, 3), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 2, 2), 10);
+        log.ue_mut(ue).append(&env(1, 2, 3), 10);
         let all = replay_set(&log, ue, ProcedureId(0));
         assert_eq!(all.len(), 3);
         assert!(all.windows(2).all(|w| w[0].clock < w[1].clock));
@@ -560,10 +562,10 @@ mod tests {
     fn replay_covers_detects_gaps() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
-        log.ue_mut(ue).append(&env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 2, 2), 10);
         log.ue_mut(ue)
             .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
         assert!(log.replay_covers(ue, ProcedureId(0)));
@@ -583,10 +585,10 @@ mod tests {
         // lost.
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
-        log.ue_mut(ue).append(&env(1, 3, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 3, 2), 10);
         log.ue_mut(ue)
             .complete(ProcedureId::new(3), ClockTick(2), Instant::ZERO, true);
         assert!(log.replay_covers(ue, ProcedureId(0)));
@@ -604,7 +606,7 @@ mod tests {
         let ue = UeId::new(1);
         // Procedure 1 completed and its messages were pruned: the floor
         // rises to 1 and a base of 0 cannot normally close.
-        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
         log.ue_mut(ue).drop_procedure(ProcedureId::new(1));
@@ -618,7 +620,7 @@ mod tests {
             ProcedureKind::ReAttach.template().steps[0].kind.sample(1),
         );
         attach.clock = ClockTick(2);
-        log.ue_mut(ue).append(&attach, 10, Instant::ZERO);
+        log.ue_mut(ue).append(&attach, 10);
         log.ue_mut(ue)
             .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
         assert!(log.replay_covers(ue, ProcedureId(0)));
@@ -632,7 +634,7 @@ mod tests {
     fn drop_procedure_frees_bytes() {
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(&env(1, 1, 1), 77, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 77);
         assert_eq!(log.ue_mut(ue).drop_procedure(ProcedureId::new(1)), 77);
         assert_eq!(log.bytes(), 0);
         assert_eq!(log.ue_mut(ue).drop_procedure(ProcedureId::new(1)), 0);
@@ -658,10 +660,10 @@ mod tests {
         let ue = UeId::new(1);
         let replicas = [CpfId::new(10), CpfId::new(11)];
         // Two completed procedures; the ACKs for procedure 1 were lost.
-        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
-        log.ue_mut(ue).append(&env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 2, 2), 10);
         log.ue_mut(ue)
             .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
         // An ACK for procedure 2 covers procedure 1 too (full-state sync).
@@ -680,8 +682,8 @@ mod tests {
         let ue = UeId::new(1);
         let replicas = [CpfId::new(10)];
         // Procedure 1 never completed (still needs replay coverage).
-        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
-        log.ue_mut(ue).append(&env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10);
+        log.ue_mut(ue).append(&env(1, 2, 2), 10);
         log.ue_mut(ue)
             .complete(ProcedureId::new(2), ClockTick(2), Instant::ZERO, true);
         log.ue_mut(ue)
@@ -700,9 +702,9 @@ mod tests {
         let (p1, p2) = (ProcedureId::new(1), ProcedureId::new(2));
         // Procedure 2 reaches the log first: the record still reads in id
         // order.
-        log.ue_mut(ue).append(&env(1, 2, 3), 10, Instant::ZERO);
-        log.ue_mut(ue).append(&env(1, 1, 1), 20, Instant::ZERO);
-        log.ue_mut(ue).append(&env(1, 1, 2), 20, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 2, 3), 10);
+        log.ue_mut(ue).append(&env(1, 1, 1), 20);
+        log.ue_mut(ue).append(&env(1, 1, 2), 20);
         let ids = |log: &MessageLog| -> Vec<ProcedureId> {
             let held = log.ue(ue).unwrap().procedures();
             held.iter().map(|&(p, _)| p).collect()
@@ -759,7 +761,7 @@ mod tests {
         let mut sent = env(1, 2, 9).from_bs(BsId::new(4)).ending_procedure();
         sent.via_cta = Some(CTA);
         let mut log = MessageLog::new();
-        log.ue_mut(sent.ue).append(&sent, 10, Instant::ZERO);
+        log.ue_mut(sent.ue).append(&sent, 10);
         assert_eq!(replay_set(&log, sent.ue, ProcedureId(0)), [sent]);
     }
 
@@ -769,7 +771,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<UeLog>(), 112);
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
-        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10);
         // No map node: the procedures are one `Vec` allocation, sized for
         // the one procedure, and the messages are reserved once for every
         // uplink the procedure logs.
@@ -791,7 +793,7 @@ mod tests {
             (rec.procedures.len(), rec.procedures.capacity())
         };
         // ACK convergence prunes the last procedure: the table goes back.
-        log.ue_mut(ue).append(&env(1, 1, 1), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 1, 1), 10);
         log.ue_mut(ue)
             .complete(ProcedureId::new(1), ClockTick(1), Instant::ZERO, true);
         for r in replicas {
@@ -802,7 +804,7 @@ mod tests {
         assert_eq!((synced.len(), synced.capacity()), (2, 2));
         // The next procedure starts at capacity 1; a timeout drop of it
         // gives the table back again.
-        log.ue_mut(ue).append(&env(1, 2, 2), 10, Instant::ZERO);
+        log.ue_mut(ue).append(&env(1, 2, 2), 10);
         assert_eq!(storage(&log), (1, 1));
         log.ue_mut(ue).drop_procedure(ProcedureId::new(2));
         assert_eq!(storage(&log), (0, 0));

@@ -68,7 +68,7 @@ proptest! {
                 Op::Append { ue, proc, bytes } => {
                     clock += 1;
                     log.ue_mut(UeId::new(u64::from(ue)))
-                        .append(&env(ue, proc, clock), bytes as usize, Instant::ZERO);
+                        .append(&env(ue, proc, clock), bytes as usize);
                     shadow.entry((ue, proc)).or_default().bytes += bytes as usize;
                 }
                 Op::Complete { ue, proc, awaits_acks } => {
@@ -155,7 +155,7 @@ proptest! {
         for (clock, &(ue, proc)) in (1u64..).zip(&appends) {
             let mut e = env(ue, proc, clock);
             e.via_cta = Some(via);
-            log.ue_mut(e.ue).append(&e, 10, Instant::ZERO);
+            log.ue_mut(e.ue).append(&e, 10);
             logged.push(e);
         }
         // Procedures in ascending order, clock order within each.

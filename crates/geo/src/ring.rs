@@ -220,6 +220,13 @@ impl RingStack {
         self.level1.remove(cpf);
         self.level2.remove(cpf);
     }
+
+    /// Whether `cpf` is on either ring: a CPF leaves the stack only by
+    /// [`RingStack::remove`], so this is "not known to have failed".
+    pub fn contains(&self, cpf: CpfId) -> bool {
+        self.level1.members.binary_search(&cpf).is_ok()
+            || self.level2.members.binary_search(&cpf).is_ok()
+    }
 }
 
 #[cfg(test)]
@@ -361,6 +368,18 @@ mod tests {
         let p1 = stack.primary(ue).unwrap();
         assert_ne!(p0, p1);
         assert!(l1.contains(&p1));
+    }
+
+    #[test]
+    fn contains_finds_both_levels_until_removed() {
+        let mut stack = RingStack::new(&cpfs(0..3), &cpfs(3..12), 2);
+        let (level1, level2) = (CpfId::new(1), CpfId::new(7));
+        assert!(stack.contains(level1) && stack.contains(level2));
+        assert!(!stack.contains(CpfId::new(12)));
+        stack.remove(level1);
+        stack.remove(level2);
+        assert!(!stack.contains(level1) && !stack.contains(level2));
+        assert!(stack.contains(CpfId::new(0)) && stack.contains(CpfId::new(3)));
     }
 
     /// Two CPFs on one point both keep their vnode: the lower id owns it,

@@ -404,10 +404,10 @@ mod tests {
         assert_eq!(cluster.cpf_metrics().malformed_payloads, 1);
     }
 
-    /// A CTA expects replica ACKs exactly when its failover is not a
-    /// re-attach, which stands for "the system replicates". Every preset
-    /// must keep that premise, and its cluster's CTA must hold a completed
-    /// attach in its ACK index exactly when the system replicates.
+    /// Every preset replicates exactly when its failover is not a
+    /// re-attach, and its cluster's CTA holds a completed attach in its ACK
+    /// index exactly when its failover is `ReplayFromLog`: SkyCore's
+    /// any-peer pool replicates but names no backup whose ACK could come.
     #[test]
     fn a_cta_awaits_acks_exactly_when_its_system_replicates() {
         use crate::uepop::Arrival;
@@ -429,6 +429,7 @@ mod tests {
             let name = config.name;
             let replicates = config.replication != ReplicationMode::None;
             let recovers_from_replicas = config.failover != FailoverPolicy::ReAttach;
+            let awaits_acks = config.failover == FailoverPolicy::ReplayFromLog;
             assert_eq!(replicates, recovers_from_replicas, "{name}");
             let attach = Arrival {
                 at: Instant::from_millis(1),
@@ -446,7 +447,7 @@ mod tests {
             }
             let completed = cluster.take_results().completed;
             assert_eq!(completed, 1, "{name}: the attach completes");
-            assert_eq!(kept, replicates, "{name}");
+            assert_eq!(kept, awaits_acks, "{name}");
         }
     }
 

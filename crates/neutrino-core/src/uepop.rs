@@ -264,8 +264,6 @@ pub struct UePopulation {
     workload: Workload,
     pending_arrival: Option<Arrival>,
     ues: UeMap<UeRecord>,
-    /// Records with a procedure in flight.
-    in_flight: usize,
     results: UePopResults,
     costs: &'static CostTable,
 }
@@ -295,7 +293,6 @@ impl UePopulation {
             workload,
             pending_arrival: None,
             ues: UeMap::new(),
-            in_flight: 0,
             results: UePopResults::default(),
             costs: CostTable::baked(),
         }
@@ -303,7 +300,12 @@ impl UePopulation {
 
     /// Takes the results (leaves defaults behind).
     pub fn take_results(&mut self) -> UePopResults {
-        self.results.incomplete = self.in_flight as u64;
+        let in_flight = self
+            .ues
+            .values_mut()
+            .filter(|rec| rec.active.is_some())
+            .count();
+        self.results.incomplete = in_flight as u64;
         std::mem::take(&mut self.results)
     }
 
@@ -355,9 +357,6 @@ impl UePopulation {
         let rec = self.ues.entry(ue).or_default();
         rec.proc_seq += 1;
         self.results.started += 1;
-        if rec.active.is_none() {
-            self.in_flight += 1;
-        }
         let active = rec.active.insert(Active {
             kind,
             report_kind,
@@ -377,10 +376,8 @@ impl UePopulation {
     }
 
     /// Abandons `rec`'s procedure: its retry budget ran out.
-    fn abandon(rec: &mut UeRecord, in_flight: &mut usize, results: &mut UePopResults) {
-        if rec.active.take().is_some() {
-            *in_flight -= 1;
-        }
+    fn abandon(rec: &mut UeRecord, results: &mut UePopResults) {
+        rec.active = None;
         rec.give_ups = 0;
         results.retries_exhausted += 1;
     }
@@ -467,7 +464,6 @@ impl UePopulation {
         // Finished the whole template?
         if active.next_step >= template.steps.len() {
             rec.active = None;
-            self.in_flight -= 1;
         } else {
             arm(active, ue, self.config.retry_timeout, out);
         }
@@ -486,7 +482,7 @@ impl UePopulation {
             };
         if budget > MAX_ATTEMPTS {
             if let Some(rec) = self.ues.get_mut(ue) {
-                Self::abandon(rec, &mut self.in_flight, &mut self.results);
+                Self::abandon(rec, &mut self.results);
             }
             return;
         }
@@ -523,7 +519,7 @@ impl UePopulation {
             // Retransmit the last uplink — one budget charge per resend.
             a.budget_used += 1;
             if a.budget_used > MAX_ATTEMPTS {
-                Self::abandon(rec, &mut self.in_flight, &mut self.results);
+                Self::abandon(rec, &mut self.results);
                 return;
             }
         }
@@ -546,7 +542,7 @@ impl UePopulation {
         self.results.rejected += 1;
         a.budget_used += 1;
         if a.budget_used > MAX_ATTEMPTS {
-            Self::abandon(rec, &mut self.in_flight, &mut self.results);
+            Self::abandon(rec, &mut self.results);
             return;
         }
         // Exponential term behind a gate: base << attempt, capped. Without

@@ -51,19 +51,20 @@ fn every_baseline_completes_attach_and_service_request() {
 
 #[test]
 fn epc_procedures_do_not_fail_by_outliving_the_ack_timeout() {
-    // The existing EPC replicates nothing, so no replica ever ACKs: a run
-    // longer than the CTA's 30 s ACK timeout must not count every completed
-    // procedure as timed out.
-    let mut spec = ExperimentSpec::new(
-        SystemConfig::existing_epc(),
-        workload(ProcedureKind::ServiceRequest, 50, 500),
-    );
-    spec.horizon = neutrino_common::time::Duration::from_secs(45);
-    let results = run_experiment(spec);
-    assert_eq!(results.completed, 100);
-    assert_eq!(results.cta.timeout_pruned, 0);
-    assert_eq!(results.cta.outdated_notices, 0);
-    assert_eq!(results.failed_procedures, 0);
+    // The existing EPC replicates nothing, and SkyCore's any-peer pool names
+    // no backup, so no replica ever ACKs: a run longer than the CTA's 30 s
+    // ACK timeout must not count every completed procedure as timed out.
+    for config in [SystemConfig::existing_epc(), SystemConfig::skycore()] {
+        let name = config.name;
+        let mut spec =
+            ExperimentSpec::new(config, workload(ProcedureKind::ServiceRequest, 50, 500));
+        spec.horizon = neutrino_common::time::Duration::from_secs(45);
+        let results = run_experiment(spec);
+        assert_eq!(results.completed, 100, "{name}");
+        assert_eq!(results.cta.timeout_pruned, 0, "{name}");
+        assert_eq!(results.cta.outdated_notices, 0, "{name}");
+        assert_eq!(results.failed_procedures, 0, "{name}");
+    }
 }
 
 #[test]

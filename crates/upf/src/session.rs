@@ -15,15 +15,20 @@ pub enum SessionState {
     Idle,
 }
 
-/// One session record.
+/// One session record. Its id is not stored: it is the id of the UE that
+/// keys it, which is what S11 responses carry.
 #[derive(Debug, Clone, Copy)]
 pub struct Session {
-    /// The session id (deterministic per UE so replays/recoveries agree).
-    pub id: SessionId,
     /// The controlling CPF (updated on handover/failover).
     pub cpf: CpfId,
     /// Current state.
     pub state: SessionState,
+}
+
+/// A UE's session id: deterministic per UE, so replays and recoveries
+/// agree.
+fn session_id(ue: UeId) -> SessionId {
+    SessionId::new(ue.raw())
 }
 
 /// UE → session map.
@@ -60,29 +65,20 @@ impl SessionTable {
     }
 
     fn create(&mut self, ue: UeId, cpf: CpfId) -> SessionId {
-        // Deterministic id: recovery replays and re-creates agree.
-        let id = SessionId::new(ue.raw());
-        self.sessions.insert(
-            ue,
-            Session {
-                id,
-                cpf,
-                state: SessionState::Active,
-            },
-        );
-        id
+        let state = SessionState::Active;
+        self.sessions.insert(ue, Session { cpf, state });
+        session_id(ue)
     }
 
     fn modify(&mut self, ue: UeId, cpf: CpfId) -> Option<SessionId> {
-        self.sessions.get_mut(ue).map(|s| {
-            s.state = SessionState::Active;
-            s.cpf = cpf;
-            s.id
-        })
+        let s = self.sessions.get_mut(ue)?;
+        s.state = SessionState::Active;
+        s.cpf = cpf;
+        Some(session_id(ue))
     }
 
     fn delete(&mut self, ue: UeId) -> Option<SessionId> {
-        self.sessions.remove(ue).map(|s| s.id)
+        self.sessions.remove(ue).map(|_| session_id(ue))
     }
 
     /// Marks a UE idle (connected→idle transition releases bearers).
@@ -311,12 +307,19 @@ mod tests {
     fn session_ids_are_deterministic() {
         let mut a = UpfCore::new(UpfId::new(1));
         let mut b = UpfCore::new(UpfId::new(2));
-        a.on_s11(req(42, SessionOp::Create));
-        b.on_s11(req(42, SessionOp::Create));
-        assert_eq!(
-            a.table().get(UeId::new(42)).unwrap().id,
-            b.table().get(UeId::new(42)).unwrap().id,
-        );
+        let session = |outs: Vec<UpfOutput>| match &outs[..] {
+            [UpfOutput::ToCpf {
+                msg: SysMsg::S11Resp(r),
+                ..
+            }] => r.session,
+            other => panic!("unexpected {other:?}"),
+        };
+        let id = session(a.on_s11(req(42, SessionOp::Create)));
+        assert_eq!(id, Some(SessionId::new(42)));
+        assert_eq!(session(b.on_s11(req(42, SessionOp::Create))), id);
+        assert_eq!(session(a.on_s11(req(42, SessionOp::Modify))), id);
+        assert_eq!(session(a.on_s11(req(42, SessionOp::Delete))), id);
+        assert_eq!(std::mem::size_of::<Session>(), 16);
     }
 
     #[test]
