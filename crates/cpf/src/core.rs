@@ -40,7 +40,7 @@ pub struct CpfConfig {
     /// The two-level ring stack for choosing backup replicas (Neutrino). In
     /// `PerMessage` mode with no rings, `peers` is broadcast to instead.
     pub ring: Option<RingStack>,
-    /// Pool peers (SkyCore's broadcast set).
+    /// Pool peers: SkyCore's broadcast set, their only use.
     pub peers: Vec<CpfId>,
     /// CPFs of sibling regions: where a handover-with-CPF-change migrates
     /// state when no ring is configured (edge deployments hand over across
@@ -260,16 +260,13 @@ impl CpfConfig {
 
     /// The migration target for a handover with CPF change: the first
     /// level-2 backup (where a proactive replica would live), else a
-    /// sibling-region CPF, else a pool peer.
+    /// sibling-region CPF.
     fn migration_target(&self, ue: UeId) -> Option<CpfId> {
-        self.backups_for(ue)
-            .next()
-            .or_else(|| {
-                self.remote_peers
-                    .get(ue.raw() as usize % self.remote_peers.len().max(1))
-                    .copied()
-            })
-            .or_else(|| self.peers.iter().copied().find(|p| *p != self.id))
+        self.backups_for(ue).next().or_else(|| {
+            self.remote_peers
+                .get(ue.raw() as usize % self.remote_peers.len().max(1))
+                .copied()
+        })
     }
 
     fn upf_for(&self, ue: UeId) -> UpfId {

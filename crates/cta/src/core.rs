@@ -5,7 +5,7 @@ use crate::log::{MessageLog, UeLog, UeSlot};
 use neutrino_codec::CodecKind;
 use neutrino_common::clock::ClockTick;
 use neutrino_common::time::{Duration, Instant};
-use neutrino_common::{mutant, BsId, CpfId, CtaId, ProcedureId, UeId};
+use neutrino_common::{mutant, CpfId, CtaId, ProcedureId, UeId};
 use neutrino_geo::RingStack;
 use neutrino_messages::costs::CostTable;
 use neutrino_messages::flow::{Effect, NodeAddr, RoleCore};
@@ -87,10 +87,8 @@ pub enum CtaOutput {
         /// Payload.
         msg: SysMsg,
     },
-    /// Send toward a base station (and thus the UE).
+    /// Send toward the UE (through whichever base station it camps on).
     ToBs {
-        /// Destination BS.
-        bs: BsId,
         /// Payload.
         msg: SysMsg,
     },
@@ -350,14 +348,13 @@ impl CtaCore {
                 Direction::Uplink => self.on_uplink(env, now),
                 Direction::Downlink => self.on_downlink(env, now),
             },
-            SysMsg::SyncAck(ack) => self.on_sync_ack(ack, now),
+            SysMsg::SyncAck(ack) => self.on_sync_ack(ack),
             SysMsg::ResyncBehind { ue, have, cpf } => self.on_resync_behind(ue, have, cpf),
             SysMsg::DdnRequest { ue, upf } => self.on_ddn(ue, upf),
-            SysMsg::CpfFailure { cpf } => self.on_cpf_failure(cpf, now),
-            SysMsg::RelayReAttach { ue, bs } => {
+            SysMsg::CpfFailure { cpf } => self.on_cpf_failure(cpf),
+            SysMsg::RelayReAttach { ue, .. } => {
                 // A CPF asked the UE to re-attach (stale-state guard).
                 vec![CtaOutput::ToBs {
-                    bs,
                     msg: SysMsg::AskReAttach { ue },
                 }]
             }
@@ -395,7 +392,6 @@ impl CtaCore {
                     self.metrics.shed_by_class[class.raw() as usize] += 1;
                     self.metrics.rejects_sent += 1;
                     return vec![CtaOutput::ToBs {
-                        bs: env.bs,
                         msg: SysMsg::Reject {
                             ue: env.ue,
                             class,
@@ -413,7 +409,6 @@ impl CtaCore {
         let mut out = Vec::new();
 
         let mut slot = self.log.ue_mut(ue);
-        slot.last_bs = env.bs;
         if gated {
             slot.charged = slot.charged.max(env.procedure);
         }
@@ -496,14 +491,13 @@ impl CtaCore {
         }
         self.metrics.forwarded_downlink += 1;
         vec![CtaOutput::ToBs {
-            bs: env.bs,
             msg: SysMsg::Control(env),
         }]
     }
 
     /// Records a replica ACK (§4.2.3 steps 3–4) and prunes fully-ACKed
     /// procedures.
-    pub fn on_sync_ack(&mut self, ack: SyncAck, _now: Instant) -> Vec<CtaOutput> {
+    pub fn on_sync_ack(&mut self, ack: SyncAck) -> Vec<CtaOutput> {
         let mut slot = self.log.ue_mut(ack.ue);
         expected_acks(&mut slot, ack.ue, &self.ring, &mut self.expected);
         slot.ack(ack.procedure, ack.replica, &self.expected);
@@ -549,11 +543,11 @@ impl CtaCore {
     /// are waiting for a response that will never come — the last logged
     /// message is re-driven through failover so the new primary answers it).
     /// UEs with no procedure in flight recover lazily on their next message.
-    pub fn on_cpf_failure(&mut self, cpf: CpfId, _now: Instant) -> Vec<CtaOutput> {
+    pub fn on_cpf_failure(&mut self, cpf: CpfId) -> Vec<CtaOutput> {
         // The log iterates in UE-id order, which pins the order of the
         // failover messages below.
         let mut stuck: Vec<Envelope> = Vec::new();
-        let mut stuck_no_log: Vec<(UeId, BsId)> = Vec::new();
+        let mut stuck_no_log: Vec<UeId> = Vec::new();
         for (ue, ue_log) in self.log.ues() {
             let primary = ue_log.assigned.or_else(|| self.ring.primary(*ue));
             if primary != Some(cpf) {
@@ -565,7 +559,7 @@ impl CtaCore {
             let last_logged = ue_log.procedure(in_proc).and_then(|p| p.messages.last());
             match last_logged {
                 Some(last) => stuck.push(last.envelope(*ue, in_proc, self.config.id)),
-                None => stuck_no_log.push((*ue, ue_log.last_bs)),
+                None => stuck_no_log.push(*ue),
             }
         }
         self.ring.remove(cpf);
@@ -576,12 +570,11 @@ impl CtaCore {
         for env in mutant!(self.config.mutant, NoStuckRedrive => Vec::new(); stuck) {
             self.failover(env, &mut out);
         }
-        for (ue, bs) in stuck_no_log {
+        for ue in stuck_no_log {
             // No log to recover from (EPC / logging off): re-attach.
             self.metrics.failover_re_attach += 1;
             self.log.ue_mut(ue).in_flight = None;
             out.push(CtaOutput::ToBs {
-                bs,
                 msg: SysMsg::AskReAttach { ue },
             });
         }
@@ -618,7 +611,6 @@ impl CtaCore {
                 // Nothing consistent to page from: wake the UE directly.
                 self.metrics.failover_re_attach += 1;
                 vec![CtaOutput::ToBs {
-                    bs: slot.last_bs,
                     msg: SysMsg::AskReAttach { ue },
                 }]
             }
@@ -665,7 +657,7 @@ impl CtaCore {
                 slot.drop_procedure(proc);
                 continue;
             }
-            let Some(done) = entry.completed_at else {
+            let Some((_, done)) = entry.completed else {
                 continue;
             };
             if done + ACK_TIMEOUT <= now {
@@ -741,7 +733,7 @@ impl CtaCore {
         let Some(entry) = slot.procedure(proc) else {
             return;
         };
-        let clock = entry.end_clock.unwrap_or(ClockTick::ZERO);
+        let clock = entry.completed.map_or(ClockTick::ZERO, |(clock, _)| clock);
         let mut up_to_date = entry.acks.clone();
         if let Some(p) = slot.assigned.filter(|&p| self.ring.contains(p)) {
             up_to_date.push(p);
@@ -766,7 +758,6 @@ impl CtaCore {
     fn failover(&mut self, env: Envelope, out: &mut Vec<CtaOutput>) {
         let ue = env.ue;
         let re_attach = CtaOutput::ToBs {
-            bs: env.bs,
             msg: SysMsg::AskReAttach { ue },
         };
         match self.config.failover {
@@ -861,6 +852,7 @@ impl RoleCore for CtaCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neutrino_common::BsId;
     use neutrino_messages::{MessageKind, ProcedureKind};
 
     fn ring() -> RingStack {
@@ -995,15 +987,12 @@ mod tests {
         let backups = c.backups_for(ue);
         assert_eq!(backups.len(), 2);
         for b in &backups {
-            c.on_sync_ack(
-                SyncAck {
-                    ue,
-                    replica: *b,
-                    procedure: ProcedureId::new(1),
-                    end_clock: ClockTick(2),
-                },
-                Instant::ZERO,
-            );
+            c.on_sync_ack(SyncAck {
+                ue,
+                replica: *b,
+                procedure: ProcedureId::new(1),
+                end_clock: ClockTick(2),
+            });
         }
         assert_eq!(c.log_bytes(), 0, "fully acked procedure must be pruned");
         assert!(c.max_log_bytes() > 0);
@@ -1015,7 +1004,7 @@ mod tests {
         let ue = UeId::new(3);
         c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
         let dead = c.backups_for(ue)[0];
-        c.on_cpf_failure(dead, Instant::ZERO);
+        c.on_cpf_failure(dead);
         let mut shrunk = ring();
         shrunk.remove(dead);
         let backups = c.backups_for(ue);
@@ -1028,7 +1017,7 @@ mod tests {
         for replica in backups {
             let procedure = ProcedureId::new(1);
             let end_clock = ClockTick(1);
-            c.on_sync_ack(SyncAck { ue, replica, procedure, end_clock }, Instant::ZERO);
+            c.on_sync_ack(SyncAck { ue, replica, procedure, end_clock });
         }
         assert_eq!(c.log_bytes(), 0);
     }
@@ -1043,15 +1032,12 @@ mod tests {
         c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
         for replica in c.backups_for(ue) {
             let (procedure, end_clock) = (ProcedureId::new(1), ClockTick(1));
-            c.on_sync_ack(
-                SyncAck {
-                    ue,
-                    replica,
-                    procedure,
-                    end_clock,
-                },
-                Instant::ZERO,
-            );
+            c.on_sync_ack(SyncAck {
+                ue,
+                replica,
+                procedure,
+                end_clock,
+            });
         }
         // Procedure 2's uplinks as the framing layer hands them over: header
         // fields plus the payload bytes it received. The second one arrives
@@ -1118,7 +1104,7 @@ mod tests {
         // The primary dies mid-procedure: the first uplink replays onto the
         // synced backup, and the last one is re-sent exactly as forwarded.
         let primary = c.primary_for(ue).unwrap();
-        let outs = c.on_cpf_failure(primary, Instant::ZERO);
+        let outs = c.on_cpf_failure(primary);
         let [CtaOutput::ToCpf {
             cpf: to,
             msg: SysMsg::Replay(replayed),
@@ -1158,18 +1144,15 @@ mod tests {
         c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
         let backups = c.backups_for(ue);
         for b in &backups {
-            c.on_sync_ack(
-                SyncAck {
-                    ue,
-                    replica: *b,
-                    procedure: ProcedureId::new(1),
-                    end_clock: ClockTick(1),
-                },
-                Instant::ZERO,
-            );
+            c.on_sync_ack(SyncAck {
+                ue,
+                replica: *b,
+                procedure: ProcedureId::new(1),
+                end_clock: ClockTick(1),
+            });
         }
         let primary = c.primary_for(ue).unwrap();
-        c.on_cpf_failure(primary, Instant::ZERO);
+        c.on_cpf_failure(primary);
         // Next message fails over with no replay.
         let outs = c.on_uplink(ul(3, 2, MessageKind::ServiceRequest, false), Instant::ZERO);
         assert!(backups.contains(&route_target(&outs)));
@@ -1197,10 +1180,10 @@ mod tests {
             c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
             for replica in c.backups_for(ue) {
                 let (procedure, end_clock) = (ProcedureId::new(1), ClockTick(1));
-                c.on_sync_ack(SyncAck { ue, replica, procedure, end_clock }, Instant::ZERO);
+                c.on_sync_ack(SyncAck { ue, replica, procedure, end_clock });
             }
             let primary = c.primary_for(ue).unwrap();
-            c.on_cpf_failure(primary, Instant::ZERO);
+            c.on_cpf_failure(primary);
             c
         };
         let (mut paged, mut sent) = (crashed(), crashed());
@@ -1222,15 +1205,12 @@ mod tests {
         c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
         let backups = c.backups_for(ue);
         for b in &backups {
-            c.on_sync_ack(
-                SyncAck {
-                    ue,
-                    replica: *b,
-                    procedure: ProcedureId::new(1),
-                    end_clock: ClockTick(1),
-                },
-                Instant::ZERO,
-            );
+            c.on_sync_ack(SyncAck {
+                ue,
+                replica: *b,
+                procedure: ProcedureId::new(1),
+                end_clock: ClockTick(1),
+            });
         }
         // Procedure 2 starts (two messages logged), then the primary dies.
         // The failure notice itself must recover the stuck UE: replay the
@@ -1241,7 +1221,7 @@ mod tests {
             Instant::ZERO,
         );
         let primary = c.primary_for(ue).unwrap();
-        let outs = c.on_cpf_failure(primary, Instant::ZERO);
+        let outs = c.on_cpf_failure(primary);
         let replay = outs.iter().find_map(|o| match o {
             CtaOutput::ToCpf {
                 cpf,
@@ -1277,7 +1257,7 @@ mod tests {
         // Procedure in flight, no acks ever.
         c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, false), Instant::ZERO);
         let primary = c.primary_for(ue).unwrap();
-        let outs = c.on_cpf_failure(primary, Instant::ZERO);
+        let outs = c.on_cpf_failure(primary);
         assert!(
             outs.iter().any(|o| matches!(
                 o,
@@ -1300,7 +1280,7 @@ mod tests {
         let primary = c.primary_for(ue).unwrap();
         // EPC logs nothing, so the notice alone produces no outputs; the
         // next uplink triggers the re-attach.
-        assert!(c.on_cpf_failure(primary, Instant::ZERO).is_empty());
+        assert!(c.on_cpf_failure(primary).is_empty());
         let outs = c.on_uplink(ul(3, 2, MessageKind::ServiceRequest, false), Instant::ZERO);
         assert!(outs.iter().any(|o| matches!(
             o,
@@ -1333,15 +1313,12 @@ mod tests {
         c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
         let backups = c.backups_for(ue);
         // Only one of two backups acks.
-        c.on_sync_ack(
-            SyncAck {
-                ue,
-                replica: backups[0],
-                procedure: ProcedureId::new(1),
-                end_clock: ClockTick(1),
-            },
-            Instant::ZERO,
-        );
+        c.on_sync_ack(SyncAck {
+            ue,
+            replica: backups[0],
+            procedure: ProcedureId::new(1),
+            end_clock: ClockTick(1),
+        });
         // Before the timeout: only a resync request to the primary, no
         // MarkOutdated yet, log intact.
         let early = c.scan(Instant::from_secs(10));
@@ -1396,15 +1373,12 @@ mod tests {
         assert_eq!(c.metrics().resyncs_requested, 2);
         // Once every expected replica ACKs, the chase stops.
         for b in c.backups_for(ue) {
-            c.on_sync_ack(
-                SyncAck {
-                    ue,
-                    replica: b,
-                    procedure: ProcedureId::new(1),
-                    end_clock: ClockTick(1),
-                },
-                Instant::ZERO,
-            );
+            c.on_sync_ack(SyncAck {
+                ue,
+                replica: b,
+                procedure: ProcedureId::new(1),
+                end_clock: ClockTick(1),
+            });
         }
         assert!(c.scan(Instant::from_secs(20)).is_empty());
         assert_eq!(c.log_bytes(), 0);
@@ -1549,15 +1523,12 @@ mod tests {
         let ue = UeId::new(3);
         c.on_uplink(ul(3, 1, MessageKind::ServiceRequest, true), Instant::ZERO);
         let backups = c.backups_for(ue);
-        c.on_sync_ack(
-            SyncAck {
-                ue,
-                replica: backups[0],
-                procedure: ProcedureId::new(1),
-                end_clock: ClockTick(1),
-            },
-            Instant::ZERO,
-        );
+        c.on_sync_ack(SyncAck {
+            ue,
+            replica: backups[0],
+            procedure: ProcedureId::new(1),
+            end_clock: ClockTick(1),
+        });
         // Second procedure starts while backup[1] never acked (§4.2.4(4)).
         let outs = c.on_uplink(ul(3, 2, MessageKind::ServiceRequest, false), Instant::ZERO);
         assert!(
@@ -1594,9 +1565,8 @@ mod tests {
             matches!(
                 outs.as_slice(),
                 [CtaOutput::ToBs {
-                    bs,
                     msg: SysMsg::Reject { ue, class: AdmissionClass::ServiceRequest, .. },
-                }] if *bs == BsId::new(1) && *ue == UeId::new(3)
+                }] if *ue == UeId::new(3)
             ),
             "fourth start must shed explicitly: {outs:?}"
         );
@@ -1727,15 +1697,12 @@ mod tests {
         assert_eq!(c.metrics().breaker_suppressed, 1);
         // A sync ACK through the shared primary closes the breaker.
         let replica = c.backups_for(UeId::new(ua))[0];
-        c.on_sync_ack(
-            SyncAck {
-                ue: UeId::new(ua),
-                replica,
-                procedure: ProcedureId::new(1),
-                end_clock: ClockTick(1),
-            },
-            Instant::from_secs(18),
-        );
+        c.on_sync_ack(SyncAck {
+            ue: UeId::new(ua),
+            replica,
+            procedure: ProcedureId::new(1),
+            end_clock: ClockTick(1),
+        });
         // Closed, with its count back at zero: the next chases pass, and
         // only the third of them trips it again.
         let gate = c.admission.as_mut().unwrap();
@@ -1758,8 +1725,8 @@ mod tests {
         let outs = c.on_downlink(env, Instant::ZERO);
         assert!(matches!(
             &outs[0],
-            CtaOutput::ToBs { bs, msg: SysMsg::Control(e) }
-                if *bs == BsId::new(9) && e.clock > ClockTick::ZERO
+            CtaOutput::ToBs { msg: SysMsg::Control(e) }
+                if e.bs == BsId::new(9) && e.clock > ClockTick::ZERO
         ));
         assert_eq!(c.metrics().forwarded_downlink, 1);
     }

@@ -17,9 +17,10 @@ use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
 
 /// One logged uplink: what varies per message. The rest needs no storage —
-/// `ue` and `procedure` are the log's own keys, and `via_cta` is the stamp
-/// the CTA puts on every message it logs — so [`LoggedUplink::envelope`]
-/// rebuilds the forwarded envelope exactly. 40 bytes, not an envelope's 72.
+/// `ue` and `procedure` are the log's own keys, `via_cta` is the stamp the
+/// CTA puts on every message it logs, and only uplinks are logged — so
+/// [`LoggedUplink::envelope`] rebuilds the forwarded envelope exactly. 40
+/// bytes, not an envelope's 72.
 #[derive(Debug, Clone)]
 pub(crate) struct LoggedUplink {
     clock: ClockTick,
@@ -27,7 +28,6 @@ pub(crate) struct LoggedUplink {
     /// Shared with the forwarded copy, never copied.
     msg: Payload,
     proc_kind: ProcedureKind,
-    direction: Direction,
     end_of_procedure: bool,
 }
 
@@ -42,7 +42,7 @@ impl LoggedUplink {
             bs: self.bs,
             via_cta: Some(via),
             clock: self.clock,
-            direction: self.direction,
+            direction: Direction::Uplink,
             end_of_procedure: self.end_of_procedure,
             msg: self.msg.clone(),
         }
@@ -56,13 +56,12 @@ pub struct ProcedureLog {
     pub(crate) messages: Vec<LoggedUplink>,
     /// Wire bytes those messages occupy.
     pub bytes: usize,
-    /// Clock of the procedure's last message, once seen.
-    pub end_clock: Option<ClockTick>,
+    /// Once the procedure completed: the clock of its last message and
+    /// when it passed (for the ACK timeout scan).
+    pub completed: Option<(ClockTick, Instant)>,
     /// Replicas that ACKed the checkpoint of this procedure, sorted (there
     /// are at most as many as the deployment has replicas).
     pub acks: Vec<CpfId>,
-    /// When the procedure completed (for the ACK timeout scan).
-    pub completed_at: Option<Instant>,
     /// Checkpoint resend requests issued for this procedure (exponential
     /// backoff: the next resend waits `base << resync_attempts`).
     pub resync_attempts: u32,
@@ -111,9 +110,8 @@ impl ProcedureLog {
         ProcedureLog {
             messages: Vec::with_capacity(uplinks),
             bytes: 0,
-            end_clock: None,
+            completed: None,
             acks: Vec::new(),
-            completed_at: None,
             resync_attempts: 0,
         }
     }
@@ -151,8 +149,6 @@ pub struct UeLog {
     /// none, or no gate). Set only once the gate admits, so a shed start
     /// leaves no record behind.
     pub charged: ProcedureId,
-    /// The BS the UE was last heard from (paging / re-attach routing).
-    pub last_bs: BsId,
     /// Sticky primary: set from the ring on first contact, changed by
     /// failover promotions and re-attaches. Stable assignment is what lets
     /// a backup "become primary" (§4.1) instead of the ring silently
@@ -169,7 +165,6 @@ impl Default for UeLog {
             replay_floor: ProcedureId(0),
             in_flight: None,
             charged: ProcedureId(0),
-            last_bs: BsId::new(0),
             assigned: None,
         }
     }
@@ -289,6 +284,7 @@ impl UeSlot<'_> {
     /// Appends an uplink message of `wire_bytes` to its procedure's log.
     pub fn append(&mut self, env: &Envelope, wire_bytes: usize) {
         debug_assert_eq!(env.ue, self.ue);
+        debug_assert_eq!(env.direction, Direction::Uplink);
         // Reserved once for everything the procedure will log (§4.2.3:
         // its uplink messages).
         let uplinks = env.proc_kind.template().uplink_count();
@@ -298,7 +294,6 @@ impl UeSlot<'_> {
             bs: env.bs,
             msg: env.msg.clone(),
             proc_kind: env.proc_kind,
-            direction: env.direction,
             end_of_procedure: env.end_of_procedure,
         });
         entry.bytes += wire_bytes;
@@ -326,9 +321,7 @@ impl UeSlot<'_> {
             self.drop_procedure(proc);
             return;
         }
-        let entry = self.log.entry(proc, 0);
-        entry.end_clock = Some(end_clock);
-        entry.completed_at = Some(now);
+        self.log.entry(proc, 0).completed = Some((end_clock, now));
         self.completed.insert((self.ue, proc));
     }
 
@@ -362,7 +355,7 @@ impl UeSlot<'_> {
             // Earlier procedures count only once completed (an in-flight
             // predecessor still needs its messages for replay); the ACKed
             // procedure itself counts unconditionally.
-            if p > proc || (p != proc && entry.completed_at.is_none()) {
+            if p > proc || (p != proc && entry.completed.is_none()) {
                 return true;
             }
             if let Err(i) = entry.acks.binary_search(&replica) {
@@ -416,7 +409,7 @@ impl UeSlot<'_> {
 pub struct MessageLog {
     ues: UeMap<UeLog>,
     /// Every `(ue, procedure)` that completed and is still logged — exactly
-    /// the entries with `completed_at` set. The scan walks this, not `ues`.
+    /// the entries with `completed` set. The scan walks this, not `ues`.
     completed: BTreeSet<(UeId, ProcedureId)>,
     bytes: usize,
     max_bytes: usize,
@@ -753,9 +746,9 @@ mod tests {
     fn a_logged_uplink_is_what_varies_per_message() {
         // Pinned: an attach burst logs one of these per uplink, where an
         // `Envelope` is 72 bytes. The procedure entry that holds them stays
-        // within 104.
+        // within 88.
         assert_eq!(std::mem::size_of::<LoggedUplink>(), 40);
-        assert!(std::mem::size_of::<ProcedureLog>() <= 104);
+        assert!(std::mem::size_of::<ProcedureLog>() <= 88);
         // Rebuilt from the log's keys and the CTA's stamp, a logged uplink
         // is the envelope the CTA forwarded.
         let mut sent = env(1, 2, 9).from_bs(BsId::new(4)).ending_procedure();
@@ -768,7 +761,7 @@ mod tests {
     #[test]
     fn a_ue_log_is_one_flat_record() {
         // Pinned: an attach burst holds one of these per UE at the CTA.
-        assert_eq!(std::mem::size_of::<UeLog>(), 112);
+        assert_eq!(std::mem::size_of::<UeLog>(), 104);
         let mut log = MessageLog::new();
         let ue = UeId::new(1);
         log.ue_mut(ue).append(&env(1, 1, 1), 10);

@@ -136,7 +136,7 @@ proptest! {
             };
             prop_assert_eq!(log.bytes(), entries().map(|(_, _, e)| e.bytes).sum::<usize>());
             let completed: Vec<_> = entries()
-                .filter(|(_, _, e)| e.completed_at.is_some())
+                .filter(|(_, _, e)| e.completed.is_some())
                 .map(|(ue, p, _)| (ue, p))
                 .collect();
             prop_assert_eq!(log.completed().collect::<Vec<_>>(), completed);

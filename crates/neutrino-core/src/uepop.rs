@@ -170,12 +170,8 @@ struct Active {
     procedure: ProcedureId,
     next_step: usize,
     started: Instant,
-    critical_done: bool,
     retries: u32,
     last_progress: Instant,
-    /// The template step of the last uplink sent, which a retransmission
-    /// rebuilds (step 0 goes out as the procedure starts).
-    last_uplink: usize,
     /// Lifetime retry-budget charges (survives re-attach restarts).
     budget_used: u32,
     /// When the UE next acts unless a downlink comes first. Only [`arm`]
@@ -224,7 +220,7 @@ fn route_of(routes: &[RegionRoute], ue: UeId, route: usize) -> (BsId, CtaId) {
 /// Sends step `step_idx` of `active`'s template to `ue`'s CTA on `route`.
 /// The envelope is a function of these arguments alone, and a UE's route
 /// changes only on a give-up, which starts a fresh procedure — so sending
-/// `active.last_uplink` again repeats the last uplink exactly.
+/// the last uplink's step again repeats that uplink exactly.
 fn send_uplink(
     routes: &[RegionRoute],
     ue: UeId,
@@ -363,10 +359,8 @@ impl UePopulation {
             procedure: ProcedureId::new(rec.proc_seq),
             next_step: 1, // step 0 goes out right now
             started,
-            critical_done: false,
             retries: 0,
             last_progress: out.now(),
-            last_uplink: 0,
             budget_used,
             deadline: out.now(),
             deferred: false,
@@ -441,15 +435,17 @@ impl UePopulation {
         let pos = template.steps[active.next_step..]
             .iter()
             .position(|s| s.direction == Direction::Downlink && s.kind == env.msg.kind());
+        let passed = active.next_step;
         match pos {
             Some(rel) => active.next_step += rel + 1,
             None => return, // duplicate from a replayed recovery: ignore
         }
         active.last_progress = now;
         active.retries = 0;
-        // Did we just pass the critical step?
-        if active.next_step > template.completion_index() && !active.critical_done {
-            active.critical_done = true;
+        // Did we just pass the critical step? It is a downlink, so only a
+        // downlink moves `next_step` past it, and only once.
+        let critical = template.completion_index();
+        if passed <= critical && active.next_step > critical {
             rec.give_ups = 0;
             Self::record_completion(&self.config, &mut self.results, ue, active, now);
         }
@@ -457,7 +453,6 @@ impl UePopulation {
         while active.next_step < template.steps.len()
             && template.steps[active.next_step].direction == Direction::Uplink
         {
-            active.last_uplink = active.next_step;
             send_uplink(&self.routes, ue, route, active, active.next_step, out);
             active.next_step += 1;
         }
@@ -524,7 +519,10 @@ impl UePopulation {
             }
         }
         self.results.retransmissions += 1;
-        send_uplink(&self.routes, ue, rec.route, a, a.last_uplink, out);
+        // The last uplink sent is the last before `next_step` (step 0 is one).
+        let sent = &a.kind.template().steps[..a.next_step];
+        let step = sent.iter().rposition(|s| s.direction == Direction::Uplink);
+        send_uplink(&self.routes, ue, rec.route, a, step.unwrap_or(0), out);
         arm(a, ue, self.config.retry_timeout, out);
     }
 
@@ -709,7 +707,7 @@ mod tests {
     #[test]
     fn a_ue_record_keeps_no_envelope() {
         // Pinned: a run holds one slab entry per UE it ever saw.
-        assert_eq!(std::mem::size_of::<(UeId, UeRecord)>(), 96);
+        assert_eq!(std::mem::size_of::<(UeId, UeRecord)>(), 88);
     }
 
     /// A CTA that records every uplink and answers only the first
@@ -785,6 +783,54 @@ mod tests {
         }
         let results = sim.node_as::<UePopulation>(UEPOP_NODE).unwrap().results();
         assert_eq!((results.retransmissions, results.re_attached), (3, 0));
+    }
+
+    #[test]
+    fn a_procedure_records_its_pct_once_at_its_critical_step() {
+        use neutrino_messages::MessageKind as K;
+        // A fast handover's critical step is its Handover Command (step 3);
+        // the UE Context Release Command (step 5) comes after it. Each case
+        // injects downlinks at 1, 2, 3… ms and names the millisecond whose
+        // downlink records the PCT.
+        let kind = ProcedureKind::FastHandover;
+        assert_eq!(kind.template().completion_index(), 3);
+        let cases: [(&[K], Option<u64>); 3] = [
+            // In order, with a duplicate of the critical step.
+            (
+                &[
+                    K::HandoverRequest,
+                    K::HandoverCommand,
+                    K::HandoverCommand,
+                    K::UeContextReleaseCommand,
+                ],
+                Some(2),
+            ),
+            // A later downlink skips past the critical step; the late
+            // critical step then finds the procedure over.
+            (&[K::HandoverRequest, K::UeContextReleaseCommand, K::HandoverCommand], Some(2)),
+            // Never reaching it records nothing.
+            (&[K::HandoverRequest, K::HandoverRequest], None),
+        ];
+        for (downlinks, records_at) in cases {
+            let ue = UeId::new(7);
+            let arrival = Arrival { at: Instant::ZERO, ue, kind };
+            let silent = SilentCta { seen: Vec::new(), answer: 0 };
+            let mut config = UePopConfig::default();
+            config.record_windows_for.insert(ue);
+            let mut sim =
+                population_sim(&SystemConfig::neutrino(), config, vec![arrival], silent);
+            for (at, &k) in (1..).map(Instant::from_millis).zip(downlinks) {
+                let body = Payload::sample(k, ue.raw());
+                let dl = Envelope::downlink(ue, ProcedureId::new(1), kind, body);
+                sim.inject_at(at, UEPOP_NODE, SimMsg::Sys(SysMsg::Control(dl)));
+            }
+            sim.run_until(Instant::from_millis(10));
+            let results = sim.node_as::<UePopulation>(UEPOP_NODE).unwrap().results();
+            let ends = results.windows.iter().map(|w| w.end.as_millis_f64() as u64);
+            let ends: Vec<u64> = ends.collect();
+            assert_eq!(ends, Vec::from_iter(records_at), "{downlinks:?}");
+            assert_eq!(results.completed, ends.len() as u64, "{downlinks:?}");
+        }
     }
 
     #[test]

@@ -34,10 +34,14 @@ use neutrino_net::{decode_sysmsg, encode_sysmsg};
 use neutrino_upf::UpfCore;
 use std::collections::VecDeque;
 use std::fmt::Debug;
+use std::path::Path;
 
 /// The hash of the whole transcript at the parent of the payload-sharing
-/// rewrite. Re-pin only for a deliberate protocol change.
-const PINNED_TRANSCRIPT_HASH: u64 = 0xc1e8_202c_15a7_6db7;
+/// rewrite, re-pinned when `CtaOutput::ToBs` lost its `bs` field (the
+/// parent's rendering with each `bs: bs-N, ` taken out of its `ToBs`
+/// outputs hashes to this value). Re-pin only for a deliberate protocol
+/// change.
+const PINNED_TRANSCRIPT_HASH: u64 = 0x0c05_1ba9_f02c_1e92;
 /// Handler calls the script makes (a cheap guard against a script that
 /// silently stops early).
 const PINNED_CALLS: u64 = 588;
@@ -71,6 +75,8 @@ struct World {
     now: Instant,
     hash: u64,
     calls: u64,
+    /// The hashed text, one line per handler call.
+    rendering: String,
     /// Messages this rule matches are lost in flight.
     drop_rule: Option<DropRule>,
     crashed: Vec<u64>,
@@ -101,6 +107,7 @@ impl World {
             now: Instant::ZERO,
             hash: 0xcbf2_9ce4_8422_2325,
             calls: 0,
+            rendering: String::new(),
             drop_rule: None,
             crashed: Vec::new(),
             to_client: 0,
@@ -111,9 +118,12 @@ impl World {
     /// Folds one handler call's outputs into the transcript (FNV-1a).
     fn record(&mut self, who: Dest, outs: &impl Debug) {
         self.calls += 1;
-        for b in format!("{who:?}@{}:{outs:?};", self.now.as_nanos()).bytes() {
+        let line = format!("{who:?}@{}:{outs:?};", self.now.as_nanos());
+        for b in line.bytes() {
             self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
+        self.rendering.push_str(&line);
+        self.rendering.push('\n');
     }
 
     fn send(&mut self, to: Dest, msg: SysMsg) {
@@ -352,11 +362,17 @@ fn assert_pinned(mode: Mode) -> World {
         "downlinks reached the client: {}",
         w.to_client
     );
-    assert_eq!(
-        (hash, calls),
-        (PINNED_TRANSCRIPT_HASH, PINNED_CALLS),
-        "the cores' outputs changed: got ({hash:#018x}, {calls})"
-    );
+    if (hash, calls) != (PINNED_TRANSCRIPT_HASH, PINNED_CALLS) {
+        // The hashed text, so a re-pin can be audited by `diff` against the
+        // same file written by the parent commit.
+        let file = format!("transcript-{mode:?}.txt");
+        let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+        std::fs::write(&path, &w.rendering).expect("writes the rendering");
+        panic!(
+            "the cores' outputs changed: got ({hash:#018x}, {calls}); rendering in {}",
+            path.display()
+        );
+    }
     w
 }
 
