@@ -5,7 +5,7 @@
 use crate::store::{Freshness, StateStore, UeRecord};
 use neutrino_common::clock::ClockTick;
 use neutrino_common::uemap::Entry;
-use neutrino_common::{mutant, BsId, CpfId, CtaId, ProcedureId, Result, UeId, UeMap, UpfId};
+use neutrino_common::{mutant, CpfId, CtaId, ProcedureId, Result, UeId, UeMap, UpfId};
 use neutrino_geo::RingStack;
 use neutrino_common::time::Instant;
 use neutrino_messages::control::{ControlMessage, Direction, Envelope, MessageKind};
@@ -222,10 +222,7 @@ struct Progress {
     next_step: usize,
     last_ul_clock: ClockTick,
     cta: CtaId,
-    bs: BsId,
     waiting: Option<Waiting>,
-    /// The handover state migration already happened for this procedure.
-    migrated: bool,
 }
 
 /// A procedure ran off the end of its template.
@@ -379,8 +376,7 @@ impl Run<'_> {
             progress.procedure,
             progress.kind,
             build_downlink(steps[idx].kind, ue),
-        )
-        .from_bs(progress.bs);
+        );
         env.via_cta = Some(progress.cta);
         if idx + 1 == steps.len() {
             env = env.ending_procedure();
@@ -391,16 +387,10 @@ impl Run<'_> {
         });
     }
 
-    /// Emits the downlink message at the cursor and advances it.
-    fn emit_downlink(&mut self, replaying: bool) {
-        if !replaying {
-            self.downlink(self.progress.next_step);
-        }
-        self.progress.next_step += 1;
-    }
-
     /// Emits pending downlink steps until the procedure waits or finishes.
-    fn drive(&mut self, replaying: bool) -> Option<Finished> {
+    /// `resumed` names the pause the step at the cursor just came back
+    /// from: its migration is done, and after a UPF answer so is its S11.
+    fn drive(&mut self, replaying: bool, mut resumed: Option<Waiting>) -> Option<Finished> {
         loop {
             if self.progress.waiting.is_some() {
                 return None;
@@ -417,7 +407,7 @@ impl Run<'_> {
             }
             // A downlink step. Migration first (handover with CPF change),
             // then the UPF interaction, then the message itself.
-            if step.requires_state_migration && !self.progress.migrated && !replaying {
+            if step.requires_state_migration && resumed.is_none() && !replaying {
                 if let Some(target) = self.config.migration_target(self.rec.state.ue()) {
                     self.progress.waiting = Some(Waiting::Migration);
                     self.metrics.migrations += 1;
@@ -426,7 +416,7 @@ impl Run<'_> {
                 }
                 // Nowhere to migrate (single-CPF deployments): continue.
             }
-            if step.upf_interaction && !replaying {
+            if step.upf_interaction && resumed != Some(Waiting::Upf) && !replaying {
                 self.s11(session_op(self.progress.kind));
                 if !self.config.parallel_upf {
                     self.progress.waiting = Some(Waiting::Upf);
@@ -434,7 +424,11 @@ impl Run<'_> {
                 }
                 // DPCM: fall through and emit the downlink immediately.
             }
-            self.emit_downlink(replaying);
+            if !replaying {
+                self.downlink(cursor);
+            }
+            self.progress.next_step += 1;
+            resumed = None;
         }
     }
 
@@ -674,9 +668,7 @@ impl CpfCore {
             next_step: 0,
             last_ul_clock: ClockTick::ZERO,
             cta,
-            bs: env.bs,
             waiting: None,
-            migrated: false,
         };
         let progress = match self.progress.entry(ue) {
             Entry::Vacant(slot) => slot.insert(fresh),
@@ -685,7 +677,6 @@ impl CpfCore {
                     *progress = fresh;
                 } else {
                     progress.cta = cta;
-                    progress.bs = env.bs;
                 }
                 progress
             }
@@ -743,7 +734,7 @@ impl CpfCore {
             }
         }
 
-        let finished = run.drive(replaying);
+        let finished = run.drive(replaying, None);
         self.retire(ue, finished);
     }
 
@@ -783,12 +774,17 @@ impl CpfCore {
 
     /// Source-side continuation after the migration target confirmed.
     pub fn on_migration_ack(&mut self, ue: UeId) -> Vec<CpfOutput> {
+        self.resume(ue, Waiting::Migration)
+    }
+
+    /// Continues `ue`'s procedure if it is paused on `stage`. Any other
+    /// answer (a duplicate, or one crossing a newer pause) is ignored.
+    fn resume(&mut self, ue: UeId, stage: Waiting) -> Vec<CpfOutput> {
         let mut out = Vec::new();
         let finished = match self.run(ue, &mut out) {
-            Some(mut run) if matches!(run.progress.waiting, Some(Waiting::Migration)) => {
+            Some(mut run) if run.progress.waiting == Some(stage) => {
                 run.progress.waiting = None;
-                run.progress.migrated = true;
-                run.drive(false)
+                run.drive(false, Some(stage))
             }
             _ => None,
         };
@@ -888,25 +884,14 @@ impl CpfCore {
 
     /// Continues a procedure after its UPF round trip.
     pub fn on_s11_resp(&mut self, resp: S11Response) -> Vec<CpfOutput> {
-        let mut out = Vec::new();
-        let ue = resp.ue;
         if resp.op == SessionOp::Create {
-            let rec = self.store.get_mut(ue);
+            let rec = self.store.get_mut(resp.ue);
             if let Some(state) = rec.and_then(|r| write(&mut r.state, &mut self.metrics)) {
                 state.session = resp.session;
                 state.serving_upf = resp.upf;
             }
         }
-        let finished = match self.run(ue, &mut out) {
-            Some(mut run) if matches!(run.progress.waiting, Some(Waiting::Upf)) => {
-                run.progress.waiting = None;
-                run.emit_downlink(false);
-                run.drive(false)
-            }
-            _ => None,
-        };
-        self.retire(ue, finished);
-        out
+        self.resume(resp.ue, Waiting::Upf)
     }
 
     /// Pages an idle UE that has downlink data waiting. Requires consistent
@@ -917,18 +902,17 @@ impl CpfCore {
             Some(r) if r.freshness == Freshness::UpToDate => read(&r.state, &mut self.metrics),
             _ => None,
         };
-        let Some(bs) = state.map(|s| s.serving_bs) else {
+        if state.is_none() {
             self.metrics.pages_failed += 1;
             return Vec::new();
-        };
+        }
         self.metrics.pages_sent += 1;
         let mut env = Envelope::downlink(
             ue,
             ProcedureId(0), // unsolicited: outside any procedure
             ProcedureKind::ServiceRequest,
             build_downlink(MessageKind::Paging, ue),
-        )
-        .from_bs(bs);
+        );
         env.via_cta = None;
         vec![CpfOutput::ToCta {
             cta: self.config.home_cta,
@@ -1044,6 +1028,7 @@ impl RoleCore for CpfCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neutrino_common::BsId;
 
     fn ring() -> RingStack {
         let l1: Vec<CpfId> = (0..5).map(CpfId::new).collect();
@@ -1593,13 +1578,27 @@ mod tests {
             CpfOutput::ToCta { msg: SysMsg::Control(e), .. }
                 if e.msg.kind() == MessageKind::HandoverRequest
         )));
-        // The ack releases the Handover Request.
+        // A UPF answer crossing the migration pause resumes nothing.
+        let crossed = cpf.on_s11_resp(S11Response {
+            ue: UeId::new(7),
+            op: SessionOp::Modify,
+            upf: UpfId::new(1),
+            session: Some(neutrino_common::SessionId::new(7)),
+            ok: true,
+        });
+        assert!(crossed.is_empty(), "{crossed:?}");
+        // The ack releases the Handover Request, once.
         let outs = cpf.on_migration_ack(UeId::new(7));
-        assert!(outs.iter().any(|o| matches!(
-            o,
-            CpfOutput::ToCta { msg: SysMsg::Control(e), .. }
-                if e.msg.kind() == MessageKind::HandoverRequest
-        )));
+        let requests = outs.iter().filter(|o| {
+            matches!(
+                o,
+                CpfOutput::ToCta { msg: SysMsg::Control(e), .. }
+                    if e.msg.kind() == MessageKind::HandoverRequest
+            )
+        });
+        assert_eq!(requests.count(), 1, "{outs:?}");
+        let again = cpf.on_migration_ack(UeId::new(7));
+        assert!(again.is_empty(), "{again:?}");
         assert_eq!(cpf.metrics().migrations, 1);
         let _ = target;
     }
@@ -1921,6 +1920,23 @@ mod tests {
             CpfOutput::ToCta { msg: SysMsg::Control(e), .. }
                 if e.msg.kind() == MessageKind::InitialContextSetupRequest
         )));
+        // A repeat of that answer after the ICS Request went out finds the
+        // procedure no longer paused on the UPF: nothing is re-emitted.
+        let repeat = cpf.on_s11_resp(S11Response {
+            ue: UeId::new(7),
+            op: SessionOp::Create,
+            upf: UpfId::new(1),
+            session: Some(neutrino_common::SessionId::new(7)),
+            ok: true,
+        });
+        assert!(repeat.is_empty(), "{repeat:?}");
+    }
+
+    #[test]
+    fn progress_keeps_no_bs_and_no_migrated_flag() {
+        // Procedure, kind, cursor, clock, CTA and the pause: 48 B with a
+        // stored BS and a `migrated` flag.
+        assert_eq!(std::mem::size_of::<Progress>(), 40);
     }
 
     #[test]

@@ -172,8 +172,8 @@ pub struct Envelope {
     pub procedure: ProcedureId,
     /// The kind of procedure this message is part of.
     pub proc_kind: ProcedureKind,
-    /// The base station the UE is (or was last) attached through — uplink
-    /// provenance and downlink routing target.
+    /// The base station an uplink came through (its provenance). No
+    /// receiver routes a downlink on it; the CPF's carry `BsId(0)`.
     pub bs: BsId,
     /// The CTA the message was routed through (stamped by the CTA alongside
     /// the logical clock); responses return via the same CTA.

@@ -39,9 +39,11 @@ use std::path::Path;
 /// The hash of the whole transcript at the parent of the payload-sharing
 /// rewrite, re-pinned when `CtaOutput::ToBs` lost its `bs` field (the
 /// parent's rendering with each `bs: bs-N, ` taken out of its `ToBs`
-/// outputs hashes to this value). Re-pin only for a deliberate protocol
-/// change.
-const PINNED_TRANSCRIPT_HASH: u64 = 0x0c05_1ba9_f02c_1e92;
+/// outputs hashes to this value) and when CPF downlinks lost their BS (the
+/// parent's rendering with the `bs` of each `direction: Downlink` envelope
+/// set to `bs-0` hashes to this value). Re-pin only for a deliberate
+/// protocol change.
+const PINNED_TRANSCRIPT_HASH: u64 = 0x4548_4484_4987_9890;
 /// Handler calls the script makes (a cheap guard against a script that
 /// silently stops early).
 const PINNED_CALLS: u64 = 588;
@@ -362,12 +364,12 @@ fn assert_pinned(mode: Mode) -> World {
         "downlinks reached the client: {}",
         w.to_client
     );
+    // The hashed text, written on every run, so a re-pin can be audited by
+    // `diff` against the same file written by the parent commit.
+    let file = format!("transcript-{mode:?}.txt");
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
+    std::fs::write(&path, &w.rendering).expect("writes the rendering");
     if (hash, calls) != (PINNED_TRANSCRIPT_HASH, PINNED_CALLS) {
-        // The hashed text, so a re-pin can be audited by `diff` against the
-        // same file written by the parent commit.
-        let file = format!("transcript-{mode:?}.txt");
-        let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
-        std::fs::write(&path, &w.rendering).expect("writes the rendering");
         panic!(
             "the cores' outputs changed: got ({hash:#018x}, {calls}); rendering in {}",
             path.display()
