@@ -151,7 +151,7 @@ pub trait Node<M>: Any {
 }
 
 /// Handle of a message body held in [`Bodies`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MsgId(u32);
 
 /// Every message body in flight, from the send (`flush_outbox`,
@@ -215,7 +215,7 @@ impl<M> Bodies<M> {
 /// A [`NodeId`] as events and queues carry it. A registered id is below
 /// `MAX_DENSE_ID`, so it fits; [`NodeId::EXTERNAL`] and every id that can
 /// never be registered map to `u32::MAX`, which no slot answers to.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Id32(u32);
 
 impl Id32 {
@@ -242,12 +242,68 @@ impl Id32 {
     }
 }
 
-/// A scheduled event: 16 bytes, so a wheel entry is 32.
+/// What a scheduled event does, as the scheduling sites build it and
+/// `dispatch` reads it. The wheel stores it packed, as an [`Event`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     Deliver { to: Id32, from: Id32, msg: MsgId },
     JobComplete { node: Id32, from: Id32, msg: MsgId },
     Timer { node: Id32, id: u64 },
     Crash { node: Id32 },
+}
+
+/// A scheduled event as the wheel stores it: two words, so a wheel entry is
+/// 32 bytes. `head` is the kind's tag above the node the event concerns (a
+/// `Deliver`'s destination); `arg` is `from << 32 | msg` for a message, the
+/// id for a `Timer` and 0 for a `Crash`. It is packed once where it is
+/// scheduled and decoded once in `dispatch`: a 16-byte enum handed between
+/// them is built by narrower stores and then reloaded whole, and that
+/// reload waits for the stores to retire instead of forwarding from them.
+#[derive(Clone, Copy)]
+struct Event {
+    head: u64,
+    arg: u64,
+}
+
+impl Event {
+    const DELIVER: u64 = 0;
+    const JOB_COMPLETE: u64 = 1;
+    const TIMER: u64 = 2;
+    const CRASH: u64 = 3;
+
+    #[inline(always)]
+    fn pack(kind: EventKind) -> Event {
+        let message = |from: Id32, msg: MsgId| u64::from(from.0) << 32 | u64::from(msg.0);
+        let (tag, node, arg) = match kind {
+            EventKind::Deliver { to, from, msg } => (Self::DELIVER, to, message(from, msg)),
+            EventKind::JobComplete { node, from, msg } => {
+                (Self::JOB_COMPLETE, node, message(from, msg))
+            }
+            EventKind::Timer { node, id } => (Self::TIMER, node, id),
+            EventKind::Crash { node } => (Self::CRASH, node, 0),
+        };
+        Event {
+            head: tag << 32 | u64::from(node.0),
+            arg,
+        }
+    }
+
+    /// The kind back; each cast takes a 32-bit half `pack` wrote.
+    #[inline(always)]
+    fn kind(self) -> EventKind {
+        let node = Id32(self.head as u32);
+        let (from, msg) = (Id32((self.arg >> 32) as u32), MsgId(self.arg as u32));
+        match self.head >> 32 {
+            Self::DELIVER => EventKind::Deliver {
+                to: node,
+                from,
+                msg,
+            },
+            Self::JOB_COMPLETE => EventKind::JobComplete { node, from, msg },
+            Self::TIMER => EventKind::Timer { node, id: self.arg },
+            _ => EventKind::Crash { node },
+        }
+    }
 }
 
 /// A queued message: sender, body, enqueue time (16 bytes).
@@ -320,11 +376,13 @@ const MAX_DENSE_ID: u64 = 1 << 24;
 /// Slot sentinel meaning "no node registered at this raw id".
 const NO_SLOT: u32 = u32::MAX;
 
-/// Schedules `kind` at `at` under the next sequence number. It takes the
-/// two fields it touches rather than the `Sim`, so `flush_outbox` can call
-/// it while draining the scratch outbox in place.
-fn schedule(queue: &mut Wheel<EventKind>, seq: &mut u64, at: Instant, kind: EventKind) {
-    queue.push(SchedKey { at, seq: *seq }, kind);
+/// Packs `kind` and schedules it at `at` under the next sequence number. It
+/// takes the two fields it touches rather than the `Sim`, so `flush_outbox`
+/// can call it while draining the scratch outbox in place. Inlined, with
+/// the wheel's `push`, so the two words go from registers into the bucket.
+#[inline(always)]
+fn schedule(queue: &mut Wheel<Event>, seq: &mut u64, at: Instant, kind: EventKind) {
+    queue.push(SchedKey { at, seq: *seq }, Event::pack(kind));
     *seq += 1;
 }
 
@@ -335,7 +393,7 @@ pub struct Sim<M> {
     link_seq: u64,
     /// The calendar-queue scheduler; dispatch order is ascending
     /// [`SchedKey`] — see [`crate::wheel`] for the ordering definition.
-    queue: Wheel<EventKind>,
+    queue: Wheel<Event>,
     /// Bodies of the messages `queue` and the node queues refer to.
     bodies: Bodies<M>,
     /// Dense node slab; slots are assigned in `add_node` order.
@@ -731,14 +789,14 @@ impl<M: Clone + 'static> Sim<M> {
                 slice_left = SLICE
                     .min((self.config.max_events - self.stats.events_processed).saturating_add(1));
             }
-            let Some((key, kind)) = self.queue.pop_due(deadline) else {
+            let Some((key, event)) = self.queue.pop_due(deadline) else {
                 break;
             };
             self.stats.events_processed += 1;
             slice_left -= 1;
             debug_assert!(key.at >= self.now, "time went backwards");
             self.now = key.at;
-            self.dispatch(kind);
+            self.dispatch(event.kind());
         }
         self.stats.allocs += crate::alloc_count::current().wrapping_sub(alloc_start);
         self.now
@@ -1405,8 +1463,43 @@ mod tests {
     #[test]
     fn scheduled_and_queued_entries_carry_no_body() {
         use std::mem::size_of;
-        assert_eq!(size_of::<(SchedKey, EventKind)>(), 32);
+        assert_eq!(size_of::<Event>(), 16);
+        assert_eq!(size_of::<(SchedKey, Event)>(), 32);
         assert_eq!(size_of::<Queued>(), 16);
+    }
+
+    #[test]
+    fn events_round_trip_through_two_words() {
+        let top = Id32((1 << 24) - 1);
+        let msg = MsgId(u32::MAX - 1);
+        let mut kinds = Vec::new();
+        for (a, b) in [
+            (top, Id32::EXTERNAL),
+            (Id32::EXTERNAL, top),
+            (Id32(0), Id32(0)),
+        ] {
+            for m in [msg, MsgId(0)] {
+                kinds.push(EventKind::Deliver {
+                    to: a,
+                    from: b,
+                    msg: m,
+                });
+                kinds.push(EventKind::JobComplete {
+                    node: a,
+                    from: b,
+                    msg: m,
+                });
+            }
+        }
+        for node in [top, Id32(0), Id32::EXTERNAL] {
+            for id in [0, 1 << 32, u64::MAX, u64::from(u32::MAX)] {
+                kinds.push(EventKind::Timer { node, id });
+            }
+            kinds.push(EventKind::Crash { node });
+        }
+        for kind in kinds {
+            assert_eq!(Event::pack(kind).kind(), kind);
+        }
     }
 
     #[test]
